@@ -1,14 +1,23 @@
-//! Criterion microbenchmarks for the answer-sketch hot paths behind the
-//! sketch query classes: the fused predicate→sketch partition update
-//! kernels and the cross-partition merge that assembles the served
-//! answer. Their trajectories gate the per-partition cost a sketch query
-//! pays on every picked partition and the per-pick cost of merging.
+//! Criterion microbenchmarks for both sketch families, one group each.
+//!
+//! `sketch/*` — the answer-sketch hot paths behind the sketch query
+//! classes: the fused predicate→sketch partition update kernels and the
+//! cross-partition merge that assembles the served answer. Their
+//! trajectories gate the per-partition cost a sketch query pays on every
+//! picked partition and the per-pick cost of merging.
+//!
+//! `sketch_construction/*` — Table 1: building the picker's feature
+//! sketches is O(R) (measures, AKMV, heavy hitters) or O(R log R)
+//! (equi-depth histogram), with small constants.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use ps3_data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3_query::{Clause, CmpOp, CompiledSketchQuery, Predicate, SketchQuery};
-use ps3_sketch::AnswerSketch;
+use ps3_sketch::hash::hash_f64;
+use ps3_sketch::{Akmv, AnswerSketch, EquiDepthHistogram, HeavyHitters, Measures};
 use ps3_storage::{ColId, PartitionId};
 
 fn bench_sketch(c: &mut Criterion) {
@@ -65,5 +74,28 @@ fn bench_sketch(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sketch);
+fn bench_sketch_construction(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sketch_construction");
+    g.sample_size(20);
+    for &n in &[10_000usize, 100_000] {
+        let mut rng = StdRng::seed_from_u64(1);
+        let values: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1e6)).collect();
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_with_input(BenchmarkId::new("measures", n), &values, |b, v| {
+            b.iter(|| Measures::from_values(v))
+        });
+        g.bench_with_input(BenchmarkId::new("histogram", n), &values, |b, v| {
+            b.iter(|| EquiDepthHistogram::from_values(v, 10))
+        });
+        g.bench_with_input(BenchmarkId::new("akmv", n), &values, |b, v| {
+            b.iter(|| Akmv::from_hashes(v.iter().map(|&x| hash_f64(x)), 128))
+        });
+        g.bench_with_input(BenchmarkId::new("heavy_hitters", n), &values, |b, v| {
+            b.iter(|| HeavyHitters::from_keys(v.iter().map(|&x| x.to_bits())))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_sketch, bench_sketch_construction);
 criterion_main!(benches);

@@ -53,8 +53,8 @@ pub use router::{
 };
 pub use serve::{QueryRequest, ServeHandle};
 pub use system::{
-    query_rng, spec_rng, AnswerMeta, AnswerOutcome, Method, ProgressUpdate, Ps3System,
-    RetrainReport, LSS_BUDGET_GRID,
+    spec_rng, AnswerMeta, AnswerOutcome, Method, ProgressUpdate, Ps3System, RetrainReport,
+    LSS_BUDGET_GRID,
 };
 pub use train::{pooled_partition_rows, PartitionStrata, TrainedPs3, TrainingData};
 

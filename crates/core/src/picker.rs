@@ -9,7 +9,7 @@ use rand::seq::SliceRandom;
 use ps3_cluster::{cluster, median_exemplar, random_exemplar, ClusterAlgo};
 use ps3_query::{Query, WeightedPart};
 use ps3_stats::{QueryFeatures, TableStats};
-use ps3_storage::{PartitionId, PartitionedTable};
+use ps3_storage::PartitionId;
 
 use crate::allocate::allocate_samples;
 use crate::config::ExemplarRule;
@@ -40,39 +40,15 @@ pub struct Picker<'a> {
     pub trained: &'a TrainedPs3,
     /// Table statistics (bitmaps for outlier detection).
     pub stats: &'a TableStats,
-    /// The partitioned table (schema + dictionaries for selectivity).
-    pub pt: &'a PartitionedTable,
 }
 
 impl Picker<'_> {
-    /// Run Algorithm 1 end to end, computing features internally.
-    pub fn pick(&self, query: &Query, budget: usize, rng: &mut StdRng) -> PickOutcome {
-        let features = QueryFeatures::compute(self.stats, self.pt.table(), query);
-        self.pick_with_features(query, &features, budget, rng, None)
-    }
-
-    /// Run Algorithm 1 with precomputed raw features, normalizing them
-    /// here. `oracle` substitutes true contributions for the learned models
-    /// (Appendix C.2). The serving path pre-normalizes once per query and
-    /// calls [`Picker::pick_normalized`] instead.
-    pub fn pick_with_features(
-        &self,
-        query: &Query,
-        features: &QueryFeatures,
-        budget: usize,
-        rng: &mut StdRng,
-        oracle: Option<&[f64]>,
-    ) -> PickOutcome {
-        let mut rows = features.rows.clone();
-        self.trained.normalizer.apply_matrix(&mut rows);
-        self.pick_normalized(query, features, &rows, budget, rng, oracle)
-    }
-
-    /// Run Algorithm 1 with raw features **and** their normalized rows
-    /// (`rows[p]` = normalized feature row of partition `p`). Borrows both
-    /// read-only — the per-pick matrix clone + renormalization is gone;
-    /// Algorithm-3 feature exclusions are applied as a clustering-time
-    /// projection instead of rewriting the rows.
+    /// Run Algorithm 1 over a query's raw features **and** their normalized
+    /// rows (`rows[p]` = normalized feature row of partition `p`), both
+    /// borrowed read-only — callers normalize once per query, not per pick.
+    /// `oracle` substitutes true contributions for the learned models
+    /// (Appendix C.2). Algorithm-3 feature exclusions are applied as a
+    /// clustering-time projection instead of rewriting the rows.
     pub fn pick_normalized(
         &self,
         query: &Query,

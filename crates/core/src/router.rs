@@ -6,7 +6,7 @@
 //! capacity backpressure, and a bounded **answer cache** keyed by
 //! `(table, generation, query fingerprint, method, budget bits, seed)`.
 //! Because every answer is already a pure function of that tuple (see
-//! [`crate::system::query_rng`]), replaying a cached [`AnswerOutcome`] is
+//! [`crate::system::spec_rng`]), replaying a cached [`AnswerOutcome`] is
 //! bit-identical to re-executing it — repeated requests and re-run budget
 //! sweeps skip partition execution entirely.
 //!
@@ -49,8 +49,6 @@ use ps3_runtime::{
     CacheStats, Mailbox, Permit, RequestQueue, Semaphore, SharedLru, SingleFlight,
     SubmitError as QueueError, ThreadPool,
 };
-
-use ps3_query::QuerySpec;
 
 use crate::planner::{plan_error_target, plan_latency_target, Budget, BudgetPlan, PlannerStats};
 use crate::serve::QueryRequest;
@@ -411,8 +409,8 @@ struct RouterCore {
 
 impl RouterCore {
     /// Resolve-or-execute through the answer cache, coalescing concurrent
-    /// misses. Bit-identical to a direct `Ps3System::answer_on` with a
-    /// [`query_rng`]-derived RNG: the cached value *is* that computation's
+    /// misses. Bit-identical to a direct `Ps3System::answer_spec_on` with a
+    /// [`spec_rng`]-derived RNG: the cached value *is* that computation's
     /// output, keyed by everything the computation depends on.
     ///
     /// A cold-key stampede — N requests racing on one never-seen key —
@@ -446,22 +444,20 @@ impl RouterCore {
             let mut rng = spec_rng(&req.query, req.seed);
             let started = Instant::now();
             // The progressive leader streams refining updates into the
-            // mailbox; both paths produce bit-identical final outcomes, so
-            // the cached value is path-independent. Sketch-class queries
-            // have no refining partials (a partial sketch merge is not a
-            // partial answer of the same shape) and always take the
-            // one-shot path.
-            let out = Arc::new(match (&req.query, progress) {
-                (QuerySpec::Scalar(q), Some(mailbox)) => system.answer_progressive_on(
-                    q,
-                    req.method,
-                    frac,
-                    &mut rng,
-                    &self.exec_pool,
-                    |update| mailbox.push(update),
-                ),
-                _ => system.answer_spec_on(&req.query, req.method, frac, &mut rng, &self.exec_pool),
-            });
+            // mailbox; the outcome is bit-identical with or without a
+            // sink, so the cached value is path-independent.
+            let mut forward = progress.map(|mailbox| |update| mailbox.push(update));
+            let sink = forward
+                .as_mut()
+                .map(|f| f as &mut dyn FnMut(ProgressUpdate));
+            let out = Arc::new(system.answer_spec_sink_on(
+                &req.query,
+                req.method,
+                frac,
+                &mut rng,
+                &self.exec_pool,
+                sink,
+            ));
             entry.observe_cost(started.elapsed().as_secs_f64() * 1e3, out.selection.len());
             self.answers.insert(key, Arc::clone(&out));
             out
@@ -864,7 +860,7 @@ impl Router {
     /// Answer synchronously on the caller, through the answer cache but
     /// bypassing the queue — the single-table [`crate::serve::ServeHandle`]
     /// path. Bit-identical to the queued path and to a direct
-    /// `Ps3System::answer_on` with a [`query_rng`]-derived RNG. Declarative
+    /// `Ps3System::answer_spec_on` with a [`spec_rng`]-derived RNG. Declarative
     /// budgets are planned first; [`Self::answer_planned`] additionally
     /// returns the plan.
     pub fn answer_now(&self, table: TableId, req: &QueryRequest) -> Arc<AnswerOutcome> {

@@ -215,7 +215,7 @@ impl ServeHandle {
 
     /// Answer one query across a budget sweep, fanned out over the pool
     /// with results in budget order. Each budget derives its RNG the same
-    /// way the serial path did (`query_rng(query, seed)` afresh per
+    /// way the serial path did (`spec_rng(spec, seed)` afresh per
     /// budget), so the fan-out is bit-identical to a serial sweep. The
     /// query's artifacts are warmed once up front, which keeps the
     /// features-computed-once guarantee even with budgets racing.
@@ -247,7 +247,7 @@ mod tests {
     use ps3_storage::{ColumnMeta, ColumnType, PartitionedTable, Schema};
 
     use crate::config::Ps3Config;
-    use crate::system::query_rng;
+    use crate::system::spec_rng;
 
     fn handle() -> ServeHandle {
         let schema = Schema::new(vec![
@@ -361,14 +361,15 @@ mod tests {
         );
         let budgets = [0.05, 0.1, 0.2, 0.35, 0.5, 0.75];
         let fanned = h.sweep(&q, Method::Ps3, &budgets, 11);
+        let spec = QuerySpec::from(&q);
         // The pre-fan-out reference: budgets executed serially on the
         // caller, each deriving its RNG afresh — no caches involved.
         let serial: Vec<AnswerOutcome> = budgets
             .iter()
             .map(|&frac| {
-                let mut rng = query_rng(&q, 11);
+                let mut rng = spec_rng(&spec, 11);
                 h.system()
-                    .answer_on(&q, Method::Ps3, frac, &mut rng, h.router().pool())
+                    .answer_spec_on(&spec, Method::Ps3, frac, &mut rng, h.router().pool())
             })
             .collect();
         assert_eq!(fanned.len(), serial.len());

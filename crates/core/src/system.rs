@@ -5,9 +5,14 @@
 //! method takes `&self` and threads an explicit RNG, so one system behind an
 //! `Arc` serves any number of threads concurrently (see
 //! [`crate::serve::ServeHandle`]). Per-query randomness comes either from a
-//! caller-owned [`StdRng`] or from a seed via [`query_rng`], which makes
+//! caller-owned [`StdRng`] or from a seed via [`spec_rng`], which makes
 //! results a pure function of `(query, method, budget, seed)` — the same
 //! request answered on eight threads is bit-identical on all of them.
+//!
+//! There is one answer pipeline, [`Ps3System::answer_spec_sink_on`]: select
+//! partitions, run a per-partition kernel, fold the partials in selection
+//! order, estimate the error. Query classes plug in as an `AnswerFold`;
+//! pools and progress sinks are arguments, not separate code paths.
 //!
 //! Raw [`QueryFeatures`] are served from a bounded LRU keyed by
 //! [`Query::fingerprint`], so budget sweeps and repeated predicate shapes
@@ -15,20 +20,20 @@
 //! diagnostics path ([`Ps3System::pick_outcome`]) sees exactly the features
 //! the serving path used.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ps3_query::{
-    execute_partials_on, execute_partitions_compiled_totals_on, execute_table, AggExpr, AggFunc,
-    CompiledQuery, CompiledSketchQuery, GroupKey, PartialAnswer, Query, QueryAnswer, QuerySpec,
-    SketchFunc, SketchQuery, WeightedPart,
+    execute_partials_on, execute_table, AggExpr, AggFunc, CompiledQuery, CompiledSketchQuery,
+    GroupKey, PartialAnswer, Query, QueryAnswer, QuerySpec, SketchFunc, SketchQuery, WeightedPart,
 };
 use ps3_runtime::{CacheStats, SharedLru, ThreadPool};
 use ps3_sketch::{AnswerSketch, DistinctSketch};
 use ps3_stats::{QueryFeatures, TableStats};
-use ps3_storage::PartitionedTable;
+use ps3_storage::{PartitionedTable, Table};
 
 use crate::baselines::{random_filter_selection, random_selection, LssModel};
 use crate::config::Ps3Config;
@@ -105,11 +110,12 @@ pub struct AnswerOutcome {
     pub sketch: Option<AnswerSketch>,
 }
 
-/// One refining answer from the progressive execution path: the weighted
-/// combination of the first `partitions_done` selected partitions, with the
-/// error estimate over that prefix. The *final* refinement is not emitted
-/// as an update — it is the ordinary [`AnswerOutcome`], bit-identical to
-/// the one-shot path.
+/// One refining answer, as delivered to a progress sink
+/// ([`Ps3System::answer_spec_sink_on`]): the weighted combination of the
+/// first `partitions_done` selected partitions, with the error estimate
+/// over that prefix. The *final* refinement is not emitted as an update —
+/// it is the ordinary [`AnswerOutcome`], bit-identical with or without a
+/// sink.
 #[derive(Debug, Clone)]
 pub struct ProgressUpdate {
     /// 0-based update sequence number.
@@ -125,17 +131,9 @@ pub struct ProgressUpdate {
 }
 
 /// The deterministic per-request RNG used by the seeded entry points:
-/// mixes the caller's seed with the query fingerprint so distinct queries
-/// draw independent streams while `(query, seed)` fully determines the
-/// result.
-pub fn query_rng(query: &Query, seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed ^ query.fingerprint().rotate_left(17))
-}
-
-/// [`query_rng`] over a [`QuerySpec`] of either class: the same
-/// fingerprint-mixing scheme, so for a scalar spec this is exactly
-/// `query_rng(&q, seed)` and every pre-spec cache key and answer stays
-/// bit-identical.
+/// mixes the caller's seed with the spec's fingerprint (one key space for
+/// both query classes) so distinct queries draw independent streams while
+/// `(spec, seed)` fully determines the result.
 pub fn spec_rng(spec: &QuerySpec, seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ spec.fingerprint().rotate_left(17))
 }
@@ -341,7 +339,7 @@ impl Ps3System {
 
     /// Per-query artifacts (features + normalized rows + compiled kernels),
     /// served from the bounded LRU cache. Both the serving path
-    /// ([`Self::answer`]) and the diagnostics path ([`Self::pick_outcome`])
+    /// ([`Self::answer_spec_on`]) and the diagnostics path ([`Self::pick_outcome`])
     /// resolve artifacts here, so they always agree; a budget sweep over
     /// one query computes and compiles everything exactly once.
     pub fn artifacts_for(&self, query: &Query) -> Arc<QueryArtifacts> {
@@ -424,14 +422,18 @@ impl Ps3System {
                 (sel, 0.0)
             }
             Method::Ps3 => {
-                let picker = Picker {
-                    trained: &self.trained,
-                    stats: &self.stats,
-                    pt: &self.pt,
-                };
-                let out = picker.pick_normalized(query, features, normalized, budget, rng, oracle);
+                let out = self
+                    .picker()
+                    .pick_normalized(query, features, normalized, budget, rng, oracle);
                 (out.selection, out.total_ms)
             }
+        }
+    }
+
+    fn picker(&self) -> Picker<'_> {
+        Picker {
+            trained: &self.trained,
+            stats: &self.stats,
         }
     }
 
@@ -440,12 +442,7 @@ impl Ps3System {
     pub fn pick_outcome(&self, query: &Query, frac: f64, rng: &mut StdRng) -> PickOutcome {
         let artifacts = self.artifacts_for(query);
         let budget = self.budget_partitions(frac);
-        let picker = Picker {
-            trained: &self.trained,
-            stats: &self.stats,
-            pt: &self.pt,
-        };
-        picker.pick_normalized(
+        self.picker().pick_normalized(
             query,
             &artifacts.features,
             &artifacts.normalized,
@@ -453,21 +450,6 @@ impl Ps3System {
             rng,
             None,
         )
-    }
-
-    /// Answer `query` approximately: select partitions, execute them (in
-    /// parallel over the shared pool for large selections), and combine the
-    /// weighted partial answers (§2.4). Callable concurrently on a shared
-    /// system; the result is a pure function of the arguments and the RNG
-    /// state.
-    pub fn answer(
-        &self,
-        query: &Query,
-        method: Method,
-        frac: f64,
-        rng: &mut StdRng,
-    ) -> AnswerOutcome {
-        self.answer_on(query, method, frac, rng, &ThreadPool::global())
     }
 
     /// True when `selection` provably reproduces the exact answer: the
@@ -493,50 +475,45 @@ impl Ps3System {
             .all(|p| weight_of.get(&p) == Some(&1.0))
     }
 
-    /// Assemble [`AnswerMeta`] from a selection and its per-partition slot
-    /// totals (the estimator's input). Exact selections short-circuit to a
-    /// zero-error estimate.
-    fn build_meta(
+    /// Answer `spec` approximately at `frac` of the data — **the** answer
+    /// pipeline; every other entry point is this one with arguments filled
+    /// in. Select partitions from summary statistics, run the class's
+    /// kernel on each picked partition, fold the partials in selection
+    /// order with their weights (§2.4), estimate the error. Callable
+    /// concurrently on a shared system; the outcome is a pure function of
+    /// the arguments and the RNG state — bit-identical across pools (a
+    /// 1-worker pool executes serially on the caller) and with or without
+    /// a sink.
+    ///
+    /// Scalar and sketch specs differ only in their `AnswerFold`. With a
+    /// `sink` attached to a scalar spec, the selection executes in at most
+    /// four batches and after each non-final batch the sink receives the
+    /// estimate over the prefix read so far (online aggregation: a running
+    /// prefix of the same estimator, not a second algorithm). Sketch specs
+    /// emit no updates — a partial sketch merge is not a partial answer of
+    /// the same shape.
+    pub fn answer_spec_sink_on(
         &self,
-        query: &Query,
-        features: &QueryFeatures,
-        frac: f64,
-        picker_ms: f64,
-        selection: &[WeightedPart],
-        totals: &[Vec<f64>],
-    ) -> AnswerMeta {
-        let funcs: Vec<AggFunc> = query.aggregates.iter().map(|a| a.func).collect();
-        let exact = self.selection_is_exact(features, frac, selection);
-        let error_estimate = if exact {
-            ErrorEstimate::exact_for(funcs.len())
-        } else {
-            let weights: Vec<f64> = selection.iter().map(|wp| wp.weight).collect();
-            estimate_from_totals(&funcs, totals, &weights, self.num_partitions())
-        };
-        AnswerMeta {
-            partitions_read: selection.len() as u32,
-            picker_ms,
-            error_estimate,
-            planned_frac: frac,
-            exact,
-        }
-    }
-
-    /// [`Self::answer`] with partition execution pinned to `pool` (a
-    /// 1-worker pool executes serially on the caller). The serving layer
-    /// uses this to keep batch fan-out and per-query fan-out on one pool;
-    /// the result is bit-identical across pools.
-    pub fn answer_on(
-        &self,
-        query: &Query,
+        spec: &QuerySpec,
         method: Method,
         frac: f64,
         rng: &mut StdRng,
         pool: &ThreadPool,
+        sink: Option<&mut dyn FnMut(ProgressUpdate)>,
     ) -> AnswerOutcome {
-        let artifacts = self.artifacts_for(query);
+        // A sketch query is *picked* as `COUNT(*)` under its predicate, so
+        // every method, feature computation, and exclusion applies as is.
+        let proxy;
+        let picked_as = match spec {
+            QuerySpec::Scalar(q) => q,
+            QuerySpec::Sketch(q) => {
+                proxy = sketch_proxy(q);
+                &proxy
+            }
+        };
+        let artifacts = self.artifacts_for(picked_as);
         let (selection, picker_ms) = self.select_prepared(
-            query,
+            picked_as,
             &artifacts.features,
             &artifacts.normalized,
             method,
@@ -544,103 +521,49 @@ impl Ps3System {
             None,
             rng,
         );
-        let (answer, totals) =
-            execute_partitions_compiled_totals_on(&self.pt, &artifacts.compiled, &selection, pool);
-        let meta = self.build_meta(
-            query,
-            &artifacts.features,
-            frac,
-            picker_ms,
-            &selection,
-            &totals,
-        );
-        AnswerOutcome {
-            answer,
-            selection,
-            meta,
-            sketch: None,
-        }
-    }
-
-    /// [`Self::answer_on`], emitting refining [`ProgressUpdate`]s as
-    /// partition batches complete. The selection is split into at most four
-    /// batches; after each non-final batch, `on_update` receives the
-    /// weighted combination of the prefix read so far plus its error
-    /// estimate. The returned outcome is **bit-identical** to
-    /// [`Self::answer_on`] with the same arguments: both paths add the same
-    /// per-partition partials in the same selection order, and batching
-    /// never reorders an `f64` accumulation.
-    pub fn answer_progressive_on(
-        &self,
-        query: &Query,
-        method: Method,
-        frac: f64,
-        rng: &mut StdRng,
-        pool: &ThreadPool,
-        mut on_update: impl FnMut(ProgressUpdate),
-    ) -> AnswerOutcome {
-        let artifacts = self.artifacts_for(query);
-        let (selection, picker_ms) = self.select_prepared(
-            query,
-            &artifacts.features,
-            &artifacts.normalized,
-            method,
-            frac,
-            None,
-            rng,
-        );
-        let funcs: Vec<AggFunc> = query.aggregates.iter().map(|a| a.func).collect();
-        let m = selection.len();
-        let batch = m.div_ceil(4).max(1);
-        let mut acc = PartialAnswer {
-            groups: std::collections::HashMap::new(),
-            slots: artifacts.compiled.slot_count(),
+        let covering = self.selection_is_exact(&artifacts.features, frac, &selection);
+        let (answer, error_estimate, exact, sketch) = match spec {
+            QuerySpec::Scalar(_) => {
+                let compiled = &artifacts.compiled;
+                let mut fold = ScalarFold {
+                    compiled,
+                    acc: PartialAnswer {
+                        groups: std::collections::HashMap::new(),
+                        slots: compiled.slot_count(),
+                    },
+                    totals: Vec::new(),
+                    weights: Vec::new(),
+                };
+                let (a, e, x) = self.fold_selection(&mut fold, &selection, covering, pool, sink);
+                (a, e, x, None)
+            }
+            QuerySpec::Sketch(q) => {
+                let compiled = CompiledSketchQuery::compile(self.pt.table(), q);
+                let mut fold = SketchFold {
+                    merged: compiled.empty_sketch(),
+                    compiled,
+                    parts: Vec::new(),
+                };
+                let (a, e, x) = self.fold_selection(&mut fold, &selection, covering, pool, None);
+                (a, e, x, Some(fold.merged))
+            }
         };
-        let mut totals: Vec<Vec<f64>> = Vec::with_capacity(m);
-        let mut weights: Vec<f64> = Vec::with_capacity(m);
-        let mut seq = 0u32;
-        for chunk in selection.chunks(batch) {
-            let partials = execute_partials_on(&self.pt, &artifacts.compiled, chunk, pool);
-            for (wp, part) in chunk.iter().zip(&partials) {
-                totals.push(part.slot_totals());
-                weights.push(wp.weight);
-                acc.add_weighted(part, wp.weight);
-            }
-            let done = totals.len();
-            if done < m {
-                let estimate =
-                    estimate_from_totals(&funcs, &totals, &weights, self.num_partitions());
-                on_update(ProgressUpdate {
-                    seq,
-                    partitions_done: done as u32,
-                    partitions_total: m as u32,
-                    answer: acc.finalize_funcs(&funcs),
-                    rel_err: estimate.rel_err,
-                });
-                seq += 1;
-            }
-        }
-        let answer = artifacts.compiled.finalize(&acc);
-        let meta = self.build_meta(
-            query,
-            &artifacts.features,
-            frac,
-            picker_ms,
-            &selection,
-            &totals,
-        );
         AnswerOutcome {
             answer,
+            meta: AnswerMeta {
+                partitions_read: selection.len() as u32,
+                picker_ms,
+                error_estimate,
+                planned_frac: frac,
+                exact,
+            },
             selection,
-            meta,
-            sketch: None,
+            sketch,
         }
     }
 
-    /// [`Self::answer_on`] for a [`QuerySpec`] of either class — the
-    /// router's uncached execution path. Scalar specs take the weighted
-    /// combination path unchanged; sketch specs take
-    /// [`Self::answer_sketch_on`].
+    /// [`Self::answer_spec_sink_on`] with nobody listening — the router's
+    /// uncached execution path.
     pub fn answer_spec_on(
         &self,
         spec: &QuerySpec,
@@ -649,80 +572,172 @@ impl Ps3System {
         rng: &mut StdRng,
         pool: &ThreadPool,
     ) -> AnswerOutcome {
-        match spec {
-            QuerySpec::Scalar(q) => self.answer_on(q, method, frac, rng, pool),
-            QuerySpec::Sketch(q) => self.answer_sketch_on(q, method, frac, rng, pool),
-        }
+        self.answer_spec_sink_on(spec, method, frac, rng, pool, None)
     }
 
-    /// Answer a sketch-class query (`PERCENTILE` / `COUNT(DISTINCT)` /
-    /// `TOP_K`) approximately: pick partitions exactly like a scalar query
-    /// (the picker sees a `COUNT(*)` proxy with the same predicate, so
-    /// every method, feature computation, and exclusion applies
-    /// unchanged), build one answer sketch per picked partition with the
-    /// fused kernels, and merge. The merged sketch is confluent:
-    /// bit-identical to a single pass over the concatenated picked rows,
-    /// whatever order the picker produced.
-    ///
-    /// Error semantics per class (see [`ErrorEstimate`]'s honesty rules):
-    ///
-    /// * `PERCENTILE` — rank-error CI: the sketch's own quantiles at
-    ///   `p ± 1.96·√(p(1−p)/n)` widened by the sketch's relative value
-    ///   error `alpha`; never exact (the sketch itself approximates).
-    /// * `COUNT(DISTINCT)` — the merged estimate is *unscaled* (distinct
-    ///   counts do not extrapolate linearly), so a partial selection
-    ///   honestly reports NaN; a covering selection reports the standard
-    ///   HLL error. Never exact.
-    /// * `TOP_K` — weighted per-key count estimates through the same
-    ///   estimator scalar `COUNT` uses; exact when the selection provably
-    ///   covers every qualifying partition at weight 1 (counts are exact).
-    pub fn answer_sketch_on(
+    /// The class-independent middle of the pipeline: run `fold`'s kernel
+    /// over `selection` through the one executor, fold in selection order,
+    /// and estimate — in one batch unless a sink is listening for prefixes.
+    /// Batching never reorders an `f64` accumulation.
+    fn fold_selection<F: AnswerFold>(
         &self,
-        query: &SketchQuery,
+        fold: &mut F,
+        selection: &[WeightedPart],
+        covering: bool,
+        pool: &ThreadPool,
+        mut sink: Option<&mut dyn FnMut(ProgressUpdate)>,
+    ) -> (QueryAnswer, ErrorEstimate, bool) {
+        let (m, n) = (selection.len(), self.num_partitions());
+        let batch = if sink.is_some() { m.div_ceil(4) } else { m };
+        let mut done = 0;
+        for (seq, chunk) in selection.chunks(batch.max(1)).enumerate() {
+            let partials = execute_partials_on(&self.pt, chunk, pool, |rows| {
+                fold.kernel(self.pt.table(), rows)
+            });
+            for (wp, part) in chunk.iter().zip(partials) {
+                fold.fold(wp.weight, part);
+            }
+            done += chunk.len();
+            if let (Some(sink), true) = (sink.as_mut(), done < m) {
+                let (answer, estimate, _) = fold.estimate(false, n);
+                sink(ProgressUpdate {
+                    seq: seq as u32,
+                    partitions_done: done as u32,
+                    partitions_total: m as u32,
+                    answer,
+                    rel_err: estimate.rel_err,
+                });
+            }
+        }
+        fold.estimate(covering, n)
+    }
+
+    /// The single-pass whole-table answer sketch for `query` — the oracle
+    /// every covering merge must equal bit-for-bit (confluence).
+    pub fn exact_sketch(&self, query: &SketchQuery) -> AnswerSketch {
+        let table = self.pt.table();
+        CompiledSketchQuery::compile(table, query).sketch_partition(table, 0..table.num_rows())
+    }
+
+    /// [`Self::answer_spec_on`] on the shared workspace pool, with the RNG
+    /// derived from `(spec, seed)` via [`spec_rng`] — the library entry
+    /// point: same request, same seed, same answer, from any thread.
+    pub fn answer_seeded(
+        &self,
+        spec: impl Into<QuerySpec>,
         method: Method,
         frac: f64,
-        rng: &mut StdRng,
-        pool: &ThreadPool,
+        seed: u64,
     ) -> AnswerOutcome {
-        let proxy = sketch_proxy(query);
-        let artifacts = self.artifacts_for(&proxy);
-        let (selection, picker_ms) = self.select_prepared(
-            &proxy,
-            &artifacts.features,
-            &artifacts.normalized,
-            method,
-            frac,
-            None,
-            rng,
-        );
-        let compiled = CompiledSketchQuery::compile(self.pt.table(), query);
-        let parts: Vec<AnswerSketch> = if selection.len() >= 8 && pool.workers() > 1 {
-            pool.map(&selection, |wp| {
-                compiled.sketch_partition(self.pt.table(), self.pt.rows(wp.partition))
-            })
-        } else {
-            selection
-                .iter()
-                .map(|wp| compiled.sketch_partition(self.pt.table(), self.pt.rows(wp.partition)))
-                .collect()
-        };
-        let mut merged = compiled.empty_sketch();
-        for p in &parts {
-            merged.merge_from(p);
-        }
-        let covering = self.selection_is_exact(&artifacts.features, frac, &selection);
+        let spec = spec.into();
+        let mut rng = spec_rng(&spec, seed);
+        self.answer_spec_on(&spec, method, frac, &mut rng, &ThreadPool::global())
+    }
+}
 
-        let (answer, error_estimate, exact) = match (&merged, query.func) {
+/// The three pieces of the answer pipeline
+/// ([`Ps3System::answer_spec_sink_on`]) that depend on the query class: the
+/// per-partition kernel, the selection-order fold, and the error estimate.
+/// Everything else — artifacts, selection, the executor, batching,
+/// progress, metadata — is shared.
+trait AnswerFold: Sync {
+    /// What the kernel produces for one partition.
+    type Partial: Send;
+
+    /// The per-partition kernel: one picked partition's partial result.
+    fn kernel(&self, table: &Table, rows: Range<usize>) -> Self::Partial;
+
+    /// The fold: absorb the next partition's partial at its selection
+    /// weight. Called in selection order, always.
+    fn fold(&mut self, weight: f64, part: Self::Partial);
+
+    /// The estimate over everything folded so far: `(answer, error, exact)`.
+    /// `covering` is true when the folded selection provably reproduces a
+    /// full read; `n` is the table's partition count.
+    fn estimate(&self, covering: bool, n: usize) -> (QueryAnswer, ErrorEstimate, bool);
+}
+
+/// Linear aggregates (`SUM` / `COUNT` / `AVG`): the kernel is the compiled
+/// columnar program, the fold is the §2.4 weighted combination, and the
+/// estimate reads the spread of per-partition slot totals.
+struct ScalarFold<'a> {
+    compiled: &'a CompiledQuery,
+    acc: PartialAnswer,
+    /// Per folded partition: unweighted slot totals and selection weight.
+    totals: Vec<Vec<f64>>,
+    weights: Vec<f64>,
+}
+
+impl AnswerFold for ScalarFold<'_> {
+    type Partial = PartialAnswer;
+
+    fn kernel(&self, table: &Table, rows: Range<usize>) -> PartialAnswer {
+        self.compiled.execute_partition(table, rows)
+    }
+
+    fn fold(&mut self, weight: f64, part: PartialAnswer) {
+        self.totals.push(part.slot_totals());
+        self.weights.push(weight);
+        self.acc.add_weighted(&part, weight);
+    }
+
+    fn estimate(&self, covering: bool, n: usize) -> (QueryAnswer, ErrorEstimate, bool) {
+        let funcs = self.compiled.funcs();
+        let estimate = if covering {
+            ErrorEstimate::exact_for(funcs.len())
+        } else {
+            estimate_from_totals(funcs, &self.totals, &self.weights, n)
+        };
+        (self.compiled.finalize(&self.acc), estimate, covering)
+    }
+}
+
+/// Sketch-class aggregates (`PERCENTILE` / `COUNT(DISTINCT)` / `TOP_K`):
+/// the kernel builds one answer sketch per partition, the fold merges them
+/// *unweighted* — confluent, so bit-identical to a single pass over the
+/// concatenated picked rows whatever order the picker produced — and the
+/// estimate follows [`ErrorEstimate`]'s honesty rules per function (see the
+/// match arms): only `TOP_K`, whose counts are exact, can be exact.
+struct SketchFold {
+    compiled: CompiledSketchQuery,
+    merged: AnswerSketch,
+    /// Per folded partition: selection weight and its own sketch (`TOP_K`
+    /// weights per-partition counts).
+    parts: Vec<(f64, AnswerSketch)>,
+}
+
+impl AnswerFold for SketchFold {
+    type Partial = AnswerSketch;
+
+    fn kernel(&self, table: &Table, rows: Range<usize>) -> AnswerSketch {
+        self.compiled.sketch_partition(table, rows)
+    }
+
+    fn fold(&mut self, weight: f64, part: AnswerSketch) {
+        self.merged.merge_from(&part);
+        self.parts.push((weight, part));
+    }
+
+    fn estimate(&self, covering: bool, n: usize) -> (QueryAnswer, ErrorEstimate, bool) {
+        let one = |hw: f64, rel: f64| ErrorEstimate {
+            per_agg: vec![AggError {
+                ci_half_width: hw,
+                rel_err: rel,
+            }],
+            rel_err: rel,
+        };
+        match (&self.merged, self.compiled.func()) {
             (AnswerSketch::Quantile(s), SketchFunc::Percentile(p)) => {
                 let v = s.quantile(p);
-                let n = s.ranked_count();
-                let est = if n == 0 {
+                let ranked = s.ranked_count();
+                let est = if ranked == 0 {
                     ErrorEstimate::no_signal(1)
                 } else {
-                    // Rank uncertainty of the p-th order statistic over n
-                    // observed values, read back through the sketch itself,
-                    // plus the sketch's own value error.
-                    let se = (p * (1.0 - p) / n as f64).sqrt();
+                    // Rank uncertainty of the p-th order statistic over the
+                    // observed values (p ± 1.96·√(p(1−p)/n)), read back
+                    // through the sketch itself, plus the sketch's own
+                    // relative value error `alpha`.
+                    let se = (p * (1.0 - p) / ranked as f64).sqrt();
                     let (lo, hi) = (
                         s.quantile((p - 1.96 * se).clamp(0.0, 1.0)),
                         s.quantile((p + 1.96 * se).clamp(0.0, 1.0)),
@@ -733,14 +748,7 @@ impl Ps3System {
                         (v - lo).abs().max((hi - v).abs())
                     };
                     let hw = rank_hw + v.abs() * s.alpha();
-                    let rel = if v == 0.0 { f64::NAN } else { hw / v.abs() };
-                    ErrorEstimate {
-                        per_agg: vec![AggError {
-                            ci_half_width: hw,
-                            rel_err: rel,
-                        }],
-                        rel_err: rel,
-                    }
+                    one(hw, if v == 0.0 { f64::NAN } else { hw / v.abs() })
                 };
                 (global_answer(v), est, false)
             }
@@ -748,15 +756,10 @@ impl Ps3System {
                 let v = s.estimate();
                 let est = if covering && v != 0.0 {
                     let rel = 1.96 * DistinctSketch::standard_error();
-                    ErrorEstimate {
-                        per_agg: vec![AggError {
-                            ci_half_width: rel * v,
-                            rel_err: rel,
-                        }],
-                        rel_err: rel,
-                    }
+                    one(rel * v, rel)
                 } else {
-                    // A partial merge undercounts by an amount no sketch
+                    // Distinct counts do not extrapolate linearly: a
+                    // partial merge undercounts by an amount no sketch
                     // statistic bounds — no signal, by design; the planner
                     // escalates to a covering read.
                     ErrorEstimate::no_signal(1)
@@ -764,14 +767,18 @@ impl Ps3System {
                 (global_answer(v), est, false)
             }
             (AnswerSketch::TopK(_), SketchFunc::TopK(k)) => {
+                let tops = || {
+                    self.parts.iter().map(|(w, part)| match part {
+                        AnswerSketch::TopK(t) => (*w, t),
+                        _ => unreachable!("a TOP_K kernel builds top-k sketches"),
+                    })
+                };
                 // Weighted per-key count estimates: Σ_j w_j · count_j(key),
                 // ranked by estimate (desc) with ascending key tie-break.
                 let mut weighted: std::collections::HashMap<u64, f64> = Default::default();
-                for (part, wp) in parts.iter().zip(&selection) {
-                    if let AnswerSketch::TopK(t) = part {
-                        for &(key, count) in t.entries() {
-                            *weighted.entry(key).or_insert(0.0) += wp.weight * count as f64;
-                        }
+                for (w, t) in tops() {
+                    for &(key, count) in t.entries() {
+                        *weighted.entry(key).or_insert(0.0) += w * count as f64;
                     }
                 }
                 let mut ranked: Vec<(u64, f64)> = weighted.into_iter().collect();
@@ -787,56 +794,18 @@ impl Ps3System {
                     ErrorEstimate::exact_for(ranked.len())
                 } else {
                     let funcs = vec![AggFunc::Count; ranked.len()];
-                    let totals: Vec<Vec<f64>> = parts
-                        .iter()
-                        .map(|part| match part {
-                            AnswerSketch::TopK(t) => ranked
-                                .iter()
-                                .map(|&(key, _)| t.count_of(key) as f64)
-                                .collect(),
-                            _ => unreachable!(),
+                    let (weights, totals): (Vec<f64>, Vec<Vec<f64>>) = tops()
+                        .map(|(w, t)| {
+                            let counts = ranked.iter().map(|&(key, _)| t.count_of(key) as f64);
+                            (w, counts.collect())
                         })
-                        .collect();
-                    let weights: Vec<f64> = selection.iter().map(|wp| wp.weight).collect();
-                    estimate_from_totals(&funcs, &totals, &weights, self.num_partitions())
+                        .unzip();
+                    estimate_from_totals(&funcs, &totals, &weights, n)
                 };
                 (answer, est, covering)
             }
             _ => unreachable!("compiled sketch kind always matches the query func"),
-        };
-        AnswerOutcome {
-            answer,
-            selection,
-            meta: AnswerMeta {
-                partitions_read: parts.len() as u32,
-                picker_ms,
-                error_estimate,
-                planned_frac: frac,
-                exact,
-            },
-            sketch: Some(merged),
         }
-    }
-
-    /// The single-pass whole-table answer sketch for `query` — the oracle
-    /// every covering merge must equal bit-for-bit (confluence).
-    pub fn exact_sketch(&self, query: &SketchQuery) -> AnswerSketch {
-        let table = self.pt.table();
-        CompiledSketchQuery::compile(table, query).sketch_partition(table, 0..table.num_rows())
-    }
-
-    /// [`Self::answer`] with the RNG derived from `(query, seed)` via
-    /// [`query_rng`] — the serving entry point: same request, same seed,
-    /// same answer, from any thread.
-    pub fn answer_seeded(
-        &self,
-        query: &Query,
-        method: Method,
-        frac: f64,
-        seed: u64,
-    ) -> AnswerOutcome {
-        let mut rng = query_rng(query, seed);
-        self.answer(query, method, frac, &mut rng)
     }
 }
 
@@ -855,13 +824,22 @@ mod tests {
     }
 
     fn tiny_system() -> Ps3System {
+        system_of(160)
+    }
+
+    /// 16 equal partitions over `rows` rows: `x` = row index, `g` = which
+    /// half of the table the row is in.
+    fn system_of(rows: u32) -> Ps3System {
         let schema = Schema::new(vec![
             ColumnMeta::new("x", ColumnType::Numeric),
             ColumnMeta::new("g", ColumnType::Categorical),
         ]);
         let mut b = TableBuilder::new(schema);
-        for i in 0..160 {
-            b.push_row(&[f64::from(i)], &[["a", "b"][(i / 80) as usize % 2]]);
+        for i in 0..rows {
+            b.push_row(
+                &[f64::from(i)],
+                &[["a", "b"][(i / (rows / 2)) as usize % 2]],
+            );
         }
         let pt = std::sync::Arc::new(PartitionedTable::with_equal_partitions(b.finish(), 16));
         let stats = std::sync::Arc::new(ps3_stats::TableStats::build(&pt, &StatsConfig::default()));
@@ -981,51 +959,6 @@ mod tests {
         );
         assert!(s.is_finite() && l.is_finite());
         assert!(l < s, "CI must tighten with budget: {l} !< {s}");
-    }
-
-    #[test]
-    fn progressive_answer_is_bit_identical_and_updates_refine() {
-        let sys = tiny_system();
-        let q = Query::new(
-            vec![AggExpr::sum(ps3_query::ScalarExpr::col(
-                ps3_storage::ColId(0),
-            ))],
-            None,
-            vec![ps3_storage::ColId(1)],
-        );
-        let pool = ThreadPool::new(2);
-        let mut rng = query_rng(&q, 9);
-        let one_shot = sys.answer_on(&q, Method::Ps3, 0.5, &mut rng, &pool);
-        let mut updates = Vec::new();
-        let mut rng = query_rng(&q, 9);
-        let progressive =
-            sys.answer_progressive_on(&q, Method::Ps3, 0.5, &mut rng, &pool, |u| updates.push(u));
-        assert_eq!(
-            one_shot.answer, progressive.answer,
-            "final progressive answer must be bit-identical to one-shot"
-        );
-        // Everything but the wall-clock picker timing is bit-identical.
-        assert_eq!(
-            one_shot.meta.error_estimate,
-            progressive.meta.error_estimate
-        );
-        assert_eq!(
-            one_shot.meta.partitions_read,
-            progressive.meta.partitions_read
-        );
-        assert_eq!(one_shot.meta.planned_frac, progressive.meta.planned_frac);
-        assert_eq!(one_shot.meta.exact, progressive.meta.exact);
-        assert!(!updates.is_empty(), "a multi-partition read must refine");
-        let mut prev_done = 0;
-        for (i, u) in updates.iter().enumerate() {
-            assert_eq!(u.seq as usize, i);
-            assert!(u.partitions_done > prev_done, "monotone partitions_done");
-            assert!(
-                u.partitions_done < u.partitions_total,
-                "final is not an update"
-            );
-            prev_done = u.partitions_done;
-        }
     }
 
     #[test]
@@ -1221,30 +1154,114 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scalar_specs_answer_bit_identically_to_the_plain_query_path() {
-        let sys = tiny_system();
-        let pool = ThreadPool::new(2);
-        let q = Query::new(
-            vec![AggExpr::sum(ps3_query::ScalarExpr::col(
-                ps3_storage::ColId(0),
-            ))],
-            None,
-            vec![ps3_storage::ColId(1)],
+    /// Answer, selection, every `meta` field but the wall-clock
+    /// `picker_ms`, and the sketch's codec bytes, as comparable bits.
+    fn outcome_bits(out: &AnswerOutcome) -> impl PartialEq + std::fmt::Debug {
+        let bits = |vals: &Vec<f64>| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rows: Vec<_> = (out.answer.groups.iter())
+            .map(|(key, vals)| (key.clone(), bits(vals)))
+            .collect();
+        rows.sort();
+        let selection: Vec<_> = (out.selection.iter())
+            .map(|wp| (wp.partition.index(), wp.weight.to_bits()))
+            .collect();
+        let AnswerMeta {
+            partitions_read,
+            picker_ms: _,
+            error_estimate,
+            planned_frac,
+            exact,
+        } = out.meta.clone();
+        let meta = (
+            partitions_read,
+            error_estimate,
+            planned_frac.to_bits(),
+            exact,
         );
-        let spec = QuerySpec::from(q.clone());
-        for method in Method::ALL {
-            for seed in [0u64, 9] {
-                // spec_rng must collapse to query_rng for scalar specs —
-                // the cached-answer key space did not move.
-                let mut rng_q = query_rng(&q, seed);
-                let mut rng_s = spec_rng(&spec, seed);
-                let a = sys.answer_on(&q, method, 0.25, &mut rng_q, &pool);
-                let b = sys.answer_spec_on(&spec, method, 0.25, &mut rng_s, &pool);
-                assert_eq!(a.answer, b.answer, "{method:?} seed {seed}");
-                assert_eq!(a.meta.error_estimate, b.meta.error_estimate);
-                assert!(b.sketch.is_none(), "scalar answers carry no sketch");
+        let sketch = (out.sketch.as_ref()).map(ps3_sketch::codec::answer_sketch_to_bytes);
+        (rows, selection, meta, sketch)
+    }
+
+    /// The one identity table for the one pipeline: across methods ×
+    /// fractions × seeds × query classes, the outcome is the same bits on a
+    /// 1-worker pool, on a 4-worker pool (which a full read of this table
+    /// really fans out over), and with a sink attached; the sink sees a
+    /// strictly refining stream for scalar specs and nothing for sketch
+    /// specs.
+    #[test]
+    fn one_pipeline_is_bit_identical_across_pools_and_sinks() {
+        let sys = system_of(ps3_query::exec::PARALLEL_EXEC_MIN_ROWS as u32 + 64);
+        let (solo, wide) = (ThreadPool::new(1), ThreadPool::new(4));
+        let (x, g) = (ps3_storage::ColId(0), ps3_storage::ColId(1));
+        let sum_by_g = Query::new(
+            vec![AggExpr::sum(ps3_query::ScalarExpr::col(x))],
+            None,
+            vec![g],
+        );
+        let specs: [QuerySpec; 4] = [
+            sum_by_g.into(),
+            SketchQuery::percentile(x, 0.5).into(),
+            SketchQuery::distinct(x).into(),
+            SketchQuery::top_k(g, 2).into(),
+        ];
+        // One case: returns how many refinements the sink saw.
+        let check = |spec: &QuerySpec, method, frac, seed| {
+            let case = format!("{spec:?} {method:?} frac {frac} seed {seed}");
+            let mut updates = Vec::new();
+            let mut sink = |u: ProgressUpdate| updates.push(u);
+            let on = |pool, sink| {
+                let mut rng = spec_rng(spec, seed);
+                sys.answer_spec_sink_on(spec, method, frac, &mut rng, pool, sink)
+            };
+            let reference = outcome_bits(&on(&solo, None));
+            assert_eq!(
+                reference,
+                outcome_bits(&on(&wide, None)),
+                "{case}: 4 workers"
+            );
+            let listened = on(&wide, Some(&mut sink));
+            assert_eq!(reference, outcome_bits(&listened), "{case}: with a sink");
+            assert_eq!(listened.sketch.is_some(), spec.as_sketch().is_some());
+            if spec.as_sketch().is_some() {
+                assert!(updates.is_empty(), "{case}: sketch specs do not refine");
+            }
+            let mut prev_done = 0;
+            for (i, u) in updates.iter().enumerate() {
+                assert_eq!(u.seq as usize, i, "{case}: seq strictly increasing");
+                assert!(u.partitions_done > prev_done, "{case}: monotone");
+                assert!(u.partitions_done < u.partitions_total, "{case}: final");
+                assert_eq!(u.partitions_total, listened.meta.partitions_read);
+                prev_done = u.partitions_done;
+            }
+            updates.len()
+        };
+        let mut refined = 0;
+        for spec in &specs {
+            for method in Method::ALL {
+                for frac in [0.1, 0.5, 1.0] {
+                    for seed in [0u64, 7, 9] {
+                        refined += check(spec, method, frac, seed);
+                    }
+                }
             }
         }
+        assert!(refined > 0, "multi-partition scalar reads must refine");
+        assert!(wide.tasks_injected() > 0, "full reads must fan out");
+        assert_eq!(solo.tasks_injected(), 0, "one worker runs on the caller");
+    }
+
+    /// One fan-out policy for every class: 16 ten-row partitions are far
+    /// under `PARALLEL_EXEC_MIN_ROWS`, so a sketch query hands the pool
+    /// nothing — exactly like a scalar query on the same rows.
+    #[test]
+    fn tiny_table_sketch_answers_skip_the_pool_hand_off() {
+        let sys = tiny_system();
+        let spec = QuerySpec::from(SketchQuery::percentile(ps3_storage::ColId(0), 0.5));
+        let (solo, wide) = (ThreadPool::new(1), ThreadPool::new(4));
+        let on = |pool| sys.answer_spec_on(&spec, Method::Ps3, 1.0, &mut spec_rng(&spec, 3), pool);
+        let pooled = on(&wide);
+        assert_eq!(pooled.selection.len(), 16);
+        assert_eq!(wide.tasks_injected(), 0, "160 rows must run on the caller");
+        assert_eq!(outcome_bits(&on(&solo)), outcome_bits(&pooled));
     }
 }

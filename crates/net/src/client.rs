@@ -76,11 +76,10 @@ pub struct RemoteAnswer {
     pub answer: QueryAnswer,
     /// How the answer was produced: partitions read, picker latency, the
     /// planned fraction, exactness, and per-aggregate error estimates —
-    /// the same [`AnswerMeta`] the router reports locally. Answers from a
-    /// v1 server carry the explicit "no signal" meta.
+    /// the same [`AnswerMeta`] the router reports locally.
     pub meta: AnswerMeta,
-    /// The merged answer sketch behind a sketch-class answer (v3) —
-    /// `None` for scalar answers.
+    /// The merged answer sketch behind a sketch-class answer — `None` for
+    /// scalar answers.
     pub sketch: Option<ps3_sketch::AnswerSketch>,
 }
 

@@ -31,7 +31,7 @@
 //!
 //! The determinism contract extends across the wire: the answer to
 //! `(table, query, method, planned frac, seed)` served over TCP is
-//! bit-identical to a direct in-process `Ps3System::answer_on` call with
+//! bit-identical to a direct in-process `Ps3System::answer_spec_on` call with
 //! the same tuple (`tests/net_serving.rs` proves it with 8 concurrent
 //! clients), and a progressive request's final frame is bit-identical to
 //! the one-shot answer.
@@ -77,7 +77,7 @@ pub mod server;
 pub use client::{
     ClientError, NetClient, RemoteAnswer, RemotePartial, ServerReply, StreamedAnswer,
 };
-pub use proto::{ErrorCode, ErrorFrame, Frame, ProtoError, MIN_PROTO_VERSION, PROTO_VERSION};
+pub use proto::{ErrorCode, ErrorFrame, Frame, ProtoError, PROTO_VERSION};
 #[cfg(unix)]
 pub use server::{NetServer, ServerConfig, ServerStats};
 

@@ -18,8 +18,7 @@
 //! request id instead of wedging the client, whose `FrameBuffer` would
 //! reject the oversized length prefix and lose framing permanently. The
 //! refusal itself is a small constant-size frame (well under any sane cap,
-//! and under every client's own limit) that encodes identically at every
-//! version.
+//! and under every client's own limit).
 
 #![cfg(unix)]
 
@@ -29,7 +28,7 @@ use std::os::unix::io::RawFd;
 
 use ps3_runtime::poll::{writev_fd, IOV_BATCH};
 
-use crate::proto::{encode_frame_at_into, ErrorCode, ErrorFrame, Frame};
+use crate::proto::{encode_frame_at_into, ErrorCode, ErrorFrame, Frame, PROTO_VERSION};
 
 /// Recycled encode buffers kept per connection. A connection's queue
 /// depth is bounded by its in-flight quota (default 64); keeping half
@@ -62,11 +61,11 @@ impl OutBuf {
         OutBuf::default()
     }
 
-    /// Queue `frame` for delivery at `version`, degrading over-cap frames
-    /// to typed refusals (see the module docs). Reuses a spare buffer when
-    /// one is available; the allocation only happens while the connection
-    /// is still growing its pool.
-    pub(crate) fn push_frame(&mut self, frame: &Frame, version: u8, max_frame: u32) {
+    /// Queue `frame` for delivery, degrading over-cap frames to typed
+    /// refusals (see the module docs). Reuses a spare buffer when one is
+    /// available; the allocation only happens while the connection is
+    /// still growing its pool.
+    pub(crate) fn push_frame(&mut self, frame: &Frame, max_frame: u32) {
         let mut buf = match self.spare.pop() {
             Some(b) => b,
             None => {
@@ -74,7 +73,7 @@ impl OutBuf {
                 Vec::with_capacity(256)
             }
         };
-        encode_outbound_into(frame, version, max_frame, &mut buf);
+        encode_outbound_into(frame, max_frame, &mut buf);
         self.pending += buf.len();
         self.queue.push_back(buf);
     }
@@ -134,12 +133,12 @@ impl OutBuf {
     }
 }
 
-/// Encode a server→client frame at the connection's protocol version into
-/// `buf` (cleared first), enforcing the outbound frame cap by degrading to
-/// an [`ErrorCode::FrameTooLarge`] refusal — see the module docs.
-pub(crate) fn encode_outbound_into(frame: &Frame, version: u8, max_frame: u32, buf: &mut Vec<u8>) {
+/// Encode a server→client frame into `buf` (cleared first), enforcing the
+/// outbound frame cap by degrading to an [`ErrorCode::FrameTooLarge`]
+/// refusal — see the module docs.
+pub(crate) fn encode_outbound_into(frame: &Frame, max_frame: u32, buf: &mut Vec<u8>) {
     buf.clear();
-    match encode_frame_at_into(frame, version, buf) {
+    match encode_frame_at_into(frame, PROTO_VERSION, buf) {
         Ok(()) if buf.len() - 4 <= max_frame as usize => {}
         _ => {
             buf.clear();
@@ -156,7 +155,7 @@ pub(crate) fn encode_outbound_into(frame: &Frame, version: u8, max_frame: u32, b
                           narrow the query or raise max_frame"
                     .into(),
             });
-            encode_frame_at_into(&refusal, version, buf)
+            encode_frame_at_into(&refusal, PROTO_VERSION, buf)
                 .expect("static error frames always encode");
         }
     }
@@ -165,17 +164,15 @@ pub(crate) fn encode_outbound_into(frame: &Frame, version: u8, max_frame: u32, b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{
-        decode_body, PartialFrame, ResponseFrame, WireRow, DEFAULT_MAX_FRAME, PROTO_VERSION,
-    };
+    use crate::proto::{decode_body, ResponseFrame, WireRow, DEFAULT_MAX_FRAME};
     use ps3_core::ErrorEstimate;
     use std::io::Read;
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
 
-    fn encode_outbound(frame: &Frame, max_frame: u32, version: u8) -> Vec<u8> {
+    fn encode_outbound(frame: &Frame, max_frame: u32) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_outbound_into(frame, version, max_frame, &mut buf);
+        encode_outbound_into(frame, max_frame, &mut buf);
         buf
     }
 
@@ -207,53 +204,25 @@ mod tests {
                 })
                 .collect(),
         ));
-        for version in [1, PROTO_VERSION] {
-            let wire = encode_outbound(&big, 64, version);
-            let body_len = u32::from_le_bytes(wire[..4].try_into().unwrap());
-            assert!(
-                body_len < 128,
-                "the refusal is a small constant-size frame any client \
-                 accepts (got {body_len} bytes at v{version})"
-            );
-            match decode_body(&wire[4..]).expect("refusal decodes") {
-                Frame::Error(e) => {
-                    assert_eq!(e.code, ErrorCode::FrameTooLarge);
-                    assert_eq!(e.request_id, 42, "refusal keeps the correlation id");
-                }
-                other => panic!("expected error frame, got {other:?}"),
+        let wire = encode_outbound(&big, 64);
+        let body_len = u32::from_le_bytes(wire[..4].try_into().unwrap());
+        assert!(
+            body_len < 128,
+            "the refusal is a small constant-size frame any client \
+             accepts (got {body_len} bytes)"
+        );
+        match decode_body(&wire[4..]).expect("refusal decodes") {
+            Frame::Error(e) => {
+                assert_eq!(e.code, ErrorCode::FrameTooLarge);
+                assert_eq!(e.request_id, 42, "refusal keeps the correlation id");
             }
+            other => panic!("expected error frame, got {other:?}"),
         }
 
         // Under the cap, the response passes through unchanged.
         let small = Frame::Response(response(7, vec![]));
-        let wire = encode_outbound(&small, DEFAULT_MAX_FRAME, PROTO_VERSION);
+        let wire = encode_outbound(&small, DEFAULT_MAX_FRAME);
         assert_eq!(decode_body(&wire[4..]).expect("decodes"), small);
-    }
-
-    #[test]
-    fn partials_refuse_v1_but_degrade_gracefully() {
-        // A partial can never legitimately target a v1 peer (v1 requests
-        // cannot be progressive); if one somehow did, the degrade path
-        // still emits a decodable typed error, not a wedged connection.
-        let partial = Frame::Partial(PartialFrame {
-            request_id: 9,
-            seq: 0,
-            partitions_done: 1,
-            partitions_total: 4,
-            rows: vec![],
-            rel_err: f64::NAN,
-        });
-        let wire = encode_outbound(&partial, DEFAULT_MAX_FRAME, 1);
-        match decode_body(&wire[4..]).expect("decodes") {
-            Frame::Error(e) => assert_eq!(e.request_id, 9),
-            other => panic!("expected error frame, got {other:?}"),
-        }
-        // At v2 it passes through unchanged.
-        let wire = encode_outbound(&partial, DEFAULT_MAX_FRAME, PROTO_VERSION);
-        assert!(matches!(
-            decode_body(&wire[4..]).expect("decodes"),
-            Frame::Partial(_)
-        ));
     }
 
     #[test]
@@ -267,7 +236,7 @@ mod tests {
 
         let burst = 4;
         for _ in 0..burst {
-            out.push_frame(&frame, PROTO_VERSION, DEFAULT_MAX_FRAME);
+            out.push_frame(&frame, DEFAULT_MAX_FRAME);
         }
         assert!(out.flush(sender.as_raw_fd()).unwrap());
         let warm = out.fresh_allocs();
@@ -279,7 +248,7 @@ mod tests {
         let mut sink = vec![0u8; 64 * 1024];
         for _ in 0..50 {
             for _ in 0..burst {
-                out.push_frame(&frame, PROTO_VERSION, DEFAULT_MAX_FRAME);
+                out.push_frame(&frame, DEFAULT_MAX_FRAME);
             }
             assert!(out.flush(sender.as_raw_fd()).unwrap());
             // Keep the socket buffer empty so blocking writes never stall
@@ -315,7 +284,7 @@ mod tests {
         let mut out = OutBuf::new();
         for _ in 0..4 {
             encode_frame_at_into(&big, PROTO_VERSION, &mut expected).unwrap();
-            out.push_frame(&big, PROTO_VERSION, DEFAULT_MAX_FRAME);
+            out.push_frame(&big, DEFAULT_MAX_FRAME);
         }
 
         let mut got = Vec::new();

@@ -6,8 +6,8 @@
 //! payload. Four kinds exist: [`RequestFrame`] (client → server: a table
 //! route, a serialized [`Query`], and the method/[`Budget`]/seed triple),
 //! [`ResponseFrame`] (server → client: answer rows plus execution stats
-//! and the answer's error estimate), [`PartialFrame`] (server → client,
-//! v2 only: a refining intermediate answer on a progressive request), and
+//! and the answer's error estimate), [`PartialFrame`] (server → client: a
+//! refining intermediate answer on a progressive request), and
 //! [`ErrorFrame`] (server → client: a typed refusal). The encoding is
 //! hand-rolled over `Vec<u8>` — no serde, no external crates — and every
 //! multi-byte integer is little-endian.
@@ -16,44 +16,21 @@
 //! doc-test in this crate encodes those exact frames and asserts the
 //! documented bytes, so the document cannot silently drift from the code.
 //!
-//! ## Versions
+//! ## One dialect
 //!
-//! This build speaks **v3** and still decodes and emits **v1** and **v2**
-//! frames ([`encode_frame_at`]); an older peer sees exactly the bytes it
-//! always saw. v2 changes three things:
-//!
-//! - Requests carry a typed [`Budget`] (tag + value) instead of a bare
-//!   fraction, plus a flags byte whose bit 0 requests progressive
-//!   streaming. A v1 request decodes to `Budget::Fraction`, not
-//!   progressive; a declarative budget or a progressive flag *refuses* to
-//!   encode at v1 ([`ProtoError::Invalid`]) rather than silently
-//!   downgrading.
-//! - Responses append the answer's error contract: the planned fraction,
-//!   an exactness flag, and per-aggregate confidence intervals.
-//! - The [`PartialFrame`] kind exists, and only at v2+.
-//!
-//! v3 adds the sketch-answered query classes:
-//!
-//! - Requests carry a [`QuerySpec`] behind a **spec tag** byte: `0` is a
-//!   scalar [`Query`] in the v1/v2 grammar, `1` is a [`SketchQuery`]
-//!   (`PERCENTILE` / `COUNT(DISTINCT)` / `TOP_K`). A sketch query refuses
-//!   to encode at v1/v2.
-//! - Responses may append a serialized merged [`AnswerSketch`] behind a
-//!   presence byte, so a client can resume merging or re-derive the
-//!   scalar answer itself. A response carrying one refuses to encode at
-//!   v1/v2 — it answers a request those versions cannot say.
+//! There is exactly one grammar, [`PROTO_VERSION`]. The `version` byte is
+//! checked first, on both sides; any other value is
+//! [`ProtoError::BadVersion`], which the server answers with
+//! [`ErrorCode::UnsupportedVersion`] (itself a [`PROTO_VERSION`] frame)
+//! before closing. Nothing is negotiated and nothing is downgraded.
 //!
 //! ## Forward compatibility
 //!
-//! - The `version` byte is checked first; a mismatch is
-//!   [`ProtoError::BadVersion`] and the server answers with
-//!   [`ErrorCode::UnsupportedVersion`] before closing.
-//! - Unknown frame kinds and payload tags are errors, not skips — within
-//!   one version the grammar is closed.
+//! - Unknown frame kinds and payload tags are errors, not skips — the
+//!   grammar is closed.
 //! - Decoders ignore bytes past the fields they know *at the end of a
 //!   frame body*, so a minor revision may append new trailing fields
-//!   without bumping the version; anything structural bumps it (that is
-//!   exactly how v2's response meta rides behind v1's last field).
+//!   without bumping the version; anything structural bumps it.
 
 use std::collections::HashMap;
 
@@ -67,12 +44,8 @@ use ps3_sketch::AnswerSketch;
 use ps3_storage::ColId;
 
 /// The protocol version this build speaks (the first body byte of every
-/// frame). Versions 1 and 2 are still decoded and, via
-/// [`encode_frame_at`], emitted.
+/// frame) — the only one it encodes or decodes.
 pub const PROTO_VERSION: u8 = 3;
-
-/// The oldest protocol version this build still speaks.
-pub const MIN_PROTO_VERSION: u8 = 1;
 
 /// Default cap on one frame's body length (16 MiB). Both sides refuse
 /// larger frames before buffering them, so a corrupt or hostile length
@@ -90,27 +63,27 @@ const KIND_REQUEST: u8 = 1;
 const KIND_RESPONSE: u8 = 2;
 /// Frame kind byte: error.
 const KIND_ERROR: u8 = 3;
-/// Frame kind byte: partial (progressive) answer. v2 only.
+/// Frame kind byte: partial (progressive) answer.
 const KIND_PARTIAL: u8 = 4;
 
-/// Request flags byte (v2): bit 0 requests progressive streaming.
+/// Request flags byte: bit 0 requests progressive streaming.
 const FLAG_PROGRESSIVE: u8 = 1;
-/// Budget tag byte (v2): an explicit partition fraction.
+/// Budget tag byte: an explicit partition fraction.
 const BUDGET_FRACTION: u8 = 0;
-/// Budget tag byte (v2): a relative-error target.
+/// Budget tag byte: a relative-error target.
 const BUDGET_ERROR_TARGET: u8 = 1;
-/// Budget tag byte (v2): a latency target in milliseconds.
+/// Budget tag byte: a latency target in milliseconds.
 const BUDGET_LATENCY_TARGET: u8 = 2;
 
-/// Query-spec tag byte (v3): a scalar [`Query`] in the v1/v2 grammar.
+/// Query-spec tag byte: a scalar [`Query`].
 const SPEC_SCALAR: u8 = 0;
-/// Query-spec tag byte (v3): a [`SketchQuery`].
+/// Query-spec tag byte: a [`SketchQuery`].
 const SPEC_SKETCH: u8 = 1;
-/// Sketch-function tag byte (v3): `PERCENTILE(col, p)`.
+/// Sketch-function tag byte: `PERCENTILE(col, p)`.
 const SKETCH_PERCENTILE: u8 = 1;
-/// Sketch-function tag byte (v3): `COUNT(DISTINCT col)`.
+/// Sketch-function tag byte: `COUNT(DISTINCT col)`.
 const SKETCH_DISTINCT: u8 = 2;
-/// Sketch-function tag byte (v3): `TOP_K(col, k)`.
+/// Sketch-function tag byte: `TOP_K(col, k)`.
 const SKETCH_TOPK: u8 = 3;
 
 /// Why a frame failed to decode (or a value refused to encode).
@@ -150,7 +123,7 @@ impl std::fmt::Display for ProtoError {
             ProtoError::BadVersion(v) => {
                 write!(
                     f,
-                    "protocol version {v} (this build speaks {MIN_PROTO_VERSION}..={PROTO_VERSION})"
+                    "protocol version {v} (this build speaks {PROTO_VERSION})"
                 )
             }
             ProtoError::BadKind(k) => write!(f, "unknown frame kind {k}"),
@@ -167,7 +140,7 @@ impl std::fmt::Display for ProtoError {
 impl std::error::Error for ProtoError {}
 
 /// Typed refusal codes carried by [`ErrorFrame`]. The discriminants are
-/// the wire bytes and are frozen for version 1.
+/// the wire bytes and are frozen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ErrorCode {
@@ -221,7 +194,7 @@ pub enum Frame {
     Request(RequestFrame),
     /// Server → client: the answer.
     Response(ResponseFrame),
-    /// Server → client: a refining intermediate answer (v2 only).
+    /// Server → client: a refining intermediate answer.
     Partial(PartialFrame),
     /// Server → client: a typed refusal.
     Error(ErrorFrame),
@@ -239,17 +212,15 @@ pub struct RequestFrame {
     /// Sampling method.
     pub method: Method,
     /// What to spend: an explicit partition fraction, or a declarative
-    /// error/latency target for the server's planner to resolve. v1 can
-    /// only carry `Budget::Fraction`.
+    /// error/latency target for the server's planner to resolve.
     pub budget: Budget,
     /// Determinism seed: equal `(table, query, method, planned frac, seed)`
     /// yields bit-identical answers.
     pub seed: u64,
-    /// Stream refining partial answers before the final response (v2 only;
-    /// served best-effort — cache hits answer in one frame).
+    /// Stream refining partial answers before the final response (served
+    /// best-effort — cache hits answer in one frame).
     pub progressive: bool,
-    /// The query itself: a scalar aggregate query (any version) or a
-    /// sketch-class query (v3 only).
+    /// The query itself: a scalar aggregate query or a sketch-class query.
     pub query: QuerySpec,
 }
 
@@ -306,10 +277,6 @@ pub struct WireRow {
 
 /// A server's answer: rows plus how the answer was produced. Rows are
 /// sorted by key words, so equal answers encode to equal bytes.
-///
-/// The error-contract fields (`planned_frac`, `exact`, `error`) travel
-/// only at v2; a v1 decode fills them with the explicit "no signal"
-/// values (`planned_frac` 0, not exact, [`ErrorEstimate::no_signal`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResponseFrame {
     /// Echo of the request's correlation id.
@@ -326,8 +293,8 @@ pub struct ResponseFrame {
     pub exact: bool,
     /// Per-aggregate confidence intervals and the summary relative error.
     pub error: ErrorEstimate,
-    /// The merged answer sketch behind a sketch-class answer (v3 only) —
-    /// `None` for scalar answers and on decodes from older peers.
+    /// The merged answer sketch behind a sketch-class answer — `None` for
+    /// scalar answers.
     pub sketch: Option<AnswerSketch>,
 }
 
@@ -382,7 +349,7 @@ impl ResponseFrame {
     }
 }
 
-/// A refining intermediate answer on a progressive request (v2 only).
+/// A refining intermediate answer on a progressive request.
 ///
 /// Zero or more partials precede the final [`ResponseFrame`]; each covers
 /// strictly more partitions than the last, and the final response is
@@ -625,7 +592,7 @@ fn encode_query(w: &mut Writer<'_>, q: &Query) -> Result<(), ProtoError> {
     Ok(())
 }
 
-/// The v3 sketch-query grammar: `[func_tag: u8][params…][col: u32]
+/// The sketch-query grammar: `[func_tag: u8][params…][col: u32]
 /// [has_pred: u8][predicate]`. Percentile carries its fraction as `f64`
 /// bits; top-k carries `k` as a `u32`; distinct has no parameters.
 fn encode_sketch_query(w: &mut Writer<'_>, q: &SketchQuery) -> Result<(), ProtoError> {
@@ -651,25 +618,16 @@ fn encode_sketch_query(w: &mut Writer<'_>, q: &SketchQuery) -> Result<(), ProtoE
     Ok(())
 }
 
-/// The v3 query-spec dispatch: a tag byte then the scalar or sketch
-/// grammar. Before v3 only scalar queries exist and the tag byte does not
-/// travel; sketch queries refuse to encode there.
-fn encode_query_spec(w: &mut Writer<'_>, spec: &QuerySpec, version: u8) -> Result<(), ProtoError> {
-    if version >= 3 {
-        match spec {
-            QuerySpec::Scalar(q) => {
-                w.u8(SPEC_SCALAR);
-                encode_query(w, q)
-            }
-            QuerySpec::Sketch(q) => {
-                w.u8(SPEC_SKETCH);
-                encode_sketch_query(w, q)
-            }
+/// The query-spec dispatch: a tag byte then the scalar or sketch grammar.
+fn encode_query_spec(w: &mut Writer<'_>, spec: &QuerySpec) -> Result<(), ProtoError> {
+    match spec {
+        QuerySpec::Scalar(q) => {
+            w.u8(SPEC_SCALAR);
+            encode_query(w, q)
         }
-    } else {
-        match spec {
-            QuerySpec::Scalar(q) => encode_query(w, q),
-            QuerySpec::Sketch(_) => Err(ProtoError::Invalid("sketch queries need protocol v3")),
+        QuerySpec::Sketch(q) => {
+            w.u8(SPEC_SKETCH);
+            encode_sketch_query(w, q)
         }
     }
 }
@@ -702,56 +660,44 @@ fn encode_rows(w: &mut Writer<'_>, rows: &[WireRow]) -> Result<(), ProtoError> {
     Ok(())
 }
 
-/// The v2 response meta block: `[planned_frac: f64][exact: u8]
-/// [rel_err: f64][n_aggs: u16]` then per aggregate
-/// `[ci_half_width: f64][rel_err: f64]`.
-fn encode_response_meta(w: &mut Writer<'_>, resp: &ResponseFrame) -> Result<(), ProtoError> {
-    w.f64(resp.planned_frac);
-    w.u8(u8::from(resp.exact));
-    w.f64(resp.error.rel_err);
-    w.u16_len(resp.error.per_agg.len(), "aggregate lists cap at 65535")?;
-    for agg in &resp.error.per_agg {
-        w.f64(agg.ci_half_width);
-        w.f64(agg.rel_err);
+/// The one version check both directions share.
+fn check_version(version: u8) -> Result<(), ProtoError> {
+    if version == PROTO_VERSION {
+        Ok(())
+    } else {
+        Err(ProtoError::BadVersion(version))
     }
-    Ok(())
 }
 
 /// Encode a frame into its full wire form: `[body_len: u32 LE][body]`.
-/// Shorthand for [`encode_frame_at`] at [`PROTO_VERSION`].
-pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, ProtoError> {
-    encode_frame_at(frame, PROTO_VERSION)
-}
-
-/// Encode a frame at an explicit protocol version — what a server uses to
-/// answer a v1 client in its own dialect.
 ///
 /// Fails ([`ProtoError::Invalid`]) on values that do not fit their length
 /// fields (a >64 KiB string, a >65535-entry list) rather than truncating
-/// them into a frame that would decode to something else, and on v2-only
-/// content at v1: a declarative [`Budget`], a progressive request, or a
-/// [`PartialFrame`] refuse to downgrade.
-pub fn encode_frame_at(frame: &Frame, version: u8) -> Result<Vec<u8>, ProtoError> {
+/// them into a frame that would decode to something else.
+pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, ProtoError> {
     let mut wire = Vec::with_capacity(64);
-    encode_frame_at_into(frame, version, &mut wire)?;
+    encode_frame_at_into(frame, PROTO_VERSION, &mut wire)?;
     Ok(wire)
 }
 
-/// [`encode_frame_at`] into a caller-owned buffer: appends the full wire
-/// form (`[body_len: u32 LE][body]`) to `out` without allocating.
+/// [`encode_frame`] into a caller-owned buffer: appends the full wire form
+/// (`[body_len: u32 LE][body]`) to `out` without allocating. `version`
+/// must be [`PROTO_VERSION`] — anything else is refused with
+/// [`ProtoError::BadVersion`], never encoded in another dialect.
 ///
 /// On error `out` is restored to its original length — a refused frame
 /// leaves no partial bytes behind, so the buffer can hold a queue of
 /// already-encoded frames. This is the serving path's per-connection
-/// encode primitive; `encode_frame_at` is the convenience wrapper that
-/// pays one allocation for callers without a buffer to reuse.
+/// encode primitive; `encode_frame` is the convenience wrapper that pays
+/// one allocation for callers without a buffer to reuse.
 pub fn encode_frame_at_into(
     frame: &Frame,
     version: u8,
     out: &mut Vec<u8>,
 ) -> Result<(), ProtoError> {
+    check_version(version)?;
     let start = out.len();
-    match encode_frame_body(frame, version, out) {
+    match encode_frame_body(frame, out) {
         Ok(()) => {
             let body_len = out.len() - start - 4;
             let Ok(body_len) = u32::try_from(body_len) else {
@@ -770,13 +716,10 @@ pub fn encode_frame_at_into(
 
 /// Append `[len placeholder][body]` to `out`; the caller patches the
 /// length and rolls back on error.
-fn encode_frame_body(frame: &Frame, version: u8, out: &mut Vec<u8>) -> Result<(), ProtoError> {
-    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
-        return Err(ProtoError::BadVersion(version));
-    }
+fn encode_frame_body(frame: &Frame, out: &mut Vec<u8>) -> Result<(), ProtoError> {
     out.extend_from_slice(&[0u8; 4]);
     let mut w = Writer(out);
-    w.u8(version);
+    w.u8(PROTO_VERSION);
     match frame {
         Frame::Request(req) => {
             w.u8(KIND_REQUEST);
@@ -789,30 +732,16 @@ fn encode_frame_body(frame: &Frame, version: u8, out: &mut Vec<u8>) -> Result<()
                 }
             }
             w.u8(method_byte(req.method));
-            if version == 1 {
-                let Budget::Fraction(frac) = req.budget else {
-                    return Err(ProtoError::Invalid("declarative budgets need protocol v2"));
-                };
-                if req.progressive {
-                    return Err(ProtoError::Invalid(
-                        "progressive streaming needs protocol v2",
-                    ));
-                }
-                w.f64(frac);
-            } else {
-                let (tag, value) = match req.budget {
-                    Budget::Fraction(f) => (BUDGET_FRACTION, f),
-                    Budget::ErrorTarget { rel_err } => (BUDGET_ERROR_TARGET, rel_err),
-                    Budget::LatencyTarget { ms } => (BUDGET_LATENCY_TARGET, ms),
-                };
-                w.u8(tag);
-                w.f64(value);
-            }
+            let (tag, value) = match req.budget {
+                Budget::Fraction(f) => (BUDGET_FRACTION, f),
+                Budget::ErrorTarget { rel_err } => (BUDGET_ERROR_TARGET, rel_err),
+                Budget::LatencyTarget { ms } => (BUDGET_LATENCY_TARGET, ms),
+            };
+            w.u8(tag);
+            w.f64(value);
             w.u64(req.seed);
-            if version >= 2 {
-                w.u8(if req.progressive { FLAG_PROGRESSIVE } else { 0 });
-            }
-            encode_query_spec(&mut w, &req.query, version)?;
+            w.u8(if req.progressive { FLAG_PROGRESSIVE } else { 0 });
+            encode_query_spec(&mut w, &req.query)?;
         }
         Frame::Response(resp) => {
             w.u8(KIND_RESPONSE);
@@ -820,27 +749,27 @@ fn encode_frame_body(frame: &Frame, version: u8, out: &mut Vec<u8>) -> Result<()
             encode_rows(&mut w, &resp.rows)?;
             w.u32(resp.partitions_read);
             w.f64(resp.picker_ms);
-            if version >= 2 {
-                encode_response_meta(&mut w, resp)?;
+            // The error contract: planned fraction, exactness, summary and
+            // per-aggregate `[ci_half_width][rel_err]` estimates.
+            w.f64(resp.planned_frac);
+            w.u8(u8::from(resp.exact));
+            w.f64(resp.error.rel_err);
+            w.u16_len(resp.error.per_agg.len(), "aggregate lists cap at 65535")?;
+            for agg in &resp.error.per_agg {
+                w.f64(agg.ci_half_width);
+                w.f64(agg.rel_err);
             }
-            if version >= 3 {
-                match &resp.sketch {
-                    None => w.u8(0),
-                    Some(s) => {
-                        w.u8(1);
-                        let blob = answer_sketch_to_bytes(s);
-                        w.u32_len(blob.len(), "answer sketches cap at 2^32-1 bytes")?;
-                        w.0.extend_from_slice(&blob);
-                    }
+            match &resp.sketch {
+                None => w.u8(0),
+                Some(s) => {
+                    w.u8(1);
+                    let blob = answer_sketch_to_bytes(s);
+                    w.u32_len(blob.len(), "answer sketches cap at 2^32-1 bytes")?;
+                    w.0.extend_from_slice(&blob);
                 }
-            } else if resp.sketch.is_some() {
-                return Err(ProtoError::Invalid("sketch answers need protocol v3"));
             }
         }
         Frame::Partial(part) => {
-            if version < 2 {
-                return Err(ProtoError::Invalid("partial frames need protocol v2"));
-            }
             w.u8(KIND_PARTIAL);
             w.u64(part.request_id);
             w.u32(part.seq);
@@ -1107,18 +1036,14 @@ fn decode_sketch_query(r: &mut Reader) -> Result<SketchQuery, ProtoError> {
     })
 }
 
-fn decode_query_spec(r: &mut Reader, version: u8) -> Result<QuerySpec, ProtoError> {
-    if version >= 3 {
-        match r.u8()? {
-            SPEC_SCALAR => Ok(QuerySpec::Scalar(decode_query(r)?)),
-            SPEC_SKETCH => Ok(QuerySpec::Sketch(decode_sketch_query(r)?)),
-            tag => Err(ProtoError::BadTag {
-                what: "query spec",
-                tag,
-            }),
-        }
-    } else {
-        Ok(QuerySpec::Scalar(decode_query(r)?))
+fn decode_query_spec(r: &mut Reader) -> Result<QuerySpec, ProtoError> {
+    match r.u8()? {
+        SPEC_SCALAR => Ok(QuerySpec::Scalar(decode_query(r)?)),
+        SPEC_SKETCH => Ok(QuerySpec::Sketch(decode_sketch_query(r)?)),
+        tag => Err(ProtoError::BadTag {
+            what: "query spec",
+            tag,
+        }),
     }
 }
 
@@ -1136,16 +1061,12 @@ fn decode_rows(r: &mut Reader) -> Result<Vec<WireRow>, ProtoError> {
 }
 
 /// Decode one frame *body* (the bytes after the 4-byte length prefix).
-/// Both protocol versions are accepted; a v1 body yields the same [`Frame`]
-/// type with the v2-only fields at their explicit "absent" values.
-/// Trailing bytes past the known grammar are ignored (see the module docs
-/// on forward compatibility).
+/// A version byte other than [`PROTO_VERSION`] is
+/// [`ProtoError::BadVersion`]. Trailing bytes past the known grammar are
+/// ignored (see the module docs on forward compatibility).
 pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
     let mut r = Reader { buf: body, pos: 0 };
-    let version = r.u8()?;
-    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
-        return Err(ProtoError::BadVersion(version));
-    }
+    check_version(r.u8()?)?;
     let kind = r.u8()?;
     let request_id = r.u64()?;
     match kind {
@@ -1172,34 +1093,26 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
                     })
                 }
             };
-            let budget = if version == 1 {
-                Budget::Fraction(r.f64()?)
-            } else {
-                let tag = r.u8()?;
-                let value = r.f64()?;
-                match tag {
-                    BUDGET_FRACTION => Budget::Fraction(value),
-                    BUDGET_ERROR_TARGET => Budget::ErrorTarget { rel_err: value },
-                    BUDGET_LATENCY_TARGET => Budget::LatencyTarget { ms: value },
-                    tag => {
-                        return Err(ProtoError::BadTag {
-                            what: "budget",
-                            tag,
-                        })
-                    }
+            let tag = r.u8()?;
+            let value = r.f64()?;
+            let budget = match tag {
+                BUDGET_FRACTION => Budget::Fraction(value),
+                BUDGET_ERROR_TARGET => Budget::ErrorTarget { rel_err: value },
+                BUDGET_LATENCY_TARGET => Budget::LatencyTarget { ms: value },
+                tag => {
+                    return Err(ProtoError::BadTag {
+                        what: "budget",
+                        tag,
+                    })
                 }
             };
             let seed = r.u64()?;
-            let progressive = if version >= 2 {
-                let flags = r.u8()?;
-                if flags & !FLAG_PROGRESSIVE != 0 {
-                    return Err(ProtoError::Invalid("unknown request flag bits"));
-                }
-                flags & FLAG_PROGRESSIVE != 0
-            } else {
-                false
-            };
-            let query = decode_query_spec(&mut r, version)?;
+            let flags = r.u8()?;
+            if flags & !FLAG_PROGRESSIVE != 0 {
+                return Err(ProtoError::Invalid("unknown request flag bits"));
+            }
+            let progressive = flags & FLAG_PROGRESSIVE != 0;
+            let query = decode_query_spec(&mut r)?;
             Ok(Frame::Request(RequestFrame {
                 request_id,
                 table,
@@ -1214,52 +1127,44 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
             let rows = decode_rows(&mut r)?;
             let partitions_read = r.u32()?;
             let picker_ms = r.f64()?;
-            let (planned_frac, exact, error) = if version >= 2 {
-                let planned_frac = r.f64()?;
-                let exact = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    tag => {
-                        return Err(ProtoError::BadTag {
-                            what: "exactness flag",
-                            tag,
-                        })
-                    }
-                };
-                let rel_err = r.f64()?;
-                let n = r.u16()? as usize;
-                let per_agg = (0..n)
-                    .map(|_| {
-                        Ok(AggError {
-                            ci_half_width: r.f64()?,
-                            rel_err: r.f64()?,
-                        })
+            let planned_frac = r.f64()?;
+            let exact = match r.u8()? {
+                0 => false,
+                1 => true,
+                tag => {
+                    return Err(ProtoError::BadTag {
+                        what: "exactness flag",
+                        tag,
                     })
-                    .collect::<Result<Vec<_>, ProtoError>>()?;
-                (planned_frac, exact, ErrorEstimate { per_agg, rel_err })
-            } else {
-                (0.0, false, ErrorEstimate::no_signal(0))
-            };
-            let sketch = if version >= 3 {
-                match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let len = r.u32()? as usize;
-                        let blob = r.take(len)?;
-                        Some(
-                            answer_sketch_from_bytes(blob)
-                                .map_err(|_| ProtoError::Invalid("undecodable answer sketch"))?,
-                        )
-                    }
-                    tag => {
-                        return Err(ProtoError::BadTag {
-                            what: "sketch presence flag",
-                            tag,
-                        })
-                    }
                 }
-            } else {
-                None
+            };
+            let rel_err = r.f64()?;
+            let n = r.u16()? as usize;
+            let per_agg = (0..n)
+                .map(|_| {
+                    Ok(AggError {
+                        ci_half_width: r.f64()?,
+                        rel_err: r.f64()?,
+                    })
+                })
+                .collect::<Result<Vec<_>, ProtoError>>()?;
+            let error = ErrorEstimate { per_agg, rel_err };
+            let sketch = match r.u8()? {
+                0 => None,
+                1 => {
+                    let len = r.u32()? as usize;
+                    let blob = r.take(len)?;
+                    Some(
+                        answer_sketch_from_bytes(blob)
+                            .map_err(|_| ProtoError::Invalid("undecodable answer sketch"))?,
+                    )
+                }
+                tag => {
+                    return Err(ProtoError::BadTag {
+                        what: "sketch presence flag",
+                        tag,
+                    })
+                }
             };
             Ok(Frame::Response(ResponseFrame {
                 request_id,
@@ -1273,9 +1178,6 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
             }))
         }
         KIND_PARTIAL => {
-            if version < 2 {
-                return Err(ProtoError::BadKind(kind));
-            }
             let seq = r.u32()?;
             let partitions_done = r.u32()?;
             let partitions_total = r.u32()?;
@@ -1314,8 +1216,6 @@ pub struct FrameBuffer {
     /// Bytes of `buf` already consumed by yielded frames (compacted lazily).
     consumed: usize,
     max_frame: u32,
-    /// Version byte of the most recently yielded frame.
-    last_version: Option<u8>,
 }
 
 impl FrameBuffer {
@@ -1325,15 +1225,7 @@ impl FrameBuffer {
             buf: Vec::new(),
             consumed: 0,
             max_frame,
-            last_version: None,
         }
-    }
-
-    /// The version byte of the last frame [`Self::next_frame`] yielded —
-    /// how a server learns which dialect a connection speaks, so it can
-    /// answer in kind.
-    pub fn last_version(&self) -> Option<u8> {
-        self.last_version
     }
 
     /// Append raw bytes from the stream.
@@ -1366,7 +1258,6 @@ impl FrameBuffer {
             return Ok(None);
         }
         let frame = decode_body(&pending[4..total])?;
-        self.last_version = Some(pending[4]);
         self.consumed += total;
         Ok(Some(frame))
     }
@@ -1418,6 +1309,20 @@ mod tests {
         )
     }
 
+    /// A plain request for `query`: id 1, default route, PS3, fraction
+    /// 0.25, seed 1, not progressive.
+    fn request(query: impl Into<QuerySpec>) -> RequestFrame {
+        RequestFrame {
+            request_id: 1,
+            table: None,
+            method: Method::Ps3,
+            budget: Budget::Fraction(0.25),
+            seed: 1,
+            progressive: false,
+            query: query.into(),
+        }
+    }
+
     #[test]
     fn request_frames_roundtrip_bit_exactly() {
         let frame = Frame::Request(RequestFrame {
@@ -1438,81 +1343,19 @@ mod tests {
     }
 
     #[test]
-    fn declarative_budgets_roundtrip_at_v2() {
+    fn declarative_budgets_roundtrip() {
         for budget in [
             Budget::ErrorTarget { rel_err: 0.05 },
             Budget::LatencyTarget { ms: 4.5 },
             Budget::Fraction(0.3),
         ] {
             let frame = Frame::Request(RequestFrame {
-                request_id: 8,
-                table: None,
-                method: Method::Ps3,
                 budget,
-                seed: 3,
-                progressive: false,
-                query: sample_query().into(),
+                ..request(sample_query())
             });
             let wire = encode_frame(&frame).expect("encodes");
             assert_eq!(decode_body(&wire[4..]).expect("decode"), frame);
         }
-    }
-
-    #[test]
-    fn v1_requests_decode_to_fraction_budgets_and_cost_two_fewer_bytes() {
-        let frame = Frame::Request(RequestFrame {
-            request_id: 11,
-            table: Some("t".into()),
-            method: Method::Lss,
-            budget: Budget::Fraction(0.25),
-            seed: 9,
-            progressive: false,
-            query: sample_query().into(),
-        });
-        let v1 = encode_frame_at(&frame, 1).expect("fraction budgets encode at v1");
-        assert_eq!(v1[4], 1, "version byte");
-        let decoded = decode_body(&v1[4..]).expect("decode v1");
-        assert_eq!(decoded, frame, "a v1 request is a non-progressive fraction");
-        // v2 spends exactly two extra bytes: the budget tag and the flags.
-        let v2 = encode_frame_at(&frame, 2).expect("encodes at v2");
-        assert_eq!(v2.len(), v1.len() + 2);
-    }
-
-    #[test]
-    fn v2_only_content_refuses_to_encode_at_v1() {
-        let mut req = RequestFrame {
-            request_id: 1,
-            table: None,
-            method: Method::Ps3,
-            budget: Budget::ErrorTarget { rel_err: 0.05 },
-            seed: 1,
-            progressive: false,
-            query: sample_query().into(),
-        };
-        assert!(matches!(
-            encode_frame_at(&Frame::Request(req.clone()), 1),
-            Err(ProtoError::Invalid(_)),
-        ));
-        req.budget = Budget::Fraction(0.5);
-        req.progressive = true;
-        assert!(matches!(
-            encode_frame_at(&Frame::Request(req), 1),
-            Err(ProtoError::Invalid(_)),
-        ));
-        let partial = Frame::Partial(PartialFrame {
-            request_id: 1,
-            seq: 0,
-            partitions_done: 1,
-            partitions_total: 4,
-            rows: vec![],
-            rel_err: f64::NAN,
-        });
-        assert!(matches!(
-            encode_frame_at(&partial, 1),
-            Err(ProtoError::Invalid(_)),
-        ));
-        // And nobody can ask for a version this build does not speak.
-        assert_eq!(encode_frame_at(&partial, 4), Err(ProtoError::BadVersion(4)),);
     }
 
     fn sample_sketch_queries() -> Vec<SketchQuery> {
@@ -1530,50 +1373,21 @@ mod tests {
     }
 
     #[test]
-    fn sketch_requests_roundtrip_at_v3_and_refuse_older_versions() {
+    fn sketch_requests_roundtrip() {
         for (i, sq) in sample_sketch_queries().into_iter().enumerate() {
             let frame = Frame::Request(RequestFrame {
                 request_id: i as u64,
                 table: Some("t".into()),
-                method: Method::Ps3,
-                budget: Budget::Fraction(0.25),
-                seed: 7,
-                progressive: false,
-                query: sq.into(),
+                ..request(sq)
             });
-            let wire = encode_frame(&frame).expect("encodes at v3");
-            assert_eq!(wire[4], 3, "version byte");
+            let wire = encode_frame(&frame).expect("encodes");
+            assert_eq!(wire[4], PROTO_VERSION, "version byte");
             assert_eq!(decode_body(&wire[4..]).expect("decode"), frame);
-            // A sketch query cannot be said in the v1/v2 grammar.
-            for version in [1, 2] {
-                assert_eq!(
-                    encode_frame_at(&frame, version),
-                    Err(ProtoError::Invalid("sketch queries need protocol v3")),
-                );
-            }
         }
     }
 
     #[test]
-    fn scalar_requests_at_v3_cost_one_spec_tag_byte_over_v2() {
-        let frame = Frame::Request(RequestFrame {
-            request_id: 4,
-            table: None,
-            method: Method::Lss,
-            budget: Budget::Fraction(0.5),
-            seed: 2,
-            progressive: false,
-            query: sample_query().into(),
-        });
-        let v2 = encode_frame_at(&frame, 2).expect("encodes at v2");
-        let v3 = encode_frame_at(&frame, 3).expect("encodes at v3");
-        assert_eq!(v3.len(), v2.len() + 1);
-        assert_eq!(decode_body(&v2[4..]).expect("decode v2"), frame);
-        assert_eq!(decode_body(&v3[4..]).expect("decode v3"), frame);
-    }
-
-    #[test]
-    fn sketch_answers_roundtrip_at_v3_and_refuse_older_versions() {
+    fn sketch_answers_roundtrip() {
         let mut q = ps3_sketch::QuantileSketch::new();
         for i in 0..200 {
             q.insert(f64::from(i) * 0.5);
@@ -1597,25 +1411,11 @@ mod tests {
         };
         // The merged sketch survives the wire bit-exactly.
         assert_eq!(decoded, frame);
-        for version in [1, 2] {
-            assert_eq!(
-                encode_frame_at(&Frame::Response(frame.clone()), version),
-                Err(ProtoError::Invalid("sketch answers need protocol v3")),
-            );
-        }
     }
 
     #[test]
     fn hostile_sketch_params_are_rejected_not_panics() {
-        let frame = Frame::Request(RequestFrame {
-            request_id: 1,
-            table: None,
-            method: Method::Ps3,
-            budget: Budget::Fraction(0.25),
-            seed: 1,
-            progressive: false,
-            query: SketchQuery::percentile(ColId(0), 0.5).into(),
-        });
+        let frame = Frame::Request(request(SketchQuery::percentile(ColId(0), 0.5)));
         let wire = encode_frame(&frame).expect("encodes");
         // Body: version kind id(8) route method budget(1+8) seed(8) flags
         // → spec tag at body offset 30, func tag at 31, p bits at 32..40.
@@ -1631,15 +1431,7 @@ mod tests {
         assert!(decode_body(&nan_p[4..]).is_err(), "NaN fraction rejected");
 
         // A zero k in a TOP_K request is rejected, never asserted on.
-        let topk = Frame::Request(RequestFrame {
-            request_id: 1,
-            table: None,
-            method: Method::Ps3,
-            budget: Budget::Fraction(0.25),
-            seed: 1,
-            progressive: false,
-            query: SketchQuery::top_k(ColId(0), 3).into(),
-        });
+        let topk = Frame::Request(request(SketchQuery::top_k(ColId(0), 3)));
         let wire = encode_frame(&topk).expect("encodes");
         let k_off = 4 + 32;
         let mut bad_k = wire.clone();
@@ -1777,35 +1569,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_responses_drop_the_meta_and_decode_with_no_signal() {
-        let frame = ResponseFrame {
-            request_id: 7,
-            rows: vec![WireRow {
-                key: vec![],
-                values: vec![1.5],
-            }],
-            partitions_read: 4,
-            picker_ms: 0.5,
-            planned_frac: 0.25,
-            exact: true,
-            error: ErrorEstimate::exact_for(1),
-            sketch: None,
-        };
-        let v1 = encode_frame_at(&Frame::Response(frame.clone()), 1).expect("encodes");
-        let v2 = encode_frame_at(&Frame::Response(frame.clone()), 2).expect("encodes");
-        assert!(v2.len() > v1.len(), "the meta block rides only at v2");
-        let Frame::Response(decoded) = decode_body(&v1[4..]).expect("decode v1") else {
-            panic!("wrong kind");
-        };
-        assert_eq!(decoded.rows, frame.rows);
-        assert_eq!(decoded.partitions_read, 4);
-        // The error contract did not travel: explicitly absent, not made up.
-        assert!(!decoded.exact);
-        assert_eq!(decoded.planned_frac, 0.0);
-        assert_eq!(decoded.error, ErrorEstimate::no_signal(0));
-    }
-
-    #[test]
     fn nan_and_negative_zero_survive_the_wire_bit_exactly() {
         let weird = f64::from_bits(0x7FF8_0000_0000_1234); // NaN with payload
         let frame = Frame::Response(ResponseFrame {
@@ -1847,9 +1610,22 @@ mod tests {
             code: ErrorCode::Internal,
             message: String::new(),
         });
-        let mut wire = encode_frame(&frame).expect("encodes");
-        wire[4] = 9; // version byte
-        assert_eq!(decode_body(&wire[4..]), Err(ProtoError::BadVersion(9)));
+        // One dialect: the retired versions are refused exactly like one
+        // that never existed, in both directions.
+        for version in [0, 1, 2, 4, 9] {
+            let mut wire = encode_frame(&frame).expect("encodes");
+            wire[4] = version;
+            assert_eq!(
+                decode_body(&wire[4..]),
+                Err(ProtoError::BadVersion(version))
+            );
+            let mut out = vec![0xAA];
+            assert_eq!(
+                encode_frame_at_into(&frame, version, &mut out),
+                Err(ProtoError::BadVersion(version))
+            );
+            assert_eq!(out, [0xAA], "a refused frame leaves no bytes behind");
+        }
         let mut wire = encode_frame(&frame).expect("encodes");
         wire[5] = 200; // kind byte
         assert_eq!(decode_body(&wire[4..]), Err(ProtoError::BadKind(200)));
@@ -1857,15 +1633,7 @@ mod tests {
 
     #[test]
     fn truncated_bodies_and_garbage_tags_error_instead_of_panicking() {
-        let frame = Frame::Request(RequestFrame {
-            request_id: 5,
-            table: None,
-            method: Method::Random,
-            budget: Budget::Fraction(0.5),
-            seed: 1,
-            progressive: false,
-            query: sample_query().into(),
-        });
+        let frame = Frame::Request(request(sample_query()));
         let wire = encode_frame(&frame).expect("encodes");
         // Every proper prefix of the body either truncates or (rarely, if a
         // prefix happens to end on a field boundary) parses; it never panics.
@@ -1883,15 +1651,7 @@ mod tests {
     #[test]
     fn frame_buffer_reassembles_across_arbitrary_splits() {
         let frames = [
-            Frame::Request(RequestFrame {
-                request_id: 1,
-                table: Some("t".into()),
-                method: Method::Ps3,
-                budget: Budget::Fraction(0.1),
-                seed: 2,
-                progressive: false,
-                query: sample_query().into(),
-            }),
+            Frame::Request(request(sample_query())),
             Frame::Error(ErrorFrame {
                 request_id: 2,
                 code: ErrorCode::Shutdown,
@@ -1919,44 +1679,26 @@ mod tests {
     fn values_too_large_for_their_length_fields_refuse_to_encode() {
         // A needle longer than a u16 length field must error, not truncate
         // into a frame that decodes to a different query.
-        let huge = Frame::Request(RequestFrame {
-            request_id: 1,
-            table: None,
-            method: Method::Ps3,
-            budget: Budget::Fraction(0.1),
-            seed: 1,
-            progressive: false,
-            query: Query::new(
-                vec![AggExpr::count()],
-                Some(Predicate::Clause(Clause::Contains {
-                    col: ColId(0),
-                    needle: "x".repeat(70_000),
-                    negated: false,
-                })),
-                vec![],
-            )
-            .into(),
-        });
+        let huge = Frame::Request(request(Query::new(
+            vec![AggExpr::count()],
+            Some(Predicate::Clause(Clause::Contains {
+                col: ColId(0),
+                needle: "x".repeat(70_000),
+                negated: false,
+            })),
+            vec![],
+        )));
         assert!(matches!(encode_frame(&huge), Err(ProtoError::Invalid(_))));
 
-        let wide_in = Frame::Request(RequestFrame {
-            request_id: 1,
-            table: None,
-            method: Method::Ps3,
-            budget: Budget::Fraction(0.1),
-            seed: 1,
-            progressive: false,
-            query: Query::new(
-                vec![AggExpr::count()],
-                Some(Predicate::Clause(Clause::In {
-                    col: ColId(0),
-                    values: (0..70_000).map(|i| i.to_string()).collect(),
-                    negated: false,
-                })),
-                vec![],
-            )
-            .into(),
-        });
+        let wide_in = Frame::Request(request(Query::new(
+            vec![AggExpr::count()],
+            Some(Predicate::Clause(Clause::In {
+                col: ColId(0),
+                values: (0..70_000).map(|i| i.to_string()).collect(),
+                negated: false,
+            })),
+            vec![],
+        )));
         assert!(matches!(
             encode_frame(&wide_in),
             Err(ProtoError::Invalid(_))
@@ -2010,33 +1752,8 @@ mod tests {
     }
 
     #[test]
-    fn frame_buffer_reports_the_peer_version() {
-        let frame = Frame::Error(ErrorFrame {
-            request_id: 1,
-            code: ErrorCode::Shutdown,
-            message: String::new(),
-        });
-        let mut buf = FrameBuffer::new(DEFAULT_MAX_FRAME);
-        assert_eq!(buf.last_version(), None, "no frame yet");
-        buf.push(&encode_frame_at(&frame, 1).unwrap());
-        assert!(buf.next_frame().unwrap().is_some());
-        assert_eq!(buf.last_version(), Some(1));
-        buf.push(&encode_frame_at(&frame, 2).unwrap());
-        assert!(buf.next_frame().unwrap().is_some());
-        assert_eq!(buf.last_version(), Some(2));
-    }
-
-    #[test]
     fn unknown_budget_tags_and_flag_bits_are_rejected() {
-        let frame = Frame::Request(RequestFrame {
-            request_id: 5,
-            table: None,
-            method: Method::Random,
-            budget: Budget::Fraction(0.5),
-            seed: 1,
-            progressive: false,
-            query: Query::new(vec![AggExpr::count()], None, vec![]).into(),
-        });
+        let frame = Frame::Request(request(Query::new(vec![AggExpr::count()], None, vec![])));
         let wire = encode_frame(&frame).expect("encodes");
         // Body layout: version, kind, id(8), table tag, method → budget tag
         // at body offset 12, flags at offset 29 (tag + f64 + seed after it).

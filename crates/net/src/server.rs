@@ -37,10 +37,9 @@
 //!    [`on_progress`](ps3_core::Ticket::on_progress) hook pokes the same
 //!    waker).
 //!
-//! Each connection speaks whatever protocol version its own frames carry:
-//! the server answers a v1 request with v1 bytes and a v2 request with v2
-//! bytes, so old clients keep working unchanged (they simply cannot
-//! express declarative budgets or progressive streaming).
+//! Every frame the server sends is a `PROTO_VERSION` frame, including the
+//! [`ErrorCode::UnsupportedVersion`] refusal that answers any other
+//! version byte before the connection closes.
 //!
 //! A client that disconnects mid-request just gets its connection state
 //! dropped; its in-flight executions complete in the router (and still
@@ -64,7 +63,7 @@ use ps3_runtime::{Mailbox, ThreadPool};
 use crate::outbuf::OutBuf;
 use crate::proto::{
     ErrorCode, ErrorFrame, Frame, FrameBuffer, PartialFrame, ProtoError, RequestFrame,
-    ResponseFrame, DEFAULT_MAX_FRAME, MIN_PROTO_VERSION,
+    ResponseFrame, DEFAULT_MAX_FRAME,
 };
 
 /// Tuning knobs for [`NetServer::bind`].
@@ -280,10 +279,6 @@ struct Conn {
     tenant: Tenant,
     /// Accepted requests awaiting completion, by request id.
     in_flight: HashMap<u64, Ticket>,
-    /// The protocol version of the peer's most recent frame — replies go
-    /// out in the same dialect. Starts at the oldest supported version
-    /// (pre-decode errors must be readable by anyone).
-    peer_version: u8,
     /// Close once the write buffer drains (set after a framing error).
     close_after_flush: bool,
     /// Torn down at the end of the current iteration.
@@ -291,14 +286,6 @@ struct Conn {
 }
 
 impl Conn {
-    /// Queue a frame for delivery at the peer's version, degrading
-    /// over-cap frames to typed refusals (see [`crate::outbuf`]). Bytes
-    /// move at the end of the wakeup, when [`Conn::flush`] gathers the
-    /// whole queue into one `writev`.
-    fn send(&mut self, frame: &Frame, max_frame: u32) {
-        self.out.push_frame(frame, self.peer_version, max_frame);
-    }
-
     /// Gather-write as much buffered output as the socket accepts.
     fn flush(&mut self) {
         match self.out.flush(self.stream.as_raw_fd()) {
@@ -544,7 +531,6 @@ impl ShardLoop {
                 out: OutBuf::new(),
                 tenant,
                 in_flight: HashMap::new(),
-                peer_version: MIN_PROTO_VERSION,
                 close_after_flush: false,
                 dead: false,
             },
@@ -555,8 +541,7 @@ impl ShardLoop {
     /// Turn every undelivered progress update into a [`PartialFrame`] on
     /// its connection's write queue. Driven by the `(token, request_id)`
     /// pairs the `on_progress` hooks recorded; a dead connection's updates
-    /// are dropped with it. Only v2 peers receive partials — and only v2
-    /// peers can ask (a v1 request cannot carry the progressive flag).
+    /// are dropped with it.
     fn deliver_progress(&mut self) {
         let max_frame = self.config.max_frame;
         for (token, request_id) in self.me.progressed.drain() {
@@ -567,7 +552,7 @@ impl ShardLoop {
                 continue;
             };
             for update in ticket.take_progress() {
-                conn.send(
+                conn.out.push_frame(
                     &Frame::Partial(PartialFrame::from_update(request_id, &update)),
                     max_frame,
                 );
@@ -594,7 +579,7 @@ impl ShardLoop {
             // Progress recorded before completion must still go out first
             // (the executing pump pushes updates before it fulfills).
             for update in ticket.take_progress() {
-                conn.send(
+                conn.out.push_frame(
                     &Frame::Partial(PartialFrame::from_update(request_id, &update)),
                     max_frame,
                 );
@@ -604,7 +589,7 @@ impl ShardLoop {
             match ticket.poll_take() {
                 Some(Ok(outcome)) => {
                     let frame = Frame::Response(ResponseFrame::from_outcome(request_id, &outcome));
-                    conn.send(&frame, max_frame);
+                    conn.out.push_frame(&frame, max_frame);
                 }
                 Some(Err(payload)) => {
                     self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -622,7 +607,7 @@ impl ShardLoop {
                         }
                         message.truncate(end);
                     }
-                    conn.send(
+                    conn.out.push_frame(
                         &Frame::Error(ErrorFrame {
                             request_id,
                             code: ErrorCode::Internal,
@@ -680,26 +665,18 @@ fn read_ready(
     }
     loop {
         match conn.inbound.next_frame() {
-            Ok(Some(frame)) => {
-                // Answer in the dialect the peer just spoke.
-                if let Some(v) = conn.inbound.last_version() {
-                    conn.peer_version = v;
-                }
-                match frame {
-                    Frame::Request(req) => submit(conn, token, me, shared, max_frame, req),
-                    _ => {
-                        // Clients must not send server-kind frames.
-                        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        conn.send(
-                            &Frame::Error(ErrorFrame {
-                                request_id: 0,
-                                code: ErrorCode::Malformed,
-                                message: "clients send request frames only".into(),
-                            }),
-                            max_frame,
-                        );
-                    }
-                }
+            Ok(Some(Frame::Request(req))) => submit(conn, token, me, shared, max_frame, req),
+            Ok(Some(_)) => {
+                // Clients must not send server-kind frames.
+                shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+                conn.out.push_frame(
+                    &Frame::Error(ErrorFrame {
+                        request_id: 0,
+                        code: ErrorCode::Malformed,
+                        message: "clients send request frames only".into(),
+                    }),
+                    max_frame,
+                );
             }
             Ok(None) => break,
             Err(err) => {
@@ -711,7 +688,7 @@ fn read_ready(
                     ProtoError::FrameTooLarge { .. } => ErrorCode::FrameTooLarge,
                     _ => ErrorCode::Malformed,
                 };
-                conn.send(
+                conn.out.push_frame(
                     &Frame::Error(ErrorFrame {
                         request_id: 0,
                         code,
@@ -740,7 +717,7 @@ fn submit(
         // Correlation ids must be unique per connection while in
         // flight; silently replacing the ticket would cross answers.
         shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-        conn.send(
+        conn.out.push_frame(
             &Frame::Error(ErrorFrame {
                 request_id,
                 code: ErrorCode::Malformed,
@@ -782,7 +759,7 @@ fn submit(
                 RouteError::Closed(_) => ErrorCode::Shutdown,
             };
             let message = err.to_string();
-            conn.send(
+            conn.out.push_frame(
                 &Frame::Error(ErrorFrame {
                     request_id,
                     code,

@@ -3,7 +3,7 @@
 //! Execution is compiled: [`execute_partition`] and friends lower the query
 //! through [`crate::kernel::CompiledQuery`] (once per call — cache the
 //! compiled program by [`Query::fingerprint`] to amortize across partitions
-//! and requests, as `execute_partitions*` and the serving layer do). The
+//! and requests, as [`execute_partitions`] and the serving layer do). The
 //! original scalar interpreter survives as the `#[cfg(test)]` oracle the
 //! property tests compare against bit-for-bit.
 
@@ -218,26 +218,16 @@ pub fn execute_table(pt: &PartitionedTable, query: &Query) -> QueryAnswer {
     cq.finalize(&acc)
 }
 
-/// Execute over a weighted selection of partitions and combine (§2.4).
+/// Execute over a weighted selection of partitions and combine (§2.4),
+/// serially on the caller — the reference every pooled path must equal bit
+/// for bit.
 pub fn execute_partitions(
     pt: &PartitionedTable,
     query: &Query,
     selection: &[WeightedPart],
 ) -> QueryAnswer {
-    execute_partitions_compiled(pt, &CompiledQuery::compile(pt.table(), query), selection)
-}
-
-/// [`execute_partitions`] with a pre-compiled query (the serving path's
-/// cache hands these out).
-pub fn execute_partitions_compiled(
-    pt: &PartitionedTable,
-    cq: &CompiledQuery,
-    selection: &[WeightedPart],
-) -> QueryAnswer {
-    let mut acc = PartialAnswer {
-        groups: HashMap::new(),
-        slots: cq.slot_count(),
-    };
+    let cq = CompiledQuery::compile(pt.table(), query);
+    let mut acc = PartialAnswer::empty(query);
     for wp in selection {
         let part = cq.execute_partition(pt.table(), pt.rows(wp.partition));
         acc.add_weighted(&part, wp.weight);
@@ -254,82 +244,21 @@ pub const PARALLEL_EXEC_MIN_PARTS: usize = 8;
 /// sub-microsecond, so pool task overhead would dominate tiny tables.
 pub const PARALLEL_EXEC_MIN_ROWS: usize = 65_536;
 
-/// The unconditional fan-out: partials computed on `pool` from one shared
-/// compiled program, combined *in selection order with the same weights*,
-/// so the result is bit-identical to the serial path — parallelism never
-/// perturbs a seeded experiment.
-pub(crate) fn fan_out_partitions(
-    pt: &PartitionedTable,
-    cq: &CompiledQuery,
-    selection: &[WeightedPart],
-    pool: &ps3_runtime::ThreadPool,
-) -> QueryAnswer {
-    let partials = pool.scope_map(selection.len(), |i| {
-        cq.execute_partition(pt.table(), pt.rows(selection[i].partition))
-    });
-    let mut acc = PartialAnswer {
-        groups: HashMap::new(),
-        slots: cq.slot_count(),
-    };
-    for (wp, part) in selection.iter().zip(&partials) {
-        acc.add_weighted(part, wp.weight);
-    }
-    cq.finalize(&acc)
-}
-
-/// [`execute_partitions`] fanned out over `pool` when it pays for itself:
-/// the pool has real parallelism (>1 worker) and the selection clears both
-/// the partition-count and total-row thresholds. Serial otherwise — a
-/// 1-worker pool in particular makes this an honest single-threaded path.
-pub fn execute_partitions_on(
-    pt: &PartitionedTable,
-    query: &Query,
-    selection: &[WeightedPart],
-    pool: &ps3_runtime::ThreadPool,
-) -> QueryAnswer {
-    execute_partitions_compiled_on(
-        pt,
-        &CompiledQuery::compile(pt.table(), query),
-        selection,
-        pool,
-    )
-}
-
-/// [`execute_partitions_on`] with a pre-compiled query.
-pub fn execute_partitions_compiled_on(
-    pt: &PartitionedTable,
-    cq: &CompiledQuery,
-    selection: &[WeightedPart],
-    pool: &ps3_runtime::ThreadPool,
-) -> QueryAnswer {
-    let rows: usize = selection.iter().map(|wp| pt.rows(wp.partition).len()).sum();
-    if pool.workers() <= 1
-        || selection.len() < PARALLEL_EXEC_MIN_PARTS
-        || rows < PARALLEL_EXEC_MIN_ROWS
-    {
-        return execute_partitions_compiled(pt, cq, selection);
-    }
-    fan_out_partitions(pt, cq, selection, pool)
-}
-
-/// Per-partition partial answers for a weighted selection, in selection
-/// order, fanned out over `pool` under the same thresholds as
-/// [`execute_partitions_compiled_on`]. Weights are *not* applied — callers
-/// combine with [`PartialAnswer::add_weighted`] in selection order, which
-/// keeps any downstream combination bit-identical to the one-shot paths
-/// (each slot's accumulation sequence is the selection order regardless of
-/// how partials were produced or batched).
+/// The one executor: run `kernel` over the row range of every selected
+/// partition and return the per-partition partials in selection order.
+/// Fans out over `pool` only when that pays for itself — the pool has real
+/// parallelism (>1 worker) and the selection clears both thresholds above;
+/// serial on the caller otherwise. Every query class's per-partition work
+/// goes through here, so "serial vs pool" is decided in exactly one place.
 ///
-/// This is the building block for answers that need more than the combined
-/// result: the serving layer's error estimator reads per-partition
-/// [`PartialAnswer::slot_totals`], and progressive serving combines prefix
-/// batches incrementally.
-pub fn execute_partials_on(
+/// Weights are *not* applied — callers fold the partials in selection
+/// order, so parallelism never perturbs an `f64` accumulation.
+pub fn execute_partials_on<T: Send>(
     pt: &PartitionedTable,
-    cq: &CompiledQuery,
     selection: &[WeightedPart],
     pool: &ps3_runtime::ThreadPool,
-) -> Vec<PartialAnswer> {
+    kernel: impl Fn(Range<usize>) -> T + Sync,
+) -> Vec<T> {
     let rows: usize = selection.iter().map(|wp| pt.rows(wp.partition).len()).sum();
     if pool.workers() <= 1
         || selection.len() < PARALLEL_EXEC_MIN_PARTS
@@ -337,25 +266,25 @@ pub fn execute_partials_on(
     {
         return selection
             .iter()
-            .map(|wp| cq.execute_partition(pt.table(), pt.rows(wp.partition)))
+            .map(|wp| kernel(pt.rows(wp.partition)))
             .collect();
     }
-    pool.scope_map(selection.len(), |i| {
-        cq.execute_partition(pt.table(), pt.rows(selection[i].partition))
-    })
+    pool.map(selection, |wp| kernel(pt.rows(wp.partition)))
 }
 
-/// [`execute_partitions_compiled_on`] that additionally returns each
-/// selected partition's *unweighted* per-slot totals (in selection order).
-/// The answer is combined from the same partials in the same order, so it
-/// is bit-identical to the plain path.
+/// The weighted combination of [`execute_partials_on`]'s partials, plus
+/// each selected partition's *unweighted* per-slot totals (in selection
+/// order). Combined in selection order, so the answer is bit-identical to
+/// [`execute_partitions`].
 pub fn execute_partitions_compiled_totals_on(
     pt: &PartitionedTable,
     cq: &CompiledQuery,
     selection: &[WeightedPart],
     pool: &ps3_runtime::ThreadPool,
 ) -> (QueryAnswer, Vec<Vec<f64>>) {
-    let partials = execute_partials_on(pt, cq, selection, pool);
+    let partials = execute_partials_on(pt, selection, pool, |rows| {
+        cq.execute_partition(pt.table(), rows)
+    });
     let totals: Vec<Vec<f64>> = partials.iter().map(PartialAnswer::slot_totals).collect();
     let mut acc = PartialAnswer {
         groups: HashMap::new(),
@@ -365,15 +294,6 @@ pub fn execute_partitions_compiled_totals_on(
         acc.add_weighted(part, wp.weight);
     }
     (cq.finalize(&acc), totals)
-}
-
-/// [`execute_partitions_on`] over the shared workspace pool.
-pub fn execute_partitions_parallel(
-    pt: &PartitionedTable,
-    query: &Query,
-    selection: &[WeightedPart],
-) -> QueryAnswer {
-    execute_partitions_on(pt, query, selection, &ps3_runtime::ThreadPool::global())
 }
 
 #[cfg(test)]
@@ -545,9 +465,10 @@ mod tests {
             ColumnMeta::new("x", ColumnType::Numeric),
             ColumnMeta::new("g", ColumnType::Categorical),
         ]);
+        // Just over PARALLEL_EXEC_MIN_ROWS, so the executor really fans out.
         let mut b = TableBuilder::new(schema);
-        for i in 0..64 {
-            b.push_row(&[f64::from(i) * 0.37], &[["a", "b", "c"][i as usize % 3]]);
+        for i in 0..PARALLEL_EXEC_MIN_ROWS + 16 {
+            b.push_row(&[i as f64 * 0.37], &[["a", "b", "c"][i % 3]]);
         }
         let t = PartitionedTable::with_equal_partitions(b.finish(), 16);
         let q = sum_by_group();
@@ -559,16 +480,29 @@ mod tests {
             })
             .collect();
         let serial = execute_partitions(&t, &q, &sel);
-        // Force the fan-out (the row-count gate would keep a 64-row table
-        // serial) to prove the parallel combine is bit-identical.
-        let pool = ps3_runtime::ThreadPool::new(4);
         let cq = CompiledQuery::compile(t.table(), &q);
-        let parallel = fan_out_partitions(&t, &cq, &sel, &pool);
+        let pool = ps3_runtime::ThreadPool::new(4);
+        let (parallel, _) = execute_partitions_compiled_totals_on(&t, &cq, &sel, &pool);
+        assert!(pool.tasks_injected() > 0, "the selection must fan out");
         assert_eq!(serial, parallel, "parallel combine must be bit-identical");
-        // And the adaptive wrappers (serial here, under the row threshold)
-        // agree too.
-        assert_eq!(serial, execute_partitions_on(&t, &q, &sel, &pool));
-        assert_eq!(serial, execute_partitions_parallel(&t, &q, &sel));
+        // Under either threshold, or on a 1-worker pool, nothing is handed off.
+        let before = pool.tasks_injected();
+        let few = &sel[..PARALLEL_EXEC_MIN_PARTS - 1];
+        let (pooled_few, _) = execute_partitions_compiled_totals_on(&t, &cq, few, &pool);
+        assert_eq!(execute_partitions(&t, &q, few), pooled_few);
+        assert_eq!(
+            pool.tasks_injected(),
+            before,
+            "a small selection stays serial"
+        );
+        let solo = ps3_runtime::ThreadPool::new(1);
+        let (on_one, _) = execute_partitions_compiled_totals_on(&t, &cq, &sel, &solo);
+        assert_eq!(serial, on_one);
+        assert_eq!(
+            solo.tasks_injected(),
+            0,
+            "a 1-worker pool runs on the caller"
+        );
     }
 
     #[test]
@@ -585,7 +519,7 @@ mod tests {
             .collect();
         let pool = ps3_runtime::ThreadPool::new(2);
         let cq = CompiledQuery::compile(t.table(), &q);
-        let plain = execute_partitions_compiled_on(&t, &cq, &sel, &pool);
+        let plain = execute_partitions(&t, &q, &sel);
         let (ans, totals) = execute_partitions_compiled_totals_on(&t, &cq, &sel, &pool);
         assert_eq!(plain, ans, "totals variant must not perturb the answer");
         assert_eq!(totals.len(), sel.len());

@@ -32,9 +32,9 @@ pub mod sketch;
 
 pub use ast::{AggExpr, AggFunc, BinOp, Clause, CmpOp, Predicate, Query, ScalarExpr};
 pub use exec::{
-    execute_partials_on, execute_partition, execute_partitions, execute_partitions_compiled,
-    execute_partitions_compiled_on, execute_partitions_compiled_totals_on, execute_partitions_on,
-    execute_partitions_parallel, execute_table, GroupKey, PartialAnswer, QueryAnswer, WeightedPart,
+    execute_partials_on, execute_partition, execute_partitions,
+    execute_partitions_compiled_totals_on, execute_table, GroupKey, PartialAnswer, QueryAnswer,
+    WeightedPart,
 };
 pub use kernel::{CompiledPredicate, CompiledQuery, TargetSet};
 pub use selvec::SelVec;

@@ -4,15 +4,13 @@
 //! to the pre-refactor scalar interpreter (kept in [`crate::oracle`]) on
 //! arbitrary in-scope queries and tables: identical group keys, identical
 //! accumulator slot bits (NaNs compared by bit pattern, not `==`), and the
-//! serial / forced-parallel / compiled execution paths must agree with each
-//! other per seed.
+//! serial and pooled execution paths must agree with each other per seed.
 
 use proptest::prelude::*;
 
 use crate::ast::{AggExpr, Clause, CmpOp, Predicate, Query, ScalarExpr};
 use crate::exec::{
-    execute_partitions, execute_partitions_compiled, fan_out_partitions, PartialAnswer,
-    QueryAnswer, WeightedPart,
+    execute_partials_on, execute_partitions, PartialAnswer, QueryAnswer, WeightedPart,
 };
 use crate::kernel::{cmp_kernel, membership_kernel, CompiledQuery, TargetSet, DENSE_DICT_LIMIT};
 use crate::oracle::execute_partition_oracle;
@@ -215,8 +213,9 @@ proptest! {
         }
     }
 
-    /// Combined: serial interpretation, serial compiled, and the forced
-    /// parallel fan-out all produce bit-identical weighted answers.
+    /// Combined: serial interpretation, the serial reference, and the
+    /// pooled partials folded in selection order all produce bit-identical
+    /// weighted answers.
     #[test]
     fn serial_parallel_kernel_agree(pt in arb_table(), query in arb_query(), wseed in 0u32..1000) {
         let selection: Vec<WeightedPart> = (0..pt.num_partitions())
@@ -236,11 +235,14 @@ proptest! {
         let oracle = acc.finalize(&query);
 
         let serial = execute_partitions(&pt, &query, &selection);
-        let compiled = execute_partitions_compiled(&pt, &cq, &selection);
         let pool = ps3_runtime::ThreadPool::new(3);
-        let parallel = fan_out_partitions(&pt, &cq, &selection, &pool);
+        let mut acc = PartialAnswer::empty(&query);
+        for (wp, part) in selection.iter().zip(execute_partials_on(&pt, &selection, &pool, |rows| cq.execute_partition(pt.table(), rows))) {
+            acc.add_weighted(&part, wp.weight);
+        }
+        let pooled = cq.finalize(&acc);
 
-        for (name, ans) in [("serial", &serial), ("compiled", &compiled), ("parallel", &parallel)] {
+        for (name, ans) in [("serial", &serial), ("pooled", &pooled)] {
             if let Err(e) = bits_eq_answer(&oracle, ans) {
                 prop_assert!(false, "{name} diverged from oracle: {e}\nquery {query:?}");
             }

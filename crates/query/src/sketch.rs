@@ -170,6 +170,18 @@ impl From<SketchQuery> for QuerySpec {
     }
 }
 
+impl From<&Query> for QuerySpec {
+    fn from(q: &Query) -> Self {
+        QuerySpec::Scalar(q.clone())
+    }
+}
+
+impl From<&SketchQuery> for QuerySpec {
+    fn from(q: &SketchQuery) -> Self {
+        QuerySpec::Sketch(q.clone())
+    }
+}
+
 impl QuerySpec {
     /// The stable fingerprint of either class (one key space; sketch
     /// queries carry a leading class tag so the spaces cannot collide

@@ -56,7 +56,7 @@ fn main() {
     }
 
     // Where the budget goes: PS3's importance funnel.
-    let mut rng = ps3::core::query_rng(&flood_by_service, 23);
+    let mut rng = ps3::core::spec_rng(&(&flood_by_service).into(), 23);
     let out = system.pick_outcome(&flood_by_service, 0.1, &mut rng);
     println!(
         "\nat a 10% budget PS3 read {} partitions ({} outliers); funnel group \

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use std::thread;
 
-use ps3::core::{query_rng, Method, Ps3Config, QueryRequest, Router};
+use ps3::core::{spec_rng, Method, Ps3Config, QueryRequest, Router};
 use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3::net::{NetClient, NetServer};
 
@@ -41,12 +41,17 @@ fn main() -> std::io::Result<()> {
                 let mut client = NetClient::connect(addr).expect("connect");
                 for i in 0..3 {
                     let query = ds.sample_test_query(i);
-                    let req = QueryRequest::ps3(query.clone(), 0.2, i as u64).on_table("telemetry");
+                    let req = QueryRequest::ps3(query, 0.2, i as u64).on_table("telemetry");
                     let remote = client.request(&req).expect("served");
-                    let mut rng = query_rng(&query, req.seed);
+                    let mut rng = spec_rng(&req.query, req.seed);
                     let frac = req.budget.as_fraction().expect("explicit fraction");
-                    let direct =
-                        system.answer_on(&query, Method::Ps3, frac, &mut rng, router.pool());
+                    let direct = system.answer_spec_on(
+                        &req.query,
+                        Method::Ps3,
+                        frac,
+                        &mut rng,
+                        router.pool(),
+                    );
                     assert_eq!(
                         remote.answer, direct.answer,
                         "wire answers must be bit-identical to direct execution"

@@ -5,6 +5,7 @@ use ps3::core::{Method, Ps3Config};
 use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3::query::metrics::ErrorMetrics;
 use ps3::query::{execute_partitions, WeightedPart};
+use ps3::runtime::ThreadPool;
 use ps3::storage::PartitionId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,6 +50,7 @@ fn ps3_beats_uniform_random_on_skewed_layout() {
     let ds = tiny(DatasetKind::Aria, 2);
     let system = ds.train_system(fast_config(2));
     let mut rng = StdRng::seed_from_u64(2);
+    let pool = ThreadPool::global();
     let budget = 0.15;
     let (mut ps3_err, mut rand_err) = (0.0, 0.0);
     let queries: Vec<_> = (0..8).map(|i| ds.sample_test_query(i)).collect();
@@ -57,12 +59,12 @@ fn ps3_beats_uniform_random_on_skewed_layout() {
         if exact.num_groups() == 0 {
             continue;
         }
-        let ps3 = system.answer(q, Method::Ps3, budget, &mut rng);
+        let ps3 = system.answer_spec_on(&q.into(), Method::Ps3, budget, &mut rng, &pool);
         ps3_err += ps3::query::metrics::avg_relative_error(&exact, &ps3.answer);
         // Average random over a few runs to be fair to its variance.
         let mut r = 0.0;
         for _ in 0..5 {
-            let out = system.answer(q, Method::Random, budget, &mut rng);
+            let out = system.answer_spec_on(&q.into(), Method::Random, budget, &mut rng, &pool);
             r += ps3::query::metrics::avg_relative_error(&exact, &out.answer);
         }
         rand_err += r / 5.0;
@@ -78,12 +80,13 @@ fn selection_budgets_are_respected() {
     let ds = tiny(DatasetKind::Kdd, 3);
     let system = ds.train_system(fast_config(3));
     let mut rng = StdRng::seed_from_u64(3);
+    let pool = ThreadPool::global();
     let n = system.num_partitions();
     for frac in [0.05, 0.2, 0.5] {
         let budget = system.budget_partitions(frac);
         for method in Method::ALL {
             let q = ds.sample_test_query(0);
-            let out = system.answer(&q, method, frac, &mut rng);
+            let out = system.answer_spec_on(&(&q).into(), method, frac, &mut rng, &pool);
             assert!(
                 out.selection.len() <= budget.max(1),
                 "{} read {} partitions with budget {budget}",

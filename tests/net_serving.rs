@@ -2,7 +2,7 @@
 //! (client → wire protocol → event loop → tenant → router → systems):
 //!
 //! (a) 8 concurrent TCP clients get answers **bit-identical** to direct
-//!     `Ps3System::answer_on` calls for the same
+//!     `Ps3System::answer_spec_on` calls for the same
 //!     `(table, query, method, budget, seed)`;
 //! (b) a cold-key stampede from 8 clients records exactly **one**
 //!     execution (answer cache + single-flight coalescing);
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use ps3::core::{spec_rng, Method, Ps3Config, Ps3System, QueryRequest, Router};
 use ps3::data::{Dataset, DatasetConfig, DatasetKind, ScaleProfile};
-use ps3::net::proto::{ErrorCode, Frame, FrameBuffer, DEFAULT_MAX_FRAME};
+use ps3::net::proto::{ErrorCode, Frame, FrameBuffer, DEFAULT_MAX_FRAME, PROTO_VERSION};
 use ps3::net::{ClientError, NetClient, NetServer, ServerConfig};
 use ps3::query::{Clause, CmpOp, Predicate, QueryAnswer, QuerySpec, SketchQuery};
 use ps3::sketch::codec::answer_sketch_to_bytes;
@@ -103,7 +103,7 @@ fn eight_concurrent_tcp_clients_match_direct_execution_at(net_shards: usize) {
                             answer_bits(&remote.answer),
                             answer_bits(&direct[i].0),
                             "client {t} round {round}: request {i} diverged \
-                             from direct answer_on, bit for bit"
+                             from direct answer_spec_on, bit for bit"
                         );
                         assert_eq!(
                             remote.meta.partitions_read as usize, direct[i].1,
@@ -416,13 +416,15 @@ fn framing_failures_send_typed_errors_and_close() {
     let server = NetServer::bind(Arc::clone(&router), "127.0.0.1:0").expect("bind");
     let addr = server.addr();
 
-    // Reads one error frame then expects EOF.
+    // Reads one error frame — itself a PROTO_VERSION frame, whatever the
+    // peer sent — then expects EOF.
     let expect_error_then_close = |mut stream: TcpStream, want: ErrorCode| {
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .unwrap();
         let mut buf = FrameBuffer::new(DEFAULT_MAX_FRAME);
         let mut chunk = [0u8; 4096];
+        let mut first_bytes = Vec::new();
         let frame = loop {
             if let Some(frame) = buf.next_frame().expect("server frames decode") {
                 break frame;
@@ -430,7 +432,9 @@ fn framing_failures_send_typed_errors_and_close() {
             let n = stream.read(&mut chunk).expect("read");
             assert!(n > 0, "connection closed before the error frame arrived");
             buf.push(&chunk[..n]);
+            first_bytes.extend_from_slice(&chunk[..n]);
         };
+        assert_eq!(first_bytes[4], PROTO_VERSION, "every server frame is v3");
         match frame {
             Frame::Error(e) => assert_eq!(e.code, want),
             other => panic!("expected error frame, got {other:?}"),
@@ -445,10 +449,11 @@ fn framing_failures_send_typed_errors_and_close() {
         }
     };
 
-    // A frame whose version byte is wrong.
-    {
+    // A frame whose version byte is wrong — the retired dialects 1 and 2
+    // are refused exactly like a version that never existed.
+    for version in [1u8, 2, 9] {
         let mut s = TcpStream::connect(addr).expect("connect");
-        let body = [9u8, 1, 0, 0, 0, 0, 0, 0, 0, 0]; // version 9
+        let body = [version, 1, 0, 0, 0, 0, 0, 0, 0, 0];
         s.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
         s.write_all(&body).unwrap();
         expect_error_then_close(s, ErrorCode::UnsupportedVersion);
@@ -462,7 +467,7 @@ fn framing_failures_send_typed_errors_and_close() {
     // A well-versed frame with a garbage kind.
     {
         let mut s = TcpStream::connect(addr).expect("connect");
-        let body = [1u8, 77, 0, 0, 0, 0, 0, 0, 0, 0]; // kind 77
+        let body = [PROTO_VERSION, 77, 0, 0, 0, 0, 0, 0, 0, 0]; // kind 77
         s.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
         s.write_all(&body).unwrap();
         expect_error_then_close(s, ErrorCode::Malformed);

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ps3::core::{query_rng, Method, Ps3Config, QueryRequest, Router, PLAN_GRID};
+use ps3::core::{spec_rng, Method, Ps3Config, QueryRequest, Router, PLAN_GRID};
 use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3::net::{NetClient, NetServer};
 use ps3::query::{Query, QueryAnswer, QuerySpec, SketchFunc, SketchQuery};
@@ -253,12 +253,12 @@ fn progressive_streams_grow_monotonically_and_finish_bit_identical() {
     }
 
     // The final frame is bit-identical to direct in-process execution…
-    let mut rng = query_rng(&query, req.seed);
-    let direct = system.answer_on(&query, Method::Random, 0.5, &mut rng, router.pool());
+    let mut rng = spec_rng(&req.query, req.seed);
+    let direct = system.answer_spec_on(&req.query, Method::Random, 0.5, &mut rng, router.pool());
     assert_eq!(
         answer_bits(&streamed.answer.answer),
         answer_bits(&direct.answer),
-        "the final streamed frame matches answer_on bit for bit"
+        "the final streamed frame matches answer_spec_on bit for bit"
     );
 
     // …and to a one-shot wire request, which is now a cache hit and

@@ -3,7 +3,7 @@
 //!
 //! (a) the same `(table, query, method, frac, seed)` routed through the
 //!     bounded queue by 8 concurrent tenants is bit-identical to a direct
-//!     `Ps3System::answer_on` call;
+//!     `Ps3System::answer_spec_on` call;
 //! (b) re-running a 6-budget sweep after a warm first run performs zero
 //!     additional partition executions (answer-cache counters prove it);
 //! (c) submissions beyond queue capacity observe backpressure
@@ -16,10 +16,10 @@ use std::thread;
 use std::time::Duration;
 
 use ps3::core::{
-    query_rng, spec_rng, Method, Ps3Config, Ps3System, QueryRequest, RouteError, Router,
-    ServeHandle, Ticket,
+    spec_rng, Method, Ps3Config, Ps3System, QueryRequest, RouteError, Router, ServeHandle, Ticket,
 };
 use ps3::data::{Dataset, DatasetConfig, DatasetKind, ScaleProfile};
+use ps3::query::QuerySpec;
 
 fn trained(kind: DatasetKind, seed: u64) -> (Dataset, Arc<Ps3System>) {
     let ds = DatasetConfig::new(kind, ScaleProfile::Tiny).build(seed);
@@ -38,7 +38,7 @@ fn selection_bits(out: &ps3::core::AnswerOutcome) -> Vec<(usize, u64)> {
 }
 
 /// (a) Eight tenants hammer one request through the queue concurrently;
-/// every ticket matches a direct, cache-free `answer_on` bit for bit.
+/// every ticket matches a direct, cache-free `answer_spec_on` bit for bit.
 #[test]
 fn eight_concurrent_tenants_through_the_queue_match_direct_execution() {
     let (ds, system) = trained(DatasetKind::Aria, 31);
@@ -77,7 +77,7 @@ fn eight_concurrent_tenants_through_the_queue_match_direct_execution() {
                     let out = tenant.submit(reqs[i].clone()).expect("open").wait();
                     assert_eq!(
                         out.answer, direct[i].answer,
-                        "tenant {t}: request {i} diverged from direct answer_on"
+                        "tenant {t}: request {i} diverged from direct answer_spec_on"
                     );
                     assert_eq!(
                         selection_bits(&out),
@@ -216,10 +216,11 @@ fn multi_table_routing_hits_the_right_system() {
             .submit(QueryRequest::ps3(qt.clone(), 0.25, 5).on_table("lineitem"))
             .expect("open")
             .wait();
-        let mut rng = query_rng(&qa, 5);
-        let direct_a = aria.answer_on(&qa, Method::Ps3, 0.25, &mut rng, router.pool());
-        let mut rng = query_rng(&qt, 5);
-        let direct_t = tpch.answer_on(&qt, Method::Ps3, 0.25, &mut rng, router.pool());
+        let (qa, qt) = (QuerySpec::from(qa), QuerySpec::from(qt));
+        let mut rng = spec_rng(&qa, 5);
+        let direct_a = aria.answer_spec_on(&qa, Method::Ps3, 0.25, &mut rng, router.pool());
+        let mut rng = spec_rng(&qt, 5);
+        let direct_t = tpch.answer_spec_on(&qt, Method::Ps3, 0.25, &mut rng, router.pool());
         assert_eq!(out_a.answer, direct_a.answer, "telemetry query {i}");
         assert_eq!(out_t.answer, direct_t.answer, "lineitem query {i}");
     }

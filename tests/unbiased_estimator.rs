@@ -5,6 +5,7 @@
 use ps3::cluster::{cluster, random_exemplar, ClusterAlgo};
 use ps3::core::{ExemplarRule, Method, Ps3Config};
 use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
+use ps3::runtime::ThreadPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -71,8 +72,9 @@ fn median_estimator_has_zero_variance_and_random_does_not() {
     cfg.estimator = ExemplarRule::Random;
     let system = ds.train_system(cfg);
     let mut rng = StdRng::seed_from_u64(9);
+    let pool = ThreadPool::global();
     let outs: Vec<_> = (0..6)
-        .map(|_| system.answer(&query, Method::Ps3, 0.2, &mut rng))
+        .map(|_| system.answer_spec_on(&(&query).into(), Method::Ps3, 0.2, &mut rng, &pool))
         .collect();
     let all_same = outs.windows(2).all(|w| w[0].answer == w[1].answer);
     assert!(
@@ -94,6 +96,7 @@ fn unbiased_mean_approaches_truth_on_real_pipeline() {
     cfg.use_regressors = false;
     let system = ds.train_system(cfg);
     let mut rng = StdRng::seed_from_u64(17);
+    let pool = ThreadPool::global();
 
     // A COUNT(*) query with no predicate: every partition contributes, and
     // the true answer is the row count.
@@ -102,7 +105,7 @@ fn unbiased_mean_approaches_truth_on_real_pipeline() {
     let mut mean = 0.0;
     let runs = 300;
     for _ in 0..runs {
-        let out = system.answer(&query, Method::Ps3, 0.25, &mut rng);
+        let out = system.answer_spec_on(&(&query).into(), Method::Ps3, 0.25, &mut rng, &pool);
         mean += out.answer.global(0).unwrap();
     }
     mean /= runs as f64;

@@ -7,6 +7,7 @@
 use ps3::core::{Method, Ps3Config};
 use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3::query::metrics::avg_relative_error;
+use ps3::runtime::ThreadPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,6 +23,7 @@ fn ps3_beats_uniform_sampling_at_ten_percent_budget() {
 
     let budget = 0.10;
     let mut rng = StdRng::seed_from_u64(11);
+    let pool = ThreadPool::global();
     let mut ps3_err = 0.0;
     let mut rand_err = 0.0;
     let mut evaluated = 0;
@@ -33,7 +35,7 @@ fn ps3_beats_uniform_sampling_at_ten_percent_budget() {
         }
         evaluated += 1;
 
-        let ps3 = system.answer(&query, Method::Ps3, budget, &mut rng);
+        let ps3 = system.answer_spec_on(&(&query).into(), Method::Ps3, budget, &mut rng, &pool);
         ps3_err += avg_relative_error(&exact, &ps3.answer);
 
         // Uniform sampling is stochastic; average it over several seeded
@@ -41,7 +43,8 @@ fn ps3_beats_uniform_sampling_at_ten_percent_budget() {
         let runs = 5;
         let mut r = 0.0;
         for _ in 0..runs {
-            let out = system.answer(&query, Method::Random, budget, &mut rng);
+            let out =
+                system.answer_spec_on(&(&query).into(), Method::Random, budget, &mut rng, &pool);
             r += avg_relative_error(&exact, &out.answer);
         }
         rand_err += r / runs as f64;
