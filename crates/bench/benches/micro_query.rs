@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ps3_cluster::simd::{assign_update, PointMatrix};
-use ps3_cluster::{cluster, kmeans_minibatch, ClusterAlgo};
+use ps3_cluster::simd::assign_update;
+use ps3_cluster::{cluster, kmeans_minibatch, ClusterAlgo, PointMatrix};
 use ps3_core::Ps3Config;
 use ps3_data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3_query::{
@@ -97,9 +97,13 @@ fn bench_query_paths(c: &mut Criterion) {
         b.iter(|| QueryFeatures::compute(&ds.stats, ds.pt.table(), &query))
     });
 
-    // Clustering 64 partitions' feature rows into 8 clusters.
+    // Clustering 64 partitions' feature rows into 8 clusters, fed from the
+    // flat compact matrix the way the picker's group projection feeds it.
     let feats = QueryFeatures::compute(&ds.stats, ds.pt.table(), &query);
-    let points: Vec<Vec<f64>> = feats.rows.clone();
+    let matrix = feats.matrix();
+    let (n, width) = (matrix.num_rows(), matrix.width());
+    let flat: Vec<f64> = (0..n).flat_map(|p| matrix.row(p)).copied().collect();
+    let points = PointMatrix::from_flat(flat, n, width);
     g.bench_function("kmeans_64x8", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(3);
@@ -125,12 +129,12 @@ fn bench_query_paths(c: &mut Criterion) {
             kmeans_minibatch(&points, 8, &mut rng, 0)
         })
     });
-    let m = PointMatrix::from_rows(&points);
-    let centroids = PointMatrix::from_rows(&points[..8]);
+    let first_eight: Vec<f64> = (0..8).flat_map(|i| points.row(i)).copied().collect();
+    let centroids = PointMatrix::from_flat(first_eight, 8, width);
     g.bench_function("assign_step_simd", |b| {
         b.iter(|| {
-            let mut assignment = vec![usize::MAX; m.n()];
-            assign_update(&m, &centroids, &mut assignment)
+            let mut assignment = vec![usize::MAX; points.n()];
+            assign_update(&points, &centroids, &mut assignment)
         })
     });
     g.finish();

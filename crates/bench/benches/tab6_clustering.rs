@@ -28,16 +28,12 @@ fn main() {
         let ds = DatasetConfig::new(kind, scale).build(42);
         let td = TrainingData::compute(&ds.pt, &ds.stats, &ds.train_queries, 0);
         let schema = *ds.stats.feature_schema();
-        let normalizer = Normalizer::fit(schema, td.features.iter().map(|f| &f.rows));
-        let normalized: Vec<Vec<Vec<f64>>> = td
-            .features
-            .iter()
-            .map(|f| {
-                let mut m = f.rows.clone();
-                normalizer.apply_matrix(&mut m);
-                m
-            })
-            .collect();
+        // The clustering-error sweep consumes full-width rows.
+        let mut normalized: Vec<Vec<Vec<f64>>> = td.features.iter().map(|f| f.to_dense()).collect();
+        let normalizer = Normalizer::fit(schema, &normalized);
+        for m in &mut normalized {
+            normalizer.apply_matrix(m);
+        }
         let eval_qs: Vec<usize> = (0..td.queries.len())
             .filter(|&q| !td.totals[q].groups.is_empty())
             .take(16)

@@ -8,20 +8,18 @@ use ps3_data::Dataset;
 use ps3_query::metrics::ErrorMetrics;
 use ps3_query::predicate::eval_predicate;
 use ps3_query::{CompiledQuery, PartialAnswer, Query, QueryAnswer, WeightedPart};
-use ps3_stats::QueryFeatures;
 use ps3_storage::PartitionId;
 
 /// The budget grid (fractions of partitions read) used across experiments.
 pub const BUDGETS: [f64; 8] = [0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75];
 
 /// Everything cached for one test query so method evaluation is pure
-/// arithmetic: raw features, per-partition partials, the exact answer, and
-/// the predicate's true selectivity.
+/// arithmetic: per-partition partials, the exact answer, and the
+/// predicate's true selectivity. (Its features live in the system's own
+/// artifact cache.)
 pub struct QueryCache {
     /// The query.
     pub query: Query,
-    /// Raw masked features (selectivity filled).
-    pub features: QueryFeatures,
     /// Exact per-partition partial answers.
     pub partials: Vec<PartialAnswer>,
     /// Exact full answer.
@@ -83,14 +81,9 @@ impl Experiment {
     /// assembled from cached partials (no data re-read).
     pub fn evaluate_query(&mut self, qi: usize, method: Method, frac: f64) -> ErrorMetrics {
         let qc = &self.cache[qi];
-        let (selection, _) = self.system.select_with_features(
-            &qc.query,
-            &qc.features,
-            method,
-            frac,
-            None,
-            &mut self.rng,
-        );
+        let (selection, _) = self
+            .system
+            .select(&qc.query, method, frac, None, &mut self.rng);
         metrics_for(qc, &selection)
     }
 
@@ -98,9 +91,8 @@ impl Experiment {
     /// (true contributions) instead of the learned models.
     pub fn evaluate_query_oracle(&mut self, qi: usize, frac: f64) -> ErrorMetrics {
         let qc = &self.cache[qi];
-        let (selection, _) = self.system.select_with_features(
+        let (selection, _) = self.system.select(
             &qc.query,
-            &qc.features,
             Method::Ps3,
             frac,
             Some(&qc.contributions),
@@ -153,7 +145,6 @@ pub fn metrics_for(qc: &QueryCache, selection: &[WeightedPart]) -> ErrorMetrics 
 /// shared workspace pool).
 pub fn build_cache(ds: &Dataset, queries: &[Query]) -> Vec<QueryCache> {
     let pt = &ds.pt;
-    let stats = &ds.stats;
     ps3_runtime::fan_out(0, queries.len(), |qi| {
         let q = &queries[qi];
         // One compiled program per query serves every partition.
@@ -167,7 +158,6 @@ pub fn build_cache(ds: &Dataset, queries: &[Query]) -> Vec<QueryCache> {
         }
         let contributions = ps3_core::train::contributions_for(&partials, &total);
         let truth = total.finalize(q);
-        let features = QueryFeatures::compute(stats, pt.table(), q);
         let selectivity = match &q.predicate {
             None => 1.0,
             Some(p) => {
@@ -180,7 +170,6 @@ pub fn build_cache(ds: &Dataset, queries: &[Query]) -> Vec<QueryCache> {
         };
         QueryCache {
             query: q.clone(),
-            features,
             partials,
             truth,
             selectivity,

@@ -10,23 +10,23 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::dist_sq;
+use crate::simd::PointMatrix;
 
 /// The member of `cluster` whose feature vector is closest to the cluster's
 /// per-dimension median (the paper's deterministic exemplar).
 ///
 /// # Panics
 /// Panics on an empty cluster.
-pub fn median_exemplar(points: &[Vec<f64>], cluster: &[usize]) -> usize {
+pub fn median_exemplar(points: &PointMatrix, cluster: &[usize]) -> usize {
     assert!(!cluster.is_empty(), "empty cluster");
     if cluster.len() == 1 {
         return cluster[0];
     }
-    let dim = points[cluster[0]].len();
-    let mut median = vec![0.0; dim];
+    let mut median = vec![0.0; points.dim()];
     let mut scratch: Vec<f64> = Vec::with_capacity(cluster.len());
     for (d, m) in median.iter_mut().enumerate() {
         scratch.clear();
-        scratch.extend(cluster.iter().map(|&i| points[i][d]));
+        scratch.extend(cluster.iter().map(|&i| points.row(i)[d]));
         scratch.sort_by(f64::total_cmp);
         let mid = scratch.len() / 2;
         *m = if scratch.len() % 2 == 1 {
@@ -39,8 +39,8 @@ pub fn median_exemplar(points: &[Vec<f64>], cluster: &[usize]) -> usize {
         .iter()
         .copied()
         .min_by(|&a, &b| {
-            dist_sq(&points[a], &median)
-                .total_cmp(&dist_sq(&points[b], &median))
+            dist_sq(points.row(a), &median)
+                .total_cmp(&dist_sq(points.row(b), &median))
                 .then(a.cmp(&b))
         })
         .expect("non-empty cluster")
@@ -59,12 +59,12 @@ mod tests {
 
     #[test]
     fn median_member_wins() {
-        let points = vec![
+        let points = PointMatrix::from_rows(&[
             vec![0.0],
             vec![5.0], // closest to the median (4.0)
             vec![4.0], // exactly the median... see below
             vec![100.0],
-        ];
+        ]);
         // cluster of all: medians of {0,5,4,100} = (4+5)/2 = 4.5 → point 2
         // (4.0) at distance 0.5 beats point 1 (5.0) at 0.5? tie → lower idx 1?
         // distances: p1=0.5, p2=0.5 → tie broken by index: picks 1.
@@ -76,7 +76,7 @@ mod tests {
 
     #[test]
     fn singleton_cluster() {
-        let points = vec![vec![1.0], vec![2.0]];
+        let points = PointMatrix::from_rows(&[vec![1.0], vec![2.0]]);
         assert_eq!(median_exemplar(&points, &[1]), 1);
     }
 
@@ -85,6 +85,7 @@ mod tests {
         // 9 points near 0, one at 1e6: the exemplar must be from the bulk.
         let mut points: Vec<Vec<f64>> = (0..9).map(|i| vec![f64::from(i) * 0.1]).collect();
         points.push(vec![1e6]);
+        let points = PointMatrix::from_rows(&points);
         let cluster: Vec<usize> = (0..10).collect();
         let e = median_exemplar(&points, &cluster);
         assert!(e < 9, "picked the outlier");

@@ -65,9 +65,8 @@ impl Condensed {
 /// tiny true distance negative; those clamp to 0.0 with a comparison (not
 /// `f64::max`, which would swallow NaN — NaN distances must stay NaN so
 /// they keep losing every `<` comparison, same as the direct formula).
-fn condensed_from_points(points: &[Vec<f64>]) -> Condensed {
-    let n = points.len();
-    let m = PointMatrix::from_rows(points);
+fn condensed_from_points(m: &PointMatrix) -> Condensed {
+    let n = m.n();
     let norms = m.row_norms();
     let mut data = Vec::with_capacity(n * (n - 1) / 2);
     for i in 0..n {
@@ -83,8 +82,8 @@ fn condensed_from_points(points: &[Vec<f64>]) -> Condensed {
 ///
 /// # Panics
 /// Panics when `k == 0`.
-pub fn hac(points: &[Vec<f64>], k: usize, linkage: Linkage) -> Vec<Vec<usize>> {
-    let n = points.len();
+pub fn hac(points: &PointMatrix, k: usize, linkage: Linkage) -> Vec<Vec<usize>> {
+    let n = points.n();
     assert!(k > 0);
     if n <= k {
         return (0..n).map(|i| vec![i]).collect();
@@ -202,7 +201,7 @@ mod tests {
     #[test]
     fn ward_separates_blobs() {
         let pts = blobs(&[8, 8, 8], 100.0);
-        let clusters = hac(&pts, 3, Linkage::Ward);
+        let clusters = hac(&PointMatrix::from_rows(&pts), 3, Linkage::Ward);
         assert_eq!(clusters.len(), 3);
         for c in &clusters {
             assert_eq!(c.len(), 8);
@@ -215,7 +214,7 @@ mod tests {
         // keeps the chain together at k=2.
         let mut pts: Vec<Vec<f64>> = (0..12).map(|i| vec![f64::from(i) * 1.0]).collect();
         pts.push(vec![1000.0]);
-        let clusters = hac(&pts, 2, Linkage::Single);
+        let clusters = hac(&PointMatrix::from_rows(&pts), 2, Linkage::Single);
         assert_eq!(clusters.len(), 2);
         let sizes: Vec<usize> = clusters.iter().map(Vec::len).collect();
         assert!(sizes.contains(&12) && sizes.contains(&1), "{sizes:?}");
@@ -226,7 +225,7 @@ mod tests {
         // Two blobs of 6 plus a chain bridging them: ward should still cut
         // into coherent halves rather than peeling one point off.
         let pts = blobs(&[6, 6], 10.0);
-        let clusters = hac(&pts, 2, Linkage::Ward);
+        let clusters = hac(&PointMatrix::from_rows(&pts), 2, Linkage::Ward);
         let sizes: Vec<usize> = clusters.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![6, 6]);
     }
@@ -234,7 +233,7 @@ mod tests {
     #[test]
     fn k_equals_n_is_singletons() {
         let pts = blobs(&[4], 1.0);
-        let clusters = hac(&pts, 4, Linkage::Ward);
+        let clusters = hac(&PointMatrix::from_rows(&pts), 4, Linkage::Ward);
         assert_eq!(clusters.len(), 4);
         assert!(clusters.iter().all(|c| c.len() == 1));
     }
@@ -247,7 +246,7 @@ mod tests {
         let mut pts = vec![vec![5.0]; 6];
         pts.push(vec![100.0]);
         pts.push(vec![101.0]);
-        let clusters = hac(&pts, 2, Linkage::Single);
+        let clusters = hac(&PointMatrix::from_rows(&pts), 2, Linkage::Single);
         let sizes: Vec<usize> = {
             let mut s: Vec<usize> = clusters.iter().map(Vec::len).collect();
             s.sort_unstable();
@@ -288,7 +287,7 @@ mod tests {
                 .map(|i| vec![(i as f64 * 17.0) % 29.0, (i as f64 * 5.0) % 11.0])
                 .collect();
             let linkage = if ward { Linkage::Ward } else { Linkage::Single };
-            let clusters = hac(&pts, k, linkage);
+            let clusters = hac(&PointMatrix::from_rows(&pts), k, linkage);
             prop_assert_eq!(clusters.len(), k);
             let mut all: Vec<usize> = clusters.iter().flatten().copied().collect();
             all.sort_unstable();

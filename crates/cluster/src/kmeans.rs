@@ -70,7 +70,12 @@ impl KmeansFit {
 /// # Panics
 /// Panics when `k == 0` or there are fewer points than `k` (the
 /// [`crate::cluster`] wrapper handles those cases).
-pub fn kmeans(points: &[Vec<f64>], k: usize, rng: &mut StdRng, max_iter: usize) -> Vec<Vec<usize>> {
+pub fn kmeans(
+    points: &PointMatrix,
+    k: usize,
+    rng: &mut StdRng,
+    max_iter: usize,
+) -> Vec<Vec<usize>> {
     kmeans_fit(points, k, rng, max_iter).clusters()
 }
 
@@ -82,14 +87,13 @@ pub fn kmeans(points: &[Vec<f64>], k: usize, rng: &mut StdRng, max_iter: usize) 
 /// # Panics
 /// As [`kmeans`]; additionally (strict mode only) if the blocked kernel
 /// ever diverges from the oracle.
-pub fn kmeans_fit(points: &[Vec<f64>], k: usize, rng: &mut StdRng, max_iter: usize) -> KmeansFit {
-    assert!(k > 0 && points.len() >= k);
+pub fn kmeans_fit(points: &PointMatrix, k: usize, rng: &mut StdRng, max_iter: usize) -> KmeansFit {
+    assert!(k > 0 && points.n() >= k);
     let strict_rng = crate::strict_kernels().then(|| rng.clone());
-    let m = PointMatrix::from_rows(points);
-    let centroids = kmeans_pp_init(&m, k, rng);
-    let fit = lloyd(&m, centroids, max_iter);
+    let centroids = kmeans_pp_init(points, k, rng);
+    let fit = lloyd(points, centroids, max_iter);
     if let Some(mut oracle_rng) = strict_rng {
-        let reference = crate::oracle::kmeans_fit(points, k, &mut oracle_rng, max_iter);
+        let reference = crate::oracle::kmeans_fit(&points.to_rows(), k, &mut oracle_rng, max_iter);
         assert_eq!(
             fit.assignment, reference.assignment,
             "strict kernels: blocked assignment diverged from the oracle"
@@ -115,15 +119,14 @@ pub fn kmeans_fit(points: &[Vec<f64>], k: usize, rng: &mut StdRng, max_iter: usi
 ///
 /// # Panics
 /// Panics when `init` is empty, `points` is empty, or dimensions disagree.
-pub fn kmeans_warm(points: &[Vec<f64>], init: &[Vec<f64>], max_iter: usize) -> KmeansFit {
-    assert!(!init.is_empty() && !points.is_empty());
+pub fn kmeans_warm(points: &PointMatrix, init: &[Vec<f64>], max_iter: usize) -> KmeansFit {
+    assert!(!init.is_empty() && points.n() > 0);
     assert_eq!(
-        points[0].len(),
+        points.dim(),
         init[0].len(),
         "warm-start centroid dimension mismatch"
     );
-    let m = PointMatrix::from_rows(points);
-    lloyd(&m, PointMatrix::from_rows(init), max_iter)
+    lloyd(points, PointMatrix::from_rows(init), max_iter)
 }
 
 /// The shared Lloyd loop: fused assign+update sweeps with the deterministic
@@ -186,7 +189,7 @@ fn lloyd(points: &PointMatrix, mut centroids: PointMatrix, max_iter: usize) -> K
 /// Mini-batch k-means (Sculley, WWW'10): member-index lists, like
 /// [`kmeans`]. `batch_size` 0 means [`MINIBATCH_SIZE`].
 pub fn kmeans_minibatch(
-    points: &[Vec<f64>],
+    points: &PointMatrix,
     k: usize,
     rng: &mut StdRng,
     batch_size: usize,
@@ -203,13 +206,12 @@ pub fn kmeans_minibatch(
 /// # Panics
 /// Panics when `k == 0` or there are fewer points than `k`.
 pub fn kmeans_minibatch_fit(
-    points: &[Vec<f64>],
+    m: &PointMatrix,
     k: usize,
     rng: &mut StdRng,
     batch_size: usize,
 ) -> KmeansFit {
-    assert!(k > 0 && points.len() >= k);
-    let m = PointMatrix::from_rows(points);
+    assert!(k > 0 && m.n() >= k);
     let n = m.n();
     let batch = if batch_size == 0 {
         MINIBATCH_SIZE
@@ -217,7 +219,7 @@ pub fn kmeans_minibatch_fit(
         batch_size
     }
     .min(n);
-    let mut centroids = kmeans_pp_init(&m, k, rng);
+    let mut centroids = kmeans_pp_init(m, k, rng);
 
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
@@ -254,7 +256,7 @@ pub fn kmeans_minibatch_fit(
     }
 
     let mut assignment = vec![0usize; n];
-    simd::assign_update(&m, &centroids, &mut assignment);
+    simd::assign_update(m, &centroids, &mut assignment);
     KmeansFit {
         centroids: centroids.to_rows(),
         assignment,
@@ -323,7 +325,7 @@ mod tests {
             pts.push(vec![f64::from(i / 5) * 100.0 + j]);
         }
         let mut rng = StdRng::seed_from_u64(3);
-        let clusters = kmeans(&pts, 3, &mut rng, 50);
+        let clusters = kmeans(&PointMatrix::from_rows(&pts), 3, &mut rng, 50);
         assert_eq!(clusters.len(), 3);
         for c in &clusters {
             assert_eq!(c.len(), 5);
@@ -336,7 +338,7 @@ mod tests {
     fn identical_points_still_produce_k_or_fewer() {
         let pts = vec![vec![1.0, 1.0]; 12];
         let mut rng = StdRng::seed_from_u64(0);
-        let clusters = kmeans(&pts, 3, &mut rng, 10);
+        let clusters = kmeans(&PointMatrix::from_rows(&pts), 3, &mut rng, 10);
         let total: usize = clusters.iter().map(Vec::len).sum();
         assert_eq!(total, 12);
         assert!(clusters.len() <= 3);
@@ -348,7 +350,7 @@ mod tests {
             .map(|i| vec![if i < 10 { 0.0 } else { 100.0 } + f64::from(i % 10) * 0.01])
             .collect();
         let mut rng = StdRng::seed_from_u64(1);
-        let fit = kmeans_fit(&pts, 2, &mut rng, 50);
+        let fit = kmeans_fit(&PointMatrix::from_rows(&pts), 2, &mut rng, 50);
         assert!(fit.converged);
         assert!(fit.sweeps <= 50);
         assert_eq!(fit.centroids.len(), 2);
@@ -362,9 +364,9 @@ mod tests {
             .map(|i| vec![f64::from(i / 8) * 50.0 + f64::from(i % 8) * 0.1, 1.0])
             .collect();
         let mut rng = StdRng::seed_from_u64(7);
-        let cold = kmeans_fit(&pts, 3, &mut rng, 100);
+        let cold = kmeans_fit(&PointMatrix::from_rows(&pts), 3, &mut rng, 100);
         assert!(cold.converged);
-        let warm = kmeans_warm(&pts, &cold.centroids, 100);
+        let warm = kmeans_warm(&PointMatrix::from_rows(&pts), &cold.centroids, 100);
         assert_eq!(warm.assignment, cold.assignment);
         let bits =
             |c: &[Vec<f64>]| -> Vec<u64> { c.iter().flatten().map(|x| x.to_bits()).collect() };
@@ -388,7 +390,7 @@ mod tests {
             .collect();
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            kmeans_minibatch(&pts, 3, &mut rng, 32)
+            kmeans_minibatch(&PointMatrix::from_rows(&pts), 3, &mut rng, 32)
         };
         assert_eq!(run(11), run(11), "same seed, same clusters");
         let clusters = run(11);
@@ -404,7 +406,7 @@ mod tests {
             .map(|i| vec![f64::from(i / 30) * 1000.0 + f64::from(i % 30) * 0.01])
             .collect();
         let mut rng = StdRng::seed_from_u64(2);
-        let clusters = kmeans_minibatch(&pts, 3, &mut rng, 16);
+        let clusters = kmeans_minibatch(&PointMatrix::from_rows(&pts), 3, &mut rng, 16);
         assert_eq!(clusters.len(), 3);
         for c in &clusters {
             let blob: std::collections::HashSet<usize> = c.iter().map(|&i| i / 30).collect();
@@ -420,7 +422,7 @@ mod tests {
                 .map(|i| vec![f64::from(i as u32), f64::from((i * 7 % 13) as u32)])
                 .collect();
             let mut rng = StdRng::seed_from_u64(seed);
-            let clusters = kmeans(&pts, k, &mut rng, 20);
+            let clusters = kmeans(&PointMatrix::from_rows(&pts), k, &mut rng, 20);
             let mut all: Vec<usize> = clusters.iter().flatten().copied().collect();
             all.sort_unstable();
             prop_assert_eq!(all, (0..n).collect::<Vec<_>>());

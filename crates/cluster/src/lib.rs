@@ -27,6 +27,7 @@ pub mod simd;
 pub use exemplar::{median_exemplar, random_exemplar};
 pub use hac::{hac, Linkage};
 pub use kmeans::{kmeans, kmeans_fit, kmeans_minibatch, kmeans_warm, KmeansFit};
+pub use simd::PointMatrix;
 
 use rand::rngs::StdRng;
 use std::sync::OnceLock;
@@ -72,52 +73,31 @@ pub fn strict_kernels() -> bool {
     *STRICT.get_or_init(|| std::env::var("PS3_STRICT_KERNELS").is_ok_and(|v| v == "1"))
 }
 
-/// Drop dimensions that are exactly 0.0 in every point. Partition feature
-/// matrices are sparse (a predicate-column vocabulary much wider than any
-/// one workload touches), and an all-zero dimension contributes exactly
-/// 0.0 to every pairwise distance — removing it is distance-exact, though
-/// it changes lane alignment (hence bits), which is why pruning happens
-/// here at the [`cluster`] boundary and never inside the oracle-compared
-/// kernels. NaN ≠ 0.0, so NaN-carrying dimensions are always kept.
-fn prune_zero_dims(points: &[Vec<f64>]) -> Option<Vec<Vec<f64>>> {
-    let dim = points.first().map_or(0, Vec::len);
-    let live: Vec<usize> = (0..dim)
-        .filter(|&d| points.iter().any(|p| p[d] != 0.0))
-        .collect();
-    if live.len() == dim {
-        return None;
-    }
-    Some(
-        points
-            .iter()
-            .map(|p| live.iter().map(|&d| p[d]).collect())
-            .collect(),
-    )
-}
-
 /// Cluster `points` into (at most) `k` clusters; returns member-index lists.
 ///
-/// Fewer than `k` clusters come back when there are fewer points. All-zero
-/// dimensions are pruned up front (distance-exact; see [`mod@simd`]), and
+/// Fewer than `k` clusters come back when there are fewer points.
 /// [`ClusterAlgo::KMeans`] switches to mini-batch k-means at
 /// [`MINIBATCH_MIN_POINTS`] points — pin [`ClusterAlgo::KMeansExact`] to
 /// keep full Lloyd at any size.
+///
+/// The matrix is clustered as given. A dimension that is 0.0 in every point
+/// adds exactly 0.0 to every pairwise distance, so the caller that builds
+/// the matrix (the picker's group projection) leaves such dimensions out;
+/// nothing here copies the points again to do it.
 pub fn cluster(
-    points: &[Vec<f64>],
+    points: &PointMatrix,
     k: usize,
     algo: ClusterAlgo,
     rng: &mut StdRng,
 ) -> Vec<Vec<usize>> {
-    if points.is_empty() || k == 0 {
+    if points.n() == 0 || k == 0 {
         return Vec::new();
     }
-    if points.len() <= k {
-        return (0..points.len()).map(|i| vec![i]).collect();
+    if points.n() <= k {
+        return (0..points.n()).map(|i| vec![i]).collect();
     }
-    let pruned = prune_zero_dims(points);
-    let points: &[Vec<f64>] = pruned.as_deref().unwrap_or(points);
     match algo {
-        ClusterAlgo::KMeans if points.len() >= MINIBATCH_MIN_POINTS => {
+        ClusterAlgo::KMeans if points.n() >= MINIBATCH_MIN_POINTS => {
             kmeans::kmeans_minibatch(points, k, rng, 0)
         }
         ClusterAlgo::KMeans | ClusterAlgo::KMeansExact => {
@@ -125,7 +105,7 @@ pub fn cluster(
             // (thousands of partitions at high budgets, Figure 8) cap the
             // iteration count — assignments stabilize long before 25 rounds
             // and the picker only needs approximate strata.
-            let max_iter = if points.len() * k > 250_000 { 8 } else { 25 };
+            let max_iter = if points.n() * k > 250_000 { 8 } else { 25 };
             kmeans(points, k, rng, max_iter)
         }
         ClusterAlgo::HacSingle => hac(points, k, Linkage::Single),
@@ -144,13 +124,13 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn two_blobs() -> Vec<Vec<f64>> {
+    fn two_blobs() -> PointMatrix {
         let mut pts = Vec::new();
         for i in 0..10 {
             pts.push(vec![0.0 + f64::from(i) * 0.01, 0.0]);
             pts.push(vec![10.0 + f64::from(i) * 0.01, 10.0]);
         }
-        pts
+        PointMatrix::from_rows(&pts)
     }
 
     #[test]
@@ -178,7 +158,7 @@ mod tests {
 
     #[test]
     fn k_larger_than_points_gives_singletons() {
-        let pts = vec![vec![1.0], vec![2.0]];
+        let pts = PointMatrix::from_rows(&[vec![1.0], vec![2.0]]);
         let mut rng = StdRng::seed_from_u64(0);
         let clusters = cluster(&pts, 10, ClusterAlgo::KMeans, &mut rng);
         assert_eq!(clusters.len(), 2);
@@ -187,14 +167,17 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(cluster(&[], 3, ClusterAlgo::KMeans, &mut rng).is_empty());
-        assert!(cluster(&[vec![1.0]], 0, ClusterAlgo::HacWard, &mut rng).is_empty());
+        let none = PointMatrix::from_rows(&[]);
+        assert!(cluster(&none, 3, ClusterAlgo::KMeans, &mut rng).is_empty());
+        let one = PointMatrix::from_rows(&[vec![1.0]]);
+        assert!(cluster(&one, 0, ClusterAlgo::HacWard, &mut rng).is_empty());
     }
 
     #[test]
     fn zero_dim_pruning_is_invisible_to_results() {
         // Blob structure carried by 2 of 40 dims, the rest all-zero:
-        // clustering must behave exactly as if the zeros weren't there.
+        // clustering must behave exactly as if the zeros weren't there,
+        // whether or not the caller projected them away.
         let pts: Vec<Vec<f64>> = (0..20)
             .map(|i| {
                 let mut row = vec![0.0f64; 40];
@@ -203,14 +186,20 @@ mod tests {
                 row
             })
             .collect();
+        let live: Vec<Vec<f64>> = pts.iter().map(|r| vec![r[7], r[23]]).collect();
+        let (full, pruned) = (PointMatrix::from_rows(&pts), PointMatrix::from_rows(&live));
         for algo in [ClusterAlgo::KMeans, ClusterAlgo::HacWard] {
-            let mut rng = StdRng::seed_from_u64(1);
-            let clusters = cluster(&pts, 2, algo, &mut rng);
+            let clusters = cluster(&full, 2, algo, &mut StdRng::seed_from_u64(1));
             assert_eq!(clusters.len(), 2, "{algo:?}");
             for c in &clusters {
                 let parities: std::collections::HashSet<usize> = c.iter().map(|&i| i % 2).collect();
-                assert_eq!(parities.len(), 1, "{algo:?} mixed the blobs after pruning");
+                assert_eq!(parities.len(), 1, "{algo:?} mixed the blobs");
             }
+            assert_eq!(
+                clusters,
+                cluster(&pruned, 2, algo, &mut StdRng::seed_from_u64(1)),
+                "{algo:?}: all-zero dimensions changed the clustering"
+            );
         }
     }
 
@@ -222,6 +211,7 @@ mod tests {
         let pts: Vec<Vec<f64>> = (0..n)
             .map(|i| vec![f64::from((i % 4) as u32) * 100.0, f64::from((i % 9) as u32)])
             .collect();
+        let pts = PointMatrix::from_rows(&pts);
         for algo in [ClusterAlgo::KMeans, ClusterAlgo::KMeansExact] {
             let mut rng = StdRng::seed_from_u64(5);
             let clusters = cluster(&pts, 4, algo, &mut rng);

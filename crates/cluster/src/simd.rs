@@ -102,7 +102,9 @@ pub fn sq_norm(a: &[f64]) -> f64 {
 }
 
 /// Row-major flat matrix of points — the contiguous layout the kernels
-/// want. `Vec<Vec<f64>>` inputs are packed once at the boundary.
+/// want, and the input form of every clustering entry point. The picker
+/// builds one directly ([`Self::from_flat`]); callers holding
+/// `Vec<Vec<f64>>` rows pack them once with [`Self::from_rows`].
 #[derive(Debug, Clone)]
 pub struct PointMatrix {
     data: Vec<f64>,

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ps3_cluster::{kmeans_fit, kmeans_minibatch, oracle, simd};
+use ps3_cluster::{cluster, kmeans_fit, kmeans_minibatch, oracle, simd, ClusterAlgo, PointMatrix};
 
 /// Interesting doubles: ordinary values (repeated arms skew the draw
 /// toward them), denormal-scale, huge-scale, signed zeros, and NaN.
@@ -114,12 +114,59 @@ proptest! {
                     .collect()
             })
             .collect();
-        let fast = kmeans_fit(&pts, k, &mut StdRng::seed_from_u64(seed), 25);
+        let fast = kmeans_fit(&PointMatrix::from_rows(&pts), k, &mut StdRng::seed_from_u64(seed), 25);
         let slow = oracle::kmeans_fit(&pts, k, &mut StdRng::seed_from_u64(seed), 25);
         prop_assert_eq!(&fast.assignment, &slow.assignment);
         prop_assert_eq!(bits(&fast.centroids), bits(&slow.centroids));
         prop_assert_eq!(fast.sweeps, slow.sweeps);
         prop_assert_eq!(fast.converged, slow.converged);
+    }
+
+    /// The flat matrix is the only input form of [`cluster`]. However it was
+    /// assembled — packed from rows, or built flat the way the picker's
+    /// group projection builds it — every algorithm returns the same
+    /// clusters, and exact k-means returns what the scalar oracle computes
+    /// from the `&[Vec<f64>]` rows (CI re-runs this under
+    /// `PS3_STRICT_KERNELS=1`, which also asserts it inside `kmeans_fit`).
+    #[test]
+    fn flat_input_cluster_matches_the_row_form(
+        n in 6usize..48,
+        k in 1usize..6,
+        dim in 1usize..20,
+        zero_every in 2usize..5,
+        seed in 0u64..40,
+    ) {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..dim)
+                    .map(|d| match (i * 7 + d * 3) % zero_every {
+                        0 => 0.0,
+                        1 if d % 2 == 0 => -0.0,
+                        _ => f64::from(((i * 31 + d * 17) % 23) as u32) * 0.5 - 4.0,
+                    })
+                    .collect()
+            })
+            .collect();
+        let packed = PointMatrix::from_rows(&rows);
+        let flat = PointMatrix::from_flat(rows.concat(), n, dim);
+        for algo in [
+            ClusterAlgo::KMeans,
+            ClusterAlgo::KMeansExact,
+            ClusterAlgo::HacSingle,
+            ClusterAlgo::HacWard,
+        ] {
+            let from_rows = cluster(&packed, k, algo, &mut StdRng::seed_from_u64(seed));
+            let from_flat = cluster(&flat, k, algo, &mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(&from_flat, &from_rows, "{:?}", algo);
+            let mut all: Vec<usize> = from_flat.iter().flatten().copied().collect();
+            all.sort_unstable();
+            prop_assert_eq!(all, (0..n).collect::<Vec<_>>(), "{:?}", algo);
+        }
+        if n > k {
+            let exact = cluster(&flat, k, ClusterAlgo::KMeansExact, &mut StdRng::seed_from_u64(seed));
+            let reference = oracle::kmeans_fit(&rows, k, &mut StdRng::seed_from_u64(seed), 25);
+            prop_assert_eq!(exact, reference.clusters());
+        }
     }
 
     /// Mini-batch k-means is a pure function of `(points, k, seed, batch)`:
@@ -136,7 +183,8 @@ proptest! {
         let pts: Vec<Vec<f64>> = (0..n)
             .map(|i| vec![f64::from((i * 13 % 97) as u32), f64::from((i % 11) as u32) * 3.0])
             .collect();
-        let run = || kmeans_minibatch(&pts, k, &mut StdRng::seed_from_u64(seed), batch);
+        let m = PointMatrix::from_rows(&pts);
+        let run = || kmeans_minibatch(&m, k, &mut StdRng::seed_from_u64(seed), batch);
         let first = run();
         prop_assert_eq!(&first, &run());
         let mut all: Vec<usize> = first.iter().flatten().copied().collect();
@@ -175,8 +223,9 @@ fn pinned_nan_and_signed_zero_cases() {
 #[test]
 fn all_duplicate_points_agree_with_oracle() {
     let pts = vec![vec![2.0, -3.0, 0.5]; 12];
+    let m = PointMatrix::from_rows(&pts);
     for seed in 0..8 {
-        let fast = kmeans_fit(&pts, 3, &mut StdRng::seed_from_u64(seed), 10);
+        let fast = kmeans_fit(&m, 3, &mut StdRng::seed_from_u64(seed), 10);
         let slow = oracle::kmeans_fit(&pts, 3, &mut StdRng::seed_from_u64(seed), 10);
         assert_eq!(fast.assignment, slow.assignment, "seed {seed}");
         assert_eq!(bits(&fast.centroids), bits(&slow.centroids), "seed {seed}");

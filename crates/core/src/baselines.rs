@@ -9,6 +9,7 @@ use rand::SeedableRng;
 use ps3_learn::{Gbdt, GbdtParams};
 use ps3_query::metrics::avg_relative_error;
 use ps3_query::{PartialAnswer, WeightedPart};
+use ps3_stats::FeatureMatrix;
 use ps3_storage::PartitionId;
 
 use crate::train::TrainingData;
@@ -147,18 +148,17 @@ impl LssModel {
     }
 
     /// Pick a weighted selection for a query given its normalized feature
-    /// rows and filter-passing candidates.
+    /// matrix and filter-passing candidates.
     pub fn pick(
         &self,
-        rows_normalized: &[Vec<f64>],
+        normalized: &FeatureMatrix,
         candidates: &[usize],
         budget: usize,
         frac: f64,
         rng: &mut StdRng,
     ) -> Vec<WeightedPart> {
-        let preds: Vec<f64> = rows_normalized
-            .iter()
-            .map(|r| self.model.predict_row(r))
+        let preds: Vec<f64> = (0..normalized.num_rows())
+            .map(|p| self.model.predict_with(|f| normalized.feature(p, f)))
             .collect();
         lss_pick(&preds, candidates, budget, self.strata_size_for(frac), rng)
     }

@@ -62,8 +62,12 @@ pub struct Ps3Config {
     /// Fan-out policy for training-data computation: `1` runs serially,
     /// anything else (including the 0 default) uses the shared pool.
     pub threads: usize,
-    /// Bound on the serving-time [`QueryFeatures`](ps3_stats::QueryFeatures)
-    /// cache (entries, keyed by query fingerprint).
+    /// Bound on the serving-time artifact cache (entries, keyed by query
+    /// fingerprint). An entry is one query's compact normalized
+    /// [`FeatureMatrix`](ps3_stats::FeatureMatrix) — 8 bytes × partitions ×
+    /// the columns its mask leaves live — plus its compiled kernels: about
+    /// 0.3–0.5 MB at 512 partitions (under 1 MiB is tested), so the default
+    /// 256 entries hold at most ~130 MB.
     pub feature_cache_cap: usize,
 }
 

@@ -12,6 +12,7 @@ use rand::SeedableRng;
 use ps3_query::metrics::avg_relative_error;
 use ps3_query::PartialAnswer;
 use ps3_stats::features::FeatureType;
+use ps3_stats::FeatureMatrix;
 
 use crate::config::{ExemplarRule, Ps3Config};
 use crate::picker::cluster_select;
@@ -19,8 +20,8 @@ use crate::train::TrainingData;
 
 /// Run Algorithm 3; returns the feature types to exclude from clustering.
 ///
-/// `normalized[q]` must be the normalized feature matrix of training query
-/// `q` (shared with model training).
+/// `normalized[q]` must be the normalized full-width feature matrix of
+/// training query `q` (shared with model training).
 pub fn select_features(
     td: &TrainingData,
     normalized: &[Vec<Vec<f64>>],
@@ -153,19 +154,19 @@ pub fn clustering_error(
         }
         // Exclusions become a clustering-time projection (distance-identical
         // to zeroing the dims, without copying the matrix).
-        let mut excluded_dims = vec![false; feats.schema.dim()];
+        let mut excluded_dims = vec![false; feats.schema().dim()];
         for ft in excluded {
-            for idx in feats.schema.indices_of(*ft) {
+            for idx in feats.schema().indices_of(*ft) {
                 excluded_dims[idx] = true;
             }
         }
-        let rows = &normalized[q];
+        let rows = FeatureMatrix::from_dense(&normalized[q]);
         let truth = td.totals[q].finalize(&td.queries[q]);
         for &frac in budgets {
             let k = ((frac * n_parts as f64).round() as usize).clamp(1, candidates.len());
             let picks = cluster_select(
                 &candidates,
-                rows,
+                &rows,
                 &excluded_dims,
                 k,
                 cfg.cluster_algo,

@@ -3,6 +3,7 @@
 //! damage any one inaccurate model can do.
 
 use ps3_learn::Gbdt;
+use ps3_stats::FeatureMatrix;
 
 /// Where the funnel's pass/fail decisions come from.
 pub enum ImportanceSource<'a> {
@@ -17,11 +18,12 @@ pub enum ImportanceSource<'a> {
 }
 
 /// Sort `candidates` into importance groups, least important first
-/// (Algorithm 2). `rows[p]` must be the normalized feature row of partition
-/// `p` when using learned models.
+/// (Algorithm 2). Row `p` of `features` must be the normalized feature row
+/// of partition `p` when using learned models; the models read it through
+/// the matrix's column map, a masked-out column being `0.0`.
 pub fn importance_groups(
     candidates: &[usize],
-    rows: &[Vec<f64>],
+    features: &FeatureMatrix,
     source: &ImportanceSource<'_>,
 ) -> Vec<Vec<usize>> {
     let k = match source {
@@ -33,7 +35,9 @@ pub fn importance_groups(
         let to_examine = groups.last().expect("non-empty").clone();
         let (picked, kept): (Vec<usize>, Vec<usize>) =
             to_examine.into_iter().partition(|&p| match source {
-                ImportanceSource::Learned(models) => models[i].predict_row(&rows[p]) > 0.0,
+                ImportanceSource::Learned(models) => {
+                    models[i].predict_with(|f| features.feature(p, f)) > 0.0
+                }
                 ImportanceSource::Oracle {
                     contributions,
                     thresholds,
@@ -56,7 +60,7 @@ mod tests {
         let candidates: Vec<usize> = (0..5).collect();
         let groups = importance_groups(
             &candidates,
-            &[],
+            &FeatureMatrix::from_dense(&[]),
             &ImportanceSource::Oracle {
                 contributions: &contributions,
                 thresholds: &thresholds,
@@ -76,7 +80,7 @@ mod tests {
         let candidates: Vec<usize> = (0..10).collect();
         let groups = importance_groups(
             &candidates,
-            &[],
+            &FeatureMatrix::from_dense(&[]),
             &ImportanceSource::Oracle {
                 contributions: &contributions,
                 thresholds: &thresholds,
@@ -106,7 +110,11 @@ mod tests {
             },
         );
         let candidates: Vec<usize> = (0..100).collect();
-        let groups = importance_groups(&candidates, &data, &ImportanceSource::Learned(&[model]));
+        let groups = importance_groups(
+            &candidates,
+            &FeatureMatrix::from_dense(&data),
+            &ImportanceSource::Learned(&[model]),
+        );
         assert_eq!(groups.len(), 2);
         assert!(
             groups[1].iter().all(|&p| p > 45),
@@ -119,7 +127,7 @@ mod tests {
     fn empty_candidates() {
         let groups = importance_groups(
             &[],
-            &[],
+            &FeatureMatrix::from_dense(&[]),
             &ImportanceSource::Oracle {
                 contributions: &[],
                 thresholds: &[0.0],

@@ -6,9 +6,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
-use ps3_cluster::{cluster, median_exemplar, random_exemplar, ClusterAlgo};
+use ps3_cluster::{cluster, median_exemplar, random_exemplar, ClusterAlgo, PointMatrix};
 use ps3_query::{Query, WeightedPart};
-use ps3_stats::{QueryFeatures, TableStats};
+use ps3_stats::{FeatureMatrix, TableStats};
 use ps3_storage::PartitionId;
 
 use crate::allocate::allocate_samples;
@@ -43,30 +43,31 @@ pub struct Picker<'a> {
 }
 
 impl Picker<'_> {
-    /// Run Algorithm 1 over a query's raw features **and** their normalized
-    /// rows (`rows[p]` = normalized feature row of partition `p`), both
-    /// borrowed read-only — callers normalize once per query, not per pick.
-    /// `oracle` substitutes true contributions for the learned models
-    /// (Appendix C.2). Algorithm-3 feature exclusions are applied as a
+    /// Run Algorithm 1 over a query's normalized compact feature matrix
+    /// (row `p` = partition `p`) and the raw `selectivity_upper` of every
+    /// partition — all the filter needs of the raw features — both borrowed
+    /// read-only: callers normalize once per query, not per pick. `oracle`
+    /// substitutes true contributions for the learned models (Appendix
+    /// C.2). Algorithm-3 feature exclusions are applied as a
     /// clustering-time projection instead of rewriting the rows.
     pub fn pick_normalized(
         &self,
         query: &Query,
-        features: &QueryFeatures,
-        rows: &[Vec<f64>],
+        selectivity_upper: &[f64],
+        normalized: &FeatureMatrix,
         budget: usize,
         rng: &mut StdRng,
         oracle: Option<&[f64]>,
     ) -> PickOutcome {
         let start = Instant::now();
         let cfg = &self.trained.config;
-        let n_parts = features.num_partitions();
+        let n_parts = selectivity_upper.len();
         let budget = budget.min(n_parts);
 
         // Selectivity filter: perfect recall, so dropping upper == 0 is safe.
         let candidates: Vec<usize> = if cfg.use_filter {
             (0..n_parts)
-                .filter(|&p| features.selectivity_upper(p) > 0.0)
+                .filter(|&p| selectivity_upper[p] > 0.0)
                 .collect()
         } else {
             (0..n_parts).collect()
@@ -112,7 +113,7 @@ impl Picker<'_> {
                 },
                 None => ImportanceSource::Learned(&self.trained.models),
             };
-            importance_groups(&inliers, rows, &source)
+            importance_groups(&inliers, normalized, &source)
         } else {
             vec![inliers]
         };
@@ -150,7 +151,7 @@ impl Picker<'_> {
                 let t = Instant::now();
                 let picks = cluster_select(
                     group,
-                    rows,
+                    normalized,
                     excluded_dims,
                     k,
                     cfg.cluster_algo,
@@ -186,28 +187,40 @@ impl Picker<'_> {
 /// Cluster one importance group into `k` clusters and emit one weighted
 /// exemplar per cluster (§4.2).
 ///
-/// Projects away `excluded` dimensions (the Algorithm-3 feature
-/// exclusions; pass `&[]` for none) and dimensions that are zero across
-/// the whole group — the query mask zeroes most columns, so this cuts the
-/// distance cost by an order of magnitude without changing any distance.
+/// The group's rows are projected into one flat [`PointMatrix`] — the only
+/// copy between the cached features and k-means — keeping, in ascending
+/// order, the stored columns that are not `excluded` (the Algorithm-3
+/// feature exclusions, indexed by *full* feature index; pass `&[]` for none)
+/// and are non-zero somewhere in the group. A column that is zero across the
+/// group, like one the query mask never stored, adds exactly 0.0 to every
+/// distance, so dropping it changes no distance. This is the one place
+/// dimensions are pruned; [`cluster`] takes the matrix as given.
 pub fn cluster_select(
     group: &[usize],
-    rows: &[Vec<f64>],
+    features: &FeatureMatrix,
     excluded: &[bool],
     k: usize,
     algo: ClusterAlgo,
     estimator: ExemplarRule,
     rng: &mut StdRng,
 ) -> Vec<WeightedPart> {
-    let dim = rows.first().map_or(0, Vec::len);
-    let live_dims: Vec<usize> = (0..dim)
-        .filter(|&d| !excluded.get(d).copied().unwrap_or(false))
-        .filter(|&d| group.iter().any(|&p| rows[p][d] != 0.0))
+    // NaN != 0.0, so NaN-carrying columns are always kept.
+    let mut nonzero = vec![false; features.width()];
+    for &p in group {
+        for (seen, &x) in nonzero.iter_mut().zip(features.row(p)) {
+            *seen |= x != 0.0;
+        }
+    }
+    let live: Vec<usize> = (features.cols().iter().zip(&nonzero).enumerate())
+        .filter(|(_, (&full, &seen))| seen && !excluded.get(full).copied().unwrap_or(false))
+        .map(|(slot, _)| slot)
         .collect();
-    let points: Vec<Vec<f64>> = group
-        .iter()
-        .map(|&p| live_dims.iter().map(|&d| rows[p][d]).collect())
-        .collect();
+    let mut data = Vec::with_capacity(group.len() * live.len());
+    for &p in group {
+        let row = features.row(p);
+        data.extend(live.iter().map(|&slot| row[slot]));
+    }
+    let points = PointMatrix::from_flat(data, group.len(), live.len());
     let clusters = cluster(&points, k, algo, rng);
     clusters
         .iter()
@@ -241,6 +254,7 @@ mod tests {
                 ]
             })
             .collect();
+        let rows = FeatureMatrix::from_dense(&rows);
         let group: Vec<usize> = (0..12).collect();
         let mut rng = StdRng::seed_from_u64(1);
         let picks = cluster_select(
@@ -260,9 +274,60 @@ mod tests {
         assert_eq!(sides.len(), 2);
     }
 
+    /// Algorithm 1 on a trained system's own compact features, through to
+    /// k-means. Under `PS3_STRICT_KERNELS=1` (a CI step runs this module
+    /// that way) every `kmeans_fit` reached here re-asserts kernel = oracle
+    /// on the flat matrix the group projection built.
+    #[test]
+    fn trained_picker_clusters_its_compact_features() {
+        let system = crate::system::tests::system_of(160);
+        let q = Query::new(vec![ps3_query::AggExpr::count()], None, vec![]);
+        for seed in 0..4 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let out = system.pick_outcome(&q, 0.25, &mut rng);
+            assert!(
+                out.clustering_ms > 0.0,
+                "seed {seed}: nothing was clustered"
+            );
+            let total: f64 = out.selection.iter().map(|p| p.weight).sum();
+            assert_eq!(total, 16.0, "seed {seed}: weights must cover the table");
+            assert!(out.selection.len() <= 4);
+        }
+    }
+
+    /// A column that is zero across the group — stored or masked out —
+    /// never reaches k-means and never changes a pick.
+    #[test]
+    fn zero_columns_are_projected_away_without_changing_picks() {
+        let live: Vec<Vec<f64>> = (0..20)
+            .map(|i| {
+                vec![
+                    f64::from(i % 2) * 10.0 + f64::from(i) * 0.01,
+                    f64::from(i % 5),
+                ]
+            })
+            .collect();
+        let padded: Vec<Vec<f64>> = (live.iter())
+            .map(|r| vec![0.0, r[0], 0.0, -0.0, r[1], 0.0])
+            .collect();
+        let group: Vec<usize> = (0..20).collect();
+        for algo in [ClusterAlgo::KMeans, ClusterAlgo::HacWard] {
+            let picks = |rows: &[Vec<f64>]| -> Vec<(usize, u64)> {
+                let mut rng = StdRng::seed_from_u64(9);
+                let m = FeatureMatrix::from_dense(rows);
+                cluster_select(&group, &m, &[], 4, algo, ExemplarRule::Median, &mut rng)
+                    .iter()
+                    .map(|p| (p.partition.index(), p.weight.to_bits()))
+                    .collect()
+            };
+            assert_eq!(picks(&padded), picks(&live), "{algo:?}");
+        }
+    }
+
     #[test]
     fn cluster_select_on_subset_of_partitions() {
         let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![f64::from(i)]).collect();
+        let rows = FeatureMatrix::from_dense(&rows);
         let group = vec![2, 3, 8, 9];
         let mut rng = StdRng::seed_from_u64(0);
         let picks = cluster_select(
@@ -285,6 +350,7 @@ mod tests {
     #[test]
     fn random_estimator_picks_members() {
         let rows: Vec<Vec<f64>> = (0..6).map(|i| vec![f64::from(i)]).collect();
+        let rows = FeatureMatrix::from_dense(&rows);
         let group: Vec<usize> = (0..6).collect();
         let mut rng = StdRng::seed_from_u64(7);
         let picks = cluster_select(

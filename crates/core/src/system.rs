@@ -14,11 +14,14 @@
 //! order, estimate the error. Query classes plug in as an `AnswerFold`;
 //! pools and progress sinks are arguments, not separate code paths.
 //!
-//! Raw [`QueryFeatures`] are served from a bounded LRU keyed by
+//! Per-query [`QueryArtifacts`] are served from a bounded LRU keyed by
 //! [`Query::fingerprint`], so budget sweeps and repeated predicate shapes
-//! skip `QueryFeatures::compute` — the dominant pre-picking cost — and the
-//! diagnostics path ([`Ps3System::pick_outcome`]) sees exactly the features
-//! the serving path used.
+//! skip `QueryFeatures::compute`, and the diagnostics path
+//! ([`Ps3System::pick_outcome`]) sees exactly the features the serving path
+//! used. The one per-query feature form is a flat, compact, normalized
+//! [`FeatureMatrix`]: the static statistics are normalized once per system
+//! generation ([`NormalizedStatics`]), so a cold query gathers
+//! pre-normalized blocks and transforms only its selectivity values.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -32,7 +35,7 @@ use ps3_query::{
 };
 use ps3_runtime::{CacheStats, SharedLru, ThreadPool};
 use ps3_sketch::{AnswerSketch, DistinctSketch};
-use ps3_stats::{QueryFeatures, TableStats};
+use ps3_stats::{FeatureMatrix, NormalizedStatics, QueryFeatures, TableStats};
 use ps3_storage::{PartitionedTable, Table};
 
 use crate::baselines::{random_filter_selection, random_selection, LssModel};
@@ -156,17 +159,28 @@ fn global_answer(v: f64) -> QueryAnswer {
 }
 
 /// Everything the serving path derives from one query shape, computed once
-/// per [`Query::fingerprint`] and cached: the raw masked feature matrix,
-/// its normalized rows (what the funnel, LSS and clustering consume), and
-/// the query compiled to columnar kernels (what `execute_partition` runs).
+/// per [`Query::fingerprint`] and cached: the normalized compact feature
+/// matrix (what the funnel, LSS and clustering consume), the one raw column
+/// the filter and the exactness check read, and the query compiled to
+/// columnar kernels (what `execute_partition` runs).
 #[derive(Debug)]
 pub struct QueryArtifacts {
-    /// Raw masked features with per-partition selectivity slots.
-    pub features: QueryFeatures,
-    /// `features.rows` through the trained normalizer (Appendix B).
-    pub normalized: Vec<Vec<f64>>,
+    /// The masked features through the trained normalizer (Appendix B):
+    /// only the columns the query's mask leaves live, one row per partition.
+    pub normalized: FeatureMatrix,
+    /// Every partition's raw `selectivity_upper` (§3.2).
+    pub selectivity_upper: Vec<f64>,
     /// The query lowered to kernel programs against this table.
     pub compiled: CompiledQuery,
+}
+
+impl QueryArtifacts {
+    /// Heap bytes of the feature side of one cache entry (the compiled
+    /// query is a few hundred bytes of kernel programs and is not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.normalized.heap_bytes()
+            + self.selectivity_upper.capacity() * std::mem::size_of::<f64>()
+    }
 }
 
 /// A trained PS3 deployment over one partitioned table. Immutable after
@@ -184,6 +198,9 @@ pub struct Ps3System {
     /// Cached training-workload execution (reused by the benches and
     /// shared, not recomputed, across warm retrain generations).
     pub training: Arc<TrainingData>,
+    /// `stats`' static features through `trained.normalizer`, computed once
+    /// per generation; every cold query gathers from it.
+    normalized_statics: NormalizedStatics,
     /// Bounded per-query artifact cache, keyed by [`Query::fingerprint`].
     features: SharedLru<u64, Arc<QueryArtifacts>>,
 }
@@ -215,14 +232,14 @@ impl Ps3System {
         train_queries: &[Query],
         cfg: Ps3Config,
     ) -> Self {
-        let feature_cache_cap = cfg.feature_cache_cap;
         let training = TrainingData::compute(&pt, &stats, train_queries, cfg.threads);
         let trained = TrainedPs3::train(&training, cfg.clone());
+        // Model training consumes full-width rows.
         let normalized: Vec<Vec<Vec<f64>>> = training
             .features
             .iter()
             .map(|f| {
-                let mut m = f.rows.clone();
+                let mut m = f.to_dense();
                 trained.normalizer.apply_matrix(&mut m);
                 m
             })
@@ -235,20 +252,15 @@ impl Ps3System {
             cfg.fs_eval_queries,
             cfg.seed,
         );
-        Self {
-            pt,
-            stats,
-            trained,
-            lss,
-            training: Arc::new(training),
-            features: SharedLru::new(feature_cache_cap),
-        }
+        Self::from_parts(pt, stats, trained, lss, Arc::new(training))
     }
 
-    /// Reassemble a system from already-trained parts (the thaw path in
-    /// [`crate::persist`]). The feature LRU starts empty at the persisted
-    /// configuration's capacity; everything else is used as given, so a
-    /// system rebuilt from its own parts answers bit-identically.
+    /// Assemble a system generation from already-trained parts — the one
+    /// constructor behind [`Self::train`], [`Self::retrain_from`] and the
+    /// thaw path in [`crate::persist`]. The static features are normalized
+    /// here, once; the feature LRU starts empty at the configuration's
+    /// capacity; everything else is used as given, so a system rebuilt from
+    /// its own parts answers bit-identically.
     pub fn from_parts(
         pt: Arc<PartitionedTable>,
         stats: Arc<TableStats>,
@@ -256,14 +268,16 @@ impl Ps3System {
         lss: LssModel,
         training: Arc<TrainingData>,
     ) -> Self {
-        let feature_cache_cap = trained.config.feature_cache_cap;
+        let normalized_statics = trained.normalizer.normalize_statics(&stats);
+        let features = SharedLru::new(trained.config.feature_cache_cap);
         Self {
             pt,
             stats,
             trained,
             lss,
             training,
-            features: SharedLru::new(feature_cache_cap),
+            normalized_statics,
+            features,
         }
     }
 
@@ -299,8 +313,7 @@ impl Ps3System {
             prev.training.queries.len(),
             |qi| {
                 let q = &prev.training.queries[qi];
-                let features = QueryFeatures::compute(&stats, pt.table(), q);
-                let mut rows = features.rows;
+                let mut rows = QueryFeatures::compute(&stats, pt.table(), q).to_dense();
                 prev.trained.normalizer.apply_matrix(&mut rows);
                 rows
             },
@@ -311,15 +324,8 @@ impl Ps3System {
             sweeps: sweeps as u32,
             partitions: pt.num_partitions() as u32,
         };
-        let system = Self {
-            pt,
-            stats,
-            trained,
-            lss: prev.lss.clone(),
-            training: Arc::clone(&prev.training),
-            features: SharedLru::new(prev.trained.config.feature_cache_cap),
-        };
-        (system, report)
+        let (lss, training) = (prev.lss.clone(), Arc::clone(&prev.training));
+        (Self::from_parts(pt, stats, trained, lss, training), report)
     }
 
     /// Number of partitions.
@@ -337,19 +343,19 @@ impl Ps3System {
         execute_table(&self.pt, query)
     }
 
-    /// Per-query artifacts (features + normalized rows + compiled kernels),
-    /// served from the bounded LRU cache. Both the serving path
+    /// Per-query artifacts (normalized features + compiled kernels), served
+    /// from the bounded LRU cache. Both the serving path
     /// ([`Self::answer_spec_on`]) and the diagnostics path ([`Self::pick_outcome`])
     /// resolve artifacts here, so they always agree; a budget sweep over
-    /// one query computes and compiles everything exactly once.
+    /// one query computes and compiles everything exactly once. On a miss the
+    /// raw features are computed, their `selectivity_upper` column is kept,
+    /// and their buffer becomes the normalized matrix.
     pub fn artifacts_for(&self, query: &Query) -> Arc<QueryArtifacts> {
         self.features.get_or_insert_with(query.fingerprint(), || {
             let features = QueryFeatures::compute(&self.stats, self.pt.table(), query);
-            let mut normalized = features.rows.clone();
-            self.trained.normalizer.apply_matrix(&mut normalized);
             Arc::new(QueryArtifacts {
-                features,
-                normalized,
+                selectivity_upper: features.selectivity_uppers(),
+                normalized: self.normalized_statics.normalize(features),
                 compiled: CompiledQuery::compile(self.pt.table(), query),
             })
         })
@@ -362,43 +368,28 @@ impl Ps3System {
         self.features.stats()
     }
 
-    /// Select partitions for `query` under `method` at `frac` of the data.
-    ///
-    /// `features` must be the raw [`QueryFeatures`] of this query; their
-    /// normalized rows are computed here per call. The serving path goes
-    /// through [`Self::artifacts_for`] instead, which caches the normalized
-    /// matrix. `oracle` optionally substitutes true contributions for the
-    /// learned funnel. All randomness is drawn from the caller's `rng`, so
-    /// the selection is a pure function of the arguments.
-    pub fn select_with_features(
+    /// Select partitions for `query` under `method` at `frac` of the data,
+    /// from the cached artifacts every other entry point uses. `oracle`
+    /// optionally substitutes true contributions for the learned funnel.
+    /// All randomness is drawn from the caller's `rng`, so the selection is
+    /// a pure function of the arguments. Returns the selection and the
+    /// picker latency in milliseconds (0 for the baselines).
+    pub fn select(
         &self,
         query: &Query,
-        features: &QueryFeatures,
         method: Method,
         frac: f64,
         oracle: Option<&[f64]>,
         rng: &mut StdRng,
     ) -> (Vec<WeightedPart>, f64) {
-        let normalized = match method {
-            // Random and RandomFilter never read normalized rows.
-            Method::Random | Method::RandomFilter => Vec::new(),
-            Method::Lss | Method::Ps3 => {
-                let mut rows = features.rows.clone();
-                self.trained.normalizer.apply_matrix(&mut rows);
-                rows
-            }
-        };
-        self.select_prepared(query, features, &normalized, method, frac, oracle, rng)
+        self.select_from(query, &self.artifacts_for(query), method, frac, oracle, rng)
     }
 
-    /// [`Self::select_with_features`] with the normalized rows supplied by
-    /// the caller (the cached-artifact fast path).
-    #[allow(clippy::too_many_arguments)]
-    fn select_prepared(
+    /// [`Self::select`] over artifacts the caller already resolved.
+    fn select_from(
         &self,
         query: &Query,
-        features: &QueryFeatures,
-        normalized: &[Vec<f64>],
+        artifacts: &QueryArtifacts,
         method: Method,
         frac: f64,
         oracle: Option<&[f64]>,
@@ -406,25 +397,30 @@ impl Ps3System {
     ) -> (Vec<WeightedPart>, f64) {
         let budget = self.budget_partitions(frac);
         let n = self.num_partitions();
+        let passing_filter = || -> Vec<usize> {
+            (0..n)
+                .filter(|&p| artifacts.selectivity_upper[p] > 0.0)
+                .collect()
+        };
         match method {
             Method::Random => (random_selection(n, budget, rng), 0.0),
-            Method::RandomFilter => {
-                let candidates: Vec<usize> = (0..n)
-                    .filter(|&p| features.selectivity_upper(p) > 0.0)
-                    .collect();
-                (random_filter_selection(&candidates, budget, rng), 0.0)
-            }
+            Method::RandomFilter => (random_filter_selection(&passing_filter(), budget, rng), 0.0),
             Method::Lss => {
-                let candidates: Vec<usize> = (0..n)
-                    .filter(|&p| features.selectivity_upper(p) > 0.0)
-                    .collect();
-                let sel = self.lss.pick(normalized, &candidates, budget, frac, rng);
+                let candidates = passing_filter();
+                let sel = self
+                    .lss
+                    .pick(&artifacts.normalized, &candidates, budget, frac, rng);
                 (sel, 0.0)
             }
             Method::Ps3 => {
-                let out = self
-                    .picker()
-                    .pick_normalized(query, features, normalized, budget, rng, oracle);
+                let out = self.picker().pick_normalized(
+                    query,
+                    &artifacts.selectivity_upper,
+                    &artifacts.normalized,
+                    budget,
+                    rng,
+                    oracle,
+                );
                 (out.selection, out.total_ms)
             }
         }
@@ -444,35 +440,12 @@ impl Ps3System {
         let budget = self.budget_partitions(frac);
         self.picker().pick_normalized(
             query,
-            &artifacts.features,
+            &artifacts.selectivity_upper,
             &artifacts.normalized,
             budget,
             rng,
             None,
         )
-    }
-
-    /// True when `selection` provably reproduces the exact answer: the
-    /// budget is a full read, or every partition that could contain a
-    /// qualifying row (positive selectivity upper bound) is in the
-    /// selection at weight exactly 1 — zero-upper-bound partitions
-    /// contribute nothing at any weight.
-    fn selection_is_exact(
-        &self,
-        features: &QueryFeatures,
-        frac: f64,
-        sel: &[WeightedPart],
-    ) -> bool {
-        if frac >= 1.0 {
-            return true;
-        }
-        let mut weight_of = std::collections::HashMap::with_capacity(sel.len());
-        for wp in sel {
-            weight_of.insert(wp.partition.index(), wp.weight);
-        }
-        (0..self.num_partitions())
-            .filter(|&p| features.selectivity_upper(p) > 0.0)
-            .all(|p| weight_of.get(&p) == Some(&1.0))
     }
 
     /// Answer `spec` approximately at `frac` of the data — **the** answer
@@ -512,16 +485,9 @@ impl Ps3System {
             }
         };
         let artifacts = self.artifacts_for(picked_as);
-        let (selection, picker_ms) = self.select_prepared(
-            picked_as,
-            &artifacts.features,
-            &artifacts.normalized,
-            method,
-            frac,
-            None,
-            rng,
-        );
-        let covering = self.selection_is_exact(&artifacts.features, frac, &selection);
+        let (selection, picker_ms) =
+            self.select_from(picked_as, &artifacts, method, frac, None, rng);
+        let covering = selection_is_exact(&artifacts.selectivity_upper, frac, &selection);
         let (answer, error_estimate, exact, sketch) = match spec {
             QuerySpec::Scalar(_) => {
                 let compiled = &artifacts.compiled;
@@ -633,6 +599,29 @@ impl Ps3System {
         let mut rng = spec_rng(&spec, seed);
         self.answer_spec_on(&spec, method, frac, &mut rng, &ThreadPool::global())
     }
+}
+
+/// True when `selection` provably reproduces the exact answer: the budget is
+/// a full read, or every partition that could contain a qualifying row
+/// (positive selectivity upper bound) is in the selection at weight exactly
+/// 1 — zero-upper-bound partitions contribute nothing at any weight.
+fn selection_is_exact(selectivity_upper: &[f64], frac: f64, selection: &[WeightedPart]) -> bool {
+    if frac >= 1.0 {
+        return true;
+    }
+    // More candidates than picks: one of them was not read. The usual
+    // partial-budget case, decided without allocating.
+    let candidates = selectivity_upper.iter().filter(|&&u| u > 0.0).count();
+    if candidates > selection.len() {
+        return false;
+    }
+    let mut weight_of = vec![f64::NAN; selectivity_upper.len()];
+    for wp in selection {
+        weight_of[wp.partition.index()] = wp.weight;
+    }
+    (selectivity_upper.iter().zip(&weight_of))
+        .filter(|(&upper, _)| upper > 0.0)
+        .all(|(_, &weight)| weight == 1.0)
 }
 
 /// The three pieces of the answer pipeline
@@ -810,7 +799,7 @@ impl AnswerFold for SketchFold {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ps3_query::AggExpr;
     use ps3_stats::StatsConfig;
@@ -829,7 +818,7 @@ mod tests {
 
     /// 16 equal partitions over `rows` rows: `x` = row index, `g` = which
     /// half of the table the row is in.
-    fn system_of(rows: u32) -> Ps3System {
+    pub(crate) fn system_of(rows: u32) -> Ps3System {
         let schema = Schema::new(vec![
             ColumnMeta::new("x", ColumnType::Numeric),
             ColumnMeta::new("g", ColumnType::Categorical),
@@ -935,6 +924,43 @@ mod tests {
         let part = sys.answer_seeded(&q, Method::Ps3, 0.25, 0);
         assert!(!part.meta.exact);
         assert!(!part.meta.error_estimate.is_exact());
+    }
+
+    #[test]
+    fn selection_exactness_truth_table() {
+        let part = |p: usize, weight: f64| WeightedPart {
+            partition: ps3_storage::PartitionId(p),
+            weight,
+        };
+        // Partitions 1 and 3 could hold qualifying rows; 0 and 2 cannot.
+        let upper = [0.0, 0.4, 0.0, 1.0];
+        // Covering at weight 1 (order and extra zero-bound picks are free).
+        assert!(selection_is_exact(
+            &upper,
+            0.5,
+            &[part(3, 1.0), part(1, 1.0)]
+        ));
+        assert!(selection_is_exact(
+            &upper,
+            0.5,
+            &[part(0, 2.0), part(1, 1.0), part(3, 1.0)]
+        ));
+        // Covering, but one candidate stands for more than itself.
+        assert!(!selection_is_exact(
+            &upper,
+            0.5,
+            &[part(1, 1.0), part(3, 2.0)]
+        ));
+        // One candidate missing: outnumbered, and not outnumbered.
+        assert!(!selection_is_exact(&upper, 0.5, &[part(1, 1.0)]));
+        assert!(!selection_is_exact(
+            &upper,
+            0.5,
+            &[part(1, 1.0), part(2, 1.0)]
+        ));
+        // A full read is exact whatever was picked; no candidates, vacuously.
+        assert!(selection_is_exact(&upper, 1.0, &[]));
+        assert!(selection_is_exact(&[0.0, 0.0], 0.5, &[part(0, 2.0)]));
     }
 
     #[test]

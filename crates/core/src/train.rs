@@ -10,7 +10,7 @@
 //! which is what makes online retraining cheap (see the `retrain_warm`
 //! bench).
 
-use ps3_cluster::{kmeans_fit, kmeans_warm, KmeansFit};
+use ps3_cluster::{kmeans_fit, kmeans_warm, KmeansFit, PointMatrix};
 use ps3_learn::{choose_thresholds, make_labels, Gbdt};
 use ps3_query::{CompiledQuery, PartialAnswer, Query};
 use ps3_stats::features::FeatureType;
@@ -34,7 +34,7 @@ pub struct TrainingData {
     pub partials: Vec<Vec<PartialAnswer>>,
     /// `totals[q]` = the exact combined answer (all partitions, weight 1).
     pub totals: Vec<PartialAnswer>,
-    /// Raw (unnormalized, masked) feature matrices per query.
+    /// Raw (unnormalized, masked) compact feature matrices per query.
     pub features: Vec<QueryFeatures>,
     /// `contributions[q][p]` in \[0,1\]: partition p's §4.3 contribution to q.
     pub contributions: Vec<Vec<f64>>,
@@ -144,7 +144,8 @@ impl PartitionStrata {
         }
         let k = k.min(rows.len());
         let mut rng = StdRng::seed_from_u64(seed);
-        Self::from_fit(kmeans_fit(rows, k, &mut rng, Self::MAX_SWEEPS))
+        let points = PointMatrix::from_rows(rows);
+        Self::from_fit(kmeans_fit(&points, k, &mut rng, Self::MAX_SWEEPS))
     }
 
     /// Warm fit: Lloyd resumed from `prev`'s centroids on the new `rows`.
@@ -156,7 +157,8 @@ impl PartitionStrata {
         if rows.is_empty() || prev.centroids.is_empty() || dim != prev_dim {
             return Self::fit(rows, k, seed);
         }
-        Self::from_fit(kmeans_warm(rows, &prev.centroids, Self::MAX_SWEEPS))
+        let points = PointMatrix::from_rows(rows);
+        Self::from_fit(kmeans_warm(&points, &prev.centroids, Self::MAX_SWEEPS))
     }
 
     fn from_fit(fit: KmeansFit) -> Self {
@@ -222,20 +224,16 @@ impl TrainedPs3 {
         let schema = *td
             .features
             .first()
-            .map(|f| &f.schema)
+            .map(|f| f.schema())
             .expect("need at least one training query");
-        let normalizer = Normalizer::fit(schema, td.features.iter().map(|f| &f.rows));
 
-        // Normalized training matrices, flattened to (query, partition) rows.
-        let normalized: Vec<Vec<Vec<f64>>> = td
-            .features
-            .iter()
-            .map(|f| {
-                let mut m = f.rows.clone();
-                normalizer.apply_matrix(&mut m);
-                m
-            })
-            .collect();
+        // Model training consumes full-width rows: expand the compact
+        // matrices once, fit the normalizer on them, normalize in place.
+        let mut normalized: Vec<Vec<Vec<f64>>> = td.features.iter().map(|f| f.to_dense()).collect();
+        let normalizer = Normalizer::fit(schema, &normalized);
+        for m in &mut normalized {
+            normalizer.apply_matrix(m);
+        }
 
         // Exponentially spaced thresholds from the pooled contributions.
         let pooled: Vec<f64> = td.contributions.iter().flatten().copied().collect();

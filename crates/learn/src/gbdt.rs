@@ -154,9 +154,15 @@ impl Gbdt {
 
     /// Predict one raw feature row.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
+        self.predict_with(|feature| row[feature])
+    }
+
+    /// Predict one row read through `value_of(feature index)`; see
+    /// [`Tree::predict_with`].
+    pub fn predict_with(&self, value_of: impl Fn(usize) -> f64) -> f64 {
         let mut p = self.base;
         for t in &self.trees {
-            p += self.learning_rate * t.predict_row(row);
+            p += self.learning_rate * t.predict_with(&value_of);
         }
         p
     }

@@ -76,6 +76,14 @@ impl Tree {
 
     /// Predict on a raw (un-binned) feature row.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
+        self.predict_with(|feature| row[feature])
+    }
+
+    /// Predict on a row read through `value_of(feature index)` — how a
+    /// compact row is walked through its column map (a masked-out column
+    /// reads `0.0`) without expanding it.
+    #[inline]
+    pub fn predict_with(&self, value_of: impl Fn(usize) -> f64) -> f64 {
         let mut idx = 0usize;
         loop {
             match &self.nodes[idx] {
@@ -86,7 +94,7 @@ impl Tree {
                     left,
                     right,
                 } => {
-                    idx = if row[*feature] <= *threshold {
+                    idx = if value_of(*feature) <= *threshold {
                         *left
                     } else {
                         *right

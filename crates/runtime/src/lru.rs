@@ -42,9 +42,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Insert (or refresh) `key`, evicting the least-recently-used entry if
-    /// the cache is full.
-    pub fn insert(&mut self, key: K, value: V) {
+    /// the cache is full. Returns the value this displaced — the previous
+    /// value under `key`, or the evicted entry's (never both: a refresh
+    /// evicts nothing) — so the caller decides where its destructor runs.
+    #[must_use = "dropping the displaced value here runs its destructor under the caller's lock"]
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         self.tick += 1;
+        let mut displaced = None;
         if self.map.len() >= self.cap && !self.map.contains_key(&key) {
             if let Some(oldest) = self
                 .map
@@ -52,10 +56,11 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
                 .min_by_key(|(_, (stamp, _))| *stamp)
                 .map(|(k, _)| k.clone())
             {
-                self.map.remove(&oldest);
+                displaced = self.map.remove(&oldest).map(|(_, v)| v);
             }
         }
-        self.map.insert(key, (self.tick, value));
+        let replaced = self.map.insert(key, (self.tick, value)).map(|(_, v)| v);
+        displaced.or(replaced)
     }
 
     /// Keep only the entries whose key satisfies `keep`; drop the rest.
@@ -143,9 +148,12 @@ impl<K: Eq + Hash + Clone, V: Clone> SharedLru<K, V> {
     }
 
     /// Insert (or refresh) `key`, evicting the least-recently-used entry if
-    /// the cache is full. Counts nothing.
+    /// the cache is full. Counts nothing. The displaced value is dropped
+    /// after the lock is released: freeing a multi-megabyte entry must not
+    /// stall every other lookup.
     pub fn insert(&self, key: K, value: V) {
-        self.inner.lock().unwrap().insert(key, value);
+        let displaced = self.inner.lock().unwrap().insert(key, value);
+        drop(displaced);
     }
 
     /// Drop every entry whose key fails `keep` (targeted invalidation —
@@ -166,13 +174,17 @@ impl<K: Eq + Hash + Clone, V: Clone> SharedLru<K, V> {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let value = compute();
-        let mut cache = self.inner.lock().unwrap();
-        if let Some(existing) = cache.get(&key).cloned() {
-            // Lost a same-key race while computing; keep the first insert
-            // so every consumer sees one consistent value.
-            return existing;
-        }
-        cache.insert(key, value.clone());
+        let displaced = {
+            let mut cache = self.inner.lock().unwrap();
+            if let Some(existing) = cache.get(&key).cloned() {
+                // Lost a same-key race while computing; keep the first insert
+                // so every consumer sees one consistent value.
+                return existing;
+            }
+            cache.insert(key, value.clone())
+        };
+        // Dropped here, outside the lock (see `insert`).
+        drop(displaced);
         value
     }
 
@@ -195,10 +207,10 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut lru = LruCache::new(2);
-        lru.insert("a", 1);
-        lru.insert("b", 2);
+        assert_eq!(lru.insert("a", 1), None);
+        assert_eq!(lru.insert("b", 2), None);
         assert_eq!(lru.get(&"a"), Some(&1)); // refresh a; b is now oldest
-        lru.insert("c", 3);
+        assert_eq!(lru.insert("c", 3), Some(2), "the evicted value comes back");
         assert_eq!(lru.get(&"b"), None, "b should have been evicted");
         assert_eq!(lru.get(&"a"), Some(&1));
         assert_eq!(lru.get(&"c"), Some(&3));
@@ -208,12 +220,55 @@ mod tests {
     #[test]
     fn reinserting_existing_key_does_not_evict() {
         let mut lru = LruCache::new(2);
-        lru.insert(1, "x");
-        lru.insert(2, "y");
-        lru.insert(1, "z");
+        assert_eq!(lru.insert(1, "x"), None);
+        assert_eq!(lru.insert(2, "y"), None);
+        assert_eq!(
+            lru.insert(1, "z"),
+            Some("x"),
+            "the replaced value comes back"
+        );
         assert_eq!(lru.len(), 2);
         assert_eq!(lru.get(&1), Some(&"z"));
         assert_eq!(lru.get(&2), Some(&"y"));
+    }
+
+    /// A value whose destructor records whether the cache's mutex was free
+    /// when it ran.
+    struct DropProbe {
+        cache: std::sync::Weak<SharedLru<u32, std::sync::Arc<DropProbe>>>,
+        dropped_unlocked: std::sync::Arc<Mutex<Vec<bool>>>,
+    }
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            // The cache itself going away (end of test) records nothing.
+            if let Some(cache) = self.cache.upgrade() {
+                let unlocked = cache.inner.try_lock().is_ok();
+                self.dropped_unlocked.lock().unwrap().push(unlocked);
+            }
+        }
+    }
+
+    #[test]
+    fn displaced_values_are_dropped_outside_the_lock() {
+        use std::sync::Arc;
+        let dropped_unlocked = Arc::new(Mutex::new(Vec::new()));
+        let cache = Arc::new(SharedLru::new(1));
+        let probe = || {
+            Arc::new(DropProbe {
+                cache: Arc::downgrade(&cache),
+                dropped_unlocked: Arc::clone(&dropped_unlocked),
+            })
+        };
+        cache.insert(1, probe());
+        cache.insert(1, probe()); // replaces key 1
+        cache.insert(2, probe()); // evicts key 1
+        cache.get_or_insert_with(3, probe); // evicts key 2
+        assert_eq!(
+            *dropped_unlocked.lock().unwrap(),
+            vec![true; 3],
+            "a displaced value's destructor must find the cache unlocked"
+        );
     }
 
     #[test]

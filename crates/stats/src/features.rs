@@ -277,22 +277,142 @@ impl FeatureSchema {
     }
 }
 
-/// Masked, selectivity-augmented feature matrix for one query: the `F ∈
-/// R^{N×M}` of §2.4.
+/// A flat, row-major, *compact* feature matrix: one row per partition,
+/// holding only the columns a query's mask leaves live, plus the map between
+/// compact columns and full feature indices. Every column that is not listed
+/// reads as `0.0` — exactly what the full-width masked row holds there — so
+/// a compact matrix and its [`Self::to_dense`] expansion describe the same
+/// `F ∈ R^{N×M}` at a tenth of the bytes.
+#[derive(Debug, Clone)]
+pub struct FeatureMatrix {
+    /// Full feature index of each compact column, ascending.
+    cols: Vec<usize>,
+    /// Full feature index → compact column; [`Self::ABSENT`] where masked.
+    slot_of: Vec<usize>,
+    n: usize,
+    /// `n × cols.len()` values, row-major.
+    data: Vec<f64>,
+}
+
+impl FeatureMatrix {
+    /// `slot_of` marker for a full feature index the matrix does not store.
+    const ABSENT: usize = usize::MAX;
+
+    /// Assemble from parts. `cols` must ascend within `full_dim` and `data`
+    /// must hold `n × cols.len()` values.
+    fn new(cols: Vec<usize>, full_dim: usize, n: usize, data: Vec<f64>) -> Self {
+        assert!(
+            cols.windows(2).all(|w| w[0] < w[1]),
+            "column map must ascend"
+        );
+        assert!(cols.last().is_none_or(|&c| c < full_dim));
+        assert_eq!(data.len(), n * cols.len());
+        let mut slot_of = vec![Self::ABSENT; full_dim];
+        for (slot, &c) in cols.iter().enumerate() {
+            slot_of[c] = slot;
+        }
+        Self {
+            cols,
+            slot_of,
+            n,
+            data,
+        }
+    }
+
+    /// Pack full-width rows as they are: every column stored, identity map.
+    /// The boundary for callers that hold dense rows (training, tests).
+    ///
+    /// # Panics
+    /// Panics if rows disagree on length.
+    pub fn from_dense(rows: &[Vec<f64>]) -> Self {
+        let dim = rows.first().map_or(0, Vec::len);
+        let mut data = Vec::with_capacity(rows.len() * dim);
+        for r in rows {
+            assert_eq!(r.len(), dim, "ragged feature matrix");
+            data.extend_from_slice(r);
+        }
+        Self::new((0..dim).collect(), dim, rows.len(), data)
+    }
+
+    /// Number of rows (partitions).
+    pub fn num_rows(&self) -> usize {
+        self.n
+    }
+
+    /// Number of stored columns.
+    pub fn width(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Width of the full feature vector this matrix is a projection of.
+    pub fn full_dim(&self) -> usize {
+        self.slot_of.len()
+    }
+
+    /// The full feature index of each stored column, ascending.
+    pub fn cols(&self) -> &[usize] {
+        &self.cols
+    }
+
+    /// Row `p`'s stored values, in [`Self::cols`] order.
+    #[inline]
+    pub fn row(&self, p: usize) -> &[f64] {
+        let w = self.cols.len();
+        &self.data[p * w..(p + 1) * w]
+    }
+
+    /// Row `p`'s value at *full* feature index `idx` — `0.0` for a column the
+    /// mask dropped. This is how the importance models read a compact row.
+    #[inline]
+    pub fn feature(&self, p: usize, idx: usize) -> f64 {
+        match self.slot_of[idx] {
+            Self::ABSENT => 0.0,
+            slot => self.data[p * self.cols.len() + slot],
+        }
+    }
+
+    /// Row `p` expanded to the full width.
+    pub fn dense_row(&self, p: usize) -> Vec<f64> {
+        let mut dense = vec![0.0; self.full_dim()];
+        for (&c, &x) in self.cols.iter().zip(self.row(p)) {
+            dense[c] = x;
+        }
+        dense
+    }
+
+    /// Every row expanded to the full width — what training consumes.
+    pub fn to_dense(&self) -> Vec<Vec<f64>> {
+        (0..self.n).map(|p| self.dense_row(p)).collect()
+    }
+
+    /// Heap bytes held (values plus both column maps).
+    pub fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f64>()
+            + (self.cols.capacity() + self.slot_of.capacity()) * std::mem::size_of::<usize>()
+    }
+
+    /// The stored values, row-major (for in-place normalisation).
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+}
+
+/// Masked, selectivity-augmented **raw** feature matrix for one query: the
+/// `F ∈ R^{N×M}` of §2.4, before normalisation, stored compact. The stored
+/// columns are, ascending: the 17 scalar statistics of every column the query
+/// uses, the 25 bitmap bits of its group-by columns, and the four selectivity
+/// slots — always the last four columns of a row.
 #[derive(Debug, Clone)]
 pub struct QueryFeatures {
-    /// One row per partition.
-    pub rows: Vec<Vec<f64>>,
-    /// The layout.
-    pub schema: FeatureSchema,
+    schema: FeatureSchema,
+    matrix: FeatureMatrix,
 }
 
 impl QueryFeatures {
     /// Build the feature matrix for `query` (§3.2):
-    /// * start from a zero row and copy in only the static blocks of the
-    ///   columns the query touches (equivalent to cloning the full static
-    ///   row and zeroing the unused blocks, but it moves `used/total`
-    ///   instead of all of the ~42·C features per partition),
+    /// * copy in only the static blocks of the columns the query touches
+    ///   (the full-width row is zero everywhere else, and a compact row
+    ///   simply does not store those zeros),
     /// * keep occurrence bitmaps only for the query's group-by columns,
     /// * append the four per-partition selectivity estimates, probed
     ///   through the predicate compiled **once** per `(query, table)` —
@@ -300,7 +420,6 @@ impl QueryFeatures {
     ///   partition.
     pub fn compute(stats: &TableStats, table: &Table, query: &Query) -> Self {
         let schema = *stats.feature_schema();
-        let used = query.used_columns();
         let mut gb_mask = vec![false; schema.num_cols()];
         for c in &query.group_by {
             gb_mask[c.index()] = true;
@@ -310,40 +429,89 @@ impl QueryFeatures {
             .as_ref()
             .map(|p| CompiledPredicate::compile(table, p));
 
-        let sel_off = schema.selectivity_offset();
-        let mut rows = Vec::with_capacity(stats.num_partitions());
-        for p in 0..stats.num_partitions() {
-            let statics = &stats.static_features()[p];
-            let mut row = vec![0.0; schema.dim()];
-            for c in &used {
+        // Static blocks to gather, ascending: `used_columns` is sorted.
+        let blocks: Vec<std::ops::Range<usize>> = query
+            .used_columns()
+            .iter()
+            .map(|c| {
                 let off = schema.col_offset(*c);
                 // Bitmaps are only computed for grouping columns (§3.2).
-                let end = if gb_mask[c.index()] {
-                    off + PER_COL
+                if gb_mask[c.index()] {
+                    off..off + PER_COL
                 } else {
-                    off + SCALARS_PER_COL
-                };
-                row[off..end].copy_from_slice(&statics[off..end]);
+                    off..off + SCALARS_PER_COL
+                }
+            })
+            .collect();
+        let sel_off = schema.selectivity_offset();
+        let cols: Vec<usize> = blocks
+            .iter()
+            .flat_map(|b| b.clone())
+            .chain(sel_off..sel_off + SELECTIVITY_FEATURES)
+            .collect();
+
+        let n = stats.num_partitions();
+        let mut data = Vec::with_capacity(n * cols.len());
+        for p in 0..n {
+            let statics = &stats.static_features()[p];
+            for b in &blocks {
+                data.extend_from_slice(&statics[b.clone()]);
             }
             let sel = match &compiled {
                 Some(cp) => selectivity_features_compiled(Some(cp), stats.partition(p)),
                 None => SelectivityFeatures::all_pass(),
             };
-            row[sel_off..sel_off + 4].copy_from_slice(&sel.as_array());
-            rows.push(row);
+            data.extend_from_slice(&sel.as_array());
         }
-        Self { rows, schema }
+        Self {
+            schema,
+            matrix: FeatureMatrix::new(cols, schema.dim(), n, data),
+        }
+    }
+
+    /// The layout of the full-width vector.
+    pub fn schema(&self) -> &FeatureSchema {
+        &self.schema
+    }
+
+    /// The compact matrix.
+    pub fn matrix(&self) -> &FeatureMatrix {
+        &self.matrix
+    }
+
+    /// Unwrap into the compact matrix (normalisation reuses the buffer).
+    pub(crate) fn into_matrix(self) -> FeatureMatrix {
+        self.matrix
     }
 
     /// Number of partitions (rows).
     pub fn num_partitions(&self) -> usize {
-        self.rows.len()
+        self.matrix.num_rows()
+    }
+
+    /// Partition `p`'s four raw selectivity estimates.
+    pub fn selectivity(&self, p: usize) -> &[f64] {
+        let row = self.matrix.row(p);
+        &row[row.len() - SELECTIVITY_FEATURES..]
     }
 
     /// The `selectivity_upper` value of partition `p` — the §4.3 funnel's
     /// first filter.
     pub fn selectivity_upper(&self, p: usize) -> f64 {
-        self.rows[p][self.schema.selectivity_offset()]
+        self.selectivity(p)[0]
+    }
+
+    /// Every partition's `selectivity_upper`: the narrow slice of the raw
+    /// features the serving path keeps once the matrix is normalised.
+    pub fn selectivity_uppers(&self) -> Vec<f64> {
+        (0..self.num_partitions())
+            .map(|p| self.selectivity_upper(p))
+            .collect()
+    }
+
+    /// The full-width rows (masked columns zero) — what training consumes.
+    pub fn to_dense(&self) -> Vec<Vec<f64>> {
+        self.matrix.to_dense()
     }
 }
 
@@ -376,8 +544,10 @@ mod tests {
         // Query touches only column a (aggregate) — b and g must be zeroed.
         let q = Query::new(vec![AggExpr::sum(ScalarExpr::col(ColId(0)))], None, vec![]);
         let f = QueryFeatures::compute(&stats, pt.table(), &q);
-        let schema = f.schema;
-        for row in &f.rows {
+        let schema = *f.schema();
+        // Compact: column a's 17 scalars and the 4 selectivity slots.
+        assert_eq!(f.matrix().width(), SCALARS_PER_COL + SELECTIVITY_FEATURES);
+        for row in &f.to_dense() {
             let b_off = schema.col_offset(ColId(1));
             assert!(row[b_off..b_off + PER_COL].iter().all(|&x| x == 0.0));
             let g_off = schema.col_offset(ColId(2));
@@ -398,12 +568,12 @@ mod tests {
             vec![],
         );
         let f = QueryFeatures::compute(&stats, pt.table(), &q);
-        let off = f.schema.col_offset(ColId(2)) + SCALARS_PER_COL;
-        for row in &f.rows {
+        let off = f.schema().col_offset(ColId(2)) + SCALARS_PER_COL;
+        for row in &f.to_dense() {
             assert!(row[off..off + BITMAP_BITS].iter().all(|&x| x == 0.0));
             // But scalar hh/dv features of g survive (column is used).
             assert!(
-                row[f.schema.col_offset(ColId(2)) + 9] > 0.0,
+                row[f.schema().col_offset(ColId(2)) + 9] > 0.0,
                 "ndv masked out"
             );
         }
@@ -411,7 +581,7 @@ mod tests {
         let q = Query::new(vec![AggExpr::count()], None, vec![ColId(2)]);
         let f = QueryFeatures::compute(&stats, pt.table(), &q);
         let any_bit = f
-            .rows
+            .to_dense()
             .iter()
             .any(|row| row[off..off + BITMAP_BITS].iter().any(|&x| x != 0.0));
         assert!(any_bit, "group-by column lost its occurrence bitmap");
@@ -437,6 +607,35 @@ mod tests {
         let q = Query::new(vec![AggExpr::count()], None, vec![]);
         let f = QueryFeatures::compute(&stats, pt.table(), &q);
         assert_eq!(f.selectivity_upper(3), 1.0);
+    }
+
+    #[test]
+    fn compact_columns_ascend_and_absent_columns_read_zero() {
+        let (pt, stats) = fixture();
+        // a aggregated, g grouped: a's scalars, g's scalars + bitmap, 4 slots.
+        let q = Query::new(
+            vec![AggExpr::sum(ScalarExpr::col(ColId(0)))],
+            None,
+            vec![ColId(2)],
+        );
+        let f = QueryFeatures::compute(&stats, pt.table(), &q);
+        let m = f.matrix();
+        assert_eq!(m.width(), SCALARS_PER_COL + PER_COL + SELECTIVITY_FEATURES);
+        assert!(m.cols().windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(m.full_dim(), f.schema().dim());
+        let dense = f.to_dense();
+        for (p, row) in dense.iter().enumerate() {
+            for (idx, &x) in row.iter().enumerate() {
+                assert_eq!(m.feature(p, idx).to_bits(), x.to_bits());
+            }
+            assert_eq!(f.selectivity(p), &row[f.schema().selectivity_offset()..]);
+        }
+        // Column b is masked: its block reads 0.0 through the map.
+        assert_eq!(m.feature(3, f.schema().col_offset(ColId(1))), 0.0);
+        // An identity-mapped dense matrix round-trips.
+        let again = FeatureMatrix::from_dense(&dense);
+        assert_eq!(again.width(), again.full_dim());
+        assert_eq!(again.to_dense(), dense);
     }
 
     #[test]

@@ -24,6 +24,6 @@ pub mod selectivity;
 
 pub use builder::{StatsConfig, StorageBreakdown, TableStats};
 pub use column_stats::ColumnStats;
-pub use features::{FeatureSchema, FeatureType, QueryFeatures};
-pub use normalize::Normalizer;
+pub use features::{FeatureMatrix, FeatureSchema, FeatureType, QueryFeatures};
+pub use normalize::{NormalizedStatics, Normalizer};
 pub use selectivity::{selectivity_features_compiled, SelectivityFeatures};

@@ -2,8 +2,19 @@
 //! summary statistics except the selectivity estimates, which get a cube
 //! root; each dimension is then divided by its average over the training set
 //! (the average is more outlier-robust than the max).
+//!
+//! 882 of a 512-partition Aria table's 886 dimensions are query-independent
+//! static statistics, so the serving path never transforms them per query:
+//! [`Normalizer::normalize_statics`] runs the transform over every
+//! partition's static row **once per system generation**, and
+//! [`NormalizedStatics::normalize`] turns a query's raw compact
+//! [`QueryFeatures`] into its normalised [`FeatureMatrix`] by gathering the
+//! pre-normalised blocks and transforming only the four selectivity values
+//! per partition — the same values [`Normalizer::apply_row`] produces on the
+//! full-width row, bit for bit.
 
-use crate::features::FeatureSchema;
+use crate::builder::TableStats;
+use crate::features::{FeatureMatrix, FeatureSchema, QueryFeatures};
 
 /// Fitted normalization state: per-dimension training means of the
 /// transformed features.
@@ -69,12 +80,16 @@ impl Normalizer {
         }
     }
 
-    /// Normalize one feature row in place.
+    /// Normalize one full-width feature row in place.
     pub fn apply_row(&self, row: &mut [f64]) {
         debug_assert_eq!(row.len(), self.schema.dim());
-        for (i, x) in row.iter_mut().enumerate() {
-            let is_sel = self.schema.type_of(i).is_selectivity();
-            *x = transform(*x, is_sel) / self.means[i];
+        let (statics, sel) = row.split_at_mut(self.schema.selectivity_offset());
+        let (static_means, sel_means) = self.means.split_at(statics.len());
+        for (x, mean) in statics.iter_mut().zip(static_means) {
+            *x = transform(*x, false) / mean;
+        }
+        for (x, mean) in sel.iter_mut().zip(sel_means) {
+            *x = transform(*x, true) / mean;
         }
     }
 
@@ -82,6 +97,31 @@ impl Normalizer {
     pub fn apply_matrix(&self, rows: &mut [Vec<f64>]) {
         for row in rows {
             self.apply_row(row);
+        }
+    }
+
+    /// Normalize the static (query-independent) features of every partition
+    /// of `stats`, once, for [`NormalizedStatics::normalize`] to gather from.
+    ///
+    /// # Panics
+    /// Panics when `stats` has a different feature layout.
+    pub fn normalize_statics(&self, stats: &TableStats) -> NormalizedStatics {
+        assert_eq!(*stats.feature_schema(), self.schema, "feature layout");
+        let stride = self.schema.selectivity_offset();
+        let (static_means, sel_means) = self.means.split_at(stride);
+        let mut data = Vec::with_capacity(stats.num_partitions() * stride);
+        for row in stats.static_features() {
+            data.extend(
+                row[..stride]
+                    .iter()
+                    .zip(static_means)
+                    .map(|(&x, mean)| transform(x, false) / mean),
+            );
+        }
+        NormalizedStatics {
+            data,
+            stride,
+            sel_means: sel_means.to_vec(),
         }
     }
 
@@ -103,6 +143,60 @@ impl Normalizer {
             return Err("normalizer mean vector does not match feature dimension");
         }
         Ok(Self { schema, means })
+    }
+}
+
+/// Every partition's static features through a fitted [`Normalizer`],
+/// computed once per system generation (see the module docs).
+#[derive(Debug, Clone)]
+pub struct NormalizedStatics {
+    /// `partitions × stride` normalized static features, row-major.
+    data: Vec<f64>,
+    /// Static features per partition (the schema's selectivity offset).
+    stride: usize,
+    /// Training means of the transformed selectivity features.
+    sel_means: Vec<f64>,
+}
+
+impl NormalizedStatics {
+    /// Normalize a query's raw features into the matrix the funnel, LSS and
+    /// clustering consume, reusing `features`' buffer: static columns are
+    /// overwritten with their pre-normalized values, selectivity columns are
+    /// transformed in place.
+    ///
+    /// # Panics
+    /// Panics when `features` was computed over a different table shape.
+    pub fn normalize(&self, features: QueryFeatures) -> FeatureMatrix {
+        let mut matrix = features.into_matrix();
+        let n = matrix.num_rows();
+        assert_eq!(n * self.stride, self.data.len(), "partition count");
+        assert_eq!(matrix.full_dim(), self.stride + self.sel_means.len());
+        // Maximal runs of consecutive full indices as (first slot, first
+        // index, length), broken at the selectivity offset so that a run is
+        // all static or all selectivity.
+        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+        for (slot, &c) in matrix.cols().iter().enumerate() {
+            match runs.last_mut() {
+                Some((_, start, len)) if *start + *len == c && c != self.stride => *len += 1,
+                _ => runs.push((slot, c, 1)),
+            }
+        }
+        let width = matrix.width();
+        for (p, row) in matrix.data_mut().chunks_exact_mut(width).enumerate() {
+            let statics = &self.data[p * self.stride..(p + 1) * self.stride];
+            for &(slot, start, len) in &runs {
+                let out = &mut row[slot..slot + len];
+                if start < self.stride {
+                    out.copy_from_slice(&statics[start..start + len]);
+                } else {
+                    let means = &self.sel_means[start - self.stride..];
+                    for (x, mean) in out.iter_mut().zip(means) {
+                        *x = transform(*x, true) / mean;
+                    }
+                }
+            }
+        }
+        matrix
     }
 }
 

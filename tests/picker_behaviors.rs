@@ -175,15 +175,7 @@ fn oracle_mode_prioritizes_true_contributors() {
     for c in contributions.iter_mut().take(5) {
         *c = 1.0;
     }
-    let features = QueryFeatures::compute(&ds.stats, ds.pt.table(), &q);
-    let (sel, _) = system.select_with_features(
-        &q,
-        &features,
-        Method::Ps3,
-        0.1,
-        Some(&contributions),
-        &mut rng,
-    );
+    let (sel, _) = system.select(&q, Method::Ps3, 0.1, Some(&contributions), &mut rng);
     // α=2 over the k+1 funnel groups gives the top group a 2^k = 16x
     // sampling *rate*; with a ~6-partition budget the top-5 partitions must
     // be sampled at a far higher rate than the other 59, though not

@@ -7,13 +7,21 @@
 //!   query in scope.
 //! * The §4.3 contribution definition is a valid share in [0,1] that sums
 //!   sensibly across partitions.
+//! * The compact feature matrix is the full-width masked matrix, bit for
+//!   bit: expanded, gathered from pre-normalized statics, and as the
+//!   importance models read it through the column map (`-0.0` and NaN
+//!   statistics included).
 
 use proptest::prelude::*;
 
 use ps3::query::{
     execute_partition, AggExpr, Clause, CmpOp, PartialAnswer, Predicate, Query, ScalarExpr,
 };
-use ps3::stats::{StatsConfig, TableStats};
+use ps3::stats::features::{PER_COL, SCALARS_PER_COL};
+use ps3::stats::{
+    selectivity_features_compiled, Normalizer, QueryFeatures, SelectivityFeatures, StatsConfig,
+    TableStats,
+};
 use ps3::storage::table::TableBuilder;
 use ps3::storage::{ColId, ColumnMeta, ColumnType, PartitionId, PartitionedTable, Schema};
 
@@ -81,6 +89,172 @@ fn arb_predicate() -> impl Strategy<Value = Predicate> {
             _ => Predicate::Not(Box::new(Predicate::all(clauses.clone()))),
         })
     })
+}
+
+/// `stats` with some static features replaced by `-0.0` and NaN — values a
+/// real sketch can produce (an empty partition's mean, a negative zero
+/// minimum) and the ones a careless "is it zero?" or re-derivation breaks.
+fn poisoned(stats: &TableStats, salt: usize) -> TableStats {
+    let (n, cols) = (stats.num_partitions(), stats.feature_schema().num_cols());
+    let mut statics = stats.static_features().to_vec();
+    for (p, row) in statics.iter_mut().enumerate() {
+        for (i, x) in row.iter_mut().enumerate() {
+            match (p * 31 + i * 7 + salt) % 11 {
+                0 => *x = -0.0,
+                1 => *x = f64::NAN,
+                2 => *x = -*x,
+                _ => {}
+            }
+        }
+    }
+    TableStats::from_raw_parts(
+        (0..n).map(|p| stats.partition(p).to_vec()).collect(),
+        (0..cols)
+            .map(|c| stats.global_heavy_hitters(ColId(c)).to_vec())
+            .collect(),
+        (0..cols)
+            .map(|c| (0..n).map(|p| stats.bitmap(ColId(c), p)).collect())
+            .collect(),
+        statics,
+        *stats.feature_schema(),
+    )
+    .expect("same shapes as the stats they came from")
+}
+
+/// The full-width masked feature rows of §3.2, built the way the parent of
+/// the compact matrix built them: a zero row per partition, the static
+/// blocks of the used columns copied in (bitmaps only for group-by
+/// columns), the four selectivity estimates at the end.
+fn reference_dense_features(stats: &TableStats, pt: &PartitionedTable, q: &Query) -> Vec<Vec<f64>> {
+    let schema = *stats.feature_schema();
+    let compiled =
+        (q.predicate.as_ref()).map(|p| ps3::query::CompiledPredicate::compile(pt.table(), p));
+    (0..stats.num_partitions())
+        .map(|p| {
+            let statics = &stats.static_features()[p];
+            let mut row = vec![0.0; schema.dim()];
+            for c in q.used_columns() {
+                let off = schema.col_offset(c);
+                let len = if q.group_by.contains(&c) {
+                    PER_COL
+                } else {
+                    SCALARS_PER_COL
+                };
+                row[off..off + len].copy_from_slice(&statics[off..off + len]);
+            }
+            let sel = match &compiled {
+                Some(cp) => selectivity_features_compiled(Some(cp), stats.partition(p)),
+                None => SelectivityFeatures::all_pass(),
+            };
+            row[schema.selectivity_offset()..].copy_from_slice(&sel.as_array());
+            row
+        })
+        .collect()
+}
+
+/// One of a few query shapes over the fixed schema: which columns are
+/// aggregated, filtered and grouped decides the compact column set.
+fn shaped_query(shape: u8, pred: Option<Predicate>) -> Query {
+    let (x, y, tag) = (ColId(0), ColId(1), ColId(2));
+    match shape % 4 {
+        0 => Query::new(vec![AggExpr::count()], pred, vec![]),
+        1 => Query::new(vec![AggExpr::sum(ScalarExpr::col(x))], pred, vec![tag]),
+        2 => Query::new(vec![AggExpr::avg(ScalarExpr::col(y))], pred, vec![]),
+        _ => Query::new(
+            vec![AggExpr::sum(ScalarExpr::col(y)), AggExpr::count()],
+            pred,
+            vec![x, tag],
+        ),
+    }
+}
+
+fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    (rows.iter())
+        .map(|r| r.iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The compact matrix, expanded, is the reference full-width matrix bit
+    /// for bit; what it does not store reads as `+0.0` through the map.
+    #[test]
+    fn compact_features_expand_to_the_reference_dense_rows(
+        pt in arb_table(),
+        pred in arb_predicate(),
+        filtered in any::<bool>(),
+        shape in 0u8..4,
+        salt in 0usize..11,
+    ) {
+        let stats = poisoned(&TableStats::build(&pt, &StatsConfig::default()), salt);
+        let query = shaped_query(shape, filtered.then_some(pred));
+        let reference = reference_dense_features(&stats, &pt, &query);
+        let features = QueryFeatures::compute(&stats, pt.table(), &query);
+        prop_assert_eq!(bits(&features.to_dense()), bits(&reference));
+        let m = features.matrix();
+        prop_assert!(m.width() < m.full_dim());
+        for (p, row) in reference.iter().enumerate() {
+            for (idx, x) in row.iter().enumerate() {
+                prop_assert_eq!(m.feature(p, idx).to_bits(), x.to_bits());
+            }
+            prop_assert_eq!(features.selectivity_upper(p).to_bits(), row[m.full_dim() - 4].to_bits());
+        }
+    }
+
+    /// Gathering pre-normalized static blocks and transforming only the
+    /// selectivity slots gives exactly what `Normalizer::apply_row` gives on
+    /// the full-width row.
+    #[test]
+    fn gathered_prenormalized_rows_equal_apply_row_on_the_dense_row(
+        pt in arb_table(),
+        pred in arb_predicate(),
+        shape in 0u8..4,
+        salt in 0usize..11,
+        means in prop::collection::vec(0.05f64..20.0, 3 * PER_COL + 4),
+    ) {
+        let stats = poisoned(&TableStats::build(&pt, &StatsConfig::default()), salt);
+        let query = shaped_query(shape, Some(pred));
+        let normalizer = Normalizer::from_raw_parts(*stats.feature_schema(), means)
+            .expect("one mean per dimension");
+        let mut reference = reference_dense_features(&stats, &pt, &query);
+        normalizer.apply_matrix(&mut reference);
+        let gathered = normalizer
+            .normalize_statics(&stats)
+            .normalize(QueryFeatures::compute(&stats, pt.table(), &query));
+        prop_assert_eq!(bits(&gathered.to_dense()), bits(&reference));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A boosted model walking compact rows through the column map predicts
+    /// what it predicts on the expanded rows.
+    #[test]
+    fn gbdt_through_the_column_map_equals_the_dense_prediction(
+        pt in arb_table(),
+        pred in arb_predicate(),
+        shape in 0u8..4,
+        seed in 0u64..1000,
+    ) {
+        let stats = TableStats::build(&pt, &StatsConfig::default());
+        // Train on the widest shape so splits land on columns the narrower
+        // shapes mask out.
+        let wide = QueryFeatures::compute(&stats, pt.table(), &shaped_query(3, Some(pred.clone())));
+        let data = wide.to_dense();
+        let labels: Vec<f64> = (0..data.len()).map(|p| wide.selectivity_upper(p) - 0.3).collect();
+        let params = ps3::learn::GbdtParams { n_trees: 6, colsample: 1.0, seed, ..Default::default() };
+        let model = ps3::learn::Gbdt::train(&data, &labels, &params);
+        let features = QueryFeatures::compute(&stats, pt.table(), &shaped_query(shape, Some(pred)));
+        let (m, dense) = (features.matrix(), features.to_dense());
+        for (p, row) in dense.iter().enumerate() {
+            prop_assert_eq!(
+                model.predict_with(|f| m.feature(p, f)).to_bits(),
+                model.predict_row(row).to_bits()
+            );
+        }
+    }
 }
 
 proptest! {

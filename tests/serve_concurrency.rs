@@ -108,6 +108,39 @@ fn budget_sweep_computes_features_once_per_query() {
     );
 }
 
+/// The size guard on what the cache holds: at the benchmark's 512
+/// partitions (886 features wide) one entry stays under 1 MiB — the
+/// full-width raw and normalized `Vec<Vec<f64>>` pair it replaced was 7 MB —
+/// so the shipped 256-entry cache is bounded by a couple of hundred MB.
+#[test]
+fn a_cache_entry_on_a_512_partition_table_stays_under_one_mebibyte() {
+    let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny)
+        .with_partitions(512)
+        .with_rows(512 * 16)
+        .build(24);
+    let mut cfg = Ps3Config::default().with_seed(24);
+    cfg.gbdt.n_trees = 2;
+    cfg.feature_selection = false;
+    let system = Ps3System::train(
+        Arc::clone(&ds.pt),
+        Arc::clone(&ds.stats),
+        &ds.train_queries[..4],
+        cfg,
+    );
+    let full_width = ds.stats.feature_schema().dim();
+    for q in &ds.test_queries {
+        let entry = system.artifacts_for(q);
+        assert_eq!(entry.normalized.num_rows(), 512);
+        assert_eq!(entry.normalized.full_dim(), full_width);
+        assert!(
+            entry.heap_bytes() < 1 << 20,
+            "{} bytes cached for a query keeping {} of {full_width} columns",
+            entry.heap_bytes(),
+            entry.normalized.width(),
+        );
+    }
+}
+
 /// Eviction pressure: a cache far smaller than the working set still
 /// serves deterministic answers from many threads, and stays bounded.
 #[test]

@@ -2,7 +2,7 @@
 //! many draws, the clustered estimate converges to the exact answer — while
 //! the median-exemplar estimator has zero variance.
 
-use ps3::cluster::{cluster, random_exemplar, ClusterAlgo};
+use ps3::cluster::{cluster, random_exemplar, ClusterAlgo, PointMatrix};
 use ps3::core::{ExemplarRule, Method, Ps3Config};
 use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3::runtime::ThreadPool;
@@ -14,7 +14,7 @@ fn random_exemplar_estimator_is_unbiased_within_clusters() {
     // Direct check of the stratified-sampling identity: for any fixed
     // clustering, E[size_i * value(random member)] = sum of cluster values.
     let values: Vec<f64> = (0..40).map(|i| f64::from(i * i)).collect();
-    let points: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
+    let points = PointMatrix::from_flat(values.clone(), values.len(), 1);
     let mut rng = StdRng::seed_from_u64(3);
     let clusters = cluster(&points, 6, ClusterAlgo::HacWard, &mut rng);
     let truth: f64 = values.iter().sum();
