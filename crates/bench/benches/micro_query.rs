@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ps3_cluster::simd::assign_update;
+use ps3_cluster::simd::SweepState;
 use ps3_cluster::{cluster, kmeans_minibatch, ClusterAlgo, PointMatrix};
 use ps3_core::Ps3Config;
 use ps3_data::{DatasetConfig, DatasetKind, ScaleProfile};
@@ -131,10 +131,13 @@ fn bench_query_paths(c: &mut Criterion) {
     });
     let first_eight: Vec<f64> = (0..8).flat_map(|i| points.row(i)).copied().collect();
     let centroids = PointMatrix::from_flat(first_eight, 8, width);
+    // A blank state has no bounds to prune with, so this stays what it
+    // always was: one full n·k assign-update sweep.
     g.bench_function("assign_step_simd", |b| {
         b.iter(|| {
-            let mut assignment = vec![usize::MAX; points.n()];
-            assign_update(&points, &centroids, &mut assignment)
+            let mut state = SweepState::blank(points.n(), 8, width);
+            state.sweep(&points, &centroids);
+            state
         })
     });
     g.finish();

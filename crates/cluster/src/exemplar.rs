@@ -27,13 +27,7 @@ pub fn median_exemplar(points: &PointMatrix, cluster: &[usize]) -> usize {
     for (d, m) in median.iter_mut().enumerate() {
         scratch.clear();
         scratch.extend(cluster.iter().map(|&i| points.row(i)[d]));
-        scratch.sort_by(f64::total_cmp);
-        let mid = scratch.len() / 2;
-        *m = if scratch.len() % 2 == 1 {
-            scratch[mid]
-        } else {
-            0.5 * (scratch[mid - 1] + scratch[mid])
-        };
+        *m = column_median(&mut scratch);
     }
     cluster
         .iter()
@@ -44,6 +38,20 @@ pub fn median_exemplar(points: &PointMatrix, cluster: &[usize]) -> usize {
                 .then(a.cmp(&b))
         })
         .expect("non-empty cluster")
+}
+
+/// Median of a non-empty column under `f64::total_cmp` (the mean of the two
+/// middle values for an even count), reordering `column`. Two selections
+/// instead of a sort: `total_cmp` is a total order on bit patterns, so the
+/// order statistics — and the median's bits — are what the sort would give.
+fn column_median(column: &mut [f64]) -> f64 {
+    let (mid, odd) = (column.len() / 2, column.len() % 2 == 1);
+    let (below, &mut upper_mid, _) = column.select_nth_unstable_by(mid, f64::total_cmp);
+    if odd {
+        return upper_mid;
+    }
+    let lower_mid = below.iter().copied().max_by(f64::total_cmp);
+    0.5 * (lower_mid.expect("an even count has a lower half") + upper_mid)
 }
 
 /// A uniform random member (the unbiased estimator of Appendix D.1).
@@ -72,6 +80,45 @@ mod tests {
         assert!(e == 1 || e == 2);
         // Odd-sized cluster: median of {0,5,4} = 4 → exemplar is point 2.
         assert_eq!(median_exemplar(&points, &[0, 1, 2]), 2);
+    }
+
+    #[test]
+    fn selected_median_has_the_sorted_medians_bits() {
+        let sorted_median = |column: &[f64]| {
+            let mut sorted = column.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            let mid = sorted.len() / 2;
+            if sorted.len() % 2 == 1 {
+                sorted[mid]
+            } else {
+                0.5 * (sorted[mid - 1] + sorted[mid])
+            }
+        };
+        let nan = f64::NAN;
+        let columns: [&[f64]; 10] = [
+            &[3.0],
+            &[0.0, -0.0],
+            &[-0.0, 0.0, -0.0, 0.0],
+            &[0.0, -0.0, 0.0],
+            &[2.0, 2.0, 2.0, 2.0, 1.0, 1.0],
+            &[nan, 1.0, -1.0],
+            &[nan, 1.0, -nan, 5.0],
+            &[nan, nan, 1.0, 2.0],
+            &[1e300, -1e300, 1e-300, -0.0, 7.0, 7.0],
+            &[5.0, 4.0, 3.0, 2.0, 1.0, 0.0, -1.0, -2.0],
+        ];
+        for column in columns {
+            // Every rotation: selection must not depend on the input order.
+            for turn in 0..column.len() {
+                let mut rotated = column.to_vec();
+                rotated.rotate_left(turn);
+                assert_eq!(
+                    column_median(&mut rotated).to_bits(),
+                    sorted_median(column).to_bits(),
+                    "{column:?} rotated by {turn}"
+                );
+            }
+        }
     }
 
     #[test]

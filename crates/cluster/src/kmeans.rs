@@ -4,28 +4,36 @@
 //!
 //! Three entry points:
 //!
-//! * [`kmeans`] / [`kmeans_fit`] — exact Lloyd. The inner loop is the fused
-//!   assign-then-update step ([`simd::assign_update`]): every row is
-//!   touched exactly once per sweep. Bit-identical to
-//!   [`crate::oracle::kmeans_fit`] by construction (same distance
-//!   definition, same accumulation order, same RNG draw sequence); set
-//!   `PS3_STRICT_KERNELS=1` to assert that equality on every call.
+//! * [`kmeans`] / [`kmeans_fit`] — exact Lloyd, bounded: a sweep evaluates a
+//!   point-to-centroid distance only when the bounds [`SweepState`] carries
+//!   cannot prove that centroid strictly farther than the row's nearest
+//!   (Elkan's triangle-inequality pruning). The first sweep evaluates
+//!   nothing at all — it reads its assignment off the n × k distances
+//!   k-means++ seeding already computed. Bit-identical to
+//!   [`crate::oracle::kmeans_fit`], which evaluates every distance on every
+//!   sweep, *because* a skipped evaluation is one whose result is proven:
+//!   same distance definition for the ones that are made, same strict-`<`
+//!   argmin over them, same accumulation order over every row, same RNG
+//!   draw sequence. Set `PS3_STRICT_KERNELS=1` to assert that equality on
+//!   every call. Costs an n × k `f64` transient per fit (209 KB at
+//!   512 × 51).
 //! * [`kmeans_minibatch`] / [`kmeans_minibatch_fit`] — Sculley-style
 //!   mini-batch k-means with a deterministic batch schedule derived from
 //!   the caller's RNG (one shuffle, then wrapping fixed-size batches), so
 //!   results are reproducible per seed. The interior uses the centroid-norm
 //!   expansion ‖x−c‖² = ‖x‖² − 2x·c + ‖c‖² (rank-preserving, so the argmin
 //!   is exact); no oracle contract binds here, only per-seed determinism.
-//! * [`kmeans_warm`] — Lloyd warm-started from caller-provided centroids
-//!   (the previous generation's, in the retrain path). On unchanged data a
-//!   converged warm start reproduces the previous assignment and centroids
-//!   bit-identically in one assign sweep.
+//! * [`kmeans_warm`] — the same Lloyd loop warm-started from
+//!   caller-provided centroids (the previous generation's, in the retrain
+//!   path): its first sweep is a full scan that fills the bounds. On
+//!   unchanged data a converged warm start reproduces the previous
+//!   assignment and centroids bit-identically in one assign sweep.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::simd::{self, dist_sq, PointMatrix};
+use crate::simd::{self, dist_sq, PointMatrix, SweepState};
 
 /// Default mini-batch size.
 pub const MINIBATCH_SIZE: usize = 256;
@@ -82,21 +90,34 @@ pub fn kmeans(
 /// [`kmeans`] returning the full [`KmeansFit`] (centroids included).
 ///
 /// Under `PS3_STRICT_KERNELS=1` every call re-runs the scalar oracle on a
-/// cloned RNG and asserts the blocked result is bit-identical.
+/// cloned RNG and asserts the bounded result is bit-identical.
 ///
 /// # Panics
-/// As [`kmeans`]; additionally (strict mode only) if the blocked kernel
-/// ever diverges from the oracle.
+/// As [`kmeans`]; additionally (strict mode only) if the bounded loop ever
+/// diverges from the oracle.
 pub fn kmeans_fit(points: &PointMatrix, k: usize, rng: &mut StdRng, max_iter: usize) -> KmeansFit {
+    kmeans_fit_counted(points, k, rng, max_iter).0
+}
+
+/// [`kmeans_fit`] plus what it cost: the number of `dist_sq` evaluations
+/// the fit made, seeding included. Plain Lloyd spends `(1 + sweeps) · n · k`
+/// of them; the count is a pure function of `(points, k, rng, max_iter)`,
+/// so it repeats exactly and can gate a regression where wall-clock cannot.
+pub fn kmeans_fit_counted(
+    points: &PointMatrix,
+    k: usize,
+    rng: &mut StdRng,
+    max_iter: usize,
+) -> (KmeansFit, u64) {
     assert!(k > 0 && points.n() >= k);
     let strict_rng = crate::strict_kernels().then(|| rng.clone());
-    let centroids = kmeans_pp_init(points, k, rng);
-    let fit = lloyd(points, centroids, max_iter);
+    let (centroids, state) = seed(points, k, rng);
+    let (fit, evals) = lloyd(points, centroids, state, max_iter);
     if let Some(mut oracle_rng) = strict_rng {
         let reference = crate::oracle::kmeans_fit(&points.to_rows(), k, &mut oracle_rng, max_iter);
         assert_eq!(
             fit.assignment, reference.assignment,
-            "strict kernels: blocked assignment diverged from the oracle"
+            "strict kernels: bounded assignment diverged from the oracle"
         );
         let bits = |c: &[Vec<f64>]| -> Vec<Vec<u64>> {
             c.iter()
@@ -106,10 +127,25 @@ pub fn kmeans_fit(points: &PointMatrix, k: usize, rng: &mut StdRng, max_iter: us
         assert_eq!(
             bits(&fit.centroids),
             bits(&reference.centroids),
-            "strict kernels: blocked centroids diverged from the oracle"
+            "strict kernels: bounded centroids diverged from the oracle"
+        );
+        assert_eq!(
+            (fit.sweeps, fit.converged),
+            (reference.sweeps, reference.converged),
+            "strict kernels: bounded sweep count diverged from the oracle"
         );
     }
-    fit
+    (fit, evals)
+}
+
+/// k-means++ seeds plus the sweep state primed with the n × k squared
+/// distances the seeding computed on the way.
+fn seed(points: &PointMatrix, k: usize, rng: &mut StdRng) -> (PointMatrix, SweepState) {
+    let n = points.n();
+    let mut seed_dist_sq = vec![0.0f64; n * k];
+    let centroids = kmeans_pp_init(points, k, rng, |i, c, d| seed_dist_sq[i * k + c] = d);
+    let state = SweepState::seeded(seed_dist_sq, n, k, points.dim());
+    (centroids, state)
 }
 
 /// Lloyd warm-started from `init` centroids (typically the previous
@@ -126,64 +162,86 @@ pub fn kmeans_warm(points: &PointMatrix, init: &[Vec<f64>], max_iter: usize) -> 
         init[0].len(),
         "warm-start centroid dimension mismatch"
     );
-    lloyd(points, PointMatrix::from_rows(init), max_iter)
+    let state = SweepState::blank(points.n(), init.len(), points.dim());
+    lloyd(points, PointMatrix::from_rows(init), state, max_iter).0
 }
 
-/// The shared Lloyd loop: fused assign+update sweeps with the deterministic
-/// empty-cluster reseed rule. The spec (mirrored by the oracle):
+/// The one Lloyd loop: bounded assign+update sweeps with the deterministic
+/// empty-cluster reseed rule, returning the fit and its `dist_sq` count.
+/// The spec (mirrored, without bounds, by the oracle):
 ///
-/// 1. One [`simd::assign_update`] pass — assignment and per-cluster sums in
-///    blocked ascending order.
+/// 1. One [`SweepState::sweep`] — the assignment a full strict-`<` scan
+///    would produce, and per-cluster sums in blocked ascending order.
 /// 2. Non-empty centroids finalize to `sum / count`, ascending cluster.
 /// 3. Empty clusters, ascending, reseed at the point with the strictly
 ///    largest distance to its (new) assigned centroid — first maximum
 ///    wins; NaN distances never win.
-/// 4. Stop when nothing changed (no assignment moved, no reseed fired).
-fn lloyd(points: &PointMatrix, mut centroids: PointMatrix, max_iter: usize) -> KmeansFit {
-    let n = points.n();
+/// 4. Stop when nothing changed (no assignment moved, no reseed fired);
+///    otherwise every bound moves by its centroid's shift, reseeds included.
+fn lloyd(
+    points: &PointMatrix,
+    mut centroids: PointMatrix,
+    mut state: SweepState,
+    max_iter: usize,
+) -> (KmeansFit, u64) {
     let k = centroids.n();
-    let mut assignment = vec![0usize; n];
+    let mut next = centroids.clone();
+    let mut shifts = vec![0.0f64; k];
     let mut sweeps = 0usize;
     let mut converged = false;
-    for _ in 0..max_iter {
+    while sweeps < max_iter {
         sweeps += 1;
-        let step = simd::assign_update(points, &centroids, &mut assignment);
-        let mut changed = step.changed;
+        let mut changed = state.sweep(points, &centroids);
         for c in 0..k {
-            if step.counts[c] > 0 {
-                let inv = step.counts[c] as f64;
-                for (ctr, s) in centroids.row_mut(c).iter_mut().zip(&step.sums[c]) {
+            let members = state.counts()[c];
+            if members > 0 {
+                let inv = members as f64;
+                for (ctr, s) in next.row_mut(c).iter_mut().zip(state.sums(c)) {
                     *ctr = s / inv;
                 }
             }
         }
-        for c in 0..k {
-            if step.counts[c] == 0 {
-                let mut far = 0usize;
-                let mut far_d = f64::NEG_INFINITY;
-                for (i, &home) in assignment.iter().enumerate() {
-                    let d = dist_sq(points.row(i), centroids.row(home));
-                    if d > far_d {
-                        far_d = d;
-                        far = i;
-                    }
+        if state.counts().contains(&0) {
+            // No row's home is an empty cluster, so reseeding one moves no
+            // row's home distance: one scan serves every empty cluster.
+            let mut far = 0usize;
+            let mut far_d = f64::NEG_INFINITY;
+            for (i, &home) in state.assignment().iter().enumerate() {
+                let d = dist_sq(points.row(i), next.row(home));
+                if d > far_d {
+                    far_d = d;
+                    far = i;
                 }
-                let row = points.row(far).to_vec();
-                centroids.row_mut(c).copy_from_slice(&row);
-                changed = true;
             }
+            state.count_evals(points.n());
+            for c in 0..k {
+                if state.counts()[c] == 0 {
+                    next.row_mut(c).copy_from_slice(points.row(far));
+                }
+            }
+            changed = true;
         }
+        std::mem::swap(&mut centroids, &mut next);
         if !changed {
             converged = true;
             break;
         }
+        if sweeps < max_iter {
+            for (c, shift) in shifts.iter_mut().enumerate() {
+                *shift = simd::shift_bound(dist_sq(next.row(c), centroids.row(c)));
+            }
+            state.count_evals(k);
+            state.move_bounds(&shifts);
+        }
     }
-    KmeansFit {
+    let evals = state.distance_evals();
+    let fit = KmeansFit {
         centroids: centroids.to_rows(),
-        assignment,
+        assignment: state.into_assignment(),
         sweeps,
         converged,
-    }
+    };
+    (fit, evals)
 }
 
 /// Mini-batch k-means (Sculley, WWW'10): member-index lists, like
@@ -219,7 +277,7 @@ pub fn kmeans_minibatch_fit(
         batch_size
     }
     .min(n);
-    let mut centroids = kmeans_pp_init(m, k, rng);
+    let mut centroids = kmeans_pp_init(m, k, rng, |_, _, _| {});
 
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
@@ -255,11 +313,9 @@ pub fn kmeans_minibatch_fit(
         }
     }
 
-    let mut assignment = vec![0usize; n];
-    simd::assign_update(m, &centroids, &mut assignment);
     KmeansFit {
+        assignment: simd::assign_nearest(m, &centroids),
         centroids: centroids.to_rows(),
-        assignment,
         sweeps: batches,
         converged: true,
     }
@@ -269,8 +325,15 @@ pub fn kmeans_minibatch_fit(
 /// proportional to its squared distance from the nearest existing center.
 /// The RNG draw sequence (one `gen_range(0..n)`, then one
 /// `gen_range(0.0..total)` per additional center) and the sequential
-/// `d2.iter().sum()` total are part of the kernel/oracle spec.
-fn kmeans_pp_init(points: &PointMatrix, k: usize, rng: &mut StdRng) -> PointMatrix {
+/// `d2.iter().sum()` total are part of the kernel/oracle spec. Every
+/// squared distance it computes goes to `seen(row, center, dist_sq)` — all
+/// n × k of them, which is exactly what the first Lloyd sweep needs.
+fn kmeans_pp_init(
+    points: &PointMatrix,
+    k: usize,
+    rng: &mut StdRng,
+    mut seen: impl FnMut(usize, usize, f64),
+) -> PointMatrix {
     let n = points.n();
     let dim = points.dim();
     let mut data: Vec<f64> = Vec::with_capacity(k * dim);
@@ -278,7 +341,11 @@ fn kmeans_pp_init(points: &PointMatrix, k: usize, rng: &mut StdRng) -> PointMatr
     data.extend_from_slice(points.row(first));
     let mut chosen = 1usize;
     let mut d2: Vec<f64> = (0..n)
-        .map(|i| dist_sq(points.row(i), &data[..dim]))
+        .map(|i| {
+            let d = dist_sq(points.row(i), &data[..dim]);
+            seen(i, 0, d);
+            d
+        })
         .collect();
     while chosen < k {
         let total: f64 = d2.iter().sum();
@@ -303,6 +370,7 @@ fn kmeans_pp_init(points: &PointMatrix, k: usize, rng: &mut StdRng) -> PointMatr
         let newest = &data[(chosen - 1) * dim..chosen * dim];
         for (i, slot) in d2.iter_mut().enumerate() {
             let d = dist_sq(points.row(i), newest);
+            seen(i, chosen - 1, d);
             if d < *slot {
                 *slot = d;
             }
@@ -368,14 +436,102 @@ mod tests {
         assert!(cold.converged);
         let warm = kmeans_warm(&PointMatrix::from_rows(&pts), &cold.centroids, 100);
         assert_eq!(warm.assignment, cold.assignment);
-        let bits =
-            |c: &[Vec<f64>]| -> Vec<u64> { c.iter().flatten().map(|x| x.to_bits()).collect() };
-        assert_eq!(bits(&warm.centroids), bits(&cold.centroids));
+        assert_eq!(
+            centroid_bits(&warm.centroids),
+            centroid_bits(&cold.centroids)
+        );
         assert!(
             warm.sweeps <= 2,
             "a converged warm start must settle in ≤2 sweeps, took {}",
             warm.sweeps
         );
+    }
+
+    /// `blobs` noisy clumps in `dim` columns — the shape the picker's group
+    /// projection hands k-means (far fewer natural groups than clusters).
+    fn blob_points(n: usize, dim: usize, blobs: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let centers: Vec<Vec<f64>> = (0..blobs)
+            .map(|_| (0..dim).map(|_| rng.gen_range(0.0..4.0)).collect())
+            .collect();
+        (0..n)
+            .map(|i| {
+                let center = &centers[i % blobs];
+                center
+                    .iter()
+                    .map(|x| x + rng.gen_range(-0.15..0.15))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn centroid_bits(c: &[Vec<f64>]) -> Vec<u64> {
+        c.iter().flatten().map(|x| x.to_bits()).collect()
+    }
+
+    /// The whole kernel/oracle contract between two fits.
+    fn assert_same_fit(fit: &KmeansFit, reference: &KmeansFit) {
+        assert_eq!(fit.assignment, reference.assignment);
+        assert_eq!(
+            centroid_bits(&fit.centroids),
+            centroid_bits(&reference.centroids)
+        );
+        assert_eq!(
+            (fit.sweeps, fit.converged),
+            (reference.sweeps, reference.converged)
+        );
+    }
+
+    #[test]
+    fn bounds_keep_distance_evaluations_near_the_seedings_own() {
+        let (n, dim, k) = (400, 70, 40);
+        let rows = blob_points(n, dim, 12, 17);
+        let points = PointMatrix::from_rows(&rows);
+        let run = || kmeans_fit_counted(&points, k, &mut StdRng::seed_from_u64(5), 25);
+        let (fit, evals) = run();
+        assert!(fit.converged && fit.sweeps >= 4, "{} sweeps", fit.sweeps);
+        let plain_lloyd = ((1 + fit.sweeps) * n * k) as u64;
+        assert!(
+            evals * 2 <= 3 * (n * k) as u64,
+            "{evals} evaluations over {} sweeps; seeding alone is {}, plain Lloyd {plain_lloyd}",
+            fit.sweeps,
+            n * k
+        );
+        assert_eq!(run().1, evals, "the count is a pure function of the input");
+        let slow = crate::oracle::kmeans_fit(&rows, k, &mut StdRng::seed_from_u64(5), 25);
+        assert_same_fit(&fit, &slow);
+    }
+
+    #[test]
+    fn pool_fan_out_equals_serial_equals_oracle() {
+        // 1,100 × 256 crosses `PARALLEL_MIN_CELLS`: 18 blocks on the pool.
+        let (n, dim, k, max_iter) = (1100, 256, 24, 6);
+        let rows = blob_points(n, dim, 9, 23);
+        let points = PointMatrix::from_rows(&rows);
+        let fit_with = |fan_out: Option<bool>| {
+            let (centroids, mut state) = seed(&points, k, &mut StdRng::seed_from_u64(11));
+            assert!(state.fan_out, "this input is meant to cross the threshold");
+            state.fan_out = fan_out.unwrap_or(state.fan_out);
+            lloyd(&points, centroids, state, max_iter)
+        };
+        let pool = ps3_runtime::ThreadPool::global();
+        let before = pool.tasks_injected();
+        let (fanned, fanned_evals) = fit_with(None);
+        assert!(
+            pool.tasks_injected() >= before + 18,
+            "the sweep never reached the pool"
+        );
+        let (serial, serial_evals) = fit_with(Some(false));
+        let slow = crate::oracle::kmeans_fit(&rows, k, &mut StdRng::seed_from_u64(11), max_iter);
+        assert!(
+            slow.sweeps >= 3,
+            "bounds must be in play: {} sweeps",
+            slow.sweeps
+        );
+        assert!(fanned_evals < ((1 + slow.sweeps) * n * k) as u64 / 2);
+        assert_eq!(fanned_evals, serial_evals);
+        assert_same_fit(&fanned, &slow);
+        assert_same_fit(&serial, &slow);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! median-nearest exemplar and the unbiased uniform-random exemplar.
 //!
 //! The numeric inner loops live in [`mod@simd`] (blocked, SIMD-friendly,
-//! deterministic accumulation order) with scalar mirrors in `oracle`;
-//! set `PS3_STRICT_KERNELS=1` to assert kernel/oracle bit-identity inside
-//! every k-means call.
+//! deterministic accumulation order, Lloyd sweeps pruned by distance
+//! bounds that only ever skip a proven result) with scalar, unbounded
+//! mirrors in `oracle`; set `PS3_STRICT_KERNELS=1` to assert kernel/oracle
+//! bit-identity inside every k-means call.
 
 pub mod exemplar;
 pub mod hac;
@@ -26,16 +27,25 @@ pub mod simd;
 
 pub use exemplar::{median_exemplar, random_exemplar};
 pub use hac::{hac, Linkage};
-pub use kmeans::{kmeans, kmeans_fit, kmeans_minibatch, kmeans_warm, KmeansFit};
+pub use kmeans::{
+    kmeans, kmeans_fit, kmeans_fit_counted, kmeans_minibatch, kmeans_warm, KmeansFit,
+};
 pub use simd::PointMatrix;
 
 use rand::rngs::StdRng;
 use std::sync::OnceLock;
 
 /// Point count at or above which [`cluster`] swaps exact Lloyd for
-/// mini-batch k-means under [`ClusterAlgo::KMeans`]. Mini-batch visits
-/// `MINIBATCH_EPOCHS · n` rows total versus Lloyd's `sweeps · n`, so below
-/// this size exact Lloyd is both cheaper and better.
+/// mini-batch k-means under [`ClusterAlgo::KMeans`]. Mini-batch evaluates
+/// `(MINIBATCH_EPOCHS + 2) · n · k` distances (seeding, three epochs, the
+/// final assignment); it was set here against a Lloyd that paid
+/// `(1 + sweeps) · n · k`. Bounded Lloyd pays about `1.2 · n · k` whatever
+/// the sweep count, so exact Lloyd is now the cheaper *and* the better of
+/// the two above this size as well (measured at 512 × 70, k = 51). The
+/// constant stays where it is all the same: moving it changes which
+/// partitions a query reads, and that is a quality decision to take with
+/// the picker-vs-uniform ledger (ROADMAP item 2), not a by-product of a
+/// speed-up.
 pub const MINIBATCH_MIN_POINTS: usize = 512;
 
 /// Which clustering algorithm to use.

@@ -16,14 +16,30 @@
 //! per-cluster sums in ascending row order, and the block partials are
 //! merged in ascending block order. Because the merge order is fixed, a
 //! parallel fan-out of the blocks over the shared pool is **bit-identical**
-//! to the serial pass — which is what lets `assign_update` fan out on large
-//! partition counts without breaking the kernel/oracle contract.
+//! to the serial pass — which is what lets [`SweepState::sweep`] fan out on
+//! large partition counts without breaking the kernel/oracle contract.
 //!
-//! `ps3_cluster::oracle` re-implements these definitions with plain index
-//! arithmetic (no iterator adapters, no blocking of the code itself) and
-//! the property tests in `tests/kernel_oracle.rs` hold the two bit-equal,
-//! including NaN and ±0.0 feature values. `PS3_STRICT_KERNELS=1`
-//! additionally forces the comparison inside every [`crate::kmeans_fit`] call.
+//! The assign step is *bounded* (Elkan, ICML 2003): every row carries an
+//! upper bound on the distance to its home centroid and one lower bound per
+//! centroid, both on `√dist_sq` and both moved outward by each centroid's
+//! shift after the update step. A sweep evaluates a centroid for a row only
+//! when the bounds cannot prove it **strictly farther** than a centroid the
+//! row does evaluate (`provably_farther`); among the evaluated ones the
+//! choice is the plain ascending strict-`<` argmin. A skipped evaluation is
+//! therefore one whose outcome is already known, so the assignment — and
+//! through it every sum, centroid and sweep count — is bit-identical to the
+//! scan that evaluates all n·k distances, which is what the oracle does.
+//! The price is the n × k `f64` lower-bound matrix, alive for one fit
+//! (209 KB at 512 rows × 51 centroids).
+//!
+//! `ps3_cluster::oracle` re-implements the distance, accumulation and
+//! reseed definitions with plain index arithmetic (no iterator adapters, no
+//! blocking of the code itself, no bounds) and the property tests in
+//! `tests/kernel_oracle.rs` hold the two bit-equal, including NaN and ±0.0
+//! feature values. `PS3_STRICT_KERNELS=1` additionally forces the
+//! comparison inside every [`crate::kmeans_fit`] call.
+
+use std::sync::Mutex;
 
 use ps3_runtime::ThreadPool;
 
@@ -32,15 +48,36 @@ use ps3_runtime::ThreadPool;
 /// 4-wide chains — enough ILP either way.
 pub const LANES: usize = 8;
 
-/// Rows per partial-sum block in [`assign_update`]. One block of 64 rows ×
-/// a few hundred dims stays in L1/L2 while its partial sums are live.
+/// Rows per partial-sum block in [`SweepState::sweep`]. One block of 64
+/// rows × a few hundred dims stays in L1/L2 while its partial sums are live.
 pub const UPDATE_BLOCK: usize = 64;
 
-/// Fan out [`assign_update`] over the shared pool only past this much work
+/// Fan out a sweep over the shared pool only past this much work
 /// (rows × dims); below it the pool hand-off costs more than it saves.
 /// Purely a performance threshold — the blocked merge order makes the
 /// parallel and serial results bit-identical.
 const PARALLEL_MIN_CELLS: usize = 1 << 18;
+
+/// Relative slack of the pruning proof. The bounds are built from computed
+/// `√dist_sq` values, which sit within ~`dim · ε` (1e-13 at a thousand
+/// columns) of the true distances the triangle inequality speaks about;
+/// a centroid is skipped only when it is farther by a margin that dwarfs
+/// that, so "farther in exact arithmetic" implies "farther as computed".
+const PRUNE_SLACK: f64 = 1e-9;
+
+/// Lower bounds at or under this never prune, and every centroid shift is
+/// taken this much longer than computed. Squares of differences under
+/// ~1e-154 underflow, so near there `dist_sq` has an absolute error (up to
+/// ~1e-160 on the distance) that no relative slack covers; this floor keeps
+/// the proof a hundred orders of magnitude away from it.
+const PRUNE_FLOOR: f64 = 1e-100;
+
+/// Multipliers that push a just-rounded positive sum or difference outward
+/// past its rounding error (one half-ulp for the operation, one for the
+/// multiply itself), so bounds never tighten by accident however many
+/// sweeps move them.
+const ROUND_UP: f64 = 1.0 + 4.0 * f64::EPSILON;
+const ROUND_DOWN: f64 = 1.0 - 4.0 * f64::EPSILON;
 
 /// Combine the eight lane accumulators by the fixed pairwise tree shared
 /// with the oracle. The grouping is part of the kernel's definition: change
@@ -188,111 +225,379 @@ pub fn nearest_centroid(row: &[f64], centroids: &PointMatrix) -> (usize, f64) {
     (best, best_d)
 }
 
-/// Per-cluster output of one fused assign-then-update pass.
-#[derive(Debug, Clone)]
-pub struct AssignUpdate {
-    /// Per-cluster coordinate sums, merged from block partials in ascending
-    /// block order.
-    pub sums: Vec<Vec<f64>>,
-    /// Per-cluster member counts.
-    pub counts: Vec<usize>,
-    /// Whether any row changed assignment this pass.
-    pub changed: bool,
+/// Nearest centroid of every row, by [`nearest_centroid`] — the assign-only
+/// step for callers that keep no sums (the mini-batch final pass). Blocks
+/// fan out over the shared pool past `PARALLEL_MIN_CELLS`; a row's answer
+/// depends on nothing but the row, so the fan-out is invisible.
+pub fn assign_nearest(points: &PointMatrix, centroids: &PointMatrix) -> Vec<usize> {
+    let n = points.n();
+    let nearest = |i: usize| nearest_centroid(points.row(i), centroids).0;
+    if n * points.dim() < PARALLEL_MIN_CELLS {
+        return (0..n).map(nearest).collect();
+    }
+    ThreadPool::global()
+        .scope_map(n.div_ceil(UPDATE_BLOCK), |b| {
+            let start = b * UPDATE_BLOCK;
+            (start..(start + UPDATE_BLOCK).min(n))
+                .map(nearest)
+                .collect::<Vec<usize>>()
+        })
+        .concat()
 }
 
-/// One block's partial results: per-cluster sums, per-cluster counts, the
-/// block's new assignments in row order, and whether any row moved.
-type BlockPartial = (Vec<Vec<f64>>, Vec<usize>, Vec<usize>, bool);
+/// The skip test of the bounded assign step: is a centroid whose distance
+/// from the row is at least `lower` **provably strictly farther** than one
+/// whose distance is at most `upper`? False whenever either side is NaN,
+/// whenever `lower` is not clear of [`PRUNE_FLOOR`], and on anything closer
+/// than a relative [`PRUNE_SLACK`] — ties and near-ties are always
+/// evaluated, and the ascending strict `<` decides them.
+#[inline]
+fn provably_farther(upper: f64, lower: f64) -> bool {
+    lower > PRUNE_FLOOR && upper < lower * (1.0 - PRUNE_SLACK)
+}
 
-/// One partial-sum block: rows `[start, end)` assigned and accumulated in
-/// ascending row order. This is the unit both the serial pass and the
-/// parallel fan-out execute; the caller merges blocks in ascending order.
-fn assign_update_block(
-    points: &PointMatrix,
-    centroids: &PointMatrix,
-    assignment: &[usize],
+/// The lower bound a freshly evaluated squared distance supports. An
+/// infinite `dist_sq` may be an overflowed finite distance and a NaN one
+/// says nothing, so neither supports any bound (0 never prunes). Every
+/// bound that can prune is therefore under `√f64::MAX`, and so is whatever
+/// it proves nearer: a distance that wins by a proof is one whose own
+/// `dist_sq` is finite, never an `∞` that the scan's strict `<` would pass
+/// over.
+#[inline]
+fn lower_bound(d_sq: f64) -> f64 {
+    if d_sq < f64::INFINITY {
+        d_sq.sqrt()
+    } else {
+        0.0
+    }
+}
+
+/// How far a centroid that moved by `dist_sq` = `d_sq` may have carried any
+/// bound: the computed shift, taken longer by the proof's slack and floor.
+/// NaN and ∞ pass through and disable every bound they touch.
+#[inline]
+pub(crate) fn shift_bound(d_sq: f64) -> f64 {
+    d_sq.sqrt() * (1.0 + PRUNE_SLACK) + PRUNE_FLOOR
+}
+
+/// One [`UPDATE_BLOCK`] of a [`SweepState`]'s per-row state: rows
+/// `start..start + homes.len()`.
+struct BlockRows<'a> {
     start: usize,
-    end: usize,
-) -> BlockPartial {
-    let k = centroids.n();
-    let dim = points.dim();
-    let mut sums = vec![vec![0.0f64; dim]; k];
-    let mut counts = vec![0usize; k];
-    let mut assigned = Vec::with_capacity(end - start);
-    let mut changed = false;
-    for (i, &home) in assignment.iter().enumerate().take(end).skip(start) {
-        let row = points.row(i);
-        let (best, _) = nearest_centroid(row, centroids);
-        if home != best {
-            changed = true;
-        }
-        assigned.push(best);
-        counts[best] += 1;
-        for (s, &x) in sums[best].iter_mut().zip(row) {
-            *s += x;
+    homes: &'a mut [usize],
+    upper: &'a mut [f64],
+    /// `k` lower bounds per row, row-major.
+    lower: &'a mut [f64],
+}
+
+/// Everything the Lloyd loop carries from sweep to sweep: the assignment,
+/// the pruning bounds, and the flat per-cluster sum buffers each sweep
+/// refills (nothing here is allocated per sweep on the serial path).
+#[derive(Debug)]
+pub struct SweepState {
+    k: usize,
+    dim: usize,
+    assignment: Vec<usize>,
+    /// Per row: an upper bound on `√dist_sq` to its home centroid.
+    upper: Vec<f64>,
+    /// Per (row, centroid), row-major: a lower bound on `√dist_sq` — or,
+    /// while `seeded`, the squared distance itself.
+    lower: Vec<f64>,
+    /// `lower` still holds the k-means++ seeding's squared distances to the
+    /// current centroids: the next sweep reads its assignment off them
+    /// without evaluating anything.
+    seeded: bool,
+    /// Run a sweep's blocks on the shared pool: decided by size alone, and
+    /// invisible in every output (tests flip it to prove that).
+    pub(crate) fan_out: bool,
+    sums: Vec<f64>,
+    counts: Vec<usize>,
+    block_sums: Vec<f64>,
+    block_counts: Vec<usize>,
+    distance_evals: u64,
+}
+
+impl SweepState {
+    /// State that knows nothing: the first sweep evaluates all n·k
+    /// distances and fills the bounds from them (a warm start).
+    pub fn blank(n: usize, k: usize, dim: usize) -> Self {
+        Self::new(n, k, dim, vec![0.0; n * k], false)
+    }
+
+    /// State primed with the n × k squared distances (row-major) from every
+    /// row to every seed, as k-means++ computed them: sweep one costs no
+    /// distance evaluation. They count as the `n · k` evaluations they were.
+    pub(crate) fn seeded(seed_dist_sq: Vec<f64>, n: usize, k: usize, dim: usize) -> Self {
+        assert_eq!(seed_dist_sq.len(), n * k);
+        let mut state = Self::new(n, k, dim, seed_dist_sq, true);
+        state.distance_evals = (n * k) as u64;
+        state
+    }
+
+    fn new(n: usize, k: usize, dim: usize, lower: Vec<f64>, seeded: bool) -> Self {
+        Self {
+            k,
+            dim,
+            assignment: vec![0; n],
+            upper: vec![f64::INFINITY; n],
+            lower,
+            seeded,
+            fan_out: n > UPDATE_BLOCK && n * dim >= PARALLEL_MIN_CELLS,
+            sums: vec![0.0; k * dim],
+            counts: vec![0; k],
+            block_sums: vec![0.0; k * dim],
+            block_counts: vec![0; k],
+            distance_evals: 0,
         }
     }
-    (sums, counts, assigned, changed)
+
+    /// `assignment[i]` = centroid of row `i` after the last sweep (all 0
+    /// before the first).
+    pub fn assignment(&self) -> &[usize] {
+        &self.assignment
+    }
+
+    /// Hand the assignment out at the end of a fit.
+    pub(crate) fn into_assignment(self) -> Vec<usize> {
+        self.assignment
+    }
+
+    /// Per-cluster member counts of the last sweep.
+    pub fn counts(&self) -> &[usize] {
+        &self.counts
+    }
+
+    /// Cluster `c`'s coordinate sums from the last sweep, merged from block
+    /// partials in ascending block order.
+    pub fn sums(&self, c: usize) -> &[f64] {
+        &self.sums[c * self.dim..(c + 1) * self.dim]
+    }
+
+    /// `dist_sq` calls spent so far, the seeding's included — a pure
+    /// function of the input, identical run to run and serial to parallel.
+    pub fn distance_evals(&self) -> u64 {
+        self.distance_evals
+    }
+
+    /// Count `n` distance evaluations the caller made on this fit's behalf
+    /// (centroid shifts, the reseed scan).
+    pub(crate) fn count_evals(&mut self, n: usize) {
+        self.distance_evals += n as u64;
+    }
+
+    /// One fused assign-then-update sweep: every row gets the centroid a
+    /// full scan would give it — by the bounds where they prove it, by
+    /// evaluation where they do not — and is accumulated into its cluster's
+    /// sum in [`UPDATE_BLOCK`]-row blocks merged in ascending order, so the
+    /// result is bit-identical serial, fanned out, and in the oracle.
+    /// Returns whether any row changed assignment.
+    pub fn sweep(&mut self, points: &PointMatrix, centroids: &PointMatrix) -> bool {
+        let (k, dim) = (self.k, self.dim);
+        let seeded = std::mem::take(&mut self.seeded);
+        self.sums.fill(0.0);
+        self.counts.fill(0);
+        let blocks = self
+            .assignment
+            .chunks_mut(UPDATE_BLOCK)
+            .zip(self.upper.chunks_mut(UPDATE_BLOCK))
+            .zip(self.lower.chunks_mut(UPDATE_BLOCK * k))
+            .enumerate()
+            .map(|(b, ((homes, upper), lower))| BlockRows {
+                start: b * UPDATE_BLOCK,
+                homes,
+                upper,
+                lower,
+            });
+        let mut moved = false;
+        if self.fan_out {
+            // One uncontended lock per block hands each task its own rows.
+            let blocks: Vec<Mutex<BlockRows>> = blocks.map(Mutex::new).collect();
+            let partials = ThreadPool::global().scope_map(blocks.len(), |b| {
+                let mut rows = blocks[b].lock().expect("each block is locked once");
+                let (mut sums, mut counts) = (vec![0.0; k * dim], vec![0; k]);
+                let out = sweep_block(points, centroids, seeded, &mut rows, &mut sums, &mut counts);
+                (sums, counts, out)
+            });
+            for (block_sums, block_counts, (block_moved, evals)) in partials {
+                merge_block(
+                    dim,
+                    &mut self.sums,
+                    &mut self.counts,
+                    &block_sums,
+                    &block_counts,
+                );
+                moved |= block_moved;
+                self.distance_evals += evals;
+            }
+        } else {
+            for mut rows in blocks {
+                self.block_sums.fill(0.0);
+                self.block_counts.fill(0);
+                let (block_moved, evals) = sweep_block(
+                    points,
+                    centroids,
+                    seeded,
+                    &mut rows,
+                    &mut self.block_sums,
+                    &mut self.block_counts,
+                );
+                merge_block(
+                    dim,
+                    &mut self.sums,
+                    &mut self.counts,
+                    &self.block_sums,
+                    &self.block_counts,
+                );
+                moved |= block_moved;
+                self.distance_evals += evals;
+            }
+        }
+        moved
+    }
+
+    /// After the update step moved centroid `c` by at most `shifts[c]`
+    /// (see [`shift_bound`]): every upper bound grows by its home's shift
+    /// and every lower bound shrinks by its centroid's, rounded outward. A
+    /// reseeded centroid is no special case — its shift is just long.
+    pub(crate) fn move_bounds(&mut self, shifts: &[f64]) {
+        let rows = self
+            .upper
+            .iter_mut()
+            .zip(self.lower.chunks_exact_mut(self.k));
+        for ((upper, lows), &home) in rows.zip(&self.assignment) {
+            *upper = (*upper + shifts[home]) * ROUND_UP;
+            for (low, shift) in lows.iter_mut().zip(shifts) {
+                *low = (*low - shift) * ROUND_DOWN;
+            }
+        }
+    }
 }
 
-/// The chunked assign-then-update k-means step: touch every row exactly
-/// once, writing its nearest centroid into `assignment` and accumulating
-/// per-cluster sums in [`UPDATE_BLOCK`]-row blocks. Blocks run on the
-/// shared pool when the matrix is large enough to pay for the hand-off;
-/// either way the block partials merge in ascending block order, so the
-/// result is bit-identical to the serial pass (and to the oracle).
-pub fn assign_update(
-    points: &PointMatrix,
-    centroids: &PointMatrix,
-    assignment: &mut [usize],
-) -> AssignUpdate {
-    let n = points.n();
-    let k = centroids.n();
-    let dim = points.dim();
-    let blocks = n.div_ceil(UPDATE_BLOCK).max(1);
-    let parallel = blocks > 1 && n * dim >= PARALLEL_MIN_CELLS;
-
-    let per_block: Vec<BlockPartial> = if parallel {
-        let assignment_ref: &[usize] = assignment;
-        ThreadPool::global().scope_map(blocks, |b| {
-            let start = b * UPDATE_BLOCK;
-            let end = (start + UPDATE_BLOCK).min(n);
-            assign_update_block(points, centroids, assignment_ref, start, end)
-        })
-    } else {
-        (0..blocks)
-            .map(|b| {
-                let start = b * UPDATE_BLOCK;
-                let end = (start + UPDATE_BLOCK).min(n);
-                assign_update_block(points, centroids, assignment, start, end)
-            })
-            .collect()
-    };
-
-    let mut sums = vec![vec![0.0f64; dim]; k];
-    let mut counts = vec![0usize; k];
-    let mut changed = false;
-    for (b, (bsums, bcounts, assigned, bchanged)) in per_block.into_iter().enumerate() {
-        let start = b * UPDATE_BLOCK;
-        assignment[start..start + assigned.len()].copy_from_slice(&assigned);
-        changed |= bchanged;
-        for c in 0..k {
-            counts[c] += bcounts[c];
-            for (s, &x) in sums[c].iter_mut().zip(&bsums[c]) {
+/// Add one block's partial sums and counts into the sweep totals. A cluster
+/// the block never touched has an all-`+0.0` partial, and no total is ever
+/// `-0.0` (every sum starts from `+0.0`), so skipping it changes no bit.
+fn merge_block(
+    dim: usize,
+    sums: &mut [f64],
+    counts: &mut [usize],
+    block_sums: &[f64],
+    block_counts: &[usize],
+) {
+    for (c, &members) in block_counts.iter().enumerate() {
+        if members > 0 {
+            counts[c] += members;
+            let span = c * dim..(c + 1) * dim;
+            for (s, &x) in sums[span.clone()].iter_mut().zip(&block_sums[span]) {
                 *s += x;
             }
         }
     }
-    AssignUpdate {
-        sums,
-        counts,
-        changed,
+}
+
+/// One partial-sum block: its rows assigned, then accumulated, in ascending
+/// row order. This is the unit both the serial sweep and the parallel
+/// fan-out execute. Returns (any row moved, `dist_sq` calls made).
+fn sweep_block(
+    points: &PointMatrix,
+    centroids: &PointMatrix,
+    seeded: bool,
+    rows: &mut BlockRows,
+    sums: &mut [f64],
+    counts: &mut [usize],
+) -> (bool, u64) {
+    let k = centroids.n();
+    let dim = points.dim();
+    let mut moved = false;
+    let mut evals = 0u64;
+    let per_row = rows.homes.iter_mut().zip(rows.upper.iter_mut());
+    for (r, ((home, upper), lows)) in per_row.zip(rows.lower.chunks_exact_mut(k)).enumerate() {
+        let row = points.row(rows.start + r);
+        let nearest = if seeded {
+            Some(seeded_nearest(lows))
+        } else {
+            bounded_nearest(row, centroids, *home, *upper, lows, &mut evals)
+        };
+        if let Some((best, best_d)) = nearest {
+            moved |= best != *home;
+            *home = best;
+            *upper = best_d.sqrt();
+        }
+        counts[*home] += 1;
+        for (s, &x) in sums[*home * dim..(*home + 1) * dim].iter_mut().zip(row) {
+            *s += x;
+        }
     }
+    (moved, evals)
+}
+
+/// Sweep one after k-means++: `lows` holds the row's squared distance to
+/// every seed, so the strict-`<` argmin is read off it, and each entry
+/// becomes the lower bound it supports.
+fn seeded_nearest(lows: &mut [f64]) -> (usize, f64) {
+    let mut best = 0usize;
+    let mut best_d = f64::INFINITY;
+    for (c, low) in lows.iter_mut().enumerate() {
+        let d = *low;
+        if d < best_d {
+            best_d = d;
+            best = c;
+        }
+        *low = lower_bound(d);
+    }
+    (best, best_d)
+}
+
+/// [`nearest_centroid`] with the evaluations the bounds make pointless left
+/// out. `None`: every other centroid is provably strictly farther than
+/// `home` even under the loose `upper`, so the row stays, at no cost.
+/// Otherwise `home` is evaluated exactly, then the centroids ascend through
+/// the same strict `<` from `(0, ∞)` as the full scan, skipping only those
+/// provably strictly farther than the nearest one evaluated so far — which
+/// cannot include the scan's winner, nor anything tied with it. A NaN home
+/// distance proves nothing, so that row gets the full scan.
+fn bounded_nearest(
+    row: &[f64],
+    centroids: &PointMatrix,
+    home: usize,
+    upper: f64,
+    lows: &mut [f64],
+    evals: &mut u64,
+) -> Option<(usize, f64)> {
+    let settled = |(c, &low): (usize, &f64)| c == home || provably_farther(upper, low);
+    if lows.iter().enumerate().all(settled) {
+        return None;
+    }
+    let d_home = dist_sq(row, centroids.row(home));
+    *evals += 1;
+    let mut reach = d_home.sqrt();
+    let mut best = 0usize;
+    let mut best_d = f64::INFINITY;
+    for (c, low) in lows.iter_mut().enumerate() {
+        let d = if c == home {
+            d_home
+        } else if provably_farther(reach, *low) {
+            continue;
+        } else {
+            *evals += 1;
+            dist_sq(row, centroids.row(c))
+        };
+        *low = lower_bound(d);
+        if d < best_d {
+            best_d = d;
+            best = c;
+            // `<`, not `min`: a NaN reach must stay NaN.
+            if d.sqrt() < reach {
+                reach = d.sqrt();
+            }
+        }
+    }
+    Some((best, best_d))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn dist_sq_matches_naive_on_clean_input() {
@@ -336,23 +641,129 @@ mod tests {
     }
 
     #[test]
-    fn assign_update_parallel_threshold_is_invisible() {
-        // 3 blocks, below the parallel threshold: still blocked, so the
-        // merge-order spec is exercised without the pool.
+    fn pruning_needs_a_strict_margin_and_never_trusts_nan_or_tiny_bounds() {
+        assert!(provably_farther(1.0, 1.1));
+        assert!(!provably_farther(1.0, 1.0), "a tie is never skipped");
+        assert!(!provably_farther(1.0, 1.0 + 1e-12), "nor a near-tie");
+        assert!(!provably_farther(f64::NAN, 5.0));
+        assert!(!provably_farther(1.0, f64::NAN));
+        assert!(!provably_farther(f64::INFINITY, f64::INFINITY));
+        assert!(
+            !provably_farther(0.0, 1e-120),
+            "underflow range proves nothing"
+        );
+        assert!(!provably_farther(0.0, 0.0));
+        assert_eq!(lower_bound(f64::INFINITY), 0.0);
+        assert_eq!(lower_bound(f64::NAN), 0.0);
+        assert_eq!(lower_bound(9.0), 3.0);
+        assert!(shift_bound(0.0) > 0.0 && shift_bound(4.0) > 2.0);
+        assert!(shift_bound(f64::NAN).is_nan());
+    }
+
+    #[test]
+    fn blank_state_sweeps_like_a_full_scan_then_prunes() {
+        // 3 blocks, below the parallel threshold.
         let rows: Vec<Vec<f64>> = (0..150)
             .map(|i| vec![f64::from(i % 10), f64::from(i / 10)])
             .collect();
         let points = PointMatrix::from_rows(&rows);
         let centroids = PointMatrix::from_rows(&[rows[0].clone(), rows[75].clone()]);
-        let mut a1 = vec![0usize; 150];
-        let out1 = assign_update(&points, &centroids, &mut a1);
-        let mut a2 = vec![0usize; 150];
-        let out2 = assign_update(&points, &centroids, &mut a2);
-        assert_eq!(a1, a2);
-        assert_eq!(out1.counts, out2.counts);
-        let bits =
-            |s: &Vec<Vec<f64>>| -> Vec<u64> { s.iter().flatten().map(|x| x.to_bits()).collect() };
-        assert_eq!(bits(&out1.sums), bits(&out2.sums));
-        assert_eq!(out1.counts.iter().sum::<usize>(), 150);
+        let mut state = SweepState::blank(150, 2, 2);
+        assert!(state.sweep(&points, &centroids));
+        assert_eq!(state.distance_evals(), 300, "a blank sweep evaluates n·k");
+        assert_eq!(state.assignment(), assign_nearest(&points, &centroids));
+        assert_eq!(state.counts().iter().sum::<usize>(), 150);
+        for c in 0..2 {
+            let members = (0..150).filter(|&i| state.assignment()[i] == c);
+            let x: f64 = members.map(|i| rows[i][0]).sum();
+            assert_eq!(state.sums(c)[0], x, "small integers sum exactly");
+        }
+        // Centroids that did not move: the second sweep moves nothing and,
+        // away from the boundary between the two, evaluates nothing.
+        state.move_bounds(&[shift_bound(0.0); 2]);
+        assert!(!state.sweep(&points, &centroids));
+        assert!(state.distance_evals() < 450);
+    }
+
+    fn weird_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            -1e3..1e3f64,
+            -1e3..1e3f64,
+            -1e3..1e3f64,
+            -1e3..1e3f64,
+            -1e3..1e3f64,
+            -1e3..1e3f64,
+            Just(0.0),
+            Just(-0.0),
+            Just(1e-300),
+            Just(1e300),
+            Just(-1e300),
+            Just(f64::NAN),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The bounds are a proof or they are nothing: carried across any
+        /// sequence of centroid moves — nudges, long jumps, jumps onto a
+        /// point (a reseed), moves to NaN or ±1e300, no move at all — over
+        /// rows that themselves hold NaN, ±0.0 and magnitude cliffs, every
+        /// sweep's assignment is the full scan's, and its counts and sums
+        /// are that assignment's.
+        #[test]
+        fn bounded_sweeps_equal_full_scans_across_arbitrary_centroid_moves(
+            rows in (2usize..200, 1usize..5)
+                .prop_flat_map(|(n, dim)| prop::collection::vec(prop::collection::vec(weird_f64(), dim), n)),
+            k in 1usize..24,
+            moves in prop::collection::vec((0usize..24, 0usize..6, weird_f64()), 1..40),
+            per_sweep in 1usize..6,
+        ) {
+            let (n, dim) = (rows.len(), rows[0].len());
+            let points = PointMatrix::from_rows(&rows);
+            let seeds: Vec<Vec<f64>> = (0..k).map(|c| rows[(c * 7) % n].clone()).collect();
+            let mut centroids = PointMatrix::from_rows(&seeds);
+            let mut state = SweepState::blank(n, k, dim);
+            for batch in moves.chunks(per_sweep) {
+                state.sweep(&points, &centroids);
+                let full = assign_nearest(&points, &centroids);
+                prop_assert_eq!(state.assignment(), &full[..]);
+                for c in 0..k {
+                    let members: Vec<usize> = (0..n).filter(|&i| full[i] == c).collect();
+                    prop_assert_eq!(state.counts()[c], members.len());
+                    // Blocked ascending sums, the oracle's grouping.
+                    let mut sums = vec![0.0f64; dim];
+                    for block in members.chunk_by(|a, b| a / UPDATE_BLOCK == b / UPDATE_BLOCK) {
+                        let mut partial = vec![0.0f64; dim];
+                        for &i in block {
+                            for (s, &x) in partial.iter_mut().zip(&rows[i]) {
+                                *s += x;
+                            }
+                        }
+                        for (s, &x) in sums.iter_mut().zip(&partial) {
+                            *s += x;
+                        }
+                    }
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                    prop_assert_eq!(bits(state.sums(c)), bits(&sums));
+                }
+                let before = centroids.clone();
+                for &(c, how, value) in batch {
+                    let c = c % k;
+                    match how {
+                        0 => centroids.row_mut(c)[0] += value * 1e-6,
+                        1 => centroids.row_mut(c)[0] += value,
+                        2 => centroids.row_mut(c).copy_from_slice(&rows[(c * 13 + 5) % n]),
+                        3 => centroids.row_mut(c)[dim - 1] = value,
+                        4 => centroids.row_mut(c).iter_mut().for_each(|x| *x *= 1.0 + 1e-12),
+                        _ => {}
+                    }
+                }
+                let shifts: Vec<f64> = (0..k)
+                    .map(|c| shift_bound(dist_sq(before.row(c), centroids.row(c))))
+                    .collect();
+                state.move_bounds(&shifts);
+            }
+        }
     }
 }

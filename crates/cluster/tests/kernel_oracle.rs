@@ -7,15 +7,20 @@
 //! query reads. These property tests exercise the contract on adversarial
 //! float inputs (NaN, signed zeros, magnitude cliffs) and on inputs that
 //! force the empty-cluster reseed path, where the tie-breaking spec does
-//! the heavy lifting. `PS3_STRICT_KERNELS=1` additionally re-checks the
-//! same contract inside every `kmeans_fit` call; CI runs this file both
-//! ways.
+//! the heavy lifting. The second block below goes after the bounded Lloyd
+//! loop specifically: inputs where a pruning bound that was a heuristic
+//! rather than a proof would flip a tie (exact equidistance, lattices,
+//! near-ties in the last bits), lose a reseed, or trust a NaN.
+//! `PS3_STRICT_KERNELS=1` additionally re-checks the same contract inside
+//! every `kmeans_fit` call; CI runs this file both ways.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ps3_cluster::{cluster, kmeans_fit, kmeans_minibatch, oracle, simd, ClusterAlgo, PointMatrix};
+use ps3_cluster::{
+    cluster, kmeans_fit, kmeans_minibatch, kmeans_warm, oracle, simd, ClusterAlgo, PointMatrix,
+};
 
 /// Interesting doubles: ordinary values (repeated arms skew the draw
 /// toward them), denormal-scale, huge-scale, signed zeros, and NaN.
@@ -190,6 +195,177 @@ proptest! {
         let mut all: Vec<usize> = first.iter().flatten().copied().collect();
         all.sort_unstable();
         prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
+    }
+}
+
+/// The sweep caps worth drawing: one sweep (the seeded one, no bound ever
+/// consulted), two (the first bounded sweep, bounds moved exactly once),
+/// and the picker's 25.
+fn sweep_cap() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(2usize), Just(25usize)]
+}
+
+/// The whole contract on one input: assignment, centroid bits, sweep count
+/// and convergence flag of the bounded fit equal the unbounded oracle's.
+fn fit_matches_oracle(
+    rows: &[Vec<f64>],
+    k: usize,
+    seed: u64,
+    max_iter: usize,
+) -> Result<(), TestCaseError> {
+    let k = k.clamp(1, rows.len());
+    let m = PointMatrix::from_rows(rows);
+    let fast = kmeans_fit(&m, k, &mut StdRng::seed_from_u64(seed), max_iter);
+    let slow = oracle::kmeans_fit(rows, k, &mut StdRng::seed_from_u64(seed), max_iter);
+    prop_assert_eq!(&fast.assignment, &slow.assignment);
+    prop_assert_eq!(bits(&fast.centroids), bits(&slow.centroids));
+    prop_assert_eq!(fast.sweeps, slow.sweeps);
+    prop_assert_eq!(fast.converged, slow.converged);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Small-integer coordinates: every distance is exact, every pair of
+    /// seeds an even distance apart has points exactly equidistant from
+    /// both, and repeated values make whole groups tie at once. The lowest
+    /// index must win each tie in every sweep, exactly as in the full scan.
+    #[test]
+    fn exact_ties_on_integer_points_match_oracle(
+        n in 8usize..300,
+        k in 2usize..40,
+        dim in 1usize..4,
+        extent in 2usize..9,
+        seed in 0u64..1000,
+        max_iter in sweep_cap(),
+    ) {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..dim)
+                    .map(|d| f64::from(((i * (2 * d + 3) + i / extent) % extent) as u32))
+                    .collect()
+            })
+            .collect();
+        fit_matches_oracle(&rows, k, seed, max_iter)?;
+    }
+
+    /// A regular lattice with an inexact step (0.1 has no finite binary
+    /// expansion): symmetric neighbours are equidistant on paper and differ
+    /// in the last bits as computed — the near-ties the relative slack
+    /// exists for.
+    #[test]
+    fn lattice_near_ties_match_oracle(
+        side in 3usize..18,
+        k in 2usize..40,
+        step in prop_oneof![Just(0.1f64), Just(1.0 / 3.0), Just(1e-7), Just(3e5)],
+        seed in 0u64..1000,
+        max_iter in sweep_cap(),
+    ) {
+        let rows: Vec<Vec<f64>> = (0..side * side)
+            .map(|i| vec![(i % side) as f64 * step, (i / side) as f64 * step])
+            .collect();
+        fit_matches_oracle(&rows, k, seed, max_iter)?;
+    }
+
+    /// Many copies of few distinct rows. With fewer distinct rows than
+    /// clusters the seeding must repeat itself and clusters are empty from
+    /// sweep one; with a few more, a cluster empties mid-run when its
+    /// members tie with a lower-indexed centroid. Every reseed has to land
+    /// on the oracle's row and move the bounds by its (long) shift.
+    #[test]
+    fn duplicated_points_that_empty_clusters_match_oracle(
+        n in 10usize..300,
+        k in 2usize..40,
+        distinct in 1usize..50,
+        dim in 1usize..8,
+        seed in 0u64..1000,
+        max_iter in sweep_cap(),
+    ) {
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let v = (i * 7 + i / 3) % distinct;
+                (0..dim)
+                    .map(|d| f64::from(((v * (d + 2)) % 11) as u32) * 0.75 - f64::from(v as u32))
+                    .collect()
+            })
+            .collect();
+        fit_matches_oracle(&rows, k, seed, max_iter)?;
+    }
+
+    /// Rows of weird doubles at picker scale: ±0.0, 1e-300 (squares
+    /// underflow to 0) and ±1e300 (squares overflow to ∞, and so does the
+    /// seeding's total). No bound built from such a distance may ever
+    /// prune. A NaN distance makes the k-means++ total NaN, which no
+    /// `gen_range` accepts — kernel and oracle both panic there, as they
+    /// always have — so NaN stays in one draw of eight, which runs at
+    /// k = 1; NaN rows under many centroids are driven sweep by sweep in
+    /// `simd`'s own tests.
+    #[test]
+    fn weird_rows_at_picker_scale_match_oracle(
+        rows in (4usize..300, 1usize..7)
+            .prop_flat_map(|(n, dim)| prop::collection::vec(weird_vec(dim), n)),
+        keep_nan in 0u8..8,
+        k in 1usize..40,
+        seed in 0u64..1000,
+        max_iter in sweep_cap(),
+    ) {
+        let keep_nan = keep_nan == 0;
+        let rows: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|r| r.iter().map(|&x| if x.is_nan() && !keep_nan { -1e300 } else { x }).collect())
+            .collect();
+        fit_matches_oracle(&rows, if keep_nan { 1 } else { k }, seed, max_iter)?;
+    }
+
+    /// A warm start is the same loop with blank bounds: stopped after
+    /// `head` sweeps and resumed from those centroids, Lloyd walks the same
+    /// centroid trajectory, so it must land on the cold run's fixed point —
+    /// which the oracle supplies — bit for bit.
+    #[test]
+    fn warm_restart_lands_on_the_cold_fixed_point(
+        n in 8usize..200,
+        k in 1usize..24,
+        dim in 1usize..6,
+        head in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        let k = k.min(n);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..dim)
+                    .map(|d| f64::from(((i * 37 + d * 11) % 29) as u32) * 0.3 + f64::from((i % 5) as u32) * 20.0)
+                    .collect()
+            })
+            .collect();
+        let m = PointMatrix::from_rows(&rows);
+        let cold = oracle::kmeans_fit(&rows, k, &mut StdRng::seed_from_u64(seed), 60);
+        let stopped = kmeans_fit(&m, k, &mut StdRng::seed_from_u64(seed), head);
+        let warm = kmeans_warm(&m, &stopped.centroids, 60);
+        if cold.converged {
+            prop_assert!(warm.converged);
+            prop_assert_eq!(&warm.assignment, &cold.assignment);
+            prop_assert_eq!(bits(&warm.centroids), bits(&cold.centroids));
+        }
+    }
+}
+
+/// Even coordinates with every midpoint present: whichever rows k-means++
+/// seeds, the rows halfway between two seeds are exactly equidistant from
+/// both, and must go to the lower-indexed one — in the seeded sweep and in
+/// every bounded sweep after it.
+#[test]
+fn points_equidistant_from_two_seeds_agree_with_oracle() {
+    let rows: Vec<Vec<f64>> = (0..84u32)
+        .map(|i| vec![f64::from(i % 7 * 2), f64::from(i % 3 * 2)])
+        .collect();
+    for seed in 0..24 {
+        for k in [2, 3, 5, 8, 13] {
+            for max_iter in [1, 2, 25] {
+                fit_matches_oracle(&rows, k, seed, max_iter)
+                    .unwrap_or_else(|e| panic!("seed {seed}, k {k}, {max_iter} sweeps: {}", e.0));
+            }
+        }
     }
 }
 
