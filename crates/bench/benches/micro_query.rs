@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ps3_cluster::simd::SweepState;
-use ps3_cluster::{cluster, kmeans_minibatch, ClusterAlgo, PointMatrix};
+use ps3_cluster::{cluster, ClusterAlgo, PointMatrix};
 use ps3_core::Ps3Config;
 use ps3_data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3_query::{
@@ -118,17 +118,10 @@ fn bench_query_paths(c: &mut Criterion) {
     });
     g.finish();
 
-    // The training-path primitives underneath: the mini-batch variant the
-    // boundary auto-selects for large partition counts, and one fused
-    // assign-update sweep over the blocked kernels.
+    // The training-path primitive underneath: one fused assign-update
+    // sweep over the blocked kernels.
     let mut g = c.benchmark_group("cluster");
     g.sample_size(30);
-    g.bench_function("kmeans_minibatch_64x8", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(3);
-            kmeans_minibatch(&points, 8, &mut rng, 0)
-        })
-    });
     let first_eight: Vec<f64> = (0..8).flat_map(|i| points.row(i)).copied().collect();
     let centroids = PointMatrix::from_flat(first_eight, 8, width);
     // A blank state has no bounds to prune with, so this stays what it

@@ -1,8 +1,7 @@
 //! Lloyd's k-means with k-means++ seeding, on the blocked kernels of
-//! [`crate::simd`], plus the mini-batch variant and warm-started refits the
-//! retrain path uses.
+//! [`crate::simd`], plus the warm-started refits the retrain path uses.
 //!
-//! Three entry points:
+//! Two entry points:
 //!
 //! * [`kmeans`] / [`kmeans_fit`] — exact Lloyd, bounded: a sweep evaluates a
 //!   point-to-centroid distance only when the bounds [`SweepState`] carries
@@ -17,12 +16,6 @@
 //!   draw sequence. Set `PS3_STRICT_KERNELS=1` to assert that equality on
 //!   every call. Costs an n × k `f64` transient per fit (209 KB at
 //!   512 × 51).
-//! * [`kmeans_minibatch`] / [`kmeans_minibatch_fit`] — Sculley-style
-//!   mini-batch k-means with a deterministic batch schedule derived from
-//!   the caller's RNG (one shuffle, then wrapping fixed-size batches), so
-//!   results are reproducible per seed. The interior uses the centroid-norm
-//!   expansion ‖x−c‖² = ‖x‖² − 2x·c + ‖c‖² (rank-preserving, so the argmin
-//!   is exact); no oracle contract binds here, only per-seed determinism.
 //! * [`kmeans_warm`] — the same Lloyd loop warm-started from
 //!   caller-provided centroids (the previous generation's, in the retrain
 //!   path): its first sweep is a full scan that fills the bounds. On
@@ -30,17 +23,9 @@
 //!   assignment and centroids bit-identically in one assign sweep.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::simd::{self, dist_sq, PointMatrix, SweepState};
-
-/// Default mini-batch size.
-pub const MINIBATCH_SIZE: usize = 256;
-
-/// Epochs (passes over the shuffled schedule) a mini-batch run makes
-/// before the final full assignment sweep.
-pub const MINIBATCH_EPOCHS: usize = 3;
 
 /// A fitted k-means model: the full output the retrain path needs
 /// (clusters alone lose the centroids a warm start resumes from).
@@ -51,7 +36,7 @@ pub struct KmeansFit {
     pub centroids: Vec<Vec<f64>>,
     /// `assignment[i]` = centroid index of point `i`.
     pub assignment: Vec<usize>,
-    /// Assign-update sweeps executed (mini-batch: batches processed).
+    /// Assign-update sweeps executed.
     pub sweeps: usize,
     /// Whether the run converged before its sweep cap.
     pub converged: bool,
@@ -143,7 +128,7 @@ pub fn kmeans_fit_counted(
 fn seed(points: &PointMatrix, k: usize, rng: &mut StdRng) -> (PointMatrix, SweepState) {
     let n = points.n();
     let mut seed_dist_sq = vec![0.0f64; n * k];
-    let centroids = kmeans_pp_init(points, k, rng, |i, c, d| seed_dist_sq[i * k + c] = d);
+    let centroids = kmeans_pp_init(points, k, rng, &mut seed_dist_sq);
     let state = SweepState::seeded(seed_dist_sq, n, k, points.dim());
     (centroids, state)
 }
@@ -244,95 +229,18 @@ fn lloyd(
     (fit, evals)
 }
 
-/// Mini-batch k-means (Sculley, WWW'10): member-index lists, like
-/// [`kmeans`]. `batch_size` 0 means [`MINIBATCH_SIZE`].
-pub fn kmeans_minibatch(
-    points: &PointMatrix,
-    k: usize,
-    rng: &mut StdRng,
-    batch_size: usize,
-) -> Vec<Vec<usize>> {
-    kmeans_minibatch_fit(points, k, rng, batch_size).clusters()
-}
-
-/// Mini-batch k-means returning the full fit. Deterministic per RNG state:
-/// the batch schedule is one `rng`-driven shuffle of the point indices,
-/// consumed in wrapping `batch_size` windows for [`MINIBATCH_EPOCHS`]
-/// passes; centers move by the per-center learning rate `1 / count`. A
-/// final full assignment sweep produces the returned assignment.
-///
-/// # Panics
-/// Panics when `k == 0` or there are fewer points than `k`.
-pub fn kmeans_minibatch_fit(
-    m: &PointMatrix,
-    k: usize,
-    rng: &mut StdRng,
-    batch_size: usize,
-) -> KmeansFit {
-    assert!(k > 0 && m.n() >= k);
-    let n = m.n();
-    let batch = if batch_size == 0 {
-        MINIBATCH_SIZE
-    } else {
-        batch_size
-    }
-    .min(n);
-    let mut centroids = kmeans_pp_init(m, k, rng, |_, _, _| {});
-
-    let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(rng);
-
-    let mut counts = vec![0u64; k];
-    let batches = (MINIBATCH_EPOCHS * n).div_ceil(batch);
-    let mut cursor = 0usize;
-    for _ in 0..batches {
-        // Centroid norms are recomputed per batch (centers moved); rows
-        // score as ‖c‖² − 2x·c, which orders identically to ‖x−c‖².
-        let cnorms = centroids.row_norms();
-        for _ in 0..batch {
-            let i = order[cursor];
-            cursor += 1;
-            if cursor == n {
-                cursor = 0;
-            }
-            let row = m.row(i);
-            let mut best = 0usize;
-            let mut best_s = f64::INFINITY;
-            for (c, &cn) in cnorms.iter().enumerate() {
-                let s = cn - 2.0 * simd::dot(row, centroids.row(c));
-                if s < best_s {
-                    best_s = s;
-                    best = c;
-                }
-            }
-            counts[best] += 1;
-            let eta = 1.0 / counts[best] as f64;
-            for (ctr, &x) in centroids.row_mut(best).iter_mut().zip(row) {
-                *ctr += eta * (x - *ctr);
-            }
-        }
-    }
-
-    KmeansFit {
-        assignment: simd::assign_nearest(m, &centroids),
-        centroids: centroids.to_rows(),
-        sweeps: batches,
-        converged: true,
-    }
-}
-
 /// k-means++ seeding: each new center is drawn with probability
 /// proportional to its squared distance from the nearest existing center.
 /// The RNG draw sequence (one `gen_range(0..n)`, then one
 /// `gen_range(0.0..total)` per additional center) and the sequential
 /// `d2.iter().sum()` total are part of the kernel/oracle spec. Every
-/// squared distance it computes goes to `seen(row, center, dist_sq)` — all
-/// n × k of them, which is exactly what the first Lloyd sweep needs.
+/// squared distance it computes lands in `seed_dist_sq[row * k + center]` —
+/// all n × k of them, which is exactly what the first Lloyd sweep needs.
 fn kmeans_pp_init(
     points: &PointMatrix,
     k: usize,
     rng: &mut StdRng,
-    mut seen: impl FnMut(usize, usize, f64),
+    seed_dist_sq: &mut [f64],
 ) -> PointMatrix {
     let n = points.n();
     let dim = points.dim();
@@ -343,7 +251,7 @@ fn kmeans_pp_init(
     let mut d2: Vec<f64> = (0..n)
         .map(|i| {
             let d = dist_sq(points.row(i), &data[..dim]);
-            seen(i, 0, d);
+            seed_dist_sq[i * k] = d;
             d
         })
         .collect();
@@ -370,7 +278,7 @@ fn kmeans_pp_init(
         let newest = &data[(chosen - 1) * dim..chosen * dim];
         for (i, slot) in d2.iter_mut().enumerate() {
             let d = dist_sq(points.row(i), newest);
-            seen(i, chosen - 1, d);
+            seed_dist_sq[i * k + chosen - 1] = d;
             if d < *slot {
                 *slot = d;
             }
@@ -532,42 +440,6 @@ mod tests {
         assert_eq!(fanned_evals, serial_evals);
         assert_same_fit(&fanned, &slow);
         assert_same_fit(&serial, &slow);
-    }
-
-    #[test]
-    fn minibatch_is_deterministic_per_seed_and_partitions_points() {
-        let pts: Vec<Vec<f64>> = (0..300)
-            .map(|i| {
-                vec![
-                    f64::from(i % 3) * 100.0 + f64::from(i % 7) * 0.1,
-                    f64::from(i % 5),
-                ]
-            })
-            .collect();
-        let run = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            kmeans_minibatch(&PointMatrix::from_rows(&pts), 3, &mut rng, 32)
-        };
-        assert_eq!(run(11), run(11), "same seed, same clusters");
-        let clusters = run(11);
-        let mut all: Vec<usize> = clusters.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..300).collect::<Vec<_>>());
-        assert!(clusters.len() <= 3);
-    }
-
-    #[test]
-    fn minibatch_finds_separated_blobs() {
-        let pts: Vec<Vec<f64>> = (0..90)
-            .map(|i| vec![f64::from(i / 30) * 1000.0 + f64::from(i % 30) * 0.01])
-            .collect();
-        let mut rng = StdRng::seed_from_u64(2);
-        let clusters = kmeans_minibatch(&PointMatrix::from_rows(&pts), 3, &mut rng, 16);
-        assert_eq!(clusters.len(), 3);
-        for c in &clusters {
-            let blob: std::collections::HashSet<usize> = c.iter().map(|&i| i / 30).collect();
-            assert_eq!(blob.len(), 1, "mini-batch mixed the blobs");
-        }
     }
 
     proptest! {

@@ -4,8 +4,8 @@
 //! clusters as the sampling budget and reading one *exemplar* per cluster
 //! with weight = cluster size. Two algorithm families are evaluated:
 //!
-//! * [`mod@kmeans`] — Lloyd's algorithm with k-means++ seeding, plus the
-//!   mini-batch variant [`cluster`] auto-selects on large inputs,
+//! * [`mod@kmeans`] — Lloyd's algorithm with k-means++ seeding, exact at
+//!   every input size,
 //! * [`mod@hac`] — hierarchical agglomerative clustering via the nearest-neighbor
 //!   chain algorithm, with *single* and *Ward* linkage (Table 6).
 //!
@@ -27,36 +27,17 @@ pub mod simd;
 
 pub use exemplar::{median_exemplar, random_exemplar};
 pub use hac::{hac, Linkage};
-pub use kmeans::{
-    kmeans, kmeans_fit, kmeans_fit_counted, kmeans_minibatch, kmeans_warm, KmeansFit,
-};
+pub use kmeans::{kmeans, kmeans_fit, kmeans_fit_counted, kmeans_warm, KmeansFit};
 pub use simd::PointMatrix;
 
 use rand::rngs::StdRng;
 use std::sync::OnceLock;
 
-/// Point count at or above which [`cluster`] swaps exact Lloyd for
-/// mini-batch k-means under [`ClusterAlgo::KMeans`]. Mini-batch evaluates
-/// `(MINIBATCH_EPOCHS + 2) · n · k` distances (seeding, three epochs, the
-/// final assignment); it was set here against a Lloyd that paid
-/// `(1 + sweeps) · n · k`. Bounded Lloyd pays about `1.2 · n · k` whatever
-/// the sweep count, so exact Lloyd is now the cheaper *and* the better of
-/// the two above this size as well (measured at 512 × 70, k = 51). The
-/// constant stays where it is all the same: moving it changes which
-/// partitions a query reads, and that is a quality decision to take with
-/// the picker-vs-uniform ledger (ROADMAP item 2), not a by-product of a
-/// speed-up.
-pub const MINIBATCH_MIN_POINTS: usize = 512;
-
 /// Which clustering algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterAlgo {
-    /// Lloyd's k-means with k-means++ seeding; [`cluster`] upgrades this to
-    /// mini-batch k-means at [`MINIBATCH_MIN_POINTS`] points and beyond.
+    /// Lloyd's k-means with k-means++ seeding.
     KMeans,
-    /// Exact Lloyd regardless of input size — the config knob the oracle
-    /// tests and strict-determinism deployments pin.
-    KMeansExact,
     /// Agglomerative, single linkage.
     HacSingle,
     /// Agglomerative, Ward linkage.
@@ -68,7 +49,6 @@ impl ClusterAlgo {
     pub fn label(self) -> &'static str {
         match self {
             ClusterAlgo::KMeans => "KMeans",
-            ClusterAlgo::KMeansExact => "KMeans(exact)",
             ClusterAlgo::HacSingle => "HAC(single)",
             ClusterAlgo::HacWard => "HAC(ward)",
         }
@@ -86,9 +66,6 @@ pub fn strict_kernels() -> bool {
 /// Cluster `points` into (at most) `k` clusters; returns member-index lists.
 ///
 /// Fewer than `k` clusters come back when there are fewer points.
-/// [`ClusterAlgo::KMeans`] switches to mini-batch k-means at
-/// [`MINIBATCH_MIN_POINTS`] points — pin [`ClusterAlgo::KMeansExact`] to
-/// keep full Lloyd at any size.
 ///
 /// The matrix is clustered as given. A dimension that is 0.0 in every point
 /// adds exactly 0.0 to every pairwise distance, so the caller that builds
@@ -107,14 +84,12 @@ pub fn cluster(
         return (0..points.n()).map(|i| vec![i]).collect();
     }
     match algo {
-        ClusterAlgo::KMeans if points.n() >= MINIBATCH_MIN_POINTS => {
-            kmeans::kmeans_minibatch(points, k, rng, 0)
-        }
-        ClusterAlgo::KMeans | ClusterAlgo::KMeansExact => {
-            // Lloyd's cost per iteration is n·k·dim; on very large problems
-            // (thousands of partitions at high budgets, Figure 8) cap the
-            // iteration count — assignments stabilize long before 25 rounds
-            // and the picker only needs approximate strata.
+        ClusterAlgo::KMeans => {
+            // On very large problems (thousands of partitions at high
+            // budgets, Figure 8) cap the sweep count — assignments stabilize
+            // long before 25 rounds and the picker only needs approximate
+            // strata. Bounded sweeps shrank what the cap saves (5–25% of the
+            // distance evaluations at 8,192 × 70, k = 82) but not to nothing.
             let max_iter = if points.n() * k > 250_000 { 8 } else { 25 };
             kmeans(points, k, rng, max_iter)
         }
@@ -148,7 +123,6 @@ mod tests {
         let pts = two_blobs();
         for algo in [
             ClusterAlgo::KMeans,
-            ClusterAlgo::KMeansExact,
             ClusterAlgo::HacSingle,
             ClusterAlgo::HacWard,
         ] {
@@ -210,24 +184,6 @@ mod tests {
                 cluster(&pruned, 2, algo, &mut StdRng::seed_from_u64(1)),
                 "{algo:?}: all-zero dimensions changed the clustering"
             );
-        }
-    }
-
-    #[test]
-    fn minibatch_auto_select_kicks_in_at_threshold() {
-        // At ≥ MINIBATCH_MIN_POINTS points KMeans and KMeansExact may take
-        // different paths but both must partition every point.
-        let n = MINIBATCH_MIN_POINTS;
-        let pts: Vec<Vec<f64>> = (0..n)
-            .map(|i| vec![f64::from((i % 4) as u32) * 100.0, f64::from((i % 9) as u32)])
-            .collect();
-        let pts = PointMatrix::from_rows(&pts);
-        for algo in [ClusterAlgo::KMeans, ClusterAlgo::KMeansExact] {
-            let mut rng = StdRng::seed_from_u64(5);
-            let clusters = cluster(&pts, 4, algo, &mut rng);
-            let mut all: Vec<usize> = clusters.iter().flatten().copied().collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..n).collect::<Vec<_>>(), "{algo:?}");
         }
     }
 }

@@ -132,7 +132,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// Squared L2 norm (`dot(a, a)`), the precomputation behind the
 /// ‖x−c‖² = ‖x‖² − 2x·c + ‖c‖² expansion used where no bit-identity
-/// contract binds (HAC matrix init, the mini-batch interior).
+/// contract binds (HAC matrix init).
 #[inline]
 pub fn sq_norm(a: &[f64]) -> f64 {
     dot(a, a)
@@ -223,26 +223,6 @@ pub fn nearest_centroid(row: &[f64], centroids: &PointMatrix) -> (usize, f64) {
         }
     }
     (best, best_d)
-}
-
-/// Nearest centroid of every row, by [`nearest_centroid`] — the assign-only
-/// step for callers that keep no sums (the mini-batch final pass). Blocks
-/// fan out over the shared pool past `PARALLEL_MIN_CELLS`; a row's answer
-/// depends on nothing but the row, so the fan-out is invisible.
-pub fn assign_nearest(points: &PointMatrix, centroids: &PointMatrix) -> Vec<usize> {
-    let n = points.n();
-    let nearest = |i: usize| nearest_centroid(points.row(i), centroids).0;
-    if n * points.dim() < PARALLEL_MIN_CELLS {
-        return (0..n).map(nearest).collect();
-    }
-    ThreadPool::global()
-        .scope_map(n.div_ceil(UPDATE_BLOCK), |b| {
-            let start = b * UPDATE_BLOCK;
-            (start..(start + UPDATE_BLOCK).min(n))
-                .map(nearest)
-                .collect::<Vec<usize>>()
-        })
-        .concat()
 }
 
 /// The skip test of the bounded assign step: is a centroid whose distance
@@ -598,6 +578,13 @@ fn bounded_nearest(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The serial full scan every bounded sweep must reproduce.
+    fn assign_nearest(points: &PointMatrix, centroids: &PointMatrix) -> Vec<usize> {
+        (0..points.n())
+            .map(|i| nearest_centroid(points.row(i), centroids).0)
+            .collect()
+    }
 
     #[test]
     fn dist_sq_matches_naive_on_clean_input() {

@@ -18,9 +18,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ps3_cluster::{
-    cluster, kmeans_fit, kmeans_minibatch, kmeans_warm, oracle, simd, ClusterAlgo, PointMatrix,
-};
+use ps3_cluster::{cluster, kmeans_fit, kmeans_warm, oracle, simd, ClusterAlgo, PointMatrix};
 
 /// Interesting doubles: ordinary values (repeated arms skew the draw
 /// toward them), denormal-scale, huge-scale, signed zeros, and NaN.
@@ -130,12 +128,22 @@ proptest! {
     /// The flat matrix is the only input form of [`cluster`]. However it was
     /// assembled — packed from rows, or built flat the way the picker's
     /// group projection builds it — every algorithm returns the same
-    /// clusters, and exact k-means returns what the scalar oracle computes
-    /// from the `&[Vec<f64>]` rows (CI re-runs this under
-    /// `PS3_STRICT_KERNELS=1`, which also asserts it inside `kmeans_fit`).
+    /// clusters, and k-means returns what the scalar oracle computes from the
+    /// `&[Vec<f64>]` rows (CI re-runs this under `PS3_STRICT_KERNELS=1`,
+    /// which also asserts it inside `kmeans_fit`) — at every size, the
+    /// picker's 512-partition groups and their neighbours included.
     #[test]
     fn flat_input_cluster_matches_the_row_form(
-        n in 6usize..48,
+        n in prop_oneof![
+            6usize..48,
+            6usize..48,
+            6usize..48,
+            6usize..48,
+            Just(511usize),
+            Just(512usize),
+            Just(513usize),
+            Just(700usize),
+        ],
         k in 1usize..6,
         dim in 1usize..20,
         zero_every in 2usize..5,
@@ -154,12 +162,13 @@ proptest! {
             .collect();
         let packed = PointMatrix::from_rows(&rows);
         let flat = PointMatrix::from_flat(rows.concat(), n, dim);
-        for algo in [
-            ClusterAlgo::KMeans,
-            ClusterAlgo::KMeansExact,
-            ClusterAlgo::HacSingle,
-            ClusterAlgo::HacWard,
-        ] {
+        // HAC is quadratic and has no size switch to cross: small draws only.
+        let algos: &[ClusterAlgo] = if n < 48 {
+            &[ClusterAlgo::KMeans, ClusterAlgo::HacSingle, ClusterAlgo::HacWard]
+        } else {
+            &[ClusterAlgo::KMeans]
+        };
+        for &algo in algos {
             let from_rows = cluster(&packed, k, algo, &mut StdRng::seed_from_u64(seed));
             let from_flat = cluster(&flat, k, algo, &mut StdRng::seed_from_u64(seed));
             prop_assert_eq!(&from_flat, &from_rows, "{:?}", algo);
@@ -168,33 +177,10 @@ proptest! {
             prop_assert_eq!(all, (0..n).collect::<Vec<_>>(), "{:?}", algo);
         }
         if n > k {
-            let exact = cluster(&flat, k, ClusterAlgo::KMeansExact, &mut StdRng::seed_from_u64(seed));
+            let fast = cluster(&flat, k, ClusterAlgo::KMeans, &mut StdRng::seed_from_u64(seed));
             let reference = oracle::kmeans_fit(&rows, k, &mut StdRng::seed_from_u64(seed), 25);
-            prop_assert_eq!(exact, reference.clusters());
+            prop_assert_eq!(fast, reference.clusters());
         }
-    }
-
-    /// Mini-batch k-means is a pure function of `(points, k, seed, batch)`:
-    /// re-running with the same seed reproduces the clustering exactly, and
-    /// every point lands in exactly one cluster.
-    #[test]
-    fn minibatch_is_deterministic_per_seed(
-        n in 8usize..120,
-        k in 1usize..5,
-        batch in 4usize..40,
-        seed in 0u64..30,
-    ) {
-        let k = k.min(n);
-        let pts: Vec<Vec<f64>> = (0..n)
-            .map(|i| vec![f64::from((i * 13 % 97) as u32), f64::from((i % 11) as u32) * 3.0])
-            .collect();
-        let m = PointMatrix::from_rows(&pts);
-        let run = || kmeans_minibatch(&m, k, &mut StdRng::seed_from_u64(seed), batch);
-        let first = run();
-        prop_assert_eq!(&first, &run());
-        let mut all: Vec<usize> = first.iter().flatten().copied().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
     }
 }
 

@@ -547,7 +547,6 @@ fn encode_config(e: &mut Enc, cfg: &Ps3Config) {
     e.f64(cfg.outlier_rel_limit);
     e.u8(match cfg.cluster_algo {
         ClusterAlgo::KMeans => 0,
-        ClusterAlgo::KMeansExact => 1,
         ClusterAlgo::HacSingle => 2,
         ClusterAlgo::HacWard => 3,
     });
@@ -581,8 +580,9 @@ fn decode_config(c: &mut Cursor<'_>) -> Result<Ps3Config, FormatError> {
     let outlier_abs_limit = c.u32("config outlier_abs_limit")? as usize;
     let outlier_rel_limit = c.f64("config outlier_rel_limit")?;
     let cluster_algo = match c.u8("config cluster_algo")? {
-        0 => ClusterAlgo::KMeans,
-        1 => ClusterAlgo::KMeansExact,
+        // 1 is the retired `KMeansExact` knob: exact Lloyd at every size,
+        // which is what `KMeans` now means.
+        0 | 1 => ClusterAlgo::KMeans,
         2 => ClusterAlgo::HacSingle,
         3 => ClusterAlgo::HacWard,
         _ => return Err(FormatError::Corrupt("unknown cluster algorithm")),
@@ -956,6 +956,18 @@ mod tests {
         let bytes = e.into_bytes();
         let d = decode_config(&mut Cursor::new(&bytes)).unwrap();
         assert_eq!(format!("{d:?}"), format!("{cfg:?}"));
+
+        // The tag byte follows k_models, alpha and the three outlier fields.
+        const TAG_AT: usize = 4 + 8 + 8 + 4 + 8;
+        assert_eq!(bytes[TAG_AT], 3);
+        let with_tag = |tag: u8| {
+            let mut patched = bytes.clone();
+            patched[TAG_AT] = tag;
+            decode_config(&mut Cursor::new(&patched)).map(|c| format!("{c:?}"))
+        };
+        assert_eq!(with_tag(1).unwrap(), with_tag(0).unwrap());
+        assert!(with_tag(0).unwrap().contains("cluster_algo: KMeans,"));
+        assert!(matches!(with_tag(4), Err(FormatError::Corrupt(_))));
     }
 
     #[test]

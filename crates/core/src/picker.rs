@@ -274,6 +274,39 @@ mod tests {
         assert_eq!(sides.len(), 2);
     }
 
+    /// A budget of k clusters over distinct points is spent in full: an
+    /// emptied cluster is reseeded, never dropped, so exactly k exemplars
+    /// come back — at a group size past anything the Tiny tables reach.
+    #[test]
+    fn cluster_select_spends_its_whole_budget() {
+        // 600 distinct rows in 12 loose clumps, far fewer than the budget.
+        let rows: Vec<Vec<f64>> = (0..600u32)
+            .map(|i| {
+                vec![
+                    f64::from(i % 12) * 3.0 + f64::from(i * 37 % 101) * 0.01,
+                    f64::from(i % 4) * 5.0 + f64::from(i) * 0.001,
+                    f64::from(i * 17 % 29) * 0.05,
+                ]
+            })
+            .collect();
+        let rows = FeatureMatrix::from_dense(&rows);
+        let group: Vec<usize> = (0..600).collect();
+        for seed in 0..8 {
+            let picks = cluster_select(
+                &group,
+                &rows,
+                &[],
+                60,
+                ClusterAlgo::KMeans,
+                ExemplarRule::Median,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            assert_eq!(picks.len(), 60, "seed {seed}: budget under-spent");
+            let total: f64 = picks.iter().map(|p| p.weight).sum();
+            assert_eq!(total, 600.0, "seed {seed}");
+        }
+    }
+
     /// Algorithm 1 on a trained system's own compact features, through to
     /// k-means. Under `PS3_STRICT_KERNELS=1` (a CI step runs this module
     /// that way) every `kmeans_fit` reached here re-asserts kernel = oracle

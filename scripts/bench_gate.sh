@@ -65,7 +65,6 @@ query_time/execute_one_partition
 query_time/query_features
 query_time/kmeans_64x8
 query_time/hac_ward_64x8
-cluster/kmeans_minibatch_64x8
 cluster/assign_step_simd
 train/train_cold
 train/retrain_warm

@@ -7,7 +7,9 @@
 //! Each digest folds, over the first six held-out test queries × 4 methods ×
 //! {0.05, 0.1, 0.5} × 3 seeds, every picked partition id and weight bit
 //! pattern in selection order (plus, for answers, the sorted group values and
-//! the error estimate).
+//! the error estimate). Tiny tables have 64 partitions; a third digest,
+//! recorded when k-means became exact Lloyd at every size, covers picks that
+//! cluster a whole 512-partition table.
 
 use ps3::core::{Method, Ps3Config, Ps3System};
 use ps3::data::{Dataset, DatasetConfig, DatasetKind, ScaleProfile};
@@ -15,6 +17,7 @@ use ps3::query::{Query, QuerySpec, SketchQuery, WeightedPart};
 use ps3::storage::ColId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 const FRACS: [f64; 3] = [0.05, 0.1, 0.5];
 const SEEDS: [u64; 3] = [0, 7, 9];
@@ -167,4 +170,45 @@ fn tpch_tiny_selections_match_the_recorded_digests() {
             scalar_answers: 9687338974798871791,
         }
     );
+}
+
+/// The 512-partition shape `serve_concurrency.rs` builds, where a pick can
+/// cluster one group holding the whole table — a size no Tiny digest sees.
+#[test]
+fn aria_512_partition_picks_match_the_recorded_digest() {
+    let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny)
+        .with_partitions(512)
+        .with_rows(512 * 16)
+        .build(24);
+    let mut cfg = Ps3Config::default().with_seed(24);
+    cfg.gbdt.n_trees = 2;
+    cfg.feature_selection = false;
+    let system = Ps3System::train(
+        Arc::clone(&ds.pt),
+        Arc::clone(&ds.stats),
+        &ds.train_queries[..4],
+        cfg,
+    );
+    let mut picks = Digest::new();
+    let mut clustered_whole_table = false;
+    // Test queries 6–9: the filter passes every partition of number 8, so
+    // its one importance group is the whole table.
+    for qi in 6..10 {
+        let q = ds.sample_test_query(qi);
+        for frac in [0.05, 0.1] {
+            for seed in [0u64, 7] {
+                let out = system.pick_outcome(&q, frac, &mut StdRng::seed_from_u64(seed));
+                picks.selection(&out.selection);
+                // A 512-row group leaves every other group empty, so a pick
+                // that clustered anything clustered that group.
+                clustered_whole_table |=
+                    out.clustering_ms > 0.0 && out.group_sizes.iter().any(|&g| g >= 512);
+            }
+        }
+    }
+    assert!(
+        clustered_whole_table,
+        "no pick clustered a 512-row group: the digest misses the size it is here for"
+    );
+    assert_eq!(picks.0, 16594829453887537666);
 }
