@@ -25,13 +25,19 @@
 //! Layering (top to bottom):
 //!
 //! 1. **[`Tenant`]** — a named submission handle with an optional in-flight
-//!    quota ([`Semaphore`]). `submit` blocks on quota and queue capacity;
-//!    `try_submit` rejects instead. Both return a [`Ticket`].
+//!    quota ([`Semaphore`]). Admission starts at the answer cache: a
+//!    request at an explicit fraction whose answer is cached is resolved
+//!    on the submitting thread and comes back as a [`Ticket`] that is
+//!    already ready — no permit, no queue slot, no pump. Everything else
+//!    is a miss to queue: `submit` blocks on quota and queue capacity;
+//!    `try_submit` rejects instead.
 //! 2. **[`RequestQueue`]** — the bounded buffer between tenants and pumps.
 //! 3. **Pumps** — detached [`ThreadPool`] tasks (spawned lazily on the
-//!    first tenant) that drain the queue and execute requests. A request
-//!    that panics delivers its payload to the submitting tenant's
-//!    `Ticket::wait`, never to the pump.
+//!    first tenant) that drain the queue and execute requests, each from
+//!    the key its submission already looked up (one counted lookup per
+//!    request, wherever it runs). A request that panics delivers its
+//!    payload to the submitting tenant's `Ticket::wait`, never to the
+//!    pump.
 //! 4. **[`Ps3System`]** — per-table execution, fanned out on the router's
 //!    execution pool.
 //!
@@ -41,7 +47,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
@@ -145,34 +151,56 @@ struct AnswerKey {
 }
 
 impl AnswerKey {
-    /// `frac` is the **planned** fraction the request executes at — not the
-    /// requested [`Budget`] — so an explicit `Fraction(0.2)` and an error
-    /// target the planner resolved to `0.2` share one cache entry and are
-    /// bit-identical.
-    fn new(table: TableId, generation: u64, req: &QueryRequest, frac: f64) -> Self {
+    /// Built once per request — this is the one place the request's
+    /// [`Query::fingerprint`](ps3_query::Query::fingerprint) is hashed.
+    /// `budget_bits` is the explicit fraction when the budget is one; a
+    /// declarative budget's key is completed with [`AnswerKey::at`] once
+    /// the planner names a fraction.
+    fn new(table: TableId, generation: u64, req: &QueryRequest) -> Self {
         Self {
             table: table.0,
             generation,
             fingerprint: req.query.fingerprint(),
             method: req.method,
-            budget_bits: frac.to_bits(),
+            budget_bits: req.budget.as_fraction().map_or(0, f64::to_bits),
             seed: req.seed,
         }
+    }
+
+    /// The same request at `frac` — the **planned** fraction it executes
+    /// at, not the requested [`Budget`] — so an explicit `Fraction(0.2)`
+    /// and an error target the planner resolved to `0.2` share one cache
+    /// entry and are bit-identical.
+    fn at(self, frac: f64) -> Self {
+        Self {
+            budget_bits: frac.to_bits(),
+            ..self
+        }
+    }
+
+    /// The fraction this key executes at.
+    fn frac(&self) -> f64 {
+        f64::from_bits(self.budget_bits)
     }
 }
 
 /// Router effectiveness counters.
 #[derive(Debug, Clone, Copy)]
 pub struct RouterStats {
-    /// Answer-cache hit/miss/occupancy (hits are served without executing;
-    /// misses proceed to the single-flight execution path).
+    /// Answer-cache hit/miss/occupancy. A request at an explicit fraction
+    /// is one counted lookup (a tenant's happens at submission, and a hit
+    /// there never queues); a planned request is one per probe plus one
+    /// for the final answer. Hits are served without executing; misses
+    /// proceed to the single-flight execution path.
     pub answers: CacheStats,
     /// Times the router actually ran partition selection + execution (the
     /// uncached path). A warm re-run adds zero, and a cold-key stampede
     /// adds exactly one however many requests race on it.
     pub executions: u64,
-    /// Cold requests that joined another request's in-flight execution
-    /// instead of executing themselves (single-flight coalescing).
+    /// Cold requests another request's execution served instead of their
+    /// own (single-flight coalescing): they joined it in flight, or found
+    /// its answer cached by the time they came to execute. Every miss in
+    /// [`Self::answers`] ends as one of `executions` or `coalesced`.
     pub coalesced: u64,
     /// Requests currently queued or executing.
     pub in_flight: usize,
@@ -283,13 +311,38 @@ impl TicketState {
 /// request has executed (or was served from the answer cache) and returns
 /// the shared outcome; if the request panicked while executing, the panic
 /// resumes *here*, in the submitting tenant. Non-blocking consumers (the
-/// network event loop) instead register a completion hook with
-/// [`Ticket::on_ready`] and collect the result with [`Ticket::poll_take`].
+/// network event loop) ask [`Ticket::poll_take`] first — a request the
+/// answer cache already held comes back ready from submission — and
+/// otherwise register a completion hook with [`Ticket::on_ready`] and
+/// collect the result when it fires.
 pub struct Ticket {
-    state: Arc<TicketState>,
+    inner: TicketInner,
+}
+
+enum TicketInner {
+    /// An answer-cache hit, resolved by the submitter: the ticket owns its
+    /// outcome and shares no state with the router — nothing was queued,
+    /// counted pending or charged to a quota.
+    Ready {
+        outcome: Arc<AnswerOutcome>,
+        /// Set by the one `poll_take` that yields the outcome.
+        taken: AtomicBool,
+    },
+    /// A miss, queued for the pumps, which deliver through the shared
+    /// state.
+    Queued(Arc<TicketState>),
 }
 
 impl Ticket {
+    fn ready(outcome: Arc<AnswerOutcome>) -> Self {
+        Self {
+            inner: TicketInner::Ready {
+                outcome,
+                taken: AtomicBool::new(false),
+            },
+        }
+    }
+
     /// Block until the outcome is ready.
     ///
     /// # Panics
@@ -298,7 +351,17 @@ impl Ticket {
     /// panics if the result was already consumed by [`Ticket::poll_take`]
     /// (a ticket's outcome is delivered exactly once).
     pub fn wait(self) -> Arc<AnswerOutcome> {
-        let mut slot = self.state.slot.lock().unwrap();
+        let state = match self.inner {
+            TicketInner::Ready { outcome, taken } => {
+                assert!(
+                    !taken.into_inner(),
+                    "ticket result already taken via poll_take"
+                );
+                return outcome;
+            }
+            TicketInner::Queued(state) => state,
+        };
+        let mut slot = state.slot.lock().unwrap();
         loop {
             if let Some(result) = slot.result.take() {
                 slot.taken = true;
@@ -309,14 +372,19 @@ impl Ticket {
                 }
             }
             assert!(!slot.taken, "ticket result already taken via poll_take");
-            slot = self.state.ready.wait(slot).unwrap();
+            slot = state.ready.wait(slot).unwrap();
         }
     }
 
     /// True once the outcome (or panic) has been delivered.
     pub fn is_ready(&self) -> bool {
-        let slot = self.state.slot.lock().unwrap();
-        slot.result.is_some() || slot.taken
+        match &self.inner {
+            TicketInner::Ready { .. } => true,
+            TicketInner::Queued(state) => {
+                let slot = state.slot.lock().unwrap();
+                slot.result.is_some() || slot.taken
+            }
+        }
     }
 
     /// Take the outcome if it has been delivered; never blocks. A request
@@ -326,23 +394,35 @@ impl Ticket {
     /// after the result has been taken (by this method or by
     /// [`Ticket::wait`]).
     pub fn poll_take(&self) -> Option<std::thread::Result<Arc<AnswerOutcome>>> {
-        let mut slot = self.state.slot.lock().unwrap();
-        let result = slot.result.take();
-        if result.is_some() {
-            slot.taken = true;
+        match &self.inner {
+            TicketInner::Ready { outcome, taken } => {
+                // SeqCst: the swap alone decides which caller gets the
+                // outcome; it publishes nothing else.
+                (!taken.swap(true, Ordering::SeqCst)).then(|| Ok(Arc::clone(outcome)))
+            }
+            TicketInner::Queued(state) => {
+                let mut slot = state.slot.lock().unwrap();
+                let result = slot.result.take();
+                if result.is_some() {
+                    slot.taken = true;
+                }
+                result
+            }
         }
-        result
     }
 
     /// Register a one-shot hook that runs as soon as the outcome (or
-    /// panic) is delivered — or immediately, if it already was. The hook
+    /// panic) is delivered — or immediately, on the caller, if it already
+    /// was: always for a ticket that came back ready from submission (an
+    /// answer-cache hit), which is why a non-blocking consumer asks
+    /// [`Ticket::poll_take`] before paying for a hook. Otherwise the hook
     /// runs on whatever thread delivers the result (a queue pump, a
     /// draining caller), so keep it tiny and non-blocking; the network
     /// server's hook just wakes its poll loop. A second registration
     /// replaces an unfired first.
     pub fn on_ready(&self, hook: impl FnOnce() + Send + 'static) {
-        {
-            let mut slot = self.state.slot.lock().unwrap();
+        if let TicketInner::Queued(state) = &self.inner {
+            let mut slot = state.slot.lock().unwrap();
             if slot.result.is_none() && !slot.taken {
                 slot.hook = Some(Box::new(hook));
                 return;
@@ -354,16 +434,22 @@ impl Ticket {
     /// Register a hook that fires after every [`ProgressUpdate`] a
     /// progressive execution delivers (and immediately, if updates are
     /// already queued). Like [`Ticket::on_ready`], keep it tiny — the
-    /// network server's hook wakes its poll loop, nothing more.
+    /// network server's hook wakes its poll loop, nothing more. A ticket
+    /// that came back ready never streams, so its hook is dropped unrun.
     pub fn on_progress(&self, hook: impl Fn() + Send + Sync + 'static) {
-        self.state.progress.set_hook(hook);
+        if let TicketInner::Queued(state) = &self.inner {
+            state.progress.set_hook(hook);
+        }
     }
 
     /// Drain every queued [`ProgressUpdate`], oldest first. Never blocks;
     /// empty for non-progressive requests, cache hits, and coalesced
     /// joiners (the final answer is still delivered through the ticket).
     pub fn take_progress(&self) -> Vec<ProgressUpdate> {
-        self.state.progress.drain()
+        match &self.inner {
+            TicketInner::Ready { .. } => Vec::new(),
+            TicketInner::Queued(state) => state.progress.drain(),
+        }
     }
 }
 
@@ -372,6 +458,10 @@ impl Ticket {
 struct Job {
     table: TableId,
     req: QueryRequest,
+    /// The answer-cache key submission already looked up and missed
+    /// (explicit fractions); `None` for a declarative budget, whose
+    /// fraction only the planner, on the pump, can name.
+    missed: Option<AnswerKey>,
     ticket: Arc<TicketState>,
     _permit: Option<Permit>,
 }
@@ -408,32 +498,62 @@ struct RouterCore {
 }
 
 impl RouterCore {
-    /// Resolve-or-execute through the answer cache, coalescing concurrent
-    /// misses. Bit-identical to a direct `Ps3System::answer_spec_on` with a
-    /// [`spec_rng`]-derived RNG: the cached value *is* that computation's
-    /// output, keyed by everything the computation depends on.
+    /// The key `req` resolves under right now: the table's current
+    /// generation, the query hashed once.
+    fn key_for(&self, table: TableId, req: &QueryRequest) -> AnswerKey {
+        let generation = self.tables[table.index()].generation.load(Ordering::SeqCst);
+        AnswerKey::new(table, generation, req)
+    }
+
+    /// The resolve half of resolve-or-execute: the request path's one
+    /// counted answer-cache lookup. A tenant's submission runs it on the
+    /// submitter (a hit never reaches the queue), everything else on
+    /// whichever thread executes; either way a request at a known fraction
+    /// is looked up exactly once, and a miss goes on to
+    /// [`Self::execute_missed`] with the same key.
+    fn lookup(&self, key: &AnswerKey) -> Option<Arc<AnswerOutcome>> {
+        self.answers.get(key)
+    }
+
+    /// The execute half: what a request does once [`Self::lookup`] missed,
+    /// coalescing concurrent misses. Bit-identical to a direct
+    /// `Ps3System::answer_spec_on` with a [`spec_rng`]-derived RNG: the
+    /// value it caches *is* that computation's output, keyed by everything
+    /// the computation depends on.
     ///
     /// A cold-key stampede — N requests racing on one never-seen key —
     /// executes exactly once: the first racer leads, the rest join its
-    /// [`SingleFlight`] flight (or hit the cache, if they arrive after the
-    /// leader finished) and share the same `Arc`'d outcome.
-    fn execute_at(
+    /// [`SingleFlight`] flight (or find the cache filled, if they arrive
+    /// after the leader finished) and share the same `Arc`'d outcome.
+    ///
+    /// Progressive streaming only happens for the cold leader of a
+    /// progressive request; joiners deliver the final answer alone.
+    fn execute_missed(
         &self,
-        table: TableId,
+        key: AnswerKey,
         req: &QueryRequest,
-        frac: f64,
         progress: Option<&Mailbox<ProgressUpdate>>,
     ) -> Arc<AnswerOutcome> {
-        let entry = &self.tables[table.index()];
-        let key = AnswerKey::new(table, entry.generation.load(Ordering::SeqCst), req, frac);
-        if let Some(hit) = self.answers.get(&key) {
-            return hit;
-        }
+        let progress = progress.filter(|_| req.progressive);
+        let entry = &self.tables[key.table as usize];
+        // A key made at submission can be a generation behind by the time a
+        // pump gets to it. The request executes on the system current
+        // *now*, so it moves to the generation current now: it joins that
+        // generation's flights, and its answer lands where later requests
+        // look (the re-check below is its lookup there). Never the other
+        // way round — see the ordering argument in `replace_table`.
+        let key = AnswerKey {
+            generation: entry.generation.load(Ordering::SeqCst),
+            ..key
+        };
+        let mut found_cached = false;
         let flight = self.inflight.run(key, || {
-            // A racing leader may have filled the cache between our miss
-            // and this closure winning the key; re-check (uncounted — this
-            // lookup was already counted as a miss) before executing.
+            // Another request's execution may have filled the cache between
+            // our miss (at submission, for a queued job) and this closure
+            // winning the key; re-check (uncounted — this request was
+            // already counted as a miss) before executing.
             if let Some(hit) = self.answers.peek(&key) {
+                found_cached = true;
                 return hit;
             }
             self.executions.fetch_add(1, Ordering::Relaxed);
@@ -453,7 +573,7 @@ impl RouterCore {
             let out = Arc::new(system.answer_spec_sink_on(
                 &req.query,
                 req.method,
-                frac,
+                key.frac(),
                 &mut rng,
                 &self.exec_pool,
                 sink,
@@ -462,7 +582,7 @@ impl RouterCore {
             self.answers.insert(key, Arc::clone(&out));
             out
         });
-        if flight.was_joined() {
+        if flight.was_joined() || found_cached {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
         }
         flight.into_value()
@@ -474,24 +594,24 @@ impl RouterCore {
     /// through the normal cached path (so planning warms exactly the
     /// entries the final answer reads, and a warm planner costs a few cache
     /// hits); latency targets consult the table's cost EWMA without
-    /// executing anything.
-    fn plan_budget(&self, table: TableId, req: &QueryRequest) -> BudgetPlan {
+    /// executing anything. `key` is the request's key; probes re-aim it
+    /// with [`AnswerKey::at`].
+    fn plan_budget(&self, key: AnswerKey, req: &QueryRequest) -> BudgetPlan {
         match req.budget {
             Budget::Fraction(frac) => BudgetPlan::passthrough(frac),
             Budget::ErrorTarget { rel_err } => {
                 self.planner_plans.fetch_add(1, Ordering::Relaxed);
-                let entry = &self.tables[table.index()];
                 let probe = |frac: f64| {
-                    let generation = entry.generation.load(Ordering::SeqCst);
-                    let key = AnswerKey::new(table, generation, req, frac);
-                    if self.answers.peek(&key).is_some() {
-                        self.planner_probe_hits.fetch_add(1, Ordering::Relaxed);
-                    }
+                    let key = key.at(frac);
                     self.planner_probes.fetch_add(1, Ordering::Relaxed);
-                    self.execute_at(table, req, frac, None)
-                        .meta
-                        .error_estimate
-                        .rel_err
+                    let out = match self.lookup(&key) {
+                        Some(hit) => {
+                            self.planner_probe_hits.fetch_add(1, Ordering::Relaxed);
+                            hit
+                        }
+                        None => self.execute_missed(key, req, None),
+                    };
+                    out.meta.error_estimate.rel_err
                 };
                 let (frac, planned, probes) = plan_error_target(rel_err, probe);
                 if !planned {
@@ -506,7 +626,7 @@ impl RouterCore {
             }
             Budget::LatencyTarget { ms } => {
                 self.planner_plans.fetch_add(1, Ordering::Relaxed);
-                let entry = &self.tables[table.index()];
+                let entry = &self.tables[key.table as usize];
                 let cost = *entry.cost_ms_per_part.lock().unwrap();
                 let parts = entry.system.read().unwrap().num_partitions();
                 let (frac, planned) = plan_latency_target(ms, cost, parts);
@@ -524,18 +644,19 @@ impl RouterCore {
     }
 
     /// Plan the budget, then resolve-or-execute at the planned fraction.
-    /// Progressive streaming only happens for the cold leader of a
-    /// progressive request; warm hits and joiners deliver the final answer
-    /// alone.
     fn execute(
         &self,
         table: TableId,
         req: &QueryRequest,
         progress: Option<&Mailbox<ProgressUpdate>>,
     ) -> (Arc<AnswerOutcome>, BudgetPlan) {
-        let plan = self.plan_budget(table, req);
-        let progress = if req.progressive { progress } else { None };
-        let out = self.execute_at(table, req, plan.frac, progress);
+        let key = self.key_for(table, req);
+        let plan = self.plan_budget(key, req);
+        let key = key.at(plan.frac);
+        let out = match self.lookup(&key) {
+            Some(hit) => hit,
+            None => self.execute_missed(key, req, progress),
+        };
         (out, plan)
     }
 
@@ -545,11 +666,15 @@ impl RouterCore {
         let Job {
             table,
             req,
+            missed,
             ticket,
             _permit,
         } = job;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            self.execute(table, &req, Some(&ticket.progress)).0
+        let progress = Some(&ticket.progress);
+        let result = catch_unwind(AssertUnwindSafe(|| match missed {
+            // Submission ran the lookup; pick up where it left off.
+            Some(key) => self.execute_missed(key, &req, progress),
+            None => self.execute(table, &req, progress).0,
         }));
         ticket.fulfill(result);
         drop(_permit);
@@ -1010,13 +1135,23 @@ impl Tenant {
 
     /// Submit a request, blocking on the tenant quota and on queue
     /// capacity (backpressure). Fails only on an unknown route or a closed
-    /// router.
+    /// router. A request the answer cache already holds waits for neither:
+    /// see [`Tenant::try_submit`].
     pub fn submit(&self, req: QueryRequest) -> Result<Ticket, RouteError> {
         self.submit_inner(req, true)
     }
 
     /// Submit without blocking: rejects with [`RouteError::QuotaExhausted`]
     /// or [`RouteError::QueueFull`] instead of waiting.
+    ///
+    /// Admission starts at the answer cache. A request at an explicit
+    /// fraction whose answer is cached comes back as a ticket that is
+    /// already ready, resolved here on the caller: it takes no quota
+    /// permit and no queue slot, so it is never refused for quota or
+    /// capacity, never counts in [`RouterStats::in_flight`], and streams no
+    /// partial answers. Only misses (and declarative budgets, which a pump
+    /// must plan first) are admitted to the queue and held to both limits.
+    /// An unknown route or a closed router refuses hits and misses alike.
     pub fn try_submit(&self, req: QueryRequest) -> Result<Ticket, RouteError> {
         self.submit_inner(req, false)
     }
@@ -1030,6 +1165,22 @@ impl Tenant {
         let Some(table) = self.router.resolve(&req.table) else {
             return Err(RouteError::UnknownTable(Box::new(req)));
         };
+        let core = &self.router.core;
+        // Closed before cached: a shut-down router refuses everything,
+        // including what it could still answer.
+        if core.queue.is_closed() {
+            return Err(RouteError::Closed(Box::new(req)));
+        }
+        let missed = match req.budget {
+            Budget::Fraction(_) => {
+                let key = core.key_for(table, &req);
+                if let Some(hit) = core.lookup(&key) {
+                    return Ok(Ticket::ready(hit));
+                }
+                Some(key)
+            }
+            Budget::ErrorTarget { .. } | Budget::LatencyTarget { .. } => None,
+        };
         let permit = match &self.quota {
             None => None,
             Some(quota) if blocking => Some(quota.acquire()),
@@ -1042,10 +1193,10 @@ impl Tenant {
         let job = Job {
             table,
             req,
+            missed,
             ticket: Arc::clone(&state),
             _permit: permit,
         };
-        let core = &self.router.core;
         // Count the job as pending *before* it is visible to pumps, so a
         // shutdown racing with this submit cannot observe zero early.
         *core.pending.lock().unwrap() += 1;
@@ -1055,7 +1206,9 @@ impl Tenant {
             core.queue.try_submit(job)
         };
         match enqueued {
-            Ok(()) => Ok(Ticket { state }),
+            Ok(()) => Ok(Ticket {
+                inner: TicketInner::Queued(state),
+            }),
             Err(err) => {
                 let mut pending = core.pending.lock().unwrap();
                 *pending -= 1;
@@ -1315,6 +1468,11 @@ mod tests {
             7,
             "the other 7 racers either joined the flight or hit the cache"
         );
+        assert_eq!(
+            stats.answers.misses,
+            stats.executions + stats.coalesced,
+            "every miss either executes or is served by one that did"
+        );
         router.shutdown();
     }
 
@@ -1464,6 +1622,135 @@ mod tests {
     }
 
     #[test]
+    fn cached_request_is_answered_at_submission_past_quota_and_queue() {
+        // Deterministic mode: nothing runs unless the test drains it.
+        let router = Router::builder()
+            .table("t", tiny_system(25, 160))
+            .pump_workers(0)
+            .queue_capacity(1)
+            .build();
+        let table = router.table_id("t").unwrap();
+        let tenant = router.tenant("dash", Some(1));
+        let warm_req = QueryRequest::ps3(count_query(), 0.25, 1);
+        let cached = router.answer_now(table, &warm_req);
+
+        // One miss takes the tenant's only permit and the only queue slot.
+        let parked = tenant
+            .try_submit(QueryRequest::ps3(count_query(), 0.25, 2))
+            .unwrap();
+        assert!(!parked.is_ready());
+        let before = router.stats();
+        assert_eq!((router.queue_len(), before.in_flight), (1, 1));
+
+        // The cached request needs neither, and honours the whole ticket
+        // contract without anything draining the queue.
+        let hit = tenant.try_submit(warm_req.clone().progressive()).unwrap();
+        assert!(hit.is_ready());
+        let fired = Arc::new(AtomicBool::new(false));
+        {
+            let fired = Arc::clone(&fired);
+            hit.on_ready(move || fired.store(true, Ordering::SeqCst));
+        }
+        assert!(
+            fired.load(Ordering::SeqCst),
+            "a ready ticket's hook runs now"
+        );
+        assert!(hit.take_progress().is_empty(), "a hit streams no partials");
+        let out = hit.poll_take().expect("ready").expect("not a panic");
+        assert!(Arc::ptr_eq(&out, &cached), "the cached outcome itself");
+        assert!(hit.poll_take().is_none(), "results deliver exactly once");
+        assert!(hit.is_ready(), "taken still reads as delivered");
+        let again = tenant.submit(warm_req).unwrap().wait();
+        assert!(Arc::ptr_eq(&again, &cached), "wait returns at once");
+        let after = router.stats();
+        assert_eq!(router.queue_len(), 1);
+        assert_eq!(after.in_flight, before.in_flight);
+        assert_eq!(after.executions, before.executions);
+        assert_eq!(after.answers.hits, before.answers.hits + 2);
+
+        // Misses are still held to both limits.
+        assert!(matches!(
+            tenant.try_submit(QueryRequest::ps3(count_query(), 0.25, 3)),
+            Err(RouteError::QuotaExhausted(_))
+        ));
+        assert!(matches!(
+            router
+                .tenant("other", None)
+                .try_submit(QueryRequest::ps3(count_query(), 0.25, 3)),
+            Err(RouteError::QueueFull(_))
+        ));
+        router.shutdown();
+        assert!(parked.is_ready());
+    }
+
+    #[test]
+    fn every_request_is_one_counted_lookup_hit_or_miss() {
+        let router = Router::builder()
+            .table("t", tiny_system(26, 160))
+            .pump_workers(0)
+            .queue_capacity(16)
+            .build();
+        let tenant = router.tenant("counter", None);
+        let req = |seed| QueryRequest::ps3(count_query(), 0.25, seed);
+        // 5 cold requests: one lookup each, at submission, none on the pump.
+        let cold: Vec<Ticket> = (0..5).map(|s| tenant.submit(req(s)).unwrap()).collect();
+        assert_eq!(router.stats().answers.misses, 5);
+        assert_eq!(router.drain_queued(usize::MAX), 5);
+        for t in cold {
+            t.wait();
+        }
+        // 12 warm requests over those keys.
+        for i in 0..12 {
+            assert!(tenant.submit(req(i % 5)).unwrap().is_ready());
+        }
+        let stats = router.stats();
+        assert_eq!((stats.answers.hits, stats.answers.misses), (12, 5));
+        assert_eq!(stats.executions, 5);
+        assert_eq!(router.queue_len(), 0);
+    }
+
+    #[test]
+    fn a_job_keyed_before_a_swap_runs_on_the_generation_current_when_it_runs() {
+        let router = Router::builder()
+            .table("t", tiny_system(27, 160))
+            .pump_workers(0)
+            .build();
+        let table = router.table_id("t").unwrap();
+        let tenant = router.tenant("swapper", None);
+        let req = QueryRequest::ps3(sum_query(), 0.25, 4);
+        let old_answer = router.answer_now(table, &req);
+
+        // A generation bump between warm-up and submit: the key is built
+        // from the generation read at submit, so the warm entry is out of
+        // reach and the request queues like any miss.
+        let replacement = tiny_system(28, 160);
+        router.replace_table(table, Arc::clone(&replacement));
+        let queued = tenant.submit(req.clone()).unwrap();
+        assert!(!queued.is_ready(), "a pre-swap answer must not be served");
+        assert_eq!(router.queue_len(), 1);
+
+        // A second swap while the job waits: it was keyed under generation
+        // 1, runs under generation 2, on the system installed last — and
+        // its answer is cached where generation-2 requests look.
+        let last = tiny_system(29, 160);
+        router.replace_table(table, Arc::clone(&last));
+        assert_eq!(router.drain_queued(1), 1);
+        let served = queued.wait();
+        let direct = {
+            let mut rng = spec_rng(&req.query, req.seed);
+            last.answer_spec_on(&req.query, req.method, 0.25, &mut rng, router.pool())
+        };
+        assert_eq!(served.answer, direct.answer);
+        assert!(!Arc::ptr_eq(&served, &old_answer));
+        let executions = router.stats().executions;
+        let repeat = tenant.submit(req).unwrap();
+        assert!(repeat.is_ready(), "cached under the current generation");
+        assert!(Arc::ptr_eq(&repeat.wait(), &served));
+        assert_eq!(router.stats().executions, executions);
+        router.shutdown();
+    }
+
+    #[test]
     fn error_target_plans_the_cheapest_satisfying_fraction_and_shares_cache() {
         let router = Router::single(tiny_system(30, 160));
         let table = router.table_id("default").unwrap();
@@ -1581,11 +1868,21 @@ mod tests {
         assert_eq!(streamed.meta.planned_frac, one_shot.meta.planned_frac);
         assert_eq!(streamed.meta.exact, one_shot.meta.exact);
 
-        // A warm repeat is a cache hit: final answer only, no updates.
+        // A warm repeat is a cache hit, answered at submission: final
+        // answer only, no updates, progressive flag or not.
         let warm = tenant.submit(req).unwrap();
-        router.drain_queued(1);
+        assert!(warm.is_ready(), "nothing drained the queue for this one");
+        assert_eq!(router.queue_len(), 0);
+        let progressed = Arc::new(AtomicU64::new(0));
+        {
+            let progressed = Arc::clone(&progressed);
+            warm.on_progress(move || {
+                progressed.fetch_add(1, Ordering::SeqCst);
+            });
+        }
         assert!(warm.take_progress().is_empty(), "cache hits do not stream");
         assert!(Arc::ptr_eq(&warm.wait(), &streamed));
+        assert_eq!(progressed.load(Ordering::SeqCst), 0);
         router.shutdown();
     }
 

@@ -16,16 +16,21 @@
 //!
 //! 1. **Read** — each readable connection is drained with a single
 //!    scatter-read ([`ps3_runtime::poll::readv_fd`]) into the shard's
-//!    reusable scratch buffers, and *every* complete [`RequestFrame`] is
-//!    decoded before the router is touched. Requests submit through that
-//!    connection's own [`Tenant`] handle with `try_submit`, so the
-//!    router's backpressure and quota semantics surface on the wire as
-//!    typed [`ErrorFrame`]s ([`ErrorCode::QueueFull`] /
-//!    [`ErrorCode::QuotaExhausted`]) instead of blocking the loop.
-//! 2. **Execute** — queue pumps run the work as usual. Each accepted
-//!    ticket carries an [`on_ready`](ps3_core::Ticket::on_ready) hook that
-//!    pokes the owning shard's [`Waker`], so completion interrupts that
-//!    shard's poll immediately (no completion-polling latency).
+//!    reusable scratch buffers, and every complete [`RequestFrame`] in it
+//!    is decoded and submitted through that connection's own [`Tenant`]
+//!    handle with `try_submit`, so the router's backpressure and quota
+//!    semantics surface on the wire as typed [`ErrorFrame`]s
+//!    ([`ErrorCode::QueueFull`] / [`ErrorCode::QuotaExhausted`]) instead of
+//!    blocking the loop. A request the answer cache already holds is
+//!    answered here: its ticket comes back ready, its [`ResponseFrame`] is
+//!    encoded straight onto the connection's outbound buffer, and it
+//!    leaves in this wakeup's write — no queue, no pump, no waker, no
+//!    other thread.
+//! 2. **Execute** — misses only. Queue pumps run the work as usual. Each
+//!    queued ticket carries an [`on_ready`](ps3_core::Ticket::on_ready)
+//!    hook that pokes the owning shard's [`Waker`], so completion
+//!    interrupts that shard's poll immediately (no completion-polling
+//!    latency).
 //! 3. **Write** — completed tickets become [`ResponseFrame`]s (or
 //!    [`ErrorCode::Internal`] errors, if the request panicked) queued on
 //!    the connection's outbound buffer (`OutBuf`); at the end of the wakeup every
@@ -56,7 +61,7 @@ use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ps3_core::{RouteError, Router, Tenant, Ticket};
+use ps3_core::{AnswerOutcome, RouteError, Router, Tenant, Ticket};
 use ps3_runtime::poll::{poll_fds, readv_fd, Interest, PollEntry, Waker};
 use ps3_runtime::{Mailbox, ThreadPool};
 
@@ -73,7 +78,8 @@ pub struct ServerConfig {
     pub max_frame: u32,
     /// Per-connection in-flight request quota (each connection is its own
     /// [`Tenant`]); `None` = unlimited. Exhaustion surfaces as
-    /// [`ErrorCode::QuotaExhausted`] rather than queueing.
+    /// [`ErrorCode::QuotaExhausted`] rather than queueing. Requests answered
+    /// from the answer cache are never in flight and do not count.
     pub per_conn_quota: Option<usize>,
     /// Accepted-connection cap across all shards; the listener stops
     /// accepting (connections queue in the OS backlog) while at the cap.
@@ -277,7 +283,8 @@ struct Conn {
     out: OutBuf,
     /// This connection's submission handle (quota = admission control).
     tenant: Tenant,
-    /// Accepted requests awaiting completion, by request id.
+    /// Queued requests (answer-cache misses) awaiting completion, by
+    /// request id.
     in_flight: HashMap<u64, Ticket>,
     /// Close once the write buffer drains (set after a framing error).
     close_after_flush: bool,
@@ -567,57 +574,71 @@ impl ShardLoop {
     /// client-side. Completions for connections that died in the meantime
     /// are skipped (their tickets dropped with the connection state).
     fn deliver_completions(&mut self) {
-        let done = self.me.completed.drain();
         let max_frame = self.config.max_frame;
-        for (token, request_id) in done {
+        for (token, request_id) in self.me.completed.drain() {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
             let Some(ticket) = conn.in_flight.remove(&request_id) else {
                 continue;
             };
-            // Progress recorded before completion must still go out first
-            // (the executing pump pushes updates before it fulfills).
-            for update in ticket.take_progress() {
-                conn.out.push_frame(
-                    &Frame::Partial(PartialFrame::from_update(request_id, &update)),
-                    max_frame,
-                );
-            }
             // fulfill() stores the result before firing the hook, so a
             // recorded completion always has one to take.
-            match ticket.poll_take() {
-                Some(Ok(outcome)) => {
-                    let frame = Frame::Response(ResponseFrame::from_outcome(request_id, &outcome));
-                    conn.out.push_frame(&frame, max_frame);
-                }
-                Some(Err(payload)) => {
-                    self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    let mut message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "request panicked".to_owned());
-                    // Panic payloads are arbitrary; keep the wire frame
-                    // small whatever they contain.
-                    if message.len() > 512 {
-                        let mut end = 512;
-                        while !message.is_char_boundary(end) {
-                            end -= 1;
-                        }
-                        message.truncate(end);
-                    }
-                    conn.out.push_frame(
-                        &Frame::Error(ErrorFrame {
-                            request_id,
-                            code: ErrorCode::Internal,
-                            message,
-                        }),
-                        max_frame,
-                    );
-                }
-                None => continue,
+            if let Some(result) = ticket.poll_take() {
+                push_completion(conn, &self.shared, request_id, &ticket, result, max_frame);
             }
+        }
+    }
+}
+
+/// Queue a finished request's frames on its connection: any refinements
+/// still in the ticket's mailbox first (the executing pump pushes updates
+/// before it fulfills, so partials always precede their final response),
+/// then the [`ResponseFrame`] — or an [`ErrorCode::Internal`] error, if the
+/// request panicked.
+fn push_completion(
+    conn: &mut Conn,
+    shared: &Shared,
+    request_id: u64,
+    ticket: &Ticket,
+    result: std::thread::Result<Arc<AnswerOutcome>>,
+    max_frame: u32,
+) {
+    for update in ticket.take_progress() {
+        conn.out.push_frame(
+            &Frame::Partial(PartialFrame::from_update(request_id, &update)),
+            max_frame,
+        );
+    }
+    match result {
+        Ok(outcome) => {
+            let frame = Frame::Response(ResponseFrame::from_outcome(request_id, &outcome));
+            conn.out.push_frame(&frame, max_frame);
+        }
+        Err(payload) => {
+            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+            let mut message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "request panicked".to_owned());
+            // Panic payloads are arbitrary; keep the wire frame
+            // small whatever they contain.
+            if message.len() > 512 {
+                let mut end = 512;
+                while !message.is_char_boundary(end) {
+                    end -= 1;
+                }
+                message.truncate(end);
+            }
+            conn.out.push_frame(
+                &Frame::Error(ErrorFrame {
+                    request_id,
+                    code: ErrorCode::Internal,
+                    message,
+                }),
+                max_frame,
+            );
         }
     }
 }
@@ -731,6 +752,13 @@ fn submit(
     match conn.tenant.try_submit(req.into_query_request()) {
         Ok(ticket) => {
             shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+            // An answer-cache hit comes back ready (as does a miss a fast
+            // pump already finished): its frame joins this read pass's
+            // output and this wakeup's writev, and nothing is registered.
+            if let Some(result) = ticket.poll_take() {
+                push_completion(conn, shared, request_id, &ticket, result, max_frame);
+                return;
+            }
             if progressive {
                 // Refinements flow through the owning shard's waker; the
                 // shard loop turns them into Partial frames.
@@ -742,8 +770,9 @@ fn submit(
             }
             let hook_shard = Arc::clone(me);
             // The hook only records the completion and pokes the poll;
-            // the shard loop delivers. Runs immediately if the request
-            // already finished (a cache hit executed by a fast pump).
+            // the shard loop delivers. (Should a pump finish between the
+            // `poll_take` above and this registration, the hook runs here
+            // and the completion is delivered later in this same wakeup.)
             ticket.on_ready(move || {
                 hook_shard.completed.push((token, request_id));
                 hook_shard.waker.wake();

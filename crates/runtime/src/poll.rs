@@ -27,6 +27,7 @@ use std::io::{self, Read, Write};
 use std::os::raw::{c_int, c_short};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// `poll(2)` event bit: readable without blocking (POSIX `POLLIN`).
@@ -269,15 +270,19 @@ pub fn poll_fds(entries: &mut [PollEntry], timeout: Option<Duration>) -> io::Res
 /// to the send half, which makes [`Waker::fd`] (the receive half) poll
 /// readable. The poll loop registers that fd with [`Interest::READ`] and
 /// calls [`Waker::drain`] when it fires. Wakes are *level-coalescing*: any
-/// number of `wake` calls between two drains produce one readable edge, so
-/// waking is cheap to do redundantly (the serving front end wakes once per
-/// completed ticket).
+/// number of `wake` calls between two drains produce one readable edge and
+/// cost one `write(2)` — the first arms the waker, the rest see it armed
+/// and return — so waking is cheap to do redundantly (the serving front end
+/// wakes once per completed ticket).
 #[derive(Debug)]
 pub struct Waker {
     /// The half the poll loop watches and drains.
     recv: UnixStream,
     /// The half `wake` writes to.
     send: UnixStream,
+    /// True from the wake that wrote the pending byte until the drain that
+    /// will consume it.
+    armed: AtomicBool,
 }
 
 impl Waker {
@@ -286,7 +291,11 @@ impl Waker {
         let (send, recv) = UnixStream::pair()?;
         send.set_nonblocking(true)?;
         recv.set_nonblocking(true)?;
-        Ok(Waker { recv, send })
+        Ok(Waker {
+            recv,
+            send,
+            armed: AtomicBool::new(false),
+        })
     }
 
     /// The fd to register for [`Interest::READ`] in the poll loop.
@@ -295,15 +304,23 @@ impl Waker {
     }
 
     /// Make the poll loop's next (or current) [`poll_fds`] call return.
-    /// Safe to call from any thread, any number of times. A full pipe means
-    /// a wake is already pending, which is all a wake means — errors other
-    /// than that are ignored too, as the worst case is a spurious timeout.
+    /// Safe to call from any thread, any number of times; only the call
+    /// that arms the waker writes. Write errors are ignored, as the worst
+    /// case is a spurious timeout.
     pub fn wake(&self) {
-        let _ = (&self.send).write(&[1u8]);
+        // SeqCst read-modify-write on both sides: a wake that finds the
+        // waker armed is ordered before the drain that disarms it, which
+        // therefore sees everything this caller published before waking.
+        if !self.armed.swap(true, Ordering::SeqCst) {
+            let _ = (&self.send).write(&[1u8]);
+        }
     }
 
     /// Consume pending wake bytes so the fd stops polling readable. Call
-    /// once per poll iteration that observed the waker fd readable.
+    /// once per poll iteration that observed the waker fd readable, and
+    /// look at whatever the wakers published *after* it returns: a wake
+    /// that races the drain is either absorbed by it (it found the waker
+    /// armed and its work is already visible) or arms the waker afresh.
     pub fn drain(&self) {
         let mut sink = [0u8; 64];
         while let Ok(n) = (&self.recv).read(&mut sink) {
@@ -311,6 +328,12 @@ impl Waker {
                 break;
             }
         }
+        // Disarm only once the byte is gone. The other order has a hole: a
+        // wake landing between the clear and the read arms the waker and
+        // writes, the read swallows that byte, and the waker is left armed
+        // over an empty pipe — every later wake returns without writing
+        // and the poll loop never hears from anyone again.
+        self.armed.swap(false, Ordering::SeqCst);
     }
 }
 
@@ -349,17 +372,28 @@ mod tests {
     #[test]
     fn redundant_wakes_coalesce_into_one_edge() {
         let waker = Waker::new().unwrap();
-        for _ in 0..1000 {
+        for _ in 0..10_000 {
             waker.wake();
         }
         let mut entries = [PollEntry::new(waker.fd(), Interest::READ)];
         assert_eq!(poll_fds(&mut entries, Some(Duration::ZERO)).unwrap(), 1);
+        // Only the arming wake paid a write(2).
+        let mut sink = [0u8; 64];
+        assert_eq!((&waker.recv).read(&mut sink).unwrap(), 1);
         waker.drain();
         let mut entries = [PollEntry::new(waker.fd(), Interest::READ)];
         assert_eq!(
             poll_fds(&mut entries, Some(Duration::ZERO)).unwrap(),
             0,
             "one drain clears any number of wakes"
+        );
+        // Drained means disarmed: the next wake writes again.
+        waker.wake();
+        let mut entries = [PollEntry::new(waker.fd(), Interest::READ)];
+        assert_eq!(
+            poll_fds(&mut entries, Some(Duration::ZERO)).unwrap(),
+            1,
+            "a wake after a drain must make the next poll readable"
         );
     }
 

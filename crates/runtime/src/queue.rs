@@ -15,6 +15,7 @@
 //! both closed and empty. Nothing accepted is ever dropped on the floor.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// Why a submission was not accepted. The rejected item is handed back so
@@ -41,16 +42,16 @@ impl<T> SubmitError<T> {
     }
 }
 
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
 /// A bounded MPMC queue with blocking and non-blocking submission and
 /// graceful close-and-drain shutdown. All methods take `&self`; share it
 /// behind an `Arc` between any number of producers and consumers.
 pub struct RequestQueue<T> {
-    state: Mutex<QueueState<T>>,
+    items: Mutex<VecDeque<T>>,
+    /// Only ever stored with `items` locked, so whoever holds the lock (a
+    /// submitter or receiver about to wait) cannot miss a close; read
+    /// without it by [`RequestQueue::is_closed`], which admission asks on
+    /// every request.
+    closed: AtomicBool,
     /// Signalled when an item is taken or the queue closes (submitters wait).
     not_full: Condvar,
     /// Signalled when an item arrives or the queue closes (receivers wait).
@@ -63,10 +64,8 @@ impl<T> RequestQueue<T> {
     pub fn new(cap: usize) -> Self {
         let cap = cap.max(1);
         Self {
-            state: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(cap.min(1024)),
-                closed: false,
-            }),
+            items: Mutex::new(VecDeque::with_capacity(cap.min(1024))),
+            closed: AtomicBool::new(false),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
             cap,
@@ -77,32 +76,32 @@ impl<T> RequestQueue<T> {
     /// `Err(Closed)` — with the item — if the queue is (or becomes while
     /// waiting) closed.
     pub fn submit(&self, item: T) -> Result<(), SubmitError<T>> {
-        let mut state = self.state.lock().unwrap();
+        let mut items = self.items.lock().unwrap();
         loop {
-            if state.closed {
+            if self.is_closed() {
                 return Err(SubmitError::Closed(item));
             }
-            if state.items.len() < self.cap {
-                state.items.push_back(item);
-                drop(state);
+            if items.len() < self.cap {
+                items.push_back(item);
+                drop(items);
                 self.not_empty.notify_one();
                 return Ok(());
             }
-            state = self.not_full.wait(state).unwrap();
+            items = self.not_full.wait(items).unwrap();
         }
     }
 
     /// Enqueue `item` only if there is capacity right now; never blocks.
     pub fn try_submit(&self, item: T) -> Result<(), SubmitError<T>> {
-        let mut state = self.state.lock().unwrap();
-        if state.closed {
+        let mut items = self.items.lock().unwrap();
+        if self.is_closed() {
             return Err(SubmitError::Closed(item));
         }
-        if state.items.len() >= self.cap {
+        if items.len() >= self.cap {
             return Err(SubmitError::Full(item));
         }
-        state.items.push_back(item);
-        drop(state);
+        items.push_back(item);
+        drop(items);
         self.not_empty.notify_one();
         Ok(())
     }
@@ -110,23 +109,23 @@ impl<T> RequestQueue<T> {
     /// Dequeue the oldest item, blocking while the queue is open and empty.
     /// Returns `None` only when the queue is closed **and** fully drained.
     pub fn recv(&self) -> Option<T> {
-        let mut state = self.state.lock().unwrap();
+        let mut items = self.items.lock().unwrap();
         loop {
-            if let Some(item) = state.items.pop_front() {
-                drop(state);
+            if let Some(item) = items.pop_front() {
+                drop(items);
                 self.not_full.notify_one();
                 return Some(item);
             }
-            if state.closed {
+            if self.is_closed() {
                 return None;
             }
-            state = self.not_empty.wait(state).unwrap();
+            items = self.not_empty.wait(items).unwrap();
         }
     }
 
     /// Dequeue the oldest item if one is queued; never blocks.
     pub fn try_recv(&self) -> Option<T> {
-        let item = self.state.lock().unwrap().items.pop_front();
+        let item = self.items.lock().unwrap().pop_front();
         if item.is_some() {
             self.not_full.notify_one();
         }
@@ -136,19 +135,22 @@ impl<T> RequestQueue<T> {
     /// Stop admitting work. Idempotent. Blocked submitters wake with
     /// `Closed`; receivers keep draining what was already accepted.
     pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
+        {
+            let _items = self.items.lock().unwrap();
+            self.closed.store(true, Ordering::SeqCst);
+        }
         self.not_full.notify_all();
         self.not_empty.notify_all();
     }
 
     /// True once [`RequestQueue::close`] has run.
     pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
+        self.closed.load(Ordering::SeqCst)
     }
 
     /// Number of queued (accepted, not yet received) items.
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap().items.len()
+        self.items.lock().unwrap().len()
     }
 
     /// True when nothing is queued.

@@ -10,7 +10,10 @@
 //!     router pumps fully serviceable;
 //! (d) protocol failures surface as typed error frames with the
 //!     documented open/closed connection behavior, and the router's
-//!     admission control (quota) is visible on the wire.
+//!     admission control (quota) is visible on the wire;
+//! (e) a request the answer cache holds is answered on the event loop
+//!     that read it — 256 pipelined hits come back bit-identical over a
+//!     router whose queue nothing drains.
 
 #![cfg(unix)]
 
@@ -23,7 +26,10 @@ use std::time::{Duration, Instant};
 
 use ps3::core::{spec_rng, Method, Ps3Config, Ps3System, QueryRequest, Router};
 use ps3::data::{Dataset, DatasetConfig, DatasetKind, ScaleProfile};
-use ps3::net::proto::{ErrorCode, Frame, FrameBuffer, DEFAULT_MAX_FRAME, PROTO_VERSION};
+use ps3::net::proto::{
+    decode_body, encode_frame, ErrorCode, Frame, FrameBuffer, RequestFrame, ResponseFrame,
+    DEFAULT_MAX_FRAME, PROTO_VERSION,
+};
 use ps3::net::{ClientError, NetClient, NetServer, ServerConfig};
 use ps3::query::{Clause, CmpOp, Predicate, QueryAnswer, QuerySpec, SketchQuery};
 use ps3::sketch::codec::answer_sketch_to_bytes;
@@ -340,6 +346,105 @@ fn connections_distribute_across_shards() {
         );
     }
     drop(clients);
+    drop(server);
+    router.shutdown();
+}
+
+/// (e) A cache hit never hops. The router has no pumps, so a queued
+/// request can only finish when this test drains it: 256 pipelined
+/// requests over 8 warm keys nevertheless come back, each frame bit for
+/// bit the encoding of the in-process answer, while a never-seen key on
+/// the same connection waits for the drain. Binds with the default config
+/// so the `PS3_NET_SHARDS=4` CI step runs it sharded.
+#[test]
+fn cached_requests_are_answered_without_the_queue() {
+    let (ds, system) = trained(DatasetKind::Aria, 58);
+    let router = Router::builder()
+        .table("aria", system)
+        .pump_workers(0)
+        .build();
+    let table = router.table_id("aria").unwrap();
+    let server = NetServer::bind(Arc::clone(&router), "127.0.0.1:0").expect("bind");
+    let req = |seed: u64| {
+        QueryRequest::new(ds.sample_test_query(0), Method::Ps3, 0.2, seed).on_table("aria")
+    };
+    let warm: Vec<_> = (0..8).map(|k| router.answer_now(table, &req(k))).collect();
+    let warmed = router.stats();
+
+    /// One length-prefixed frame, as the bytes that crossed the socket.
+    fn read_wire_frame(stream: &mut TcpStream) -> Vec<u8> {
+        let mut wire = vec![0u8; 4];
+        stream.read_exact(&mut wire).expect("frame length");
+        let body_len = u32::from_le_bytes(wire[..4].try_into().unwrap()) as usize;
+        wire.resize(4 + body_len, 0);
+        stream.read_exact(&mut wire[4..]).expect("frame body");
+        wire
+    }
+    let request_wire = |id: u64, req: &QueryRequest| {
+        encode_frame(&Frame::Request(
+            RequestFrame::from_request(id, req).unwrap(),
+        ))
+        .unwrap()
+    };
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let burst: Vec<u8> = (1..=256u64)
+        .flat_map(|id| request_wire(id, &req(id % 8)))
+        .collect();
+    stream.write_all(&burst).expect("pipelined burst");
+    let mut seen = std::collections::BTreeSet::new();
+    for _ in 0..256 {
+        let wire = read_wire_frame(&mut stream);
+        let Frame::Response(resp) = decode_body(&wire[4..]).expect("decodes") else {
+            panic!("a warm request must be answered, not refused");
+        };
+        let id = resp.request_id;
+        let expected = ResponseFrame::from_outcome(id, &warm[(id % 8) as usize]);
+        assert_eq!(
+            wire,
+            encode_frame(&Frame::Response(expected)).unwrap(),
+            "reply {id} differs from the in-process answer's encoding"
+        );
+        assert!(seen.insert(id), "reply {id} delivered twice");
+    }
+    let stats = router.stats();
+    assert_eq!(stats.answers.hits - warmed.answers.hits, 256);
+    assert_eq!(stats.answers.misses, warmed.answers.misses);
+    assert_eq!(stats.executions, warmed.executions);
+    assert_eq!((router.queue_len(), stats.in_flight), (0, 0));
+
+    // A never-seen key queues and stays unanswered: once the job is
+    // visible in the queue the server is done with the request, and only
+    // a drain can produce its reply.
+    stream.write_all(&request_wire(257, &req(99))).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while router.queue_len() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the miss never reached the queue"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+    stream.set_nonblocking(true).unwrap();
+    let mut probe = [0u8; 1];
+    match stream.peek(&mut probe) {
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+        other => panic!("a queued miss was answered before any drain: {other:?}"),
+    }
+    stream.set_nonblocking(false).unwrap();
+    assert_eq!(router.drain_queued(1), 1);
+    let wire = read_wire_frame(&mut stream);
+    let served = router.answer_now(table, &req(99));
+    assert_eq!(
+        wire,
+        encode_frame(&Frame::Response(ResponseFrame::from_outcome(257, &served))).unwrap()
+    );
+    assert_eq!(router.stats().executions, warmed.executions + 1);
+    let served_stats = server.stats();
+    assert_eq!((served_stats.requests, served_stats.errors), (257, 0));
     drop(server);
     router.shutdown();
 }
