@@ -25,8 +25,9 @@
 //! `Arc`-shareable deployment whose query path is `&self`. [`router`] is the
 //! multi-tenant serving front end over many systems: named table routing, a
 //! bounded request queue with backpressure, per-tenant quotas, and an answer
-//! cache keyed by `(table, fingerprint, method, budget, seed)`; [`serve`]
-//! keeps the single-table [`ServeHandle`] as its synchronous special case.
+//! cache keyed by `(table, fingerprint, method, budget, seed)` — and the only
+//! in-process front door: [`Router::answer_now`] answers a [`QueryRequest`]
+//! ([`request`]) synchronously on the caller, through the same cache.
 
 pub mod allocate;
 pub mod baselines;
@@ -38,8 +39,8 @@ pub mod outlier;
 pub mod persist;
 pub mod picker;
 pub mod planner;
+pub mod request;
 pub mod router;
-pub mod serve;
 pub mod system;
 pub mod train;
 
@@ -48,10 +49,10 @@ pub use estimator::{AggError, ErrorEstimate};
 pub use persist::{freeze, thaw};
 pub use picker::{PickOutcome, Picker};
 pub use planner::{Budget, BudgetPlan, PlannerStats, FALLBACK_FRAC, PLAN_GRID};
+pub use request::QueryRequest;
 pub use router::{
     RouteError, Router, RouterBuilder, RouterStats, TableId, TableRoute, Tenant, Ticket,
 };
-pub use serve::{QueryRequest, ServeHandle};
 pub use system::{
     spec_rng, AnswerMeta, AnswerOutcome, Method, ProgressUpdate, Ps3System, RetrainReport,
     LSS_BUDGET_GRID,

@@ -25,7 +25,8 @@ use std::sync::Arc;
 
 use ps3_cluster::ClusterAlgo;
 use ps3_learn::{Gbdt, GbdtParams, NodeSpec, Tree};
-use ps3_query::{AggExpr, AggFunc, BinOp, Clause, CmpOp, Predicate, Query, ScalarExpr};
+use ps3_query::codec::{self, CodecError, Reader, Writer};
+use ps3_query::Query;
 use ps3_stats::features::FeatureType;
 use ps3_stats::persist::{decode_table_stats, encode_table_stats};
 use ps3_stats::{FeatureSchema, Normalizer};
@@ -33,15 +34,13 @@ use ps3_storage::format::{
     decode_partitioned_table, encode_partitioned_table, Artifact, ArtifactWriter, Cursor, Enc,
     FormatError, SEC_LSS, SEC_STATS, SEC_TRAINED, SEC_TRAINING,
 };
+use ps3_storage::Schema;
 
 use crate::baselines::LssModel;
 use crate::config::{ExemplarRule, Ps3Config};
 use crate::system::Ps3System;
 use crate::train::{PartitionStrata, TrainedPs3, TrainingData};
 
-/// Maximum nesting depth accepted when decoding scalar expressions and
-/// predicates (bounds recursion on adversarial input).
-const MAX_DEPTH: usize = 64;
 /// Maximum persisted training-query count.
 const MAX_QUERIES: usize = 1 << 20;
 /// Maximum nodes per persisted tree.
@@ -60,7 +59,9 @@ pub fn freeze(system: &Ps3System, path: &Path) -> io::Result<()> {
     w.add_section(SEC_STATS, encode_table_stats(&system.stats));
     w.add_section(SEC_TRAINED, encode_trained(&system.trained));
     w.add_section(SEC_LSS, encode_lss(&system.lss));
-    w.add_section(SEC_TRAINING, encode_training(&system.training));
+    let training = encode_training(&system.training)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    w.add_section(SEC_TRAINING, training);
     w.write_to(path)
 }
 
@@ -70,7 +71,8 @@ pub fn freeze(system: &Ps3System, path: &Path) -> io::Result<()> {
 pub fn thaw(path: &Path) -> Result<Ps3System, FormatError> {
     let a = Artifact::open(path)?;
     let pt = decode_partitioned_table(&a)?;
-    let num_cols = pt.table().schema().len();
+    let schema = pt.table().schema();
+    let num_cols = schema.len();
 
     let stats = decode_table_stats(a.section(SEC_STATS)?)?;
     if stats.num_partitions() != pt.num_partitions() {
@@ -87,7 +89,7 @@ pub fn thaw(path: &Path) -> Result<Ps3System, FormatError> {
     let trained = decode_trained(a.section(SEC_TRAINED)?, num_cols)?;
     let dim = trained.normalizer.schema().dim();
     let lss = decode_lss(a.section(SEC_LSS)?, dim)?;
-    let queries = decode_training(a.section(SEC_TRAINING)?, num_cols)?;
+    let queries = decode_training(a.section(SEC_TRAINING)?, schema)?;
     let training = TrainingData {
         queries,
         partials: Vec::new(),
@@ -106,323 +108,36 @@ pub fn thaw(path: &Path) -> Result<Ps3System, FormatError> {
 }
 
 // ---------------------------------------------------------------------------
-// Queries
+// Training workload
 
-fn encode_scalar(e: &mut Enc, s: &ScalarExpr) {
-    match s {
-        ScalarExpr::Column(c) => {
-            e.u8(1);
-            e.u32(c.index() as u32);
-        }
-        ScalarExpr::Literal(v) => {
-            e.u8(2);
-            e.f64(*v);
-        }
-        ScalarExpr::BinOp(op, l, r) => {
-            e.u8(3);
-            e.u8(match op {
-                BinOp::Add => 0,
-                BinOp::Sub => 1,
-                BinOp::Mul => 2,
-                BinOp::Div => 3,
-            });
-            encode_scalar(e, l);
-            encode_scalar(e, r);
-        }
-    }
-}
-
-fn decode_scalar(
-    c: &mut Cursor<'_>,
-    num_cols: usize,
-    depth: usize,
-) -> Result<ScalarExpr, FormatError> {
-    if depth > MAX_DEPTH {
-        return Err(FormatError::Corrupt("scalar expression nests too deep"));
-    }
-    match c.u8("scalar tag")? {
-        1 => {
-            let col = c.u32("scalar column")? as usize;
-            if col >= num_cols {
-                return Err(FormatError::Corrupt("scalar column out of range"));
-            }
-            Ok(ScalarExpr::Column(ps3_storage::ColId(col)))
-        }
-        2 => Ok(ScalarExpr::Literal(c.f64("scalar literal")?)),
-        3 => {
-            let op = match c.u8("scalar binop")? {
-                0 => BinOp::Add,
-                1 => BinOp::Sub,
-                2 => BinOp::Mul,
-                3 => BinOp::Div,
-                _ => return Err(FormatError::Corrupt("unknown scalar operator")),
-            };
-            let l = decode_scalar(c, num_cols, depth + 1)?;
-            let r = decode_scalar(c, num_cols, depth + 1)?;
-            Ok(ScalarExpr::BinOp(op, Box::new(l), Box::new(r)))
-        }
-        _ => Err(FormatError::Corrupt("unknown scalar tag")),
-    }
-}
-
-fn encode_clause(e: &mut Enc, cl: &Clause) {
-    match cl {
-        Clause::Cmp { col, op, value } => {
-            e.u8(1);
-            e.u32(col.index() as u32);
-            e.u8(match op {
-                CmpOp::Eq => 0,
-                CmpOp::Ne => 1,
-                CmpOp::Lt => 2,
-                CmpOp::Le => 3,
-                CmpOp::Gt => 4,
-                CmpOp::Ge => 5,
-            });
-            e.f64(*value);
-        }
-        Clause::In {
-            col,
-            values,
-            negated,
-        } => {
-            e.u8(2);
-            e.u32(col.index() as u32);
-            e.u8(u8::from(*negated));
-            e.u32(values.len() as u32);
-            for v in values {
-                e.str(v);
-            }
-        }
-        Clause::Contains {
-            col,
-            needle,
-            negated,
-        } => {
-            e.u8(3);
-            e.u32(col.index() as u32);
-            e.u8(u8::from(*negated));
-            e.str(needle);
-        }
-    }
-}
-
-fn decode_col(c: &mut Cursor<'_>, num_cols: usize) -> Result<ps3_storage::ColId, FormatError> {
-    let col = c.u32("clause column")? as usize;
-    if col >= num_cols {
-        return Err(FormatError::Corrupt("clause column out of range"));
-    }
-    Ok(ps3_storage::ColId(col))
-}
-
-fn decode_clause(c: &mut Cursor<'_>, num_cols: usize) -> Result<Clause, FormatError> {
-    match c.u8("clause tag")? {
-        1 => {
-            let col = decode_col(c, num_cols)?;
-            let op = match c.u8("clause cmp op")? {
-                0 => CmpOp::Eq,
-                1 => CmpOp::Ne,
-                2 => CmpOp::Lt,
-                3 => CmpOp::Le,
-                4 => CmpOp::Gt,
-                5 => CmpOp::Ge,
-                _ => return Err(FormatError::Corrupt("unknown comparison operator")),
-            };
-            let value = c.f64("clause value")?;
-            Ok(Clause::Cmp { col, op, value })
-        }
-        2 => {
-            let col = decode_col(c, num_cols)?;
-            let negated = c.u8("clause negated")? != 0;
-            let n = c.u32("clause value count")? as usize;
-            if n > MAX_VEC {
-                return Err(FormatError::Corrupt("IN list implausibly long"));
-            }
-            let mut values = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                values.push(c.str("clause value string")?.to_owned());
-            }
-            Ok(Clause::In {
-                col,
-                values,
-                negated,
-            })
-        }
-        3 => {
-            let col = decode_col(c, num_cols)?;
-            let negated = c.u8("clause negated")? != 0;
-            let needle = c.str("clause needle")?.to_owned();
-            Ok(Clause::Contains {
-                col,
-                needle,
-                negated,
-            })
-        }
-        _ => Err(FormatError::Corrupt("unknown clause tag")),
-    }
-}
-
-fn encode_predicate(e: &mut Enc, p: &Predicate) {
-    match p {
-        Predicate::Clause(cl) => {
-            e.u8(1);
-            encode_clause(e, cl);
-        }
-        Predicate::And(ps) => {
-            e.u8(2);
-            e.u32(ps.len() as u32);
-            for q in ps {
-                encode_predicate(e, q);
-            }
-        }
-        Predicate::Or(ps) => {
-            e.u8(3);
-            e.u32(ps.len() as u32);
-            for q in ps {
-                encode_predicate(e, q);
-            }
-        }
-        Predicate::Not(q) => {
-            e.u8(4);
-            encode_predicate(e, q);
-        }
-    }
-}
-
-fn decode_predicate(
-    c: &mut Cursor<'_>,
-    num_cols: usize,
-    depth: usize,
-) -> Result<Predicate, FormatError> {
-    if depth > MAX_DEPTH {
-        return Err(FormatError::Corrupt("predicate nests too deep"));
-    }
-    match c.u8("predicate tag")? {
-        1 => Ok(Predicate::Clause(decode_clause(c, num_cols)?)),
-        tag @ (2 | 3) => {
-            let n = c.u32("predicate arm count")? as usize;
-            if n > MAX_VEC {
-                return Err(FormatError::Corrupt("predicate arm count implausible"));
-            }
-            let mut parts = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                parts.push(decode_predicate(c, num_cols, depth + 1)?);
-            }
-            Ok(if tag == 2 {
-                Predicate::And(parts)
-            } else {
-                Predicate::Or(parts)
-            })
-        }
-        4 => Ok(Predicate::Not(Box::new(decode_predicate(
-            c,
-            num_cols,
-            depth + 1,
-        )?))),
-        _ => Err(FormatError::Corrupt("unknown predicate tag")),
-    }
-}
-
-/// Encode one query (the persisted-workload grammar; mirrors the AST, not
-/// the wire protocol, though both use tagged pre-order encodings).
-pub fn encode_query(e: &mut Enc, q: &Query) {
-    e.u32(q.aggregates.len() as u32);
-    for agg in &q.aggregates {
-        e.u8(match agg.func {
-            AggFunc::Sum => 0,
-            AggFunc::Count => 1,
-            AggFunc::Avg => 2,
-        });
-        encode_scalar(e, &agg.expr);
-        match &agg.condition {
-            Some(p) => {
-                e.u8(1);
-                encode_predicate(e, p);
-            }
-            None => e.u8(0),
-        }
-    }
-    match &q.predicate {
-        Some(p) => {
-            e.u8(1);
-            encode_predicate(e, p);
-        }
-        None => e.u8(0),
-    }
-    e.u32(q.group_by.len() as u32);
-    for col in &q.group_by {
-        e.u32(col.index() as u32);
-    }
-}
-
-/// Decode one query, validating every column index against `num_cols`.
-pub fn decode_query(c: &mut Cursor<'_>, num_cols: usize) -> Result<Query, FormatError> {
-    let n_aggs = c.u32("aggregate count")? as usize;
-    if n_aggs == 0 {
-        return Err(FormatError::Corrupt("query has no aggregates"));
-    }
-    if n_aggs > MAX_VEC {
-        return Err(FormatError::Corrupt("aggregate count implausible"));
-    }
-    let mut aggregates = Vec::with_capacity(n_aggs.min(1024));
-    for _ in 0..n_aggs {
-        let func = match c.u8("aggregate function")? {
-            0 => AggFunc::Sum,
-            1 => AggFunc::Count,
-            2 => AggFunc::Avg,
-            _ => return Err(FormatError::Corrupt("unknown aggregate function")),
-        };
-        let expr = decode_scalar(c, num_cols, 0)?;
-        let condition = match c.u8("aggregate condition flag")? {
-            0 => None,
-            1 => Some(decode_predicate(c, num_cols, 0)?),
-            _ => return Err(FormatError::Corrupt("bad aggregate condition flag")),
-        };
-        aggregates.push(AggExpr {
-            func,
-            expr,
-            condition,
-        });
-    }
-    let predicate = match c.u8("predicate flag")? {
-        0 => None,
-        1 => Some(decode_predicate(c, num_cols, 0)?),
-        _ => return Err(FormatError::Corrupt("bad predicate flag")),
-    };
-    let n_group = c.u32("group-by count")? as usize;
-    if n_group > num_cols {
-        return Err(FormatError::Corrupt("group-by count exceeds columns"));
-    }
-    let mut group_by = Vec::with_capacity(n_group);
-    for _ in 0..n_group {
-        group_by.push(decode_col(c, num_cols)?);
-    }
-    Ok(Query {
-        aggregates,
-        predicate,
-        group_by,
-    })
-}
-
-fn encode_training(td: &TrainingData) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u32(td.queries.len() as u32);
+/// `[n: u32]` then `n` queries in the one `Query` grammar
+/// ([`ps3_query::codec`]). Fails only on a query past that grammar's `u16`
+/// list and string caps.
+fn encode_training(td: &TrainingData) -> Result<Vec<u8>, CodecError> {
+    let mut bytes = Vec::new();
+    let mut w = Writer::new(&mut bytes);
+    w.u32_len(td.queries.len(), "training workloads cap at 2^32-1 queries")?;
     for q in &td.queries {
-        encode_query(&mut e, q);
+        codec::encode_query(&mut w, q)?;
     }
-    e.into_bytes()
+    Ok(bytes)
 }
 
-fn decode_training(bytes: &[u8], num_cols: usize) -> Result<Vec<Query>, FormatError> {
-    let mut c = Cursor::new(bytes);
-    let n = c.u32("training query count")? as usize;
+fn decode_training(bytes: &[u8], schema: &Schema) -> Result<Vec<Query>, FormatError> {
+    let mut r = Reader::new(bytes);
+    let n = r.u32()? as usize;
     if n > MAX_QUERIES {
         return Err(FormatError::Corrupt("training query count implausible"));
     }
     let mut queries = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        queries.push(decode_query(&mut c, num_cols)?);
+        let q = codec::decode_query(&mut r)?;
+        codec::check_query_schema(&q, schema)?;
+        queries.push(q);
     }
-    c.finish("training section")?;
+    if r.remaining() != 0 {
+        return Err(FormatError::Corrupt("training section"));
+    }
     Ok(queries)
 }
 
@@ -819,10 +534,10 @@ fn decode_lss(bytes: &[u8], dim: usize) -> Result<LssModel, FormatError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps3_query::ScalarExpr;
+    use ps3_query::{AggExpr, Clause, CmpOp, Predicate, ScalarExpr};
     use ps3_stats::{StatsConfig, TableStats};
     use ps3_storage::table::TableBuilder;
-    use ps3_storage::{ColId, ColumnMeta, ColumnType, PartitionedTable, Schema};
+    use ps3_storage::{ColId, ColumnMeta, ColumnType, PartitionedTable};
 
     fn queries() -> Vec<Query> {
         vec![
@@ -874,54 +589,6 @@ mod tests {
         cfg.gbdt.n_trees = 4;
         cfg.feature_selection = false;
         Ps3System::train(pt, stats, &queries(), cfg)
-    }
-
-    #[test]
-    fn query_roundtrip_preserves_fingerprint() {
-        for q in queries() {
-            let mut e = Enc::new();
-            encode_query(&mut e, &q);
-            let bytes = e.into_bytes();
-            let mut c = Cursor::new(&bytes);
-            let d = decode_query(&mut c, 2).unwrap();
-            c.finish("query").unwrap();
-            assert_eq!(d, q);
-            assert_eq!(d.fingerprint(), q.fingerprint());
-        }
-    }
-
-    #[test]
-    fn query_decode_rejects_out_of_range_columns() {
-        let q = Query::new(vec![AggExpr::sum(ScalarExpr::col(ColId(1)))], None, vec![]);
-        let mut e = Enc::new();
-        encode_query(&mut e, &q);
-        let bytes = e.into_bytes();
-        // Valid against a 2-column schema, invalid against a 1-column one.
-        assert!(decode_query(&mut Cursor::new(&bytes), 2).is_ok());
-        let err = decode_query(&mut Cursor::new(&bytes), 1).unwrap_err();
-        assert!(matches!(err, FormatError::Corrupt(_)));
-    }
-
-    #[test]
-    fn deep_predicate_nesting_is_bounded() {
-        let mut e = Enc::new();
-        // 1 aggregate: COUNT, literal expr, no condition.
-        e.u32(1);
-        e.u8(1);
-        e.u8(2);
-        e.f64(1.0);
-        e.u8(0);
-        // Predicate: a Not-chain deeper than MAX_DEPTH.
-        e.u8(1);
-        for _ in 0..(MAX_DEPTH + 2) {
-            e.u8(4);
-        }
-        let bytes = e.into_bytes();
-        let err = decode_query(&mut Cursor::new(&bytes), 1).unwrap_err();
-        assert!(matches!(
-            err,
-            FormatError::Corrupt("predicate nests too deep") | FormatError::Truncated(_)
-        ));
     }
 
     #[test]

@@ -41,9 +41,8 @@
 //! 4. **[`Ps3System`]** — per-table execution, fanned out on the router's
 //!    execution pool.
 //!
-//! [`crate::serve::ServeHandle`] is the single-table special case: it pins
-//! one table and answers synchronously on the caller (through the same
-//! answer cache), which keeps the pre-router serving semantics intact.
+//! In-process callers that want no queue call [`Router::answer_now`]: it
+//! answers synchronously on the caller, through the same answer cache.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -51,13 +50,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
+use ps3_query::codec::{check_schema, CodecError};
 use ps3_runtime::{
     CacheStats, Mailbox, Permit, RequestQueue, Semaphore, SharedLru, SingleFlight,
     SubmitError as QueueError, ThreadPool,
 };
 
 use crate::planner::{plan_error_target, plan_latency_target, Budget, BudgetPlan, PlannerStats};
-use crate::serve::QueryRequest;
+use crate::request::QueryRequest;
 use crate::system::{spec_rng, AnswerOutcome, ProgressUpdate, Ps3System};
 
 /// Index of a registered table within one router. Only meaningful for the
@@ -111,6 +111,10 @@ pub enum RouteError {
     QuotaExhausted(Box<QueryRequest>),
     /// The router has shut down.
     Closed(Box<QueryRequest>),
+    /// The query does not fit the routed table's schema (a column the table
+    /// does not have, `PERCENTILE` over a categorical column); the reason
+    /// rides beside the request.
+    InvalidQuery(Box<QueryRequest>, CodecError),
 }
 
 impl RouteError {
@@ -120,7 +124,8 @@ impl RouteError {
             RouteError::UnknownTable(r)
             | RouteError::QueueFull(r)
             | RouteError::QuotaExhausted(r)
-            | RouteError::Closed(r) => *r,
+            | RouteError::Closed(r)
+            | RouteError::InvalidQuery(r, _) => *r,
         }
     }
 }
@@ -132,6 +137,7 @@ impl std::fmt::Display for RouteError {
             RouteError::QueueFull(_) => write!(f, "request queue is full"),
             RouteError::QuotaExhausted(_) => write!(f, "tenant in-flight quota exhausted"),
             RouteError::Closed(_) => write!(f, "router is shut down"),
+            RouteError::InvalidQuery(_, why) => write!(f, "invalid query: {why}"),
         }
     }
 }
@@ -801,9 +807,8 @@ impl RouterBuilder {
 }
 
 /// The cross-table serving front end. Always used behind an `Arc` (tenants
-/// and [`crate::serve::ServeHandle`]s hold clones); dropping the last
-/// handle closes the queue, lets the pumps drain accepted work, and joins
-/// them.
+/// hold clones); dropping the last handle closes the queue, lets the pumps
+/// drain accepted work, and joins them.
 pub struct Router {
     core: Arc<RouterCore>,
     /// Pump pool, spawned lazily by the first [`Router::tenant`] call so
@@ -825,8 +830,8 @@ impl Router {
         }
     }
 
-    /// The single-table special case (what [`crate::serve::ServeHandle`]
-    /// builds): one table named `"default"` on the global pool.
+    /// The single-table special case: one table named `"default"` on the
+    /// global pool.
     pub fn single(system: Arc<Ps3System>) -> Arc<Router> {
         Router::builder().table("default", system).build()
     }
@@ -983,8 +988,7 @@ impl Router {
     }
 
     /// Answer synchronously on the caller, through the answer cache but
-    /// bypassing the queue — the single-table [`crate::serve::ServeHandle`]
-    /// path. Bit-identical to the queued path and to a direct
+    /// bypassing the queue. Bit-identical to the queued path and to a direct
     /// `Ps3System::answer_spec_on` with a [`spec_rng`]-derived RNG. Declarative
     /// budgets are planned first; [`Self::answer_planned`] additionally
     /// returns the plan.
@@ -1134,8 +1138,9 @@ impl Tenant {
     }
 
     /// Submit a request, blocking on the tenant quota and on queue
-    /// capacity (backpressure). Fails only on an unknown route or a closed
-    /// router. A request the answer cache already holds waits for neither:
+    /// capacity (backpressure). Fails only on an unknown route, a closed
+    /// router, or a query that does not fit the table's schema. A request
+    /// the answer cache already holds waits for neither:
     /// see [`Tenant::try_submit`].
     pub fn submit(&self, req: QueryRequest) -> Result<Ticket, RouteError> {
         self.submit_inner(req, true)
@@ -1151,7 +1156,9 @@ impl Tenant {
     /// capacity, never counts in [`RouterStats::in_flight`], and streams no
     /// partial answers. Only misses (and declarative budgets, which a pump
     /// must plan first) are admitted to the queue and held to both limits.
-    /// An unknown route or a closed router refuses hits and misses alike.
+    /// An unknown route or a closed router refuses hits and misses alike; a
+    /// miss whose query names a column the routed table does not have is
+    /// refused with [`RouteError::InvalidQuery`] before it is queued.
     pub fn try_submit(&self, req: QueryRequest) -> Result<Ticket, RouteError> {
         self.submit_inner(req, false)
     }
@@ -1181,6 +1188,14 @@ impl Tenant {
             }
             Budget::ErrorTarget { .. } | Budget::LatencyTarget { .. } => None,
         };
+        // Only what will execute is checked: a hit was checked when it
+        // first missed. The kernels index columns unchecked, so this is
+        // what keeps a hostile column id a typed refusal, not a panic.
+        let entry = &core.tables[table.index()];
+        let checked = check_schema(&req.query, entry.system.read().unwrap().pt.table().schema());
+        if let Err(why) = checked {
+            return Err(RouteError::InvalidQuery(Box::new(req), why));
+        }
         let permit = match &self.quota {
             None => None,
             Some(quota) if blocking => Some(quota.acquire()),
@@ -1408,16 +1423,26 @@ mod tests {
     fn panicking_request_propagates_to_the_ticket_not_the_pump() {
         let router = Router::single(tiny_system(9, 160));
         let tenant = router.tenant("risky", None);
-        // ColId(7) does not exist in the 2-column schema: feature
-        // computation panics while executing the request.
-        let bad = Query::new(
-            vec![AggExpr::sum(ps3_query::ScalarExpr::col(
-                ps3_storage::ColId(7),
-            ))],
-            None,
-            vec![],
-        );
-        let ticket = tenant.submit(QueryRequest::ps3(bad, 0.25, 1)).unwrap();
+        let sum_of = |col| {
+            let expr = ps3_query::ScalarExpr::col(ps3_storage::ColId(col));
+            Query::new(vec![AggExpr::sum(expr)], None, vec![])
+        };
+        // ColId(7) does not exist in the 2-column schema: refused at
+        // admission, the request riding back, nothing queued.
+        match tenant.submit(QueryRequest::ps3(sum_of(7), 0.25, 1)) {
+            Err(RouteError::InvalidQuery(req, why)) => {
+                assert_eq!(req.seed, 1);
+                assert_eq!(why.to_string(), "column 7 is not in the table's schema");
+            }
+            other => panic!("expected InvalidQuery, got {:?}", other.map(|_| "ticket")),
+        }
+        assert_eq!((router.queue_len(), router.stats().in_flight), (0, 0));
+        // SUM over the categorical column is in range — admission checks
+        // that columns exist, not that their types fit the operator — and
+        // the kernel panics on it while executing the request.
+        let ticket = tenant
+            .submit(QueryRequest::ps3(sum_of(1), 0.25, 1))
+            .unwrap();
         let blew_up = catch_unwind(AssertUnwindSafe(|| ticket.wait()));
         assert!(blew_up.is_err(), "panic must resume in the submitter");
         // The pump survived: a well-formed request still completes.

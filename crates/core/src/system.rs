@@ -4,7 +4,7 @@
 //! A trained [`Ps3System`] is immutable shared state: every query-path
 //! method takes `&self` and threads an explicit RNG, so one system behind an
 //! `Arc` serves any number of threads concurrently (see
-//! [`crate::serve::ServeHandle`]). Per-query randomness comes either from a
+//! [`crate::router::Router`]). Per-query randomness comes either from a
 //! caller-owned [`StdRng`] or from a seed via [`spec_rng`], which makes
 //! results a pure function of `(query, method, budget, seed)` — the same
 //! request answered on eight threads is bit-identical on all of them.

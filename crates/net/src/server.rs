@@ -786,6 +786,9 @@ fn submit(
                 RouteError::QueueFull(_) => ErrorCode::QueueFull,
                 RouteError::QuotaExhausted(_) => ErrorCode::QuotaExhausted,
                 RouteError::Closed(_) => ErrorCode::Shutdown,
+                // Refused whole, like the duplicate id above: framing is
+                // intact, so the connection stays open.
+                RouteError::InvalidQuery(..) => ErrorCode::Malformed,
             };
             let message = err.to_string();
             conn.out.push_frame(

@@ -1,0 +1,529 @@
+//! The one byte grammar of the query AST.
+//!
+//! A [`QuerySpec`] crosses two byte boundaries — the request on the socket
+//! (`docs/PROTOCOL.md` § Request payload) and the training workload frozen
+//! into a `*.ps3` artifact (`docs/FORMAT.md`, `SEC_TRAINING`) — and both
+//! speak the grammar defined here: tagged pre-order, little-endian, `f64`s
+//! by bit pattern, lists and strings behind a `u16` length. [`Writer`] and
+//! [`Reader`] are public so `ps3_net::proto` frames its own fields with the
+//! same primitives.
+//!
+//! Decoding caps nesting at [`MAX_DEPTH`], validates sketch parameters
+//! before construction, and fails with a [`CodecError`], never a panic.
+//! Whether the decoded columns exist is a question for a table, not for the
+//! bytes: [`check_schema`] answers it at both boundaries, before the query
+//! reaches a kernel.
+
+use ps3_storage::format::FormatError;
+use ps3_storage::{ColId, Schema};
+
+use crate::ast::{AggExpr, AggFunc, BinOp, Clause, CmpOp, Predicate, Query, ScalarExpr};
+use crate::sketch::{QuerySpec, SketchFunc, SketchQuery};
+
+/// Nesting bound for decoded predicates/expressions: deeper input is
+/// rejected ([`CodecError::Invalid`]) instead of overflowing the decoder's
+/// stack.
+pub const MAX_DEPTH: u32 = 64;
+
+/// Operator tag tables: a variant's tag byte is its index here, which is
+/// also its discriminant (what the encoders write).
+const BIN_OPS: [BinOp; 4] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div];
+const CMP_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+const AGG_FUNCS: [AggFunc; 3] = [AggFunc::Sum, AggFunc::Count, AggFunc::Avg];
+
+/// Why bytes failed to decode, a value refused to encode, or a decoded
+/// query does not fit a table's schema.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CodecError {
+    /// The input ended before a field it promised.
+    Truncated,
+    /// An unknown tag byte for the named grammar rule.
+    BadTag {
+        /// Which grammar rule was being decoded.
+        what: &'static str,
+        /// The offending byte.
+        tag: u8,
+    },
+    /// A string field held invalid UTF-8.
+    BadUtf8,
+    /// A structurally invalid value (empty aggregate list, excessive
+    /// nesting, a list too long for its length field, …).
+    Invalid(&'static str),
+    /// The query does not fit the schema it was checked against.
+    BadColumn {
+        /// The offending column index.
+        col: usize,
+        /// What is wrong with it.
+        why: &'static str,
+    },
+}
+
+impl std::fmt::Display for CodecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CodecError::Truncated => write!(f, "query bytes truncated"),
+            CodecError::BadTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
+            CodecError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
+            CodecError::Invalid(what) => write!(f, "{what}"),
+            CodecError::BadColumn { col, why } => write!(f, "column {col} {why}"),
+        }
+    }
+}
+
+impl std::error::Error for CodecError {}
+
+impl From<CodecError> for FormatError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => FormatError::Truncated("query"),
+            CodecError::BadTag { what, .. } | CodecError::Invalid(what) => {
+                FormatError::Corrupt(what)
+            }
+            CodecError::BadUtf8 => FormatError::Corrupt("query string is not UTF-8"),
+            CodecError::BadColumn { .. } => FormatError::Corrupt("query does not fit the table"),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Primitives
+// ---------------------------------------------------------------------------
+
+/// Append little-endian primitives to a byte buffer. Length-carrying
+/// fields go through the checked `str`/`u16_len`/`u32_len` helpers — a
+/// value too large for its length field is a [`CodecError::Invalid`]
+/// error, never a silent modular truncation (which would emit bytes that
+/// decode to a *different* value).
+///
+/// Borrows the destination rather than owning it so encoders can append
+/// into a caller-reused buffer — the serving hot path encodes thousands of
+/// frames per second and must not allocate one `Vec` each.
+pub struct Writer<'a>(&'a mut Vec<u8>);
+
+// One fixed-width little-endian append per method.
+impl<'a> Writer<'a> {
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        Writer(out)
+    }
+    #[inline]
+    pub fn u8(&mut self, v: u8) {
+        self.0.push(v);
+    }
+    #[inline]
+    pub fn u16(&mut self, v: u16) {
+        self.bytes(&v.to_le_bytes());
+    }
+    #[inline]
+    pub fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+    #[inline]
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+    /// Raw bytes; the caller has written their length.
+    #[inline]
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.0.extend_from_slice(b);
+    }
+    /// `n` as a `u16` length, refused (`what`) when it does not fit.
+    #[inline]
+    pub fn u16_len(&mut self, n: usize, what: &'static str) -> Result<(), CodecError> {
+        self.u16(u16::try_from(n).map_err(|_| CodecError::Invalid(what))?);
+        Ok(())
+    }
+    /// `n` as a `u32` length, refused (`what`) when it does not fit.
+    #[inline]
+    pub fn u32_len(&mut self, n: usize, what: &'static str) -> Result<(), CodecError> {
+        self.u32(u32::try_from(n).map_err(|_| CodecError::Invalid(what))?);
+        Ok(())
+    }
+    /// A `u16`-length-prefixed UTF-8 string.
+    #[inline]
+    pub fn str(&mut self, s: &str) -> Result<(), CodecError> {
+        self.u16_len(s.len(), "wire strings cap at 64 KiB")?;
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
+    fn col(&mut self, c: ColId) {
+        self.u32(c.index() as u32);
+    }
+}
+
+/// Bounds-checked cursor over encoded bytes: every read past the end is
+/// [`CodecError::Truncated`].
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+// The mirror of `Writer`: one read per method.
+impl<'a> Reader<'a> {
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
+    }
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+    /// The next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
+        let out = self.buf.get(self.pos..end).ok_or(CodecError::Truncated)?;
+        self.pos = end;
+        Ok(out)
+    }
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.take(1)?[0])
+    }
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+    }
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, CodecError> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+    /// A `u16`-length-prefixed UTF-8 string.
+    #[inline]
+    pub fn str(&mut self) -> Result<String, CodecError> {
+        let len = self.u16()? as usize;
+        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| CodecError::BadUtf8)
+    }
+    fn col(&mut self) -> Result<ColId, CodecError> {
+        Ok(ColId(self.u32()? as usize))
+    }
+    /// A tag byte indexing `table`; anything past it is a [`CodecError::BadTag`].
+    fn tag<T: Copy>(&mut self, what: &'static str, table: &[T]) -> Result<T, CodecError> {
+        let tag = self.u8()?;
+        table
+            .get(usize::from(tag))
+            .copied()
+            .ok_or(CodecError::BadTag { what, tag })
+    }
+    /// A `u16` count, then that many `item`s.
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        (0..self.u16()?).map(|_| item(self)).collect()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Encoding
+// ---------------------------------------------------------------------------
+
+fn encode_scalar(w: &mut Writer<'_>, e: &ScalarExpr) {
+    match e {
+        ScalarExpr::Column(c) => {
+            w.u8(1);
+            w.col(*c);
+        }
+        ScalarExpr::Literal(x) => {
+            w.u8(2);
+            w.f64(*x);
+        }
+        ScalarExpr::BinOp(op, l, r) => {
+            w.u8(3);
+            w.u8(*op as u8);
+            encode_scalar(w, l);
+            encode_scalar(w, r);
+        }
+    }
+}
+
+fn encode_predicate(w: &mut Writer<'_>, p: &Predicate) -> Result<(), CodecError> {
+    match p {
+        Predicate::Clause(Clause::Cmp { col, op, value }) => {
+            w.u8(1);
+            w.col(*col);
+            w.u8(*op as u8);
+            w.f64(*value);
+        }
+        Predicate::Clause(Clause::In {
+            col,
+            values,
+            negated,
+        }) => {
+            w.u8(2);
+            w.col(*col);
+            w.u8(u8::from(*negated));
+            w.u16_len(values.len(), "IN lists cap at 65535 values")?;
+            for v in values {
+                w.str(v)?;
+            }
+        }
+        Predicate::Clause(Clause::Contains {
+            col,
+            needle,
+            negated,
+        }) => {
+            w.u8(3);
+            w.col(*col);
+            w.u8(u8::from(*negated));
+            w.str(needle)?;
+        }
+        Predicate::And(ps) | Predicate::Or(ps) => {
+            let (tag, cap) = match p {
+                Predicate::And(_) => (4, "AND arms cap at 65535"),
+                _ => (5, "OR arms cap at 65535"),
+            };
+            w.u8(tag);
+            w.u16_len(ps.len(), cap)?;
+            for q in ps {
+                encode_predicate(w, q)?;
+            }
+        }
+        Predicate::Not(q) => {
+            w.u8(6);
+            encode_predicate(w, q)?;
+        }
+    }
+    Ok(())
+}
+
+/// `[has: u8 (0|1)][predicate]`.
+fn encode_opt_predicate(w: &mut Writer<'_>, p: &Option<Predicate>) -> Result<(), CodecError> {
+    w.u8(u8::from(p.is_some()));
+    p.iter().try_for_each(|p| encode_predicate(w, p))
+}
+
+/// The scalar-query grammar: `[n_aggs: u16]` aggregates (`[func: u8]
+/// [expr][has_cond: u8][condition]`), `[has_pred: u8][predicate]`,
+/// `[n_group: u16]` group-by columns (`u32` each).
+pub fn encode_query(w: &mut Writer<'_>, q: &Query) -> Result<(), CodecError> {
+    w.u16_len(q.aggregates.len(), "aggregate lists cap at 65535")?;
+    for agg in &q.aggregates {
+        w.u8(agg.func as u8);
+        encode_scalar(w, &agg.expr);
+        encode_opt_predicate(w, &agg.condition)?;
+    }
+    encode_opt_predicate(w, &q.predicate)?;
+    w.u16_len(q.group_by.len(), "GROUP BY lists cap at 65535")?;
+    q.group_by.iter().for_each(|c| w.col(*c));
+    Ok(())
+}
+
+/// A query of either class: `[spec: u8]`, then `0` the scalar grammar or
+/// `1` the sketch grammar `[func: u8][params…][col: u32][has_pred: u8]
+/// [predicate]` — `1` PERCENTILE carries its fraction as `f64` bits, `2`
+/// DISTINCT nothing, `3` TOP_K its `k` as a `u32`.
+pub fn encode_query_spec(w: &mut Writer<'_>, spec: &QuerySpec) -> Result<(), CodecError> {
+    let q = match spec {
+        QuerySpec::Scalar(q) => {
+            w.u8(0);
+            return encode_query(w, q);
+        }
+        QuerySpec::Sketch(q) => q,
+    };
+    w.u8(1);
+    match q.func {
+        SketchFunc::Percentile(p) => {
+            w.u8(1);
+            w.f64(p);
+        }
+        SketchFunc::Distinct => w.u8(2),
+        SketchFunc::TopK(k) => {
+            w.u8(3);
+            w.u32(k);
+        }
+    }
+    w.col(q.col);
+    encode_opt_predicate(w, &q.predicate)
+}
+
+// ---------------------------------------------------------------------------
+// Decoding
+// ---------------------------------------------------------------------------
+
+fn decode_scalar(r: &mut Reader, depth: u32) -> Result<ScalarExpr, CodecError> {
+    if depth > MAX_DEPTH {
+        return Err(CodecError::Invalid("expression nested too deeply"));
+    }
+    Ok(match r.u8()? {
+        1 => ScalarExpr::Column(r.col()?),
+        2 => ScalarExpr::Literal(r.f64()?),
+        3 => {
+            let op = r.tag("binary operator", &BIN_OPS)?;
+            let l = decode_scalar(r, depth + 1)?;
+            let right = decode_scalar(r, depth + 1)?;
+            ScalarExpr::BinOp(op, Box::new(l), Box::new(right))
+        }
+        tag => {
+            let what = "scalar expression";
+            return Err(CodecError::BadTag { what, tag });
+        }
+    })
+}
+
+fn decode_predicate(r: &mut Reader, depth: u32) -> Result<Predicate, CodecError> {
+    if depth > MAX_DEPTH {
+        return Err(CodecError::Invalid("predicate nested too deeply"));
+    }
+    Ok(match r.u8()? {
+        1 => Predicate::Clause(Clause::Cmp {
+            col: r.col()?,
+            op: r.tag("comparison operator", &CMP_OPS)?,
+            value: r.f64()?,
+        }),
+        2 => Predicate::Clause(Clause::In {
+            col: r.col()?,
+            negated: r.u8()? != 0,
+            values: r.list(Reader::str)?,
+        }),
+        3 => Predicate::Clause(Clause::Contains {
+            col: r.col()?,
+            negated: r.u8()? != 0,
+            needle: r.str()?,
+        }),
+        4 => Predicate::And(r.list(|r| decode_predicate(r, depth + 1))?),
+        5 => Predicate::Or(r.list(|r| decode_predicate(r, depth + 1))?),
+        6 => Predicate::Not(Box::new(decode_predicate(r, depth + 1)?)),
+        tag => {
+            let what = "predicate";
+            return Err(CodecError::BadTag { what, tag });
+        }
+    })
+}
+
+fn decode_opt_predicate(
+    r: &mut Reader,
+    what: &'static str,
+) -> Result<Option<Predicate>, CodecError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(decode_predicate(r, 0)?)),
+        tag => Err(CodecError::BadTag { what, tag }),
+    }
+}
+
+/// Decode one scalar query ([`encode_query`]'s inverse).
+pub fn decode_query(r: &mut Reader) -> Result<Query, CodecError> {
+    let aggregates = r.list(|r| {
+        Ok(AggExpr {
+            func: r.tag("aggregate function", &AGG_FUNCS)?,
+            expr: decode_scalar(r, 0)?,
+            condition: decode_opt_predicate(r, "condition presence flag")?,
+        })
+    })?;
+    if aggregates.is_empty() {
+        return Err(CodecError::Invalid("query needs at least one aggregate"));
+    }
+    Ok(Query {
+        aggregates,
+        predicate: decode_opt_predicate(r, "predicate presence flag")?,
+        group_by: r.list(Reader::col)?,
+    })
+}
+
+/// Decode one query spec ([`encode_query_spec`]'s inverse). Sketch
+/// parameters are validated before construction: the builders assert, and
+/// hostile bytes must never panic the decoder.
+pub fn decode_query_spec(r: &mut Reader) -> Result<QuerySpec, CodecError> {
+    match r.u8()? {
+        0 => return Ok(QuerySpec::Scalar(decode_query(r)?)),
+        1 => {}
+        tag => {
+            let what = "query spec";
+            return Err(CodecError::BadTag { what, tag });
+        }
+    }
+    let func = match r.u8()? {
+        1 => SketchFunc::Percentile(r.f64()?),
+        2 => SketchFunc::Distinct,
+        3 => SketchFunc::TopK(r.u32()?),
+        tag => {
+            let what = "sketch function";
+            return Err(CodecError::BadTag { what, tag });
+        }
+    };
+    match func {
+        SketchFunc::Percentile(p) if !(0.0..=1.0).contains(&p) => {
+            return Err(CodecError::Invalid("percentile fraction must be in [0, 1]"))
+        }
+        SketchFunc::TopK(0) => return Err(CodecError::Invalid("TOP_K needs k >= 1")),
+        _ => {}
+    }
+    Ok(QuerySpec::Sketch(SketchQuery {
+        func,
+        col: r.col()?,
+        predicate: decode_opt_predicate(r, "predicate presence flag")?,
+    }))
+}
+
+// ---------------------------------------------------------------------------
+// Schema check
+// ---------------------------------------------------------------------------
+
+fn check_cols(cols: &[ColId], schema: &Schema) -> Result<(), CodecError> {
+    match cols.iter().find(|c| c.index() >= schema.len()) {
+        Some(c) => Err(CodecError::BadColumn {
+            col: c.index(),
+            why: "is not in the table's schema",
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Every column `q` names exists in `schema`. Walks the whole AST — a
+/// `COUNT`'s (ignored) expression and aggregate conditions included, which
+/// [`Query::used_columns`] skips — so nothing downstream can index a column
+/// the table does not have.
+pub fn check_query_schema(q: &Query, schema: &Schema) -> Result<(), CodecError> {
+    let mut cols = q.group_by.clone();
+    for agg in &q.aggregates {
+        agg.expr.collect_columns(&mut cols);
+        agg.condition
+            .iter()
+            .for_each(|p| p.collect_columns(&mut cols));
+    }
+    q.predicate
+        .iter()
+        .for_each(|p| p.collect_columns(&mut cols));
+    check_cols(&cols, schema)
+}
+
+/// [`check_query_schema`] for either query class; a sketch query
+/// additionally needs a numeric column under `PERCENTILE`. This is the
+/// admission check of both byte boundaries: the router runs it on a decoded
+/// request before queueing it, `thaw` on every persisted training query.
+pub fn check_schema(spec: &QuerySpec, schema: &Schema) -> Result<(), CodecError> {
+    let q = match spec {
+        QuerySpec::Scalar(q) => return check_query_schema(q, schema),
+        QuerySpec::Sketch(q) => q,
+    };
+    let mut cols = vec![q.col];
+    q.predicate
+        .iter()
+        .for_each(|p| p.collect_columns(&mut cols));
+    check_cols(&cols, schema)?;
+    if matches!(q.func, SketchFunc::Percentile(_)) && !schema.col(q.col).ctype.is_numeric_like() {
+        return Err(CodecError::BadColumn {
+            col: q.col.index(),
+            why: "is not numeric, which PERCENTILE needs",
+        });
+    }
+    Ok(())
+}

@@ -17,8 +17,13 @@
 //! [`SelVec`] selection vector, and fused kernels accumulate aggregate
 //! slots straight from column chunks — see the kernel module docs for the
 //! bit-identity contract with the reference interpreter.
+//!
+//! The AST has one byte form, [`codec`]: the grammar a request travels in
+//! on the wire and a training workload is frozen in on disk, with the
+//! schema check both boundaries run before a query reaches a kernel.
 
 pub mod ast;
+pub mod codec;
 pub mod exec;
 pub mod kernel;
 pub mod metrics;

@@ -496,3 +496,243 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The byte codec ([`crate::codec`]): its properties are held here once, for
+// both boundaries that speak it (wire requests, frozen training workloads).
+
+mod codec_props {
+    use super::*;
+    use crate::codec::{
+        check_query_schema, check_schema, decode_query_spec, encode_query_spec, CodecError, Reader,
+        Writer,
+    };
+    use crate::sketch::{QuerySpec, SketchQuery};
+
+    fn encode(spec: &QuerySpec) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_query_spec(&mut Writer::new(&mut bytes), spec).expect("in-cap specs encode");
+        bytes
+    }
+
+    fn decode(bytes: &[u8]) -> Result<QuerySpec, CodecError> {
+        decode_query_spec(&mut Reader::new(bytes))
+    }
+
+    fn arb_spec() -> impl Strategy<Value = QuerySpec> {
+        let sketch = (
+            0u8..3,
+            0usize..3,
+            0.0f64..1.0,
+            1u32..50,
+            arb_opt_predicate(),
+        )
+            .prop_map(|(func, col, p, k, predicate)| {
+                let base = match func {
+                    0 => SketchQuery::percentile(ColId(col), p),
+                    1 => SketchQuery::distinct(ColId(col)),
+                    _ => SketchQuery::top_k(ColId(col), k),
+                };
+                QuerySpec::Sketch(SketchQuery { predicate, ..base })
+            });
+        prop_oneof![arb_query().prop_map(QuerySpec::Scalar), sketch]
+    }
+
+    /// The inputs the two retired per-boundary suites round-tripped:
+    /// `persist`'s training pair and `proto`'s sketch queries.
+    fn fixed_specs() -> Vec<QuerySpec> {
+        let lt = |col, value| {
+            let op = CmpOp::Lt;
+            Predicate::Clause(Clause::Cmp { col, op, value })
+        };
+        let tag_in = |values: &[&str], negated| {
+            let values = values.iter().map(|v| v.to_string()).collect();
+            Predicate::Clause(Clause::In {
+                col: ColId(2),
+                values,
+                negated,
+            })
+        };
+        let x = || ScalarExpr::col(ColId(0));
+        let not_or = Predicate::Or(vec![lt(ColId(0), 20.0), tag_in(&["a", "b"], true)]);
+        let doubled = AggExpr::avg(x().mul(ScalarExpr::Literal(2.0)));
+        let tagged = Predicate::Clause(Clause::Contains {
+            col: ColId(2),
+            needle: "a".into(),
+            negated: false,
+        });
+        vec![
+            Query::new(
+                vec![AggExpr::sum(x())],
+                Some(Predicate::Not(Box::new(not_or))),
+                vec![ColId(2)],
+            )
+            .into(),
+            Query::new(
+                vec![AggExpr::count(), doubled.filtered(tagged)],
+                None,
+                vec![],
+            )
+            .into(),
+            SketchQuery::percentile(ColId(0), 0.5).into(),
+            SketchQuery::percentile(ColId(0), 1.0)
+                .filtered(lt(ColId(1), 9.5))
+                .into(),
+            SketchQuery::distinct(ColId(2)).into(),
+            SketchQuery::top_k(ColId(2), 5)
+                .filtered(lt(ColId(1), 9.5))
+                .into(),
+        ]
+    }
+
+    /// decode(encode) is `==` with the same fingerprint, every strict
+    /// prefix is an `Err`, and garbage at any position errors or decodes —
+    /// nothing panics.
+    fn check_spec_bytes(spec: &QuerySpec) -> Result<(), String> {
+        let bytes = encode(spec);
+        let back = decode(&bytes).map_err(|e| format!("valid bytes refused: {e}"))?;
+        if &back != spec || back.fingerprint() != spec.fingerprint() {
+            return Err(format!("round trip changed the query: {back:?}"));
+        }
+        for cut in 0..bytes.len() {
+            if let Ok(short) = decode(&bytes[..cut]) {
+                return Err(format!("prefix of {cut} bytes decoded: {short:?}"));
+            }
+            let mut bad = bytes.clone();
+            bad[cut] ^= 0xFF;
+            let _ = decode(&bad);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn fixed_specs_round_trip_and_their_prefixes_are_errors() {
+        for spec in fixed_specs() {
+            check_spec_bytes(&spec).unwrap_or_else(|e| panic!("{spec:?}: {e}"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn random_specs_round_trip_and_their_prefixes_are_errors(spec in arb_spec()) {
+            if let Err(e) = check_spec_bytes(&spec) {
+                prop_assert!(false, "{e}\nspec {spec:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Each case runs raw and behind a valid spec tag, so the grammar
+        /// under the dispatch is reached too.
+        #[test]
+        fn random_bytes_never_panic_the_decoder(
+            mut bytes in prop::collection::vec(any::<u8>(), 1..96),
+            tag in 0u8..2,
+        ) {
+            let _ = decode(&bytes);
+            bytes[0] = tag;
+            let _ = decode(&bytes);
+        }
+    }
+
+    /// `COUNT(*) WHERE NOT^depth (col0 < 1)`: 64 deep is accepted, 65 is
+    /// refused at the cap, long before the stack; expressions likewise.
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let not_chain = |depth: usize| {
+            let mut bytes = vec![0, 1, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0, 1];
+            bytes.extend(std::iter::repeat_n(6, depth));
+            bytes.extend([1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0, 0]);
+            bytes
+        };
+        let spec = decode(&not_chain(64)).expect("64 deep is accepted");
+        assert_eq!(encode(&spec), not_chain(64));
+        let too_deep = Err(CodecError::Invalid("predicate nested too deeply"));
+        assert_eq!(decode(&not_chain(65)), too_deep);
+        assert_eq!(decode(&not_chain(100_000)), too_deep);
+        let mut deep_expr = vec![0u8, 1, 0, 0];
+        deep_expr.extend(std::iter::repeat_n([3u8, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0], 66).flatten());
+        assert_eq!(
+            decode(&deep_expr),
+            Err(CodecError::Invalid("expression nested too deeply"))
+        );
+    }
+
+    #[test]
+    fn hostile_sketch_params_and_tags_are_typed_errors() {
+        // [spec tag][func tag][p: f64 | k: u32][col: u32][has_pred]
+        let patched = |spec: SketchQuery, at: usize, with: &[u8]| {
+            let mut bytes = encode(&spec.into());
+            bytes[at..at + with.len()].copy_from_slice(with);
+            decode(&bytes)
+        };
+        let bad_p = Err(CodecError::Invalid("percentile fraction must be in [0, 1]"));
+        for p in [2.0, -0.5, f64::NAN] {
+            let pct = SketchQuery::percentile(ColId(0), 0.5);
+            assert_eq!(patched(pct, 2, &p.to_bits().to_le_bytes()), bad_p);
+        }
+        let topk = || SketchQuery::top_k(ColId(0), 3);
+        assert_eq!(
+            patched(topk(), 2, &[0; 4]),
+            Err(CodecError::Invalid("TOP_K needs k >= 1"))
+        );
+        let bad_tag = |what, tag| Err(CodecError::BadTag { what, tag });
+        assert_eq!(patched(topk(), 1, &[9]), bad_tag("sketch function", 9));
+        assert_eq!(patched(topk(), 0, &[7]), bad_tag("query spec", 7));
+        assert_eq!(
+            decode(&[0, 0, 0]),
+            Err(CodecError::Invalid("query needs at least one aggregate"))
+        );
+    }
+
+    #[test]
+    fn schema_check_walks_every_column_of_the_ast() {
+        let schema = |n: usize| {
+            let cols = [
+                ColumnMeta::new("x", ColumnType::Numeric),
+                ColumnMeta::new("d", ColumnType::Date),
+                ColumnMeta::new("tag", ColumnType::Categorical),
+            ];
+            Schema::new(cols[..n].to_vec())
+        };
+        let bad = |col, why| Err(CodecError::BadColumn { col, why });
+        let unknown = |col| bad(col, "is not in the table's schema");
+        // Valid against a 2-column schema, invalid against a 1-column one.
+        let q = Query::new(vec![AggExpr::sum(ScalarExpr::col(ColId(1)))], None, vec![]);
+        assert_eq!(check_query_schema(&q, &schema(2)), Ok(()));
+        assert_eq!(check_query_schema(&q, &schema(1)), unknown(1));
+        for spec in fixed_specs() {
+            assert_eq!(check_schema(&spec, &schema(3)), Ok(()), "{spec:?}");
+        }
+
+        // Every position a column id can hide in — including the ones
+        // `used_columns()` skips.
+        let far = ColId(9999);
+        let on_far = Predicate::Clause(Clause::str_eq(far, "a"));
+        let count = |agg: AggExpr, pred, group_by| Query::new(vec![agg], pred, group_by).into();
+        let mut count_far = AggExpr::count();
+        count_far.expr = ScalarExpr::Literal(1.0).add(ScalarExpr::col(far));
+        let nested = Predicate::Not(Box::new(Predicate::Or(vec![on_far.clone()])));
+        let hidden: [QuerySpec; 6] = [
+            count(count_far, None, vec![]),
+            count(AggExpr::count().filtered(on_far.clone()), None, vec![]),
+            count(AggExpr::count(), Some(nested), vec![]),
+            count(AggExpr::count(), None, vec![ColId(0), far]),
+            SketchQuery::distinct(far).into(),
+            SketchQuery::top_k(ColId(2), 3).filtered(on_far).into(),
+        ];
+        for spec in hidden {
+            assert_eq!(check_schema(&spec, &schema(3)), unknown(9999), "{spec:?}");
+        }
+
+        // PERCENTILE needs numeric storage: dates qualify, dictionaries
+        // do not; DISTINCT and TOP_K take either.
+        let pct = |col| check_schema(&SketchQuery::percentile(ColId(col), 0.9).into(), &schema(3));
+        assert_eq!(pct(1), Ok(()));
+        assert_eq!(pct(2), bad(2, "is not numeric, which PERCENTILE needs"));
+    }
+}

@@ -48,7 +48,7 @@ struct Shared {
     shutdown: AtomicBool,
     /// Lifetime count of tasks pushed through [`Shared::inject`] — the
     /// pool hand-offs observable by callers deciding whether a hand-off is
-    /// worth it (see `ServeHandle::answer_many`'s 1-worker fast path).
+    /// worth it.
     tasks_injected: AtomicU64,
 }
 

@@ -31,8 +31,9 @@ use crate::table::Table;
 
 /// File magic: identifies a PS3 flat artifact.
 pub const MAGIC: [u8; 8] = *b"PS3FLAT\0";
-/// Current container version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current container version. 2 re-encoded `SEC_TRAINING` in the one
+/// `Query` grammar of `ps3_query::codec`; a version-1 file is refused.
+pub const FORMAT_VERSION: u32 = 2;
 /// Every section payload starts at a multiple of this (cache-line and SIMD
 /// friendly, and strictly stricter than any element alignment we map).
 pub const SECTION_ALIGN: usize = 64;
@@ -749,7 +750,7 @@ mod tests {
         encode_partitioned_table(&mut w, &sample_pt());
         let bytes = w.to_bytes();
         assert_eq!(&bytes[0..8], &MAGIC);
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 2);
         assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 3);
         assert_eq!(
             u64::from_le_bytes(bytes[16..24].try_into().unwrap()),

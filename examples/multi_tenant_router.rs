@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use ps3::core::{Method, Ps3Config, QueryRequest, Router, ServeHandle, Ticket};
+use ps3::core::{Ps3Config, QueryRequest, Router, Ticket};
 use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
 
 fn main() {
@@ -64,13 +64,18 @@ fn main() {
 
     // --- Tenant 2: BI team runs a 6-budget accuracy sweep on TPC-H twice
     // (analysts re-render plots constantly); the re-run is all cache.
-    let bi = ServeHandle::for_table(Arc::clone(&router), "lineitem").expect("registered");
+    let lineitem = router.table_id("lineitem").expect("registered");
     let budgets = [0.02, 0.05, 0.1, 0.2, 0.35, 0.5];
     let q = tpch.sample_test_query(1);
+    let sweep = || {
+        for &frac in &budgets {
+            router.answer_now(lineitem, &QueryRequest::ps3(q.clone(), frac, 7));
+        }
+    };
     let before = router.stats().executions;
-    bi.sweep(&q, Method::Ps3, &budgets, 7);
+    sweep();
     let cold = router.stats().executions - before;
-    bi.sweep(&q, Method::Ps3, &budgets, 7);
+    sweep();
     let warm = router.stats().executions - before - cold;
     println!("bi sweep: {cold} executions cold, {warm} executions warm (re-render is free)");
 

@@ -25,9 +25,6 @@
 #                    2x MAX_RATIO margin absorbs the extra noise.
 #   MAX_RATIO        regression threshold vs. the baseline (default 2.0).
 #   MIN_NS           baselines below this are report-only (default 10000).
-#   SCALE_TOLERANCE  multi-core scaling check slack: serve/multi_thread may
-#                    be up to this factor slower than serve/single_thread
-#                    on a 4+-core runner before failing (default 1.0).
 #   WARM_MIN_SPEEDUP minimum train/train_cold ÷ train/retrain_warm ratio
 #                    before failing (default 10): the incremental retrain
 #                    must stay an order of magnitude under a cold rebuild.
@@ -41,8 +38,6 @@
 #                    (default 4): the pipelined row records *per-request*
 #                    cost of a 16-deep batch, which must amortize the
 #                    wire + wakeup overhead well under one cold roundtrip.
-#   CORES_OVERRIDE   pretend the runner has this many cores (makes the
-#                    scaling branch testable on any box; normally unset).
 set -euo pipefail
 
 raw="$1"
@@ -69,9 +64,6 @@ cluster/assign_step_simd
 train/train_cold
 train/retrain_warm
 picker/full_pick_25pct
-serve/single_thread
-serve/multi_thread
-serve_sweep/six_budget_sweep_cached
 router/answer_cold
 router/answer_cached
 router_fanin/fanin_8_tenants
@@ -107,11 +99,9 @@ fi
 
 # The runner's core count and git revision ride along as `_meta/` entries:
 # trajectory numbers are meaningless without knowing the hardware they came
-# from (the committed baseline was measured in a 1-CPU build container,
-# where serve/multi_thread can legitimately trail serve/single_thread) or
+# from (the committed baseline was measured in a 1-CPU build container) or
 # which source they measured. The ratio loop below skips `_meta/` keys.
-# CORES_OVERRIDE exists so the scaling branch below is testable on any box.
-cores="${CORES_OVERRIDE:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)}"
+cores="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 git_rev="$(git -C "$(dirname "$0")/.." rev-parse --short HEAD 2>/dev/null || echo unknown)"
 
 # TSV -> flat JSON object, one "name": ns pair per line (the fixed layout
@@ -123,27 +113,6 @@ git_rev="$(git -C "$(dirname "$0")/.." rev-parse --short HEAD 2>/dev/null || ech
     printf '  "_meta/git_rev": "%s"\n}\n' "$git_rev"
 } >"$out"
 echo "bench_gate: wrote $(wc -l <"$raw") benches to $out (cores: $cores, rev: $git_rev)"
-
-# Multi-core scaling check: on a 4+ core runner the pooled serving path
-# must not be slower than the serial baseline (both rows measure the same
-# 48-request batch). On fewer cores the comparison is meaningless — pool
-# overhead with no parallelism to pay for it — so it is skipped, not
-# asserted. SCALE_TOLERANCE > 1.0 loosens the bar for noisy runners.
-scale_tolerance="${SCALE_TOLERANCE:-1.0}"
-single_ns=$(awk -F'\t' '$1 == "serve/single_thread" {print $2; exit}' "$raw")
-multi_ns=$(awk -F'\t' '$1 == "serve/multi_thread" {print $2; exit}' "$raw")
-if [ "$cores" -ge 4 ] && [ -n "$single_ns" ] && [ -n "$multi_ns" ]; then
-    awk -v s="$single_ns" -v m="$multi_ns" -v tol="$scale_tolerance" -v c="$cores" 'BEGIN {
-        ratio = s > 0 ? m / s : 0;
-        printf "bench_gate: scaling check on %d cores: multi %d ns vs single %d ns (%.2fx)\n", c, m, s, ratio;
-        if (m > s * tol) {
-            print "bench_gate: FAIL — serve/multi_thread is slower than serve/single_thread on a multi-core runner";
-            exit 1;
-        }
-    }' || exit 1
-else
-    echo "bench_gate: scaling check skipped (cores: $cores < 4)"
-fi
 
 # Warm-retrain check: the incremental path exists to be an order of
 # magnitude under a cold rebuild on an unchanged table; if it drifts back

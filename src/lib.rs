@@ -15,10 +15,10 @@
 //! 4. Answer queries at a chosen partition budget and compare against the
 //!    exact answer ([`query`]). The query path is `&self`: wrap the trained
 //!    system in an `Arc` and serve it from as many threads as you like
-//!    (see [`core::serve::ServeHandle`], or [`core::router::Router`] for
-//!    the multi-tenant, multi-table front end with request-queue
-//!    backpressure, answer caching, single-flight coalescing and
-//!    retrain-in-place); per-request seeds make every answer reproducible.
+//!    (see [`core::router::Router`]: `answer_now` for a synchronous cached
+//!    answer, tenants for the multi-table front end with request-queue
+//!    backpressure, single-flight coalescing and retrain-in-place);
+//!    per-request seeds make every answer reproducible.
 //! 5. Serve it over the network ([`net`]): a versioned binary wire
 //!    protocol (`docs/PROTOCOL.md`) in front of an event-loop TCP server
 //!    feeding the router — wire answers are bit-identical to in-process

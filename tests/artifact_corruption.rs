@@ -211,13 +211,21 @@ fn corruption_cases_yield_the_documented_errors() {
         FormatError::BadMagic
     ));
 
-    // Version bump.
-    let mut bad = good.clone();
-    bad[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    std::fs::write(&case, &bad).unwrap();
-    match Artifact::open(&case).unwrap_err() {
-        FormatError::UnsupportedVersion { found } => assert_eq!(found, FORMAT_VERSION + 1),
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    // Any version but this build's — the next one, and the retired one
+    // whose training section spoke a grammar of its own.
+    for version in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
+        let mut bad = good.clone();
+        bad[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&case, &bad).unwrap();
+        match Artifact::open(&case).unwrap_err() {
+            FormatError::UnsupportedVersion { found } => assert_eq!(found, version),
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+        match Ps3System::thaw(&case) {
+            Err(FormatError::UnsupportedVersion { found }) => assert_eq!(found, version),
+            Err(other) => panic!("expected UnsupportedVersion, got {other:?}"),
+            Ok(_) => panic!("a version-{version} artifact must not thaw"),
+        }
     }
 
     // Truncation to every interesting prefix class.

@@ -11,6 +11,8 @@
 //! (d) protocol failures surface as typed error frames with the
 //!     documented open/closed connection behavior, and the router's
 //!     admission control (quota) is visible on the wire;
+//! (d') a decoded request naming a column the table does not have is
+//!     refused at admission with `Malformed`, the connection left open;
 //! (e) a request the answer cache holds is answered on the event loop
 //!     that read it — 256 pipelined hits come back bit-identical over a
 //!     router whose queue nothing drains.
@@ -508,6 +510,72 @@ fn typed_errors_and_wire_visible_admission_control() {
         other => panic!("expected answer, got {other:?}"),
     }
     drainer.join().unwrap();
+    drop(server);
+    router.shutdown();
+}
+
+/// (d-1b) A well-formed request whose query does not fit the routed
+/// table's schema is refused at admission — typed, naming the column, with
+/// nothing executed and no pool worker panicked — and the connection it
+/// arrived on goes on serving. Binds with the default config so the
+/// `PS3_NET_SHARDS=4` CI step runs it sharded.
+#[test]
+fn out_of_schema_queries_are_refused_at_admission_not_panicked() {
+    use ps3::query::{AggExpr, Query, ScalarExpr};
+    use ps3::storage::ColumnType;
+
+    let (ds, system) = trained(DatasetKind::Aria, 59);
+    let router = Router::builder().table("aria", Arc::clone(&system)).build();
+    let table = router.table_id("aria").unwrap();
+    let server = NetServer::bind(Arc::clone(&router), "127.0.0.1:0").expect("bind");
+    let mut client = NetClient::connect(server.addr()).expect("connect");
+
+    let categorical = ds.pt.table().schema().cols_of_type(ColumnType::Categorical)[0];
+    let far = ColId(9999);
+    let on_far = Predicate::Clause(Clause::str_eq(far, "x"));
+    let refused: [(QuerySpec, ColId); 6] = [
+        (
+            Query::new(vec![AggExpr::sum(ScalarExpr::col(far))], None, vec![]).into(),
+            far,
+        ),
+        (
+            Query::new(vec![AggExpr::count()], Some(on_far), vec![]).into(),
+            far,
+        ),
+        (
+            Query::new(vec![AggExpr::count()], None, vec![far]).into(),
+            far,
+        ),
+        (SketchQuery::percentile(far, 0.5).into(), far),
+        (SketchQuery::distinct(far).into(), far),
+        (
+            SketchQuery::percentile(categorical, 0.5).into(),
+            categorical,
+        ),
+    ];
+    let before = router.stats();
+    for (i, (spec, col)) in refused.into_iter().enumerate() {
+        let req = QueryRequest::new(spec, Method::Ps3, 0.2, i as u64).on_table("aria");
+        let Err(ClientError::Server(e)) = client.request(&req) else {
+            panic!("case {i}: expected a typed refusal");
+        };
+        assert_eq!(e.code, ErrorCode::Malformed, "case {i}: {}", e.message);
+        let names_it = e.message.contains(&format!("column {} ", col.index()));
+        let leaks = e.message.contains("index out of bounds") || e.message.contains("panicked");
+        assert!(names_it && !leaks, "case {i}: {}", e.message);
+    }
+    let after = router.stats();
+    assert_eq!(after.executions, before.executions, "nothing may execute");
+    assert_eq!((router.queue_len(), after.in_flight), (0, 0));
+    assert_eq!(server.stats().errors, 6);
+
+    // The same connection then answers a valid request, bit-identically
+    // to in-process.
+    let good = QueryRequest::new(ds.sample_test_query(0), Method::Ps3, 0.2, 7).on_table("aria");
+    let remote = client.request(&good).expect("the connection stayed open");
+    let local = router.answer_now(table, &good);
+    assert_eq!(answer_bits(&remote.answer), answer_bits(&local.answer));
+    assert_eq!(remote.meta.partitions_read as usize, local.selection.len());
     drop(server);
     router.shutdown();
 }

@@ -15,9 +15,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use ps3::core::{
-    spec_rng, Method, Ps3Config, Ps3System, QueryRequest, RouteError, Router, ServeHandle, Ticket,
-};
+use ps3::core::{spec_rng, Method, Ps3Config, Ps3System, QueryRequest, RouteError, Router, Ticket};
 use ps3::data::{Dataset, DatasetConfig, DatasetKind, ScaleProfile};
 use ps3::query::QuerySpec;
 
@@ -99,20 +97,27 @@ fn eight_concurrent_tenants_through_the_queue_match_direct_execution() {
 #[test]
 fn warm_budget_sweep_executes_nothing() {
     let (ds, system) = trained(DatasetKind::Aria, 32);
-    let handle = ServeHandle::new(system);
+    let router = Router::single(system);
+    let table = router.table_id("default").expect("single-table router");
     let budgets = [0.02, 0.05, 0.1, 0.2, 0.35, 0.5];
     let query = ds.sample_test_query(2);
+    let sweep = || -> Vec<_> {
+        budgets
+            .iter()
+            .map(|&frac| router.answer_now(table, &QueryRequest::ps3(query.clone(), frac, 7)))
+            .collect()
+    };
 
-    let cold = handle.sweep(&query, Method::Ps3, &budgets, 7);
-    let after_cold = handle.router().stats();
+    let cold = sweep();
+    let after_cold = router.stats();
     assert_eq!(
         after_cold.executions,
         budgets.len() as u64,
         "cold sweep executes each budget once"
     );
 
-    let warm = handle.sweep(&query, Method::Ps3, &budgets, 7);
-    let after_warm = handle.router().stats();
+    let warm = sweep();
+    let after_warm = router.stats();
     assert_eq!(
         after_warm.executions, after_cold.executions,
         "warm sweep must perform zero additional partition executions"

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::thread;
 
-use ps3::core::{Method, Ps3Config, Ps3System, QueryRequest, ServeHandle};
+use ps3::core::{Method, Ps3Config, Ps3System, QueryRequest, Router};
 use ps3::data::{Dataset, DatasetConfig, DatasetKind, ScaleProfile};
 
 fn trained(seed: u64, cache_cap: usize) -> (Dataset, Arc<Ps3System>) {
@@ -28,7 +28,8 @@ fn trained(seed: u64, cache_cap: usize) -> (Dataset, Arc<Ps3System>) {
 #[test]
 fn eight_threads_share_one_system_with_bit_identical_answers() {
     let (ds, system) = trained(21, 256);
-    let handle = ServeHandle::new(Arc::clone(&system));
+    let router = Router::single(system);
+    let table = router.table_id("default").expect("single-table router");
 
     let reqs: Arc<Vec<QueryRequest>> = Arc::new(
         (0..6)
@@ -42,11 +43,12 @@ fn eight_threads_share_one_system_with_bit_identical_answers() {
             .collect(),
     );
     // Single-threaded reference answers.
-    let expected: Arc<Vec<_>> = Arc::new(reqs.iter().map(|r| handle.answer(r)).collect());
+    let expected: Arc<Vec<_>> =
+        Arc::new(reqs.iter().map(|r| router.answer_now(table, r)).collect());
 
     let threads: Vec<_> = (0..8)
         .map(|t| {
-            let handle = handle.clone();
+            let router = Arc::clone(&router);
             let reqs = Arc::clone(&reqs);
             let expected = Arc::clone(&expected);
             thread::spawn(move || {
@@ -54,7 +56,7 @@ fn eight_threads_share_one_system_with_bit_identical_answers() {
                 // cache hits/misses interleave differently per thread.
                 for k in 0..reqs.len() {
                     let i = (k + t * 5) % reqs.len();
-                    let out = handle.answer(&reqs[i]);
+                    let out = router.answer_now(table, &reqs[i]);
                     assert_eq!(
                         out.answer, expected[i].answer,
                         "thread {t}: request {i} diverged from the single-thread reference"
@@ -84,13 +86,17 @@ fn eight_threads_share_one_system_with_bit_identical_answers() {
 #[test]
 fn budget_sweep_computes_features_once_per_query() {
     let (ds, system) = trained(22, 256);
-    let handle = ServeHandle::new(Arc::clone(&system));
+    let router = Router::single(Arc::clone(&system));
+    let table = router.table_id("default").expect("single-table router");
     let budgets = [0.02, 0.05, 0.1, 0.2, 0.35, 0.5];
 
     assert_eq!(system.feature_cache_stats().misses, 0);
     let queries: Vec<_> = (0..4).map(|i| ds.sample_test_query(i)).collect();
     for (i, q) in queries.iter().enumerate() {
-        let outs = handle.sweep(q, Method::Ps3, &budgets, i as u64);
+        let outs: Vec<_> = budgets
+            .iter()
+            .map(|&frac| router.answer_now(table, &QueryRequest::ps3(q.clone(), frac, i as u64)))
+            .collect();
         assert_eq!(outs.len(), budgets.len());
     }
     let stats = system.feature_cache_stats();
@@ -99,11 +105,11 @@ fn budget_sweep_computes_features_once_per_query() {
         queries.len() as u64,
         "each query's 6-budget sweep must compute features exactly once"
     );
-    // Each sweep warms the artifacts once (the miss above), then every
-    // budget's execution resolves them from the cache.
+    // Each sweep's first budget computes the artifacts (the miss above);
+    // every later budget's execution resolves them from the cache.
     assert_eq!(
         stats.hits,
-        (queries.len() * budgets.len()) as u64,
+        (queries.len() * (budgets.len() - 1)) as u64,
         "every post-warm lookup must hit the cache"
     );
 }
@@ -146,25 +152,27 @@ fn a_cache_entry_on_a_512_partition_table_stays_under_one_mebibyte() {
 #[test]
 fn tiny_cache_under_concurrent_pressure_stays_correct_and_bounded() {
     let (ds, system) = trained(23, 4);
-    let handle = ServeHandle::new(Arc::clone(&system));
+    let router = Router::single(Arc::clone(&system));
+    let table = router.table_id("default").expect("single-table router");
 
     let reqs: Arc<Vec<QueryRequest>> = Arc::new(
         (0..12)
             .map(|i| QueryRequest::ps3(ds.sample_test_query(i), 0.15, i as u64))
             .collect(),
     );
-    let expected: Arc<Vec<_>> = Arc::new(reqs.iter().map(|r| handle.answer(r)).collect());
+    let expected: Arc<Vec<_>> =
+        Arc::new(reqs.iter().map(|r| router.answer_now(table, r)).collect());
 
     let threads: Vec<_> = (0..8)
         .map(|t| {
-            let handle = handle.clone();
+            let router = Arc::clone(&router);
             let reqs = Arc::clone(&reqs);
             let expected = Arc::clone(&expected);
             thread::spawn(move || {
                 for round in 0..3 {
                     for k in 0..reqs.len() {
                         let i = (k + t + round) % reqs.len();
-                        let out = handle.answer(&reqs[i]);
+                        let out = router.answer_now(table, &reqs[i]);
                         assert_eq!(
                             out.answer, expected[i].answer,
                             "thread {t} round {round}: eviction perturbed request {i}"
@@ -192,14 +200,15 @@ fn tiny_cache_under_concurrent_pressure_stays_correct_and_bounded() {
 #[test]
 fn answer_many_matches_sequential_answers() {
     let (ds, system) = trained(24, 256);
-    let handle = ServeHandle::new(system);
+    let router = Router::single(system);
+    let table = router.table_id("default").expect("single-table router");
     let reqs: Vec<QueryRequest> = (0..10)
         .map(|i| QueryRequest::ps3(ds.sample_test_query(i), 0.25, 100 + i as u64))
         .collect();
-    let batch = handle.answer_many(&reqs);
+    let batch = router.pool().map(&reqs, |r| router.answer_now(table, r));
     assert_eq!(batch.len(), reqs.len());
     for (req, out) in reqs.iter().zip(&batch) {
-        let solo = handle.answer(req);
+        let solo = router.answer_now(table, req);
         assert_eq!(out.answer, solo.answer, "seed {}", req.seed);
     }
 }
