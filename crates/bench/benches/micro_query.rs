@@ -15,7 +15,8 @@ use ps3_query::{
     ScalarExpr,
 };
 use ps3_stats::QueryFeatures;
-use ps3_storage::{ColId, PartitionId};
+use ps3_storage::table::TableBuilder;
+use ps3_storage::{ColId, ColumnMeta, ColumnType, PartitionId, Schema, Table};
 
 /// The compiled-kernel primitives: predicate compilation, mask evaluation,
 /// and the fused predicate→aggregate partition scan. All of these are
@@ -84,6 +85,30 @@ fn bench_kernels(c: &mut Criterion) {
     g.finish();
 }
 
+/// 512 rows of `x` beside a 24-value key and a (4-value, 6-value) key pair,
+/// scattered by a fixed multiplicative walk so neighbouring rows rarely
+/// share a group.
+fn grouped_partition() -> Table {
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnMeta::new("x", ColumnType::Numeric),
+        ColumnMeta::new("zone", ColumnType::Categorical),
+        ColumnMeta::new("net", ColumnType::Categorical),
+        ColumnMeta::new("tier", ColumnType::Categorical),
+    ]));
+    for i in 0..512usize {
+        let k = (i * 37 + i / 24) % 24;
+        b.push_row(
+            &[i as f64 * 0.25],
+            &[
+                &format!("z{k:02}"),
+                &format!("n{}", k % 4),
+                &format!("t{}", k / 4),
+            ],
+        );
+    }
+    b.finish()
+}
+
 fn bench_query_paths(c: &mut Criterion) {
     let ds = DatasetConfig::new(DatasetKind::Kdd, ScaleProfile::Tiny).build(1);
     let query = ds.sample_test_query(0);
@@ -96,6 +121,21 @@ fn bench_query_paths(c: &mut Criterion) {
     g.bench_function("query_features", |b| {
         b.iter(|| QueryFeatures::compute(&ds.stats, ds.pt.table(), &query))
     });
+
+    // Grouped execution of one 512-row partition holding 24 groups, SUM +
+    // AVG over a stored column, compiled once as the server does: one key
+    // column, and the same 24 groups as a (4-value, 6-value) pair.
+    let grouped = grouped_partition();
+    let x = || ScalarExpr::col(ColId(0));
+    for (name, group_by) in [
+        ("execute_grouped_1col", vec![ColId(1)]),
+        ("execute_grouped_2col", vec![ColId(2), ColId(3)]),
+    ] {
+        let q = Query::new(vec![AggExpr::sum(x()), AggExpr::avg(x())], None, group_by);
+        let cq = CompiledQuery::compile(&grouped, &q);
+        assert_eq!(cq.execute_partition(&grouped, 0..512).num_groups(), 24);
+        g.bench_function(name, |b| b.iter(|| cq.execute_partition(&grouped, 0..512)));
+    }
 
     // Clustering 64 partitions' feature rows into 8 clusters, fed from the
     // flat compact matrix the way the picker's group projection feeds it.

@@ -30,7 +30,7 @@ fn main() {
             normalizer.apply_matrix(m);
         }
         let eval_qs: Vec<usize> = (0..td.queries.len())
-            .filter(|&q| !td.totals[q].groups.is_empty())
+            .filter(|&q| !td.totals[q].is_empty())
             .take(16)
             .collect();
         let mut row = vec![kind.label().to_string()];

@@ -89,7 +89,7 @@ impl LssModel {
         let sizes = strata_size_grid(n);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x1551));
         let mut eval_qs: Vec<usize> = (0..td.queries.len())
-            .filter(|&q| !td.totals[q].groups.is_empty())
+            .filter(|&q| !td.totals[q].is_empty())
             .collect();
         eval_qs.shuffle(&mut rng);
         eval_qs.truncate(eval_queries.max(1));

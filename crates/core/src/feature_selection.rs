@@ -31,7 +31,7 @@ pub fn select_features(
 
     // Evaluation subset: training queries with a non-empty answer.
     let mut eval_qs: Vec<usize> = (0..td.queries.len())
-        .filter(|&q| !td.totals[q].groups.is_empty())
+        .filter(|&q| !td.totals[q].is_empty())
         .collect();
     eval_qs.shuffle(&mut rng);
     eval_qs.truncate(cfg.fs_eval_queries.max(1));

@@ -766,6 +766,13 @@ impl RouterBuilder {
 
     /// Build the router. Panics if no table was registered or a name was
     /// registered twice.
+    ///
+    /// This is where a process turns from loading its tables (generating,
+    /// training, thawing — each frees far more than it keeps) to serving
+    /// them, so the freed heap goes back to the OS here
+    /// ([`ps3_runtime::release_free_heap`]): what the server holds resident
+    /// is then its live data, not whichever holes its loading history left
+    /// and a later allocation did or did not happen to fit.
     pub fn build(self) -> Arc<Router> {
         assert!(!self.tables.is_empty(), "router needs at least one table");
         let mut by_name = HashMap::with_capacity(self.tables.len());
@@ -773,6 +780,7 @@ impl RouterBuilder {
             let prev = by_name.insert(entry.name.clone(), TableId(i as u32));
             assert!(prev.is_none(), "duplicate table name {:?}", entry.name);
         }
+        ps3_runtime::release_free_heap();
         let exec_pool = self.exec_pool.unwrap_or_else(ThreadPool::global);
         let pump_workers = self
             .pump_workers
@@ -1421,36 +1429,55 @@ mod tests {
 
     #[test]
     fn panicking_request_propagates_to_the_ticket_not_the_pump() {
-        let router = Router::single(tiny_system(9, 160));
+        let router = Router::builder()
+            .table("t", tiny_system(9, 160))
+            .pump_workers(0)
+            .build();
         let tenant = router.tenant("risky", None);
         let sum_of = |col| {
             let expr = ps3_query::ScalarExpr::col(ps3_storage::ColId(col));
             Query::new(vec![AggExpr::sum(expr)], None, vec![])
         };
-        // ColId(7) does not exist in the 2-column schema: refused at
+        // ColId(7) does not exist in the 2-column schema, and ColId(1) is
+        // the categorical one, which SUM cannot add: both are refused at
         // admission, the request riding back, nothing queued.
-        match tenant.submit(QueryRequest::ps3(sum_of(7), 0.25, 1)) {
-            Err(RouteError::InvalidQuery(req, why)) => {
-                assert_eq!(req.seed, 1);
-                assert_eq!(why.to_string(), "column 7 is not in the table's schema");
+        for (col, refusal) in [
+            (7, "column 7 is not in the table's schema"),
+            (
+                1,
+                "column 1 is not numeric, which an aggregate's expression needs",
+            ),
+        ] {
+            match tenant.submit(QueryRequest::ps3(sum_of(col), 0.25, 1)) {
+                Err(RouteError::InvalidQuery(req, why)) => {
+                    assert_eq!(req.seed, 1);
+                    assert_eq!(why.to_string(), refusal);
+                }
+                other => panic!("expected InvalidQuery, got {:?}", other.map(|_| "ticket")),
             }
-            other => panic!("expected InvalidQuery, got {:?}", other.map(|_| "ticket")),
+            assert_eq!((router.queue_len(), router.stats().in_flight), (0, 0));
         }
-        assert_eq!((router.queue_len(), router.stats().in_flight), (0, 0));
-        // SUM over the categorical column is in range — admission checks
-        // that columns exist, not that their types fit the operator — and
-        // the kernel panics on it while executing the request.
+        // No admissible query panics a kernel, so the panic is this test's
+        // own: a progress hook, which the executing thread calls from
+        // inside the request, blows up on the first refinement.
         let ticket = tenant
-            .submit(QueryRequest::ps3(sum_of(1), 0.25, 1))
+            .submit(QueryRequest::new(sum_query(), Method::Random, 0.5, 21).progressive())
             .unwrap();
+        ticket.on_progress(|| panic!("progress hook blew up"));
+        let pump = {
+            let router = Arc::clone(&router);
+            std::thread::spawn(move || router.drain_queued(1))
+        };
         let blew_up = catch_unwind(AssertUnwindSafe(|| ticket.wait()));
         assert!(blew_up.is_err(), "panic must resume in the submitter");
-        // The pump survived: a well-formed request still completes.
+        // The pump survived: it returns from the job that panicked, and a
+        // well-formed request still completes.
+        assert_eq!(pump.join().expect("the pump thread must not unwind"), 1);
         let ok = tenant
             .submit(QueryRequest::ps3(count_query(), 0.25, 2))
-            .unwrap()
-            .wait();
-        assert!(ok.answer.num_groups() > 0);
+            .unwrap();
+        assert_eq!(router.drain_queued(1), 1);
+        assert!(ok.wait().answer.num_groups() > 0);
         router.shutdown();
     }
 

@@ -226,6 +226,12 @@ pub fn budget_partitions(frac: f64, num_partitions: usize) -> usize {
 
 impl Ps3System {
     /// Train every learned component on `train_queries`.
+    ///
+    /// Training frees several times what the trained system keeps (dense
+    /// feature rows, GBDT work matrices, per-task scratch); that goes back to
+    /// the OS before this returns ([`ps3_runtime::release_free_heap`]), so
+    /// what the caller does next — freeze, serve — starts from the system's
+    /// live size instead of building on whichever of training's holes fit.
     pub fn train(
         pt: Arc<PartitionedTable>,
         stats: Arc<TableStats>,
@@ -252,7 +258,10 @@ impl Ps3System {
             cfg.fs_eval_queries,
             cfg.seed,
         );
-        Self::from_parts(pt, stats, trained, lss, Arc::new(training))
+        drop(normalized);
+        let system = Self::from_parts(pt, stats, trained, lss, Arc::new(training));
+        ps3_runtime::release_free_heap();
+        system
     }
 
     /// Assemble a system generation from already-trained parts — the one
@@ -493,10 +502,7 @@ impl Ps3System {
                 let compiled = &artifacts.compiled;
                 let mut fold = ScalarFold {
                     compiled,
-                    acc: PartialAnswer {
-                        groups: std::collections::HashMap::new(),
-                        slots: compiled.slot_count(),
-                    },
+                    acc: PartialAnswer::with_slots(compiled.slot_count()),
                     totals: Vec::new(),
                     weights: Vec::new(),
                 };

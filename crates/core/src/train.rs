@@ -97,8 +97,8 @@ pub fn contributions_for(partials: &[PartialAnswer], total: &PartialAnswer) -> V
         .iter()
         .map(|part| {
             let mut best = 0.0f64;
-            for (key, vals) in &part.groups {
-                let Some(tvals) = total.groups.get(key) else {
+            for (key, vals) in part.groups() {
+                let Some(tvals) = total.get(key) else {
                     continue;
                 };
                 for (&v, &t) in vals.iter().zip(tvals) {
@@ -309,17 +309,14 @@ impl TrainedPs3 {
 mod tests {
     use super::*;
     use ps3_query::GroupKey;
-    use std::collections::HashMap;
 
     fn partial(entries: &[(&[u64], &[f64])]) -> PartialAnswer {
-        let mut groups = HashMap::new();
-        for (k, v) in entries {
-            groups.insert(GroupKey(k.to_vec().into_boxed_slice()), v.to_vec());
-        }
-        PartialAnswer {
-            groups,
-            slots: entries.first().map_or(1, |e| e.1.len()),
-        }
+        PartialAnswer::from_groups(
+            entries.first().map_or(1, |e| e.1.len()),
+            entries
+                .iter()
+                .map(|(k, v)| (GroupKey((*k).into()), v.to_vec())),
+        )
     }
 
     #[test]
@@ -335,10 +332,7 @@ mod tests {
     #[test]
     fn empty_partition_contributes_zero() {
         let total = partial(&[(&[1], &[100.0])]);
-        let p = PartialAnswer {
-            groups: HashMap::new(),
-            slots: 1,
-        };
+        let p = PartialAnswer::with_slots(1);
         assert_eq!(contributions_for(&[p], &total), vec![0.0]);
     }
 

@@ -10,9 +10,9 @@
 //!
 //! Decoding caps nesting at [`MAX_DEPTH`], validates sketch parameters
 //! before construction, and fails with a [`CodecError`], never a panic.
-//! Whether the decoded columns exist is a question for a table, not for the
-//! bytes: [`check_schema`] answers it at both boundaries, before the query
-//! reaches a kernel.
+//! Whether the decoded columns exist, and are of the kind their operators
+//! read, is a question for a table, not for the bytes: [`check_schema`]
+//! answers it at both boundaries, before the query reaches a kernel.
 
 use ps3_storage::format::FormatError;
 use ps3_storage::{ColId, Schema};
@@ -477,32 +477,89 @@ pub fn decode_query_spec(r: &mut Reader) -> Result<QuerySpec, CodecError> {
 // Schema check
 // ---------------------------------------------------------------------------
 
-fn check_cols(cols: &[ColId], schema: &Schema) -> Result<(), CodecError> {
-    match cols.iter().find(|c| c.index() >= schema.len()) {
-        Some(c) => Err(CodecError::BadColumn {
-            col: c.index(),
-            why: "is not in the table's schema",
-        }),
-        None => Ok(()),
+/// What an operator needs of the column it reads, with the refusal's
+/// wording when the column is of the other kind.
+#[derive(Clone, Copy)]
+enum Needs {
+    /// Any stored column (`GROUP BY`, `DISTINCT`, `TOP_K`).
+    Stored,
+    /// `f64` storage: arithmetic, comparisons, `PERCENTILE`.
+    Numeric(&'static str),
+    /// Dictionary codes: `IN` and `LIKE`.
+    Categorical(&'static str),
+}
+
+fn check_col(col: ColId, needs: Needs, schema: &Schema) -> Result<(), CodecError> {
+    let bad = |why| {
+        Err(CodecError::BadColumn {
+            col: col.index(),
+            why,
+        })
+    };
+    if col.index() >= schema.len() {
+        return bad("is not in the table's schema");
+    }
+    let numeric = schema.col(col).ctype.is_numeric_like();
+    match needs {
+        Needs::Numeric(why) if !numeric => bad(why),
+        Needs::Categorical(why) if numeric => bad(why),
+        _ => Ok(()),
     }
 }
 
-/// Every column `q` names exists in `schema`. Walks the whole AST — a
+fn check_expr(expr: &ScalarExpr, schema: &Schema) -> Result<(), CodecError> {
+    match expr {
+        ScalarExpr::Column(c) => check_col(
+            *c,
+            Needs::Numeric("is not numeric, which an aggregate's expression needs"),
+            schema,
+        ),
+        ScalarExpr::Literal(_) => Ok(()),
+        ScalarExpr::BinOp(_, l, r) => {
+            check_expr(l, schema)?;
+            check_expr(r, schema)
+        }
+    }
+}
+
+fn check_predicate(pred: &Predicate, schema: &Schema) -> Result<(), CodecError> {
+    match pred {
+        Predicate::Clause(Clause::Cmp { col, .. }) => check_col(
+            *col,
+            Needs::Numeric("is not numeric, which a comparison needs"),
+            schema,
+        ),
+        Predicate::Clause(Clause::In { col, .. } | Clause::Contains { col, .. }) => check_col(
+            *col,
+            Needs::Categorical("is not categorical, which IN and LIKE need"),
+            schema,
+        ),
+        Predicate::Not(p) => check_predicate(p, schema),
+        Predicate::And(ps) | Predicate::Or(ps) => {
+            ps.iter().try_for_each(|p| check_predicate(p, schema))
+        }
+    }
+}
+
+/// Every column `q` names exists in `schema` and is of the kind its
+/// operator reads: arithmetic and comparisons take numeric storage, `IN`
+/// and `LIKE` a dictionary, `GROUP BY` either. Walks the whole AST — a
 /// `COUNT`'s (ignored) expression and aggregate conditions included, which
 /// [`Query::used_columns`] skips — so nothing downstream can index a column
-/// the table does not have.
+/// the table does not have or ask one for the wrong representation.
 pub fn check_query_schema(q: &Query, schema: &Schema) -> Result<(), CodecError> {
-    let mut cols = q.group_by.clone();
+    for &col in &q.group_by {
+        check_col(col, Needs::Stored, schema)?;
+    }
     for agg in &q.aggregates {
-        agg.expr.collect_columns(&mut cols);
+        check_expr(&agg.expr, schema)?;
         agg.condition
             .iter()
-            .for_each(|p| p.collect_columns(&mut cols));
+            .try_for_each(|p| check_predicate(p, schema))?;
     }
     q.predicate
         .iter()
-        .for_each(|p| p.collect_columns(&mut cols));
-    check_cols(&cols, schema)
+        .try_for_each(|p| check_predicate(p, schema))
 }
 
 /// [`check_query_schema`] for either query class; a sketch query
@@ -514,16 +571,12 @@ pub fn check_schema(spec: &QuerySpec, schema: &Schema) -> Result<(), CodecError>
         QuerySpec::Scalar(q) => return check_query_schema(q, schema),
         QuerySpec::Sketch(q) => q,
     };
-    let mut cols = vec![q.col];
+    let needs = match q.func {
+        SketchFunc::Percentile(_) => Needs::Numeric("is not numeric, which PERCENTILE needs"),
+        _ => Needs::Stored,
+    };
+    check_col(q.col, needs, schema)?;
     q.predicate
         .iter()
-        .for_each(|p| p.collect_columns(&mut cols));
-    check_cols(&cols, schema)?;
-    if matches!(q.func, SketchFunc::Percentile(_)) && !schema.col(q.col).ctype.is_numeric_like() {
-        return Err(CodecError::BadColumn {
-            col: q.col.index(),
-            why: "is not numeric, which PERCENTILE needs",
-        });
-    }
-    Ok(())
+        .try_for_each(|p| check_predicate(p, schema))
 }

@@ -7,6 +7,7 @@
 //! original scalar interpreter survives as the `#[cfg(test)]` oracle the
 //! property tests compare against bit-for-bit.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -68,12 +69,23 @@ impl GroupKey {
 /// Internally each aggregate occupies one slot (`SUM`, `COUNT`) or two
 /// (`AVG` = sum + count) so that the §2.4 weighted combination
 /// `Ã_g = Σ w_j · A_{g,p_j}` is linear in every slot.
+///
+/// The value is flat and canonical: group `g`'s key is the `arity` words at
+/// `keys[g · arity..]` (what a [`GroupKey`] holds), its accumulators the
+/// `slots` values at `vals[g · slots..]`, and groups sit in ascending
+/// lexicographic key order — [`GroupKey`]'s `Ord`. One group set has one
+/// representation, so `==` is structural, [`Self::add_weighted`] is a merge
+/// of two sorted lists and [`Self::slot_totals`] sums in the reproducible
+/// order without sorting.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartialAnswer {
-    /// group key → accumulator slots.
-    pub groups: HashMap<GroupKey, Vec<f64>>,
-    /// Number of slots (derived from the query).
-    pub slots: usize,
+    /// Accumulator slots per group (derived from the query).
+    slots: usize,
+    /// Number of groups. Not derivable from `keys`: the global group of a
+    /// query without `GROUP BY` has an empty key.
+    len: usize,
+    keys: Vec<u64>,
+    vals: Vec<f64>,
 }
 
 impl PartialAnswer {
@@ -88,22 +100,160 @@ impl PartialAnswer {
 
     /// An empty answer shaped for `query`.
     pub fn empty(query: &Query) -> Self {
+        Self::with_slots(Self::slot_count(query))
+    }
+
+    /// An empty answer with `slots` accumulators per group.
+    pub fn with_slots(slots: usize) -> Self {
         Self {
-            groups: HashMap::new(),
-            slots: Self::slot_count(query),
+            slots,
+            ..Self::default()
         }
     }
 
-    /// Add `weight ×` another partial answer into this one.
+    /// The answer holding exactly `groups`, in any order (keys distinct, of
+    /// one length; `slots` values each).
+    pub fn from_groups(
+        slots: usize,
+        groups: impl IntoIterator<Item = (GroupKey, Vec<f64>)>,
+    ) -> Self {
+        let mut groups: Vec<(GroupKey, Vec<f64>)> = groups.into_iter().collect();
+        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        assert!(
+            groups.windows(2).all(|w| w[0].0 != w[1].0),
+            "group keys must be distinct"
+        );
+        let arity = groups.first().map_or(0, |(key, _)| key.0.len());
+        let mut out = Self::with_slots(slots);
+        out.len = groups.len();
+        for (key, vals) in &groups {
+            assert_eq!(key.0.len(), arity, "group keys must be of one length");
+            assert_eq!(vals.len(), slots, "slot arity mismatch");
+            out.keys.extend_from_slice(&key.0);
+            out.vals.extend_from_slice(vals);
+        }
+        out
+    }
+
+    /// From parts already in the canonical layout: `len` groups, `keys` and
+    /// `vals` strided by the key arity and by `slots`, keys strictly
+    /// ascending.
+    pub(crate) fn from_sorted(slots: usize, len: usize, keys: Vec<u64>, vals: Vec<f64>) -> Self {
+        let out = Self {
+            slots,
+            len,
+            keys,
+            vals,
+        };
+        debug_assert_eq!(out.vals.len(), len * slots);
+        debug_assert_eq!(out.keys.len(), len * out.arity());
+        debug_assert!(out
+            .groups()
+            .zip(out.groups().skip(1))
+            .all(|(a, b)| a.0 < b.0));
+        out
+    }
+
+    /// Words per group key: the number of group-by columns (0 while empty).
+    fn arity(&self) -> usize {
+        self.keys.len().checked_div(self.len).unwrap_or(0)
+    }
+
+    /// Accumulator slots per group.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Number of groups.
+    pub fn num_groups(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no row passed the predicate (no group exists).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every group as `(key words, accumulator slots)`, in ascending key
+    /// order.
+    pub fn groups(&self) -> impl DoubleEndedIterator<Item = (&[u64], &[f64])> {
+        let (arity, slots) = (self.arity(), self.slots);
+        (0..self.len).map(move |g| {
+            (
+                key_at(&self.keys, arity, g),
+                &self.vals[g * slots..(g + 1) * slots],
+            )
+        })
+    }
+
+    /// The accumulator slots of the group with key words `key`, if present.
+    pub fn get(&self, key: &[u64]) -> Option<&[f64]> {
+        let arity = self.arity();
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match key_at(&self.keys, arity, mid).cmp(key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(&self.vals[mid * self.slots..][..self.slots]),
+            }
+        }
+        None
+    }
+
+    /// Add `weight ×` another partial answer into this one: a merge of the
+    /// two sorted key lists, one addition per `(group, slot)`, a group new
+    /// here starting from `0.0`. Allocates only when `other` brings such a
+    /// group (the buffers grow once, by exactly those groups).
     pub fn add_weighted(&mut self, other: &PartialAnswer, weight: f64) {
         debug_assert_eq!(self.slots, other.slots, "slot arity mismatch");
-        for (key, vals) in &other.groups {
-            let slot = self
-                .groups
-                .entry(key.clone())
-                .or_insert_with(|| vec![0.0; self.slots]);
-            for (a, &b) in slot.iter_mut().zip(vals) {
-                *a += weight * b;
+        let (arity, slots) = (other.arity(), self.slots);
+        debug_assert!(
+            self.len == 0 || other.len == 0 || self.arity() == arity,
+            "key arity mismatch"
+        );
+        let mut missing = 0;
+        let mut i = 0;
+        for (key, vals) in other.groups() {
+            while i < self.len && key_at(&self.keys, arity, i) < key {
+                i += 1;
+            }
+            if i < self.len && key_at(&self.keys, arity, i) == key {
+                for (a, &b) in self.vals[i * slots..(i + 1) * slots].iter_mut().zip(vals) {
+                    *a += weight * b;
+                }
+            } else {
+                missing += 1;
+            }
+        }
+        if missing == 0 {
+            return;
+        }
+        // Open the new groups' places from the back, so nothing is
+        // overwritten before it moves.
+        let mut src = self.len;
+        self.len += missing;
+        let mut dst = self.len;
+        self.keys.resize(dst * arity, 0);
+        self.vals.resize(dst * slots, 0.0);
+        for (key, vals) in other.groups().rev() {
+            while src > 0 && key_at(&self.keys, arity, src - 1) > key {
+                src -= 1;
+                dst -= 1;
+                self.keys
+                    .copy_within(src * arity..(src + 1) * arity, dst * arity);
+                self.vals
+                    .copy_within(src * slots..(src + 1) * slots, dst * slots);
+            }
+            if src == 0 || key_at(&self.keys, arity, src - 1) != key {
+                dst -= 1;
+                self.keys[dst * arity..(dst + 1) * arity].copy_from_slice(key);
+                for (a, &b) in self.vals[dst * slots..(dst + 1) * slots]
+                    .iter_mut()
+                    .zip(vals)
+                {
+                    *a = 0.0 + weight * b;
+                }
             }
         }
     }
@@ -116,14 +266,11 @@ impl PartialAnswer {
     /// the spread of these totals across selected partitions bounds the
     /// sampling error without retaining whole per-partition answers.
     pub fn slot_totals(&self) -> Vec<f64> {
-        // Sum in sorted-key order: HashMap iteration order varies between
-        // instances and f64 addition is not associative, so an unsorted sum
-        // would make the estimate non-reproducible bit-for-bit.
-        let mut keys: Vec<&GroupKey> = self.groups.keys().collect();
-        keys.sort_unstable();
+        // f64 addition is not associative: the sum runs in ascending key
+        // order, which is the order the groups are stored in.
         let mut totals = vec![0.0; self.slots];
-        for key in keys {
-            for (t, &v) in totals.iter_mut().zip(&self.groups[key]) {
+        for (_, vals) in self.groups() {
+            for (t, &v) in totals.iter_mut().zip(vals) {
                 *t += v;
             }
         }
@@ -144,10 +291,11 @@ impl PartialAnswer {
     }
 
     /// [`PartialAnswer::finalize`] from the aggregate functions alone (the
-    /// compiled path carries these instead of the full query).
+    /// compiled path carries these instead of the full query). The one
+    /// place the flat groups become a keyed map.
     pub fn finalize_funcs(&self, funcs: &[AggFunc]) -> QueryAnswer {
-        let mut out = HashMap::with_capacity(self.groups.len());
-        for (key, slots) in &self.groups {
+        let mut out = HashMap::with_capacity(self.len);
+        for (key, slots) in self.groups() {
             let mut vals = Vec::with_capacity(funcs.len());
             let mut i = 0;
             for func in funcs {
@@ -163,10 +311,16 @@ impl PartialAnswer {
                     }
                 }
             }
-            out.insert(key.clone(), vals);
+            out.insert(GroupKey(key.into()), vals);
         }
         QueryAnswer { groups: out }
     }
+}
+
+/// Group `g`'s key words in an `arity`-strided key list.
+#[inline]
+fn key_at(keys: &[u64], arity: usize, g: usize) -> &[u64] {
+    &keys[g * arity..(g + 1) * arity]
 }
 
 /// A finalized answer: group key → one value per aggregate.
@@ -286,10 +440,7 @@ pub fn execute_partitions_compiled_totals_on(
         cq.execute_partition(pt.table(), rows)
     });
     let totals: Vec<Vec<f64>> = partials.iter().map(PartialAnswer::slot_totals).collect();
-    let mut acc = PartialAnswer {
-        groups: HashMap::new(),
-        slots: cq.slot_count(),
-    };
+    let mut acc = PartialAnswer::with_slots(cq.slot_count());
     for (wp, part) in selection.iter().zip(&partials) {
         acc.add_weighted(part, wp.weight);
     }

@@ -23,6 +23,11 @@
 //! * Fused predicate→aggregate kernels accumulate SUM/COUNT/AVG slots from
 //!   the column slices under the mask, fast-pathing all-true words and
 //!   skipping all-false ones.
+//! * `GROUP BY` runs a column at a time: the key columns give each selected
+//!   row a dense partition-local group id, then every aggregate adds its
+//!   value column into a flat accumulator indexed by that id — no map, no
+//!   allocation per row — and the groups leave in ascending key order, the
+//!   layout [`PartialAnswer`] folds by merging.
 //!
 //! **Bit-identity contract:** for every query and partition, the compiled
 //! path produces results bit-identical to the reference scalar interpreter
@@ -35,7 +40,6 @@
 //! (see [`crate::predicate::eval_scalar`]); NaN comparisons follow IEEE 754
 //! (`NaN op v` is false for everything but `Ne`).
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use ps3_storage::{chunks64, ColId, ColumnData, Table};
@@ -391,16 +395,6 @@ impl ValueSource {
             }
         }
     }
-
-    /// Value of one absolute row.
-    #[inline]
-    fn value_at(&self, table: &Table, row: usize) -> f64 {
-        match self {
-            ValueSource::Col(c) => table.numeric(*c)[row],
-            ValueSource::Lit(x) => *x,
-            ValueSource::Expr(e) => eval_scalar_row(e, table, row),
-        }
-    }
 }
 
 /// Fused masked column sum: all-true words take a straight sequential loop
@@ -560,15 +554,11 @@ impl CompiledQuery {
             Some(p) => p.eval(table, rows.clone()),
             None => SelVec::all(n),
         };
-        let mut answer = PartialAnswer {
-            groups: HashMap::new(),
-            slots: self.slots,
-        };
         if !sel.any() {
             // A group exists only if at least one row passed the predicate —
             // otherwise an all-filtered partition would fabricate a zero
             // group.
-            return answer;
+            return PartialAnswer::with_slots(self.slots);
         }
         // Per-aggregate effective masks: selected AND condition.
         let eff: Vec<Option<SelVec>> = self
@@ -606,85 +596,131 @@ impl CompiledQuery {
                     }
                 }
             }
-            answer.groups.insert(GroupKey::global(), acc);
-            return answer;
+            return PartialAnswer::from_sorted(self.slots, 1, Vec::new(), acc);
         }
 
-        self.execute_grouped(table, rows, &sel, &eff, &mut answer);
-        answer
+        self.execute_grouped(table, rows, &sel, &eff)
     }
 
-    /// Grouped accumulation: iterate selected rows once, in ascending order,
-    /// accumulating every slot under its effective mask.
+    /// Grouped accumulation, a column at a time. The key columns first:
+    /// each turns the selected rows' ids-so-far into ids of one column
+    /// longer key prefixes through an [`IdTable`], so after the last one
+    /// `gid[row]` is a dense partition-local group id. Then each aggregate
+    /// makes its own pass over its effective mask, adding into
+    /// `acc[gid · slots + slot]` with its value column resolved once. Rows
+    /// are visited in ascending order in every pass, so each `(group,
+    /// slot)` sees exactly the additions the row-at-a-time interpreter
+    /// makes, in its order, from `0.0`. Groups come out in ascending key
+    /// order — [`PartialAnswer`]'s layout.
     fn execute_grouped(
         &self,
         table: &Table,
         rows: Range<usize>,
         sel: &SelVec,
         eff: &[Option<SelVec>],
-        answer: &mut PartialAnswer,
-    ) {
-        let keys: Vec<KeySource<'_>> = self
+    ) -> PartialAnswer {
+        let (arity, slots) = (self.group_by.len(), self.slots);
+        assert!(
+            u32::try_from(rows.len()).is_ok(),
+            "a partition holds fewer than 2^32 rows"
+        );
+        let key_columns: Vec<KeyColumn<'_>> = self
             .group_by
             .iter()
             .map(|g| {
+                let column = table.column(g.col);
                 if g.is_numeric {
-                    KeySource::Num(table.column(g.col).numeric_range(rows.clone()))
+                    KeyColumn::Num(column.numeric_range(rows.clone()))
                 } else {
-                    KeySource::Cat(table.column(g.col).codes_range(rows.clone()))
+                    KeyColumn::Cat(column.codes_range(rows.clone()))
                 }
             })
             .collect();
-        let slots = self.slots;
-        let accumulate = |acc: &mut Vec<f64>, i: usize| {
-            let mut si = 0;
-            for (agg, eff) in self.aggs.iter().zip(eff) {
-                let on = eff.as_ref().is_none_or(|m| m.get(i));
-                match &agg.kind {
-                    AggKind::Count => {
-                        if on {
-                            acc[si] += 1.0;
-                        }
-                        si += 1;
-                    }
-                    AggKind::Sum(src) => {
-                        if on {
-                            acc[si] += src.value_at(table, rows.start + i);
-                        }
-                        si += 1;
-                    }
-                    AggKind::Avg(src) => {
-                        if on {
-                            acc[si] += src.value_at(table, rows.start + i);
-                            acc[si + 1] += 1.0;
-                        }
-                        si += 2;
-                    }
+
+        // gid[i], for selected rows: the id of row i's key prefix, one
+        // column longer every round; `first[id]` is the first row showing
+        // it. A prefix id and the next column's word share one u64 key — a
+        // dictionary code is 32 bits wide already, a numeric key gets a
+        // dense id of its own first.
+        let mut gid = vec![0u32; rows.len()];
+        let mut first: Vec<u32> = Vec::new();
+        for (c, column) in key_columns.iter().enumerate() {
+            let mut prefixes = IdTable::new();
+            first.clear();
+            let mut prefix_id = |i: usize, key: u64| {
+                let id = prefixes.id_of(key);
+                if id as usize == first.len() {
+                    first.push(i as u32);
                 }
+                id
+            };
+            match column {
+                KeyColumn::Num(data) if c == 0 => sel.for_each_selected(|i| {
+                    gid[i] = prefix_id(i, GroupKey::canon_num_bits(data[i]));
+                }),
+                KeyColumn::Num(data) => {
+                    let mut values = IdTable::new();
+                    sel.for_each_selected(|i| {
+                        let value = values.id_of(GroupKey::canon_num_bits(data[i]));
+                        gid[i] = prefix_id(i, u64::from(gid[i]) << 32 | u64::from(value));
+                    });
+                }
+                KeyColumn::Cat(codes) => sel.for_each_selected(|i| {
+                    gid[i] = prefix_id(i, u64::from(gid[i]) << 32 | u64::from(codes[i]));
+                }),
             }
-        };
-        if let [key] = keys.as_slice() {
-            // Single group-by column: u64-keyed map avoids the boxed-key
-            // allocation per row; keys become GroupKeys once per group.
-            let mut groups: HashMap<u64, Vec<f64>> = HashMap::new();
-            sel.for_each_selected(|i| {
-                let acc = groups
-                    .entry(key.key_at(i))
-                    .or_insert_with(|| vec![0.0; slots]);
-                accumulate(acc, i);
-            });
-            answer.groups.extend(
-                groups
-                    .into_iter()
-                    .map(|(k, v)| (GroupKey(Box::new([k])), v)),
-            );
-        } else {
-            sel.for_each_selected(|i| {
-                let key = GroupKey(keys.iter().map(|k| k.key_at(i)).collect());
-                let acc = answer.groups.entry(key).or_insert_with(|| vec![0.0; slots]);
-                accumulate(acc, i);
-            });
         }
+        let groups = first.len();
+
+        let mut acc = vec![0.0; groups * slots];
+        let mut si = 0;
+        for (agg, eff) in self.aggs.iter().zip(eff) {
+            let mask = eff.as_ref().unwrap_or(sel);
+            let (src, counted) = match &agg.kind {
+                AggKind::Count => (None, true),
+                AggKind::Sum(src) => (Some(src), false),
+                AggKind::Avg(src) => (Some(src), true),
+            };
+            if let Some(src) = src {
+                match src {
+                    ValueSource::Col(c) => {
+                        let data = table.column(*c).numeric_range(rows.clone());
+                        mask.for_each_selected(|i| acc[gid[i] as usize * slots + si] += data[i]);
+                    }
+                    ValueSource::Lit(x) => {
+                        mask.for_each_selected(|i| acc[gid[i] as usize * slots + si] += x);
+                    }
+                    ValueSource::Expr(e) => mask.for_each_selected(|i| {
+                        acc[gid[i] as usize * slots + si] +=
+                            eval_scalar_row(e, table, rows.start + i);
+                    }),
+                }
+                si += 1;
+            }
+            if counted {
+                mask.for_each_selected(|i| acc[gid[i] as usize * slots + si] += 1.0);
+                si += 1;
+            }
+        }
+
+        // Every group's key tuple, read back at its first row, then the
+        // groups in ascending key order.
+        let mut tuples = vec![0u64; groups * arity];
+        for (c, column) in key_columns.iter().enumerate() {
+            for (g, &row) in first.iter().enumerate() {
+                tuples[g * arity + c] = column.key_at(row as usize);
+            }
+        }
+        let tuple = |g: u32| &tuples[g as usize * arity..(g as usize + 1) * arity];
+        let mut order: Vec<u32> = (0..groups as u32).collect();
+        order.sort_unstable_by(|&a, &b| tuple(a).cmp(tuple(b)));
+        let mut keys = Vec::with_capacity(groups * arity);
+        let mut vals = Vec::with_capacity(groups * slots);
+        for &g in &order {
+            keys.extend_from_slice(tuple(g));
+            vals.extend_from_slice(&acc[g as usize * slots..(g as usize + 1) * slots]);
+        }
+        PartialAnswer::from_sorted(slots, groups, keys, vals)
     }
 
     /// Resolve AVG slots into final values (see [`PartialAnswer::finalize`]
@@ -694,18 +730,78 @@ impl CompiledQuery {
     }
 }
 
-/// Per-range key extraction for one group-by column.
-enum KeySource<'a> {
+/// One group-by column's rows of the partition, as stored.
+enum KeyColumn<'a> {
     Num(&'a [f64]),
     Cat(&'a [u32]),
 }
 
-impl KeySource<'_> {
-    #[inline]
+impl KeyColumn<'_> {
+    /// The canonical key word of row `i` (what a [`GroupKey`] holds).
     fn key_at(&self, i: usize) -> u64 {
         match self {
-            KeySource::Num(v) => GroupKey::canon_num_bits(v[i]),
-            KeySource::Cat(v) => u64::from(v[i]),
+            KeyColumn::Num(data) => GroupKey::canon_num_bits(data[i]),
+            KeyColumn::Cat(codes) => u64::from(codes[i]),
+        }
+    }
+}
+
+/// Dense ids for the distinct `u64` keys one partition shows, handed out
+/// in first-appearance order: an open-addressing table with the key stored
+/// in its cell, linear probing at load ≤ ½ from the top bits of a
+/// multiplicative hash (integer-valued doubles — all-zero low mantissa
+/// bits — and small codes both spread). The keys are this table's own
+/// column values, never a request's, and a partition's row count bounds
+/// what a hostile column could cost one probe sequence.
+struct IdTable {
+    /// `(key, id + 1)`, `(_, 0)` when free; a power of two long.
+    cells: Vec<(u64, u32)>,
+    len: u32,
+}
+
+impl IdTable {
+    fn new() -> Self {
+        Self {
+            cells: vec![(0, 0); 64],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn home(key: u64, cells: usize) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - cells.trailing_zeros())) as usize
+    }
+
+    /// The id of `key`, a fresh one on first sight.
+    #[inline]
+    fn id_of(&mut self, key: u64) -> u32 {
+        let mask = self.cells.len() - 1;
+        let mut at = Self::home(key, self.cells.len());
+        loop {
+            match self.cells[at] {
+                (_, 0) => break,
+                (k, id) if k == key => return id - 1,
+                _ => at = (at + 1) & mask,
+            }
+        }
+        self.cells[at] = (key, self.len + 1);
+        self.len += 1;
+        if self.len as usize * 2 > self.cells.len() {
+            self.grow();
+        }
+        self.len - 1
+    }
+
+    /// Double the cells and re-seat every key.
+    fn grow(&mut self) {
+        let cells = self.cells.len() * 2;
+        let old = std::mem::replace(&mut self.cells, vec![(0, 0); cells]);
+        for (key, id) in old.into_iter().filter(|&(_, id)| id != 0) {
+            let mut at = Self::home(key, cells);
+            while self.cells[at].1 != 0 {
+                at = (at + 1) & (cells - 1);
+            }
+            self.cells[at] = (key, id);
         }
     }
 }

@@ -7,6 +7,7 @@
 //! [`GroupKey::canon_num_bits`], and AVG finalization (shared
 //! [`PartialAnswer::finalize`]) yields NaN for zero-count groups.
 
+use std::collections::HashMap;
 use std::ops::Range;
 
 use ps3_storage::Table;
@@ -164,8 +165,8 @@ pub fn execute_partition_oracle(table: &Table, rows: Range<usize>, query: &Query
         }
     }
 
-    let mut answer = PartialAnswer::empty(query);
-    let slots = answer.slots;
+    let slots = PartialAnswer::slot_count(query);
+    let mut groups: HashMap<GroupKey, Vec<f64>> = HashMap::new();
     if query.group_by.is_empty() {
         let mut acc = vec![0.0; slots];
         for i in 0..n {
@@ -177,13 +178,12 @@ pub fn execute_partition_oracle(table: &Table, rows: Range<usize>, query: &Query
         }
         // A group exists only if at least one row passed the predicate.
         if selected.iter().any(|&b| b) {
-            answer.groups.insert(GroupKey::global(), acc);
+            groups.insert(GroupKey::global(), acc);
         }
     } else {
         for i in 0..n {
             if selected[i] {
-                let slot = answer
-                    .groups
+                let slot = groups
                     .entry(keys[i].clone())
                     .or_insert_with(|| vec![0.0; slots]);
                 for (s, col) in slot.iter_mut().zip(&slot_values) {
@@ -192,7 +192,7 @@ pub fn execute_partition_oracle(table: &Table, rows: Range<usize>, query: &Query
             }
         }
     }
-    answer
+    PartialAnswer::from_groups(slots, groups)
 }
 
 enum RowKeyCol<'a> {

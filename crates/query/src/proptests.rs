@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use crate::ast::{AggExpr, Clause, CmpOp, Predicate, Query, ScalarExpr};
 use crate::exec::{
-    execute_partials_on, execute_partitions, PartialAnswer, QueryAnswer, WeightedPart,
+    execute_partials_on, execute_partitions, GroupKey, PartialAnswer, QueryAnswer, WeightedPart,
 };
 use crate::kernel::{cmp_kernel, membership_kernel, CompiledQuery, TargetSet, DENSE_DICT_LIMIT};
 use crate::oracle::execute_partition_oracle;
@@ -115,7 +115,8 @@ fn arb_opt_predicate() -> impl Strategy<Value = Option<Predicate>> {
 
 /// A random query: 1–3 aggregates (SUM over a column or projection, COUNT,
 /// AVG; sometimes CASE-conditioned), optional WHERE, optional GROUP BY over
-/// the numeric and/or categorical column.
+/// the numeric and/or categorical columns — up to three keys, and one key
+/// named twice.
 fn arb_query() -> impl Strategy<Value = Query> {
     let expr = prop_oneof![
         Just(ScalarExpr::col(ColId(0))),
@@ -138,14 +139,16 @@ fn arb_query() -> impl Strategy<Value = Query> {
     (
         prop::collection::vec(agg, 1..4),
         arb_opt_predicate(),
-        0u8..4,
+        0u8..6,
     )
         .prop_map(|(aggs, pred, group)| {
             let group_by = match group {
                 0 => vec![],
                 1 => vec![ColId(2)],
                 2 => vec![ColId(0)],
-                _ => vec![ColId(0), ColId(2)],
+                3 => vec![ColId(0), ColId(2)],
+                4 => vec![ColId(2), ColId(0), ColId(1)],
+                _ => vec![ColId(2), ColId(0), ColId(2)],
             };
             Query::new(aggs, pred, group_by)
         })
@@ -154,14 +157,14 @@ fn arb_query() -> impl Strategy<Value = Query> {
 /// Bit-level equality of partial answers: same groups, and every slot pair
 /// has identical f64 bit patterns (so NaN == NaN and +0.0 != -0.0).
 fn bits_eq_partial(a: &PartialAnswer, b: &PartialAnswer) -> Result<(), String> {
-    if a.slots != b.slots {
-        return Err(format!("slot arity {} vs {}", a.slots, b.slots));
+    if a.slots() != b.slots() {
+        return Err(format!("slot arity {} vs {}", a.slots(), b.slots()));
     }
-    if a.groups.len() != b.groups.len() {
-        return Err(format!("{} groups vs {}", a.groups.len(), b.groups.len()));
+    if a.num_groups() != b.num_groups() {
+        return Err(format!("{} groups vs {}", a.num_groups(), b.num_groups()));
     }
-    for (key, va) in &a.groups {
-        let Some(vb) = b.groups.get(key) else {
+    for (key, va) in a.groups() {
+        let Some(vb) = b.get(key) else {
             return Err(format!("group {key:?} missing on one side"));
         };
         for (i, (x, y)) in va.iter().zip(vb).enumerate() {
@@ -271,7 +274,7 @@ fn empty_partition_yields_empty_answer() {
     // A zero-row range is a legal (empty) partition.
     let kernel = cq.execute_partition(&t, 3..3);
     let oracle = execute_partition_oracle(&t, 3..3, &query);
-    assert!(kernel.groups.is_empty());
+    assert!(kernel.is_empty());
     bits_eq_partial(&oracle, &kernel).unwrap();
 }
 
@@ -308,7 +311,7 @@ fn all_false_predicate_selects_nothing() {
         let cq = CompiledQuery::compile(&t, &query);
         let kernel = cq.execute_partition(&t, 0..100);
         let oracle = execute_partition_oracle(&t, 0..100, &query);
-        assert!(kernel.groups.is_empty(), "all-false must yield no groups");
+        assert!(kernel.is_empty(), "all-false must yield no groups");
         bits_eq_partial(&oracle, &kernel).unwrap();
     }
 }
@@ -341,6 +344,178 @@ fn single_row_ranges_match_oracle() {
         let kernel = cq.execute_partition(&t, row..row + 1);
         let oracle = execute_partition_oracle(&t, row..row + 1, &query);
         bits_eq_partial(&oracle, &kernel).unwrap_or_else(|e| panic!("row {row}: {e}"));
+    }
+}
+
+/// `x, y, tag` tables for the deterministic edge cases below.
+fn xy_tag_table(rows: impl IntoIterator<Item = (f64, f64, &'static str)>) -> ps3_storage::Table {
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnMeta::new("x", ColumnType::Numeric),
+        ColumnMeta::new("y", ColumnType::Numeric),
+        ColumnMeta::new("tag", ColumnType::Categorical),
+    ]));
+    for (x, y, tag) in rows {
+        b.push_row(&[x, y], &[tag]);
+    }
+    b.finish()
+}
+
+#[test]
+fn zero_signs_and_nan_payloads_share_a_group_at_every_arity() {
+    let odd_nan = f64::from_bits(0x7FF8_0000_0000_0001);
+    let t = xy_tag_table([
+        (0.0, 1.0, "alpha"),
+        (-0.0, 2.0, "alpha"),
+        (f64::NAN, 4.0, "alpha"),
+        (odd_nan, 8.0, "alpha"),
+        (-0.0, 16.0, "beta"),
+        (1.5, 32.0, "beta"),
+        (-f64::NAN, 64.0, "beta"),
+    ]);
+    let sum_y = || vec![AggExpr::sum(ScalarExpr::col(ColId(1)))];
+    for (group_by, sums) in [
+        (vec![ColId(0)], vec![19.0, 32.0, 76.0]),
+        (vec![ColId(0), ColId(2)], vec![3.0, 16.0, 32.0, 12.0, 64.0]),
+        (
+            vec![ColId(2), ColId(0), ColId(2)],
+            vec![3.0, 12.0, 16.0, 32.0, 64.0],
+        ),
+    ] {
+        let query = Query::new(sum_y(), None, group_by);
+        let kernel = CompiledQuery::compile(&t, &query).execute_partition(&t, 0..7);
+        bits_eq_partial(&execute_partition_oracle(&t, 0..7, &query), &kernel).unwrap();
+        let got: Vec<f64> = kernel.groups().map(|(_, vals)| vals[0]).collect();
+        assert_eq!(got, sums, "{:?}", query.group_by);
+    }
+}
+
+#[test]
+fn a_group_whose_every_case_fails_keeps_its_zero_slots() {
+    // Rows pass WHERE, no row passes any CASE: the groups exist (a row was
+    // selected) and every slot is the `0.0` it started from.
+    let t = xy_tag_table((0..40).map(|i| (f64::from(i), 1.0, TAGS[i as usize % 3])));
+    let never = || {
+        Predicate::Clause(Clause::Cmp {
+            col: ColId(0),
+            op: CmpOp::Gt,
+            value: 1e9,
+        })
+    };
+    let query = Query::new(
+        vec![
+            AggExpr::sum(ScalarExpr::col(ColId(0))).filtered(never()),
+            AggExpr::avg(ScalarExpr::col(ColId(1))).filtered(never()),
+            AggExpr::count().filtered(never()),
+        ],
+        Some(Predicate::Clause(Clause::Cmp {
+            col: ColId(0),
+            op: CmpOp::Ge,
+            value: 10.0,
+        })),
+        vec![ColId(2)],
+    );
+    let kernel = CompiledQuery::compile(&t, &query).execute_partition(&t, 0..40);
+    bits_eq_partial(&execute_partition_oracle(&t, 0..40, &query), &kernel).unwrap();
+    assert_eq!(kernel.num_groups(), 3);
+    for (key, vals) in kernel.groups() {
+        assert!(
+            vals.iter().all(|v| v.to_bits() == 0),
+            "group {key:?}: {vals:?}"
+        );
+    }
+}
+
+#[test]
+fn five_hundred_thirteen_keys_in_one_partition_grow_the_group_table() {
+    // 513 distinct numeric keys (several doublings of the probe table), in
+    // an order that is neither ascending nor first-seen-sorted, each key on
+    // two rows.
+    let t = xy_tag_table((0..1026u32).map(|i| {
+        let key = (i * 7) % 513;
+        (f64::from(key) - 200.0, f64::from(i), TAGS[key as usize % 6])
+    }));
+    for group_by in [vec![ColId(0)], vec![ColId(0), ColId(2)]] {
+        let query = Query::new(
+            vec![AggExpr::sum(ScalarExpr::col(ColId(1))), AggExpr::count()],
+            None,
+            group_by,
+        );
+        let kernel = CompiledQuery::compile(&t, &query).execute_partition(&t, 0..1026);
+        bits_eq_partial(&execute_partition_oracle(&t, 0..1026, &query), &kernel).unwrap();
+        assert_eq!(kernel.num_groups(), 513);
+        assert!(kernel.groups().all(|(_, vals)| vals[1] == 2.0));
+        let keys: Vec<&[u64]> = kernel.groups().map(|(key, _)| key).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "ascending key order");
+    }
+}
+
+/// Random partial answers over one small key universe (so partials overlap,
+/// bring new groups in front of, between and behind the ones already
+/// folded, and sometimes are empty), with a selection weight each.
+#[allow(clippy::type_complexity)]
+fn arb_partials() -> impl Strategy<Value = (usize, Vec<(f64, Vec<(Vec<u64>, Vec<f64>)>)>)> {
+    let value = || prop_oneof![-100.0f64..100.0, Just(0.0), Just(-0.0), Just(f64::INFINITY)];
+    (0usize..4, 1usize..4).prop_flat_map(move |(arity, slots)| {
+        let group = (
+            prop::collection::vec(0u64..4, arity..=arity),
+            prop::collection::vec(value(), slots..=slots),
+        );
+        let partial = prop::collection::vec(group, 0..10).prop_map(|mut groups| {
+            groups.sort_by(|a, b| a.0.cmp(&b.0));
+            groups.dedup_by(|a, b| a.0 == b.0);
+            groups
+        });
+        prop::collection::vec((0.25f64..4.0, partial), 1..8)
+            .prop_map(move |partials| (slots, partials))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fold law: `add_weighted` over any selection of partials is, bit
+    /// for bit, the keyed fold it replaced (`entry(key).or_insert(0.0…)`,
+    /// `+= weight · b`, in selection order), `slot_totals` is the sum in
+    /// ascending key order, and the flat layout is canonical —
+    /// rebuilding from the groups gives back an equal value.
+    #[test]
+    fn add_weighted_and_slot_totals_match_the_keyed_reference_fold(
+        (slots, partials) in arb_partials(),
+    ) {
+        use std::collections::{BTreeMap, HashMap};
+        let mut acc = PartialAnswer::with_slots(slots);
+        let mut reference: HashMap<Vec<u64>, Vec<f64>> = HashMap::new();
+        for (weight, groups) in &partials {
+            // `from_groups` takes any order: hand it the reverse.
+            let keyed = groups.iter().rev().map(|(k, v)| (GroupKey(k.clone().into()), v.clone()));
+            let part = PartialAnswer::from_groups(slots, keyed);
+            prop_assert_eq!(part.num_groups(), groups.len());
+            let rebuilt = PartialAnswer::from_groups(
+                slots,
+                part.groups().map(|(k, v)| (GroupKey(k.into()), v.to_vec())),
+            );
+            prop_assert_eq!(&rebuilt, &part);
+
+            let sorted: BTreeMap<&Vec<u64>, &Vec<f64>> = groups.iter().map(|(k, v)| (k, v)).collect();
+            let mut totals = vec![0.0; slots];
+            for vals in sorted.values() {
+                totals.iter_mut().zip(*vals).for_each(|(t, v)| *t += v);
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&part.slot_totals()), bits(&totals));
+
+            acc.add_weighted(&part, *weight);
+            for (key, vals) in groups {
+                let into = reference.entry(key.clone()).or_insert_with(|| vec![0.0; slots]);
+                into.iter_mut().zip(vals).for_each(|(a, b)| *a += weight * b);
+            }
+            prop_assert_eq!(acc.num_groups(), reference.len());
+            for (key, vals) in acc.groups() {
+                prop_assert_eq!(bits(vals), bits(&reference[key]), "group {:?}", key);
+            }
+        }
+        let keys: Vec<&[u64]> = acc.groups().map(|(key, _)| key).collect();
+        prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "ascending, distinct keys");
     }
 }
 
@@ -734,5 +909,77 @@ mod codec_props {
         let pct = |col| check_schema(&SketchQuery::percentile(ColId(col), 0.9).into(), &schema(3));
         assert_eq!(pct(1), Ok(()));
         assert_eq!(pct(2), bad(2, "is not numeric, which PERCENTILE needs"));
+
+        // An operator over the other kind of column, in every position the
+        // kernels would ask the table for the wrong representation.
+        let arithmetic = "is not numeric, which an aggregate's expression needs";
+        let comparison = "is not numeric, which a comparison needs";
+        let membership = "is not categorical, which IN and LIKE need";
+        let tag = ColId(2);
+        let tag_lt = Predicate::Clause(Clause::Cmp {
+            col: tag,
+            op: CmpOp::Lt,
+            value: 1.0,
+        });
+        let date_like = Predicate::Clause(Clause::Contains {
+            col: ColId(1),
+            needle: "19".into(),
+            negated: true,
+        });
+        let x_in = Predicate::Not(Box::new(Predicate::Clause(Clause::str_eq(ColId(0), "a"))));
+        let x_plus_tag = ScalarExpr::col(ColId(0)).add(ScalarExpr::col(tag));
+        let mut count_tag = AggExpr::count();
+        count_tag.expr = ScalarExpr::col(tag);
+        let misfits: [(QuerySpec, usize, &str); 9] = [
+            (
+                count(AggExpr::sum(ScalarExpr::col(tag)), None, vec![]),
+                2,
+                arithmetic,
+            ),
+            (count(AggExpr::avg(x_plus_tag), None, vec![]), 2, arithmetic),
+            (count(count_tag, None, vec![]), 2, arithmetic),
+            (
+                count(AggExpr::count(), Some(tag_lt.clone()), vec![]),
+                2,
+                comparison,
+            ),
+            (
+                count(AggExpr::count().filtered(tag_lt.clone()), None, vec![]),
+                2,
+                comparison,
+            ),
+            (
+                count(AggExpr::count(), Some(x_in.clone()), vec![tag]),
+                0,
+                membership,
+            ),
+            (
+                count(AggExpr::count(), Some(date_like), vec![]),
+                1,
+                membership,
+            ),
+            (
+                SketchQuery::distinct(tag).filtered(tag_lt).into(),
+                2,
+                comparison,
+            ),
+            (
+                SketchQuery::percentile(ColId(0), 0.5).filtered(x_in).into(),
+                0,
+                membership,
+            ),
+        ];
+        for (spec, col, why) in misfits {
+            assert_eq!(check_schema(&spec, &schema(3)), bad(col, why), "{spec:?}");
+        }
+        // GROUP BY, DISTINCT and TOP_K read either kind.
+        let either: [QuerySpec; 3] = [
+            count(AggExpr::count(), None, vec![ColId(0), ColId(1), tag]),
+            SketchQuery::distinct(ColId(0)).into(),
+            SketchQuery::top_k(ColId(1), 2).into(),
+        ];
+        for spec in either {
+            assert_eq!(check_schema(&spec, &schema(3)), Ok(()), "{spec:?}");
+        }
     }
 }

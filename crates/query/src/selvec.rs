@@ -118,6 +118,11 @@ impl SelVec {
     /// contract, so this must stay strictly ascending.
     pub fn for_each_selected(&self, mut f: impl FnMut(usize)) {
         for (wi, &w) in self.words.iter().enumerate() {
+            if w == u64::MAX {
+                // A full word is a plain counted loop, no bit scan per row.
+                (wi * 64..wi * 64 + 64).for_each(&mut f);
+                continue;
+            }
             let mut m = w;
             while m != 0 {
                 let bit = m.trailing_zeros() as usize;

@@ -35,16 +35,20 @@
 //! syscall, and [`poll::Waker`], a self-pipe that interrupts a blocking
 //! poll from another thread — the plumbing `ps3_net`'s event loop is built
 //! from, kept here so this crate remains the only one that touches the OS
-//! below `std`.
+//! below `std`. [`release_free_heap`] is the same kind of thing for the
+//! allocator: the one call that hands freed heap pages back to the OS, made
+//! where a process turns from loading tables to serving them.
 
 #![warn(missing_docs)]
 
+pub mod heap;
 pub mod lru;
 pub mod poll;
 pub mod pool;
 pub mod queue;
 pub mod sync;
 
+pub use heap::release_free_heap;
 pub use lru::{CacheStats, LruCache, SharedLru};
 #[cfg(unix)]
 pub use poll::{poll_fds, readv_fd, writev_fd, Interest, PollEntry, Waker, IOV_BATCH};

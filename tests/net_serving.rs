@@ -515,13 +515,15 @@ fn typed_errors_and_wire_visible_admission_control() {
 }
 
 /// (d-1b) A well-formed request whose query does not fit the routed
-/// table's schema is refused at admission — typed, naming the column, with
-/// nothing executed and no pool worker panicked — and the connection it
-/// arrived on goes on serving. Binds with the default config so the
+/// table's schema — a column it lacks, or an operator over the wrong kind
+/// of column (`AVG` of a dictionary, `<` on one, `IN` on a numeric one) —
+/// is refused at admission — typed, naming the column, with nothing
+/// executed and no pool worker panicked — and the connection it arrived on
+/// goes on serving. Binds with the default config so the
 /// `PS3_NET_SHARDS=4` CI step runs it sharded.
 #[test]
 fn out_of_schema_queries_are_refused_at_admission_not_panicked() {
-    use ps3::query::{AggExpr, Query, ScalarExpr};
+    use ps3::query::{AggExpr, CmpOp, Query, ScalarExpr};
     use ps3::storage::ColumnType;
 
     let (ds, system) = trained(DatasetKind::Aria, 59);
@@ -530,10 +532,18 @@ fn out_of_schema_queries_are_refused_at_admission_not_panicked() {
     let server = NetServer::bind(Arc::clone(&router), "127.0.0.1:0").expect("bind");
     let mut client = NetClient::connect(server.addr()).expect("connect");
 
-    let categorical = ds.pt.table().schema().cols_of_type(ColumnType::Categorical)[0];
+    let schema = ds.pt.table().schema();
+    let categorical = schema.cols_of_type(ColumnType::Categorical)[0];
+    let numeric = schema.cols_of_type(ColumnType::Numeric)[0];
     let far = ColId(9999);
     let on_far = Predicate::Clause(Clause::str_eq(far, "x"));
-    let refused: [(QuerySpec, ColId); 6] = [
+    let count_where = |clause| Query::new(vec![AggExpr::count()], Some(clause), vec![]);
+    let avg_of = |col| AggExpr::avg(ScalarExpr::col(col));
+    let lt_3 = |col| {
+        let (op, value) = (CmpOp::Lt, 3.0);
+        Predicate::Clause(Clause::Cmp { col, op, value })
+    };
+    let refused: [(QuerySpec, ColId); 9] = [
         (
             Query::new(vec![AggExpr::sum(ScalarExpr::col(far))], None, vec![]).into(),
             far,
@@ -552,6 +562,18 @@ fn out_of_schema_queries_are_refused_at_admission_not_panicked() {
             SketchQuery::percentile(categorical, 0.5).into(),
             categorical,
         ),
+        // In the schema, of the kind the operator cannot read: these
+        // passed admission and panicked in `Table::numeric` /
+        // `Table::categorical`, which name the column by name.
+        (
+            Query::new(vec![avg_of(categorical)], None, vec![numeric]).into(),
+            categorical,
+        ),
+        (count_where(lt_3(categorical)).into(), categorical),
+        (
+            count_where(Predicate::Clause(Clause::str_eq(numeric, "7"))).into(),
+            numeric,
+        ),
     ];
     let before = router.stats();
     for (i, (spec, col)) in refused.into_iter().enumerate() {
@@ -561,13 +583,17 @@ fn out_of_schema_queries_are_refused_at_admission_not_panicked() {
         };
         assert_eq!(e.code, ErrorCode::Malformed, "case {i}: {}", e.message);
         let names_it = e.message.contains(&format!("column {} ", col.index()));
-        let leaks = e.message.contains("index out of bounds") || e.message.contains("panicked");
+        let by_name = (col != far).then(|| schema.col(col).name.as_str());
+        let leaks = ["index out of bounds", "panicked"]
+            .into_iter()
+            .chain(by_name)
+            .any(|text| e.message.contains(text));
         assert!(names_it && !leaks, "case {i}: {}", e.message);
     }
     let after = router.stats();
     assert_eq!(after.executions, before.executions, "nothing may execute");
     assert_eq!((router.queue_len(), after.in_flight), (0, 0));
-    assert_eq!(server.stats().errors, 6);
+    assert_eq!(server.stats().errors, 9);
 
     // The same connection then answers a valid request, bit-identically
     // to in-process.

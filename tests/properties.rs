@@ -269,11 +269,7 @@ proptest! {
         let feats = ps3::stats::QueryFeatures::compute(&stats, pt.table(), &query);
         for p in 0..pt.num_partitions() {
             let part = execute_partition(pt.table(), pt.rows(PartitionId(p)), &query);
-            let any_rows = part
-                .groups
-                .values()
-                .next()
-                .is_some_and(|slots| slots[0] > 0.0);
+            let any_rows = part.groups().next().is_some_and(|(_, slots)| slots[0] > 0.0);
             if any_rows {
                 prop_assert!(
                     feats.selectivity_upper(p) > 0.0,
