@@ -41,15 +41,6 @@ impl AnswerSketch {
             _ => panic!("cannot merge answer sketches of different kinds"),
         }
     }
-
-    /// Serialized footprint in bytes (matches [`crate::codec`]).
-    pub fn serialized_size(&self) -> usize {
-        1 + match self {
-            AnswerSketch::Quantile(s) => s.serialized_size(),
-            AnswerSketch::Distinct(s) => s.serialized_size(),
-            AnswerSketch::TopK(s) => s.serialized_size(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -2,10 +2,13 @@
 //!
 //! The deployment story (§2.3.1) stores statistics *separately from the
 //! partitions* — a statistics catalog that query optimization reads without
-//! touching data. This module gives every sketch a compact little-endian
-//! binary encoding with explicit, dependency-free readers/writers; the
-//! `serialized_size()` methods elsewhere in the crate account for exactly
-//! these bytes.
+//! touching data. This module gives every sketch but [`Measures`] a compact
+//! little-endian binary encoding with explicit, dependency-free
+//! readers/writers (`Measures` is ten fixed fields, written raw by
+//! `ps3_stats::persist`). The `serialized_size()` methods of the five
+//! statistics sketches (`Measures`, `EquiDepthHistogram`, `Akmv`,
+//! `HeavyHitters`, `ExactDict`) account for the payload fields; tags, entry
+//! counts and the catalog's length prefixes come on top (about 1%).
 //!
 //! Format: every sketch starts with a 1-byte tag (for catalog files that
 //! interleave kinds) followed by fixed-width fields and length-prefixed
@@ -18,7 +21,6 @@ use crate::distinct::DistinctSketch;
 use crate::exact_dict::ExactDict;
 use crate::heavy_hitter::HeavyHitter;
 use crate::histogram::EquiDepthHistogram;
-use crate::measures::Measures;
 use crate::quantile::QuantileSketch;
 use crate::topk::TopKSketch;
 
@@ -57,8 +59,6 @@ impl std::error::Error for DecodeError {}
 
 /// Sketch kind tags.
 pub mod tags {
-    /// [`super::Measures`]
-    pub const MEASURES: u8 = 0x01;
     /// [`super::EquiDepthHistogram`]
     pub const HISTOGRAM: u8 = 0x02;
     /// [`super::Akmv`]
@@ -188,73 +188,6 @@ impl Writer {
     pub fn bytes(&mut self, x: &[u8]) {
         self.buf.extend_from_slice(x);
     }
-}
-
-impl Measures {
-    /// Encode to bytes.
-    pub fn encode(&self, w: &mut Writer) {
-        w.u8(tags::MEASURES);
-        w.u64(self.count());
-        w.f64(self.mean());
-        w.f64(self.second_moment());
-        w.f64(self.min());
-        w.f64(self.max());
-        match self.log_stats() {
-            Some((lm, lm2, lmin, lmax)) => {
-                w.u8(1);
-                w.f64(lm);
-                w.f64(lm2);
-                w.f64(lmin);
-                w.f64(lmax);
-            }
-            None => w.u8(0),
-        }
-    }
-
-    /// Decode from bytes. Reconstructs the summary-statistics view (counts,
-    /// moments, extrema); the decoded sketch reports identical statistics
-    /// but cannot absorb further updates exactly (it is a catalog snapshot).
-    pub fn decode(r: &mut Reader<'_>) -> Result<DecodedMeasures, DecodeError> {
-        r.expect_tag(tags::MEASURES)?;
-        let count = r.u64()?;
-        let mean = r.f64()?;
-        let second_moment = r.f64()?;
-        let min = r.f64()?;
-        let max = r.f64()?;
-        let log_stats = if r.u8()? == 1 {
-            Some((r.f64()?, r.f64()?, r.f64()?, r.f64()?))
-        } else {
-            None
-        };
-        if count > 0 && min > max {
-            return Err(DecodeError::Corrupt("measures: min > max"));
-        }
-        Ok(DecodedMeasures {
-            count,
-            mean,
-            second_moment,
-            min,
-            max,
-            log_stats,
-        })
-    }
-}
-
-/// A decoded catalog snapshot of a [`Measures`] sketch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodedMeasures {
-    /// Row count.
-    pub count: u64,
-    /// Mean value.
-    pub mean: f64,
-    /// Mean of squares.
-    pub second_moment: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-    /// `(mean log, mean log², min log, max log)` when all values positive.
-    pub log_stats: Option<(f64, f64, f64, f64)>,
 }
 
 impl EquiDepthHistogram {
@@ -585,23 +518,6 @@ mod tests {
     use super::*;
     use crate::hash::hash_u64;
     use crate::heavy_hitter::HeavyHitters;
-    use proptest::prelude::*;
-
-    #[test]
-    fn measures_roundtrip() {
-        let m = Measures::from_values(&[1.0, 2.5, 9.0, 4.0]);
-        let mut w = Writer::new();
-        m.encode(&mut w);
-        let bytes = w.into_bytes();
-        // tag + count + 4 moment fields + flag + 4 log fields.
-        assert_eq!(bytes.len(), 1 + 8 + 4 * 8 + 1 + 4 * 8);
-        let d = Measures::decode(&mut Reader::new(&bytes)).unwrap();
-        assert_eq!(d.count, 4);
-        assert_eq!(d.min, 1.0);
-        assert_eq!(d.max, 9.0);
-        assert!((d.mean - m.mean()).abs() < 1e-12);
-        assert_eq!(d.log_stats.is_some(), m.log_stats().is_some());
-    }
 
     #[test]
     fn histogram_roundtrip_preserves_selectivity() {
@@ -658,9 +574,9 @@ mod tests {
 
     #[test]
     fn wrong_tag_is_detected() {
-        let m = Measures::from_values(&[1.0]);
+        let a = Akmv::from_hashes((0..10u64).map(hash_u64), 16);
         let mut w = Writer::new();
-        m.encode(&mut w);
+        a.encode(&mut w);
         let err = EquiDepthHistogram::decode(&mut Reader::new(&w.into_bytes())).unwrap_err();
         assert!(matches!(err, DecodeError::WrongTag { .. }));
     }
@@ -689,27 +605,5 @@ mod tests {
         bytes[n - 16..n - 8].fill(0);
         let r = Akmv::decode(&mut Reader::new(&bytes));
         assert!(r.is_err());
-    }
-
-    proptest! {
-        #[test]
-        fn catalog_roundtrip_any_values(values in prop::collection::vec(-1e6f64..1e6, 1..300)) {
-            let mut w = Writer::new();
-            let m = Measures::from_values(&values);
-            m.encode(&mut w);
-            let h = EquiDepthHistogram::from_values(&values, 10);
-            h.encode(&mut w);
-            let a = Akmv::from_hashes(values.iter().map(|v| crate::hash::hash_f64(*v)), 32);
-            a.encode(&mut w);
-            let bytes = w.into_bytes();
-            let mut r = Reader::new(&bytes);
-            let dm = Measures::decode(&mut r).unwrap();
-            prop_assert_eq!(dm.count, m.count());
-            let dh = EquiDepthHistogram::decode(&mut r).unwrap();
-            prop_assert_eq!(&dh, &h);
-            let da = Akmv::decode(&mut r).unwrap();
-            prop_assert_eq!(da.distinct_estimate(), a.distinct_estimate());
-            prop_assert_eq!(r.remaining(), 0);
-        }
     }
 }

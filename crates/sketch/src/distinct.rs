@@ -106,11 +106,6 @@ impl DistinctSketch {
         debug_assert_eq!(registers.len(), Self::REGISTERS);
         Self { registers }
     }
-
-    /// Serialized footprint in bytes (tag + precision + registers).
-    pub fn serialized_size(&self) -> usize {
-        1 + 1 + Self::REGISTERS
-    }
 }
 
 /// `2^-r` exactly, for register ranks `0 ≤ r ≤ 53`.

@@ -175,12 +175,10 @@ impl Measures {
         8 * 8 + 8 + 1
     }
 
-    /// The raw accumulator state, for bit-exact persistence.
-    ///
-    /// The wire codec's `Measures::decode` intentionally snapshots *derived*
-    /// values (mean, second moment); artifacts instead round-trip the raw
-    /// sums so a thawed sketch is indistinguishable — to the last bit —
-    /// from the one the trainer built.
+    /// The raw accumulator state, for bit-exact persistence: artifacts
+    /// round-trip the raw sums, not derived values (mean, second moment),
+    /// so a thawed sketch is indistinguishable — to the last bit — from the
+    /// one the trainer built.
     pub fn raw_parts(&self) -> MeasuresRaw {
         MeasuresRaw {
             count: self.count,

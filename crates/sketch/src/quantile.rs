@@ -298,11 +298,6 @@ impl QuantileSketch {
             neg_inf,
         }
     }
-
-    /// Serialized footprint in bytes (tag + fixed header + buckets).
-    pub fn serialized_size(&self) -> usize {
-        1 + 4 + 4 * 8 + 2 * 4 + (self.pos.len() + self.neg.len()) * 16
-    }
 }
 
 /// Fold every index in a bucket map one level up, summing collided counts.

@@ -120,11 +120,6 @@ impl TopKSketch {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         Self { entries }
     }
-
-    /// Serialized footprint in bytes (tag + count + entries).
-    pub fn serialized_size(&self) -> usize {
-        1 + 4 + self.entries.len() * 16
-    }
 }
 
 #[cfg(test)]

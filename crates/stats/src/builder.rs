@@ -223,7 +223,12 @@ impl TableStats {
     }
 }
 
-/// Average per-partition statistics footprint in KB (Table 4).
+/// Average per-partition statistics footprint in KB (Table 4): everything
+/// the artifact's statistics section holds per partition — the sketch
+/// payload fields of every column — except the static feature rows, which
+/// are derived from these sketches and kept only to skip recomputing them.
+/// The encoded section adds about 1% of tags and length prefixes
+/// (`tests/artifact_corruption.rs` holds the two within 2%).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StorageBreakdown {
     /// Histogram + exact-dictionary bytes.

@@ -1,13 +1,12 @@
 //! The sketch bundle computed for one column of one partition.
 
 use ps3_sketch::hash::{hash_f64, hash_u64};
-use ps3_sketch::{
-    Akmv, DistinctSketch, EquiDepthHistogram, ExactDict, HeavyHitter, HeavyHitters, Measures,
-    QuantileSketch, TopKSketch,
-};
+use ps3_sketch::{Akmv, EquiDepthHistogram, ExactDict, HeavyHitter, HeavyHitters, Measures};
 use ps3_storage::{ColumnData, ColumnType};
 
-/// Sketches for one column of one partition (§3.1).
+/// Sketches for one column of one partition (§3.1) — everything the
+/// artifact's statistics section stores per partition and column, and
+/// everything the picker's features are computed from.
 ///
 /// Heavy-hitter and exact-dictionary *keys* are comparable across partitions:
 /// dictionary codes for categorical columns (the dictionary is table-global)
@@ -26,17 +25,6 @@ pub struct ColumnStats {
     /// Exact value→count dictionary when the partition's distinct count for
     /// this column is small; `None` otherwise.
     pub exact: Option<ExactDict>,
-    /// Prebuilt answer sketch for predicate-free `PERCENTILE` queries;
-    /// numeric columns only. Confluence makes it bit-identical to a kernel
-    /// scan of the same rows, so serving can use either interchangeably.
-    pub quantile: Option<QuantileSketch>,
-    /// Prebuilt answer sketch for predicate-free `COUNT(DISTINCT)` queries;
-    /// all columns (keys are hashed values / hashed dictionary codes,
-    /// matching the kernel path in `ps3_query`).
-    pub hll: DistinctSketch,
-    /// Prebuilt answer sketch for predicate-free `TOP_K` queries;
-    /// categorical columns only (keys are dictionary codes).
-    pub topk: Option<TopKSketch>,
     /// Rows in the partition.
     pub rows: u64,
 }
@@ -85,14 +73,9 @@ impl ColumnStats {
                 let histogram = EquiDepthHistogram::from_values(slice, params.histogram_buckets);
                 let mut akmv = Akmv::new(params.akmv_k);
                 let mut hh = HeavyHitters::with_params(params.hh_support, params.hh_epsilon);
-                let mut quantile = QuantileSketch::new();
-                let mut hll = DistinctSketch::new();
                 for &v in slice {
-                    let h = hash_f64(v);
-                    akmv.update(h);
-                    hll.insert_hash(h);
+                    akmv.update(hash_f64(v));
                     hh.update(v.to_bits());
-                    quantile.insert(v);
                 }
                 let exact =
                     ExactDict::build(slice.iter().map(|v| v.to_bits()), params.exact_dict_limit);
@@ -102,9 +85,6 @@ impl ColumnStats {
                     akmv,
                     heavy_hitters: hh.heavy_hitters(),
                     exact,
-                    quantile: Some(quantile),
-                    hll,
-                    topk: None,
                     rows: n,
                 }
             }
@@ -112,14 +92,9 @@ impl ColumnStats {
                 let slice = &codes[rows];
                 let mut akmv = Akmv::new(params.akmv_k);
                 let mut hh = HeavyHitters::with_params(params.hh_support, params.hh_epsilon);
-                let mut hll = DistinctSketch::new();
-                let mut topk = TopKSketch::new();
                 for &c in slice {
-                    let h = hash_u64(u64::from(c));
-                    akmv.update(h);
-                    hll.insert_hash(h);
+                    akmv.update(hash_u64(u64::from(c)));
                     hh.update(u64::from(c));
-                    topk.insert(u64::from(c));
                 }
                 let exact =
                     ExactDict::build(slice.iter().map(|&c| u64::from(c)), params.exact_dict_limit);
@@ -129,9 +104,6 @@ impl ColumnStats {
                     akmv,
                     heavy_hitters: hh.heavy_hitters(),
                     exact,
-                    quantile: None,
-                    hll,
-                    topk: Some(topk),
                     rows: n,
                 }
             }
@@ -163,20 +135,6 @@ impl ColumnStats {
             self.akmv.serialized_size(),
             self.heavy_hitters.len() * 16 + 8,
             self.exact.as_ref().map_or(0, ExactDict::serialized_size),
-        )
-    }
-
-    /// Serialized bytes per answer-sketch family: `(quantile, hll, topk)`.
-    /// Kept separate from [`Self::storage_bytes`] — the answer sketches
-    /// serve query results, not partition selection, so they sit outside
-    /// the Table 4 accounting.
-    pub fn answer_sketch_bytes(&self) -> (usize, usize, usize) {
-        (
-            self.quantile
-                .as_ref()
-                .map_or(0, QuantileSketch::serialized_size),
-            self.hll.serialized_size(),
-            self.topk.as_ref().map_or(0, TopKSketch::serialized_size),
         )
     }
 }
@@ -211,11 +169,6 @@ mod tests {
         );
         assert!(s.measures.is_some());
         assert!(s.histogram.is_some());
-        // Numeric columns carry quantile + HLL answer sketches, no top-k.
-        let q = s.quantile.as_ref().unwrap();
-        assert_eq!(q.count(), 100);
-        assert!((s.hll.estimate() - 10.0).abs() < 1.0);
-        assert!(s.topk.is_none());
         assert_eq!(s.akmv.distinct_estimate(), 10.0);
         // Each of the 10 values holds 10% of rows: all are heavy hitters.
         assert_eq!(s.heavy_hitters.len(), 10);
@@ -233,12 +186,6 @@ mod tests {
         );
         assert!(s.measures.is_none());
         assert!(s.histogram.is_none());
-        // Categorical columns carry top-k + HLL answer sketches, no quantile.
-        assert!(s.quantile.is_none());
-        assert!((s.hll.estimate() - 4.0).abs() < 1.0);
-        let t = s.topk.as_ref().unwrap();
-        assert_eq!(t.distinct(), 4);
-        assert_eq!(t.total(), 100);
         assert_eq!(s.akmv.distinct_estimate(), 4.0);
         assert_eq!(s.heavy_hitters.len(), 4);
         // Keys are dictionary codes.

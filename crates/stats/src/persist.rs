@@ -1,22 +1,19 @@
 //! Byte codec for [`TableStats`] — the statistics catalog section of the
 //! flat artifact format (`docs/FORMAT.md`).
 //!
-//! Unlike the wire catalog in [`ps3_sketch::codec`] (whose `Measures`
-//! decode is an intentionally lossy snapshot), this codec persists the
-//! *raw accumulator sums* via [`Measures::raw_parts`], so a thawed system
-//! reproduces every feature value bit-for-bit. The individual sketches
-//! (histogram, AKMV, heavy hitters, exact dictionary) already round-trip
-//! exactly and are embedded as length-prefixed blobs of their existing
-//! encodings.
+//! This is the one byte encoding of [`Measures`]: it persists the *raw
+//! accumulator sums* via [`Measures::raw_parts`], so a thawed system
+//! reproduces every feature value bit-for-bit. The other sketches
+//! (histogram, AKMV, heavy hitters, exact dictionary) round-trip exactly
+//! through [`ps3_sketch::codec`] and are embedded as length-prefixed blobs
+//! of those encodings. Nothing else is stored per partition: answer
+//! sketches are built at query time from the picked partitions' rows.
 //!
 //! Every length and shape is validated before allocation-proportional
 //! work; malformed bytes surface as [`FormatError`], never a panic.
 
 use ps3_sketch::codec::{decode_heavy_hitters, encode_heavy_hitters, DecodeError, Reader, Writer};
-use ps3_sketch::{
-    Akmv, DistinctSketch, EquiDepthHistogram, ExactDict, Measures, MeasuresRaw, QuantileSketch,
-    TopKSketch,
-};
+use ps3_sketch::{Akmv, EquiDepthHistogram, ExactDict, Measures, MeasuresRaw};
 use ps3_storage::format::{Cursor, Enc, FormatError};
 use ps3_storage::ColId;
 
@@ -33,9 +30,7 @@ const MAX_COLS: usize = 1 << 16;
 const FLAG_MEASURES: u8 = 1;
 const FLAG_HISTOGRAM: u8 = 1 << 1;
 const FLAG_EXACT: u8 = 1 << 2;
-const FLAG_QUANTILE: u8 = 1 << 3;
-const FLAG_TOPK: u8 = 1 << 4;
-const KNOWN_FLAGS: u8 = FLAG_MEASURES | FLAG_HISTOGRAM | FLAG_EXACT | FLAG_QUANTILE | FLAG_TOPK;
+const KNOWN_FLAGS: u8 = FLAG_MEASURES | FLAG_HISTOGRAM | FLAG_EXACT;
 
 /// Encode a full statistics catalog into one byte vector (the `STATS`
 /// section payload).
@@ -85,12 +80,6 @@ fn encode_column_stats(e: &mut Enc, col: &ColumnStats) {
     if col.exact.is_some() {
         flags |= FLAG_EXACT;
     }
-    if col.quantile.is_some() {
-        flags |= FLAG_QUANTILE;
-    }
-    if col.topk.is_some() {
-        flags |= FLAG_TOPK;
-    }
     e.u8(flags);
     e.u64(col.rows);
     if let Some(m) = &col.measures {
@@ -120,19 +109,6 @@ fn encode_column_stats(e: &mut Enc, col: &ColumnStats) {
     if let Some(x) = &col.exact {
         let mut w = Writer::new();
         x.encode(&mut w);
-        e.blob(&w.into_bytes());
-    }
-    if let Some(q) = &col.quantile {
-        let mut w = Writer::new();
-        q.encode(&mut w);
-        e.blob(&w.into_bytes());
-    }
-    let mut w = Writer::new();
-    col.hll.encode(&mut w);
-    e.blob(&w.into_bytes());
-    if let Some(t) = &col.topk {
-        let mut w = Writer::new();
-        t.encode(&mut w);
         e.blob(&w.into_bytes());
     }
 }
@@ -251,26 +227,12 @@ fn decode_column_stats(c: &mut Cursor<'_>) -> Result<ColumnStats, FormatError> {
     } else {
         None
     };
-    let quantile = if flags & FLAG_QUANTILE != 0 {
-        Some(read_sketch(c, "quantile sketch", QuantileSketch::decode)?)
-    } else {
-        None
-    };
-    let hll = read_sketch(c, "distinct sketch", DistinctSketch::decode)?;
-    let topk = if flags & FLAG_TOPK != 0 {
-        Some(read_sketch(c, "top-k sketch", TopKSketch::decode)?)
-    } else {
-        None
-    };
     Ok(ColumnStats {
         measures,
         histogram,
         akmv,
         heavy_hitters,
         exact,
-        quantile,
-        hll,
-        topk,
         rows,
     })
 }
@@ -350,11 +312,6 @@ mod tests {
                     _ => panic!("measures presence diverged"),
                 }
                 assert_eq!(dc.exact.is_some(), sc.exact.is_some());
-                // Answer sketches round-trip to equal state — merges of the
-                // thawed copies must stay bit-identical to the originals.
-                assert_eq!(dc.quantile, sc.quantile);
-                assert_eq!(dc.hll, sc.hll);
-                assert_eq!(dc.topk, sc.topk);
             }
         }
     }
@@ -376,9 +333,31 @@ mod tests {
         let stats = make();
         let mut bytes = encode_table_stats(&stats);
         // The first column-stats record starts after the fixed-shape
-        // prefix; flipping a reserved flag bit there must be caught.
-        // Find it by re-encoding with a sentinel: instead, corrupt the
-        // trailing byte region and assert decode never panics.
+        // prefix: counts, global heavy-hitter keys, bitmaps, static rows.
+        let (n, cols) = (stats.num_partitions(), stats.feature_schema().num_cols());
+        let hh_keys: usize = (0..cols)
+            .map(|c| stats.global_heavy_hitters(ColId(c)).len())
+            .sum();
+        let first_flags = 8
+            + (4 * cols + 8 * hh_keys)
+            + 4 * cols * n
+            + (4 + 8 * n * stats.feature_schema().dim());
+        assert_eq!(
+            bytes[first_flags],
+            FLAG_MEASURES | FLAG_HISTOGRAM | FLAG_EXACT
+        );
+        // Bits 3 and 4 are what a version-2 writer set for its quantile and
+        // top-k blobs; bit 7 was never assigned.
+        for bit in [3, 4, 7] {
+            bytes[first_flags] ^= 1 << bit;
+            let err = decode_table_stats(&bytes).unwrap_err();
+            assert!(
+                matches!(err, FormatError::Corrupt("column stats: unknown flag bits")),
+                "bit {bit}: {err}"
+            );
+            bytes[first_flags] ^= 1 << bit;
+        }
+        // Flips elsewhere may or may not decode; they must never panic.
         for i in (0..bytes.len()).step_by(97) {
             bytes[i] ^= 0x80;
             let _ = decode_table_stats(&bytes);

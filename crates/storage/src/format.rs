@@ -19,7 +19,7 @@
 //! `tests/artifact_corruption.rs`).
 
 use std::fs::File;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -32,8 +32,9 @@ use crate::table::Table;
 /// File magic: identifies a PS3 flat artifact.
 pub const MAGIC: [u8; 8] = *b"PS3FLAT\0";
 /// Current container version. 2 re-encoded `SEC_TRAINING` in the one
-/// `Query` grammar of `ps3_query::codec`; a version-1 file is refused.
-pub const FORMAT_VERSION: u32 = 2;
+/// `Query` grammar of `ps3_query::codec`; 3 dropped the per-partition
+/// answer-sketch blobs from `SEC_STATS`. Older files are refused.
+pub const FORMAT_VERSION: u32 = 3;
 /// Every section payload starts at a multiple of this (cache-line and SIMD
 /// friendly, and strictly stricter than any element alignment we map).
 pub const SECTION_ALIGN: usize = 64;
@@ -320,63 +321,63 @@ impl ArtifactWriter {
 
     /// Serialize the container to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        assert!(self.sections.len() <= MAX_SECTIONS, "too many sections");
-        let table_len = self.sections.len() * SECTION_ENTRY_LEN;
-
-        // Lay out payload offsets first.
-        let mut offsets = Vec::with_capacity(self.sections.len());
-        let mut cursor = HEADER_LEN + table_len;
-        cursor = cursor.div_ceil(SECTION_ALIGN) * SECTION_ALIGN;
-        for (_, payload) in &self.sections {
-            offsets.push(cursor);
-            cursor += payload.len();
-            cursor = cursor.div_ceil(SECTION_ALIGN) * SECTION_ALIGN;
-        }
-        let file_len = offsets
-            .last()
-            .zip(self.sections.last())
-            .map_or(HEADER_LEN + table_len, |(&off, (_, p))| off + p.len());
-
-        // Section table.
-        let mut table = Vec::with_capacity(table_len);
-        for ((kind, payload), &off) in self.sections.iter().zip(&offsets) {
-            table.extend_from_slice(&kind.to_le_bytes());
-            table.extend_from_slice(&0u32.to_le_bytes());
-            table.extend_from_slice(&(off as u64).to_le_bytes());
-            table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            table.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        }
-
-        // Header.
-        let mut out = Vec::with_capacity(file_len);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(file_len as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&table).to_le_bytes());
-        pad_to(&mut out, HEADER_LEN);
-        out.extend_from_slice(&table);
-        for ((_, payload), &off) in self.sections.iter().zip(&offsets) {
-            pad_to(&mut out, SECTION_ALIGN);
-            debug_assert_eq!(out.len(), off);
-            out.extend_from_slice(payload);
-        }
-        debug_assert_eq!(out.len(), file_len);
+        let mut out = Vec::new();
+        self.emit(&mut out).expect("writing to a Vec cannot fail");
         out
     }
 
     /// Write the container to `path` via a temp file + rename, so a crash
     /// mid-write never leaves a half-written artifact under the final name
-    /// (and a mapped reader of the old file keeps its pages).
+    /// (and a mapped reader of the old file keeps its pages). Payloads are
+    /// streamed from the section buffers; the file is never assembled in
+    /// memory.
     pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        let bytes = self.to_bytes();
         let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
+        let mut f = BufWriter::new(File::create(&tmp)?);
+        self.emit(&mut f)?;
+        // `into_inner` flushes and, unlike dropping the writer, reports a
+        // failed flush.
+        f.into_inner()?.sync_all()?;
         std::fs::rename(&tmp, path)
+    }
+
+    /// The one layout routine: header, section table, then each payload at
+    /// its 64-byte-aligned offset. Offsets and checksums need only the
+    /// payloads already held in `self.sections`.
+    fn emit(&self, w: &mut impl Write) -> io::Result<()> {
+        assert!(self.sections.len() <= MAX_SECTIONS, "too many sections");
+        let table_len = self.sections.len() * SECTION_ENTRY_LEN;
+
+        let mut table = Vec::with_capacity(table_len);
+        let mut file_len = HEADER_LEN + table_len;
+        for (kind, payload) in &self.sections {
+            let off = file_len.next_multiple_of(SECTION_ALIGN);
+            table.extend_from_slice(&kind.to_le_bytes());
+            table.extend_from_slice(&0u32.to_le_bytes());
+            table.extend_from_slice(&(off as u64).to_le_bytes());
+            table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            table.extend_from_slice(&fnv1a(payload).to_le_bytes());
+            file_len = off + payload.len();
+        }
+
+        let mut header = [0u8; HEADER_LEN];
+        header[0..8].copy_from_slice(&MAGIC);
+        header[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header[12..16].copy_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        header[16..24].copy_from_slice(&(file_len as u64).to_le_bytes());
+        header[24..32].copy_from_slice(&fnv1a(&table).to_le_bytes());
+        w.write_all(&header)?;
+        w.write_all(&table)?;
+
+        let mut pos = HEADER_LEN + table_len;
+        for (_, payload) in &self.sections {
+            let off = pos.next_multiple_of(SECTION_ALIGN);
+            w.write_all(&[0u8; SECTION_ALIGN][..off - pos])?;
+            w.write_all(payload)?;
+            pos = off + payload.len();
+        }
+        debug_assert_eq!(pos, file_len);
+        Ok(())
     }
 }
 
@@ -750,12 +751,30 @@ mod tests {
         encode_partitioned_table(&mut w, &sample_pt());
         let bytes = w.to_bytes();
         assert_eq!(&bytes[0..8], &MAGIC);
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 2);
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 3);
         assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 3);
         assert_eq!(
             u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
             bytes.len() as u64
         );
+    }
+
+    #[test]
+    fn file_on_disk_equals_to_bytes() {
+        // Payload lengths on both sides of the 64-byte alignment, so the
+        // streamed padding is exercised, plus the no-section edge.
+        for lens in [&[][..], &[1, 64, 0, 65, 200]] {
+            let mut w = ArtifactWriter::new();
+            for (kind, &len) in lens.iter().enumerate() {
+                let payload = (0..len).map(|i| (i * 7 + kind) as u8).collect();
+                w.add_section(kind as u32 + 1, payload);
+            }
+            let path = temp_path(&format!("emit{}", lens.len()));
+            w.write_to(&path).unwrap();
+            let on_disk = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(on_disk, w.to_bytes());
+        }
     }
 
     #[test]

@@ -8,11 +8,17 @@
 //!    panic: a corrupted artifact can never take down a server that tries
 //!    to load it.
 //!
-//! Both promises extend to the answer-sketch persistence sections
-//! (`FLAG_QUANTILE` / `FLAG_TOPK` / the HLL register block inside the
-//! stats payload): sketch-class queries answer bit-identically after a
-//! freeze/thaw round trip, and corruption aimed directly at the encoded
-//! stats blob — where those sections live — yields typed errors only.
+//! Both promises extend to the sketch query classes and to the stats
+//! payload itself: `PERCENTILE` / `DISTINCT` / `TOP_K` answers — built at
+//! query time from the picked partitions' rows, nothing of them is stored
+//! — are bit-identical after a freeze/thaw round trip, and corruption
+//! aimed directly at the encoded stats blob (measures, histogram, AKMV,
+//! heavy-hitter and exact-dictionary records per partition and column)
+//! yields typed errors only.
+//!
+//! A third, about honesty rather than safety: the per-partition storage
+//! the system *reports* (`storage_breakdown`, Table 4) is what the stats
+//! section *stores*, within framing.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -20,6 +26,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ps3::core::{spec_rng, Method, Ps3Config, Ps3System};
+use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3::query::{AggExpr, Clause, CmpOp, Predicate, Query, QuerySpec, ScalarExpr, SketchQuery};
 use ps3::runtime::ThreadPool;
 use ps3::sketch::codec::answer_sketch_to_bytes;
@@ -212,7 +219,7 @@ fn corruption_cases_yield_the_documented_errors() {
     ));
 
     // Any version but this build's — the next one, and the retired one
-    // whose training section spoke a grammar of its own.
+    // whose stats section carried answer-sketch blobs per column.
     for version in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
         let mut bad = good.clone();
         bad[8..12].copy_from_slice(&version.to_le_bytes());
@@ -273,8 +280,37 @@ fn frozen_bytes() -> &'static [u8] {
     })
 }
 
-/// Shared encoded stats blob (holding the answer-sketch sections) for the
-/// blob-targeted proptests.
+/// Promise 3: `storage_breakdown()` counts everything `SEC_STATS` holds
+/// per partition. Encoded bytes minus the fixed-shape prefix (counts,
+/// global heavy-hitter keys, bitmaps, the static feature matrix) are the
+/// per-partition sketch records; the reported KB must equal them up to
+/// tags and length prefixes. Measured on the e2e fixture's shape (Aria,
+/// 512-row partitions), where framing is ~1.3% — on a 20-row partition it
+/// would be 5–16% of almost nothing. A sketch family that is built and
+/// persisted but left out of the accounting fails this by its whole size.
+#[test]
+fn reported_storage_is_what_the_stats_section_stores() {
+    let n = 16;
+    let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny)
+        .with_rows(n * 512)
+        .with_partitions(n)
+        .build(3);
+    let stats = &ds.stats;
+    let cols = stats.feature_schema().num_cols();
+    let hh_keys: usize = (0..cols)
+        .map(|c| stats.global_heavy_hitters(ColId(c)).len())
+        .sum();
+    let fixed =
+        8 + (4 * cols + 8 * hh_keys) + 4 * cols * n + (4 + 8 * n * stats.feature_schema().dim());
+    let stored = (encode_table_stats(stats).len() - fixed) as f64;
+    let reported = stats.storage_breakdown().total_kb() * 1024.0 * n as f64;
+    assert!(
+        reported <= stored && stored <= reported * 1.02,
+        "reported {reported} B vs stored {stored} B per {n} partitions"
+    );
+}
+
+/// Shared encoded stats blob for the blob-targeted proptests.
 fn stats_blob_bytes() -> &'static [u8] {
     use std::sync::OnceLock;
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
@@ -332,12 +368,11 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Promise 2d: corruption aimed directly at the encoded stats blob —
-    /// which holds the quantile / top-k / HLL answer-sketch sections —
+    /// Promise 2d: corruption aimed directly at the encoded stats blob
     /// yields `Ok` or a typed error from the stats decoder, never a panic.
     /// (Inside a full artifact these flips are usually absorbed by the
     /// section checksum first; decoding the blob alone exercises the
-    /// sketch section parsers themselves.)
+    /// embedded sketch parsers themselves.)
     #[test]
     fn stats_blob_bit_flips_never_panic(byte_idx in 0usize..1_000_000, bit in 0u8..8) {
         let good = stats_blob_bytes();
@@ -348,7 +383,7 @@ proptest! {
     }
 
     /// Promise 2e: no truncation point in the stats blob can panic the
-    /// sketch section parsers, and any proper prefix is rejected.
+    /// embedded sketch parsers, and any proper prefix is rejected.
     #[test]
     fn stats_blob_truncations_never_panic_and_never_decode(keep_frac in 0.0f64..1.0) {
         let good = stats_blob_bytes();
