@@ -2,7 +2,9 @@
 //! picker's clustering stage — the two hot paths at query time — plus the
 //! compiled-kernel primitives they are built from.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::time::{Duration, Instant};
+
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -112,14 +114,37 @@ fn grouped_partition() -> Table {
 fn bench_query_paths(c: &mut Criterion) {
     let ds = DatasetConfig::new(DatasetKind::Kdd, ScaleProfile::Tiny).build(1);
     let query = ds.sample_test_query(0);
+    // A one-entry feature cache: caching any other query evicts `query`.
+    let mut cfg = Ps3Config::default().with_seed(1).minimal();
+    cfg.feature_cache_cap = 1;
+    let system = ds.train_system(cfg);
+    let evict = ds.sample_test_query(1);
+    assert_ne!(query.fingerprint(), evict.fingerprint());
 
     let mut g = c.benchmark_group("query_time");
     g.sample_size(30);
     g.bench_function("execute_one_partition", |b| {
         b.iter(|| execute_partition(ds.pt.table(), ds.pt.rows(PartitionId(0)), &query))
     });
+    // The training builder: raw compact rows, static blocks copied in.
     g.bench_function("query_features", |b| {
         b.iter(|| QueryFeatures::compute(&ds.stats, ds.pt.table(), &query))
+    });
+    // A cold `artifacts_for` on the serving path: compile, estimate every
+    // partition's selectivity through one plan, normalize the n × 4 block.
+    // Only the miss is timed; the eviction that makes the next one cold is
+    // not.
+    g.bench_function("query_artifacts", |b| {
+        b.iter_custom(|iters| {
+            let mut cold = Duration::ZERO;
+            for _ in 0..iters {
+                let started = Instant::now();
+                black_box(system.artifacts_for(&query));
+                cold += started.elapsed();
+                system.artifacts_for(&evict);
+            }
+            cold
+        })
     });
 
     // Grouped execution of one 512-row partition holding 24 groups, SUM +
@@ -177,7 +202,6 @@ fn bench_query_paths(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("picker");
     g.sample_size(10);
-    let system = ds.train_system(Ps3Config::default().with_seed(1).minimal());
     let mut rng = StdRng::seed_from_u64(1);
     g.bench_function("full_pick_25pct", |b| {
         b.iter(|| system.pick_outcome(&query, 0.25, &mut rng))

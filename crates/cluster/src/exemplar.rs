@@ -29,15 +29,12 @@ pub fn median_exemplar(points: &PointMatrix, cluster: &[usize]) -> usize {
         scratch.extend(cluster.iter().map(|&i| points.row(i)[d]));
         *m = column_median(&mut scratch);
     }
-    cluster
-        .iter()
-        .copied()
-        .min_by(|&a, &b| {
-            dist_sq(points.row(a), &median)
-                .total_cmp(&dist_sq(points.row(b), &median))
-                .then(a.cmp(&b))
-        })
+    // One distance per member, compared by `total_cmp`, then index.
+    (cluster.iter())
+        .map(|&i| (dist_sq(points.row(i), &median), i))
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
         .expect("non-empty cluster")
+        .1
 }
 
 /// Median of a non-empty column under `f64::total_cmp` (the mean of the two

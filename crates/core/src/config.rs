@@ -63,11 +63,12 @@ pub struct Ps3Config {
     /// anything else (including the 0 default) uses the shared pool.
     pub threads: usize,
     /// Bound on the serving-time artifact cache (entries, keyed by query
-    /// fingerprint). An entry is one query's compact normalized
-    /// [`FeatureMatrix`](ps3_stats::FeatureMatrix) — 8 bytes × partitions ×
-    /// the columns its mask leaves live — plus its compiled kernels: about
-    /// 0.3–0.5 MB at 512 partitions (under 1 MiB is tested), so the default
-    /// 256 entries hold at most ~130 MB.
+    /// fingerprint). An entry owns only what a query adds to the shared
+    /// normalized statics ([`QueryColumns`](ps3_stats::QueryColumns)): its
+    /// column map, 4 normalized selectivity values and one raw upper bound
+    /// per partition — 8 bytes × 5 × partitions, about 21 KB at 512
+    /// partitions (under 64 KiB is tested) — plus its compiled kernels, so
+    /// the default 256 entries ≈ 6 MB.
     pub feature_cache_cap: usize,
 }
 

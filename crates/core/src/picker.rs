@@ -188,7 +188,7 @@ impl Picker<'_> {
 /// exemplar per cluster (§4.2).
 ///
 /// The group's rows are projected into one flat [`PointMatrix`] — the only
-/// copy between the cached features and k-means — keeping, in ascending
+/// copy between the gathered features and k-means — keeping, in ascending
 /// order, the stored columns that are not `excluded` (the Algorithm-3
 /// feature exclusions, indexed by *full* feature index; pass `&[]` for none)
 /// and are non-zero somewhere in the group. A column that is zero across the

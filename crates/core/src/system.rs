@@ -16,12 +16,15 @@
 //!
 //! Per-query [`QueryArtifacts`] are served from a bounded LRU keyed by
 //! [`Query::fingerprint`], so budget sweeps and repeated predicate shapes
-//! skip `QueryFeatures::compute`, and the diagnostics path
+//! estimate selectivity and compile once, and the diagnostics path
 //! ([`Ps3System::pick_outcome`]) sees exactly the features the serving path
-//! used. The one per-query feature form is a flat, compact, normalized
-//! [`FeatureMatrix`]: the static statistics are normalized once per system
-//! generation ([`NormalizedStatics`]), so a cold query gathers
-//! pre-normalized blocks and transforms only its selectivity values.
+//! used. An entry owns only what is per-query ([`QueryColumns`]): the
+//! query's column map, its `partitions × 4` normalized selectivity
+//! estimates and the raw `selectivity_upper` column. The static statistics
+//! are normalized once per system generation into one table
+//! ([`NormalizedStatics`]) that every query shares; a pick gathers the flat,
+//! compact, normalized [`FeatureMatrix`] the picker reads from the two, and
+//! the uniform baselines gather nothing.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -35,7 +38,7 @@ use ps3_query::{
 };
 use ps3_runtime::{CacheStats, SharedLru, ThreadPool};
 use ps3_sketch::{AnswerSketch, DistinctSketch};
-use ps3_stats::{FeatureMatrix, NormalizedStatics, QueryFeatures, TableStats};
+use ps3_stats::{FeatureMatrix, NormalizedStatics, QueryColumns, QueryFeatures, TableStats};
 use ps3_storage::{PartitionedTable, Table};
 
 use crate::baselines::{random_filter_selection, random_selection, LssModel};
@@ -159,27 +162,25 @@ fn global_answer(v: f64) -> QueryAnswer {
 }
 
 /// Everything the serving path derives from one query shape, computed once
-/// per [`Query::fingerprint`] and cached: the normalized compact feature
-/// matrix (what the funnel, LSS and clustering consume), the one raw column
-/// the filter and the exactness check read, and the query compiled to
-/// columnar kernels (what `execute_partition` runs).
+/// per [`Query::fingerprint`] and cached: what the query adds to the shared
+/// normalized statics (its column map, normalized selectivity estimates and
+/// the raw `selectivity_upper` column the filter and the exactness check
+/// read), and the query compiled to columnar kernels (what
+/// `execute_partition` runs).
 #[derive(Debug)]
 pub struct QueryArtifacts {
-    /// The masked features through the trained normalizer (Appendix B):
-    /// only the columns the query's mask leaves live, one row per partition.
-    pub normalized: FeatureMatrix,
-    /// Every partition's raw `selectivity_upper` (§3.2).
-    pub selectivity_upper: Vec<f64>,
+    /// The per-query columns of the normalized feature matrix (Appendix B).
+    pub columns: QueryColumns,
     /// The query lowered to kernel programs against this table.
     pub compiled: CompiledQuery,
 }
 
 impl QueryArtifacts {
-    /// Heap bytes of the feature side of one cache entry (the compiled
-    /// query is a few hundred bytes of kernel programs and is not counted).
+    /// Heap bytes of the feature side of one cache entry: only what the
+    /// entry owns, never the shared static table (the compiled query is a
+    /// few hundred bytes of kernel programs and is not counted either).
     pub fn heap_bytes(&self) -> usize {
-        self.normalized.heap_bytes()
-            + self.selectivity_upper.capacity() * std::mem::size_of::<f64>()
+        self.columns.heap_bytes()
     }
 }
 
@@ -199,7 +200,7 @@ pub struct Ps3System {
     /// shared, not recomputed, across warm retrain generations).
     pub training: Arc<TrainingData>,
     /// `stats`' static features through `trained.normalizer`, computed once
-    /// per generation; every cold query gathers from it.
+    /// per generation; every pick gathers its rows from it.
     normalized_statics: NormalizedStatics,
     /// Bounded per-query artifact cache, keyed by [`Query::fingerprint`].
     features: SharedLru<u64, Arc<QueryArtifacts>>,
@@ -352,27 +353,31 @@ impl Ps3System {
         execute_table(&self.pt, query)
     }
 
-    /// Per-query artifacts (normalized features + compiled kernels), served
-    /// from the bounded LRU cache. Both the serving path
+    /// Per-query artifacts (per-query feature columns + compiled kernels),
+    /// served from the bounded LRU cache. Both the serving path
     /// ([`Self::answer_spec_on`]) and the diagnostics path ([`Self::pick_outcome`])
     /// resolve artifacts here, so they always agree; a budget sweep over
-    /// one query computes and compiles everything exactly once. On a miss the
-    /// raw features are computed, their `selectivity_upper` column is kept,
-    /// and their buffer becomes the normalized matrix.
+    /// one query estimates and compiles everything exactly once. On a miss
+    /// the query is compiled, and its predicate's selectivity is estimated
+    /// on every partition through one plan.
     pub fn artifacts_for(&self, query: &Query) -> Arc<QueryArtifacts> {
         self.features.get_or_insert_with(query.fingerprint(), || {
-            let features = QueryFeatures::compute(&self.stats, self.pt.table(), query);
-            Arc::new(QueryArtifacts {
-                selectivity_upper: features.selectivity_uppers(),
-                normalized: self.normalized_statics.normalize(features),
-                compiled: CompiledQuery::compile(self.pt.table(), query),
-            })
+            let compiled = CompiledQuery::compile(self.pt.table(), query);
+            let columns =
+                (self.normalized_statics).query_columns(&self.stats, query, compiled.predicate());
+            Arc::new(QueryArtifacts { columns, compiled })
         })
     }
 
+    /// The normalized compact feature matrix of a query's `artifacts` — what
+    /// the funnel, LSS and clustering read — gathered for one pick.
+    fn features_of(&self, artifacts: &QueryArtifacts) -> FeatureMatrix {
+        self.normalized_statics.gather(&artifacts.columns)
+    }
+
     /// Hit/miss/occupancy counters of the artifact cache. `misses` equals
-    /// the number of `QueryFeatures::compute` (and `CompiledQuery::compile`)
-    /// calls made on behalf of the query path.
+    /// the number of selectivity estimations (and `CompiledQuery::compile`
+    /// calls) made on behalf of the query path.
     pub fn feature_cache_stats(&self) -> CacheStats {
         self.features.stats()
     }
@@ -406,30 +411,21 @@ impl Ps3System {
     ) -> (Vec<WeightedPart>, f64) {
         let budget = self.budget_partitions(frac);
         let n = self.num_partitions();
-        let passing_filter = || -> Vec<usize> {
-            (0..n)
-                .filter(|&p| artifacts.selectivity_upper[p] > 0.0)
-                .collect()
-        };
+        let upper = artifacts.columns.upper();
+        let passing_filter = || -> Vec<usize> { (0..n).filter(|&p| upper[p] > 0.0).collect() };
         match method {
             Method::Random => (random_selection(n, budget, rng), 0.0),
             Method::RandomFilter => (random_filter_selection(&passing_filter(), budget, rng), 0.0),
             Method::Lss => {
                 let candidates = passing_filter();
-                let sel = self
-                    .lss
-                    .pick(&artifacts.normalized, &candidates, budget, frac, rng);
+                let features = self.features_of(artifacts);
+                let sel = self.lss.pick(&features, &candidates, budget, frac, rng);
                 (sel, 0.0)
             }
             Method::Ps3 => {
-                let out = self.picker().pick_normalized(
-                    query,
-                    &artifacts.selectivity_upper,
-                    &artifacts.normalized,
-                    budget,
-                    rng,
-                    oracle,
-                );
+                let features = self.features_of(artifacts);
+                let out =
+                    (self.picker()).pick_normalized(query, upper, &features, budget, rng, oracle);
                 (out.selection, out.total_ms)
             }
         }
@@ -447,14 +443,9 @@ impl Ps3System {
     pub fn pick_outcome(&self, query: &Query, frac: f64, rng: &mut StdRng) -> PickOutcome {
         let artifacts = self.artifacts_for(query);
         let budget = self.budget_partitions(frac);
-        self.picker().pick_normalized(
-            query,
-            &artifacts.selectivity_upper,
-            &artifacts.normalized,
-            budget,
-            rng,
-            None,
-        )
+        let features = self.features_of(&artifacts);
+        let upper = artifacts.columns.upper();
+        (self.picker()).pick_normalized(query, upper, &features, budget, rng, None)
     }
 
     /// Answer `spec` approximately at `frac` of the data — **the** answer
@@ -496,7 +487,7 @@ impl Ps3System {
         let artifacts = self.artifacts_for(picked_as);
         let (selection, picker_ms) =
             self.select_from(picked_as, &artifacts, method, frac, None, rng);
-        let covering = selection_is_exact(&artifacts.selectivity_upper, frac, &selection);
+        let covering = selection_is_exact(artifacts.columns.upper(), frac, &selection);
         let (answer, error_estimate, exact, sketch) = match spec {
             QuerySpec::Scalar(_) => {
                 let compiled = &artifacts.compiled;
@@ -913,7 +904,7 @@ pub(crate) mod tests {
         let stats = sys.feature_cache_stats();
         assert_eq!(
             stats.misses, 1,
-            "a 6-budget sweep must call QueryFeatures::compute exactly once"
+            "a 6-budget sweep must estimate selectivity exactly once"
         );
         assert_eq!(stats.hits, LSS_BUDGET_GRID.len() as u64 - 1);
     }

@@ -7,13 +7,17 @@
 //!
 //! At query time a mask zeroes the blocks of columns the query does not use,
 //! bitmap bits survive only for the query's group-by columns, and the four
-//! selectivity slots are filled per partition.
+//! selectivity slots are filled per partition. `live_blocks` is that mask,
+//! the one column layout both the training builder ([`QueryFeatures`]) and
+//! the serving gather ([`crate::NormalizedStatics::gather`]) use.
+
+use std::ops::Range;
 
 use ps3_query::{CompiledPredicate, Query};
 use ps3_storage::{ColId, Table};
 
 use crate::builder::TableStats;
-use crate::selectivity::{selectivity_features_compiled, SelectivityFeatures};
+use crate::selectivity::SelectivityPlan;
 
 /// Scalar statistics per column (before the bitmap).
 pub const SCALARS_PER_COL: usize = 17;
@@ -277,6 +281,33 @@ impl FeatureSchema {
     }
 }
 
+/// The static blocks of the full feature vector that `query`'s mask leaves
+/// live (§3.2), ascending (`used_columns` is sorted): the scalar statistics
+/// of every column the query uses, and the occurrence bitmap too for a
+/// column it groups by. The compact matrix stores these and then the four
+/// selectivity slots.
+pub(crate) fn live_blocks(schema: &FeatureSchema, query: &Query) -> Vec<Range<usize>> {
+    (query.used_columns().iter())
+        .map(|c| {
+            let off = schema.col_offset(*c);
+            if query.group_by.contains(c) {
+                off..off + PER_COL
+            } else {
+                off..off + SCALARS_PER_COL
+            }
+        })
+        .collect()
+}
+
+/// The compact column map of [`live_blocks`]: each block's full feature
+/// indices, then the four selectivity slots.
+pub(crate) fn compact_cols(schema: &FeatureSchema, blocks: &[Range<usize>]) -> Vec<usize> {
+    let sel = schema.selectivity_offset();
+    (blocks.iter().flat_map(Range::clone))
+        .chain(sel..sel + SELECTIVITY_FEATURES)
+        .collect()
+}
+
 /// A flat, row-major, *compact* feature matrix: one row per partition,
 /// holding only the columns a query's mask leaves live, plus the map between
 /// compact columns and full feature indices. Every column that is not listed
@@ -300,7 +331,7 @@ impl FeatureMatrix {
 
     /// Assemble from parts. `cols` must ascend within `full_dim` and `data`
     /// must hold `n × cols.len()` values.
-    fn new(cols: Vec<usize>, full_dim: usize, n: usize, data: Vec<f64>) -> Self {
+    pub(crate) fn new(cols: Vec<usize>, full_dim: usize, n: usize, data: Vec<f64>) -> Self {
         assert!(
             cols.windows(2).all(|w| w[0] < w[1]),
             "column map must ascend"
@@ -390,11 +421,6 @@ impl FeatureMatrix {
         self.data.capacity() * std::mem::size_of::<f64>()
             + (self.cols.capacity() + self.slot_of.capacity()) * std::mem::size_of::<usize>()
     }
-
-    /// The stored values, row-major (for in-place normalisation).
-    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
 }
 
 /// Masked, selectivity-augmented **raw** feature matrix for one query: the
@@ -409,58 +435,31 @@ pub struct QueryFeatures {
 }
 
 impl QueryFeatures {
-    /// Build the feature matrix for `query` (§3.2):
-    /// * copy in only the static blocks of the columns the query touches
-    ///   (the full-width row is zero everywhere else, and a compact row
-    ///   simply does not store those zeros),
-    /// * keep occurrence bitmaps only for the query's group-by columns,
-    /// * append the four per-partition selectivity estimates, probed
-    ///   through the predicate compiled **once** per `(query, table)` —
-    ///   `IN`/`Contains` dictionary resolution no longer reruns per
-    ///   partition.
+    /// Build the raw feature matrix for `query` (§3.2) — the training
+    /// builder; serving gathers pre-normalized rows instead
+    /// ([`crate::NormalizedStatics`]):
+    /// * copy in only the static blocks the query's mask leaves live (the
+    ///   full-width row is zero everywhere else, and a compact row simply
+    ///   does not store those zeros),
+    /// * append the four per-partition selectivity estimates, through a
+    ///   [`SelectivityPlan`] of the predicate compiled **once** per
+    ///   `(query, table)`.
     pub fn compute(stats: &TableStats, table: &Table, query: &Query) -> Self {
         let schema = *stats.feature_schema();
-        let mut gb_mask = vec![false; schema.num_cols()];
-        for c in &query.group_by {
-            gb_mask[c.index()] = true;
-        }
         let compiled = query
             .predicate
             .as_ref()
             .map(|p| CompiledPredicate::compile(table, p));
-
-        // Static blocks to gather, ascending: `used_columns` is sorted.
-        let blocks: Vec<std::ops::Range<usize>> = query
-            .used_columns()
-            .iter()
-            .map(|c| {
-                let off = schema.col_offset(*c);
-                // Bitmaps are only computed for grouping columns (§3.2).
-                if gb_mask[c.index()] {
-                    off..off + PER_COL
-                } else {
-                    off..off + SCALARS_PER_COL
-                }
-            })
-            .collect();
-        let sel_off = schema.selectivity_offset();
-        let cols: Vec<usize> = blocks
-            .iter()
-            .flat_map(|b| b.clone())
-            .chain(sel_off..sel_off + SELECTIVITY_FEATURES)
-            .collect();
+        let plan = SelectivityPlan::new(compiled.as_ref());
+        let blocks = live_blocks(&schema, query);
+        let cols = compact_cols(&schema, &blocks);
 
         let n = stats.num_partitions();
         let mut data = Vec::with_capacity(n * cols.len());
-        for p in 0..n {
-            let statics = &stats.static_features()[p];
+        for (statics, sel) in stats.static_features().iter().zip(plan.estimate_all(stats)) {
             for b in &blocks {
                 data.extend_from_slice(&statics[b.clone()]);
             }
-            let sel = match &compiled {
-                Some(cp) => selectivity_features_compiled(Some(cp), stats.partition(p)),
-                None => SelectivityFeatures::all_pass(),
-            };
             data.extend_from_slice(&sel.as_array());
         }
         Self {
@@ -479,11 +478,6 @@ impl QueryFeatures {
         &self.matrix
     }
 
-    /// Unwrap into the compact matrix (normalisation reuses the buffer).
-    pub(crate) fn into_matrix(self) -> FeatureMatrix {
-        self.matrix
-    }
-
     /// Number of partitions (rows).
     pub fn num_partitions(&self) -> usize {
         self.matrix.num_rows()
@@ -499,14 +493,6 @@ impl QueryFeatures {
     /// first filter.
     pub fn selectivity_upper(&self, p: usize) -> f64 {
         self.selectivity(p)[0]
-    }
-
-    /// Every partition's `selectivity_upper`: the narrow slice of the raw
-    /// features the serving path keeps once the matrix is normalised.
-    pub fn selectivity_uppers(&self) -> Vec<f64> {
-        (0..self.num_partitions())
-            .map(|p| self.selectivity_upper(p))
-            .collect()
     }
 
     /// The full-width rows (masked columns zero) — what training consumes.

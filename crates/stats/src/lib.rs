@@ -7,11 +7,14 @@
 //!   per-partition occurrence bitmaps of §3.2.
 //! * [`selectivity`] — the four selectivity features (`upper`, `indep`,
 //!   `min`, `max`) estimated from histograms/dictionaries, with
-//!   `selectivity_upper`'s perfect-recall guarantee.
+//!   `selectivity_upper`'s perfect-recall guarantee, through a plan built
+//!   once per query.
 //! * [`features`] — the feature-vector schema of Table 2 and query-dependent
 //!   masking.
 //! * [`normalize`] — Appendix B normalization (log / cube-root transform,
-//!   then division by training-set means).
+//!   then division by training-set means), and the serving path's split of
+//!   a query's normalized features into the shared static table and what
+//!   the query adds.
 //! * [`persist`] — bit-exact byte codec for the whole catalog (the `STATS`
 //!   section of the flat artifact format).
 
@@ -19,11 +22,13 @@ pub mod builder;
 pub mod column_stats;
 pub mod features;
 pub mod normalize;
+#[doc(hidden)]
+pub mod oracle;
 pub mod persist;
 pub mod selectivity;
 
 pub use builder::{StatsConfig, StorageBreakdown, TableStats};
 pub use column_stats::ColumnStats;
 pub use features::{FeatureMatrix, FeatureSchema, FeatureType, QueryFeatures};
-pub use normalize::{NormalizedStatics, Normalizer};
-pub use selectivity::{selectivity_features_compiled, SelectivityFeatures};
+pub use normalize::{NormalizedStatics, Normalizer, QueryColumns};
+pub use selectivity::{SelectivityFeatures, SelectivityPlan};

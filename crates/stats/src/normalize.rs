@@ -3,18 +3,26 @@
 //! root; each dimension is then divided by its average over the training set
 //! (the average is more outlier-robust than the max).
 //!
-//! 882 of a 512-partition Aria table's 886 dimensions are query-independent
-//! static statistics, so the serving path never transforms them per query:
-//! [`Normalizer::normalize_statics`] runs the transform over every
-//! partition's static row **once per system generation**, and
-//! [`NormalizedStatics::normalize`] turns a query's raw compact
-//! [`QueryFeatures`] into its normalised [`FeatureMatrix`] by gathering the
-//! pre-normalised blocks and transforming only the four selectivity values
-//! per partition — the same values [`Normalizer::apply_row`] produces on the
+//! Only the four selectivity slots of a feature row depend on the query —
+//! 462 of a row's 466 dimensions on the 11-column Aria table are static
+//! statistics — so the serving path splits a query's normalized matrix in
+//! two. [`Normalizer::normalize_statics`] transforms every partition's
+//! static row **once per system generation** into one shared
+//! [`NormalizedStatics`] table; [`NormalizedStatics::query_columns`] keeps
+//! what a query adds — its live static blocks, its `partitions × 4`
+//! selectivity estimates normalized once, and the raw `selectivity_upper`
+//! column — and [`NormalizedStatics::gather`] assembles the compact
+//! [`FeatureMatrix`] the picker reads from the two when it picks. The
+//! gathered values are the ones [`Normalizer::apply_row`] produces on the
 //! full-width row, bit for bit.
 
+use ps3_query::{CompiledPredicate, Query};
+
 use crate::builder::TableStats;
-use crate::features::{FeatureMatrix, FeatureSchema, QueryFeatures};
+use crate::features::{
+    compact_cols, live_blocks, FeatureMatrix, FeatureSchema, SELECTIVITY_FEATURES,
+};
+use crate::selectivity::SelectivityPlan;
 
 /// Fitted normalization state: per-dimension training means of the
 /// transformed features.
@@ -101,7 +109,7 @@ impl Normalizer {
     }
 
     /// Normalize the static (query-independent) features of every partition
-    /// of `stats`, once, for [`NormalizedStatics::normalize`] to gather from.
+    /// of `stats`, once, for [`NormalizedStatics::gather`] to read from.
     ///
     /// # Panics
     /// Panics when `stats` has a different feature layout.
@@ -119,8 +127,8 @@ impl Normalizer {
             );
         }
         NormalizedStatics {
+            schema: self.schema,
             data,
-            stride,
             sel_means: sel_means.to_vec(),
         }
     }
@@ -147,56 +155,101 @@ impl Normalizer {
 }
 
 /// Every partition's static features through a fitted [`Normalizer`],
-/// computed once per system generation (see the module docs).
+/// computed once per system generation and read by every query (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct NormalizedStatics {
-    /// `partitions × stride` normalized static features, row-major.
+    schema: FeatureSchema,
+    /// `partitions × schema.selectivity_offset()` normalized static
+    /// features, row-major.
     data: Vec<f64>,
-    /// Static features per partition (the schema's selectivity offset).
-    stride: usize,
     /// Training means of the transformed selectivity features.
     sel_means: Vec<f64>,
 }
 
+/// What one query adds to the shared [`NormalizedStatics`]: the part of its
+/// normalized feature matrix that depends on the query, and all a feature
+/// cache entry needs to own.
+#[derive(Debug)]
+pub struct QueryColumns {
+    /// The static blocks the query's mask leaves live — its column map.
+    blocks: Vec<std::ops::Range<usize>>,
+    /// `partitions × 4` normalized selectivity estimates, row-major.
+    selectivity: Vec<f64>,
+    /// Every partition's raw `selectivity_upper` (§3.2).
+    upper: Vec<f64>,
+}
+
+impl QueryColumns {
+    /// Every partition's raw `selectivity_upper`: all the filter and the
+    /// exactness check read of the raw features.
+    pub fn upper(&self) -> &[f64] {
+        &self.upper
+    }
+
+    /// Heap bytes owned — the shared static table is not counted.
+    pub fn heap_bytes(&self) -> usize {
+        self.blocks.capacity() * std::mem::size_of::<std::ops::Range<usize>>()
+            + (self.selectivity.capacity() + self.upper.capacity()) * std::mem::size_of::<f64>()
+    }
+}
+
 impl NormalizedStatics {
-    /// Normalize a query's raw features into the matrix the funnel, LSS and
-    /// clustering consume, reusing `features`' buffer: static columns are
-    /// overwritten with their pre-normalized values, selectivity columns are
-    /// transformed in place.
+    /// Static features per partition.
+    fn stride(&self) -> usize {
+        self.schema.selectivity_offset()
+    }
+
+    /// Estimate `query`'s selectivity on every partition of `stats` (the
+    /// table these statics were normalized from) through `pred`, its
+    /// compiled predicate, and keep what the query adds: its live static
+    /// blocks, the four estimates normalized, and the raw upper bounds.
     ///
     /// # Panics
-    /// Panics when `features` was computed over a different table shape.
-    pub fn normalize(&self, features: QueryFeatures) -> FeatureMatrix {
-        let mut matrix = features.into_matrix();
-        let n = matrix.num_rows();
-        assert_eq!(n * self.stride, self.data.len(), "partition count");
-        assert_eq!(matrix.full_dim(), self.stride + self.sel_means.len());
-        // Maximal runs of consecutive full indices as (first slot, first
-        // index, length), broken at the selectivity offset so that a run is
-        // all static or all selectivity.
-        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
-        for (slot, &c) in matrix.cols().iter().enumerate() {
-            match runs.last_mut() {
-                Some((_, start, len)) if *start + *len == c && c != self.stride => *len += 1,
-                _ => runs.push((slot, c, 1)),
-            }
+    /// Panics when `stats` has a different feature layout or partition
+    /// count.
+    pub fn query_columns(
+        &self,
+        stats: &TableStats,
+        query: &Query,
+        pred: Option<&CompiledPredicate>,
+    ) -> QueryColumns {
+        assert_eq!(*stats.feature_schema(), self.schema, "feature layout");
+        let n = stats.num_partitions();
+        assert_eq!(n * self.stride(), self.data.len(), "partition count");
+        let plan = SelectivityPlan::new(pred);
+        let mut selectivity = Vec::with_capacity(n * SELECTIVITY_FEATURES);
+        let mut upper = Vec::with_capacity(n);
+        for sel in plan.estimate_all(stats) {
+            upper.push(sel.upper);
+            selectivity.extend(
+                (sel.as_array().iter().zip(&self.sel_means))
+                    .map(|(&x, mean)| transform(x, true) / mean),
+            );
         }
-        let width = matrix.width();
-        for (p, row) in matrix.data_mut().chunks_exact_mut(width).enumerate() {
-            let statics = &self.data[p * self.stride..(p + 1) * self.stride];
-            for &(slot, start, len) in &runs {
-                let out = &mut row[slot..slot + len];
-                if start < self.stride {
-                    out.copy_from_slice(&statics[start..start + len]);
-                } else {
-                    let means = &self.sel_means[start - self.stride..];
-                    for (x, mean) in out.iter_mut().zip(means) {
-                        *x = transform(*x, true) / mean;
-                    }
-                }
-            }
+        QueryColumns {
+            blocks: live_blocks(&self.schema, query),
+            selectivity,
+            upper,
         }
-        matrix
+    }
+
+    /// The query's normalized compact feature matrix — what the funnel, LSS
+    /// and clustering read — gathered from the shared static rows and
+    /// `columns`' selectivity block.
+    pub fn gather(&self, columns: &QueryColumns) -> FeatureMatrix {
+        let (stride, n) = (self.stride(), columns.upper.len());
+        assert_eq!(n * stride, self.data.len(), "partition count");
+        let cols = compact_cols(&self.schema, &columns.blocks);
+        let mut data = Vec::with_capacity(n * cols.len());
+        let rows = self.data.chunks_exact(stride);
+        for (statics, sel) in rows.zip(columns.selectivity.chunks_exact(SELECTIVITY_FEATURES)) {
+            for b in &columns.blocks {
+                data.extend_from_slice(&statics[b.clone()]);
+            }
+            data.extend_from_slice(sel);
+        }
+        FeatureMatrix::new(cols, self.schema.dim(), n, data)
     }
 }
 

@@ -1,0 +1,141 @@
+//! The recursive selectivity evaluator, kept as the oracle the property
+//! tests hold [`SelectivityPlan`](crate::selectivity::SelectivityPlan) to,
+//! bit for bit.
+//!
+//! This is the tree walk the plan replaced, unchanged: it re-groups an
+//! AND's same-column comparisons and allocates its child and clause lists
+//! on every partition. It shares only the per-clause sketch probes
+//! (interval, `<>` and membership) with the plan; what the plan rewrote —
+//! the grouping, the visiting order and every fold — is written out here
+//! independently.
+//!
+//! This module is `#[doc(hidden)]` public so integration tests can reach
+//! it; it is not part of the crate's API.
+
+use ps3_query::{CmpOp, CompiledPredicate};
+use ps3_storage::ColId;
+
+use crate::column_stats::ColumnStats;
+use crate::selectivity::{
+    effective_op, in_selectivity, interval_selectivity, ne_selectivity, Interval,
+    SelectivityFeatures,
+};
+
+/// `(upper, estimate)` for a numeric comparison (post-negation operator).
+fn cmp_selectivity(op: CmpOp, value: f64, stats: &ColumnStats) -> (f64, f64) {
+    match Interval::from_cmp(op, value) {
+        Some(iv) => interval_selectivity(&iv, stats),
+        None => ne_selectivity(value, stats),
+    }
+}
+
+/// Recursive estimate of a compiled predicate node: returns
+/// `(upper, indep)`, appending per-clause estimates to `clause_ests`.
+fn estimate_node(
+    pred: &CompiledPredicate,
+    stats: &[ColumnStats],
+    clause_ests: &mut Vec<f64>,
+) -> (f64, f64) {
+    match pred {
+        CompiledPredicate::Cmp {
+            col,
+            op,
+            value,
+            negated,
+        } => {
+            let pair = cmp_selectivity(effective_op(*op, *negated), *value, &stats[col.index()]);
+            clause_ests.push(pair.1);
+            pair
+        }
+        CompiledPredicate::InSet { col, set, negated } => {
+            let pair = in_selectivity(set.codes(), *negated, &stats[col.index()]);
+            clause_ests.push(pair.1);
+            pair
+        }
+        CompiledPredicate::And(children) => {
+            let parts = jointly_evaluate(children, stats, true, clause_ests);
+            let upper = parts.iter().map(|p| p.0).fold(1.0_f64, f64::min);
+            let indep = parts.iter().map(|p| p.1).product::<f64>();
+            (upper, indep)
+        }
+        CompiledPredicate::Or(children) => {
+            let parts = jointly_evaluate(children, stats, false, clause_ests);
+            let upper = parts.iter().map(|p| p.0).sum::<f64>().min(1.0);
+            // Paper's stated rule for ORs: the min of the clause estimates.
+            let indep = parts.iter().map(|p| p.1).fold(1.0_f64, f64::min);
+            (upper, indep)
+        }
+    }
+}
+
+/// Evaluate a node's children, merging same-column `Cmp` clauses first.
+///
+/// Only AND nodes can merge into a single intersection; OR children stay
+/// individual (their union is handled by the parent's sum/min combination).
+fn jointly_evaluate(
+    children: &[CompiledPredicate],
+    stats: &[ColumnStats],
+    is_and: bool,
+    clause_ests: &mut Vec<f64>,
+) -> Vec<(f64, f64)> {
+    let mut out = Vec::with_capacity(children.len());
+    if is_and {
+        // Group interval-able Cmp clauses by column.
+        let mut grouped: Vec<(ColId, Interval)> = Vec::new();
+        let mut rest: Vec<&CompiledPredicate> = Vec::new();
+        for ch in children {
+            if let CompiledPredicate::Cmp {
+                col,
+                op,
+                value,
+                negated,
+            } = ch
+            {
+                if let Some(iv) = Interval::from_cmp(effective_op(*op, *negated), *value) {
+                    match grouped.iter_mut().find(|(c, _)| c == col) {
+                        Some((_, acc)) => *acc = acc.intersect(&iv),
+                        None => grouped.push((*col, iv)),
+                    }
+                    continue;
+                }
+            }
+            rest.push(ch);
+        }
+        for (col, iv) in grouped {
+            let pair = interval_selectivity(&iv, &stats[col.index()]);
+            clause_ests.push(pair.1);
+            out.push(pair);
+        }
+        for ch in rest {
+            out.push(estimate_node(ch, stats, clause_ests));
+        }
+    } else {
+        for ch in children {
+            out.push(estimate_node(ch, stats, clause_ests));
+        }
+    }
+    out
+}
+
+/// The four selectivity features of a pre-compiled predicate on one
+/// partition, by recursive descent. `None` means no `WHERE` clause:
+/// everything passes.
+pub fn selectivity_features_compiled(
+    pred: Option<&CompiledPredicate>,
+    stats: &[ColumnStats],
+) -> SelectivityFeatures {
+    let Some(pred) = pred else {
+        return SelectivityFeatures::all_pass();
+    };
+    let mut clause_ests = Vec::new();
+    let (upper, indep) = estimate_node(pred, stats, &mut clause_ests);
+    let (min, max) = clause_ests
+        .iter()
+        .fold((1.0_f64, 0.0_f64), |(mn, mx), &e| (mn.min(e), mx.max(e)));
+    SelectivityFeatures {
+        upper: upper.clamp(0.0, 1.0),
+        indep: indep.clamp(0.0, 1.0),
+        min: if clause_ests.is_empty() { 1.0 } else { min },
+        max: if clause_ests.is_empty() { 1.0 } else { max },
+    }
+}

@@ -10,13 +10,21 @@
 //! 3. `selectivity_min` / `selectivity_max` — min and max over the
 //!    individual clause estimates.
 //!
-//! Clauses on the same numeric column inside one AND/OR node are *evaluated
+//! Clauses on the same numeric column inside one AND node are *evaluated
 //! jointly* (e.g. `X > 1 AND X < 5` intersects to one range before consulting
 //! the histogram), per §3.2.
+//!
+//! A predicate is estimated through a [`SelectivityPlan`], built once per
+//! query from the compiled predicate: the tree flattened into a postfix
+//! program whose same-column AND intervals are intersected when the plan is
+//! built, so estimating a partition walks one slice and allocates nothing.
+//! The recursive evaluator it replaced is [`crate::oracle`], the reference
+//! the property tests hold the plan to, bit for bit.
 
 use ps3_query::{CmpOp, CompiledPredicate, Query};
 use ps3_storage::{ColId, Schema, Table};
 
+use crate::builder::TableStats;
 use crate::column_stats::ColumnStats;
 
 /// The four selectivity features for one (query, partition) pair.
@@ -51,7 +59,7 @@ impl SelectivityFeatures {
 
 /// A half-open/closed numeric interval used for joint clause evaluation.
 #[derive(Debug, Clone, Copy)]
-struct Interval {
+pub(crate) struct Interval {
     lo: f64,
     lo_incl: bool,
     hi: f64,
@@ -68,7 +76,8 @@ impl Interval {
         }
     }
 
-    fn from_cmp(op: CmpOp, v: f64) -> Option<Self> {
+    /// The interval `op v` accepts; `None` for `Ne`, which is not one.
+    pub(crate) fn from_cmp(op: CmpOp, v: f64) -> Option<Self> {
         let mut i = Self::full();
         match op {
             CmpOp::Lt => {
@@ -97,7 +106,7 @@ impl Interval {
         Some(i)
     }
 
-    fn intersect(&self, other: &Interval) -> Interval {
+    pub(crate) fn intersect(&self, other: &Interval) -> Interval {
         let (lo, lo_incl) = if self.lo > other.lo {
             (self.lo, self.lo_incl)
         } else if other.lo > self.lo {
@@ -125,29 +134,23 @@ impl Interval {
     }
 }
 
-/// `(upper, estimate)` for a numeric comparison (post-negation operator).
-fn cmp_selectivity(op: CmpOp, value: f64, stats: &ColumnStats) -> (f64, f64) {
-    match Interval::from_cmp(op, value) {
-        Some(iv) => interval_selectivity(&iv, stats),
-        None => {
-            // Ne: complement of equality.
-            let (eq_upper, eq_est) =
-                interval_selectivity(&Interval::from_cmp(CmpOp::Eq, value).unwrap(), stats);
-            let est = (1.0 - eq_est).clamp(0.0, 1.0);
-            // Upper: all rows might differ from v unless the column is
-            // constant at v (then eq covers everything).
-            let upper = if eq_upper >= 1.0 && stats.akmv.distinct_estimate() <= 1.0 {
-                0.0
-            } else {
-                1.0
-            };
-            (upper, est)
-        }
-    }
+/// `(upper, estimate)` for `x <> value`: the complement of equality.
+pub(crate) fn ne_selectivity(value: f64, stats: &ColumnStats) -> (f64, f64) {
+    let (eq_upper, eq_est) =
+        interval_selectivity(&Interval::from_cmp(CmpOp::Eq, value).unwrap(), stats);
+    let est = (1.0 - eq_est).clamp(0.0, 1.0);
+    // Upper: all rows might differ from v unless the column is constant at v
+    // (then eq covers everything).
+    let upper = if eq_upper >= 1.0 && stats.akmv.distinct_estimate() <= 1.0 {
+        0.0
+    } else {
+        1.0
+    };
+    (upper, est)
 }
 
 /// `(upper, estimate)` for a numeric interval.
-fn interval_selectivity(iv: &Interval, stats: &ColumnStats) -> (f64, f64) {
+pub(crate) fn interval_selectivity(iv: &Interval, stats: &ColumnStats) -> (f64, f64) {
     if iv.is_empty() {
         return (0.0, 0.0);
     }
@@ -181,7 +184,7 @@ fn interval_selectivity(iv: &Interval, stats: &ColumnStats) -> (f64, f64) {
 
 /// `(upper, estimate)` for a categorical membership test over the
 /// precompiled dictionary-code targets.
-fn in_selectivity(keys: &[u32], negated: bool, stats: &ColumnStats) -> (f64, f64) {
+pub(crate) fn in_selectivity(keys: &[u32], negated: bool, stats: &ColumnStats) -> (f64, f64) {
     // Exact dictionary: both the bound and the estimate are exact.
     if let Some(exact) = &stats.exact {
         let sel = keys
@@ -226,7 +229,7 @@ fn in_selectivity(keys: &[u32], negated: bool, stats: &ColumnStats) -> (f64, f64
 /// The effective comparison operator of a compiled `Cmp` leaf: a mask
 /// complement estimates like the complemented operator (selectivity has no
 /// NaN rows to worry about — only the executor needs exact NaN semantics).
-fn effective_op(op: CmpOp, negated: bool) -> CmpOp {
+pub(crate) fn effective_op(op: CmpOp, negated: bool) -> CmpOp {
     if negated {
         op.negate()
     } else {
@@ -234,132 +237,217 @@ fn effective_op(op: CmpOp, negated: bool) -> CmpOp {
     }
 }
 
-/// Recursive estimate of a compiled predicate node: returns
-/// `(upper, indep)`, appending per-clause estimates to `clause_ests`.
-///
-/// Walking the *compiled* tree means dictionary targets (`IN` code sets,
-/// `Contains` scans) were resolved once per query at compile time, not once
-/// per partition.
-fn estimate_node(
-    pred: &CompiledPredicate,
-    stats: &[ColumnStats],
-    clause_ests: &mut Vec<f64>,
-) -> (f64, f64) {
-    match pred {
-        CompiledPredicate::Cmp {
-            col,
-            op,
-            value,
-            negated,
-        } => {
-            let pair = cmp_selectivity(effective_op(*op, *negated), *value, &stats[col.index()]);
-            clause_ests.push(pair.1);
-            pair
-        }
-        CompiledPredicate::InSet { col, set, negated } => {
-            let pair = in_selectivity(set.codes(), *negated, &stats[col.index()]);
-            clause_ests.push(pair.1);
-            pair
-        }
-        CompiledPredicate::And(children) => {
-            let parts = jointly_evaluate(children, stats, true, clause_ests);
-            let upper = parts.iter().map(|p| p.0).fold(1.0_f64, f64::min);
-            let indep = parts.iter().map(|p| p.1).product::<f64>();
-            (upper, indep)
-        }
-        CompiledPredicate::Or(children) => {
-            let parts = jointly_evaluate(children, stats, false, clause_ests);
-            let upper = parts.iter().map(|p| p.0).sum::<f64>().min(1.0);
-            // Paper's stated rule for ORs: the min of the clause estimates.
-            let indep = parts.iter().map(|p| p.1).fold(1.0_f64, f64::min);
-            (upper, indep)
-        }
-    }
+/// One instruction of a [`SelectivityPlan`]. A leaf pushes one clause's
+/// `(upper, estimate)` pair; a combiner pops its children's pairs and
+/// pushes the node's.
+#[derive(Debug, Clone, Copy)]
+enum Step<'a> {
+    /// A numeric interval: a lone range comparison, or every interval
+    /// comparison on one column of an AND, intersected.
+    Interval { col: usize, iv: Interval },
+    /// `x <> value`, the one comparison that is not an interval.
+    NotEqual { col: usize, value: f64 },
+    /// Categorical membership in precompiled dictionary codes.
+    InSet {
+        col: usize,
+        codes: &'a [u32],
+        negated: bool,
+    },
+    /// AND of the top `n` pairs: min of the uppers, product of the
+    /// estimates.
+    And(usize),
+    /// OR of the top `n` pairs: capped sum of the uppers, min of the
+    /// estimates (the paper's stated rule).
+    Or(usize),
 }
 
-/// Evaluate a node's children, merging same-column `Cmp` clauses first.
+/// A compiled predicate's selectivity estimator, built once per query and
+/// run on every partition.
 ///
-/// Only AND nodes can merge into a single intersection; OR children stay
-/// individual (their union is handled by the parent's sum/min combination).
-fn jointly_evaluate(
-    children: &[CompiledPredicate],
-    stats: &[ColumnStats],
-    is_and: bool,
-    clause_ests: &mut Vec<f64>,
-) -> Vec<(f64, f64)> {
-    let mut out = Vec::with_capacity(children.len());
-    if is_and {
-        // Group interval-able Cmp clauses by column.
-        let mut grouped: Vec<(ColId, Interval)> = Vec::new();
-        let mut rest: Vec<&CompiledPredicate> = Vec::new();
-        for ch in children {
-            if let CompiledPredicate::Cmp {
+/// The predicate tree becomes a postfix program in exactly the order the
+/// recursive evaluation visits it: an AND's same-column interval clauses
+/// first, merged into one interval per column (columns in order of first
+/// appearance, each intersected in clause order), then its other children
+/// in order; an OR's children in order. Every fold (min, product, capped
+/// sum, the running clause min/max) runs over its operands in that same
+/// order, so the features are bit-identical to [`crate::oracle`]'s.
+#[derive(Debug)]
+pub struct SelectivityPlan<'a> {
+    /// Empty when there is no predicate: everything passes.
+    steps: Vec<Step<'a>>,
+    /// Leaf steps; with none, `min` and `max` read 1.0.
+    leaves: usize,
+    /// The most pairs the evaluation stack holds at once.
+    depth: usize,
+}
+
+impl<'a> SelectivityPlan<'a> {
+    /// Plan `pred`, or the all-pass estimate when there is none.
+    pub fn new(pred: Option<&'a CompiledPredicate>) -> Self {
+        let mut plan = Self {
+            steps: Vec::new(),
+            leaves: 0,
+            depth: 0,
+        };
+        if let Some(pred) = pred {
+            plan.push_node(pred, &mut 0);
+        }
+        plan
+    }
+
+    fn push(&mut self, step: Step<'a>, height: &mut usize) {
+        match step {
+            Step::And(n) | Step::Or(n) => *height = *height + 1 - n,
+            _ => {
+                self.leaves += 1;
+                *height += 1;
+            }
+        }
+        self.depth = self.depth.max(*height);
+        self.steps.push(step);
+    }
+
+    fn push_node(&mut self, pred: &'a CompiledPredicate, height: &mut usize) {
+        match pred {
+            CompiledPredicate::Cmp {
                 col,
                 op,
                 value,
                 negated,
-            } = ch
-            {
-                if let Some(iv) = Interval::from_cmp(effective_op(*op, *negated), *value) {
-                    match grouped.iter_mut().find(|(c, _)| c == col) {
-                        Some((_, acc)) => *acc = acc.intersect(&iv),
-                        None => grouped.push((*col, iv)),
-                    }
-                    continue;
-                }
+            } => {
+                let col = col.index();
+                let step = match Interval::from_cmp(effective_op(*op, *negated), *value) {
+                    Some(iv) => Step::Interval { col, iv },
+                    None => Step::NotEqual { col, value: *value },
+                };
+                self.push(step, height);
             }
-            rest.push(ch);
-        }
-        for (col, iv) in grouped {
-            let pair = interval_selectivity(&iv, &stats[col.index()]);
-            clause_ests.push(pair.1);
-            out.push(pair);
-        }
-        for ch in rest {
-            out.push(estimate_node(ch, stats, clause_ests));
-        }
-    } else {
-        for ch in children {
-            out.push(estimate_node(ch, stats, clause_ests));
+            CompiledPredicate::InSet { col, set, negated } => {
+                let step = Step::InSet {
+                    col: col.index(),
+                    codes: set.codes(),
+                    negated: *negated,
+                };
+                self.push(step, height);
+            }
+            CompiledPredicate::And(children) => {
+                let mut grouped: Vec<(ColId, Interval)> = Vec::new();
+                let mut rest: Vec<&'a CompiledPredicate> = Vec::new();
+                for ch in children {
+                    if let CompiledPredicate::Cmp {
+                        col,
+                        op,
+                        value,
+                        negated,
+                    } = ch
+                    {
+                        if let Some(iv) = Interval::from_cmp(effective_op(*op, *negated), *value) {
+                            match grouped.iter_mut().find(|(c, _)| c == col) {
+                                Some((_, acc)) => *acc = acc.intersect(&iv),
+                                None => grouped.push((*col, iv)),
+                            }
+                            continue;
+                        }
+                    }
+                    rest.push(ch);
+                }
+                let arity = grouped.len() + rest.len();
+                for (col, iv) in grouped {
+                    self.push(
+                        Step::Interval {
+                            col: col.index(),
+                            iv,
+                        },
+                        height,
+                    );
+                }
+                for ch in rest {
+                    self.push_node(ch, height);
+                }
+                self.push(Step::And(arity), height);
+            }
+            CompiledPredicate::Or(children) => {
+                for ch in children {
+                    self.push_node(ch, height);
+                }
+                self.push(Step::Or(children.len()), height);
+            }
         }
     }
-    out
-}
 
-/// Compute the four selectivity features of a **pre-compiled** predicate on
-/// one partition. `None` means no `WHERE` clause: everything passes.
-///
-/// This is the per-partition hot path of [`crate::QueryFeatures::compute`]:
-/// the caller compiles the predicate once per `(query, table)` and probes
-/// every partition's sketches with it.
-pub fn selectivity_features_compiled(
-    pred: Option<&CompiledPredicate>,
-    stats: &[ColumnStats],
-) -> SelectivityFeatures {
-    let Some(pred) = pred else {
-        return SelectivityFeatures::all_pass();
-    };
-    let mut clause_ests = Vec::new();
-    let (upper, indep) = estimate_node(pred, stats, &mut clause_ests);
-    let (min, max) = clause_ests
-        .iter()
-        .fold((1.0_f64, 0.0_f64), |(mn, mx), &e| (mn.min(e), mx.max(e)));
-    SelectivityFeatures {
-        upper: upper.clamp(0.0, 1.0),
-        indep: indep.clamp(0.0, 1.0),
-        min: if clause_ests.is_empty() { 1.0 } else { min },
-        max: if clause_ests.is_empty() { 1.0 } else { max },
+    /// The four features on one partition's column statistics, indexed by
+    /// [`ColId`]. Allocates its scratch stack: to estimate many partitions,
+    /// use [`Self::estimate_all`].
+    pub fn estimate(&self, stats: &[ColumnStats]) -> SelectivityFeatures {
+        self.run(stats, &mut Vec::with_capacity(self.depth))
+    }
+
+    /// Every partition's four features, in partition order. One scratch
+    /// stack, reserved up front, serves them all: nothing is allocated per
+    /// partition.
+    pub fn estimate_all<'s>(
+        &'s self,
+        stats: &'s TableStats,
+    ) -> impl ExactSizeIterator<Item = SelectivityFeatures> + use<'s, 'a> {
+        let mut stack = Vec::with_capacity(self.depth);
+        (0..stats.num_partitions()).map(move |p| self.run(stats.partition(p), &mut stack))
+    }
+
+    fn run(&self, stats: &[ColumnStats], stack: &mut Vec<(f64, f64)>) -> SelectivityFeatures {
+        if self.steps.is_empty() {
+            return SelectivityFeatures::all_pass();
+        }
+        stack.clear();
+        let (mut min, mut max) = (1.0_f64, 0.0_f64);
+        for step in &self.steps {
+            let leaf = match *step {
+                Step::Interval { col, iv } => interval_selectivity(&iv, &stats[col]),
+                Step::NotEqual { col, value } => ne_selectivity(value, &stats[col]),
+                Step::InSet {
+                    col,
+                    codes,
+                    negated,
+                } => in_selectivity(codes, negated, &stats[col]),
+                Step::And(n) | Step::Or(n) => {
+                    let at = stack.len() - n;
+                    let parts = &stack[at..];
+                    let pair = if matches!(step, Step::And(_)) {
+                        (
+                            parts.iter().map(|p| p.0).fold(1.0_f64, f64::min),
+                            parts.iter().map(|p| p.1).product::<f64>(),
+                        )
+                    } else {
+                        (
+                            parts.iter().map(|p| p.0).sum::<f64>().min(1.0),
+                            parts.iter().map(|p| p.1).fold(1.0_f64, f64::min),
+                        )
+                    };
+                    stack.truncate(at);
+                    stack.push(pair);
+                    continue;
+                }
+            };
+            min = min.min(leaf.1);
+            max = max.max(leaf.1);
+            stack.push(leaf);
+        }
+        let (upper, indep) = stack[0];
+        SelectivityFeatures {
+            upper: upper.clamp(0.0, 1.0),
+            indep: indep.clamp(0.0, 1.0),
+            min: if self.leaves == 0 { 1.0 } else { min },
+            max: if self.leaves == 0 { 1.0 } else { max },
+        }
     }
 }
 
 /// Compute the four selectivity features of `query` on one partition,
-/// compiling the predicate first.
+/// compiling and planning the predicate first.
 ///
 /// `stats` holds the partition's per-column sketch bundles, indexed by
 /// [`ColId`]; `table` supplies the shared categorical dictionaries the
 /// compilation resolves membership targets against. Callers probing many
-/// partitions should compile once and use
-/// [`selectivity_features_compiled`].
+/// partitions should compile and plan once ([`SelectivityPlan`]).
 pub fn selectivity_features(
     query: &Query,
     stats: &[ColumnStats],
@@ -371,7 +459,7 @@ pub fn selectivity_features(
         .predicate
         .as_ref()
         .map(|p| CompiledPredicate::compile(table, p));
-    selectivity_features_compiled(compiled.as_ref(), stats)
+    SelectivityPlan::new(compiled.as_ref()).estimate(stats)
 }
 
 #[cfg(test)]

@@ -1,0 +1,136 @@
+//! A deterministic cost gate for selectivity estimation: heap allocations
+//! are counted, not timed. Planning a predicate and estimating every
+//! partition through the plan allocates as often for 512 partitions as for
+//! 64 — nothing per partition — where the recursive evaluator it replaced
+//! allocates on every one.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ps3_query::{Clause, CmpOp, CompiledPredicate, Predicate};
+use ps3_stats::{oracle, SelectivityPlan, StatsConfig, TableStats};
+use ps3_storage::table::TableBuilder;
+use ps3_storage::{ColId, ColumnMeta, ColumnType, PartitionedTable, Schema};
+
+/// The system allocator, counting the calling thread's allocations (the
+/// test harness runs each test on a thread of its own).
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// const-initialised thread-local `Cell` with no destructor, so touching it
+// neither allocates nor runs after thread teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// `parts` partitions of 16 rows: `x` = row index, `y` = row index mod 7,
+/// and a categorical `tag` cycling through 24 values.
+fn stats_of(parts: usize) -> (PartitionedTable, TableStats) {
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnMeta::new("x", ColumnType::Numeric),
+        ColumnMeta::new("y", ColumnType::Numeric),
+        ColumnMeta::new("tag", ColumnType::Categorical),
+    ]));
+    for i in 0..parts * 16 {
+        b.push_row(&[i as f64, (i % 7) as f64], &[&format!("t{}", i % 24)]);
+    }
+    let pt = PartitionedTable::with_equal_partitions(b.finish(), parts);
+    let stats = TableStats::build(&pt, &StatsConfig::default());
+    (pt, stats)
+}
+
+fn cmp(col: usize, op: CmpOp, value: f64) -> Predicate {
+    Predicate::Clause(Clause::Cmp {
+        col: ColId(col),
+        op,
+        value,
+    })
+}
+
+fn tags(values: &[&str]) -> Predicate {
+    Predicate::Clause(Clause::In {
+        col: ColId(2),
+        values: values.iter().map(|v| (*v).to_owned()).collect(),
+        negated: false,
+    })
+}
+
+/// An AND of intervals (two on `x` that merge into one), an OR, and an
+/// `IN`.
+fn predicates() -> Vec<(&'static str, Predicate)> {
+    vec![
+        (
+            "AND of intervals",
+            Predicate::And(vec![
+                cmp(0, CmpOp::Ge, 100.0),
+                cmp(1, CmpOp::Gt, 2.0),
+                cmp(0, CmpOp::Lt, 4000.0),
+            ]),
+        ),
+        (
+            "OR",
+            Predicate::Or(vec![
+                cmp(0, CmpOp::Lt, 100.0),
+                tags(&["t1"]),
+                cmp(1, CmpOp::Ne, 3.0),
+            ]),
+        ),
+        ("IN", tags(&["t1", "t3", "t5"])),
+    ]
+}
+
+#[test]
+fn estimating_every_partition_allocates_nothing_per_partition() {
+    let (small, large) = (stats_of(64), stats_of(512));
+    for (name, pred) in predicates() {
+        let planned = |(pt, stats): &(PartitionedTable, TableStats)| {
+            let compiled = CompiledPredicate::compile(pt.table(), &pred);
+            allocations_in(|| {
+                let plan = SelectivityPlan::new(Some(&compiled));
+                plan.estimate_all(stats).map(|f| f.upper).sum::<f64>()
+            })
+        };
+        let ((few, _), (many, upper)) = (planned(&small), planned(&large));
+        assert!(upper > 0.0, "{name}: some partition qualifies");
+        assert_eq!(few, many, "{name}: 8× the partitions, same allocations");
+        assert!(many <= 8, "{name}: {many} allocations for one plan");
+
+        // The recursive evaluator allocates on every partition.
+        let (pt, stats) = &large;
+        let compiled = CompiledPredicate::compile(pt.table(), &pred);
+        let (recursive, ()) = allocations_in(|| {
+            for p in 0..stats.num_partitions() {
+                oracle::selectivity_features_compiled(Some(&compiled), stats.partition(p));
+            }
+        });
+        assert!(
+            recursive >= stats.num_partitions() as u64,
+            "{name}: the oracle made {recursive} allocations"
+        );
+    }
+}

@@ -60,6 +60,7 @@ query_time/execute_one_partition
 query_time/execute_grouped_1col
 query_time/execute_grouped_2col
 query_time/query_features
+query_time/query_artifacts
 query_time/kmeans_64x8
 query_time/hac_ward_64x8
 cluster/assign_step_simd

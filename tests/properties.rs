@@ -7,19 +7,26 @@
 //!   query in scope.
 //! * The §4.3 contribution definition is a valid share in [0,1] that sums
 //!   sensibly across partitions.
+//! * The selectivity plan estimates exactly what the recursive evaluator
+//!   it replaced (`ps3_stats::oracle`) does, bit for bit, on nested
+//!   predicates with `<>`, ±0.0, NaN and ±∞ constants over columns holding
+//!   ±0.0 and NaN.
 //! * The compact feature matrix is the full-width masked matrix, bit for
-//!   bit: expanded, gathered from pre-normalized statics, and as the
-//!   importance models read it through the column map (`-0.0` and NaN
-//!   statistics included).
+//!   bit: expanded, gathered from the shared pre-normalized statics and a
+//!   query's own columns, and as the importance models read it through the
+//!   column map (`-0.0` and NaN statistics included).
 
 use proptest::prelude::*;
+use proptest::TestRng;
 
 use ps3::query::{
-    execute_partition, AggExpr, Clause, CmpOp, PartialAnswer, Predicate, Query, ScalarExpr,
+    execute_partition, AggExpr, Clause, CmpOp, CompiledPredicate, CompiledQuery, PartialAnswer,
+    Predicate, Query, ScalarExpr,
 };
+use ps3::stats::column_stats::ColumnStatsParams;
 use ps3::stats::features::{PER_COL, SCALARS_PER_COL};
 use ps3::stats::{
-    selectivity_features_compiled, Normalizer, QueryFeatures, SelectivityFeatures, StatsConfig,
+    oracle, Normalizer, QueryFeatures, SelectivityFeatures, SelectivityPlan, StatsConfig,
     TableStats,
 };
 use ps3::storage::table::TableBuilder;
@@ -91,6 +98,111 @@ fn arb_predicate() -> impl Strategy<Value = Predicate> {
     })
 }
 
+/// [`arb_table`]'s shape with `x` often one of ±0.0, NaN, 1 or 50 and `y`
+/// sometimes `-0.0`: values that land on interval bounds and exact-dictionary
+/// keys.
+fn arb_edge_table() -> impl Strategy<Value = PartitionedTable> {
+    (
+        prop::collection::vec(
+            (0usize..10, 0.0f64..100.0, -50.0f64..50.0, 0usize..5),
+            40..200,
+        ),
+        2usize..8,
+    )
+        .prop_map(|(rows, parts)| {
+            let schema = Schema::new(vec![
+                ColumnMeta::new("x", ColumnType::Numeric),
+                ColumnMeta::new("y", ColumnType::Numeric),
+                ColumnMeta::new("tag", ColumnType::Categorical),
+            ]);
+            let mut b = TableBuilder::new(schema);
+            const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
+            const EDGES: [f64; 5] = [0.0, -0.0, f64::NAN, 1.0, 50.0];
+            for (pick, x, y, t) in rows {
+                let x = EDGES.get(pick).copied().unwrap_or(x);
+                let y = if pick == 9 { -0.0 } else { y };
+                b.push_row(&[x, y], &[TAGS[t]]);
+            }
+            let t = b.finish();
+            let parts = parts.min(t.num_rows());
+            PartitionedTable::with_equal_partitions(t, parts)
+        })
+}
+
+/// Predicate trees up to `depth` levels deep over [`arb_table`]'s schema:
+/// empty, nested and negated `AND`/`OR` nodes, every comparison operator
+/// including `<>`, constants that include ±0.0, NaN and ±∞, and `IN` /
+/// `LIKE` leaves.
+struct NestedPredicate {
+    depth: u32,
+}
+
+impl NestedPredicate {
+    fn leaf(rng: &mut TestRng) -> Predicate {
+        const OPS: [CmpOp; 6] = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        const EDGES: [f64; 7] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0,
+            50.0,
+        ];
+        const TAGS: [&str; 6] = ["a", "b", "c", "d", "e", "zzz"];
+        let negated = rng.below(2) == 0;
+        let clause = match rng.below(6) {
+            0..=3 => Clause::Cmp {
+                col: ColId(rng.below(2) as usize),
+                op: OPS[rng.below(6) as usize],
+                value: match rng.below(2) {
+                    0 => EDGES[rng.below(7) as usize],
+                    _ => rng.unit_f64() * 120.0 - 10.0,
+                },
+            },
+            4 => Clause::In {
+                col: ColId(2),
+                values: (0..1 + rng.below(3))
+                    .map(|_| TAGS[rng.below(6) as usize].to_owned())
+                    .collect(),
+                negated,
+            },
+            _ => Clause::Contains {
+                col: ColId(2),
+                needle: ["a", "", "zz"][rng.below(3) as usize].to_owned(),
+                negated,
+            },
+        };
+        Predicate::Clause(clause)
+    }
+}
+
+impl Strategy for NestedPredicate {
+    type Value = Predicate;
+
+    fn sample(&self, rng: &mut TestRng) -> Predicate {
+        if self.depth == 0 || rng.below(3) == 0 {
+            return Self::leaf(rng);
+        }
+        let inner = NestedPredicate {
+            depth: self.depth - 1,
+        };
+        let children = |rng: &mut TestRng| (0..rng.below(6)).map(|_| inner.sample(rng)).collect();
+        match rng.below(5) {
+            0 | 1 => Predicate::And(children(rng)),
+            2 | 3 => Predicate::Or(children(rng)),
+            _ => Predicate::Not(Box::new(inner.sample(rng))),
+        }
+    }
+}
+
 /// `stats` with some static features replaced by `-0.0` and NaN — values a
 /// real sketch can produce (an empty partition's mean, a negative zero
 /// minimum) and the ones a careless "is it zero?" or re-derivation breaks.
@@ -124,7 +236,8 @@ fn poisoned(stats: &TableStats, salt: usize) -> TableStats {
 /// The full-width masked feature rows of §3.2, built the way the parent of
 /// the compact matrix built them: a zero row per partition, the static
 /// blocks of the used columns copied in (bitmaps only for group-by
-/// columns), the four selectivity estimates at the end.
+/// columns), the four selectivity estimates of the recursive oracle at the
+/// end.
 fn reference_dense_features(stats: &TableStats, pt: &PartitionedTable, q: &Query) -> Vec<Vec<f64>> {
     let schema = *stats.feature_schema();
     let compiled =
@@ -142,10 +255,7 @@ fn reference_dense_features(stats: &TableStats, pt: &PartitionedTable, q: &Query
                 };
                 row[off..off + len].copy_from_slice(&statics[off..off + len]);
             }
-            let sel = match &compiled {
-                Some(cp) => selectivity_features_compiled(Some(cp), stats.partition(p)),
-                None => SelectivityFeatures::all_pass(),
-            };
+            let sel = oracle::selectivity_features_compiled(compiled.as_ref(), stats.partition(p));
             row[schema.selectivity_offset()..].copy_from_slice(&sel.as_array());
             row
         })
@@ -174,8 +284,45 @@ fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
         .collect()
 }
 
+fn feature_bits(f: SelectivityFeatures) -> [u64; 4] {
+    f.as_array().map(f64::to_bits)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The plan, built once and run over every partition, is the recursive
+    /// evaluator bit for bit — for the flat predicates the other properties
+    /// draw and for nested ones with edge constants, on sketches with and
+    /// without exact dictionaries (so the histogram and heavy-hitter probes
+    /// run too).
+    #[test]
+    fn selectivity_plan_equals_the_recursive_oracle_bit_for_bit(
+        pt in arb_edge_table(),
+        flat in arb_predicate(),
+        nested in NestedPredicate { depth: 3 },
+        exact_dict_limit in prop_oneof![Just(0usize), Just(4), Just(256)],
+        salt in 0usize..11,
+    ) {
+        let cfg = StatsConfig {
+            column_params: ColumnStatsParams { exact_dict_limit, ..Default::default() },
+            ..Default::default()
+        };
+        let stats = poisoned(&TableStats::build(&pt, &cfg), salt);
+        for pred in [&flat, &nested] {
+            let compiled = CompiledPredicate::compile(pt.table(), pred);
+            let plan = SelectivityPlan::new(Some(&compiled));
+            prop_assert_eq!(plan.estimate_all(&stats).len(), stats.num_partitions());
+            for (p, planned) in plan.estimate_all(&stats).enumerate() {
+                let recursive =
+                    oracle::selectivity_features_compiled(Some(&compiled), stats.partition(p));
+                prop_assert_eq!(feature_bits(planned), feature_bits(recursive), "partition {}", p);
+                prop_assert_eq!(feature_bits(plan.estimate(stats.partition(p))), feature_bits(recursive));
+            }
+        }
+        let all_pass = SelectivityPlan::new(None);
+        prop_assert!(all_pass.estimate_all(&stats).all(|f| f == SelectivityFeatures::all_pass()));
+    }
 
     /// The compact matrix, expanded, is the reference full-width matrix bit
     /// for bit; what it does not store reads as `+0.0` through the map.
@@ -202,27 +349,35 @@ proptest! {
         }
     }
 
-    /// Gathering pre-normalized static blocks and transforming only the
-    /// selectivity slots gives exactly what `Normalizer::apply_row` gives on
-    /// the full-width row.
+    /// The rows a pick gathers — the shared pre-normalized static table
+    /// plus the selectivity block a cache entry holds — are what the
+    /// training path computes: `QueryFeatures::compute`, expanded, through
+    /// `Normalizer::apply_matrix`; and the entry's raw upper bounds are the
+    /// computed ones.
     #[test]
     fn gathered_prenormalized_rows_equal_apply_row_on_the_dense_row(
         pt in arb_table(),
         pred in arb_predicate(),
+        filtered in any::<bool>(),
         shape in 0u8..4,
         salt in 0usize..11,
         means in prop::collection::vec(0.05f64..20.0, 3 * PER_COL + 4),
     ) {
         let stats = poisoned(&TableStats::build(&pt, &StatsConfig::default()), salt);
-        let query = shaped_query(shape, Some(pred));
+        let query = shaped_query(shape, filtered.then_some(pred));
         let normalizer = Normalizer::from_raw_parts(*stats.feature_schema(), means)
             .expect("one mean per dimension");
-        let mut reference = reference_dense_features(&stats, &pt, &query);
+        let raw = QueryFeatures::compute(&stats, pt.table(), &query);
+        let mut reference = raw.to_dense();
         normalizer.apply_matrix(&mut reference);
-        let gathered = normalizer
-            .normalize_statics(&stats)
-            .normalize(QueryFeatures::compute(&stats, pt.table(), &query));
+
+        let statics = normalizer.normalize_statics(&stats);
+        let compiled = CompiledQuery::compile(pt.table(), &query);
+        let entry = statics.query_columns(&stats, &query, compiled.predicate());
+        let gathered = statics.gather(&entry);
         prop_assert_eq!(bits(&gathered.to_dense()), bits(&reference));
+        let uppers: Vec<u64> = (0..raw.num_partitions()).map(|p| raw.selectivity_upper(p).to_bits()).collect();
+        prop_assert_eq!(entry.upper().iter().map(|u| u.to_bits()).collect::<Vec<_>>(), uppers);
     }
 }
 
