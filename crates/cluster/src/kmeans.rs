@@ -6,15 +6,18 @@
 //! * [`kmeans`] / [`kmeans_fit`] — exact Lloyd, bounded: a sweep evaluates a
 //!   point-to-centroid distance only when the bounds [`SweepState`] carries
 //!   cannot prove that centroid strictly farther than the row's nearest
-//!   (Elkan's triangle-inequality pruning). The first sweep evaluates
-//!   nothing at all — it reads its assignment off the n × k distances
-//!   k-means++ seeding already computed. Bit-identical to
+//!   (Elkan's triangle-inequality pruning). k-means++ seeding is pruned the
+//!   same way: a row's distance to a new seed is evaluated only when the
+//!   seed-to-seed distances cannot prove it farther than the row's nearest
+//!   seed so far (about 45% of the n·k at the picker's shapes). Seeding
+//!   hands Lloyd the full scan's assignment and bounds, so the first sweep
+//!   evaluates nothing at all. Bit-identical to
 //!   [`crate::oracle::kmeans_fit`], which evaluates every distance on every
 //!   sweep, *because* a skipped evaluation is one whose result is proven:
 //!   same distance definition for the ones that are made, same strict-`<`
 //!   argmin over them, same accumulation order over every row, same RNG
 //!   draw sequence. Set `PS3_STRICT_KERNELS=1` to assert that equality on
-//!   every call. Costs an n × k `f64` transient per fit (209 KB at
+//!   every call. Costs an n × k `f64` bound matrix per fit (209 KB at
 //!   512 × 51).
 //! * [`kmeans_warm`] — the same Lloyd loop warm-started from
 //!   caller-provided centroids (the previous generation's, in the retrain
@@ -25,7 +28,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::simd::{self, dist_sq, PointMatrix, SweepState};
+use crate::simd::{self, dist_sq, PointMatrix, SeedBounds, SweepState};
 
 /// A fitted k-means model: the full output the retrain path needs
 /// (clusters alone lose the centroids a warm start resumes from).
@@ -123,14 +126,46 @@ pub fn kmeans_fit_counted(
     (fit, evals)
 }
 
-/// k-means++ seeds plus the sweep state primed with the n × k squared
-/// distances the seeding computed on the way.
+/// k-means++ seeding: each new center is drawn with probability
+/// proportional to its squared distance from the nearest existing center.
+/// The RNG draw sequence (one `gen_range(0..n)`, then one
+/// `gen_range(0.0..total)` per additional center) and the sequential
+/// `d2.iter().sum()` total are part of the kernel/oracle spec. [`SeedBounds`]
+/// keeps `d2` exactly as a full evaluation would — it skips only distances
+/// the triangle inequality proves could not lower it — and returns the
+/// seeds with the sweep state they leave: the full scan's assignment, exact
+/// home distances and a lower bound per (row, seed), so Lloyd's first sweep
+/// evaluates nothing.
 fn seed(points: &PointMatrix, k: usize, rng: &mut StdRng) -> (PointMatrix, SweepState) {
-    let n = points.n();
-    let mut seed_dist_sq = vec![0.0f64; n * k];
-    let centroids = kmeans_pp_init(points, k, rng, &mut seed_dist_sq);
-    let state = SweepState::seeded(seed_dist_sq, n, k, points.dim());
-    (centroids, state)
+    let (n, dim) = (points.n(), points.dim());
+    let mut seeds = PointMatrix::from_flat(vec![0.0; k * dim], k, dim);
+    let mut bounds = SeedBounds::new(n, k);
+    let mut d2 = vec![0.0f64; n];
+    let first = rng.gen_range(0..n);
+    seeds.row_mut(0).copy_from_slice(points.row(first));
+    bounds.add(points, &seeds, 0, &mut d2);
+    for c in 1..k {
+        let total: f64 = d2.iter().sum();
+        let next = if total <= 0.0 {
+            // All remaining points coincide with a center; pick uniformly.
+            rng.gen_range(0..n)
+        } else {
+            let mut target = rng.gen_range(0.0..total);
+            let mut idx = 0usize;
+            for (i, &d) in d2.iter().enumerate() {
+                if target < d {
+                    idx = i;
+                    break;
+                }
+                target -= d;
+                idx = i;
+            }
+            idx
+        };
+        seeds.row_mut(c).copy_from_slice(points.row(next));
+        bounds.add(points, &seeds, c, &mut d2);
+    }
+    (seeds, SweepState::seeded(bounds, dim))
 }
 
 /// Lloyd warm-started from `init` centroids (typically the previous
@@ -227,64 +262,6 @@ fn lloyd(
         converged,
     };
     (fit, evals)
-}
-
-/// k-means++ seeding: each new center is drawn with probability
-/// proportional to its squared distance from the nearest existing center.
-/// The RNG draw sequence (one `gen_range(0..n)`, then one
-/// `gen_range(0.0..total)` per additional center) and the sequential
-/// `d2.iter().sum()` total are part of the kernel/oracle spec. Every
-/// squared distance it computes lands in `seed_dist_sq[row * k + center]` —
-/// all n × k of them, which is exactly what the first Lloyd sweep needs.
-fn kmeans_pp_init(
-    points: &PointMatrix,
-    k: usize,
-    rng: &mut StdRng,
-    seed_dist_sq: &mut [f64],
-) -> PointMatrix {
-    let n = points.n();
-    let dim = points.dim();
-    let mut data: Vec<f64> = Vec::with_capacity(k * dim);
-    let first = rng.gen_range(0..n);
-    data.extend_from_slice(points.row(first));
-    let mut chosen = 1usize;
-    let mut d2: Vec<f64> = (0..n)
-        .map(|i| {
-            let d = dist_sq(points.row(i), &data[..dim]);
-            seed_dist_sq[i * k] = d;
-            d
-        })
-        .collect();
-    while chosen < k {
-        let total: f64 = d2.iter().sum();
-        let next = if total <= 0.0 {
-            // All remaining points coincide with a center; pick uniformly.
-            rng.gen_range(0..n)
-        } else {
-            let mut target = rng.gen_range(0.0..total);
-            let mut idx = 0usize;
-            for (i, &d) in d2.iter().enumerate() {
-                if target < d {
-                    idx = i;
-                    break;
-                }
-                target -= d;
-                idx = i;
-            }
-            idx
-        };
-        data.extend_from_slice(points.row(next));
-        chosen += 1;
-        let newest = &data[(chosen - 1) * dim..chosen * dim];
-        for (i, slot) in d2.iter_mut().enumerate() {
-            let d = dist_sq(points.row(i), newest);
-            seed_dist_sq[i * k + chosen - 1] = d;
-            if d < *slot {
-                *slot = d;
-            }
-        }
-    }
-    PointMatrix::from_flat(data, k, dim)
 }
 
 #[cfg(test)]
@@ -391,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn bounds_keep_distance_evaluations_near_the_seedings_own() {
+    fn bounded_fit_costs_less_than_one_full_scan() {
         let (n, dim, k) = (400, 70, 40);
         let rows = blob_points(n, dim, 12, 17);
         let points = PointMatrix::from_rows(&rows);
@@ -400,14 +377,82 @@ mod tests {
         assert!(fit.converged && fit.sweeps >= 4, "{} sweeps", fit.sweeps);
         let plain_lloyd = ((1 + fit.sweeps) * n * k) as u64;
         assert!(
-            evals * 2 <= 3 * (n * k) as u64,
-            "{evals} evaluations over {} sweeps; seeding alone is {}, plain Lloyd {plain_lloyd}",
+            evals <= (n * k) as u64,
+            "{evals} evaluations over {} sweeps; one full scan is {}, plain Lloyd {plain_lloyd}",
             fit.sweeps,
             n * k
         );
         assert_eq!(run().1, evals, "the count is a pure function of the input");
         let slow = crate::oracle::kmeans_fit(&rows, k, &mut StdRng::seed_from_u64(5), 25);
         assert_same_fit(&fit, &slow);
+    }
+
+    /// Seeding skips what it can bound: on the picker's shape (far fewer
+    /// natural groups than clusters) it evaluates at most half of the n·k
+    /// seed distances, and Lloyd's first sweep evaluates none.
+    #[test]
+    fn seeding_evaluates_at_most_half_the_seed_distances() {
+        let (n, dim, k) = (400, 70, 40);
+        let points = PointMatrix::from_rows(&blob_points(n, dim, 12, 17));
+        let (seeds, mut state) = seed(&points, k, &mut StdRng::seed_from_u64(5));
+        let seeding = state.distance_evals();
+        assert!(
+            seeding * 2 <= (n * k) as u64,
+            "seeding evaluated {seeding} of {} distances",
+            n * k
+        );
+        state.sweep(&points, &seeds);
+        assert_eq!(
+            state.distance_evals(),
+            seeding,
+            "sweep one evaluates nothing"
+        );
+    }
+
+    /// What seeding hands Lloyd is what a full scan over the seeds gives:
+    /// each row's strict-`<`-from-∞ nearest seed (not k-means++'s `d2`,
+    /// which starts from the first distance — a NaN on a NaN row), the
+    /// exact `√` of its distance as the upper bound, and lower bounds that
+    /// never exceed a finite distance they stand for.
+    #[test]
+    fn seeding_hands_lloyd_the_full_scan_and_sound_bounds() {
+        let lattice: Vec<Vec<f64>> = (0..120u32)
+            .map(|i| vec![f64::from(i % 10) * 0.1, f64::from(i / 10) * 0.1])
+            .collect();
+        let mut nan_row = blob_points(30, 3, 3, 2);
+        nan_row[4][1] = f64::NAN;
+        let mut cliffs = blob_points(60, 4, 5, 3);
+        cliffs[7] = vec![1e300, -1e300, 0.0, -0.0];
+        cliffs[9] = vec![-0.0; 4];
+        let cases = [
+            (blob_points(400, 70, 12, 17), 40),
+            (lattice, 17),
+            (nan_row, 1),
+            (cliffs, 6),
+        ];
+        for (case, (rows, k)) in cases.iter().enumerate() {
+            let points = PointMatrix::from_rows(rows);
+            let (seeds, state) = seed(&points, *k, &mut StdRng::seed_from_u64(case as u64));
+            for (i, row) in rows.iter().enumerate() {
+                let (home, home_d) = simd::nearest_centroid(row, &seeds);
+                let (upper, lows) = state.row_bounds(i);
+                assert_eq!(state.assignment()[i], home, "case {case}, row {i}");
+                assert_eq!(
+                    upper.to_bits(),
+                    home_d.sqrt().to_bits(),
+                    "case {case}, row {i}"
+                );
+                for (c, &low) in lows.iter().enumerate() {
+                    let d = dist_sq(row, seeds.row(c));
+                    if d < f64::INFINITY {
+                        assert!(
+                            low <= d.sqrt() * (1.0 + 1e-12),
+                            "case {case}, row {i}, seed {c}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,9 @@ pub fn strict_kernels() -> bool {
     *STRICT.get_or_init(|| std::env::var("PS3_STRICT_KERNELS").is_ok_and(|v| v == "1"))
 }
 
-/// Cluster `points` into (at most) `k` clusters; returns member-index lists.
+/// Cluster `points` into (at most) `k` clusters; returns member-index lists
+/// and the `dist_sq` evaluations k-means spent on them (see
+/// [`kmeans_fit_counted`]; 0 for HAC and for the trivial cases).
 ///
 /// Fewer than `k` clusters come back when there are fewer points.
 ///
@@ -76,12 +78,12 @@ pub fn cluster(
     k: usize,
     algo: ClusterAlgo,
     rng: &mut StdRng,
-) -> Vec<Vec<usize>> {
+) -> (Vec<Vec<usize>>, u64) {
     if points.n() == 0 || k == 0 {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
     if points.n() <= k {
-        return (0..points.n()).map(|i| vec![i]).collect();
+        return ((0..points.n()).map(|i| vec![i]).collect(), 0);
     }
     match algo {
         ClusterAlgo::KMeans => {
@@ -91,10 +93,11 @@ pub fn cluster(
             // strata. Bounded sweeps shrank what the cap saves (5–25% of the
             // distance evaluations at 8,192 × 70, k = 82) but not to nothing.
             let max_iter = if points.n() * k > 250_000 { 8 } else { 25 };
-            kmeans(points, k, rng, max_iter)
+            let (fit, evals) = kmeans_fit_counted(points, k, rng, max_iter);
+            (fit.clusters(), evals)
         }
-        ClusterAlgo::HacSingle => hac(points, k, Linkage::Single),
-        ClusterAlgo::HacWard => hac(points, k, Linkage::Ward),
+        ClusterAlgo::HacSingle => (hac(points, k, Linkage::Single), 0),
+        ClusterAlgo::HacWard => (hac(points, k, Linkage::Ward), 0),
     }
 }
 
@@ -127,7 +130,7 @@ mod tests {
             ClusterAlgo::HacWard,
         ] {
             let mut rng = StdRng::seed_from_u64(1);
-            let clusters = cluster(&pts, 2, algo, &mut rng);
+            let (clusters, _) = cluster(&pts, 2, algo, &mut rng);
             assert_eq!(clusters.len(), 2, "{algo:?}");
             let mut seen: Vec<usize> = clusters.iter().flatten().copied().collect();
             seen.sort_unstable();
@@ -144,17 +147,22 @@ mod tests {
     fn k_larger_than_points_gives_singletons() {
         let pts = PointMatrix::from_rows(&[vec![1.0], vec![2.0]]);
         let mut rng = StdRng::seed_from_u64(0);
-        let clusters = cluster(&pts, 10, ClusterAlgo::KMeans, &mut rng);
+        let (clusters, evals) = cluster(&pts, 10, ClusterAlgo::KMeans, &mut rng);
         assert_eq!(clusters.len(), 2);
+        assert_eq!(evals, 0, "singletons cost no distance");
     }
 
     #[test]
     fn empty_inputs() {
         let mut rng = StdRng::seed_from_u64(0);
         let none = PointMatrix::from_rows(&[]);
-        assert!(cluster(&none, 3, ClusterAlgo::KMeans, &mut rng).is_empty());
+        assert!(cluster(&none, 3, ClusterAlgo::KMeans, &mut rng)
+            .0
+            .is_empty());
         let one = PointMatrix::from_rows(&[vec![1.0]]);
-        assert!(cluster(&one, 0, ClusterAlgo::HacWard, &mut rng).is_empty());
+        assert!(cluster(&one, 0, ClusterAlgo::HacWard, &mut rng)
+            .0
+            .is_empty());
     }
 
     #[test]
@@ -173,7 +181,7 @@ mod tests {
         let live: Vec<Vec<f64>> = pts.iter().map(|r| vec![r[7], r[23]]).collect();
         let (full, pruned) = (PointMatrix::from_rows(&pts), PointMatrix::from_rows(&live));
         for algo in [ClusterAlgo::KMeans, ClusterAlgo::HacWard] {
-            let clusters = cluster(&full, 2, algo, &mut StdRng::seed_from_u64(1));
+            let (clusters, _) = cluster(&full, 2, algo, &mut StdRng::seed_from_u64(1));
             assert_eq!(clusters.len(), 2, "{algo:?}");
             for c in &clusters {
                 let parities: std::collections::HashSet<usize> = c.iter().map(|&i| i % 2).collect();
@@ -181,7 +189,7 @@ mod tests {
             }
             assert_eq!(
                 clusters,
-                cluster(&pruned, 2, algo, &mut StdRng::seed_from_u64(1)),
+                cluster(&pruned, 2, algo, &mut StdRng::seed_from_u64(1)).0,
                 "{algo:?}: all-zero dimensions changed the clustering"
             );
         }

@@ -29,8 +29,11 @@
 //! therefore one whose outcome is already known, so the assignment — and
 //! through it every sum, centroid and sweep count — is bit-identical to the
 //! scan that evaluates all n·k distances, which is what the oracle does.
-//! The price is the n × k `f64` lower-bound matrix, alive for one fit
-//! (209 KB at 512 rows × 51 centroids).
+//! k-means++ seeding fills the same bounds as it draws (`SeedBounds`): a
+//! row skips a new seed when the seed lies more than twice the row's
+//! distance from the row's nearest seed, and keeps the triangle bound in
+//! place of the distance. The price is the n × k `f64` lower-bound matrix,
+//! alive for one fit (209 KB at 512 rows × 51 centroids).
 //!
 //! `ps3_cluster::oracle` re-implements the distance, accumulation and
 //! reseed definitions with plain index arithmetic (no iterator adapters, no
@@ -252,12 +255,110 @@ fn lower_bound(d_sq: f64) -> f64 {
     }
 }
 
+/// The reach under which a row is provably strictly nearer its home seed
+/// than a new seed `gap` (`√dist_sq`, via [`lower_bound`]) away from that
+/// home. By the triangle inequality the new seed is at least `gap − reach`
+/// from the row, which [`provably_farther`] accepts over `reach` whenever
+/// `reach < gap · (1 − PRUNE_SLACK) / 2` — one compare per row. Gaps not
+/// clear of the floor (NaN and overflow arrive as 0) prune nothing.
+#[inline]
+fn prune_limit(gap: f64) -> f64 {
+    if gap > 2.0 * PRUNE_FLOOR {
+        gap * ((1.0 - PRUNE_SLACK) / 2.0)
+    } else {
+        0.0
+    }
+}
+
 /// How far a centroid that moved by `dist_sq` = `d_sq` may have carried any
 /// bound: the computed shift, taken longer by the proof's slack and floor.
 /// NaN and ∞ pass through and disable every bound they touch.
 #[inline]
 pub(crate) fn shift_bound(d_sq: f64) -> f64 {
     d_sq.sqrt() * (1.0 + PRUNE_SLACK) + PRUNE_FLOOR
+}
+
+/// What k-means++ seeding learns about every row as the seeds are drawn,
+/// kept so that it evaluates only the distances it cannot bound (exact
+/// k-means++ acceleration, Raff 2021, after Elkan 2003) and hands Lloyd a
+/// primed [`SweepState`] instead of an n × k squared-distance matrix.
+pub(crate) struct SeedBounds {
+    k: usize,
+    /// Per row: the nearest seed so far by the full scan's rule — strict
+    /// `<` from `(0, ∞)`, so NaN never wins — and its `dist_sq`, and `√` of
+    /// that (the `upper` Lloyd starts from).
+    home: Vec<usize>,
+    best: Vec<f64>,
+    reach: Vec<f64>,
+    /// Per (row, seed), row-major: the exact [`lower_bound`] where the
+    /// distance was evaluated, the triangle bound where it was not.
+    lower: Vec<f64>,
+    /// Per earlier seed: its distance to the newest one, and the reach
+    /// [`prune_limit`] derives from it.
+    gaps: Vec<f64>,
+    limits: Vec<f64>,
+    distance_evals: u64,
+}
+
+impl SeedBounds {
+    /// Bounds over `n` rows for `k` seeds, none drawn yet.
+    pub(crate) fn new(n: usize, k: usize) -> Self {
+        Self {
+            k,
+            home: vec![0; n],
+            best: vec![f64::INFINITY; n],
+            reach: vec![f64::INFINITY; n],
+            lower: vec![0.0; n * k],
+            gaps: vec![0.0; k],
+            limits: vec![0.0; k],
+            distance_evals: 0,
+        }
+    }
+
+    /// Seed `c` (row `c` of `seeds`) was drawn: fold it into every row's
+    /// `d2` (k-means++'s own nearest-seed `dist_sq`: the first seed's
+    /// distance as computed, NaN included, then strict `<`) and into the
+    /// bounds. A row's distance to the new seed is skipped when the
+    /// triangle inequality proves it strictly farther than the row's home,
+    /// so it could move neither `d2` nor the assignment.
+    pub(crate) fn add(
+        &mut self,
+        points: &PointMatrix,
+        seeds: &PointMatrix,
+        c: usize,
+        d2: &mut [f64],
+    ) {
+        let seed = seeds.row(c);
+        for a in 0..c {
+            self.gaps[a] = lower_bound(dist_sq(seeds.row(a), seed));
+            self.limits[a] = prune_limit(self.gaps[a]);
+        }
+        let mut evals = c as u64;
+        let rows = (self.home.iter_mut().zip(&mut self.best))
+            .zip(self.reach.iter_mut().zip(d2))
+            .zip(self.lower.chunks_exact_mut(self.k));
+        for (i, (((home, best), (reach, d2)), lows)) in rows.enumerate() {
+            // Before the first seed every limit is 0 and every reach ∞.
+            if *reach < self.limits[*home] {
+                lows[c] = (self.gaps[*home] - *reach) * ROUND_DOWN;
+                debug_assert!(provably_farther(*reach, lows[c]));
+                continue;
+            }
+            let d = dist_sq(points.row(i), seed);
+            evals += 1;
+            let root = lower_bound(d);
+            lows[c] = root;
+            if c == 0 || d < *d2 {
+                *d2 = d;
+            }
+            if d < *best {
+                *best = d;
+                *home = c;
+                *reach = root;
+            }
+        }
+        self.distance_evals += evals;
+    }
 }
 
 /// One [`UPDATE_BLOCK`] of a [`SweepState`]'s per-row state: rows
@@ -280,12 +381,11 @@ pub struct SweepState {
     assignment: Vec<usize>,
     /// Per row: an upper bound on `√dist_sq` to its home centroid.
     upper: Vec<f64>,
-    /// Per (row, centroid), row-major: a lower bound on `√dist_sq` — or,
-    /// while `seeded`, the squared distance itself.
+    /// Per (row, centroid), row-major: a lower bound on `√dist_sq`.
     lower: Vec<f64>,
-    /// `lower` still holds the k-means++ seeding's squared distances to the
-    /// current centroids: the next sweep reads its assignment off them
-    /// without evaluating anything.
+    /// The assignment and `upper` are still the full scan's over the
+    /// k-means++ seeds, as [`SeedBounds`] left them: the next sweep only
+    /// accumulates, without evaluating anything.
     seeded: bool,
     /// Run a sweep's blocks on the shared pool: decided by size alone, and
     /// invisible in every output (tests flip it to prove that).
@@ -301,25 +401,42 @@ impl SweepState {
     /// State that knows nothing: the first sweep evaluates all n·k
     /// distances and fills the bounds from them (a warm start).
     pub fn blank(n: usize, k: usize, dim: usize) -> Self {
-        Self::new(n, k, dim, vec![0.0; n * k], false)
+        let (assignment, upper) = (vec![0; n], vec![f64::INFINITY; n]);
+        Self::new(assignment, upper, vec![0.0; n * k], k, dim, false)
     }
 
-    /// State primed with the n × k squared distances (row-major) from every
-    /// row to every seed, as k-means++ computed them: sweep one costs no
-    /// distance evaluation. They count as the `n · k` evaluations they were.
-    pub(crate) fn seeded(seed_dist_sq: Vec<f64>, n: usize, k: usize, dim: usize) -> Self {
-        assert_eq!(seed_dist_sq.len(), n * k);
-        let mut state = Self::new(n, k, dim, seed_dist_sq, true);
-        state.distance_evals = (n * k) as u64;
+    /// State primed by k-means++ seeding with every seed drawn: the full
+    /// scan's assignment over the seeds, exact home distances and a lower
+    /// bound per (row, seed), so sweep one evaluates nothing. The seeding's
+    /// evaluations count toward [`Self::distance_evals`].
+    pub(crate) fn seeded(seeding: SeedBounds, dim: usize) -> Self {
+        let SeedBounds {
+            k,
+            home,
+            reach,
+            lower,
+            distance_evals,
+            ..
+        } = seeding;
+        let mut state = Self::new(home, reach, lower, k, dim, true);
+        state.distance_evals = distance_evals;
         state
     }
 
-    fn new(n: usize, k: usize, dim: usize, lower: Vec<f64>, seeded: bool) -> Self {
+    fn new(
+        assignment: Vec<usize>,
+        upper: Vec<f64>,
+        lower: Vec<f64>,
+        k: usize,
+        dim: usize,
+        seeded: bool,
+    ) -> Self {
+        let n = assignment.len();
         Self {
             k,
             dim,
-            assignment: vec![0; n],
-            upper: vec![f64::INFINITY; n],
+            assignment,
+            upper,
             lower,
             seeded,
             fan_out: n > UPDATE_BLOCK && n * dim >= PARALLEL_MIN_CELLS,
@@ -335,6 +452,12 @@ impl SweepState {
     /// before the first).
     pub fn assignment(&self) -> &[usize] {
         &self.assignment
+    }
+
+    /// Row `i`'s upper bound and its `k` lower bounds.
+    #[cfg(test)]
+    pub(crate) fn row_bounds(&self, i: usize) -> (f64, &[f64]) {
+        (self.upper[i], &self.lower[i * self.k..(i + 1) * self.k])
     }
 
     /// Hand the assignment out at the end of a fit.
@@ -492,12 +615,13 @@ fn sweep_block(
     let per_row = rows.homes.iter_mut().zip(rows.upper.iter_mut());
     for (r, ((home, upper), lows)) in per_row.zip(rows.lower.chunks_exact_mut(k)).enumerate() {
         let row = points.row(rows.start + r);
-        let nearest = if seeded {
-            Some(seeded_nearest(lows))
-        } else {
+        if seeded {
+            // The seeding's assignment replaces the all-0 one a fit starts
+            // from, which is what "moved" is measured against.
+            moved |= *home != 0;
+        } else if let Some((best, best_d)) =
             bounded_nearest(row, centroids, *home, *upper, lows, &mut evals)
-        };
-        if let Some((best, best_d)) = nearest {
+        {
             moved |= best != *home;
             *home = best;
             *upper = best_d.sqrt();
@@ -508,23 +632,6 @@ fn sweep_block(
         }
     }
     (moved, evals)
-}
-
-/// Sweep one after k-means++: `lows` holds the row's squared distance to
-/// every seed, so the strict-`<` argmin is read off it, and each entry
-/// becomes the lower bound it supports.
-fn seeded_nearest(lows: &mut [f64]) -> (usize, f64) {
-    let mut best = 0usize;
-    let mut best_d = f64::INFINITY;
-    for (c, low) in lows.iter_mut().enumerate() {
-        let d = *low;
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-        *low = lower_bound(d);
-    }
-    (best, best_d)
 }
 
 /// [`nearest_centroid`] with the evaluations the bounds make pointless left

@@ -164,7 +164,7 @@ pub fn clustering_error(
         let truth = td.totals[q].finalize(&td.queries[q]);
         for &frac in budgets {
             let k = ((frac * n_parts as f64).round() as usize).clamp(1, candidates.len());
-            let picks = cluster_select(
+            let (picks, _) = cluster_select(
                 &candidates,
                 &rows,
                 &excluded_dims,

@@ -32,6 +32,11 @@ pub struct PickOutcome {
     pub group_sizes: Vec<usize>,
     /// How many outlier partitions were selected.
     pub num_outliers: usize,
+    /// `dist_sq` evaluations the pick's k-means fits made, seeding included
+    /// (0 for HAC and random sampling): a pure function of the query, the
+    /// trained state and the RNG, so it gates clustering cost where
+    /// wall-clock cannot.
+    pub distance_evals: u64,
 }
 
 /// The query-time picker: borrows the trained state and the statistics.
@@ -136,6 +141,7 @@ impl Picker<'_> {
         };
 
         let mut clustering_ms = 0.0;
+        let mut distance_evals = 0u64;
         for (group, &k) in groups.iter().zip(&alloc) {
             if k == 0 || group.is_empty() {
                 continue;
@@ -149,7 +155,7 @@ impl Picker<'_> {
                 }
             } else if cluster_ok {
                 let t = Instant::now();
-                let picks = cluster_select(
+                let (picks, evals) = cluster_select(
                     group,
                     normalized,
                     excluded_dims,
@@ -159,6 +165,7 @@ impl Picker<'_> {
                     rng,
                 );
                 clustering_ms += t.elapsed().as_secs_f64() * 1e3;
+                distance_evals += evals;
                 selection.extend(picks);
             } else {
                 let mut pool = group.clone();
@@ -180,12 +187,14 @@ impl Picker<'_> {
             clustering_ms,
             group_sizes,
             num_outliers: chosen_outliers.len(),
+            distance_evals,
         }
     }
 }
 
 /// Cluster one importance group into `k` clusters and emit one weighted
-/// exemplar per cluster (§4.2).
+/// exemplar per cluster (§4.2), with the `dist_sq` evaluations the
+/// clustering spent (see [`cluster`]).
 ///
 /// The group's rows are projected into one flat [`PointMatrix`] — the only
 /// copy between the gathered features and k-means — keeping, in ascending
@@ -203,7 +212,7 @@ pub fn cluster_select(
     algo: ClusterAlgo,
     estimator: ExemplarRule,
     rng: &mut StdRng,
-) -> Vec<WeightedPart> {
+) -> (Vec<WeightedPart>, u64) {
     // NaN != 0.0, so NaN-carrying columns are always kept.
     let mut nonzero = vec![false; features.width()];
     for &p in group {
@@ -221,8 +230,8 @@ pub fn cluster_select(
         data.extend(live.iter().map(|&slot| row[slot]));
     }
     let points = PointMatrix::from_flat(data, group.len(), live.len());
-    let clusters = cluster(&points, k, algo, rng);
-    clusters
+    let (clusters, evals) = cluster(&points, k, algo, rng);
+    let picks = clusters
         .iter()
         .map(|members| {
             let local = match estimator {
@@ -234,7 +243,8 @@ pub fn cluster_select(
                 weight: members.len() as f64,
             }
         })
-        .collect()
+        .collect();
+    (picks, evals)
 }
 
 #[cfg(test)]
@@ -257,7 +267,7 @@ mod tests {
         let rows = FeatureMatrix::from_dense(&rows);
         let group: Vec<usize> = (0..12).collect();
         let mut rng = StdRng::seed_from_u64(1);
-        let picks = cluster_select(
+        let (picks, _) = cluster_select(
             &group,
             &rows,
             &[],
@@ -292,7 +302,7 @@ mod tests {
         let rows = FeatureMatrix::from_dense(&rows);
         let group: Vec<usize> = (0..600).collect();
         for seed in 0..8 {
-            let picks = cluster_select(
+            let (picks, _) = cluster_select(
                 &group,
                 &rows,
                 &[],
@@ -349,6 +359,7 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(9);
                 let m = FeatureMatrix::from_dense(rows);
                 cluster_select(&group, &m, &[], 4, algo, ExemplarRule::Median, &mut rng)
+                    .0
                     .iter()
                     .map(|p| (p.partition.index(), p.weight.to_bits()))
                     .collect()
@@ -363,7 +374,7 @@ mod tests {
         let rows = FeatureMatrix::from_dense(&rows);
         let group = vec![2, 3, 8, 9];
         let mut rng = StdRng::seed_from_u64(0);
-        let picks = cluster_select(
+        let (picks, _) = cluster_select(
             &group,
             &rows,
             &[],
@@ -386,7 +397,7 @@ mod tests {
         let rows = FeatureMatrix::from_dense(&rows);
         let group: Vec<usize> = (0..6).collect();
         let mut rng = StdRng::seed_from_u64(7);
-        let picks = cluster_select(
+        let (picks, _) = cluster_select(
             &group,
             &rows,
             &[],

@@ -2,11 +2,11 @@
 //!
 //! The deployment story (§2.3.1) stores statistics *separately from the
 //! partitions* — a statistics catalog that query optimization reads without
-//! touching data. This module gives every sketch but [`Measures`] a compact
-//! little-endian binary encoding with explicit, dependency-free
-//! readers/writers (`Measures` is ten fixed fields, written raw by
-//! `ps3_stats::persist`). The `serialized_size()` methods of the five
-//! statistics sketches (`Measures`, `EquiDepthHistogram`, `Akmv`,
+//! touching data. This module gives every sketch but
+//! [`Measures`](crate::Measures) a compact little-endian binary encoding
+//! with explicit, dependency-free readers/writers (`Measures` is ten fixed
+//! fields, written raw by `ps3_stats::persist`). The `serialized_size()`
+//! methods of the five statistics sketches (`Measures`, `EquiDepthHistogram`, `Akmv`,
 //! `HeavyHitters`, `ExactDict`) account for the payload fields; tags, entry
 //! counts and the catalog's length prefixes come on top (about 1%).
 //!

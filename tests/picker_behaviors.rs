@@ -194,3 +194,35 @@ fn oracle_mode_prioritizes_true_contributors() {
         "top-group rate {top_rate:.2} should dwarf rest rate {rest_rate:.3}"
     );
 }
+
+/// The clustering cost of one fixed pick, counted rather than timed: the
+/// `dist_sq` evaluations its k-means fits made. On the 512-partition shape
+/// `golden_selections.rs` pins, test query 8 passes the filter everywhere,
+/// so the pick clusters one group holding the whole table. The count is a
+/// pure function of the system, query and seed, so it is pinned exactly.
+/// When k-means++ seeding evaluated all n·k seed distances (512 × 51 here)
+/// this pick cost 31,732 evaluations; seeding that skips the distances the
+/// triangle inequality bounds must stay under 0.6× that.
+#[test]
+fn kmeans_distance_evaluations_of_a_pinned_pick() {
+    let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny)
+        .with_partitions(512)
+        .with_rows(512 * 16)
+        .build(24);
+    let mut cfg = Ps3Config::default().with_seed(24);
+    cfg.gbdt.n_trees = 2;
+    cfg.feature_selection = false;
+    let system = ps3::core::Ps3System::train(
+        std::sync::Arc::clone(&ds.pt),
+        std::sync::Arc::clone(&ds.stats),
+        &ds.train_queries[..4],
+        cfg,
+    );
+    let q = ds.sample_test_query(8);
+    let run = || system.pick_outcome(&q, 0.1, &mut StdRng::seed_from_u64(7));
+    let out = run();
+    assert!(out.group_sizes.iter().any(|&g| g >= 512));
+    assert_eq!(run().distance_evals, out.distance_evals);
+    assert!(out.distance_evals * 10 <= 31_732 * 6);
+    assert_eq!(out.distance_evals, 16_735);
+}

@@ -16,7 +16,7 @@ fn random_exemplar_estimator_is_unbiased_within_clusters() {
     let values: Vec<f64> = (0..40).map(|i| f64::from(i * i)).collect();
     let points = PointMatrix::from_flat(values.clone(), values.len(), 1);
     let mut rng = StdRng::seed_from_u64(3);
-    let clusters = cluster(&points, 6, ClusterAlgo::HacWard, &mut rng);
+    let (clusters, _) = cluster(&points, 6, ClusterAlgo::HacWard, &mut rng);
     let truth: f64 = values.iter().sum();
 
     let draws = 40_000;

@@ -94,7 +94,7 @@ fn umbrella_crate_reexports_every_layer() {
 
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let clusters = ps3::cluster::cluster(
+    let (clusters, _) = ps3::cluster::cluster(
         &ps3::cluster::PointMatrix::from_rows(&[vec![0.0], vec![0.1], vec![9.0]]),
         2,
         ps3::cluster::ClusterAlgo::KMeans,
