@@ -63,6 +63,9 @@ pub fn strict_kernels() -> bool {
     *STRICT.get_or_init(|| std::env::var("PS3_STRICT_KERNELS").is_ok_and(|v| v == "1"))
 }
 
+/// Lloyd's sweep cap, the same at every input size.
+const MAX_SWEEPS: usize = 25;
+
 /// Cluster `points` into (at most) `k` clusters; returns member-index lists
 /// and the `dist_sq` evaluations k-means spent on them (see
 /// [`kmeans_fit_counted`]; 0 for HAC and for the trivial cases).
@@ -87,13 +90,7 @@ pub fn cluster(
     }
     match algo {
         ClusterAlgo::KMeans => {
-            // On very large problems (thousands of partitions at high
-            // budgets, Figure 8) cap the sweep count — assignments stabilize
-            // long before 25 rounds and the picker only needs approximate
-            // strata. Bounded sweeps shrank what the cap saves (5–25% of the
-            // distance evaluations at 8,192 × 70, k = 82) but not to nothing.
-            let max_iter = if points.n() * k > 250_000 { 8 } else { 25 };
-            let (fit, evals) = kmeans_fit_counted(points, k, rng, max_iter);
+            let (fit, evals) = kmeans_fit_counted(points, k, rng, MAX_SWEEPS);
             (fit.clusters(), evals)
         }
         ClusterAlgo::HacSingle => (hac(points, k, Linkage::Single), 0),

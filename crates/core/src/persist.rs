@@ -17,7 +17,9 @@
 //!
 //! Every decoder validates shape and range before building anything, so a
 //! corrupted or adversarial artifact surfaces as a typed [`FormatError`] —
-//! never a panic, never an out-of-bounds model index.
+//! never a panic, never an out-of-bounds model index. The sections are
+//! written and read with the one byte codec ([`ps3_storage::codec`]); a
+//! short section reports its name (`Truncated("trained")`, …).
 
 use std::io;
 use std::path::Path;
@@ -25,14 +27,15 @@ use std::sync::Arc;
 
 use ps3_cluster::ClusterAlgo;
 use ps3_learn::{Gbdt, GbdtParams, NodeSpec, Tree};
-use ps3_query::codec::{self, CodecError, Reader, Writer};
+use ps3_query::codec;
 use ps3_query::Query;
 use ps3_stats::features::FeatureType;
 use ps3_stats::persist::{decode_table_stats, encode_table_stats};
 use ps3_stats::{FeatureSchema, Normalizer};
+use ps3_storage::codec::{decode_section, CodecError, Reader, Writer};
 use ps3_storage::format::{
-    decode_partitioned_table, encode_partitioned_table, Artifact, ArtifactWriter, Cursor, Enc,
-    FormatError, SEC_LSS, SEC_STATS, SEC_TRAINED, SEC_TRAINING,
+    decode_partitioned_table, encode_partitioned_table, Artifact, ArtifactWriter, FormatError,
+    SEC_LSS, SEC_STATS, SEC_TRAINED, SEC_TRAINING,
 };
 use ps3_storage::Schema;
 
@@ -86,10 +89,14 @@ pub fn thaw(path: &Path) -> Result<Ps3System, FormatError> {
         ));
     }
 
-    let trained = decode_trained(a.section(SEC_TRAINED)?, num_cols)?;
+    let trained = decode_section("trained", a.section(SEC_TRAINED)?, |r| {
+        decode_trained(r, num_cols)
+    })?;
     let dim = trained.normalizer.schema().dim();
-    let lss = decode_lss(a.section(SEC_LSS)?, dim)?;
-    let queries = decode_training(a.section(SEC_TRAINING)?, schema)?;
+    let lss = decode_section("lss", a.section(SEC_LSS)?, |r| decode_lss(r, dim))?;
+    let queries = decode_section("training", a.section(SEC_TRAINING)?, |r| {
+        decode_training(r, schema)
+    })?;
     let training = TrainingData {
         queries,
         partials: Vec::new(),
@@ -123,20 +130,16 @@ fn encode_training(td: &TrainingData) -> Result<Vec<u8>, CodecError> {
     Ok(bytes)
 }
 
-fn decode_training(bytes: &[u8], schema: &Schema) -> Result<Vec<Query>, FormatError> {
-    let mut r = Reader::new(bytes);
+fn decode_training(r: &mut Reader<'_>, schema: &Schema) -> Result<Vec<Query>, CodecError> {
     let n = r.u32()? as usize;
     if n > MAX_QUERIES {
-        return Err(FormatError::Corrupt("training query count implausible"));
+        return Err(CodecError::Invalid("training query count implausible"));
     }
     let mut queries = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        let q = codec::decode_query(&mut r)?;
+        let q = codec::decode_query(r)?;
         codec::check_query_schema(&q, schema)?;
         queries.push(q);
-    }
-    if r.remaining() != 0 {
-        return Err(FormatError::Corrupt("training section"));
     }
     Ok(queries)
 }
@@ -144,7 +147,7 @@ fn decode_training(bytes: &[u8], schema: &Schema) -> Result<Vec<Query>, FormatEr
 // ---------------------------------------------------------------------------
 // Models
 
-fn encode_gbdt(e: &mut Enc, g: &Gbdt) {
+fn encode_gbdt(e: &mut Writer<'_>, g: &Gbdt) {
     e.f64(g.base());
     e.f64(g.learning_rate());
     let importance = g.feature_importance();
@@ -183,50 +186,51 @@ fn encode_gbdt(e: &mut Enc, g: &Gbdt) {
 /// Decode a model whose feature width must equal `dim` — the normalized
 /// feature dimension every serving-path row has. Enforcing the width here
 /// is what makes `predict_row` panic-free on thawed models.
-fn decode_gbdt(c: &mut Cursor<'_>, dim: usize) -> Result<Gbdt, FormatError> {
-    let base = c.f64("model base")?;
-    let learning_rate = c.f64("model learning rate")?;
-    let n_imp = c.u32("model importance len")? as usize;
+fn decode_gbdt(c: &mut Reader<'_>, dim: usize) -> Result<Gbdt, CodecError> {
+    let base = c.f64()?;
+    let learning_rate = c.f64()?;
+    let n_imp = c.u32()? as usize;
     if n_imp != dim {
-        return Err(FormatError::Corrupt(
+        return Err(CodecError::Invalid(
             "model feature width disagrees with schema",
         ));
     }
     let mut importance = Vec::with_capacity(n_imp);
     for _ in 0..n_imp {
-        importance.push(c.f64("model importance")?);
+        importance.push(c.f64()?);
     }
-    let n_trees = c.u32("model tree count")? as usize;
+    let n_trees = c.u32()? as usize;
     if n_trees > MAX_TREES {
-        return Err(FormatError::Corrupt("model tree count implausible"));
+        return Err(CodecError::Invalid("model tree count implausible"));
     }
     let mut trees = Vec::with_capacity(n_trees.min(1024));
     for _ in 0..n_trees {
-        let n_nodes = c.u32("tree node count")? as usize;
+        let n_nodes = c.u32()? as usize;
         if n_nodes > MAX_TREE_NODES {
-            return Err(FormatError::Corrupt("tree node count implausible"));
+            return Err(CodecError::Invalid("tree node count implausible"));
         }
         let mut nodes = Vec::with_capacity(n_nodes.min(4096));
         for _ in 0..n_nodes {
-            nodes.push(match c.u8("tree node tag")? {
-                0 => NodeSpec::Leaf {
-                    value: c.f64("leaf value")?,
-                },
+            nodes.push(match c.u8()? {
+                0 => NodeSpec::Leaf { value: c.f64()? },
                 1 => NodeSpec::Split {
-                    feature: c.u32("split feature")? as usize,
-                    threshold: c.f64("split threshold")?,
-                    left: c.u32("split left")? as usize,
-                    right: c.u32("split right")? as usize,
+                    feature: c.u32()? as usize,
+                    threshold: c.f64()?,
+                    left: c.u32()? as usize,
+                    right: c.u32()? as usize,
                 },
-                _ => return Err(FormatError::Corrupt("unknown tree node tag")),
+                tag => {
+                    let what = "tree node";
+                    return Err(CodecError::BadTag { what, tag });
+                }
             });
         }
-        trees.push(Tree::from_nodes(nodes, dim).map_err(FormatError::Corrupt)?);
+        trees.push(Tree::from_nodes(nodes, dim).map_err(CodecError::Invalid)?);
     }
     Ok(Gbdt::from_raw_parts(trees, base, learning_rate, importance))
 }
 
-fn encode_gbdt_params(e: &mut Enc, p: &GbdtParams) {
+fn encode_gbdt_params(e: &mut Writer<'_>, p: &GbdtParams) {
     e.u32(p.n_trees as u32);
     e.u32(p.max_depth as u32);
     e.f64(p.learning_rate);
@@ -239,22 +243,22 @@ fn encode_gbdt_params(e: &mut Enc, p: &GbdtParams) {
     e.u64(p.seed);
 }
 
-fn decode_gbdt_params(c: &mut Cursor<'_>) -> Result<GbdtParams, FormatError> {
+fn decode_gbdt_params(c: &mut Reader<'_>) -> Result<GbdtParams, CodecError> {
     Ok(GbdtParams {
-        n_trees: c.u32("gbdt n_trees")? as usize,
-        max_depth: c.u32("gbdt max_depth")? as usize,
-        learning_rate: c.f64("gbdt learning_rate")?,
-        lambda: c.f64("gbdt lambda")?,
-        gamma: c.f64("gbdt gamma")?,
-        min_child_weight: c.f64("gbdt min_child_weight")?,
-        max_bins: c.u32("gbdt max_bins")? as usize,
-        subsample: c.f64("gbdt subsample")?,
-        colsample: c.f64("gbdt colsample")?,
-        seed: c.u64("gbdt seed")?,
+        n_trees: c.u32()? as usize,
+        max_depth: c.u32()? as usize,
+        learning_rate: c.f64()?,
+        lambda: c.f64()?,
+        gamma: c.f64()?,
+        min_child_weight: c.f64()?,
+        max_bins: c.u32()? as usize,
+        subsample: c.f64()?,
+        colsample: c.f64()?,
+        seed: c.u64()?,
     })
 }
 
-fn encode_config(e: &mut Enc, cfg: &Ps3Config) {
+fn encode_config(e: &mut Writer<'_>, cfg: &Ps3Config) {
     e.u32(cfg.k_models as u32);
     e.f64(cfg.alpha);
     e.f64(cfg.outlier_budget_frac);
@@ -288,37 +292,43 @@ fn encode_config(e: &mut Enc, cfg: &Ps3Config) {
     e.u64(cfg.feature_cache_cap as u64);
 }
 
-fn decode_config(c: &mut Cursor<'_>) -> Result<Ps3Config, FormatError> {
-    let k_models = c.u32("config k_models")? as usize;
-    let alpha = c.f64("config alpha")?;
-    let outlier_budget_frac = c.f64("config outlier_budget_frac")?;
-    let outlier_abs_limit = c.u32("config outlier_abs_limit")? as usize;
-    let outlier_rel_limit = c.f64("config outlier_rel_limit")?;
-    let cluster_algo = match c.u8("config cluster_algo")? {
+fn decode_config(c: &mut Reader<'_>) -> Result<Ps3Config, CodecError> {
+    let k_models = c.u32()? as usize;
+    let alpha = c.f64()?;
+    let outlier_budget_frac = c.f64()?;
+    let outlier_abs_limit = c.u32()? as usize;
+    let outlier_rel_limit = c.f64()?;
+    let cluster_algo = match c.u8()? {
         // 1 is the retired `KMeansExact` knob: exact Lloyd at every size,
         // which is what `KMeans` now means.
         0 | 1 => ClusterAlgo::KMeans,
         2 => ClusterAlgo::HacSingle,
         3 => ClusterAlgo::HacWard,
-        _ => return Err(FormatError::Corrupt("unknown cluster algorithm")),
+        tag => {
+            let what = "cluster algorithm";
+            return Err(CodecError::BadTag { what, tag });
+        }
     };
-    let estimator = match c.u8("config estimator")? {
+    let estimator = match c.u8()? {
         0 => ExemplarRule::Median,
         1 => ExemplarRule::Random,
-        _ => return Err(FormatError::Corrupt("unknown exemplar rule")),
+        tag => {
+            let what = "exemplar rule";
+            return Err(CodecError::BadTag { what, tag });
+        }
     };
-    let fallback_clause_limit = c.u32("config fallback_clause_limit")? as usize;
+    let fallback_clause_limit = c.u32()? as usize;
     let gbdt = decode_gbdt_params(c)?;
-    let feature_selection = c.u8("config feature_selection")? != 0;
-    let fs_restarts = c.u32("config fs_restarts")? as usize;
-    let fs_eval_queries = c.u32("config fs_eval_queries")? as usize;
-    let n_budgets = c.u32("config fs budget count")? as usize;
+    let feature_selection = c.u8()? != 0;
+    let fs_restarts = c.u32()? as usize;
+    let fs_eval_queries = c.u32()? as usize;
+    let n_budgets = c.u32()? as usize;
     if n_budgets > MAX_VEC {
-        return Err(FormatError::Corrupt("config budget count implausible"));
+        return Err(CodecError::Invalid("config budget count implausible"));
     }
     let mut fs_eval_budgets = Vec::with_capacity(n_budgets.min(1024));
     for _ in 0..n_budgets {
-        fs_eval_budgets.push(c.f64("config fs budget")?);
+        fs_eval_budgets.push(c.f64()?);
     }
     Ok(Ps3Config {
         k_models,
@@ -334,20 +344,20 @@ fn decode_config(c: &mut Cursor<'_>) -> Result<Ps3Config, FormatError> {
         fs_restarts,
         fs_eval_queries,
         fs_eval_budgets,
-        strata_k: c.u32("config strata_k")? as usize,
-        use_clustering: c.u8("config use_clustering")? != 0,
-        use_outliers: c.u8("config use_outliers")? != 0,
-        use_regressors: c.u8("config use_regressors")? != 0,
-        use_filter: c.u8("config use_filter")? != 0,
-        seed: c.u64("config seed")?,
-        threads: c.u32("config threads")? as usize,
-        feature_cache_cap: usize::try_from(c.u64("config feature_cache_cap")?)
-            .map_err(|_| FormatError::Corrupt("config feature_cache_cap overflows"))?,
+        strata_k: c.u32()? as usize,
+        use_clustering: c.u8()? != 0,
+        use_outliers: c.u8()? != 0,
+        use_regressors: c.u8()? != 0,
+        use_filter: c.u8()? != 0,
+        seed: c.u64()?,
+        threads: c.u32()? as usize,
+        feature_cache_cap: c.usize("config feature_cache_cap overflows")?,
     })
 }
 
 fn encode_trained(t: &TrainedPs3) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut bytes = Vec::new();
+    let mut e = Writer::new(&mut bytes);
     e.u32(t.normalizer.schema().num_cols() as u32);
     let means = t.normalizer.means();
     e.u32(means.len() as u32);
@@ -389,60 +399,59 @@ fn encode_trained(t: &TrainedPs3) -> Vec<u8> {
     e.u32(t.strata.sweeps as u32);
 
     encode_config(&mut e, &t.config);
-    e.into_bytes()
+    bytes
 }
 
-fn decode_trained(bytes: &[u8], num_cols: usize) -> Result<TrainedPs3, FormatError> {
-    let mut c = Cursor::new(bytes);
-    let schema_cols = c.u32("trained schema columns")? as usize;
+fn decode_trained(c: &mut Reader<'_>, num_cols: usize) -> Result<TrainedPs3, CodecError> {
+    let schema_cols = c.u32()? as usize;
     if schema_cols != num_cols {
-        return Err(FormatError::Corrupt(
+        return Err(CodecError::Invalid(
             "trained schema disagrees with table schema",
         ));
     }
     let schema = FeatureSchema::new(num_cols);
     let dim = schema.dim();
-    let n_means = c.u32("normalizer mean count")? as usize;
+    let n_means = c.u32()? as usize;
     if n_means != dim {
-        return Err(FormatError::Corrupt(
+        return Err(CodecError::Invalid(
             "normalizer mean count disagrees with schema",
         ));
     }
     let mut means = Vec::with_capacity(n_means);
     for _ in 0..n_means {
-        means.push(c.f64("normalizer mean")?);
+        means.push(c.f64()?);
     }
-    let normalizer = Normalizer::from_raw_parts(schema, means).map_err(FormatError::Corrupt)?;
+    let normalizer = Normalizer::from_raw_parts(schema, means).map_err(CodecError::Invalid)?;
 
-    let n_models = c.u32("model count")? as usize;
+    let n_models = c.u32()? as usize;
     if n_models > 256 {
-        return Err(FormatError::Corrupt("model count implausible"));
+        return Err(CodecError::Invalid("model count implausible"));
     }
     let mut models = Vec::with_capacity(n_models);
     for _ in 0..n_models {
-        models.push(decode_gbdt(&mut c, dim)?);
+        models.push(decode_gbdt(c, dim)?);
     }
-    let n_thresholds = c.u32("threshold count")? as usize;
+    let n_thresholds = c.u32()? as usize;
     if n_thresholds != n_models {
-        return Err(FormatError::Corrupt(
+        return Err(CodecError::Invalid(
             "threshold count disagrees with model count",
         ));
     }
     let mut thresholds = Vec::with_capacity(n_thresholds);
     for _ in 0..n_thresholds {
-        thresholds.push(c.f64("threshold")?);
+        thresholds.push(c.f64()?);
     }
 
-    let n_excluded = c.u32("excluded count")? as usize;
+    let n_excluded = c.u32()? as usize;
     if n_excluded > FeatureType::ALL.len() {
-        return Err(FormatError::Corrupt("excluded feature count implausible"));
+        return Err(CodecError::Invalid("excluded feature count implausible"));
     }
     let mut excluded = Vec::with_capacity(n_excluded);
     for _ in 0..n_excluded {
-        let idx = c.u8("excluded feature index")? as usize;
+        let idx = c.u8()? as usize;
         let ft = *FeatureType::ALL
             .get(idx)
-            .ok_or(FormatError::Corrupt("excluded feature index out of range"))?;
+            .ok_or(CodecError::Invalid("excluded feature index out of range"))?;
         excluded.push(ft);
     }
     // Derived, never persisted: recomputing guarantees the projection
@@ -454,40 +463,39 @@ fn decode_trained(bytes: &[u8], num_cols: usize) -> Result<TrainedPs3, FormatErr
         }
     }
 
-    let k = c.u32("strata centroid count")? as usize;
-    let cdim = c.u32("strata centroid dim")? as usize;
+    let k = c.u32()? as usize;
+    let cdim = c.u32()? as usize;
     if k > MAX_VEC || cdim > MAX_VEC {
-        return Err(FormatError::Corrupt("strata shape implausible"));
+        return Err(CodecError::Invalid("strata shape implausible"));
     }
     let mut centroids = Vec::with_capacity(k.min(1024));
     for _ in 0..k {
         let mut row = Vec::with_capacity(cdim.min(4096));
         for _ in 0..cdim {
-            row.push(c.f64("strata centroid")?);
+            row.push(c.f64()?);
         }
         centroids.push(row);
     }
-    let n_assign = c.u32("strata assignment count")? as usize;
+    let n_assign = c.u32()? as usize;
     if n_assign > MAX_VEC {
-        return Err(FormatError::Corrupt("strata assignment implausible"));
+        return Err(CodecError::Invalid("strata assignment implausible"));
     }
     let mut assignment = Vec::with_capacity(n_assign.min(4096));
     for _ in 0..n_assign {
-        let a = c.u32("strata assignment")? as usize;
+        let a = c.u32()? as usize;
         if a >= k.max(1) {
-            return Err(FormatError::Corrupt("strata assignment out of range"));
+            return Err(CodecError::Invalid("strata assignment out of range"));
         }
         assignment.push(a);
     }
-    let sweeps = c.u32("strata sweeps")? as usize;
+    let sweeps = c.u32()? as usize;
     let strata = PartitionStrata {
         centroids,
         assignment,
         sweeps,
     };
 
-    let config = decode_config(&mut c)?;
-    c.finish("trained section")?;
+    let config = decode_config(c)?;
     Ok(TrainedPs3 {
         models,
         thresholds,
@@ -500,31 +508,29 @@ fn decode_trained(bytes: &[u8], num_cols: usize) -> Result<TrainedPs3, FormatErr
 }
 
 fn encode_lss(lss: &LssModel) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut bytes = Vec::new();
+    let mut e = Writer::new(&mut bytes);
     encode_gbdt(&mut e, &lss.model);
     e.u32(lss.strata_by_budget.len() as u32);
     for &(frac, size) in &lss.strata_by_budget {
         e.f64(frac);
         e.u64(size as u64);
     }
-    e.into_bytes()
+    bytes
 }
 
-fn decode_lss(bytes: &[u8], dim: usize) -> Result<LssModel, FormatError> {
-    let mut c = Cursor::new(bytes);
-    let model = decode_gbdt(&mut c, dim)?;
-    let n = c.u32("lss budget count")? as usize;
+fn decode_lss(c: &mut Reader<'_>, dim: usize) -> Result<LssModel, CodecError> {
+    let model = decode_gbdt(c, dim)?;
+    let n = c.u32()? as usize;
     if n > MAX_VEC {
-        return Err(FormatError::Corrupt("lss budget count implausible"));
+        return Err(CodecError::Invalid("lss budget count implausible"));
     }
     let mut strata_by_budget = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        let frac = c.f64("lss budget frac")?;
-        let size = usize::try_from(c.u64("lss strata size")?)
-            .map_err(|_| FormatError::Corrupt("lss strata size overflows"))?;
+        let frac = c.f64()?;
+        let size = c.usize("lss strata size overflows")?;
         strata_by_budget.push((frac, size));
     }
-    c.finish("lss section")?;
     Ok(LssModel {
         model,
         strata_by_budget,
@@ -598,10 +604,9 @@ mod tests {
             .collect();
         let labels: Vec<f64> = (0..200).map(|i| f64::from(i) * 0.3).collect();
         let model = Gbdt::train(&data, &labels, &GbdtParams::default());
-        let mut e = Enc::new();
-        encode_gbdt(&mut e, &model);
-        let bytes = e.into_bytes();
-        let d = decode_gbdt(&mut Cursor::new(&bytes), 2).unwrap();
+        let mut bytes = Vec::new();
+        encode_gbdt(&mut Writer::new(&mut bytes), &model);
+        let d = decode_gbdt(&mut Reader::new(&bytes), 2).unwrap();
         for row in data.iter().take(50) {
             assert_eq!(
                 d.predict_row(row).to_bits(),
@@ -618,10 +623,9 @@ mod tests {
         cfg.estimator = ExemplarRule::Random;
         cfg.fs_eval_budgets = vec![0.01, 0.2, 0.5];
         cfg.use_outliers = false;
-        let mut e = Enc::new();
-        encode_config(&mut e, &cfg);
-        let bytes = e.into_bytes();
-        let d = decode_config(&mut Cursor::new(&bytes)).unwrap();
+        let mut bytes = Vec::new();
+        encode_config(&mut Writer::new(&mut bytes), &cfg);
+        let d = decode_config(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(format!("{d:?}"), format!("{cfg:?}"));
 
         // The tag byte follows k_models, alpha and the three outlier fields.
@@ -630,11 +634,12 @@ mod tests {
         let with_tag = |tag: u8| {
             let mut patched = bytes.clone();
             patched[TAG_AT] = tag;
-            decode_config(&mut Cursor::new(&patched)).map(|c| format!("{c:?}"))
+            decode_config(&mut Reader::new(&patched)).map(|c| format!("{c:?}"))
         };
         assert_eq!(with_tag(1).unwrap(), with_tag(0).unwrap());
         assert!(with_tag(0).unwrap().contains("cluster_algo: KMeans,"));
-        assert!(matches!(with_tag(4), Err(FormatError::Corrupt(_))));
+        let what = "cluster algorithm";
+        assert_eq!(with_tag(4), Err(CodecError::BadTag { what, tag: 4 }));
     }
 
     #[test]

@@ -50,11 +50,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-use ps3_query::codec::{check_schema, CodecError};
+use ps3_query::codec::check_schema;
 use ps3_runtime::{
     CacheStats, Mailbox, Permit, RequestQueue, Semaphore, SharedLru, SingleFlight,
     SubmitError as QueueError, ThreadPool,
 };
+use ps3_storage::codec::CodecError;
 
 use crate::planner::{plan_error_target, plan_latency_target, Budget, BudgetPlan, PlannerStats};
 use crate::request::QueryRequest;

@@ -10,10 +10,11 @@
 //! [`ResponseFrame`] (server → client: answer rows plus execution stats
 //! and the answer's error estimate), [`PartialFrame`] (server → client: a
 //! refining intermediate answer on a progressive request), and
-//! [`ErrorFrame`] (server → client: a typed refusal). The encoding is
-//! hand-rolled over `Vec<u8>` with that codec's [`Writer`]/[`Reader`] — no
-//! serde, no external crates — and every multi-byte integer is
-//! little-endian.
+//! [`ErrorFrame`] (server → client: a typed refusal). Every field, the
+//! query and the embedded answer sketch included, is written and read by
+//! the workspace's one byte codec, `ps3_storage::codec`'s
+//! [`Writer`]/[`Reader`] — no serde, no external crates — and every
+//! multi-byte integer is little-endian.
 //!
 //! `docs/PROTOCOL.md` documents the byte layout with worked examples; a
 //! doc-test in this crate encodes those exact frames and asserts the
@@ -38,10 +39,11 @@
 use std::collections::HashMap;
 
 use ps3_core::{AggError, AnswerMeta, Budget, ErrorEstimate, Method, QueryRequest, TableRoute};
-use ps3_query::codec::{decode_query_spec, encode_query_spec, CodecError, Reader, Writer};
+use ps3_query::codec::{decode_query_spec, encode_query_spec};
 use ps3_query::{GroupKey, QueryAnswer, QuerySpec};
-use ps3_sketch::codec::{answer_sketch_from_bytes, answer_sketch_to_bytes};
+use ps3_sketch::codec::{decode_answer_sketch, encode_answer_sketch};
 use ps3_sketch::AnswerSketch;
+use ps3_storage::codec::{CodecError, Reader, Writer};
 
 /// The protocol version this build speaks (the first body byte of every
 /// frame) — the only one it encodes or decodes.
@@ -123,9 +125,10 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// The query grammar's failures are frame failures: same variant, same
-/// payload. A schema complaint cannot come out of a decode (the bytes name
-/// no table); it maps to `Invalid` so the conversion is total.
+/// The byte codec's failures — in the frame's own fields, its query or its
+/// answer sketch — are frame failures: same variant, same payload. A schema
+/// complaint cannot come out of a decode (the bytes name no table); it maps
+/// to `Invalid` so the conversion is total.
 impl From<CodecError> for ProtoError {
     fn from(e: CodecError) -> Self {
         match e {
@@ -490,28 +493,21 @@ pub fn encode_frame_at_into(
 ) -> Result<(), ProtoError> {
     check_version(version)?;
     let start = out.len();
-    match encode_frame_body(frame, out) {
-        Ok(()) => {
-            let body_len = out.len() - start - 4;
-            let Ok(body_len) = u32::try_from(body_len) else {
-                out.truncate(start);
-                return Err(ProtoError::Invalid("frame bodies cap at 2^32-1 bytes"));
-            };
-            out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-            Ok(())
-        }
-        Err(e) => {
-            out.truncate(start);
-            Err(e)
-        }
+    let encoded = Writer::new(out)
+        .blob("frame bodies cap at 2^32-1 bytes", |w| {
+            encode_frame_body(frame, w)
+        })
+        .map_err(ProtoError::from)
+        .and_then(|body| body);
+    if encoded.is_err() {
+        out.truncate(start);
     }
+    encoded
 }
 
-/// Append `[len placeholder][body]` to `out`; the caller patches the
-/// length and rolls back on error.
-fn encode_frame_body(frame: &Frame, out: &mut Vec<u8>) -> Result<(), ProtoError> {
-    out.extend_from_slice(&[0u8; 4]);
-    let mut w = Writer::new(out);
+/// Write one frame body; the caller prefixes its length and rolls back on
+/// error.
+fn encode_frame_body(frame: &Frame, w: &mut Writer<'_>) -> Result<(), ProtoError> {
     w.u8(PROTO_VERSION);
     match frame {
         Frame::Request(req) => {
@@ -534,12 +530,12 @@ fn encode_frame_body(frame: &Frame, out: &mut Vec<u8>) -> Result<(), ProtoError>
             w.f64(value);
             w.u64(req.seed);
             w.u8(if req.progressive { FLAG_PROGRESSIVE } else { 0 });
-            encode_query_spec(&mut w, &req.query)?;
+            encode_query_spec(w, &req.query)?;
         }
         Frame::Response(resp) => {
             w.u8(KIND_RESPONSE);
             w.u64(resp.request_id);
-            encode_rows(&mut w, &resp.rows)?;
+            encode_rows(w, &resp.rows)?;
             w.u32(resp.partitions_read);
             w.f64(resp.picker_ms);
             // The error contract: planned fraction, exactness, summary and
@@ -556,9 +552,8 @@ fn encode_frame_body(frame: &Frame, out: &mut Vec<u8>) -> Result<(), ProtoError>
                 None => w.u8(0),
                 Some(s) => {
                     w.u8(1);
-                    let blob = answer_sketch_to_bytes(s);
-                    w.u32_len(blob.len(), "answer sketches cap at 2^32-1 bytes")?;
-                    w.bytes(&blob);
+                    let what = "answer sketches cap at 2^32-1 bytes";
+                    w.blob(what, |w| encode_answer_sketch(s, w))?;
                 }
             }
         }
@@ -568,7 +563,7 @@ fn encode_frame_body(frame: &Frame, out: &mut Vec<u8>) -> Result<(), ProtoError>
             w.u32(part.seq);
             w.u32(part.partitions_done);
             w.u32(part.partitions_total);
-            encode_rows(&mut w, &part.rows)?;
+            encode_rows(w, &part.rows)?;
             w.f64(part.rel_err);
         }
         Frame::Error(err) => {
@@ -689,14 +684,7 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
             let error = ErrorEstimate { per_agg, rel_err };
             let sketch = match r.u8()? {
                 0 => None,
-                1 => {
-                    let len = r.u32()? as usize;
-                    let blob = r.take(len)?;
-                    Some(
-                        answer_sketch_from_bytes(blob)
-                            .map_err(|_| ProtoError::Invalid("undecodable answer sketch"))?,
-                    )
-                }
+                1 => Some(r.blob(decode_answer_sketch)?),
                 tag => {
                     return Err(ProtoError::BadTag {
                         what: "sketch presence flag",
@@ -781,10 +769,9 @@ impl FrameBuffer {
     /// fails to parse or a length prefix lies.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, ProtoError> {
         let pending = &self.buf[self.consumed..];
-        if pending.len() < 4 {
+        let Ok(body_len) = Reader::new(pending).u32() else {
             return Ok(None);
-        }
-        let body_len = u32::from_le_bytes(pending[..4].try_into().unwrap());
+        };
         if body_len > self.max_frame {
             return Err(ProtoError::FrameTooLarge {
                 len: body_len,
@@ -1073,12 +1060,23 @@ mod tests {
         };
         let wire = encode_frame(&Frame::Response(frame)).expect("encodes");
         // Flip every byte of the body once; each decode errors or succeeds,
-        // never panics, and a poisoned blob tag is a typed Invalid.
+        // never panics.
         for pos in 4..wire.len() {
             let mut bad = wire.clone();
             bad[pos] ^= 0xFF;
             let _ = decode_body(&bad[4..]);
         }
+        // A poisoned blob tag is the codec's typed BadTag. Body: header(10)
+        // rows(6) partitions_read(4) picker_ms(8) planned_frac(8) exact(1)
+        // rel_err(8) n_errs(2) has_sketch(1) blob_len(4) → tag at 52.
+        let mut bad = wire.clone();
+        assert_eq!(bad[4 + 52], ps3_sketch::codec::tags::DISTINCT);
+        bad[4 + 52] = 0xEE;
+        let (what, tag) = ("answer sketch", 0xEE);
+        assert_eq!(
+            decode_body(&bad[4..]),
+            Err(ProtoError::BadTag { what, tag })
+        );
         // Truncating inside the blob is Truncated, not a panic.
         for cut in 4..wire.len() {
             let _ = decode_body(&wire[4..cut]);

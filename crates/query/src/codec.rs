@@ -4,9 +4,11 @@
 //! (`docs/PROTOCOL.md` § Request payload) and the training workload frozen
 //! into a `*.ps3` artifact (`docs/FORMAT.md`, `SEC_TRAINING`) — and both
 //! speak the grammar defined here: tagged pre-order, little-endian, `f64`s
-//! by bit pattern, lists and strings behind a `u16` length. [`Writer`] and
-//! [`Reader`] are public so `ps3_net::proto` frames its own fields with the
-//! same primitives.
+//! by bit pattern, lists and strings behind a `u16` length. The grammar is
+//! all this module owns: its fields are written and read with the
+//! workspace's one byte codec, [`ps3_storage::codec`], the same
+//! [`Writer`]/[`Reader`] that frame the request around the query and the
+//! artifact section around the training workload.
 //!
 //! Decoding caps nesting at [`MAX_DEPTH`], validates sketch parameters
 //! before construction, and fails with a [`CodecError`], never a panic.
@@ -14,7 +16,7 @@
 //! read, is a question for a table, not for the bytes: [`check_schema`]
 //! answers it at both boundaries, before the query reaches a kernel.
 
-use ps3_storage::format::FormatError;
+use ps3_storage::codec::{CodecError, Reader, Writer};
 use ps3_storage::{ColId, Schema};
 
 use crate::ast::{AggExpr, AggFunc, BinOp, Clause, CmpOp, Predicate, Query, ScalarExpr};
@@ -38,197 +40,29 @@ const CMP_OPS: [CmpOp; 6] = [
 ];
 const AGG_FUNCS: [AggFunc; 3] = [AggFunc::Sum, AggFunc::Count, AggFunc::Avg];
 
-/// Why bytes failed to decode, a value refused to encode, or a decoded
-/// query does not fit a table's schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodecError {
-    /// The input ended before a field it promised.
-    Truncated,
-    /// An unknown tag byte for the named grammar rule.
-    BadTag {
-        /// Which grammar rule was being decoded.
-        what: &'static str,
-        /// The offending byte.
-        tag: u8,
-    },
-    /// A string field held invalid UTF-8.
-    BadUtf8,
-    /// A structurally invalid value (empty aggregate list, excessive
-    /// nesting, a list too long for its length field, …).
-    Invalid(&'static str),
-    /// The query does not fit the schema it was checked against.
-    BadColumn {
-        /// The offending column index.
-        col: usize,
-        /// What is wrong with it.
-        why: &'static str,
-    },
+fn write_col(w: &mut Writer<'_>, c: ColId) {
+    w.u32(c.index() as u32);
 }
 
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::Truncated => write!(f, "query bytes truncated"),
-            CodecError::BadTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
-            CodecError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
-            CodecError::Invalid(what) => write!(f, "{what}"),
-            CodecError::BadColumn { col, why } => write!(f, "column {col} {why}"),
-        }
-    }
+fn read_col(r: &mut Reader<'_>) -> Result<ColId, CodecError> {
+    Ok(ColId(r.u32()? as usize))
 }
 
-impl std::error::Error for CodecError {}
-
-impl From<CodecError> for FormatError {
-    fn from(e: CodecError) -> Self {
-        match e {
-            CodecError::Truncated => FormatError::Truncated("query"),
-            CodecError::BadTag { what, .. } | CodecError::Invalid(what) => {
-                FormatError::Corrupt(what)
-            }
-            CodecError::BadUtf8 => FormatError::Corrupt("query string is not UTF-8"),
-            CodecError::BadColumn { .. } => FormatError::Corrupt("query does not fit the table"),
-        }
-    }
+/// A tag byte indexing `table`; anything past it is a [`CodecError::BadTag`].
+fn read_tag<T: Copy>(r: &mut Reader<'_>, what: &'static str, table: &[T]) -> Result<T, CodecError> {
+    let tag = r.u8()?;
+    table
+        .get(usize::from(tag))
+        .copied()
+        .ok_or(CodecError::BadTag { what, tag })
 }
 
-// ---------------------------------------------------------------------------
-// Primitives
-// ---------------------------------------------------------------------------
-
-/// Append little-endian primitives to a byte buffer. Length-carrying
-/// fields go through the checked `str`/`u16_len`/`u32_len` helpers — a
-/// value too large for its length field is a [`CodecError::Invalid`]
-/// error, never a silent modular truncation (which would emit bytes that
-/// decode to a *different* value).
-///
-/// Borrows the destination rather than owning it so encoders can append
-/// into a caller-reused buffer — the serving hot path encodes thousands of
-/// frames per second and must not allocate one `Vec` each.
-pub struct Writer<'a>(&'a mut Vec<u8>);
-
-// One fixed-width little-endian append per method.
-impl<'a> Writer<'a> {
-    pub fn new(out: &'a mut Vec<u8>) -> Self {
-        Writer(out)
-    }
-    #[inline]
-    pub fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    #[inline]
-    pub fn u16(&mut self, v: u16) {
-        self.bytes(&v.to_le_bytes());
-    }
-    #[inline]
-    pub fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
-    }
-    #[inline]
-    pub fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    #[inline]
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    /// Raw bytes; the caller has written their length.
-    #[inline]
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.0.extend_from_slice(b);
-    }
-    /// `n` as a `u16` length, refused (`what`) when it does not fit.
-    #[inline]
-    pub fn u16_len(&mut self, n: usize, what: &'static str) -> Result<(), CodecError> {
-        self.u16(u16::try_from(n).map_err(|_| CodecError::Invalid(what))?);
-        Ok(())
-    }
-    /// `n` as a `u32` length, refused (`what`) when it does not fit.
-    #[inline]
-    pub fn u32_len(&mut self, n: usize, what: &'static str) -> Result<(), CodecError> {
-        self.u32(u32::try_from(n).map_err(|_| CodecError::Invalid(what))?);
-        Ok(())
-    }
-    /// A `u16`-length-prefixed UTF-8 string.
-    #[inline]
-    pub fn str(&mut self, s: &str) -> Result<(), CodecError> {
-        self.u16_len(s.len(), "wire strings cap at 64 KiB")?;
-        self.bytes(s.as_bytes());
-        Ok(())
-    }
-    fn col(&mut self, c: ColId) {
-        self.u32(c.index() as u32);
-    }
-}
-
-/// Bounds-checked cursor over encoded bytes: every read past the end is
-/// [`CodecError::Truncated`].
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-// The mirror of `Writer`: one read per method.
-impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-    /// The next `n` bytes.
-    #[inline]
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        let out = self.buf.get(self.pos..end).ok_or(CodecError::Truncated)?;
-        self.pos = end;
-        Ok(out)
-    }
-    #[inline]
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-    #[inline]
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    #[inline]
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    #[inline]
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    #[inline]
-    pub fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    /// A `u16`-length-prefixed UTF-8 string.
-    #[inline]
-    pub fn str(&mut self) -> Result<String, CodecError> {
-        let len = self.u16()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| CodecError::BadUtf8)
-    }
-    fn col(&mut self) -> Result<ColId, CodecError> {
-        Ok(ColId(self.u32()? as usize))
-    }
-    /// A tag byte indexing `table`; anything past it is a [`CodecError::BadTag`].
-    fn tag<T: Copy>(&mut self, what: &'static str, table: &[T]) -> Result<T, CodecError> {
-        let tag = self.u8()?;
-        table
-            .get(usize::from(tag))
-            .copied()
-            .ok_or(CodecError::BadTag { what, tag })
-    }
-    /// A `u16` count, then that many `item`s.
-    fn list<T>(
-        &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<T, CodecError>,
-    ) -> Result<Vec<T>, CodecError> {
-        (0..self.u16()?).map(|_| item(self)).collect()
-    }
+/// A `u16` count, then that many `item`s.
+fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    (0..r.u16()?).map(|_| item(r)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -239,7 +73,7 @@ fn encode_scalar(w: &mut Writer<'_>, e: &ScalarExpr) {
     match e {
         ScalarExpr::Column(c) => {
             w.u8(1);
-            w.col(*c);
+            write_col(w, *c);
         }
         ScalarExpr::Literal(x) => {
             w.u8(2);
@@ -258,7 +92,7 @@ fn encode_predicate(w: &mut Writer<'_>, p: &Predicate) -> Result<(), CodecError>
     match p {
         Predicate::Clause(Clause::Cmp { col, op, value }) => {
             w.u8(1);
-            w.col(*col);
+            write_col(w, *col);
             w.u8(*op as u8);
             w.f64(*value);
         }
@@ -268,7 +102,7 @@ fn encode_predicate(w: &mut Writer<'_>, p: &Predicate) -> Result<(), CodecError>
             negated,
         }) => {
             w.u8(2);
-            w.col(*col);
+            write_col(w, *col);
             w.u8(u8::from(*negated));
             w.u16_len(values.len(), "IN lists cap at 65535 values")?;
             for v in values {
@@ -281,7 +115,7 @@ fn encode_predicate(w: &mut Writer<'_>, p: &Predicate) -> Result<(), CodecError>
             negated,
         }) => {
             w.u8(3);
-            w.col(*col);
+            write_col(w, *col);
             w.u8(u8::from(*negated));
             w.str(needle)?;
         }
@@ -322,7 +156,7 @@ pub fn encode_query(w: &mut Writer<'_>, q: &Query) -> Result<(), CodecError> {
     }
     encode_opt_predicate(w, &q.predicate)?;
     w.u16_len(q.group_by.len(), "GROUP BY lists cap at 65535")?;
-    q.group_by.iter().for_each(|c| w.col(*c));
+    q.group_by.iter().for_each(|c| write_col(w, *c));
     Ok(())
 }
 
@@ -350,7 +184,7 @@ pub fn encode_query_spec(w: &mut Writer<'_>, spec: &QuerySpec) -> Result<(), Cod
             w.u32(k);
         }
     }
-    w.col(q.col);
+    write_col(w, q.col);
     encode_opt_predicate(w, &q.predicate)
 }
 
@@ -363,10 +197,10 @@ fn decode_scalar(r: &mut Reader, depth: u32) -> Result<ScalarExpr, CodecError> {
         return Err(CodecError::Invalid("expression nested too deeply"));
     }
     Ok(match r.u8()? {
-        1 => ScalarExpr::Column(r.col()?),
+        1 => ScalarExpr::Column(read_col(r)?),
         2 => ScalarExpr::Literal(r.f64()?),
         3 => {
-            let op = r.tag("binary operator", &BIN_OPS)?;
+            let op = read_tag(r, "binary operator", &BIN_OPS)?;
             let l = decode_scalar(r, depth + 1)?;
             let right = decode_scalar(r, depth + 1)?;
             ScalarExpr::BinOp(op, Box::new(l), Box::new(right))
@@ -384,22 +218,22 @@ fn decode_predicate(r: &mut Reader, depth: u32) -> Result<Predicate, CodecError>
     }
     Ok(match r.u8()? {
         1 => Predicate::Clause(Clause::Cmp {
-            col: r.col()?,
-            op: r.tag("comparison operator", &CMP_OPS)?,
+            col: read_col(r)?,
+            op: read_tag(r, "comparison operator", &CMP_OPS)?,
             value: r.f64()?,
         }),
         2 => Predicate::Clause(Clause::In {
-            col: r.col()?,
+            col: read_col(r)?,
             negated: r.u8()? != 0,
-            values: r.list(Reader::str)?,
+            values: read_list(r, Reader::str)?,
         }),
         3 => Predicate::Clause(Clause::Contains {
-            col: r.col()?,
+            col: read_col(r)?,
             negated: r.u8()? != 0,
             needle: r.str()?,
         }),
-        4 => Predicate::And(r.list(|r| decode_predicate(r, depth + 1))?),
-        5 => Predicate::Or(r.list(|r| decode_predicate(r, depth + 1))?),
+        4 => Predicate::And(read_list(r, |r| decode_predicate(r, depth + 1))?),
+        5 => Predicate::Or(read_list(r, |r| decode_predicate(r, depth + 1))?),
         6 => Predicate::Not(Box::new(decode_predicate(r, depth + 1)?)),
         tag => {
             let what = "predicate";
@@ -421,9 +255,9 @@ fn decode_opt_predicate(
 
 /// Decode one scalar query ([`encode_query`]'s inverse).
 pub fn decode_query(r: &mut Reader) -> Result<Query, CodecError> {
-    let aggregates = r.list(|r| {
+    let aggregates = read_list(r, |r| {
         Ok(AggExpr {
-            func: r.tag("aggregate function", &AGG_FUNCS)?,
+            func: read_tag(r, "aggregate function", &AGG_FUNCS)?,
             expr: decode_scalar(r, 0)?,
             condition: decode_opt_predicate(r, "condition presence flag")?,
         })
@@ -434,7 +268,7 @@ pub fn decode_query(r: &mut Reader) -> Result<Query, CodecError> {
     Ok(Query {
         aggregates,
         predicate: decode_opt_predicate(r, "predicate presence flag")?,
-        group_by: r.list(Reader::col)?,
+        group_by: read_list(r, read_col)?,
     })
 }
 
@@ -468,7 +302,7 @@ pub fn decode_query_spec(r: &mut Reader) -> Result<QuerySpec, CodecError> {
     }
     Ok(QuerySpec::Sketch(SketchQuery {
         func,
-        col: r.col()?,
+        col: read_col(r)?,
         predicate: decode_opt_predicate(r, "predicate presence flag")?,
     }))
 }

@@ -678,11 +678,9 @@ proptest! {
 
 mod codec_props {
     use super::*;
-    use crate::codec::{
-        check_query_schema, check_schema, decode_query_spec, encode_query_spec, CodecError, Reader,
-        Writer,
-    };
+    use crate::codec::{check_query_schema, check_schema, decode_query_spec, encode_query_spec};
     use crate::sketch::{QuerySpec, SketchQuery};
+    use ps3_storage::codec::{CodecError, Reader, Writer};
 
     fn encode(spec: &QuerySpec) -> Vec<u8> {
         let mut bytes = Vec::new();

@@ -3,12 +3,16 @@
 //! The deployment story (§2.3.1) stores statistics *separately from the
 //! partitions* — a statistics catalog that query optimization reads without
 //! touching data. This module gives every sketch but
-//! [`Measures`](crate::Measures) a compact little-endian binary encoding
-//! with explicit, dependency-free readers/writers (`Measures` is ten fixed
-//! fields, written raw by `ps3_stats::persist`). The `serialized_size()`
-//! methods of the five statistics sketches (`Measures`, `EquiDepthHistogram`, `Akmv`,
-//! `HeavyHitters`, `ExactDict`) account for the payload fields; tags, entry
-//! counts and the catalog's length prefixes come on top (about 1%).
+//! [`Measures`](crate::Measures) a compact little-endian binary encoding,
+//! written and read with the workspace's one byte codec,
+//! [`ps3_storage::codec`], whose [`CodecError`] every decoder here returns
+//! (`Measures` is ten fixed fields, written raw by `ps3_stats::persist`).
+//! Each encoder writes into the caller's buffer, so a sketch embedded in an
+//! artifact section or a response frame is written in place. The
+//! `serialized_size()` methods of the five statistics sketches (`Measures`,
+//! `EquiDepthHistogram`, `Akmv`, `HeavyHitters`, `ExactDict`) account for
+//! the payload fields; tags, entry counts and the catalog's length prefixes
+//! come on top (about 1%).
 //!
 //! Format: every sketch starts with a 1-byte tag (for catalog files that
 //! interleave kinds) followed by fixed-width fields and length-prefixed
@@ -23,39 +27,7 @@ use crate::heavy_hitter::HeavyHitter;
 use crate::histogram::EquiDepthHistogram;
 use crate::quantile::QuantileSketch;
 use crate::topk::TopKSketch;
-
-/// Errors from decoding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Input ended before the structure was complete.
-    Truncated,
-    /// Leading tag byte did not match the expected sketch kind.
-    WrongTag {
-        /// Tag expected for this sketch kind.
-        expected: u8,
-        /// Tag actually found.
-        found: u8,
-    },
-    /// A length or invariant was violated (corrupt input).
-    Corrupt(&'static str),
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::Truncated => write!(f, "input truncated"),
-            DecodeError::WrongTag { expected, found } => {
-                write!(
-                    f,
-                    "wrong sketch tag: expected {expected:#x}, found {found:#x}"
-                )
-            }
-            DecodeError::Corrupt(what) => write!(f, "corrupt sketch encoding: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
+use ps3_storage::codec::{CodecError, Reader, Writer};
 
 /// Sketch kind tags.
 pub mod tags {
@@ -75,124 +47,17 @@ pub mod tags {
     pub const TOPK: u8 = 0x08;
 }
 
-/// A little-endian byte reader.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Wrap a buffer.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// The next byte without consuming it (tag dispatch for unions).
-    pub fn peek_u8(&self) -> Result<u8, DecodeError> {
-        self.buf
-            .get(self.pos)
-            .copied()
-            .ok_or(DecodeError::Truncated)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.remaining() < n {
-            return Err(DecodeError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Read one byte.
-    pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Read a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Read a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Read a little-endian f64.
-    pub fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Read `n` raw bytes (bulk payloads like register arrays).
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        self.take(n)
-    }
-
-    fn expect_tag(&mut self, expected: u8) -> Result<(), DecodeError> {
-        let found = self.u8()?;
-        if found != expected {
-            return Err(DecodeError::WrongTag { expected, found });
-        }
-        Ok(())
-    }
-}
-
-/// A byte writer.
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Finish and take the bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Append one byte.
-    pub fn u8(&mut self, x: u8) {
-        self.buf.push(x);
-    }
-
-    /// Append a little-endian u32.
-    pub fn u32(&mut self, x: u32) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-
-    /// Append a little-endian u64.
-    pub fn u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-
-    /// Append a little-endian f64.
-    pub fn f64(&mut self, x: f64) {
-        self.u64(x.to_bits());
-    }
-
-    /// Append raw bytes (bulk payloads like register arrays).
-    pub fn bytes(&mut self, x: &[u8]) {
-        self.buf.extend_from_slice(x);
+/// Consume the kind tag `expected`, or fail naming the sketch (`what`).
+fn expect_tag(r: &mut Reader<'_>, what: &'static str, expected: u8) -> Result<(), CodecError> {
+    match r.u8()? {
+        tag if tag == expected => Ok(()),
+        tag => Err(CodecError::BadTag { what, tag }),
     }
 }
 
 impl EquiDepthHistogram {
     /// Encode to bytes.
-    pub fn encode(&self, w: &mut Writer) {
+    pub fn encode(&self, w: &mut Writer<'_>) {
         w.u8(tags::HISTOGRAM);
         let (bounds, depths, total) = self.raw_parts();
         w.u64(total);
@@ -206,12 +71,12 @@ impl EquiDepthHistogram {
     }
 
     /// Decode from bytes into an identical histogram.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(tags::HISTOGRAM)?;
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        expect_tag(r, "histogram", tags::HISTOGRAM)?;
         let total = r.u64()?;
         let nb = r.u32()? as usize;
         if !(2..=1 << 20).contains(&nb) {
-            return Err(DecodeError::Corrupt("histogram: bad boundary count"));
+            return Err(CodecError::Invalid("histogram: bad boundary count"));
         }
         let mut bounds = Vec::with_capacity(nb);
         for _ in 0..nb {
@@ -225,9 +90,7 @@ impl EquiDepthHistogram {
             depths.push(d);
         }
         if sum != total {
-            return Err(DecodeError::Corrupt(
-                "histogram: depths disagree with total",
-            ));
+            return Err(CodecError::Invalid("histogram: depths disagree with total"));
         }
         Ok(EquiDepthHistogram::from_raw_parts(bounds, depths, total))
     }
@@ -235,7 +98,7 @@ impl EquiDepthHistogram {
 
 impl Akmv {
     /// Encode to bytes.
-    pub fn encode(&self, w: &mut Writer) {
+    pub fn encode(&self, w: &mut Writer<'_>) {
         w.u8(tags::AKMV);
         w.u32(self.k() as u32);
         w.u64(self.rows());
@@ -248,13 +111,13 @@ impl Akmv {
     }
 
     /// Decode from bytes into an identical sketch.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(tags::AKMV)?;
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        expect_tag(r, "AKMV", tags::AKMV)?;
         let k = r.u32()? as usize;
         let rows = r.u64()?;
         let n = r.u32()? as usize;
         if k < 2 || n > k {
-            return Err(DecodeError::Corrupt("akmv: entry count exceeds k"));
+            return Err(CodecError::Invalid("akmv: entry count exceeds k"));
         }
         let mut entries = Vec::with_capacity(n);
         let mut last = None;
@@ -263,7 +126,7 @@ impl Akmv {
             let c = r.u64()?;
             if let Some(prev) = last {
                 if h <= prev {
-                    return Err(DecodeError::Corrupt("akmv: hashes not ascending"));
+                    return Err(CodecError::Invalid("akmv: hashes not ascending"));
                 }
             }
             last = Some(h);
@@ -274,7 +137,7 @@ impl Akmv {
 }
 
 /// Encode a heavy-hitter dictionary.
-pub fn encode_heavy_hitters(hh: &[HeavyHitter], rows: u64, w: &mut Writer) {
+pub fn encode_heavy_hitters(hh: &[HeavyHitter], rows: u64, w: &mut Writer<'_>) {
     w.u8(tags::HEAVY_HITTERS);
     w.u64(rows);
     w.u32(hh.len() as u32);
@@ -285,27 +148,19 @@ pub fn encode_heavy_hitters(hh: &[HeavyHitter], rows: u64, w: &mut Writer) {
 }
 
 /// Decode a heavy-hitter dictionary; returns `(items, rows)`.
-pub fn decode_heavy_hitters(r: &mut Reader<'_>) -> Result<(Vec<HeavyHitter>, u64), DecodeError> {
-    let found = r.u8()?;
-    if found != tags::HEAVY_HITTERS {
-        return Err(DecodeError::WrongTag {
-            expected: tags::HEAVY_HITTERS,
-            found,
-        });
-    }
+pub fn decode_heavy_hitters(r: &mut Reader<'_>) -> Result<(Vec<HeavyHitter>, u64), CodecError> {
+    expect_tag(r, "heavy hitters", tags::HEAVY_HITTERS)?;
     let rows = r.u64()?;
     let n = r.u32()? as usize;
     if n > 10_000 {
-        return Err(DecodeError::Corrupt("heavy hitters: implausible count"));
+        return Err(CodecError::Invalid("heavy hitters: implausible count"));
     }
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let key = r.u64()?;
         let frequency = r.f64()?;
         if !(0.0..=1.0).contains(&frequency) {
-            return Err(DecodeError::Corrupt(
-                "heavy hitters: frequency out of range",
-            ));
+            return Err(CodecError::Invalid("heavy hitters: frequency out of range"));
         }
         out.push(HeavyHitter { key, frequency });
     }
@@ -314,7 +169,7 @@ pub fn decode_heavy_hitters(r: &mut Reader<'_>) -> Result<(Vec<HeavyHitter>, u64
 
 impl ExactDict {
     /// Encode to bytes.
-    pub fn encode(&self, w: &mut Writer) {
+    pub fn encode(&self, w: &mut Writer<'_>) {
         w.u8(tags::EXACT_DICT);
         w.u64(self.rows());
         let mut entries: Vec<(u64, u64)> = self.iter().collect();
@@ -327,8 +182,8 @@ impl ExactDict {
     }
 
     /// Decode from bytes into an identical dictionary.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(tags::EXACT_DICT)?;
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        expect_tag(r, "exact dict", tags::EXACT_DICT)?;
         let rows = r.u64()?;
         let n = r.u32()? as usize;
         let mut entries = Vec::with_capacity(n);
@@ -340,9 +195,7 @@ impl ExactDict {
             entries.push((k, c));
         }
         if total != rows {
-            return Err(DecodeError::Corrupt(
-                "exact dict: counts disagree with rows",
-            ));
+            return Err(CodecError::Invalid("exact dict: counts disagree with rows"));
         }
         Ok(ExactDict::from_raw_parts(entries, rows))
     }
@@ -352,7 +205,7 @@ impl QuantileSketch {
     /// Encode to bytes. The sketch's state is a pure function of its
     /// inserted multiset (see the module docs), so these bytes are too —
     /// the wire's bit-identity checks rely on that.
-    pub fn encode(&self, w: &mut Writer) {
+    pub fn encode(&self, w: &mut Writer<'_>) {
         w.u8(tags::QUANTILE);
         let (level, zeros, nans, pos_inf, neg_inf, neg, pos) = self.raw_parts();
         w.u32(level);
@@ -369,11 +222,11 @@ impl QuantileSketch {
     }
 
     /// Decode from bytes into an identical sketch.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(tags::QUANTILE)?;
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        expect_tag(r, "quantile sketch", tags::QUANTILE)?;
         let level = r.u32()?;
         if level > 64 {
-            return Err(DecodeError::Corrupt("quantile: implausible level"));
+            return Err(CodecError::Invalid("quantile: implausible level"));
         }
         let zeros = r.u64()?;
         let nans = r.u64()?;
@@ -382,19 +235,19 @@ impl QuantileSketch {
         let n_neg = r.u32()? as usize;
         let n_pos = r.u32()? as usize;
         if n_neg + n_pos > QuantileSketch::MAX_BUCKETS {
-            return Err(DecodeError::Corrupt("quantile: bucket budget exceeded"));
+            return Err(CodecError::Invalid("quantile: bucket budget exceeded"));
         }
-        let mut read_buckets = |n: usize| -> Result<Vec<(i64, u64)>, DecodeError> {
+        let mut read_buckets = |n: usize| -> Result<Vec<(i64, u64)>, CodecError> {
             let mut out = Vec::with_capacity(n);
             let mut last: Option<i64> = None;
             for _ in 0..n {
                 let idx = r.u64()? as i64;
                 let c = r.u64()?;
                 if c == 0 {
-                    return Err(DecodeError::Corrupt("quantile: zero bucket count"));
+                    return Err(CodecError::Invalid("quantile: zero bucket count"));
                 }
                 if last.is_some_and(|prev| idx <= prev) {
-                    return Err(DecodeError::Corrupt("quantile: buckets not ascending"));
+                    return Err(CodecError::Invalid("quantile: buckets not ascending"));
                 }
                 last = Some(idx);
                 out.push((idx, c));
@@ -411,22 +264,22 @@ impl QuantileSketch {
 
 impl DistinctSketch {
     /// Encode to bytes.
-    pub fn encode(&self, w: &mut Writer) {
+    pub fn encode(&self, w: &mut Writer<'_>) {
         w.u8(tags::DISTINCT);
         w.u8(Self::PRECISION as u8);
         w.bytes(self.registers());
     }
 
     /// Decode from bytes into an identical sketch.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(tags::DISTINCT)?;
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        expect_tag(r, "distinct sketch", tags::DISTINCT)?;
         let p = r.u8()?;
         if u32::from(p) != Self::PRECISION {
-            return Err(DecodeError::Corrupt("distinct: unsupported precision"));
+            return Err(CodecError::Invalid("distinct: unsupported precision"));
         }
-        let raw = r.bytes(Self::REGISTERS)?;
+        let raw = r.take(Self::REGISTERS)?;
         if raw.iter().any(|&v| u32::from(v) > 64 - Self::PRECISION + 1) {
-            return Err(DecodeError::Corrupt("distinct: register rank too large"));
+            return Err(CodecError::Invalid("distinct: register rank too large"));
         }
         Ok(DistinctSketch::from_registers(
             raw.to_vec().into_boxed_slice(),
@@ -436,7 +289,7 @@ impl DistinctSketch {
 
 impl TopKSketch {
     /// Encode to bytes.
-    pub fn encode(&self, w: &mut Writer) {
+    pub fn encode(&self, w: &mut Writer<'_>) {
         w.u8(tags::TOPK);
         let entries = self.entries();
         w.u32(entries.len() as u32);
@@ -447,13 +300,13 @@ impl TopKSketch {
     }
 
     /// Decode from bytes into an identical sketch.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.expect_tag(tags::TOPK)?;
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        expect_tag(r, "top-k sketch", tags::TOPK)?;
         let n = r.u32()? as usize;
         // Bound the allocation by the bytes actually present: a corrupt
         // length must fail typed, not OOM.
         if r.remaining() < n * 16 {
-            return Err(DecodeError::Truncated);
+            return Err(CodecError::Truncated);
         }
         let mut entries = Vec::with_capacity(n);
         let mut last: Option<u64> = None;
@@ -461,10 +314,10 @@ impl TopKSketch {
             let k = r.u64()?;
             let c = r.u64()?;
             if c == 0 {
-                return Err(DecodeError::Corrupt("topk: zero count"));
+                return Err(CodecError::Invalid("topk: zero count"));
             }
             if last.is_some_and(|prev| k <= prev) {
-                return Err(DecodeError::Corrupt("topk: keys not ascending"));
+                return Err(CodecError::Invalid("topk: keys not ascending"));
             }
             last = Some(k);
             entries.push((k, c));
@@ -475,7 +328,7 @@ impl TopKSketch {
 
 /// Encode an [`AnswerSketch`]: the inner sketch's tag discriminates the
 /// kind, so the union adds no bytes of its own.
-pub fn encode_answer_sketch(s: &AnswerSketch, w: &mut Writer) {
+pub fn encode_answer_sketch(s: &AnswerSketch, w: &mut Writer<'_>) {
     match s {
         AnswerSketch::Quantile(q) => q.encode(w),
         AnswerSketch::Distinct(d) => d.encode(w),
@@ -484,32 +337,30 @@ pub fn encode_answer_sketch(s: &AnswerSketch, w: &mut Writer) {
 }
 
 /// Decode an [`AnswerSketch`] by peeking the kind tag.
-pub fn decode_answer_sketch(r: &mut Reader<'_>) -> Result<AnswerSketch, DecodeError> {
+pub fn decode_answer_sketch(r: &mut Reader<'_>) -> Result<AnswerSketch, CodecError> {
     match r.peek_u8()? {
         tags::QUANTILE => Ok(AnswerSketch::Quantile(QuantileSketch::decode(r)?)),
         tags::DISTINCT => Ok(AnswerSketch::Distinct(DistinctSketch::decode(r)?)),
         tags::TOPK => Ok(AnswerSketch::TopK(TopKSketch::decode(r)?)),
-        found => Err(DecodeError::WrongTag {
-            expected: tags::QUANTILE,
-            found,
-        }),
+        tag => {
+            let what = "answer sketch";
+            Err(CodecError::BadTag { what, tag })
+        }
     }
 }
 
 /// [`AnswerSketch`] to standalone bytes (persistence blobs, wire frames).
 pub fn answer_sketch_to_bytes(s: &AnswerSketch) -> Vec<u8> {
-    let mut w = Writer::new();
-    encode_answer_sketch(s, &mut w);
-    w.into_bytes()
+    let mut bytes = Vec::new();
+    encode_answer_sketch(s, &mut Writer::new(&mut bytes));
+    bytes
 }
 
 /// [`AnswerSketch`] from standalone bytes, requiring full consumption.
-pub fn answer_sketch_from_bytes(bytes: &[u8]) -> Result<AnswerSketch, DecodeError> {
+pub fn answer_sketch_from_bytes(bytes: &[u8]) -> Result<AnswerSketch, CodecError> {
     let mut r = Reader::new(bytes);
     let s = decode_answer_sketch(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(DecodeError::Corrupt("answer sketch: trailing bytes"));
-    }
+    r.finish("answer sketch: trailing bytes")?;
     Ok(s)
 }
 
@@ -519,13 +370,18 @@ mod tests {
     use crate::hash::hash_u64;
     use crate::heavy_hitter::HeavyHitters;
 
+    /// The bytes `encode` writes.
+    fn encoded(encode: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode(&mut Writer::new(&mut bytes));
+        bytes
+    }
+
     #[test]
     fn histogram_roundtrip_preserves_selectivity() {
         let values: Vec<f64> = (0..500).map(|i| f64::from(i % 37)).collect();
         let h = EquiDepthHistogram::from_values(&values, 10);
-        let mut w = Writer::new();
-        h.encode(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = encoded(|w| h.encode(w));
         let d = EquiDepthHistogram::decode(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(d, h);
         for probe in [(0.0, 10.0), (5.0, 5.0), (-3.0, 100.0)] {
@@ -539,9 +395,7 @@ mod tests {
     #[test]
     fn akmv_roundtrip() {
         let a = Akmv::from_hashes((0..1000u64).map(hash_u64), 64);
-        let mut w = Writer::new();
-        a.encode(&mut w);
-        let d = Akmv::decode(&mut Reader::new(&w.into_bytes())).unwrap();
+        let d = Akmv::decode(&mut Reader::new(&encoded(|w| a.encode(w)))).unwrap();
         assert_eq!(d.distinct_estimate(), a.distinct_estimate());
         assert_eq!(d.rows(), a.rows());
         assert_eq!(d.freq_stats(), a.freq_stats());
@@ -554,9 +408,8 @@ mod tests {
         keys.extend(3000..3600u64);
         let s = HeavyHitters::from_keys(keys);
         let hh = s.heavy_hitters();
-        let mut w = Writer::new();
-        encode_heavy_hitters(&hh, s.rows(), &mut w);
-        let (d, rows) = decode_heavy_hitters(&mut Reader::new(&w.into_bytes())).unwrap();
+        let bytes = encoded(|w| encode_heavy_hitters(&hh, s.rows(), w));
+        let (d, rows) = decode_heavy_hitters(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(d, hh);
         assert_eq!(rows, s.rows());
     }
@@ -564,9 +417,7 @@ mod tests {
     #[test]
     fn exact_dict_roundtrip() {
         let e = ExactDict::build([5u64, 5, 7, 9, 9, 9], 16).unwrap();
-        let mut w = Writer::new();
-        e.encode(&mut w);
-        let d = ExactDict::decode(&mut Reader::new(&w.into_bytes())).unwrap();
+        let d = ExactDict::decode(&mut Reader::new(&encoded(|w| e.encode(w)))).unwrap();
         assert_eq!(d.rows(), e.rows());
         assert_eq!(d.distinct(), e.distinct());
         assert_eq!(d.frequency(9), e.frequency(9));
@@ -575,30 +426,65 @@ mod tests {
     #[test]
     fn wrong_tag_is_detected() {
         let a = Akmv::from_hashes((0..10u64).map(hash_u64), 16);
-        let mut w = Writer::new();
-        a.encode(&mut w);
-        let err = EquiDepthHistogram::decode(&mut Reader::new(&w.into_bytes())).unwrap_err();
-        assert!(matches!(err, DecodeError::WrongTag { .. }));
+        let bytes = encoded(|w| a.encode(w));
+        let err = EquiDepthHistogram::decode(&mut Reader::new(&bytes)).unwrap_err();
+        let (what, tag) = ("histogram", tags::AKMV);
+        assert_eq!(err, CodecError::BadTag { what, tag });
     }
 
     #[test]
     fn truncation_is_detected() {
-        let h = EquiDepthHistogram::from_values(&[1.0, 2.0, 3.0], 2);
-        let mut w = Writer::new();
-        h.encode(&mut w);
-        let bytes = w.into_bytes();
-        for cut in [0, 1, 5, bytes.len() - 1] {
-            let err = EquiDepthHistogram::decode(&mut Reader::new(&bytes[..cut]));
-            assert!(err.is_err(), "no error at cut {cut}");
+        // Every encoding, cut at every byte offset, fails typed.
+        type Decode = fn(&mut Reader<'_>) -> Result<(), CodecError>;
+        let hist = EquiDepthHistogram::from_values(&[1.0, 2.0, 3.0, 7.5, -1.0], 3);
+        let akmv = Akmv::from_hashes((0..100u64).map(hash_u64), 16);
+        let hh = HeavyHitters::from_keys([1u64, 1, 1, 2, 3]);
+        let exact = ExactDict::build([5u64, 5, 7, 9], 16).unwrap();
+        let mut quantile = QuantileSketch::new();
+        for v in [-2.5, 0.0, 1.0, 3.0, f64::NAN, f64::INFINITY] {
+            quantile.insert(v);
+        }
+        let mut distinct = DistinctSketch::new();
+        (0..50u64).for_each(|i| distinct.insert_hash(hash_u64(i)));
+        let mut topk = TopKSketch::new();
+        for k in [4u64, 4, 9, 1] {
+            topk.insert(k);
+        }
+        let cases: [(Vec<u8>, Decode); 7] = [
+            (encoded(|w| hist.encode(w)), |r| {
+                EquiDepthHistogram::decode(r).map(drop)
+            }),
+            (encoded(|w| akmv.encode(w)), |r| Akmv::decode(r).map(drop)),
+            (
+                encoded(|w| encode_heavy_hitters(&hh.heavy_hitters(), hh.rows(), w)),
+                |r| decode_heavy_hitters(r).map(drop),
+            ),
+            (encoded(|w| exact.encode(w)), |r| {
+                ExactDict::decode(r).map(drop)
+            }),
+            (encoded(|w| quantile.encode(w)), |r| {
+                QuantileSketch::decode(r).map(drop)
+            }),
+            (encoded(|w| distinct.encode(w)), |r| {
+                DistinctSketch::decode(r).map(drop)
+            }),
+            (encoded(|w| topk.encode(w)), |r| {
+                TopKSketch::decode(r).map(drop)
+            }),
+        ];
+        for (i, (bytes, decode)) in cases.iter().enumerate() {
+            assert_eq!(decode(&mut Reader::new(bytes)), Ok(()), "encoding {i}");
+            for cut in 0..bytes.len() {
+                let err = decode(&mut Reader::new(&bytes[..cut]));
+                assert!(err.is_err(), "encoding {i}: no error at cut {cut}");
+            }
         }
     }
 
     #[test]
     fn corruption_is_detected() {
         let a = Akmv::from_hashes((0..100u64).map(hash_u64), 16);
-        let mut w = Writer::new();
-        a.encode(&mut w);
-        let mut bytes = w.into_bytes();
+        let mut bytes = encoded(|w| a.encode(w));
         // Zero the last entry's hash: it must now be <= its predecessor,
         // breaking the ascending-hash invariant.
         let n = bytes.len();

@@ -6,15 +6,18 @@
 //! reproduces every feature value bit-for-bit. The other sketches
 //! (histogram, AKMV, heavy hitters, exact dictionary) round-trip exactly
 //! through [`ps3_sketch::codec`] and are embedded as length-prefixed blobs
-//! of those encodings. Nothing else is stored per partition: answer
+//! of those encodings, written in place by the one byte codec
+//! ([`ps3_storage::codec`]). Nothing else is stored per partition: answer
 //! sketches are built at query time from the picked partitions' rows.
 //!
 //! Every length and shape is validated before allocation-proportional
-//! work; malformed bytes surface as [`FormatError`], never a panic.
+//! work; malformed bytes surface as [`FormatError`] (a short payload as
+//! `Truncated("stats")`), never a panic.
 
-use ps3_sketch::codec::{decode_heavy_hitters, encode_heavy_hitters, DecodeError, Reader, Writer};
+use ps3_sketch::codec::{decode_heavy_hitters, encode_heavy_hitters};
 use ps3_sketch::{Akmv, EquiDepthHistogram, ExactDict, Measures, MeasuresRaw};
-use ps3_storage::format::{Cursor, Enc, FormatError};
+use ps3_storage::codec::{decode_section, CodecError, Reader, Writer};
+use ps3_storage::format::FormatError;
 use ps3_storage::ColId;
 
 use crate::builder::TableStats;
@@ -37,39 +40,42 @@ const KNOWN_FLAGS: u8 = FLAG_MEASURES | FLAG_HISTOGRAM | FLAG_EXACT;
 pub fn encode_table_stats(stats: &TableStats) -> Vec<u8> {
     let n = stats.num_partitions();
     let num_cols = stats.feature_schema().num_cols();
-    let mut e = Enc::new();
-    e.u32(n as u32);
-    e.u32(num_cols as u32);
+    let mut bytes = Vec::new();
+    let mut w = Writer::new(&mut bytes);
+    w.u32(n as u32);
+    w.u32(num_cols as u32);
 
     for c in 0..num_cols {
         let hh = stats.global_heavy_hitters(ColId(c));
-        e.u32(hh.len() as u32);
+        w.u32(hh.len() as u32);
         for &k in hh {
-            e.u64(k);
+            w.u64(k);
         }
     }
     for c in 0..num_cols {
         for p in 0..n {
-            e.u32(stats.bitmap(ColId(c), p));
+            w.u32(stats.bitmap(ColId(c), p));
         }
     }
 
-    e.u32(stats.feature_schema().dim() as u32);
+    w.u32(stats.feature_schema().dim() as u32);
     for row in stats.static_features() {
         for &x in row {
-            e.f64(x);
+            w.f64(x);
         }
     }
 
     for p in 0..n {
         for col in stats.partition(p) {
-            encode_column_stats(&mut e, col);
+            encode_column_stats(&mut w, col).expect("sketch blobs fit a u32 length");
         }
     }
-    e.into_bytes()
+    bytes
 }
 
-fn encode_column_stats(e: &mut Enc, col: &ColumnStats) {
+/// One `(partition, column)` record; each sketch goes in place behind a
+/// back-patched `u32` length.
+fn encode_column_stats(w: &mut Writer<'_>, col: &ColumnStats) -> Result<(), CodecError> {
     let mut flags = 0u8;
     if col.measures.is_some() {
         flags |= FLAG_MEASURES;
@@ -80,150 +86,146 @@ fn encode_column_stats(e: &mut Enc, col: &ColumnStats) {
     if col.exact.is_some() {
         flags |= FLAG_EXACT;
     }
-    e.u8(flags);
-    e.u64(col.rows);
+    w.u8(flags);
+    w.u64(col.rows);
     if let Some(m) = &col.measures {
         let raw = m.raw_parts();
-        e.u64(raw.count);
-        e.f64(raw.sum);
-        e.f64(raw.sum_sq);
-        e.f64(raw.min);
-        e.f64(raw.max);
-        e.f64(raw.log_sum);
-        e.f64(raw.log_sum_sq);
-        e.f64(raw.log_min);
-        e.f64(raw.log_max);
-        e.u8(u8::from(raw.all_positive));
+        w.u64(raw.count);
+        w.f64(raw.sum);
+        w.f64(raw.sum_sq);
+        w.f64(raw.min);
+        w.f64(raw.max);
+        w.f64(raw.log_sum);
+        w.f64(raw.log_sum_sq);
+        w.f64(raw.log_min);
+        w.f64(raw.log_max);
+        w.u8(u8::from(raw.all_positive));
     }
+    const BLOB: &str = "sketch blobs cap at 4 GiB";
     if let Some(h) = &col.histogram {
-        let mut w = Writer::new();
-        h.encode(&mut w);
-        e.blob(&w.into_bytes());
+        w.blob(BLOB, |w| h.encode(w))?;
     }
-    let mut w = Writer::new();
-    col.akmv.encode(&mut w);
-    e.blob(&w.into_bytes());
-    let mut w = Writer::new();
-    encode_heavy_hitters(&col.heavy_hitters, col.rows, &mut w);
-    e.blob(&w.into_bytes());
+    w.blob(BLOB, |w| col.akmv.encode(w))?;
+    w.blob(BLOB, |w| {
+        encode_heavy_hitters(&col.heavy_hitters, col.rows, w)
+    })?;
     if let Some(x) = &col.exact {
-        let mut w = Writer::new();
-        x.encode(&mut w);
-        e.blob(&w.into_bytes());
+        w.blob(BLOB, |w| x.encode(w))?;
     }
+    Ok(())
 }
 
 /// Decode a statistics catalog from a `STATS` section payload. Rejects
 /// every malformed shape with a typed error before constructing the
 /// catalog, so [`TableStats`] accessors can never panic on thawed state.
 pub fn decode_table_stats(bytes: &[u8]) -> Result<TableStats, FormatError> {
-    let mut c = Cursor::new(bytes);
-    let n = c.u32("stats partition count")? as usize;
-    let num_cols = c.u32("stats column count")? as usize;
-    if n > MAX_PARTITIONS {
-        return Err(FormatError::Corrupt("stats partition count implausible"));
-    }
-    if num_cols > MAX_COLS {
-        return Err(FormatError::Corrupt("stats column count implausible"));
-    }
+    decode_section("stats", bytes, |r| {
+        let n = r.u32()? as usize;
+        let num_cols = r.u32()? as usize;
+        if n > MAX_PARTITIONS {
+            return Err(CodecError::Invalid("stats partition count implausible"));
+        }
+        if num_cols > MAX_COLS {
+            return Err(CodecError::Invalid("stats column count implausible"));
+        }
 
-    let mut global_hh = Vec::with_capacity(num_cols);
-    for _ in 0..num_cols {
-        let len = c.u32("stats global hh count")? as usize;
-        if len > BITMAP_BITS {
-            return Err(FormatError::Corrupt(
-                "stats global heavy-hitter list wider than bitmap",
+        let mut global_hh = Vec::with_capacity(num_cols);
+        for _ in 0..num_cols {
+            let len = r.u32()? as usize;
+            if len > BITMAP_BITS {
+                return Err(CodecError::Invalid(
+                    "stats global heavy-hitter list wider than bitmap",
+                ));
+            }
+            let mut keys = Vec::with_capacity(len);
+            for _ in 0..len {
+                keys.push(r.u64()?);
+            }
+            global_hh.push(keys);
+        }
+
+        let mut bitmaps = Vec::with_capacity(num_cols);
+        for _ in 0..num_cols {
+            let mut col_bits = Vec::with_capacity(n);
+            for _ in 0..n {
+                col_bits.push(r.u32()?);
+            }
+            bitmaps.push(col_bits);
+        }
+
+        let feature_schema = FeatureSchema::new(num_cols);
+        let dim = r.u32()? as usize;
+        if dim != feature_schema.dim() {
+            return Err(CodecError::Invalid(
+                "stats feature dimension disagrees with column count",
             ));
         }
-        let mut keys = Vec::with_capacity(len);
-        for _ in 0..len {
-            keys.push(c.u64("stats global hh key")?);
-        }
-        global_hh.push(keys);
-    }
-
-    let mut bitmaps = Vec::with_capacity(num_cols);
-    for _ in 0..num_cols {
-        let mut col_bits = Vec::with_capacity(n);
+        let mut static_features = Vec::with_capacity(n);
         for _ in 0..n {
-            col_bits.push(c.u32("stats bitmap")?);
+            let mut row = Vec::with_capacity(dim);
+            for _ in 0..dim {
+                row.push(r.f64()?);
+            }
+            static_features.push(row);
         }
-        bitmaps.push(col_bits);
-    }
 
-    let feature_schema = FeatureSchema::new(num_cols);
-    let dim = c.u32("stats feature dim")? as usize;
-    if dim != feature_schema.dim() {
-        return Err(FormatError::Corrupt(
-            "stats feature dimension disagrees with column count",
-        ));
-    }
-    let mut static_features = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut row = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            row.push(c.f64("stats static feature")?);
+        let mut partitions = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut cols = Vec::with_capacity(num_cols);
+            for _ in 0..num_cols {
+                cols.push(decode_column_stats(r)?);
+            }
+            partitions.push(cols);
         }
-        static_features.push(row);
-    }
 
-    let mut partitions = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut cols = Vec::with_capacity(num_cols);
-        for _ in 0..num_cols {
-            cols.push(decode_column_stats(&mut c)?);
-        }
-        partitions.push(cols);
-    }
-    c.finish("stats section")?;
-
-    TableStats::from_raw_parts(
-        partitions,
-        global_hh,
-        bitmaps,
-        static_features,
-        feature_schema,
-    )
-    .map_err(FormatError::Corrupt)
+        TableStats::from_raw_parts(
+            partitions,
+            global_hh,
+            bitmaps,
+            static_features,
+            feature_schema,
+        )
+        .map_err(CodecError::Invalid)
+    })
 }
 
-fn decode_column_stats(c: &mut Cursor<'_>) -> Result<ColumnStats, FormatError> {
-    let flags = c.u8("column stats flags")?;
+fn decode_column_stats(r: &mut Reader<'_>) -> Result<ColumnStats, CodecError> {
+    let flags = r.u8()?;
     if flags & !KNOWN_FLAGS != 0 {
-        return Err(FormatError::Corrupt("column stats: unknown flag bits"));
+        return Err(CodecError::Invalid("column stats: unknown flag bits"));
     }
-    let rows = c.u64("column stats rows")?;
+    let rows = r.u64()?;
     let measures = if flags & FLAG_MEASURES != 0 {
         let raw = MeasuresRaw {
-            count: c.u64("measures count")?,
-            sum: c.f64("measures sum")?,
-            sum_sq: c.f64("measures sum_sq")?,
-            min: c.f64("measures min")?,
-            max: c.f64("measures max")?,
-            log_sum: c.f64("measures log_sum")?,
-            log_sum_sq: c.f64("measures log_sum_sq")?,
-            log_min: c.f64("measures log_min")?,
-            log_max: c.f64("measures log_max")?,
-            all_positive: c.u8("measures all_positive")? != 0,
+            count: r.u64()?,
+            sum: r.f64()?,
+            sum_sq: r.f64()?,
+            min: r.f64()?,
+            max: r.f64()?,
+            log_sum: r.f64()?,
+            log_sum_sq: r.f64()?,
+            log_min: r.f64()?,
+            log_max: r.f64()?,
+            all_positive: r.u8()? != 0,
         };
         Some(Measures::from_raw_parts(raw))
     } else {
         None
     };
     let histogram = if flags & FLAG_HISTOGRAM != 0 {
-        Some(read_sketch(c, "histogram", EquiDepthHistogram::decode)?)
+        Some(r.blob(EquiDepthHistogram::decode)?)
     } else {
         None
     };
-    let akmv = read_sketch(c, "akmv", Akmv::decode)?;
-    let (heavy_hitters, hh_rows) = read_sketch(c, "heavy hitters", decode_heavy_hitters)?;
+    let akmv = r.blob(Akmv::decode)?;
+    let (heavy_hitters, hh_rows) = r.blob(decode_heavy_hitters)?;
     if hh_rows != rows {
-        return Err(FormatError::Corrupt(
+        return Err(CodecError::Invalid(
             "column stats: heavy-hitter row count disagrees",
         ));
     }
     let exact = if flags & FLAG_EXACT != 0 {
-        Some(read_sketch(c, "exact dict", ExactDict::decode)?)
+        Some(r.blob(ExactDict::decode)?)
     } else {
         None
     };
@@ -235,29 +237,6 @@ fn decode_column_stats(c: &mut Cursor<'_>) -> Result<ColumnStats, FormatError> {
         exact,
         rows,
     })
-}
-
-/// Decode one embedded sketch blob, requiring it to be fully consumed.
-fn read_sketch<T>(
-    c: &mut Cursor<'_>,
-    what: &'static str,
-    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, DecodeError>,
-) -> Result<T, FormatError> {
-    let blob = c.blob(what)?;
-    let mut r = Reader::new(blob);
-    let v = decode(&mut r).map_err(sketch_err)?;
-    if r.remaining() != 0 {
-        return Err(FormatError::Corrupt("embedded sketch has trailing bytes"));
-    }
-    Ok(v)
-}
-
-fn sketch_err(e: DecodeError) -> FormatError {
-    match e {
-        DecodeError::Truncated => FormatError::Truncated("embedded sketch"),
-        DecodeError::WrongTag { .. } => FormatError::Corrupt("embedded sketch has wrong tag"),
-        DecodeError::Corrupt(what) => FormatError::Corrupt(what),
-    }
 }
 
 #[cfg(test)]

@@ -8,12 +8,16 @@
 //! * a table abstraction over them ([`table`]),
 //! * a division of the row space into contiguous partitions ([`partition`]),
 //! * the ability to materialize different *data layouts* — the order rows
-//!   were ingested in — without changing partition boundaries ([`layout`]).
+//!   were ingested in — without changing partition boundaries ([`layout`]),
+//! * the on-disk artifact container ([`mod@format`]) and the one little-endian
+//!   byte reader/writer every artifact section and wire frame is encoded
+//!   with ([`codec`]).
 //!
 //! Everything downstream (sketches, features, the picker) treats a partition
 //! as an opaque unit that is either read entirely or not at all, exactly as
 //! the paper does.
 
+pub mod codec;
 pub mod column;
 pub mod format;
 pub mod layout;

@@ -1,0 +1,172 @@
+//! Byte identity of everything PS3 writes: a frozen artifact, the server's
+//! response / partial / error frames, and the answer-sketch encodings.
+//!
+//! Each check is the FNV-1a digest (`ps3_storage::format::fnv1a`) of bytes
+//! built from fixed inputs, recorded before the byte codecs were folded into
+//! one and asserted ever since. A digest that moves means a byte on disk or
+//! on the wire moved. (Request frames are pinned beside their encoder, by
+//! `ps3_net::proto`'s `request_wire_bytes_match_the_recorded_digest`.)
+
+use ps3::core::{AggError, ErrorEstimate, Ps3Config};
+use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
+use ps3::net::proto::{
+    encode_frame, ErrorCode, ErrorFrame, Frame, PartialFrame, ResponseFrame, WireRow,
+};
+use ps3::sketch::codec::answer_sketch_to_bytes;
+use ps3::sketch::hash::hash_u64;
+use ps3::sketch::{AnswerSketch, DistinctSketch, QuantileSketch, TopKSketch};
+use ps3::storage::format::fnv1a;
+
+/// One answer sketch of each kind, from fixed inputs that reach every field
+/// of its encoding (signed buckets, zeros, NaN and infinities for the
+/// quantile sketch; several register ranks; ascending top-k keys).
+fn sketches() -> [AnswerSketch; 3] {
+    let mut q = QuantileSketch::new();
+    for i in 0..400 {
+        q.insert(f64::from(i) * 0.75 - 120.0);
+    }
+    for v in [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e-300,
+    ] {
+        q.insert(v);
+    }
+    let mut d = DistinctSketch::new();
+    for i in 0..5_000u64 {
+        d.insert_hash(hash_u64(i % 1_700));
+    }
+    let mut t = TopKSketch::new();
+    for i in 0..300u64 {
+        t.insert(i % 23 * 1_000 + i % 3);
+    }
+    [
+        AnswerSketch::Quantile(q),
+        AnswerSketch::Distinct(d),
+        AnswerSketch::TopK(t),
+    ]
+}
+
+fn response(request_id: u64, sketch: Option<AnswerSketch>) -> ResponseFrame {
+    ResponseFrame {
+        request_id,
+        rows: vec![
+            WireRow {
+                key: vec![],
+                values: vec![1.5, f64::from_bits(0x7FF8_0000_0000_1234), -0.0],
+            },
+            WireRow {
+                key: vec![3, u64::MAX],
+                values: vec![2.0, 4.0, 8.0],
+            },
+        ],
+        partitions_read: 12,
+        picker_ms: 0.25,
+        planned_frac: 0.2,
+        exact: request_id.is_multiple_of(2),
+        error: ErrorEstimate {
+            per_agg: vec![
+                AggError {
+                    ci_half_width: 3.0,
+                    rel_err: 0.1,
+                },
+                AggError::no_signal(),
+                AggError {
+                    ci_half_width: 0.5,
+                    rel_err: 0.02,
+                },
+            ],
+            rel_err: 0.1,
+        },
+        sketch,
+    }
+}
+
+#[test]
+fn answer_sketch_bytes_match_the_recorded_digests() {
+    let digests = sketches().map(|s| fnv1a(&answer_sketch_to_bytes(&s)));
+    assert_eq!(
+        digests,
+        [
+            0x2284_2038_5EF8_36BF,
+            0x2AB1_9851_1689_C94C,
+            0xEEC9_9E55_39DA_4754,
+        ],
+        "answer-sketch bytes moved"
+    );
+}
+
+#[test]
+fn server_frame_bytes_match_the_recorded_digest() {
+    let mut frames = vec![Frame::Response(response(1, None))];
+    for (i, s) in sketches().into_iter().enumerate() {
+        frames.push(Frame::Response(response(2 + i as u64, Some(s))));
+    }
+    frames.push(Frame::Partial(PartialFrame {
+        request_id: 5,
+        seq: 2,
+        partitions_done: 6,
+        partitions_total: 8,
+        rows: vec![
+            WireRow {
+                key: vec![1],
+                values: vec![3.5, -0.0],
+            },
+            WireRow {
+                key: vec![2],
+                values: vec![f64::NAN, 4.0],
+            },
+        ],
+        rel_err: 0.125,
+    }));
+    frames.push(Frame::Partial(PartialFrame {
+        request_id: 6,
+        seq: 0,
+        partitions_done: 1,
+        partitions_total: 4,
+        rows: vec![],
+        rel_err: f64::NAN,
+    }));
+    for (i, code) in [
+        ErrorCode::QueueFull,
+        ErrorCode::Malformed,
+        ErrorCode::Internal,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        frames.push(Frame::Error(ErrorFrame {
+            request_id: 7 + i as u64,
+            code,
+            message: ["busy", "", "column 3 is not in the table's schema"][i].into(),
+        }));
+    }
+    let mut wire = Vec::new();
+    for f in &frames {
+        wire.extend(encode_frame(f).expect("encodes"));
+    }
+    assert_eq!(
+        fnv1a(&wire),
+        0x6849_4277_5331_8FE2,
+        "server frame bytes moved"
+    );
+}
+
+#[test]
+fn frozen_aria_tiny_artifact_matches_the_recorded_digest() {
+    let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny).build(5);
+    let mut cfg = Ps3Config::default().with_seed(5);
+    cfg.gbdt.n_trees = 4;
+    cfg.feature_selection = false;
+    let system = ds.train_system(cfg);
+    let dir = std::env::temp_dir().join(format!("ps3_byte_identity_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("aria_tiny.ps3");
+    system.freeze(&path).expect("freeze");
+    let bytes = std::fs::read(&path).expect("read artifact");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(fnv1a(&bytes), 0x1E2A_2FB1_EEE2_1FBB, "artifact bytes moved");
+}
