@@ -4,10 +4,13 @@
 //! Two rows land in `BENCH_micro.json` via `PS3_BENCH_TSV`:
 //!
 //! - `train/train_cold` — `Ps3System::train` from scratch on a tiny
-//!   dataset: features, normalizer, importance models, thresholds, LSS,
-//!   and the partition strata.
+//!   dataset: raw features, the normalizer fitted on them, every training
+//!   query's normalized rows gathered from the shared static table as a
+//!   pick gathers them, one full-width row set for the importance models
+//!   and LSS, thresholds, and the partition strata.
 //! - `train/retrain_warm` — `Ps3System::retrain_from` against the same
-//!   table: features recomputed, everything else reused, and the strata
+//!   table: the static table normalized once and every training query's
+//!   rows gathered from it, everything else reused, and the strata
 //!   warm-started from the previous generation's centroids (one Lloyd
 //!   sweep to confirm the fixed point instead of a cold k-means++ fit).
 //!

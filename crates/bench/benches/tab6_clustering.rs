@@ -6,9 +6,8 @@ use ps3_bench::harness::BUDGETS;
 use ps3_bench::report::{print_header, Table};
 use ps3_cluster::ClusterAlgo;
 use ps3_core::feature_selection::clustering_error;
-use ps3_core::{Ps3Config, TrainingData};
+use ps3_core::{normalize_workload, Ps3Config, TrainingData};
 use ps3_data::{DatasetConfig, DatasetKind, ScaleProfile};
-use ps3_stats::Normalizer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,13 +26,8 @@ fn main() {
     for kind in [DatasetKind::TpcDs, DatasetKind::Aria, DatasetKind::Kdd] {
         let ds = DatasetConfig::new(kind, scale).build(42);
         let td = TrainingData::compute(&ds.pt, &ds.stats, &ds.train_queries, 0);
-        let schema = *ds.stats.feature_schema();
-        // The clustering-error sweep consumes full-width rows.
-        let mut normalized: Vec<Vec<Vec<f64>>> = td.features.iter().map(|f| f.to_dense()).collect();
-        let normalizer = Normalizer::fit(schema, &normalized);
-        for m in &mut normalized {
-            normalizer.apply_matrix(m);
-        }
+        let (_, normalized) =
+            normalize_workload(&td.fit_normalizer(), &ds.pt, &ds.stats, &td.queries, 0);
         let eval_qs: Vec<usize> = (0..td.queries.len())
             .filter(|&q| !td.totals[q].is_empty())
             .take(16)

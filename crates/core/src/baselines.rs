@@ -68,22 +68,20 @@ pub struct LssModel {
 
 impl LssModel {
     /// Train the regressor and sweep strata sizes per budget on the
-    /// training set.
+    /// training set. `normalized[q]` is training query `q`'s normalized
+    /// compact feature matrix, and `rows` the workload's one full-width row
+    /// set (every normalized row expanded, query-major) for the GBDT binner.
     pub fn train(
         td: &TrainingData,
-        normalized: &[Vec<Vec<f64>>],
+        normalized: &[FeatureMatrix],
+        rows: &[Vec<f64>],
         gbdt: &GbdtParams,
         budget_fracs: &[f64],
         eval_queries: usize,
         seed: u64,
     ) -> Self {
-        let mut flat_rows: Vec<Vec<f64>> = Vec::new();
-        let mut labels: Vec<f64> = Vec::new();
-        for (m, contribs) in normalized.iter().zip(&td.contributions) {
-            flat_rows.extend(m.iter().cloned());
-            labels.extend(contribs.iter().copied());
-        }
-        let model = Gbdt::train(&flat_rows, &labels, gbdt);
+        let labels: Vec<f64> = td.contributions.iter().flatten().copied().collect();
+        let model = Gbdt::train(rows, &labels, gbdt);
 
         let n = td.num_partitions();
         let sizes = strata_size_grid(n);
@@ -95,9 +93,8 @@ impl LssModel {
         eval_qs.truncate(eval_queries.max(1));
 
         // Cache per-query predictions on the normalized rows.
-        let preds: Vec<Vec<f64>> = eval_qs
-            .iter()
-            .map(|&q| normalized[q].iter().map(|r| model.predict_row(r)).collect())
+        let preds: Vec<Vec<f64>> = (eval_qs.iter())
+            .map(|&q| predictions(&model, &normalized[q]))
             .collect();
 
         let mut strata_by_budget = Vec::with_capacity(budget_fracs.len());
@@ -157,11 +154,17 @@ impl LssModel {
         frac: f64,
         rng: &mut StdRng,
     ) -> Vec<WeightedPart> {
-        let preds: Vec<f64> = (0..normalized.num_rows())
-            .map(|p| self.model.predict_with(|f| normalized.feature(p, f)))
-            .collect();
+        let preds = predictions(&self.model, normalized);
         lss_pick(&preds, candidates, budget, self.strata_size_for(frac), rng)
     }
+}
+
+/// `model`'s prediction for every row of a normalized compact matrix, read
+/// through its column map.
+fn predictions(model: &Gbdt, normalized: &FeatureMatrix) -> Vec<f64> {
+    (0..normalized.num_rows())
+        .map(|p| model.predict_with(|f| normalized.feature(p, f)))
+        .collect()
 }
 
 /// The size grid the sweep explores, scaled to the partition count.

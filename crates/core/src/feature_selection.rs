@@ -20,11 +20,11 @@ use crate::train::TrainingData;
 
 /// Run Algorithm 3; returns the feature types to exclude from clustering.
 ///
-/// `normalized[q]` must be the normalized full-width feature matrix of
-/// training query `q` (shared with model training).
+/// `normalized[q]` must be training query `q`'s normalized compact feature
+/// matrix (shared with model training).
 pub fn select_features(
     td: &TrainingData,
-    normalized: &[Vec<Vec<f64>>],
+    normalized: &[FeatureMatrix],
     cfg: &Ps3Config,
 ) -> Vec<FeatureType> {
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0x5EED));
@@ -72,7 +72,7 @@ pub fn select_features(
 /// Memoizing clustering-error evaluator.
 struct Evaluator<'a> {
     td: &'a TrainingData,
-    normalized: &'a [Vec<Vec<f64>>],
+    normalized: &'a [FeatureMatrix],
     cfg: &'a Ps3Config,
     eval_qs: Vec<usize>,
     cache: HashMap<Vec<u8>, f64>,
@@ -81,7 +81,7 @@ struct Evaluator<'a> {
 impl<'a> Evaluator<'a> {
     fn new(
         td: &'a TrainingData,
-        normalized: &'a [Vec<Vec<f64>>],
+        normalized: &'a [FeatureMatrix],
         cfg: &'a Ps3Config,
         eval_qs: Vec<usize>,
     ) -> Self {
@@ -130,18 +130,24 @@ fn exclusion_key(excluded: &[FeatureType]) -> Vec<u8> {
 /// Clustering-only estimate error, reused by Tables 6/7.
 ///
 /// For each query and budget: filter candidates by `selectivity_upper > 0`,
-/// zero the excluded feature dims, cluster into `budget·N` clusters, read
-/// one exemplar per cluster, and score the weighted combination against the
-/// exact answer.
+/// drop the excluded feature dims, cluster `normalized[q]`'s rows into
+/// `budget·N` clusters, read one exemplar per cluster, and score the
+/// weighted combination against the exact answer.
 pub fn clustering_error(
     td: &TrainingData,
-    normalized: &[Vec<Vec<f64>>],
+    normalized: &[FeatureMatrix],
     eval_qs: &[usize],
     excluded: &[FeatureType],
     budgets: &[f64],
     cfg: &Ps3Config,
     rng: &mut StdRng,
 ) -> f64 {
+    let Some(first) = td.features.first() else {
+        return 0.0;
+    };
+    // Exclusions become a clustering-time projection (distance-identical
+    // to zeroing the dims, without copying the matrix).
+    let excluded_dims = first.schema().mask_of(excluded);
     let n_parts = td.num_partitions();
     let mut errs = Vec::with_capacity(eval_qs.len() * budgets.len());
     for &q in eval_qs {
@@ -152,21 +158,12 @@ pub fn clustering_error(
         if candidates.is_empty() {
             continue;
         }
-        // Exclusions become a clustering-time projection (distance-identical
-        // to zeroing the dims, without copying the matrix).
-        let mut excluded_dims = vec![false; feats.schema().dim()];
-        for ft in excluded {
-            for idx in feats.schema().indices_of(*ft) {
-                excluded_dims[idx] = true;
-            }
-        }
-        let rows = FeatureMatrix::from_dense(&normalized[q]);
         let truth = td.totals[q].finalize(&td.queries[q]);
         for &frac in budgets {
             let k = ((frac * n_parts as f64).round() as usize).clamp(1, candidates.len());
             let (picks, _) = cluster_select(
                 &candidates,
-                &rows,
+                &normalized[q],
                 &excluded_dims,
                 k,
                 cfg.cluster_algo,

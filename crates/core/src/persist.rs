@@ -456,12 +456,7 @@ fn decode_trained(c: &mut Reader<'_>, num_cols: usize) -> Result<TrainedPs3, Cod
     }
     // Derived, never persisted: recomputing guarantees the projection
     // always agrees with `excluded` and the schema.
-    let mut excluded_dims = vec![false; dim];
-    for ft in &excluded {
-        for i in schema.indices_of(*ft) {
-            excluded_dims[i] = true;
-        }
-    }
+    let excluded_dims = schema.mask_of(&excluded);
 
     let k = c.u32()? as usize;
     let cdim = c.u32()? as usize;

@@ -38,14 +38,14 @@ use ps3_query::{
 };
 use ps3_runtime::{CacheStats, SharedLru, ThreadPool};
 use ps3_sketch::{AnswerSketch, DistinctSketch};
-use ps3_stats::{FeatureMatrix, NormalizedStatics, QueryColumns, QueryFeatures, TableStats};
+use ps3_stats::{FeatureMatrix, NormalizedStatics, QueryColumns, TableStats};
 use ps3_storage::{PartitionedTable, Table};
 
 use crate::baselines::{random_filter_selection, random_selection, LssModel};
 use crate::config::Ps3Config;
 use crate::estimator::{estimate_from_totals, AggError, ErrorEstimate};
 use crate::picker::{PickOutcome, Picker};
-use crate::train::{TrainedPs3, TrainingData};
+use crate::train::{normalize_workload, TrainedPs3, TrainingData};
 
 /// The sampling methods compared throughout the evaluation (§5.1.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -240,37 +240,36 @@ impl Ps3System {
         cfg: Ps3Config,
     ) -> Self {
         let training = TrainingData::compute(&pt, &stats, train_queries, cfg.threads);
-        let trained = TrainedPs3::train(&training, cfg.clone());
-        // Model training consumes full-width rows.
-        let normalized: Vec<Vec<Vec<f64>>> = training
-            .features
+        let normalizer = training.fit_normalizer();
+        let (statics, normalized) =
+            normalize_workload(&normalizer, &pt, &stats, &training.queries, cfg.threads);
+        // The one full-width row set, for the GBDT binner: the k importance
+        // models and the LSS regressor all train on it.
+        let rows: Vec<Vec<f64>> = normalized
             .iter()
-            .map(|f| {
-                let mut m = f.to_dense();
-                trained.normalizer.apply_matrix(&mut m);
-                m
-            })
+            .flat_map(FeatureMatrix::to_dense)
             .collect();
+        let trained = TrainedPs3::train(&training, normalizer, &normalized, &rows, cfg.clone());
         let lss = LssModel::train(
             &training,
             &normalized,
+            &rows,
             &cfg.gbdt,
             &LSS_BUDGET_GRID,
             cfg.fs_eval_queries,
             cfg.seed,
         );
-        drop(normalized);
-        let system = Self::from_parts(pt, stats, trained, lss, Arc::new(training));
+        drop((rows, normalized));
+        let system = Self::assemble(pt, stats, trained, lss, Arc::new(training), statics);
         ps3_runtime::release_free_heap();
         system
     }
 
-    /// Assemble a system generation from already-trained parts — the one
-    /// constructor behind [`Self::train`], [`Self::retrain_from`] and the
-    /// thaw path in [`crate::persist`]. The static features are normalized
-    /// here, once; the feature LRU starts empty at the configuration's
-    /// capacity; everything else is used as given, so a system rebuilt from
-    /// its own parts answers bit-identically.
+    /// Assemble a system generation from already-trained parts — the thaw
+    /// path in [`crate::persist`] builds one this way. The static features
+    /// are normalized here, once; the feature LRU starts empty at the
+    /// configuration's capacity; everything else is used as given, so a
+    /// system rebuilt from its own parts answers bit-identically.
     pub fn from_parts(
         pt: Arc<PartitionedTable>,
         stats: Arc<TableStats>,
@@ -279,6 +278,21 @@ impl Ps3System {
         training: Arc<TrainingData>,
     ) -> Self {
         let normalized_statics = trained.normalizer.normalize_statics(&stats);
+        Self::assemble(pt, stats, trained, lss, training, normalized_statics)
+    }
+
+    /// [`Self::from_parts`] over statics already normalized through
+    /// `trained.normalizer`: [`Self::train`] and [`Self::retrain_from`]
+    /// gathered their training rows from this table, and hand it on instead
+    /// of normalizing the generation's statics a second time.
+    fn assemble(
+        pt: Arc<PartitionedTable>,
+        stats: Arc<TableStats>,
+        trained: TrainedPs3,
+        lss: LssModel,
+        training: Arc<TrainingData>,
+        normalized_statics: NormalizedStatics,
+    ) -> Self {
         let features = SharedLru::new(trained.config.feature_cache_cap);
         Self {
             pt,
@@ -305,9 +319,10 @@ impl Ps3System {
 
     /// Warm incremental retrain: derive the next-generation system for
     /// (possibly grown) `pt`/`stats` from `prev` without re-executing the
-    /// training workload or re-fitting any model. Per training query, the
-    /// feature matrix is recomputed against the *new* table and pushed
-    /// through `prev`'s normalizer; the workload-pooled rows then warm-start
+    /// training workload or re-fitting any model. The *new* table's static
+    /// features go through `prev`'s normalizer once, and every training
+    /// query's rows are gathered from them as a pick would gather them
+    /// ([`normalize_workload`]); the workload-pooled rows then warm-start
     /// the partition strata from the previous centroids
     /// ([`TrainedPs3::retrain_from`]). Everything on the query-answer path
     /// (models, thresholds, normalizer, exclusions, LSS) carries over
@@ -318,15 +333,12 @@ impl Ps3System {
         pt: Arc<PartitionedTable>,
         stats: Arc<TableStats>,
     ) -> (Self, RetrainReport) {
-        let normalized: Vec<Vec<Vec<f64>>> = ps3_runtime::fan_out(
+        let (statics, normalized) = normalize_workload(
+            &prev.trained.normalizer,
+            &pt,
+            &stats,
+            &prev.training.queries,
             prev.trained.config.threads,
-            prev.training.queries.len(),
-            |qi| {
-                let q = &prev.training.queries[qi];
-                let mut rows = QueryFeatures::compute(&stats, pt.table(), q).to_dense();
-                prev.trained.normalizer.apply_matrix(&mut rows);
-                rows
-            },
         );
         let pooled = crate::train::pooled_partition_rows(&normalized);
         let (trained, sweeps) = TrainedPs3::retrain_from(&prev.trained, &pooled);
@@ -335,7 +347,8 @@ impl Ps3System {
             partitions: pt.num_partitions() as u32,
         };
         let (lss, training) = (prev.lss.clone(), Arc::clone(&prev.training));
-        (Self::from_parts(pt, stats, trained, lss, training), report)
+        let next = Self::assemble(pt, stats, trained, lss, training, statics);
+        (next, report)
     }
 
     /// Number of partitions.

@@ -1,6 +1,12 @@
 //! Offline training (§2.3.2, §4.3): execute the training workload per
-//! partition, derive partition contributions, train the k importance models,
-//! fit the feature normalizer, and run feature selection.
+//! partition, derive partition contributions, fit the feature normalizer,
+//! train the k importance models, and run feature selection.
+//!
+//! Everything that learns reads the matrices serving reads: the normalizer
+//! is fitted on the workload's raw compact matrices, and each training
+//! query's normalized rows are gathered from the shared
+//! [`NormalizedStatics`] exactly as a pick gathers them
+//! ([`normalize_workload`]). Only the GBDT binner takes full-width rows.
 //!
 //! Training also fits [`PartitionStrata`] — a k-means clustering of the
 //! partitions' workload-pooled feature rows — and [`TrainedPs3::retrain_from`]
@@ -12,9 +18,9 @@
 
 use ps3_cluster::{kmeans_fit, kmeans_warm, KmeansFit, PointMatrix};
 use ps3_learn::{choose_thresholds, make_labels, Gbdt};
-use ps3_query::{CompiledQuery, PartialAnswer, Query};
+use ps3_query::{CompiledPredicate, CompiledQuery, PartialAnswer, Query};
 use ps3_stats::features::FeatureType;
-use ps3_stats::{Normalizer, QueryFeatures, TableStats};
+use ps3_stats::{FeatureMatrix, NormalizedStatics, Normalizer, QueryFeatures, TableStats};
 use ps3_storage::{PartitionId, PartitionedTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,6 +94,38 @@ impl TrainingData {
     pub fn num_partitions(&self) -> usize {
         self.partials.first().map_or(0, Vec::len)
     }
+
+    /// Fit the Appendix-B normalizer on the workload's raw feature matrices.
+    ///
+    /// # Panics
+    /// Panics on an empty workload.
+    pub fn fit_normalizer(&self) -> Normalizer {
+        let first = self.features.first();
+        let schema = *first.expect("need at least one training query").schema();
+        Normalizer::fit(schema, self.features.iter().map(QueryFeatures::matrix))
+    }
+}
+
+/// Normalize a workload the way serving normalizes a query: `stats`' static
+/// features through `normalizer` once, then each query's compact matrix
+/// gathered from that table by the same
+/// [`NormalizedStatics::query_columns`] + [`NormalizedStatics::gather`] a
+/// pick runs, in parallel over queries. Returns the table and
+/// `matrices[q]` for `queries[q]`.
+pub fn normalize_workload(
+    normalizer: &Normalizer,
+    pt: &PartitionedTable,
+    stats: &TableStats,
+    queries: &[Query],
+    threads: usize,
+) -> (NormalizedStatics, Vec<FeatureMatrix>) {
+    let statics = normalizer.normalize_statics(stats);
+    let matrices = ps3_runtime::fan_out(threads, queries.len(), |qi| {
+        let q = &queries[qi];
+        let pred = (q.predicate.as_ref()).map(|p| CompiledPredicate::compile(pt.table(), p));
+        statics.gather(&statics.query_columns(stats, q, pred.as_ref()))
+    });
+    (statics, matrices)
 }
 
 /// Partition contribution (§4.3): the max over groups and aggregate slots of
@@ -170,22 +208,22 @@ impl PartitionStrata {
     }
 }
 
-/// Mean-pool per-query normalized feature matrices into one row per
-/// partition — the partition's workload-averaged position in feature
-/// space, the input [`PartitionStrata`] clusters.
-pub fn pooled_partition_rows(normalized: &[Vec<Vec<f64>>]) -> Vec<Vec<f64>> {
+/// Mean-pool per-query normalized feature matrices into one full-width row
+/// per partition — the partition's workload-averaged position in feature
+/// space, the input [`PartitionStrata`] clusters. A column a query's matrix
+/// does not store is `0.0` there and is skipped: a sum that starts at
+/// `+0.0` never reads `-0.0`, so adding `+0.0` to it changes no bit.
+pub fn pooled_partition_rows(normalized: &[FeatureMatrix]) -> Vec<Vec<f64>> {
     let Some(first) = normalized.first() else {
         return Vec::new();
     };
-    let parts = first.len();
-    let dim = first.first().map_or(0, Vec::len);
     let inv = 1.0 / normalized.len() as f64;
-    (0..parts)
+    (0..first.num_rows())
         .map(|p| {
-            let mut row = vec![0.0f64; dim];
+            let mut row = vec![0.0f64; first.full_dim()];
             for m in normalized {
-                for (acc, &x) in row.iter_mut().zip(&m[p]) {
-                    *acc += x;
+                for (&c, &x) in m.cols().iter().zip(m.row(p)) {
+                    row[c] += x;
                 }
             }
             for x in &mut row {
@@ -219,30 +257,23 @@ pub struct TrainedPs3 {
 }
 
 impl TrainedPs3 {
-    /// Train the full picker from precomputed [`TrainingData`].
-    pub fn train(td: &TrainingData, config: Ps3Config) -> Self {
-        let schema = *td
-            .features
-            .first()
-            .map(|f| f.schema())
-            .expect("need at least one training query");
-
-        // Model training consumes full-width rows: expand the compact
-        // matrices once, fit the normalizer on them, normalize in place.
-        let mut normalized: Vec<Vec<Vec<f64>>> = td.features.iter().map(|f| f.to_dense()).collect();
-        let normalizer = Normalizer::fit(schema, &normalized);
-        for m in &mut normalized {
-            normalizer.apply_matrix(m);
-        }
-
+    /// Train the full picker from precomputed [`TrainingData`], the
+    /// `normalizer` fitted on it ([`TrainingData::fit_normalizer`]) and
+    /// `normalized[q]`, training query `q`'s matrix through that normalizer
+    /// ([`normalize_workload`]). `rows` is the workload's one full-width row
+    /// set — every normalized row expanded, query-major — which only the
+    /// GBDT binner reads.
+    pub fn train(
+        td: &TrainingData,
+        normalizer: Normalizer,
+        normalized: &[FeatureMatrix],
+        rows: &[Vec<f64>],
+        config: Ps3Config,
+    ) -> Self {
         // Exponentially spaced thresholds from the pooled contributions.
         let pooled: Vec<f64> = td.contributions.iter().flatten().copied().collect();
         let thresholds = choose_thresholds(&pooled, config.k_models);
 
-        let mut flat_rows: Vec<Vec<f64>> = Vec::with_capacity(pooled.len());
-        for m in &normalized {
-            flat_rows.extend(m.iter().cloned());
-        }
         let mut models = Vec::with_capacity(config.k_models);
         for (i, &t) in thresholds.iter().enumerate() {
             let mut labels: Vec<f64> = Vec::with_capacity(pooled.len());
@@ -251,22 +282,17 @@ impl TrainedPs3 {
             }
             let mut params = config.gbdt;
             params.seed = config.gbdt.seed.wrapping_add(i as u64);
-            models.push(Gbdt::train(&flat_rows, &labels, &params));
+            models.push(Gbdt::train(rows, &labels, &params));
         }
 
         let excluded = if config.feature_selection {
-            select_features(td, &normalized, &config)
+            select_features(td, normalized, &config)
         } else {
             Vec::new()
         };
-        let mut excluded_dims = vec![false; schema.dim()];
-        for ft in &excluded {
-            for i in schema.indices_of(*ft) {
-                excluded_dims[i] = true;
-            }
-        }
+        let excluded_dims = normalizer.schema().mask_of(&excluded);
 
-        let pooled_rows = pooled_partition_rows(&normalized);
+        let pooled_rows = pooled_partition_rows(normalized);
         let strata = PartitionStrata::fit(&pooled_rows, config.strata_k, config.seed);
 
         Self {

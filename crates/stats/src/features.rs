@@ -8,8 +8,10 @@
 //! At query time a mask zeroes the blocks of columns the query does not use,
 //! bitmap bits survive only for the query's group-by columns, and the four
 //! selectivity slots are filled per partition. `live_blocks` is that mask,
-//! the one column layout both the training builder ([`QueryFeatures`]) and
-//! the serving gather ([`crate::NormalizedStatics::gather`]) use.
+//! the one column layout both the raw matrix ([`QueryFeatures`], what the
+//! normalizer is fitted on) and the normalized gather
+//! ([`crate::NormalizedStatics::gather`], what training and serving read)
+//! use.
 
 use std::ops::Range;
 
@@ -264,6 +266,15 @@ impl FeatureSchema {
         (0..self.dim()).filter(|&i| self.type_of(i) == ft).collect()
     }
 
+    /// Per-dimension mask of `types`: entry `i` is true when dimension `i`
+    /// carries one of them — Algorithm 3's exclusions as the projection
+    /// clustering drops.
+    pub fn mask_of(&self, types: &[FeatureType]) -> Vec<bool> {
+        (0..self.dim())
+            .map(|i| types.contains(&self.type_of(i)))
+            .collect()
+    }
+
     /// Human-readable name of dimension `idx` given the table schema.
     pub fn name(&self, idx: usize, table: &Table) -> String {
         let sel = self.selectivity_offset();
@@ -351,7 +362,7 @@ impl FeatureMatrix {
     }
 
     /// Pack full-width rows as they are: every column stored, identity map.
-    /// The boundary for callers that hold dense rows (training, tests).
+    /// The boundary for callers that hold dense rows (tests).
     ///
     /// # Panics
     /// Panics if rows disagree on length.
@@ -411,7 +422,7 @@ impl FeatureMatrix {
         dense
     }
 
-    /// Every row expanded to the full width — what training consumes.
+    /// Every row expanded to the full width — what a GBDT's binner consumes.
     pub fn to_dense(&self) -> Vec<Vec<f64>> {
         (0..self.n).map(|p| self.dense_row(p)).collect()
     }
@@ -435,9 +446,13 @@ pub struct QueryFeatures {
 }
 
 impl QueryFeatures {
-    /// Build the raw feature matrix for `query` (§3.2) — the training
-    /// builder; serving gathers pre-normalized rows instead
-    /// ([`crate::NormalizedStatics`]):
+    /// Build the raw feature matrix for `query` (§3.2) — what the
+    /// normalizer is fitted on, and what the training workload's
+    /// `selectivity_upper` filter reads. Nothing learns from or picks on it:
+    /// training and serving both read the normalized rows
+    /// [`crate::NormalizedStatics::gather`] assembles.
+    ///
+    /// The matrix is built in two steps:
     /// * copy in only the static blocks the query's mask leaves live (the
     ///   full-width row is zero everywhere else, and a compact row simply
     ///   does not store those zeros),
@@ -494,11 +509,6 @@ impl QueryFeatures {
     pub fn selectivity_upper(&self, p: usize) -> f64 {
         self.selectivity(p)[0]
     }
-
-    /// The full-width rows (masked columns zero) — what training consumes.
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        self.matrix.to_dense()
-    }
 }
 
 #[cfg(test)]
@@ -533,7 +543,7 @@ mod tests {
         let schema = *f.schema();
         // Compact: column a's 17 scalars and the 4 selectivity slots.
         assert_eq!(f.matrix().width(), SCALARS_PER_COL + SELECTIVITY_FEATURES);
-        for row in &f.to_dense() {
+        for row in &f.matrix().to_dense() {
             let b_off = schema.col_offset(ColId(1));
             assert!(row[b_off..b_off + PER_COL].iter().all(|&x| x == 0.0));
             let g_off = schema.col_offset(ColId(2));
@@ -555,7 +565,7 @@ mod tests {
         );
         let f = QueryFeatures::compute(&stats, pt.table(), &q);
         let off = f.schema().col_offset(ColId(2)) + SCALARS_PER_COL;
-        for row in &f.to_dense() {
+        for row in &f.matrix().to_dense() {
             assert!(row[off..off + BITMAP_BITS].iter().all(|&x| x == 0.0));
             // But scalar hh/dv features of g survive (column is used).
             assert!(
@@ -567,6 +577,7 @@ mod tests {
         let q = Query::new(vec![AggExpr::count()], None, vec![ColId(2)]);
         let f = QueryFeatures::compute(&stats, pt.table(), &q);
         let any_bit = f
+            .matrix()
             .to_dense()
             .iter()
             .any(|row| row[off..off + BITMAP_BITS].iter().any(|&x| x != 0.0));
@@ -609,7 +620,7 @@ mod tests {
         assert_eq!(m.width(), SCALARS_PER_COL + PER_COL + SELECTIVITY_FEATURES);
         assert!(m.cols().windows(2).all(|w| w[0] < w[1]));
         assert_eq!(m.full_dim(), f.schema().dim());
-        let dense = f.to_dense();
+        let dense = f.matrix().to_dense();
         for (p, row) in dense.iter().enumerate() {
             for (idx, &x) in row.iter().enumerate() {
                 assert_eq!(m.feature(p, idx).to_bits(), x.to_bits());
@@ -654,6 +665,22 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&c| c == 1));
+    }
+
+    #[test]
+    fn mask_of_marks_exactly_the_indices_of_its_types() {
+        let s = FeatureSchema::new(2);
+        let types = [FeatureType::HhBitmap, FeatureType::SelMin, FeatureType::Std];
+        let mask = s.mask_of(&types);
+        assert_eq!(mask.len(), s.dim());
+        let mut expected = vec![false; s.dim()];
+        for ft in types {
+            for i in s.indices_of(ft) {
+                expected[i] = true;
+            }
+        }
+        assert_eq!(mask, expected);
+        assert!(s.mask_of(&[]).iter().all(|&m| !m));
     }
 
     #[test]

@@ -3,18 +3,21 @@
 //! root; each dimension is then divided by its average over the training set
 //! (the average is more outlier-robust than the max).
 //!
+//! [`Normalizer::fit`] reads the training workload's raw compact matrices.
 //! Only the four selectivity slots of a feature row depend on the query —
 //! 462 of a row's 466 dimensions on the 11-column Aria table are static
-//! statistics — so the serving path splits a query's normalized matrix in
-//! two. [`Normalizer::normalize_statics`] transforms every partition's
-//! static row **once per system generation** into one shared
-//! [`NormalizedStatics`] table; [`NormalizedStatics::query_columns`] keeps
-//! what a query adds — its live static blocks, its `partitions × 4`
-//! selectivity estimates normalized once, and the raw `selectivity_upper`
-//! column — and [`NormalizedStatics::gather`] assembles the compact
-//! [`FeatureMatrix`] the picker reads from the two when it picks. The
-//! gathered values are the ones [`Normalizer::apply_row`] produces on the
-//! full-width row, bit for bit.
+//! statistics — so a query's normalized matrix is built in two parts, the
+//! same way for training and serving. [`Normalizer::normalize_statics`]
+//! transforms every partition's static row **once per system generation**
+//! into one shared [`NormalizedStatics`] table;
+//! [`NormalizedStatics::query_columns`] keeps what a query adds — its live
+//! static blocks, its `partitions × 4` selectivity estimates normalized
+//! once, and the raw `selectivity_upper` column — and
+//! [`NormalizedStatics::gather`] assembles the compact [`FeatureMatrix`]
+//! from the two. That matrix is the only normalized feature matrix: a pick
+//! reads it, and so does everything that learns. The full-width transform
+//! is kept as a test reference in [`crate::oracle`]; the gathered values
+//! are the ones it produces on the full-width row, bit for bit.
 
 use ps3_query::{CompiledPredicate, Query};
 
@@ -37,7 +40,7 @@ pub struct Normalizer {
 /// The per-value transform: cube root for selectivity features, signed
 /// `ln(1+|x|)` otherwise.
 #[inline]
-fn transform(x: f64, is_selectivity: bool) -> f64 {
+pub(crate) fn transform(x: f64, is_selectivity: bool) -> f64 {
     if is_selectivity {
         x.cbrt()
     } else {
@@ -46,10 +49,18 @@ fn transform(x: f64, is_selectivity: bool) -> f64 {
 }
 
 impl Normalizer {
-    /// Fit means over a set of training feature matrices.
+    /// Fit means over a set of raw compact training feature matrices.
+    ///
+    /// Each dimension sums its stored values query-major, partition-minor —
+    /// the order a full-width pass would take. A column a matrix does not
+    /// store is `0.0` there, and would add `+0.0` to a sum of absolute
+    /// values, which changes nothing; the row count includes every row.
+    ///
+    /// # Panics
+    /// Panics when a matrix is not a projection of `schema`'s full width.
     pub fn fit<'a>(
         schema: FeatureSchema,
-        matrices: impl IntoIterator<Item = &'a Vec<Vec<f64>>>,
+        matrices: impl IntoIterator<Item = &'a FeatureMatrix>,
     ) -> Self {
         let dim = schema.dim();
         let is_sel: Vec<bool> = (0..dim)
@@ -58,13 +69,13 @@ impl Normalizer {
         let mut sums = vec![0.0f64; dim];
         let mut n = 0usize;
         for m in matrices {
-            for row in m {
-                debug_assert_eq!(row.len(), dim);
-                for (i, &x) in row.iter().enumerate() {
+            assert_eq!(m.full_dim(), dim, "feature layout");
+            for p in 0..m.num_rows() {
+                for (&i, &x) in m.cols().iter().zip(m.row(p)) {
                     sums[i] += transform(x, is_sel[i]).abs();
                 }
-                n += 1;
             }
+            n += m.num_rows();
         }
         let means = sums
             .into_iter()
@@ -85,26 +96,6 @@ impl Normalizer {
         Self {
             means: vec![1.0; schema.dim()],
             schema,
-        }
-    }
-
-    /// Normalize one full-width feature row in place.
-    pub fn apply_row(&self, row: &mut [f64]) {
-        debug_assert_eq!(row.len(), self.schema.dim());
-        let (statics, sel) = row.split_at_mut(self.schema.selectivity_offset());
-        let (static_means, sel_means) = self.means.split_at(statics.len());
-        for (x, mean) in statics.iter_mut().zip(static_means) {
-            *x = transform(*x, false) / mean;
-        }
-        for (x, mean) in sel.iter_mut().zip(sel_means) {
-            *x = transform(*x, true) / mean;
-        }
-    }
-
-    /// Normalize a whole matrix in place.
-    pub fn apply_matrix(&self, rows: &mut [Vec<f64>]) {
-        for row in rows {
-            self.apply_row(row);
         }
     }
 
@@ -145,7 +136,7 @@ impl Normalizer {
 
     /// Rebuild a fitted normalizer from persisted parts. Fails when the
     /// mean vector does not match the schema's dimension (a corrupt
-    /// artifact), since `apply_row` indexes `means` by dimension.
+    /// artifact), since normalizing indexes `means` by dimension.
     pub fn from_raw_parts(schema: FeatureSchema, means: Vec<f64>) -> Result<Self, &'static str> {
         if means.len() != schema.dim() {
             return Err("normalizer mean vector does not match feature dimension");
@@ -257,6 +248,7 @@ impl NormalizedStatics {
 mod tests {
     use super::*;
     use crate::features::SELECTIVITY_FEATURES;
+    use crate::oracle::apply_row;
 
     fn tiny_schema() -> FeatureSchema {
         FeatureSchema::new(1)
@@ -279,20 +271,35 @@ mod tests {
         for (i, row) in m.iter_mut().enumerate() {
             row[0] = (i + 1) as f64;
         }
-        let norm = Normalizer::fit(schema, [&m]);
-        let mut m2 = m.clone();
-        norm.apply_matrix(&mut m2);
-        let avg: f64 = m2.iter().map(|r| r[0]).sum::<f64>() / 4.0;
+        let norm = Normalizer::fit(schema, [&FeatureMatrix::from_dense(&m)]);
+        for row in &mut m {
+            apply_row(&norm, row);
+        }
+        let avg: f64 = m.iter().map(|r| r[0]).sum::<f64>() / 4.0;
         assert!((avg - 1.0).abs() < 1e-9, "avg {avg}");
+    }
+
+    #[test]
+    fn unstored_columns_count_as_zero_rows() {
+        // One matrix stores dimension 0 only, the other every dimension:
+        // the fitted mean divides by all six rows.
+        let schema = tiny_schema();
+        let dim = schema.dim();
+        let narrow = FeatureMatrix::new(vec![0], dim, 2, vec![1.0, 3.0]);
+        let wide = FeatureMatrix::from_dense(&vec![vec![0.0; dim]; 4]);
+        let norm = Normalizer::fit(schema, [&narrow, &wide]);
+        let expected = (transform(1.0, false) + transform(3.0, false)) / 6.0;
+        assert_eq!(norm.means()[0], expected);
+        assert!(norm.means()[1..].iter().all(|&m| m == 1.0));
     }
 
     #[test]
     fn zero_dimensions_pass_through() {
         let schema = tiny_schema();
-        let m = vec![vec![0.0; schema.dim()]; 3];
+        let m = FeatureMatrix::from_dense(&vec![vec![0.0; schema.dim()]; 3]);
         let norm = Normalizer::fit(schema, [&m]);
         let mut row = vec![0.0; schema.dim()];
-        norm.apply_row(&mut row);
+        apply_row(&norm, &mut row);
         assert!(row.iter().all(|&x| x == 0.0));
     }
 
@@ -303,7 +310,7 @@ mod tests {
         let mut row = vec![0.0; schema.dim()];
         let sel = schema.selectivity_offset();
         row[sel] = 0.001;
-        norm.apply_row(&mut row);
+        apply_row(&norm, &mut row);
         assert!((row[sel] - 0.1).abs() < 1e-12);
         assert_eq!(sel + SELECTIVITY_FEATURES, schema.dim());
     }
@@ -313,7 +320,7 @@ mod tests {
         let schema = tiny_schema();
         let norm = Normalizer::identity(schema);
         let mut row = vec![1.0; schema.dim()];
-        norm.apply_row(&mut row);
+        apply_row(&norm, &mut row);
         // ln(2) for non-selectivity dims.
         assert!((row[0] - std::f64::consts::LN_2).abs() < 1e-12);
     }

@@ -1,13 +1,20 @@
-//! The recursive selectivity evaluator, kept as the oracle the property
-//! tests hold [`SelectivityPlan`](crate::selectivity::SelectivityPlan) to,
+//! Reference implementations the property tests hold the shipped code to,
 //! bit for bit.
 //!
-//! This is the tree walk the plan replaced, unchanged: it re-groups an
-//! AND's same-column comparisons and allocates its child and clause lists
-//! on every partition. It shares only the per-clause sketch probes
-//! (interval, `<>` and membership) with the plan; what the plan rewrote —
-//! the grouping, the visiting order and every fold — is written out here
-//! independently.
+//! * The recursive selectivity evaluator, the oracle for
+//!   [`SelectivityPlan`](crate::selectivity::SelectivityPlan). This is the
+//!   tree walk the plan replaced, unchanged: it re-groups an AND's
+//!   same-column comparisons and allocates its child and clause lists on
+//!   every partition. It shares only the per-clause sketch probes
+//!   (interval, `<>` and membership) with the plan; what the plan rewrote
+//!   — the grouping, the visiting order and every fold — is written out
+//!   here independently.
+//! * The full-width Appendix-B normalizer, the oracle for
+//!   [`Normalizer::fit`] on compact matrices and for the rows
+//!   [`NormalizedStatics::gather`](crate::NormalizedStatics::gather)
+//!   assembles: [`fit_normalizer`] sums every dimension of every dense row,
+//!   zeros included, and [`apply_row`] transforms and divides one dense
+//!   row. It shares only the per-value transform with the shipped code.
 //!
 //! This module is `#[doc(hidden)]` public so integration tests can reach
 //! it; it is not part of the crate's API.
@@ -16,6 +23,8 @@ use ps3_query::{CmpOp, CompiledPredicate};
 use ps3_storage::ColId;
 
 use crate::column_stats::ColumnStats;
+use crate::features::FeatureSchema;
+use crate::normalize::{transform, Normalizer};
 use crate::selectivity::{
     effective_op, in_selectivity, interval_selectivity, ne_selectivity, Interval,
     SelectivityFeatures,
@@ -137,5 +146,51 @@ pub fn selectivity_features_compiled(
         indep: indep.clamp(0.0, 1.0),
         min: if clause_ests.is_empty() { 1.0 } else { min },
         max: if clause_ests.is_empty() { 1.0 } else { max },
+    }
+}
+
+/// Fit a [`Normalizer`] on full-width rows: per dimension, the mean over
+/// every row of every matrix of the transformed value's magnitude, `1.0`
+/// where that mean is below `1e-12`.
+pub fn fit_normalizer(schema: FeatureSchema, matrices: &[Vec<Vec<f64>>]) -> Normalizer {
+    let dim = schema.dim();
+    let mut sums = vec![0.0f64; dim];
+    let mut n = 0usize;
+    for m in matrices {
+        for row in m {
+            assert_eq!(row.len(), dim, "feature layout");
+            for (i, &x) in row.iter().enumerate() {
+                sums[i] += transform(x, schema.type_of(i).is_selectivity()).abs();
+            }
+            n += 1;
+        }
+    }
+    let means = sums
+        .into_iter()
+        .map(|s| {
+            let mean = if n > 0 { s / n as f64 } else { 0.0 };
+            if mean.abs() < 1e-12 {
+                1.0
+            } else {
+                mean
+            }
+        })
+        .collect();
+    Normalizer::from_raw_parts(schema, means).expect("one mean per dimension")
+}
+
+/// Normalize one full-width feature row in place.
+pub fn apply_row(norm: &Normalizer, row: &mut [f64]) {
+    let schema = norm.schema();
+    assert_eq!(row.len(), schema.dim(), "feature layout");
+    for (i, (x, mean)) in row.iter_mut().zip(norm.means()).enumerate() {
+        *x = transform(*x, schema.type_of(i).is_selectivity()) / mean;
+    }
+}
+
+/// Normalize every full-width row of a matrix in place.
+pub fn apply_matrix(norm: &Normalizer, rows: &mut [Vec<f64>]) {
+    for row in rows {
+        apply_row(norm, row);
     }
 }

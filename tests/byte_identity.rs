@@ -5,9 +5,13 @@
 //! built from fixed inputs, recorded before the byte codecs were folded into
 //! one and asserted ever since. A digest that moves means a byte on disk or
 //! on the wire moved. (Request frames are pinned beside their encoder, by
-//! `ps3_net::proto`'s `request_wire_bytes_match_the_recorded_digest`.)
+//! `ps3_net::proto`'s `request_wire_bytes_match_the_recorded_digest`.) The
+//! feature-selection and warm-retrain artifacts were recorded before
+//! training moved onto the compact normalized matrices serving gathers.
 
-use ps3::core::{AggError, ErrorEstimate, Ps3Config};
+use std::sync::Arc;
+
+use ps3::core::{AggError, ErrorEstimate, Ps3Config, Ps3System};
 use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3::net::proto::{
     encode_frame, ErrorCode, ErrorFrame, Frame, PartialFrame, ResponseFrame, WireRow,
@@ -155,18 +159,66 @@ fn server_frame_bytes_match_the_recorded_digest() {
     );
 }
 
-#[test]
-fn frozen_aria_tiny_artifact_matches_the_recorded_digest() {
+/// The digest of `system` frozen to a fresh temporary file named `name`.
+fn artifact_digest(system: &Ps3System, name: &str) -> u64 {
+    let dir = std::env::temp_dir().join(format!("ps3_byte_identity_{}_{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("{name}.ps3"));
+    system.freeze(&path).expect("freeze");
+    let bytes = std::fs::read(&path).expect("read artifact");
+    std::fs::remove_dir_all(&dir).ok();
+    fnv1a(&bytes)
+}
+
+/// Aria Tiny, trained cold with four trees and Algorithm 3 off.
+fn aria_tiny_system() -> Ps3System {
     let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny).build(5);
     let mut cfg = Ps3Config::default().with_seed(5);
     cfg.gbdt.n_trees = 4;
     cfg.feature_selection = false;
+    ds.train_system(cfg)
+}
+
+#[test]
+fn frozen_aria_tiny_artifact_matches_the_recorded_digest() {
+    let digest = artifact_digest(&aria_tiny_system(), "aria_tiny");
+    assert_eq!(digest, 0x1E2A_2FB1_EEE2_1FBB, "artifact bytes moved");
+}
+
+/// Algorithm 3 on: the artifact carries feature exclusions, and every
+/// learned section (normalizer means, forests, strata, LSS strata sizes)
+/// was trained on a workload whose clustering error it evaluated.
+#[test]
+fn frozen_tpch_tiny_artifact_with_feature_selection_matches_the_recorded_digest() {
+    let ds = DatasetConfig::new(DatasetKind::TpcH, ScaleProfile::Tiny).build(11);
+    let mut cfg = Ps3Config::default().with_seed(11);
+    cfg.gbdt.n_trees = 4;
+    cfg.feature_selection = true;
     let system = ds.train_system(cfg);
-    let dir = std::env::temp_dir().join(format!("ps3_byte_identity_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("aria_tiny.ps3");
-    system.freeze(&path).expect("freeze");
-    let bytes = std::fs::read(&path).expect("read artifact");
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(fnv1a(&bytes), 0x1E2A_2FB1_EEE2_1FBB, "artifact bytes moved");
+    assert!(
+        !system.trained.excluded.is_empty(),
+        "fixture must exercise the exclusions"
+    );
+    let digest = artifact_digest(&system, "tpch_tiny_fs");
+    assert_eq!(digest, 0xB1DE_BD1A_0672_4380, "artifact bytes moved");
+}
+
+/// A warm retrain onto another Aria Tiny draw: the workload's feature rows
+/// are recomputed on the new table through the previous normalizer, and
+/// the strata are refitted on them from the previous centroids; everything
+/// else carries over. (On the unchanged table the warm artifact is the cold
+/// one, byte for byte.)
+#[test]
+fn warm_retrained_aria_tiny_artifact_matches_the_recorded_digest() {
+    let system = aria_tiny_system();
+    let (same, _) =
+        Ps3System::retrain_from(&system, Arc::clone(&system.pt), Arc::clone(&system.stats));
+    assert_eq!(
+        artifact_digest(&same, "aria_tiny_same"),
+        0x1E2A_2FB1_EEE2_1FBB
+    );
+    let next = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny).build(6);
+    let (warm, _) = Ps3System::retrain_from(&system, next.pt, next.stats);
+    let digest = artifact_digest(&warm, "aria_tiny_warm");
+    assert_eq!(digest, 0x0A74_9ED9_AE3B_9F72, "artifact bytes moved");
 }

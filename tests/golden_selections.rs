@@ -9,7 +9,9 @@
 //! pattern in selection order (plus, for answers, the sorted group values and
 //! the error estimate). Tiny tables have 64 partitions; a third digest,
 //! recorded when k-means became exact Lloyd at every size, covers picks that
-//! cluster a whole 512-partition table.
+//! cluster a whole 512-partition table. Under `PS3_STRICT_KERNELS=1` every
+//! k-means here — the picks, and the TPC-H fixture's Algorithm-3 evaluation
+//! during training — re-runs its scalar oracle.
 
 use ps3::core::{Method, Ps3Config, Ps3System};
 use ps3::data::{Dataset, DatasetConfig, DatasetKind, ScaleProfile};

@@ -14,7 +14,9 @@
 //! * The compact feature matrix is the full-width masked matrix, bit for
 //!   bit: expanded, gathered from the shared pre-normalized statics and a
 //!   query's own columns, and as the importance models read it through the
-//!   column map (`-0.0` and NaN statistics included).
+//!   column map (`-0.0` and NaN statistics included). The normalizer fitted
+//!   on compact matrices is the one fitted on the expanded rows
+//!   (`ps3_stats::oracle` keeps the full-width transform and fit).
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -338,7 +340,7 @@ proptest! {
         let query = shaped_query(shape, filtered.then_some(pred));
         let reference = reference_dense_features(&stats, &pt, &query);
         let features = QueryFeatures::compute(&stats, pt.table(), &query);
-        prop_assert_eq!(bits(&features.to_dense()), bits(&reference));
+        prop_assert_eq!(bits(&features.matrix().to_dense()), bits(&reference));
         let m = features.matrix();
         prop_assert!(m.width() < m.full_dim());
         for (p, row) in reference.iter().enumerate() {
@@ -349,11 +351,11 @@ proptest! {
         }
     }
 
-    /// The rows a pick gathers — the shared pre-normalized static table
-    /// plus the selectivity block a cache entry holds — are what the
-    /// training path computes: `QueryFeatures::compute`, expanded, through
-    /// `Normalizer::apply_matrix`; and the entry's raw upper bounds are the
-    /// computed ones.
+    /// The rows a pick (and training) gathers — the shared pre-normalized
+    /// static table plus the selectivity block a cache entry holds — are
+    /// the full-width reference: `QueryFeatures::compute`, expanded,
+    /// through the oracle's `apply_matrix`; and the entry's raw upper
+    /// bounds are the computed ones.
     #[test]
     fn gathered_prenormalized_rows_equal_apply_row_on_the_dense_row(
         pt in arb_table(),
@@ -368,8 +370,8 @@ proptest! {
         let normalizer = Normalizer::from_raw_parts(*stats.feature_schema(), means)
             .expect("one mean per dimension");
         let raw = QueryFeatures::compute(&stats, pt.table(), &query);
-        let mut reference = raw.to_dense();
-        normalizer.apply_matrix(&mut reference);
+        let mut reference = raw.matrix().to_dense();
+        oracle::apply_matrix(&normalizer, &mut reference);
 
         let statics = normalizer.normalize_statics(&stats);
         let compiled = CompiledQuery::compile(pt.table(), &query);
@@ -378,6 +380,31 @@ proptest! {
         prop_assert_eq!(bits(&gathered.to_dense()), bits(&reference));
         let uppers: Vec<u64> = (0..raw.num_partitions()).map(|p| raw.selectivity_upper(p).to_bits()).collect();
         prop_assert_eq!(entry.upper().iter().map(|u| u.to_bits()).collect::<Vec<_>>(), uppers);
+    }
+
+    /// `Normalizer::fit` over a workload's raw compact matrices — queries of
+    /// every shape, so each masks different columns — fits the means the
+    /// dense reference fits on the expanded rows, bit for bit, over stats
+    /// holding ±0.0, NaN and negated values.
+    #[test]
+    fn compact_normalizer_fit_equals_the_dense_reference_fit(
+        pt in arb_table(),
+        preds in prop::collection::vec((arb_predicate(), any::<bool>(), 0u8..4), 1..6),
+        salt in 0usize..11,
+    ) {
+        let stats = poisoned(&TableStats::build(&pt, &StatsConfig::default()), salt);
+        let schema = *stats.feature_schema();
+        let workload: Vec<QueryFeatures> = (preds.into_iter())
+            .map(|(pred, filtered, shape)| {
+                let query = shaped_query(shape, filtered.then_some(pred));
+                QueryFeatures::compute(&stats, pt.table(), &query)
+            })
+            .collect();
+        let compact = Normalizer::fit(schema, workload.iter().map(QueryFeatures::matrix));
+        let dense: Vec<Vec<Vec<f64>>> = workload.iter().map(|f| f.matrix().to_dense()).collect();
+        let reference = oracle::fit_normalizer(schema, &dense);
+        let mean_bits = |n: &Normalizer| n.means().iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(mean_bits(&compact), mean_bits(&reference));
     }
 }
 
@@ -397,12 +424,12 @@ proptest! {
         // Train on the widest shape so splits land on columns the narrower
         // shapes mask out.
         let wide = QueryFeatures::compute(&stats, pt.table(), &shaped_query(3, Some(pred.clone())));
-        let data = wide.to_dense();
+        let data = wide.matrix().to_dense();
         let labels: Vec<f64> = (0..data.len()).map(|p| wide.selectivity_upper(p) - 0.3).collect();
         let params = ps3::learn::GbdtParams { n_trees: 6, colsample: 1.0, seed, ..Default::default() };
         let model = ps3::learn::Gbdt::train(&data, &labels, &params);
         let features = QueryFeatures::compute(&stats, pt.table(), &shaped_query(shape, Some(pred)));
-        let (m, dense) = (features.matrix(), features.to_dense());
+        let (m, dense) = (features.matrix(), features.matrix().to_dense());
         for (p, row) in dense.iter().enumerate() {
             prop_assert_eq!(
                 model.predict_with(|f| m.feature(p, f)).to_bits(),
