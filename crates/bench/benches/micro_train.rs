@@ -7,12 +7,10 @@
 //!   dataset: raw features, the normalizer fitted on them, every training
 //!   query's normalized rows gathered from the shared static table as a
 //!   pick gathers them, one full-width row set for the importance models
-//!   and LSS, thresholds, and the partition strata.
+//!   and LSS, and thresholds.
 //! - `train/retrain_warm` — `Ps3System::retrain_from` against the same
-//!   table: the static table normalized once and every training query's
-//!   rows gathered from it, everything else reused, and the strata
-//!   warm-started from the previous generation's centroids (one Lloyd
-//!   sweep to confirm the fixed point instead of a cold k-means++ fit).
+//!   table: the static table normalized once through the previous
+//!   normalizer, every learned part reused, nothing gathered or fitted.
 //!
 //! The perf gate asserts `retrain_warm` stays an order of magnitude under
 //! `train_cold` — the whole point of the incremental path.

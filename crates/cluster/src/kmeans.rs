@@ -1,37 +1,28 @@
 //! Lloyd's k-means with k-means++ seeding, on the blocked kernels of
-//! [`crate::simd`], plus the warm-started refits the retrain path uses.
+//! [`crate::simd`]: the per-query clustering the picker runs (§4.2).
 //!
-//! Two entry points:
-//!
-//! * [`kmeans`] / [`kmeans_fit`] — exact Lloyd, bounded: a sweep evaluates a
-//!   point-to-centroid distance only when the bounds [`SweepState`] carries
-//!   cannot prove that centroid strictly farther than the row's nearest
-//!   (Elkan's triangle-inequality pruning). k-means++ seeding is pruned the
-//!   same way: a row's distance to a new seed is evaluated only when the
-//!   seed-to-seed distances cannot prove it farther than the row's nearest
-//!   seed so far (about 45% of the n·k at the picker's shapes). Seeding
-//!   hands Lloyd the full scan's assignment and bounds, so the first sweep
-//!   evaluates nothing at all. Bit-identical to
-//!   [`crate::oracle::kmeans_fit`], which evaluates every distance on every
-//!   sweep, *because* a skipped evaluation is one whose result is proven:
-//!   same distance definition for the ones that are made, same strict-`<`
-//!   argmin over them, same accumulation order over every row, same RNG
-//!   draw sequence. Set `PS3_STRICT_KERNELS=1` to assert that equality on
-//!   every call. Costs an n × k `f64` bound matrix per fit (209 KB at
-//!   512 × 51).
-//! * [`kmeans_warm`] — the same Lloyd loop warm-started from
-//!   caller-provided centroids (the previous generation's, in the retrain
-//!   path): its first sweep is a full scan that fills the bounds. On
-//!   unchanged data a converged warm start reproduces the previous
-//!   assignment and centroids bit-identically in one assign sweep.
+//! [`kmeans`] / [`kmeans_fit`] are exact Lloyd, bounded: a sweep evaluates a
+//! point-to-centroid distance only when the bounds [`SweepState`] carries
+//! cannot prove that centroid strictly farther than the row's nearest
+//! (Elkan's triangle-inequality pruning). k-means++ seeding is pruned the
+//! same way: a row's distance to a new seed is evaluated only when the
+//! seed-to-seed distances cannot prove it farther than the row's nearest
+//! seed so far (about 45% of the n·k at the picker's shapes). Seeding hands
+//! Lloyd the full scan's assignment and bounds, so the first sweep
+//! evaluates nothing at all. Bit-identical to [`crate::oracle::kmeans_fit`],
+//! which evaluates every distance on every sweep, *because* a skipped
+//! evaluation is one whose result is proven: same distance definition for
+//! the ones that are made, same strict-`<` argmin over them, same
+//! accumulation order over every row, same RNG draw sequence. Set
+//! `PS3_STRICT_KERNELS=1` to assert that equality on every call. Costs an
+//! n × k `f64` bound matrix per fit (209 KB at 512 × 51).
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::simd::{self, dist_sq, PointMatrix, SeedBounds, SweepState};
 
-/// A fitted k-means model: the full output the retrain path needs
-/// (clusters alone lose the centroids a warm start resumes from).
+/// A fitted k-means model: centroids, assignment and how the run went.
 #[derive(Debug, Clone)]
 pub struct KmeansFit {
     /// Final centroids, one row per cluster (empty clusters keep their
@@ -168,24 +159,6 @@ fn seed(points: &PointMatrix, k: usize, rng: &mut StdRng) -> (PointMatrix, Sweep
     (seeds, SweepState::seeded(bounds, dim))
 }
 
-/// Lloyd warm-started from `init` centroids (typically the previous
-/// generation's): assign, update, repeat until stable or `max_iter`. No RNG
-/// is involved — the only stochastic part of exact k-means is seeding, and
-/// a warm start replaces it.
-///
-/// # Panics
-/// Panics when `init` is empty, `points` is empty, or dimensions disagree.
-pub fn kmeans_warm(points: &PointMatrix, init: &[Vec<f64>], max_iter: usize) -> KmeansFit {
-    assert!(!init.is_empty() && points.n() > 0);
-    assert_eq!(
-        points.dim(),
-        init[0].len(),
-        "warm-start centroid dimension mismatch"
-    );
-    let state = SweepState::blank(points.n(), init.len(), points.dim());
-    lloyd(points, PointMatrix::from_rows(init), state, max_iter).0
-}
-
 /// The one Lloyd loop: bounded assign+update sweeps with the deterministic
 /// empty-cluster reseed rule, returning the fit and its `dist_sq` count.
 /// The spec (mirrored, without bounds, by the oracle):
@@ -309,27 +282,6 @@ mod tests {
         assert_eq!(fit.centroids.len(), 2);
         assert_eq!(fit.assignment.len(), 20);
         assert_eq!(fit.clusters().len(), 2);
-    }
-
-    #[test]
-    fn warm_start_on_converged_centroids_is_a_fixed_point() {
-        let pts: Vec<Vec<f64>> = (0..24)
-            .map(|i| vec![f64::from(i / 8) * 50.0 + f64::from(i % 8) * 0.1, 1.0])
-            .collect();
-        let mut rng = StdRng::seed_from_u64(7);
-        let cold = kmeans_fit(&PointMatrix::from_rows(&pts), 3, &mut rng, 100);
-        assert!(cold.converged);
-        let warm = kmeans_warm(&PointMatrix::from_rows(&pts), &cold.centroids, 100);
-        assert_eq!(warm.assignment, cold.assignment);
-        assert_eq!(
-            centroid_bits(&warm.centroids),
-            centroid_bits(&cold.centroids)
-        );
-        assert!(
-            warm.sweeps <= 2,
-            "a converged warm start must settle in ≤2 sweeps, took {}",
-            warm.sweeps
-        );
     }
 
     /// `blobs` noisy clumps in `dim` columns — the shape the picker's group

@@ -27,7 +27,7 @@ pub mod simd;
 
 pub use exemplar::{median_exemplar, random_exemplar};
 pub use hac::{hac, Linkage};
-pub use kmeans::{kmeans, kmeans_fit, kmeans_fit_counted, kmeans_warm, KmeansFit};
+pub use kmeans::{kmeans, kmeans_fit, kmeans_fit_counted, KmeansFit};
 pub use simd::PointMatrix;
 
 use rand::rngs::StdRng;

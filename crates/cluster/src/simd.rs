@@ -399,7 +399,8 @@ pub struct SweepState {
 
 impl SweepState {
     /// State that knows nothing: the first sweep evaluates all n·k
-    /// distances and fills the bounds from them (a warm start).
+    /// distances and fills the bounds from them. No fit starts here (every
+    /// fit is seeded); it is the unpruned sweep, for benches and tests.
     pub fn blank(n: usize, k: usize, dim: usize) -> Self {
         let (assignment, upper) = (vec![0; n], vec![f64::INFINITY; n]);
         Self::new(assignment, upper, vec![0.0; n * k], k, dim, false)

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ps3_cluster::{cluster, kmeans_fit, kmeans_warm, oracle, simd, ClusterAlgo, PointMatrix};
+use ps3_cluster::{cluster, kmeans_fit, oracle, simd, ClusterAlgo, PointMatrix};
 
 /// Interesting doubles: ordinary values (repeated arms skew the draw
 /// toward them), denormal-scale, huge-scale, signed zeros, and NaN.
@@ -304,36 +304,6 @@ proptest! {
         fit_matches_oracle(&rows, if keep_nan { 1 } else { k }, seed, max_iter)?;
     }
 
-    /// A warm start is the same loop with blank bounds: stopped after
-    /// `head` sweeps and resumed from those centroids, Lloyd walks the same
-    /// centroid trajectory, so it must land on the cold run's fixed point —
-    /// which the oracle supplies — bit for bit.
-    #[test]
-    fn warm_restart_lands_on_the_cold_fixed_point(
-        n in 8usize..200,
-        k in 1usize..24,
-        dim in 1usize..6,
-        head in 1usize..4,
-        seed in 0u64..1000,
-    ) {
-        let k = k.min(n);
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                (0..dim)
-                    .map(|d| f64::from(((i * 37 + d * 11) % 29) as u32) * 0.3 + f64::from((i % 5) as u32) * 20.0)
-                    .collect()
-            })
-            .collect();
-        let m = PointMatrix::from_rows(&rows);
-        let cold = oracle::kmeans_fit(&rows, k, &mut StdRng::seed_from_u64(seed), 60);
-        let stopped = kmeans_fit(&m, k, &mut StdRng::seed_from_u64(seed), head);
-        let warm = kmeans_warm(&m, &stopped.centroids, 60);
-        if cold.converged {
-            prop_assert!(warm.converged);
-            prop_assert_eq!(&warm.assignment, &cold.assignment);
-            prop_assert_eq!(bits(&warm.centroids), bits(&cold.centroids));
-        }
-    }
 }
 
 /// Every point of the `side`^`dim` grid with spacing `step`: whichever two

@@ -45,10 +45,6 @@ pub struct Ps3Config {
     pub fs_eval_queries: usize,
     /// Budgets (fractions) the feature selection evaluates at.
     pub fs_eval_budgets: Vec<f64>,
-    /// Partition-strata cluster count maintained across retrain
-    /// generations (the warm-start state of
-    /// [`crate::train::PartitionStrata`]; default 8).
-    pub strata_k: usize,
     /// Lesion toggle: use clustering for sample selection (§5.4.1).
     pub use_clustering: bool,
     /// Lesion toggle: reserve budget for outliers.
@@ -91,7 +87,6 @@ impl Default for Ps3Config {
             fs_restarts: 2,
             fs_eval_queries: 12,
             fs_eval_budgets: vec![0.05, 0.15],
-            strata_k: 8,
             use_clustering: true,
             use_outliers: true,
             use_regressors: true,

@@ -54,12 +54,9 @@ pub use router::{
     RouteError, Router, RouterBuilder, RouterStats, TableId, TableRoute, Tenant, Ticket,
 };
 pub use system::{
-    spec_rng, AnswerMeta, AnswerOutcome, Method, ProgressUpdate, Ps3System, RetrainReport,
-    LSS_BUDGET_GRID,
+    spec_rng, AnswerMeta, AnswerOutcome, Method, ProgressUpdate, Ps3System, LSS_BUDGET_GRID,
 };
-pub use train::{
-    normalize_workload, pooled_partition_rows, PartitionStrata, TrainedPs3, TrainingData,
-};
+pub use train::{normalize_workload, TrainedPs3, TrainingData};
 
 /// Executable copy of `docs/FORMAT.md`: every Rust block in the artifact
 /// format spec runs as a doc-test here, so the documented container bytes

@@ -10,10 +10,10 @@
 //! function of `(query, method, budget, seed)` and every persisted model
 //! round-trips its `f64`s by bit pattern.
 //!
-//! Training partials/totals/features/contributions are *not* persisted:
-//! they are off the answer path, and the only retrain input consumed from
-//! [`TrainingData`] is the query list ([`Ps3System::retrain_from`]
-//! recomputes features against the new table).
+//! Of [`TrainingData`] only the query list is persisted: partials, totals,
+//! features and contributions are off the answer path, and a warm retrain
+//! ([`Ps3System::retrain_from`]) carries the learned parts, not the
+//! workload.
 //!
 //! Every decoder validates shape and range before building anything, so a
 //! corrupted or adversarial artifact surfaces as a typed [`FormatError`] —
@@ -42,7 +42,7 @@ use ps3_storage::Schema;
 use crate::baselines::LssModel;
 use crate::config::{ExemplarRule, Ps3Config};
 use crate::system::Ps3System;
-use crate::train::{PartitionStrata, TrainedPs3, TrainingData};
+use crate::train::{TrainedPs3, TrainingData};
 
 /// Maximum persisted training-query count.
 const MAX_QUERIES: usize = 1 << 20;
@@ -50,8 +50,8 @@ const MAX_QUERIES: usize = 1 << 20;
 const MAX_TREE_NODES: usize = 1 << 20;
 /// Maximum trees per persisted model.
 const MAX_TREES: usize = 1 << 16;
-/// Maximum elements in any persisted flat vector (thresholds, centroids,
-/// assignments, budgets).
+/// Maximum elements in any persisted flat vector (budgets, LSS strata
+/// sizes).
 const MAX_VEC: usize = 1 << 24;
 
 /// Write `system` to `path` as one flat artifact (temp file + rename, so a
@@ -282,7 +282,6 @@ fn encode_config(e: &mut Writer<'_>, cfg: &Ps3Config) {
     for &b in &cfg.fs_eval_budgets {
         e.f64(b);
     }
-    e.u32(cfg.strata_k as u32);
     e.u8(u8::from(cfg.use_clustering));
     e.u8(u8::from(cfg.use_outliers));
     e.u8(u8::from(cfg.use_regressors));
@@ -344,7 +343,6 @@ fn decode_config(c: &mut Reader<'_>) -> Result<Ps3Config, CodecError> {
         fs_restarts,
         fs_eval_queries,
         fs_eval_budgets,
-        strata_k: c.u32()? as usize,
         use_clustering: c.u8()? != 0,
         use_outliers: c.u8()? != 0,
         use_regressors: c.u8()? != 0,
@@ -382,21 +380,6 @@ fn encode_trained(t: &TrainedPs3) -> Vec<u8> {
             .expect("FeatureType::ALL covers every variant");
         e.u8(idx as u8);
     }
-
-    let k = t.strata.centroids.len();
-    let cdim = t.strata.centroids.first().map_or(0, Vec::len);
-    e.u32(k as u32);
-    e.u32(cdim as u32);
-    for row in &t.strata.centroids {
-        for &x in row {
-            e.f64(x);
-        }
-    }
-    e.u32(t.strata.assignment.len() as u32);
-    for &a in &t.strata.assignment {
-        e.u32(a as u32);
-    }
-    e.u32(t.strata.sweeps as u32);
 
     encode_config(&mut e, &t.config);
     bytes
@@ -458,38 +441,6 @@ fn decode_trained(c: &mut Reader<'_>, num_cols: usize) -> Result<TrainedPs3, Cod
     // always agrees with `excluded` and the schema.
     let excluded_dims = schema.mask_of(&excluded);
 
-    let k = c.u32()? as usize;
-    let cdim = c.u32()? as usize;
-    if k > MAX_VEC || cdim > MAX_VEC {
-        return Err(CodecError::Invalid("strata shape implausible"));
-    }
-    let mut centroids = Vec::with_capacity(k.min(1024));
-    for _ in 0..k {
-        let mut row = Vec::with_capacity(cdim.min(4096));
-        for _ in 0..cdim {
-            row.push(c.f64()?);
-        }
-        centroids.push(row);
-    }
-    let n_assign = c.u32()? as usize;
-    if n_assign > MAX_VEC {
-        return Err(CodecError::Invalid("strata assignment implausible"));
-    }
-    let mut assignment = Vec::with_capacity(n_assign.min(4096));
-    for _ in 0..n_assign {
-        let a = c.u32()? as usize;
-        if a >= k.max(1) {
-            return Err(CodecError::Invalid("strata assignment out of range"));
-        }
-        assignment.push(a);
-    }
-    let sweeps = c.u32()? as usize;
-    let strata = PartitionStrata {
-        centroids,
-        assignment,
-        sweeps,
-    };
-
     let config = decode_config(c)?;
     Ok(TrainedPs3 {
         models,
@@ -497,7 +448,6 @@ fn decode_trained(c: &mut Reader<'_>, num_cols: usize) -> Result<TrainedPs3, Cod
         normalizer,
         excluded,
         excluded_dims,
-        strata,
         config,
     })
 }
@@ -667,7 +617,7 @@ mod tests {
         let path = dir.join("tiny.ps3");
         freeze(&sys, &path).unwrap();
         let thawed = thaw(&path).unwrap();
-        let (warm, _) =
+        let warm =
             Ps3System::retrain_from(&thawed, Arc::clone(&thawed.pt), Arc::clone(&thawed.stats));
         let q = Query::new(vec![AggExpr::count()], None, vec![]);
         let a = thawed.answer_seeded(&q, crate::system::Method::Ps3, 0.25, 3);

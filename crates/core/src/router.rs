@@ -219,10 +219,6 @@ pub struct RouterStats {
     pub retrains: u64,
     /// Wall-clock of the most recent retrain (ms; 0 before the first).
     pub retrain_ms: f64,
-    /// Strata sweeps-to-converge of the most recent *incremental* retrain
-    /// (0 before the first, and untouched by closure-based
-    /// [`Router::retrain`], which knows nothing about sweeps).
-    pub retrain_sweeps: u32,
     /// Artifacts written: explicit [`Router::snapshot`] calls plus the
     /// automatic post-retrain snapshots a configured
     /// [`RouterBuilder::snapshot_dir`] triggers.
@@ -489,11 +485,9 @@ struct RouterCore {
     planner_probes: AtomicU64,
     planner_probe_hits: AtomicU64,
     planner_fallbacks: AtomicU64,
-    /// Retrain telemetry: count, last wall-clock (f64 bits), last strata
-    /// sweep count.
+    /// Retrain telemetry: count and last wall-clock (f64 bits).
     retrains: AtomicU64,
     retrain_ms_bits: AtomicU64,
-    retrain_sweeps: AtomicU64,
     /// Auto-snapshot destination for post-retrain artifacts (`None` = off)
     /// and write telemetry.
     snapshot_dir: Option<std::path::PathBuf>,
@@ -802,7 +796,6 @@ impl RouterBuilder {
                 planner_fallbacks: AtomicU64::new(0),
                 retrains: AtomicU64::new(0),
                 retrain_ms_bits: AtomicU64::new(0),
-                retrain_sweeps: AtomicU64::new(0),
                 snapshot_dir: self.snapshot_dir,
                 snapshots: AtomicU64::new(0),
                 snapshot_errors: AtomicU64::new(0),
@@ -906,17 +899,16 @@ impl Router {
         let current = self.system(table);
         let replacement = train(&current);
         let old = self.replace_table(table, replacement);
-        self.record_retrain(started.elapsed().as_secs_f64() * 1e3, None);
+        self.record_retrain(started.elapsed().as_secs_f64() * 1e3);
         old
     }
 
     /// Warm incremental retrain of `table` for (possibly grown) `pt` and
     /// `stats`: derive the replacement via [`Ps3System::retrain_from`] —
-    /// reusing every learned component and warm-starting the partition
-    /// strata from the current generation — then swap it in and invalidate
-    /// the table's cached answers. Returns the replaced system;
-    /// [`RouterStats::retrain_ms`] and [`RouterStats::retrain_sweeps`]
-    /// record the cost.
+    /// the current generation's learned parts over the new table's
+    /// statistics — then swap it in and invalidate the table's cached
+    /// answers. Returns the replaced system; [`RouterStats::retrain_ms`]
+    /// records the cost.
     pub fn retrain_incremental(
         &self,
         table: TableId,
@@ -925,10 +917,9 @@ impl Router {
     ) -> Arc<Ps3System> {
         let started = Instant::now();
         let current = self.system(table);
-        let (next, report) = Ps3System::retrain_from(&current, pt, stats);
-        let next = Arc::new(next);
+        let next = Arc::new(Ps3System::retrain_from(&current, pt, stats));
         let old = self.replace_table(table, Arc::clone(&next));
-        self.record_retrain(started.elapsed().as_secs_f64() * 1e3, Some(report.sweeps));
+        self.record_retrain(started.elapsed().as_secs_f64() * 1e3);
         // Durability rides behind serving: the swap is done, so a slow or
         // failing disk can only cost a counter bump, never availability.
         if let Some(dir) = &self.core.snapshot_dir {
@@ -969,16 +960,11 @@ impl Router {
         Ok(self.replace_table(table, Arc::new(system)))
     }
 
-    fn record_retrain(&self, elapsed_ms: f64, sweeps: Option<u32>) {
+    fn record_retrain(&self, elapsed_ms: f64) {
         self.core.retrains.fetch_add(1, Ordering::Relaxed);
         self.core
             .retrain_ms_bits
             .store(elapsed_ms.to_bits(), Ordering::Relaxed);
-        if let Some(sweeps) = sweeps {
-            self.core
-                .retrain_sweeps
-                .store(u64::from(sweeps), Ordering::Relaxed);
-        }
     }
 
     /// The execution pool partition fan-out runs on.
@@ -1106,7 +1092,6 @@ impl Router {
             },
             retrains: self.core.retrains.load(Ordering::Relaxed),
             retrain_ms: f64::from_bits(self.core.retrain_ms_bits.load(Ordering::Relaxed)),
-            retrain_sweeps: self.core.retrain_sweeps.load(Ordering::Relaxed) as u32,
             snapshots: self.core.snapshots.load(Ordering::Relaxed),
             snapshot_errors: self.core.snapshot_errors.load(Ordering::Relaxed),
         }
@@ -1598,18 +1583,13 @@ mod tests {
         assert_eq!(router.stats().retrains, 0);
 
         // Retrain in place on the unchanged table (the append-only
-        // degenerate case): warm strata, zero model refits.
+        // degenerate case): zero model refits.
         let sys = router.system(table);
         let old = router.retrain_incremental(table, Arc::clone(&sys.pt), Arc::clone(&sys.stats));
         assert!(Arc::ptr_eq(&old, &sys), "the replaced system comes back");
         let stats = router.stats();
         assert_eq!(stats.retrains, 1);
         assert!(stats.retrain_ms >= 0.0);
-        assert!(
-            (1..=2).contains(&stats.retrain_sweeps),
-            "unchanged table must re-converge in 1-2 sweeps, took {}",
-            stats.retrain_sweeps
-        );
         assert_eq!(stats.answers.len, 0, "the table's cache was invalidated");
 
         // Post-retrain answers re-execute on the new generation and are
@@ -1620,16 +1600,10 @@ mod tests {
         assert_eq!(after.answer, before.answer);
         assert_eq!(after.meta.error_estimate, before.meta.error_estimate);
 
-        // Closure-based retrain records timing but not sweeps.
-        let sweeps_before = router.stats().retrain_sweeps;
+        // Closure-based retrains count the same way.
         let replacement = tiny_system(41, 160);
         let _ = router.retrain(table, |_| Arc::clone(&replacement));
-        let stats = router.stats();
-        assert_eq!(stats.retrains, 2);
-        assert_eq!(
-            stats.retrain_sweeps, sweeps_before,
-            "closure retrains leave the sweep stat untouched"
-        );
+        assert_eq!(router.stats().retrains, 2);
     }
 
     #[test]

@@ -122,7 +122,7 @@ pub struct AnswerOutcome {
 /// over that prefix. The *final* refinement is not emitted as an update —
 /// it is the ordinary [`AnswerOutcome`], bit-identical with or without a
 /// sink.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgressUpdate {
     /// 0-based update sequence number.
     pub seq: u32,
@@ -206,16 +206,6 @@ pub struct Ps3System {
     features: SharedLru<u64, Arc<QueryArtifacts>>,
 }
 
-/// What a warm incremental retrain did (see [`Ps3System::retrain_from`]).
-#[derive(Debug, Clone, Copy)]
-pub struct RetrainReport {
-    /// Assign-update sweeps the partition strata took to re-converge from
-    /// the previous generation's centroids.
-    pub sweeps: u32,
-    /// Partition count of the retrained table.
-    pub partitions: u32,
-}
-
 /// Budget fractions the LSS strata sweep is trained at (the harness grid).
 pub const LSS_BUDGET_GRID: [f64; 6] = [0.02, 0.05, 0.1, 0.2, 0.35, 0.5];
 
@@ -282,9 +272,9 @@ impl Ps3System {
     }
 
     /// [`Self::from_parts`] over statics already normalized through
-    /// `trained.normalizer`: [`Self::train`] and [`Self::retrain_from`]
-    /// gathered their training rows from this table, and hand it on instead
-    /// of normalizing the generation's statics a second time.
+    /// `trained.normalizer`: [`Self::train`] gathered its training rows from
+    /// this table, and hands it on instead of normalizing the generation's
+    /// statics a second time.
     fn assemble(
         pt: Arc<PartitionedTable>,
         stats: Arc<TableStats>,
@@ -317,38 +307,19 @@ impl Ps3System {
         crate::persist::thaw(path)
     }
 
-    /// Warm incremental retrain: derive the next-generation system for
-    /// (possibly grown) `pt`/`stats` from `prev` without re-executing the
-    /// training workload or re-fitting any model. The *new* table's static
-    /// features go through `prev`'s normalizer once, and every training
-    /// query's rows are gathered from them as a pick would gather them
-    /// ([`normalize_workload`]); the workload-pooled rows then warm-start
-    /// the partition strata from the previous centroids
-    /// ([`TrainedPs3::retrain_from`]). Everything on the query-answer path
-    /// (models, thresholds, normalizer, exclusions, LSS) carries over
-    /// unchanged, so on an unchanged table the new system's answers are
-    /// bit-identical to `prev`'s.
+    /// Warm incremental retrain: the next-generation system for (possibly
+    /// grown) `pt`/`stats`, built by [`Self::from_parts`] from `prev`'s
+    /// learned parts (`trained`, `lss`) and its shared `training`. Nothing
+    /// is re-executed or re-fitted; the new table's static features go
+    /// through `prev`'s normalizer once. On an unchanged table the new
+    /// system's answers are bit-identical to `prev`'s.
     pub fn retrain_from(
         prev: &Ps3System,
         pt: Arc<PartitionedTable>,
         stats: Arc<TableStats>,
-    ) -> (Self, RetrainReport) {
-        let (statics, normalized) = normalize_workload(
-            &prev.trained.normalizer,
-            &pt,
-            &stats,
-            &prev.training.queries,
-            prev.trained.config.threads,
-        );
-        let pooled = crate::train::pooled_partition_rows(&normalized);
-        let (trained, sweeps) = TrainedPs3::retrain_from(&prev.trained, &pooled);
-        let report = RetrainReport {
-            sweeps: sweeps as u32,
-            partitions: pt.num_partitions() as u32,
-        };
-        let (lss, training) = (prev.lss.clone(), Arc::clone(&prev.training));
-        let next = Self::assemble(pt, stats, trained, lss, training, statics);
-        (next, report)
+    ) -> Self {
+        let (trained, lss) = (prev.trained.clone(), prev.lss.clone());
+        Self::from_parts(pt, stats, trained, lss, Arc::clone(&prev.training))
     }
 
     /// Number of partitions.
@@ -1000,26 +971,7 @@ pub(crate) mod tests {
     #[test]
     fn warm_retrain_on_unchanged_table_is_bit_identical_to_prev_generation() {
         let sys = tiny_system();
-        let (warm, report) =
-            Ps3System::retrain_from(&sys, Arc::clone(&sys.pt), Arc::clone(&sys.stats));
-        assert!(
-            (1..=2).contains(&report.sweeps),
-            "converged strata must settle in 1-2 sweeps, took {}",
-            report.sweeps
-        );
-        assert_eq!(report.partitions, 16);
-
-        // The strata re-converged to the previous generation bitwise.
-        assert_eq!(
-            warm.trained.strata.assignment,
-            sys.trained.strata.assignment
-        );
-        let bits =
-            |c: &[Vec<f64>]| -> Vec<u64> { c.iter().flatten().map(|x| x.to_bits()).collect() };
-        assert_eq!(
-            bits(&warm.trained.strata.centroids),
-            bits(&sys.trained.strata.centroids)
-        );
+        let warm = Ps3System::retrain_from(&sys, Arc::clone(&sys.pt), Arc::clone(&sys.stats));
         assert!(
             Arc::ptr_eq(&warm.training, &sys.training),
             "training data is shared, not recomputed"

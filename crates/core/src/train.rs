@@ -8,22 +8,16 @@
 //! [`NormalizedStatics`] exactly as a pick gathers them
 //! ([`normalize_workload`]). Only the GBDT binner takes full-width rows.
 //!
-//! Training also fits [`PartitionStrata`] — a k-means clustering of the
-//! partitions' workload-pooled feature rows — and [`TrainedPs3::retrain_from`]
-//! warm-starts the next generation's strata from the previous centroids
-//! instead of re-clustering from scratch. On unchanged (or append-only
-//! grown) data a converged warm start settles in a couple of assign sweeps,
-//! which is what makes online retraining cheap (see the `retrain_warm`
-//! bench).
+//! Nothing here clusters partitions ahead of a query: the picker clusters a
+//! query's candidates when it arrives (§4.2). So a [`TrainedPs3`] is tied to
+//! no table, and a warm retrain (`Ps3System::retrain_from`) carries it to a
+//! new table as it is.
 
-use ps3_cluster::{kmeans_fit, kmeans_warm, KmeansFit, PointMatrix};
 use ps3_learn::{choose_thresholds, make_labels, Gbdt};
 use ps3_query::{CompiledPredicate, CompiledQuery, PartialAnswer, Query};
 use ps3_stats::features::FeatureType;
 use ps3_stats::{FeatureMatrix, NormalizedStatics, Normalizer, QueryFeatures, TableStats};
 use ps3_storage::{PartitionId, PartitionedTable};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::config::Ps3Config;
 use crate::feature_selection::select_features;
@@ -150,90 +144,6 @@ pub fn contributions_for(partials: &[PartialAnswer], total: &PartialAnswer) -> V
         .collect()
 }
 
-/// A k-means stratification of the partitions in (normalized,
-/// workload-pooled) feature space, carried across retrain generations as
-/// the warm-start state. Deliberately **off the query-answer path**: the
-/// picker clusters per query at serving time, so swapping strata never
-/// perturbs an answer — which is what makes "unchanged table ⇒
-/// bit-identical answers" hold by construction after a warm retrain.
-#[derive(Debug, Clone)]
-pub struct PartitionStrata {
-    /// Stratum centroids in normalized feature space.
-    pub centroids: Vec<Vec<f64>>,
-    /// `assignment[p]` = stratum of partition `p`.
-    pub assignment: Vec<usize>,
-    /// Assign-update sweeps the fit took (cold: full Lloyd; warm: sweeps
-    /// to re-converge from the previous generation's centroids).
-    pub sweeps: usize,
-}
-
-impl PartitionStrata {
-    /// Maximum Lloyd sweeps for either fit direction.
-    const MAX_SWEEPS: usize = 50;
-
-    /// Cold fit: seeded k-means++ Lloyd on `rows` (one row per partition).
-    pub fn fit(rows: &[Vec<f64>], k: usize, seed: u64) -> Self {
-        if rows.is_empty() || k == 0 {
-            return Self {
-                centroids: Vec::new(),
-                assignment: Vec::new(),
-                sweeps: 0,
-            };
-        }
-        let k = k.min(rows.len());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let points = PointMatrix::from_rows(rows);
-        Self::from_fit(kmeans_fit(&points, k, &mut rng, Self::MAX_SWEEPS))
-    }
-
-    /// Warm fit: Lloyd resumed from `prev`'s centroids on the new `rows`.
-    /// Falls back to a cold fit when the previous generation is unusable
-    /// (empty, or the feature dimension changed).
-    pub fn refit_from(prev: &Self, rows: &[Vec<f64>], k: usize, seed: u64) -> Self {
-        let dim = rows.first().map_or(0, Vec::len);
-        let prev_dim = prev.centroids.first().map_or(0, Vec::len);
-        if rows.is_empty() || prev.centroids.is_empty() || dim != prev_dim {
-            return Self::fit(rows, k, seed);
-        }
-        let points = PointMatrix::from_rows(rows);
-        Self::from_fit(kmeans_warm(&points, &prev.centroids, Self::MAX_SWEEPS))
-    }
-
-    fn from_fit(fit: KmeansFit) -> Self {
-        Self {
-            centroids: fit.centroids,
-            assignment: fit.assignment,
-            sweeps: fit.sweeps,
-        }
-    }
-}
-
-/// Mean-pool per-query normalized feature matrices into one full-width row
-/// per partition — the partition's workload-averaged position in feature
-/// space, the input [`PartitionStrata`] clusters. A column a query's matrix
-/// does not store is `0.0` there and is skipped: a sum that starts at
-/// `+0.0` never reads `-0.0`, so adding `+0.0` to it changes no bit.
-pub fn pooled_partition_rows(normalized: &[FeatureMatrix]) -> Vec<Vec<f64>> {
-    let Some(first) = normalized.first() else {
-        return Vec::new();
-    };
-    let inv = 1.0 / normalized.len() as f64;
-    (0..first.num_rows())
-        .map(|p| {
-            let mut row = vec![0.0f64; first.full_dim()];
-            for m in normalized {
-                for (&c, &x) in m.cols().iter().zip(m.row(p)) {
-                    row[c] += x;
-                }
-            }
-            for x in &mut row {
-                *x *= inv;
-            }
-            row
-        })
-        .collect()
-}
-
 /// The trained picker state: k models, their thresholds, the normalizer and
 /// the clustering feature exclusions.
 #[derive(Clone)]
@@ -249,9 +159,6 @@ pub struct TrainedPs3 {
     /// Per-dimension projection of `excluded` (true = drop from clustering
     /// distances), precomputed so the picker never rewrites feature rows.
     pub excluded_dims: Vec<bool>,
-    /// Partition strata carried across retrain generations (warm-start
-    /// state; not consulted on the query path).
-    pub strata: PartitionStrata,
     /// The configuration used.
     pub config: Ps3Config,
 }
@@ -292,42 +199,14 @@ impl TrainedPs3 {
         };
         let excluded_dims = normalizer.schema().mask_of(&excluded);
 
-        let pooled_rows = pooled_partition_rows(normalized);
-        let strata = PartitionStrata::fit(&pooled_rows, config.strata_k, config.seed);
-
         Self {
             models,
             thresholds,
             normalizer,
             excluded,
             excluded_dims,
-            strata,
             config,
         }
-    }
-
-    /// Warm incremental retrain: reuse every learned component of `prev`
-    /// (models, thresholds, normalizer, exclusions — the entire
-    /// query-answer surface) and refit only the partition strata, resumed
-    /// from the previous generation's centroids on the new partitions'
-    /// `pooled_rows`. Returns the new state plus the sweeps the strata took
-    /// to re-converge.
-    ///
-    /// Because the answer path never reads `strata`, a warm retrain on an
-    /// unchanged table produces answers **bit-identical** to `prev`'s — and
-    /// to a freshly trained replacement, since training is deterministic
-    /// per config.
-    pub fn retrain_from(prev: &Self, pooled_rows: &[Vec<f64>]) -> (Self, usize) {
-        let strata = PartitionStrata::refit_from(
-            &prev.strata,
-            pooled_rows,
-            prev.config.strata_k,
-            prev.config.seed,
-        );
-        let sweeps = strata.sweeps;
-        let mut next = prev.clone();
-        next.strata = strata;
-        (next, sweeps)
     }
 }
 

@@ -7,18 +7,18 @@
 //! of requests) and [`NetClient::recv`] (collect replies in completion
 //! order, correlated by request id). [`NetClient::request_streaming`]
 //! flips the request's progressive flag and returns the refining
-//! [`RemotePartial`]s alongside the final answer.
+//! [`ProgressUpdate`]s alongside the final answer.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use ps3_core::{AnswerMeta, QueryRequest};
+use ps3_core::{AnswerMeta, ProgressUpdate, QueryRequest};
 use ps3_query::QueryAnswer;
 
 use crate::proto::{
-    encode_frame_at_into, ErrorFrame, Frame, FrameBuffer, PartialFrame, ProtoError, RequestFrame,
-    ResponseFrame, DEFAULT_MAX_FRAME, PROTO_VERSION,
+    encode_frame_at_into, ErrorFrame, Frame, FrameBuffer, ProtoError, RequestFrame, ResponseFrame,
+    DEFAULT_MAX_FRAME, PROTO_VERSION,
 };
 
 /// Queued-but-unsent request bytes above this threshold force a flush on
@@ -94,33 +94,6 @@ impl RemoteAnswer {
     }
 }
 
-/// One refining intermediate answer from a progressive request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RemotePartial {
-    /// 0-based position in the stream.
-    pub seq: u32,
-    /// Partitions combined so far.
-    pub partitions_done: u32,
-    /// Partitions the final answer will combine.
-    pub partitions_total: u32,
-    /// The intermediate estimate.
-    pub answer: QueryAnswer,
-    /// Summary relative error of the estimate (NaN when unestimable).
-    pub rel_err: f64,
-}
-
-impl RemotePartial {
-    fn from_frame(frame: &PartialFrame) -> RemotePartial {
-        RemotePartial {
-            seq: frame.seq,
-            partitions_done: frame.partitions_done,
-            partitions_total: frame.partitions_total,
-            answer: frame.to_answer(),
-            rel_err: frame.rel_err,
-        }
-    }
-}
-
 /// Everything a progressive request produced: zero or more refinements
 /// (in `seq` order — cache hits answer in a single frame) and the final
 /// answer, which is bit-identical to what a non-progressive request for
@@ -128,7 +101,7 @@ impl RemotePartial {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamedAnswer {
     /// The refinements, in stream order.
-    pub partials: Vec<RemotePartial>,
+    pub partials: Vec<ProgressUpdate>,
     /// The final answer.
     pub answer: RemoteAnswer,
 }
@@ -172,7 +145,7 @@ pub struct NetClient {
     parked: HashMap<u64, ServerReply>,
     /// Partial frames collected per request id, awaiting their final
     /// response.
-    partials: HashMap<u64, Vec<RemotePartial>>,
+    partials: HashMap<u64, Vec<ProgressUpdate>>,
 }
 
 impl NetClient {
@@ -262,7 +235,7 @@ impl NetClient {
     }
 
     /// Send with the progressive flag set and collect the whole stream:
-    /// every [`RemotePartial`] refinement plus the final answer. How many
+    /// every [`ProgressUpdate`] refinement plus the final answer. How many
     /// partials arrive is the server's choice — a cache hit answers in one
     /// frame with no partials at all.
     pub fn request_streaming(&mut self, req: &QueryRequest) -> Result<StreamedAnswer, ClientError> {
@@ -280,7 +253,7 @@ impl NetClient {
     /// [`NetClient::request_streaming`] is the usual way to consume
     /// partials; this is the escape hatch for pipelined [`NetClient::send`]
     /// users.
-    pub fn take_partials(&mut self, request_id: u64) -> Vec<RemotePartial> {
+    pub fn take_partials(&mut self, request_id: u64) -> Vec<ProgressUpdate> {
         self.partials.remove(&request_id).unwrap_or_default()
     }
 
@@ -302,7 +275,7 @@ impl NetClient {
                         self.partials
                             .entry(part.request_id)
                             .or_default()
-                            .push(RemotePartial::from_frame(&part));
+                            .push(part.to_update());
                         continue;
                     }
                     Frame::Request(_) => {

@@ -74,9 +74,7 @@ pub mod proto;
 #[cfg(unix)]
 pub mod server;
 
-pub use client::{
-    ClientError, NetClient, RemoteAnswer, RemotePartial, ServerReply, StreamedAnswer,
-};
+pub use client::{ClientError, NetClient, RemoteAnswer, ServerReply, StreamedAnswer};
 pub use proto::{ErrorCode, ErrorFrame, Frame, ProtoError, PROTO_VERSION};
 #[cfg(unix)]
 pub use server::{NetServer, ServerConfig, ServerStats};

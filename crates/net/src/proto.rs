@@ -36,8 +36,6 @@
 //!   frame body*, so a minor revision may append new trailing fields
 //!   without bumping the version; anything structural bumps it.
 
-use std::collections::HashMap;
-
 use ps3_core::{AggError, AnswerMeta, Budget, ErrorEstimate, Method, QueryRequest, TableRoute};
 use ps3_query::codec::{decode_query_spec, encode_query_spec};
 use ps3_query::{GroupKey, QueryAnswer, QuerySpec};
@@ -279,6 +277,28 @@ pub struct WireRow {
     pub values: Vec<f64>,
 }
 
+/// An answer's rows for the wire, sorted by key words.
+fn rows_of(answer: &QueryAnswer) -> Vec<WireRow> {
+    let mut rows: Vec<WireRow> = (answer.groups.iter())
+        .map(|(key, values)| WireRow {
+            key: key.0.to_vec(),
+            values: values.clone(),
+        })
+        .collect();
+    rows.sort_by(|a, b| a.key.cmp(&b.key));
+    rows
+}
+
+/// The answer map behind wire `rows` (the inverse of [`rows_of`] up to row
+/// order, which [`QueryAnswer`]'s map erases anyway).
+fn answer_of(rows: &[WireRow]) -> QueryAnswer {
+    let groups = rows
+        .iter()
+        .map(|row| (GroupKey(row.key.clone().into()), row.values.clone()))
+        .collect();
+    QueryAnswer { groups }
+}
+
 /// A server's answer: rows plus how the answer was produced. Rows are
 /// sorted by key words, so equal answers encode to equal bytes.
 #[derive(Debug, Clone, PartialEq)]
@@ -305,19 +325,9 @@ pub struct ResponseFrame {
 impl ResponseFrame {
     /// Package an executed outcome for the wire.
     pub fn from_outcome(request_id: u64, outcome: &ps3_core::AnswerOutcome) -> ResponseFrame {
-        let mut rows: Vec<WireRow> = outcome
-            .answer
-            .groups
-            .iter()
-            .map(|(key, values)| WireRow {
-                key: key.0.to_vec(),
-                values: values.clone(),
-            })
-            .collect();
-        rows.sort_by(|a, b| a.key.cmp(&b.key));
         ResponseFrame {
             request_id,
-            rows,
+            rows: rows_of(&outcome.answer),
             partitions_read: outcome.meta.partitions_read,
             picker_ms: outcome.meta.picker_ms,
             planned_frac: outcome.meta.planned_frac,
@@ -330,14 +340,7 @@ impl ResponseFrame {
     /// Rebuild the answer map (the inverse of [`ResponseFrame::from_outcome`]
     /// up to row order, which [`QueryAnswer`]'s map erases anyway).
     pub fn to_answer(&self) -> QueryAnswer {
-        let mut groups = HashMap::with_capacity(self.rows.len());
-        for row in &self.rows {
-            groups.insert(
-                GroupKey(row.key.clone().into_boxed_slice()),
-                row.values.clone(),
-            );
-        }
-        QueryAnswer { groups }
+        answer_of(&self.rows)
     }
 
     /// Rebuild the answer's metadata block for the client-side
@@ -379,36 +382,26 @@ pub struct PartialFrame {
 impl PartialFrame {
     /// Package a progress update for the wire.
     pub fn from_update(request_id: u64, update: &ps3_core::ProgressUpdate) -> PartialFrame {
-        let mut rows: Vec<WireRow> = update
-            .answer
-            .groups
-            .iter()
-            .map(|(key, values)| WireRow {
-                key: key.0.to_vec(),
-                values: values.clone(),
-            })
-            .collect();
-        rows.sort_by(|a, b| a.key.cmp(&b.key));
         PartialFrame {
             request_id,
             seq: update.seq,
             partitions_done: update.partitions_done,
             partitions_total: update.partitions_total,
-            rows,
+            rows: rows_of(&update.answer),
             rel_err: update.rel_err,
         }
     }
 
-    /// Rebuild the intermediate answer map.
-    pub fn to_answer(&self) -> QueryAnswer {
-        let mut groups = HashMap::with_capacity(self.rows.len());
-        for row in &self.rows {
-            groups.insert(
-                GroupKey(row.key.clone().into_boxed_slice()),
-                row.values.clone(),
-            );
+    /// Rebuild the progress update (the inverse of
+    /// [`PartialFrame::from_update`] up to row order).
+    pub fn to_update(&self) -> ps3_core::ProgressUpdate {
+        ps3_core::ProgressUpdate {
+            seq: self.seq,
+            partitions_done: self.partitions_done,
+            partitions_total: self.partitions_total,
+            answer: answer_of(&self.rows),
+            rel_err: self.rel_err,
         }
-        QueryAnswer { groups }
     }
 }
 
@@ -1111,7 +1104,9 @@ mod tests {
         assert_eq!(decoded.partitions_total, 8);
         assert_eq!(decoded.rel_err, 0.125);
         assert_eq!(decoded.rows[1].values[0].to_bits(), f64::NAN.to_bits());
-        assert_eq!(decoded.to_answer().num_groups(), 2);
+        let update = decoded.to_update();
+        assert_eq!((update.seq, update.partitions_done), (2, 6));
+        assert_eq!(update.answer.num_groups(), 2);
     }
 
     #[test]

@@ -5,8 +5,20 @@
 //!   `|est − true| / |true|`, counting missed groups as 1.
 //! * **Absolute error over true** — per aggregate, the mean absolute error
 //!   across groups divided by the mean true value, averaged over aggregates.
+//!
+//! The sums run over the truth's groups in ascending [`GroupKey`] order.
+//! `QueryAnswer::groups` is a `HashMap`, whose iteration order changes per
+//! process and per map; summed in that order, the last bits of a metric
+//! would too, and Algorithm 3's greedy steps compare these metrics.
 
-use crate::exec::QueryAnswer;
+use crate::exec::{GroupKey, QueryAnswer};
+
+/// The truth's groups in ascending key order, the order every sum runs in.
+fn by_key(truth: &QueryAnswer) -> Vec<(&GroupKey, &[f64])> {
+    let mut groups: Vec<_> = truth.groups.iter().map(|(k, v)| (k, &v[..])).collect();
+    groups.sort_unstable_by_key(|&(key, _)| key);
+    groups
+}
 
 /// Fraction of groups in `truth` that `estimate` misses. 0 for an empty truth.
 pub fn missed_groups(truth: &QueryAnswer, estimate: &QueryAnswer) -> f64 {
@@ -27,9 +39,13 @@ pub fn missed_groups(truth: &QueryAnswer, estimate: &QueryAnswer) -> f64 {
 /// A zero true value scores 0 when the estimate is also (near) zero and 1
 /// otherwise, mirroring the missed-group convention.
 pub fn avg_relative_error(truth: &QueryAnswer, estimate: &QueryAnswer) -> f64 {
+    avg_relative_error_over(&by_key(truth), estimate)
+}
+
+fn avg_relative_error_over(truth: &[(&GroupKey, &[f64])], estimate: &QueryAnswer) -> f64 {
     let mut total = 0.0;
     let mut n = 0usize;
-    for (key, tvals) in &truth.groups {
+    for &(key, tvals) in truth {
         match estimate.groups.get(key) {
             None => {
                 total += tvals.len() as f64;
@@ -79,19 +95,20 @@ pub fn relative_error(truth: f64, estimate: f64) -> f64 {
 /// aggregates (§5.1.4). Missed groups contribute their full true value as
 /// absolute error.
 pub fn abs_error_over_true(truth: &QueryAnswer, estimate: &QueryAnswer) -> f64 {
-    if truth.groups.is_empty() {
-        return 0.0;
-    }
-    let num_aggs = truth.groups.values().next().map_or(0, Vec::len);
+    abs_error_over_true_over(&by_key(truth), estimate)
+}
+
+fn abs_error_over_true_over(truth: &[(&GroupKey, &[f64])], estimate: &QueryAnswer) -> f64 {
+    let num_aggs = truth.first().map_or(0, |(_, tvals)| tvals.len());
     if num_aggs == 0 {
         return 0.0;
     }
-    let g = truth.groups.len() as f64;
+    let g = truth.len() as f64;
     let mut per_agg = Vec::with_capacity(num_aggs);
     for a in 0..num_aggs {
         let mut abs_err = 0.0;
         let mut true_mag = 0.0;
-        for (key, tvals) in &truth.groups {
+        for &(key, tvals) in truth {
             let t = tvals[a];
             let e = estimate.groups.get(key).map_or(0.0, |v| v[a]);
             if t.is_nan() || e.is_nan() {
@@ -133,10 +150,11 @@ pub struct ErrorMetrics {
 impl ErrorMetrics {
     /// Compute all metrics for one (truth, estimate) pair.
     pub fn compute(truth: &QueryAnswer, estimate: &QueryAnswer) -> Self {
+        let groups = by_key(truth);
         Self {
             missed_groups: missed_groups(truth, estimate),
-            avg_rel_err: avg_relative_error(truth, estimate),
-            abs_over_true: abs_error_over_true(truth, estimate),
+            avg_rel_err: avg_relative_error_over(&groups, estimate),
+            abs_over_true: abs_error_over_true_over(&groups, estimate),
         }
     }
 
@@ -157,7 +175,6 @@ impl ErrorMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::GroupKey;
     use std::collections::HashMap;
 
     fn answer(entries: &[(&[u64], &[f64])]) -> QueryAnswer {
@@ -224,6 +241,47 @@ mod tests {
         let m = ErrorMetrics::compute(&t, &e);
         assert!((m.avg_rel_err - 0.25).abs() < 1e-12, "{}", m.avg_rel_err);
         assert!(m.abs_over_true.is_finite());
+    }
+
+    /// One answer, rebuilt into 32 fresh maps (each with its own hash
+    /// order), scores one bit pattern: the sorted-order sum. Group 20's
+    /// error is 3, whose ulp is 2^-51: a 2^-52 error added after it ties
+    /// and rounds away, while two or more summed before it get past the
+    /// tie. So a sum in map order depends on where the map puts group 20.
+    #[test]
+    fn metrics_sum_in_key_order_whatever_the_map_order() {
+        let tiny = 1.0 + f64::EPSILON;
+        let cells: Vec<(u64, f64, f64)> = (0..41u64)
+            .map(|g| {
+                if g == 20 {
+                    (g, 1.0, 4.0)
+                } else {
+                    (g, 1.0, tiny)
+                }
+            })
+            .collect();
+        let build = |at: usize| {
+            let entries: Vec<([u64; 1], [f64; 1])> =
+                cells.iter().map(|&(g, t, e)| ([g], [[t, e][at]])).collect();
+            let entries: Vec<(&[u64], &[f64])> =
+                entries.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+            answer(&entries)
+        };
+        let (mut rel, mut abs, mut mag) = (0.0f64, 0.0f64, 0.0f64);
+        for &(_, t, e) in &cells {
+            rel += relative_error(t, e);
+            abs += (e - t).abs();
+            mag += t.abs();
+        }
+        let n = cells.len() as f64;
+        let reference = ((rel / n).to_bits(), ((abs / n) / (mag / n)).to_bits());
+        for _ in 0..32 {
+            let m = ErrorMetrics::compute(&build(0), &build(1));
+            assert_eq!(
+                (m.avg_rel_err.to_bits(), m.abs_over_true.to_bits()),
+                reference
+            );
+        }
     }
 
     #[test]

@@ -83,18 +83,14 @@ fn main() -> std::io::Result<()> {
 
     // --- The thawed system retrains like any other generation.
     let thawed = Ps3System::thaw(&artifact).expect("thaws");
-    let (warm, report) =
-        Ps3System::retrain_from(&thawed, Arc::clone(&thawed.pt), Arc::clone(&thawed.stats));
+    let warm = Ps3System::retrain_from(&thawed, Arc::clone(&thawed.pt), Arc::clone(&thawed.stats));
     let q = ds.sample_test_query(0);
     assert_eq!(
         warm.answer_seeded(&q, Method::Ps3, 0.25, 9).answer,
         thawed.answer_seeded(&q, Method::Ps3, 0.25, 9).answer,
         "warm retrain on an unchanged table preserves answers"
     );
-    println!(
-        "warm retrain from the thawed generation converged in {} sweep(s)",
-        report.sweeps
-    );
+    println!("warm retrain from the thawed generation answers as it did");
 
     std::fs::remove_dir_all(&dir).ok();
     println!("cold start OK");
