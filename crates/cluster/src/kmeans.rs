@@ -89,7 +89,7 @@ pub fn kmeans_fit_counted(
     max_iter: usize,
 ) -> (KmeansFit, u64) {
     assert!(k > 0 && points.n() >= k);
-    let strict_rng = crate::strict_kernels().then(|| rng.clone());
+    let strict_rng = ps3_runtime::strict_kernels().then(|| rng.clone());
     let (centroids, state) = seed(points, k, rng);
     let (fit, evals) = lloyd(points, centroids, state, max_iter);
     if let Some(mut oracle_rng) = strict_rng {

@@ -15,8 +15,9 @@
 //! The numeric inner loops live in [`mod@simd`] (blocked, SIMD-friendly,
 //! deterministic accumulation order, Lloyd sweeps pruned by distance
 //! bounds that only ever skip a proven result) with scalar, unbounded
-//! mirrors in `oracle`; set `PS3_STRICT_KERNELS=1` to assert kernel/oracle
-//! bit-identity inside every k-means call.
+//! mirrors in `oracle`; set `PS3_STRICT_KERNELS=1`
+//! ([`ps3_runtime::strict_kernels`]) to assert kernel/oracle bit-identity
+//! inside every k-means call.
 
 pub mod exemplar;
 pub mod hac;
@@ -31,7 +32,6 @@ pub use kmeans::{kmeans, kmeans_fit, kmeans_fit_counted, KmeansFit};
 pub use simd::PointMatrix;
 
 use rand::rngs::StdRng;
-use std::sync::OnceLock;
 
 /// Which clustering algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,14 +53,6 @@ impl ClusterAlgo {
             ClusterAlgo::HacWard => "HAC(ward)",
         }
     }
-}
-
-/// Whether `PS3_STRICT_KERNELS=1` is set: every k-means call re-runs the
-/// scalar oracle and asserts bit-identity with the blocked kernels. Cached
-/// once per process; CI runs the cluster tests under it.
-pub fn strict_kernels() -> bool {
-    static STRICT: OnceLock<bool> = OnceLock::new();
-    *STRICT.get_or_init(|| std::env::var("PS3_STRICT_KERNELS").is_ok_and(|v| v == "1"))
 }
 
 /// Lloyd's sweep cap, the same at every input size.

@@ -88,6 +88,18 @@ pub fn thaw(path: &Path) -> Result<Ps3System, FormatError> {
             "stats column count disagrees with table schema",
         ));
     }
+    // Selectivity estimation reads a column's histogram for comparisons and
+    // its dictionaries for membership: which one a column has must follow
+    // its declared type, as it does when statistics are built.
+    let kinds_agree = (0..stats.num_partitions()).all(|p| {
+        (stats.partition(p).iter().zip(schema.iter()))
+            .all(|(col, (_, meta))| col.histogram.is_some() == meta.ctype.is_numeric_like())
+    });
+    if !kinds_agree {
+        return Err(FormatError::Corrupt(
+            "stats column kinds disagree with table schema",
+        ));
+    }
 
     let trained = decode_section("trained", a.section(SEC_TRAINED)?, |r| {
         decode_trained(r, num_cols)
@@ -623,6 +635,32 @@ mod tests {
         let a = thawed.answer_seeded(&q, crate::system::Method::Ps3, 0.25, 3);
         let b = warm.answer_seeded(&q, crate::system::Method::Ps3, 0.25, 3);
         assert_eq!(a.answer, b.answer);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn statistics_whose_column_kinds_disagree_with_the_schema_are_refused() {
+        let sys = tiny_system();
+        // Statistics of the same shape with the two column types swapped.
+        let mut b = TableBuilder::new(Schema::new(vec![
+            ColumnMeta::new("x", ColumnType::Categorical),
+            ColumnMeta::new("g", ColumnType::Numeric),
+        ]));
+        for i in 0..160u32 {
+            b.push_row(&[f64::from(i)], &[["a", "b"][i as usize % 2]]);
+        }
+        let swapped = PartitionedTable::with_equal_partitions(b.finish(), 16);
+        let stats = Arc::new(TableStats::build(&swapped, &StatsConfig::default()));
+        let (trained, lss) = (sys.trained.clone(), sys.lss.clone());
+        let mismatched =
+            Ps3System::from_parts(Arc::clone(&sys.pt), stats, trained, lss, sys.training);
+        let dir = std::env::temp_dir().join(format!("ps3_persist_kinds_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("kinds.ps3");
+        freeze(&mismatched, &path).unwrap();
+        let err = thaw(&path).err().expect("kinds disagree");
+        let why = "stats column kinds disagree with table schema";
+        assert!(matches!(err, FormatError::Corrupt(w) if w == why), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -55,3 +55,14 @@ pub use poll::{poll_fds, readv_fd, writev_fd, Interest, PollEntry, Waker, IOV_BA
 pub use pool::{fan_out, ThreadPool};
 pub use queue::{RequestQueue, SubmitError};
 pub use sync::{Flight, Mailbox, Permit, Semaphore, SingleFlight};
+
+use std::sync::OnceLock;
+
+/// Whether `PS3_STRICT_KERNELS=1` is set: every optimised kernel with a
+/// scalar oracle twin — k-means in `ps3_cluster`, selectivity estimation in
+/// `ps3_stats` — re-runs the oracle in-call and asserts bit-identity. Read
+/// once per process; off by default, since it doubles the work.
+pub fn strict_kernels() -> bool {
+    static STRICT: OnceLock<bool> = OnceLock::new();
+    *STRICT.get_or_init(|| std::env::var("PS3_STRICT_KERNELS").is_ok_and(|v| v == "1"))
+}

@@ -86,7 +86,9 @@ impl EquiDepthHistogram {
         let mut sum = 0u64;
         for _ in 0..nb - 1 {
             let d = r.u64()?;
-            sum += d;
+            sum = sum
+                .checked_add(d)
+                .ok_or(CodecError::Invalid("histogram: depths overflow"))?;
             depths.push(d);
         }
         if sum != total {
@@ -191,7 +193,9 @@ impl ExactDict {
         for _ in 0..n {
             let k = r.u64()?;
             let c = r.u64()?;
-            total += c;
+            total = total
+                .checked_add(c)
+                .ok_or(CodecError::Invalid("exact dict: counts overflow"))?;
             entries.push((k, c));
         }
         if total != rows {
@@ -479,6 +483,34 @@ mod tests {
                 assert!(err.is_err(), "encoding {i}: no error at cut {cut}");
             }
         }
+    }
+
+    #[test]
+    fn histogram_depths_that_overflow_are_rejected() {
+        let mut bytes = Vec::new();
+        let mut w = Writer::new(&mut bytes);
+        w.u8(tags::HISTOGRAM);
+        w.u64(0); // total: what two depths of 2^63 wrap to
+        w.u32(3);
+        [0.0, 1.0, 2.0].into_iter().for_each(|b| w.f64(b));
+        [1 << 63, 1 << 63].into_iter().for_each(|d| w.u64(d));
+        let err = EquiDepthHistogram::decode(&mut Reader::new(&bytes)).unwrap_err();
+        assert_eq!(err, CodecError::Invalid("histogram: depths overflow"));
+    }
+
+    #[test]
+    fn exact_dict_counts_that_overflow_are_rejected() {
+        let mut bytes = Vec::new();
+        let mut w = Writer::new(&mut bytes);
+        w.u8(tags::EXACT_DICT);
+        w.u64(0); // rows: what two counts of 2^63 wrap to
+        w.u32(2);
+        for key in [1, 2] {
+            w.u64(key);
+            w.u64(1 << 63);
+        }
+        let err = ExactDict::decode(&mut Reader::new(&bytes)).unwrap_err();
+        assert_eq!(err, CodecError::Invalid("exact dict: counts overflow"));
     }
 
     #[test]

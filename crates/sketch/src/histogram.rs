@@ -63,14 +63,120 @@ impl EquiDepthHistogram {
         }
     }
 
+    /// The histogram's parts borrowed as a [`HistogramView`], which every
+    /// probe below answers through.
+    pub fn view(&self) -> HistogramView<'_> {
+        HistogramView {
+            bounds: &self.bounds,
+            depths: &self.depths,
+            total: self.total,
+        }
+    }
+
     /// Number of buckets.
     pub fn buckets(&self) -> usize {
-        self.depths.len()
+        self.view().buckets()
     }
 
     /// Total rows summarized.
     pub fn total(&self) -> u64 {
         self.total
+    }
+
+    /// Smallest summarized value.
+    pub fn min(&self) -> f64 {
+        self.view().min()
+    }
+
+    /// Largest summarized value.
+    pub fn max(&self) -> f64 {
+        self.view().max()
+    }
+
+    /// See [`HistogramView::fraction_below`].
+    pub fn fraction_below(&self, v: f64, inclusive: bool) -> f64 {
+        self.view().fraction_below(v, inclusive)
+    }
+
+    /// See [`HistogramView::range_selectivity`].
+    pub fn range_selectivity(&self, lo: f64, hi: f64) -> f64 {
+        self.view().range_selectivity(lo, hi)
+    }
+
+    /// See [`HistogramView::equality_selectivity`].
+    pub fn equality_selectivity(&self, v: f64, distinct_estimate: f64) -> f64 {
+        self.view().equality_selectivity(v, distinct_estimate)
+    }
+
+    /// See [`HistogramView::cover_upper`].
+    pub fn cover_upper(&self, lo: f64, hi: f64) -> f64 {
+        self.view().cover_upper(lo, hi)
+    }
+
+    /// Exact serialized footprint: boundaries + depths + total.
+    pub fn serialized_size(&self) -> usize {
+        self.bounds.len() * 8 + self.depths.len() * 8 + 8
+    }
+
+    /// The raw encoding parts `(bounds, depths, total)` for the codec.
+    pub fn raw_parts(&self) -> (&[f64], &[u64], u64) {
+        (&self.bounds, &self.depths, self.total)
+    }
+
+    /// Rebuild from raw parts (codec use).
+    ///
+    /// # Panics
+    /// Panics if the shapes are inconsistent.
+    pub fn from_raw_parts(bounds: Vec<f64>, depths: Vec<u64>, total: u64) -> Self {
+        assert_eq!(
+            bounds.len(),
+            depths.len() + 1,
+            "bounds/depths shape mismatch"
+        );
+        assert_eq!(
+            depths.iter().sum::<u64>(),
+            total,
+            "depths must sum to total"
+        );
+        Self {
+            bounds,
+            depths,
+            total,
+        }
+    }
+}
+
+/// A histogram's boundaries, depths and total, borrowed wherever they are
+/// stored, and the selectivity probes over them. An [`EquiDepthHistogram`]
+/// answers through its own view; a caller that lays many histograms out in
+/// flat arrays builds views over slices of those arrays and gets the same
+/// answers, bit for bit, from the same code.
+#[derive(Debug, Clone, Copy)]
+pub struct HistogramView<'a> {
+    bounds: &'a [f64],
+    depths: &'a [u64],
+    total: u64,
+}
+
+impl<'a> HistogramView<'a> {
+    /// View `depths.len()` buckets bounded by `bounds`, holding `total`
+    /// rows: the parts [`EquiDepthHistogram::raw_parts`] returns.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) if `bounds` is not one longer than
+    /// `depths`.
+    pub fn new(bounds: &'a [f64], depths: &'a [u64], total: u64) -> Self {
+        debug_assert_eq!(bounds.len(), depths.len() + 1, "bounds/depths shape");
+        Self {
+            bounds,
+            depths,
+            total,
+        }
+    }
+
+    /// Number of buckets.
+    pub fn buckets(&self) -> usize {
+        self.depths.len()
     }
 
     /// Smallest summarized value.
@@ -177,38 +283,6 @@ impl EquiDepthHistogram {
             }
         }
         (mass as f64 / self.total as f64).clamp(0.0, 1.0)
-    }
-
-    /// Exact serialized footprint: boundaries + depths + total.
-    pub fn serialized_size(&self) -> usize {
-        self.bounds.len() * 8 + self.depths.len() * 8 + 8
-    }
-
-    /// The raw encoding parts `(bounds, depths, total)` for the codec.
-    pub fn raw_parts(&self) -> (&[f64], &[u64], u64) {
-        (&self.bounds, &self.depths, self.total)
-    }
-
-    /// Rebuild from raw parts (codec use).
-    ///
-    /// # Panics
-    /// Panics if the shapes are inconsistent.
-    pub fn from_raw_parts(bounds: Vec<f64>, depths: Vec<u64>, total: u64) -> Self {
-        assert_eq!(
-            bounds.len(),
-            depths.len() + 1,
-            "bounds/depths shape mismatch"
-        );
-        assert_eq!(
-            depths.iter().sum::<u64>(),
-            total,
-            "depths must sum to total"
-        );
-        Self {
-            bounds,
-            depths,
-            total,
-        }
     }
 }
 

@@ -50,7 +50,7 @@ pub use answer::AnswerSketch;
 pub use distinct::DistinctSketch;
 pub use exact_dict::ExactDict;
 pub use heavy_hitter::{HeavyHitter, HeavyHitters};
-pub use histogram::EquiDepthHistogram;
+pub use histogram::{EquiDepthHistogram, HistogramView};
 pub use measures::{Measures, MeasuresRaw};
 pub use quantile::QuantileSketch;
 pub use topk::TopKSketch;

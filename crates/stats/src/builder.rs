@@ -2,6 +2,14 @@
 //! heavy-hitter lists, the occurrence bitmaps, and the precomputed static
 //! feature blocks.
 //!
+//! Both constructors — [`TableStats::build`] and
+//! [`TableStats::from_raw_parts`], which thawing goes through — also derive
+//! the selectivity index (`crate::index`): every column's selectivity
+//! probe inputs across all partitions, laid out flat, which
+//! [`SelectivityPlan::estimate_all`](crate::SelectivityPlan::estimate_all)
+//! reads instead of the sketch bundles. It is never persisted, and
+//! [`TableStats::storage_breakdown`] does not count it.
+//!
 //! Sketch construction is embarrassingly parallel across partitions (§3.1);
 //! we fan out over the workspace's shared work-stealing pool
 //! ([`ps3_runtime::fan_out`]), which preserves partition order so parallel
@@ -13,6 +21,7 @@ use ps3_storage::{ColId, PartitionedTable};
 
 use crate::column_stats::{ColumnStats, ColumnStatsParams};
 use crate::features::{FeatureSchema, BITMAP_BITS, PER_COL, SCALARS_PER_COL};
+use crate::index::SelectivityIndex;
 
 /// Configuration for statistics construction.
 #[derive(Debug, Clone, Copy)]
@@ -51,6 +60,8 @@ pub struct TableStats {
     /// column; selectivity slots zero until query time).
     static_features: Vec<Vec<f64>>,
     feature_schema: FeatureSchema,
+    /// Derived from `partitions`: what selectivity estimation reads.
+    index: SelectivityIndex,
 }
 
 impl TableStats {
@@ -117,6 +128,8 @@ impl TableStats {
         let static_features = (0..n)
             .map(|p| static_row(&partitions[p], &bitmaps, p, &feature_schema))
             .collect();
+        let index = SelectivityIndex::new(&partitions, num_cols)
+            .expect("sketches built from a table fit the selectivity index");
 
         Self {
             partitions,
@@ -124,6 +137,7 @@ impl TableStats {
             bitmaps,
             static_features,
             feature_schema,
+            index,
         }
     }
 
@@ -162,10 +176,25 @@ impl TableStats {
         &self.feature_schema
     }
 
+    /// What selectivity estimation reads (see the module docs).
+    pub(crate) fn selectivity_index(&self) -> &SelectivityIndex {
+        &self.index
+    }
+
+    /// Heap bytes of the selectivity index: resident alongside the
+    /// sketches, and counted by neither [`Self::storage_breakdown`] nor the
+    /// artifact.
+    pub fn selectivity_index_bytes(&self) -> usize {
+        self.index.heap_bytes()
+    }
+
     /// Rebuild a `TableStats` from persisted parts, validating every
-    /// cross-vector shape invariant the accessors rely on. Fails (rather
-    /// than panicking later) when a corrupt artifact ships inconsistent
-    /// shapes.
+    /// cross-vector shape invariant the accessors rely on, and derive the
+    /// selectivity index. Fails (rather than panicking later) when a corrupt
+    /// artifact ships inconsistent shapes, or sketches the index cannot
+    /// hold: a column with a histogram in only some partitions, a
+    /// categorical key wider than a dictionary code, or an exact dictionary
+    /// of more than `u32::MAX` rows.
     pub fn from_raw_parts(
         partitions: Vec<Vec<ColumnStats>>,
         global_hh: Vec<Vec<u64>>,
@@ -191,12 +220,14 @@ impl TableStats {
         if static_features.len() != n || static_features.iter().any(|r| r.len() != dim) {
             return Err("stats static feature shape disagrees with schema");
         }
+        let index = SelectivityIndex::new(&partitions, num_cols)?;
         Ok(Self {
             partitions,
             global_hh,
             bitmaps,
             static_features,
             feature_schema,
+            index,
         })
     }
 

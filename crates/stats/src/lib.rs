@@ -8,7 +8,9 @@
 //! * [`selectivity`] — the four selectivity features (`upper`, `indep`,
 //!   `min`, `max`) estimated from histograms/dictionaries, with
 //!   `selectivity_upper`'s perfect-recall guarantee, through a plan built
-//!   once per query.
+//!   once per query and run over the table's selectivity index: the
+//!   probes' inputs laid out flat per column, derived when a
+//!   [`TableStats`] is constructed and never persisted.
 //! * [`features`] — the feature-vector schema of Table 2 and query-dependent
 //!   masking.
 //! * [`normalize`] — Appendix B normalization (log / cube-root transform,
@@ -21,6 +23,7 @@
 pub mod builder;
 pub mod column_stats;
 pub mod features;
+mod index;
 pub mod normalize;
 #[doc(hidden)]
 pub mod oracle;

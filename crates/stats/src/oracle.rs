@@ -5,10 +5,12 @@
 //!   [`SelectivityPlan`](crate::selectivity::SelectivityPlan). This is the
 //!   tree walk the plan replaced, unchanged: it re-groups an AND's
 //!   same-column comparisons and allocates its child and clause lists on
-//!   every partition. It shares only the per-clause sketch probes
-//!   (interval, `<>` and membership) with the plan; what the plan rewrote
-//!   — the grouping, the visiting order and every fold — is written out
-//!   here independently.
+//!   every partition. It also owns the per-clause probes (interval, `<>`
+//!   and membership), which read one partition's [`ColumnStats`] directly:
+//!   the plan reads the flat selectivity index instead, so the two share
+//!   no leaf code above the histogram's own probes. Under
+//!   `PS3_STRICT_KERNELS=1` every plan run re-checks itself against this
+//!   evaluator.
 //! * The full-width Appendix-B normalizer, the oracle for
 //!   [`Normalizer::fit`] on compact matrices and for the rows
 //!   [`NormalizedStatics::gather`](crate::NormalizedStatics::gather)
@@ -25,10 +27,99 @@ use ps3_storage::ColId;
 use crate::column_stats::ColumnStats;
 use crate::features::FeatureSchema;
 use crate::normalize::{transform, Normalizer};
-use crate::selectivity::{
-    effective_op, in_selectivity, interval_selectivity, ne_selectivity, Interval,
-    SelectivityFeatures,
-};
+use crate::selectivity::{effective_op, Interval, SelectivityFeatures};
+
+/// `(upper, estimate)` for `x <> value`: the complement of equality.
+fn ne_selectivity(value: f64, stats: &ColumnStats) -> (f64, f64) {
+    let (eq_upper, eq_est) =
+        interval_selectivity(&Interval::from_cmp(CmpOp::Eq, value).unwrap(), stats);
+    let est = (1.0 - eq_est).clamp(0.0, 1.0);
+    // Upper: all rows might differ from v unless the column is constant at v
+    // (then eq covers everything).
+    let upper = if eq_upper >= 1.0 && stats.akmv.distinct_estimate() <= 1.0 {
+        0.0
+    } else {
+        1.0
+    };
+    (upper, est)
+}
+
+/// `(upper, estimate)` for a numeric interval.
+fn interval_selectivity(iv: &Interval, stats: &ColumnStats) -> (f64, f64) {
+    if iv.is_empty() {
+        return (0.0, 0.0);
+    }
+    let Some(hist) = &stats.histogram else {
+        // No histogram (shouldn't happen for numeric columns): stay safe.
+        return (1.0, 0.5);
+    };
+    // Exact path: tiny domains keep a full dictionary of value bit patterns.
+    if let Some(exact) = &stats.exact {
+        let mut sel = 0.0;
+        for (key, count) in exact.iter() {
+            let v = f64::from_bits(key);
+            let lo_ok = v > iv.lo || (iv.lo_incl && v == iv.lo);
+            let hi_ok = v < iv.hi || (iv.hi_incl && v == iv.hi);
+            if lo_ok && hi_ok {
+                sel += count as f64;
+            }
+        }
+        let sel = sel / stats.rows.max(1) as f64;
+        return (sel, sel);
+    }
+    let upper = hist.cover_upper(iv.lo, iv.hi);
+    let est = if iv.lo == iv.hi {
+        hist.equality_selectivity(iv.lo, stats.akmv.distinct_estimate())
+    } else {
+        (hist.fraction_below(iv.hi, iv.hi_incl) - hist.fraction_below(iv.lo, !iv.lo_incl))
+            .clamp(0.0, 1.0)
+    };
+    (upper, est.min(upper))
+}
+
+/// `(upper, estimate)` for a categorical membership test over the
+/// precompiled dictionary-code targets.
+fn in_selectivity(keys: &[u32], negated: bool, stats: &ColumnStats) -> (f64, f64) {
+    // Exact dictionary: both the bound and the estimate are exact.
+    if let Some(exact) = &stats.exact {
+        let sel = keys
+            .iter()
+            .map(|&k| exact.frequency(u64::from(k)))
+            .sum::<f64>()
+            .clamp(0.0, 1.0);
+        let sel = if negated { 1.0 - sel } else { sel };
+        return (sel, sel);
+    }
+    if negated {
+        // Cannot rule anything out without an exact dictionary.
+        let (_, pos_est) = in_selectivity(keys, false, stats);
+        return (1.0, (1.0 - pos_est).clamp(0.0, 1.0));
+    }
+    let hh_mass: f64 = stats.heavy_hitters.iter().map(|h| h.frequency).sum();
+    let ndv = stats.akmv.distinct_estimate().max(1.0);
+    let non_hh = (ndv - stats.heavy_hitters.len() as f64).max(1.0);
+    // Average frequency of a non-heavy-hitter value.
+    let tail_avg = ((1.0 - hh_mass).max(0.0) / non_hh).clamp(0.0, 1.0);
+    // Not-a-local-heavy-hitter caps frequency at the support threshold.
+    let support = 0.01_f64.max(tail_avg);
+    let mut upper = 0.0;
+    let mut est = 0.0;
+    for &k in keys {
+        match stats.hh_frequency(u64::from(k)) {
+            Some(f) => {
+                upper += f + 0.001; // lossy-counting undercount allowance (ε)
+                est += f;
+            }
+            None => {
+                // Not a local heavy hitter: frequency is below support, but
+                // presence cannot be excluded.
+                upper += support;
+                est += tail_avg;
+            }
+        }
+    }
+    (upper.clamp(0.0, 1.0), est.clamp(0.0, 1.0))
+}
 
 /// `(upper, estimate)` for a numeric comparison (post-negation operator).
 fn cmp_selectivity(op: CmpOp, value: f64, stats: &ColumnStats) -> (f64, f64) {

@@ -17,15 +17,22 @@
 //! A predicate is estimated through a [`SelectivityPlan`], built once per
 //! query from the compiled predicate: the tree flattened into a postfix
 //! program whose same-column AND intervals are intersected when the plan is
-//! built, so estimating a partition walks one slice and allocates nothing.
-//! The recursive evaluator it replaced is [`crate::oracle`], the reference
-//! the property tests hold the plan to, bit for bit.
+//! built. [`SelectivityPlan::estimate_all`] runs it over every partition,
+//! its leaves probing the table's selectivity index (`crate::index`), so
+//! estimating a partition walks one slice, reads flat per-column arrays
+//! rather than the partition's sketch bundles, and allocates nothing. The
+//! recursive evaluator it replaced, with the per-[`ColumnStats`] probes, is
+//! [`crate::oracle`]: the reference the property tests, and strict mode,
+//! hold the plan to, bit for bit.
+//!
+//! [`ColumnStats`]: crate::ColumnStats
 
-use ps3_query::{CmpOp, CompiledPredicate, Query};
-use ps3_storage::{ColId, Schema, Table};
+use ps3_query::{CmpOp, CompiledPredicate};
+use ps3_storage::ColId;
 
 use crate::builder::TableStats;
-use crate::column_stats::ColumnStats;
+use crate::index::SelectivityIndex;
+use crate::oracle;
 
 /// The four selectivity features for one (query, partition) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,10 +67,10 @@ impl SelectivityFeatures {
 /// A half-open/closed numeric interval used for joint clause evaluation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Interval {
-    lo: f64,
-    lo_incl: bool,
-    hi: f64,
-    hi_incl: bool,
+    pub(crate) lo: f64,
+    pub(crate) lo_incl: bool,
+    pub(crate) hi: f64,
+    pub(crate) hi_incl: bool,
 }
 
 impl Interval {
@@ -129,101 +136,9 @@ impl Interval {
         }
     }
 
-    fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.lo > self.hi || (self.lo == self.hi && !(self.lo_incl && self.hi_incl))
     }
-}
-
-/// `(upper, estimate)` for `x <> value`: the complement of equality.
-pub(crate) fn ne_selectivity(value: f64, stats: &ColumnStats) -> (f64, f64) {
-    let (eq_upper, eq_est) =
-        interval_selectivity(&Interval::from_cmp(CmpOp::Eq, value).unwrap(), stats);
-    let est = (1.0 - eq_est).clamp(0.0, 1.0);
-    // Upper: all rows might differ from v unless the column is constant at v
-    // (then eq covers everything).
-    let upper = if eq_upper >= 1.0 && stats.akmv.distinct_estimate() <= 1.0 {
-        0.0
-    } else {
-        1.0
-    };
-    (upper, est)
-}
-
-/// `(upper, estimate)` for a numeric interval.
-pub(crate) fn interval_selectivity(iv: &Interval, stats: &ColumnStats) -> (f64, f64) {
-    if iv.is_empty() {
-        return (0.0, 0.0);
-    }
-    let Some(hist) = &stats.histogram else {
-        // No histogram (shouldn't happen for numeric columns): stay safe.
-        return (1.0, 0.5);
-    };
-    // Exact path: tiny domains keep a full dictionary of value bit patterns.
-    if let Some(exact) = &stats.exact {
-        let mut sel = 0.0;
-        for (key, count) in exact.iter() {
-            let v = f64::from_bits(key);
-            let lo_ok = v > iv.lo || (iv.lo_incl && v == iv.lo);
-            let hi_ok = v < iv.hi || (iv.hi_incl && v == iv.hi);
-            if lo_ok && hi_ok {
-                sel += count as f64;
-            }
-        }
-        let sel = sel / stats.rows.max(1) as f64;
-        return (sel, sel);
-    }
-    let upper = hist.cover_upper(iv.lo, iv.hi);
-    let est = if iv.lo == iv.hi {
-        hist.equality_selectivity(iv.lo, stats.akmv.distinct_estimate())
-    } else {
-        (hist.fraction_below(iv.hi, iv.hi_incl) - hist.fraction_below(iv.lo, !iv.lo_incl))
-            .clamp(0.0, 1.0)
-    };
-    (upper, est.min(upper))
-}
-
-/// `(upper, estimate)` for a categorical membership test over the
-/// precompiled dictionary-code targets.
-pub(crate) fn in_selectivity(keys: &[u32], negated: bool, stats: &ColumnStats) -> (f64, f64) {
-    // Exact dictionary: both the bound and the estimate are exact.
-    if let Some(exact) = &stats.exact {
-        let sel = keys
-            .iter()
-            .map(|&k| exact.frequency(u64::from(k)))
-            .sum::<f64>()
-            .clamp(0.0, 1.0);
-        let sel = if negated { 1.0 - sel } else { sel };
-        return (sel, sel);
-    }
-    if negated {
-        // Cannot rule anything out without an exact dictionary.
-        let (_, pos_est) = in_selectivity(keys, false, stats);
-        return (1.0, (1.0 - pos_est).clamp(0.0, 1.0));
-    }
-    let hh_mass: f64 = stats.heavy_hitters.iter().map(|h| h.frequency).sum();
-    let ndv = stats.akmv.distinct_estimate().max(1.0);
-    let non_hh = (ndv - stats.heavy_hitters.len() as f64).max(1.0);
-    // Average frequency of a non-heavy-hitter value.
-    let tail_avg = ((1.0 - hh_mass).max(0.0) / non_hh).clamp(0.0, 1.0);
-    // Not-a-local-heavy-hitter caps frequency at the support threshold.
-    let support = 0.01_f64.max(tail_avg);
-    let mut upper = 0.0;
-    let mut est = 0.0;
-    for &k in keys {
-        match stats.hh_frequency(u64::from(k)) {
-            Some(f) => {
-                upper += f + 0.001; // lossy-counting undercount allowance (ε)
-                est += f;
-            }
-            None => {
-                // Not a local heavy hitter: frequency is below support, but
-                // presence cannot be excluded.
-                upper += support;
-                est += tail_avg;
-            }
-        }
-    }
-    (upper.clamp(0.0, 1.0), est.clamp(0.0, 1.0))
 }
 
 /// The effective comparison operator of a compiled `Cmp` leaf: a mask
@@ -273,6 +188,8 @@ enum Step<'a> {
 /// order, so the features are bit-identical to [`crate::oracle`]'s.
 #[derive(Debug)]
 pub struct SelectivityPlan<'a> {
+    /// The predicate planned, for the strict-mode oracle check.
+    pred: Option<&'a CompiledPredicate>,
     /// Empty when there is no predicate: everything passes.
     steps: Vec<Step<'a>>,
     /// Leaf steps; with none, `min` and `max` read 1.0.
@@ -285,6 +202,7 @@ impl<'a> SelectivityPlan<'a> {
     /// Plan `pred`, or the all-pass estimate when there is none.
     pub fn new(pred: Option<&'a CompiledPredicate>) -> Self {
         let mut plan = Self {
+            pred,
             steps: Vec::new(),
             leaves: 0,
             depth: 0,
@@ -375,25 +293,46 @@ impl<'a> SelectivityPlan<'a> {
         }
     }
 
-    /// The four features on one partition's column statistics, indexed by
-    /// [`ColId`]. Allocates its scratch stack: to estimate many partitions,
-    /// use [`Self::estimate_all`].
-    pub fn estimate(&self, stats: &[ColumnStats]) -> SelectivityFeatures {
-        self.run(stats, &mut Vec::with_capacity(self.depth))
-    }
-
-    /// Every partition's four features, in partition order. One scratch
-    /// stack, reserved up front, serves them all: nothing is allocated per
-    /// partition.
+    /// Every partition's four features, in partition order, read from
+    /// `stats`' selectivity index. One scratch stack, reserved up front,
+    /// serves them all: nothing is allocated per partition.
+    ///
+    /// Under `PS3_STRICT_KERNELS=1` ([`ps3_runtime::strict_kernels`]) each
+    /// partition's features are also computed by the recursive
+    /// [`crate::oracle`] from its column statistics, and must match bit for
+    /// bit.
+    ///
+    /// # Panics
+    /// Panics (strict mode only) if a partition's features diverge from the
+    /// oracle's.
     pub fn estimate_all<'s>(
         &'s self,
         stats: &'s TableStats,
     ) -> impl ExactSizeIterator<Item = SelectivityFeatures> + use<'s, 'a> {
         let mut stack = Vec::with_capacity(self.depth);
-        (0..stats.num_partitions()).map(move |p| self.run(stats.partition(p), &mut stack))
+        let strict = ps3_runtime::strict_kernels();
+        let index = stats.selectivity_index();
+        (0..stats.num_partitions()).map(move |p| {
+            let features = self.run(index, p, &mut stack);
+            if strict {
+                let reference =
+                    oracle::selectivity_features_compiled(self.pred, stats.partition(p));
+                assert_eq!(
+                    features.as_array().map(f64::to_bits),
+                    reference.as_array().map(f64::to_bits),
+                    "strict kernels: partition {p}'s selectivity diverged from the oracle"
+                );
+            }
+            features
+        })
     }
 
-    fn run(&self, stats: &[ColumnStats], stack: &mut Vec<(f64, f64)>) -> SelectivityFeatures {
+    fn run(
+        &self,
+        index: &SelectivityIndex,
+        p: usize,
+        stack: &mut Vec<(f64, f64)>,
+    ) -> SelectivityFeatures {
         if self.steps.is_empty() {
             return SelectivityFeatures::all_pass();
         }
@@ -401,13 +340,13 @@ impl<'a> SelectivityPlan<'a> {
         let (mut min, mut max) = (1.0_f64, 0.0_f64);
         for step in &self.steps {
             let leaf = match *step {
-                Step::Interval { col, iv } => interval_selectivity(&iv, &stats[col]),
-                Step::NotEqual { col, value } => ne_selectivity(value, &stats[col]),
+                Step::Interval { col, iv } => index.interval(col, p, &iv),
+                Step::NotEqual { col, value } => index.not_equal(col, p, value),
                 Step::InSet {
                     col,
                     codes,
                     negated,
-                } => in_selectivity(codes, negated, &stats[col]),
+                } => index.in_set(col, p, codes, negated),
                 Step::And(n) | Step::Or(n) => {
                     let at = stack.len() - n;
                     let parts = &stack[at..];
@@ -441,52 +380,39 @@ impl<'a> SelectivityPlan<'a> {
     }
 }
 
-/// Compute the four selectivity features of `query` on one partition,
-/// compiling and planning the predicate first.
-///
-/// `stats` holds the partition's per-column sketch bundles, indexed by
-/// [`ColId`]; `table` supplies the shared categorical dictionaries the
-/// compilation resolves membership targets against. Callers probing many
-/// partitions should compile and plan once ([`SelectivityPlan`]).
-pub fn selectivity_features(
-    query: &Query,
-    stats: &[ColumnStats],
-    table: &Table,
-    schema: &Schema,
-) -> SelectivityFeatures {
-    debug_assert_eq!(stats.len(), schema.len());
-    let compiled = query
-        .predicate
-        .as_ref()
-        .map(|p| CompiledPredicate::compile(table, p));
-    SelectivityPlan::new(compiled.as_ref()).estimate(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column_stats::ColumnStatsParams;
-    use ps3_query::{AggExpr, Clause, Predicate, ScalarExpr};
+    use crate::builder::StatsConfig;
+    use ps3_query::{AggExpr, Clause, Predicate, Query, ScalarExpr};
     use ps3_storage::table::TableBuilder;
-    use ps3_storage::{ColumnMeta, ColumnType};
+    use ps3_storage::{ColumnMeta, ColumnType, PartitionedTable, Schema};
 
-    fn make() -> (Table, Vec<ColumnStats>, Schema) {
+    /// One partition of 200 rows: `x` = row index, `tag` alternating
+    /// `even` / `odd`.
+    fn make() -> (PartitionedTable, TableStats) {
         let schema = Schema::new(vec![
             ColumnMeta::new("x", ColumnType::Numeric),
             ColumnMeta::new("tag", ColumnType::Categorical),
         ]);
-        let mut b = TableBuilder::new(schema.clone());
+        let mut b = TableBuilder::new(schema);
         for i in 0..200 {
             let tag = if i % 2 == 0 { "even" } else { "odd" };
             b.push_row(&[f64::from(i)], &[tag]);
         }
-        let table = b.finish();
-        let params = ColumnStatsParams::default();
-        let stats: Vec<ColumnStats> = schema
-            .iter()
-            .map(|(id, meta)| ColumnStats::build(table.column(id), meta.ctype, 0..200, &params))
-            .collect();
-        (table, stats, schema)
+        let pt = PartitionedTable::with_equal_partitions(b.finish(), 1);
+        let stats = TableStats::build(&pt, &StatsConfig::default());
+        (pt, stats)
+    }
+
+    /// `q`'s features on the one partition, through a plan of its
+    /// compiled predicate.
+    fn features(pt: &PartitionedTable, stats: &TableStats, q: &Query) -> SelectivityFeatures {
+        let compiled = (q.predicate.as_ref()).map(|p| CompiledPredicate::compile(pt.table(), p));
+        let plan = SelectivityPlan::new(compiled.as_ref());
+        let all: Vec<SelectivityFeatures> = plan.estimate_all(stats).collect();
+        assert_eq!(all.len(), 1);
+        all[0]
     }
 
     fn query(pred: Predicate) -> Query {
@@ -499,15 +425,15 @@ mod tests {
 
     #[test]
     fn no_predicate_is_all_pass() {
-        let (table, stats, schema) = make();
+        let (pt, stats) = make();
         let q = Query::new(vec![AggExpr::count()], None, vec![]);
-        let f = selectivity_features(&q, &stats, &table, &schema);
+        let f = features(&pt, &stats, &q);
         assert_eq!(f, SelectivityFeatures::all_pass());
     }
 
     #[test]
     fn range_predicate_estimates() {
-        let (table, stats, schema) = make();
+        let (pt, stats) = make();
         let q = query(Predicate::all(vec![
             Clause::Cmp {
                 col: ColId(0),
@@ -520,7 +446,7 @@ mod tests {
                 value: 150.0,
             },
         ]));
-        let f = selectivity_features(&q, &stats, &table, &schema);
+        let f = features(&pt, &stats, &q);
         // True selectivity 0.5; joint evaluation should land close.
         assert!((f.indep - 0.5).abs() < 0.15, "indep {}", f.indep);
         assert!(f.upper >= f.indep);
@@ -528,7 +454,7 @@ mod tests {
 
     #[test]
     fn impossible_range_has_zero_upper() {
-        let (table, stats, schema) = make();
+        let (pt, stats) = make();
         let q = query(Predicate::all(vec![
             Clause::Cmp {
                 col: ColId(0),
@@ -541,44 +467,44 @@ mod tests {
                 value: 50.0,
             },
         ]));
-        let f = selectivity_features(&q, &stats, &table, &schema);
+        let f = features(&pt, &stats, &q);
         assert_eq!(f.upper, 0.0);
         assert_eq!(f.indep, 0.0);
     }
 
     #[test]
     fn out_of_domain_value_zero_upper() {
-        let (table, stats, schema) = make();
+        let (pt, stats) = make();
         let q = query(Predicate::Clause(Clause::Cmp {
             col: ColId(0),
             op: CmpOp::Gt,
             value: 1e6,
         }));
-        let f = selectivity_features(&q, &stats, &table, &schema);
+        let f = features(&pt, &stats, &q);
         assert_eq!(f.upper, 0.0);
     }
 
     #[test]
     fn categorical_exact_dict_is_exact() {
-        let (table, stats, schema) = make();
+        let (pt, stats) = make();
         let q = query(Predicate::Clause(Clause::str_eq(ColId(1), "even")));
-        let f = selectivity_features(&q, &stats, &table, &schema);
+        let f = features(&pt, &stats, &q);
         assert!((f.indep - 0.5).abs() < 1e-9, "indep {}", f.indep);
         assert!((f.upper - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn unknown_string_value_zero() {
-        let (table, stats, schema) = make();
+        let (pt, stats) = make();
         let q = query(Predicate::Clause(Clause::str_eq(ColId(1), "nope")));
-        let f = selectivity_features(&q, &stats, &table, &schema);
+        let f = features(&pt, &stats, &q);
         assert_eq!(f.upper, 0.0);
         assert_eq!(f.indep, 0.0);
     }
 
     #[test]
     fn or_upper_is_capped_sum() {
-        let (table, stats, schema) = make();
+        let (pt, stats) = make();
         let q = query(Predicate::any(vec![
             Clause::Cmp {
                 col: ColId(0),
@@ -591,7 +517,7 @@ mod tests {
                 value: 100.0,
             },
         ]));
-        let f = selectivity_features(&q, &stats, &table, &schema);
+        let f = features(&pt, &stats, &q);
         assert!(f.upper > 0.9);
         assert!(f.upper <= 1.0);
         // Paper rule: indep of an OR is the min of the clause estimates.
@@ -600,19 +526,19 @@ mod tests {
 
     #[test]
     fn negation_through_nnf() {
-        let (table, stats, schema) = make();
+        let (pt, stats) = make();
         let q = query(Predicate::Not(Box::new(Predicate::Clause(Clause::Cmp {
             col: ColId(0),
             op: CmpOp::Lt,
             value: 100.0,
         }))));
-        let f = selectivity_features(&q, &stats, &table, &schema);
+        let f = features(&pt, &stats, &q);
         assert!((f.indep - 0.5).abs() < 0.15, "indep {}", f.indep);
     }
 
     #[test]
     fn min_max_track_clause_estimates() {
-        let (table, stats, schema) = make();
+        let (pt, stats) = make();
         let q = query(Predicate::all(vec![
             Clause::Cmp {
                 col: ColId(0),
@@ -621,20 +547,20 @@ mod tests {
             }, // ~0.1
             Clause::str_eq(ColId(1), "even"), // 0.5
         ]));
-        let f = selectivity_features(&q, &stats, &table, &schema);
+        let f = features(&pt, &stats, &q);
         assert!(f.min < 0.2);
         assert!((f.max - 0.5).abs() < 0.05);
     }
 
     #[test]
     fn contains_matches_dictionary() {
-        let (table, stats, schema) = make();
+        let (pt, stats) = make();
         let q = query(Predicate::Clause(Clause::Contains {
             col: ColId(1),
             needle: "ev".into(),
             negated: false,
         }));
-        let f = selectivity_features(&q, &stats, &table, &schema);
+        let f = features(&pt, &stats, &q);
         assert!((f.indep - 0.5).abs() < 1e-9);
     }
 }

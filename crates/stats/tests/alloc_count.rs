@@ -117,8 +117,14 @@ fn estimating_every_partition_allocates_nothing_per_partition() {
         };
         let ((few, _), (many, upper)) = (planned(&small), planned(&large));
         assert!(upper > 0.0, "{name}: some partition qualifies");
-        assert_eq!(few, many, "{name}: 8× the partitions, same allocations");
-        assert!(many <= 8, "{name}: {many} allocations for one plan");
+        if ps3_runtime::strict_kernels() {
+            // Strict mode re-runs the recursive oracle on every partition,
+            // and that allocates: proof the check ran on all 448 more.
+            assert!(many >= few + 448, "{name}: {few} → {many} allocations");
+        } else {
+            assert_eq!(few, many, "{name}: 8× the partitions, same allocations");
+            assert!(many <= 8, "{name}: {many} allocations for one plan");
+        }
 
         // The recursive evaluator allocates on every partition.
         let (pt, stats) = &large;

