@@ -214,8 +214,7 @@ pub struct RouterStats {
     /// Budget-planner activity (plans, probes, probe cache hits,
     /// no-signal fallbacks).
     pub planner: PlannerStats,
-    /// In-place retrains performed ([`Router::retrain`] /
-    /// [`Router::retrain_incremental`]).
+    /// In-place retrains performed ([`Router::retrain`]).
     pub retrains: u64,
     /// Wall-clock of the most recent retrain (ms; 0 before the first).
     pub retrain_ms: f64,
@@ -750,10 +749,12 @@ impl RouterBuilder {
         Ok(self.table(name, Arc::new(system)))
     }
 
-    /// Auto-snapshot directory: after every successful
-    /// [`Router::retrain_incremental`], the new generation is frozen to
-    /// `<dir>/<table-name>.ps3` (best-effort — a failed write only bumps
-    /// [`RouterStats::snapshot_errors`]). Off by default.
+    /// Auto-snapshot directory: after every [`Router::retrain`], the new
+    /// generation is frozen to `<dir>/<table-name>.ps3` (best-effort — a
+    /// failed write only bumps [`RouterStats::snapshot_errors`]). Off by
+    /// default. [`Router::replace_table`] and [`Router::load_table`] do not
+    /// snapshot: a loaded generation is already on disk, and a replacement
+    /// is the caller's to freeze.
     pub fn snapshot_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.snapshot_dir = Some(dir.into());
         self
@@ -889,7 +890,12 @@ impl Router {
     /// current one (outside any lock — training is slow and serving
     /// continues meanwhile), swap it in, and invalidate the table's cached
     /// answers. Returns the replaced system. The wall-clock (closure plus
-    /// swap) lands in [`RouterStats::retrain_ms`].
+    /// swap) lands in [`RouterStats::retrain_ms`]. With a
+    /// [`RouterBuilder::snapshot_dir`] the new generation is then frozen.
+    ///
+    /// A warm retrain onto a (possibly grown) table is
+    /// `router.retrain(table, |cur| Arc::new(Ps3System::retrain_from(cur, pt, stats)))`:
+    /// the current generation's learned parts over the new statistics.
     pub fn retrain(
         &self,
         table: TableId,
@@ -897,27 +903,7 @@ impl Router {
     ) -> Arc<Ps3System> {
         let started = Instant::now();
         let current = self.system(table);
-        let replacement = train(&current);
-        let old = self.replace_table(table, replacement);
-        self.record_retrain(started.elapsed().as_secs_f64() * 1e3);
-        old
-    }
-
-    /// Warm incremental retrain of `table` for (possibly grown) `pt` and
-    /// `stats`: derive the replacement via [`Ps3System::retrain_from`] —
-    /// the current generation's learned parts over the new table's
-    /// statistics — then swap it in and invalidate the table's cached
-    /// answers. Returns the replaced system; [`RouterStats::retrain_ms`]
-    /// records the cost.
-    pub fn retrain_incremental(
-        &self,
-        table: TableId,
-        pt: Arc<ps3_storage::PartitionedTable>,
-        stats: Arc<ps3_stats::TableStats>,
-    ) -> Arc<Ps3System> {
-        let started = Instant::now();
-        let current = self.system(table);
-        let next = Arc::new(Ps3System::retrain_from(&current, pt, stats));
+        let next = train(&current);
         let old = self.replace_table(table, Arc::clone(&next));
         self.record_retrain(started.elapsed().as_secs_f64() * 1e3);
         // Durability rides behind serving: the swap is done, so a slow or
@@ -1585,7 +1571,10 @@ mod tests {
         // Retrain in place on the unchanged table (the append-only
         // degenerate case): zero model refits.
         let sys = router.system(table);
-        let old = router.retrain_incremental(table, Arc::clone(&sys.pt), Arc::clone(&sys.stats));
+        let (pt, stats) = (Arc::clone(&sys.pt), Arc::clone(&sys.stats));
+        let old = router.retrain(table, |cur| {
+            Arc::new(Ps3System::retrain_from(cur, pt, stats))
+        });
         assert!(Arc::ptr_eq(&old, &sys), "the replaced system comes back");
         let stats = router.stats();
         assert_eq!(stats.retrains, 1);
@@ -1600,7 +1589,7 @@ mod tests {
         assert_eq!(after.answer, before.answer);
         assert_eq!(after.meta.error_estimate, before.meta.error_estimate);
 
-        // Closure-based retrains count the same way.
+        // Any derived replacement counts the same way.
         let replacement = tiny_system(41, 160);
         let _ = router.retrain(table, |_| Arc::clone(&replacement));
         assert_eq!(router.stats().retrains, 2);
@@ -2018,7 +2007,8 @@ mod tests {
             .snapshot_dir(&dir)
             .build();
         let tid = router.table_id("t").unwrap();
-        router.retrain_incremental(tid, Arc::clone(&system.pt), Arc::clone(&system.stats));
+        let (pt, stats) = (Arc::clone(&system.pt), Arc::clone(&system.stats));
+        router.retrain(tid, |cur| Arc::new(Ps3System::retrain_from(cur, pt, stats)));
         let stats = router.stats();
         assert_eq!(stats.snapshots, 1);
         assert_eq!(stats.snapshot_errors, 0);
@@ -2037,7 +2027,8 @@ mod tests {
             .snapshot_dir(dir.join("missing/nested"))
             .build();
         let bid = bad.table_id("t").unwrap();
-        bad.retrain_incremental(bid, Arc::clone(&system.pt), Arc::clone(&system.stats));
+        let (pt, stats) = (Arc::clone(&system.pt), Arc::clone(&system.stats));
+        bad.retrain(bid, |cur| Arc::new(Ps3System::retrain_from(cur, pt, stats)));
         assert_eq!(bad.stats().snapshot_errors, 1);
 
         std::fs::remove_dir_all(&dir).ok();

@@ -1146,10 +1146,9 @@ pub(crate) mod tests {
     /// `picker_ms`, and the sketch's codec bytes, as comparable bits.
     fn outcome_bits(out: &AnswerOutcome) -> impl PartialEq + std::fmt::Debug {
         let bits = |vals: &Vec<f64>| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let mut rows: Vec<_> = (out.answer.groups.iter())
+        let rows: Vec<_> = (out.answer.groups.iter())
             .map(|(key, vals)| (key.clone(), bits(vals)))
             .collect();
-        rows.sort();
         let selection: Vec<_> = (out.selection.iter())
             .map(|wp| (wp.partition.index(), wp.weight.to_bits()))
             .collect();

@@ -5,16 +5,16 @@
 //! [`NetClient::request`]: encode, send, block for the matching reply.
 //! Pipelining is the split pair [`NetClient::send`] (fire off any number
 //! of requests) and [`NetClient::recv`] (collect replies in completion
-//! order, correlated by request id). [`NetClient::request_streaming`]
-//! flips the request's progressive flag and returns the refining
-//! [`ProgressUpdate`]s alongside the final answer.
+//! order, correlated by request id). A reply is the decoded
+//! [`ResponseFrame`] itself ([`RemoteAnswer`]); nothing is rebuilt from it.
+//! [`NetClient::request_streaming`] flips the request's progressive flag
+//! and returns the refining [`ProgressUpdate`]s alongside the final answer.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use ps3_core::{AnswerMeta, ProgressUpdate, QueryRequest};
-use ps3_query::QueryAnswer;
+use ps3_core::{ProgressUpdate, QueryRequest};
 
 use crate::proto::{
     encode_frame_at_into, ErrorFrame, Frame, FrameBuffer, ProtoError, RequestFrame, ResponseFrame,
@@ -67,32 +67,12 @@ impl From<ProtoError> for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// A served answer, as seen from the client side of the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RemoteAnswer {
-    /// The correlation id this answer belongs to.
-    pub request_id: u64,
-    /// The (approximate) answer rows.
-    pub answer: QueryAnswer,
-    /// How the answer was produced: partitions read, picker latency, the
-    /// planned fraction, exactness, and per-aggregate error estimates —
-    /// the same [`AnswerMeta`] the router reports locally.
-    pub meta: AnswerMeta,
-    /// The merged answer sketch behind a sketch-class answer — `None` for
-    /// scalar answers.
-    pub sketch: Option<ps3_sketch::AnswerSketch>,
-}
-
-impl RemoteAnswer {
-    fn from_frame(frame: ResponseFrame) -> RemoteAnswer {
-        RemoteAnswer {
-            request_id: frame.request_id,
-            answer: frame.to_answer(),
-            meta: frame.to_meta(),
-            sketch: frame.sketch,
-        }
-    }
-}
+/// A served answer, as seen from the client side of the wire: the
+/// response frame itself, which carries the answer, its
+/// [`AnswerMeta`](ps3_core::AnswerMeta) and its sketch. The alias stays
+/// because the frozen `ps3_e2e` benchmark builds and reads answers under
+/// this name.
+pub type RemoteAnswer = ResponseFrame;
 
 /// Everything a progressive request produced: zero or more refinements
 /// (in `seq` order — cache hits answer in a single frame) and the final
@@ -141,8 +121,8 @@ pub struct NetClient {
     outgoing: Vec<u8>,
     next_id: u64,
     /// Replies that arrived while waiting for a different id (pipelined
-    /// requests complete in any order).
-    parked: HashMap<u64, ServerReply>,
+    /// requests complete in any order), in arrival order.
+    parked: VecDeque<ServerReply>,
     /// Partial frames collected per request id, awaiting their final
     /// response.
     partials: HashMap<u64, Vec<ProgressUpdate>>,
@@ -158,7 +138,7 @@ impl NetClient {
             inbound: FrameBuffer::new(DEFAULT_MAX_FRAME),
             outgoing: Vec::new(),
             next_id: 1,
-            parked: HashMap::new(),
+            parked: VecDeque::new(),
             partials: HashMap::new(),
         })
     }
@@ -191,12 +171,14 @@ impl NetClient {
         Ok(())
     }
 
-    /// Block for the next reply, in server completion order.
+    /// Block for the next reply, in server completion order: replies
+    /// parked by [`NetClient::recv_for`] come first, in the order they
+    /// arrived.
     pub fn recv(&mut self) -> Result<ServerReply, ClientError> {
-        if let Some(&id) = self.parked.keys().next() {
-            return Ok(self.parked.remove(&id).expect("keyed reply"));
+        match self.parked.pop_front() {
+            Some(reply) => Ok(reply),
+            None => self.read_reply(),
         }
-        self.read_reply()
     }
 
     /// Block for the reply to `request_id` specifically, parking any other
@@ -207,16 +189,20 @@ impl NetClient {
     /// id can ever arrive after it, so parking it would turn the server's
     /// typed refusal into an opaque EOF.
     pub fn recv_for(&mut self, request_id: u64) -> Result<ServerReply, ClientError> {
+        let parked = self
+            .parked
+            .iter()
+            .position(|r| r.request_id() == request_id);
+        if let Some(reply) = parked.and_then(|at| self.parked.remove(at)) {
+            return Ok(reply);
+        }
         loop {
-            if let Some(reply) = self.parked.remove(&request_id) {
-                return Ok(reply);
-            }
             let reply = self.read_reply()?;
             let is_conn_level = matches!(&reply, ServerReply::Error(e) if e.request_id == 0);
             if reply.request_id() == request_id || is_conn_level {
                 return Ok(reply);
             }
-            self.parked.insert(reply.request_id(), reply);
+            self.parked.push_back(reply);
         }
     }
 
@@ -267,15 +253,13 @@ impl NetClient {
         loop {
             if let Some(frame) = self.inbound.next_frame()? {
                 match frame {
-                    Frame::Response(resp) => {
-                        return Ok(ServerReply::Answer(RemoteAnswer::from_frame(resp)))
-                    }
+                    Frame::Response(resp) => return Ok(ServerReply::Answer(resp)),
                     Frame::Error(err) => return Ok(ServerReply::Error(err)),
                     Frame::Partial(part) => {
                         self.partials
                             .entry(part.request_id)
                             .or_default()
-                            .push(part.to_update());
+                            .push(part.update);
                         continue;
                     }
                     Frame::Request(_) => {

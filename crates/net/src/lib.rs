@@ -10,7 +10,7 @@
 //!   `(method, budget, seed)` triple that makes every answer
 //!   deterministic, where the budget is typed (an explicit fraction or a
 //!   declarative error/latency target for the server's planner); a
-//!   response carries the answer rows, execution stats, and the answer's
+//!   response carries the answer itself, execution stats, and the answer's
 //!   error estimate; progressive requests stream refining partial frames;
 //!   errors are typed. Zero external dependencies; byte layout documented
 //!   in `docs/PROTOCOL.md` and pinned by doc-tests.

@@ -164,8 +164,9 @@ pub(crate) fn encode_outbound_into(frame: &Frame, max_frame: u32, buf: &mut Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{decode_body, ResponseFrame, WireRow, DEFAULT_MAX_FRAME};
-    use ps3_core::ErrorEstimate;
+    use crate::proto::{decode_body, ResponseFrame, DEFAULT_MAX_FRAME};
+    use ps3_core::{AnswerMeta, ErrorEstimate};
+    use ps3_query::{GroupKey, QueryAnswer};
     use std::io::Read;
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
@@ -176,16 +177,27 @@ mod tests {
         buf
     }
 
-    fn response(request_id: u64, rows: Vec<WireRow>) -> ResponseFrame {
-        let n_aggs = rows.first().map_or(0, |r| r.values.len());
+    /// A response with one group per key in `keys`, each carrying
+    /// `values(key)`.
+    fn response(
+        request_id: u64,
+        keys: std::ops::Range<u64>,
+        values: impl Fn(u64) -> Vec<f64>,
+    ) -> ResponseFrame {
+        let answer = QueryAnswer {
+            groups: keys.map(|k| (GroupKey(Box::new([k])), values(k))).collect(),
+        };
+        let n_aggs = answer.groups.values().next().map_or(0, Vec::len);
         ResponseFrame {
             request_id,
-            rows,
-            partitions_read: 1,
-            picker_ms: 0.0,
-            planned_frac: 0.5,
-            exact: false,
-            error: ErrorEstimate::no_signal(n_aggs),
+            answer,
+            meta: AnswerMeta {
+                partitions_read: 1,
+                picker_ms: 0.0,
+                error_estimate: ErrorEstimate::no_signal(n_aggs),
+                planned_frac: 0.5,
+                exact: false,
+            },
             sketch: None,
         }
     }
@@ -195,15 +207,7 @@ mod tests {
         // A response bigger than the outbound cap must become a decodable
         // FrameTooLarge error for the same request id — never an oversized
         // frame the client's FrameBuffer would choke on.
-        let big = Frame::Response(response(
-            42,
-            (0..64)
-                .map(|i| WireRow {
-                    key: vec![i],
-                    values: vec![i as f64],
-                })
-                .collect(),
-        ));
+        let big = Frame::Response(response(42, 0..64, |i| vec![i as f64]));
         let wire = encode_outbound(&big, 64);
         let body_len = u32::from_le_bytes(wire[..4].try_into().unwrap());
         assert!(
@@ -220,7 +224,7 @@ mod tests {
         }
 
         // Under the cap, the response passes through unchanged.
-        let small = Frame::Response(response(7, vec![]));
+        let small = Frame::Response(response(7, 0..0, |_| vec![]));
         let wire = encode_outbound(&small, DEFAULT_MAX_FRAME);
         assert_eq!(decode_body(&wire[4..]).expect("decodes"), small);
     }
@@ -232,7 +236,7 @@ mod tests {
         // sockets keep the flush deterministic (every writev completes).
         let (sender, mut receiver) = UnixStream::pair().unwrap();
         let mut out = OutBuf::new();
-        let frame = Frame::Response(response(1, vec![]));
+        let frame = Frame::Response(response(1, 0..0, |_| vec![]));
 
         let burst = 4;
         for _ in 0..burst {
@@ -271,15 +275,7 @@ mod tests {
         sender.set_nonblocking(true).unwrap();
         receiver.set_nonblocking(true).unwrap();
 
-        let big = Frame::Response(response(
-            3,
-            (0..20_000)
-                .map(|i| WireRow {
-                    key: vec![i],
-                    values: vec![i as f64, -(i as f64)],
-                })
-                .collect(),
-        ));
+        let big = Frame::Response(response(3, 0..20_000, |i| vec![i as f64, -(i as f64)]));
         let mut expected = Vec::new();
         let mut out = OutBuf::new();
         for _ in 0..4 {

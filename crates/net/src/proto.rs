@@ -7,14 +7,16 @@
 //! route, a [`QuerySpec`] in the byte grammar of [`ps3_query::codec`] — the
 //! same one frozen artifacts store their training workload in — and the
 //! method/[`Budget`]/seed triple),
-//! [`ResponseFrame`] (server → client: answer rows plus execution stats
-//! and the answer's error estimate), [`PartialFrame`] (server → client: a
-//! refining intermediate answer on a progressive request), and
+//! [`ResponseFrame`] (server → client: the [`QueryAnswer`] with its
+//! [`AnswerMeta`] — execution stats and error estimate), [`PartialFrame`]
+//! (server → client: a refining [`ProgressUpdate`] on a progressive
+//! request), and
 //! [`ErrorFrame`] (server → client: a typed refusal). Every field, the
 //! query and the embedded answer sketch included, is written and read by
 //! the workspace's one byte codec, `ps3_storage::codec`'s
 //! [`Writer`]/[`Reader`] — no serde, no external crates — and every
-//! multi-byte integer is little-endian.
+//! multi-byte integer is little-endian. Frames carry the in-process types
+//! themselves; this module owns only their byte grammar.
 //!
 //! `docs/PROTOCOL.md` documents the byte layout with worked examples; a
 //! doc-test in this crate encodes those exact frames and asserts the
@@ -36,7 +38,9 @@
 //!   frame body*, so a minor revision may append new trailing fields
 //!   without bumping the version; anything structural bumps it.
 
-use ps3_core::{AggError, AnswerMeta, Budget, ErrorEstimate, Method, QueryRequest, TableRoute};
+use ps3_core::{
+    AggError, AnswerMeta, Budget, ErrorEstimate, Method, ProgressUpdate, QueryRequest, TableRoute,
+};
 use ps3_query::codec::{decode_query_spec, encode_query_spec};
 use ps3_query::{GroupKey, QueryAnswer, QuerySpec};
 use ps3_sketch::codec::{decode_answer_sketch, encode_answer_sketch};
@@ -267,56 +271,19 @@ impl RequestFrame {
     }
 }
 
-/// One answer row on the wire: the group key's canonical words and one
-/// `f64` per aggregate, bit-exact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireRow {
-    /// The group key ([`GroupKey`] words; empty for the global group).
-    pub key: Vec<u64>,
-    /// Aggregate values, in the query's aggregate order.
-    pub values: Vec<f64>,
-}
-
-/// An answer's rows for the wire, sorted by key words.
-fn rows_of(answer: &QueryAnswer) -> Vec<WireRow> {
-    let mut rows: Vec<WireRow> = (answer.groups.iter())
-        .map(|(key, values)| WireRow {
-            key: key.0.to_vec(),
-            values: values.clone(),
-        })
-        .collect();
-    rows.sort_by(|a, b| a.key.cmp(&b.key));
-    rows
-}
-
-/// The answer map behind wire `rows` (the inverse of [`rows_of`] up to row
-/// order, which [`QueryAnswer`]'s map erases anyway).
-fn answer_of(rows: &[WireRow]) -> QueryAnswer {
-    let groups = rows
-        .iter()
-        .map(|row| (GroupKey(row.key.clone().into()), row.values.clone()))
-        .collect();
-    QueryAnswer { groups }
-}
-
-/// A server's answer: rows plus how the answer was produced. Rows are
-/// sorted by key words, so equal answers encode to equal bytes.
+/// A server's answer: the answer itself plus how it was produced. The
+/// answer's groups iterate in key order, so equal answers encode to equal
+/// bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResponseFrame {
     /// Echo of the request's correlation id.
     pub request_id: u64,
-    /// Answer rows, sorted by group key.
-    pub rows: Vec<WireRow>,
-    /// How many partitions were read to produce the answer.
-    pub partitions_read: u32,
-    /// Picker latency in milliseconds (0 for trivial baselines).
-    pub picker_ms: f64,
-    /// The fraction the answer was actually executed at (after planning).
-    pub planned_frac: f64,
-    /// True when the answer is exact, not an estimate.
-    pub exact: bool,
-    /// Per-aggregate confidence intervals and the summary relative error.
-    pub error: ErrorEstimate,
+    /// The (approximate) answer.
+    pub answer: QueryAnswer,
+    /// How the answer was produced: partitions read, picker latency, the
+    /// planned fraction, exactness, and per-aggregate error estimates —
+    /// the same [`AnswerMeta`] the router reports locally.
+    pub meta: AnswerMeta,
     /// The merged answer sketch behind a sketch-class answer — `None` for
     /// scalar answers.
     pub sketch: Option<AnswerSketch>,
@@ -327,82 +294,40 @@ impl ResponseFrame {
     pub fn from_outcome(request_id: u64, outcome: &ps3_core::AnswerOutcome) -> ResponseFrame {
         ResponseFrame {
             request_id,
-            rows: rows_of(&outcome.answer),
-            partitions_read: outcome.meta.partitions_read,
-            picker_ms: outcome.meta.picker_ms,
-            planned_frac: outcome.meta.planned_frac,
-            exact: outcome.meta.exact,
-            error: outcome.meta.error_estimate.clone(),
+            answer: outcome.answer.clone(),
+            meta: outcome.meta.clone(),
             sketch: outcome.sketch.clone(),
         }
     }
 
-    /// Rebuild the answer map (the inverse of [`ResponseFrame::from_outcome`]
-    /// up to row order, which [`QueryAnswer`]'s map erases anyway).
+    /// A copy of [`ResponseFrame::answer`]. The frozen `ps3_e2e` benchmark
+    /// calls it; other code reads the field.
     pub fn to_answer(&self) -> QueryAnswer {
-        answer_of(&self.rows)
+        self.answer.clone()
     }
 
-    /// Rebuild the answer's metadata block for the client-side
-    /// [`AnswerMeta`] mirror of the router's outcome.
+    /// A copy of [`ResponseFrame::meta`]. The frozen `ps3_e2e` benchmark
+    /// calls it; other code reads the field.
     pub fn to_meta(&self) -> AnswerMeta {
-        AnswerMeta {
-            partitions_read: self.partitions_read,
-            picker_ms: self.picker_ms,
-            error_estimate: self.error.clone(),
-            planned_frac: self.planned_frac,
-            exact: self.exact,
-        }
+        self.meta.clone()
     }
 }
 
 /// A refining intermediate answer on a progressive request.
 ///
 /// Zero or more partials precede the final [`ResponseFrame`]; each covers
-/// strictly more partitions than the last, and the final response is
-/// bit-identical to what a non-progressive request would have returned.
+/// strictly more partitions than the last (`update.partitions_total` is
+/// always `> update.partitions_done` — the last batch arrives as the final
+/// response, never as a partial), and the final response is bit-identical
+/// to what a non-progressive request would have returned.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialFrame {
     /// Echo of the request's correlation id.
     pub request_id: u64,
-    /// 0-based position of this partial in the stream.
-    pub seq: u32,
-    /// Partitions combined into this estimate so far.
-    pub partitions_done: u32,
-    /// Partitions the full answer will combine (always `> partitions_done`
-    /// — the last batch arrives as the final response, never as a partial).
-    pub partitions_total: u32,
-    /// The intermediate answer's rows, sorted by group key.
-    pub rows: Vec<WireRow>,
-    /// Summary relative error of the intermediate estimate (NaN when the
-    /// prefix is too small to estimate from).
-    pub rel_err: f64,
-}
-
-impl PartialFrame {
-    /// Package a progress update for the wire.
-    pub fn from_update(request_id: u64, update: &ps3_core::ProgressUpdate) -> PartialFrame {
-        PartialFrame {
-            request_id,
-            seq: update.seq,
-            partitions_done: update.partitions_done,
-            partitions_total: update.partitions_total,
-            rows: rows_of(&update.answer),
-            rel_err: update.rel_err,
-        }
-    }
-
-    /// Rebuild the progress update (the inverse of
-    /// [`PartialFrame::from_update`] up to row order).
-    pub fn to_update(&self) -> ps3_core::ProgressUpdate {
-        ps3_core::ProgressUpdate {
-            seq: self.seq,
-            partitions_done: self.partitions_done,
-            partitions_total: self.partitions_total,
-            answer: answer_of(&self.rows),
-            rel_err: self.rel_err,
-        }
-    }
+    /// The refinement: its position in the stream, partitions combined so
+    /// far and in total, the intermediate answer and its summary relative
+    /// error (NaN when the prefix is too small to estimate from).
+    pub update: ProgressUpdate,
 }
 
 /// A server's typed refusal.
@@ -431,18 +356,24 @@ fn method_byte(m: Method) -> u8 {
 }
 
 /// The shared row-block grammar of response and partial frames:
-/// `[n_aggs: u16][n_rows: u32]` then per row `[key_words: u16][key…][values…]`.
-fn encode_rows(w: &mut Writer<'_>, rows: &[WireRow]) -> Result<(), ProtoError> {
-    let n_aggs = rows.first().map_or(0, |r| r.values.len());
+/// `[n_aggs: u16][n_rows: u32]` then per row `[key_words: u16][key…][values…]`,
+/// one row per group in ascending key order. Every group must carry
+/// `n_aggs` values: a ragged answer would decode to a different one.
+fn encode_rows(w: &mut Writer<'_>, answer: &QueryAnswer) -> Result<(), ProtoError> {
+    let n_aggs = answer.groups.values().next().map_or(0, Vec::len);
     w.u16_len(n_aggs, "aggregate lists cap at 65535")?;
-    w.u32_len(rows.len(), "answers cap at 2^32-1 rows")?;
-    for row in rows {
-        w.u16_len(row.key.len(), "group keys cap at 65535 words")?;
-        for word in &row.key {
+    w.u32_len(answer.groups.len(), "answers cap at 2^32-1 rows")?;
+    for (key, values) in &answer.groups {
+        if values.len() != n_aggs {
+            return Err(ProtoError::Invalid(
+                "answer groups carry different value counts",
+            ));
+        }
+        w.u16_len(key.0.len(), "group keys cap at 65535 words")?;
+        for word in &key.0 {
             w.u64(*word);
         }
-        debug_assert_eq!(row.values.len(), n_aggs, "ragged answer rows");
-        for v in &row.values {
+        for v in values {
             w.f64(*v);
         }
     }
@@ -528,16 +459,18 @@ fn encode_frame_body(frame: &Frame, w: &mut Writer<'_>) -> Result<(), ProtoError
         Frame::Response(resp) => {
             w.u8(KIND_RESPONSE);
             w.u64(resp.request_id);
-            encode_rows(w, &resp.rows)?;
-            w.u32(resp.partitions_read);
-            w.f64(resp.picker_ms);
+            encode_rows(w, &resp.answer)?;
+            let meta = &resp.meta;
+            w.u32(meta.partitions_read);
+            w.f64(meta.picker_ms);
             // The error contract: planned fraction, exactness, summary and
             // per-aggregate `[ci_half_width][rel_err]` estimates.
-            w.f64(resp.planned_frac);
-            w.u8(u8::from(resp.exact));
-            w.f64(resp.error.rel_err);
-            w.u16_len(resp.error.per_agg.len(), "aggregate lists cap at 65535")?;
-            for agg in &resp.error.per_agg {
+            w.f64(meta.planned_frac);
+            w.u8(u8::from(meta.exact));
+            let error = &meta.error_estimate;
+            w.f64(error.rel_err);
+            w.u16_len(error.per_agg.len(), "aggregate lists cap at 65535")?;
+            for agg in &error.per_agg {
                 w.f64(agg.ci_half_width);
                 w.f64(agg.rel_err);
             }
@@ -553,11 +486,12 @@ fn encode_frame_body(frame: &Frame, w: &mut Writer<'_>) -> Result<(), ProtoError
         Frame::Partial(part) => {
             w.u8(KIND_PARTIAL);
             w.u64(part.request_id);
-            w.u32(part.seq);
-            w.u32(part.partitions_done);
-            w.u32(part.partitions_total);
-            encode_rows(w, &part.rows)?;
-            w.f64(part.rel_err);
+            let update = &part.update;
+            w.u32(update.seq);
+            w.u32(update.partitions_done);
+            w.u32(update.partitions_total);
+            encode_rows(w, &update.answer)?;
+            w.f64(update.rel_err);
         }
         Frame::Error(err) => {
             w.u8(KIND_ERROR);
@@ -573,17 +507,27 @@ fn encode_frame_body(frame: &Frame, w: &mut Writer<'_>) -> Result<(), ProtoError
 // Decoding
 // ---------------------------------------------------------------------------
 
-fn decode_rows(r: &mut Reader) -> Result<Vec<WireRow>, ProtoError> {
+/// Read a row block back into its answer. Rows must be strictly
+/// ascending by key, as [`encode_rows`] writes them: rows out of order or
+/// a repeated key would decode to an answer that encodes to other bytes.
+fn decode_rows(r: &mut Reader) -> Result<QueryAnswer, ProtoError> {
     let n_aggs = r.u16()? as usize;
     let n_rows = r.u32()? as usize;
-    let mut rows = Vec::with_capacity(n_rows.min(4096));
+    let mut rows: Vec<(GroupKey, Vec<f64>)> = Vec::with_capacity(n_rows.min(4096));
     for _ in 0..n_rows {
         let key_words = r.u16()? as usize;
-        let key = (0..key_words).map(|_| r.u64()).collect::<Result<_, _>>()?;
+        let key = GroupKey((0..key_words).map(|_| r.u64()).collect::<Result<_, _>>()?);
+        if rows.last().is_some_and(|(last, _)| *last >= key) {
+            return Err(ProtoError::Invalid(
+                "answer rows not strictly ascending by key",
+            ));
+        }
         let values = (0..n_aggs).map(|_| r.f64()).collect::<Result<_, _>>()?;
-        rows.push(WireRow { key, values });
+        rows.push((key, values));
     }
-    Ok(rows)
+    Ok(QueryAnswer {
+        groups: rows.into_iter().collect(),
+    })
 }
 
 /// Decode one frame *body* (the bytes after the 4-byte length prefix).
@@ -650,7 +594,7 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
             }))
         }
         KIND_RESPONSE => {
-            let rows = decode_rows(&mut r)?;
+            let answer = decode_rows(&mut r)?;
             let partitions_read = r.u32()?;
             let picker_ms = r.f64()?;
             let planned_frac = r.f64()?;
@@ -674,7 +618,7 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
                     })
                 })
                 .collect::<Result<Vec<_>, ProtoError>>()?;
-            let error = ErrorEstimate { per_agg, rel_err };
+            let error_estimate = ErrorEstimate { per_agg, rel_err };
             let sketch = match r.u8()? {
                 0 => None,
                 1 => Some(r.blob(decode_answer_sketch)?),
@@ -687,12 +631,14 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
             };
             Ok(Frame::Response(ResponseFrame {
                 request_id,
-                rows,
-                partitions_read,
-                picker_ms,
-                planned_frac,
-                exact,
-                error,
+                answer,
+                meta: AnswerMeta {
+                    partitions_read,
+                    picker_ms,
+                    error_estimate,
+                    planned_frac,
+                    exact,
+                },
                 sketch,
             }))
         }
@@ -700,14 +646,16 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
             let seq = r.u32()?;
             let partitions_done = r.u32()?;
             let partitions_total = r.u32()?;
-            let rows = decode_rows(&mut r)?;
+            let answer = decode_rows(&mut r)?;
             Ok(Frame::Partial(PartialFrame {
                 request_id,
-                seq,
-                partitions_done,
-                partitions_total,
-                rows,
-                rel_err: r.f64()?,
+                update: ProgressUpdate {
+                    seq,
+                    partitions_done,
+                    partitions_total,
+                    answer,
+                    rel_err: r.f64()?,
+                },
             }))
         }
         KIND_ERROR => {
@@ -826,6 +774,32 @@ mod tests {
             ])),
             vec![ColId(2), ColId(0)],
         )
+    }
+
+    /// An answer with `groups`, in any order.
+    fn answer(groups: &[(&[u64], &[f64])]) -> QueryAnswer {
+        let groups = groups
+            .iter()
+            .map(|(k, v)| (GroupKey((*k).into()), v.to_vec()));
+        QueryAnswer {
+            groups: groups.collect(),
+        }
+    }
+
+    /// Answer metadata with a zero picker latency.
+    fn meta(
+        partitions_read: u32,
+        planned_frac: f64,
+        exact: bool,
+        error: ErrorEstimate,
+    ) -> AnswerMeta {
+        AnswerMeta {
+            partitions_read,
+            picker_ms: 0.0,
+            error_estimate: error,
+            planned_frac,
+            exact,
+        }
     }
 
     /// A plain request for `query`: id 1, default route, PS3, fraction
@@ -993,15 +967,8 @@ mod tests {
         }
         let frame = ResponseFrame {
             request_id: 9,
-            rows: vec![WireRow {
-                key: vec![],
-                values: vec![49.75],
-            }],
-            partitions_read: 4,
-            picker_ms: 0.0,
-            planned_frac: 1.0,
-            exact: false,
-            error: ErrorEstimate::no_signal(1),
+            answer: answer(&[(&[], &[49.75])]),
+            meta: meta(4, 1.0, false, ErrorEstimate::no_signal(1)),
             sketch: Some(AnswerSketch::Quantile(q)),
         };
         let wire = encode_frame(&Frame::Response(frame.clone())).expect("encodes");
@@ -1043,12 +1010,8 @@ mod tests {
     fn corrupt_sketch_blobs_are_invalid_not_panics() {
         let frame = ResponseFrame {
             request_id: 2,
-            rows: vec![],
-            partitions_read: 1,
-            picker_ms: 0.0,
-            planned_frac: 1.0,
-            exact: true,
-            error: ErrorEstimate::exact_for(0),
+            answer: QueryAnswer::default(),
+            meta: meta(1, 1.0, true, ErrorEstimate::exact_for(0)),
             sketch: Some(AnswerSketch::Distinct(ps3_sketch::DistinctSketch::new())),
         };
         let wire = encode_frame(&Frame::Response(frame)).expect("encodes");
@@ -1080,66 +1043,55 @@ mod tests {
     fn partial_frames_roundtrip_bit_exactly() {
         let frame = Frame::Partial(PartialFrame {
             request_id: 0xFEED,
-            seq: 2,
-            partitions_done: 6,
-            partitions_total: 8,
-            rows: vec![
-                WireRow {
-                    key: vec![1],
-                    values: vec![3.5, -0.0],
-                },
-                WireRow {
-                    key: vec![2],
-                    values: vec![f64::NAN, 4.0],
-                },
-            ],
-            rel_err: 0.125,
+            update: ProgressUpdate {
+                seq: 2,
+                partitions_done: 6,
+                partitions_total: 8,
+                answer: answer(&[(&[1], &[3.5, -0.0]), (&[2], &[f64::NAN, 4.0])]),
+                rel_err: 0.125,
+            },
         });
         let wire = encode_frame(&frame).expect("encodes");
         let Frame::Partial(decoded) = decode_body(&wire[4..]).expect("decode") else {
             panic!("wrong kind");
         };
-        assert_eq!(decoded.seq, 2);
-        assert_eq!(decoded.partitions_done, 6);
-        assert_eq!(decoded.partitions_total, 8);
-        assert_eq!(decoded.rel_err, 0.125);
-        assert_eq!(decoded.rows[1].values[0].to_bits(), f64::NAN.to_bits());
-        let update = decoded.to_update();
-        assert_eq!((update.seq, update.partitions_done), (2, 6));
+        let update = decoded.update;
+        assert_eq!(decoded.request_id, 0xFEED);
+        assert_eq!(
+            (update.seq, update.partitions_done, update.partitions_total),
+            (2, 6, 8)
+        );
+        assert_eq!(update.rel_err, 0.125);
         assert_eq!(update.answer.num_groups(), 2);
+        let nan = update.answer.groups[&GroupKey(Box::new([2]))][0];
+        assert_eq!(nan.to_bits(), f64::NAN.to_bits());
     }
 
     #[test]
     fn response_frames_roundtrip_and_rebuild_the_answer() {
-        let frame = ResponseFrame {
-            request_id: 7,
-            rows: vec![
-                WireRow {
-                    key: vec![],
-                    values: vec![1.5, f64::NAN.to_bits() as f64, -0.0],
+        let error = ErrorEstimate {
+            per_agg: vec![
+                AggError {
+                    ci_half_width: 3.0,
+                    rel_err: 0.1,
                 },
-                WireRow {
-                    key: vec![3, 9],
-                    values: vec![2.0, 4.0, 8.0],
+                AggError::no_signal(),
+                AggError {
+                    ci_half_width: 0.5,
+                    rel_err: 0.02,
                 },
             ],
-            partitions_read: 12,
-            picker_ms: 0.25,
-            planned_frac: 0.2,
-            exact: false,
-            error: ErrorEstimate {
-                per_agg: vec![
-                    AggError {
-                        ci_half_width: 3.0,
-                        rel_err: 0.1,
-                    },
-                    AggError::no_signal(),
-                    AggError {
-                        ci_half_width: 0.5,
-                        rel_err: 0.02,
-                    },
-                ],
-                rel_err: 0.1,
+            rel_err: 0.1,
+        };
+        let frame = ResponseFrame {
+            request_id: 7,
+            answer: answer(&[
+                (&[], &[1.5, f64::NAN.to_bits() as f64, -0.0]),
+                (&[3, 9], &[2.0, 4.0, 8.0]),
+            ]),
+            meta: AnswerMeta {
+                picker_ms: 0.25,
+                ..meta(12, 0.2, false, error)
             },
             sketch: None,
         };
@@ -1148,8 +1100,7 @@ mod tests {
             panic!("wrong kind");
         };
         assert_eq!(decoded, frame);
-        assert_eq!(decoded.to_meta().error_estimate, frame.error);
-        assert_eq!(decoded.to_meta().planned_frac, 0.2);
+        assert_eq!(decoded.to_meta(), frame.meta);
         let answer = decoded.to_answer();
         assert_eq!(answer.num_groups(), 2);
         assert_eq!(
@@ -1158,28 +1109,92 @@ mod tests {
         );
     }
 
+    /// A response and a partial frame carrying `answer`.
+    fn answer_frames(answer: QueryAnswer) -> [Frame; 2] {
+        let update = ProgressUpdate {
+            seq: 0,
+            partitions_done: 1,
+            partitions_total: 2,
+            answer: answer.clone(),
+            rel_err: 0.5,
+        };
+        [
+            Frame::Response(ResponseFrame {
+                request_id: 5,
+                answer,
+                meta: meta(2, 0.5, false, ErrorEstimate::no_signal(1)),
+                sketch: None,
+            }),
+            Frame::Partial(PartialFrame {
+                request_id: 5,
+                update,
+            }),
+        ]
+    }
+
+    /// Row blocks a server never writes — rows out of key order, or one key
+    /// twice — are refused: the answer they would build encodes to other
+    /// bytes.
+    #[test]
+    fn rows_out_of_key_order_or_repeated_are_invalid() {
+        let frames = answer_frames(answer(&[(&[1], &[3.5]), (&[2], &[4.0])]));
+        // The row block starts after the header (10 bytes), and for a
+        // partial after seq/done/total (12 more); then n_aggs(2) n_rows(4),
+        // and per row key_words(2) key(8) value(8).
+        for (frame, block) in frames.into_iter().zip([10, 22]) {
+            let wire = encode_frame(&frame).expect("encodes");
+            assert_eq!(decode_body(&wire[4..]), Ok(frame));
+            let (first, second) = (4 + block + 8, 4 + block + 26);
+            let with_keys = |a: u64, b: u64| {
+                let mut bad = wire.clone();
+                bad[first..first + 8].copy_from_slice(&a.to_le_bytes());
+                bad[second..second + 8].copy_from_slice(&b.to_le_bytes());
+                bad
+            };
+            for bad in [with_keys(2, 1), with_keys(1, 1)] {
+                assert_eq!(
+                    decode_body(&bad[4..]),
+                    Err(ProtoError::Invalid(
+                        "answer rows not strictly ascending by key"
+                    ))
+                );
+            }
+        }
+    }
+
+    /// A group with a different value count than the first would decode as
+    /// a different answer, so it refuses to encode and leaves no bytes.
+    #[test]
+    fn ragged_answers_refuse_to_encode() {
+        for frame in answer_frames(answer(&[(&[1], &[1.0, 2.0]), (&[2], &[3.0])])) {
+            let mut out = vec![0xAA];
+            assert_eq!(
+                encode_frame_at_into(&frame, PROTO_VERSION, &mut out),
+                Err(ProtoError::Invalid(
+                    "answer groups carry different value counts"
+                ))
+            );
+            assert_eq!(out, [0xAA], "a refused frame leaves no bytes behind");
+        }
+    }
+
     #[test]
     fn nan_and_negative_zero_survive_the_wire_bit_exactly() {
         let weird = f64::from_bits(0x7FF8_0000_0000_1234); // NaN with payload
+        let key = [(-0.0f64).to_bits()];
         let frame = Frame::Response(ResponseFrame {
             request_id: 1,
-            rows: vec![WireRow {
-                key: vec![(-0.0f64).to_bits()],
-                values: vec![weird, -0.0],
-            }],
-            partitions_read: 0,
-            picker_ms: 0.0,
-            planned_frac: 0.1,
-            exact: false,
-            error: ErrorEstimate::no_signal(2),
+            answer: answer(&[(&key, &[weird, -0.0])]),
+            meta: meta(0, 0.1, false, ErrorEstimate::no_signal(2)),
             sketch: None,
         });
         let wire = encode_frame(&frame).expect("encodes");
         let Frame::Response(decoded) = decode_body(&wire[4..]).unwrap() else {
             panic!("wrong kind");
         };
-        assert_eq!(decoded.rows[0].values[0].to_bits(), weird.to_bits());
-        assert_eq!(decoded.rows[0].values[1].to_bits(), (-0.0f64).to_bits());
+        let values = &decoded.answer.groups[&GroupKey(Box::new(key))];
+        assert_eq!(values[0].to_bits(), weird.to_bits());
+        assert_eq!(values[1].to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

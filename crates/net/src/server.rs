@@ -559,10 +559,8 @@ impl ShardLoop {
                 continue;
             };
             for update in ticket.take_progress() {
-                conn.out.push_frame(
-                    &Frame::Partial(PartialFrame::from_update(request_id, &update)),
-                    max_frame,
-                );
+                let frame = Frame::Partial(PartialFrame { request_id, update });
+                conn.out.push_frame(&frame, max_frame);
             }
         }
     }
@@ -605,10 +603,8 @@ fn push_completion(
     max_frame: u32,
 ) {
     for update in ticket.take_progress() {
-        conn.out.push_frame(
-            &Frame::Partial(PartialFrame::from_update(request_id, &update)),
-            max_frame,
-        );
+        let frame = Frame::Partial(PartialFrame { request_id, update });
+        conn.out.push_frame(&frame, max_frame);
     }
     match result {
         Ok(outcome) => {

@@ -8,7 +8,7 @@
 //! property tests compare against bit-for-bit.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use ps3_storage::{ColId, PartitionId, PartitionedTable, Table};
@@ -292,10 +292,10 @@ impl PartialAnswer {
 
     /// [`PartialAnswer::finalize`] from the aggregate functions alone (the
     /// compiled path carries these instead of the full query). The one
-    /// place the flat groups become a keyed map.
+    /// place the flat groups become a keyed map; they are already in key
+    /// order, which is the order the map keeps.
     pub fn finalize_funcs(&self, funcs: &[AggFunc]) -> QueryAnswer {
-        let mut out = HashMap::with_capacity(self.len);
-        for (key, slots) in self.groups() {
+        let groups = self.groups().map(|(key, slots)| {
             let mut vals = Vec::with_capacity(funcs.len());
             let mut i = 0;
             for func in funcs {
@@ -311,9 +311,11 @@ impl PartialAnswer {
                     }
                 }
             }
-            out.insert(GroupKey(key.into()), vals);
+            (GroupKey(key.into()), vals)
+        });
+        QueryAnswer {
+            groups: groups.collect(),
         }
-        QueryAnswer { groups: out }
     }
 }
 
@@ -323,11 +325,12 @@ fn key_at(keys: &[u64], arity: usize, g: usize) -> &[u64] {
     &keys[g * arity..(g + 1) * arity]
 }
 
-/// A finalized answer: group key → one value per aggregate.
+/// A finalized answer: group key → one value per aggregate, iterated in
+/// ascending key order (the order the wire writes and the metrics sum in).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryAnswer {
     /// group key → aggregate values.
-    pub groups: HashMap<GroupKey, Vec<f64>>,
+    pub groups: BTreeMap<GroupKey, Vec<f64>>,
 }
 
 impl QueryAnswer {

@@ -6,19 +6,12 @@
 //! * **Absolute error over true** — per aggregate, the mean absolute error
 //!   across groups divided by the mean true value, averaged over aggregates.
 //!
-//! The sums run over the truth's groups in ascending [`GroupKey`] order.
-//! `QueryAnswer::groups` is a `HashMap`, whose iteration order changes per
-//! process and per map; summed in that order, the last bits of a metric
-//! would too, and Algorithm 3's greedy steps compare these metrics.
+//! Each sum walks `truth.groups`, a `BTreeMap`, so it runs in ascending
+//! [`GroupKey`](crate::exec::GroupKey) order whatever order the answer was
+//! built in: a metric's last bits are the same in every process, and
+//! Algorithm 3's greedy steps compare these metrics.
 
-use crate::exec::{GroupKey, QueryAnswer};
-
-/// The truth's groups in ascending key order, the order every sum runs in.
-fn by_key(truth: &QueryAnswer) -> Vec<(&GroupKey, &[f64])> {
-    let mut groups: Vec<_> = truth.groups.iter().map(|(k, v)| (k, &v[..])).collect();
-    groups.sort_unstable_by_key(|&(key, _)| key);
-    groups
-}
+use crate::exec::QueryAnswer;
 
 /// Fraction of groups in `truth` that `estimate` misses. 0 for an empty truth.
 pub fn missed_groups(truth: &QueryAnswer, estimate: &QueryAnswer) -> f64 {
@@ -39,13 +32,9 @@ pub fn missed_groups(truth: &QueryAnswer, estimate: &QueryAnswer) -> f64 {
 /// A zero true value scores 0 when the estimate is also (near) zero and 1
 /// otherwise, mirroring the missed-group convention.
 pub fn avg_relative_error(truth: &QueryAnswer, estimate: &QueryAnswer) -> f64 {
-    avg_relative_error_over(&by_key(truth), estimate)
-}
-
-fn avg_relative_error_over(truth: &[(&GroupKey, &[f64])], estimate: &QueryAnswer) -> f64 {
     let mut total = 0.0;
     let mut n = 0usize;
-    for &(key, tvals) in truth {
+    for (key, tvals) in &truth.groups {
         match estimate.groups.get(key) {
             None => {
                 total += tvals.len() as f64;
@@ -95,20 +84,16 @@ pub fn relative_error(truth: f64, estimate: f64) -> f64 {
 /// aggregates (§5.1.4). Missed groups contribute their full true value as
 /// absolute error.
 pub fn abs_error_over_true(truth: &QueryAnswer, estimate: &QueryAnswer) -> f64 {
-    abs_error_over_true_over(&by_key(truth), estimate)
-}
-
-fn abs_error_over_true_over(truth: &[(&GroupKey, &[f64])], estimate: &QueryAnswer) -> f64 {
-    let num_aggs = truth.first().map_or(0, |(_, tvals)| tvals.len());
+    let num_aggs = truth.groups.values().next().map_or(0, Vec::len);
     if num_aggs == 0 {
         return 0.0;
     }
-    let g = truth.len() as f64;
+    let g = truth.groups.len() as f64;
     let mut per_agg = Vec::with_capacity(num_aggs);
     for a in 0..num_aggs {
         let mut abs_err = 0.0;
         let mut true_mag = 0.0;
-        for &(key, tvals) in truth {
+        for (key, tvals) in &truth.groups {
             let t = tvals[a];
             let e = estimate.groups.get(key).map_or(0.0, |v| v[a]);
             if t.is_nan() || e.is_nan() {
@@ -150,11 +135,10 @@ pub struct ErrorMetrics {
 impl ErrorMetrics {
     /// Compute all metrics for one (truth, estimate) pair.
     pub fn compute(truth: &QueryAnswer, estimate: &QueryAnswer) -> Self {
-        let groups = by_key(truth);
         Self {
             missed_groups: missed_groups(truth, estimate),
-            avg_rel_err: avg_relative_error_over(&groups, estimate),
-            abs_over_true: abs_error_over_true_over(&groups, estimate),
+            avg_rel_err: avg_relative_error(truth, estimate),
+            abs_over_true: abs_error_over_true(truth, estimate),
         }
     }
 
@@ -175,14 +159,15 @@ impl ErrorMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::exec::GroupKey;
 
     fn answer(entries: &[(&[u64], &[f64])]) -> QueryAnswer {
-        let mut groups = HashMap::new();
-        for (k, v) in entries {
-            groups.insert(GroupKey(k.to_vec().into_boxed_slice()), v.to_vec());
+        let groups = entries
+            .iter()
+            .map(|(k, v)| (GroupKey((*k).into()), v.to_vec()));
+        QueryAnswer {
+            groups: groups.collect(),
         }
-        QueryAnswer { groups }
     }
 
     #[test]
@@ -243,11 +228,11 @@ mod tests {
         assert!(m.abs_over_true.is_finite());
     }
 
-    /// One answer, rebuilt into 32 fresh maps (each with its own hash
-    /// order), scores one bit pattern: the sorted-order sum. Group 20's
-    /// error is 3, whose ulp is 2^-51: a 2^-52 error added after it ties
-    /// and rounds away, while two or more summed before it get past the
-    /// tie. So a sum in map order depends on where the map puts group 20.
+    /// One answer, built from every rotation of its insertion order,
+    /// scores one bit pattern: the key-order sum. Group 20's error is 3,
+    /// whose ulp is 2^-51: a 2^-52 error added after it ties and rounds
+    /// away, while two or more summed before it get past the tie. So a sum
+    /// in insertion order would depend on where group 20 was inserted.
     #[test]
     fn metrics_sum_in_key_order_whatever_the_map_order() {
         let tiny = 1.0 + f64::EPSILON;
@@ -260,9 +245,10 @@ mod tests {
                 }
             })
             .collect();
-        let build = |at: usize| {
-            let entries: Vec<([u64; 1], [f64; 1])> =
+        let build = |at: usize, rot: usize| {
+            let mut entries: Vec<([u64; 1], [f64; 1])> =
                 cells.iter().map(|&(g, t, e)| ([g], [[t, e][at]])).collect();
+            entries.rotate_left(rot);
             let entries: Vec<(&[u64], &[f64])> =
                 entries.iter().map(|(k, v)| (&k[..], &v[..])).collect();
             answer(&entries)
@@ -275,8 +261,8 @@ mod tests {
         }
         let n = cells.len() as f64;
         let reference = ((rel / n).to_bits(), ((abs / n) / (mag / n)).to_bits());
-        for _ in 0..32 {
-            let m = ErrorMetrics::compute(&build(0), &build(1));
+        for rot in 0..cells.len() {
+            let m = ErrorMetrics::compute(&build(0, rot), &build(1, rot));
             assert_eq!(
                 (m.avg_rel_err.to_bits(), m.abs_over_true.to_bits()),
                 reference

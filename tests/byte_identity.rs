@@ -20,11 +20,10 @@
 
 use std::sync::Arc;
 
-use ps3::core::{AggError, ErrorEstimate, Ps3Config, Ps3System};
+use ps3::core::{AggError, AnswerMeta, ErrorEstimate, ProgressUpdate, Ps3Config, Ps3System};
 use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
-use ps3::net::proto::{
-    encode_frame, ErrorCode, ErrorFrame, Frame, PartialFrame, ResponseFrame, WireRow,
-};
+use ps3::net::proto::{encode_frame, ErrorCode, ErrorFrame, Frame, PartialFrame, ResponseFrame};
+use ps3::query::{GroupKey, QueryAnswer};
 use ps3::sketch::codec::answer_sketch_to_bytes;
 use ps3::sketch::hash::hash_u64;
 use ps3::sketch::{AnswerSketch, DistinctSketch, QuantileSketch, TopKSketch};
@@ -63,36 +62,46 @@ fn sketches() -> [AnswerSketch; 3] {
     ]
 }
 
+/// An answer collected from `rows` given in *descending* key order, the
+/// reverse of the order the wire writes: the recorded bytes must not
+/// depend on how an answer was built.
+fn answer(rows: &[(&[u64], &[f64])]) -> QueryAnswer {
+    assert!(rows.windows(2).all(|w| w[0].0 > w[1].0), "descending keys");
+    let groups = rows
+        .iter()
+        .map(|(k, v)| (GroupKey((*k).into()), v.to_vec()));
+    QueryAnswer {
+        groups: groups.collect(),
+    }
+}
+
 fn response(request_id: u64, sketch: Option<AnswerSketch>) -> ResponseFrame {
     ResponseFrame {
         request_id,
-        rows: vec![
-            WireRow {
-                key: vec![],
-                values: vec![1.5, f64::from_bits(0x7FF8_0000_0000_1234), -0.0],
+        // Keys of mixed arity: the wire orders them lexicographically.
+        answer: answer(&[
+            (&[3, u64::MAX], &[2.0, 4.0, 8.0]),
+            (&[], &[1.5, f64::from_bits(0x7FF8_0000_0000_1234), -0.0]),
+        ]),
+        meta: AnswerMeta {
+            partitions_read: 12,
+            picker_ms: 0.25,
+            error_estimate: ErrorEstimate {
+                per_agg: vec![
+                    AggError {
+                        ci_half_width: 3.0,
+                        rel_err: 0.1,
+                    },
+                    AggError::no_signal(),
+                    AggError {
+                        ci_half_width: 0.5,
+                        rel_err: 0.02,
+                    },
+                ],
+                rel_err: 0.1,
             },
-            WireRow {
-                key: vec![3, u64::MAX],
-                values: vec![2.0, 4.0, 8.0],
-            },
-        ],
-        partitions_read: 12,
-        picker_ms: 0.25,
-        planned_frac: 0.2,
-        exact: request_id.is_multiple_of(2),
-        error: ErrorEstimate {
-            per_agg: vec![
-                AggError {
-                    ci_half_width: 3.0,
-                    rel_err: 0.1,
-                },
-                AggError::no_signal(),
-                AggError {
-                    ci_half_width: 0.5,
-                    rel_err: 0.02,
-                },
-            ],
-            rel_err: 0.1,
+            planned_frac: 0.2,
+            exact: request_id.is_multiple_of(2),
         },
         sketch,
     }
@@ -120,28 +129,23 @@ fn server_frame_bytes_match_the_recorded_digest() {
     }
     frames.push(Frame::Partial(PartialFrame {
         request_id: 5,
-        seq: 2,
-        partitions_done: 6,
-        partitions_total: 8,
-        rows: vec![
-            WireRow {
-                key: vec![1],
-                values: vec![3.5, -0.0],
-            },
-            WireRow {
-                key: vec![2],
-                values: vec![f64::NAN, 4.0],
-            },
-        ],
-        rel_err: 0.125,
+        update: ProgressUpdate {
+            seq: 2,
+            partitions_done: 6,
+            partitions_total: 8,
+            answer: answer(&[(&[2], &[f64::NAN, 4.0]), (&[1], &[3.5, -0.0])]),
+            rel_err: 0.125,
+        },
     }));
     frames.push(Frame::Partial(PartialFrame {
         request_id: 6,
-        seq: 0,
-        partitions_done: 1,
-        partitions_total: 4,
-        rows: vec![],
-        rel_err: f64::NAN,
+        update: ProgressUpdate {
+            seq: 0,
+            partitions_done: 1,
+            partitions_total: 4,
+            answer: answer(&[]),
+            rel_err: f64::NAN,
+        },
     }));
     for (i, code) in [
         ErrorCode::QueueFull,

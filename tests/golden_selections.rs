@@ -103,9 +103,7 @@ fn sweep(ds: &Dataset, system: &Ps3System) -> Golden {
                 for seed in SEEDS {
                     let out = system.answer_seeded(&q, method, frac, seed);
                     scalar.selection(&out.selection);
-                    let mut groups: Vec<_> = out.answer.groups.iter().collect();
-                    groups.sort_by(|a, b| a.0.cmp(b.0));
-                    for (key, vals) in groups {
+                    for (key, vals) in &out.answer.groups {
                         key.0.iter().for_each(|&k| answers.word(k));
                         vals.iter().for_each(|v| answers.word(v.to_bits()));
                     }

@@ -15,11 +15,12 @@
 //!     refused at admission with `Malformed`, the connection left open;
 //! (e) a request the answer cache holds is answered on the event loop
 //!     that read it — 256 pipelined hits come back bit-identical over a
-//!     router whose queue nothing drains.
+//!     router whose queue nothing drains;
+//! (f) replies parked while the client waited for another id come back
+//!     from `recv` in the order they arrived.
 
 #![cfg(unix)]
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -56,8 +57,8 @@ fn shards(net_shards: usize) -> ServerConfig {
     }
 }
 
-/// Canonical bit-exact view of an answer: sorted key words → value bits.
-fn answer_bits(answer: &QueryAnswer) -> BTreeMap<Vec<u64>, Vec<u64>> {
+/// Bit-exact view of an answer, in its key order: key words → value bits.
+fn answer_bits(answer: &QueryAnswer) -> Vec<(Vec<u64>, Vec<u64>)> {
     answer
         .groups
         .iter()
@@ -447,6 +448,39 @@ fn cached_requests_are_answered_without_the_queue() {
     assert_eq!(router.stats().executions, warmed.executions + 1);
     let served_stats = server.stats();
     assert_eq!((served_stats.requests, served_stats.errors), (257, 0));
+    drop(server);
+    router.shutdown();
+}
+
+/// (f) Sixteen warm requests pipelined on one connection to a one-shard
+/// server: each is a cache hit answered on the event loop in read order,
+/// so replies arrive as ids 1..=16. Waiting for 16 parks the other
+/// fifteen; `recv` then hands them back in that arrival order.
+#[test]
+fn recv_returns_parked_replies_in_arrival_order() {
+    let (ds, system) = trained(DatasetKind::Aria, 59);
+    let router = Router::builder().table("aria", system).build();
+    let table = router.table_id("aria").unwrap();
+    let server = NetServer::bind_with(Arc::clone(&router), "127.0.0.1:0", shards(1)).expect("bind");
+    let req = |seed: u64| {
+        QueryRequest::new(ds.sample_test_query(0), Method::Ps3, 0.2, seed).on_table("aria")
+    };
+    for seed in 1..=16 {
+        router.answer_now(table, &req(seed));
+    }
+    let warmed = router.stats();
+
+    let mut client = NetClient::connect(server.addr()).expect("connect");
+    for seed in 1..=16 {
+        assert_eq!(client.send(&req(seed)).expect("queued"), seed);
+    }
+    assert_eq!(client.recv_for(16).expect("reply").request_id(), 16);
+    let ids: Vec<u64> = (0..15)
+        .map(|_| client.recv().expect("parked reply").request_id())
+        .collect();
+    assert_eq!(ids, (1..=15).collect::<Vec<_>>());
+    assert_eq!(router.stats().executions, warmed.executions, "all hits");
+    drop(client);
     drop(server);
     router.shutdown();
 }
