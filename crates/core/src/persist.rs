@@ -35,7 +35,7 @@ use ps3_stats::{FeatureSchema, Normalizer};
 use ps3_storage::codec::{decode_section, CodecError, Reader, Writer};
 use ps3_storage::format::{
     decode_partitioned_table, encode_partitioned_table, Artifact, ArtifactWriter, FormatError,
-    SEC_LSS, SEC_STATS, SEC_TRAINED, SEC_TRAINING,
+    SEC_COLDATA, SEC_LSS, SEC_STATS, SEC_TRAINED, SEC_TRAINING,
 };
 use ps3_storage::Schema;
 
@@ -109,6 +109,12 @@ pub fn thaw(path: &Path) -> Result<Ps3System, FormatError> {
     let queries = decode_section("training", a.section(SEC_TRAINING)?, |r| {
         decode_training(r, schema)
     })?;
+    // `freeze` writes the column payloads ahead of the sections decoded
+    // above. Those now live on the heap and the mapping serves only the
+    // columns, so the pages after them need not stay resident. Advisory: a
+    // failed release only leaves them resident.
+    let (col_off, col_len) = a.section_range(SEC_COLDATA)?;
+    let _ = a.mmap().release_from(col_off + col_len);
     let training = TrainingData {
         queries,
         partials: Vec::new(),

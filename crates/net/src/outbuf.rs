@@ -5,9 +5,10 @@
 //! fresh `Vec` per frame made the allocator a per-response cost. An
 //! [`OutBuf`] instead keeps a pool of recycled encode buffers per
 //! connection: each queued frame is encoded into a recycled buffer via
-//! [`encode_frame_at_into`](crate::proto::encode_frame_at_into), and a
-//! flush hands the whole queue to the kernel with one
-//! [`writev_fd`](ps3_runtime::poll::writev_fd) gather write. Partial
+//! [`encode_frame_at_into`](crate::proto::encode_frame_at_into) — a reply
+//! straight from the shared outcome it carries, so serving a cached answer
+//! copies none of it — and a flush hands the whole queue to the kernel
+//! with one [`writev_fd`](ps3_runtime::poll::writev_fd) gather write. Partial
 //! writes are resumed from a cursor over the head frame; fully-written
 //! buffers go back to the pool. The `fresh_allocs` counter exists so a
 //! test can assert the steady state allocates nothing per frame.
@@ -28,7 +29,12 @@ use std::os::unix::io::RawFd;
 
 use ps3_runtime::poll::{writev_fd, IOV_BATCH};
 
-use crate::proto::{encode_frame_at_into, ErrorCode, ErrorFrame, Frame, PROTO_VERSION};
+use ps3_core::AnswerOutcome;
+
+use crate::proto::{
+    encode_frame_at_into, encode_outcome_into, ErrorCode, ErrorFrame, Frame, ProtoError,
+    PROTO_VERSION,
+};
 
 /// Recycled encode buffers kept per connection. A connection's queue
 /// depth is bounded by its in-flight quota (default 64); keeping half
@@ -66,6 +72,44 @@ impl OutBuf {
     /// available; the allocation only happens while the connection is
     /// still growing its pool.
     pub(crate) fn push_frame(&mut self, frame: &Frame, max_frame: u32) {
+        let request_id = match frame {
+            Frame::Request(f) => f.request_id,
+            Frame::Response(f) => f.request_id,
+            Frame::Partial(f) => f.request_id,
+            Frame::Error(f) => f.request_id,
+        };
+        self.push_with(request_id, max_frame, |buf| {
+            encode_frame_at_into(frame, PROTO_VERSION, buf)
+        });
+    }
+
+    /// Queue the reply to `request_id` carrying `outcome`, encoded from the
+    /// shared outcome itself: no copy of the answer, and into a warmed
+    /// buffer no allocation at all. The bytes (and any over-cap refusal)
+    /// are those [`push_frame`](Self::push_frame) queues for the owned
+    /// `ResponseFrame::from_outcome(request_id, outcome)`.
+    pub(crate) fn push_response(
+        &mut self,
+        request_id: u64,
+        outcome: &AnswerOutcome,
+        max_frame: u32,
+    ) {
+        self.push_with(request_id, max_frame, |buf| {
+            encode_outcome_into(request_id, outcome, buf)
+        });
+    }
+
+    /// Queue one frame written by `encode` into a recycled buffer. A frame
+    /// over the outbound cap, or one that fails to encode, is replaced by
+    /// an [`ErrorCode::FrameTooLarge`] refusal for `request_id` (see the
+    /// module docs).
+    fn push_with(
+        &mut self,
+        request_id: u64,
+        max_frame: u32,
+        encode: impl FnOnce(&mut Vec<u8>) -> Result<(), ProtoError>,
+    ) {
+        // Spares are recycled empty, so the frame starts at byte 0.
         let mut buf = match self.spare.pop() {
             Some(b) => b,
             None => {
@@ -73,7 +117,21 @@ impl OutBuf {
                 Vec::with_capacity(256)
             }
         };
-        encode_outbound_into(frame, max_frame, &mut buf);
+        match encode(&mut buf) {
+            Ok(()) if buf.len() - 4 <= max_frame as usize => {}
+            _ => {
+                buf.clear();
+                let refusal = Frame::Error(ErrorFrame {
+                    request_id,
+                    code: ErrorCode::FrameTooLarge,
+                    message: "answer exceeds the response frame cap; \
+                              narrow the query or raise max_frame"
+                        .into(),
+                });
+                encode_frame_at_into(&refusal, PROTO_VERSION, &mut buf)
+                    .expect("static error frames always encode");
+            }
+        }
         self.pending += buf.len();
         self.queue.push_back(buf);
     }
@@ -133,48 +191,108 @@ impl OutBuf {
     }
 }
 
-/// Encode a server→client frame into `buf` (cleared first), enforcing the
-/// outbound frame cap by degrading to an [`ErrorCode::FrameTooLarge`]
-/// refusal — see the module docs.
-pub(crate) fn encode_outbound_into(frame: &Frame, max_frame: u32, buf: &mut Vec<u8>) {
-    buf.clear();
-    match encode_frame_at_into(frame, PROTO_VERSION, buf) {
-        Ok(()) if buf.len() - 4 <= max_frame as usize => {}
-        _ => {
-            buf.clear();
-            let request_id = match frame {
-                Frame::Request(f) => f.request_id,
-                Frame::Response(f) => f.request_id,
-                Frame::Partial(f) => f.request_id,
-                Frame::Error(f) => f.request_id,
-            };
-            let refusal = Frame::Error(ErrorFrame {
-                request_id,
-                code: ErrorCode::FrameTooLarge,
-                message: "answer exceeds the response frame cap; \
-                          narrow the query or raise max_frame"
-                    .into(),
-            });
-            encode_frame_at_into(&refusal, PROTO_VERSION, buf)
-                .expect("static error frames always encode");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{decode_body, ResponseFrame, DEFAULT_MAX_FRAME};
-    use ps3_core::{AnswerMeta, ErrorEstimate};
+    use crate::proto::{decode_body, encode_frame, ResponseFrame, DEFAULT_MAX_FRAME};
+    use ps3_core::{AggError, AnswerMeta, ErrorEstimate};
     use ps3_query::{GroupKey, QueryAnswer};
+    use ps3_sketch::{AnswerSketch, QuantileSketch};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::io::Read;
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
 
+    /// The system allocator, counting the calling thread's allocations (the
+    /// test harness runs each test on a thread of its own).
+    struct Counting;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    // SAFETY: every call is forwarded unchanged to `System`; the counter is
+    // a const-initialised thread-local `Cell` with no destructor, so
+    // touching it neither allocates nor runs after thread teardown.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
+    fn allocations_in(f: impl FnOnce()) -> u64 {
+        let before = ALLOCATIONS.with(Cell::get);
+        f();
+        ALLOCATIONS.with(Cell::get) - before
+    }
+
+    /// The bytes `push` queues on a fresh buffer, as one frame.
+    fn queued(push: impl FnOnce(&mut OutBuf)) -> Vec<u8> {
+        let mut out = OutBuf::new();
+        push(&mut out);
+        assert_eq!(out.queue.len(), 1, "one push queues one frame");
+        out.queue.pop_front().expect("queued frame")
+    }
+
     fn encode_outbound(frame: &Frame, max_frame: u32) -> Vec<u8> {
-        let mut buf = Vec::new();
-        encode_outbound_into(frame, max_frame, &mut buf);
-        buf
+        queued(|out| out.push_frame(frame, max_frame))
+    }
+
+    /// An executed outcome with the given groups (every group carrying
+    /// `n_aggs` values), per-aggregate error estimates and sketch.
+    fn outcome(
+        groups: impl IntoIterator<Item = (Vec<u64>, Vec<f64>)>,
+        sketch: Option<AnswerSketch>,
+    ) -> AnswerOutcome {
+        let answer = QueryAnswer {
+            groups: groups
+                .into_iter()
+                .map(|(k, v)| (GroupKey(k.into()), v))
+                .collect(),
+        };
+        let n_aggs = answer.groups.values().next().map_or(0, Vec::len);
+        AnswerOutcome {
+            answer,
+            selection: Vec::new(),
+            meta: AnswerMeta {
+                partitions_read: 13,
+                picker_ms: 0.375,
+                error_estimate: ErrorEstimate {
+                    per_agg: (0..n_aggs)
+                        .map(|i| AggError {
+                            ci_half_width: 2.5 * i as f64,
+                            rel_err: if i == 0 { f64::NAN } else { 0.125 },
+                        })
+                        .collect(),
+                    rel_err: 0.125,
+                },
+                planned_frac: 0.1,
+                exact: false,
+            },
+            sketch,
+        }
+    }
+
+    /// A grouped outcome of `n` one-word keys, two aggregates each.
+    fn grouped(n: u64) -> AnswerOutcome {
+        outcome(
+            (0..n).map(|k| (vec![k * 7], vec![k as f64, -0.5 * k as f64])),
+            None,
+        )
     }
 
     /// A response with one group per key in `keys`, each carrying
@@ -184,22 +302,8 @@ mod tests {
         keys: std::ops::Range<u64>,
         values: impl Fn(u64) -> Vec<f64>,
     ) -> ResponseFrame {
-        let answer = QueryAnswer {
-            groups: keys.map(|k| (GroupKey(Box::new([k])), values(k))).collect(),
-        };
-        let n_aggs = answer.groups.values().next().map_or(0, Vec::len);
-        ResponseFrame {
-            request_id,
-            answer,
-            meta: AnswerMeta {
-                partitions_read: 1,
-                picker_ms: 0.0,
-                error_estimate: ErrorEstimate::no_signal(n_aggs),
-                planned_frac: 0.5,
-                exact: false,
-            },
-            sketch: None,
-        }
+        let groups = keys.map(|k| (vec![k], values(k)));
+        ResponseFrame::from_outcome(request_id, &outcome(groups, None))
     }
 
     #[test]
@@ -299,6 +403,64 @@ mod tests {
         assert!(
             got == expected,
             "resumed writes must not skip or repeat bytes"
+        );
+    }
+
+    #[test]
+    fn served_replies_are_the_owned_frame_bytes() {
+        // The server encodes straight from the shared outcome; a client
+        // cannot tell: every byte is the owned `from_outcome` frame's.
+        let mut quantile = QuantileSketch::new();
+        for i in 0..200 {
+            quantile.insert(f64::from(i) * 0.5);
+        }
+        let outcomes = [
+            outcome([(vec![], vec![1.5, f64::NAN, -0.0])], None),
+            outcome([], None),
+            outcome([(vec![], vec![4.0]), (vec![3, u64::MAX], vec![-1.0])], None),
+            grouped(20),
+            outcome(
+                [(vec![], vec![49.75])],
+                Some(AnswerSketch::Quantile(quantile)),
+            ),
+        ];
+        for (i, o) in outcomes.iter().enumerate() {
+            let id = 1000 + i as u64;
+            let owned = Frame::Response(ResponseFrame::from_outcome(id, o));
+            let wire = queued(|out| out.push_response(id, o, DEFAULT_MAX_FRAME));
+            assert_eq!(wire, encode_frame(&owned).unwrap(), "outcome {i}");
+            // Over a cap the reply does not fit: the same refusal bytes.
+            let cap = (wire.len() - 5) as u32;
+            let refused = queued(|out| out.push_response(id, o, cap));
+            assert_eq!(refused, encode_outbound(&owned, cap), "outcome {i} refused");
+            let Frame::Error(e) = decode_body(&refused[4..]).unwrap() else {
+                panic!("outcome {i}: an over-cap reply must be refused");
+            };
+            assert_eq!((e.code, e.request_id), (ErrorCode::FrameTooLarge, id));
+        }
+    }
+
+    #[test]
+    fn a_cached_reply_encodes_without_allocating() {
+        // Counted, not timed: into a warmed buffer the served reply
+        // allocates nothing, where the owned frame copies every group (a
+        // boxed key and a value vector each, plus the map's nodes).
+        const GROUPS: u64 = 20;
+        let o = grouped(GROUPS);
+        let mut out = OutBuf::new();
+        out.push_response(1, &o, DEFAULT_MAX_FRAME);
+        out.advance(out.pending);
+
+        let served = allocations_in(|| out.push_response(2, &o, DEFAULT_MAX_FRAME));
+        out.advance(out.pending);
+        let owned = allocations_in(|| {
+            let frame = Frame::Response(ResponseFrame::from_outcome(3, &o));
+            out.push_frame(&frame, DEFAULT_MAX_FRAME);
+        });
+        assert_eq!(served, 0, "a served reply copies and allocates nothing");
+        assert!(
+            owned >= 2 * GROUPS,
+            "the owned frame allocates per group ({owned} for {GROUPS} groups)"
         );
     }
 }

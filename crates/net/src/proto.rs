@@ -39,7 +39,8 @@
 //!   without bumping the version; anything structural bumps it.
 
 use ps3_core::{
-    AggError, AnswerMeta, Budget, ErrorEstimate, Method, ProgressUpdate, QueryRequest, TableRoute,
+    AggError, AnswerMeta, AnswerOutcome, Budget, ErrorEstimate, Method, ProgressUpdate,
+    QueryRequest, TableRoute,
 };
 use ps3_query::codec::{decode_query_spec, encode_query_spec};
 use ps3_query::{GroupKey, QueryAnswer, QuerySpec};
@@ -290,8 +291,11 @@ pub struct ResponseFrame {
 }
 
 impl ResponseFrame {
-    /// Package an executed outcome for the wire.
-    pub fn from_outcome(request_id: u64, outcome: &ps3_core::AnswerOutcome) -> ResponseFrame {
+    /// An owned frame holding a copy of an executed outcome, for callers
+    /// that keep or inspect the frame. The server does not build one: it
+    /// encodes each reply straight from the shared outcome, to the same
+    /// bytes [`encode_frame`] writes for this frame.
+    pub fn from_outcome(request_id: u64, outcome: &AnswerOutcome) -> ResponseFrame {
         ResponseFrame {
             request_id,
             answer: outcome.answer.clone(),
@@ -416,10 +420,40 @@ pub fn encode_frame_at_into(
     out: &mut Vec<u8>,
 ) -> Result<(), ProtoError> {
     check_version(version)?;
+    encode_body_into(out, |w| encode_frame_body(frame, w))
+}
+
+/// The response frame for `outcome`, appended to `out` without copying
+/// the outcome: the same bytes as [`encode_frame`] writes for
+/// `Frame::Response(ResponseFrame::from_outcome(request_id, outcome))`,
+/// and the same rollback on error.
+pub(crate) fn encode_outcome_into(
+    request_id: u64,
+    outcome: &AnswerOutcome,
+    out: &mut Vec<u8>,
+) -> Result<(), ProtoError> {
+    encode_body_into(out, |w| {
+        encode_response(
+            w,
+            request_id,
+            &outcome.answer,
+            &outcome.meta,
+            outcome.sketch.as_ref(),
+        )
+    })
+}
+
+/// Append `[body_len: u32 LE][PROTO_VERSION][rest]`, `rest` written by
+/// `body`; on error `out` is restored to its original length.
+fn encode_body_into(
+    out: &mut Vec<u8>,
+    body: impl FnOnce(&mut Writer<'_>) -> Result<(), ProtoError>,
+) -> Result<(), ProtoError> {
     let start = out.len();
     let encoded = Writer::new(out)
         .blob("frame bodies cap at 2^32-1 bytes", |w| {
-            encode_frame_body(frame, w)
+            w.u8(PROTO_VERSION);
+            body(w)
         })
         .map_err(ProtoError::from)
         .and_then(|body| body);
@@ -429,10 +463,45 @@ pub fn encode_frame_at_into(
     encoded
 }
 
-/// Write one frame body; the caller prefixes its length and rolls back on
-/// error.
+/// The one response encoder, over borrowed parts: an owned
+/// [`ResponseFrame`] and a shared [`AnswerOutcome`] write the same bytes.
+fn encode_response(
+    w: &mut Writer<'_>,
+    request_id: u64,
+    answer: &QueryAnswer,
+    meta: &AnswerMeta,
+    sketch: Option<&AnswerSketch>,
+) -> Result<(), ProtoError> {
+    w.u8(KIND_RESPONSE);
+    w.u64(request_id);
+    encode_rows(w, answer)?;
+    w.u32(meta.partitions_read);
+    w.f64(meta.picker_ms);
+    // The error contract: planned fraction, exactness, summary and
+    // per-aggregate `[ci_half_width][rel_err]` estimates.
+    w.f64(meta.planned_frac);
+    w.u8(u8::from(meta.exact));
+    let error = &meta.error_estimate;
+    w.f64(error.rel_err);
+    w.u16_len(error.per_agg.len(), "aggregate lists cap at 65535")?;
+    for agg in &error.per_agg {
+        w.f64(agg.ci_half_width);
+        w.f64(agg.rel_err);
+    }
+    match sketch {
+        None => w.u8(0),
+        Some(s) => {
+            w.u8(1);
+            let what = "answer sketches cap at 2^32-1 bytes";
+            w.blob(what, |w| encode_answer_sketch(s, w))?;
+        }
+    }
+    Ok(())
+}
+
+/// Write one frame body after its version byte; the caller prefixes the
+/// length and version and rolls back on error.
 fn encode_frame_body(frame: &Frame, w: &mut Writer<'_>) -> Result<(), ProtoError> {
-    w.u8(PROTO_VERSION);
     match frame {
         Frame::Request(req) => {
             w.u8(KIND_REQUEST);
@@ -456,33 +525,13 @@ fn encode_frame_body(frame: &Frame, w: &mut Writer<'_>) -> Result<(), ProtoError
             w.u8(if req.progressive { FLAG_PROGRESSIVE } else { 0 });
             encode_query_spec(w, &req.query)?;
         }
-        Frame::Response(resp) => {
-            w.u8(KIND_RESPONSE);
-            w.u64(resp.request_id);
-            encode_rows(w, &resp.answer)?;
-            let meta = &resp.meta;
-            w.u32(meta.partitions_read);
-            w.f64(meta.picker_ms);
-            // The error contract: planned fraction, exactness, summary and
-            // per-aggregate `[ci_half_width][rel_err]` estimates.
-            w.f64(meta.planned_frac);
-            w.u8(u8::from(meta.exact));
-            let error = &meta.error_estimate;
-            w.f64(error.rel_err);
-            w.u16_len(error.per_agg.len(), "aggregate lists cap at 65535")?;
-            for agg in &error.per_agg {
-                w.f64(agg.ci_half_width);
-                w.f64(agg.rel_err);
-            }
-            match &resp.sketch {
-                None => w.u8(0),
-                Some(s) => {
-                    w.u8(1);
-                    let what = "answer sketches cap at 2^32-1 bytes";
-                    w.blob(what, |w| encode_answer_sketch(s, w))?;
-                }
-            }
-        }
+        Frame::Response(resp) => encode_response(
+            w,
+            resp.request_id,
+            &resp.answer,
+            &resp.meta,
+            resp.sketch.as_ref(),
+        )?,
         Frame::Partial(part) => {
             w.u8(KIND_PARTIAL);
             w.u64(part.request_id);

@@ -22,8 +22,10 @@
 //!    semantics surface on the wire as typed [`ErrorFrame`]s
 //!    ([`ErrorCode::QueueFull`] / [`ErrorCode::QuotaExhausted`]) instead of
 //!    blocking the loop. A request the answer cache already holds is
-//!    answered here: its ticket comes back ready, its [`ResponseFrame`] is
-//!    encoded straight onto the connection's outbound buffer, and it
+//!    answered here: its ticket comes back ready with the cache's shared
+//!    `Arc<AnswerOutcome>`, the response frame is encoded from that
+//!    outcome straight onto the connection's outbound buffer (no copy of
+//!    the answer, no allocation once the buffer pool is warm), and it
 //!    leaves in this wakeup's write — no queue, no pump, no waker, no
 //!    other thread.
 //! 2. **Execute** — misses only. Queue pumps run the work as usual. Each
@@ -31,9 +33,10 @@
 //!    hook that pokes the owning shard's [`Waker`], so completion
 //!    interrupts that shard's poll immediately (no completion-polling
 //!    latency).
-//! 3. **Write** — completed tickets become [`ResponseFrame`]s (or
-//!    [`ErrorCode::Internal`] errors, if the request panicked) queued on
-//!    the connection's outbound buffer (`OutBuf`); at the end of the wakeup every
+//! 3. **Write** — completed tickets become response frames, encoded the
+//!    same way from the shared outcome (or [`ErrorCode::Internal`] errors,
+//!    if the request panicked), queued on the connection's outbound buffer
+//!    (`OutBuf`); at the end of the wakeup every
 //!    connection with pending output is flushed with one `writev` gather
 //!    write (the flush contract: encode many, flush once per wakeup, keep
 //!    a byte cursor across partial writes). A progressive request's
@@ -68,7 +71,7 @@ use ps3_runtime::{Mailbox, ThreadPool};
 use crate::outbuf::OutBuf;
 use crate::proto::{
     ErrorCode, ErrorFrame, Frame, FrameBuffer, PartialFrame, ProtoError, RequestFrame,
-    ResponseFrame, DEFAULT_MAX_FRAME,
+    DEFAULT_MAX_FRAME,
 };
 
 /// Tuning knobs for [`NetServer::bind`].
@@ -592,8 +595,8 @@ impl ShardLoop {
 /// Queue a finished request's frames on its connection: any refinements
 /// still in the ticket's mailbox first (the executing pump pushes updates
 /// before it fulfills, so partials always precede their final response),
-/// then the [`ResponseFrame`] — or an [`ErrorCode::Internal`] error, if the
-/// request panicked.
+/// then the response frame, encoded from the shared outcome — or an
+/// [`ErrorCode::Internal`] error, if the request panicked.
 fn push_completion(
     conn: &mut Conn,
     shared: &Shared,
@@ -607,10 +610,7 @@ fn push_completion(
         conn.out.push_frame(&frame, max_frame);
     }
     match result {
-        Ok(outcome) => {
-            let frame = Frame::Response(ResponseFrame::from_outcome(request_id, &outcome));
-            conn.out.push_frame(&frame, max_frame);
-        }
+        Ok(outcome) => conn.out.push_response(request_id, &outcome, max_frame),
         Err(payload) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
             let mut message = payload

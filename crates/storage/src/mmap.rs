@@ -9,9 +9,11 @@
 //! 1. [`Mmap`] — a read-only, private mapping of a whole file, created with
 //!    a hand-declared `mmap(2)`/`munmap(2)` FFI (this workspace vendors or
 //!    avoids every external crate, including `libc`; see `ps3_runtime::poll`
-//!    for the same discipline applied to `poll(2)`). On non-Unix targets the
-//!    type degrades to an owned, 8-byte-aligned buffer read with `std::fs`,
-//!    so nothing above this module needs a `cfg`.
+//!    for the same discipline applied to `poll(2)`), whose decoded tail
+//!    [`Mmap::release_from`] hands back to the kernel with `madvise(2)`.
+//!    On non-Unix targets the type degrades to an owned, 8-byte-aligned
+//!    buffer read with `std::fs`, so nothing above this module needs a
+//!    `cfg`.
 //! 2. [`typed_slice_at`] — the *only* pointer cast in the workspace: bytes
 //!    at an offset reinterpreted as a `&[T]` for plain-old-data `T`.
 //!
@@ -85,6 +87,9 @@ mod sys {
     pub const PROT_READ: c_int = 1;
     /// `MAP_PRIVATE`: copy-on-write, changes never reach the file.
     pub const MAP_PRIVATE: c_int = 2;
+    /// `MADV_DONTNEED`: the range's pages may be dropped from residency
+    /// (the same value on Linux, macOS and the BSDs).
+    pub const MADV_DONTNEED: c_int = 4;
 
     extern "C" {
         /// `mmap(2)`. `off_t` is `c_long` on the LP64 Unix targets this
@@ -99,8 +104,15 @@ mod sys {
         ) -> *mut c_void;
         /// `munmap(2)`.
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        /// `madvise(2)`.
+        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
 }
+
+/// Granularity of [`Mmap::release_from`]: a multiple of every page size
+/// the supported kernels use (4, 16 and 64 KiB), so a rounded offset is
+/// always page-aligned.
+const RELEASE_ALIGN: usize = 64 * 1024;
 
 /// A read-only private memory mapping of an entire file.
 ///
@@ -181,6 +193,39 @@ impl Mmap {
             len,
             _buf: buf,
         })
+    }
+
+    /// Drop the resident pages from `offset`, rounded up to 64 KiB (a page
+    /// boundary on 4, 16 and 64 KiB kernels), to the end of the mapping — for a tail that has
+    /// been decoded onto the heap and is not read again. The bytes stay
+    /// mapped: a later read faults them back in from the file, unchanged.
+    /// Advisory; off Unix, where the bytes are an owned buffer, a no-op.
+    pub fn release_from(&self, offset: usize) -> io::Result<()> {
+        let start = offset.next_multiple_of(RELEASE_ALIGN);
+        if start >= self.len {
+            return Ok(());
+        }
+        #[cfg(unix)]
+        {
+            // SAFETY: `[start, len)` lies inside the live mapping and
+            // `ptr + start` is page-aligned (mmap bases are, and `start` is
+            // a multiple of every supported page size). The mapping is
+            // `PROT_READ` + `MAP_PRIVATE` and never written, so it holds no
+            // private copies: a dropped page faults back in with the file's
+            // bytes, and every outstanding borrow of the range keeps
+            // reading the same values.
+            let rc = unsafe {
+                sys::madvise(
+                    self.ptr.add(start) as *mut std::os::raw::c_void,
+                    self.len - start,
+                    sys::MADV_DONTNEED,
+                )
+            };
+            if rc != 0 {
+                return Err(io::Error::last_os_error());
+            }
+        }
+        Ok(())
     }
 
     /// Length of the mapping in bytes.
@@ -396,6 +441,21 @@ mod tests {
         let m = mapped_file(&data);
         assert_eq!(m.len(), 256);
         assert_eq!(m.as_slice(), &data[..]);
+    }
+
+    #[test]
+    fn released_pages_read_back_byte_identical() {
+        // Three release units and a ragged tail, every byte distinct from
+        // its neighbours: a dropped page must fault back in unchanged.
+        let data: Vec<u8> = (0..3 * RELEASE_ALIGN + 777)
+            .map(|i| (i * 31 + i / 251) as u8)
+            .collect();
+        let m = mapped_file(&data);
+        assert_eq!(m.as_slice(), &data[..], "pages resident before release");
+        for offset in [RELEASE_ALIGN + 1, 0, m.len(), m.len() + 1] {
+            m.release_from(offset).expect("advisory release succeeds");
+            assert_eq!(m.as_slice(), &data[..], "released from {offset}");
+        }
     }
 
     #[test]

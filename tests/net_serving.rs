@@ -16,6 +16,9 @@
 //! (e) a request the answer cache holds is answered on the event loop
 //!     that read it — 256 pipelined hits come back bit-identical over a
 //!     router whose queue nothing drains;
+//! (e') a warm reply, read off a raw socket, is byte for byte the owned
+//!     response frame of the in-process outcome — scalar, grouped and
+//!     sketch answers alike;
 //! (f) replies parked while the client waited for another id come back
 //!     from `recv` in the order they arrived.
 
@@ -34,7 +37,9 @@ use ps3::net::proto::{
     DEFAULT_MAX_FRAME, PROTO_VERSION,
 };
 use ps3::net::{ClientError, NetClient, NetServer, ServerConfig};
-use ps3::query::{Clause, CmpOp, Predicate, QueryAnswer, QuerySpec, SketchQuery};
+use ps3::query::{
+    AggExpr, Clause, CmpOp, Predicate, Query, QueryAnswer, QuerySpec, ScalarExpr, SketchQuery,
+};
 use ps3::sketch::codec::answer_sketch_to_bytes;
 use ps3::storage::ColId;
 
@@ -64,6 +69,24 @@ fn answer_bits(answer: &QueryAnswer) -> Vec<(Vec<u64>, Vec<u64>)> {
         .iter()
         .map(|(k, vs)| (k.0.to_vec(), vs.iter().map(|v| v.to_bits()).collect()))
         .collect()
+}
+
+/// One length-prefixed frame, as the bytes that crossed the socket.
+fn read_wire_frame(stream: &mut TcpStream) -> Vec<u8> {
+    let mut wire = vec![0u8; 4];
+    stream.read_exact(&mut wire).expect("frame length");
+    let body_len = u32::from_le_bytes(wire[..4].try_into().unwrap()) as usize;
+    wire.resize(4 + body_len, 0);
+    stream.read_exact(&mut wire[4..]).expect("frame body");
+    wire
+}
+
+/// The request frame for `req` under correlation id `id`, as wire bytes.
+fn request_wire(id: u64, req: &QueryRequest) -> Vec<u8> {
+    encode_frame(&Frame::Request(
+        RequestFrame::from_request(id, req).unwrap(),
+    ))
+    .unwrap()
 }
 
 /// (a) Eight concurrent clients, each firing every request twice, all
@@ -374,22 +397,6 @@ fn cached_requests_are_answered_without_the_queue() {
     let warm: Vec<_> = (0..8).map(|k| router.answer_now(table, &req(k))).collect();
     let warmed = router.stats();
 
-    /// One length-prefixed frame, as the bytes that crossed the socket.
-    fn read_wire_frame(stream: &mut TcpStream) -> Vec<u8> {
-        let mut wire = vec![0u8; 4];
-        stream.read_exact(&mut wire).expect("frame length");
-        let body_len = u32::from_le_bytes(wire[..4].try_into().unwrap()) as usize;
-        wire.resize(4 + body_len, 0);
-        stream.read_exact(&mut wire[4..]).expect("frame body");
-        wire
-    }
-    let request_wire = |id: u64, req: &QueryRequest| {
-        encode_frame(&Frame::Request(
-            RequestFrame::from_request(id, req).unwrap(),
-        ))
-        .unwrap()
-    };
-
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -448,6 +455,54 @@ fn cached_requests_are_answered_without_the_queue() {
     assert_eq!(router.stats().executions, warmed.executions + 1);
     let served_stats = server.stats();
     assert_eq!((served_stats.requests, served_stats.errors), (257, 0));
+    drop(server);
+    router.shutdown();
+}
+
+/// (e') The server encodes a warm reply straight from the cache's shared
+/// outcome. Over a raw socket, for a grouped query and a sketch query, the
+/// bytes must be exactly the owned frame of `router.answer_now`'s outcome
+/// for the same request.
+#[test]
+fn warm_replies_are_the_owned_frame_bytes_on_the_socket() {
+    let (ds, system) = trained(DatasetKind::Aria, 60);
+    let router = Router::builder().table("aria", system).build();
+    let table = router.table_id("aria").unwrap();
+    let server = NetServer::bind(Arc::clone(&router), "127.0.0.1:0").expect("bind");
+    // Aria (appendix A): col 0 numeric, col 7 categorical.
+    let grouped = Query::new(
+        vec![AggExpr::sum(ScalarExpr::col(ColId(0))), AggExpr::count()],
+        None,
+        vec![ColId(7)],
+    );
+    let specs: Vec<QuerySpec> = vec![
+        ds.sample_test_query(3).into(),
+        grouped.into(),
+        SketchQuery::percentile(ColId(0), 0.9).into(),
+    ];
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    for (i, spec) in specs.into_iter().enumerate() {
+        let req = QueryRequest::new(spec, Method::Ps3, 0.25, 40 + i as u64).on_table("aria");
+        let outcome = router.answer_now(table, &req);
+        match i {
+            1 => assert!(outcome.answer.groups.len() > 1, "a grouped answer"),
+            2 => assert!(outcome.sketch.is_some(), "a sketch answer"),
+            _ => {}
+        }
+        let executed = router.stats().executions;
+        let id = 900 + i as u64;
+        stream.write_all(&request_wire(id, &req)).expect("request");
+        assert_eq!(
+            read_wire_frame(&mut stream),
+            encode_frame(&Frame::Response(ResponseFrame::from_outcome(id, &outcome))).unwrap(),
+            "spec {i}: the served reply differs from the owned frame"
+        );
+        assert_eq!(router.stats().executions, executed, "spec {i}: a cache hit");
+    }
+    assert_eq!(server.stats().errors, 0);
     drop(server);
     router.shutdown();
 }
