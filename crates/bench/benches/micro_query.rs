@@ -16,7 +16,8 @@ use ps3_query::{
     execute_partition, AggExpr, Clause, CmpOp, CompiledPredicate, CompiledQuery, Predicate, Query,
     ScalarExpr,
 };
-use ps3_stats::QueryFeatures;
+use ps3_stats::features::{PER_COL, SCALARS_PER_COL};
+use ps3_stats::SelectivityPlan;
 use ps3_storage::table::TableBuilder;
 use ps3_storage::{ColId, ColumnMeta, ColumnType, PartitionId, Schema, Table};
 
@@ -126,10 +127,6 @@ fn bench_query_paths(c: &mut Criterion) {
     g.bench_function("execute_one_partition", |b| {
         b.iter(|| execute_partition(ds.pt.table(), ds.pt.rows(PartitionId(0)), &query))
     });
-    // The training builder: raw compact rows, static blocks copied in.
-    g.bench_function("query_features", |b| {
-        b.iter(|| QueryFeatures::compute(&ds.stats, ds.pt.table(), &query))
-    });
     // A cold `artifacts_for` on the serving path: compile, estimate every
     // partition's selectivity through one plan, normalize the n × 4 block.
     // Only the miss is timed; the eviction that makes the next one cold is
@@ -162,12 +159,30 @@ fn bench_query_paths(c: &mut Criterion) {
         g.bench_function(name, |b| b.iter(|| cq.execute_partition(&grouped, 0..512)));
     }
 
-    // Clustering 64 partitions' feature rows into 8 clusters, fed from the
-    // flat compact matrix the way the picker's group projection feeds it.
-    let feats = QueryFeatures::compute(&ds.stats, ds.pt.table(), &query);
-    let matrix = feats.matrix();
-    let (n, width) = (matrix.num_rows(), matrix.width());
-    let flat: Vec<f64> = (0..n).flat_map(|p| matrix.row(p)).copied().collect();
+    // Clustering 64 partitions' raw feature rows into 8 clusters, fed flat
+    // and compact the way the picker's group projection feeds it: per
+    // partition, the static blocks the query's mask leaves live (scalars of
+    // each used column, the bitmap too for a grouped one), then its four
+    // selectivity estimates.
+    let stats = &ds.stats;
+    let schema = *stats.feature_schema();
+    let compiled = CompiledQuery::compile(ds.pt.table(), &query);
+    let plan = SelectivityPlan::new(compiled.predicate());
+    let mut flat = Vec::new();
+    for (statics, sel) in stats.static_features().iter().zip(plan.estimate_all(stats)) {
+        for c in query.used_columns() {
+            let off = schema.col_offset(c);
+            let len = if query.group_by.contains(&c) {
+                PER_COL
+            } else {
+                SCALARS_PER_COL
+            };
+            flat.extend_from_slice(&statics[off..off + len]);
+        }
+        flat.extend_from_slice(&sel.as_array());
+    }
+    let n = stats.num_partitions();
+    let width = flat.len() / n;
     let points = PointMatrix::from_flat(flat, n, width);
     g.bench_function("kmeans_64x8", |b| {
         b.iter(|| {

@@ -4,10 +4,12 @@
 //! Two rows land in `BENCH_micro.json` via `PS3_BENCH_TSV`:
 //!
 //! - `train/train_cold` — `Ps3System::train` from scratch on a tiny
-//!   dataset: raw features, the normalizer fitted on them, every training
-//!   query's normalized rows gathered from the shared static table as a
-//!   pick gathers them, one full-width row set for the importance models
-//!   and LSS, and thresholds.
+//!   dataset: every training query compiled once, executed and its
+//!   selectivity estimated on every partition, the normalizer fitted on the
+//!   live static statistics and those estimates, every training query's
+//!   normalized rows gathered from the shared static table as a pick
+//!   gathers them, one full-width row set for the importance models and
+//!   LSS, and thresholds.
 //! - `train/retrain_warm` — `Ps3System::retrain_from` against the same
 //!   table: the static table normalized once through the previous
 //!   normalizer, every learned part reused, nothing gathered or fitted.

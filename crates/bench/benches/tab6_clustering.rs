@@ -26,10 +26,9 @@ fn main() {
     for kind in [DatasetKind::TpcDs, DatasetKind::Aria, DatasetKind::Kdd] {
         let ds = DatasetConfig::new(kind, scale).build(42);
         let td = TrainingData::compute(&ds.pt, &ds.stats, &ds.train_queries, 0);
-        let (_, normalized) =
-            normalize_workload(&td.fit_normalizer(), &ds.pt, &ds.stats, &td.queries, 0);
+        let (_, normalized) = normalize_workload(&td.fit_normalizer(&ds.stats), &ds.stats, &td, 0);
         let eval_qs: Vec<usize> = (0..td.queries.len())
-            .filter(|&q| !td.totals[q].is_empty())
+            .filter(|&q| !td.runs[q].total.is_empty())
             .take(16)
             .collect();
         let mut row = vec![kind.label().to_string()];

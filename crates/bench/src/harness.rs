@@ -3,12 +3,12 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use ps3_core::train::execute_exact;
 use ps3_core::{Method, Ps3Config, Ps3System};
 use ps3_data::Dataset;
 use ps3_query::metrics::ErrorMetrics;
 use ps3_query::predicate::eval_predicate;
 use ps3_query::{CompiledQuery, PartialAnswer, Query, QueryAnswer, WeightedPart};
-use ps3_storage::PartitionId;
 
 /// The budget grid (fractions of partitions read) used across experiments.
 pub const BUDGETS: [f64; 8] = [0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75];
@@ -147,17 +147,8 @@ pub fn build_cache(ds: &Dataset, queries: &[Query]) -> Vec<QueryCache> {
     let pt = &ds.pt;
     ps3_runtime::fan_out(0, queries.len(), |qi| {
         let q = &queries[qi];
-        // One compiled program per query serves every partition.
-        let cq = CompiledQuery::compile(pt.table(), q);
-        let partials: Vec<PartialAnswer> = (0..pt.num_partitions())
-            .map(|p| cq.execute_partition(pt.table(), pt.rows(PartitionId(p))))
-            .collect();
-        let mut total = PartialAnswer::empty(q);
-        for part in &partials {
-            total.add_weighted(part, 1.0);
-        }
-        let contributions = ps3_core::train::contributions_for(&partials, &total);
-        let truth = total.finalize(q);
+        let compiled = CompiledQuery::compile(pt.table(), q);
+        let run = execute_exact(pt, q, &compiled);
         let selectivity = match &q.predicate {
             None => 1.0,
             Some(p) => {
@@ -170,10 +161,10 @@ pub fn build_cache(ds: &Dataset, queries: &[Query]) -> Vec<QueryCache> {
         };
         QueryCache {
             query: q.clone(),
-            partials,
-            truth,
+            truth: run.total.finalize(q),
+            partials: run.partials,
             selectivity,
-            contributions,
+            contributions: run.contributions,
         }
     })
 }

@@ -80,14 +80,13 @@ impl LssModel {
         eval_queries: usize,
         seed: u64,
     ) -> Self {
-        let labels: Vec<f64> = td.contributions.iter().flatten().copied().collect();
-        let model = Gbdt::train(rows, &labels, gbdt);
+        let model = Gbdt::train(rows, &td.pooled_contributions(), gbdt);
 
         let n = td.num_partitions();
         let sizes = strata_size_grid(n);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x1551));
         let mut eval_qs: Vec<usize> = (0..td.queries.len())
-            .filter(|&q| !td.totals[q].is_empty())
+            .filter(|&q| !td.runs[q].total.is_empty())
             .collect();
         eval_qs.shuffle(&mut rng);
         eval_qs.truncate(eval_queries.max(1));
@@ -104,20 +103,20 @@ impl LssModel {
             for &s in &sizes {
                 let mut errs = Vec::with_capacity(eval_qs.len());
                 for (qi, &q) in eval_qs.iter().enumerate() {
-                    let feats = &td.features[q];
                     let candidates: Vec<usize> = (0..n)
-                        .filter(|&p| feats.selectivity_upper(p) > 0.0)
+                        .filter(|&p| td.selectivity[q][p].upper > 0.0)
                         .collect();
                     if candidates.is_empty() {
                         continue;
                     }
                     let picks = lss_pick(&preds[qi], &candidates, budget, s, &mut rng);
-                    let mut acc = PartialAnswer::empty(&td.queries[q]);
+                    let (query, run) = (&td.queries[q], &td.runs[q]);
+                    let mut acc = PartialAnswer::empty(query);
                     for wp in &picks {
-                        acc.add_weighted(&td.partials[q][wp.partition.index()], wp.weight);
+                        acc.add_weighted(&run.partials[wp.partition.index()], wp.weight);
                     }
-                    let truth = td.totals[q].finalize(&td.queries[q]);
-                    errs.push(avg_relative_error(&truth, &acc.finalize(&td.queries[q])));
+                    let truth = run.total.finalize(query);
+                    errs.push(avg_relative_error(&truth, &acc.finalize(query)));
                 }
                 let mean = if errs.is_empty() {
                     f64::INFINITY

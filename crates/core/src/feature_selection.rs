@@ -31,7 +31,7 @@ pub fn select_features(
 
     // Evaluation subset: training queries with a non-empty answer.
     let mut eval_qs: Vec<usize> = (0..td.queries.len())
-        .filter(|&q| !td.totals[q].is_empty())
+        .filter(|&q| !td.runs[q].total.is_empty())
         .collect();
     eval_qs.shuffle(&mut rng);
     eval_qs.truncate(cfg.fs_eval_queries.max(1));
@@ -142,23 +142,20 @@ pub fn clustering_error(
     cfg: &Ps3Config,
     rng: &mut StdRng,
 ) -> f64 {
-    let Some(first) = td.features.first() else {
-        return 0.0;
-    };
     // Exclusions become a clustering-time projection (distance-identical
     // to zeroing the dims, without copying the matrix).
-    let excluded_dims = first.schema().mask_of(excluded);
+    let excluded_dims = td.schema.mask_of(excluded);
     let n_parts = td.num_partitions();
     let mut errs = Vec::with_capacity(eval_qs.len() * budgets.len());
     for &q in eval_qs {
-        let feats = &td.features[q];
         let candidates: Vec<usize> = (0..n_parts)
-            .filter(|&p| feats.selectivity_upper(p) > 0.0)
+            .filter(|&p| td.selectivity[q][p].upper > 0.0)
             .collect();
         if candidates.is_empty() {
             continue;
         }
-        let truth = td.totals[q].finalize(&td.queries[q]);
+        let (query, run) = (&td.queries[q], &td.runs[q]);
+        let truth = run.total.finalize(query);
         for &frac in budgets {
             let k = ((frac * n_parts as f64).round() as usize).clamp(1, candidates.len());
             let (picks, _) = cluster_select(
@@ -170,11 +167,11 @@ pub fn clustering_error(
                 ExemplarRule::Median,
                 rng,
             );
-            let mut acc = PartialAnswer::empty(&td.queries[q]);
+            let mut acc = PartialAnswer::empty(query);
             for wp in &picks {
-                acc.add_weighted(&td.partials[q][wp.partition.index()], wp.weight);
+                acc.add_weighted(&run.partials[wp.partition.index()], wp.weight);
             }
-            errs.push(avg_relative_error(&truth, &acc.finalize(&td.queries[q])));
+            errs.push(avg_relative_error(&truth, &acc.finalize(query)));
         }
     }
     if errs.is_empty() {

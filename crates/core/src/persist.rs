@@ -10,10 +10,11 @@
 //! function of `(query, method, budget, seed)` and every persisted model
 //! round-trips its `f64`s by bit pattern.
 //!
-//! Of [`TrainingData`] only the query list is persisted: partials, totals,
-//! features and contributions are off the answer path, and a warm retrain
-//! ([`Ps3System::retrain_from`]) carries the learned parts, not the
-//! workload.
+//! A trained system keeps only its training queries once training returns
+//! (the per-partition answers and features training read are freed then),
+//! and that query list is what is persisted: a thawed system carries the
+//! same training value as the one that was frozen, and a warm retrain
+//! ([`Ps3System::retrain_from`]) shares it with the generation it builds.
 //!
 //! Every decoder validates shape and range before building anything, so a
 //! corrupted or adversarial artifact surfaces as a typed [`FormatError`] —
@@ -42,7 +43,7 @@ use ps3_storage::Schema;
 use crate::baselines::LssModel;
 use crate::config::{ExemplarRule, Ps3Config};
 use crate::system::Ps3System;
-use crate::train::{TrainedPs3, TrainingData};
+use crate::train::TrainedPs3;
 
 /// Maximum persisted training-query count.
 const MAX_QUERIES: usize = 1 << 20;
@@ -115,20 +116,13 @@ pub fn thaw(path: &Path) -> Result<Ps3System, FormatError> {
     // failed release only leaves them resident.
     let (col_off, col_len) = a.section_range(SEC_COLDATA)?;
     let _ = a.mmap().release_from(col_off + col_len);
-    let training = TrainingData {
-        queries,
-        partials: Vec::new(),
-        totals: Vec::new(),
-        features: Vec::new(),
-        contributions: Vec::new(),
-    };
 
     Ok(Ps3System::from_parts(
         Arc::new(pt),
         Arc::new(stats),
         trained,
         lss,
-        Arc::new(training),
+        queries.into(),
     ))
 }
 
@@ -138,11 +132,11 @@ pub fn thaw(path: &Path) -> Result<Ps3System, FormatError> {
 /// `[n: u32]` then `n` queries in the one `Query` grammar
 /// ([`ps3_query::codec`]). Fails only on a query past that grammar's `u16`
 /// list and string caps.
-fn encode_training(td: &TrainingData) -> Result<Vec<u8>, CodecError> {
+fn encode_training(queries: &[Query]) -> Result<Vec<u8>, CodecError> {
     let mut bytes = Vec::new();
     let mut w = Writer::new(&mut bytes);
-    w.u32_len(td.queries.len(), "training workloads cap at 2^32-1 queries")?;
-    for q in &td.queries {
+    w.u32_len(queries.len(), "training workloads cap at 2^32-1 queries")?;
+    for q in queries {
         codec::encode_query(&mut w, q)?;
     }
     Ok(bytes)
@@ -641,6 +635,19 @@ mod tests {
         let a = thawed.answer_seeded(&q, crate::system::Method::Ps3, 0.25, 3);
         let b = warm.answer_seeded(&q, crate::system::Method::Ps3, 0.25, 3);
         assert_eq!(a.answer, b.answer);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_thawed_system_carries_the_training_value_it_was_trained_with() {
+        let sys = tiny_system();
+        assert_eq!(*sys.training, *queries());
+        let dir = std::env::temp_dir().join(format!("ps3_persist_wl_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tiny.ps3");
+        freeze(&sys, &path).unwrap();
+        let thawed = thaw(&path).unwrap();
+        assert_eq!(thawed.training, sys.training);
         std::fs::remove_file(&path).ok();
     }
 

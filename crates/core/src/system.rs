@@ -38,7 +38,7 @@ use ps3_query::{
 };
 use ps3_runtime::{CacheStats, SharedLru, ThreadPool};
 use ps3_sketch::{AnswerSketch, DistinctSketch};
-use ps3_stats::{FeatureMatrix, NormalizedStatics, QueryColumns, TableStats};
+use ps3_stats::{FeatureMatrix, NormalizedStatics, QueryColumns, SelectivityPlan, TableStats};
 use ps3_storage::{PartitionedTable, Table};
 
 use crate::baselines::{random_filter_selection, random_selection, LssModel};
@@ -196,9 +196,10 @@ pub struct Ps3System {
     pub trained: TrainedPs3,
     /// Trained LSS baseline.
     pub lss: LssModel,
-    /// Cached training-workload execution (reused by the benches and
-    /// shared, not recomputed, across warm retrain generations).
-    pub training: Arc<TrainingData>,
+    /// The training workload: the queries the learned parts were trained
+    /// on. A frozen artifact persists them, and a warm retrain shares them
+    /// with the generation it builds.
+    pub training: Arc<[Query]>,
     /// `stats`' static features through `trained.normalizer`, computed once
     /// per generation; every pick gathers its rows from it.
     normalized_statics: NormalizedStatics,
@@ -218,11 +219,12 @@ pub fn budget_partitions(frac: f64, num_partitions: usize) -> usize {
 impl Ps3System {
     /// Train every learned component on `train_queries`.
     ///
-    /// Training frees several times what the trained system keeps (dense
-    /// feature rows, GBDT work matrices, per-task scratch); that goes back to
-    /// the OS before this returns ([`ps3_runtime::release_free_heap`]), so
-    /// what the caller does next — freeze, serve — starts from the system's
-    /// live size instead of building on whichever of training's holes fit.
+    /// Training frees several times what the trained system keeps (the
+    /// workload's exact partials and raw selectivity features, dense feature
+    /// rows, GBDT work matrices, per-task scratch); that goes back to the OS
+    /// before this returns ([`ps3_runtime::release_free_heap`]), so what the
+    /// caller does next — freeze, serve — starts from the system's live size
+    /// instead of building on whichever of training's holes fit.
     pub fn train(
         pt: Arc<PartitionedTable>,
         stats: Arc<TableStats>,
@@ -230,9 +232,8 @@ impl Ps3System {
         cfg: Ps3Config,
     ) -> Self {
         let training = TrainingData::compute(&pt, &stats, train_queries, cfg.threads);
-        let normalizer = training.fit_normalizer();
-        let (statics, normalized) =
-            normalize_workload(&normalizer, &pt, &stats, &training.queries, cfg.threads);
+        let normalizer = training.fit_normalizer(&stats);
+        let (statics, normalized) = normalize_workload(&normalizer, &stats, &training, cfg.threads);
         // The one full-width row set, for the GBDT binner: the k importance
         // models and the LSS regressor all train on it.
         let rows: Vec<Vec<f64>> = normalized
@@ -249,8 +250,8 @@ impl Ps3System {
             cfg.fs_eval_queries,
             cfg.seed,
         );
-        drop((rows, normalized));
-        let system = Self::assemble(pt, stats, trained, lss, Arc::new(training), statics);
+        drop((rows, normalized, training));
+        let system = Self::assemble(pt, stats, trained, lss, train_queries.into(), statics);
         ps3_runtime::release_free_heap();
         system
     }
@@ -265,7 +266,7 @@ impl Ps3System {
         stats: Arc<TableStats>,
         trained: TrainedPs3,
         lss: LssModel,
-        training: Arc<TrainingData>,
+        training: Arc<[Query]>,
     ) -> Self {
         let normalized_statics = trained.normalizer.normalize_statics(&stats);
         Self::assemble(pt, stats, trained, lss, training, normalized_statics)
@@ -280,7 +281,7 @@ impl Ps3System {
         stats: Arc<TableStats>,
         trained: TrainedPs3,
         lss: LssModel,
-        training: Arc<TrainingData>,
+        training: Arc<[Query]>,
         normalized_statics: NormalizedStatics,
     ) -> Self {
         let features = SharedLru::new(trained.config.feature_cache_cap);
@@ -309,9 +310,9 @@ impl Ps3System {
 
     /// Warm incremental retrain: the next-generation system for (possibly
     /// grown) `pt`/`stats`, built by [`Self::from_parts`] from `prev`'s
-    /// learned parts (`trained`, `lss`) and its shared `training`. Nothing
-    /// is re-executed or re-fitted; the new table's static features go
-    /// through `prev`'s normalizer once. On an unchanged table the new
+    /// learned parts (`trained`, `lss`) and its training queries, shared.
+    /// Nothing is re-executed or re-fitted; the new table's static features
+    /// go through `prev`'s normalizer once. On an unchanged table the new
     /// system's answers are bit-identical to `prev`'s.
     pub fn retrain_from(
         prev: &Ps3System,
@@ -347,8 +348,9 @@ impl Ps3System {
     pub fn artifacts_for(&self, query: &Query) -> Arc<QueryArtifacts> {
         self.features.get_or_insert_with(query.fingerprint(), || {
             let compiled = CompiledQuery::compile(self.pt.table(), query);
+            let plan = SelectivityPlan::new(compiled.predicate());
             let columns =
-                (self.normalized_statics).query_columns(&self.stats, query, compiled.predicate());
+                (self.normalized_statics).query_columns(query, plan.estimate_all(&self.stats));
             Arc::new(QueryArtifacts { columns, compiled })
         })
     }

@@ -2,8 +2,11 @@
 //! partition, derive partition contributions, fit the feature normalizer,
 //! train the k importance models, and run feature selection.
 //!
-//! Everything that learns reads the matrices serving reads: the normalizer
-//! is fitted on the workload's raw compact matrices, and each training
+//! Each training query is compiled once; that one program executes every
+//! partition ([`execute_exact`]) and its predicate estimates every
+//! partition's selectivity once. Everything that learns reads the matrices
+//! serving reads: the normalizer is fitted on the static statistics the
+//! workload's masks leave live plus those raw estimates, and each training
 //! query's normalized rows are gathered from the shared
 //! [`NormalizedStatics`] exactly as a pick gathers them
 //! ([`normalize_workload`]). Only the GBDT binner takes full-width rows.
@@ -14,89 +17,82 @@
 //! new table as it is.
 
 use ps3_learn::{choose_thresholds, make_labels, Gbdt};
-use ps3_query::{CompiledPredicate, CompiledQuery, PartialAnswer, Query};
+use ps3_query::{CompiledQuery, PartialAnswer, Query};
 use ps3_stats::features::FeatureType;
-use ps3_stats::{FeatureMatrix, NormalizedStatics, Normalizer, QueryFeatures, TableStats};
+use ps3_stats::{
+    FeatureMatrix, FeatureSchema, NormalizedStatics, Normalizer, SelectivityFeatures,
+    SelectivityPlan, TableStats,
+};
 use ps3_storage::{PartitionId, PartitionedTable};
 
 use crate::config::Ps3Config;
 use crate::feature_selection::select_features;
 
-/// Everything computed once per (dataset, layout, workload): per-query,
-/// per-partition answers, feature matrices and contributions. Reused by
-/// model training, LSS strata sweeps, feature selection and the experiment
-/// harness.
+/// Everything computed once per (dataset, layout, workload): per query, its
+/// exact per-partition answers and contributions and its raw selectivity
+/// features. Model training, LSS strata sweeps and feature selection read
+/// it while [`crate::Ps3System::train`] runs; the system keeps only the
+/// queries.
 #[derive(Debug)]
 pub struct TrainingData {
     /// The training queries.
     pub queries: Vec<Query>,
-    /// `partials[q][p]` = partition p's exact partial answer to query q.
-    pub partials: Vec<Vec<PartialAnswer>>,
-    /// `totals[q]` = the exact combined answer (all partitions, weight 1).
-    pub totals: Vec<PartialAnswer>,
-    /// Raw (unnormalized, masked) compact feature matrices per query.
-    pub features: Vec<QueryFeatures>,
-    /// `contributions[q][p]` in \[0,1\]: partition p's §4.3 contribution to q.
-    pub contributions: Vec<Vec<f64>>,
+    /// The feature layout of the table the workload ran on.
+    pub schema: FeatureSchema,
+    /// `runs[q]` = query q executed exactly on every partition.
+    pub runs: Vec<ExactRun>,
+    /// `selectivity[q][p]` = query q's raw selectivity features on
+    /// partition p (§3.2): what the normalizer is fitted on, and the
+    /// `selectivity_upper` the training-time filters read.
+    pub selectivity: Vec<Vec<SelectivityFeatures>>,
 }
 
 impl TrainingData {
-    /// Execute every query on every partition (parallel over queries via
-    /// the shared pool) and derive features and contributions.
+    /// Execute every query on every partition and estimate its selectivity
+    /// there (parallel over queries via the shared pool), each through the
+    /// one program the query compiles to.
     pub fn compute(
         pt: &PartitionedTable,
         stats: &TableStats,
         queries: &[Query],
         threads: usize,
     ) -> Self {
-        let per_query: Vec<(Vec<PartialAnswer>, PartialAnswer, QueryFeatures)> =
-            ps3_runtime::fan_out(threads, queries.len(), |qi| {
-                let q = &queries[qi];
-                // One compiled program per query serves every partition.
-                let cq = CompiledQuery::compile(pt.table(), q);
-                let partials: Vec<PartialAnswer> = (0..pt.num_partitions())
-                    .map(|p| cq.execute_partition(pt.table(), pt.rows(PartitionId(p))))
-                    .collect();
-                let mut total = PartialAnswer::empty(q);
-                for part in &partials {
-                    total.add_weighted(part, 1.0);
-                }
-                let feats = QueryFeatures::compute(stats, pt.table(), q);
-                (partials, total, feats)
-            });
-
-        let mut partials = Vec::with_capacity(queries.len());
-        let mut totals = Vec::with_capacity(queries.len());
-        let mut features = Vec::with_capacity(queries.len());
-        let mut contributions = Vec::with_capacity(queries.len());
-        for (p, t, f) in per_query {
-            contributions.push(contributions_for(&p, &t));
-            partials.push(p);
-            totals.push(t);
-            features.push(f);
-        }
+        let (runs, selectivity) = ps3_runtime::fan_out(threads, queries.len(), |qi| {
+            let q = &queries[qi];
+            let compiled = CompiledQuery::compile(pt.table(), q);
+            let plan = SelectivityPlan::new(compiled.predicate());
+            (
+                execute_exact(pt, q, &compiled),
+                plan.estimate_all(stats).collect(),
+            )
+        })
+        .into_iter()
+        .unzip();
         Self {
             queries: queries.to_vec(),
-            partials,
-            totals,
-            features,
-            contributions,
+            schema: *stats.feature_schema(),
+            runs,
+            selectivity,
         }
     }
 
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
-        self.partials.first().map_or(0, Vec::len)
+        self.runs.first().map_or(0, |r| r.partials.len())
     }
 
-    /// Fit the Appendix-B normalizer on the workload's raw feature matrices.
-    ///
-    /// # Panics
-    /// Panics on an empty workload.
-    pub fn fit_normalizer(&self) -> Normalizer {
-        let first = self.features.first();
-        let schema = *first.expect("need at least one training query").schema();
-        Normalizer::fit(schema, self.features.iter().map(QueryFeatures::matrix))
+    /// Every query's contributions, query-major: one label per training row.
+    pub fn pooled_contributions(&self) -> Vec<f64> {
+        (self.runs.iter())
+            .flat_map(|r| r.contributions.iter().copied())
+            .collect()
+    }
+
+    /// Fit the Appendix-B normalizer on the workload: `stats`' static
+    /// features under each query's mask, plus its raw selectivity features.
+    pub fn fit_normalizer(&self, stats: &TableStats) -> Normalizer {
+        let workload = (self.queries.iter()).zip(self.selectivity.iter().map(Vec::as_slice));
+        Normalizer::fit(stats, workload)
     }
 }
 
@@ -104,22 +100,50 @@ impl TrainingData {
 /// features through `normalizer` once, then each query's compact matrix
 /// gathered from that table by the same
 /// [`NormalizedStatics::query_columns`] + [`NormalizedStatics::gather`] a
-/// pick runs, in parallel over queries. Returns the table and
-/// `matrices[q]` for `queries[q]`.
+/// pick runs, over the raw selectivity features `td` already holds, in
+/// parallel over queries. Returns the table and `matrices[q]` for
+/// `td.queries[q]`.
 pub fn normalize_workload(
     normalizer: &Normalizer,
-    pt: &PartitionedTable,
     stats: &TableStats,
-    queries: &[Query],
+    td: &TrainingData,
     threads: usize,
 ) -> (NormalizedStatics, Vec<FeatureMatrix>) {
     let statics = normalizer.normalize_statics(stats);
-    let matrices = ps3_runtime::fan_out(threads, queries.len(), |qi| {
-        let q = &queries[qi];
-        let pred = (q.predicate.as_ref()).map(|p| CompiledPredicate::compile(pt.table(), p));
-        statics.gather(&statics.query_columns(stats, q, pred.as_ref()))
+    let matrices = ps3_runtime::fan_out(threads, td.queries.len(), |qi| {
+        let sel = td.selectivity[qi].iter().copied();
+        statics.gather(&statics.query_columns(&td.queries[qi], sel))
     });
     (statics, matrices)
+}
+
+/// One query executed exactly on every partition.
+#[derive(Debug)]
+pub struct ExactRun {
+    /// `partials[p]` = partition p's exact partial answer.
+    pub partials: Vec<PartialAnswer>,
+    /// The exact combined answer (all partitions, weight 1).
+    pub total: PartialAnswer,
+    /// `contributions[p]` in \[0,1\]: partition p's §4.3 contribution.
+    pub contributions: Vec<f64>,
+}
+
+/// Run `compiled`, query `q`'s one program, on every partition of `pt`, sum
+/// the partials at weight 1 and derive each partition's contribution.
+pub fn execute_exact(pt: &PartitionedTable, q: &Query, compiled: &CompiledQuery) -> ExactRun {
+    let partials: Vec<PartialAnswer> = (0..pt.num_partitions())
+        .map(|p| compiled.execute_partition(pt.table(), pt.rows(PartitionId(p))))
+        .collect();
+    let mut total = PartialAnswer::empty(q);
+    for part in &partials {
+        total.add_weighted(part, 1.0);
+    }
+    let contributions = contributions_for(&partials, &total);
+    ExactRun {
+        partials,
+        total,
+        contributions,
+    }
 }
 
 /// Partition contribution (§4.3): the max over groups and aggregate slots of
@@ -178,14 +202,14 @@ impl TrainedPs3 {
         config: Ps3Config,
     ) -> Self {
         // Exponentially spaced thresholds from the pooled contributions.
-        let pooled: Vec<f64> = td.contributions.iter().flatten().copied().collect();
+        let pooled = td.pooled_contributions();
         let thresholds = choose_thresholds(&pooled, config.k_models);
 
         let mut models = Vec::with_capacity(config.k_models);
         for (i, &t) in thresholds.iter().enumerate() {
             let mut labels: Vec<f64> = Vec::with_capacity(pooled.len());
-            for contribs in &td.contributions {
-                labels.extend(make_labels(contribs, t));
+            for run in &td.runs {
+                labels.extend(make_labels(&run.contributions, t));
             }
             let mut params = config.gbdt;
             params.seed = config.gbdt.seed.wrapping_add(i as u64);

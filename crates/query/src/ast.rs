@@ -340,7 +340,7 @@ impl Query {
     /// aggregates, predicate shape *and* literals, and group-by columns.
     /// Structurally identical queries always share a fingerprint, and the
     /// serving layer uses it as the feature-cache key: equal fingerprints
-    /// are treated as implying equal `QueryFeatures` rows (features depend
+    /// are treated as implying equal feature-cache entries (features depend
     /// only on the query and the table statistics). As with any 64-bit
     /// hash, distinct queries can collide in principle; the chance across
     /// a bounded cache is ~`n²/2⁶⁴` — negligible for the few hundred

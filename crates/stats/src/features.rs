@@ -8,10 +8,9 @@
 //! At query time a mask zeroes the blocks of columns the query does not use,
 //! bitmap bits survive only for the query's group-by columns, and the four
 //! selectivity slots are filled per partition. `live_blocks` is that mask,
-//! the one column layout both the raw matrix ([`QueryFeatures`], what the
-//! normalizer is fitted on) and the normalized gather
-//! ([`crate::NormalizedStatics::gather`], what training and serving read)
-//! use.
+//! the one column layout the normalizer's fit ([`crate::Normalizer::fit`])
+//! and the normalized gather ([`crate::NormalizedStatics::gather`], what
+//! training and serving read) both use.
 
 use std::ops::Range;
 
@@ -19,7 +18,7 @@ use ps3_query::{CompiledPredicate, Query};
 use ps3_storage::{ColId, Table};
 
 use crate::builder::TableStats;
-use crate::selectivity::SelectivityPlan;
+use crate::selectivity::{SelectivityFeatures, SelectivityPlan};
 
 /// Scalar statistics per column (before the bitmap).
 pub const SCALARS_PER_COL: usize = 17;
@@ -434,92 +433,39 @@ impl FeatureMatrix {
     }
 }
 
-/// Masked, selectivity-augmented **raw** feature matrix for one query: the
-/// `F ∈ R^{N×M}` of §2.4, before normalisation, stored compact. The stored
-/// columns are, ascending: the 17 scalar statistics of every column the query
-/// uses, the 25 bitmap bits of its group-by columns, and the four selectivity
-/// slots — always the last four columns of a row.
-#[derive(Debug, Clone)]
-pub struct QueryFeatures {
-    schema: FeatureSchema,
-    matrix: FeatureMatrix,
-}
+/// A query's raw selectivity features from the query alone: the four
+/// query-dependent slots of its feature rows (§3.2), before normalization.
+/// Training and serving estimate them through the predicate they already
+/// compiled ([`SelectivityPlan::estimate_all`]) and normalize them with
+/// [`crate::NormalizedStatics::query_columns`]; [`Self::compute`] compiles
+/// the predicate itself, for a caller that holds only the query (the
+/// `ps3_e2e` trace times it as its `stats.features` span).
+#[derive(Debug)]
+pub struct QueryFeatures;
 
 impl QueryFeatures {
-    /// Build the raw feature matrix for `query` (§3.2) — what the
-    /// normalizer is fitted on, and what the training workload's
-    /// `selectivity_upper` filter reads. Nothing learns from or picks on it:
-    /// training and serving both read the normalized rows
-    /// [`crate::NormalizedStatics::gather`] assembles.
-    ///
-    /// The matrix is built in two steps:
-    /// * copy in only the static blocks the query's mask leaves live (the
-    ///   full-width row is zero everywhere else, and a compact row simply
-    ///   does not store those zeros),
-    /// * append the four per-partition selectivity estimates, through a
-    ///   [`SelectivityPlan`] of the predicate compiled **once** per
-    ///   `(query, table)`.
-    pub fn compute(stats: &TableStats, table: &Table, query: &Query) -> Self {
-        let schema = *stats.feature_schema();
-        let compiled = query
-            .predicate
-            .as_ref()
-            .map(|p| CompiledPredicate::compile(table, p));
-        let plan = SelectivityPlan::new(compiled.as_ref());
-        let blocks = live_blocks(&schema, query);
-        let cols = compact_cols(&schema, &blocks);
-
-        let n = stats.num_partitions();
-        let mut data = Vec::with_capacity(n * cols.len());
-        for (statics, sel) in stats.static_features().iter().zip(plan.estimate_all(stats)) {
-            for b in &blocks {
-                data.extend_from_slice(&statics[b.clone()]);
-            }
-            data.extend_from_slice(&sel.as_array());
-        }
-        Self {
-            schema,
-            matrix: FeatureMatrix::new(cols, schema.dim(), n, data),
-        }
-    }
-
-    /// The layout of the full-width vector.
-    pub fn schema(&self) -> &FeatureSchema {
-        &self.schema
-    }
-
-    /// The compact matrix.
-    pub fn matrix(&self) -> &FeatureMatrix {
-        &self.matrix
-    }
-
-    /// Number of partitions (rows).
-    pub fn num_partitions(&self) -> usize {
-        self.matrix.num_rows()
-    }
-
-    /// Partition `p`'s four raw selectivity estimates.
-    pub fn selectivity(&self, p: usize) -> &[f64] {
-        let row = self.matrix.row(p);
-        &row[row.len() - SELECTIVITY_FEATURES..]
-    }
-
-    /// The `selectivity_upper` value of partition `p` — the §4.3 funnel's
-    /// first filter.
-    pub fn selectivity_upper(&self, p: usize) -> f64 {
-        self.selectivity(p)[0]
+    /// Compile `query`'s predicate against `table` and estimate it on every
+    /// partition of `stats`, in partition order.
+    pub fn compute(stats: &TableStats, table: &Table, query: &Query) -> Vec<SelectivityFeatures> {
+        let compiled = (query.predicate.as_ref()).map(|p| CompiledPredicate::compile(table, p));
+        SelectivityPlan::new(compiled.as_ref())
+            .estimate_all(stats)
+            .collect()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::{StatsConfig, TableStats};
+    use crate::normalize::{Normalizer, QueryColumns};
     use ps3_query::{AggExpr, Clause, CmpOp, Predicate, Query, ScalarExpr};
     use ps3_storage::table::TableBuilder;
     use ps3_storage::{ColumnMeta, ColumnType, PartitionedTable, Schema};
 
-    fn fixture() -> (PartitionedTable, TableStats) {
+    /// 200 rows in 8 partitions: numeric `a` (0..200), numeric `b`
+    /// (0..13 repeating), categorical `g` alternating "x"/"y".
+    pub(crate) fn fixture() -> (PartitionedTable, TableStats) {
         let schema = Schema::new(vec![
             ColumnMeta::new("a", ColumnType::Numeric),
             ColumnMeta::new("b", ColumnType::Numeric),
@@ -534,16 +480,36 @@ mod tests {
         (pt, stats)
     }
 
+    /// `query`'s entry and gathered matrix as serving builds them, through
+    /// a normalizer with unit means: the log and cube-root transforms keep
+    /// zero, sign and order, so masking and selectivity read through them.
+    fn gathered(
+        pt: &PartitionedTable,
+        stats: &TableStats,
+        query: &Query,
+    ) -> (QueryColumns, FeatureMatrix) {
+        let schema = *stats.feature_schema();
+        let unit = Normalizer::from_raw_parts(schema, vec![1.0; schema.dim()]).unwrap();
+        let statics = unit.normalize_statics(stats);
+        let pred = (query.predicate.as_ref()).map(|p| CompiledPredicate::compile(pt.table(), p));
+        let columns = statics.query_columns(
+            query,
+            SelectivityPlan::new(pred.as_ref()).estimate_all(stats),
+        );
+        let matrix = statics.gather(&columns);
+        (columns, matrix)
+    }
+
     #[test]
     fn mask_zeroes_unused_columns() {
         let (pt, stats) = fixture();
+        let schema = *stats.feature_schema();
         // Query touches only column a (aggregate) — b and g must be zeroed.
         let q = Query::new(vec![AggExpr::sum(ScalarExpr::col(ColId(0)))], None, vec![]);
-        let f = QueryFeatures::compute(&stats, pt.table(), &q);
-        let schema = *f.schema();
+        let (_, m) = gathered(&pt, &stats, &q);
         // Compact: column a's 17 scalars and the 4 selectivity slots.
-        assert_eq!(f.matrix().width(), SCALARS_PER_COL + SELECTIVITY_FEATURES);
-        for row in &f.matrix().to_dense() {
+        assert_eq!(m.width(), SCALARS_PER_COL + SELECTIVITY_FEATURES);
+        for row in &m.to_dense() {
             let b_off = schema.col_offset(ColId(1));
             assert!(row[b_off..b_off + PER_COL].iter().all(|&x| x == 0.0));
             let g_off = schema.col_offset(ColId(2));
@@ -557,30 +523,25 @@ mod tests {
     #[test]
     fn bitmaps_survive_only_for_group_by_columns() {
         let (pt, stats) = fixture();
+        let schema = *stats.feature_schema();
         // g used as a predicate column but NOT grouped: bitmap must be zero.
         let q = Query::new(
             vec![AggExpr::count()],
             Some(Predicate::Clause(Clause::str_eq(ColId(2), "x"))),
             vec![],
         );
-        let f = QueryFeatures::compute(&stats, pt.table(), &q);
-        let off = f.schema().col_offset(ColId(2)) + SCALARS_PER_COL;
-        for row in &f.matrix().to_dense() {
+        let (_, m) = gathered(&pt, &stats, &q);
+        let off = schema.col_offset(ColId(2)) + SCALARS_PER_COL;
+        for row in &m.to_dense() {
             assert!(row[off..off + BITMAP_BITS].iter().all(|&x| x == 0.0));
             // But scalar hh/dv features of g survive (column is used).
-            assert!(
-                row[f.schema().col_offset(ColId(2)) + 9] > 0.0,
-                "ndv masked out"
-            );
+            assert!(row[schema.col_offset(ColId(2)) + 9] > 0.0, "ndv masked out");
         }
         // Same query grouped by g: bitmap bits appear ("x"/"y" are heavy).
         let q = Query::new(vec![AggExpr::count()], None, vec![ColId(2)]);
-        let f = QueryFeatures::compute(&stats, pt.table(), &q);
-        let any_bit = f
-            .matrix()
-            .to_dense()
-            .iter()
-            .any(|row| row[off..off + BITMAP_BITS].iter().any(|&x| x != 0.0));
+        let (_, m) = gathered(&pt, &stats, &q);
+        let any_bit =
+            (m.to_dense().iter()).any(|row| row[off..off + BITMAP_BITS].iter().any(|&x| x != 0.0));
         assert!(any_bit, "group-by column lost its occurrence bitmap");
     }
 
@@ -596,39 +557,43 @@ mod tests {
             })),
             vec![],
         );
-        let f = QueryFeatures::compute(&stats, pt.table(), &q);
+        let (columns, m) = gathered(&pt, &stats, &q);
         // Rows 0..50 live in the first two partitions (25 rows each).
-        assert!(f.selectivity_upper(0) > 0.9);
-        assert!(f.selectivity_upper(7) == 0.0);
+        assert!(columns.upper()[0] > 0.9);
+        assert!(columns.upper()[7] == 0.0);
+        // The normalized slot keeps the raw bound's zero.
+        assert_eq!(m.row(7)[m.width() - SELECTIVITY_FEATURES], 0.0);
         // No predicate: all-pass.
         let q = Query::new(vec![AggExpr::count()], None, vec![]);
-        let f = QueryFeatures::compute(&stats, pt.table(), &q);
-        assert_eq!(f.selectivity_upper(3), 1.0);
+        let (columns, _) = gathered(&pt, &stats, &q);
+        assert_eq!(columns.upper()[3], 1.0);
+        assert_eq!(QueryFeatures::compute(&stats, pt.table(), &q)[3].upper, 1.0);
     }
 
     #[test]
     fn compact_columns_ascend_and_absent_columns_read_zero() {
         let (pt, stats) = fixture();
+        let schema = *stats.feature_schema();
         // a aggregated, g grouped: a's scalars, g's scalars + bitmap, 4 slots.
         let q = Query::new(
             vec![AggExpr::sum(ScalarExpr::col(ColId(0)))],
             None,
             vec![ColId(2)],
         );
-        let f = QueryFeatures::compute(&stats, pt.table(), &q);
-        let m = f.matrix();
+        let (_, m) = gathered(&pt, &stats, &q);
         assert_eq!(m.width(), SCALARS_PER_COL + PER_COL + SELECTIVITY_FEATURES);
         assert!(m.cols().windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(m.full_dim(), f.schema().dim());
-        let dense = f.matrix().to_dense();
+        assert_eq!(m.full_dim(), schema.dim());
+        let dense = m.to_dense();
         for (p, row) in dense.iter().enumerate() {
             for (idx, &x) in row.iter().enumerate() {
                 assert_eq!(m.feature(p, idx).to_bits(), x.to_bits());
             }
-            assert_eq!(f.selectivity(p), &row[f.schema().selectivity_offset()..]);
+            let sel = &m.row(p)[m.width() - SELECTIVITY_FEATURES..];
+            assert_eq!(sel, &row[schema.selectivity_offset()..]);
         }
         // Column b is masked: its block reads 0.0 through the map.
-        assert_eq!(m.feature(3, f.schema().col_offset(ColId(1))), 0.0);
+        assert_eq!(m.feature(3, schema.col_offset(ColId(1))), 0.0);
         // An identity-mapped dense matrix round-trips.
         let again = FeatureMatrix::from_dense(&dense);
         assert_eq!(again.width(), again.full_dim());

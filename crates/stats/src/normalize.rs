@@ -3,29 +3,32 @@
 //! root; each dimension is then divided by its average over the training set
 //! (the average is more outlier-robust than the max).
 //!
-//! [`Normalizer::fit`] reads the training workload's raw compact matrices.
 //! Only the four selectivity slots of a feature row depend on the query —
 //! 462 of a row's 466 dimensions on the 11-column Aria table are static
-//! statistics — so a query's normalized matrix is built in two parts, the
-//! same way for training and serving. [`Normalizer::normalize_statics`]
+//! statistics — so nothing here builds a query's raw feature rows.
+//! [`Normalizer::fit`] reads the static statistics in place, restricted to
+//! each training query's live blocks, plus the query's raw selectivity
+//! estimates. A query's normalized matrix is built in two parts, the same
+//! way for training and serving. [`Normalizer::normalize_statics`]
 //! transforms every partition's static row **once per system generation**
 //! into one shared [`NormalizedStatics`] table;
-//! [`NormalizedStatics::query_columns`] keeps what a query adds — its live
-//! static blocks, its `partitions × 4` selectivity estimates normalized
-//! once, and the raw `selectivity_upper` column — and
-//! [`NormalizedStatics::gather`] assembles the compact [`FeatureMatrix`]
-//! from the two. That matrix is the only normalized feature matrix: a pick
-//! reads it, and so does everything that learns. The full-width transform
-//! is kept as a test reference in [`crate::oracle`]; the gathered values
-//! are the ones it produces on the full-width row, bit for bit.
+//! [`NormalizedStatics::query_columns`] normalizes a query's selectivity
+//! estimates and keeps what the query adds — its live static blocks, its
+//! `partitions × 4` normalized estimates, and the raw `selectivity_upper`
+//! column — and [`NormalizedStatics::gather`] assembles the compact
+//! [`FeatureMatrix`] from the two. That matrix is the only feature matrix:
+//! a pick reads it, and so does everything that learns. The full-width
+//! transform and fit are kept as test references in [`crate::oracle`]; the
+//! fitted means and the gathered values are the ones they produce on the
+//! full-width rows, bit for bit.
 
-use ps3_query::{CompiledPredicate, Query};
+use ps3_query::Query;
 
 use crate::builder::TableStats;
 use crate::features::{
     compact_cols, live_blocks, FeatureMatrix, FeatureSchema, SELECTIVITY_FEATURES,
 };
-use crate::selectivity::SelectivityPlan;
+use crate::selectivity::SelectivityFeatures;
 
 /// Fitted normalization state: per-dimension training means of the
 /// transformed features.
@@ -49,33 +52,38 @@ pub(crate) fn transform(x: f64, is_selectivity: bool) -> f64 {
 }
 
 impl Normalizer {
-    /// Fit means over a set of raw compact training feature matrices.
+    /// Fit means over a training workload on `stats`: each query with its
+    /// raw selectivity features on every partition, in partition order.
     ///
-    /// Each dimension sums its stored values query-major, partition-minor —
-    /// the order a full-width pass would take. A column a matrix does not
-    /// store is `0.0` there, and would add `+0.0` to a sum of absolute
-    /// values, which changes nothing; the row count includes every row.
+    /// A query's feature row holds the static blocks its mask leaves live
+    /// and then its four estimates; every other dimension is `0.0`, which
+    /// would add `+0.0` to a sum of absolute values and change nothing. So
+    /// each dimension sums only those values, query-major, partition-minor
+    /// — the order a pass over full-width rows takes — and the row count
+    /// includes every row.
     ///
     /// # Panics
-    /// Panics when a matrix is not a projection of `schema`'s full width.
+    /// Panics when a query's estimates do not cover every partition.
     pub fn fit<'a>(
-        schema: FeatureSchema,
-        matrices: impl IntoIterator<Item = &'a FeatureMatrix>,
+        stats: &TableStats,
+        workload: impl IntoIterator<Item = (&'a Query, &'a [SelectivityFeatures])>,
     ) -> Self {
-        let dim = schema.dim();
-        let is_sel: Vec<bool> = (0..dim)
-            .map(|i| schema.type_of(i).is_selectivity())
-            .collect();
-        let mut sums = vec![0.0f64; dim];
+        let schema = *stats.feature_schema();
+        let sel = schema.selectivity_offset();
+        let mut sums = vec![0.0f64; schema.dim()];
         let mut n = 0usize;
-        for m in matrices {
-            assert_eq!(m.full_dim(), dim, "feature layout");
-            for p in 0..m.num_rows() {
-                for (&i, &x) in m.cols().iter().zip(m.row(p)) {
-                    sums[i] += transform(x, is_sel[i]).abs();
+        for (query, estimates) in workload {
+            assert_eq!(estimates.len(), stats.num_partitions(), "partition count");
+            let blocks = live_blocks(&schema, query);
+            for (statics, est) in stats.static_features().iter().zip(estimates) {
+                for i in blocks.iter().flat_map(Clone::clone) {
+                    sums[i] += transform(statics[i], false).abs();
+                }
+                for (sum, x) in sums[sel..].iter_mut().zip(est.as_array()) {
+                    *sum += transform(x, true).abs();
                 }
             }
-            n += m.num_rows();
+            n += estimates.len();
         }
         let means = sums
             .into_iter()
@@ -89,14 +97,6 @@ impl Normalizer {
             })
             .collect();
         Self { schema, means }
-    }
-
-    /// An identity normalizer (transform only, no scaling).
-    pub fn identity(schema: FeatureSchema) -> Self {
-        Self {
-            means: vec![1.0; schema.dim()],
-            schema,
-        }
     }
 
     /// Normalize the static (query-independent) features of every partition
@@ -191,33 +191,35 @@ impl NormalizedStatics {
         self.schema.selectivity_offset()
     }
 
-    /// Estimate `query`'s selectivity on every partition of `stats` (the
-    /// table these statics were normalized from) through `pred`, its
-    /// compiled predicate, and keep what the query adds: its live static
-    /// blocks, the four estimates normalized, and the raw upper bounds.
+    /// Keep what `query` adds: its live static blocks, its raw selectivity
+    /// `estimates` (one per partition, in partition order, as
+    /// [`crate::SelectivityPlan::estimate_all`] yields them) normalized,
+    /// and their raw upper bounds.
     ///
     /// # Panics
-    /// Panics when `stats` has a different feature layout or partition
-    /// count.
+    /// Panics when `estimates` does not cover exactly the partitions these
+    /// statics were normalized from.
     pub fn query_columns(
         &self,
-        stats: &TableStats,
         query: &Query,
-        pred: Option<&CompiledPredicate>,
+        estimates: impl IntoIterator<Item = SelectivityFeatures>,
     ) -> QueryColumns {
-        assert_eq!(*stats.feature_schema(), self.schema, "feature layout");
-        let n = stats.num_partitions();
-        assert_eq!(n * self.stride(), self.data.len(), "partition count");
-        let plan = SelectivityPlan::new(pred);
+        let estimates = estimates.into_iter();
+        let n = estimates.size_hint().0;
         let mut selectivity = Vec::with_capacity(n * SELECTIVITY_FEATURES);
         let mut upper = Vec::with_capacity(n);
-        for sel in plan.estimate_all(stats) {
+        for sel in estimates {
             upper.push(sel.upper);
             selectivity.extend(
                 (sel.as_array().iter().zip(&self.sel_means))
                     .map(|(&x, mean)| transform(x, true) / mean),
             );
         }
+        assert_eq!(
+            upper.len() * self.stride(),
+            self.data.len(),
+            "partition count"
+        );
         QueryColumns {
             blocks: live_blocks(&self.schema, query),
             selectivity,
@@ -247,8 +249,12 @@ impl NormalizedStatics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::SELECTIVITY_FEATURES;
+    use crate::features::tests::fixture;
+    use crate::features::PER_COL;
     use crate::oracle::apply_row;
+    use crate::selectivity::SelectivityPlan;
+    use ps3_query::{AggExpr, ScalarExpr};
+    use ps3_storage::ColId;
 
     fn tiny_schema() -> FeatureSchema {
         FeatureSchema::new(1)
@@ -262,42 +268,64 @@ mod tests {
         assert!((transform(0.125, true) - 0.5).abs() < 1e-12);
     }
 
+    /// The raw selectivity features of a query with no predicate on every
+    /// partition of `stats`: the queries here filter nothing.
+    fn all_pass(stats: &TableStats) -> Vec<SelectivityFeatures> {
+        SelectivityPlan::new(None).estimate_all(stats).collect()
+    }
+
+    fn sum_of(col: usize) -> Query {
+        Query::new(
+            vec![AggExpr::sum(ScalarExpr::col(ColId(col)))],
+            None,
+            vec![],
+        )
+    }
+
     #[test]
     fn fit_then_apply_scales_to_unit_mean() {
-        let schema = tiny_schema();
-        let dim = schema.dim();
-        let mut m = vec![vec![0.0; dim]; 4];
-        // Dimension 0 (mean(x)) takes values 1..4.
-        for (i, row) in m.iter_mut().enumerate() {
-            row[0] = (i + 1) as f64;
+        let (_, stats) = fixture();
+        let (q, sel) = (sum_of(0), all_pass(&stats));
+        let norm = Normalizer::fit(&stats, [(&q, sel.as_slice())]);
+        let statics = norm.normalize_statics(&stats);
+        let m = statics.gather(&statics.query_columns(&q, sel.iter().copied()));
+        // Every stored dimension that is not constant zero averages 1 in
+        // magnitude over the rows it was fitted on: mean(a), and the slots.
+        for slot in [0, m.width() - SELECTIVITY_FEATURES] {
+            let avg =
+                (0..m.num_rows()).map(|p| m.row(p)[slot].abs()).sum::<f64>() / m.num_rows() as f64;
+            assert!((avg - 1.0).abs() < 1e-9, "slot {slot}: avg {avg}");
         }
-        let norm = Normalizer::fit(schema, [&FeatureMatrix::from_dense(&m)]);
-        for row in &mut m {
-            apply_row(&norm, row);
-        }
-        let avg: f64 = m.iter().map(|r| r[0]).sum::<f64>() / 4.0;
-        assert!((avg - 1.0).abs() < 1e-9, "avg {avg}");
     }
 
     #[test]
     fn unstored_columns_count_as_zero_rows() {
-        // One matrix stores dimension 0 only, the other every dimension:
-        // the fitted mean divides by all six rows.
-        let schema = tiny_schema();
-        let dim = schema.dim();
-        let narrow = FeatureMatrix::new(vec![0], dim, 2, vec![1.0, 3.0]);
-        let wide = FeatureMatrix::from_dense(&vec![vec![0.0; dim]; 4]);
-        let norm = Normalizer::fit(schema, [&narrow, &wide]);
-        let expected = (transform(1.0, false) + transform(3.0, false)) / 6.0;
-        assert_eq!(norm.means()[0], expected);
-        assert!(norm.means()[1..].iter().all(|&m| m == 1.0));
+        // One query stores column a's block, the other column b's: a's
+        // fitted means divide by all sixteen rows.
+        let (_, stats) = fixture();
+        let schema = *stats.feature_schema();
+        let sel = all_pass(&stats);
+        let (qa, qb) = (sum_of(0), sum_of(1));
+        let norm = Normalizer::fit(&stats, [(&qa, sel.as_slice()), (&qb, sel.as_slice())]);
+        let a_sum: f64 = (stats.static_features().iter())
+            .map(|row| transform(row[0], false).abs())
+            .sum();
+        assert_eq!(norm.means()[0], a_sum / 16.0);
+        let g = schema.col_offset(ColId(2));
+        assert!(norm.means()[g..g + PER_COL].iter().all(|&m| m == 1.0));
     }
 
     #[test]
     fn zero_dimensions_pass_through() {
-        let schema = tiny_schema();
-        let m = FeatureMatrix::from_dense(&vec![vec![0.0; schema.dim()]; 3]);
-        let norm = Normalizer::fit(schema, [&m]);
+        let (_, stats) = fixture();
+        let schema = *stats.feature_schema();
+        let (q, sel) = (sum_of(0), all_pass(&stats));
+        let norm = Normalizer::fit(&stats, [(&q, sel.as_slice())]);
+        // Columns b and g were never live: their means stay 1.0.
+        let b = schema.col_offset(ColId(1));
+        assert!(norm.means()[b..schema.selectivity_offset()]
+            .iter()
+            .all(|&m| m == 1.0));
         let mut row = vec![0.0; schema.dim()];
         apply_row(&norm, &mut row);
         assert!(row.iter().all(|&x| x == 0.0));
@@ -306,7 +334,7 @@ mod tests {
     #[test]
     fn selectivity_uses_cube_root() {
         let schema = tiny_schema();
-        let norm = Normalizer::identity(schema);
+        let norm = Normalizer::from_raw_parts(schema, vec![1.0; schema.dim()]).unwrap();
         let mut row = vec![0.0; schema.dim()];
         let sel = schema.selectivity_offset();
         row[sel] = 0.001;
@@ -318,7 +346,7 @@ mod tests {
     #[test]
     fn identity_keeps_scale_free_of_training_set() {
         let schema = tiny_schema();
-        let norm = Normalizer::identity(schema);
+        let norm = Normalizer::from_raw_parts(schema, vec![1.0; schema.dim()]).unwrap();
         let mut row = vec![1.0; schema.dim()];
         apply_row(&norm, &mut row);
         // ln(2) for non-selectivity dims.

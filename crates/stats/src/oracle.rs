@@ -12,7 +12,7 @@
 //!   `PS3_STRICT_KERNELS=1` every plan run re-checks itself against this
 //!   evaluator.
 //! * The full-width Appendix-B normalizer, the oracle for
-//!   [`Normalizer::fit`] on compact matrices and for the rows
+//!   [`Normalizer::fit`] over live blocks and raw estimates, and for the rows
 //!   [`NormalizedStatics::gather`](crate::NormalizedStatics::gather)
 //!   assembles: [`fit_normalizer`] sums every dimension of every dense row,
 //!   zeros included, and [`apply_row`] transforms and divides one dense

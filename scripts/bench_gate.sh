@@ -59,7 +59,6 @@ kernel/fused_partition_scan_simd
 query_time/execute_one_partition
 query_time/execute_grouped_1col
 query_time/execute_grouped_2col
-query_time/query_features
 query_time/query_artifacts
 query_time/kmeans_64x8
 query_time/hac_ward_64x8

@@ -4,7 +4,6 @@
 use ps3::core::{Method, Ps3Config};
 use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3::query::{AggExpr, Clause, CmpOp, Predicate, Query, ScalarExpr};
-use ps3::stats::QueryFeatures;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -81,9 +80,10 @@ fn filter_excludes_provably_empty_partitions() {
         ])),
         vec![],
     );
-    let features = QueryFeatures::compute(&ds.stats, ds.pt.table(), &q);
+    // The raw upper bounds the filter reads, from the query's cache entry.
+    let artifacts = system.artifacts_for(&q);
     let candidates: Vec<usize> = (0..ds.pt.num_partitions())
-        .filter(|&p| features.selectivity_upper(p) > 0.0)
+        .filter(|&p| artifacts.columns.upper()[p] > 0.0)
         .collect();
     assert!(
         candidates.len() < ds.pt.num_partitions() / 2,

@@ -11,11 +11,12 @@
 //!   it replaced (`ps3_stats::oracle`) does, bit for bit, on nested
 //!   predicates with `<>`, ±0.0, NaN and ±∞ constants over columns holding
 //!   ±0.0 and NaN.
-//! * The compact feature matrix is the full-width masked matrix, bit for
-//!   bit: expanded, gathered from the shared pre-normalized statics and a
-//!   query's own columns, and as the importance models read it through the
-//!   column map (`-0.0` and NaN statistics included). The normalizer fitted
-//!   on compact matrices is the one fitted on the expanded rows
+//! * The compact feature matrix gathered from the shared pre-normalized
+//!   statics and a query's own columns is the full-width masked matrix
+//!   through the transform, bit for bit: expanded, and as the importance
+//!   models read it through the column map (`-0.0` and NaN statistics
+//!   included). The normalizer fitted on live blocks and raw selectivity
+//!   estimates is the one fitted on the full-width rows
 //!   (`ps3_stats::oracle` keeps the full-width transform and fit).
 
 use proptest::prelude::*;
@@ -28,8 +29,8 @@ use ps3::query::{
 use ps3::stats::column_stats::ColumnStatsParams;
 use ps3::stats::features::{PER_COL, SCALARS_PER_COL};
 use ps3::stats::{
-    oracle, Normalizer, QueryFeatures, SelectivityFeatures, SelectivityPlan, StatsConfig,
-    TableStats,
+    oracle, FeatureMatrix, Normalizer, QueryColumns, SelectivityFeatures, SelectivityPlan,
+    StatsConfig, TableStats,
 };
 use ps3::storage::table::TableBuilder;
 use ps3::storage::{ColId, ColumnMeta, ColumnType, PartitionId, PartitionedTable, Schema};
@@ -300,6 +301,30 @@ fn feature_bits(f: SelectivityFeatures) -> [u64; 4] {
     f.as_array().map(f64::to_bits)
 }
 
+/// A normalizer with every mean 1.0: the transforms alone.
+fn unit_normalizer(stats: &TableStats) -> Normalizer {
+    let schema = *stats.feature_schema();
+    Normalizer::from_raw_parts(schema, vec![1.0; schema.dim()]).expect("one mean per dimension")
+}
+
+/// `query`'s cache entry and gathered matrix, built the way serving builds
+/// them: the query compiled once, its selectivity estimated on every
+/// partition through that predicate, normalized into the entry, gathered
+/// against the shared statics.
+fn gathered(
+    normalizer: &Normalizer,
+    stats: &TableStats,
+    pt: &PartitionedTable,
+    query: &Query,
+) -> (QueryColumns, FeatureMatrix) {
+    let statics = normalizer.normalize_statics(stats);
+    let compiled = CompiledQuery::compile(pt.table(), query);
+    let plan = SelectivityPlan::new(compiled.predicate());
+    let entry = statics.query_columns(query, plan.estimate_all(stats));
+    let matrix = statics.gather(&entry);
+    (entry, matrix)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -335,8 +360,10 @@ proptest! {
         prop_assert!(all_pass.estimate_all(&stats).all(|f| f == SelectivityFeatures::all_pass()));
     }
 
-    /// The compact matrix, expanded, is the reference full-width matrix bit
-    /// for bit; what it does not store reads as `+0.0` through the map.
+    /// The compact matrix a pick gathers, expanded, is the reference
+    /// full-width matrix through the oracle's transform bit for bit (unit
+    /// means); what it does not store reads as `+0.0` through the map, and
+    /// the entry's raw upper bounds are the reference's selectivity slot.
     #[test]
     fn compact_features_expand_to_the_reference_dense_rows(
         pt in arb_table(),
@@ -347,24 +374,25 @@ proptest! {
     ) {
         let stats = poisoned(&TableStats::build(&pt, &StatsConfig::default()), salt);
         let query = shaped_query(shape, filtered.then_some(pred));
-        let reference = reference_dense_features(&stats, &pt, &query);
-        let features = QueryFeatures::compute(&stats, pt.table(), &query);
-        prop_assert_eq!(bits(&features.matrix().to_dense()), bits(&reference));
-        let m = features.matrix();
+        let raw = reference_dense_features(&stats, &pt, &query);
+        let unit = unit_normalizer(&stats);
+        let mut reference = raw.clone();
+        oracle::apply_matrix(&unit, &mut reference);
+        let (entry, m) = gathered(&unit, &stats, &pt, &query);
+        prop_assert_eq!(bits(&m.to_dense()), bits(&reference));
         prop_assert!(m.width() < m.full_dim());
         for (p, row) in reference.iter().enumerate() {
             for (idx, x) in row.iter().enumerate() {
                 prop_assert_eq!(m.feature(p, idx).to_bits(), x.to_bits());
             }
-            prop_assert_eq!(features.selectivity_upper(p).to_bits(), row[m.full_dim() - 4].to_bits());
+            prop_assert_eq!(entry.upper()[p].to_bits(), raw[p][m.full_dim() - 4].to_bits());
         }
     }
 
     /// The rows a pick (and training) gathers — the shared pre-normalized
     /// static table plus the selectivity block a cache entry holds — are
-    /// the full-width reference: `QueryFeatures::compute`, expanded,
-    /// through the oracle's `apply_matrix`; and the entry's raw upper
-    /// bounds are the computed ones.
+    /// the full-width reference rows through the oracle's `apply_matrix`;
+    /// and the entry's raw upper bounds are the reference's.
     #[test]
     fn gathered_prenormalized_rows_equal_apply_row_on_the_dense_row(
         pt in arb_table(),
@@ -378,23 +406,20 @@ proptest! {
         let query = shaped_query(shape, filtered.then_some(pred));
         let normalizer = Normalizer::from_raw_parts(*stats.feature_schema(), means)
             .expect("one mean per dimension");
-        let raw = QueryFeatures::compute(&stats, pt.table(), &query);
-        let mut reference = raw.matrix().to_dense();
+        let raw = reference_dense_features(&stats, &pt, &query);
+        let mut reference = raw.clone();
         oracle::apply_matrix(&normalizer, &mut reference);
 
-        let statics = normalizer.normalize_statics(&stats);
-        let compiled = CompiledQuery::compile(pt.table(), &query);
-        let entry = statics.query_columns(&stats, &query, compiled.predicate());
-        let gathered = statics.gather(&entry);
+        let (entry, gathered) = gathered(&normalizer, &stats, &pt, &query);
         prop_assert_eq!(bits(&gathered.to_dense()), bits(&reference));
-        let uppers: Vec<u64> = (0..raw.num_partitions()).map(|p| raw.selectivity_upper(p).to_bits()).collect();
+        let uppers: Vec<u64> = raw.iter().map(|row| row[row.len() - 4].to_bits()).collect();
         prop_assert_eq!(entry.upper().iter().map(|u| u.to_bits()).collect::<Vec<_>>(), uppers);
     }
 
-    /// `Normalizer::fit` over a workload's raw compact matrices — queries of
-    /// every shape, so each masks different columns — fits the means the
-    /// dense reference fits on the expanded rows, bit for bit, over stats
-    /// holding ±0.0, NaN and negated values.
+    /// `Normalizer::fit` over a workload — queries of every shape, so each
+    /// masks different columns, each with its raw selectivity features —
+    /// fits the means the dense reference fits on the full-width rows, bit
+    /// for bit, over stats holding ±0.0, NaN and negated values.
     #[test]
     fn compact_normalizer_fit_equals_the_dense_reference_fit(
         pt in arb_table(),
@@ -403,14 +428,18 @@ proptest! {
     ) {
         let stats = poisoned(&TableStats::build(&pt, &StatsConfig::default()), salt);
         let schema = *stats.feature_schema();
-        let workload: Vec<QueryFeatures> = (preds.into_iter())
-            .map(|(pred, filtered, shape)| {
-                let query = shaped_query(shape, filtered.then_some(pred));
-                QueryFeatures::compute(&stats, pt.table(), &query)
+        let queries: Vec<Query> = (preds.into_iter())
+            .map(|(pred, filtered, shape)| shaped_query(shape, filtered.then_some(pred)))
+            .collect();
+        let estimates: Vec<Vec<SelectivityFeatures>> = (queries.iter())
+            .map(|q| {
+                let compiled = CompiledQuery::compile(pt.table(), q);
+                SelectivityPlan::new(compiled.predicate()).estimate_all(&stats).collect()
             })
             .collect();
-        let compact = Normalizer::fit(schema, workload.iter().map(QueryFeatures::matrix));
-        let dense: Vec<Vec<Vec<f64>>> = workload.iter().map(|f| f.matrix().to_dense()).collect();
+        let compact = Normalizer::fit(&stats, queries.iter().zip(estimates.iter().map(Vec::as_slice)));
+        let dense: Vec<Vec<Vec<f64>>> =
+            queries.iter().map(|q| reference_dense_features(&stats, &pt, q)).collect();
         let reference = oracle::fit_normalizer(schema, &dense);
         let mean_bits = |n: &Normalizer| n.means().iter().map(|m| m.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(mean_bits(&compact), mean_bits(&reference));
@@ -432,13 +461,14 @@ proptest! {
         let stats = TableStats::build(&pt, &StatsConfig::default());
         // Train on the widest shape so splits land on columns the narrower
         // shapes mask out.
-        let wide = QueryFeatures::compute(&stats, pt.table(), &shaped_query(3, Some(pred.clone())));
-        let data = wide.matrix().to_dense();
-        let labels: Vec<f64> = (0..data.len()).map(|p| wide.selectivity_upper(p) - 0.3).collect();
+        let unit = unit_normalizer(&stats);
+        let (entry, wide) = gathered(&unit, &stats, &pt, &shaped_query(3, Some(pred.clone())));
+        let data = wide.to_dense();
+        let labels: Vec<f64> = entry.upper().iter().map(|u| u - 0.3).collect();
         let params = ps3::learn::GbdtParams { n_trees: 6, colsample: 1.0, seed, ..Default::default() };
         let model = ps3::learn::Gbdt::train(&data, &labels, &params);
-        let features = QueryFeatures::compute(&stats, pt.table(), &shaped_query(shape, Some(pred)));
-        let (m, dense) = (features.matrix(), features.matrix().to_dense());
+        let (_, m) = gathered(&unit, &stats, &pt, &shaped_query(shape, Some(pred)));
+        let dense = m.to_dense();
         for (p, row) in dense.iter().enumerate() {
             prop_assert_eq!(
                 model.predict_with(|f| m.feature(p, f)).to_bits(),
@@ -457,13 +487,15 @@ proptest! {
     fn selectivity_upper_has_perfect_recall(pt in arb_table(), pred in arb_predicate()) {
         let stats = TableStats::build(&pt, &StatsConfig::default());
         let query = Query::new(vec![AggExpr::count()], Some(pred), vec![]);
-        let feats = ps3::stats::QueryFeatures::compute(&stats, pt.table(), &query);
+        // The raw bounds a cache entry holds: what the filter and the
+        // exactness check read.
+        let (entry, _) = gathered(&unit_normalizer(&stats), &stats, &pt, &query);
         for p in 0..pt.num_partitions() {
             let part = execute_partition(pt.table(), pt.rows(PartitionId(p)), &query);
             let any_rows = part.groups().next().is_some_and(|(_, slots)| slots[0] > 0.0);
             if any_rows {
                 prop_assert!(
-                    feats.selectivity_upper(p) > 0.0,
+                    entry.upper()[p] > 0.0,
                     "partition {p} has matching rows but upper == 0"
                 );
             }

@@ -81,8 +81,8 @@ fn eight_threads_share_one_system_with_bit_identical_answers() {
     }
 }
 
-/// The cache acceptance bar: a 6-budget sweep calls
-/// `QueryFeatures::compute` exactly once per query.
+/// The cache acceptance bar: a 6-budget sweep estimates a query's
+/// selectivity (one `artifacts_for` miss) exactly once per query.
 #[test]
 fn budget_sweep_computes_features_once_per_query() {
     let (ds, system) = trained(22, 256);
