@@ -1,13 +1,17 @@
-//! Builds [`TableStats`]: every partition's sketch bundles, the global
-//! heavy-hitter lists, the occurrence bitmaps, and the precomputed static
-//! feature blocks.
+//! Builds [`TableStats`]: every partition's sketch bundles, and what is
+//! derived from them — the global heavy-hitter lists, the occurrence
+//! bitmaps, the precomputed static feature blocks and the selectivity
+//! index (`crate::index`).
 //!
-//! Both constructors — [`TableStats::build`] and
-//! [`TableStats::from_raw_parts`], which thawing goes through — also derive
-//! the selectivity index (`crate::index`): every column's selectivity
-//! probe inputs across all partitions, laid out flat, which
+//! The sketches are the only statistics the artifact persists.
+//! [`TableStats::from_sketches`] is the one derivation of everything else:
+//! [`TableStats::build`] calls it after sketching the table, and thawing
+//! (`crate::persist`) after decoding the sketches, so a thawed catalog's
+//! derived values cannot disagree with its sketches. The selectivity
+//! index — every column's selectivity probe inputs across all partitions,
+//! laid out flat, which
 //! [`SelectivityPlan::estimate_all`](crate::SelectivityPlan::estimate_all)
-//! reads instead of the sketch bundles. It is never persisted, and
+//! reads instead of the sketch bundles — is resident only, and
 //! [`TableStats::storage_breakdown`] does not count it.
 //!
 //! Sketch construction is embarrassingly parallel across partitions (§3.1);
@@ -24,25 +28,13 @@ use crate::features::{FeatureSchema, BITMAP_BITS, PER_COL, SCALARS_PER_COL};
 use crate::index::SelectivityIndex;
 
 /// Configuration for statistics construction.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StatsConfig {
     /// Per-column sketch parameters.
     pub column_params: ColumnStatsParams,
-    /// Global heavy hitters tracked per column (paper: capped at 25).
-    pub bitmap_k: usize,
     /// Fan-out policy: `1` builds serially on the caller, anything else
     /// (including the 0 default) uses the shared workspace pool.
     pub threads: usize,
-}
-
-impl Default for StatsConfig {
-    fn default() -> Self {
-        Self {
-            column_params: ColumnStatsParams::default(),
-            bitmap_k: BITMAP_BITS,
-            threads: 0,
-        }
-    }
 }
 
 /// All summary statistics for one partitioned table.
@@ -51,7 +43,8 @@ pub struct TableStats {
     /// `partitions[p][c]` = sketches of column `c` in partition `p`.
     partitions: Vec<Vec<ColumnStats>>,
     /// `global_hh[c]` = the table-wide top heavy-hitter keys of column `c`,
-    /// most frequent first, at most `bitmap_k` entries.
+    /// most frequent first, at most [`BITMAP_BITS`] entries (§3.2: the paper
+    /// caps the occurrence bitmap at 25 keys).
     global_hh: Vec<Vec<u64>>,
     /// `bitmaps[c][p]` = bit `i` set iff `global_hh[c][i]` is also a heavy
     /// hitter of partition `p` (§3.2 occurrence bitmap).
@@ -67,18 +60,13 @@ pub struct TableStats {
 impl TableStats {
     /// Build statistics for every partition of `pt`.
     pub fn build(pt: &PartitionedTable, cfg: &StatsConfig) -> Self {
-        assert!(
-            cfg.bitmap_k <= BITMAP_BITS,
-            "bitmap_k larger than bitmap width"
-        );
-        let n = pt.num_partitions();
         let table = pt.table();
         let schema = table.schema();
 
         // Fan the partitions out over the shared pool, one task per
         // partition (work stealing balances skewed partition sizes).
         let params = cfg.column_params;
-        let partitions: Vec<Vec<ColumnStats>> = ps3_runtime::fan_out(cfg.threads, n, |p| {
+        let partitions = ps3_runtime::fan_out(cfg.threads, pt.num_partitions(), |p| {
             let rows = pt.rows(ps3_storage::PartitionId(p));
             schema
                 .iter()
@@ -87,10 +75,29 @@ impl TableStats {
                 })
                 .collect::<Vec<_>>()
         });
+        Self::from_sketches(partitions, schema.len())
+            .expect("sketches built from a table fit the selectivity index")
+    }
+
+    /// Assemble a catalog from its sketch bundles (`partitions[p][c]`) and
+    /// derive everything else from them: the global heavy-hitter keys, the
+    /// occurrence bitmaps, the static feature rows and the selectivity
+    /// index. Fails (rather than panicking later) when a partition does not
+    /// hold `num_cols` columns, or the sketches do not fit the index: a
+    /// column with a histogram in only some partitions, a categorical key
+    /// wider than a dictionary code, or an exact dictionary of more than
+    /// `u32::MAX` rows.
+    pub fn from_sketches(
+        partitions: Vec<Vec<ColumnStats>>,
+        num_cols: usize,
+    ) -> Result<Self, &'static str> {
+        if partitions.iter().any(|p| p.len() != num_cols) {
+            return Err("stats partition column count disagrees with schema");
+        }
+        let index = SelectivityIndex::new(&partitions, num_cols)?;
 
         // Global heavy hitters per column: merge the per-partition lists,
         // weighting frequencies by partition row counts (§3.2).
-        let num_cols = schema.len();
         let mut global_hh = Vec::with_capacity(num_cols);
         for c in 0..num_cols {
             let mut mass: HashMap<u64, f64> = HashMap::new();
@@ -102,7 +109,7 @@ impl TableStats {
             }
             let mut ranked: Vec<(u64, f64)> = mass.into_iter().collect();
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            ranked.truncate(cfg.bitmap_k);
+            ranked.truncate(BITMAP_BITS);
             global_hh.push(ranked.into_iter().map(|(k, _)| k).collect::<Vec<u64>>());
         }
 
@@ -125,20 +132,18 @@ impl TableStats {
         }
 
         let feature_schema = FeatureSchema::new(num_cols);
-        let static_features = (0..n)
+        let static_features = (0..partitions.len())
             .map(|p| static_row(&partitions[p], &bitmaps, p, &feature_schema))
             .collect();
-        let index = SelectivityIndex::new(&partitions, num_cols)
-            .expect("sketches built from a table fit the selectivity index");
 
-        Self {
+        Ok(Self {
             partitions,
             global_hh,
             bitmaps,
             static_features,
             feature_schema,
             index,
-        }
+        })
     }
 
     /// Number of partitions.
@@ -188,49 +193,6 @@ impl TableStats {
         self.index.heap_bytes()
     }
 
-    /// Rebuild a `TableStats` from persisted parts, validating every
-    /// cross-vector shape invariant the accessors rely on, and derive the
-    /// selectivity index. Fails (rather than panicking later) when a corrupt
-    /// artifact ships inconsistent shapes, or sketches the index cannot
-    /// hold: a column with a histogram in only some partitions, a
-    /// categorical key wider than a dictionary code, or an exact dictionary
-    /// of more than `u32::MAX` rows.
-    pub fn from_raw_parts(
-        partitions: Vec<Vec<ColumnStats>>,
-        global_hh: Vec<Vec<u64>>,
-        bitmaps: Vec<Vec<u32>>,
-        static_features: Vec<Vec<f64>>,
-        feature_schema: FeatureSchema,
-    ) -> Result<Self, &'static str> {
-        let n = partitions.len();
-        let num_cols = feature_schema.num_cols();
-        if partitions.iter().any(|p| p.len() != num_cols) {
-            return Err("stats partition column count disagrees with schema");
-        }
-        if global_hh.len() != num_cols || bitmaps.len() != num_cols {
-            return Err("stats per-column vectors disagree with schema");
-        }
-        if global_hh.iter().any(|h| h.len() > BITMAP_BITS) {
-            return Err("stats global heavy-hitter list wider than bitmap");
-        }
-        if bitmaps.iter().any(|b| b.len() != n) {
-            return Err("stats bitmap row count disagrees with partitions");
-        }
-        let dim = feature_schema.dim();
-        if static_features.len() != n || static_features.iter().any(|r| r.len() != dim) {
-            return Err("stats static feature shape disagrees with schema");
-        }
-        let index = SelectivityIndex::new(&partitions, num_cols)?;
-        Ok(Self {
-            partitions,
-            global_hh,
-            bitmaps,
-            static_features,
-            feature_schema,
-            index,
-        })
-    }
-
     /// Average per-partition storage cost, in KB by sketch family (Table 4).
     /// The exact small-domain dictionary is accounted under `histogram`,
     /// where the paper's special case lives.
@@ -254,12 +216,11 @@ impl TableStats {
     }
 }
 
-/// Average per-partition statistics footprint in KB (Table 4): everything
-/// the artifact's statistics section holds per partition — the sketch
-/// payload fields of every column — except the static feature rows, which
-/// are derived from these sketches and kept only to skip recomputing them.
-/// The encoded section adds about 1% of tags and length prefixes
-/// (`tests/artifact_corruption.rs` holds the two within 2%).
+/// Average per-partition statistics footprint in KB (Table 4): the sketch
+/// payload fields of every column, which is all the artifact's statistics
+/// section holds per partition. The encoded section adds about 1% of flags
+/// and length prefixes (`tests/artifact_corruption.rs` holds the two
+/// within 2%).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StorageBreakdown {
     /// Histogram + exact-dictionary bytes.

@@ -3,8 +3,9 @@
 //!
 //! * [`column_stats`] — the per-(partition, column) sketch bundle.
 //! * [`builder`] — builds [`TableStats`] for a whole partitioned table
-//!   (in parallel), including the global heavy-hitter lists and the
-//!   per-partition occurrence bitmaps of §3.2.
+//!   (in parallel), and derives from its sketches the global heavy-hitter
+//!   lists and the per-partition occurrence bitmaps of §3.2 — one
+//!   derivation, run at build and at thaw.
 //! * [`selectivity`] — the four selectivity features (`upper`, `indep`,
 //!   `min`, `max`) estimated from histograms/dictionaries, with
 //!   `selectivity_upper`'s perfect-recall guarantee, through a plan built
@@ -17,8 +18,8 @@
 //!   then division by training-set means), and the serving path's split of
 //!   a query's normalized features into the shared static table and what
 //!   the query adds.
-//! * [`persist`] — bit-exact byte codec for the whole catalog (the `STATS`
-//!   section of the flat artifact format).
+//! * [`persist`] — bit-exact byte codec for the catalog's sketches (the
+//!   `STATS` section of the flat artifact format).
 
 pub mod builder;
 pub mod column_stats;

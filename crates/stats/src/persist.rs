@@ -7,22 +7,26 @@
 //! (histogram, AKMV, heavy hitters, exact dictionary) round-trip exactly
 //! through [`ps3_sketch::codec`] and are embedded as length-prefixed blobs
 //! of those encodings, written in place by the one byte codec
-//! ([`ps3_storage::codec`]). Nothing else is stored per partition: answer
-//! sketches are built at query time from the picked partitions' rows.
+//! ([`ps3_storage::codec`]). The section is the partition and column
+//! counts followed by one such record per `(partition, column)`, and
+//! nothing else: the global heavy-hitter keys, occurrence bitmaps, static
+//! feature rows and selectivity index are re-derived from the decoded
+//! sketches by [`TableStats::from_sketches`], the derivation
+//! [`TableStats::build`] runs, and answer sketches are built at query time
+//! from the picked partitions' rows.
 //!
 //! Every length and shape is validated before allocation-proportional
-//! work; malformed bytes surface as [`FormatError`] (a short payload as
+//! work, and no pre-allocation exceeds the bytes left to read; malformed
+//! bytes surface as [`FormatError`] (a short payload as
 //! `Truncated("stats")`), never a panic.
 
 use ps3_sketch::codec::{decode_heavy_hitters, encode_heavy_hitters};
 use ps3_sketch::{Akmv, EquiDepthHistogram, ExactDict, Measures, MeasuresRaw};
 use ps3_storage::codec::{decode_section, CodecError, Reader, Writer};
 use ps3_storage::format::FormatError;
-use ps3_storage::ColId;
 
 use crate::builder::TableStats;
 use crate::column_stats::ColumnStats;
-use crate::features::{FeatureSchema, BITMAP_BITS};
 
 /// Upper bound on the partition count accepted from an artifact; guards
 /// allocation size before any per-partition bytes are read.
@@ -44,27 +48,6 @@ pub fn encode_table_stats(stats: &TableStats) -> Vec<u8> {
     let mut w = Writer::new(&mut bytes);
     w.u32(n as u32);
     w.u32(num_cols as u32);
-
-    for c in 0..num_cols {
-        let hh = stats.global_heavy_hitters(ColId(c));
-        w.u32(hh.len() as u32);
-        for &k in hh {
-            w.u64(k);
-        }
-    }
-    for c in 0..num_cols {
-        for p in 0..n {
-            w.u32(stats.bitmap(ColId(c), p));
-        }
-    }
-
-    w.u32(stats.feature_schema().dim() as u32);
-    for row in stats.static_features() {
-        for &x in row {
-            w.f64(x);
-        }
-    }
-
     for p in 0..n {
         for col in stats.partition(p) {
             encode_column_stats(&mut w, col).expect("sketch blobs fit a u32 length");
@@ -128,64 +111,20 @@ pub fn decode_table_stats(bytes: &[u8]) -> Result<TableStats, FormatError> {
         if num_cols > MAX_COLS {
             return Err(CodecError::Invalid("stats column count implausible"));
         }
-
-        let mut global_hh = Vec::with_capacity(num_cols);
-        for _ in 0..num_cols {
-            let len = r.u32()? as usize;
-            if len > BITMAP_BITS {
-                return Err(CodecError::Invalid(
-                    "stats global heavy-hitter list wider than bitmap",
-                ));
-            }
-            let mut keys = Vec::with_capacity(len);
-            for _ in 0..len {
-                keys.push(r.u64()?);
-            }
-            global_hh.push(keys);
+        if n > 0 && num_cols == 0 {
+            return Err(CodecError::Invalid("stats partitions without columns"));
         }
-
-        let mut bitmaps = Vec::with_capacity(num_cols);
-        for _ in 0..num_cols {
-            let mut col_bits = Vec::with_capacity(n);
-            for _ in 0..n {
-                col_bits.push(r.u32()?);
-            }
-            bitmaps.push(col_bits);
-        }
-
-        let feature_schema = FeatureSchema::new(num_cols);
-        let dim = r.u32()? as usize;
-        if dim != feature_schema.dim() {
-            return Err(CodecError::Invalid(
-                "stats feature dimension disagrees with column count",
-            ));
-        }
-        let mut static_features = Vec::with_capacity(n);
+        // Every partition holds at least one record of at least one byte,
+        // so the bytes left bound what a well-formed payload can hold.
+        let mut partitions = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
-            let mut row = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                row.push(r.f64()?);
-            }
-            static_features.push(row);
-        }
-
-        let mut partitions = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut cols = Vec::with_capacity(num_cols);
+            let mut cols = Vec::with_capacity(num_cols.min(r.remaining()));
             for _ in 0..num_cols {
                 cols.push(decode_column_stats(r)?);
             }
             partitions.push(cols);
         }
-
-        TableStats::from_raw_parts(
-            partitions,
-            global_hh,
-            bitmaps,
-            static_features,
-            feature_schema,
-        )
-        .map_err(CodecError::Invalid)
+        TableStats::from_sketches(partitions, num_cols).map_err(CodecError::Invalid)
     })
 }
 
@@ -244,7 +183,7 @@ mod tests {
     use super::*;
     use crate::builder::StatsConfig;
     use ps3_storage::table::TableBuilder;
-    use ps3_storage::{ColumnMeta, ColumnType, PartitionedTable, Schema};
+    use ps3_storage::{ColId, ColumnMeta, ColumnType, PartitionedTable, Schema};
 
     fn make() -> TableStats {
         let schema = Schema::new(vec![
@@ -266,7 +205,12 @@ mod tests {
         let bytes = encode_table_stats(&stats);
         let d = decode_table_stats(&bytes).unwrap();
         assert_eq!(d.num_partitions(), stats.num_partitions());
-        assert_eq!(d.static_features(), stats.static_features());
+        let bits = |s: &TableStats| -> Vec<Vec<u64>> {
+            (s.static_features().iter())
+                .map(|row| row.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&d), bits(&stats));
         for c in 0..2 {
             assert_eq!(
                 d.global_heavy_hitters(ColId(c)),
@@ -311,16 +255,8 @@ mod tests {
     fn unknown_flags_rejected() {
         let stats = make();
         let mut bytes = encode_table_stats(&stats);
-        // The first column-stats record starts after the fixed-shape
-        // prefix: counts, global heavy-hitter keys, bitmaps, static rows.
-        let (n, cols) = (stats.num_partitions(), stats.feature_schema().num_cols());
-        let hh_keys: usize = (0..cols)
-            .map(|c| stats.global_heavy_hitters(ColId(c)).len())
-            .sum();
-        let first_flags = 8
-            + (4 * cols + 8 * hh_keys)
-            + 4 * cols * n
-            + (4 + 8 * n * stats.feature_schema().dim());
+        // The first column-stats record follows the two counts.
+        let first_flags = 8;
         assert_eq!(
             bytes[first_flags],
             FLAG_MEASURES | FLAG_HISTOGRAM | FLAG_EXACT

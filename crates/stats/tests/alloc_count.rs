@@ -2,30 +2,41 @@
 //! are counted, not timed. Planning a predicate and estimating every
 //! partition through the plan allocates as often for 512 partitions as for
 //! 64 — nothing per partition — where the recursive evaluator it replaced
-//! allocates on every one.
+//! allocates on every one. Decoding a statistics section pre-allocates no
+//! more than its bytes could hold.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::thread::LocalKey;
 
 use ps3_query::{Clause, CmpOp, CompiledPredicate, Predicate};
+use ps3_stats::persist::decode_table_stats;
 use ps3_stats::{oracle, SelectivityPlan, StatsConfig, TableStats};
+use ps3_storage::format::FormatError;
 use ps3_storage::table::TableBuilder;
 use ps3_storage::{ColId, ColumnMeta, ColumnType, PartitionedTable, Schema};
 
-/// The system allocator, counting the calling thread's allocations (the
-/// test harness runs each test on a thread of its own).
+/// The system allocator, counting the calling thread's allocations and
+/// the bytes they request (the test harness runs each test on a thread of
+/// its own).
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-// SAFETY: every call is forwarded unchanged to `System`; the counter is a
-// const-initialised thread-local `Cell` with no destructor, so touching it
-// neither allocates nor runs after thread teardown.
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// const-initialised thread-local `Cell`s with no destructor, so touching
+// them neither allocates nor runs after thread teardown.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -34,7 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,10 +53,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.with(Cell::get);
+/// How far `counter` moved while `f` ran.
+fn counted_in<T>(counter: &'static LocalKey<Cell<u64>>, f: impl FnOnce() -> T) -> (u64, T) {
+    let before = counter.with(Cell::get);
     let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
+    (counter.with(Cell::get) - before, out)
 }
 
 /// `parts` partitions of 16 rows: `x` = row index, `y` = row index mod 7,
@@ -110,7 +122,7 @@ fn estimating_every_partition_allocates_nothing_per_partition() {
     for (name, pred) in predicates() {
         let planned = |(pt, stats): &(PartitionedTable, TableStats)| {
             let compiled = CompiledPredicate::compile(pt.table(), &pred);
-            allocations_in(|| {
+            counted_in(&ALLOCATIONS, || {
                 let plan = SelectivityPlan::new(Some(&compiled));
                 plan.estimate_all(stats).map(|f| f.upper).sum::<f64>()
             })
@@ -129,7 +141,7 @@ fn estimating_every_partition_allocates_nothing_per_partition() {
         // The recursive evaluator allocates on every partition.
         let (pt, stats) = &large;
         let compiled = CompiledPredicate::compile(pt.table(), &pred);
-        let (recursive, ()) = allocations_in(|| {
+        let (recursive, ()) = counted_in(&ALLOCATIONS, || {
             for p in 0..stats.num_partitions() {
                 oracle::selectivity_features_compiled(Some(&compiled), stats.partition(p));
             }
@@ -139,4 +151,38 @@ fn estimating_every_partition_allocates_nothing_per_partition() {
             "{name}: the oracle made {recursive} allocations"
         );
     }
+}
+
+/// `[n][num_cols]` followed by `rest`.
+fn stats_section(n: u32, num_cols: u32, rest: &[u8]) -> Vec<u8> {
+    let mut bytes = [n.to_le_bytes(), num_cols.to_le_bytes()].concat();
+    bytes.extend_from_slice(rest);
+    bytes
+}
+
+/// Headers claiming 4,194,304 partitions fail without reserving room for
+/// the partitions they claim: one column followed by four zero bytes
+/// where the first record should be is a short payload (a version-4
+/// decoder read those bytes as an empty heavy-hitter list and reserved
+/// 16 MiB of bitmaps), and partitions of no columns are refused outright.
+#[test]
+fn stats_sections_claiming_more_than_they_hold_allocate_next_to_nothing() {
+    let decode = |bytes: Vec<u8>| {
+        let (allocated, result) = counted_in(&BYTES, || decode_table_stats(&bytes).map(|_| ()));
+        assert!(allocated < 64 * 1024, "{allocated} bytes allocated");
+        result
+    };
+    let result = decode(stats_section(1 << 22, 1, &[0; 4]));
+    assert!(
+        matches!(result, Err(FormatError::Truncated("stats"))),
+        "{result:?}"
+    );
+    let result = decode(stats_section(1 << 22, 0, &[]));
+    assert!(
+        matches!(
+            result,
+            Err(FormatError::Corrupt("stats partitions without columns"))
+        ),
+        "{result:?}"
+    );
 }

@@ -38,9 +38,10 @@ pub const MAGIC: [u8; 8] = *b"PS3FLAT\0";
 /// Current container version. 2 re-encoded `SEC_TRAINING` in the one
 /// `Query` grammar of `ps3_query::codec`; 3 dropped the per-partition
 /// answer-sketch blobs from `SEC_STATS`; 4 dropped the partition strata
-/// and the `strata_k` config word from `SEC_TRAINED`. Older files are
-/// refused.
-pub const FORMAT_VERSION: u32 = 4;
+/// and the `strata_k` config word from `SEC_TRAINED`; 5 dropped the
+/// derived heavy-hitter keys, occurrence bitmaps and static feature matrix
+/// from `SEC_STATS`. Older files are refused.
+pub const FORMAT_VERSION: u32 = 5;
 /// Every section payload starts at a multiple of this (cache-line and SIMD
 /// friendly, and strictly stricter than any element alignment we map).
 pub const SECTION_ALIGN: usize = 64;
@@ -641,7 +642,7 @@ mod tests {
         encode_partitioned_table(&mut w, &sample_pt());
         let bytes = w.to_bytes();
         assert_eq!(&bytes[0..8], &MAGIC);
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 4);
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 5);
         assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 3);
         assert_eq!(
             u64::from_le_bytes(bytes[16..24].try_into().unwrap()),

@@ -219,7 +219,8 @@ fn corruption_cases_yield_the_documented_errors() {
     ));
 
     // Any version but this build's — the next one, and the retired one
-    // whose stats section carried answer-sketch blobs per column.
+    // whose stats section carried the derived heavy-hitter keys, bitmaps
+    // and static feature rows beside the sketches.
     for version in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
         let mut bad = good.clone();
         bad[8..12].copy_from_slice(&version.to_le_bytes());
@@ -281,10 +282,9 @@ fn frozen_bytes() -> &'static [u8] {
 }
 
 /// Promise 3: `storage_breakdown()` counts everything `SEC_STATS` holds
-/// per partition. Encoded bytes minus the fixed-shape prefix (counts,
-/// global heavy-hitter keys, bitmaps, the static feature matrix) are the
+/// per partition. Encoded bytes minus the two counts ahead of them are the
 /// per-partition sketch records; the reported KB must equal them up to
-/// tags and length prefixes. Measured on the e2e fixture's shape (Aria,
+/// flags and length prefixes. Measured on the e2e fixture's shape (Aria,
 /// 512-row partitions), where framing is ~1.3% — on a 20-row partition it
 /// would be 5–16% of almost nothing. A sketch family that is built and
 /// persisted but left out of the accounting fails this by its whole size.
@@ -296,12 +296,8 @@ fn reported_storage_is_what_the_stats_section_stores() {
         .with_partitions(n)
         .build(3);
     let stats = &ds.stats;
-    let cols = stats.feature_schema().num_cols();
-    let hh_keys: usize = (0..cols)
-        .map(|c| stats.global_heavy_hitters(ColId(c)).len())
-        .sum();
-    let fixed =
-        8 + (4 * cols + 8 * hh_keys) + 4 * cols * n + (4 + 8 * n * stats.feature_schema().dim());
+    // The partition and column counts; the sketch records follow.
+    let fixed = 8;
     let stored = (encode_table_stats(stats).len() - fixed) as f64;
     let reported = stats.storage_breakdown().total_kb() * 1024.0 * n as f64;
     assert!(

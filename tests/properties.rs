@@ -26,7 +26,8 @@ use ps3::query::{
     execute_partition, AggExpr, Clause, CmpOp, CompiledPredicate, CompiledQuery, PartialAnswer,
     Predicate, Query, ScalarExpr,
 };
-use ps3::stats::column_stats::ColumnStatsParams;
+use ps3::sketch::Measures;
+use ps3::stats::column_stats::{ColumnStats, ColumnStatsParams};
 use ps3::stats::features::{PER_COL, SCALARS_PER_COL};
 use ps3::stats::{
     oracle, FeatureMatrix, Normalizer, QueryColumns, SelectivityFeatures, SelectivityPlan,
@@ -216,34 +217,44 @@ impl Strategy for NestedPredicate {
     }
 }
 
-/// `stats` with some static features replaced by `-0.0` and NaN — values a
-/// real sketch can produce (an empty partition's mean, a negative zero
-/// minimum) and the ones a careless "is it zero?" or re-derivation breaks.
+/// `stats` with the measures sketches poisoned so the static features
+/// hold `-0.0`, NaN and negated values — values a real sketch can produce
+/// (an empty partition's mean, a negative zero minimum) and the ones a
+/// careless "is it zero?" or re-derivation breaks. The poison goes into
+/// the sketches' raw accumulators and the catalog is derived from them the
+/// way a thaw derives it; every table gets all three.
 fn poisoned(stats: &TableStats, salt: usize) -> TableStats {
-    let (n, cols) = (stats.num_partitions(), stats.feature_schema().num_cols());
-    let mut statics = stats.static_features().to_vec();
-    for (p, row) in statics.iter_mut().enumerate() {
-        for (i, x) in row.iter_mut().enumerate() {
-            match (p * 31 + i * 7 + salt) % 11 {
-                0 => *x = -0.0,
-                1 => *x = f64::NAN,
-                2 => *x = -*x,
-                _ => {}
-            }
+    let mut partitions: Vec<Vec<ColumnStats>> = (0..stats.num_partitions())
+        .map(|p| stats.partition(p).to_vec())
+        .collect();
+    let measures = partitions
+        .iter_mut()
+        .flatten()
+        .filter_map(|c| c.measures.as_mut());
+    for (k, m) in measures.enumerate() {
+        let mut raw = m.raw_parts();
+        match (k + salt) % 4 {
+            0 => raw.min = -0.0,
+            1 => raw.sum = f64::NAN,
+            2 => (raw.sum, raw.min, raw.max) = (-raw.sum, -raw.min, -raw.max),
+            _ => continue,
         }
+        *m = Measures::from_raw_parts(raw);
     }
-    TableStats::from_raw_parts(
-        (0..n).map(|p| stats.partition(p).to_vec()).collect(),
-        (0..cols)
-            .map(|c| stats.global_heavy_hitters(ColId(c)).to_vec())
-            .collect(),
-        (0..cols)
-            .map(|c| (0..n).map(|p| stats.bitmap(ColId(c), p)).collect())
-            .collect(),
-        statics,
-        *stats.feature_schema(),
-    )
-    .expect("same shapes as the stats they came from")
+    let out = TableStats::from_sketches(partitions, stats.feature_schema().num_cols())
+        .expect("the sketches of a built catalog");
+    let pairs =
+        || (stats.static_features().iter().flatten()).zip(out.static_features().iter().flatten());
+    assert!(
+        pairs().any(|(_, y)| y.to_bits() == (-0.0f64).to_bits()),
+        "no -0.0"
+    );
+    assert!(pairs().any(|(_, y)| y.is_nan()), "no NaN");
+    assert!(
+        pairs().any(|(x, y)| *x != 0.0 && *y == -x),
+        "no negated value"
+    );
+    out
 }
 
 /// The full-width masked feature rows of §3.2, built the way the parent of
