@@ -52,7 +52,7 @@ use std::time::Instant;
 
 use ps3_query::codec::check_schema;
 use ps3_runtime::{
-    CacheStats, Mailbox, Permit, RequestQueue, Semaphore, SharedLru, SingleFlight,
+    CacheStats, Permit, RequestQueue, Semaphore, SharedLru, SingleFlight,
     SubmitError as QueueError, ThreadPool,
 };
 use ps3_storage::codec::CodecError;
@@ -264,33 +264,38 @@ impl TableEntry {
 type JobResult = std::thread::Result<Arc<AnswerOutcome>>;
 
 /// What rides inside a ticket's mutex: the (eventual) result, whether a
-/// consumer already took it, and an optional one-shot completion hook.
+/// consumer already took it, the undelivered refinements of a progressive
+/// execution, and the consumer's [`Ticket::on_event`] hook.
+#[derive(Default)]
 struct TicketSlot {
     result: Option<JobResult>,
     taken: bool,
-    hook: Option<Box<dyn FnOnce() + Send>>,
+    /// Refining partial answers, oldest first, awaiting
+    /// [`Ticket::take_progress`]. Only the leader of a cold progressive
+    /// execution streams; everything else delivers its final answer alone.
+    progress: Vec<ProgressUpdate>,
+    hook: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
+#[derive(Default)]
 struct TicketState {
     slot: Mutex<TicketSlot>,
     ready: Condvar,
-    /// Refining partial answers from a progressive execution, batched for
-    /// the consumer ([`Ticket::take_progress`]). Empty for non-progressive
-    /// requests, cache hits, and single-flight joiners — only the leader of
-    /// a cold progressive execution streams.
-    progress: Mailbox<ProgressUpdate>,
 }
 
 impl TicketState {
-    fn new() -> Self {
-        Self {
-            slot: Mutex::new(TicketSlot {
-                result: None,
-                taken: false,
-                hook: None,
-            }),
-            ready: Condvar::new(),
-            progress: Mailbox::new(),
+    /// Queue a refinement and fire the hook. This runs on the executing
+    /// thread, inside the request: a panicking hook fails the request, and
+    /// the panic reaches the ticket like any other.
+    fn push_progress(&self, update: ProgressUpdate) {
+        let hook = {
+            let mut slot = self.slot.lock().unwrap();
+            slot.progress.push(update);
+            slot.hook.clone()
+        };
+        // Outside the lock: the hook may call back into the ticket.
+        if let Some(hook) = hook {
+            hook();
         }
     }
 
@@ -301,10 +306,11 @@ impl TicketState {
             slot.hook.take()
         };
         self.ready.notify_all();
-        // Run the hook outside the lock: it may call back into anything
-        // (the network server's hook pokes a poll waker).
         if let Some(hook) = hook {
-            hook();
+            // The result is stored, so a panic here has nobody left to
+            // report to; letting it unwind would skip the caller's
+            // bookkeeping and end the pump that runs it.
+            let _ = catch_unwind(AssertUnwindSafe(|| hook()));
         }
     }
 }
@@ -315,8 +321,8 @@ impl TicketState {
 /// resumes *here*, in the submitting tenant. Non-blocking consumers (the
 /// network event loop) ask [`Ticket::poll_take`] first — a request the
 /// answer cache already held comes back ready from submission — and
-/// otherwise register a completion hook with [`Ticket::on_ready`] and
-/// collect the result when it fires.
+/// otherwise register a hook with [`Ticket::on_event`] and collect
+/// whatever waits (refinements, the result) each time it fires.
 pub struct Ticket {
     inner: TicketInner,
 }
@@ -413,34 +419,30 @@ impl Ticket {
         }
     }
 
-    /// Register a one-shot hook that runs as soon as the outcome (or
-    /// panic) is delivered — or immediately, on the caller, if it already
-    /// was: always for a ticket that came back ready from submission (an
-    /// answer-cache hit), which is why a non-blocking consumer asks
-    /// [`Ticket::poll_take`] before paying for a hook. Otherwise the hook
-    /// runs on whatever thread delivers the result (a queue pump, a
-    /// draining caller), so keep it tiny and non-blocking; the network
-    /// server's hook just wakes its poll loop. A second registration
-    /// replaces an unfired first.
-    pub fn on_ready(&self, hook: impl FnOnce() + Send + 'static) {
-        if let TicketInner::Queued(state) = &self.inner {
-            let mut slot = state.slot.lock().unwrap();
-            if slot.result.is_none() && !slot.taken {
-                slot.hook = Some(Box::new(hook));
-                return;
+    /// Register the hook that tells a non-blocking consumer something is
+    /// waiting: it fires after every [`ProgressUpdate`] a progressive
+    /// execution queues and once when the outcome (or panic) is delivered
+    /// — and immediately, on the caller, if something already waits: always
+    /// for a ticket that came back ready from submission (an answer-cache
+    /// hit), which is why a non-blocking consumer asks [`Ticket::poll_take`]
+    /// before paying for a hook. Otherwise the hook runs on whatever thread
+    /// executes the request (a queue pump, a draining caller), so keep it
+    /// tiny and non-blocking; the network server's hook records the ticket
+    /// and wakes its poll loop. A second registration replaces the first.
+    pub fn on_event(&self, hook: impl Fn() + Send + Sync + 'static) {
+        let hook: Arc<dyn Fn() + Send + Sync> = Arc::new(hook);
+        let waiting = match &self.inner {
+            TicketInner::Ready { taken, .. } => !taken.load(Ordering::SeqCst),
+            TicketInner::Queued(state) => {
+                let mut slot = state.slot.lock().unwrap();
+                if slot.result.is_none() && !slot.taken {
+                    slot.hook = Some(Arc::clone(&hook));
+                }
+                slot.result.is_some() || !slot.progress.is_empty()
             }
-        }
-        hook();
-    }
-
-    /// Register a hook that fires after every [`ProgressUpdate`] a
-    /// progressive execution delivers (and immediately, if updates are
-    /// already queued). Like [`Ticket::on_ready`], keep it tiny — the
-    /// network server's hook wakes its poll loop, nothing more. A ticket
-    /// that came back ready never streams, so its hook is dropped unrun.
-    pub fn on_progress(&self, hook: impl Fn() + Send + Sync + 'static) {
-        if let TicketInner::Queued(state) = &self.inner {
-            state.progress.set_hook(hook);
+        };
+        if waiting {
+            hook();
         }
     }
 
@@ -450,7 +452,7 @@ impl Ticket {
     pub fn take_progress(&self) -> Vec<ProgressUpdate> {
         match &self.inner {
             TicketInner::Ready { .. } => Vec::new(),
-            TicketInner::Queued(state) => state.progress.drain(),
+            TicketInner::Queued(state) => std::mem::take(&mut state.slot.lock().unwrap().progress),
         }
     }
 }
@@ -532,7 +534,7 @@ impl RouterCore {
         &self,
         key: AnswerKey,
         req: &QueryRequest,
-        progress: Option<&Mailbox<ProgressUpdate>>,
+        progress: Option<&TicketState>,
     ) -> Arc<AnswerOutcome> {
         let progress = progress.filter(|_| req.progressive);
         let entry = &self.tables[key.table as usize];
@@ -563,10 +565,10 @@ impl RouterCore {
             let system = Arc::clone(&entry.system.read().unwrap());
             let mut rng = spec_rng(&req.query, req.seed);
             let started = Instant::now();
-            // The progressive leader streams refining updates into the
-            // mailbox; the outcome is bit-identical with or without a
-            // sink, so the cached value is path-independent.
-            let mut forward = progress.map(|mailbox| |update| mailbox.push(update));
+            // The progressive leader streams refining updates into its
+            // ticket; the outcome is bit-identical with or without a sink,
+            // so the cached value is path-independent.
+            let mut forward = progress.map(|ticket| |update| ticket.push_progress(update));
             let sink = forward
                 .as_mut()
                 .map(|f| f as &mut dyn FnMut(ProgressUpdate));
@@ -648,7 +650,7 @@ impl RouterCore {
         &self,
         table: TableId,
         req: &QueryRequest,
-        progress: Option<&Mailbox<ProgressUpdate>>,
+        progress: Option<&TicketState>,
     ) -> (Arc<AnswerOutcome>, BudgetPlan) {
         let key = self.key_for(table, req);
         let plan = self.plan_budget(key, req);
@@ -670,7 +672,7 @@ impl RouterCore {
             ticket,
             _permit,
         } = job;
-        let progress = Some(&ticket.progress);
+        let progress = Some(&*ticket);
         let result = catch_unwind(AssertUnwindSafe(|| match missed {
             // Submission ran the lookup; pick up where it left off.
             Some(key) => self.execute_missed(key, &req, progress),
@@ -1184,7 +1186,7 @@ impl Tenant {
                 None => return Err(RouteError::QuotaExhausted(Box::new(req))),
             },
         };
-        let state = Arc::new(TicketState::new());
+        let state = Arc::new(TicketState::default());
         let job = Job {
             table,
             req,
@@ -1435,7 +1437,7 @@ mod tests {
         let ticket = tenant
             .submit(QueryRequest::new(sum_query(), Method::Random, 0.5, 21).progressive())
             .unwrap();
-        ticket.on_progress(|| panic!("progress hook blew up"));
+        ticket.on_event(|| panic!("progress hook blew up"));
         let pump = {
             let router = Arc::clone(&router);
             std::thread::spawn(move || router.drain_queued(1))
@@ -1451,6 +1453,57 @@ mod tests {
         assert_eq!(router.drain_queued(1), 1);
         assert!(ok.wait().answer.num_groups() > 0);
         router.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_completion_hook_neither_ends_the_pump_nor_hangs_shutdown() {
+        use std::time::Duration;
+        let router = Router::builder()
+            .table("t", tiny_system(12, 160))
+            .pump_workers(1)
+            .build();
+        let tenant = router.tenant("careless", None);
+        // Holding the table's cost EWMA parks the pump after it has
+        // executed the first request and before it fulfills the ticket,
+        // so the hook is registered before the result can arrive.
+        let parked = router.core.tables[0].cost_ms_per_part.lock().unwrap();
+        let first = tenant
+            .submit(QueryRequest::ps3(count_query(), 0.25, 1))
+            .unwrap();
+        first.on_event(|| panic!("completion hook blew up"));
+        let second = tenant
+            .submit(QueryRequest::ps3(count_query(), 0.25, 2))
+            .unwrap();
+        drop(parked);
+
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !second.is_ready() {
+            assert!(
+                Instant::now() < deadline,
+                "the only pump must survive the hook and run the second request"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let out = first.poll_take().expect("stored before the hook ran");
+        assert!(
+            out.expect("the request itself succeeded")
+                .answer
+                .num_groups()
+                > 0
+        );
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let closer = {
+            let router = Arc::clone(&router);
+            std::thread::spawn(move || {
+                router.shutdown();
+                done_tx.send(router.stats().in_flight).unwrap();
+            })
+        };
+        let in_flight = done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("shutdown must return");
+        assert_eq!(in_flight, 0);
+        closer.join().unwrap();
     }
 
     #[test]
@@ -1596,7 +1649,7 @@ mod tests {
     }
 
     #[test]
-    fn ticket_poll_take_and_on_ready_drive_nonblocking_consumers() {
+    fn ticket_poll_take_and_on_event_drive_nonblocking_consumers() {
         use std::sync::atomic::AtomicBool;
         let router = Router::builder()
             .table("t", tiny_system(24, 160))
@@ -1611,7 +1664,7 @@ mod tests {
         let fired = Arc::new(AtomicBool::new(false));
         {
             let fired = Arc::clone(&fired);
-            ticket.on_ready(move || fired.store(true, Ordering::SeqCst));
+            ticket.on_event(move || fired.store(true, Ordering::SeqCst));
         }
         assert!(!fired.load(Ordering::SeqCst), "hook waits for delivery");
         router.drain_queued(1);
@@ -1631,10 +1684,54 @@ mod tests {
         let fired2 = Arc::new(AtomicBool::new(false));
         {
             let fired2 = Arc::clone(&fired2);
-            t2.on_ready(move || fired2.store(true, Ordering::SeqCst));
+            t2.on_event(move || fired2.store(true, Ordering::SeqCst));
         }
         assert!(fired2.load(Ordering::SeqCst), "late hooks fire on the spot");
         router.shutdown();
+    }
+
+    #[test]
+    fn ticket_events_fire_outside_the_slot_lock_and_catch_up_when_registered_late() {
+        let update = |seq| ProgressUpdate {
+            seq,
+            partitions_done: seq + 1,
+            partitions_total: 4,
+            answer: ps3_query::QueryAnswer::default(),
+            rel_err: f64::NAN,
+        };
+        let state = Arc::new(TicketState::default());
+        let ticket = Ticket {
+            inner: TicketInner::Queued(Arc::clone(&state)),
+        };
+        state.push_progress(update(0));
+        let fired = Arc::new(AtomicU64::new(0));
+        {
+            let (fired, state) = (Arc::clone(&fired), Arc::clone(&state));
+            // Re-entering the slot would deadlock a hook run under its lock.
+            ticket.on_event(move || {
+                fired.fetch_add(1, Ordering::SeqCst);
+                drop(state.slot.lock().unwrap());
+            });
+        }
+        assert_eq!(
+            fired.load(Ordering::SeqCst),
+            1,
+            "a late hook fires at once for the refinement already waiting"
+        );
+        state.push_progress(update(1));
+        state.fulfill(Err(Box::new("boom")));
+        assert_eq!(
+            fired.load(Ordering::SeqCst),
+            3,
+            "one event per refinement, one for the outcome"
+        );
+        let seqs: Vec<u32> = ticket.take_progress().iter().map(|u| u.seq).collect();
+        assert_eq!(
+            seqs,
+            vec![0, 1],
+            "refinements wait in the slot, oldest first"
+        );
+        assert!(ticket.poll_take().expect("delivered").is_err());
     }
 
     #[test]
@@ -1665,7 +1762,7 @@ mod tests {
         let fired = Arc::new(AtomicBool::new(false));
         {
             let fired = Arc::clone(&fired);
-            hit.on_ready(move || fired.store(true, Ordering::SeqCst));
+            hit.on_event(move || fired.store(true, Ordering::SeqCst));
         }
         assert!(
             fired.load(Ordering::SeqCst),
@@ -1851,14 +1948,18 @@ mod tests {
         let progressed = Arc::new(AtomicU64::new(0));
         {
             let progressed = Arc::clone(&progressed);
-            ticket.on_progress(move || {
+            ticket.on_event(move || {
                 progressed.fetch_add(1, Ordering::SeqCst);
             });
         }
         router.drain_queued(1);
         let updates = ticket.take_progress();
         assert!(!updates.is_empty(), "a cold 8-partition read must refine");
-        assert!(progressed.load(Ordering::SeqCst) >= updates.len() as u64);
+        assert_eq!(
+            progressed.load(Ordering::SeqCst),
+            updates.len() as u64 + 1,
+            "one event per refinement, one for the outcome"
+        );
         let mut prev = 0;
         for u in &updates {
             assert!(u.partitions_done > prev, "monotone in partitions read");
@@ -1885,20 +1986,21 @@ mod tests {
         assert_eq!(streamed.meta.exact, one_shot.meta.exact);
 
         // A warm repeat is a cache hit, answered at submission: final
-        // answer only, no updates, progressive flag or not.
+        // answer only, no updates, progressive flag or not — one event,
+        // for the outcome.
         let warm = tenant.submit(req).unwrap();
         assert!(warm.is_ready(), "nothing drained the queue for this one");
         assert_eq!(router.queue_len(), 0);
         let progressed = Arc::new(AtomicU64::new(0));
         {
             let progressed = Arc::clone(&progressed);
-            warm.on_progress(move || {
+            warm.on_event(move || {
                 progressed.fetch_add(1, Ordering::SeqCst);
             });
         }
         assert!(warm.take_progress().is_empty(), "cache hits do not stream");
         assert!(Arc::ptr_eq(&warm.wait(), &streamed));
-        assert_eq!(progressed.load(Ordering::SeqCst), 0);
+        assert_eq!(progressed.load(Ordering::SeqCst), 1);
         router.shutdown();
     }
 

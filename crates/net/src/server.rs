@@ -29,21 +29,20 @@
 //!    leaves in this wakeup's write — no queue, no pump, no waker, no
 //!    other thread.
 //! 2. **Execute** — misses only. Queue pumps run the work as usual. Each
-//!    queued ticket carries an [`on_ready`](ps3_core::Ticket::on_ready)
-//!    hook that pokes the owning shard's [`Waker`], so completion
-//!    interrupts that shard's poll immediately (no completion-polling
-//!    latency).
-//! 3. **Write** — completed tickets become response frames, encoded the
-//!    same way from the shared outcome (or [`ErrorCode::Internal`] errors,
-//!    if the request panicked), queued on the connection's outbound buffer
-//!    (`OutBuf`); at the end of the wakeup every
-//!    connection with pending output is flushed with one `writev` gather
-//!    write (the flush contract: encode many, flush once per wakeup, keep
-//!    a byte cursor across partial writes). A progressive request's
-//!    refining updates arrive the same way, as [`PartialFrame`]s delivered
-//!    ahead of the final response (the ticket's
-//!    [`on_progress`](ps3_core::Ticket::on_progress) hook pokes the same
-//!    waker).
+//!    queued ticket carries one [`on_event`](ps3_core::Ticket::on_event)
+//!    hook that records the ticket in the owning shard's event inbox and
+//!    pokes its [`Waker`], so a completion — or a progressive request's
+//!    refinement — interrupts that shard's poll immediately (no
+//!    completion-polling latency).
+//! 3. **Write** — one delivery pass over the recorded tickets: a completed
+//!    ticket becomes its remaining [`PartialFrame`]s and then its response
+//!    frame, encoded the same way from the shared outcome (or an
+//!    [`ErrorCode::Internal`] error, if the request panicked); a ticket
+//!    still executing flushes the refinements it has so far. Frames queue
+//!    on the connection's outbound buffer (`OutBuf`); at the end of the
+//!    wakeup every connection with pending output is flushed with one
+//!    `writev` gather write (the flush contract: encode many, flush once
+//!    per wakeup, keep a byte cursor across partial writes).
 //!
 //! Every frame the server sends is a `PROTO_VERSION` frame, including the
 //! [`ErrorCode::UnsupportedVersion`] refusal that answers any other
@@ -144,15 +143,12 @@ struct Counters {
 struct Shard {
     /// Interrupts this shard's poll (completions, handoffs, shutdown).
     waker: Waker,
-    /// Completed requests awaiting delivery, as `(connection token,
-    /// request id)` — pushed by each ticket's `on_ready` hook, drained by
-    /// the shard loop. Keeps delivery O(completions) instead of scanning
-    /// every in-flight ticket of every connection per wakeup.
-    completed: Mailbox<(u64, u64)>,
-    /// Progressive requests with undelivered refinements, same keying —
-    /// pushed by each ticket's `on_progress` hook, drained ahead of
-    /// completions so partials always precede their final response.
-    progressed: Mailbox<(u64, u64)>,
+    /// Tickets with something to deliver (a refinement or the outcome),
+    /// as `(connection token, request id)` — pushed by each ticket's
+    /// `on_event` hook, drained by the shard loop. Keeps delivery
+    /// O(events) instead of scanning every in-flight ticket of every
+    /// connection per wakeup.
+    events: Mailbox<(u64, u64)>,
     /// Accepted sockets dealt to this shard by the listener shard.
     handoff: Mailbox<TcpStream>,
     /// Connections this shard has registered (the round-robin evidence).
@@ -163,8 +159,7 @@ impl Shard {
     fn new() -> io::Result<Shard> {
         Ok(Shard {
             waker: Waker::new()?,
-            completed: Mailbox::new(),
-            progressed: Mailbox::new(),
+            events: Mailbox::new(),
             handoff: Mailbox::new(),
             accepted: AtomicU64::new(0),
         })
@@ -442,10 +437,7 @@ impl ShardLoop {
                 }
             }
 
-            // Deliver refinements first so a request's partials always
-            // precede its final response, then completed tickets.
-            self.deliver_progress();
-            self.deliver_completions();
+            self.deliver_events();
 
             // One gather-write per connection with output, per wakeup —
             // every frame queued above leaves in a single writev unless
@@ -548,54 +540,46 @@ impl ShardLoop {
         self.me.accepted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Turn every undelivered progress update into a [`PartialFrame`] on
-    /// its connection's write queue. Driven by the `(token, request_id)`
-    /// pairs the `on_progress` hooks recorded; a dead connection's updates
-    /// are dropped with it.
-    fn deliver_progress(&mut self) {
+    /// Move what every recorded ticket holds onto its connection's write
+    /// queue — O(events), driven by the `(token, request_id)` pairs the
+    /// `on_event` hooks recorded, never by scanning in-flight tickets. A
+    /// completed ticket is retired with its remaining partials and its
+    /// response; one still executing flushes its partials so far. Requests
+    /// complete in any order; the correlation id sorts it out client-side.
+    /// Events for connections that died in the meantime, or for tickets
+    /// already retired, are skipped.
+    fn deliver_events(&mut self) {
         let max_frame = self.config.max_frame;
-        for (token, request_id) in self.me.progressed.drain() {
+        for (token, request_id) in self.me.events.drain() {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
             let Some(ticket) = conn.in_flight.get(&request_id) else {
                 continue;
             };
-            for update in ticket.take_progress() {
-                let frame = Frame::Partial(PartialFrame { request_id, update });
-                conn.out.push_frame(&frame, max_frame);
-            }
-        }
-    }
-
-    /// Move every completed ticket's outcome onto its connection's write
-    /// queue — O(completions), driven by the `(token, request_id)` pairs
-    /// the `on_ready` hooks recorded, never by scanning in-flight tickets.
-    /// Requests complete in any order; the correlation id sorts it out
-    /// client-side. Completions for connections that died in the meantime
-    /// are skipped (their tickets dropped with the connection state).
-    fn deliver_completions(&mut self) {
-        let max_frame = self.config.max_frame;
-        for (token, request_id) in self.me.completed.drain() {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                continue;
-            };
-            let Some(ticket) = conn.in_flight.remove(&request_id) else {
-                continue;
-            };
-            // fulfill() stores the result before firing the hook, so a
-            // recorded completion always has one to take.
-            if let Some(result) = ticket.poll_take() {
-                push_completion(conn, &self.shared, request_id, &ticket, result, max_frame);
+            match ticket.poll_take() {
+                Some(result) => {
+                    let ticket = conn.in_flight.remove(&request_id).expect("looked up above");
+                    push_completion(conn, &self.shared, request_id, &ticket, result, max_frame);
+                }
+                None => push_partials(&mut conn.out, request_id, ticket, max_frame),
             }
         }
     }
 }
 
+/// Queue every refinement the ticket holds as [`PartialFrame`]s.
+fn push_partials(out: &mut OutBuf, request_id: u64, ticket: &Ticket, max_frame: u32) {
+    for update in ticket.take_progress() {
+        let frame = Frame::Partial(PartialFrame { request_id, update });
+        out.push_frame(&frame, max_frame);
+    }
+}
+
 /// Queue a finished request's frames on its connection: any refinements
-/// still in the ticket's mailbox first (the executing pump pushes updates
-/// before it fulfills, so partials always precede their final response),
-/// then the response frame, encoded from the shared outcome — or an
+/// still in the ticket first (the executing pump queues updates before it
+/// fulfills, so partials always precede their final response), then the
+/// response frame, encoded from the shared outcome — or an
 /// [`ErrorCode::Internal`] error, if the request panicked.
 fn push_completion(
     conn: &mut Conn,
@@ -605,10 +589,7 @@ fn push_completion(
     result: std::thread::Result<Arc<AnswerOutcome>>,
     max_frame: u32,
 ) {
-    for update in ticket.take_progress() {
-        let frame = Frame::Partial(PartialFrame { request_id, update });
-        conn.out.push_frame(&frame, max_frame);
-    }
+    push_partials(&mut conn.out, request_id, ticket, max_frame);
     match result {
         Ok(outcome) => conn.out.push_response(request_id, &outcome, max_frame),
         Err(payload) => {
@@ -744,7 +725,6 @@ fn submit(
         );
         return;
     }
-    let progressive = req.progressive;
     match conn.tenant.try_submit(req.into_query_request()) {
         Ok(ticket) => {
             shared.counters.requests.fetch_add(1, Ordering::Relaxed);
@@ -755,22 +735,14 @@ fn submit(
                 push_completion(conn, shared, request_id, &ticket, result, max_frame);
                 return;
             }
-            if progressive {
-                // Refinements flow through the owning shard's waker; the
-                // shard loop turns them into Partial frames.
-                let hook_shard = Arc::clone(me);
-                ticket.on_progress(move || {
-                    hook_shard.progressed.push((token, request_id));
-                    hook_shard.waker.wake();
-                });
-            }
             let hook_shard = Arc::clone(me);
-            // The hook only records the completion and pokes the poll;
-            // the shard loop delivers. (Should a pump finish between the
-            // `poll_take` above and this registration, the hook runs here
-            // and the completion is delivered later in this same wakeup.)
-            ticket.on_ready(move || {
-                hook_shard.completed.push((token, request_id));
+            // The hook only records the ticket and pokes the poll; the
+            // shard loop delivers. (Should a pump queue a refinement or
+            // finish between the `poll_take` above and this registration,
+            // the hook runs here and the event is delivered later in this
+            // same wakeup.)
+            ticket.on_event(move || {
+                hook_shard.events.push((token, request_id));
                 hook_shard.waker.wake();
             });
             conn.in_flight.insert(request_id, ticket);

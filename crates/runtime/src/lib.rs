@@ -5,10 +5,10 @@
 //! `std::thread::scope` fan-outs (statistics construction, training-workload
 //! execution, bench-cache building) and the query path could not be shared
 //! across threads at all. [`ThreadPool`] replaces all of them with one
-//! work-stealing pool — crossbeam-deque in spirit, vendored as a
-//! dependency-free stand-in (this workspace builds with no crates.io
-//! access) — and [`SharedLru`] provides the bounded feature cache the
-//! serving layer keys by predicate fingerprint.
+//! pool whose workers share a single [`RequestQueue`] of tasks (this
+//! workspace builds with no crates.io access, so no crossbeam) — and
+//! [`SharedLru`] provides the bounded feature cache the serving layer
+//! keys by predicate fingerprint.
 //!
 //! Design rules for the rest of the workspace:
 //!
@@ -16,17 +16,18 @@
 //!   through [`ThreadPool::scope_map`] / [`fan_out`], which preserve item
 //!   order (so parallel and serial runs are bit-identical) and propagate
 //!   worker panics to the caller.
-//! - Blocking inside a pool task is safe: waiters *help* — they steal and
+//! - Blocking inside a pool task is safe: waiters *help* — they take and
 //!   run queued tasks while their own scope drains — so nested fan-outs
 //!   cannot deadlock the pool.
 //!
 //! The serving front end adds admission-control and coalescing primitives
-//! on top: [`RequestQueue`], a bounded MPMC queue whose `submit`/
-//! `try_submit` give producers capacity-based backpressure and whose
-//! `close` drains accepted work before reporting empty; [`Semaphore`],
-//! whose owned [`Permit`]s cap each tenant's in-flight requests; and
-//! [`SingleFlight`], which collapses concurrent identical computations
-//! into one leader run that every racer shares. All are thread-owning-free:
+//! on top: [`RequestQueue`] — the crate's one FIFO queue, under the pool
+//! too — a bounded MPMC queue whose `submit`/`try_submit` give producers
+//! capacity-based backpressure and whose `close` drains accepted work
+//! before reporting empty; [`Semaphore`], whose owned [`Permit`]s cap
+//! each tenant's in-flight requests; and [`SingleFlight`], which collapses
+//! concurrent identical computations into one leader run that every racer
+//! shares. All are thread-owning-free:
 //! consumers run wherever the caller points them (in practice, detached
 //! [`ThreadPool::spawn`] tasks).
 //!

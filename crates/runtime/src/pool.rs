@@ -1,12 +1,10 @@
-//! A work-stealing thread pool in the crossbeam-deque mould, built only on
-//! `std` (this workspace vendors its dependencies).
+//! The workspace thread pool, built only on `std` (this workspace vendors
+//! its dependencies).
 //!
-//! Layout: one global injector queue plus one deque per worker. A worker
-//! pops from the *back* of its own deque (LIFO, cache-warm) and steals from
-//! the *front* of the injector and of other workers' deques (FIFO, oldest
-//! first) — the classic Chase–Lev discipline, here guarded by short
-//! critical sections instead of lock-free epochs, which is plenty for
-//! partition-sized tasks.
+//! Layout: one unbounded [`RequestQueue`] of tasks that every worker
+//! `recv`s from, oldest first. A task is submitted on its own, so each
+//! submission wakes one sleeping worker; workers sleep in the queue's
+//! condvar and exit once [`Drop`] closes it and they have drained it.
 //!
 //! The structured entry point is [`ThreadPool::scope_map`]: fan `n`
 //! index-addressed tasks out over the pool and return their results *in
@@ -16,12 +14,13 @@
 
 use std::any::Any;
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::Duration;
+
+use crate::queue::RequestQueue;
 
 /// One task's result cell. Each scoped task writes its own slot exactly
 /// once; the scope owner reads it only after the task's `Release` decrement
@@ -36,90 +35,14 @@ unsafe impl<T: Send> Sync for Slot<T> {}
 /// boxes; see the safety note in [`ThreadPool::scope_map`].
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// State shared between the pool handle and its workers.
-struct Shared {
-    /// `queues[0]` is the injector; `queues[1 + w]` is worker `w`'s deque.
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Guards the sleep/wake handshake: submitters notify under this lock,
-    /// sleepers re-check queue emptiness under it before waiting.
-    idle: Mutex<()>,
-    /// Wakes sleeping workers when tasks arrive or the pool shuts down.
-    wake: Condvar,
-    shutdown: AtomicBool,
-    /// Lifetime count of tasks pushed through [`Shared::inject`] — the
-    /// pool hand-offs observable by callers deciding whether a hand-off is
-    /// worth it.
-    tasks_injected: AtomicU64,
-}
-
-impl Shared {
-    /// Pop the back of `own` (if any), else steal the front of any other
-    /// queue, injector first. `own = None` for non-worker (helping) threads.
-    fn find_task(&self, own: Option<usize>) -> Option<Task> {
-        if let Some(q) = own {
-            if let Some(t) = self.queues[q].lock().unwrap().pop_back() {
-                return Some(t);
-            }
-        }
-        for (i, queue) in self.queues.iter().enumerate() {
-            if Some(i) == own {
-                continue;
-            }
-            if let Some(t) = queue.lock().unwrap().pop_front() {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// True if any queue holds a task.
-    fn any_queued(&self) -> bool {
-        self.queues.iter().any(|q| !q.lock().unwrap().is_empty())
-    }
-
-    /// Queue a batch on the injector and wake every worker.
-    fn inject(&self, tasks: impl IntoIterator<Item = Task>) {
-        let pushed = {
-            let mut injector = self.queues[0].lock().unwrap();
-            let before = injector.len();
-            injector.extend(tasks);
-            injector.len() - before
-        };
-        self.tasks_injected
-            .fetch_add(pushed as u64, Ordering::Relaxed);
-        let _g = self.idle.lock().unwrap();
-        self.wake.notify_all();
-    }
-
-    /// Main loop of worker `w` (queue index `w + 1`).
-    fn worker_loop(&self, w: usize) {
-        let own = w + 1;
-        loop {
-            if let Some(task) = self.find_task(Some(own)) {
-                task();
-                continue;
-            }
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let guard = self.idle.lock().unwrap();
-            // Re-check under the lock: submitters notify while holding it,
-            // so a task pushed since `find_task` cannot slip past us.
-            if self.any_queued() || self.shutdown.load(Ordering::Acquire) {
-                continue;
-            }
-            // The timeout is belt-and-braces only; the handshake above
-            // already rules out lost wakeups.
-            let _ = self.wake.wait_timeout(guard, Duration::from_millis(50));
-        }
-    }
-}
-
-/// The work-stealing pool. One long-lived instance ([`ThreadPool::global`])
-/// serves the whole workspace; dedicated pools are for benchmarks that pin
-/// a worker count.
+/// The thread pool. One long-lived instance ([`ThreadPool::global`]) serves
+/// the whole workspace; dedicated pools are for benchmarks that pin a
+/// worker count.
 pub struct ThreadPool {
-    shared: Arc<Shared>,
+    queue: Arc<RequestQueue<Task>>,
+    /// Lifetime count of tasks handed to `queue` — the pool hand-offs
+    /// observable by callers deciding whether a hand-off is worth it.
+    tasks_injected: AtomicU64,
     handles: Vec<thread::JoinHandle<()>>,
 }
 
@@ -131,23 +54,34 @@ impl ThreadPool {
         } else {
             threads
         };
-        let shared = Arc::new(Shared {
-            queues: (0..=threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            tasks_injected: AtomicU64::new(0),
-        });
+        let queue = Arc::new(RequestQueue::<Task>::new(usize::MAX));
         let handles = (0..threads)
             .map(|w| {
-                let shared = Arc::clone(&shared);
+                let queue = Arc::clone(&queue);
                 thread::Builder::new()
                     .name(format!("ps3-pool-{w}"))
-                    .spawn(move || shared.worker_loop(w))
+                    .spawn(move || {
+                        while let Some(task) = queue.recv() {
+                            task();
+                        }
+                    })
                     .expect("spawn pool worker")
             })
             .collect();
-        Self { shared, handles }
+        Self {
+            queue,
+            tasks_injected: AtomicU64::new(0),
+            handles,
+        }
+    }
+
+    /// Queue one task, waking one sleeping worker.
+    fn inject(&self, task: Task) {
+        self.tasks_injected.fetch_add(1, Ordering::Relaxed);
+        if self.queue.submit(task).is_err() {
+            // Only `Drop` closes the queue, and it holds the pool exclusively.
+            unreachable!("pool queue closed while the pool is in use");
+        }
     }
 
     /// The process-wide pool, sized to available parallelism and created on
@@ -162,12 +96,12 @@ impl ThreadPool {
         self.handles.len()
     }
 
-    /// Lifetime count of tasks handed to the pool's injector queue.
+    /// Lifetime count of tasks handed to the pool's queue.
     /// Inline-executed work (0- and 1-task scopes, serial fast paths) never
     /// increments it, which is exactly what makes it useful for asserting
     /// that a fast path really skipped the hand-off.
     pub fn tasks_injected(&self) -> u64 {
-        self.shared.tasks_injected.load(Ordering::Relaxed)
+        self.tasks_injected.load(Ordering::Relaxed)
     }
 
     /// Run `f(0..n)` across the pool and return the results in index order
@@ -189,39 +123,38 @@ impl ThreadPool {
         let remaining = AtomicUsize::new(n);
         let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
         {
-            let (f, slots, remaining, panicked) = (&f, &slots, &remaining, &panicked);
-            let tasks: Vec<Task> = (0..n)
-                .map(|i| {
-                    let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                        match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                            Ok(v) => {
-                                // SAFETY: task `i` is the only writer of
-                                // slot `i`, and readers wait for the scope.
-                                unsafe { *slots[i].0.get() = Some(v) };
-                            }
-                            Err(payload) => {
-                                let mut slot = panicked.lock().unwrap();
-                                slot.get_or_insert(payload);
-                            }
+            let (f, remaining, panicked) = (&f, &remaining, &panicked);
+            for (i, slot) in slots.iter().enumerate() {
+                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    match catch_unwind(AssertUnwindSafe(|| f(i))) {
+                        Ok(v) => {
+                            // SAFETY: task `i` is the only writer of slot
+                            // `i`, and readers wait for the scope.
+                            unsafe { *slot.0.get() = Some(v) };
                         }
-                        remaining.fetch_sub(1, Ordering::Release);
-                    });
-                    // SAFETY: the borrows captured by `job` (f, slots,
-                    // remaining, panicked) live on this stack frame, and
-                    // this function does not return — not even by panic —
-                    // until `remaining` reaches zero, i.e. until every task
-                    // has finished running. Erasing the lifetime to queue
-                    // the task on long-lived workers is therefore sound.
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(job) }
-                })
-                .collect();
-            self.shared.inject(tasks);
+                        Err(payload) => {
+                            panicked.lock().unwrap().get_or_insert(payload);
+                        }
+                    }
+                    remaining.fetch_sub(1, Ordering::Release);
+                });
+                // SAFETY: the borrows captured by `job` (f, slot, remaining,
+                // panicked) live on this stack frame, and this function does
+                // not return — not even by panic — until `remaining` reaches
+                // zero, i.e. until every task has finished running (`inject`
+                // cannot fail while `&self` is borrowed). Erasing the
+                // lifetime to queue the task on long-lived workers is
+                // therefore sound.
+                let task =
+                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(job) };
+                self.inject(task);
+            }
 
             // Help while waiting: drain whatever is queued (our own scope's
             // tasks, or an outer/inner scope's — either way progress).
             let mut spins = 0u32;
             while remaining.load(Ordering::Acquire) > 0 {
-                match self.shared.find_task(None) {
+                match self.queue.try_recv() {
                     Some(task) => {
                         task();
                         spins = 0;
@@ -268,7 +201,7 @@ impl ThreadPool {
                 eprintln!("ps3-pool: detached task panicked: {msg}");
             }
         });
-        self.shared.inject([task]);
+        self.inject(task);
     }
 
     /// Parallel map over a slice, order-preserving.
@@ -284,11 +217,8 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _g = self.shared.idle.lock().unwrap();
-            self.shared.wake.notify_all();
-        }
+        // Workers drain what is queued, then see the closed, empty queue.
+        self.queue.close();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -400,6 +330,48 @@ mod tests {
         assert_eq!(got, (0..8).collect::<Vec<_>>());
         // The pool still handles structured work after the panic.
         assert_eq!(pool.scope_map(4, |i| i * 2), vec![0, 2, 4, 6]);
+    }
+
+    #[test]
+    fn foreign_spawns_wake_a_sleeping_worker_every_round() {
+        use std::sync::mpsc;
+        // No timed re-poll backs the queue's condvar up, so every round's
+        // task must be woken for: a lost wake-up stalls its round.
+        for workers in [1, 4] {
+            let pool = ThreadPool::new(workers);
+            let (tx, rx) = mpsc::channel();
+            let (ack_tx, ack_rx) = mpsc::channel::<()>();
+            thread::scope(|s| {
+                // Dropped if a round fails, so the foreign thread ends too.
+                let ack_tx = ack_tx;
+                let pool = &pool;
+                s.spawn(move || {
+                    for round in 0..2000u32 {
+                        let tx = tx.clone();
+                        pool.spawn(move || tx.send(round).unwrap());
+                        if ack_rx.recv().is_err() {
+                            return;
+                        }
+                    }
+                });
+                for round in 0..2000u32 {
+                    let got = rx.recv_timeout(Duration::from_secs(2));
+                    assert_eq!(got, Ok(round), "round {round} on {workers} workers");
+                    ack_tx.send(()).unwrap();
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn tasks_injected_counts_exactly_the_queued_tasks() {
+        let pool = ThreadPool::new(2);
+        for n in [0usize, 1, 2, 7, 64] {
+            let before = pool.tasks_injected();
+            assert_eq!(pool.scope_map(n, |i| i).len(), n);
+            let queued = if n >= 2 { n as u64 } else { 0 };
+            assert_eq!(pool.tasks_injected() - before, queued, "scope_map({n})");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! A bounded MPMC request queue — the admission-control heart of the
-//! serving front end.
+//! serving front end, and (at capacity `usize::MAX`) the task queue every
+//! [`ThreadPool`](crate::ThreadPool) worker sleeps on.
 //!
 //! [`RequestQueue`] is a capacity-bounded multi-producer/multi-consumer
 //! channel built on `Mutex` + two `Condvar`s (this workspace vendors its

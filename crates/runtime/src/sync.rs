@@ -222,20 +222,13 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
     }
 }
 
-/// A batched completion inbox: producers [`Mailbox::push`] items, a single
-/// consumer [`Mailbox::drain`]s them all at once. An optional hook fires
-/// after every push — outside the lock, so a hook may itself drain — which
-/// is how the serving layers turn per-item completions into *batched*
-/// wakeups: the network event loop registers one `waker.wake` hook per
-/// mailbox and drains whole batches per loop iteration instead of taking a
-/// lock per completion.
+/// A batched inbox: producers [`Mailbox::push`] items, a single consumer
+/// [`Mailbox::drain`]s them all at once. Producers pair each push with
+/// their own wake-up of the consumer (the network event loop's poll
+/// waker), and the consumer takes whole batches per loop iteration instead
+/// of taking a lock per item.
 pub struct Mailbox<T> {
-    inner: Mutex<MailboxInner<T>>,
-}
-
-struct MailboxInner<T> {
-    items: Vec<T>,
-    hook: Option<Arc<dyn Fn() + Send + Sync>>,
+    items: Mutex<Vec<T>>,
 }
 
 impl<T> Default for Mailbox<T> {
@@ -251,52 +244,27 @@ impl<T> std::fmt::Debug for Mailbox<T> {
 }
 
 impl<T> Mailbox<T> {
-    /// An empty mailbox with no hook.
+    /// An empty mailbox.
     pub fn new() -> Self {
         Self {
-            inner: Mutex::new(MailboxInner {
-                items: Vec::new(),
-                hook: None,
-            }),
+            items: Mutex::new(Vec::new()),
         }
     }
 
-    /// Append an item, then fire the hook (if set) outside the lock.
+    /// Append an item.
     pub fn push(&self, item: T) {
-        let hook = {
-            let mut inner = self.inner.lock().unwrap();
-            inner.items.push(item);
-            inner.hook.clone()
-        };
-        if let Some(hook) = hook {
-            hook();
-        }
+        self.items.lock().unwrap().push(item);
     }
 
     /// Take every queued item, oldest first. Never blocks on producers —
     /// the lock covers only the vector swap.
     pub fn drain(&self) -> Vec<T> {
-        std::mem::take(&mut self.inner.lock().unwrap().items)
-    }
-
-    /// Install (or replace) the post-push hook. If items are already
-    /// queued, the hook fires immediately — a consumer that registers
-    /// late must not sleep through completions that beat it.
-    pub fn set_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
-        let hook: Arc<dyn Fn() + Send + Sync> = Arc::new(hook);
-        let pending = {
-            let mut inner = self.inner.lock().unwrap();
-            inner.hook = Some(Arc::clone(&hook));
-            !inner.items.is_empty()
-        };
-        if pending {
-            hook();
-        }
+        std::mem::take(&mut *self.items.lock().unwrap())
     }
 
     /// Queued item count.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().items.len()
+        self.items.lock().unwrap().len()
     }
 
     /// True when nothing is queued.
@@ -437,42 +405,6 @@ mod tests {
         assert_eq!(mb.drain(), vec![1, 2, 3], "oldest first");
         assert!(mb.is_empty());
         assert_eq!(mb.drain(), Vec::<u32>::new(), "second drain is empty");
-    }
-
-    #[test]
-    fn mailbox_hook_fires_per_push_outside_the_lock() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let mb: Arc<Mailbox<u32>> = Arc::new(Mailbox::new());
-        let fired = Arc::new(AtomicUsize::new(0));
-        let hook_mb = Arc::clone(&mb);
-        let hook_fired = Arc::clone(&fired);
-        // The hook drains the mailbox itself — it must not deadlock,
-        // which is the "outside the lock" contract.
-        mb.set_hook(move || {
-            hook_fired.fetch_add(1, Ordering::SeqCst);
-            let _ = hook_mb.drain();
-        });
-        mb.push(10);
-        mb.push(11);
-        assert_eq!(fired.load(Ordering::SeqCst), 2, "one firing per push");
-        assert!(mb.is_empty(), "hook drained everything");
-    }
-
-    #[test]
-    fn mailbox_late_hook_fires_immediately_when_items_are_queued() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let mb: Mailbox<u32> = Mailbox::new();
-        mb.push(1);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f = Arc::clone(&fired);
-        mb.set_hook(move || {
-            f.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(
-            fired.load(Ordering::SeqCst),
-            1,
-            "late registration must not sleep through queued completions"
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! [`TableStats::storage_breakdown`] does not count it.
 //!
 //! Sketch construction is embarrassingly parallel across partitions (§3.1);
-//! we fan out over the workspace's shared work-stealing pool
+//! we fan out over the workspace's shared thread pool
 //! ([`ps3_runtime::fan_out`]), which preserves partition order so parallel
 //! and serial builds are identical.
 

@@ -20,7 +20,9 @@
 //!     response frame of the in-process outcome — scalar, grouped and
 //!     sketch answers alike;
 //! (f) replies parked while the client waited for another id come back
-//!     from `recv` in the order they arrived.
+//!     from `recv` in the order they arrived;
+//! (g) progressive requests pipelined on one connection each stream their
+//!     own contiguous partials, all ahead of a bit-identical final.
 
 #![cfg(unix)]
 
@@ -36,7 +38,7 @@ use ps3::net::proto::{
     decode_body, encode_frame, ErrorCode, Frame, FrameBuffer, RequestFrame, ResponseFrame,
     DEFAULT_MAX_FRAME, PROTO_VERSION,
 };
-use ps3::net::{ClientError, NetClient, NetServer, ServerConfig};
+use ps3::net::{ClientError, NetClient, NetServer, ServerConfig, ServerReply};
 use ps3::query::{
     AggExpr, Clause, CmpOp, Predicate, Query, QueryAnswer, QuerySpec, ScalarExpr, SketchQuery,
 };
@@ -535,6 +537,66 @@ fn recv_returns_parked_replies_in_arrival_order() {
         .collect();
     assert_eq!(ids, (1..=15).collect::<Vec<_>>());
     assert_eq!(router.stats().executions, warmed.executions, "all hits");
+    drop(client);
+    drop(server);
+    router.shutdown();
+}
+
+/// (g) Eight cold progressive requests sent on one connection before any
+/// reply is read: their executions interleave on the pumps, yet each id's
+/// partials arrive contiguous from seq 0, strictly refining, and before
+/// its final answer, which is bit-identical to direct execution. Built on
+/// the default config, so CI's `PS3_NET_SHARDS=4` step runs it sharded.
+#[test]
+fn pipelined_progressive_streams_stay_ordered_per_request() {
+    let (ds, system) = trained(DatasetKind::Aria, 61);
+    let router = Router::builder().table("aria", Arc::clone(&system)).build();
+    let server = NetServer::bind(Arc::clone(&router), "127.0.0.1:0").expect("bind");
+    let mut client = NetClient::connect(server.addr()).expect("connect");
+    let query = ds.sample_test_query(2);
+    let reqs: Vec<QueryRequest> = (0..8)
+        .map(|seed| {
+            QueryRequest::new(query.clone(), Method::Random, 0.5, 300 + seed)
+                .on_table("aria")
+                .progressive()
+        })
+        .collect();
+    let ids: Vec<u64> = reqs
+        .iter()
+        .map(|req| client.send(req).expect("queued"))
+        .collect();
+
+    for (req, &id) in reqs.iter().zip(&ids) {
+        let answer = match client.recv_for(id).expect("reply") {
+            ServerReply::Answer(answer) => answer,
+            other => panic!("request {id} refused: {other:?}"),
+        };
+        let partials = client.take_partials(id);
+        assert!(!partials.is_empty(), "request {id} streams partials");
+        let mut last_done = 0;
+        for (i, p) in partials.iter().enumerate() {
+            assert_eq!(p.seq as usize, i, "request {id}: contiguous sequence");
+            assert!(p.partitions_done > last_done, "request {id}: refining");
+            assert!(p.partitions_done < p.partitions_total, "request {id}");
+            last_done = p.partitions_done;
+        }
+        let mut rng = spec_rng(&req.query, req.seed);
+        let direct =
+            system.answer_spec_on(&req.query, Method::Random, 0.5, &mut rng, router.pool());
+        assert_eq!(
+            answer_bits(&answer.answer),
+            answer_bits(&direct.answer),
+            "request {id}: the final is bit-identical to direct execution"
+        );
+    }
+    // One more round trip reads everything the server wrote before its
+    // reply, so a partial that trailed its final would be stashed by now.
+    let repeat = QueryRequest::new(query, Method::Random, 0.5, 300).on_table("aria");
+    client.request(&repeat).expect("a cache hit");
+    for &id in &ids {
+        assert!(client.take_partials(id).is_empty(), "request {id}");
+    }
+    assert_eq!(server.stats().errors, 0);
     drop(client);
     drop(server);
     router.shutdown();
