@@ -113,8 +113,9 @@ pub enum RouteError {
     /// The router has shut down.
     Closed(Box<QueryRequest>),
     /// The query does not fit the routed table's schema (a column the table
-    /// does not have, `PERCENTILE` over a categorical column); the reason
-    /// rides beside the request.
+    /// does not have, `PERCENTILE` over a categorical column), or its
+    /// budget is not one a plan can honour (see [`Tenant::try_submit`]);
+    /// the reason rides beside the request.
     InvalidQuery(Box<QueryRequest>, CodecError),
 }
 
@@ -1138,9 +1139,11 @@ impl Tenant {
     /// capacity, never counts in [`RouterStats::in_flight`], and streams no
     /// partial answers. Only misses (and declarative budgets, which a pump
     /// must plan first) are admitted to the queue and held to both limits.
-    /// An unknown route or a closed router refuses hits and misses alike; a
-    /// miss whose query names a column the routed table does not have is
-    /// refused with [`RouteError::InvalidQuery`] before it is queued.
+    /// An unknown route or a closed router refuses hits and misses alike, as
+    /// does a budget that is not finite, a fraction at or below zero or a
+    /// negative target ([`RouteError::InvalidQuery`], before the cache is
+    /// consulted); a miss whose query names a column the routed table does
+    /// not have is refused the same way before it is queued.
     pub fn try_submit(&self, req: QueryRequest) -> Result<Ticket, RouteError> {
         self.submit_inner(req, false)
     }
@@ -1159,6 +1162,11 @@ impl Tenant {
         // including what it could still answer.
         if core.queue.is_closed() {
             return Err(RouteError::Closed(Box::new(req)));
+        }
+        // Before the cache: a NaN budget must neither execute nor key an
+        // entry of its own.
+        if let Err(why) = check_budget(req.budget) {
+            return Err(RouteError::InvalidQuery(Box::new(req), why));
         }
         let missed = match req.budget {
             Budget::Fraction(_) => {
@@ -1219,6 +1227,24 @@ impl Tenant {
                 })
             }
         }
+    }
+}
+
+/// Refuse a budget no plan can honour: a value that is not finite, a
+/// fraction at or below zero, a negative error or latency target.
+fn check_budget(budget: Budget) -> Result<(), CodecError> {
+    let ok = match budget {
+        Budget::Fraction(frac) => frac.is_finite() && frac > 0.0,
+        Budget::ErrorTarget { rel_err: target } | Budget::LatencyTarget { ms: target } => {
+            target.is_finite() && target >= 0.0
+        }
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(CodecError::Invalid(
+            "budget must be finite: a fraction above 0 or a target at or above 0",
+        ))
     }
 }
 
@@ -1398,6 +1424,57 @@ mod tests {
         tenant
             .try_submit(QueryRequest::ps3(count_query(), 0.25, 3))
             .unwrap();
+        router.shutdown();
+    }
+
+    #[test]
+    fn budgets_no_plan_can_honour_are_refused_before_the_cache() {
+        let router = Router::builder()
+            .table("t", tiny_system(10, 160))
+            .pump_workers(0)
+            .build();
+        let tenant = router.tenant("hostile", None);
+        let req = |seed| QueryRequest::ps3(count_query(), 0.25, seed);
+        let frac = |frac: f64, seed| QueryRequest::ps3(count_query(), frac, seed);
+        let refused = [
+            frac(f64::NAN, 1),
+            frac(f64::NAN, 2),
+            frac(-3.0, 3),
+            frac(0.0, 4),
+            frac(f64::INFINITY, 5),
+            req(6).with_error_target(-0.05),
+            req(7).with_error_target(f64::NAN),
+            req(8).with_latency_target(-1.0),
+            req(9).with_latency_target(f64::INFINITY),
+        ];
+        for bad in refused {
+            let budget = bad.budget;
+            match tenant.try_submit(bad) {
+                Err(RouteError::InvalidQuery(_, CodecError::Invalid(_))) => {}
+                other => panic!(
+                    "{budget:?}: expected InvalidQuery, got {:?}",
+                    other.map(|_| "ticket")
+                ),
+            }
+        }
+        let stats = router.stats();
+        assert_eq!((router.queue_len(), stats.in_flight), (0, 0));
+        assert_eq!(
+            (stats.answers.hits, stats.answers.misses, stats.answers.len),
+            (0, 0, 0),
+            "a refused budget never reaches the answer cache"
+        );
+        // The edges stay servable: a full read and zero-valued targets.
+        for ok in [
+            frac(1.0, 10),
+            req(11).with_error_target(0.0),
+            req(12).with_latency_target(0.0),
+        ] {
+            tenant
+                .try_submit(ok)
+                .expect("a servable budget is admitted");
+        }
+        assert_eq!(router.queue_len(), 3);
         router.shutdown();
     }
 

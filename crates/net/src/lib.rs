@@ -22,8 +22,9 @@
 //!   listener shard). Each loop parses frames, submits through
 //!   per-connection [`Tenant`](ps3_core::router::Tenant) handles — so the
 //!   router's backpressure and quota semantics apply on the wire — and
-//!   batches responses out through `writev` as tickets complete, woken by
-//!   each ticket's completion hook.
+//!   batches responses out as tickets complete, woken by each ticket's
+//!   completion hook. Sockets are read and written through `std`'s
+//!   `Read`/`Write` (one vectored gather write per connection per wakeup).
 //! - [`client`] — a blocking connection with a synchronous
 //!   [`request`](client::NetClient::request) path and a pipelined
 //!   [`send`](client::NetClient::send)/[`recv`](client::NetClient::recv)

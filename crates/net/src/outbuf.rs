@@ -7,11 +7,12 @@
 //! connection: each queued frame is encoded into a recycled buffer via
 //! [`encode_frame_at_into`](crate::proto::encode_frame_at_into) — a reply
 //! straight from the shared outcome it carries, so serving a cached answer
-//! copies none of it — and a flush hands the whole queue to the kernel
-//! with one [`writev_fd`](ps3_runtime::poll::writev_fd) gather write. Partial
-//! writes are resumed from a cursor over the head frame; fully-written
-//! buffers go back to the pool. The `fresh_allocs` counter exists so a
-//! test can assert the steady state allocates nothing per frame.
+//! copies none of it — and a flush hands the whole queue to any [`Write`]
+//! with one [`write_vectored`](Write::write_vectored) call (on a socket,
+//! one `writev(2)` gather write). Partial writes are resumed from a cursor
+//! over the head frame; fully-written buffers go back to the pool. The
+//! `fresh_allocs` counter exists so a test can assert the steady state
+//! allocates nothing per frame.
 //!
 //! The encode step enforces the outbound frame cap: a frame that exceeds
 //! it (or fails to encode — an over-wide group key, an overlong message)
@@ -24,10 +25,7 @@
 #![cfg(unix)]
 
 use std::collections::VecDeque;
-use std::io;
-use std::os::unix::io::RawFd;
-
-use ps3_runtime::poll::{writev_fd, IOV_BATCH};
+use std::io::{self, IoSlice, Write};
 
 use ps3_core::AnswerOutcome;
 
@@ -45,6 +43,10 @@ const MAX_SPARE: usize = 32;
 /// recycled, so one huge answer does not pin its allocation for the
 /// connection's lifetime.
 const MAX_SPARE_CAPACITY: usize = 256 * 1024;
+
+/// Most frames one `write_vectored` call is handed (Linux's `IOV_MAX` is
+/// 1024); a longer queue takes another call.
+const IOV_BATCH: usize = 64;
 
 /// Outbound side of one connection: encoded frames awaiting the socket.
 #[derive(Debug, Default)]
@@ -148,21 +150,22 @@ impl OutBuf {
         self.fresh_allocs
     }
 
-    /// Gather-write the whole queue to `fd` with as few `writev(2)` calls
-    /// as it takes (one, in the common case). Returns `Ok(true)` when the
-    /// queue drained, `Ok(false)` when the socket stopped accepting bytes
-    /// (`WouldBlock` — the cursor remembers where to resume), and `Err`
-    /// when the connection is unusable.
-    pub(crate) fn flush(&mut self, fd: RawFd) -> io::Result<bool> {
-        while !self.queue.is_empty() {
-            let mut iov: Vec<&[u8]> = Vec::with_capacity(self.queue.len().min(IOV_BATCH));
-            let mut frames = self.queue.iter();
-            let head = frames.next().expect("non-empty queue has a head");
-            iov.push(&head[self.head_written..]);
-            iov.extend(frames.take(IOV_BATCH - 1).map(Vec::as_slice));
-            match writev_fd(fd, &iov) {
+    /// Gather-write the whole queue to `w` with as few `write_vectored`
+    /// calls as it takes (one, in the common case). Returns `Ok(true)` when
+    /// the queue drained, `Ok(false)` when the writer stopped accepting
+    /// bytes (`WouldBlock` — the cursor remembers where to resume), and
+    /// `Err` when the connection is unusable. `Interrupted` retries.
+    pub(crate) fn flush(&mut self, mut w: impl Write) -> io::Result<bool> {
+        while let Some(head) = self.queue.front() {
+            let iov: Vec<IoSlice> = std::iter::once(&head[self.head_written..])
+                .chain(self.queue.iter().skip(1).map(Vec::as_slice))
+                .take(IOV_BATCH)
+                .map(IoSlice::new)
+                .collect();
+            match w.write_vectored(&iov) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => self.advance(n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) => return Err(e),
             }
@@ -201,7 +204,6 @@ mod tests {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
     use std::io::Read;
-    use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
 
     /// The system allocator, counting the calling thread's allocations (the
@@ -337,7 +339,7 @@ mod tests {
     fn steady_state_sends_frames_without_fresh_allocations() {
         // The whole point of OutBuf: after the pool warms up, pushing and
         // flushing frames recycles buffers instead of allocating. Blocking
-        // sockets keep the flush deterministic (every writev completes).
+        // sockets keep the flush deterministic (every write completes).
         let (sender, mut receiver) = UnixStream::pair().unwrap();
         let mut out = OutBuf::new();
         let frame = Frame::Response(response(1, 0..0, |_| vec![]));
@@ -346,7 +348,7 @@ mod tests {
         for _ in 0..burst {
             out.push_frame(&frame, DEFAULT_MAX_FRAME);
         }
-        assert!(out.flush(sender.as_raw_fd()).unwrap());
+        assert!(out.flush(&sender).unwrap());
         let warm = out.fresh_allocs();
         assert!(
             warm <= burst as u64,
@@ -358,7 +360,7 @@ mod tests {
             for _ in 0..burst {
                 out.push_frame(&frame, DEFAULT_MAX_FRAME);
             }
-            assert!(out.flush(sender.as_raw_fd()).unwrap());
+            assert!(out.flush(&sender).unwrap());
             // Keep the socket buffer empty so blocking writes never stall
             // (a short read is fine — draining is all that matters here).
             let drained = receiver.read(&mut sink).unwrap();
@@ -390,7 +392,7 @@ mod tests {
         let mut got = Vec::new();
         let mut chunk = vec![0u8; 96 * 1024];
         loop {
-            let drained = out.flush(sender.as_raw_fd()).unwrap();
+            let drained = out.flush(&sender).unwrap();
             match receiver.read(&mut chunk) {
                 Ok(n) => got.extend_from_slice(&chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
@@ -404,6 +406,78 @@ mod tests {
             got == expected,
             "resumed writes must not skip or repeat bytes"
         );
+    }
+
+    /// A writer with every fault a socket can show: it accepts 1, 7 or
+    /// 4,096 bytes per call in turn, and fails every 3rd call with
+    /// `Interrupted` and every 5th with `WouldBlock`.
+    #[derive(Default)]
+    struct Faulty {
+        calls: usize,
+        accepted: usize,
+        got: Vec<u8>,
+    }
+
+    impl Write for Faulty {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            if self.calls.is_multiple_of(5) {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let mut room = [1, 7, 4096][self.accepted % 3];
+            self.accepted += 1;
+            let before = self.got.len();
+            for buf in bufs {
+                let take = buf.len().min(room);
+                self.got.extend_from_slice(&buf[..take]);
+                room -= take;
+                if room == 0 {
+                    break;
+                }
+            }
+            Ok(self.got.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn flush_rides_out_short_writes_interrupts_and_would_block() {
+        // 70 frames outnumber one call's 64 slices; their sizes vary so
+        // the short writes stop at every kind of offset.
+        let mut out = OutBuf::new();
+        let mut expected = Vec::new();
+        for id in 0..70 {
+            let frame = Frame::Response(response(id, 0..id % 9 * 5, |k| vec![k as f64]));
+            encode_frame_at_into(&frame, PROTO_VERSION, &mut expected).unwrap();
+            out.push_frame(&frame, DEFAULT_MAX_FRAME);
+        }
+        let mut w = Faulty::default();
+        let mut would_block = 0;
+        while !out.flush(&mut w).expect("faults are not errors") {
+            would_block += 1;
+            assert!(would_block < 10_000, "the flush must make progress");
+        }
+        assert!(!out.has_pending());
+        assert!(w.got == expected, "the written bytes are the queued frames");
+        assert!(would_block > 0 && w.calls >= 3, "every fault was injected");
+
+        // A writer that takes nothing would spin the loop: it is an error.
+        out.push_frame(
+            &Frame::Response(response(70, 0..0, |_| vec![])),
+            DEFAULT_MAX_FRAME,
+        );
+        let err = out.flush(&mut [0u8; 0][..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

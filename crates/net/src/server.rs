@@ -14,10 +14,10 @@
 //!
 //! Within a shard, every wakeup works at batch granularity:
 //!
-//! 1. **Read** — each readable connection is drained with a single
-//!    scatter-read ([`ps3_runtime::poll::readv_fd`]) into the shard's
-//!    reusable scratch buffers, and every complete [`RequestFrame`] in it
-//!    is decoded and submitted through that connection's own [`Tenant`]
+//! 1. **Read** — each readable connection is drained with plain [`Read`]
+//!    calls (one, unless a read fills it) into the shard's reusable
+//!    256 KiB scratch buffer, and every complete [`RequestFrame`] in it is
+//!    decoded and submitted through that connection's own [`Tenant`]
 //!    handle with `try_submit`, so the router's backpressure and quota
 //!    semantics surface on the wire as typed [`ErrorFrame`]s
 //!    ([`ErrorCode::QueueFull`] / [`ErrorCode::QuotaExhausted`]) instead of
@@ -41,8 +41,9 @@
 //!    still executing flushes the refinements it has so far. Frames queue
 //!    on the connection's outbound buffer (`OutBuf`); at the end of the
 //!    wakeup every connection with pending output is flushed with one
-//!    `writev` gather write (the flush contract: encode many, flush once
-//!    per wakeup, keep a byte cursor across partial writes).
+//!    [`write_vectored`](std::io::Write::write_vectored) gather write — one
+//!    `writev(2)` (the flush contract: encode many, flush once per wakeup,
+//!    keep a byte cursor across partial writes).
 //!
 //! Every frame the server sends is a `PROTO_VERSION` frame, including the
 //! [`ErrorCode::UnsupportedVersion`] refusal that answers any other
@@ -57,14 +58,14 @@
 #![cfg(unix)]
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ps3_core::{AnswerOutcome, RouteError, Router, Tenant, Ticket};
-use ps3_runtime::poll::{poll_fds, readv_fd, Interest, PollEntry, Waker};
+use ps3_runtime::poll::{poll_fds, Interest, PollEntry, Waker};
 use ps3_runtime::{Mailbox, ThreadPool};
 
 use crate::outbuf::OutBuf;
@@ -277,7 +278,7 @@ struct Conn {
     /// Inbound bytes awaiting frame completion.
     inbound: FrameBuffer,
     /// Outbound frames awaiting the socket (reused encode buffers,
-    /// `writev` flush).
+    /// gather-write flush).
     out: OutBuf,
     /// This connection's submission handle (quota = admission control).
     tenant: Tenant,
@@ -293,7 +294,7 @@ struct Conn {
 impl Conn {
     /// Gather-write as much buffered output as the socket accepts.
     fn flush(&mut self) {
-        match self.out.flush(self.stream.as_raw_fd()) {
+        match self.out.flush(&self.stream) {
             Ok(true) => {
                 if self.close_after_flush {
                     self.dead = true;
@@ -310,23 +311,9 @@ impl Conn {
     }
 }
 
-/// Reusable scatter-read destination, one per shard: a single `readv`
-/// drains a connection into the primary buffer with the spill buffer as
-/// headroom, so one syscall covers everything short of a 256 KiB burst
-/// without one giant contiguous allocation per shard.
-struct ReadScratch {
-    primary: Box<[u8]>,
-    spill: Box<[u8]>,
-}
-
-impl ReadScratch {
-    fn new() -> ReadScratch {
-        ReadScratch {
-            primary: vec![0u8; 64 * 1024].into_boxed_slice(),
-            spill: vec![0u8; 192 * 1024].into_boxed_slice(),
-        }
-    }
-}
+/// Bytes of a shard's reusable read buffer: one read drains a connection
+/// of everything short of a 256 KiB burst.
+const READ_SCRATCH: usize = 256 * 1024;
 
 /// One shard's poll-dispatch-respond loop.
 struct ShardLoop {
@@ -344,7 +331,8 @@ struct ShardLoop {
     next_token: u64,
     /// Round-robin deal cursor (listener shard only).
     rr_next: usize,
-    scratch: ReadScratch,
+    /// Read destination shared by this shard's connections.
+    scratch: Box<[u8]>,
 }
 
 impl ShardLoop {
@@ -366,7 +354,7 @@ impl ShardLoop {
             conns: HashMap::new(),
             next_token: id as u64,
             rr_next: 0,
-            scratch: ReadScratch::new(),
+            scratch: vec![0u8; READ_SCRATCH].into_boxed_slice(),
         }
     }
 
@@ -440,7 +428,7 @@ impl ShardLoop {
             self.deliver_events();
 
             // One gather-write per connection with output, per wakeup —
-            // every frame queued above leaves in a single writev unless
+            // every frame queued above leaves in a single write unless
             // the socket pushes back (then it resumes on writability).
             for conn in self.conns.values_mut() {
                 if conn.out.has_pending() || conn.close_after_flush {
@@ -620,24 +608,19 @@ fn push_completion(
     }
 }
 
-/// Drain a readable socket with one scatter-read (looping only if the
-/// scratch filled completely), then decode and dispatch every complete
-/// frame before the router sees the first one.
+/// Drain a readable socket with one read (looping only if the scratch
+/// filled completely), then decode and dispatch every complete frame
+/// before the router sees the first one.
 fn read_ready(
     conn: &mut Conn,
     token: u64,
     me: &Arc<Shard>,
     shared: &Arc<Shared>,
     max_frame: u32,
-    scratch: &mut ReadScratch,
+    scratch: &mut [u8],
 ) {
     loop {
-        let primary_len = scratch.primary.len();
-        let capacity = primary_len + scratch.spill.len();
-        match readv_fd(
-            conn.stream.as_raw_fd(),
-            &mut [&mut scratch.primary, &mut scratch.spill],
-        ) {
+        match (&conn.stream).read(scratch) {
             Ok(0) => {
                 // Peer closed — possibly mid-request. Tear the state
                 // down; outstanding tickets drop harmlessly.
@@ -645,15 +628,13 @@ fn read_ready(
                 return;
             }
             Ok(n) => {
-                conn.inbound.push(&scratch.primary[..n.min(primary_len)]);
-                if n > primary_len {
-                    conn.inbound.push(&scratch.spill[..n - primary_len]);
-                }
-                if n < capacity {
+                conn.inbound.push(&scratch[..n]);
+                if n < scratch.len() {
                     // The socket gave less than we could take: drained.
                     break;
                 }
             }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(_) => {
                 conn.dead = true;
@@ -730,7 +711,7 @@ fn submit(
             shared.counters.requests.fetch_add(1, Ordering::Relaxed);
             // An answer-cache hit comes back ready (as does a miss a fast
             // pump already finished): its frame joins this read pass's
-            // output and this wakeup's writev, and nothing is registered.
+            // output and this wakeup's write, and nothing is registered.
             if let Some(result) = ticket.poll_take() {
                 push_completion(conn, shared, request_id, &ticket, result, max_frame);
                 return;

@@ -36,7 +36,8 @@
 //! syscall, and [`poll::Waker`], a self-pipe that interrupts a blocking
 //! poll from another thread — the plumbing `ps3_net`'s event loop is built
 //! from, kept here so this crate remains the only one that touches the OS
-//! below `std`. [`release_free_heap`] is the same kind of thing for the
+//! below `std`. The loop reads and writes its sockets through `std`'s own
+//! `Read`/`Write`; only readiness needs a hand-declared syscall. [`release_free_heap`] is the same kind of thing for the
 //! allocator: the one call that hands freed heap pages back to the OS, made
 //! where a process turns from loading tables to serving them.
 
@@ -52,7 +53,7 @@ pub mod sync;
 pub use heap::release_free_heap;
 pub use lru::{CacheStats, LruCache, SharedLru};
 #[cfg(unix)]
-pub use poll::{poll_fds, readv_fd, writev_fd, Interest, PollEntry, Waker, IOV_BATCH};
+pub use poll::{poll_fds, Interest, PollEntry, Waker};
 pub use pool::{fan_out, ThreadPool};
 pub use queue::{RequestQueue, SubmitError};
 pub use sync::{Flight, Mailbox, Permit, Semaphore, SingleFlight};

@@ -1,22 +1,22 @@
 //! Readiness polling over raw file descriptors — the I/O half of the
 //! serving runtime.
 //!
-//! The network front door (`ps3_net`) runs a single event-loop task that
-//! multiplexes one listener and many non-blocking connections. The loop
-//! needs two things the standard library does not expose: a *readiness
-//! poll* ("which of these sockets can I read/write without blocking?") and
-//! a *waker* ("interrupt the poll from another thread — a ticket just
-//! completed"). Both live here so `ps3_runtime` stays the only crate that
-//! touches the OS below `std`.
+//! The network front door (`ps3_net`) runs event-loop tasks that each
+//! multiplex many non-blocking connections (one also owns the listener).
+//! A loop needs two things the standard library does not expose: a
+//! *readiness poll* ("which of these sockets can I read/write without
+//! blocking?") and a *waker* ("interrupt the poll from another thread — a
+//! ticket just completed"). Both live here so `ps3_runtime` stays the only
+//! crate that touches the OS below `std`.
 //!
 //! [`poll_fds`] is a thin safe wrapper over the POSIX `poll(2)` syscall
 //! (declared by hand — this workspace vendors or avoids every external
-//! crate, including `libc`). [`writev_fd`] and [`readv_fd`] wrap the
-//! matching vectored-I/O syscalls so the event loops can move a whole
-//! batch of frames per syscall instead of one. [`Waker`] is the classic
-//! self-pipe trick built on [`std::os::unix::net::UnixStream::pair`]:
-//! writing one byte to the send half makes the receive half poll readable,
-//! and draining it re-arms the edge.
+//! crate, including `libc`). Reading and writing the polled sockets needs
+//! nothing below `std`: the loops use [`Read`] and [`Write`] on the streams
+//! themselves. [`Waker`] is the classic self-pipe trick built on
+//! [`std::os::unix::net::UnixStream::pair`]: writing one byte to the send
+//! half makes the receive half poll readable, and draining it re-arms the
+//! edge.
 //!
 //! Unix-only (the workspace CI targets Linux); the module is compiled out
 //! elsewhere and `ps3_net`'s server gates on it.
@@ -57,94 +57,8 @@ type NfdsT = std::os::raw::c_ulong;
 #[cfg(not(target_os = "linux"))]
 type NfdsT = std::os::raw::c_uint;
 
-/// The C `struct iovec`, laid out exactly as `readv(2)`/`writev(2)` expect.
-///
-/// `base` is `*mut` because the one struct serves both directions: `readv`
-/// writes through it, `writev` only reads. The safe wrappers below uphold
-/// the mutability contract at their own boundaries.
-#[repr(C)]
-struct RawIoVec {
-    base: *mut std::os::raw::c_void,
-    len: usize,
-}
-
 extern "C" {
     fn poll(fds: *mut RawPollFd, nfds: NfdsT, timeout: c_int) -> c_int;
-    fn writev(fd: c_int, iov: *const RawIoVec, iovcnt: c_int) -> isize;
-    fn readv(fd: c_int, iov: *const RawIoVec, iovcnt: c_int) -> isize;
-}
-
-/// Most buffers a single [`writev_fd`]/[`readv_fd`] call will hand to the
-/// kernel. POSIX only guarantees `IOV_MAX >= 16`; every platform this
-/// workspace targets allows far more (Linux: 1024), and 64 comfortably
-/// covers a full response queue per flush while keeping the on-stack iovec
-/// array small. Callers with more buffers loop — the wrappers silently
-/// clamp to this many per call and report the bytes actually moved.
-pub const IOV_BATCH: usize = 64;
-
-/// Gather-write up to [`IOV_BATCH`] buffers to `fd` with one `writev(2)`
-/// call. Returns the number of bytes written, which may stop short of the
-/// total mid-buffer (a partial write) — the caller keeps a cursor. Retries
-/// transparently on `EINTR`; `WouldBlock` surfaces as an error like any
-/// other (the event loop re-arms on writability). Empty input is a no-op
-/// `Ok(0)` without touching the fd.
-pub fn writev_fd(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
-    if bufs.is_empty() {
-        return Ok(0);
-    }
-    let n = bufs.len().min(IOV_BATCH);
-    let mut iov: [RawIoVec; IOV_BATCH] = std::array::from_fn(|_| RawIoVec {
-        base: std::ptr::null_mut(),
-        len: 0,
-    });
-    for (slot, buf) in iov.iter_mut().zip(&bufs[..n]) {
-        slot.base = buf.as_ptr() as *mut std::os::raw::c_void;
-        slot.len = buf.len();
-    }
-    loop {
-        // SAFETY: each iovec points at a live borrowed slice of the stated
-        // length; writev(2) only reads through the base pointers.
-        let rc = unsafe { writev(fd, iov.as_ptr(), n as c_int) };
-        if rc >= 0 {
-            return Ok(rc as usize);
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    }
-}
-
-/// Scatter-read from `fd` into up to [`IOV_BATCH`] buffers with one
-/// `readv(2)` call, filling them in order. Returns the bytes read; `Ok(0)`
-/// on a stream socket means EOF. Retries transparently on `EINTR`;
-/// `WouldBlock` surfaces as an error (the event loop waits for the next
-/// readable edge). Empty input is a no-op `Ok(0)`.
-pub fn readv_fd(fd: RawFd, bufs: &mut [&mut [u8]]) -> io::Result<usize> {
-    if bufs.is_empty() {
-        return Ok(0);
-    }
-    let n = bufs.len().min(IOV_BATCH);
-    let mut iov: [RawIoVec; IOV_BATCH] = std::array::from_fn(|_| RawIoVec {
-        base: std::ptr::null_mut(),
-        len: 0,
-    });
-    for (slot, buf) in iov.iter_mut().zip(&mut bufs[..n]) {
-        slot.base = buf.as_mut_ptr() as *mut std::os::raw::c_void;
-        slot.len = buf.len();
-    }
-    loop {
-        // SAFETY: each iovec points at a live exclusively-borrowed slice of
-        // the stated length; readv(2) writes at most that many bytes.
-        let rc = unsafe { readv(fd, iov.as_ptr(), n as c_int) };
-        if rc >= 0 {
-            return Ok(rc as usize);
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    }
 }
 
 /// What a caller wants to be told about one file descriptor.
@@ -423,66 +337,6 @@ mod tests {
         let mut entries = [PollEntry::new(server.as_raw_fd(), Interest::READ)];
         poll_fds(&mut entries, Some(Duration::from_secs(5))).unwrap();
         assert!(entries[0].is_readable(), "EOF must wake readers");
-    }
-
-    #[test]
-    fn writev_gathers_and_readv_scatters_across_a_socket_pair() {
-        let (a, b) = UnixStream::pair().unwrap();
-        let frames: [&[u8]; 3] = [b"alpha", b"-", b"omega"];
-        let wrote = writev_fd(a.as_raw_fd(), &frames).unwrap();
-        assert_eq!(wrote, 11, "loopback writev takes all three buffers");
-
-        let mut head = [0u8; 4];
-        let mut tail = [0u8; 16];
-        let read = readv_fd(b.as_raw_fd(), &mut [&mut head, &mut tail]).unwrap();
-        assert_eq!(read, 11);
-        assert_eq!(&head, b"alph");
-        assert_eq!(&tail[..7], b"a-omega", "readv fills buffers in order");
-    }
-
-    #[test]
-    fn vectored_io_honors_nonblocking_and_eof() {
-        let (a, b) = UnixStream::pair().unwrap();
-        a.set_nonblocking(true).unwrap();
-        b.set_nonblocking(true).unwrap();
-
-        // Nothing to read yet: WouldBlock surfaces, not a hang.
-        let mut buf = [0u8; 8];
-        let err = readv_fd(b.as_raw_fd(), &mut [&mut buf]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-
-        // Empty batches never touch the fd.
-        assert_eq!(writev_fd(a.as_raw_fd(), &[]).unwrap(), 0);
-        assert_eq!(readv_fd(b.as_raw_fd(), &mut []).unwrap(), 0);
-
-        // A closed peer reads as EOF (Ok(0)), matching plain read(2).
-        writev_fd(a.as_raw_fd(), &[b"bye"]).unwrap();
-        drop(a);
-        let n = readv_fd(b.as_raw_fd(), &mut [&mut buf]).unwrap();
-        assert_eq!(&buf[..n], b"bye");
-        assert_eq!(readv_fd(b.as_raw_fd(), &mut [&mut buf]).unwrap(), 0);
-    }
-
-    #[test]
-    fn writev_reports_partial_writes_against_a_full_kernel_buffer() {
-        let (a, b) = UnixStream::pair().unwrap();
-        a.set_nonblocking(true).unwrap();
-        // Stuff the send buffer until WouldBlock: every successful call may
-        // be partial, and the byte count is what the caller's cursor needs.
-        let chunk = vec![0x5au8; 64 * 1024];
-        let mut total = 0usize;
-        loop {
-            match writev_fd(a.as_raw_fd(), &[&chunk, &chunk]) {
-                Ok(n) => {
-                    assert!(n > 0, "a zero-byte writev success would spin the loop");
-                    total += n;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) => panic!("unexpected writev error: {e}"),
-            }
-        }
-        assert!(total > 0, "at least one gather write must land");
-        drop(b);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!     admission control (quota) is visible on the wire;
 //! (d') a decoded request naming a column the table does not have is
 //!     refused at admission with `Malformed`, the connection left open;
+//!     so is one whose budget no plan can honour (NaN, infinite, a
+//!     fraction at or below zero, a negative target), before the answer
+//!     cache sees it;
 //! (e) a request the answer cache holds is answered on the event loop
 //!     that read it — 256 pipelined hits come back bit-identical over a
 //!     router whose queue nothing drains;
@@ -22,7 +25,9 @@
 //! (f) replies parked while the client waited for another id come back
 //!     from `recv` in the order they arrived;
 //! (g) progressive requests pipelined on one connection each stream their
-//!     own contiguous partials, all ahead of a bit-identical final.
+//!     own contiguous partials, all ahead of a bit-identical final;
+//! (h) a request frame larger than a shard's 256 KiB read buffer is
+//!     reassembled across reads and answered bit-identically.
 
 #![cfg(unix)]
 
@@ -753,6 +758,121 @@ fn out_of_schema_queries_are_refused_at_admission_not_panicked() {
     let local = router.answer_now(table, &good);
     assert_eq!(answer_bits(&remote.answer), answer_bits(&local.answer));
     assert_eq!(remote.meta.partitions_read as usize, local.selection.len());
+    drop(server);
+    router.shutdown();
+}
+
+/// (d') Budgets no plan can honour are refused with `Malformed` before the
+/// answer cache: nothing executes, nothing is cached (three NaN payloads
+/// used to key three entries), and the connection stays open for a valid
+/// request.
+#[test]
+fn unservable_budgets_are_refused_and_the_connection_stays_open() {
+    let (ds, system) = trained(DatasetKind::Aria, 61);
+    let router = Router::builder().table("aria", system).build();
+    let table = router.table_id("aria").unwrap();
+    let server = NetServer::bind(Arc::clone(&router), "127.0.0.1:0").expect("bind");
+    let mut client = NetClient::connect(server.addr()).expect("connect");
+
+    let query = ds.sample_test_query(2);
+    let req = |budget: f64, seed| {
+        QueryRequest::new(query.clone(), Method::Ps3, budget, seed).on_table("aria")
+    };
+    let refused = [
+        req(f64::NAN, 1),
+        req(f64::NAN, 2),
+        req(f64::NAN, 3),
+        req(-3.0, 4),
+        req(0.0, 5),
+        req(f64::INFINITY, 6),
+        req(0.2, 7).with_error_target(-0.05),
+        req(0.2, 8).with_latency_target(f64::NAN),
+    ];
+    let n_refused = refused.len() as u64;
+    let before = router.stats();
+    for (i, bad) in refused.iter().enumerate() {
+        let Err(ClientError::Server(e)) = client.request(bad) else {
+            panic!("case {i} ({:?}): expected a typed refusal", bad.budget);
+        };
+        assert_eq!(e.code, ErrorCode::Malformed, "case {i}: {}", e.message);
+        assert!(e.message.contains("budget"), "case {i}: {}", e.message);
+    }
+    let after = router.stats();
+    assert_eq!(after.executions, before.executions, "nothing may execute");
+    assert_eq!(
+        after.answers.len, before.answers.len,
+        "nothing may be cached"
+    );
+    assert_eq!((router.queue_len(), after.in_flight), (0, 0));
+    assert_eq!(server.stats().errors, n_refused);
+
+    let good = req(0.2, 9);
+    let remote = client.request(&good).expect("the connection stayed open");
+    let local = router.answer_now(table, &good);
+    assert_eq!(answer_bits(&remote.answer), answer_bits(&local.answer));
+    assert_eq!(remote.meta.partitions_read as usize, local.selection.len());
+    drop(server);
+    router.shutdown();
+}
+
+/// (h) Requests bigger than a shard's 256 KiB read buffer: an `IN` list of
+/// 40,000 values (≈ 320 KB on the wire, under the codec's 65,535 cap), real
+/// dictionary values among the misses, arrive over more than one read and
+/// are answered bit-identically to in-process.
+#[test]
+fn a_request_larger_than_the_read_buffer_is_reassembled() {
+    use ps3::storage::ColumnType;
+
+    let (ds, system) = trained(DatasetKind::Aria, 62);
+    let router = Router::builder().table("aria", system).build();
+    let table = router.table_id("aria").unwrap();
+    let server = NetServer::bind(Arc::clone(&router), "127.0.0.1:0").expect("bind");
+    let mut client = NetClient::connect(server.addr()).expect("connect");
+
+    let schema = ds.pt.table().schema();
+    let col = schema.cols_of_type(ColumnType::Categorical)[0];
+    let numeric = schema.cols_of_type(ColumnType::Numeric)[0];
+    let (_, dict) = ds.pt.table().categorical(col);
+    let real: Vec<&str> = dict.iter().map(|(_, v)| v).take(400).collect();
+    let values: Vec<String> = (0..40_000)
+        .map(|i| match real.get(i / 100).filter(|_| i % 100 == 0) {
+            Some(v) => (*v).to_owned(),
+            None => format!("x{i:05}"),
+        })
+        .collect();
+    let in_list = Predicate::Clause(Clause::In {
+        col,
+        values,
+        negated: false,
+    });
+    let aggs = vec![AggExpr::count(), AggExpr::sum(ScalarExpr::col(numeric))];
+    let query = Query::new(aggs, Some(in_list), vec![]);
+    let reqs: Vec<QueryRequest> = (0..4)
+        .map(|seed| QueryRequest::new(query.clone(), Method::Ps3, 0.25, seed).on_table("aria"))
+        .collect();
+    let wire_len = request_wire(1, &reqs[0]).len();
+    assert!(
+        wire_len > 256 * 1024,
+        "the frame must outgrow the read buffer ({wire_len} bytes)"
+    );
+
+    // Pipelined, so frames pile up in the socket while the loop decodes
+    // the one before: a read then fills the whole buffer and the loop
+    // reads again before it decodes.
+    let ids: Vec<u64> = reqs.iter().map(|r| client.send(r).expect("send")).collect();
+    for (req, id) in reqs.iter().zip(ids) {
+        let Ok(ServerReply::Answer(remote)) = client.recv_for(id) else {
+            panic!("request {id} was not answered");
+        };
+        let local = router.answer_now(table, req);
+        assert!(
+            local.answer.groups.values().any(|v| v[0] > 0.0),
+            "the real dictionary values match rows"
+        );
+        assert_eq!(answer_bits(&remote.answer), answer_bits(&local.answer));
+        assert_eq!(remote.meta.partitions_read as usize, local.selection.len());
+    }
+    assert_eq!(server.stats().errors, 0);
     drop(server);
     router.shutdown();
 }
