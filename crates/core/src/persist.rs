@@ -31,7 +31,7 @@ use ps3_learn::{Gbdt, GbdtParams, NodeSpec, Tree};
 use ps3_query::codec;
 use ps3_query::Query;
 use ps3_stats::features::FeatureType;
-use ps3_stats::persist::{decode_table_stats, encode_table_stats};
+use ps3_stats::persist::{encode_table_stats, thaw_table_stats};
 use ps3_stats::{FeatureSchema, Normalizer};
 use ps3_storage::codec::{decode_section, CodecError, Reader, Writer};
 use ps3_storage::format::{
@@ -78,27 +78,12 @@ pub fn thaw(path: &Path) -> Result<Ps3System, FormatError> {
     let schema = pt.table().schema();
     let num_cols = schema.len();
 
-    let stats = decode_table_stats(a.section(SEC_STATS)?)?;
+    // The catalog keeps the mapped section, not the sketch bundles it
+    // decodes from it: serving reads only what they derive.
+    let stats = thaw_table_stats(a.section_bytes(SEC_STATS)?, schema)?;
     if stats.num_partitions() != pt.num_partitions() {
         return Err(FormatError::Corrupt(
             "stats partition count disagrees with table",
-        ));
-    }
-    if stats.feature_schema().num_cols() != num_cols {
-        return Err(FormatError::Corrupt(
-            "stats column count disagrees with table schema",
-        ));
-    }
-    // Selectivity estimation reads a column's histogram for comparisons and
-    // its dictionaries for membership: which one a column has must follow
-    // its declared type, as it does when statistics are built.
-    let kinds_agree = (0..stats.num_partitions()).all(|p| {
-        (stats.partition(p).iter().zip(schema.iter()))
-            .all(|(col, (_, meta))| col.histogram.is_some() == meta.ctype.is_numeric_like())
-    });
-    if !kinds_agree {
-        return Err(FormatError::Corrupt(
-            "stats column kinds disagree with table schema",
         ));
     }
 
@@ -112,8 +97,9 @@ pub fn thaw(path: &Path) -> Result<Ps3System, FormatError> {
     })?;
     // `freeze` writes the column payloads ahead of the sections decoded
     // above. Those now live on the heap and the mapping serves only the
-    // columns, so the pages after them need not stay resident. Advisory: a
-    // failed release only leaves them resident.
+    // columns (and the statistics section, read again only if its sketches
+    // are asked for), so the pages after them need not stay resident.
+    // Advisory: a failed release only leaves them resident.
     let (col_off, col_len) = a.section_range(SEC_COLDATA)?;
     let _ = a.mmap().release_from(col_off + col_len);
 

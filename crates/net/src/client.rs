@@ -17,8 +17,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use ps3_core::{ProgressUpdate, QueryRequest};
 
 use crate::proto::{
-    encode_frame_at_into, ErrorFrame, Frame, FrameBuffer, ProtoError, RequestFrame, ResponseFrame,
-    DEFAULT_MAX_FRAME, PROTO_VERSION,
+    encode_request_into, ErrorFrame, Frame, FrameBuffer, ProtoError, ResponseFrame,
+    DEFAULT_MAX_FRAME,
 };
 
 /// Queued-but-unsent request bytes above this threshold force a flush on
@@ -147,15 +147,16 @@ impl NetClient {
     /// The frame is encoded into the outgoing buffer and written together
     /// with every other queued request when the client next blocks for a
     /// reply ([`NetClient::recv`] / [`NetClient::recv_for`]), when the
-    /// buffer crosses its size threshold, or on [`NetClient::flush`]. A
-    /// frame that refuses to encode leaves the queue untouched.
+    /// buffer crosses its size threshold, or on [`NetClient::flush`]. The
+    /// frame is encoded from the borrowed request, which is not copied. A
+    /// frame that refuses to encode leaves the queue and the next id
+    /// untouched.
     pub fn send(&mut self, req: &QueryRequest) -> Result<u64, ClientError> {
         if self.outgoing.len() >= OUTGOING_FLUSH_THRESHOLD {
             self.flush()?;
         }
         let request_id = self.next_id;
-        let frame = Frame::Request(RequestFrame::from_request(request_id, req)?);
-        encode_frame_at_into(&frame, PROTO_VERSION, &mut self.outgoing)?;
+        encode_request_into(request_id, req, &mut self.outgoing)?;
         self.next_id += 1;
         Ok(request_id)
     }

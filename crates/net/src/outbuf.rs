@@ -206,17 +206,19 @@ mod tests {
     use std::io::Read;
     use std::os::unix::net::UnixStream;
 
-    /// The system allocator, counting the calling thread's allocations (the
-    /// test harness runs each test on a thread of its own).
+    /// The system allocator, counting the calling thread's allocations and
+    /// reallocations apart (the test harness runs each test on a thread of
+    /// its own).
     struct Counting;
 
     thread_local! {
         static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+        static REALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     }
 
-    // SAFETY: every call is forwarded unchanged to `System`; the counter is
-    // a const-initialised thread-local `Cell` with no destructor, so
-    // touching it neither allocates nor runs after thread teardown.
+    // SAFETY: every call is forwarded unchanged to `System`; the counters
+    // are const-initialised thread-local `Cell`s with no destructor, so
+    // touching them neither allocates nor runs after thread teardown.
     unsafe impl GlobalAlloc for Counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCATIONS.with(|n| n.set(n.get() + 1));
@@ -228,7 +230,7 @@ mod tests {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            REALLOCATIONS.with(|n| n.set(n.get() + 1));
             System.realloc(ptr, layout, new_size)
         }
     }
@@ -236,10 +238,22 @@ mod tests {
     #[global_allocator]
     static GLOBAL: Counting = Counting;
 
-    fn allocations_in(f: impl FnOnce()) -> u64 {
-        let before = ALLOCATIONS.with(Cell::get);
+    /// Allocations and reallocations one closure made.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Counts {
+        allocs: u64,
+        reallocs: u64,
+    }
+
+    fn allocations_in(f: impl FnOnce()) -> Counts {
+        let now = || (ALLOCATIONS.with(Cell::get), REALLOCATIONS.with(Cell::get));
+        let (allocs, reallocs) = now();
         f();
-        ALLOCATIONS.with(Cell::get) - before
+        let (allocs_after, reallocs_after) = now();
+        Counts {
+            allocs: allocs_after - allocs,
+            reallocs: reallocs_after - reallocs,
+        }
     }
 
     /// The bytes `push` queues on a fresh buffer, as one frame.
@@ -531,10 +545,62 @@ mod tests {
             let frame = Frame::Response(ResponseFrame::from_outcome(3, &o));
             out.push_frame(&frame, DEFAULT_MAX_FRAME);
         });
-        assert_eq!(served, 0, "a served reply copies and allocates nothing");
+        let nothing = Counts {
+            allocs: 0,
+            reallocs: 0,
+        };
+        assert_eq!(
+            served, nothing,
+            "a served reply copies and allocates nothing"
+        );
         assert!(
-            owned >= 2 * GROUPS,
-            "the owned frame allocates per group ({owned} for {GROUPS} groups)"
+            owned.allocs >= 2 * GROUPS,
+            "the owned frame allocates per group ({owned:?} for {GROUPS} groups)"
+        );
+    }
+
+    #[test]
+    fn a_reply_decodes_its_rows_at_exact_size() {
+        // Counted, not timed: a row costs its boxed key and its value
+        // vector, each allocated at its final length and never regrown or
+        // shrunk. What remains is per reply: the row list, the map's nodes
+        // and the per-aggregate error list.
+        let decoded = |o: &AnswerOutcome| {
+            let wire = encode_frame(&Frame::Response(ResponseFrame::from_outcome(7, o))).unwrap();
+            let mut frame = None;
+            let counts = allocations_in(|| frame = Some(decode_body(&wire[4..]).unwrap()));
+            let frame = frame.expect("decoded");
+            assert_eq!(
+                encode_frame(&frame).unwrap(),
+                wire,
+                "the rows survive the wire"
+            );
+            counts
+        };
+        // 20 one-word keys, two values each: the row list, two leaves under
+        // one root, and the error list.
+        assert_eq!(
+            decoded(&grouped(20)),
+            Counts {
+                allocs: 2 * 20 + 1 + 3 + 1,
+                reallocs: 0
+            }
+        );
+        // The empty key boxes nothing, `[3, u64::MAX]` one two-word slice;
+        // three values each: the row list, one leaf, and the error list.
+        let mixed = outcome(
+            [
+                (vec![], vec![4.0, f64::NAN, -0.0]),
+                (vec![3, u64::MAX], vec![-1.0, 0.5, 2.0]),
+            ],
+            None,
+        );
+        assert_eq!(
+            decoded(&mixed),
+            Counts {
+                allocs: 2 * 2 - 1 + 1 + 1 + 1,
+                reallocs: 0
+            }
         );
     }
 }

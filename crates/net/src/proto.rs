@@ -235,18 +235,9 @@ impl RequestFrame {
     /// Package a [`QueryRequest`] for the wire. Fails on a
     /// [`TableRoute::Id`] route (ids are router-local).
     pub fn from_request(request_id: u64, req: &QueryRequest) -> Result<RequestFrame, ProtoError> {
-        let table = match &req.table {
-            TableRoute::Default => None,
-            TableRoute::Named(name) => Some(name.clone()),
-            TableRoute::Id(_) => {
-                return Err(ProtoError::Invalid(
-                    "table ids are router-local; route by name over the wire",
-                ))
-            }
-        };
         Ok(RequestFrame {
             request_id,
-            table,
+            table: wire_table(&req.table)?.map(str::to_owned),
             method: req.method,
             budget: req.budget,
             seed: req.seed,
@@ -463,6 +454,79 @@ fn encode_body_into(
     encoded
 }
 
+/// The request frame for `req`, appended to `out` without copying the
+/// request: the same bytes as [`encode_frame`] writes for
+/// `Frame::Request(RequestFrame::from_request(request_id, req)?)`, the
+/// same refusal of a [`TableRoute::Id`] route, and the same rollback on
+/// error.
+pub(crate) fn encode_request_into(
+    request_id: u64,
+    req: &QueryRequest,
+    out: &mut Vec<u8>,
+) -> Result<(), ProtoError> {
+    let table = wire_table(&req.table)?;
+    encode_body_into(out, |w| {
+        encode_request(
+            w,
+            request_id,
+            table,
+            req.method,
+            req.budget,
+            req.seed,
+            req.progressive,
+            &req.query,
+        )
+    })
+}
+
+/// A route as the wire carries it: `None` for the default table, or a
+/// name. Router-local [`TableRoute::Id`]s are refused.
+fn wire_table(route: &TableRoute) -> Result<Option<&str>, ProtoError> {
+    match route {
+        TableRoute::Default => Ok(None),
+        TableRoute::Named(name) => Ok(Some(name)),
+        TableRoute::Id(_) => Err(ProtoError::Invalid(
+            "table ids are router-local; route by name over the wire",
+        )),
+    }
+}
+
+/// The one request encoder, over borrowed parts: an owned
+/// [`RequestFrame`] and a borrowed [`QueryRequest`] write the same bytes.
+#[allow(clippy::too_many_arguments)]
+fn encode_request(
+    w: &mut Writer<'_>,
+    request_id: u64,
+    table: Option<&str>,
+    method: Method,
+    budget: Budget,
+    seed: u64,
+    progressive: bool,
+    query: &QuerySpec,
+) -> Result<(), ProtoError> {
+    w.u8(KIND_REQUEST);
+    w.u64(request_id);
+    match table {
+        None => w.u8(0),
+        Some(name) => {
+            w.u8(1);
+            w.str(name)?;
+        }
+    }
+    w.u8(method_byte(method));
+    let (tag, value) = match budget {
+        Budget::Fraction(f) => (BUDGET_FRACTION, f),
+        Budget::ErrorTarget { rel_err } => (BUDGET_ERROR_TARGET, rel_err),
+        Budget::LatencyTarget { ms } => (BUDGET_LATENCY_TARGET, ms),
+    };
+    w.u8(tag);
+    w.f64(value);
+    w.u64(seed);
+    w.u8(if progressive { FLAG_PROGRESSIVE } else { 0 });
+    encode_query_spec(w, query)?;
+    Ok(())
+}
+
 /// The one response encoder, over borrowed parts: an owned
 /// [`ResponseFrame`] and a shared [`AnswerOutcome`] write the same bytes.
 fn encode_response(
@@ -503,28 +567,16 @@ fn encode_response(
 /// length and version and rolls back on error.
 fn encode_frame_body(frame: &Frame, w: &mut Writer<'_>) -> Result<(), ProtoError> {
     match frame {
-        Frame::Request(req) => {
-            w.u8(KIND_REQUEST);
-            w.u64(req.request_id);
-            match &req.table {
-                None => w.u8(0),
-                Some(name) => {
-                    w.u8(1);
-                    w.str(name)?;
-                }
-            }
-            w.u8(method_byte(req.method));
-            let (tag, value) = match req.budget {
-                Budget::Fraction(f) => (BUDGET_FRACTION, f),
-                Budget::ErrorTarget { rel_err } => (BUDGET_ERROR_TARGET, rel_err),
-                Budget::LatencyTarget { ms } => (BUDGET_LATENCY_TARGET, ms),
-            };
-            w.u8(tag);
-            w.f64(value);
-            w.u64(req.seed);
-            w.u8(if req.progressive { FLAG_PROGRESSIVE } else { 0 });
-            encode_query_spec(w, &req.query)?;
-        }
+        Frame::Request(req) => encode_request(
+            w,
+            req.request_id,
+            req.table.as_deref(),
+            req.method,
+            req.budget,
+            req.seed,
+            req.progressive,
+            &req.query,
+        )?,
         Frame::Response(resp) => encode_response(
             w,
             resp.request_id,
@@ -559,24 +611,37 @@ fn encode_frame_body(frame: &Frame, w: &mut Writer<'_>) -> Result<(), ProtoError
 /// Read a row block back into its answer. Rows must be strictly
 /// ascending by key, as [`encode_rows`] writes them: rows out of order or
 /// a repeated key would decode to an answer that encodes to other bytes.
+///
+/// Each row's key words and values are taken as one slice each and built
+/// at their exact length, so a row costs its two allocations (the boxed
+/// key and the value vector) and nothing is grown or shrunk.
 fn decode_rows(r: &mut Reader) -> Result<QueryAnswer, ProtoError> {
     let n_aggs = r.u16()? as usize;
     let n_rows = r.u32()? as usize;
     let mut rows: Vec<(GroupKey, Vec<f64>)> = Vec::with_capacity(n_rows.min(4096));
     for _ in 0..n_rows {
         let key_words = r.u16()? as usize;
-        let key = GroupKey((0..key_words).map(|_| r.u64()).collect::<Result<_, _>>()?);
+        let key = GroupKey(r.take(8 * key_words)?.chunks_exact(8).map(le_u64).collect());
         if rows.last().is_some_and(|(last, _)| *last >= key) {
             return Err(ProtoError::Invalid(
                 "answer rows not strictly ascending by key",
             ));
         }
-        let values = (0..n_aggs).map(|_| r.f64()).collect::<Result<_, _>>()?;
-        rows.push((key, values));
+        let values = r
+            .take(8 * n_aggs)?
+            .chunks_exact(8)
+            .map(le_u64)
+            .map(f64::from_bits);
+        rows.push((key, values.collect()));
     }
     Ok(QueryAnswer {
         groups: rows.into_iter().collect(),
     })
+}
+
+/// One little-endian word from an 8-byte chunk.
+fn le_u64(chunk: &[u8]) -> u64 {
+    u64::from_le_bytes(chunk.try_into().expect("chunks of eight bytes"))
 }
 
 /// Decode one frame *body* (the bytes after the 4-byte length prefix).
@@ -1006,6 +1071,45 @@ mod tests {
         assert_eq!(frames, 36);
         let digest = ps3_storage::format::fnv1a(&wire);
         assert_eq!(digest, 0xB2EC_DCB6_BF5D_BE37, "request bytes moved");
+    }
+
+    /// `NetClient::send` encodes from the borrowed request; the bytes are
+    /// the owned frame's for every budget tag, query class, route and flag.
+    #[test]
+    fn a_borrowed_request_encodes_to_the_owned_frame_bytes() {
+        let mut specs: Vec<QuerySpec> = vec![sample_query().into()];
+        specs.extend(sample_sketch_queries().into_iter().map(QuerySpec::from));
+        specs.push(every_variant_query().into());
+        let mut id = 0u64;
+        for query in specs {
+            for budget in [
+                Budget::Fraction(0.125),
+                Budget::ErrorTarget { rel_err: 0.05 },
+                Budget::LatencyTarget { ms: 4.5 },
+            ] {
+                for table in [TableRoute::Default, TableRoute::Named("lineitem".into())] {
+                    for progressive in [false, true] {
+                        id += 1;
+                        let req = QueryRequest {
+                            query: query.clone(),
+                            method: Method::Lss,
+                            budget,
+                            seed: id * 0x9E37,
+                            table: table.clone(),
+                            progressive,
+                        };
+                        let owned = Frame::Request(RequestFrame::from_request(id, &req).unwrap());
+                        let mut expected = vec![0xAB];
+                        encode_frame_at_into(&owned, PROTO_VERSION, &mut expected).unwrap();
+                        // Appended after what the buffer already holds.
+                        let mut borrowed = vec![0xAB];
+                        encode_request_into(id, &req, &mut borrowed).unwrap();
+                        assert_eq!(borrowed, expected, "request {id}");
+                    }
+                }
+            }
+        }
+        assert_eq!(id, 72);
     }
 
     #[test]

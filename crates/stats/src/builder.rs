@@ -20,8 +20,9 @@
 //! and serial builds are identical.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
-use ps3_storage::{ColId, PartitionedTable};
+use ps3_storage::{Bytes, ColId, PartitionedTable};
 
 use crate::column_stats::{ColumnStats, ColumnStatsParams};
 use crate::features::{FeatureSchema, BITMAP_BITS, PER_COL, SCALARS_PER_COL};
@@ -38,10 +39,21 @@ pub struct StatsConfig {
 }
 
 /// All summary statistics for one partitioned table.
+///
+/// Serving reads only what is derived from the sketch bundles: the
+/// selectivity index, the occurrence bitmaps and the static rows. A built
+/// catalog holds its bundles; a thawed one
+/// ([`thaw_table_stats`](crate::persist::thaw_table_stats)) keeps the
+/// mapped section they were decoded from instead, and decodes them again,
+/// once, the first time [`Self::partition`] or
+/// [`Self::storage_breakdown`] asks.
 #[derive(Debug, Clone)]
 pub struct TableStats {
-    /// `partitions[p][c]` = sketches of column `c` in partition `p`.
-    partitions: Vec<Vec<ColumnStats>>,
+    /// `partitions[p][c]` = sketches of column `c` in partition `p`: set
+    /// at construction, or on first use when `encoded` is kept instead.
+    partitions: OnceLock<Vec<Vec<ColumnStats>>>,
+    /// The statistics section a thawed catalog was decoded from.
+    encoded: Option<Bytes<u8>>,
     /// `global_hh[c]` = the table-wide top heavy-hitter keys of column `c`,
     /// most frequent first, at most [`BITMAP_BITS`] entries (§3.2: the paper
     /// caps the occurrence bitmap at 25 keys).
@@ -137,7 +149,8 @@ impl TableStats {
             .collect();
 
         Ok(Self {
-            partitions,
+            partitions: OnceLock::from(partitions),
+            encoded: None,
             global_hh,
             bitmaps,
             static_features,
@@ -146,19 +159,47 @@ impl TableStats {
         })
     }
 
+    /// This catalog with its sketch bundles dropped, to be decoded from
+    /// `encoded` when next asked for. `encoded` must be the statistics
+    /// section this catalog was decoded from.
+    pub(crate) fn served_from(mut self, encoded: Bytes<u8>) -> Self {
+        self.partitions = OnceLock::new();
+        self.encoded = Some(encoded);
+        self
+    }
+
+    /// The statistics section a thawed catalog keeps, which is what
+    /// encoding it writes back.
+    pub(crate) fn encoded(&self) -> Option<&[u8]> {
+        self.encoded.as_deref()
+    }
+
+    /// Every partition's sketch bundles, decoded on first use when only
+    /// the section is kept.
+    fn sketches(&self) -> &[Vec<ColumnStats>] {
+        self.partitions.get_or_init(|| {
+            let encoded = self
+                .encoded()
+                .expect("a catalog keeps its sketches or their section");
+            let (partitions, _) = crate::persist::decode_sketches(encoded)
+                .expect("the section decoded when the catalog was thawed");
+            partitions
+        })
+    }
+
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
+        self.static_features.len()
     }
 
     /// The sketch bundles of partition `p`, indexed by column.
     pub fn partition(&self, p: usize) -> &[ColumnStats] {
-        &self.partitions[p]
+        &self.sketches()[p]
     }
 
     /// Sketches of `(partition, column)`.
     pub fn column(&self, p: usize, c: ColId) -> &ColumnStats {
-        &self.partitions[p][c.index()]
+        &self.partition(p)[c.index()]
     }
 
     /// Global heavy-hitter keys of column `c`.
@@ -198,7 +239,7 @@ impl TableStats {
     /// where the paper's special case lives.
     pub fn storage_breakdown(&self) -> StorageBreakdown {
         let mut acc = StorageBreakdown::default();
-        for part in &self.partitions {
+        for part in self.sketches() {
             for col in part {
                 let (m, h, a, hh, e) = col.storage_bytes();
                 acc.measures_kb += m as f64;
@@ -207,7 +248,7 @@ impl TableStats {
                 acc.hh_kb += hh as f64;
             }
         }
-        let n = self.partitions.len().max(1) as f64 * 1024.0;
+        let n = self.num_partitions().max(1) as f64 * 1024.0;
         acc.measures_kb /= n;
         acc.histogram_kb /= n;
         acc.akmv_kb /= n;

@@ -24,6 +24,7 @@ use ps3_sketch::codec::{decode_heavy_hitters, encode_heavy_hitters};
 use ps3_sketch::{Akmv, EquiDepthHistogram, ExactDict, Measures, MeasuresRaw};
 use ps3_storage::codec::{decode_section, CodecError, Reader, Writer};
 use ps3_storage::format::FormatError;
+use ps3_storage::{Bytes, Schema};
 
 use crate::builder::TableStats;
 use crate::column_stats::ColumnStats;
@@ -40,8 +41,13 @@ const FLAG_EXACT: u8 = 1 << 2;
 const KNOWN_FLAGS: u8 = FLAG_MEASURES | FLAG_HISTOGRAM | FLAG_EXACT;
 
 /// Encode a full statistics catalog into one byte vector (the `STATS`
-/// section payload).
+/// section payload). A thawed catalog writes back the section it keeps,
+/// byte for byte: the encoding is canonical, so that is what encoding its
+/// sketches would write.
 pub fn encode_table_stats(stats: &TableStats) -> Vec<u8> {
+    if let Some(encoded) = stats.encoded() {
+        return encoded.to_vec();
+    }
     let n = stats.num_partitions();
     let num_cols = stats.feature_schema().num_cols();
     let mut bytes = Vec::new();
@@ -101,7 +107,43 @@ fn encode_column_stats(w: &mut Writer<'_>, col: &ColumnStats) -> Result<(), Code
 /// Decode a statistics catalog from a `STATS` section payload. Rejects
 /// every malformed shape with a typed error before constructing the
 /// catalog, so [`TableStats`] accessors can never panic on thawed state.
+/// The catalog owns its decoded sketch bundles, as a built one does.
 pub fn decode_table_stats(bytes: &[u8]) -> Result<TableStats, FormatError> {
+    let (partitions, num_cols) = decode_sketches(bytes)?;
+    TableStats::from_sketches(partitions, num_cols).map_err(FormatError::Corrupt)
+}
+
+/// The serving form of [`decode_table_stats`], for a section still mapped:
+/// the sketches are decoded to derive the catalog and to check their kinds
+/// against `schema`, then dropped. The catalog keeps `section` and decodes
+/// them again only when asked ([`TableStats::partition`]), and encoding it
+/// writes `section` back unchanged.
+pub fn thaw_table_stats(section: Bytes<u8>, schema: &Schema) -> Result<TableStats, FormatError> {
+    let (partitions, num_cols) = decode_sketches(&section)?;
+    if num_cols != schema.len() {
+        return Err(FormatError::Corrupt(
+            "stats column count disagrees with table schema",
+        ));
+    }
+    // Selectivity estimation reads a column's histogram for comparisons and
+    // its dictionaries for membership: which one a column has must follow
+    // its declared type, as it does when statistics are built.
+    let kinds_agree = partitions.iter().all(|cols| {
+        (cols.iter().zip(schema.iter()))
+            .all(|(col, (_, meta))| col.histogram.is_some() == meta.ctype.is_numeric_like())
+    });
+    if !kinds_agree {
+        return Err(FormatError::Corrupt(
+            "stats column kinds disagree with table schema",
+        ));
+    }
+    let stats = TableStats::from_sketches(partitions, num_cols).map_err(FormatError::Corrupt)?;
+    Ok(stats.served_from(section))
+}
+
+/// The section's sketch bundles (`partitions[p][c]`) and its column count:
+/// the records alone, before anything is derived from them.
+pub(crate) fn decode_sketches(bytes: &[u8]) -> Result<(Vec<Vec<ColumnStats>>, usize), FormatError> {
     decode_section("stats", bytes, |r| {
         let n = r.u32()? as usize;
         let num_cols = r.u32()? as usize;
@@ -124,7 +166,7 @@ pub fn decode_table_stats(bytes: &[u8]) -> Result<TableStats, FormatError> {
             }
             partitions.push(cols);
         }
-        TableStats::from_sketches(partitions, num_cols).map_err(CodecError::Invalid)
+        Ok((partitions, num_cols))
     })
 }
 

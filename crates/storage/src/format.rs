@@ -375,6 +375,14 @@ impl Artifact {
             .ok_or(FormatError::MissingSection { kind })
     }
 
+    /// The payload of section `kind` as a window that shares the mapping
+    /// and outlives this handle, for a decoder that keeps the section's
+    /// bytes rather than what it decoded from them.
+    pub fn section_bytes(&self, kind: u32) -> Result<Bytes<u8>, FormatError> {
+        let (offset, len) = self.section_range(kind)?;
+        Bytes::mapped(Arc::clone(&self.mmap), offset, len).map_err(|e| map_err(kind, e))
+    }
+
     /// The mapping backing this artifact.
     pub fn mmap(&self) -> &Arc<Mmap> {
         &self.mmap

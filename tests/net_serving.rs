@@ -966,6 +966,16 @@ fn router_local_ids_refuse_to_encode() {
         Err(ClientError::Proto(_)) => {}
         other => panic!("id routes must refuse to encode, got {other:?}"),
     }
+    // The refusal consumed no id and queued no bytes: the next request is
+    // id 1, and the server reads it as the first frame on the connection.
+    let named = client
+        .send(&req.on_table("aria"))
+        .expect("named routes encode");
+    assert_eq!(named, 1, "a refused request must not consume an id");
+    match client.recv().expect("the server answers") {
+        ServerReply::Answer(answer) => assert_eq!(answer.request_id, 1),
+        ServerReply::Error(e) => panic!("the queue held stray bytes: {e:?}"),
+    }
     drop(server);
     router.shutdown();
 }
