@@ -46,7 +46,6 @@ pub mod train;
 
 pub use config::{ExemplarRule, Ps3Config};
 pub use estimator::{AggError, ErrorEstimate};
-pub use persist::{freeze, thaw};
 pub use picker::{PickOutcome, Picker};
 pub use planner::{Budget, BudgetPlan, PlannerStats, FALLBACK_FRAC, PLAN_GRID};
 pub use request::QueryRequest;

@@ -17,10 +17,10 @@
 //!   key execute it once; the rest join the leader's in-flight execution
 //!   ([`SingleFlight`]) and share its `Arc`'d outcome.
 //!   [`RouterStats::executions`] counts 1 for the whole stampede.
-//! - **Retrain-in-place** — [`Router::replace_table`] /
-//!   [`Router::retrain`] swap a table's system and invalidate that table's
-//!   cached answers (generation bump + targeted eviction) without touching
-//!   other tables or pausing the serving loop.
+//! - **Swap-in-place** — [`Router::replace_table`] (or
+//!   [`Router::load_table`], which thaws the system first) swaps a table's
+//!   system and invalidates that table's cached answers (generation bump +
+//!   targeted eviction) without touching other tables or pausing serving.
 //!
 //! Layering (top to bottom):
 //!
@@ -146,8 +146,8 @@ impl std::fmt::Display for RouteError {
 
 /// The answer-cache key. Answers are a pure function of this tuple, so a
 /// cached replay is bit-identical to re-execution. `generation` bumps on
-/// [`Router::replace_table`], which makes every pre-retrain entry (and
-/// pre-retrain in-flight execution) unreachable to post-retrain lookups.
+/// [`Router::replace_table`], which makes every pre-swap entry (and
+/// pre-swap in-flight execution) unreachable to post-swap lookups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct AnswerKey {
     table: u32,
@@ -215,23 +215,11 @@ pub struct RouterStats {
     /// Budget-planner activity (plans, probes, probe cache hits,
     /// no-signal fallbacks).
     pub planner: PlannerStats,
-    /// In-place retrains performed ([`Router::retrain`]).
-    pub retrains: u64,
-    /// Wall-clock of the most recent retrain (ms; 0 before the first).
-    pub retrain_ms: f64,
-    /// Artifacts written: explicit [`Router::snapshot`] calls plus the
-    /// automatic post-retrain snapshots a configured
-    /// [`RouterBuilder::snapshot_dir`] triggers.
-    pub snapshots: u64,
-    /// Automatic snapshots that failed (serving is unaffected — the write
-    /// is best-effort; explicit [`Router::snapshot`] errors surface to the
-    /// caller instead of counting here).
-    pub snapshot_errors: u64,
 }
 
 struct TableEntry {
     name: String,
-    /// Swappable so [`Router::replace_table`] can retrain in place; the
+    /// Swappable so [`Router::replace_table`] can swap it in place; the
     /// query path takes one read-lock + `Arc` clone per uncached execution.
     system: RwLock<Arc<Ps3System>>,
     /// Bumped on every [`Router::replace_table`]; part of [`AnswerKey`].
@@ -487,14 +475,6 @@ struct RouterCore {
     planner_probes: AtomicU64,
     planner_probe_hits: AtomicU64,
     planner_fallbacks: AtomicU64,
-    /// Retrain telemetry: count and last wall-clock (f64 bits).
-    retrains: AtomicU64,
-    retrain_ms_bits: AtomicU64,
-    /// Auto-snapshot destination for post-retrain artifacts (`None` = off)
-    /// and write telemetry.
-    snapshot_dir: Option<std::path::PathBuf>,
-    snapshots: AtomicU64,
-    snapshot_errors: AtomicU64,
     /// Accepted-but-unfinished request count; `all_done` signals zero.
     pending: Mutex<usize>,
     all_done: Condvar,
@@ -561,7 +541,7 @@ impl RouterCore {
             }
             self.executions.fetch_add(1, Ordering::Relaxed);
             // Clone out of the lock: execution must not hold the table
-            // entry locked (a retrain may swap the system mid-flight; this
+            // entry locked (a swap may replace the system mid-flight; this
             // request finishes on the system it resolved).
             let system = Arc::clone(&entry.system.read().unwrap());
             let mut rng = spec_rng(&req.query, req.seed);
@@ -696,7 +676,6 @@ pub struct RouterBuilder {
     pump_workers: Option<usize>,
     answer_cache_cap: usize,
     exec_pool: Option<Arc<ThreadPool>>,
-    snapshot_dir: Option<std::path::PathBuf>,
 }
 
 impl RouterBuilder {
@@ -752,17 +731,6 @@ impl RouterBuilder {
         Ok(self.table(name, Arc::new(system)))
     }
 
-    /// Auto-snapshot directory: after every [`Router::retrain`], the new
-    /// generation is frozen to `<dir>/<table-name>.ps3` (best-effort — a
-    /// failed write only bumps [`RouterStats::snapshot_errors`]). Off by
-    /// default. [`Router::replace_table`] and [`Router::load_table`] do not
-    /// snapshot: a loaded generation is already on disk, and a replacement
-    /// is the caller's to freeze.
-    pub fn snapshot_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.snapshot_dir = Some(dir.into());
-        self
-    }
-
     /// Build the router. Panics if no table was registered or a name was
     /// registered twice.
     ///
@@ -798,11 +766,6 @@ impl RouterBuilder {
                 planner_probes: AtomicU64::new(0),
                 planner_probe_hits: AtomicU64::new(0),
                 planner_fallbacks: AtomicU64::new(0),
-                retrains: AtomicU64::new(0),
-                retrain_ms_bits: AtomicU64::new(0),
-                snapshot_dir: self.snapshot_dir,
-                snapshots: AtomicU64::new(0),
-                snapshot_errors: AtomicU64::new(0),
                 pending: Mutex::new(0),
                 all_done: Condvar::new(),
             }),
@@ -832,7 +795,6 @@ impl Router {
             pump_workers: None,
             answer_cache_cap: 1024,
             exec_pool: None,
-            snapshot_dir: None,
         }
     }
 
@@ -872,6 +834,11 @@ impl Router {
     /// post-replacement lookup can reach them (stale entries age out of
     /// the bounded LRU). Requests arriving after the swap execute on the
     /// new system.
+    ///
+    /// Every swap goes through here, [`Router::load_table`]'s included. A
+    /// warm retrain onto a (possibly grown) table is
+    /// `router.replace_table(t, Arc::new(Ps3System::retrain_from(&router.system(t), pt, stats)))`,
+    /// and `router.system(t).freeze(path)` persists the generation now serving.
     pub fn replace_table(&self, table: TableId, system: Arc<Ps3System>) -> Arc<Ps3System> {
         let entry = &self.core.tables[table.index()];
         let old = {
@@ -889,53 +856,6 @@ impl Router {
         old
     }
 
-    /// Retrain `table` in place: derive a replacement system from the
-    /// current one (outside any lock — training is slow and serving
-    /// continues meanwhile), swap it in, and invalidate the table's cached
-    /// answers. Returns the replaced system. The wall-clock (closure plus
-    /// swap) lands in [`RouterStats::retrain_ms`]. With a
-    /// [`RouterBuilder::snapshot_dir`] the new generation is then frozen.
-    ///
-    /// A warm retrain onto a (possibly grown) table is
-    /// `router.retrain(table, |cur| Arc::new(Ps3System::retrain_from(cur, pt, stats)))`:
-    /// the current generation's learned parts over the new statistics.
-    pub fn retrain(
-        &self,
-        table: TableId,
-        train: impl FnOnce(&Arc<Ps3System>) -> Arc<Ps3System>,
-    ) -> Arc<Ps3System> {
-        let started = Instant::now();
-        let current = self.system(table);
-        let next = train(&current);
-        let old = self.replace_table(table, Arc::clone(&next));
-        self.record_retrain(started.elapsed().as_secs_f64() * 1e3);
-        // Durability rides behind serving: the swap is done, so a slow or
-        // failing disk can only cost a counter bump, never availability.
-        if let Some(dir) = &self.core.snapshot_dir {
-            let name = &self.core.tables[table.index()].name;
-            let path = dir.join(format!("{name}.ps3"));
-            match crate::persist::freeze(&next, &path) {
-                Ok(()) => {
-                    self.core.snapshots.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    self.core.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        old
-    }
-
-    /// Freeze the system currently behind `table` to `path`
-    /// ([`crate::persist::freeze`]). Serving continues on the `Arc`
-    /// snapshot taken at call time.
-    pub fn snapshot(&self, table: TableId, path: &std::path::Path) -> std::io::Result<()> {
-        let system = self.system(table);
-        crate::persist::freeze(&system, path)?;
-        self.core.snapshots.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
     /// Replace the system behind `table` with one thawed from the artifact
     /// at `path`, invalidating the table's cached answers exactly like any
     /// other [`Router::replace_table`]. Returns the replaced system. A
@@ -947,13 +867,6 @@ impl Router {
     ) -> Result<Arc<Ps3System>, ps3_storage::format::FormatError> {
         let system = crate::persist::thaw(path)?;
         Ok(self.replace_table(table, Arc::new(system)))
-    }
-
-    fn record_retrain(&self, elapsed_ms: f64) {
-        self.core.retrains.fetch_add(1, Ordering::Relaxed);
-        self.core
-            .retrain_ms_bits
-            .store(elapsed_ms.to_bits(), Ordering::Relaxed);
     }
 
     /// The execution pool partition fan-out runs on.
@@ -1079,10 +992,6 @@ impl Router {
                 probe_hits: self.core.planner_probe_hits.load(Ordering::Relaxed),
                 fallbacks: self.core.planner_fallbacks.load(Ordering::Relaxed),
             },
-            retrains: self.core.retrains.load(Ordering::Relaxed),
-            retrain_ms: f64::from_bits(self.core.retrain_ms_bits.load(Ordering::Relaxed)),
-            snapshots: self.core.snapshots.load(Ordering::Relaxed),
-            snapshot_errors: self.core.snapshot_errors.load(Ordering::Relaxed),
         }
     }
 }
@@ -1647,13 +1556,13 @@ mod tests {
         assert_eq!(warm.executions, 4);
         assert_eq!(warm.answers.len, 4);
 
-        // Retrain table `a` (a differently-seeded system stands in for a
+        // Swap table `a` (a differently-seeded system stands in for a
         // real retrain on fresh data).
         let replacement = tiny_system(23, 160);
-        let old = router.retrain(a, |_current| Arc::clone(&replacement));
+        let old = router.replace_table(a, Arc::clone(&replacement));
         assert!(
             !Arc::ptr_eq(&old, &replacement),
-            "retrain hands back the replaced system"
+            "the swap hands back the replaced system"
         );
         assert_eq!(
             router.stats().answers.len,
@@ -1667,7 +1576,7 @@ mod tests {
         assert_eq!(
             router.stats().executions,
             before,
-            "table b's cache survived table a's retrain"
+            "table b's cache survived table a's swap"
         );
 
         // Table a re-executes — on the *new* system, bit-identical to
@@ -1682,7 +1591,7 @@ mod tests {
         };
         assert_eq!(
             served.answer, direct.answer,
-            "post-retrain answers come from the replacement system"
+            "post-swap answers come from the replacement system"
         );
         assert!(
             Arc::ptr_eq(&router.system(a), &replacement),
@@ -1691,38 +1600,50 @@ mod tests {
     }
 
     #[test]
-    fn incremental_retrain_preserves_answers_and_records_stats() {
+    fn a_warm_retrain_swapped_in_answers_as_before_and_freezes_to_the_same_answers() {
         let router = Router::single(tiny_system(40, 160));
         let table = router.table_id("default").unwrap();
         let req = QueryRequest::ps3(sum_query(), 0.25, 3);
         let before = router.answer_now(table, &req);
-        assert_eq!(router.stats().retrains, 0);
 
         // Retrain in place on the unchanged table (the append-only
         // degenerate case): zero model refits.
         let sys = router.system(table);
         let (pt, stats) = (Arc::clone(&sys.pt), Arc::clone(&sys.stats));
-        let old = router.retrain(table, |cur| {
-            Arc::new(Ps3System::retrain_from(cur, pt, stats))
-        });
+        let old = router.replace_table(table, Arc::new(Ps3System::retrain_from(&sys, pt, stats)));
         assert!(Arc::ptr_eq(&old, &sys), "the replaced system comes back");
-        let stats = router.stats();
-        assert_eq!(stats.retrains, 1);
-        assert!(stats.retrain_ms >= 0.0);
-        assert_eq!(stats.answers.len, 0, "the table's cache was invalidated");
+        assert_eq!(
+            router.stats().answers.len,
+            0,
+            "the table's cache was invalidated"
+        );
 
-        // Post-retrain answers re-execute on the new generation and are
+        // Post-swap answers re-execute on the new generation and are
         // bit-identical to the previous one's.
         let execs = router.stats().executions;
         let after = router.answer_now(table, &req);
-        assert_eq!(router.stats().executions, execs + 1, "cold after retrain");
+        assert_eq!(router.stats().executions, execs + 1, "cold after the swap");
         assert_eq!(after.answer, before.answer);
         assert_eq!(after.meta.error_estimate, before.meta.error_estimate);
 
-        // Any derived replacement counts the same way.
-        let replacement = tiny_system(41, 160);
-        let _ = router.retrain(table, |_| Arc::clone(&replacement));
-        assert_eq!(router.stats().retrains, 2);
+        // The generation now serving freezes through the system itself and
+        // thaws to the same answers; a write that fails is the caller's
+        // error and leaves serving alone.
+        let dir = std::env::temp_dir().join(format!("ps3_router_warm_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.ps3");
+        router.system(table).freeze(&path).unwrap();
+        let thawed = Ps3System::thaw(&path).unwrap();
+        let q = sum_query();
+        let a = router.system(table).answer_seeded(&q, Method::Ps3, 0.25, 1);
+        let b = thawed.answer_seeded(&q, Method::Ps3, 0.25, 1);
+        assert_eq!(a.answer, b.answer);
+        assert!(router
+            .system(table)
+            .freeze(&dir.join("missing/nested/t.ps3"))
+            .is_err());
+        assert!(Arc::ptr_eq(&router.answer_now(table, &req), &after));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2140,8 +2061,7 @@ mod tests {
         let system = tiny_system(3, 160);
         let trained = Router::single(Arc::clone(&system));
         let tid = trained.table_id("default").unwrap();
-        trained.snapshot(tid, &path).unwrap();
-        assert_eq!(trained.stats().snapshots, 1);
+        trained.system(tid).freeze(&path).unwrap();
 
         // Boot a fresh router straight from the artifact.
         let booted = Router::builder()
@@ -2171,44 +2091,6 @@ mod tests {
         assert!(other.load_table(oid, &bad_path).is_err());
         let still = other.answer_now(oid, &QueryRequest::ps3(sum_query(), 0.25, 0));
         assert_eq!(still.answer, reference.answer);
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn incremental_retrain_auto_snapshots() {
-        let dir = std::env::temp_dir().join(format!("ps3_router_auto_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-
-        let system = tiny_system(4, 160);
-        let router = Router::builder()
-            .table("t", Arc::clone(&system))
-            .snapshot_dir(&dir)
-            .build();
-        let tid = router.table_id("t").unwrap();
-        let (pt, stats) = (Arc::clone(&system.pt), Arc::clone(&system.stats));
-        router.retrain(tid, |cur| Arc::new(Ps3System::retrain_from(cur, pt, stats)));
-        let stats = router.stats();
-        assert_eq!(stats.snapshots, 1);
-        assert_eq!(stats.snapshot_errors, 0);
-
-        // The auto-written artifact boots to the retrained generation.
-        let thawed = Ps3System::thaw(&dir.join("t.ps3")).unwrap();
-        let q = sum_query();
-        let current = router.system(tid);
-        let a = current.answer_seeded(&q, Method::Ps3, 0.25, 1);
-        let b = thawed.answer_seeded(&q, Method::Ps3, 0.25, 1);
-        assert_eq!(a.answer, b.answer);
-
-        // An unwritable directory only bumps the error counter.
-        let bad = Router::builder()
-            .table("t", Arc::clone(&system))
-            .snapshot_dir(dir.join("missing/nested"))
-            .build();
-        let bid = bad.table_id("t").unwrap();
-        let (pt, stats) = (Arc::clone(&system.pt), Arc::clone(&system.stats));
-        bad.retrain(bid, |cur| Arc::new(Ps3System::retrain_from(cur, pt, stats)));
-        assert_eq!(bad.stats().snapshot_errors, 1);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -66,7 +66,7 @@ use std::sync::Arc;
 
 use ps3_core::{AnswerOutcome, RouteError, Router, Tenant, Ticket};
 use ps3_runtime::poll::{poll_fds, Interest, PollEntry, Waker};
-use ps3_runtime::{Mailbox, ThreadPool};
+use ps3_runtime::{panic_message, Mailbox, ThreadPool};
 
 use crate::outbuf::OutBuf;
 use crate::proto::{
@@ -581,31 +581,43 @@ fn push_completion(
     match result {
         Ok(outcome) => conn.out.push_response(request_id, &outcome, max_frame),
         Err(payload) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            let mut message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "request panicked".to_owned());
+            let message = panic_message(&*payload).unwrap_or("request panicked");
             // Panic payloads are arbitrary; keep the wire frame
             // small whatever they contain.
-            if message.len() > 512 {
-                let mut end = 512;
-                while !message.is_char_boundary(end) {
-                    end -= 1;
-                }
-                message.truncate(end);
+            let mut end = message.len().min(512);
+            while !message.is_char_boundary(end) {
+                end -= 1;
             }
-            conn.out.push_frame(
-                &Frame::Error(ErrorFrame {
-                    request_id,
-                    code: ErrorCode::Internal,
-                    message,
-                }),
+            let message = message[..end].to_owned();
+            refuse(
+                conn,
+                &shared.counters,
+                request_id,
+                ErrorCode::Internal,
+                message,
                 max_frame,
             );
         }
     }
+}
+
+/// Answer a request (or, with `request_id` 0, the connection) with a typed
+/// error frame, counted in [`ServerStats::errors`].
+fn refuse(
+    conn: &mut Conn,
+    counters: &Counters,
+    request_id: u64,
+    code: ErrorCode,
+    message: String,
+    max_frame: u32,
+) {
+    counters.errors.fetch_add(1, Ordering::Relaxed);
+    let frame = Frame::Error(ErrorFrame {
+        request_id,
+        code,
+        message,
+    });
+    conn.out.push_frame(&frame, max_frame);
 }
 
 /// Drain a readable socket with one read (looping only if the scratch
@@ -647,13 +659,13 @@ fn read_ready(
             Ok(Some(Frame::Request(req))) => submit(conn, token, me, shared, max_frame, req),
             Ok(Some(_)) => {
                 // Clients must not send server-kind frames.
-                shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                conn.out.push_frame(
-                    &Frame::Error(ErrorFrame {
-                        request_id: 0,
-                        code: ErrorCode::Malformed,
-                        message: "clients send request frames only".into(),
-                    }),
+                let message = "clients send request frames only".into();
+                refuse(
+                    conn,
+                    &shared.counters,
+                    0,
+                    ErrorCode::Malformed,
+                    message,
                     max_frame,
                 );
             }
@@ -661,20 +673,12 @@ fn read_ready(
             Err(err) => {
                 // Framing is unrecoverable: answer with a typed error
                 // and close once it has flushed.
-                shared.counters.errors.fetch_add(1, Ordering::Relaxed);
                 let code = match &err {
                     ProtoError::BadVersion(_) => ErrorCode::UnsupportedVersion,
                     ProtoError::FrameTooLarge { .. } => ErrorCode::FrameTooLarge,
                     _ => ErrorCode::Malformed,
                 };
-                conn.out.push_frame(
-                    &Frame::Error(ErrorFrame {
-                        request_id: 0,
-                        code,
-                        message: err.to_string(),
-                    }),
-                    max_frame,
-                );
+                refuse(conn, &shared.counters, 0, code, err.to_string(), max_frame);
                 conn.close_after_flush = true;
                 break;
             }
@@ -695,13 +699,13 @@ fn submit(
     if conn.in_flight.contains_key(&request_id) {
         // Correlation ids must be unique per connection while in
         // flight; silently replacing the ticket would cross answers.
-        shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-        conn.out.push_frame(
-            &Frame::Error(ErrorFrame {
-                request_id,
-                code: ErrorCode::Malformed,
-                message: "request id already in flight on this connection".into(),
-            }),
+        let message = "request id already in flight on this connection".into();
+        refuse(
+            conn,
+            &shared.counters,
+            request_id,
+            ErrorCode::Malformed,
+            message,
             max_frame,
         );
         return;
@@ -729,7 +733,6 @@ fn submit(
             conn.in_flight.insert(request_id, ticket);
         }
         Err(err) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
             let code = match &err {
                 RouteError::UnknownTable(_) => ErrorCode::UnknownTable,
                 RouteError::QueueFull(_) => ErrorCode::QueueFull,
@@ -739,13 +742,12 @@ fn submit(
                 // intact, so the connection stays open.
                 RouteError::InvalidQuery(..) => ErrorCode::Malformed,
             };
-            let message = err.to_string();
-            conn.out.push_frame(
-                &Frame::Error(ErrorFrame {
-                    request_id,
-                    code,
-                    message,
-                }),
+            refuse(
+                conn,
+                &shared.counters,
+                request_id,
+                code,
+                err.to_string(),
                 max_frame,
             );
         }

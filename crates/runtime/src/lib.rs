@@ -54,7 +54,7 @@ pub use heap::release_free_heap;
 pub use lru::{CacheStats, LruCache, SharedLru};
 #[cfg(unix)]
 pub use poll::{poll_fds, Interest, PollEntry, Waker};
-pub use pool::{fan_out, ThreadPool};
+pub use pool::{fan_out, panic_message, ThreadPool};
 pub use queue::{RequestQueue, SubmitError};
 pub use sync::{Flight, Mailbox, Permit, Semaphore, SingleFlight};
 

@@ -193,11 +193,7 @@ impl ThreadPool {
     pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
         let task: Task = Box::new(move || {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_owned());
+                let msg = panic_message(&*payload).unwrap_or("non-string panic payload");
                 eprintln!("ps3-pool: detached task panicked: {msg}");
             }
         });
@@ -223,6 +219,15 @@ impl Drop for ThreadPool {
             let _ = handle.join();
         }
     }
+}
+
+/// The text of a caught panic: its payload when that is a `&str` or a
+/// `String` (what `panic!` produces), `None` for any other payload.
+pub fn panic_message(payload: &(dyn Any + Send)) -> Option<&str> {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
 }
 
 /// The workspace fan-out helper, honouring the `threads` convention used by

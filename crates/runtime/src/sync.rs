@@ -13,6 +13,7 @@
 //! cold answer-cache misses in it so a stampede of identical requests
 //! executes partition selection exactly once.
 
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -140,9 +141,31 @@ impl<V> FlightState<V> {
 ///
 /// A panicking leader releases the key and resumes its panic in the leader
 /// alone; waiters wake and retry, so a poisoned key never wedges.
+///
+/// A thread that is leading a flight never waits on one: a `run` made from
+/// inside a leader's closure (directly, or from a task the leader picked up
+/// while helping its pool) runs its own closure and reports
+/// [`Flight::Led`]. Otherwise a leader that helps a pool could take up a
+/// duplicate of its own key and wait on itself, or two leaders could each
+/// take up the other's duplicate and wait on each other.
 #[derive(Debug)]
 pub struct SingleFlight<K, V> {
     inflight: Mutex<HashMap<K, Arc<FlightState<V>>>>,
+}
+
+thread_local! {
+    /// How many flights the current thread is leading right now.
+    static LEADING: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts the current thread out of [`LEADING`] when dropped, so a panic
+/// unwinding out of a leader also clears its mark.
+struct Leading;
+
+impl Drop for Leading {
+    fn drop(&mut self) {
+        LEADING.set(LEADING.get() - 1);
+    }
 }
 
 impl<K, V> Default for SingleFlight<K, V> {
@@ -177,8 +200,12 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
 
     /// Run `compute` for `key`, or join an in-flight run of the same key
     /// and share its result. Exactly one closure runs per key per flight;
-    /// the leader's panic resumes in the leader only (waiters retry).
+    /// the leader's panic resumes in the leader only (waiters retry). A
+    /// call from a thread already leading a flight runs `compute` directly.
     pub fn run(&self, key: K, compute: impl FnOnce() -> V) -> Flight<V> {
+        if LEADING.get() > 0 {
+            return Flight::Led(compute());
+        }
         let mut compute = Some(compute);
         loop {
             // `joined` carries the flight to wait on; the leader keeps the
@@ -206,7 +233,11 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
             // Leader: we inserted the flight, so we must resolve it
             // whatever happens — a hung waiter would be worse than
             // re-raising the panic below.
-            let result = catch_unwind(AssertUnwindSafe(compute.take().expect("leader runs once")));
+            let result = {
+                LEADING.set(LEADING.get() + 1);
+                let _leading = Leading;
+                catch_unwind(AssertUnwindSafe(compute.take().expect("leader runs once")))
+            };
             let shared = match &result {
                 Ok(v) => Some(v.clone()),
                 Err(_) => None,
@@ -378,6 +409,23 @@ mod tests {
             computes.load(Ordering::SeqCst),
             1,
             "one leader, zero waiter computes"
+        );
+    }
+
+    #[test]
+    fn a_leader_that_reenters_its_own_key_runs_instead_of_waiting_on_itself() {
+        // Joining would wait on this thread's own flight forever; the bound
+        // makes a regression fail instead of hanging.
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let sf: SingleFlight<u32, u32> = SingleFlight::new();
+            let outer = sf.run(3, || sf.run(3, || 30).into_value() + 1);
+            tx.send((outer, sf.attached(&3))).unwrap();
+        });
+        let got = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            got.expect("a nested run on the leader's key must not wait"),
+            (Flight::Led(31), 0)
         );
     }
 

@@ -2,7 +2,7 @@
 //! a [`Router`], a TCP front door (`ps3_net`) on a loopback port, and a
 //! handful of concurrent clients speaking the wire protocol — including
 //! one that stampedes a cold key to show single-flight coalescing, and a
-//! retrain that invalidates exactly one table's cached answers.
+//! table swap that invalidates exactly that table's cached answers.
 //!
 //! Runs headlessly (port 0, no arguments) — CI executes it on every build:
 //!
@@ -97,22 +97,24 @@ fn main() -> std::io::Result<()> {
     );
     assert_eq!(router.stats().executions - before, 1);
 
-    // --- Retrain in place: swap the table's system; its cached answers
-    // are invalidated (and only its own — here, all of them).
+    // --- Swap in a retrained system: the table's cached answers are
+    // invalidated (and only its own — here, all of them).
     let cached_before = router.stats().answers.len;
     let table = router.table_id("telemetry").expect("registered");
-    router.retrain(table, |_old| {
-        Arc::new(ds.train_system(Ps3Config::default().with_seed(72)))
-    });
+    let retrained = ds.train_system(Ps3Config::default().with_seed(72));
+    router.replace_table(table, Arc::new(retrained));
+    let cached_after = router.stats().answers.len;
     println!(
-        "retrain: answer cache {} -> {} entries (telemetry invalidated)",
-        cached_before,
-        router.stats().answers.len
+        "swap: answer cache {cached_before} -> {cached_after} entries (telemetry invalidated)"
     );
+    assert!(cached_before > 0, "the clients above warmed the cache");
+    assert_eq!(cached_after, 0, "the swap drops every telemetry entry");
     let mut client = NetClient::connect(addr)?;
     let req = QueryRequest::ps3(ds.sample_test_query(0), 0.2, 0).on_table("telemetry");
-    client.request(&req).expect("served post-retrain");
-    println!("post-retrain request served from the new system");
+    let before = router.stats().executions;
+    client.request(&req).expect("served post-swap");
+    assert_eq!(router.stats().executions, before + 1, "executed anew");
+    println!("post-swap request served from the new system");
 
     // --- Declarative budget: ask for ≤20% relative error and let the
     // server's planner pick the cheapest fraction that delivers it.

@@ -17,7 +17,8 @@
 //!    system in an `Arc` and serve it from as many threads as you like
 //!    (see [`core::router::Router`]: `answer_now` for a synchronous cached
 //!    answer, tenants for the multi-table front end with request-queue
-//!    backpressure, single-flight coalescing and retrain-in-place);
+//!    backpressure, single-flight coalescing and `replace_table`, the one
+//!    way to swap a table's system in place);
 //!    per-request seeds make every answer reproducible.
 //! 5. Serve it over the network ([`net`]): a versioned binary wire
 //!    protocol (`docs/PROTOCOL.md`) in front of an event-loop TCP server

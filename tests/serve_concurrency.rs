@@ -6,11 +6,14 @@
 //! checked end to end through real threads (`std::thread::spawn` — the
 //! pool owns the only `thread::scope` in the workspace).
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::Duration;
 
 use ps3::core::{Method, Ps3Config, Ps3System, QueryRequest, Router};
 use ps3::data::{Dataset, DatasetConfig, DatasetKind, ScaleProfile};
+use ps3::query::exec::{PARALLEL_EXEC_MIN_PARTS, PARALLEL_EXEC_MIN_ROWS};
+use ps3::runtime::ThreadPool;
 
 fn trained(seed: u64, cache_cap: usize) -> (Dataset, Arc<Ps3System>) {
     let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny).build(seed);
@@ -231,5 +234,49 @@ fn answer_many_matches_sequential_answers() {
     for (req, out) in reqs.iter().zip(&batch) {
         let solo = router.answer_now(table, req);
         assert_eq!(out.answer, solo.answer, "seed {}", req.seed);
+    }
+}
+
+/// A batch that repeats one cold key, fanned out over the router's own
+/// pool, returns. Each execution fans its partitions out over that pool and
+/// helps run queued tasks while it waits, so the thread leading the key's
+/// flight can pick up a duplicate of the key it leads: that duplicate must
+/// run, not wait on its own thread. 16 of 32 partitions × 4,096 rows
+/// crosses both parallel-execution thresholds, so every execution really
+/// fans out. The batch runs on its own thread under a bound, so a
+/// regression fails instead of hanging.
+#[test]
+fn a_batch_repeating_a_cold_key_over_the_routers_pool_returns() {
+    let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny)
+        .with_partitions(32)
+        .with_rows(32 * 4096)
+        .build(25);
+    let mut cfg = Ps3Config::default().with_seed(25);
+    cfg.gbdt.n_trees = 2;
+    cfg.feature_selection = false;
+    let (pt, stats) = (Arc::clone(&ds.pt), Arc::clone(&ds.stats));
+    let system = Arc::new(Ps3System::train(pt, stats, &ds.train_queries[..4], cfg));
+    let pool = Arc::new(ThreadPool::new(2));
+    let router = Router::builder()
+        .table("t", Arc::clone(&system))
+        .exec_pool(pool)
+        .build();
+    let table = router.table_id("t").expect("registered");
+    let req = QueryRequest::new(ds.sample_test_query(0), Method::Random, 0.5, 7);
+    let reqs = vec![req.clone(); 8];
+
+    let (tx, rx) = mpsc::channel();
+    let batcher = Arc::clone(&router);
+    thread::spawn(move || tx.send(batcher.pool().map(&reqs, |r| batcher.answer_now(table, r))));
+    let batch = rx.recv_timeout(Duration::from_secs(60));
+    let batch = batch.expect("a batch repeating a cold key must not wait on itself");
+
+    let fresh = Router::single(system);
+    let solo = fresh.answer_now(fresh.table_id("default").unwrap(), &req);
+    let parts = solo.selection.len();
+    assert!(parts >= PARALLEL_EXEC_MIN_PARTS && parts * 4096 >= PARALLEL_EXEC_MIN_ROWS);
+    for out in &batch {
+        assert_eq!(out.answer, solo.answer);
+        assert_eq!(out.meta.error_estimate, solo.meta.error_estimate);
     }
 }
