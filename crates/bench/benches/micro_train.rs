@@ -8,8 +8,9 @@
 //!   selectivity estimated on every partition, the normalizer fitted on the
 //!   live static statistics and those estimates, every training query's
 //!   normalized rows gathered from the shared static table as a pick
-//!   gathers them, one full-width row set for the importance models and
-//!   LSS, and thresholds.
+//!   gathers them, those compact matrices binned once, column by column,
+//!   for the importance models and LSS (no full-width row set), and
+//!   thresholds.
 //! - `train/retrain_warm` — `Ps3System::retrain_from` against the same
 //!   table: the static table normalized once through the previous
 //!   normalizer, every learned part reused, nothing gathered or fitted.

@@ -55,7 +55,7 @@ pub use router::{
 pub use system::{
     spec_rng, AnswerMeta, AnswerOutcome, Method, ProgressUpdate, Ps3System, LSS_BUDGET_GRID,
 };
-pub use train::{normalize_workload, TrainedPs3, TrainingData};
+pub use train::{bin_workload, normalize_workload, TrainedPs3, TrainingData};
 
 /// Executable copy of `docs/FORMAT.md`: every Rust block in the artifact
 /// format spec runs as a doc-test here, so the documented container bytes

@@ -722,11 +722,19 @@ impl RouterBuilder {
     /// ([`crate::persist::thaw`]): the cold-start boot path. Column
     /// payloads stay mmapped; a malformed artifact is rejected here with a
     /// typed error before the router exists.
+    ///
+    /// Whatever the process freed before booting (a dataset it generated,
+    /// a system it trained and froze) goes back to the OS first
+    /// ([`ps3_runtime::release_free_heap`]). Otherwise the thaw's decode
+    /// buffers land on top of that freed-but-resident heap or in its holes,
+    /// depending on how earlier threads split it between arenas, and the
+    /// boot's peak resident size varies by tens of MB from run to run.
     pub fn table_from_artifact(
         self,
         name: impl Into<String>,
         path: &std::path::Path,
     ) -> Result<Self, ps3_storage::format::FormatError> {
+        ps3_runtime::release_free_heap();
         let system = crate::persist::thaw(path)?;
         Ok(self.table(name, Arc::new(system)))
     }

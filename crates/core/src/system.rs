@@ -45,7 +45,7 @@ use crate::baselines::{random_filter_selection, random_selection, LssModel};
 use crate::config::Ps3Config;
 use crate::estimator::{estimate_from_totals, AggError, ErrorEstimate};
 use crate::picker::{PickOutcome, Picker};
-use crate::train::{normalize_workload, TrainedPs3, TrainingData};
+use crate::train::{bin_workload, normalize_workload, TrainedPs3, TrainingData};
 
 /// The sampling methods compared throughout the evaluation (§5.1.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -217,14 +217,19 @@ pub fn budget_partitions(frac: f64, num_partitions: usize) -> usize {
 }
 
 impl Ps3System {
-    /// Train every learned component on `train_queries`.
+    /// Train every learned component on `train_queries`. The workload's
+    /// normalized compact matrices are binned once, column by column
+    /// ([`bin_workload`]), and the k importance models and the LSS
+    /// regressor all train on that one set: no full-width feature row is
+    /// built.
     ///
     /// Training frees several times what the trained system keeps (the
-    /// workload's exact partials and raw selectivity features, dense feature
-    /// rows, GBDT work matrices, per-task scratch); that goes back to the OS
-    /// before this returns ([`ps3_runtime::release_free_heap`]), so what the
-    /// caller does next — freeze, serve — starts from the system's live size
-    /// instead of building on whichever of training's holes fit.
+    /// workload's exact partials and raw selectivity features, the
+    /// normalized matrices and their bins, GBDT scratch, per-task scratch);
+    /// that goes back to the OS before this returns
+    /// ([`ps3_runtime::release_free_heap`]), so what the caller does next —
+    /// freeze, serve — starts from the system's live size instead of
+    /// building on whichever of training's holes fit.
     pub fn train(
         pt: Arc<PartitionedTable>,
         stats: Arc<TableStats>,
@@ -234,23 +239,18 @@ impl Ps3System {
         let training = TrainingData::compute(&pt, &stats, train_queries, cfg.threads);
         let normalizer = training.fit_normalizer(&stats);
         let (statics, normalized) = normalize_workload(&normalizer, &stats, &training, cfg.threads);
-        // The one full-width row set, for the GBDT binner: the k importance
-        // models and the LSS regressor all train on it.
-        let rows: Vec<Vec<f64>> = normalized
-            .iter()
-            .flat_map(FeatureMatrix::to_dense)
-            .collect();
-        let trained = TrainedPs3::train(&training, normalizer, &normalized, &rows, cfg.clone());
+        let set = bin_workload(&normalized, cfg.gbdt.max_bins);
+        let trained = TrainedPs3::train(&training, normalizer, &normalized, &set, cfg.clone());
         let lss = LssModel::train(
             &training,
             &normalized,
-            &rows,
+            &set,
             &cfg.gbdt,
             &LSS_BUDGET_GRID,
             cfg.fs_eval_queries,
             cfg.seed,
         );
-        drop((rows, normalized, training));
+        drop((set, normalized, training));
         let system = Self::assemble(pt, stats, trained, lss, train_queries.into(), statics);
         ps3_runtime::release_free_heap();
         system

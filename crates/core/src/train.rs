@@ -9,14 +9,16 @@
 //! workload's masks leave live plus those raw estimates, and each training
 //! query's normalized rows are gathered from the shared
 //! [`NormalizedStatics`] exactly as a pick gathers them
-//! ([`normalize_workload`]). Only the GBDT binner takes full-width rows.
+//! ([`normalize_workload`]). Those compact matrices are binned once, column
+//! by column ([`bin_workload`]), and every GBDT trains on that one set; no
+//! full-width row is ever built.
 //!
 //! Nothing here clusters partitions ahead of a query: the picker clusters a
 //! query's candidates when it arrives (§4.2). So a [`TrainedPs3`] is tied to
 //! no table, and a warm retrain (`Ps3System::retrain_from`) carries it to a
 //! new table as it is.
 
-use ps3_learn::{choose_thresholds, make_labels, Gbdt};
+use ps3_learn::{choose_thresholds, make_labels, BinnedSet, Gbdt};
 use ps3_query::{CompiledQuery, PartialAnswer, Query};
 use ps3_stats::features::FeatureType;
 use ps3_stats::{
@@ -117,6 +119,24 @@ pub fn normalize_workload(
     (statics, matrices)
 }
 
+/// Bin the normalized workload once for every GBDT trained on it: one row
+/// per (query, partition), query-major — the order of
+/// [`TrainingData::pooled_contributions`] — over the full feature width.
+/// Each feature's column is read straight from the compact matrices, `0.0`
+/// where a matrix does not store it (what its full-width row holds there),
+/// and a feature no matrix stores is binned without reading anything.
+pub fn bin_workload(normalized: &[FeatureMatrix], max_bins: usize) -> BinnedSet {
+    let n = normalized.iter().map(FeatureMatrix::num_rows).sum();
+    let dim = normalized.first().map_or(0, FeatureMatrix::full_dim);
+    BinnedSet::from_columns(n, dim, max_bins, |f, out| {
+        if normalized.iter().any(|m| m.stores(f)) {
+            for m in normalized {
+                m.extend_column(f, out);
+            }
+        }
+    })
+}
+
 /// One query executed exactly on every partition.
 #[derive(Debug)]
 pub struct ExactRun {
@@ -191,14 +211,13 @@ impl TrainedPs3 {
     /// Train the full picker from precomputed [`TrainingData`], the
     /// `normalizer` fitted on it ([`TrainingData::fit_normalizer`]) and
     /// `normalized[q]`, training query `q`'s matrix through that normalizer
-    /// ([`normalize_workload`]). `rows` is the workload's one full-width row
-    /// set — every normalized row expanded, query-major — which only the
-    /// GBDT binner reads.
+    /// ([`normalize_workload`]). `set` is that workload binned once
+    /// ([`bin_workload`]); the k importance models all train on it.
     pub fn train(
         td: &TrainingData,
         normalizer: Normalizer,
         normalized: &[FeatureMatrix],
-        rows: &[Vec<f64>],
+        set: &BinnedSet,
         config: Ps3Config,
     ) -> Self {
         // Exponentially spaced thresholds from the pooled contributions.
@@ -213,7 +232,7 @@ impl TrainedPs3 {
             }
             let mut params = config.gbdt;
             params.seed = config.gbdt.seed.wrapping_add(i as u64);
-            models.push(Gbdt::train(rows, &labels, &params));
+            models.push(Gbdt::train_binned(set, &labels, &params));
         }
 
         let excluded = if config.feature_selection {

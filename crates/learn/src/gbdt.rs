@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::binner::Binner;
+use crate::binner::BinnedSet;
 use crate::tree::{SplitRecord, Tree, TreeParams};
 
 /// Training hyperparameters, defaulting to values that behave like a small
@@ -63,18 +63,33 @@ pub struct Gbdt {
 }
 
 impl Gbdt {
-    /// Train on row-major `data` with squared-error loss against `labels`.
+    /// Train on row-major `data` with squared-error loss against `labels`:
+    /// bin `data` into a [`BinnedSet`], then [`Self::train_binned`].
     ///
     /// # Panics
     /// Panics on empty data or a row-count mismatch.
     pub fn train(data: &[Vec<f64>], labels: &[f64], params: &GbdtParams) -> Self {
-        assert!(!data.is_empty(), "empty training set");
-        assert_eq!(data.len(), labels.len(), "row/label count mismatch");
-        let n = data.len();
-        let num_features = data[0].len();
+        Self::train_binned(&BinnedSet::from_rows(data, params.max_bins), labels, params)
+    }
 
-        let binner = Binner::fit(data, params.max_bins);
-        let binned = binner.bin_dataset(data);
+    /// Train on a binned training set with squared-error loss against
+    /// `labels` (one per row of `set`). Models trained on the same rows
+    /// share one `set`: it is all training reads, since each round's
+    /// predictions of the training rows are made in bin space.
+    ///
+    /// # Panics
+    /// Panics on an empty set, a row-count mismatch, or a set binned with
+    /// other than `params.max_bins` bins.
+    pub fn train_binned(set: &BinnedSet, labels: &[f64], params: &GbdtParams) -> Self {
+        let n = set.num_rows();
+        assert!(n > 0, "empty training set");
+        assert_eq!(n, labels.len(), "row/label count mismatch");
+        assert_eq!(
+            set.max_bins(),
+            params.max_bins,
+            "set binned with other bins"
+        );
+        let num_features = set.num_features();
 
         let base = labels.iter().sum::<f64>() / n as f64;
         let mut preds = vec![base; n];
@@ -88,7 +103,6 @@ impl Gbdt {
 
         let all_rows: Vec<u32> = (0..n as u32).collect();
         let all_features: Vec<usize> = (0..num_features).collect();
-        let hess = vec![1.0; n];
         let mut grad = vec![0.0; n];
         let mut trees = Vec::with_capacity(params.n_trees);
         let mut importance = vec![0.0; num_features];
@@ -107,6 +121,8 @@ impl Gbdt {
             } else {
                 all_rows.clone()
             };
+            // Drawn over every feature, single-bin ones included, so the
+            // RNG stream is independent of the binning.
             let features: Vec<usize> = if params.colsample < 1.0 {
                 let take = ((num_features as f64 * params.colsample) as usize)
                     .max(1)
@@ -120,16 +136,7 @@ impl Gbdt {
             };
 
             splits.clear();
-            let tree = Tree::grow(
-                &binned,
-                &binner,
-                &grad,
-                &hess,
-                &rows,
-                &features,
-                &tree_params,
-                &mut splits,
-            );
+            let tree = Tree::grow(set, &grad, &rows, &features, &tree_params, &mut splits);
             if splits.is_empty() {
                 // Residuals have no splittable structure left; further
                 // rounds would only re-fit the same constant.
@@ -138,9 +145,7 @@ impl Gbdt {
             for s in &splits {
                 importance[s.feature] += s.gain;
             }
-            for (i, row) in data.iter().enumerate() {
-                preds[i] += params.learning_rate * tree.predict_row(row);
-            }
+            tree.add_binned_predictions(set, params.learning_rate, &mut preds);
             trees.push(tree);
         }
 

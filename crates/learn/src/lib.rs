@@ -5,7 +5,8 @@
 //! reimplements the relevant subset:
 //!
 //! * [`binner`] — quantile binning of features (histogram-based training,
-//!   like XGBoost's `hist` mode).
+//!   like XGBoost's `hist` mode), once per training set: every model
+//!   trained on the same rows shares one [`BinnedSet`].
 //! * [`tree`] — single regression trees grown greedily by the XGBoost gain
 //!   criterion `½[G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)] − γ`.
 //! * [`gbdt`] — the boosting loop with shrinkage, subsampling and per-feature
@@ -18,7 +19,7 @@ pub mod gbdt;
 pub mod labels;
 pub mod tree;
 
-pub use binner::Binner;
+pub use binner::{BinnedSet, Binner};
 pub use gbdt::{Gbdt, GbdtParams};
 pub use labels::{choose_thresholds, make_labels};
 pub use tree::{NodeSpec, Tree};

@@ -63,7 +63,9 @@ use std::sync::OnceLock;
 /// Whether `PS3_STRICT_KERNELS=1` is set: every optimised kernel with a
 /// scalar oracle twin — k-means in `ps3_cluster`, selectivity estimation in
 /// `ps3_stats` — re-runs the oracle in-call and asserts bit-identity. Read
-/// once per process; off by default, since it doubles the work.
+/// once per process; off by default, since it doubles the work. (The GBDT
+/// split search in `ps3_learn`, which does not depend on this crate, reads
+/// the same variable itself.)
 pub fn strict_kernels() -> bool {
     static STRICT: OnceLock<bool> = OnceLock::new();
     *STRICT.get_or_init(|| std::env::var("PS3_STRICT_KERNELS").is_ok_and(|v| v == "1"))

@@ -412,6 +412,25 @@ impl FeatureMatrix {
         }
     }
 
+    /// Whether the matrix stores full feature index `idx`; a column it
+    /// does not store reads `0.0` in every row.
+    pub fn stores(&self, idx: usize) -> bool {
+        self.slot_of[idx] != Self::ABSENT
+    }
+
+    /// Append full feature index `idx`'s value in every row to `out`, in row
+    /// order: `0.0`s for a column the mask dropped, as [`Self::dense_row`]
+    /// writes there.
+    pub fn extend_column(&self, idx: usize, out: &mut Vec<f64>) {
+        match self.slot_of[idx] {
+            Self::ABSENT => out.resize(out.len() + self.n, 0.0),
+            slot => {
+                let w = self.cols.len();
+                out.extend((0..self.n).map(|p| self.data[p * w + slot]));
+            }
+        }
+    }
+
     /// Row `p` expanded to the full width.
     pub fn dense_row(&self, p: usize) -> Vec<f64> {
         let mut dense = vec![0.0; self.full_dim()];
@@ -421,7 +440,8 @@ impl FeatureMatrix {
         dense
     }
 
-    /// Every row expanded to the full width — what a GBDT's binner consumes.
+    /// Every row expanded to the full width: the reference layout the
+    /// compact matrix is tested against.
     pub fn to_dense(&self) -> Vec<Vec<f64>> {
         (0..self.n).map(|p| self.dense_row(p)).collect()
     }

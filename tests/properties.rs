@@ -18,10 +18,14 @@
 //!   included). The normalizer fitted on live blocks and raw selectivity
 //!   estimates is the one fitted on the full-width rows
 //!   (`ps3_stats::oracle` keeps the full-width transform and fit).
+//! * A workload binned once from its compact matrices trains the GBDT the
+//!   expanded full-width rows train, bit for bit.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 
+use ps3::core::bin_workload;
+use ps3::learn::{Gbdt, GbdtParams, NodeSpec, Tree};
 use ps3::query::{
     execute_partition, AggExpr, Clause, CmpOp, CompiledPredicate, CompiledQuery, PartialAnswer,
     Predicate, Query, ScalarExpr,
@@ -476,8 +480,8 @@ proptest! {
         let (entry, wide) = gathered(&unit, &stats, &pt, &shaped_query(3, Some(pred.clone())));
         let data = wide.to_dense();
         let labels: Vec<f64> = entry.upper().iter().map(|u| u - 0.3).collect();
-        let params = ps3::learn::GbdtParams { n_trees: 6, colsample: 1.0, seed, ..Default::default() };
-        let model = ps3::learn::Gbdt::train(&data, &labels, &params);
+        let params = GbdtParams { n_trees: 6, colsample: 1.0, seed, ..Default::default() };
+        let model = Gbdt::train(&data, &labels, &params);
         let (_, m) = gathered(&unit, &stats, &pt, &shaped_query(shape, Some(pred)));
         let dense = m.to_dense();
         for (p, row) in dense.iter().enumerate() {
@@ -485,6 +489,74 @@ proptest! {
                 model.predict_with(|f| m.feature(p, f)).to_bits(),
                 model.predict_row(row).to_bits()
             );
+        }
+    }
+}
+
+/// A tree's nodes as bits, for exact comparison.
+fn node_bits(tree: &Tree) -> Vec<(u64, usize, usize, usize)> {
+    (tree.nodes_spec().into_iter())
+        .map(|n| match n {
+            NodeSpec::Leaf { value } => (value.to_bits(), usize::MAX, 0, 0),
+            NodeSpec::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => (threshold.to_bits(), feature, left, right),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A workload binned once, column by column, from compact matrices
+    /// whose column maps differ ([`bin_workload`]) trains the model
+    /// `Gbdt::train` trains on the same rows expanded, bit for bit: every
+    /// tree's nodes, the importances and the predictions. Row and column
+    /// subsampling leave rows and features out of each tree, so rows a tree
+    /// never saw are predicted in bin space too; the poisoned statistics put
+    /// `-0.0` and NaN in the columns.
+    #[test]
+    fn a_workload_binned_once_trains_the_dense_model_bit_for_bit(
+        pt in arb_table(),
+        workload in prop::collection::vec((arb_predicate(), 0u8..4), 1..5),
+        salt in 0usize..11,
+        max_bins in prop_oneof![Just(4usize), Just(64)],
+        seed in 0u64..1000,
+    ) {
+        let stats = poisoned(&TableStats::build(&pt, &StatsConfig::default()), salt);
+        let unit = unit_normalizer(&stats);
+        let (mut matrices, mut labels) = (Vec::new(), Vec::new());
+        for (q, (pred, shape)) in workload.into_iter().enumerate() {
+            let (entry, m) = gathered(&unit, &stats, &pt, &shaped_query(shape, Some(pred)));
+            labels.extend(entry.upper().iter().map(|u| u - 0.1 * q as f64));
+            matrices.push(m);
+        }
+        let params = GbdtParams {
+            n_trees: 6,
+            max_bins,
+            subsample: 0.7,
+            colsample: 0.6,
+            seed,
+            ..Default::default()
+        };
+        let binned = Gbdt::train_binned(&bin_workload(&matrices, max_bins), &labels, &params);
+        let dense: Vec<Vec<f64>> = matrices.iter().flat_map(FeatureMatrix::to_dense).collect();
+        let reference = Gbdt::train(&dense, &labels, &params);
+
+        prop_assert_eq!(binned.base().to_bits(), reference.base().to_bits());
+        prop_assert_eq!(binned.num_trees(), reference.num_trees());
+        for (a, b) in binned.trees().iter().zip(reference.trees()) {
+            prop_assert_eq!(node_bits(a), node_bits(b));
+        }
+        let importance = |m: &Gbdt| -> Vec<u64> {
+            m.feature_importance().iter().map(|x| x.to_bits()).collect()
+        };
+        prop_assert_eq!(importance(&binned), importance(&reference));
+        for row in &dense {
+            prop_assert_eq!(binned.predict_row(row).to_bits(), reference.predict_row(row).to_bits());
         }
     }
 }
