@@ -1,11 +1,14 @@
 //! Persistence-path micros: what freezing a trained deployment costs and
 //! what booting from the artifact saves over retraining.
 //!
-//! Three rows land in `BENCH_micro.json` via `PS3_BENCH_TSV`:
+//! Four rows land in `BENCH_micro.json` via `PS3_BENCH_TSV`:
 //!
 //! - `persist/freeze` — `Ps3System::freeze`: encode every section
 //!   (columns, stats, models, workload) and write the container
 //!   atomically.
+//! - `persist/open_artifact` — `Artifact::open` alone: map the file and
+//!   check the header, section table and every section's FNV-1a checksum,
+//!   the part of a thaw that reads every byte.
 //! - `persist/thaw_cold` — `Ps3System::thaw`: map, validate checksums,
 //!   decode models, rebuild the system. Column payloads stay mapped —
 //!   no bulk copy.
@@ -21,6 +24,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use ps3_core::{Method, Ps3Config, Ps3System};
 use ps3_data::{DatasetConfig, DatasetKind, ScaleProfile};
+use ps3_storage::format::Artifact;
 
 fn bench_persist(c: &mut Criterion) {
     let ds = DatasetConfig::new(DatasetKind::Kdd, ScaleProfile::Tiny).build(7);
@@ -41,6 +45,10 @@ fn bench_persist(c: &mut Criterion) {
     });
 
     system.freeze(&path).expect("freeze");
+    g.bench_function("open_artifact", |b| {
+        b.iter(|| Artifact::open(&path).expect("open"))
+    });
+
     g.bench_function("thaw_cold", |b| {
         b.iter(|| Ps3System::thaw(&path).expect("thaw"))
     });

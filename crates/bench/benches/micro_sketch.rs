@@ -9,6 +9,11 @@
 //! `sketch_construction/*` — Table 1: building the picker's feature
 //! sketches is O(R) (measures, AKMV, heavy hitters) or O(R log R)
 //! (equi-depth histogram), with small constants.
+//!
+//! `stats/build_table` — the same sketches as set-up builds them:
+//! `TableStats::build` over the Aria Default table (160 partitions of 300
+//! rows, 11 columns), every column of every partition sketched from one
+//! sort, then the catalog derived from the bundles.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -18,6 +23,7 @@ use ps3_data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3_query::{Clause, CmpOp, CompiledSketchQuery, Predicate, SketchQuery};
 use ps3_sketch::hash::hash_f64;
 use ps3_sketch::{Akmv, AnswerSketch, EquiDepthHistogram, HeavyHitters, Measures};
+use ps3_stats::{StatsConfig, TableStats};
 use ps3_storage::{ColId, PartitionId};
 
 fn bench_sketch(c: &mut Criterion) {
@@ -97,5 +103,20 @@ fn bench_sketch_construction(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sketch, bench_sketch_construction);
+fn bench_stats(c: &mut Criterion) {
+    let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Default).build(1);
+    let mut g = c.benchmark_group("stats");
+    g.sample_size(10);
+    g.bench_function("build_table", |b| {
+        b.iter(|| TableStats::build(&ds.pt, &StatsConfig::default()))
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_sketch,
+    bench_sketch_construction,
+    bench_stats
+);
 criterion_main!(benches);

@@ -60,9 +60,10 @@ pub use sync::{Flight, Mailbox, Permit, Semaphore, SingleFlight};
 
 use std::sync::OnceLock;
 
-/// Whether `PS3_STRICT_KERNELS=1` is set: every optimised kernel with a
-/// scalar oracle twin — k-means in `ps3_cluster`, selectivity estimation in
-/// `ps3_stats` — re-runs the oracle in-call and asserts bit-identity. Read
+/// Whether `PS3_STRICT_KERNELS=1` is set: every optimised kernel with an
+/// oracle twin — k-means in `ps3_cluster`, selectivity estimation and the
+/// one-sort sketch bundle in `ps3_stats` — re-runs the oracle in-call and
+/// asserts bit-identity. Read
 /// once per process; off by default, since it doubles the work. (The GBDT
 /// split search in `ps3_learn`, which does not depend on this crate, reads
 /// the same variable itself.)

@@ -7,8 +7,26 @@
 //! k-th smallest hash mapped to `[0, 1)`; below k distinct values the count
 //! is exact. The per-value counts feed the paper's
 //! `avg/max/min/sum freq. of distinct values` features (Table 2).
-
-use std::collections::BTreeMap;
+//!
+//! # One sketch, two constructions
+//!
+//! [`Akmv::update`] folds a stream in row by row. [`Akmv::from_distinct`]
+//! builds the same sketch from a column's distinct hashes and their full
+//! counts — what a sorted column yields run by run — by keeping the k
+//! smallest. The two agree exactly, because the streaming sketch ends
+//! holding the k smallest distinct hashes, each with its full count:
+//!
+//! * Once the sketch is full its largest tracked hash only ever falls
+//!   (an insertion evicts the largest and brings in a smaller one).
+//! * A hash `h` among the k smallest distinct hashes of the whole stream
+//!   is inserted at its first occurrence: either fewer than k hashes are
+//!   tracked, or fewer than k hashes below `h` exist, so some tracked
+//!   hash is larger than `h`. It is never evicted, since an eviction
+//!   removes the largest of k + 1 distinct hashes, and at most k − 1 of
+//!   those can be smaller than `h`. So every later occurrence finds it
+//!   and counts.
+//! * A hash outside the k smallest is never kept at the end: the k
+//!   smallest are all tracked by then, and the sketch holds at most k.
 
 use crate::hash::to_unit;
 
@@ -19,8 +37,9 @@ pub const DEFAULT_K: usize = 128;
 #[derive(Debug, Clone)]
 pub struct Akmv {
     k: usize,
-    /// Smallest `k` distinct hashes → occurrence count.
-    entries: BTreeMap<u64, u64>,
+    /// The smallest `k` distinct hashes with their occurrence counts, in
+    /// ascending hash order.
+    entries: Vec<(u64, u64)>,
     /// Total rows folded in (not just tracked ones).
     rows: u64,
 }
@@ -31,7 +50,7 @@ impl Akmv {
         assert!(k >= 2, "AKMV needs k >= 2");
         Self {
             k,
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             rows: 0,
         }
     }
@@ -45,23 +64,71 @@ impl Akmv {
         s
     }
 
+    /// The sketch of `rows` rows whose distinct hashes occur `counts`
+    /// times: `counts` holds one `(hash, count)` pair per distinct key, in
+    /// any order. Pairs with equal hashes merge (two keys that hash alike
+    /// are one value to the sketch, as in [`Self::update`]), and the k
+    /// smallest hashes are kept with their full counts. This is the sketch
+    /// folding the rows in one at a time ends with (module docs).
+    ///
+    /// # Panics
+    /// Panics if `k < 2`.
+    pub fn from_distinct(k: usize, rows: u64, mut counts: Vec<(u64, u64)>) -> Self {
+        assert!(k >= 2, "AKMV needs k >= 2");
+        let by_hash = |&(h, _): &(u64, u64)| h;
+        if counts.len() > k {
+            // Sort only the k smallest pairs. When their hashes are
+            // distinct they are the k smallest distinct hashes, and only
+            // the largest of them can recur past the cut.
+            counts.select_nth_unstable_by_key(k - 1, by_hash);
+            let (front, tail) = counts.split_at_mut(k);
+            front.sort_unstable_by_key(by_hash);
+            if front.windows(2).all(|w| w[0].0 < w[1].0) {
+                let last = &mut front[k - 1];
+                last.1 += tail
+                    .iter()
+                    .filter(|&&(h, _)| h == last.0)
+                    .map(|&(_, c)| c)
+                    .sum::<u64>();
+                counts.truncate(k);
+                counts.shrink_to_fit();
+                return Self {
+                    k,
+                    entries: counts,
+                    rows,
+                };
+            }
+        }
+        counts.sort_unstable_by_key(by_hash);
+        counts.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        counts.truncate(k);
+        counts.shrink_to_fit();
+        Self {
+            k,
+            entries: counts,
+            rows,
+        }
+    }
+
     /// Fold one hashed value in.
     #[inline]
     pub fn update(&mut self, hash: u64) {
         self.rows += 1;
-        if let Some(c) = self.entries.get_mut(&hash) {
-            *c += 1;
-            return;
-        }
-        if self.entries.len() < self.k {
-            self.entries.insert(hash, 1);
-            return;
-        }
-        // Full: only insert if smaller than the current k-th minimum.
-        let &max_tracked = self.entries.keys().next_back().expect("non-empty");
-        if hash < max_tracked {
-            self.entries.remove(&max_tracked);
-            self.entries.insert(hash, 1);
+        match self.entries.binary_search_by_key(&hash, |&(h, _)| h) {
+            Ok(i) => self.entries[i].1 += 1,
+            Err(i) if self.entries.len() < self.k => self.entries.insert(i, (hash, 1)),
+            // Full: a hash below the current k-th minimum evicts it.
+            Err(i) if i < self.k => {
+                self.entries.pop();
+                self.entries.insert(i, (hash, 1));
+            }
+            Err(_) => {}
         }
     }
 
@@ -83,7 +150,7 @@ impl Akmv {
         if m < self.k {
             return m as f64;
         }
-        let u_k = to_unit(*self.entries.keys().next_back().expect("non-empty"));
+        let u_k = to_unit(self.entries.last().expect("non-empty").0);
         if u_k <= 0.0 {
             return m as f64;
         }
@@ -103,7 +170,7 @@ impl Akmv {
         let mut sum = 0u64;
         let mut max = 0u64;
         let mut min = u64::MAX;
-        for &c in self.entries.values() {
+        for &(_, c) in &self.entries {
             sum += c;
             max = max.max(c);
             min = min.min(c);
@@ -120,14 +187,9 @@ impl Akmv {
     /// Merge a sketch over disjoint rows: union the entry sets, sum counts of
     /// shared hashes, keep the k smallest.
     pub fn merge(&mut self, other: &Akmv) {
-        self.rows += other.rows;
-        for (&h, &c) in &other.entries {
-            *self.entries.entry(h).or_insert(0) += c;
-        }
-        while self.entries.len() > self.k {
-            let &max_tracked = self.entries.keys().next_back().expect("non-empty");
-            self.entries.remove(&max_tracked);
-        }
+        let mut counts = std::mem::take(&mut self.entries);
+        counts.extend_from_slice(&other.entries);
+        *self = Self::from_distinct(self.k, self.rows + other.rows, counts);
     }
 
     /// Exact serialized footprint: k (hash, count) pairs + row count + k.
@@ -136,23 +198,22 @@ impl Akmv {
     }
 
     /// The tracked `(hash, count)` pairs in ascending hash order (codec use).
-    pub fn entries(&self) -> Vec<(u64, u64)> {
-        self.entries.iter().map(|(&h, &c)| (h, c)).collect()
+    pub fn entries(&self) -> &[(u64, u64)] {
+        &self.entries
     }
 
-    /// Rebuild from raw parts (codec use). `entries` must be ascending in
-    /// hash and at most `k` long.
+    /// Rebuild from raw parts (codec use). `entries` must be strictly
+    /// ascending in hash and at most `k` long.
     ///
     /// # Panics
     /// Panics on shape violations.
     pub fn from_raw_parts(k: usize, rows: u64, entries: Vec<(u64, u64)>) -> Self {
         assert!(k >= 2 && entries.len() <= k, "entry count exceeds k");
-        let map: BTreeMap<u64, u64> = entries.into_iter().collect();
-        Self {
-            k,
-            entries: map,
-            rows,
-        }
+        assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "hashes not ascending"
+        );
+        Self { k, entries, rows }
     }
 }
 
@@ -226,6 +287,33 @@ mod tests {
     }
 
     proptest! {
+        // The k smallest distinct hashes with their full counts are what
+        // the stream ends with, whatever the arrival order. Splitting a
+        // count over two pairs with one hash must not change the sketch.
+        #[test]
+        fn from_distinct_is_the_streamed_sketch(
+            values in prop::collection::vec(0u64..300, 0..600),
+            k in 2usize..40,
+            split in any::<bool>(),
+        ) {
+            let streamed = Akmv::from_hashes(values.iter().map(|&v| hash_u64(v)), k);
+            let mut counts = std::collections::BTreeMap::<u64, u64>::new();
+            for &v in &values {
+                *counts.entry(v).or_default() += 1;
+            }
+            let mut pairs = Vec::new();
+            for (v, c) in counts {
+                if split && c > 1 {
+                    pairs.extend([(hash_u64(v), 1), (hash_u64(v), c - 1)]);
+                } else {
+                    pairs.push((hash_u64(v), c));
+                }
+            }
+            let built = Akmv::from_distinct(k, values.len() as u64, pairs);
+            prop_assert_eq!(built.entries(), streamed.entries());
+            prop_assert_eq!(built.rows(), streamed.rows());
+        }
+
         #[test]
         fn never_exact_overcount_below_k(values in prop::collection::vec(0u64..500, 0..400)) {
             let s = Akmv::from_hashes(values.iter().map(|&v| hash_u64(v)), 1024);

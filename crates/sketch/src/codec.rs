@@ -106,7 +106,7 @@ impl Akmv {
         w.u64(self.rows());
         let entries = self.entries();
         w.u32(entries.len() as u32);
-        for (h, c) in entries {
+        for &(h, c) in entries {
             w.u64(h);
             w.u64(c);
         }

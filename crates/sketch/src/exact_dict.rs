@@ -42,6 +42,20 @@ impl ExactDict {
         Some(Self { entries, rows })
     }
 
+    /// Build from `(key, count)` runs, each distinct key once, giving up
+    /// (`None`) past `limit` of them: [`Self::build`] over the same rows.
+    pub fn from_runs(runs: impl IntoIterator<Item = (u64, u64)>, limit: usize) -> Option<Self> {
+        let mut entries = Vec::new();
+        for run in runs {
+            if entries.len() == limit {
+                return None;
+            }
+            entries.push(run);
+        }
+        let rows = entries.iter().map(|&(_, c)| c).sum();
+        Some(Self::from_raw_parts(entries, rows))
+    }
+
     /// Rows summarized.
     pub fn rows(&self) -> u64 {
         self.rows
@@ -105,6 +119,16 @@ mod tests {
         assert!((d.frequency(3) - 0.5).abs() < 1e-12);
         assert_eq!(d.frequency(99), 0.0);
         assert!((d.in_selectivity(&[1, 2]) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn from_runs_is_build_over_the_same_rows() {
+        let built = ExactDict::from_runs([(5, 3), (1, 2), (9, 1)], 16).unwrap();
+        let streamed = ExactDict::build([5u64, 1, 5, 9, 1, 5], 16).unwrap();
+        assert_eq!(built.entries(), streamed.entries());
+        assert_eq!(built.rows(), streamed.rows());
+        assert!(ExactDict::from_runs((0..51u64).map(|k| (k, 1)), 50).is_none());
+        assert!(ExactDict::from_runs((0..50u64).map(|k| (k, 1)), 50).is_some());
     }
 
     #[test]

@@ -10,6 +10,29 @@
 //!
 //! The paper caps the dictionary at 100 items (support 1% ⇒ at most 100 true
 //! heavy hitters exist).
+//!
+//! # One report, two constructions
+//!
+//! [`HeavyHitters::update`] folds a stream in row by row.
+//! [`HeavyHitters::report_from_runs`] reports from each distinct key's row
+//! positions — what a column sorted by `(key, row)` yields run by run — by
+//! replaying lossy counting one key at a time. The two reports agree
+//! exactly, because a key's counter never depends on any other key:
+//!
+//! * A counter is created at its key's occurrence in row `r` (1-based)
+//!   with count 1 and `Δ = ⌈r / w⌉ − 1`, where `w = ⌈1/ε⌉` is the bucket
+//!   width; `Δ` depends on `r` alone.
+//! * Each later occurrence adds 1 to the count.
+//! * After every `w`-th row, at bucket boundary `j`, the counter is dropped
+//!   if `count + Δ ≤ j`. That test reads only the counter and `j`, and
+//!   the boundaries fall at fixed rows whatever the keys are.
+//!
+//! So replaying a key's occurrences against the boundaries alone gives the
+//! counter the stream ends with, or none. Between two occurrences the
+//! counter does not change while `j` grows, so it survives that stretch
+//! iff it survives the stretch's last boundary. The report's output rule
+//! is then shared. Below `w` rows no boundary is reached and every count is
+//! the key's exact occurrence count.
 
 use std::collections::HashMap;
 
@@ -53,12 +76,10 @@ impl HeavyHitters {
     /// # Panics
     /// Panics unless `0 < epsilon <= support < 1`.
     pub fn with_params(support: f64, epsilon: f64) -> Self {
-        assert!(epsilon > 0.0 && epsilon <= support && support < 1.0);
-        let bucket_width = (1.0 / epsilon).ceil() as u64;
         Self {
             support,
             epsilon,
-            bucket_width,
+            bucket_width: bucket_width(support, epsilon),
             current_bucket: 1,
             rows: 0,
             counters: HashMap::new(),
@@ -72,6 +93,33 @@ impl HeavyHitters {
             s.update(k);
         }
         s
+    }
+
+    /// What [`Self::heavy_hitters`] reports once `rows` rows are folded
+    /// in with [`Self::update`], from each distinct key's rows instead:
+    /// `runs` yields every key once, with the 0-based rows it occurs in, in
+    /// any order. Each key's counter is replayed over its own occurrences
+    /// and the bucket boundaries (module docs); below one bucket's width of
+    /// rows only the occurrences are counted.
+    ///
+    /// # Panics
+    /// Panics unless `0 < epsilon <= support < 1`.
+    pub fn report_from_runs<R, P>(
+        support: f64,
+        epsilon: f64,
+        rows: u64,
+        runs: R,
+    ) -> Vec<HeavyHitter>
+    where
+        R: IntoIterator<Item = (u64, P)>,
+        P: IntoIterator<Item = u64, IntoIter: ExactSizeIterator>,
+    {
+        let w = bucket_width(support, epsilon);
+        let mut scratch = Vec::new();
+        let counts = runs
+            .into_iter()
+            .filter_map(|(key, positions)| Some((key, replay(positions, rows, w, &mut scratch)?)));
+        report(support, epsilon, rows, counts)
     }
 
     /// Fold one item in.
@@ -105,23 +153,8 @@ impl HeavyHitters {
     /// Uses the classic output rule `count ≥ (support − ε) · N`, which keeps
     /// the no-false-negative guarantee.
     pub fn heavy_hitters(&self) -> Vec<HeavyHitter> {
-        if self.rows == 0 {
-            return Vec::new();
-        }
-        let n = self.rows as f64;
-        let threshold = (self.support - self.epsilon) * n;
-        let mut out: Vec<HeavyHitter> = self
-            .counters
-            .iter()
-            .filter(|(_, &(c, _))| c as f64 >= threshold)
-            .map(|(&key, &(c, _))| HeavyHitter {
-                key,
-                frequency: c as f64 / n,
-            })
-            .collect();
-        out.sort_by(|a, b| b.frequency.total_cmp(&a.frequency).then(a.key.cmp(&b.key)));
-        out.truncate(MAX_ITEMS);
-        out
+        let counts = self.counters.iter().map(|(&key, &(c, _))| (key, c));
+        report(self.support, self.epsilon, self.rows, counts)
     }
 
     /// Estimated frequency of `key` if it is a reported heavy hitter.
@@ -137,6 +170,72 @@ impl HeavyHitters {
     pub fn serialized_size(&self) -> usize {
         self.heavy_hitters().len() * (8 + 8) + 8
     }
+}
+
+/// The bucket width `⌈1/ε⌉`.
+///
+/// # Panics
+/// Panics unless `0 < epsilon <= support < 1`.
+fn bucket_width(support: f64, epsilon: f64) -> u64 {
+    assert!(epsilon > 0.0 && epsilon <= support && support < 1.0);
+    (1.0 / epsilon).ceil() as u64
+}
+
+/// The count one key's counter ends with after `rows` rows at bucket
+/// width `w`, from the key's 0-based rows in any order (sorted in
+/// `scratch`); `None` when the last counter created for it was dropped.
+fn replay(
+    positions: impl IntoIterator<Item = u64, IntoIter: ExactSizeIterator>,
+    rows: u64,
+    w: u64,
+    scratch: &mut Vec<u64>,
+) -> Option<u64> {
+    let positions = positions.into_iter();
+    if rows < w {
+        return Some(positions.len() as u64);
+    }
+    scratch.clear();
+    scratch.extend(positions);
+    scratch.sort_unstable();
+    let mut positions = scratch.iter().copied().peekable();
+    let mut counter = None;
+    while let Some(p) = positions.next() {
+        // Row p + 1 is this occurrence: count it, or start a counter with
+        // Δ = ⌈(p + 1) / w⌉ − 1.
+        let (count, delta) = counter.map_or((1, p / w), |(c, d)| (c + 1, d));
+        // The boundaries before the next occurrence (or the end) are the
+        // rows j·w with p < j·w ≤ until; the last of them is the tightest.
+        let until = positions.peek().copied().unwrap_or(rows);
+        let last = until / w;
+        let pruned = last * w > p && count + delta <= last;
+        counter = (!pruned).then_some((count, delta));
+    }
+    counter.map(|(count, _)| count)
+}
+
+/// The output rule: keys whose count reaches `(support − ε) · rows`, most
+/// frequent first (ties by key), capped at [`MAX_ITEMS`].
+fn report(
+    support: f64,
+    epsilon: f64,
+    rows: u64,
+    counts: impl Iterator<Item = (u64, u64)>,
+) -> Vec<HeavyHitter> {
+    if rows == 0 {
+        return Vec::new();
+    }
+    let n = rows as f64;
+    let threshold = (support - epsilon) * n;
+    let mut out: Vec<HeavyHitter> = counts
+        .filter(|&(_, c)| c as f64 >= threshold)
+        .map(|(key, c)| HeavyHitter {
+            key,
+            frequency: c as f64 / n,
+        })
+        .collect();
+    out.sort_by(|a, b| b.frequency.total_cmp(&a.frequency).then(a.key.cmp(&b.key)));
+    out.truncate(MAX_ITEMS);
+    out
 }
 
 impl Default for HeavyHitters {
@@ -215,7 +314,74 @@ mod tests {
         assert!(!s.heavy_hitters().is_empty());
     }
 
+    #[test]
+    fn replay_matches_the_stream_at_bucket_edges() {
+        // Key 7 occurs once or twice around the first two bucket boundaries
+        // (0-based rows w − 2 ..= w + 1 and 2w − 2 ..= 2w + 1), then on every
+        // 20th row from row 2,500, among keys that occur once: whether the
+        // early occurrences survive a boundary decides its reported count.
+        let w = (1.0 / DEFAULT_EPSILON).ceil() as u64;
+        let n = 4 * w;
+        for first in [
+            w - 2,
+            w - 1,
+            w,
+            w + 1,
+            2 * w - 2,
+            2 * w - 1,
+            2 * w,
+            2 * w + 1,
+        ] {
+            for second in [None, Some(first + 1), Some(first + w - 1), Some(first + w)] {
+                let is_seven = |row: u64| {
+                    row == first || Some(row) == second || (row >= 2_500 && row.is_multiple_of(20))
+                };
+                let keys: Vec<u64> = (0..n)
+                    .map(|row| if is_seven(row) { 7 } else { 1_000_000 + row })
+                    .collect();
+                let streamed = HeavyHitters::from_keys(keys.iter().copied()).heavy_hitters();
+                let runs = [(7, (0..n).filter(|&row| is_seven(row)).collect::<Vec<_>>())];
+                let replayed =
+                    HeavyHitters::report_from_runs(DEFAULT_SUPPORT, DEFAULT_EPSILON, n, runs);
+                assert_eq!(replayed, streamed, "first {first}, second {second:?}");
+            }
+        }
+    }
+
     proptest! {
+        // Replaying each key's rows against the bucket boundaries reports
+        // what the stream reports: 1–6,000 rows cross 0–6 boundaries, and
+        // each key's rows are handed over in any order. Keys are skewed
+        // toward a point that drifts along the stream, so a key that is
+        // rare early (pruned at a boundary) can turn heavy later, and its
+        // reported count then falls short of its true count.
+        #[test]
+        fn report_from_runs_is_the_streamed_report(
+            n in 1usize..6_000,
+            pool in 1u64..2_000,
+            drift in 0u64..400,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let keys: Vec<u64> = (0..n)
+                .map(|i| {
+                    let at = (i as u64 * drift) / n as u64;
+                    at + (rng.gen::<f64>().powi(3) * pool as f64) as u64
+                })
+                .collect();
+            let streamed = HeavyHitters::from_keys(keys.iter().copied()).heavy_hitters();
+            let mut runs: HashMap<u64, Vec<u64>> = HashMap::new();
+            for (row, &k) in keys.iter().enumerate() {
+                runs.entry(k).or_default().push(row as u64);
+            }
+            for rows in runs.values_mut() {
+                rows.shuffle(&mut rng);
+            }
+            let replayed =
+                HeavyHitters::report_from_runs(DEFAULT_SUPPORT, DEFAULT_EPSILON, n as u64, runs);
+            prop_assert_eq!(replayed, streamed);
+        }
+
         // The lossy-counting recall guarantee: any key whose true frequency
         // is ≥ support must be reported, regardless of arrival order.
         #[test]

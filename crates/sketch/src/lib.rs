@@ -1,5 +1,5 @@
-//! The four lightweight sketches of PS3 (§3.1, Table 1), built in one pass
-//! per partition when a partition is sealed:
+//! The four lightweight sketches of PS3 (§3.1, Table 1), built per
+//! partition when a partition is sealed:
 //!
 //! | Sketch | Construction | Storage | Used for |
 //! |---|---|---|---|
@@ -10,6 +10,14 @@
 //!
 //! Plus the [`ExactDict`], the paper's special case for string columns with
 //! few distinct values (stored exactly; enables regex-style filters).
+//!
+//! The table's costs are the streaming constructions' (`update` per row).
+//! The statistics builder (`ps3_stats`) sorts each partition column once
+//! instead and builds every key sketch from the runs of equal keys:
+//! [`EquiDepthHistogram::from_sorted`], [`Akmv::from_distinct`],
+//! [`HeavyHitters::report_from_runs`] and [`ExactDict::from_runs`], each
+//! equal to its streaming twin (the arguments are in [`akmv`] and
+//! [`heavy_hitter`]), which stays as the oracle.
 //!
 //! Beyond the paper's statistics, the crate hosts the *answer sketches* —
 //! mergeable summaries that carry whole query answers for the sketch query

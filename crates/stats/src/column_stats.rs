@@ -29,6 +29,28 @@ pub struct ColumnStats {
     pub rows: u64,
 }
 
+/// `(key, row)` for every row of a partition column, sorted by key: equal
+/// keys form runs (their rows in no particular order).
+fn sorted_pairs(keys: impl ExactSizeIterator<Item = u64>) -> Vec<(u64, u32)> {
+    let rows = u32::try_from(keys.len()).expect("a partition holds under 2^32 rows");
+    let mut pairs: Vec<(u64, u32)> = keys.zip(0..rows).collect();
+    pairs.sort_unstable_by_key(|&(k, _)| k);
+    pairs
+}
+
+/// A `u64` whose unsigned order is `f64::total_cmp`'s: negative values
+/// have their magnitude bits flipped, and the sign bit is flipped for all.
+fn order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64 >> 1) | (1 << 63))
+}
+
+/// The bit pattern [`order_key`] was taken of.
+fn key_bits(key: u64) -> u64 {
+    let bits = key ^ (1 << 63);
+    bits ^ (((bits as i64) >> 63) as u64 >> 1)
+}
+
 /// Tuning knobs mirrored from [`crate::builder::StatsConfig`].
 #[derive(Debug, Clone, Copy)]
 pub struct ColumnStatsParams {
@@ -57,57 +79,101 @@ impl Default for ColumnStatsParams {
 }
 
 impl ColumnStats {
-    /// Build all sketches for `column[rows]` in one pass (plus the
-    /// histogram's sort).
+    /// Build all sketches for `column[rows]` from one sort of the
+    /// partition column's `(key, row)` pairs (numeric keys in `total_cmp`
+    /// order, categorical keys by code). Each run of equal keys is one
+    /// distinct value: the histogram reads the sorted non-NaN values, the
+    /// exact dictionary and the AKMV sketch read the runs' counts, and
+    /// heavy hitters replay lossy counting over each run's rows. Only the
+    /// measures pass over the rows in row order, since their sums must add
+    /// in that order.
+    ///
+    /// Every sketch is the one the streaming constructions build
+    /// ([`crate::oracle::streaming_column_stats`]), byte for byte. Under
+    /// `PS3_STRICT_KERNELS=1` ([`ps3_runtime::strict_kernels`]) each call
+    /// also builds that bundle and asserts it encodes to the same bytes.
+    ///
+    /// # Panics
+    /// Panics if the column's physical type disagrees with `ctype`, or
+    /// (strict mode only) if the two bundles' bytes differ.
     pub fn build(
         column: &ColumnData,
         ctype: ColumnType,
         rows: std::ops::Range<usize>,
         params: &ColumnStatsParams,
     ) -> Self {
-        let n = rows.len() as u64;
-        match (ctype.is_numeric_like(), column) {
+        let stats = match (ctype.is_numeric_like(), column) {
             (true, ColumnData::Numeric(values)) => {
-                let slice = &values[rows];
-                let measures = Measures::from_values(slice);
-                let histogram = EquiDepthHistogram::from_values(slice, params.histogram_buckets);
-                let mut akmv = Akmv::new(params.akmv_k);
-                let mut hh = HeavyHitters::with_params(params.hh_support, params.hh_epsilon);
-                for &v in slice {
-                    akmv.update(hash_f64(v));
-                    hh.update(v.to_bits());
-                }
-                let exact =
-                    ExactDict::build(slice.iter().map(|v| v.to_bits()), params.exact_dict_limit);
+                let slice = &values[rows.clone()];
+                let sorted = sorted_pairs(slice.iter().map(|&v| order_key(v)));
+                // NaNs sort to both ends of the `total_cmp` order; the
+                // histogram reads what lies between.
+                let finite: Vec<f64> = sorted
+                    .iter()
+                    .map(|&(k, _)| f64::from_bits(key_bits(k)))
+                    .filter(|v| !v.is_nan())
+                    .collect();
                 Self {
-                    measures: Some(measures),
-                    histogram: Some(histogram),
-                    akmv,
-                    heavy_hitters: hh.heavy_hitters(),
-                    exact,
-                    rows: n,
+                    measures: Some(Measures::from_values(slice)),
+                    histogram: Some(EquiDepthHistogram::from_sorted(
+                        &finite,
+                        params.histogram_buckets,
+                    )),
+                    ..Self::from_runs(&sorted, key_bits, |b| hash_f64(f64::from_bits(b)), params)
                 }
             }
             (false, ColumnData::Categorical { codes, .. }) => {
-                let slice = &codes[rows];
-                let mut akmv = Akmv::new(params.akmv_k);
-                let mut hh = HeavyHitters::with_params(params.hh_support, params.hh_epsilon);
-                for &c in slice {
-                    akmv.update(hash_u64(u64::from(c)));
-                    hh.update(u64::from(c));
-                }
-                let exact =
-                    ExactDict::build(slice.iter().map(|&c| u64::from(c)), params.exact_dict_limit);
-                Self {
-                    measures: None,
-                    histogram: None,
-                    akmv,
-                    heavy_hitters: hh.heavy_hitters(),
-                    exact,
-                    rows: n,
-                }
+                let sorted = sorted_pairs(codes[rows.clone()].iter().map(|&c| u64::from(c)));
+                Self::from_runs(&sorted, |c| c, hash_u64, params)
             }
             _ => panic!("column physical type disagrees with declared type"),
+        };
+        if ps3_runtime::strict_kernels() {
+            let reference = crate::oracle::streaming_column_stats(column, ctype, rows, params);
+            assert!(
+                crate::persist::column_stats_bytes(&stats)
+                    == crate::persist::column_stats_bytes(&reference),
+                "strict kernels: a one-sort sketch bundle diverged from the streaming one"
+            );
+        }
+        stats
+    }
+
+    /// The key-derived sketches of a partition column sorted into
+    /// `(order key, row)` pairs, without measures or histogram: `key` maps
+    /// an order key to the sketches' key (the raw bits or the code), and
+    /// `hash` maps that key to its AKMV hash.
+    fn from_runs(
+        sorted: &[(u64, u32)],
+        key: impl Fn(u64) -> u64,
+        hash: impl Fn(u64) -> u64,
+        params: &ColumnStatsParams,
+    ) -> Self {
+        let n = sorted.len() as u64;
+        let runs: Vec<(u64, &[(u64, u32)])> = sorted
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (key(run[0].0), run))
+            .collect();
+        let counts = || runs.iter().map(|&(k, run)| (k, run.len() as u64));
+        let akmv = Akmv::from_distinct(
+            params.akmv_k,
+            n,
+            counts().map(|(k, count)| (hash(k), count)).collect(),
+        );
+        let heavy_hitters = HeavyHitters::report_from_runs(
+            params.hh_support,
+            params.hh_epsilon,
+            n,
+            runs.iter()
+                .map(|&(k, run)| (k, run.iter().map(|&(_, row)| u64::from(row)))),
+        );
+        Self {
+            measures: None,
+            histogram: None,
+            akmv,
+            heavy_hitters,
+            exact: ExactDict::from_runs(counts(), params.exact_dict_limit),
+            rows: n,
         }
     }
 

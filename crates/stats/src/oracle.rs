@@ -17,14 +17,22 @@
 //!   assembles: [`fit_normalizer`] sums every dimension of every dense row,
 //!   zeros included, and [`apply_row`] transforms and divides one dense
 //!   row. It shares only the per-value transform with the shipped code.
+//! * The streaming sketch bundle, the oracle for [`ColumnStats::build`]:
+//!   [`streaming_column_stats`] folds a partition column into the AKMV,
+//!   heavy-hitter and exact-dictionary sketches row by row and sorts a
+//!   copy for the histogram, as the builder did before it derived every
+//!   sketch from one sort. Under `PS3_STRICT_KERNELS=1` every build
+//!   re-checks itself against it, byte for byte.
 //!
 //! This module is `#[doc(hidden)]` public so integration tests can reach
 //! it; it is not part of the crate's API.
 
 use ps3_query::{CmpOp, CompiledPredicate};
-use ps3_storage::ColId;
+use ps3_sketch::hash::{hash_f64, hash_u64};
+use ps3_sketch::{Akmv, EquiDepthHistogram, ExactDict, HeavyHitters, Measures};
+use ps3_storage::{ColId, ColumnData, ColumnType};
 
-use crate::column_stats::ColumnStats;
+use crate::column_stats::{ColumnStats, ColumnStatsParams};
 use crate::features::FeatureSchema;
 use crate::normalize::{transform, Normalizer};
 use crate::selectivity::{effective_op, Interval, SelectivityFeatures};
@@ -283,5 +291,64 @@ pub fn apply_row(norm: &Normalizer, row: &mut [f64]) {
 pub fn apply_matrix(norm: &Normalizer, rows: &mut [Vec<f64>]) {
     for row in rows {
         apply_row(norm, row);
+    }
+}
+
+/// The sketch bundle of `column[rows]` as the streaming sketches build it:
+/// one pass folding every row into the AKMV, heavy-hitter and
+/// exact-dictionary sketches, the measures over the same rows, and a sorted
+/// copy for the histogram.
+///
+/// # Panics
+/// Panics if the column's physical type disagrees with `ctype`.
+pub fn streaming_column_stats(
+    column: &ColumnData,
+    ctype: ColumnType,
+    rows: std::ops::Range<usize>,
+    params: &ColumnStatsParams,
+) -> ColumnStats {
+    let n = rows.len() as u64;
+    match (ctype.is_numeric_like(), column) {
+        (true, ColumnData::Numeric(values)) => {
+            let slice = &values[rows];
+            let measures = Measures::from_values(slice);
+            let histogram = EquiDepthHistogram::from_values(slice, params.histogram_buckets);
+            let mut akmv = Akmv::new(params.akmv_k);
+            let mut hh = HeavyHitters::with_params(params.hh_support, params.hh_epsilon);
+            for &v in slice {
+                akmv.update(hash_f64(v));
+                hh.update(v.to_bits());
+            }
+            let exact =
+                ExactDict::build(slice.iter().map(|v| v.to_bits()), params.exact_dict_limit);
+            ColumnStats {
+                measures: Some(measures),
+                histogram: Some(histogram),
+                akmv,
+                heavy_hitters: hh.heavy_hitters(),
+                exact,
+                rows: n,
+            }
+        }
+        (false, ColumnData::Categorical { codes, .. }) => {
+            let slice = &codes[rows];
+            let mut akmv = Akmv::new(params.akmv_k);
+            let mut hh = HeavyHitters::with_params(params.hh_support, params.hh_epsilon);
+            for &c in slice {
+                akmv.update(hash_u64(u64::from(c)));
+                hh.update(u64::from(c));
+            }
+            let exact =
+                ExactDict::build(slice.iter().map(|&c| u64::from(c)), params.exact_dict_limit);
+            ColumnStats {
+                measures: None,
+                histogram: None,
+                akmv,
+                heavy_hitters: hh.heavy_hitters(),
+                exact,
+                rows: n,
+            }
+        }
+        _ => panic!("column physical type disagrees with declared type"),
     }
 }

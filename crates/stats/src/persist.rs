@@ -62,6 +62,14 @@ pub fn encode_table_stats(stats: &TableStats) -> Vec<u8> {
     bytes
 }
 
+/// One `(partition, column)` record of the section, as
+/// [`encode_table_stats`] writes it.
+pub fn column_stats_bytes(col: &ColumnStats) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_column_stats(&mut Writer::new(&mut bytes), col).expect("sketch blobs fit a u32 length");
+    bytes
+}
+
 /// One `(partition, column)` record; each sketch goes in place behind a
 /// back-patched `u32` length.
 fn encode_column_stats(w: &mut Writer<'_>, col: &ColumnStats) -> Result<(), CodecError> {

@@ -76,8 +76,10 @@ planner/plan_cold
 planner/plan_warm
 planner/stream_roundtrip
 persist/freeze
+persist/open_artifact
 persist/thaw_cold
 persist/boot_from_artifact
+stats/build_table
 sketch/quantile_update_fused
 sketch/distinct_update
 sketch/merge_64

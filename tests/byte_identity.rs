@@ -37,6 +37,7 @@
 //! file is again the header and section table, with the new version,
 //! offsets and sizes.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ps3::core::{AggError, AnswerMeta, ErrorEstimate, ProgressUpdate, Ps3Config, Ps3System};
@@ -47,6 +48,7 @@ use ps3::sketch::codec::answer_sketch_to_bytes;
 use ps3::sketch::hash::hash_u64;
 use ps3::sketch::{AnswerSketch, DistinctSketch, QuantileSketch, TopKSketch};
 use ps3::storage::format::fnv1a;
+use ps3::storage::{ColId, ColumnData, PartitionId};
 
 /// One answer sketch of each kind, from fixed inputs that reach every field
 /// of its encoding (signed buckets, zeros, NaN and infinities for the
@@ -250,4 +252,50 @@ fn warm_retrained_aria_tiny_artifact_matches_the_recorded_digest() {
     let warm = Ps3System::retrain_from(&system, next.pt, next.stats);
     let digest = artifact_digest(&warm, "aria_tiny_warm");
     assert_eq!(digest, 0x3EAE_EA47_EAA5_8DFB, "artifact bytes moved");
+}
+
+/// The statistics section of a TPC-H table with 4,000 rows per partition,
+/// recorded before the per-column sketches were derived from one sort.
+/// Lossy counting drops a counter at a bucket boundary (every 1,000th row)
+/// when its count is too low for the rows seen, and restarts it if the key
+/// recurs, so a reported count can fall short of the key's true count. No
+/// artifact above reaches a boundary (128–512 rows per partition), and on
+/// most tables that do, no reported count ever falls short (an Aria table
+/// of the same shape reports every heavy hitter exactly). This one does.
+#[test]
+fn statistics_section_with_pruned_heavy_hitters_matches_the_recorded_digest() {
+    let ds = DatasetConfig::new(DatasetKind::TpcH, ScaleProfile::Tiny)
+        .with_rows(64_000)
+        .with_partitions(16)
+        .build(5);
+    let table = ds.pt.table();
+    let undercounted = (0..ds.pt.num_partitions()).any(|p| {
+        let rows = ds.pt.rows(PartitionId(p));
+        ds.stats.partition(p).iter().enumerate().any(|(c, col)| {
+            let keys: Vec<u64> = match table.column(ColId(c)) {
+                ColumnData::Numeric(v) => v[rows.clone()].iter().map(|x| x.to_bits()).collect(),
+                ColumnData::Categorical { codes, .. } => {
+                    codes[rows.clone()].iter().map(|&c| u64::from(c)).collect()
+                }
+            };
+            let mut exact: HashMap<u64, u64> = HashMap::new();
+            for &k in &keys {
+                *exact.entry(k).or_default() += 1;
+            }
+            let n = keys.len() as f64;
+            col.heavy_hitters
+                .iter()
+                .any(|h| h.frequency < exact[&h.key] as f64 / n)
+        })
+    });
+    assert!(
+        undercounted,
+        "fixture must report a count lossy counting pruned"
+    );
+    let bytes = ps3::stats::persist::encode_table_stats(&ds.stats);
+    assert_eq!(
+        fnv1a(&bytes),
+        0x0AFB_BB83_870D_EF79,
+        "statistics bytes moved"
+    );
 }

@@ -20,6 +20,8 @@
 //!   (`ps3_stats::oracle` keeps the full-width transform and fit).
 //! * A workload binned once from its compact matrices trains the GBDT the
 //!   expanded full-width rows train, bit for bit.
+//! * A partition column's sketch bundle derived from one sort encodes to
+//!   the bytes the streaming sketches (`ps3_stats::oracle`) encode to.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -33,12 +35,15 @@ use ps3::query::{
 use ps3::sketch::Measures;
 use ps3::stats::column_stats::{ColumnStats, ColumnStatsParams};
 use ps3::stats::features::{PER_COL, SCALARS_PER_COL};
+use ps3::stats::persist::column_stats_bytes;
 use ps3::stats::{
     oracle, FeatureMatrix, Normalizer, QueryColumns, SelectivityFeatures, SelectivityPlan,
     StatsConfig, TableStats,
 };
 use ps3::storage::table::TableBuilder;
-use ps3::storage::{ColId, ColumnMeta, ColumnType, PartitionId, PartitionedTable, Schema};
+use ps3::storage::{
+    ColId, ColumnData, ColumnMeta, ColumnType, Dictionary, PartitionId, PartitionedTable, Schema,
+};
 
 /// A small random table: numeric x (0..100), numeric y (-50..50),
 /// categorical tag from a fixed alphabet.
@@ -557,6 +562,102 @@ proptest! {
         prop_assert_eq!(importance(&binned), importance(&reference));
         for row in &dense {
             prop_assert_eq!(binned.predict_row(row).to_bits(), reference.predict_row(row).to_bits());
+        }
+    }
+}
+
+/// Values a numeric sketch must keep apart or merge exactly: NaNs with
+/// payloads of both signs (quiet and signalling), ±0.0, ±∞ and subnormals
+/// of both signs.
+const SPECIAL_VALUES: [f64; 11] = [
+    f64::NAN,
+    -f64::NAN,
+    f64::from_bits(0x7FF0_0000_0000_0001),
+    f64::from_bits(0xFFF8_0000_0000_0042),
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    5e-324,
+    -5e-324,
+    f64::MIN_POSITIVE / 3.0,
+];
+
+/// Partition columns for the one-sort sketch bundle, eight per draw: a
+/// numeric and a categorical column for each of four key-pool sizes — 1–8
+/// keys, around the AKMV sketch's 128 hashes, around the exact
+/// dictionary's 256 keys, and up to 1,500 keys. Each column sketches 1–3,500
+/// rows (so lossy counting crosses 0–3 bucket boundaries at ε = 0.001)
+/// starting at a random offset. Keys are drawn skewed toward a point that
+/// drifts through the pool along the column: some are heavy hitters, many
+/// occur once, and some are rare early and heavy late, so lossy counting
+/// prunes them and reports short counts.
+struct SketchColumns;
+
+impl Strategy for SketchColumns {
+    type Value = Vec<(ColumnData, ColumnType, std::ops::Range<usize>)>;
+
+    fn sample(&self, rng: &mut TestRng) -> Self::Value {
+        let mut columns = Vec::with_capacity(8);
+        for (lo, spread) in [(1, 8), (100, 60), (220, 80), (300, 1_200)] {
+            let pool_len = lo + rng.below(spread) as usize;
+            let start = rng.below(40) as usize;
+            let rows = start..start + 1 + rng.below(3_500) as usize;
+            let drift = rng.below(pool_len as u64) as usize;
+            let draws: Vec<usize> = (0..rows.end)
+                .map(|i| {
+                    let at = i * drift / rows.end;
+                    (at + (rng.unit_f64().powi(3) * pool_len as f64) as usize) % pool_len
+                })
+                .collect();
+            let pool: Vec<f64> = (0..pool_len)
+                .map(|_| match rng.below(4) {
+                    0 => SPECIAL_VALUES[rng.below(SPECIAL_VALUES.len() as u64) as usize],
+                    1 => rng.below(50) as f64 - 25.0,
+                    _ => rng.unit_f64() * 2e3 - 1e3,
+                })
+                .collect();
+            let values: Vec<f64> = draws.iter().map(|&d| pool[d]).collect();
+            columns.push((
+                ColumnData::Numeric(values.into()),
+                ColumnType::Numeric,
+                rows.clone(),
+            ));
+            let mut dict = Dictionary::new();
+            let codes: Vec<u32> = (0..pool_len)
+                .map(|i| dict.intern(&format!("k{i}")))
+                .collect();
+            let codes: Vec<u32> = draws.iter().map(|&d| codes[d]).collect();
+            columns.push((
+                ColumnData::Categorical {
+                    codes: codes.into(),
+                    dict: std::sync::Arc::new(dict),
+                },
+                ColumnType::Categorical,
+                rows,
+            ));
+        }
+        columns
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `ColumnStats::build` derives every sketch from one sort of the
+    /// column's `(key, row)` pairs; its record in the statistics section is
+    /// the streaming sketches' record, byte for byte.
+    #[test]
+    fn one_sort_sketch_bundle_encodes_to_the_streaming_bytes(columns in SketchColumns) {
+        let params = ColumnStatsParams::default();
+        for (column, ctype, rows) in &columns {
+            let built = ColumnStats::build(column, *ctype, rows.clone(), &params);
+            let streamed = oracle::streaming_column_stats(column, *ctype, rows.clone(), &params);
+            prop_assert!(
+                column_stats_bytes(&built) == column_stats_bytes(&streamed),
+                "{ctype:?} column of {} rows: bundles differ",
+                rows.len()
+            );
         }
     }
 }
