@@ -75,31 +75,7 @@ impl Akmv {
     /// Panics if `k < 2`.
     pub fn from_distinct(k: usize, rows: u64, mut counts: Vec<(u64, u64)>) -> Self {
         assert!(k >= 2, "AKMV needs k >= 2");
-        let by_hash = |&(h, _): &(u64, u64)| h;
-        if counts.len() > k {
-            // Sort only the k smallest pairs. When their hashes are
-            // distinct they are the k smallest distinct hashes, and only
-            // the largest of them can recur past the cut.
-            counts.select_nth_unstable_by_key(k - 1, by_hash);
-            let (front, tail) = counts.split_at_mut(k);
-            front.sort_unstable_by_key(by_hash);
-            if front.windows(2).all(|w| w[0].0 < w[1].0) {
-                let last = &mut front[k - 1];
-                last.1 += tail
-                    .iter()
-                    .filter(|&&(h, _)| h == last.0)
-                    .map(|&(_, c)| c)
-                    .sum::<u64>();
-                counts.truncate(k);
-                counts.shrink_to_fit();
-                return Self {
-                    k,
-                    entries: counts,
-                    rows,
-                };
-            }
-        }
-        counts.sort_unstable_by_key(by_hash);
+        counts.sort_unstable_by_key(|&(h, _)| h);
         counts.dedup_by(|next, kept| {
             let same = next.0 == kept.0;
             if same {
