@@ -31,7 +31,7 @@ use ps3_learn::{Gbdt, GbdtParams, NodeSpec, Tree};
 use ps3_query::codec;
 use ps3_query::Query;
 use ps3_stats::features::FeatureType;
-use ps3_stats::persist::{encode_table_stats, thaw_table_stats};
+use ps3_stats::persist::{thaw_table_stats, write_table_stats};
 use ps3_stats::{FeatureSchema, Normalizer};
 use ps3_storage::codec::{decode_section, CodecError, Reader, Writer};
 use ps3_storage::format::{
@@ -56,15 +56,20 @@ const MAX_TREES: usize = 1 << 16;
 const MAX_VEC: usize = 1 << 24;
 
 /// Write `system` to `path` as one flat artifact (temp file + rename, so a
-/// crash mid-write never leaves a half-written artifact behind).
+/// crash or a failure mid-write never leaves a half-written artifact
+/// behind). The trained, LSS and training sections are small and encoded
+/// first, so an encoder error surfaces before any byte is written; the
+/// column data and the statistics stream to the file as they are encoded.
 pub fn freeze(system: &Ps3System, path: &Path) -> io::Result<()> {
-    let mut w = ArtifactWriter::new();
-    encode_partitioned_table(&mut w, &system.pt);
-    w.add_section(SEC_STATS, encode_table_stats(&system.stats));
-    w.add_section(SEC_TRAINED, encode_trained(&system.trained));
-    w.add_section(SEC_LSS, encode_lss(&system.lss));
+    let trained = encode_trained(&system.trained);
+    let lss = encode_lss(&system.lss);
     let training = encode_training(&system.training)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    let mut w = ArtifactWriter::new();
+    encode_partitioned_table(&mut w, &system.pt);
+    w.add_streamed(SEC_STATS, |out| write_table_stats(&system.stats, out));
+    w.add_section(SEC_TRAINED, trained);
+    w.add_section(SEC_LSS, lss);
     w.add_section(SEC_TRAINING, training);
     w.write_to(path)
 }
@@ -661,6 +666,61 @@ mod tests {
         let why = "stats column kinds disagree with table schema";
         assert!(matches!(err, FormatError::Corrupt(w) if w == why), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The names in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_failed_freeze_leaves_the_old_artifact_and_no_temp_file() {
+        let sys = tiny_system();
+        let dir = std::env::temp_dir().join(format!("ps3_persist_fail_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tiny.ps3");
+        freeze(&sys, &path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+
+        // A needle past the query grammar's `u16` string cap cannot be
+        // persisted.
+        let needle = "a".repeat(usize::from(u16::MAX) + 1);
+        let oversized = Query::new(
+            vec![
+                AggExpr::count().filtered(Predicate::Clause(Clause::Contains {
+                    col: ColId(1),
+                    needle,
+                    negated: false,
+                })),
+            ],
+            None,
+            vec![],
+        );
+        let (trained, lss) = (sys.trained.clone(), sys.lss.clone());
+        let unwritable = Ps3System::from_parts(
+            Arc::clone(&sys.pt),
+            Arc::clone(&sys.stats),
+            trained,
+            lss,
+            vec![oversized].into(),
+        );
+        let err = freeze(&unwritable, &path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert_eq!(listing(&dir), ["tiny.ps3"]);
+
+        // A target inside a directory that does not exist.
+        let missing = dir.join("missing");
+        let err = freeze(&sys, &missing.join("tiny.ps3")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
+        assert!(!missing.exists());
+        assert_eq!(listing(&dir), ["tiny.ps3"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! bytes surface as [`FormatError`] (a short payload as
 //! `Truncated("stats")`), never a panic.
 
+use std::io::{self, Write};
+
 use ps3_sketch::codec::{decode_heavy_hitters, encode_heavy_hitters};
 use ps3_sketch::{Akmv, EquiDepthHistogram, ExactDict, Measures, MeasuresRaw};
 use ps3_storage::codec::{decode_section, CodecError, Reader, Writer};
@@ -40,30 +42,42 @@ const FLAG_HISTOGRAM: u8 = 1 << 1;
 const FLAG_EXACT: u8 = 1 << 2;
 const KNOWN_FLAGS: u8 = FLAG_MEASURES | FLAG_HISTOGRAM | FLAG_EXACT;
 
-/// Encode a full statistics catalog into one byte vector (the `STATS`
-/// section payload). A thawed catalog writes back the section it keeps,
-/// byte for byte: the encoding is canonical, so that is what encoding its
-/// sketches would write.
-pub fn encode_table_stats(stats: &TableStats) -> Vec<u8> {
+/// Write a full statistics catalog (the `STATS` section payload) to `out`,
+/// one `(partition, column)` record at a time through one reused record
+/// buffer. A thawed catalog writes back the section it keeps, byte for
+/// byte and straight from the mapping: the encoding is canonical, so that
+/// is what encoding its sketches would write. A record too large for its
+/// blob lengths is an `InvalidInput` error.
+pub fn write_table_stats<W: Write + ?Sized>(stats: &TableStats, out: &mut W) -> io::Result<()> {
     if let Some(encoded) = stats.encoded() {
-        return encoded.to_vec();
+        return out.write_all(encoded);
     }
     let n = stats.num_partitions();
-    let num_cols = stats.feature_schema().num_cols();
-    let mut bytes = Vec::new();
-    let mut w = Writer::new(&mut bytes);
+    let mut record = Vec::new();
+    let mut w = Writer::new(&mut record);
     w.u32(n as u32);
-    w.u32(num_cols as u32);
+    w.u32(stats.feature_schema().num_cols() as u32);
+    out.write_all(&record)?;
     for p in 0..n {
         for col in stats.partition(p) {
-            encode_column_stats(&mut w, col).expect("sketch blobs fit a u32 length");
+            record.clear();
+            encode_column_stats(&mut Writer::new(&mut record), col)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+            out.write_all(&record)?;
         }
     }
+    Ok(())
+}
+
+/// [`write_table_stats`] into one byte vector.
+pub fn encode_table_stats(stats: &TableStats) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_table_stats(stats, &mut bytes).expect("sketch blobs fit a u32 length");
     bytes
 }
 
 /// One `(partition, column)` record of the section, as
-/// [`encode_table_stats`] writes it.
+/// [`write_table_stats`] writes it.
 pub fn column_stats_bytes(col: &ColumnStats) -> Vec<u8> {
     let mut bytes = Vec::new();
     encode_column_stats(&mut Writer::new(&mut bytes), col).expect("sketch blobs fit a u32 length");

@@ -22,6 +22,8 @@
 //!   expanded full-width rows train, bit for bit.
 //! * A partition column's sketch bundle derived from one sort encodes to
 //!   the bytes the streaming sketches (`ps3_stats::oracle`) encode to.
+//! * An artifact streamed to disk section by section is the container
+//!   `ArtifactWriter::to_bytes` lays out, and `Artifact::open` accepts it.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -40,6 +42,7 @@ use ps3::stats::{
     oracle, FeatureMatrix, Normalizer, QueryColumns, SelectivityFeatures, SelectivityPlan,
     StatsConfig, TableStats,
 };
+use ps3::storage::format::{Artifact, ArtifactWriter};
 use ps3::storage::table::TableBuilder;
 use ps3::storage::{
     ColId, ColumnData, ColumnMeta, ColumnType, Dictionary, PartitionId, PartitionedTable, Schema,
@@ -638,6 +641,80 @@ impl Strategy for SketchColumns {
             ));
         }
         columns
+    }
+}
+
+/// Container sections, 0–9 per draw: distinct kinds in any order, payload
+/// lengths 0–300 with exact multiples of 64 drawn as often as the rest, and
+/// each payload either added whole or streamed in 1–4 writes of random
+/// split points.
+struct Sections;
+
+impl Strategy for Sections {
+    type Value = Vec<(u32, Vec<u8>, Option<Vec<usize>>)>;
+
+    fn sample(&self, rng: &mut TestRng) -> Self::Value {
+        let count = rng.below(10) as usize;
+        let mut sections: Vec<(u32, Vec<u8>, Option<Vec<usize>>)> = Vec::with_capacity(count);
+        while sections.len() < count {
+            let kind = rng.below(1_000) as u32;
+            if sections.iter().any(|(k, ..)| *k == kind) {
+                continue;
+            }
+            let len = match rng.below(2) {
+                0 => 64 * rng.below(5) as usize,
+                _ => rng.below(301) as usize,
+            };
+            let payload = (0..len).map(|_| rng.below(256) as u8).collect();
+            let splits = (rng.below(2) == 0).then(|| {
+                let mut at: Vec<usize> = (0..rng.below(4))
+                    .map(|_| rng.below(len as u64 + 1) as usize)
+                    .collect();
+                at.sort_unstable();
+                at
+            });
+            sections.push((kind, payload, splits));
+        }
+        sections
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `write_to` streams each section to the file as it is written and
+    /// patches the header and section table last; the file is the container
+    /// `to_bytes` lays out, and it opens with every payload in place.
+    #[test]
+    fn an_artifact_streamed_to_disk_equals_its_bytes(sections in Sections) {
+        let mut w = ArtifactWriter::new();
+        for (kind, payload, splits) in &sections {
+            match splits {
+                None => w.add_section(*kind, payload.clone()),
+                Some(at) => w.add_streamed(*kind, move |out| {
+                    let mut from = 0;
+                    for &to in at.iter().chain([&payload.len()]) {
+                        out.write_all(&payload[from..to])?;
+                        from = to;
+                    }
+                    Ok(())
+                }),
+            }
+        }
+        let path = std::env::temp_dir().join(format!(
+            "ps3_prop_stream_{}_{}.ps3",
+            std::process::id(),
+            sections.len()
+        ));
+        w.write_to(&path).unwrap();
+        let on_disk = std::fs::read(&path).unwrap();
+        let opened = Artifact::open(&path);
+        std::fs::remove_file(&path).ok();
+        prop_assert!(on_disk == w.to_bytes(), "{} sections: file differs", sections.len());
+        let artifact = opened.map_err(|e| TestCaseError::fail(e.to_string()))?;
+        for (kind, payload, _) in &sections {
+            prop_assert!(artifact.section(*kind).unwrap() == &payload[..], "section {kind}");
+        }
     }
 }
 
