@@ -7,8 +7,8 @@
 //!   (columns, stats, models, workload) and write the container
 //!   atomically.
 //! - `persist/open_artifact` — `Artifact::open` alone: map the file and
-//!   check the header, section table and every section's FNV-1a checksum,
-//!   the part of a thaw that reads every byte.
+//!   check the header, section table and every section's checksum, the
+//!   part of a thaw that reads every byte.
 //! - `persist/thaw_cold` — `Ps3System::thaw`: map, validate checksums,
 //!   decode models, rebuild the system. Column payloads stay mapped —
 //!   no bulk copy.

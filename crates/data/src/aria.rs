@@ -45,6 +45,12 @@ pub fn generate(rows: usize, seed: u64) -> Table {
     let z_version = Zipf::new(NUM_VERSIONS, 1.7);
     let z_tenant = Zipf::new(NUM_TENANTS, 0.9);
     let z_tz = Zipf::new(NUM_TIMEZONES, 1.0);
+    // Each label is formatted once, not once per row.
+    let tenants: Vec<String> = (0..NUM_TENANTS).map(|t| format!("tenant-{t:03}")).collect();
+    let versions: Vec<String> = (0..NUM_VERSIONS).map(|v| format!("v4.{v}.0")).collect();
+    let time_zones: Vec<String> = (0..NUM_TIMEZONES)
+        .map(|z| format!("UTC{:+03}", z as i64 - 12))
+        .collect();
 
     let mut ingestion = 0.0f64;
     for _ in 0..rows {
@@ -66,9 +72,9 @@ pub fn generate(rows: usize, seed: u64) -> Table {
                 ingestion,
             ],
             &[
-                &format!("tenant-{tenant:03}"),
-                &format!("v4.{}.{}", z_version.sample(&mut rng), 0),
-                &format!("UTC{:+03}", z_tz.sample(&mut rng) as i64 - 12),
+                &tenants[tenant],
+                &versions[z_version.sample(&mut rng)],
+                &time_zones[z_tz.sample(&mut rng)],
                 NETWORK_TYPES[z_tenant.sample(&mut rng) % 4],
             ],
         );

@@ -117,7 +117,9 @@ impl BinnedSet {
             assert_eq!(values.len(), n, "feature {f}: expected {n} values");
             sorted.clear();
             sorted.extend(values.iter().copied().filter(|v| !v.is_nan()));
-            sorted.sort_by(f64::total_cmp);
+            // Values `total_cmp` calls equal are the same bits, so an
+            // unstable sort leaves the order a stable one would.
+            sorted.sort_unstable_by(f64::total_cmp);
             sorted.dedup();
             let fe = fit_edges(&sorted, max_bins);
             for (b, &x) in bins[f * n..(f + 1) * n].iter_mut().zip(&values) {

@@ -2,6 +2,7 @@
 
 use ps3_sketch::hash::{hash_f64, hash_u64};
 use ps3_sketch::{Akmv, EquiDepthHistogram, ExactDict, HeavyHitter, HeavyHitters, Measures};
+use ps3_storage::column::order_key;
 use ps3_storage::{ColumnData, ColumnType};
 
 /// Sketches for one column of one partition (§3.1) — everything the
@@ -36,13 +37,6 @@ fn sorted_pairs(keys: impl ExactSizeIterator<Item = u64>) -> Vec<(u64, u32)> {
     let mut pairs: Vec<(u64, u32)> = keys.zip(0..rows).collect();
     pairs.sort_unstable_by_key(|&(k, _)| k);
     pairs
-}
-
-/// A `u64` whose unsigned order is `f64::total_cmp`'s: negative values
-/// have their magnitude bits flipped, and the sign bit is flipped for all.
-fn order_key(v: f64) -> u64 {
-    let bits = v.to_bits();
-    bits ^ ((((bits as i64) >> 63) as u64 >> 1) | (1 << 63))
 }
 
 /// The bit pattern [`order_key`] was taken of.

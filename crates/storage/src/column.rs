@@ -185,47 +185,33 @@ impl ColumnData {
         }
     }
 
-    /// A sort key for row `i`: numeric columns order by value, categorical
-    /// columns by their dictionary string (so layouts sorted on a categorical
-    /// column group equal values together, like the paper's Aria layout
-    /// sorted by `TenantId`).
-    pub fn sort_key(&self, i: usize) -> SortKey<'_> {
+    /// One key per row whose unsigned order is the order a sorted layout
+    /// puts rows in: numeric columns by value ([`f64::total_cmp`], through
+    /// [`order_key`]), categorical columns by their dictionary string — the
+    /// rank of the row's value among the dictionary's values — so layouts
+    /// sorted on a categorical column group equal values together, like the
+    /// paper's Aria layout sorted by `TenantId`.
+    pub fn sort_keys(&self) -> Vec<u64> {
         match self {
-            ColumnData::Numeric(v) => SortKey::Num(v[i]),
-            ColumnData::Categorical { codes, dict } => SortKey::Str(dict.value(codes[i])),
+            ColumnData::Numeric(v) => v.iter().map(|&x| order_key(x)).collect(),
+            ColumnData::Categorical { codes, dict } => {
+                let mut by_value: Vec<(&str, u32)> = dict.iter().map(|(c, v)| (v, c)).collect();
+                by_value.sort_unstable();
+                let mut rank = vec![0u64; dict.len()];
+                for (r, &(_, code)) in by_value.iter().enumerate() {
+                    rank[code as usize] = r as u64;
+                }
+                codes.iter().map(|&c| rank[c as usize]).collect()
+            }
         }
     }
 }
 
-/// Ordering key used by [`crate::layout`] when sorting rows.
-#[derive(Debug, PartialEq)]
-pub enum SortKey<'a> {
-    /// Numeric key; NaNs order last.
-    Num(f64),
-    /// String key.
-    Str(&'a str),
-}
-
-impl Eq for SortKey<'_> {}
-
-impl PartialOrd for SortKey<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for SortKey<'_> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        use SortKey::*;
-        match (self, other) {
-            (Num(a), Num(b)) => a.total_cmp(b),
-            (Str(a), Str(b)) => a.cmp(b),
-            // Mixed keys never happen for a single column; order numerics first
-            // deterministically rather than panicking.
-            (Num(_), Str(_)) => std::cmp::Ordering::Less,
-            (Str(_), Num(_)) => std::cmp::Ordering::Greater,
-        }
-    }
+/// A `u64` whose unsigned order is [`f64::total_cmp`]'s: negative values
+/// have their magnitude bits flipped, and the sign bit is flipped for all.
+pub fn order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64 >> 1) | (1 << 63))
 }
 
 #[cfg(test)]
@@ -277,16 +263,17 @@ mod tests {
     #[test]
     fn sort_keys_order() {
         let num = ColumnData::Numeric(vec![2.0, 1.0].into());
-        assert!(num.sort_key(1) < num.sort_key(0));
+        let keys = num.sort_keys();
+        assert!(keys[1] < keys[0]);
 
         let mut d = Dictionary::new();
         // Interning order differs from lexicographic order on purpose.
-        let codes = vec![d.intern("zeta"), d.intern("alpha")];
+        let codes = vec![d.intern("zeta"), d.intern("alpha"), d.intern("zeta")];
         let cat = ColumnData::Categorical {
             codes: codes.into(),
             dict: Arc::new(d),
         };
-        assert!(cat.sort_key(1) < cat.sort_key(0));
+        assert_eq!(cat.sort_keys(), [1, 0, 1]);
     }
 
     #[test]
@@ -317,9 +304,26 @@ mod tests {
     }
 
     #[test]
-    fn nan_ordering_is_total() {
-        let num = ColumnData::Numeric(vec![f64::NAN, 1.0].into());
-        // total_cmp puts NaN after every finite value.
-        assert!(num.sort_key(1) < num.sort_key(0));
+    fn order_keys_follow_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    order_key(a).cmp(&order_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 }

@@ -38,18 +38,16 @@ impl Layout {
             Layout::SortedBy(cols) => {
                 assert!(!cols.is_empty(), "SortedBy needs at least one column");
                 let mut perm: Vec<usize> = (0..table.num_rows()).collect();
-                // Stable sort so ties keep ingest order, matching how a bulk
-                // load into a sorted store behaves.
-                perm.sort_by(|&a, &b| {
-                    for &c in cols {
-                        let col = table.column(c);
-                        let ord = col.sort_key(a).cmp(&col.sort_key(b));
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
+                // Least significant column first, each pass a stable sort on
+                // the column's keys: a pass keeps the order of the passes
+                // before it among its ties, so rows end up ordered by the
+                // columns, most significant first, and ties keep ingest
+                // order, matching how a bulk load into a sorted store
+                // behaves.
+                for &c in cols.iter().rev() {
+                    let keys = table.column(c).sort_keys();
+                    perm.sort_by_key(|&row| keys[row]);
+                }
                 table.permute(&perm)
             }
             Layout::Random { seed } => {

@@ -219,8 +219,7 @@ fn corruption_cases_yield_the_documented_errors() {
     ));
 
     // Any version but this build's — the next one, and the retired one
-    // whose stats section carried the derived heavy-hitter keys, bitmaps
-    // and static feature rows beside the sketches.
+    // whose sections were checksummed byte by byte with FNV-1a.
     for version in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
         let mut bad = good.clone();
         bad[8..12].copy_from_slice(&version.to_le_bytes());

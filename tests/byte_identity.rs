@@ -36,8 +36,19 @@
 //! re-derives: they matched the version-4 bytes exactly. The rest of the
 //! file is again the header and section table, with the new version,
 //! offsets and sizes.
+//!
+//! They were re-recorded a third time when format version 6 replaced the
+//! byte-serial FNV-1a section and table checksums with the word-wise
+//! `ps3_storage::format::checksum`. The same three artifacts were frozen by
+//! the version-5 code and by the version-6 code and compared byte for byte:
+//! they were the same length, and the only bytes that differed were the
+//! version word (bytes 8–12), the section-table checksum (24–32) and the
+//! checksum word of each of the seven section-table entries. Every section
+//! payload was unchanged, and `every_section_payload_matches_the_recorded_digests`
+//! pins each one, as recorded from the version-5 code.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::Arc;
 
 use ps3::core::{AggError, AnswerMeta, ErrorEstimate, ProgressUpdate, Ps3Config, Ps3System};
@@ -47,7 +58,10 @@ use ps3::query::{GroupKey, QueryAnswer};
 use ps3::sketch::codec::answer_sketch_to_bytes;
 use ps3::sketch::hash::hash_u64;
 use ps3::sketch::{AnswerSketch, DistinctSketch, QuantileSketch, TopKSketch};
-use ps3::storage::format::fnv1a;
+use ps3::storage::format::{
+    fnv1a, Artifact, SEC_COLDATA, SEC_LSS, SEC_PARTITIONING, SEC_STATS, SEC_TABLE, SEC_TRAINED,
+    SEC_TRAINING,
+};
 use ps3::storage::{ColId, ColumnData, PartitionId};
 
 /// One answer sketch of each kind, from fixed inputs that reach every field
@@ -193,15 +207,40 @@ fn server_frame_bytes_match_the_recorded_digest() {
     );
 }
 
-/// The digest of `system` frozen to a fresh temporary file named `name`.
-fn artifact_digest(system: &Ps3System, name: &str) -> u64 {
+/// `read` applied to `system` frozen to a fresh temporary file named `name`.
+fn with_frozen<T>(system: &Ps3System, name: &str, read: impl FnOnce(&Path) -> T) -> T {
     let dir = std::env::temp_dir().join(format!("ps3_byte_identity_{}_{name}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(format!("{name}.ps3"));
     system.freeze(&path).expect("freeze");
-    let bytes = std::fs::read(&path).expect("read artifact");
+    let out = read(&path);
     std::fs::remove_dir_all(&dir).ok();
-    fnv1a(&bytes)
+    out
+}
+
+/// The digest of `system` frozen.
+fn artifact_digest(system: &Ps3System, name: &str) -> u64 {
+    with_frozen(system, name, |path| {
+        fnv1a(&std::fs::read(path).expect("read artifact"))
+    })
+}
+
+/// The digest of each section payload of `system` frozen, by kind
+/// ([`SEC_TABLE`] first, [`SEC_TRAINING`] last).
+fn section_digests(system: &Ps3System, name: &str) -> [u64; 7] {
+    with_frozen(system, name, |path| {
+        let artifact = Artifact::open(path).expect("open artifact");
+        let kinds = [
+            SEC_TABLE,
+            SEC_PARTITIONING,
+            SEC_COLDATA,
+            SEC_STATS,
+            SEC_TRAINED,
+            SEC_LSS,
+            SEC_TRAINING,
+        ];
+        kinds.map(|kind| fnv1a(artifact.section(kind).expect("section present")))
+    })
 }
 
 /// Aria Tiny, trained cold with four trees and Algorithm 3 off.
@@ -214,7 +253,7 @@ fn aria_tiny_system() -> Ps3System {
 }
 
 /// The digest of [`aria_tiny_system`] frozen.
-const ARIA_TINY: u64 = 0x2A12_3B47_399D_C1A7;
+const ARIA_TINY: u64 = 0xEED3_99FA_D55A_BA31;
 
 #[test]
 fn frozen_aria_tiny_artifact_matches_the_recorded_digest() {
@@ -222,11 +261,11 @@ fn frozen_aria_tiny_artifact_matches_the_recorded_digest() {
     assert_eq!(digest, ARIA_TINY, "artifact bytes moved");
 }
 
-/// Algorithm 3 on: the artifact carries feature exclusions, and every
-/// learned section (normalizer means, forests, LSS strata sizes)
-/// was trained on a workload whose clustering error it evaluated.
-#[test]
-fn frozen_tpch_tiny_artifact_with_feature_selection_matches_the_recorded_digest() {
+/// TPC-H Tiny, trained cold with four trees and Algorithm 3 on: the artifact
+/// carries feature exclusions, and every learned section (normalizer means,
+/// forests, LSS strata sizes) was trained on a workload whose clustering
+/// error it evaluated.
+fn tpch_tiny_fs_system() -> Ps3System {
     let ds = DatasetConfig::new(DatasetKind::TpcH, ScaleProfile::Tiny).build(11);
     let mut cfg = Ps3Config::default().with_seed(11);
     cfg.gbdt.n_trees = 4;
@@ -236,8 +275,47 @@ fn frozen_tpch_tiny_artifact_with_feature_selection_matches_the_recorded_digest(
         !system.trained.excluded.is_empty(),
         "fixture must exercise the exclusions"
     );
-    let digest = artifact_digest(&system, "tpch_tiny_fs");
-    assert_eq!(digest, 0xA9C8_7FE0_982F_3ACE, "artifact bytes moved");
+    system
+}
+
+#[test]
+fn frozen_tpch_tiny_artifact_with_feature_selection_matches_the_recorded_digest() {
+    let digest = artifact_digest(&tpch_tiny_fs_system(), "tpch_tiny_fs");
+    assert_eq!(digest, 0xE56B_84E3_1F36_F35D, "artifact bytes moved");
+}
+
+/// Every section payload of the two cold artifacts, pinned on its own:
+/// recorded from format 5, whose checksum was byte-serial FNV-1a, before
+/// format 6 changed the checksum. A whole-artifact digest above moves when
+/// only the header and section table do; these move when a payload does.
+#[test]
+fn every_section_payload_matches_the_recorded_digests() {
+    assert_eq!(
+        section_digests(&aria_tiny_system(), "aria_tiny_sections"),
+        [
+            0x7B17_9DCA_D453_6BEF,
+            0x4AB9_0EB3_6A6E_4C12,
+            0xA0E4_CB2B_B460_4758,
+            0xDF40_6C8A_65BB_C3AF,
+            0xEF91_61B0_E6F5_59C6,
+            0xD1C5_91ED_60D1_E7C1,
+            0xFC22_7989_1BC8_D64A,
+        ],
+        "an Aria Tiny section payload moved"
+    );
+    assert_eq!(
+        section_digests(&tpch_tiny_fs_system(), "tpch_tiny_fs_sections"),
+        [
+            0x0D4A_6FC4_6175_1BA8,
+            0x4AB9_0EB3_6A6E_4C12,
+            0x96F2_287E_7CF3_5E66,
+            0x4E80_0302_87A0_8B72,
+            0xB347_4B5D_03D4_4B3F,
+            0x158A_CAC2_A949_3358,
+            0x9BF9_0B0B_35C1_713C,
+        ],
+        "a TPC-H Tiny section payload moved"
+    );
 }
 
 /// A warm retrain onto another Aria Tiny draw: every learned part carries
@@ -251,7 +329,36 @@ fn warm_retrained_aria_tiny_artifact_matches_the_recorded_digest() {
     let next = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny).build(6);
     let warm = Ps3System::retrain_from(&system, next.pt, next.stats);
     let digest = artifact_digest(&warm, "aria_tiny_warm");
-    assert_eq!(digest, 0x3EAE_EA47_EAA5_8DFB, "artifact bytes moved");
+    assert_eq!(digest, 0x4B40_FF7D_ED85_6617, "artifact bytes moved");
+}
+
+/// `Ps3System::train` fits its k + 1 boosting loops in one fan-out over
+/// the shared pool; with `threads = 1` it fits them one after another. Both
+/// freeze to the same bytes, with Algorithm 3 off and on. (The config word
+/// that records `threads` is set to the default before freezing: it is the
+/// caller's choice, not something training learned.)
+#[test]
+fn serial_and_parallel_training_freeze_to_the_same_bytes() {
+    let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny).build(42);
+    for feature_selection in [false, true] {
+        let frozen = |threads: usize| {
+            let mut cfg = Ps3Config::default().with_seed(42);
+            cfg.gbdt.n_trees = 4;
+            cfg.feature_selection = feature_selection;
+            cfg.threads = threads;
+            let pt = Arc::clone(&ds.pt);
+            let mut system = Ps3System::train(pt, Arc::clone(&ds.stats), &ds.train_queries, cfg);
+            system.trained.config.threads = Ps3Config::default().threads;
+            let name = format!("threads_{threads}_fs_{feature_selection}");
+            with_frozen(&system, &name, |path| {
+                std::fs::read(path).expect("read artifact")
+            })
+        };
+        assert!(
+            frozen(1) == frozen(Ps3Config::default().threads),
+            "feature_selection = {feature_selection}: serial and parallel training differ"
+        );
+    }
 }
 
 /// The statistics section of a TPC-H table with 4,000 rows per partition,

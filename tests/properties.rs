@@ -24,6 +24,11 @@
 //!   the bytes the streaming sketches (`ps3_stats::oracle`) encode to.
 //! * An artifact streamed to disk section by section is the container
 //!   `ArtifactWriter::to_bytes` lays out, and `Artifact::open` accepts it.
+//! * The artifact checksum is the same however its input is cut into
+//!   pieces, and any change inside one aligned 8-byte word changes it, so
+//!   `Artifact::open` refuses the change.
+//! * A sorted layout computed from per-row `u64` keys orders rows exactly as
+//!   the comparator sort over values and dictionary strings did.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -42,10 +47,14 @@ use ps3::stats::{
     oracle, FeatureMatrix, Normalizer, QueryColumns, SelectivityFeatures, SelectivityPlan,
     StatsConfig, TableStats,
 };
-use ps3::storage::format::{Artifact, ArtifactWriter};
+use ps3::storage::format::{
+    checksum, Artifact, ArtifactWriter, Checksum, FormatError, HEADER_LEN, SECTION_ENTRY_LEN,
+    SECTION_TABLE, SEC_STATS, SEC_TRAINED,
+};
 use ps3::storage::table::TableBuilder;
 use ps3::storage::{
-    ColId, ColumnData, ColumnMeta, ColumnType, Dictionary, PartitionId, PartitionedTable, Schema,
+    ColId, ColumnData, ColumnMeta, ColumnType, Dictionary, Layout, PartitionId, PartitionedTable,
+    Schema, Table,
 };
 
 /// A small random table: numeric x (0..100), numeric y (-50..50),
@@ -714,6 +723,216 @@ proptest! {
         let artifact = opened.map_err(|e| TestCaseError::fail(e.to_string()))?;
         for (kind, payload, _) in &sections {
             prop_assert!(artifact.section(*kind).unwrap() == &payload[..], "section {kind}");
+        }
+    }
+}
+
+/// A payload of 0–300 bytes, lengths at and around multiples of the
+/// checksum's 32-byte block drawn as often as the rest, cut into 1–6 pieces
+/// at random points (empty pieces included).
+struct SplitPayloads;
+
+impl Strategy for SplitPayloads {
+    type Value = (Vec<u8>, Vec<usize>);
+
+    fn sample(&self, rng: &mut TestRng) -> Self::Value {
+        let len = match rng.below(2) {
+            0 => (32 * rng.below(10) as usize + rng.below(3) as usize).saturating_sub(1),
+            _ => rng.below(301) as usize,
+        };
+        let payload = (0..len).map(|_| rng.below(256) as u8).collect();
+        let mut cuts: Vec<usize> = (0..rng.below(6))
+            .map(|_| rng.below(len as u64 + 1) as usize)
+            .collect();
+        cuts.sort_unstable();
+        (payload, cuts)
+    }
+}
+
+/// A payload of 1–300 bytes and a change to it: one to eight bytes, all
+/// inside one aligned 8-byte word, each xored with a non-zero mask.
+struct WordFlips;
+
+impl Strategy for WordFlips {
+    type Value = (Vec<u8>, Vec<(usize, u8)>);
+
+    fn sample(&self, rng: &mut TestRng) -> Self::Value {
+        let len = 1 + rng.below(300) as usize;
+        let payload = (0..len).map(|_| rng.below(256) as u8).collect();
+        let first = rng.below(len as u64) as usize;
+        let word_end = (first / 8 * 8 + 8).min(len);
+        let last = first + rng.below((word_end - first) as u64) as usize;
+        let flips = (first..=last)
+            .map(|at| (at, 1 + rng.below(255) as u8))
+            .collect();
+        (payload, flips)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The artifact checksum of a payload fed in pieces is the checksum of
+    /// the whole, however it is cut: what `freeze` relies on when it folds
+    /// each write of a streamed section in as it passes.
+    #[test]
+    fn the_checksum_of_a_payload_in_pieces_is_the_checksum_of_the_whole(
+        (payload, cuts) in SplitPayloads,
+    ) {
+        let mut sum = Checksum::new();
+        let mut from = 0;
+        for &to in cuts.iter().chain([&payload.len()]) {
+            sum.update(&payload[from..to]);
+            from = to;
+        }
+        prop_assert_eq!(sum.finish(), checksum(&payload));
+    }
+
+    /// Changing any bytes inside one aligned 8-byte word changes the
+    /// checksum — always, not with high probability: the changed word
+    /// enters one step, every step is a bijection, and nothing after it can
+    /// undo the difference. So `Artifact::open` refuses such a change to a
+    /// section payload or to the section table, naming where it is.
+    #[test]
+    fn a_change_inside_one_word_always_changes_the_checksum((payload, flips) in WordFlips) {
+        let mut changed = payload.clone();
+        for &(at, mask) in &flips {
+            changed[at] ^= mask;
+        }
+        prop_assert!(checksum(&changed) != checksum(&payload), "flips {flips:?} undetected");
+
+        let mut w = ArtifactWriter::new();
+        w.add_section(SEC_STATS, vec![7; 40]);
+        w.add_section(SEC_TRAINED, payload.clone());
+        let good = w.to_bytes();
+        let path = std::env::temp_dir().join(format!(
+            "ps3_prop_flip_{}_{}.ps3",
+            std::process::id(),
+            payload.len()
+        ));
+        std::fs::write(&path, &good).unwrap();
+        let (offset, _) = Artifact::open(&path).unwrap().section_range(SEC_TRAINED).unwrap();
+        // The same change to the payload, then to the 64-byte section table
+        // where it falls inside it.
+        let table_len = 2 * SECTION_ENTRY_LEN;
+        for (base, end, section) in [
+            (offset, payload.len(), SEC_TRAINED),
+            (HEADER_LEN, table_len, SECTION_TABLE),
+        ] {
+            if flips.iter().any(|&(at, _)| at >= end) {
+                continue;
+            }
+            let mut bad = good.clone();
+            for &(at, mask) in &flips {
+                bad[base + at] ^= mask;
+            }
+            std::fs::write(&path, &bad).unwrap();
+            match Artifact::open(&path) {
+                Err(FormatError::ChecksumMismatch { section: s }) => prop_assert_eq!(s, section),
+                other => prop_assert!(false, "section {section}: got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Tables to lay out: 0–300 rows of two numeric and two categorical
+/// columns, then a row number. The numeric values come from a few
+/// repeated values (many ties), NaNs of both signs and other payloads,
+/// ±0.0, ±∞ and subnormals; each categorical dictionary is interned in a
+/// random order, not the lexicographic one. One to three distinct sort
+/// columns from the first four, most significant first.
+struct SortTables;
+
+impl Strategy for SortTables {
+    type Value = (Table, Vec<ColId>);
+
+    fn sample(&self, rng: &mut TestRng) -> Self::Value {
+        const WORDS: [&str; 8] = ["b", "a", "", "ab", "B", "zz", "a\u{0}", "é"];
+        let schema = Schema::new(vec![
+            ColumnMeta::new("x", ColumnType::Numeric),
+            ColumnMeta::new("tag", ColumnType::Categorical),
+            ColumnMeta::new("y", ColumnType::Date),
+            ColumnMeta::new("kind", ColumnType::Categorical),
+            ColumnMeta::new("row", ColumnType::Numeric),
+        ]);
+        let mut b = TableBuilder::new(schema);
+        // Interning order is first-seen order: shuffle which word is seen
+        // first by pushing each once, in random order, before the rest.
+        let mut words: Vec<&str> = WORDS.to_vec();
+        for i in (1..words.len()).rev() {
+            words.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let rows = rng.below(301) as usize;
+        let value = |rng: &mut TestRng| match rng.below(3) {
+            0 => SPECIAL_VALUES[rng.below(SPECIAL_VALUES.len() as u64) as usize],
+            1 => rng.below(4) as f64 - 1.0,
+            _ => rng.unit_f64() * 200.0 - 100.0,
+        };
+        for row in 0..rows {
+            let (tag, kind) = if row < words.len() {
+                (words[row], words[words.len() - 1 - row])
+            } else {
+                let mut word = || WORDS[rng.below(WORDS.len() as u64) as usize];
+                (word(), word())
+            };
+            let (x, y) = (value(rng), value(rng));
+            b.push_row(&[x, y, row as f64], &[tag, kind]);
+        }
+        let mut cols = vec![ColId(0), ColId(1), ColId(2), ColId(3)];
+        for i in (1..cols.len()).rev() {
+            cols.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        cols.truncate(1 + rng.below(3) as usize);
+        (b.finish(), cols)
+    }
+}
+
+/// The row order of `Layout::SortedBy(cols)` as it was computed before the
+/// layout sorted on keys: a stable sort comparing rows column by column,
+/// numbers by `f64::total_cmp` and categories by their dictionary string.
+fn comparator_sort(table: &Table, cols: &[ColId]) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..table.num_rows()).collect();
+    perm.sort_by(|&a, &b| {
+        for &c in cols {
+            let ord = match table.column(c) {
+                ColumnData::Numeric(v) => v[a].total_cmp(&v[b]),
+                ColumnData::Categorical { codes, dict } => {
+                    dict.value(codes[a]).cmp(dict.value(codes[b]))
+                }
+            };
+            if ord.is_ne() {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    perm
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A sorted layout computed from one `u64` key per row and sort column
+    /// puts every row where the string-comparing sort did: the same
+    /// values, bit for bit, in every column, and the row numbers show that
+    /// ties kept their ingest order.
+    #[test]
+    fn a_keyed_layout_sort_is_the_comparator_sort((table, cols) in SortTables) {
+        let sorted = Layout::SortedBy(cols.clone()).apply(&table);
+        let expected = table.permute(&comparator_sort(&table, &cols));
+        for c in 0..table.schema().len() {
+            match (sorted.column(ColId(c)), expected.column(ColId(c))) {
+                (ColumnData::Numeric(a), ColumnData::Numeric(b)) => prop_assert!(
+                    a.iter().map(|v| v.to_bits()).eq(b.iter().map(|v| v.to_bits())),
+                    "sorted by {cols:?}: column {c} differs"
+                ),
+                (
+                    ColumnData::Categorical { codes: a, .. },
+                    ColumnData::Categorical { codes: b, .. },
+                ) => prop_assert!(a[..] == b[..], "sorted by {cols:?}: column {c} differs"),
+                _ => prop_assert!(false, "column {c} changed type"),
+            }
         }
     }
 }
