@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use ps3_learn::Gbdt;
+use ps3_learn::{BinnedSet, Gbdt, GbdtParams};
 use ps3_query::metrics::avg_relative_error;
 use ps3_query::{PartialAnswer, WeightedPart};
 use ps3_stats::FeatureMatrix;
@@ -67,18 +67,21 @@ pub struct LssModel {
 }
 
 impl LssModel {
-    /// Sweep strata sizes per budget on the training set for `model`, the
-    /// contribution regressor (trained on `td.pooled_contributions()`).
-    /// `normalized[q]` is training query `q`'s normalized compact feature
-    /// matrix, which the sweep predicts from.
+    /// Train the regressor and sweep strata sizes per budget on the
+    /// training set. `normalized[q]` is training query `q`'s normalized
+    /// compact feature matrix, and `set` that workload binned once
+    /// ([`crate::train::bin_workload`]), which the regressor trains on.
     pub fn train(
         td: &TrainingData,
         normalized: &[FeatureMatrix],
-        model: Gbdt,
+        set: &BinnedSet,
+        gbdt: &GbdtParams,
         budget_fracs: &[f64],
         eval_queries: usize,
         seed: u64,
     ) -> Self {
+        let model = Gbdt::train_binned(set, &td.pooled_contributions(), gbdt);
+
         let n = td.num_partitions();
         let sizes = strata_size_grid(n);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x1551));

@@ -55,11 +55,8 @@ pub struct Ps3Config {
     pub use_filter: bool,
     /// RNG seed for everything stochastic in training and picking.
     pub seed: u64,
-    /// Fan-out policy for training: `1` runs serially, anything else
-    /// (including the 0 default) uses the shared pool. It governs computing
-    /// the training data and normalizing it, and fitting the k importance
-    /// models and the LSS regressor, which run in one fan-out. The models
-    /// are the same either way.
+    /// Fan-out policy for training-data computation: `1` runs serially,
+    /// anything else (including the 0 default) uses the shared pool.
     pub threads: usize,
     /// Bound on the serving-time artifact cache (entries, keyed by query
     /// fingerprint). An entry owns only what a query adds to the shared

@@ -32,7 +32,6 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ps3_learn::{choose_thresholds, Gbdt};
 use ps3_query::{
     execute_partials_on, execute_table, AggExpr, AggFunc, CompiledQuery, CompiledSketchQuery,
     GroupKey, PartialAnswer, Query, QueryAnswer, QuerySpec, SketchFunc, SketchQuery, WeightedPart,
@@ -222,9 +221,7 @@ impl Ps3System {
     /// normalized compact matrices are binned once, column by column
     /// ([`bin_workload`]), and the k importance models and the LSS
     /// regressor all train on that one set: no full-width feature row is
-    /// built. Those k + 1 boosting loops are independent, so they run in one
-    /// fan-out over the shared pool (serially when `cfg.threads` is 1);
-    /// Algorithm 3 and the LSS strata sweep follow, serially.
+    /// built.
     ///
     /// Training frees several times what the trained system keeps (the
     /// workload's exact partials and raw selectivity features, the
@@ -243,40 +240,17 @@ impl Ps3System {
         let normalizer = training.fit_normalizer(&stats);
         let (statics, normalized) = normalize_workload(&normalizer, &stats, &training, cfg.threads);
         let set = bin_workload(&normalized, cfg.gbdt.max_bins);
-        // Every boosting loop in one fan-out: the k importance models, each
-        // against its contribution threshold and seeded `gbdt.seed + i`,
-        // then the LSS regressor on the contributions themselves. A task
-        // builds its own labels, so only running tasks hold any.
-        let pooled = training.pooled_contributions();
-        let thresholds = choose_thresholds(&pooled, cfg.k_models);
-        let k = thresholds.len();
-        let mut models = ps3_runtime::fan_out(cfg.threads, k + 1, |i| {
-            if i == k {
-                return Gbdt::train_binned(&set, &pooled, &cfg.gbdt);
-            }
-            let mut params = cfg.gbdt;
-            params.seed = cfg.gbdt.seed.wrapping_add(i as u64);
-            Gbdt::train_binned(&set, &training.labels_at(thresholds[i]), &params)
-        });
-        drop((pooled, set));
-        let lss_model = models.pop().expect("the LSS regressor");
-        let trained = TrainedPs3::train(
-            &training,
-            normalizer,
-            &normalized,
-            thresholds,
-            models,
-            cfg.clone(),
-        );
+        let trained = TrainedPs3::train(&training, normalizer, &normalized, &set, cfg.clone());
         let lss = LssModel::train(
             &training,
             &normalized,
-            lss_model,
+            &set,
+            &cfg.gbdt,
             &LSS_BUDGET_GRID,
             cfg.fs_eval_queries,
             cfg.seed,
         );
-        drop((normalized, training));
+        drop((set, normalized, training));
         let system = Self::assemble(pt, stats, trained, lss, train_queries.into(), statics);
         ps3_runtime::release_free_heap();
         system

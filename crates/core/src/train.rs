@@ -18,7 +18,7 @@
 //! no table, and a warm retrain (`Ps3System::retrain_from`) carries it to a
 //! new table as it is.
 
-use ps3_learn::{make_labels, BinnedSet, Gbdt};
+use ps3_learn::{choose_thresholds, make_labels, BinnedSet, Gbdt};
 use ps3_query::{CompiledQuery, PartialAnswer, Query};
 use ps3_stats::features::FeatureType;
 use ps3_stats::{
@@ -87,15 +87,6 @@ impl TrainingData {
     pub fn pooled_contributions(&self) -> Vec<f64> {
         (self.runs.iter())
             .flat_map(|r| r.contributions.iter().copied())
-            .collect()
-    }
-
-    /// The labels of the importance model for contribution threshold `t`
-    /// ([`make_labels`], per query), in the row order of
-    /// [`Self::pooled_contributions`].
-    pub fn labels_at(&self, t: f64) -> Vec<f64> {
-        (self.runs.iter())
-            .flat_map(|r| make_labels(&r.contributions, t))
             .collect()
     }
 
@@ -217,20 +208,33 @@ pub struct TrainedPs3 {
 }
 
 impl TrainedPs3 {
-    /// Assemble the picker from its importance models — `models[i]` trained
-    /// against contribution threshold `thresholds[i]` — and the `normalizer`
-    /// fitted on `td` ([`TrainingData::fit_normalizer`]), running Algorithm 3
-    /// when `config` asks for it. `normalized[q]` is training query `q`'s
-    /// matrix through that normalizer ([`normalize_workload`]).
+    /// Train the full picker from precomputed [`TrainingData`], the
+    /// `normalizer` fitted on it ([`TrainingData::fit_normalizer`]) and
+    /// `normalized[q]`, training query `q`'s matrix through that normalizer
+    /// ([`normalize_workload`]). `set` is that workload binned once
+    /// ([`bin_workload`]); the k importance models all train on it.
     pub fn train(
         td: &TrainingData,
         normalizer: Normalizer,
         normalized: &[FeatureMatrix],
-        thresholds: Vec<f64>,
-        models: Vec<Gbdt>,
+        set: &BinnedSet,
         config: Ps3Config,
     ) -> Self {
-        assert_eq!(models.len(), thresholds.len(), "one model per threshold");
+        // Exponentially spaced thresholds from the pooled contributions.
+        let pooled = td.pooled_contributions();
+        let thresholds = choose_thresholds(&pooled, config.k_models);
+
+        let mut models = Vec::with_capacity(config.k_models);
+        for (i, &t) in thresholds.iter().enumerate() {
+            let mut labels: Vec<f64> = Vec::with_capacity(pooled.len());
+            for run in &td.runs {
+                labels.extend(make_labels(&run.contributions, t));
+            }
+            let mut params = config.gbdt;
+            params.seed = config.gbdt.seed.wrapping_add(i as u64);
+            models.push(Gbdt::train_binned(set, &labels, &params));
+        }
+
         let excluded = if config.feature_selection {
             select_features(td, normalized, &config)
         } else {

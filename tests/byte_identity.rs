@@ -332,8 +332,8 @@ fn warm_retrained_aria_tiny_artifact_matches_the_recorded_digest() {
     assert_eq!(digest, 0x4B40_FF7D_ED85_6617, "artifact bytes moved");
 }
 
-/// `Ps3System::train` fits its k + 1 boosting loops in one fan-out over
-/// the shared pool; with `threads = 1` it fits them one after another. Both
+/// `Ps3System::train` computes and normalizes its training data in a
+/// fan-out over the shared pool; with `threads = 1` it runs serially. Both
 /// freeze to the same bytes, with Algorithm 3 off and on. (The config word
 /// that records `threads` is set to the default before freezing: it is the
 /// caller's choice, not something training learned.)
