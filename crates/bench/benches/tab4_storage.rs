@@ -1,12 +1,11 @@
 //! Table 4: per-partition storage overhead of the summary statistics (KB),
 //! broken down by sketch family, for each dataset. `Total` sums the family
-//! columns; `Stored` is the encoded statistics section of the artifact per
-//! partition — `Total` plus the precomputed static feature rows (8 B per
-//! feature) and about 1% of framing.
+//! columns; `Stored` is the catalog's statistics section per partition,
+//! which the artifact holds verbatim — `Total` plus about 1% of flags and
+//! length prefixes.
 
 use ps3_bench::report::{print_header, Table};
 use ps3_data::{DatasetConfig, DatasetKind, ScaleProfile};
-use ps3_stats::persist::encode_table_stats;
 
 fn main() {
     let scale = ScaleProfile::from_env();
@@ -26,8 +25,7 @@ fn main() {
     for kind in DatasetKind::ALL {
         let ds = DatasetConfig::new(kind, scale).build(42);
         let b = ds.stats.storage_breakdown();
-        let stored_kb =
-            encode_table_stats(&ds.stats).len() as f64 / 1024.0 / ds.stats.num_partitions() as f64;
+        let stored_kb = ds.stats.section().len() as f64 / 1024.0 / ds.stats.num_partitions() as f64;
         t.row(vec![
             kind.label().to_string(),
             format!("{stored_kb:.2}"),

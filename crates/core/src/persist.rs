@@ -31,7 +31,7 @@ use ps3_learn::{Gbdt, GbdtParams, NodeSpec, Tree};
 use ps3_query::codec;
 use ps3_query::Query;
 use ps3_stats::features::FeatureType;
-use ps3_stats::persist::{thaw_table_stats, write_table_stats};
+use ps3_stats::persist::decode_table_stats;
 use ps3_stats::{FeatureSchema, Normalizer};
 use ps3_storage::codec::{decode_section, CodecError, Reader, Writer};
 use ps3_storage::format::{
@@ -59,7 +59,7 @@ const MAX_VEC: usize = 1 << 24;
 /// crash or a failure mid-write never leaves a half-written artifact
 /// behind). The trained, LSS and training sections are small and encoded
 /// first, so an encoder error surfaces before any byte is written; the
-/// column data and the statistics stream to the file as they are encoded.
+/// column data stream to the file as encoded, the statistics verbatim.
 pub fn freeze(system: &Ps3System, path: &Path) -> io::Result<()> {
     let trained = encode_trained(&system.trained);
     let lss = encode_lss(&system.lss);
@@ -67,7 +67,7 @@ pub fn freeze(system: &Ps3System, path: &Path) -> io::Result<()> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let mut w = ArtifactWriter::new();
     encode_partitioned_table(&mut w, &system.pt);
-    w.add_streamed(SEC_STATS, |out| write_table_stats(&system.stats, out));
+    w.add_streamed(SEC_STATS, |out| out.write_all(system.stats.section()));
     w.add_section(SEC_TRAINED, trained);
     w.add_section(SEC_LSS, lss);
     w.add_section(SEC_TRAINING, training);
@@ -83,9 +83,7 @@ pub fn thaw(path: &Path) -> Result<Ps3System, FormatError> {
     let schema = pt.table().schema();
     let num_cols = schema.len();
 
-    // The catalog keeps the mapped section, not the sketch bundles it
-    // decodes from it: serving reads only what they derive.
-    let stats = thaw_table_stats(a.section_bytes(SEC_STATS)?, schema)?;
+    let stats = decode_table_stats(a.section_bytes(SEC_STATS)?, schema)?;
     if stats.num_partitions() != pt.num_partitions() {
         return Err(FormatError::Corrupt(
             "stats partition count disagrees with table",

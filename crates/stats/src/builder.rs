@@ -1,15 +1,13 @@
-//! Builds [`TableStats`]: every partition's sketch bundles, and what is
-//! derived from them — the global heavy-hitter lists, the occurrence
-//! bitmaps, the precomputed static feature blocks and the selectivity
-//! index (`crate::index`).
+//! Builds [`TableStats`]: every partition's sketch bundles, encoded as the
+//! catalog's statistics section, and what is derived from them — the
+//! global heavy-hitter lists, the occurrence bitmaps, the precomputed
+//! static feature blocks and the selectivity index (`crate::index`).
 //!
-//! The sketches are the only statistics the artifact persists.
-//! [`TableStats::from_sketches`] is the one derivation of everything else:
-//! [`TableStats::build`] calls it after sketching the table, and thawing
-//! (`crate::persist`) after decoding the sketches, so a thawed catalog's
-//! derived values cannot disagree with its sketches. The selectivity
-//! index — every column's selectivity probe inputs across all partitions,
-//! laid out flat, which
+//! The section is the one stored form of every catalog. One derivation
+//! computes the rest from the bundles, after sketching the table or after
+//! decoding a thawed section, so a thawed catalog's derived values cannot
+//! disagree with its sketches. The selectivity index — every column's
+//! selectivity probe inputs across all partitions, laid out flat, which
 //! [`SelectivityPlan::estimate_all`](crate::SelectivityPlan::estimate_all)
 //! reads instead of the sketch bundles — is resident only, and
 //! [`TableStats::storage_breakdown`] does not count it.
@@ -40,20 +38,17 @@ pub struct StatsConfig {
 
 /// All summary statistics for one partitioned table.
 ///
-/// Serving reads only what is derived from the sketch bundles: the
-/// selectivity index, the occurrence bitmaps and the static rows. A built
-/// catalog holds its bundles; a thawed one
-/// ([`thaw_table_stats`](crate::persist::thaw_table_stats)) keeps the
-/// mapped section they were decoded from instead, and decodes them again,
-/// once, the first time [`Self::partition`] or
-/// [`Self::storage_breakdown`] asks.
+/// A catalog is its encoded sketch bundles (the section, owned when built,
+/// mapped when thawed) and what serving reads, derived from the bundles:
+/// the selectivity index, the occurrence bitmaps and the static rows. The
+/// bundles are decoded only when [`Self::partition`] asks, once.
 #[derive(Debug, Clone)]
 pub struct TableStats {
-    /// `partitions[p][c]` = sketches of column `c` in partition `p`: set
-    /// at construction, or on first use when `encoded` is kept instead.
+    /// The encoded sketch bundles, which freezing writes verbatim.
+    section: Bytes<u8>,
+    /// `partitions[p][c]` = sketches of column `c` in partition `p`,
+    /// decoded from `section` on first use.
     partitions: OnceLock<Vec<Vec<ColumnStats>>>,
-    /// The statistics section a thawed catalog was decoded from.
-    encoded: Option<Bytes<u8>>,
     /// `global_hh[c]` = the table-wide top heavy-hitter keys of column `c`,
     /// most frequent first, at most [`BITMAP_BITS`] entries (§3.2: the paper
     /// caps the occurrence bitmap at 25 keys).
@@ -65,7 +60,7 @@ pub struct TableStats {
     /// column; selectivity slots zero until query time).
     static_features: Vec<Vec<f64>>,
     feature_schema: FeatureSchema,
-    /// Derived from `partitions`: what selectivity estimation reads.
+    /// Derived from the bundles: what selectivity estimation reads.
     index: SelectivityIndex,
 }
 
@@ -91,17 +86,28 @@ impl TableStats {
             .expect("sketches built from a table fit the selectivity index")
     }
 
-    /// Assemble a catalog from its sketch bundles (`partitions[p][c]`) and
-    /// derive everything else from them: the global heavy-hitter keys, the
-    /// occurrence bitmaps, the static feature rows and the selectivity
-    /// index. Fails (rather than panicking later) when a partition does not
-    /// hold `num_cols` columns, or the sketches do not fit the index: a
-    /// column with a histogram in only some partitions, a categorical key
-    /// wider than a dictionary code, or an exact dictionary of more than
-    /// `u32::MAX` rows.
+    /// Assemble a catalog from its sketch bundles (`partitions[p][c]`):
+    /// derive the rest, then encode the bundles as its section. Fails
+    /// (rather than panicking later) when a partition does not hold
+    /// `num_cols` columns, or the sketches do not fit the index: a column
+    /// with a histogram in only some partitions, a categorical key wider
+    /// than a dictionary code, or an exact dictionary of more than
+    /// `u32::MAX` rows; or when a sketch outgrows its encoding.
     pub fn from_sketches(
         partitions: Vec<Vec<ColumnStats>>,
         num_cols: usize,
+    ) -> Result<Self, &'static str> {
+        Self::derive(partitions, num_cols, |partitions| {
+            crate::persist::encode_sketches(partitions, num_cols)
+        })
+    }
+
+    /// The one derivation: everything serving reads, from `partitions`,
+    /// which `section` then turns into the catalog's section.
+    pub(crate) fn derive(
+        partitions: Vec<Vec<ColumnStats>>,
+        num_cols: usize,
+        section: impl FnOnce(Vec<Vec<ColumnStats>>) -> Result<Bytes<u8>, &'static str>,
     ) -> Result<Self, &'static str> {
         if partitions.iter().any(|p| p.len() != num_cols) {
             return Err("stats partition column count disagrees with schema");
@@ -149,8 +155,8 @@ impl TableStats {
             .collect();
 
         Ok(Self {
-            partitions: OnceLock::from(partitions),
-            encoded: None,
+            section: section(partitions)?,
+            partitions: OnceLock::new(),
             global_hh,
             bitmaps,
             static_features,
@@ -159,32 +165,10 @@ impl TableStats {
         })
     }
 
-    /// This catalog with its sketch bundles dropped, to be decoded from
-    /// `encoded` when next asked for. `encoded` must be the statistics
-    /// section this catalog was decoded from.
-    pub(crate) fn served_from(mut self, encoded: Bytes<u8>) -> Self {
-        self.partitions = OnceLock::new();
-        self.encoded = Some(encoded);
-        self
-    }
-
-    /// The statistics section a thawed catalog keeps, which is what
-    /// encoding it writes back.
-    pub(crate) fn encoded(&self) -> Option<&[u8]> {
-        self.encoded.as_deref()
-    }
-
-    /// Every partition's sketch bundles, decoded on first use when only
-    /// the section is kept.
-    fn sketches(&self) -> &[Vec<ColumnStats>] {
-        self.partitions.get_or_init(|| {
-            let encoded = self
-                .encoded()
-                .expect("a catalog keeps its sketches or their section");
-            let (partitions, _) = crate::persist::decode_sketches(encoded)
-                .expect("the section decoded when the catalog was thawed");
-            partitions
-        })
+    /// The catalog's statistics section (`SEC_STATS`): what freezing
+    /// writes, byte for byte.
+    pub fn section(&self) -> &[u8] {
+        &self.section
     }
 
     /// Number of partitions.
@@ -192,14 +176,14 @@ impl TableStats {
         self.static_features.len()
     }
 
-    /// The sketch bundles of partition `p`, indexed by column.
+    /// The sketch bundles of partition `p`, indexed by column: every
+    /// partition's are decoded from the section on first use.
     pub fn partition(&self, p: usize) -> &[ColumnStats] {
-        &self.sketches()[p]
-    }
-
-    /// Sketches of `(partition, column)`.
-    pub fn column(&self, p: usize, c: ColId) -> &ColumnStats {
-        &self.partition(p)[c.index()]
+        let sketches = self.partitions.get_or_init(|| {
+            let decoded = crate::persist::decode_sketches(&self.section);
+            decoded.expect("a catalog's section decodes").0
+        });
+        &sketches[p]
     }
 
     /// Global heavy-hitter keys of column `c`.
@@ -228,7 +212,7 @@ impl TableStats {
     }
 
     /// Heap bytes of the selectivity index: resident alongside the
-    /// sketches, and counted by neither [`Self::storage_breakdown`] nor the
+    /// section, and counted by neither [`Self::storage_breakdown`] nor the
     /// artifact.
     pub fn selectivity_index_bytes(&self) -> usize {
         self.index.heap_bytes()
@@ -238,22 +222,36 @@ impl TableStats {
     /// The exact small-domain dictionary is accounted under `histogram`,
     /// where the paper's special case lives.
     pub fn storage_breakdown(&self) -> StorageBreakdown {
+        // One record decoded at a time: the bundles are not kept.
         let mut acc = StorageBreakdown::default();
-        for part in self.sketches() {
-            for col in part {
-                let (m, h, a, hh, e) = col.storage_bytes();
-                acc.measures_kb += m as f64;
-                acc.histogram_kb += (h + e) as f64;
-                acc.akmv_kb += a as f64;
-                acc.hh_kb += hh as f64;
-            }
-        }
+        crate::persist::for_each_record(&self.section, |_, col| {
+            let (m, h, a, hh, e) = col.storage_bytes();
+            acc.measures_kb += m as f64;
+            acc.histogram_kb += (h + e) as f64;
+            acc.akmv_kb += a as f64;
+            acc.hh_kb += hh as f64;
+        })
+        .expect("a catalog's section decodes");
         let n = self.num_partitions().max(1) as f64 * 1024.0;
         acc.measures_kb /= n;
         acc.histogram_kb /= n;
         acc.akmv_kb /= n;
         acc.hh_kb /= n;
         acc
+    }
+}
+
+impl Drop for TableStats {
+    fn drop(&mut self) {
+        // Freeing a buffer glibc mapped on its own raises the size from which
+        // it maps buffers to that buffer's (up to 32 MiB): smaller vectors
+        // then grow by copying within the heap and leave the old copies
+        // resident (~10 MB more `dashboard_warm` peak after the benchmark's
+        // 13.5 MB section). Freeing a one-byte remnant raises nothing.
+        if let Bytes::Owned(section) = &mut self.section {
+            section.truncate(1);
+            section.shrink_to_fit();
+        }
     }
 }
 
@@ -359,7 +357,7 @@ mod tests {
         assert_eq!(stats.num_partitions(), 4);
         assert_eq!(stats.partition(0).len(), 2);
         // Partition 0 holds x in 0..100.
-        let m = stats.column(0, ColId(0)).measures.as_ref().unwrap();
+        let m = stats.partition(0)[0].measures.as_ref().unwrap();
         assert_eq!(m.min(), 0.0);
         assert_eq!(m.max(), 99.0);
     }

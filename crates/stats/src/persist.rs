@@ -1,5 +1,6 @@
 //! Byte codec for [`TableStats`] — the statistics catalog section of the
-//! flat artifact format (`docs/FORMAT.md`).
+//! flat artifact format (`docs/FORMAT.md`), and the one stored form of
+//! every catalog.
 //!
 //! This is the one byte encoding of [`Measures`]: it persists the *raw
 //! accumulator sums* via [`Measures::raw_parts`], so a thawed system
@@ -10,17 +11,14 @@
 //! ([`ps3_storage::codec`]). The section is the partition and column
 //! counts followed by one such record per `(partition, column)`, and
 //! nothing else: the global heavy-hitter keys, occurrence bitmaps, static
-//! feature rows and selectivity index are re-derived from the decoded
-//! sketches by [`TableStats::from_sketches`], the derivation
-//! [`TableStats::build`] runs, and answer sketches are built at query time
-//! from the picked partitions' rows.
+//! feature rows and selectivity index are derived from the sketches, and
+//! answer sketches are built at query time from the picked partitions'
+//! rows.
 //!
 //! Every length and shape is validated before allocation-proportional
-//! work, and no pre-allocation exceeds the bytes left to read; malformed
+//! work, and nothing is allocated ahead of the records decoded; malformed
 //! bytes surface as [`FormatError`] (a short payload as
 //! `Truncated("stats")`), never a panic.
-
-use std::io::{self, Write};
 
 use ps3_sketch::codec::{decode_heavy_hitters, encode_heavy_hitters};
 use ps3_sketch::{Akmv, EquiDepthHistogram, ExactDict, Measures, MeasuresRaw};
@@ -31,8 +29,7 @@ use ps3_storage::{Bytes, Schema};
 use crate::builder::TableStats;
 use crate::column_stats::ColumnStats;
 
-/// Upper bound on the partition count accepted from an artifact; guards
-/// allocation size before any per-partition bytes are read.
+/// Upper bound on the partition count accepted from an artifact.
 const MAX_PARTITIONS: usize = 1 << 22;
 /// Upper bound on the column count accepted from an artifact.
 const MAX_COLS: usize = 1 << 16;
@@ -42,45 +39,44 @@ const FLAG_HISTOGRAM: u8 = 1 << 1;
 const FLAG_EXACT: u8 = 1 << 2;
 const KNOWN_FLAGS: u8 = FLAG_MEASURES | FLAG_HISTOGRAM | FLAG_EXACT;
 
-/// Write a full statistics catalog (the `STATS` section payload) to `out`,
-/// one `(partition, column)` record at a time through one reused record
-/// buffer. A thawed catalog writes back the section it keeps, byte for
-/// byte and straight from the mapping: the encoding is canonical, so that
-/// is what encoding its sketches would write. A record too large for its
-/// blob lengths is an `InvalidInput` error.
-pub fn write_table_stats<W: Write + ?Sized>(stats: &TableStats, out: &mut W) -> io::Result<()> {
-    if let Some(encoded) = stats.encoded() {
-        return out.write_all(encoded);
-    }
-    let n = stats.num_partitions();
-    let mut record = Vec::new();
-    let mut w = Writer::new(&mut record);
-    w.u32(n as u32);
-    w.u32(stats.feature_schema().num_cols() as u32);
-    out.write_all(&record)?;
-    for p in 0..n {
-        for col in stats.partition(p) {
-            record.clear();
-            encode_column_stats(&mut Writer::new(&mut record), col)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-            out.write_all(&record)?;
+const BLOB: &str = "sketch blobs cap at 4 GiB";
+/// Section bytes written between two returns of freed pages to the system.
+const RELEASE_EVERY: usize = 4 << 20;
+
+/// Encode the statistics section of `partitions[p][c]`, consuming the
+/// bundles: each partition's are dropped once written, and the pages they
+/// freed handed back as the section grows (the allocator keeps them
+/// otherwise), so the bundles and the whole section are never both
+/// resident.
+pub(crate) fn encode_sketches(
+    partitions: Vec<Vec<ColumnStats>>,
+    num_cols: usize,
+) -> Result<Bytes<u8>, &'static str> {
+    let mut bytes = Vec::new();
+    let mut w = Writer::new(&mut bytes);
+    w.u32(partitions.len() as u32);
+    w.u32(num_cols as u32);
+    let mut released = 0;
+    for cols in partitions {
+        for col in &cols {
+            encode_column_stats(&mut Writer::new(&mut bytes), col).map_err(|_| BLOB)?;
+        }
+        drop(cols);
+        if bytes.len() - released >= RELEASE_EVERY {
+            ps3_runtime::release_free_heap();
+            released = bytes.len();
         }
     }
-    Ok(())
-}
-
-/// [`write_table_stats`] into one byte vector.
-pub fn encode_table_stats(stats: &TableStats) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    write_table_stats(stats, &mut bytes).expect("sketch blobs fit a u32 length");
-    bytes
+    // A built catalog holds the section for as long as it lives.
+    bytes.shrink_to_fit();
+    Ok(bytes.into())
 }
 
 /// One `(partition, column)` record of the section, as
-/// [`write_table_stats`] writes it.
+/// [`TableStats::from_sketches`] writes it.
 pub fn column_stats_bytes(col: &ColumnStats) -> Vec<u8> {
     let mut bytes = Vec::new();
-    encode_column_stats(&mut Writer::new(&mut bytes), col).expect("sketch blobs fit a u32 length");
+    encode_column_stats(&mut Writer::new(&mut bytes), col).expect(BLOB);
     bytes
 }
 
@@ -112,7 +108,6 @@ fn encode_column_stats(w: &mut Writer<'_>, col: &ColumnStats) -> Result<(), Code
         w.f64(raw.log_max);
         w.u8(u8::from(raw.all_positive));
     }
-    const BLOB: &str = "sketch blobs cap at 4 GiB";
     if let Some(h) = &col.histogram {
         w.blob(BLOB, |w| h.encode(w))?;
     }
@@ -126,21 +121,14 @@ fn encode_column_stats(w: &mut Writer<'_>, col: &ColumnStats) -> Result<(), Code
     Ok(())
 }
 
-/// Decode a statistics catalog from a `STATS` section payload. Rejects
-/// every malformed shape with a typed error before constructing the
-/// catalog, so [`TableStats`] accessors can never panic on thawed state.
-/// The catalog owns its decoded sketch bundles, as a built one does.
-pub fn decode_table_stats(bytes: &[u8]) -> Result<TableStats, FormatError> {
-    let (partitions, num_cols) = decode_sketches(bytes)?;
-    TableStats::from_sketches(partitions, num_cols).map_err(FormatError::Corrupt)
-}
-
-/// The serving form of [`decode_table_stats`], for a section still mapped:
-/// the sketches are decoded to derive the catalog and to check their kinds
-/// against `schema`, then dropped. The catalog keeps `section` and decodes
-/// them again only when asked ([`TableStats::partition`]), and encoding it
-/// writes `section` back unchanged.
-pub fn thaw_table_stats(section: Bytes<u8>, schema: &Schema) -> Result<TableStats, FormatError> {
+/// The catalog a statistics section holds, for the table of `schema`.
+/// Rejects every malformed shape with a typed error before constructing
+/// the catalog, so [`TableStats`] accessors can never panic on thawed
+/// state. The sketches are decoded to check their kinds against `schema`
+/// and to derive the catalog, then dropped: the catalog keeps `section`
+/// (for an artifact, a window onto its mapping) and decodes them again
+/// only when asked ([`TableStats::partition`]).
+pub fn decode_table_stats(section: Bytes<u8>, schema: &Schema) -> Result<TableStats, FormatError> {
     let (partitions, num_cols) = decode_sketches(&section)?;
     if num_cols != schema.len() {
         return Err(FormatError::Corrupt(
@@ -159,13 +147,32 @@ pub fn thaw_table_stats(section: Bytes<u8>, schema: &Schema) -> Result<TableStat
             "stats column kinds disagree with table schema",
         ));
     }
-    let stats = TableStats::from_sketches(partitions, num_cols).map_err(FormatError::Corrupt)?;
-    Ok(stats.served_from(section))
+    TableStats::derive(partitions, num_cols, |_| Ok(section)).map_err(FormatError::Corrupt)
 }
 
 /// The section's sketch bundles (`partitions[p][c]`) and its column count:
 /// the records alone, before anything is derived from them.
 pub(crate) fn decode_sketches(bytes: &[u8]) -> Result<(Vec<Vec<ColumnStats>>, usize), FormatError> {
+    let mut partitions: Vec<Vec<ColumnStats>> = Vec::new();
+    let num_cols = for_each_record(bytes, |p, col| {
+        if p == partitions.len() {
+            // Every partition after the first holds as many as the last.
+            let cols = partitions.last().map_or(0, Vec::len);
+            partitions.push(Vec::with_capacity(cols));
+        }
+        partitions[p].push(col);
+    })?;
+    Ok((partitions, num_cols))
+}
+
+/// The one loop over a section's records: checks the partition and column
+/// counts, then decodes each `(partition, column)` record in order,
+/// partition-major, and hands it to `record` with its partition. Returns
+/// the column count.
+pub(crate) fn for_each_record(
+    bytes: &[u8],
+    mut record: impl FnMut(usize, ColumnStats),
+) -> Result<usize, FormatError> {
     decode_section("stats", bytes, |r| {
         let n = r.u32()? as usize;
         let num_cols = r.u32()? as usize;
@@ -178,17 +185,12 @@ pub(crate) fn decode_sketches(bytes: &[u8]) -> Result<(Vec<Vec<ColumnStats>>, us
         if n > 0 && num_cols == 0 {
             return Err(CodecError::Invalid("stats partitions without columns"));
         }
-        // Every partition holds at least one record of at least one byte,
-        // so the bytes left bound what a well-formed payload can hold.
-        let mut partitions = Vec::with_capacity(n.min(r.remaining()));
-        for _ in 0..n {
-            let mut cols = Vec::with_capacity(num_cols.min(r.remaining()));
+        for p in 0..n {
             for _ in 0..num_cols {
-                cols.push(decode_column_stats(r)?);
+                record(p, decode_column_stats(r)?);
             }
-            partitions.push(cols);
         }
-        Ok((partitions, num_cols))
+        Ok(num_cols)
     })
 }
 
@@ -215,11 +217,9 @@ fn decode_column_stats(r: &mut Reader<'_>) -> Result<ColumnStats, CodecError> {
     } else {
         None
     };
-    let histogram = if flags & FLAG_HISTOGRAM != 0 {
-        Some(r.blob(EquiDepthHistogram::decode)?)
-    } else {
-        None
-    };
+    let histogram = (flags & FLAG_HISTOGRAM != 0)
+        .then(|| r.blob(EquiDepthHistogram::decode))
+        .transpose()?;
     let akmv = r.blob(Akmv::decode)?;
     let (heavy_hitters, hh_rows) = r.blob(decode_heavy_hitters)?;
     if hh_rows != rows {
@@ -227,11 +227,9 @@ fn decode_column_stats(r: &mut Reader<'_>) -> Result<ColumnStats, CodecError> {
             "column stats: heavy-hitter row count disagrees",
         ));
     }
-    let exact = if flags & FLAG_EXACT != 0 {
-        Some(r.blob(ExactDict::decode)?)
-    } else {
-        None
-    };
+    let exact = (flags & FLAG_EXACT != 0)
+        .then(|| r.blob(ExactDict::decode))
+        .transpose()?;
     Ok(ColumnStats {
         measures,
         histogram,
@@ -246,29 +244,41 @@ fn decode_column_stats(r: &mut Reader<'_>) -> Result<ColumnStats, CodecError> {
 mod tests {
     use super::*;
     use crate::builder::StatsConfig;
+    use crate::column_stats::ColumnStatsParams;
     use ps3_storage::table::TableBuilder;
-    use ps3_storage::{ColId, ColumnMeta, ColumnType, PartitionedTable, Schema};
+    use ps3_storage::{ColId, ColumnMeta, ColumnType, PartitionId, PartitionedTable};
 
-    fn make() -> TableStats {
-        let schema = Schema::new(vec![
+    fn schema() -> Schema {
+        Schema::new(vec![
             ColumnMeta::new("x", ColumnType::Numeric),
             ColumnMeta::new("tag", ColumnType::Categorical),
-        ]);
-        let mut b = TableBuilder::new(schema);
+        ])
+    }
+
+    fn table() -> PartitionedTable {
+        let mut b = TableBuilder::new(schema());
         for i in 0..400 {
             let tag = ["a", "b", "c", "hot"][if i < 200 { 3 } else { i % 3 }];
             b.push_row(&[f64::from(i as u32).sqrt()], &[tag]);
         }
-        let pt = PartitionedTable::with_equal_partitions(b.finish(), 4);
-        TableStats::build(&pt, &StatsConfig::default())
+        PartitionedTable::with_equal_partitions(b.finish(), 4)
+    }
+
+    fn make() -> TableStats {
+        TableStats::build(&table(), &StatsConfig::default())
+    }
+
+    fn decode(bytes: &[u8]) -> Result<TableStats, FormatError> {
+        decode_table_stats(Bytes::from(bytes.to_vec()), &schema())
     }
 
     #[test]
     fn roundtrip_is_bit_exact() {
-        let stats = make();
-        let bytes = encode_table_stats(&stats);
-        let d = decode_table_stats(&bytes).unwrap();
+        let pt = table();
+        let stats = TableStats::build(&pt, &StatsConfig::default());
+        let d = decode(stats.section()).unwrap();
         assert_eq!(d.num_partitions(), stats.num_partitions());
+        assert_eq!(d.section(), stats.section());
         let bits = |s: &TableStats| -> Vec<Vec<u64>> {
             (s.static_features().iter())
                 .map(|row| row.iter().map(|x| x.to_bits()).collect())
@@ -284,8 +294,13 @@ mod tests {
                 assert_eq!(d.bitmap(ColId(c), p), stats.bitmap(ColId(c), p));
             }
         }
+        // The sketches decoded from the section are the ones built.
+        let table = pt.table();
         for p in 0..4 {
-            for (dc, sc) in d.partition(p).iter().zip(stats.partition(p)) {
+            let rows = pt.rows(PartitionId(p));
+            for (dc, (id, meta)) in d.partition(p).iter().zip(table.schema().iter()) {
+                let params = ColumnStatsParams::default();
+                let sc = ColumnStats::build(table.column(id), meta.ctype, rows.clone(), &params);
                 assert_eq!(dc.rows, sc.rows);
                 assert_eq!(dc.heavy_hitters, sc.heavy_hitters);
                 assert_eq!(dc.histogram, sc.histogram);
@@ -305,9 +320,10 @@ mod tests {
 
     #[test]
     fn truncation_is_typed() {
-        let bytes = encode_table_stats(&make());
+        let stats = make();
+        let bytes = stats.section();
         for cut in [0, 3, 16, bytes.len() / 2, bytes.len() - 1] {
-            let err = decode_table_stats(&bytes[..cut]).unwrap_err();
+            let err = decode(&bytes[..cut]).unwrap_err();
             assert!(
                 matches!(err, FormatError::Truncated(_) | FormatError::Corrupt(_)),
                 "cut {cut}: {err}"
@@ -317,8 +333,7 @@ mod tests {
 
     #[test]
     fn unknown_flags_rejected() {
-        let stats = make();
-        let mut bytes = encode_table_stats(&stats);
+        let mut bytes = make().section().to_vec();
         // The first column-stats record follows the two counts.
         let first_flags = 8;
         assert_eq!(
@@ -329,7 +344,7 @@ mod tests {
         // top-k blobs; bit 7 was never assigned.
         for bit in [3, 4, 7] {
             bytes[first_flags] ^= 1 << bit;
-            let err = decode_table_stats(&bytes).unwrap_err();
+            let err = decode(&bytes).unwrap_err();
             assert!(
                 matches!(err, FormatError::Corrupt("column stats: unknown flag bits")),
                 "bit {bit}: {err}"
@@ -339,16 +354,16 @@ mod tests {
         // Flips elsewhere may or may not decode; they must never panic.
         for i in (0..bytes.len()).step_by(97) {
             bytes[i] ^= 0x80;
-            let _ = decode_table_stats(&bytes);
+            let _ = decode(&bytes);
             bytes[i] ^= 0x80;
         }
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = encode_table_stats(&make());
+        let mut bytes = make().section().to_vec();
         bytes.push(0);
-        let err = decode_table_stats(&bytes).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert!(matches!(err, FormatError::Corrupt(_)), "{err}");
     }
 }

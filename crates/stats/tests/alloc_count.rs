@@ -14,7 +14,7 @@ use ps3_stats::persist::decode_table_stats;
 use ps3_stats::{oracle, SelectivityPlan, StatsConfig, TableStats};
 use ps3_storage::format::FormatError;
 use ps3_storage::table::TableBuilder;
-use ps3_storage::{ColId, ColumnMeta, ColumnType, PartitionedTable, Schema};
+use ps3_storage::{Bytes, ColId, ColumnMeta, ColumnType, PartitionedTable, Schema};
 
 /// The system allocator, counting the calling thread's allocations and
 /// the bytes they request (the test harness runs each test on a thread of
@@ -154,10 +154,19 @@ fn estimating_every_partition_allocates_nothing_per_partition() {
 }
 
 /// `[n][num_cols]` followed by `rest`.
-fn stats_section(n: u32, num_cols: u32, rest: &[u8]) -> Vec<u8> {
+fn stats_section(n: u32, num_cols: u32, rest: &[u8]) -> Bytes<u8> {
     let mut bytes = [n.to_le_bytes(), num_cols.to_le_bytes()].concat();
     bytes.extend_from_slice(rest);
-    bytes
+    bytes.into()
+}
+
+/// A table schema of `num_cols` numeric columns.
+fn numeric_schema(num_cols: usize) -> Schema {
+    Schema::new(
+        (0..num_cols)
+            .map(|c| ColumnMeta::new(format!("x{c}"), ColumnType::Numeric))
+            .collect(),
+    )
 }
 
 /// Headers claiming 4,194,304 partitions fail without reserving room for
@@ -167,17 +176,19 @@ fn stats_section(n: u32, num_cols: u32, rest: &[u8]) -> Vec<u8> {
 /// 16 MiB of bitmaps), and partitions of no columns are refused outright.
 #[test]
 fn stats_sections_claiming_more_than_they_hold_allocate_next_to_nothing() {
-    let decode = |bytes: Vec<u8>| {
-        let (allocated, result) = counted_in(&BYTES, || decode_table_stats(&bytes).map(|_| ()));
+    // Each section is decoded for the schema of the columns it claims.
+    let decode = |bytes: Bytes<u8>, schema: &Schema| {
+        let (allocated, result) =
+            counted_in(&BYTES, || decode_table_stats(bytes, schema).map(|_| ()));
         assert!(allocated < 64 * 1024, "{allocated} bytes allocated");
         result
     };
-    let result = decode(stats_section(1 << 22, 1, &[0; 4]));
+    let result = decode(stats_section(1 << 22, 1, &[0; 4]), &numeric_schema(1));
     assert!(
         matches!(result, Err(FormatError::Truncated("stats"))),
         "{result:?}"
     );
-    let result = decode(stats_section(1 << 22, 0, &[]));
+    let result = decode(stats_section(1 << 22, 0, &[]), &numeric_schema(0));
     assert!(
         matches!(
             result,

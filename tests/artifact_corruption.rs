@@ -30,11 +30,11 @@ use ps3::data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3::query::{AggExpr, Clause, CmpOp, Predicate, Query, QuerySpec, ScalarExpr, SketchQuery};
 use ps3::runtime::ThreadPool;
 use ps3::sketch::codec::answer_sketch_to_bytes;
-use ps3::stats::persist::{decode_table_stats, encode_table_stats};
+use ps3::stats::persist::decode_table_stats;
 use ps3::stats::{StatsConfig, TableStats};
 use ps3::storage::format::{Artifact, FormatError, FORMAT_VERSION, MAGIC};
 use ps3::storage::table::TableBuilder;
-use ps3::storage::{ColId, ColumnMeta, ColumnType, PartitionedTable, Schema};
+use ps3::storage::{Bytes, ColId, ColumnMeta, ColumnType, PartitionedTable, Schema};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ps3_corrupt_{tag}_{}", std::process::id()));
@@ -297,7 +297,7 @@ fn reported_storage_is_what_the_stats_section_stores() {
     let stats = &ds.stats;
     // The partition and column counts; the sketch records follow.
     let fixed = 8;
-    let stored = (encode_table_stats(stats).len() - fixed) as f64;
+    let stored = (stats.section().len() - fixed) as f64;
     let reported = stats.storage_breakdown().total_kb() * 1024.0 * n as f64;
     assert!(
         reported <= stored && stored <= reported * 1.02,
@@ -305,16 +305,26 @@ fn reported_storage_is_what_the_stats_section_stores() {
     );
 }
 
+/// The schema of the stats blob below.
+fn stats_blob_schema() -> Schema {
+    Schema::new(vec![
+        ColumnMeta::new("x", ColumnType::Numeric),
+        ColumnMeta::new("g", ColumnType::Categorical),
+    ])
+}
+
+/// `bytes` decoded as a statistics section for the table it was built
+/// from.
+fn decode_stats_blob(bytes: &[u8]) -> Result<TableStats, FormatError> {
+    decode_table_stats(Bytes::from(bytes.to_vec()), &stats_blob_schema())
+}
+
 /// Shared encoded stats blob for the blob-targeted proptests.
 fn stats_blob_bytes() -> &'static [u8] {
     use std::sync::OnceLock;
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
-        let schema = Schema::new(vec![
-            ColumnMeta::new("x", ColumnType::Numeric),
-            ColumnMeta::new("g", ColumnType::Categorical),
-        ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = TableBuilder::new(stats_blob_schema());
         for i in 0..320u32 {
             b.push_row(
                 &[f64::from(i % 97) * 1.37 - 20.0],
@@ -323,10 +333,10 @@ fn stats_blob_bytes() -> &'static [u8] {
         }
         let pt = PartitionedTable::with_equal_partitions(b.finish(), 16);
         let stats = TableStats::build(&pt, &StatsConfig::default());
-        let bytes = encode_table_stats(&stats);
+        let bytes = stats.section().to_vec();
         // Sanity: the pristine blob round-trips, so every proptest failure
         // below is attributable to the injected corruption.
-        decode_table_stats(&bytes).expect("pristine stats blob decodes");
+        decode_stats_blob(&bytes).expect("pristine stats blob decodes");
         bytes
     })
 }
@@ -374,7 +384,7 @@ proptest! {
         let idx = byte_idx % good.len();
         let mut bad = good.to_vec();
         bad[idx] ^= 1 << bit;
-        let _ = decode_table_stats(&bad); // Ok or typed Err — never a panic.
+        let _ = decode_stats_blob(&bad); // Ok or typed Err — never a panic.
     }
 
     /// Promise 2e: no truncation point in the stats blob can panic the
@@ -384,7 +394,7 @@ proptest! {
         let good = stats_blob_bytes();
         let keep = ((good.len() as f64) * keep_frac) as usize;
         if keep < good.len() {
-            prop_assert!(decode_table_stats(&good[..keep]).is_err());
+            prop_assert!(decode_stats_blob(&good[..keep]).is_err());
         }
     }
 

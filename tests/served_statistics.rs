@@ -1,9 +1,11 @@
-//! A served table holds only what serving reads. Serving reads the
-//! selectivity index, the occurrence bitmaps and the static rows that
+//! A catalog holds only what serving reads, and its section. Serving reads
+//! the selectivity index, the occurrence bitmaps and the static rows that
 //! `TableStats::from_sketches` derives from the per-partition sketch
-//! bundles, never the bundles themselves. A thawed catalog keeps the mapped
-//! statistics section instead of the bundles and decodes them again, once,
-//! only when asked (the strict selectivity oracle, `storage_breakdown`).
+//! bundles, never the bundles themselves. So a catalog, built or thawed,
+//! keeps the encoded statistics section instead of the bundles (a built
+//! one on the heap, a thawed one in the artifact's mapping) and decodes
+//! them again, once, only when asked (the strict selectivity oracle);
+//! `storage_breakdown` decodes them one record at a time and keeps none.
 //!
 //! Counted, not timed: the heap a catalog holds is the bytes its drop
 //! frees, which a counting allocator sees on the dropping thread.
@@ -15,8 +17,8 @@ use std::sync::{Arc, OnceLock};
 
 use ps3::core::{Ps3Config, Ps3System};
 use ps3::data::{Dataset, DatasetConfig, DatasetKind, ScaleProfile};
-use ps3::stats::persist::encode_table_stats;
 use ps3::stats::{StatsConfig, TableStats};
+use ps3::storage::format::{Artifact, SEC_STATS};
 
 /// The system allocator, counting the bytes the calling thread frees.
 struct Counting;
@@ -87,25 +89,63 @@ fn thawed_stats(path: &Path) -> TableStats {
     Arc::into_inner(stats).expect("the system held the only other reference")
 }
 
+/// A catalog built from the table again.
+fn built_stats(ds: &Dataset) -> TableStats {
+    TableStats::build(&ds.pt, &StatsConfig::default())
+}
+
 #[test]
-fn a_thawed_catalog_holds_under_30_percent_of_the_built_heap() {
-    let (ds, path) = frozen("heap");
-    let built = heap_of(TableStats::build(&ds.pt, &StatsConfig::default()));
+fn a_thawed_catalog_holds_under_30_percent_of_the_decoded_bundle_heap() {
+    let (_, path) = frozen("heap");
     let thawed = heap_of(thawed_stats(&path));
-    let share = thawed as f64 / built as f64;
-    assert!(
-        share <= 0.30,
-        "a thawed catalog holds {thawed} B, {:.1}% of the built {built} B",
-        100.0 * share
-    );
-    // Asking for the sketches decodes them back: the heap is the built one
-    // plus what the section keeps.
+    // Asking for the sketches decodes every bundle back onto the heap.
     let stats = thawed_stats(&path);
     let _ = stats.partition(0);
     let decoded = heap_of(stats);
+    let share = thawed as f64 / decoded as f64;
     assert!(
-        decoded > built / 2,
-        "{decoded} B after decoding, built {built} B"
+        share <= 0.30,
+        "a thawed catalog holds {thawed} B, {:.1}% of the {decoded} B it holds with its bundles decoded",
+        100.0 * share
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_built_catalog_holds_the_thawed_heap_plus_its_section() {
+    let (ds, path) = frozen("built");
+    let stats = built_stats(ds);
+    let section = stats.section().len() as u64;
+    let built = heap_of(stats);
+    let thawed = heap_of(thawed_stats(&path));
+    let expected = (thawed + section) as f64;
+    assert!(
+        (built as f64 - expected).abs() <= 0.01 * expected,
+        "built {built} B, thawed {thawed} B + section {section} B"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn storage_breakdown_leaves_the_heap_unchanged() {
+    let (ds, path) = frozen("breakdown");
+    // Two catalogs of each kind, alike but for the breakdown asked of one.
+    let (asked, untouched) = (built_stats(ds), built_stats(ds));
+    assert_eq!(asked.storage_breakdown(), ds.stats.storage_breakdown());
+    assert_eq!(heap_of(asked), heap_of(untouched), "built");
+    let (asked, untouched) = (thawed_stats(&path), thawed_stats(&path));
+    assert_eq!(asked.storage_breakdown(), ds.stats.storage_breakdown());
+    assert_eq!(heap_of(asked), heap_of(untouched), "thawed");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn freezing_a_built_system_writes_its_section_byte_for_byte() {
+    let (ds, path) = frozen("section");
+    let artifact = Artifact::open(&path).expect("open");
+    assert_eq!(
+        artifact.section(SEC_STATS).expect("stats"),
+        ds.stats.section()
     );
     std::fs::remove_file(&path).ok();
 }
@@ -116,14 +156,14 @@ fn thawed_sketches_decode_on_demand_to_the_built_bundles_bit_for_bit() {
     let stats = thawed_stats(&path);
     let n = stats.num_partitions();
     assert_eq!(n, ds.stats.num_partitions());
-    // Freezing writes the kept section back without decoding anything.
-    assert_eq!(encode_table_stats(&stats), encode_table_stats(&ds.stats));
+    // Freezing wrote the built section, and thawing keeps it.
+    assert_eq!(stats.section(), ds.stats.section());
     // The bundles decoded on demand re-encode, through the one codec, to
     // the built catalog's bytes, and derive the same catalog.
     let sketches = (0..n).map(|p| stats.partition(p).to_vec()).collect();
     let num_cols = stats.feature_schema().num_cols();
     let rebuilt = TableStats::from_sketches(sketches, num_cols).expect("derives");
-    assert_eq!(encode_table_stats(&rebuilt), encode_table_stats(&ds.stats));
+    assert_eq!(rebuilt.section(), ds.stats.section());
     let bits = |s: &TableStats| -> Vec<u64> {
         (s.static_features().iter().flatten())
             .map(|x| x.to_bits())
