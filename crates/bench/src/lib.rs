@@ -5,8 +5,6 @@
 //!   caches, and evaluates any method at any budget *without re-reading the
 //!   data* (answers combine cached per-partition partials).
 //! * [`report`] — fixed-width table/series printing shared by every bench.
-//! * [`cluster_model`] — the Table-3 cluster cost model (compute ∝ rows
-//!   read; latency = makespan over simulated workers with stragglers).
 //! * [`variance`] — the Appendix-D.2 variance estimators for partition- vs
 //!   row-level sampling.
 //!
@@ -16,7 +14,6 @@
 //! Scale comes from `ScaleProfile::from_env()` — set `PS3_FULL=1` for the
 //! larger configuration.
 
-pub mod cluster_model;
 pub mod harness;
 pub mod report;
 pub mod variance;

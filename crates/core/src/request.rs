@@ -23,7 +23,7 @@ use crate::system::Method;
 /// `impl Into<Budget>` (`f64` converts to [`Budget::Fraction`]), and
 /// declarative budgets use [`Self::with_error_target`] /
 /// [`Self::with_latency_target`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
     /// The query — scalar ([`ps3_query::Query`]) or sketch-class
     /// ([`ps3_query::SketchQuery`]); both convert into [`QuerySpec`].

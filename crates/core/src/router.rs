@@ -75,22 +75,15 @@ impl TableId {
 
 /// Where a request should execute. `Default` routes to the router's sole
 /// table (an error on a multi-table router, which has no implicit table);
-/// names resolve at submission time.
+/// names resolve at submission time. Both routes mean the same thing on
+/// either side of a wire, so every request can be sent as a frame.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum TableRoute {
     /// The single registered table (single-table routers only).
     #[default]
     Default,
-    /// A resolved table id from this router.
-    Id(TableId),
     /// A table name to resolve at submission.
     Named(String),
-}
-
-impl From<TableId> for TableRoute {
-    fn from(id: TableId) -> Self {
-        TableRoute::Id(id)
-    }
 }
 
 impl From<&str> for TableRoute {
@@ -887,7 +880,6 @@ impl Router {
     pub fn resolve(&self, route: &TableRoute) -> Option<TableId> {
         match route {
             TableRoute::Default => (self.core.tables.len() == 1).then_some(TableId(0)),
-            TableRoute::Id(id) => (id.index() < self.core.tables.len()).then_some(*id),
             TableRoute::Named(name) => self.table_id(name),
         }
     }
@@ -1223,7 +1215,7 @@ mod tests {
     }
 
     #[test]
-    fn routes_resolve_by_name_id_and_default() {
+    fn routes_resolve_by_name_and_default() {
         let single = Router::single(tiny_system(1, 160));
         assert_eq!(single.resolve(&TableRoute::Default), Some(TableId(0)));
         assert_eq!(single.table_id("default"), Some(TableId(0)));
@@ -1238,9 +1230,9 @@ mod tests {
             None,
             "multi-table routers have no implicit table"
         );
-        let b = multi.table_id("b").unwrap();
-        assert_eq!(multi.resolve(&TableRoute::from(b)), Some(b));
+        assert_eq!(multi.resolve(&TableRoute::from("b")), multi.table_id("b"));
         assert_eq!(multi.resolve(&TableRoute::from("a")), Some(TableId(0)));
+        assert_eq!(multi.resolve(&TableRoute::from("nope")), None);
         assert_eq!(multi.tables().count(), 2);
     }
 

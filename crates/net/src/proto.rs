@@ -3,10 +3,10 @@
 //! Everything on the wire is a **frame**: a 4-byte little-endian body
 //! length followed by the body, which starts with a fixed header
 //! (`version`, `kind`, `request_id`) and continues with a kind-specific
-//! payload. Four kinds exist: [`RequestFrame`] (client → server: a table
-//! route, a [`QuerySpec`] in the byte grammar of [`ps3_query::codec`] — the
-//! same one frozen artifacts store their training workload in — and the
-//! method/[`Budget`]/seed triple),
+//! payload. Four kinds exist: [`RequestFrame`] (client → server: a
+//! [`QueryRequest`] — its table route, its query in the byte grammar of
+//! [`ps3_query::codec`], the same one frozen artifacts store their training
+//! workload in, and its method/[`Budget`]/seed triple and progressive flag),
 //! [`ResponseFrame`] (server → client: the [`QueryAnswer`] with its
 //! [`AnswerMeta`] — execution stats and error estimate), [`PartialFrame`]
 //! (server → client: a refining [`ProgressUpdate`] on a progressive
@@ -43,7 +43,7 @@ use ps3_core::{
     QueryRequest, TableRoute,
 };
 use ps3_query::codec::{decode_query_spec, encode_query_spec};
-use ps3_query::{GroupKey, QueryAnswer, QuerySpec};
+use ps3_query::{GroupKey, QueryAnswer};
 use ps3_sketch::codec::{decode_answer_sketch, encode_answer_sketch};
 use ps3_sketch::AnswerSketch;
 use ps3_storage::codec::{CodecError, Reader, Writer};
@@ -101,7 +101,7 @@ pub enum ProtoError {
         max: u32,
     },
     /// A structurally invalid value (empty aggregate list, excessive
-    /// nesting, a router-local table id in a wire route, …).
+    /// nesting, …).
     Invalid(&'static str),
 }
 
@@ -207,59 +207,28 @@ pub enum Frame {
     Error(ErrorFrame),
 }
 
-/// A client's query submission.
+/// A client's query submission: a correlation id and the
+/// [`QueryRequest`] it carries — the router's own request type, so nothing
+/// is translated on either side of the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestFrame {
     /// Client-chosen correlation id, echoed verbatim in the response.
     pub request_id: u64,
-    /// Target table: `None` routes to a single-table router's default
-    /// table, `Some(name)` resolves by name. (Router-local [`TableRoute::Id`]s
-    /// are meaningless across a wire and refuse to encode.)
-    pub table: Option<String>,
-    /// Sampling method.
-    pub method: Method,
-    /// What to spend: an explicit partition fraction, or a declarative
-    /// error/latency target for the server's planner to resolve.
-    pub budget: Budget,
-    /// Determinism seed: equal `(table, query, method, planned frac, seed)`
-    /// yields bit-identical answers.
-    pub seed: u64,
-    /// Stream refining partial answers before the final response (served
-    /// best-effort — cache hits answer in one frame).
-    pub progressive: bool,
-    /// The query itself: a scalar aggregate query or a sketch-class query.
-    pub query: QuerySpec,
+    /// The request: query, table route, method, budget, seed and the
+    /// progressive flag (served best-effort — cache hits answer in one
+    /// frame).
+    pub request: QueryRequest,
 }
 
 impl RequestFrame {
-    /// Package a [`QueryRequest`] for the wire. Fails on a
-    /// [`TableRoute::Id`] route (ids are router-local).
+    /// Package a copy of a [`QueryRequest`] for the wire. Every request can
+    /// be sent, so this cannot fail; the `Result` stays for callers that
+    /// already handle one.
     pub fn from_request(request_id: u64, req: &QueryRequest) -> Result<RequestFrame, ProtoError> {
         Ok(RequestFrame {
             request_id,
-            table: wire_table(&req.table)?.map(str::to_owned),
-            method: req.method,
-            budget: req.budget,
-            seed: req.seed,
-            progressive: req.progressive,
-            query: req.query.clone(),
+            request: req.clone(),
         })
-    }
-
-    /// Rebuild the router-side [`QueryRequest`].
-    pub fn into_query_request(self) -> QueryRequest {
-        let table = match self.table {
-            None => TableRoute::Default,
-            Some(name) => TableRoute::Named(name),
-        };
-        QueryRequest {
-            query: self.query,
-            method: self.method,
-            budget: self.budget,
-            seed: self.seed,
-            table,
-            progressive: self.progressive,
-        }
     }
 }
 
@@ -456,74 +425,43 @@ fn encode_body_into(
 
 /// The request frame for `req`, appended to `out` without copying the
 /// request: the same bytes as [`encode_frame`] writes for
-/// `Frame::Request(RequestFrame::from_request(request_id, req)?)`, the
-/// same refusal of a [`TableRoute::Id`] route, and the same rollback on
-/// error.
+/// `Frame::Request(RequestFrame::from_request(request_id, req)?)`, and the
+/// same rollback on error.
 pub(crate) fn encode_request_into(
     request_id: u64,
     req: &QueryRequest,
     out: &mut Vec<u8>,
 ) -> Result<(), ProtoError> {
-    let table = wire_table(&req.table)?;
-    encode_body_into(out, |w| {
-        encode_request(
-            w,
-            request_id,
-            table,
-            req.method,
-            req.budget,
-            req.seed,
-            req.progressive,
-            &req.query,
-        )
-    })
+    encode_body_into(out, |w| encode_request(w, request_id, req))
 }
 
-/// A route as the wire carries it: `None` for the default table, or a
-/// name. Router-local [`TableRoute::Id`]s are refused.
-fn wire_table(route: &TableRoute) -> Result<Option<&str>, ProtoError> {
-    match route {
-        TableRoute::Default => Ok(None),
-        TableRoute::Named(name) => Ok(Some(name)),
-        TableRoute::Id(_) => Err(ProtoError::Invalid(
-            "table ids are router-local; route by name over the wire",
-        )),
-    }
-}
-
-/// The one request encoder, over borrowed parts: an owned
-/// [`RequestFrame`] and a borrowed [`QueryRequest`] write the same bytes.
-#[allow(clippy::too_many_arguments)]
+/// The one request encoder: an owned [`RequestFrame`] and a borrowed
+/// [`QueryRequest`] write the same bytes.
 fn encode_request(
     w: &mut Writer<'_>,
     request_id: u64,
-    table: Option<&str>,
-    method: Method,
-    budget: Budget,
-    seed: u64,
-    progressive: bool,
-    query: &QuerySpec,
+    req: &QueryRequest,
 ) -> Result<(), ProtoError> {
     w.u8(KIND_REQUEST);
     w.u64(request_id);
-    match table {
-        None => w.u8(0),
-        Some(name) => {
+    match &req.table {
+        TableRoute::Default => w.u8(0),
+        TableRoute::Named(name) => {
             w.u8(1);
             w.str(name)?;
         }
     }
-    w.u8(method_byte(method));
-    let (tag, value) = match budget {
+    w.u8(method_byte(req.method));
+    let (tag, value) = match req.budget {
         Budget::Fraction(f) => (BUDGET_FRACTION, f),
         Budget::ErrorTarget { rel_err } => (BUDGET_ERROR_TARGET, rel_err),
         Budget::LatencyTarget { ms } => (BUDGET_LATENCY_TARGET, ms),
     };
     w.u8(tag);
     w.f64(value);
-    w.u64(seed);
-    w.u8(if progressive { FLAG_PROGRESSIVE } else { 0 });
-    encode_query_spec(w, query)?;
+    w.u64(req.seed);
+    w.u8(if req.progressive { FLAG_PROGRESSIVE } else { 0 });
+    encode_query_spec(w, &req.query)?;
     Ok(())
 }
 
@@ -567,16 +505,7 @@ fn encode_response(
 /// length and version and rolls back on error.
 fn encode_frame_body(frame: &Frame, w: &mut Writer<'_>) -> Result<(), ProtoError> {
     match frame {
-        Frame::Request(req) => encode_request(
-            w,
-            req.request_id,
-            req.table.as_deref(),
-            req.method,
-            req.budget,
-            req.seed,
-            req.progressive,
-            &req.query,
-        )?,
+        Frame::Request(frame) => encode_request(w, frame.request_id, &frame.request)?,
         Frame::Response(resp) => encode_response(
             w,
             resp.request_id,
@@ -656,8 +585,8 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
     match kind {
         KIND_REQUEST => {
             let table = match r.u8()? {
-                0 => None,
-                1 => Some(r.str()?),
+                0 => TableRoute::Default,
+                1 => TableRoute::Named(r.str()?),
                 tag => {
                     return Err(ProtoError::BadTag {
                         what: "table route",
@@ -699,12 +628,14 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, ProtoError> {
             let query = decode_query_spec(&mut r)?;
             Ok(Frame::Request(RequestFrame {
                 request_id,
-                table,
-                method,
-                budget,
-                seed,
-                progressive,
-                query,
+                request: QueryRequest {
+                    query,
+                    method,
+                    budget,
+                    seed,
+                    table,
+                    progressive,
+                },
             }))
         }
         KIND_RESPONSE => {
@@ -851,7 +782,7 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ps3_query::{AggExpr, Clause, CmpOp, Predicate, Query, ScalarExpr, SketchQuery};
+    use ps3_query::{AggExpr, Clause, CmpOp, Predicate, Query, QuerySpec, ScalarExpr, SketchQuery};
     use ps3_storage::ColId;
 
     fn sample_query() -> Query {
@@ -921,12 +852,7 @@ mod tests {
     fn request(query: impl Into<QuerySpec>) -> RequestFrame {
         RequestFrame {
             request_id: 1,
-            table: None,
-            method: Method::Ps3,
-            budget: Budget::Fraction(0.25),
-            seed: 1,
-            progressive: false,
-            query: query.into(),
+            request: QueryRequest::ps3(query, 0.25, 1),
         }
     }
 
@@ -934,12 +860,9 @@ mod tests {
     fn request_frames_roundtrip_bit_exactly() {
         let frame = Frame::Request(RequestFrame {
             request_id: 0xDEAD_BEEF_0BAD_F00D,
-            table: Some("lineitem".into()),
-            method: Method::Ps3,
-            budget: Budget::Fraction(0.125),
-            seed: 42,
-            progressive: true,
-            query: sample_query().into(),
+            request: QueryRequest::ps3(sample_query(), 0.125, 42)
+                .on_table("lineitem")
+                .progressive(),
         });
         let wire = encode_frame(&frame).expect("encodes");
         let decoded = decode_body(&wire[4..]).expect("decode");
@@ -956,10 +879,9 @@ mod tests {
             Budget::LatencyTarget { ms: 4.5 },
             Budget::Fraction(0.3),
         ] {
-            let frame = Frame::Request(RequestFrame {
-                budget,
-                ..request(sample_query())
-            });
+            let mut frame = request(sample_query());
+            frame.request.budget = budget;
+            let frame = Frame::Request(frame);
             let wire = encode_frame(&frame).expect("encodes");
             assert_eq!(decode_body(&wire[4..]).expect("decode"), frame);
         }
@@ -984,8 +906,7 @@ mod tests {
         for (i, sq) in sample_sketch_queries().into_iter().enumerate() {
             let frame = Frame::Request(RequestFrame {
                 request_id: i as u64,
-                table: Some("t".into()),
-                ..request(sq)
+                request: QueryRequest::ps3(sq, 0.25, 1).on_table("t"),
             });
             let wire = encode_frame(&frame).expect("encodes");
             assert_eq!(wire[4], PROTO_VERSION, "version byte");
@@ -1059,10 +980,11 @@ mod tests {
                     frames += 1;
                     let frame = Frame::Request(RequestFrame {
                         request_id: frames,
-                        table: Some("lineitem".into()),
-                        budget,
-                        progressive,
-                        ..request(spec.clone())
+                        request: QueryRequest {
+                            budget,
+                            progressive,
+                            ..QueryRequest::ps3(spec.clone(), 0.25, 1).on_table("lineitem")
+                        },
                     });
                     wire.extend(encode_frame(&frame).expect("encodes"));
                 }
@@ -1491,22 +1413,37 @@ mod tests {
         assert_eq!(decode_body(&wire[4..]).unwrap(), frame);
     }
 
+    /// What `decode_body` hands the server is exactly the `QueryRequest`
+    /// the client encoded, for both routes, every budget kind and the
+    /// progressive flag.
     #[test]
     fn request_frame_round_trips_through_query_request() {
-        let req = QueryRequest::ps3(sample_query(), 0.1, 1)
-            .on_table("events")
-            .with_error_target(0.05)
-            .progressive();
-        let frame = RequestFrame::from_request(17, &req).expect("named routes encode");
-        let rebuilt = frame.into_query_request();
-        assert_eq!(rebuilt.query, req.query);
-        assert_eq!(rebuilt.table, req.table);
-        assert_eq!(rebuilt.seed, req.seed);
-        assert_eq!(rebuilt.budget, Budget::ErrorTarget { rel_err: 0.05 });
-        assert!(rebuilt.progressive);
-        // Id routes are router-local and refuse to encode; the refusal is
-        // exercised end-to-end in tests/net_serving.rs where a real router
-        // can mint one.
+        let mut checked = 0;
+        for table in [TableRoute::Default, TableRoute::from("events")] {
+            for budget in [
+                Budget::Fraction(0.1),
+                Budget::ErrorTarget { rel_err: 0.05 },
+                Budget::LatencyTarget { ms: 4.5 },
+            ] {
+                for progressive in [false, true] {
+                    let req = QueryRequest {
+                        table: table.clone(),
+                        budget,
+                        progressive,
+                        ..QueryRequest::new(sample_query(), Method::RandomFilter, 0.3, 9)
+                    };
+                    let frame = RequestFrame::from_request(17, &req).expect("cannot fail");
+                    let wire = encode_frame(&Frame::Request(frame)).expect("encodes");
+                    let Frame::Request(decoded) = decode_body(&wire[4..]).expect("decodes") else {
+                        panic!("a request frame decodes to a request");
+                    };
+                    assert_eq!(decoded.request_id, 17);
+                    assert_eq!(decoded.request, req);
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 12);
     }
 
     #[test]

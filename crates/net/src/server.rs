@@ -7,10 +7,10 @@
 //! multiplexed with [`ps3_runtime::poll::poll_fds`]. Shard 0 additionally
 //! owns the non-blocking listener and deals accepted sockets round-robin:
 //! a connection destined for another shard is handed off through that
-//! shard's [`Mailbox`] and self-pipe [`Waker`] — the only cross-shard
-//! traffic. After the handoff, a connection's whole life (reads, decodes,
-//! submissions, completions, writes) happens on one shard with no
-//! cross-shard locking on the hot path.
+//! shard's handoff [`RequestQueue`] and self-pipe [`Waker`] — the only
+//! cross-shard traffic. After the handoff, a connection's whole life
+//! (reads, decodes, submissions, completions, writes) happens on one shard
+//! with no cross-shard locking on the hot path.
 //!
 //! Within a shard, every wakeup works at batch granularity:
 //!
@@ -66,7 +66,7 @@ use std::sync::Arc;
 
 use ps3_core::{AnswerOutcome, RouteError, Router, Tenant, Ticket};
 use ps3_runtime::poll::{poll_fds, Interest, PollEntry, Waker};
-use ps3_runtime::{panic_message, Mailbox, ThreadPool};
+use ps3_runtime::{panic_message, RequestQueue, ThreadPool};
 
 use crate::outbuf::OutBuf;
 use crate::proto::{
@@ -139,8 +139,10 @@ struct Counters {
     errors: AtomicU64,
 }
 
-/// One event loop's cross-thread mailboxes: everything another thread may
-/// hand this shard, always paired with a poke of the shard's waker.
+/// One event loop's cross-thread inboxes: everything another thread may
+/// hand this shard, always paired with a poke of the shard's waker. Both
+/// are `RequestQueue`s of capacity `usize::MAX` that are never closed, so
+/// a push is never refused; the shard loop drains them with `try_recv`.
 struct Shard {
     /// Interrupts this shard's poll (completions, handoffs, shutdown).
     waker: Waker,
@@ -149,9 +151,9 @@ struct Shard {
     /// `on_event` hook, drained by the shard loop. Keeps delivery
     /// O(events) instead of scanning every in-flight ticket of every
     /// connection per wakeup.
-    events: Mailbox<(u64, u64)>,
+    events: RequestQueue<(u64, u64)>,
     /// Accepted sockets dealt to this shard by the listener shard.
-    handoff: Mailbox<TcpStream>,
+    handoff: RequestQueue<TcpStream>,
     /// Connections this shard has registered (the round-robin evidence).
     accepted: AtomicU64,
 }
@@ -160,12 +162,15 @@ impl Shard {
     fn new() -> io::Result<Shard> {
         Ok(Shard {
             waker: Waker::new()?,
-            events: Mailbox::new(),
-            handoff: Mailbox::new(),
+            events: RequestQueue::new(usize::MAX),
+            handoff: RequestQueue::new(usize::MAX),
             accepted: AtomicU64::new(0),
         })
     }
 }
+
+/// Why a push onto a shard inbox cannot fail.
+const UNBOUNDED: &str = "shard inboxes are unbounded and never closed";
 
 /// State shared between the handle and every shard loop.
 struct Shared {
@@ -322,7 +327,7 @@ struct ShardLoop {
     /// Present on shard 0 only — the accepting shard.
     listener: Option<TcpListener>,
     shared: Arc<Shared>,
-    /// This shard's own mailboxes (`shared.shards[id]`).
+    /// This shard's own inboxes (`shared.shards[id]`).
     me: Arc<Shard>,
     config: ServerConfig,
     conns: HashMap<u64, Conn>,
@@ -403,7 +408,7 @@ impl ShardLoop {
                 }
             }
             // Register sockets the listener shard dealt to this shard.
-            for stream in self.me.handoff.drain() {
+            while let Some(stream) = self.me.handoff.try_recv() {
                 self.register(stream, n_shards);
             }
             if accepting && it.next().expect("listener entry").is_readable() {
@@ -495,7 +500,7 @@ impl ShardLoop {
                         self.register(stream, n_shards);
                     } else {
                         let shard = &self.shared.shards[target];
-                        shard.handoff.push(stream);
+                        shard.handoff.try_submit(stream).expect(UNBOUNDED);
                         shard.waker.wake();
                     }
                 }
@@ -538,7 +543,7 @@ impl ShardLoop {
     /// already retired, are skipped.
     fn deliver_events(&mut self) {
         let max_frame = self.config.max_frame;
-        for (token, request_id) in self.me.events.drain() {
+        while let Some((token, request_id)) = self.me.events.try_recv() {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
@@ -693,9 +698,9 @@ fn submit(
     me: &Arc<Shard>,
     shared: &Arc<Shared>,
     max_frame: u32,
-    req: RequestFrame,
+    frame: RequestFrame,
 ) {
-    let request_id = req.request_id;
+    let request_id = frame.request_id;
     if conn.in_flight.contains_key(&request_id) {
         // Correlation ids must be unique per connection while in
         // flight; silently replacing the ticket would cross answers.
@@ -710,7 +715,7 @@ fn submit(
         );
         return;
     }
-    match conn.tenant.try_submit(req.into_query_request()) {
+    match conn.tenant.try_submit(frame.request) {
         Ok(ticket) => {
             shared.counters.requests.fetch_add(1, Ordering::Relaxed);
             // An answer-cache hit comes back ready (as does a miss a fast
@@ -727,7 +732,8 @@ fn submit(
             // the hook runs here and the event is delivered later in this
             // same wakeup.)
             ticket.on_event(move || {
-                hook_shard.events.push((token, request_id));
+                let event = (token, request_id);
+                hook_shard.events.try_submit(event).expect(UNBOUNDED);
                 hook_shard.waker.wake();
             });
             conn.in_flight.insert(request_id, ticket);

@@ -56,7 +56,7 @@ pub use lru::{CacheStats, LruCache, SharedLru};
 pub use poll::{poll_fds, Interest, PollEntry, Waker};
 pub use pool::{fan_out, panic_message, ThreadPool};
 pub use queue::{RequestQueue, SubmitError};
-pub use sync::{Flight, Mailbox, Permit, Semaphore, SingleFlight};
+pub use sync::{Flight, Permit, Semaphore, SingleFlight};
 
 use std::sync::OnceLock;
 

@@ -253,57 +253,6 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
     }
 }
 
-/// A batched inbox: producers [`Mailbox::push`] items, a single consumer
-/// [`Mailbox::drain`]s them all at once. Producers pair each push with
-/// their own wake-up of the consumer (the network event loop's poll
-/// waker), and the consumer takes whole batches per loop iteration instead
-/// of taking a lock per item.
-pub struct Mailbox<T> {
-    items: Mutex<Vec<T>>,
-}
-
-impl<T> Default for Mailbox<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> std::fmt::Debug for Mailbox<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mailbox").field("len", &self.len()).finish()
-    }
-}
-
-impl<T> Mailbox<T> {
-    /// An empty mailbox.
-    pub fn new() -> Self {
-        Self {
-            items: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Append an item.
-    pub fn push(&self, item: T) {
-        self.items.lock().unwrap().push(item);
-    }
-
-    /// Take every queued item, oldest first. Never blocks on producers —
-    /// the lock covers only the vector swap.
-    pub fn drain(&self) -> Vec<T> {
-        std::mem::take(&mut *self.items.lock().unwrap())
-    }
-
-    /// Queued item count.
-    pub fn len(&self) -> usize {
-        self.items.lock().unwrap().len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,39 +390,6 @@ mod tests {
         let mut got: Vec<u32> = threads.into_iter().map(|t| t.join().unwrap()).collect();
         got.sort_unstable();
         assert_eq!(got, vec![100, 101, 102, 103]);
-    }
-
-    #[test]
-    fn mailbox_batches_pushes_into_one_drain() {
-        let mb: Mailbox<u32> = Mailbox::new();
-        mb.push(1);
-        mb.push(2);
-        mb.push(3);
-        assert_eq!(mb.len(), 3);
-        assert_eq!(mb.drain(), vec![1, 2, 3], "oldest first");
-        assert!(mb.is_empty());
-        assert_eq!(mb.drain(), Vec::<u32>::new(), "second drain is empty");
-    }
-
-    #[test]
-    fn mailbox_concurrent_pushes_all_arrive() {
-        let mb: Arc<Mailbox<usize>> = Arc::new(Mailbox::new());
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let mb = Arc::clone(&mb);
-                thread::spawn(move || {
-                    for i in 0..100 {
-                        mb.push(t * 100 + i);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let mut got = mb.drain();
-        got.sort_unstable();
-        assert_eq!(got, (0..400).collect::<Vec<_>>());
     }
 
     #[test]

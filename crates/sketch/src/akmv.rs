@@ -168,11 +168,6 @@ impl Akmv {
         *self = Self::from_distinct(self.k, self.rows + other.rows, counts);
     }
 
-    /// Exact serialized footprint: k (hash, count) pairs + row count + k.
-    pub fn serialized_size(&self) -> usize {
-        self.entries.len() * (8 + 8) + 8 + 4
-    }
-
     /// The tracked `(hash, count)` pairs in ascending hash order (codec use).
     pub fn entries(&self) -> &[(u64, u64)] {
         &self.entries

@@ -8,11 +8,10 @@
 //! [`ps3_storage::codec`], whose [`CodecError`] every decoder here returns
 //! (`Measures` is ten fixed fields, written raw by `ps3_stats::persist`).
 //! Each encoder writes into the caller's buffer, so a sketch embedded in an
-//! artifact section or a response frame is written in place. The
-//! `serialized_size()` methods of the five statistics sketches (`Measures`,
-//! `EquiDepthHistogram`, `Akmv`, `HeavyHitters`, `ExactDict`) account for
-//! the payload fields; tags, entry counts and the catalog's length prefixes
-//! come on top (about 1%).
+//! artifact section or a response frame is written in place. These
+//! encodings are the one description of what a partition stores: the
+//! Table-4 footprint (`ps3_stats::TableStats::storage_breakdown`) is each
+//! blob's length less its kind tag and `u32` entry count.
 //!
 //! Format: every sketch starts with a 1-byte tag (for catalog files that
 //! interleave kinds) followed by fixed-width fields and length-prefixed

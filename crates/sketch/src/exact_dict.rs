@@ -94,11 +94,6 @@ impl ExactDict {
         &self.entries
     }
 
-    /// Exact serialized footprint: (key, count) pairs + row count.
-    pub fn serialized_size(&self) -> usize {
-        self.entries.len() * (8 + 8) + 8
-    }
-
     /// Rebuild from raw `(key, count)` parts (codec use).
     pub fn from_raw_parts(mut entries: Vec<(u64, u64)>, rows: u64) -> Self {
         entries.sort_unstable();

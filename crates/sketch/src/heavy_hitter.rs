@@ -164,12 +164,6 @@ impl HeavyHitters {
             .find(|h| h.key == key)
             .map(|h| h.frequency)
     }
-
-    /// Exact serialized footprint of the *reported* dictionary (what a system
-    /// would persist): (key, freq) pairs + row count.
-    pub fn serialized_size(&self) -> usize {
-        self.heavy_hitters().len() * (8 + 8) + 8
-    }
 }
 
 /// The bucket width `⌈1/ε⌉`.
@@ -299,7 +293,6 @@ mod tests {
     fn empty_input() {
         let s = HeavyHitters::new();
         assert!(s.heavy_hitters().is_empty());
-        assert_eq!(s.serialized_size(), 8);
     }
 
     #[test]

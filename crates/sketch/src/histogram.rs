@@ -113,11 +113,6 @@ impl EquiDepthHistogram {
         self.view().cover_upper(lo, hi)
     }
 
-    /// Exact serialized footprint: boundaries + depths + total.
-    pub fn serialized_size(&self) -> usize {
-        self.bounds.len() * 8 + self.depths.len() * 8 + 8
-    }
-
     /// The raw encoding parts `(bounds, depths, total)` for the codec.
     pub fn raw_parts(&self) -> (&[f64], &[u64], u64) {
         (&self.bounds, &self.depths, self.total)

@@ -35,11 +35,10 @@
 //! concatenated rows — the invariant budgeted answering is built on.
 //! `tests/merge_laws.rs` pins the laws against exact oracles.
 //!
-//! The five statistics sketches report their serialized footprint via
-//! `serialized_size()` so the Table-4 storage-overhead experiment can
-//! account bytes precisely. Answer sketches are never stored: they are
-//! built per picked partition at query time, so they have no footprint to
-//! account.
+//! The statistics sketches' footprint (the Table-4 storage-overhead
+//! experiment) is read off their encodings ([`codec`]). Answer sketches
+//! are never stored: they are built per picked partition at query time,
+//! so they have no footprint to account.
 
 pub mod akmv;
 pub mod answer;

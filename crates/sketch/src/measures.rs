@@ -170,11 +170,6 @@ impl Measures {
         ))
     }
 
-    /// Exact serialized footprint in bytes: 8 scalars × 8 bytes + count + flag.
-    pub fn serialized_size(&self) -> usize {
-        8 * 8 + 8 + 1
-    }
-
     /// The raw accumulator state, for bit-exact persistence: artifacts
     /// round-trip the raw sums, not derived values (mean, second moment),
     /// so a thawed sketch is indistinguishable — to the last bit — from the

@@ -222,10 +222,9 @@ impl TableStats {
     /// The exact small-domain dictionary is accounted under `histogram`,
     /// where the paper's special case lives.
     pub fn storage_breakdown(&self) -> StorageBreakdown {
-        // One record decoded at a time: the bundles are not kept.
+        // Read off the section's record headers: no sketch is decoded.
         let mut acc = StorageBreakdown::default();
-        crate::persist::for_each_record(&self.section, |_, col| {
-            let (m, h, a, hh, e) = col.storage_bytes();
+        crate::persist::for_each_footprint(&self.section, |[m, h, a, hh, e]| {
             acc.measures_kb += m as f64;
             acc.histogram_kb += (h + e) as f64;
             acc.akmv_kb += a as f64;

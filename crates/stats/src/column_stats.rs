@@ -183,20 +183,6 @@ impl ColumnStats {
             .find(|h| h.key == key)
             .map(|h| h.frequency)
     }
-
-    /// Serialized bytes per sketch family: `(measures, histogram, akmv, hh,
-    /// exact)` — the Table 4 accounting.
-    pub fn storage_bytes(&self) -> (usize, usize, usize, usize, usize) {
-        (
-            self.measures.as_ref().map_or(0, Measures::serialized_size),
-            self.histogram
-                .as_ref()
-                .map_or(0, EquiDepthHistogram::serialized_size),
-            self.akmv.serialized_size(),
-            self.heavy_hitters.len() * 16 + 8,
-            self.exact.as_ref().map_or(0, ExactDict::serialized_size),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -264,17 +250,5 @@ mod tests {
         );
         assert_eq!(s.rows, 10);
         assert_eq!(s.measures.as_ref().unwrap().max(), 9.0);
-    }
-
-    #[test]
-    fn storage_accounting_positive() {
-        let s = ColumnStats::build(
-            &numeric_col(),
-            ColumnType::Numeric,
-            0..100,
-            &ColumnStatsParams::default(),
-        );
-        let (m, h, a, hh, e) = s.storage_bytes();
-        assert!(m > 0 && h > 0 && a > 0 && hh > 0 && e > 0);
     }
 }

@@ -154,24 +154,70 @@ pub fn decode_table_stats(section: Bytes<u8>, schema: &Schema) -> Result<TableSt
 /// the records alone, before anything is derived from them.
 pub(crate) fn decode_sketches(bytes: &[u8]) -> Result<(Vec<Vec<ColumnStats>>, usize), FormatError> {
     let mut partitions: Vec<Vec<ColumnStats>> = Vec::new();
-    let num_cols = for_each_record(bytes, |p, col| {
+    let num_cols = walk_records(bytes, |p, r| {
         if p == partitions.len() {
             // Every partition after the first holds as many as the last.
             let cols = partitions.last().map_or(0, Vec::len);
             partitions.push(Vec::with_capacity(cols));
         }
-        partitions[p].push(col);
+        partitions[p].push(decode_column_stats(r)?);
+        Ok(())
     })?;
     Ok((partitions, num_cols))
 }
 
-/// The one loop over a section's records: checks the partition and column
-/// counts, then decodes each `(partition, column)` record in order,
-/// partition-major, and hands it to `record` with its partition. Returns
-/// the column count.
-pub(crate) fn for_each_record(
+/// Bytes of the fixed measures fields: the count, eight `f64` sums and
+/// extremes, and the all-positive flag.
+const MEASURES_BYTES: usize = 8 + 8 * 8 + 1;
+/// Bytes of a sketch blob that are not its payload fields: the kind tag
+/// and the one `u32` entry count.
+const BLOB_HEADER: usize = 1 + 4;
+
+/// Each record's Table-4 footprint, `(measures, histogram, akmv, hh,
+/// exact)` in bytes, in section order — read off the record's flags and
+/// its blobs' length prefixes, decoding no sketch: measures are their
+/// fixed fields, and each blob counts its length less [`BLOB_HEADER`].
+pub(crate) fn for_each_footprint(
     bytes: &[u8],
-    mut record: impl FnMut(usize, ColumnStats),
+    mut record: impl FnMut([usize; 5]),
+) -> Result<(), FormatError> {
+    walk_records(bytes, |_, r| {
+        let flags = r.u8()?;
+        if flags & !KNOWN_FLAGS != 0 {
+            return Err(CodecError::Invalid("column stats: unknown flag bits"));
+        }
+        r.u64()?; // rows
+        let measures = match flags & FLAG_MEASURES {
+            0 => 0,
+            _ => r.take(MEASURES_BYTES)?.len(),
+        };
+        let mut blob = |present: bool| -> Result<usize, CodecError> {
+            if !present {
+                return Ok(0);
+            }
+            let len = r.u32()? as usize;
+            r.take(len)?;
+            Ok(len.saturating_sub(BLOB_HEADER))
+        };
+        record([
+            measures,
+            blob(flags & FLAG_HISTOGRAM != 0)?,
+            blob(true)?,
+            blob(true)?,
+            blob(flags & FLAG_EXACT != 0)?,
+        ]);
+        Ok(())
+    })
+    .map(drop)
+}
+
+/// The one loop over a section's records: checks the partition and column
+/// counts, then hands `record` a reader at each `(partition, column)`
+/// record in order, partition-major, with its partition; `record` reads
+/// the whole record. Returns the column count.
+fn walk_records<'a>(
+    bytes: &'a [u8],
+    mut record: impl FnMut(usize, &mut Reader<'a>) -> Result<(), CodecError>,
 ) -> Result<usize, FormatError> {
     decode_section("stats", bytes, |r| {
         let n = r.u32()? as usize;
@@ -187,7 +233,7 @@ pub(crate) fn for_each_record(
         }
         for p in 0..n {
             for _ in 0..num_cols {
-                record(p, decode_column_stats(r)?);
+                record(p, r)?;
             }
         }
         Ok(num_cols)

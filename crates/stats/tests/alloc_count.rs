@@ -2,8 +2,8 @@
 //! are counted, not timed. Planning a predicate and estimating every
 //! partition through the plan allocates as often for 512 partitions as for
 //! 64 — nothing per partition — where the recursive evaluator it replaced
-//! allocates on every one. Decoding a statistics section pre-allocates no
-//! more than its bytes could hold.
+//! allocates on every one. Sizing a statistics section allocates nothing,
+//! and decoding one pre-allocates no more than its bytes could hold.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -151,6 +151,17 @@ fn estimating_every_partition_allocates_nothing_per_partition() {
             "{name}: the oracle made {recursive} allocations"
         );
     }
+}
+
+/// The Table-4 footprint is read off the section's record headers and
+/// blob lengths: asking for it allocates nothing, where decoding the
+/// sketches to size them allocated at least one per record.
+#[test]
+fn storage_breakdown_allocates_no_sketch() {
+    let (_, stats) = stats_of(64);
+    let (allocations, breakdown) = counted_in(&ALLOCATIONS, || stats.storage_breakdown());
+    assert!(breakdown.total_kb() > 0.0);
+    assert_eq!(allocations, 0, "{allocations} allocations");
 }
 
 /// `[n][num_cols]` followed by `rest`.

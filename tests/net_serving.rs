@@ -952,19 +952,20 @@ fn framing_failures_send_typed_errors_and_close() {
     router.shutdown();
 }
 
-/// Router-local table ids refuse to encode client-side (they are
-/// meaningless across a wire), completing the `TableRoute` coverage.
+/// A request that refuses to encode client-side — here a table name
+/// longer than a wire string's 65,535 bytes — consumes no correlation id
+/// and leaves no partial frame in the outgoing queue.
 #[test]
-fn router_local_ids_refuse_to_encode() {
+fn refused_requests_consume_no_id_and_queue_no_bytes() {
     let (ds, system) = trained(DatasetKind::Aria, 56);
     let router = Router::builder().table("aria", system).build();
     let server = NetServer::bind(Arc::clone(&router), "127.0.0.1:0").expect("bind");
-    let id = router.table_id("aria").expect("registered");
     let mut client = NetClient::connect(server.addr()).expect("connect");
-    let req = QueryRequest::new(ds.sample_test_query(0), Method::Ps3, 0.2, 1).on_table(id);
-    match client.send(&req) {
+    let long_name = "a".repeat(usize::from(u16::MAX) + 1);
+    let req = QueryRequest::new(ds.sample_test_query(0), Method::Ps3, 0.2, 1);
+    match client.send(&req.clone().on_table(long_name.as_str())) {
         Err(ClientError::Proto(_)) => {}
-        other => panic!("id routes must refuse to encode, got {other:?}"),
+        other => panic!("an over-long table name must refuse to encode, got {other:?}"),
     }
     // The refusal consumed no id and queued no bytes: the next request is
     // id 1, and the server reads it as the first frame on the connection.

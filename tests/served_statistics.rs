@@ -5,7 +5,7 @@
 //! keeps the encoded statistics section instead of the bundles (a built
 //! one on the heap, a thawed one in the artifact's mapping) and decodes
 //! them again, once, only when asked (the strict selectivity oracle);
-//! `storage_breakdown` decodes them one record at a time and keeps none.
+//! `storage_breakdown` reads their sizes off the section and decodes none.
 //!
 //! Counted, not timed: the heap a catalog holds is the bytes its drop
 //! frees, which a counting allocator sees on the dropping thread.
@@ -172,5 +172,29 @@ fn thawed_sketches_decode_on_demand_to_the_built_bundles_bit_for_bit() {
     assert_eq!(bits(&stats), bits(&ds.stats));
     assert_eq!(bits(&rebuilt), bits(&ds.stats));
     assert_eq!(stats.storage_breakdown(), ds.stats.storage_breakdown());
+    std::fs::remove_file(&path).ok();
+}
+
+/// `storage_breakdown` reads sizes off the section's record headers and
+/// blob length prefixes; its figures are, bit for bit, the ones summing
+/// each decoded sketch's payload gave, for a built and a thawed catalog.
+#[test]
+fn storage_breakdown_bits_are_the_recorded_ones() {
+    let (ds, path) = frozen("breakdown_bits");
+    for (kind, stats) in [("built", built_stats(ds)), ("thawed", thawed_stats(&path))] {
+        let b = stats.storage_breakdown();
+        let bits = [b.histogram_kb, b.hh_kb, b.akmv_kb, b.measures_kb].map(f64::to_bits);
+        assert_eq!(
+            bits,
+            [
+                0x401E_E520_0000_0000, // 7.7237548828125 histogram + exact
+                0x4004_E200_0000_0000, // 2.6103515625 heavy hitters
+                0x402D_2AA0_0000_0000, // 14.583251953125 AKMV
+                0x3FDF_F000_0000_0000, // 0.4990234375 measures
+            ],
+            "{kind}"
+        );
+        assert_eq!(b.total_kb().to_bits(), 0x4039_6A98_0000_0000, "{kind}");
+    }
     std::fs::remove_file(&path).ok();
 }
