@@ -2,6 +2,7 @@
 //! picker's clustering stage — the two hot paths at query time — plus the
 //! compiled-kernel primitives they are built from.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -10,7 +11,9 @@ use rand::SeedableRng;
 
 use ps3_cluster::simd::SweepState;
 use ps3_cluster::{cluster, ClusterAlgo, PointMatrix};
-use ps3_core::Ps3Config;
+use ps3_core::allocate::allocate_samples;
+use ps3_core::picker::cluster_select;
+use ps3_core::{Ps3Config, Ps3System};
 use ps3_data::{DatasetConfig, DatasetKind, ScaleProfile};
 use ps3_query::{
     execute_partition, AggExpr, Clause, CmpOp, CompiledPredicate, CompiledQuery, Predicate, Query,
@@ -213,6 +216,7 @@ fn bench_query_paths(c: &mut Criterion) {
             state
         })
     });
+    bench_select_512_tiny_q8(&mut g);
     g.finish();
 
     let mut g = c.benchmark_group("picker");
@@ -222,6 +226,59 @@ fn bench_query_paths(c: &mut Criterion) {
         b.iter(|| system.pick_outcome(&query, 0.25, &mut rng))
     });
     g.finish();
+}
+
+/// `cluster_select` at the shape a cold pick clusters: the 512-partition
+/// Aria Tiny twin, test query 8 at 10% — the pick
+/// `tests/picker_behaviors.rs` pins, one importance group holding the whole
+/// table. Projection, k-means++ seeding, bounded Lloyd and one median
+/// exemplar per cluster, exactly the call the picker makes (its `dist_sq`
+/// count is checked against the pick's before timing).
+fn bench_select_512_tiny_q8(g: &mut criterion::BenchmarkGroup<'_>) {
+    let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny)
+        .with_partitions(512)
+        .with_rows(512 * 16)
+        .build(24);
+    let mut cfg = Ps3Config::default().with_seed(24);
+    cfg.gbdt.n_trees = 2;
+    cfg.feature_selection = false;
+    let system = Ps3System::train(
+        Arc::clone(&ds.pt),
+        Arc::clone(&ds.stats),
+        &ds.train_queries[..4],
+        cfg,
+    );
+    let query = ds.sample_test_query(8);
+    let frac = 0.1;
+    let pick = system.pick_outcome(&query, frac, &mut StdRng::seed_from_u64(7));
+    let n = system.num_partitions();
+    assert_eq!(
+        pick.group_sizes.iter().max(),
+        Some(&n),
+        "one group holds the table"
+    );
+    let trained = &system.trained;
+    let budget = system.budget_partitions(frac) - pick.num_outliers;
+    let alloc = allocate_samples(&pick.group_sizes, budget, trained.config.alpha);
+    let k = alloc[pick.group_sizes.iter().position(|&s| s == n).unwrap()];
+    let statics = trained.normalizer.normalize_statics(&system.stats);
+    let compiled = CompiledQuery::compile(system.pt.table(), &query);
+    let plan = SelectivityPlan::new(compiled.predicate());
+    let features = statics.gather(&statics.query_columns(&query, plan.estimate_all(&system.stats)));
+    let group: Vec<usize> = (0..n).collect();
+    let select = || {
+        cluster_select(
+            &group,
+            &features,
+            &trained.excluded_dims,
+            k,
+            trained.config.cluster_algo,
+            trained.config.estimator,
+            &mut StdRng::seed_from_u64(7),
+        )
+    };
+    assert_eq!(select().1, pick.distance_evals, "not the pick's clustering");
+    g.bench_function("select_512_tiny_q8", |b| b.iter(select));
 }
 
 criterion_group!(benches, bench_kernels, bench_query_paths);

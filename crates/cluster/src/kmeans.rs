@@ -7,15 +7,15 @@
 //! (Elkan's triangle-inequality pruning). k-means++ seeding is pruned the
 //! same way: a row's distance to a new seed is evaluated only when the
 //! seed-to-seed distances cannot prove it farther than the row's nearest
-//! seed so far (about 45% of the n·k at the picker's shapes). Seeding hands
-//! Lloyd the full scan's assignment and bounds, so the first sweep
-//! evaluates nothing at all. Bit-identical to [`crate::oracle::kmeans_fit`],
-//! which evaluates every distance on every sweep, *because* a skipped
-//! evaluation is one whose result is proven: same distance definition for
-//! the ones that are made, same strict-`<` argmin over them, same
-//! accumulation order over every row, same RNG draw sequence. Set
-//! `PS3_STRICT_KERNELS=1` to assert that equality on every call. Costs an
-//! n × k `f64` bound matrix per fit (209 KB at 512 × 51).
+//! seed so far (about 42% of the n·k at the picker's shapes, the whole fit
+//! ~0.69·n·k). Seeding hands Lloyd the full scan's assignment and bounds,
+//! so the first sweep evaluates nothing at all. Bit-identical to
+//! [`crate::oracle::kmeans_fit`], which evaluates every distance on every
+//! sweep, *because* a skipped evaluation is one whose result is proven:
+//! same distance definition for the ones that are made, same strict-`<`
+//! argmin over them, same accumulation order over every row, same RNG draw
+//! sequence. Set `PS3_STRICT_KERNELS=1` to assert that equality on every
+//! call. Costs an n × k `f64` bound matrix per fit (209 KB at 512 × 51).
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -40,14 +40,23 @@ impl KmeansFit {
     /// Member-index lists per cluster, non-empty clusters only, in
     /// centroid-index order.
     pub fn clusters(&self) -> Vec<Vec<usize>> {
-        let k = self.centroids.len();
-        let mut clusters = vec![Vec::new(); k];
-        for (i, &c) in self.assignment.iter().enumerate() {
-            clusters[c].push(i);
-        }
-        clusters.retain(|c| !c.is_empty());
-        clusters
+        members(&self.assignment, self.centroids.len())
     }
+}
+
+/// Member-index lists of an assignment to `k` clusters, non-empty clusters
+/// only, in cluster order: each list allocated once, at its final size.
+fn members(assignment: &[usize], k: usize) -> Vec<Vec<usize>> {
+    let mut counts = vec![0usize; k];
+    for &c in assignment {
+        counts[c] += 1;
+    }
+    let mut lists: Vec<Vec<usize>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for (i, &c) in assignment.iter().enumerate() {
+        lists[c].push(i);
+    }
+    lists.retain(|members| !members.is_empty());
+    lists
 }
 
 /// Cluster `points` into `k` groups; returns member-index lists (non-empty
@@ -63,7 +72,20 @@ pub fn kmeans(
     rng: &mut StdRng,
     max_iter: usize,
 ) -> Vec<Vec<usize>> {
-    kmeans_fit(points, k, rng, max_iter).clusters()
+    kmeans_counted(points, k, rng, max_iter).0
+}
+
+/// [`kmeans`] plus its `dist_sq` count (see [`kmeans_fit_counted`]): the
+/// member lists straight from the assignment, with no per-cluster copy of
+/// the centroids made only to be dropped.
+pub(crate) fn kmeans_counted(
+    points: &PointMatrix,
+    k: usize,
+    rng: &mut StdRng,
+    max_iter: usize,
+) -> (Vec<Vec<usize>>, u64) {
+    let fit = fit(points, k, rng, max_iter);
+    (members(&fit.assignment, k), fit.evals)
 }
 
 /// [`kmeans`] returning the full [`KmeansFit`] (centroids included).
@@ -88,24 +110,51 @@ pub fn kmeans_fit_counted(
     rng: &mut StdRng,
     max_iter: usize,
 ) -> (KmeansFit, u64) {
+    fit(points, k, rng, max_iter).into_public()
+}
+
+/// A fit in the kernels' own shapes, with its `dist_sq` count.
+struct Fit {
+    centroids: PointMatrix,
+    assignment: Vec<usize>,
+    sweeps: usize,
+    converged: bool,
+    evals: u64,
+}
+
+impl Fit {
+    /// The public shape, centroids unpacked into rows, and the count.
+    fn into_public(self) -> (KmeansFit, u64) {
+        let fit = KmeansFit {
+            centroids: self.centroids.to_rows(),
+            assignment: self.assignment,
+            sweeps: self.sweeps,
+            converged: self.converged,
+        };
+        (fit, self.evals)
+    }
+}
+
+/// The one fit: seeding, then Lloyd; under `PS3_STRICT_KERNELS=1` checked
+/// against the oracle (assignment, centroid bits, sweep count).
+fn fit(points: &PointMatrix, k: usize, rng: &mut StdRng, max_iter: usize) -> Fit {
     assert!(k > 0 && points.n() >= k);
     let strict_rng = ps3_runtime::strict_kernels().then(|| rng.clone());
     let (centroids, state) = seed(points, k, rng);
-    let (fit, evals) = lloyd(points, centroids, state, max_iter);
+    let fit = lloyd(points, centroids, state, max_iter);
     if let Some(mut oracle_rng) = strict_rng {
         let reference = crate::oracle::kmeans_fit(&points.to_rows(), k, &mut oracle_rng, max_iter);
         assert_eq!(
             fit.assignment, reference.assignment,
             "strict kernels: bounded assignment diverged from the oracle"
         );
-        let bits = |c: &[Vec<f64>]| -> Vec<Vec<u64>> {
-            c.iter()
-                .map(|row| row.iter().map(|x| x.to_bits()).collect())
+        let bits = |rows: &mut dyn Iterator<Item = &[f64]>| -> Vec<Vec<u64>> {
+            rows.map(|row| row.iter().map(|x| x.to_bits()).collect())
                 .collect()
         };
         assert_eq!(
-            bits(&fit.centroids),
-            bits(&reference.centroids),
+            bits(&mut (0..k).map(|c| fit.centroids.row(c))),
+            bits(&mut reference.centroids.iter().map(Vec::as_slice)),
             "strict kernels: bounded centroids diverged from the oracle"
         );
         assert_eq!(
@@ -114,14 +163,15 @@ pub fn kmeans_fit_counted(
             "strict kernels: bounded sweep count diverged from the oracle"
         );
     }
-    (fit, evals)
+    fit
 }
 
 /// k-means++ seeding: each new center is drawn with probability
 /// proportional to its squared distance from the nearest existing center.
 /// The RNG draw sequence (one `gen_range(0..n)`, then one
 /// `gen_range(0.0..total)` per additional center) and the sequential
-/// `d2.iter().sum()` total are part of the kernel/oracle spec. [`SeedBounds`]
+/// ascending sum of `d2` from `0.0` as the total are part of the
+/// kernel/oracle spec. [`SeedBounds`]
 /// keeps `d2` exactly as a full evaluation would — it skips only distances
 /// the triangle inequality proves could not lower it — and returns the
 /// seeds with the sweep state they leave: the full scan's assignment, exact
@@ -134,9 +184,8 @@ fn seed(points: &PointMatrix, k: usize, rng: &mut StdRng) -> (PointMatrix, Sweep
     let mut d2 = vec![0.0f64; n];
     let first = rng.gen_range(0..n);
     seeds.row_mut(0).copy_from_slice(points.row(first));
-    bounds.add(points, &seeds, 0, &mut d2);
+    let mut total = bounds.add(points, &seeds, 0, &mut d2);
     for c in 1..k {
-        let total: f64 = d2.iter().sum();
         let next = if total <= 0.0 {
             // All remaining points coincide with a center; pick uniformly.
             rng.gen_range(0..n)
@@ -154,7 +203,7 @@ fn seed(points: &PointMatrix, k: usize, rng: &mut StdRng) -> (PointMatrix, Sweep
             idx
         };
         seeds.row_mut(c).copy_from_slice(points.row(next));
-        bounds.add(points, &seeds, c, &mut d2);
+        total = bounds.add(points, &seeds, c, &mut d2);
     }
     (seeds, SweepState::seeded(bounds, dim))
 }
@@ -176,7 +225,7 @@ fn lloyd(
     mut centroids: PointMatrix,
     mut state: SweepState,
     max_iter: usize,
-) -> (KmeansFit, u64) {
+) -> Fit {
     let k = centroids.n();
     let mut next = centroids.clone();
     let mut shifts = vec![0.0f64; k];
@@ -227,14 +276,13 @@ fn lloyd(
             state.move_bounds(&shifts);
         }
     }
-    let evals = state.distance_evals();
-    let fit = KmeansFit {
-        centroids: centroids.to_rows(),
+    Fit {
+        centroids,
+        evals: state.distance_evals(),
         assignment: state.into_assignment(),
         sweeps,
         converged,
-    };
-    (fit, evals)
+    }
 }
 
 #[cfg(test)]
@@ -364,8 +412,9 @@ mod tests {
     /// What seeding hands Lloyd is what a full scan over the seeds gives:
     /// each row's strict-`<`-from-∞ nearest seed (not k-means++'s `d2`,
     /// which starts from the first distance — a NaN on a NaN row), the
-    /// exact `√` of its distance as the upper bound, and lower bounds that
-    /// never exceed a finite distance they stand for.
+    /// exact `√` of its distance as the upper bound, lower bounds that
+    /// never exceed a finite distance they stand for, and the `+∞` sentinel
+    /// in the home's slot, which no sweep reads while it is the home.
     #[test]
     fn seeding_hands_lloyd_the_full_scan_and_sound_bounds() {
         let lattice: Vec<Vec<f64>> = (0..120u32)
@@ -394,9 +443,10 @@ mod tests {
                     home_d.sqrt().to_bits(),
                     "case {case}, row {i}"
                 );
+                assert_eq!(lows[home], f64::INFINITY, "case {case}, row {i}");
                 for (c, &low) in lows.iter().enumerate() {
                     let d = dist_sq(row, seeds.row(c));
-                    if d < f64::INFINITY {
+                    if c != home && d < f64::INFINITY {
                         assert!(
                             low <= d.sqrt() * (1.0 + 1e-12),
                             "case {case}, row {i}, seed {c}"
@@ -417,7 +467,7 @@ mod tests {
             let (centroids, mut state) = seed(&points, k, &mut StdRng::seed_from_u64(11));
             assert!(state.fan_out, "this input is meant to cross the threshold");
             state.fan_out = fan_out.unwrap_or(state.fan_out);
-            lloyd(&points, centroids, state, max_iter)
+            lloyd(&points, centroids, state, max_iter).into_public()
         };
         let pool = ps3_runtime::ThreadPool::global();
         let before = pool.tasks_injected();

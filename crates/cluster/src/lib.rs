@@ -17,7 +17,7 @@
 //! bounds that only ever skip a proven result) with scalar, unbounded
 //! mirrors in `oracle`; set `PS3_STRICT_KERNELS=1`
 //! ([`ps3_runtime::strict_kernels`]) to assert kernel/oracle bit-identity
-//! inside every k-means call.
+//! inside every k-means call and every median exemplar.
 
 pub mod exemplar;
 pub mod hac;
@@ -81,10 +81,7 @@ pub fn cluster(
         return ((0..points.n()).map(|i| vec![i]).collect(), 0);
     }
     match algo {
-        ClusterAlgo::KMeans => {
-            let (fit, evals) = kmeans_fit_counted(points, k, rng, MAX_SWEEPS);
-            (fit.clusters(), evals)
-        }
+        ClusterAlgo::KMeans => kmeans::kmeans_counted(points, k, rng, MAX_SWEEPS),
         ClusterAlgo::HacSingle => (hac(points, k, Linkage::Single), 0),
         ClusterAlgo::HacWard => (hac(points, k, Linkage::Ward), 0),
     }

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::kmeans::KmeansFit;
-use crate::simd::{LANES, UPDATE_BLOCK};
+use crate::simd::{PointMatrix, LANES, UPDATE_BLOCK};
 
 /// Scalar mirror of [`crate::simd::dist_sq`]: lane `i % LANES` accumulates
 /// element `i`, the lanes combine by the shared pairwise tree, and the tail
@@ -181,4 +181,47 @@ fn pp_init(points: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
         }
     }
     centroids
+}
+
+/// The median exemplar as first written, the specification
+/// [`crate::median_exemplar`] is held to: per dimension, gather the
+/// members' values and select the median under `f64::total_cmp` (the mean
+/// of the two middle values for an even count), then the member nearest
+/// that median by [`crate::simd::dist_sq`], compared by `total_cmp`, ties
+/// to the lower index.
+///
+/// # Panics
+/// Panics on an empty cluster.
+pub fn median_exemplar(points: &PointMatrix, cluster: &[usize]) -> usize {
+    assert!(!cluster.is_empty(), "empty cluster");
+    if cluster.len() == 1 {
+        return cluster[0];
+    }
+    let mut median = vec![0.0; points.dim()];
+    let mut scratch: Vec<f64> = Vec::with_capacity(cluster.len());
+    for (d, m) in median.iter_mut().enumerate() {
+        scratch.clear();
+        scratch.extend(cluster.iter().map(|&i| points.row(i)[d]));
+        *m = column_median(&mut scratch);
+    }
+    // One distance per member, compared by `total_cmp`, then index.
+    (cluster.iter())
+        .map(|&i| (crate::simd::dist_sq(points.row(i), &median), i))
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        .expect("non-empty cluster")
+        .1
+}
+
+/// Median of a non-empty column under `f64::total_cmp` (the mean of the two
+/// middle values for an even count), reordering `column`. Two selections
+/// instead of a sort: `total_cmp` is a total order on bit patterns, so the
+/// order statistics — and the median's bits — are what the sort would give.
+fn column_median(column: &mut [f64]) -> f64 {
+    let (mid, odd) = (column.len() / 2, column.len() % 2 == 1);
+    let (below, &mut upper_mid, _) = column.select_nth_unstable_by(mid, f64::total_cmp);
+    if odd {
+        return upper_mid;
+    }
+    let lower_mid = below.iter().copied().max_by(f64::total_cmp);
+    0.5 * (lower_mid.expect("an even count has a lower half") + upper_mid)
 }

@@ -29,18 +29,32 @@
 //! therefore one whose outcome is already known, so the assignment — and
 //! through it every sum, centroid and sweep count — is bit-identical to the
 //! scan that evaluates all n·k distances, which is what the oracle does.
+//!
+//! The bookkeeping stays off the per-centroid path where it can. The lower
+//! bounds take their shifts when the next sweep reaches the row, in the
+//! pass that flags each run of [`LANES`] centroids whose bounds are not all
+//! clear of the row's upper bound; a row with no flagged run is settled
+//! there, and an unsettled row's scan reads only its flagged runs and
+//! evaluates its home only once it meets a centroid the bounds leave open.
+//! The home's own slot holds a `+∞` sentinel, which no sweep reads while it
+//! is the home. A block zeroes only the partial sums it touched.
+//!
 //! k-means++ seeding fills the same bounds as it draws (`SeedBounds`): a
 //! row skips a new seed when the seed lies more than twice the row's
 //! distance from the row's nearest seed, and keeps the triangle bound in
-//! place of the distance. The price is the n × k `f64` lower-bound matrix,
-//! alive for one fit (209 KB at 512 rows × 51 centroids).
+//! place of the distance — about 42% of n·k evaluated at the picker's
+//! shapes, ~0.69·n·k for the whole fit. Seeding keeps the bounds
+//! seed-major, so each seed writes one contiguous run, and the hand-off
+//! turns them row-major once. The price is the n × k `f64` lower-bound
+//! matrix, alive for one fit (209 KB at 512 rows × 51 centroids; two for
+//! the moment of the hand-off).
 //!
 //! `ps3_cluster::oracle` re-implements the distance, accumulation and
 //! reseed definitions with plain index arithmetic (no iterator adapters, no
 //! blocking of the code itself, no bounds) and the property tests in
 //! `tests/kernel_oracle.rs` hold the two bit-equal, including NaN and ±0.0
 //! feature values. `PS3_STRICT_KERNELS=1` additionally forces the
-//! comparison inside every [`crate::kmeans_fit`] call.
+//! comparison inside every k-means fit.
 
 use std::sync::Mutex;
 
@@ -290,13 +304,19 @@ pub(crate) struct SeedBounds {
     home: Vec<usize>,
     best: Vec<f64>,
     reach: Vec<f64>,
-    /// Per (row, seed), row-major: the exact [`lower_bound`] where the
-    /// distance was evaluated, the triangle bound where it was not.
+    /// Per (seed, row), seed-major, so each drawn seed writes one
+    /// contiguous run: the exact [`lower_bound`] where the distance was
+    /// evaluated, the triangle bound where it was not. [`SweepState::seeded`]
+    /// turns it row-major once.
     lower: Vec<f64>,
     /// Per earlier seed: its distance to the newest one, and the reach
     /// [`prune_limit`] derives from it.
     gaps: Vec<f64>,
     limits: Vec<f64>,
+    /// Scratch for one seed: the rows the triangle inequality leaves to
+    /// evaluate (a prefix of `n` slots), and their distances.
+    open: Vec<usize>,
+    dists: Vec<f64>,
     distance_evals: u64,
 }
 
@@ -311,6 +331,8 @@ impl SeedBounds {
             lower: vec![0.0; n * k],
             gaps: vec![0.0; k],
             limits: vec![0.0; k],
+            open: vec![0; n],
+            dists: Vec::with_capacity(n),
             distance_evals: 0,
         }
     }
@@ -320,44 +342,57 @@ impl SeedBounds {
     /// distance as computed, NaN included, then strict `<`) and into the
     /// bounds. A row's distance to the new seed is skipped when the
     /// triangle inequality proves it strictly farther than the row's home,
-    /// so it could move neither `d2` nor the assignment.
+    /// so it could move neither `d2` nor the assignment. Returns the new
+    /// `d2` summed in ascending row order from `0.0`, the total the next
+    /// draw is scaled by.
+    ///
+    /// Three passes, each without a data-dependent branch in its way: the
+    /// prune test over every row (writing the triangle bound, and listing
+    /// the rows it leaves open), the distances of the listed rows back to
+    /// back, then their fold into `d2`, the assignment and the bounds, in
+    /// ascending row order.
     pub(crate) fn add(
         &mut self,
         points: &PointMatrix,
         seeds: &PointMatrix,
         c: usize,
         d2: &mut [f64],
-    ) {
+    ) -> f64 {
         let seed = seeds.row(c);
         for a in 0..c {
             self.gaps[a] = lower_bound(dist_sq(seeds.row(a), seed));
             self.limits[a] = prune_limit(self.gaps[a]);
         }
-        let mut evals = c as u64;
-        let rows = (self.home.iter_mut().zip(&mut self.best))
-            .zip(self.reach.iter_mut().zip(d2))
-            .zip(self.lower.chunks_exact_mut(self.k));
-        for (i, (((home, best), (reach, d2)), lows)) in rows.enumerate() {
+        let n = d2.len();
+        let lows = &mut self.lower[c * n..(c + 1) * n];
+        let mut open = 0;
+        let rows = (self.home.iter().zip(&self.reach)).zip(lows.iter_mut());
+        for (i, ((&home, &reach), low)) in rows.enumerate() {
             // Before the first seed every limit is 0 and every reach ∞.
-            if *reach < self.limits[*home] {
-                lows[c] = (self.gaps[*home] - *reach) * ROUND_DOWN;
-                debug_assert!(provably_farther(*reach, lows[c]));
-                continue;
-            }
-            let d = dist_sq(points.row(i), seed);
-            evals += 1;
+            let pruned = reach < self.limits[home];
+            *low = (self.gaps[home] - reach) * ROUND_DOWN;
+            debug_assert!(!pruned || provably_farther(reach, *low));
+            self.open[open] = i;
+            open += usize::from(!pruned);
+        }
+        let open = &self.open[..open];
+        self.dists.clear();
+        self.dists
+            .extend(open.iter().map(|&i| dist_sq(points.row(i), seed)));
+        for (&i, &d) in open.iter().zip(&self.dists) {
             let root = lower_bound(d);
-            lows[c] = root;
-            if c == 0 || d < *d2 {
-                *d2 = d;
+            lows[i] = root;
+            if c == 0 || d < d2[i] {
+                d2[i] = d;
             }
-            if d < *best {
-                *best = d;
-                *home = c;
-                *reach = root;
+            if d < self.best[i] {
+                self.best[i] = d;
+                self.home[i] = c;
+                self.reach[i] = root;
             }
         }
-        self.distance_evals += evals;
+        self.distance_evals += (c + open.len()) as u64;
+        d2.iter().fold(0.0, |total, &d| total + d)
     }
 }
 
@@ -381,8 +416,14 @@ pub struct SweepState {
     assignment: Vec<usize>,
     /// Per row: an upper bound on `√dist_sq` to its home centroid.
     upper: Vec<f64>,
-    /// Per (row, centroid), row-major: a lower bound on `√dist_sq`.
+    /// Per (row, centroid), row-major: a lower bound on `√dist_sq`, before
+    /// the moves in `drift`.
     lower: Vec<f64>,
+    /// The `k` centroid shifts of each bounds move since the last sweep, in
+    /// order. The next sweep applies them to each row's lower bounds as it
+    /// reaches the row — the operations an eager move makes, in its order,
+    /// so the bits are the same, without a pass of its own over n·k.
+    drift: Vec<f64>,
     /// The assignment and `upper` are still the full scan's over the
     /// k-means++ seeds, as [`SeedBounds`] left them: the next sweep only
     /// accumulates, without evaluating anything.
@@ -408,17 +449,28 @@ impl SweepState {
 
     /// State primed by k-means++ seeding with every seed drawn: the full
     /// scan's assignment over the seeds, exact home distances and a lower
-    /// bound per (row, seed), so sweep one evaluates nothing. The seeding's
-    /// evaluations count toward [`Self::distance_evals`].
+    /// bound per (row, seed), so sweep one evaluates nothing. The seed-major
+    /// bounds are turned row-major here, once. The seeding's evaluations
+    /// count toward [`Self::distance_evals`].
     pub(crate) fn seeded(seeding: SeedBounds, dim: usize) -> Self {
         let SeedBounds {
             k,
             home,
             reach,
-            lower,
+            lower: by_seed,
             distance_evals,
             ..
         } = seeding;
+        let n = home.len();
+        let mut lower = vec![0.0; n * k];
+        for (c, column) in by_seed.chunks_exact(n.max(1)).enumerate() {
+            for (row, &low) in lower.chunks_exact_mut(k).zip(column) {
+                row[c] = low;
+            }
+        }
+        for (row, &home) in lower.chunks_exact_mut(k).zip(&home) {
+            row[home] = f64::INFINITY;
+        }
         let mut state = Self::new(home, reach, lower, k, dim, true);
         state.distance_evals = distance_evals;
         state
@@ -439,6 +491,7 @@ impl SweepState {
             assignment,
             upper,
             lower,
+            drift: Vec::new(),
             seeded,
             fan_out: n > UPDATE_BLOCK && n * dim >= PARALLEL_MIN_CELLS,
             sums: vec![0.0; k * dim],
@@ -455,10 +508,12 @@ impl SweepState {
         &self.assignment
     }
 
-    /// Row `i`'s upper bound and its `k` lower bounds.
+    /// Row `i`'s upper bound and its `k` lower bounds, every move applied.
     #[cfg(test)]
-    pub(crate) fn row_bounds(&self, i: usize) -> (f64, &[f64]) {
-        (self.upper[i], &self.lower[i * self.k..(i + 1) * self.k])
+    pub(crate) fn row_bounds(&self, i: usize) -> (f64, Vec<f64>) {
+        let mut lows = self.lower[i * self.k..(i + 1) * self.k].to_vec();
+        take_moves(&mut lows, &self.drift);
+        (self.upper[i], lows)
     }
 
     /// Hand the assignment out at the end of a fit.
@@ -498,11 +553,14 @@ impl SweepState {
     pub fn sweep(&mut self, points: &PointMatrix, centroids: &PointMatrix) -> bool {
         let (k, dim) = (self.k, self.dim);
         let seeded = std::mem::take(&mut self.seeded);
+        debug_assert!(
+            !seeded || self.drift.is_empty(),
+            "no move precedes the seeded sweep"
+        );
         self.sums.fill(0.0);
         self.counts.fill(0);
-        let blocks = self
-            .assignment
-            .chunks_mut(UPDATE_BLOCK)
+        let drift = &self.drift;
+        let blocks = (self.assignment.chunks_mut(UPDATE_BLOCK))
             .zip(self.upper.chunks_mut(UPDATE_BLOCK))
             .zip(self.lower.chunks_mut(UPDATE_BLOCK * k))
             .enumerate()
@@ -519,28 +577,35 @@ impl SweepState {
             let partials = ThreadPool::global().scope_map(blocks.len(), |b| {
                 let mut rows = blocks[b].lock().expect("each block is locked once");
                 let (mut sums, mut counts) = (vec![0.0; k * dim], vec![0; k]);
-                let out = sweep_block(points, centroids, seeded, &mut rows, &mut sums, &mut counts);
+                let out = sweep_block(
+                    points,
+                    centroids,
+                    seeded,
+                    drift,
+                    &mut rows,
+                    &mut sums,
+                    &mut counts,
+                );
                 (sums, counts, out)
             });
-            for (block_sums, block_counts, (block_moved, evals)) in partials {
+            for (mut block_sums, mut block_counts, (block_moved, evals)) in partials {
                 merge_block(
                     dim,
                     &mut self.sums,
                     &mut self.counts,
-                    &block_sums,
-                    &block_counts,
+                    &mut block_sums,
+                    &mut block_counts,
                 );
                 moved |= block_moved;
                 self.distance_evals += evals;
             }
         } else {
             for mut rows in blocks {
-                self.block_sums.fill(0.0);
-                self.block_counts.fill(0);
                 let (block_moved, evals) = sweep_block(
                     points,
                     centroids,
                     seeded,
+                    drift,
                     &mut rows,
                     &mut self.block_sums,
                     &mut self.block_counts,
@@ -549,62 +614,134 @@ impl SweepState {
                     dim,
                     &mut self.sums,
                     &mut self.counts,
-                    &self.block_sums,
-                    &self.block_counts,
+                    &mut self.block_sums,
+                    &mut self.block_counts,
                 );
                 moved |= block_moved;
                 self.distance_evals += evals;
             }
         }
+        self.drift.clear();
         moved
     }
 
     /// After the update step moved centroid `c` by at most `shifts[c]`
     /// (see [`shift_bound`]): every upper bound grows by its home's shift
     /// and every lower bound shrinks by its centroid's, rounded outward. A
-    /// reseeded centroid is no special case — its shift is just long.
+    /// reseeded centroid is no special case — its shift is just long. The
+    /// upper bounds move here; the lower bounds when the next sweep reads
+    /// them.
     pub(crate) fn move_bounds(&mut self, shifts: &[f64]) {
-        let rows = self
-            .upper
-            .iter_mut()
-            .zip(self.lower.chunks_exact_mut(self.k));
-        for ((upper, lows), &home) in rows.zip(&self.assignment) {
+        for (upper, &home) in self.upper.iter_mut().zip(&self.assignment) {
             *upper = (*upper + shifts[home]) * ROUND_UP;
-            for (low, shift) in lows.iter_mut().zip(shifts) {
-                *low = (*low - shift) * ROUND_DOWN;
-            }
+        }
+        self.drift.extend_from_slice(shifts);
+    }
+}
+
+/// Apply the moves in `drift` to one row's lower bounds, in order.
+#[inline]
+fn take_moves(lows: &mut [f64], drift: &[f64]) {
+    for shifts in drift.chunks_exact(lows.len()) {
+        for (low, shift) in lows.iter_mut().zip(shifts) {
+            *low = (*low - shift) * ROUND_DOWN;
         }
     }
 }
 
-/// Add one block's partial sums and counts into the sweep totals. A cluster
-/// the block never touched has an all-`+0.0` partial, and no total is ever
-/// `-0.0` (every sum starts from `+0.0`), so skipping it changes no bit.
+/// The bound past which a lower bound is *clear* of `upper`: anything
+/// above it is [`provably_farther`] than `upper` with room to spare — over
+/// [`PRUNE_FLOOR`], and over `upper` by twice the slack, which covers the
+/// slack and the rounding of both products. `∞` (nothing clear) when
+/// `upper` is not finite, or NaN.
+#[inline]
+fn clearance(upper: f64) -> f64 {
+    if upper < f64::INFINITY {
+        (upper * (1.0 + 2.0 * PRUNE_SLACK)).max(PRUNE_FLOOR)
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// A run of [`LANES`] lower bounds is flagged unless every one of them is
+/// above `clear` (NaN never is). One compare per bound, no branch.
+#[inline]
+fn flagged(run: &[f64], clear: f64) -> bool {
+    !run.iter()
+        .fold(true, |clear_all, &low| clear_all & (low > clear))
+}
+
+/// Move one row's lower bounds by the pending `drift` — the operations an
+/// eager move makes, in its order — and, in the same pass, flag each run of
+/// [`LANES`] centroids whose bounds are not all clear of `upper` (see
+/// [`clearance`]). An unflagged run holds only centroids provably farther
+/// than `upper`. Returns whether any run is flagged.
+#[inline]
+fn move_and_flag(lows: &mut [f64], drift: &[f64], upper: f64, flags: &mut [bool]) -> bool {
+    let k = lows.len();
+    let moves = drift.len() / k;
+    take_moves(lows, &drift[..moves.saturating_sub(1) * k]);
+    let clear = clearance(upper);
+    let mut any = false;
+    if moves == 0 {
+        for (flag, run) in flags.iter_mut().zip(lows.chunks(LANES)) {
+            *flag = flagged(run, clear);
+            any |= *flag;
+        }
+        return any;
+    }
+    let shifts = &drift[(moves - 1) * k..];
+    let mut runs = lows.chunks_exact_mut(LANES);
+    let mut run_shifts = shifts.chunks_exact(LANES);
+    for ((flag, run), shift) in flags.iter_mut().zip(&mut runs).zip(&mut run_shifts) {
+        for (low, s) in run.iter_mut().zip(shift) {
+            *low = (*low - s) * ROUND_DOWN;
+        }
+        *flag = flagged(run, clear);
+        any |= *flag;
+    }
+    let run = runs.into_remainder();
+    if let Some(flag) = flags.get_mut(k / LANES) {
+        for (low, s) in run.iter_mut().zip(run_shifts.remainder()) {
+            *low = (*low - s) * ROUND_DOWN;
+        }
+        *flag = flagged(run, clear);
+        any |= *flag;
+    }
+    any
+}
+
+/// Add one block's partial sums and counts into the sweep totals, and hand
+/// the partials back zeroed. A cluster the block never touched has an
+/// all-`+0.0` partial, and no total is ever `-0.0` (every sum starts from
+/// `+0.0`), so skipping it changes no bit — and leaves nothing to zero.
 fn merge_block(
     dim: usize,
     sums: &mut [f64],
     counts: &mut [usize],
-    block_sums: &[f64],
-    block_counts: &[usize],
+    block_sums: &mut [f64],
+    block_counts: &mut [usize],
 ) {
-    for (c, &members) in block_counts.iter().enumerate() {
-        if members > 0 {
-            counts[c] += members;
+    for (c, members) in block_counts.iter_mut().enumerate() {
+        if *members > 0 {
+            counts[c] += std::mem::take(members);
             let span = c * dim..(c + 1) * dim;
-            for (s, &x) in sums[span.clone()].iter_mut().zip(&block_sums[span]) {
-                *s += x;
+            for (s, x) in sums[span.clone()].iter_mut().zip(&mut block_sums[span]) {
+                *s += std::mem::take(x);
             }
         }
     }
 }
 
 /// One partial-sum block: its rows assigned, then accumulated, in ascending
-/// row order. This is the unit both the serial sweep and the parallel
-/// fan-out execute. Returns (any row moved, `dist_sq` calls made).
+/// row order, into `sums` and `counts`, which arrive zeroed. This is the
+/// unit both the serial sweep and the parallel fan-out execute. Returns
+/// (any row moved, `dist_sq` calls made).
 fn sweep_block(
     points: &PointMatrix,
     centroids: &PointMatrix,
     seeded: bool,
+    drift: &[f64],
     rows: &mut BlockRows,
     sums: &mut [f64],
     counts: &mut [usize],
@@ -613,19 +750,26 @@ fn sweep_block(
     let dim = points.dim();
     let mut moved = false;
     let mut evals = 0u64;
-    let per_row = rows.homes.iter_mut().zip(rows.upper.iter_mut());
-    for (r, ((home, upper), lows)) in per_row.zip(rows.lower.chunks_exact_mut(k)).enumerate() {
+    let mut flags = vec![false; k.div_ceil(LANES)];
+    let per_row =
+        (rows.homes.iter_mut().zip(rows.upper.iter_mut())).zip(rows.lower.chunks_exact_mut(k));
+    for (r, ((home, upper), lows)) in per_row.enumerate() {
         let row = points.row(rows.start + r);
         if seeded {
             // The seeding's assignment replaces the all-0 one a fit starts
             // from, which is what "moved" is measured against.
             moved |= *home != 0;
-        } else if let Some((best, best_d)) =
-            bounded_nearest(row, centroids, *home, *upper, lows, &mut evals)
-        {
-            moved |= best != *home;
-            *home = best;
-            *upper = best_d.sqrt();
+        } else {
+            let open = move_and_flag(lows, drift, *upper, &mut flags);
+            // One centroid is its own nearest, whatever the bounds say.
+            let found = (open && k > 1)
+                .then(|| bounded_nearest(row, centroids, *home, *upper, lows, &flags, &mut evals))
+                .flatten();
+            if let Some((best, best_d)) = found {
+                moved |= best != *home;
+                *home = best;
+                *upper = best_d.sqrt();
+            }
         }
         counts[*home] += 1;
         for (s, &x) in sums[*home * dim..(*home + 1) * dim].iter_mut().zip(row) {
@@ -636,30 +780,118 @@ fn sweep_block(
 }
 
 /// [`nearest_centroid`] with the evaluations the bounds make pointless left
-/// out. `None`: every other centroid is provably strictly farther than
-/// `home` even under the loose `upper`, so the row stays, at no cost.
-/// Otherwise `home` is evaluated exactly, then the centroids ascend through
-/// the same strict `<` from `(0, ∞)` as the full scan, skipping only those
-/// provably strictly farther than the nearest one evaluated so far — which
-/// cannot include the scan's winner, nor anything tied with it. A NaN home
-/// distance proves nothing, so that row gets the full scan.
+/// out, for a row [`move_and_flag`] flagged. It is the full scan's strict
+/// `<` from `(0, ∞)` in ascending order, skipping only centroids provably
+/// strictly farther than the nearest one evaluated so far — which cannot
+/// include the scan's winner, nor anything tied with it — and it evaluates
+/// `home` only once some other centroid is not provably farther than
+/// `upper`. `None`: there was none, so the row stays, at no cost.
+/// Otherwise every evaluated bound becomes exact, and the new home's turns
+/// the `+∞` sentinel.
+///
+/// Before `home` is evaluated the bar is `upper`; after, the reach `√` of
+/// its distance, which sits at or under `upper`. A centroid skipped against
+/// the first is skipped against the second, and so is every centroid of a
+/// run `flags` left unflagged (all provably farther than `upper`): only the
+/// flagged runs, and the home's, are read. A reach past `upper`, or NaN,
+/// proves less than `upper` did, so that row is scanned whole
+/// ([`scan_from`]).
 fn bounded_nearest(
     row: &[f64],
     centroids: &PointMatrix,
     home: usize,
     upper: f64,
     lows: &mut [f64],
+    flags: &[bool],
     evals: &mut u64,
 ) -> Option<(usize, f64)> {
-    let settled = |(c, &low): (usize, &f64)| c == home || provably_farther(upper, low);
-    if lows.iter().enumerate().all(settled) {
-        return None;
+    let mut nearest = Nearest::new();
+    let mut reach = upper;
+    let mut home_d = None;
+    let home_run = home / LANES;
+    for (g, &flag) in flags.iter().enumerate() {
+        if !flag && g != home_run {
+            continue;
+        }
+        for c in g * LANES..((g + 1) * LANES).min(lows.len()) {
+            if c == home {
+                if let Some(d) = home_d {
+                    nearest.take(c, d, &mut lows[c], &mut reach);
+                }
+                continue;
+            }
+            if provably_farther(reach, lows[c]) {
+                continue;
+            }
+            if home_d.is_none() {
+                let d = dist_sq(row, centroids.row(home));
+                *evals += 1;
+                home_d = Some(d);
+                reach = d.sqrt();
+                let within = reach <= upper;
+                if !within {
+                    return Some(scan_from(row, centroids, home, d, lows, evals));
+                }
+                if home < c {
+                    nearest.take(home, d, &mut lows[home], &mut reach);
+                }
+                if provably_farther(reach, lows[c]) {
+                    continue;
+                }
+            }
+            *evals += 1;
+            let d = dist_sq(row, centroids.row(c));
+            nearest.take(c, d, &mut lows[c], &mut reach);
+        }
     }
-    let d_home = dist_sq(row, centroids.row(home));
-    *evals += 1;
+    home_d?;
+    lows[nearest.best] = f64::INFINITY;
+    Some((nearest.best, nearest.best_d))
+}
+
+/// The scan's running winner: strict `<` from `(0, ∞)`.
+struct Nearest {
+    best: usize,
+    best_d: f64,
+}
+
+impl Nearest {
+    fn new() -> Self {
+        Self {
+            best: 0,
+            best_d: f64::INFINITY,
+        }
+    }
+
+    /// Centroid `c` was evaluated at `d`: its bound becomes exact, and a
+    /// new winner lowers the reach (`<`, not `min`: a NaN reach must stay
+    /// NaN).
+    #[inline]
+    fn take(&mut self, c: usize, d: f64, low: &mut f64, reach: &mut f64) {
+        *low = lower_bound(d);
+        if d < self.best_d {
+            self.best_d = d;
+            self.best = c;
+            if d.sqrt() < *reach {
+                *reach = d.sqrt();
+            }
+        }
+    }
+}
+
+/// The bounded scan over every centroid, `home` already evaluated at
+/// `d_home`: the one a row gets when its home's distance proves less than
+/// the flags assumed.
+fn scan_from(
+    row: &[f64],
+    centroids: &PointMatrix,
+    home: usize,
+    d_home: f64,
+    lows: &mut [f64],
+    evals: &mut u64,
+) -> (usize, f64) {
+    let mut nearest = Nearest::new();
     let mut reach = d_home.sqrt();
-    let mut best = 0usize;
-    let mut best_d = f64::INFINITY;
     for (c, low) in lows.iter_mut().enumerate() {
         let d = if c == home {
             d_home
@@ -669,17 +901,10 @@ fn bounded_nearest(
             *evals += 1;
             dist_sq(row, centroids.row(c))
         };
-        *low = lower_bound(d);
-        if d < best_d {
-            best_d = d;
-            best = c;
-            // `<`, not `min`: a NaN reach must stay NaN.
-            if d.sqrt() < reach {
-                reach = d.sqrt();
-            }
-        }
+        nearest.take(c, d, low, &mut reach);
     }
-    Some((best, best_d))
+    lows[nearest.best] = f64::INFINITY;
+    (nearest.best, nearest.best_d)
 }
 
 #[cfg(test)]

@@ -10,15 +10,16 @@
 //! the heavy lifting. The second block below goes after the bounded Lloyd
 //! loop specifically: inputs where a pruning bound that was a heuristic
 //! rather than a proof would flip a tie (exact equidistance, lattices,
-//! near-ties in the last bits), lose a reseed, or trust a NaN.
+//! near-ties in the last bits), lose a reseed, or trust a NaN. The last
+//! block holds the median exemplar to its oracle.
 //! `PS3_STRICT_KERNELS=1` additionally re-checks the same contract inside
-//! every `kmeans_fit` call; CI runs this file both ways.
+//! every k-means fit and median exemplar; CI runs this file both ways.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ps3_cluster::{cluster, kmeans_fit, oracle, simd, ClusterAlgo, PointMatrix};
+use ps3_cluster::{cluster, kmeans_fit, median_exemplar, oracle, simd, ClusterAlgo, PointMatrix};
 
 /// Interesting doubles: ordinary values (repeated arms skew the draw
 /// toward them), denormal-scale, huge-scale, signed zeros, and NaN.
@@ -458,5 +459,65 @@ fn all_duplicate_points_agree_with_oracle() {
         let slow = oracle::kmeans_fit(&pts, 3, &mut StdRng::seed_from_u64(seed), 10);
         assert_eq!(fast.assignment, slow.assignment, "seed {seed}");
         assert_eq!(bits(&fast.centroids), bits(&slow.centroids), "seed {seed}");
+    }
+}
+
+/// Rows for the exemplar contract: half the cells from a six-value palette
+/// (so members tie, in a dimension and in distance), the rest spread over
+/// ±1e3. `flavour` 1 sprinkles `-0.0` among the palette's `+0.0`, flavour
+/// 2 sprinkles NaN of both signs: the two things `<` and `total_cmp` see
+/// differently.
+fn exemplar_rows(n: usize, dim: usize, flavour: u8, seed: u64) -> Vec<Vec<f64>> {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let palette = [0.0, 1.0, -1.0, 2.5, 1e-300, -1e300];
+    (0..n)
+        .map(|_| {
+            (0..dim)
+                .map(|_| {
+                    let x = if rng.gen_range(0..2) == 0 {
+                        palette[rng.gen_range(0..palette.len())]
+                    } else {
+                        rng.gen_range(-1e3..1e3)
+                    };
+                    match (flavour, rng.gen_range(0..16)) {
+                        (1, 0) => -0.0,
+                        (2, 0) => f64::NAN,
+                        (2, 1) => -f64::NAN,
+                        _ => x,
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The median exemplar is the oracle's member on every cluster: sizes
+    /// from 2 through the sorting network's limit and past it, odd and
+    /// even (whose median is the mean of two middles), more than 500
+    /// members, members in any order and a cluster that is a subset of
+    /// the rows, ties in every dimension and at equal distance, and NaN,
+    /// `-0.0` and `+0.0` side by side.
+    #[test]
+    fn median_exemplar_matches_oracle(
+        m in prop_oneof![2usize..12, 12usize..40, 60usize..70, 500usize..520],
+        dim in 1usize..20,
+        extra in 0usize..8,
+        flavour in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        use rand::seq::SliceRandom;
+        let rows = exemplar_rows(m + extra, dim, flavour, seed);
+        let points = PointMatrix::from_rows(&rows);
+        let mut members: Vec<usize> = (0..m + extra).collect();
+        members.shuffle(&mut StdRng::seed_from_u64(seed ^ 1));
+        members.truncate(m);
+        let fast = median_exemplar(&points, &members);
+        prop_assert_eq!(fast, oracle::median_exemplar(&points, &members));
+        members.sort_unstable();
+        prop_assert_eq!(median_exemplar(&points, &members), fast);
     }
 }

@@ -63,6 +63,7 @@ query_time/query_artifacts
 query_time/kmeans_64x8
 query_time/hac_ward_64x8
 cluster/assign_step_simd
+cluster/select_512_tiny_q8
 train/train_cold
 train/retrain_warm
 picker/full_pick_25pct
