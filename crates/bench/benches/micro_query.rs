@@ -201,8 +201,8 @@ fn bench_query_paths(c: &mut Criterion) {
     });
     g.finish();
 
-    // The training-path primitive underneath: one fused assign-update
-    // sweep over the blocked kernels.
+    // The training-path primitive underneath: one assign-then-update sweep
+    // over the blocked kernels.
     let mut g = c.benchmark_group("cluster");
     g.sample_size(30);
     let first_eight: Vec<f64> = (0..8).flat_map(|i| points.row(i)).copied().collect();

@@ -16,8 +16,7 @@ use std::sync::OnceLock;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::dist_sq;
-use crate::simd::{PointMatrix, LANES};
+use crate::simd::{self, Isa, PointMatrix, LANES};
 
 /// Clusters up to this size sort their values through a comparator
 /// network, [`LANES`] dimensions per vector min/max; larger ones select per
@@ -41,9 +40,14 @@ pub fn median_exemplar(points: &PointMatrix, cluster: &[usize]) -> usize {
     let pick = if cluster.len() == 1 {
         cluster[0]
     } else {
-        let median = cluster_median(points, cluster);
+        let isa = Isa::detect();
+        let median = cluster_median(isa, points, cluster);
+        // One distance per member, compared by `total_cmp`, then index —
+        // one pair at a time, on the kernel the oracle calls: `total_cmp`
+        // sees a NaN's sign, which is the compiler's choice, and may be
+        // another in the four-pair kernel.
         (cluster.iter())
-            .map(|&i| (dist_sq(points.row(i), &median), i))
+            .map(|&i| (isa.dist_sq(points.row(i), &median), i))
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
             .expect("non-empty cluster")
             .1
@@ -67,13 +71,13 @@ pub fn median_exemplar(points: &PointMatrix, cluster: &[usize]) -> usize {
 /// compares puts the same bits in the middle; it runs on [`LANES`]
 /// dimensions at once. A cluster holding either, or larger than
 /// [`NETWORK_MAX`], selects per dimension on `total_cmp`'s integer keys.
-fn cluster_median(points: &PointMatrix, cluster: &[usize]) -> Vec<f64> {
+fn cluster_median(isa: Isa, points: &PointMatrix, cluster: &[usize]) -> Vec<f64> {
     let (m, dim) = (cluster.len(), points.dim());
     let (mid, odd) = (m / 2, m % 2 == 1);
     let rows = || cluster.iter().map(|&i| points.row(i));
     // The order statistics at `mid` and (even counts) `mid - 1`.
     let (lower, upper) = (m <= NETWORK_MAX)
-        .then(|| sorted_middles(rows(), m, dim, mid))
+        .then(|| sorted_middles(isa, rows(), m, dim, mid))
         .flatten()
         .unwrap_or_else(|| selected_middles(rows(), m, dim, mid));
     if odd {
@@ -91,6 +95,7 @@ fn cluster_median(points: &PointMatrix, cluster: &[usize]) -> Vec<f64> {
 /// odd–even merge network for `m` members: every comparator is a lane-wise
 /// min/max of two members' runs, so it moves values without a branch.
 fn sorted_middles<'a>(
+    isa: Isa,
     rows: impl Iterator<Item = &'a [f64]>,
     m: usize,
     dim: usize,
@@ -108,19 +113,10 @@ fn sorted_middles<'a>(
     if !plain {
         return None;
     }
-    let network = median_network(m);
+    simd::sort_runs(isa, &mut by_run, m, median_network(m));
     let mut lower = Vec::with_capacity(runs * LANES);
     let mut upper = Vec::with_capacity(runs * LANES);
-    for run in by_run.chunks_exact_mut(m) {
-        for &(a, b) in network {
-            let (a, b) = (usize::from(a), usize::from(b));
-            let (x, y) = (run[a], run[b]);
-            for j in 0..LANES {
-                let swap = y[j] < x[j];
-                run[a][j] = if swap { y[j] } else { x[j] };
-                run[b][j] = if swap { x[j] } else { y[j] };
-            }
-        }
+    for run in by_run.chunks_exact(m) {
         lower.extend_from_slice(&run[mid.saturating_sub(1)]);
         upper.extend_from_slice(&run[mid]);
     }
@@ -286,12 +282,12 @@ mod tests {
                 let members: Vec<usize> = (0..rotated.len()).collect();
                 let want = sorted_median(column).to_bits();
                 let single: Vec<Vec<f64>> = rotated.iter().map(|&x| vec![x]).collect();
-                let got = cluster_median(&PointMatrix::from_rows(&single), &members);
+                let got = cluster_median(Isa::detect(), &PointMatrix::from_rows(&single), &members);
                 assert_eq!(got[0].to_bits(), want, "{column:?} rotated by {turn}");
                 let paired: Vec<Vec<f64>> = (rotated.iter().enumerate())
                     .map(|(i, &x)| vec![-(i as f64), x])
                     .collect();
-                let got = cluster_median(&PointMatrix::from_rows(&paired), &members);
+                let got = cluster_median(Isa::detect(), &PointMatrix::from_rows(&paired), &members);
                 assert_eq!(
                     got[1].to_bits(),
                     want,
@@ -342,6 +338,25 @@ mod tests {
                     "n {n}, input {bits:b}"
                 );
             }
+        }
+    }
+
+    /// Members whose every distance to the median is NaN still elect one:
+    /// the oracle's, the least under `total_cmp`.
+    #[test]
+    fn all_nan_distances_elect_the_oracles_member() {
+        let nan = f64::NAN;
+        for rows in [
+            vec![vec![nan, 1.0], vec![nan, 2.0], vec![nan, 3.0]],
+            vec![vec![-nan], vec![nan], vec![-nan], vec![nan], vec![1.0]],
+        ] {
+            let points = PointMatrix::from_rows(&rows);
+            let members: Vec<usize> = (0..rows.len()).rev().collect();
+            assert_eq!(
+                median_exemplar(&points, &members),
+                crate::oracle::median_exemplar(&points, &members),
+                "{rows:?}"
+            );
         }
     }
 

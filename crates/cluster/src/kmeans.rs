@@ -20,7 +20,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::simd::{self, dist_sq, PointMatrix, SeedBounds, SweepState};
+use crate::simd::{self, Isa, PointMatrix, SeedBounds, SweepState};
 
 /// A fitted k-means model: centroids, assignment and how the run went.
 #[derive(Debug, Clone)]
@@ -135,12 +135,13 @@ impl Fit {
     }
 }
 
-/// The one fit: seeding, then Lloyd; under `PS3_STRICT_KERNELS=1` checked
-/// against the oracle (assignment, centroid bits, sweep count).
+/// The one fit: seeding, then Lloyd, on the instruction set
+/// [`Isa::detect`] finds; under `PS3_STRICT_KERNELS=1` checked against the
+/// oracle (assignment, centroid bits, sweep count).
 fn fit(points: &PointMatrix, k: usize, rng: &mut StdRng, max_iter: usize) -> Fit {
     assert!(k > 0 && points.n() >= k);
     let strict_rng = ps3_runtime::strict_kernels().then(|| rng.clone());
-    let (centroids, state) = seed(points, k, rng);
+    let (centroids, state) = seed(Isa::detect(), points, k, rng);
     let fit = lloyd(points, centroids, state, max_iter);
     if let Some(mut oracle_rng) = strict_rng {
         let reference = crate::oracle::kmeans_fit(&points.to_rows(), k, &mut oracle_rng, max_iter);
@@ -177,10 +178,10 @@ fn fit(points: &PointMatrix, k: usize, rng: &mut StdRng, max_iter: usize) -> Fit
 /// seeds with the sweep state they leave: the full scan's assignment, exact
 /// home distances and a lower bound per (row, seed), so Lloyd's first sweep
 /// evaluates nothing.
-fn seed(points: &PointMatrix, k: usize, rng: &mut StdRng) -> (PointMatrix, SweepState) {
+fn seed(isa: Isa, points: &PointMatrix, k: usize, rng: &mut StdRng) -> (PointMatrix, SweepState) {
     let (n, dim) = (points.n(), points.dim());
     let mut seeds = PointMatrix::from_flat(vec![0.0; k * dim], k, dim);
-    let mut bounds = SeedBounds::new(n, k);
+    let mut bounds = SeedBounds::new(isa, n, k);
     let mut d2 = vec![0.0f64; n];
     let first = rng.gen_range(0..n);
     seeds.row_mut(0).copy_from_slice(points.row(first));
@@ -220,14 +221,21 @@ fn seed(points: &PointMatrix, k: usize, rng: &mut StdRng) -> (PointMatrix, Sweep
 ///    wins; NaN distances never win.
 /// 4. Stop when nothing changed (no assignment moved, no reseed fired);
 ///    otherwise every bound moves by its centroid's shift, reseeds included.
+///
+/// Step 2 divides only the clusters the sweep summed again: one with the
+/// members it had has the sums and count it had, so `sum / count` is the
+/// centroid it has. The evaluations whose inputs are all known up front
+/// (the reseed scan, the shifts) run four at a time.
 fn lloyd(
     points: &PointMatrix,
     mut centroids: PointMatrix,
     mut state: SweepState,
     max_iter: usize,
 ) -> Fit {
-    let k = centroids.n();
-    let mut next = centroids.clone();
+    let (k, isa) = (centroids.n(), state.isa);
+    // What each centroid was before the sweep's update: equal to
+    // `centroids` at the top of every sweep.
+    let mut previous = centroids.clone();
     let mut shifts = vec![0.0f64; k];
     let mut sweeps = 0usize;
     let mut converged = false;
@@ -236,44 +244,48 @@ fn lloyd(
         let mut changed = state.sweep(points, &centroids);
         for c in 0..k {
             let members = state.counts()[c];
-            if members > 0 {
-                let inv = members as f64;
-                for (ctr, s) in next.row_mut(c).iter_mut().zip(state.sums(c)) {
-                    *ctr = s / inv;
-                }
+            if members > 0 && state.resummed()[c] {
+                simd::divide(isa, centroids.row_mut(c), state.sums(c), members as f64);
             }
         }
         if state.counts().contains(&0) {
             // No row's home is an empty cluster, so reseeding one moves no
             // row's home distance: one scan serves every empty cluster.
-            let mut far = 0usize;
-            let mut far_d = f64::NEG_INFINITY;
-            for (i, &home) in state.assignment().iter().enumerate() {
-                let d = dist_sq(points.row(i), next.row(home));
-                if d > far_d {
-                    far_d = d;
-                    far = i;
-                }
-            }
+            let (mut far, mut far_d) = (0usize, f64::NEG_INFINITY);
+            let homes = state.assignment();
+            isa.each_dist_sq(
+                points.n(),
+                |i| (points.row(i), centroids.row(homes[i])),
+                |i, d| {
+                    if d > far_d {
+                        far_d = d;
+                        far = i;
+                    }
+                },
+            );
             state.count_evals(points.n());
             for c in 0..k {
                 if state.counts()[c] == 0 {
-                    next.row_mut(c).copy_from_slice(points.row(far));
+                    centroids.row_mut(c).copy_from_slice(points.row(far));
                 }
             }
             changed = true;
         }
-        std::mem::swap(&mut centroids, &mut next);
         if !changed {
             converged = true;
             break;
         }
         if sweeps < max_iter {
-            for (c, shift) in shifts.iter_mut().enumerate() {
-                *shift = simd::shift_bound(dist_sq(next.row(c), centroids.row(c)));
-            }
+            isa.each_dist_sq(
+                k,
+                |c| (previous.row(c), centroids.row(c)),
+                |c, d| shifts[c] = simd::shift_bound(d),
+            );
             state.count_evals(k);
             state.move_bounds(&shifts);
+            for c in 0..k {
+                previous.row_mut(c).copy_from_slice(centroids.row(c));
+            }
         }
     }
     Fit {
@@ -394,7 +406,7 @@ mod tests {
     fn seeding_evaluates_at_most_half_the_seed_distances() {
         let (n, dim, k) = (400, 70, 40);
         let points = PointMatrix::from_rows(&blob_points(n, dim, 12, 17));
-        let (seeds, mut state) = seed(&points, k, &mut StdRng::seed_from_u64(5));
+        let (seeds, mut state) = seed(Isa::detect(), &points, k, &mut StdRng::seed_from_u64(5));
         let seeding = state.distance_evals();
         assert!(
             seeding * 2 <= (n * k) as u64,
@@ -433,7 +445,12 @@ mod tests {
         ];
         for (case, (rows, k)) in cases.iter().enumerate() {
             let points = PointMatrix::from_rows(rows);
-            let (seeds, state) = seed(&points, *k, &mut StdRng::seed_from_u64(case as u64));
+            let (seeds, state) = seed(
+                Isa::detect(),
+                &points,
+                *k,
+                &mut StdRng::seed_from_u64(case as u64),
+            );
             for (i, row) in rows.iter().enumerate() {
                 let (home, home_d) = simd::nearest_centroid(row, &seeds);
                 let (upper, lows) = state.row_bounds(i);
@@ -445,7 +462,7 @@ mod tests {
                 );
                 assert_eq!(lows[home], f64::INFINITY, "case {case}, row {i}");
                 for (c, &low) in lows.iter().enumerate() {
-                    let d = dist_sq(row, seeds.row(c));
+                    let d = simd::dist_sq(row, seeds.row(c));
                     if c != home && d < f64::INFINITY {
                         assert!(
                             low <= d.sqrt() * (1.0 + 1e-12),
@@ -464,7 +481,8 @@ mod tests {
         let rows = blob_points(n, dim, 9, 23);
         let points = PointMatrix::from_rows(&rows);
         let fit_with = |fan_out: Option<bool>| {
-            let (centroids, mut state) = seed(&points, k, &mut StdRng::seed_from_u64(11));
+            let (centroids, mut state) =
+                seed(Isa::detect(), &points, k, &mut StdRng::seed_from_u64(11));
             assert!(state.fan_out, "this input is meant to cross the threshold");
             state.fan_out = fan_out.unwrap_or(state.fan_out);
             lloyd(&points, centroids, state, max_iter).into_public()
@@ -487,6 +505,62 @@ mod tests {
         assert_eq!(fanned_evals, serial_evals);
         assert_same_fit(&fanned, &slow);
         assert_same_fit(&serial, &slow);
+    }
+
+    /// The fit under every way a sweep can run — serial or fanned out, on
+    /// the detected instruction set or the portable one — with its count.
+    fn fit_every_way(
+        rows: &[Vec<f64>],
+        k: usize,
+        seed_: u64,
+        max_iter: usize,
+    ) -> Vec<(KmeansFit, u64)> {
+        let points = PointMatrix::from_rows(rows);
+        let mut fits = Vec::new();
+        for isa in [Isa::detect(), Isa::Portable] {
+            for fan_out in [false, true] {
+                let (centroids, mut state) =
+                    seed(isa, &points, k, &mut StdRng::seed_from_u64(seed_));
+                state.fan_out = fan_out;
+                fits.push(lloyd(&points, centroids, state, max_iter).into_public());
+            }
+        }
+        fits
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Fanning a sweep out and pinning the portable kernels are both
+        /// invisible: on duplicate-heavy rows that empty clusters (so
+        /// reseeds fire and some clusters are summed again while others
+        /// keep their sums), every way gives the oracle's assignment,
+        /// centroid bits and sweep count, and one evaluation count.
+        #[test]
+        fn every_way_of_sweeping_equals_the_oracle(
+            n in 10usize..200,
+            k in 2usize..30,
+            distinct in 1usize..40,
+            dim in 0usize..12,
+            seed_ in 0u64..1000,
+            max_iter in prop_oneof![Just(1usize), Just(2usize), Just(25usize)],
+        ) {
+            let k = k.min(n);
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    let v = (i * 7 + i / 3) % distinct;
+                    (0..dim)
+                        .map(|d| f64::from(((v * (d + 2)) % 11) as u32) * 0.75 - f64::from(v as u32) + (i % 3) as f64 * 0.01)
+                        .collect()
+                })
+                .collect();
+            let slow = crate::oracle::kmeans_fit(&rows, k, &mut StdRng::seed_from_u64(seed_), max_iter);
+            let fits = fit_every_way(&rows, k, seed_, max_iter);
+            for (fit, evals) in &fits {
+                assert_same_fit(fit, &slow);
+                prop_assert_eq!(*evals, fits[0].1);
+            }
+        }
     }
 
     proptest! {

@@ -13,9 +13,10 @@
 //! median-nearest exemplar and the unbiased uniform-random exemplar.
 //!
 //! The numeric inner loops live in [`mod@simd`] (blocked, SIMD-friendly,
-//! deterministic accumulation order, Lloyd sweeps pruned by distance
-//! bounds that only ever skip a proven result) with scalar, unbounded
-//! mirrors in `oracle`; set `PS3_STRICT_KERNELS=1`
+//! deterministic accumulation order, AVX2 chosen at run time where the
+//! processor has it, Lloyd sweeps pruned by distance bounds that only ever
+//! skip a proven result) with scalar, unbounded mirrors in `oracle`; set
+//! `PS3_STRICT_KERNELS=1`
 //! ([`ps3_runtime::strict_kernels`]) to assert kernel/oracle bit-identity
 //! inside every k-means call and every median exemplar.
 
@@ -85,12 +86,6 @@ pub fn cluster(
         ClusterAlgo::HacSingle => (hac(points, k, Linkage::Single), 0),
         ClusterAlgo::HacWard => (hac(points, k, Linkage::Ward), 0),
     }
-}
-
-/// Squared Euclidean distance — the blocked kernel; see [`simd::dist_sq`].
-#[inline]
-pub(crate) fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
-    simd::dist_sq(a, b)
 }
 
 #[cfg(test)]

@@ -8,8 +8,34 @@
 //! accumulation order** instead: [`LANES`] independent accumulators over
 //! `chunks_exact(LANES)`, combined by a fixed pairwise tree, then a
 //! sequential tail. That breaks the dependency chain (so the loop
-//! autovectorizes) while keeping the result a deterministic function of the
+//! vectorizes) while keeping the result a deterministic function of the
 //! input — the same bits on every machine, every run.
+//!
+//! **Two instruction sets, one definition.** A fit picks its arithmetic
+//! once, at run time (`Isa::detect`): on a processor with AVX2 the
+//! distance kernels are written out in AVX2 intrinsics — the same eight
+//! lanes as two 4-wide registers, an explicit subtract → multiply → add per
+//! element (never a fused multiply-add, which rounds once instead of twice),
+//! the same combine tree and the same sequential tail — and the flag pass,
+//! the row sums, the centroid division and the median network's min/max are
+//! the portable bodies compiled with AVX2 enabled. Elsewhere, or with no
+//! AVX2, the portable code runs ([`portable`]). Each operation rounds as
+//! IEEE says on both paths, in the same order, so the two give the same
+//! bits; `tests/kernel_oracle.rs` holds both to the oracle. The one thing
+//! neither path fixes is a NaN result's sign: Rust leaves it to the
+//! compiler on every path (two NaNs added give the sign of whichever
+//! operand the compiler put first), and no fit reads it — a NaN distance
+//! never wins and bounds nothing. (The median exemplar orders distances by
+//! `total_cmp`, so it takes them from the one-pair kernel its oracle calls
+//! too.) `std::arch` and `#[target_feature]` appear in this file only, and
+//! every call across the feature boundary rests on the `Isa::Avx2`
+//! token, which only a positive `is_x86_feature_detected!("avx2")` creates.
+//!
+//! Every evaluation whose inputs are known before the first is made — the
+//! seeding's open rows, the seed-to-seed gaps, the reseed scan and the
+//! centroid shifts — runs four pairs at a time ([`dist_sq4`]), eight
+//! independent chains in flight instead of two. The set of evaluations, and
+//! so every count, is what it was one at a time.
 //!
 //! The k-means update step is blocked the same way: rows are processed in
 //! [`UPDATE_BLOCK`]-sized blocks, each block accumulating its own partial
@@ -17,7 +43,11 @@
 //! merged in ascending block order. Because the merge order is fixed, a
 //! parallel fan-out of the blocks over the shared pool is **bit-identical**
 //! to the serial pass — which is what lets [`SweepState::sweep`] fan out on
-//! large partition counts without breaking the kernel/oracle contract.
+//! large partition counts without breaking the kernel/oracle contract. A
+//! sweep assigns every row first and then re-sums only the clusters whose
+//! member set changed: a cluster with the same members in the same rows has
+//! the same blocked sums, so it keeps its sums, its count and (in
+//! `kmeans`) its centroid bits.
 //!
 //! The assign step is *bounded* (Elkan, ICML 2003): every row carries an
 //! upper bound on the distance to its home centroid and one lower bound per
@@ -60,9 +90,9 @@ use std::sync::Mutex;
 
 use ps3_runtime::ThreadPool;
 
-/// Independent accumulator lanes in the distance kernels. Eight `f64`
-/// accumulators fill an AVX-512 register and give AVX2 two independent
-/// 4-wide chains — enough ILP either way.
+/// Independent accumulator lanes in the distance kernels: two 4-wide
+/// chains on the AVX2 path, four 2-wide ones where the portable code
+/// compiles to SSE2. The lane of element `i` is `i % LANES` on every path.
 pub const LANES: usize = 8;
 
 /// Rows per partial-sum block in [`SweepState::sweep`]. One block of 64
@@ -104,28 +134,275 @@ fn combine(acc: [f64; LANES]) -> f64 {
     ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]))
 }
 
+/// The instruction set a fit's kernels run on, chosen once per fit (or per
+/// call, for the free functions) by [`Isa::detect`]. Both give the same
+/// bits (a NaN's sign aside, see the module docs); only the speed differs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Isa {
+    /// The plain-Rust kernels of [`portable`], for any processor.
+    Portable,
+    /// AVX2, which the token proves present.
+    #[cfg(target_arch = "x86_64")]
+    Avx2(avx2::Detected),
+}
+
+impl Isa {
+    /// AVX2 where the running processor has it, the portable code
+    /// elsewhere. The detection is the standard library's, cached after the
+    /// first call.
+    #[inline]
+    pub(crate) fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(detected) = avx2::Detected::new() {
+            return Isa::Avx2(detected);
+        }
+        Isa::Portable
+    }
+
+    /// [`dist_sq`] on this instruction set.
+    #[inline]
+    pub(crate) fn dist_sq(self, a: &[f64], b: &[f64]) -> f64 {
+        match self {
+            Isa::Portable => portable::dist_sq(a, b),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::Avx2` holds a token only `avx2::Detected::new`
+            // makes, after `is_x86_feature_detected!("avx2")` returned true.
+            Isa::Avx2(_) => unsafe { avx2::dist_sq(a, b) },
+        }
+    }
+
+    /// [`dist_sq4`] on this instruction set.
+    #[inline]
+    pub(crate) fn dist_sq4(self, a: [&[f64]; 4], b: [&[f64]; 4]) -> [f64; 4] {
+        match self {
+            Isa::Portable => portable::dist_sq4(a, b),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::Avx2` holds a token only `avx2::Detected::new`
+            // makes, after `is_x86_feature_detected!("avx2")` returned true.
+            Isa::Avx2(_) => unsafe { avx2::dist_sq4(a, b) },
+        }
+    }
+
+    /// `f(j, dist_sq(a_j, b_j))` for every `j` in `0..n`, in ascending
+    /// order, where `pair(j)` is `(a_j, b_j)`: the distances four at a
+    /// time, the last `n % 4` one at a time. Each is the bits [`dist_sq`]
+    /// gives that pair, so batching changes no result and no count.
+    #[inline]
+    pub(crate) fn each_dist_sq<'a>(
+        self,
+        n: usize,
+        pair: impl Fn(usize) -> (&'a [f64], &'a [f64]),
+        mut f: impl FnMut(usize, f64),
+    ) {
+        let mut j = 0;
+        while j + 4 <= n {
+            let pairs = [pair(j), pair(j + 1), pair(j + 2), pair(j + 3)];
+            let dists = self.dist_sq4(pairs.map(|p| p.0), pairs.map(|p| p.1));
+            for (t, d) in dists.into_iter().enumerate() {
+                f(j + t, d);
+            }
+            j += 4;
+        }
+        for j in j..n {
+            let (a, b) = pair(j);
+            f(j, self.dist_sq(a, b));
+        }
+    }
+}
+
+/// `$vis fn $name(isa: Isa, args…)`: the `#[inline(always)]` body `$body`
+/// as the portable code, or the same body compiled with AVX2 enabled when
+/// `isa` carries the token. Elementwise IEEE operations round the same at
+/// any vector width, and no fused multiply-add is enabled, so the bits do
+/// not depend on which one runs.
+macro_rules! avx2_compiled {
+    ($(#[$attr:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident;) => {
+        $(#[$attr])*
+        #[inline]
+        $vis fn $name(isa: Isa, $($arg: $ty),*) $(-> $ret)? {
+            match isa {
+                Isa::Portable => $body($($arg),*),
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2(_) => {
+                    #[target_feature(enable = "avx2")]
+                    fn with_avx2($($arg: $ty),*) $(-> $ret)? {
+                        $body($($arg),*)
+                    }
+                    // SAFETY: `Isa::Avx2` holds a token only
+                    // `avx2::Detected::new` makes, after
+                    // `is_x86_feature_detected!("avx2")` returned true.
+                    unsafe { with_avx2($($arg),*) }
+                }
+            }
+        }
+    };
+}
+
 /// Blocked squared Euclidean distance: 8 independent lanes over the full
 /// chunks, pairwise-combined, then the tail added sequentially in index
 /// order. NaN in either input propagates to the result, exactly as the
-/// scalar formulation would.
+/// scalar formulation would. AVX2 where the processor has it (see the
+/// module docs), the same bits either way.
 #[inline]
 pub fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; LANES];
-    let mut chunks_a = a.chunks_exact(LANES);
-    let mut chunks_b = b.chunks_exact(LANES);
-    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-        for j in 0..LANES {
-            let d = ca[j] - cb[j];
-            acc[j] += d * d;
+    Isa::detect().dist_sq(a, b)
+}
+
+/// [`dist_sq`] of four pairs at once, `[dist_sq(a[0], b[0]), …]` to the
+/// bit (a NaN's sign aside): eight independent accumulator chains instead
+/// of two.
+///
+/// # Panics
+/// Panics when the eight slices are not all of one length.
+#[inline]
+pub fn dist_sq4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [f64; 4] {
+    Isa::detect().dist_sq4(a, b)
+}
+
+/// The kernels as plain Rust, which the compiler vectorizes for the
+/// target's baseline (SSE2 on x86-64): the path for processors without
+/// AVX2, and the reference the AVX2 path is tested against.
+pub mod portable {
+    use super::{combine, LANES};
+
+    /// [`super::dist_sq`] in plain Rust.
+    #[inline]
+    pub fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
+        debug_assert_eq!(a.len(), b.len());
+        let mut acc = [0.0f64; LANES];
+        let mut chunks_a = a.chunks_exact(LANES);
+        let mut chunks_b = b.chunks_exact(LANES);
+        for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
+            for j in 0..LANES {
+                let d = ca[j] - cb[j];
+                acc[j] += d * d;
+            }
+        }
+        let mut sum = combine(acc);
+        for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
+            let d = x - y;
+            sum += d * d;
+        }
+        sum
+    }
+
+    /// [`super::dist_sq4`] in plain Rust: one pair after another.
+    ///
+    /// # Panics
+    /// Panics when the eight slices are not all of one length.
+    #[inline]
+    pub fn dist_sq4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [f64; 4] {
+        let len = a[0].len();
+        assert!(a.iter().chain(&b).all(|s| s.len() == len), "ragged pairs");
+        std::array::from_fn(|p| dist_sq(a[p], b[p]))
+    }
+}
+
+/// The distance kernels in AVX2 intrinsics, and the token that proves the
+/// processor runs them.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_mul_pd,
+        _mm256_setr_pd, _mm256_setzero_pd, _mm256_sub_pd, _mm_cvtsd_f64, _mm_unpackhi_pd,
+    };
+
+    use super::LANES;
+
+    /// Proof that the running processor has AVX2: [`Detected::new`] is the
+    /// only way to make one.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct Detected(());
+
+    impl Detected {
+        /// `Some` exactly when `is_x86_feature_detected!("avx2")` holds.
+        #[inline]
+        pub(super) fn new() -> Option<Self> {
+            is_x86_feature_detected!("avx2").then_some(Self(()))
         }
     }
-    let mut sum = combine(acc);
-    for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        let d = x - y;
-        sum += d * d;
+
+    /// One chunk's step of one pair: lanes 0–3 and 4–7 of `x − y`,
+    /// squared, added to their accumulators — a subtract, a multiply and an
+    /// add, each rounded, as the portable loop does them.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn step(acc: &mut [__m256d; 2], x: &[f64; LANES], y: &[f64; LANES]) {
+        let lo = _mm256_sub_pd(
+            _mm256_setr_pd(x[0], x[1], x[2], x[3]),
+            _mm256_setr_pd(y[0], y[1], y[2], y[3]),
+        );
+        let hi = _mm256_sub_pd(
+            _mm256_setr_pd(x[4], x[5], x[6], x[7]),
+            _mm256_setr_pd(y[4], y[5], y[6], y[7]),
+        );
+        acc[0] = _mm256_add_pd(acc[0], _mm256_mul_pd(lo, lo));
+        acc[1] = _mm256_add_pd(acc[1], _mm256_mul_pd(hi, hi));
     }
-    sum
+
+    /// The combine tree over lanes `acc[0] = 0–3`, `acc[1] = 4–7`, then the
+    /// tail in index order. The vector add forms `l_j + l_{j+4}`, the four
+    /// inner sums of [`super::combine`]; the rest is its outer two levels.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn finish(acc: [__m256d; 2], tail_a: &[f64], tail_b: &[f64]) -> f64 {
+        let pairs = _mm256_add_pd(acc[0], acc[1]);
+        let (low, high) = (
+            _mm256_castpd256_pd128(pairs),
+            _mm256_extractf128_pd::<1>(pairs),
+        );
+        let mut sum = (_mm_cvtsd_f64(low) + _mm_cvtsd_f64(_mm_unpackhi_pd(low, low)))
+            + (_mm_cvtsd_f64(high) + _mm_cvtsd_f64(_mm_unpackhi_pd(high, high)));
+        for (x, y) in tail_a.iter().zip(tail_b) {
+            let d = x - y;
+            sum += d * d;
+        }
+        sum
+    }
+
+    /// [`super::dist_sq`] in AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
+        debug_assert_eq!(a.len(), b.len());
+        let (chunks_a, tail_a) = a.as_chunks::<LANES>();
+        let (chunks_b, tail_b) = b.as_chunks::<LANES>();
+        let mut acc = [_mm256_setzero_pd(); 2];
+        for (x, y) in chunks_a.iter().zip(chunks_b) {
+            step(&mut acc, x, y);
+        }
+        finish(acc, tail_a, tail_b)
+    }
+
+    /// [`super::dist_sq4`] in AVX2: the four pairs' chunks interleaved,
+    /// eight accumulator chains in flight.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn dist_sq4(a: [&[f64]; 4], b: [&[f64]; 4]) -> [f64; 4] {
+        let len = a[0].len();
+        assert!(a.iter().chain(&b).all(|s| s.len() == len), "ragged pairs");
+        let full = len / LANES;
+        // Slices of exactly `full` chunks, so the loop needs no bounds check.
+        fn chunks(s: &[f64], full: usize) -> &[[f64; LANES]] {
+            &s.as_chunks::<LANES>().0[..full]
+        }
+        let (a0, a1) = (chunks(a[0], full), chunks(a[1], full));
+        let (a2, a3) = (chunks(a[2], full), chunks(a[3], full));
+        let (b0, b1) = (chunks(b[0], full), chunks(b[1], full));
+        let (b2, b3) = (chunks(b[2], full), chunks(b[3], full));
+        let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+        for i in 0..full {
+            step(&mut acc[0], &a0[i], &b0[i]);
+            step(&mut acc[1], &a1[i], &b1[i]);
+            step(&mut acc[2], &a2[i], &b2[i]);
+            step(&mut acc[3], &a3[i], &b3[i]);
+        }
+        let tail = full * LANES;
+        [
+            finish(acc[0], &a[0][tail..], &b[0][tail..]),
+            finish(acc[1], &a[1][tail..], &b[1][tail..]),
+            finish(acc[2], &a[2][tail..], &b[2][tail..]),
+            finish(acc[3], &a[3][tail..], &b[3][tail..]),
+        ]
+    }
 }
 
 /// Blocked dot product with the same lane structure as [`dist_sq`].
@@ -297,6 +574,7 @@ pub(crate) fn shift_bound(d_sq: f64) -> f64 {
 /// k-means++ acceleration, Raff 2021, after Elkan 2003) and hands Lloyd a
 /// primed [`SweepState`] instead of an n × k squared-distance matrix.
 pub(crate) struct SeedBounds {
+    isa: Isa,
     k: usize,
     /// Per row: the nearest seed so far by the full scan's rule — strict
     /// `<` from `(0, ∞)`, so NaN never wins — and its `dist_sq`, and `√` of
@@ -321,9 +599,11 @@ pub(crate) struct SeedBounds {
 }
 
 impl SeedBounds {
-    /// Bounds over `n` rows for `k` seeds, none drawn yet.
-    pub(crate) fn new(n: usize, k: usize) -> Self {
+    /// Bounds over `n` rows for `k` seeds, none drawn yet, evaluated on
+    /// `isa`.
+    pub(crate) fn new(isa: Isa, n: usize, k: usize) -> Self {
         Self {
+            isa,
             k,
             home: vec![0; n],
             best: vec![f64::INFINITY; n],
@@ -348,8 +628,8 @@ impl SeedBounds {
     ///
     /// Three passes, each without a data-dependent branch in its way: the
     /// prune test over every row (writing the triangle bound, and listing
-    /// the rows it leaves open), the distances of the listed rows back to
-    /// back, then their fold into `d2`, the assignment and the bounds, in
+    /// the rows it leaves open), the distances of the listed rows four at a
+    /// time, then their fold into `d2`, the assignment and the bounds, in
     /// ascending row order.
     pub(crate) fn add(
         &mut self,
@@ -359,10 +639,15 @@ impl SeedBounds {
         d2: &mut [f64],
     ) -> f64 {
         let seed = seeds.row(c);
-        for a in 0..c {
-            self.gaps[a] = lower_bound(dist_sq(seeds.row(a), seed));
-            self.limits[a] = prune_limit(self.gaps[a]);
-        }
+        let (gaps, limits) = (&mut self.gaps, &mut self.limits);
+        self.isa.each_dist_sq(
+            c,
+            |a| (seeds.row(a), seed),
+            |a, d| {
+                gaps[a] = lower_bound(d);
+                limits[a] = prune_limit(gaps[a]);
+            },
+        );
         let n = d2.len();
         let lows = &mut self.lower[c * n..(c + 1) * n];
         let mut open = 0;
@@ -377,8 +662,14 @@ impl SeedBounds {
         }
         let open = &self.open[..open];
         self.dists.clear();
-        self.dists
-            .extend(open.iter().map(|&i| dist_sq(points.row(i), seed)));
+        let dists = &mut self.dists;
+        self.isa.each_dist_sq(
+            open.len(),
+            |j| (points.row(open[j]), seed),
+            |_, d| {
+                dists.push(d);
+            },
+        );
         for (&i, &d) in open.iter().zip(&self.dists) {
             let root = lower_bound(d);
             lows[i] = root;
@@ -407,8 +698,9 @@ struct BlockRows<'a> {
 }
 
 /// Everything the Lloyd loop carries from sweep to sweep: the assignment,
-/// the pruning bounds, and the flat per-cluster sum buffers each sweep
-/// refills (nothing here is allocated per sweep on the serial path).
+/// the pruning bounds, and the flat per-cluster sums, of which each sweep
+/// redoes only the clusters whose members changed (nothing here is
+/// allocated per sweep on the serial path).
 #[derive(Debug)]
 pub struct SweepState {
     k: usize,
@@ -431,8 +723,16 @@ pub struct SweepState {
     /// Run a sweep's blocks on the shared pool: decided by size alone, and
     /// invisible in every output (tests flip it to prove that).
     pub(crate) fan_out: bool,
+    /// The instruction set the kernels run on: detected, and invisible in
+    /// every output (tests pin the portable one to prove that).
+    pub(crate) isa: Isa,
     sums: Vec<f64>,
     counts: Vec<usize>,
+    /// Per cluster: the last sweep summed it again, because its member set
+    /// changed (every cluster, on the first sweep).
+    resummed: Vec<bool>,
+    /// No sweep has run yet, so no cluster has sums to keep.
+    unsummed: bool,
     block_sums: Vec<f64>,
     block_counts: Vec<usize>,
     distance_evals: u64,
@@ -451,9 +751,11 @@ impl SweepState {
     /// scan's assignment over the seeds, exact home distances and a lower
     /// bound per (row, seed), so sweep one evaluates nothing. The seed-major
     /// bounds are turned row-major here, once. The seeding's evaluations
-    /// count toward [`Self::distance_evals`].
+    /// count toward [`Self::distance_evals`], and its instruction set is
+    /// the sweeps'.
     pub(crate) fn seeded(seeding: SeedBounds, dim: usize) -> Self {
         let SeedBounds {
+            isa,
             k,
             home,
             reach,
@@ -473,6 +775,7 @@ impl SweepState {
         }
         let mut state = Self::new(home, reach, lower, k, dim, true);
         state.distance_evals = distance_evals;
+        state.isa = isa;
         state
     }
 
@@ -494,8 +797,11 @@ impl SweepState {
             drift: Vec::new(),
             seeded,
             fan_out: n > UPDATE_BLOCK && n * dim >= PARALLEL_MIN_CELLS,
+            isa: Isa::detect(),
             sums: vec![0.0; k * dim],
             counts: vec![0; k],
+            resummed: vec![true; k],
+            unsummed: true,
             block_sums: vec![0.0; k * dim],
             block_counts: vec![0; k],
             distance_evals: 0,
@@ -532,6 +838,12 @@ impl SweepState {
         &self.sums[c * self.dim..(c + 1) * self.dim]
     }
 
+    /// Per cluster: whether the last sweep summed it again. One it did not
+    /// has the members, and so the sums and count, of the sweep before.
+    pub(crate) fn resummed(&self) -> &[bool] {
+        &self.resummed
+    }
+
     /// `dist_sq` calls spent so far, the seeding's included — a pure
     /// function of the input, identical run to run and serial to parallel.
     pub fn distance_evals(&self) -> u64 {
@@ -544,21 +856,25 @@ impl SweepState {
         self.distance_evals += n as u64;
     }
 
-    /// One fused assign-then-update sweep: every row gets the centroid a
-    /// full scan would give it — by the bounds where they prove it, by
-    /// evaluation where they do not — and is accumulated into its cluster's
-    /// sum in [`UPDATE_BLOCK`]-row blocks merged in ascending order, so the
-    /// result is bit-identical serial, fanned out, and in the oracle.
-    /// Returns whether any row changed assignment.
+    /// One assign-then-update sweep: every row gets the centroid a full
+    /// scan would give it — by the bounds where they prove it, by
+    /// evaluation where they do not — and then each cluster whose member
+    /// set changed is summed again in [`UPDATE_BLOCK`]-row blocks merged in
+    /// ascending order. The sums are bit-identical serial, fanned out, and
+    /// in the oracle, which sums every cluster every sweep: the same
+    /// members in the same blocks sum to the same bits. Returns whether any
+    /// row changed assignment.
     pub fn sweep(&mut self, points: &PointMatrix, centroids: &PointMatrix) -> bool {
-        let (k, dim) = (self.k, self.dim);
+        let (k, isa) = (self.k, self.isa);
         let seeded = std::mem::take(&mut self.seeded);
         debug_assert!(
             !seeded || self.drift.is_empty(),
             "no move precedes the seeded sweep"
         );
-        self.sums.fill(0.0);
-        self.counts.fill(0);
+        // The first sweep sums every cluster; a later one, those a row left
+        // or joined.
+        let first = std::mem::take(&mut self.unsummed);
+        self.resummed.fill(first);
         let drift = &self.drift;
         let blocks = (self.assignment.chunks_mut(UPDATE_BLOCK))
             .zip(self.upper.chunks_mut(UPDATE_BLOCK))
@@ -574,21 +890,74 @@ impl SweepState {
         if self.fan_out {
             // One uncontended lock per block hands each task its own rows.
             let blocks: Vec<Mutex<BlockRows>> = blocks.map(Mutex::new).collect();
-            let partials = ThreadPool::global().scope_map(blocks.len(), |b| {
+            let assigned = ThreadPool::global().scope_map(blocks.len(), |b| {
                 let mut rows = blocks[b].lock().expect("each block is locked once");
-                let (mut sums, mut counts) = (vec![0.0; k * dim], vec![0; k]);
-                let out = sweep_block(
+                let mut changed = vec![false; k];
+                let out = assign_block(
+                    isa,
                     points,
                     centroids,
                     seeded,
                     drift,
                     &mut rows,
+                    &mut changed,
+                );
+                (changed, out)
+            });
+            for (changed, (block_moved, evals)) in assigned {
+                for (resum, changed) in self.resummed.iter_mut().zip(changed) {
+                    *resum |= changed;
+                }
+                moved |= block_moved;
+                self.distance_evals += evals;
+            }
+        } else {
+            for mut rows in blocks {
+                let (block_moved, evals) = assign_block(
+                    isa,
+                    points,
+                    centroids,
+                    seeded,
+                    drift,
+                    &mut rows,
+                    &mut self.resummed,
+                );
+                moved |= block_moved;
+                self.distance_evals += evals;
+            }
+        }
+        self.drift.clear();
+        self.resum(points);
+        moved
+    }
+
+    /// Sum the clusters `resummed` flags again from their members: block by
+    /// block, each in ascending row order, the partials merged in ascending
+    /// block order. The other clusters keep their sums and counts.
+    fn resum(&mut self, points: &PointMatrix) {
+        let (k, dim, isa) = (self.k, self.dim, self.isa);
+        for (c, _) in self.resummed.iter().enumerate().filter(|(_, &r)| r) {
+            self.sums[c * dim..(c + 1) * dim].fill(0.0);
+            self.counts[c] = 0;
+        }
+        let (homes, resummed) = (&self.assignment, &self.resummed);
+        if self.fan_out {
+            let blocks: Vec<&[usize]> = homes.chunks(UPDATE_BLOCK).collect();
+            let partials = ThreadPool::global().scope_map(blocks.len(), |b| {
+                let (mut sums, mut counts) = (vec![0.0; k * dim], vec![0; k]);
+                let start = b * UPDATE_BLOCK;
+                sum_block(
+                    isa,
+                    points,
+                    start,
+                    blocks[b],
+                    resummed,
                     &mut sums,
                     &mut counts,
                 );
-                (sums, counts, out)
+                (sums, counts)
             });
-            for (mut block_sums, mut block_counts, (block_moved, evals)) in partials {
+            for (mut block_sums, mut block_counts) in partials {
                 merge_block(
                     dim,
                     &mut self.sums,
@@ -596,17 +965,15 @@ impl SweepState {
                     &mut block_sums,
                     &mut block_counts,
                 );
-                moved |= block_moved;
-                self.distance_evals += evals;
             }
         } else {
-            for mut rows in blocks {
-                let (block_moved, evals) = sweep_block(
+            for (b, block) in homes.chunks(UPDATE_BLOCK).enumerate() {
+                sum_block(
+                    isa,
                     points,
-                    centroids,
-                    seeded,
-                    drift,
-                    &mut rows,
+                    b * UPDATE_BLOCK,
+                    block,
+                    resummed,
                     &mut self.block_sums,
                     &mut self.block_counts,
                 );
@@ -617,12 +984,8 @@ impl SweepState {
                     &mut self.block_sums,
                     &mut self.block_counts,
                 );
-                moved |= block_moved;
-                self.distance_evals += evals;
             }
         }
-        self.drift.clear();
-        moved
     }
 
     /// After the update step moved centroid `c` by at most `shifts[c]`
@@ -676,8 +1039,8 @@ fn flagged(run: &[f64], clear: f64) -> bool {
 /// [`LANES`] centroids whose bounds are not all clear of `upper` (see
 /// [`clearance`]). An unflagged run holds only centroids provably farther
 /// than `upper`. Returns whether any run is flagged.
-#[inline]
-fn move_and_flag(lows: &mut [f64], drift: &[f64], upper: f64, flags: &mut [bool]) -> bool {
+#[inline(always)]
+fn move_and_flag_body(lows: &mut [f64], drift: &[f64], upper: f64, flags: &mut [bool]) -> bool {
     let k = lows.len();
     let moves = drift.len() / k;
     take_moves(lows, &drift[..moves.saturating_sub(1) * k]);
@@ -711,6 +1074,12 @@ fn move_and_flag(lows: &mut [f64], drift: &[f64], upper: f64, flags: &mut [bool]
     any
 }
 
+avx2_compiled! {
+    /// [`move_and_flag_body`], vectorized as wide as `isa` allows.
+    fn move_and_flag(lows: &mut [f64], drift: &[f64], upper: f64, flags: &mut [bool]) -> bool
+        = move_and_flag_body;
+}
+
 /// Add one block's partial sums and counts into the sweep totals, and hand
 /// the partials back zeroed. A cluster the block never touched has an
 /// all-`+0.0` partial, and no total is ever `-0.0` (every sum starts from
@@ -733,47 +1102,123 @@ fn merge_block(
     }
 }
 
-/// One partial-sum block: its rows assigned, then accumulated, in ascending
-/// row order, into `sums` and `counts`, which arrive zeroed. This is the
-/// unit both the serial sweep and the parallel fan-out execute. Returns
-/// (any row moved, `dist_sq` calls made).
-fn sweep_block(
+/// One block's rows, `start..start + homes.len()`, accumulated in ascending
+/// row order into the partial `sums` and `counts` of their homes — only the
+/// rows whose home `resum` flags. The partials arrive zeroed.
+#[inline(always)]
+fn sum_block_body(
+    points: &PointMatrix,
+    start: usize,
+    homes: &[usize],
+    resum: &[bool],
+    sums: &mut [f64],
+    counts: &mut [usize],
+) {
+    let dim = points.dim();
+    for (r, &home) in homes.iter().enumerate() {
+        if resum[home] {
+            counts[home] += 1;
+            let row = points.row(start + r);
+            for (s, &x) in sums[home * dim..(home + 1) * dim].iter_mut().zip(row) {
+                *s += x;
+            }
+        }
+    }
+}
+
+avx2_compiled! {
+    /// [`sum_block_body`], vectorized as wide as `isa` allows.
+    fn sum_block(
+        points: &PointMatrix,
+        start: usize,
+        homes: &[usize],
+        resum: &[bool],
+        sums: &mut [f64],
+        counts: &mut [usize],
+    ) = sum_block_body;
+}
+
+/// `out = sums / count`, element by element.
+#[inline(always)]
+fn divide_body(out: &mut [f64], sums: &[f64], count: f64) {
+    for (x, s) in out.iter_mut().zip(sums) {
+        *x = s / count;
+    }
+}
+
+avx2_compiled! {
+    /// A cluster's mean from its sums and member count ([`divide_body`]),
+    /// vectorized as wide as `isa` allows.
+    pub(crate) fn divide(out: &mut [f64], sums: &[f64], count: f64) = divide_body;
+}
+
+/// Run the comparator `network` over each group of `m` consecutive runs,
+/// every comparator a lane-wise min/max of two runs of [`LANES`] values.
+#[inline(always)]
+fn sort_runs_body(runs: &mut [[f64; LANES]], m: usize, network: &[(u8, u8)]) {
+    for run in runs.chunks_exact_mut(m) {
+        for &(a, b) in network {
+            let (a, b) = (usize::from(a), usize::from(b));
+            let (x, y) = (run[a], run[b]);
+            for j in 0..LANES {
+                let swap = y[j] < x[j];
+                run[a][j] = if swap { y[j] } else { x[j] };
+                run[b][j] = if swap { x[j] } else { y[j] };
+            }
+        }
+    }
+}
+
+avx2_compiled! {
+    /// The median exemplar's sorting network ([`sort_runs_body`]),
+    /// vectorized as wide as `isa` allows. On values without NaN and
+    /// `-0.0` a min/max picks one of its inputs whole, so the width changes
+    /// no bit.
+    pub(crate) fn sort_runs(runs: &mut [[f64; LANES]], m: usize, network: &[(u8, u8)])
+        = sort_runs_body;
+}
+
+/// One block's assign step: each row gets the centroid a full scan would
+/// give it, in ascending row order, and a row that moves flags its old and
+/// new home in `changed`. This is the unit both the serial sweep and the
+/// parallel fan-out execute. Returns (any row moved, `dist_sq` calls made).
+fn assign_block(
+    isa: Isa,
     points: &PointMatrix,
     centroids: &PointMatrix,
     seeded: bool,
     drift: &[f64],
     rows: &mut BlockRows,
-    sums: &mut [f64],
-    counts: &mut [usize],
+    changed: &mut [bool],
 ) -> (bool, u64) {
+    if seeded {
+        // The seeding's assignment replaces the all-0 one a fit starts
+        // from, which is what "moved" is measured against. The first sweep
+        // sums every cluster, so nothing is flagged.
+        return (rows.homes.iter().any(|&home| home != 0), 0);
+    }
     let k = centroids.n();
-    let dim = points.dim();
     let mut moved = false;
     let mut evals = 0u64;
     let mut flags = vec![false; k.div_ceil(LANES)];
     let per_row =
         (rows.homes.iter_mut().zip(rows.upper.iter_mut())).zip(rows.lower.chunks_exact_mut(k));
     for (r, ((home, upper), lows)) in per_row.enumerate() {
-        let row = points.row(rows.start + r);
-        if seeded {
-            // The seeding's assignment replaces the all-0 one a fit starts
-            // from, which is what "moved" is measured against.
-            moved |= *home != 0;
-        } else {
-            let open = move_and_flag(lows, drift, *upper, &mut flags);
-            // One centroid is its own nearest, whatever the bounds say.
-            let found = (open && k > 1)
-                .then(|| bounded_nearest(row, centroids, *home, *upper, lows, &flags, &mut evals))
-                .flatten();
-            if let Some((best, best_d)) = found {
-                moved |= best != *home;
-                *home = best;
-                *upper = best_d.sqrt();
-            }
+        let open = move_and_flag(isa, lows, drift, *upper, &mut flags);
+        // One centroid is its own nearest, whatever the bounds say.
+        if !open || k == 1 {
+            continue;
         }
-        counts[*home] += 1;
-        for (s, &x) in sums[*home * dim..(*home + 1) * dim].iter_mut().zip(row) {
-            *s += x;
+        let row = points.row(rows.start + r);
+        let found = bounded_nearest(isa, row, centroids, *home, *upper, lows, &flags, &mut evals);
+        if let Some((best, best_d)) = found {
+            if best != *home {
+                moved = true;
+                changed[*home] = true;
+                changed[best] = true;
+            }
+            *home = best;
+            *upper = best_d.sqrt();
         }
     }
     (moved, evals)
@@ -796,7 +1241,9 @@ fn sweep_block(
 /// flagged runs, and the home's, are read. A reach past `upper`, or NaN,
 /// proves less than `upper` did, so that row is scanned whole
 /// ([`scan_from`]).
+#[allow(clippy::too_many_arguments)]
 fn bounded_nearest(
+    isa: Isa,
     row: &[f64],
     centroids: &PointMatrix,
     home: usize,
@@ -824,13 +1271,13 @@ fn bounded_nearest(
                 continue;
             }
             if home_d.is_none() {
-                let d = dist_sq(row, centroids.row(home));
+                let d = isa.dist_sq(row, centroids.row(home));
                 *evals += 1;
                 home_d = Some(d);
                 reach = d.sqrt();
                 let within = reach <= upper;
                 if !within {
-                    return Some(scan_from(row, centroids, home, d, lows, evals));
+                    return Some(scan_from(isa, row, centroids, home, d, lows, evals));
                 }
                 if home < c {
                     nearest.take(home, d, &mut lows[home], &mut reach);
@@ -840,7 +1287,7 @@ fn bounded_nearest(
                 }
             }
             *evals += 1;
-            let d = dist_sq(row, centroids.row(c));
+            let d = isa.dist_sq(row, centroids.row(c));
             nearest.take(c, d, &mut lows[c], &mut reach);
         }
     }
@@ -883,6 +1330,7 @@ impl Nearest {
 /// `d_home`: the one a row gets when its home's distance proves less than
 /// the flags assumed.
 fn scan_from(
+    isa: Isa,
     row: &[f64],
     centroids: &PointMatrix,
     home: usize,
@@ -899,7 +1347,7 @@ fn scan_from(
             continue;
         } else {
             *evals += 1;
-            dist_sq(row, centroids.row(c))
+            isa.dist_sq(row, centroids.row(c))
         };
         nearest.take(c, d, low, &mut reach);
     }
@@ -1003,6 +1451,11 @@ mod tests {
         state.move_bounds(&[shift_bound(0.0); 2]);
         assert!(!state.sweep(&points, &centroids));
         assert!(state.distance_evals() < 450);
+        // Zero-width rows are all one point, and still counted.
+        let mut flat = SweepState::blank(150, 2, 0);
+        let none = |n| PointMatrix::from_flat(Vec::new(), n, 0);
+        flat.sweep(&none(150), &none(2));
+        assert_eq!(flat.counts(), [150, 0]);
     }
 
     fn weird_f64() -> impl Strategy<Value = f64> {

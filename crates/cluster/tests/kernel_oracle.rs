@@ -185,6 +185,103 @@ proptest! {
     }
 }
 
+/// Values where a kernel that is not the oracle's arithmetic shows: NaN of
+/// both signs, signed zeros, infinities (whose difference is NaN), the
+/// smallest subnormals (whose squares underflow), overflow-sized values
+/// (whose squares overflow) and plain ones.
+const EDGE_VALUES: [f64; 14] = [
+    f64::NAN,
+    -f64::NAN,
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::MIN_POSITIVE / 4.0,
+    -5e-324,
+    1e300,
+    -1e300,
+    f64::MAX,
+    1.5,
+    -2.25,
+    0.1,
+];
+
+/// A row of `len` values, each an edge value one time in `1 << edge_odds`
+/// and a plain one otherwise.
+fn edge_row(rng: &mut StdRng, len: usize, edge_odds: u32) -> Vec<f64> {
+    use rand::Rng;
+    (0..len)
+        .map(|_| {
+            if rng.gen_range(0..1u32 << edge_odds) == 0 {
+                EDGE_VALUES[rng.gen_range(0..EDGE_VALUES.len())]
+            } else {
+                rng.gen_range(-1e3..1e3)
+            }
+        })
+        .collect()
+}
+
+/// A result's bits, with every NaN as one value. Rust leaves the sign and
+/// payload of a NaN that arithmetic returns unspecified: an add of two NaNs
+/// of opposite sign gives the sign of whichever operand the compiler put
+/// first, and it may put either (optimized and unoptimized builds of the
+/// oracle itself disagree). Everything downstream treats a NaN distance as
+/// NaN — it never wins a scan and bounds nothing — so that is the contract.
+fn result_bits(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dispatched kernels (AVX2 where this processor has it) and the
+    /// portable ones, single and four pairs at a time, are the oracle's
+    /// bits on every width with every tail length 0–7 behind zero to four
+    /// full chunks, and on the picker's widths 64–72 — NaN of both signs,
+    /// ±0.0, ±∞, subnormals and overflow included, alone or many to a row
+    /// (see [`result_bits`] for NaN).
+    #[test]
+    fn dispatched_and_portable_kernels_match_oracle(
+        edge_odds in 0u32..4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for len in (0..40).chain(64..73) {
+            kernels_match_oracle(&mut rng, len, edge_odds)?;
+        }
+    }
+}
+
+/// One draw of [`dispatched_and_portable_kernels_match_oracle`]: four
+/// pairs of rows of `len` values.
+fn kernels_match_oracle(rng: &mut StdRng, len: usize, edge_odds: u32) -> Result<(), TestCaseError> {
+    let rows: Vec<Vec<f64>> = (0..8).map(|_| edge_row(rng, len, edge_odds)).collect();
+    let a = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
+    let b = [&rows[4][..], &rows[5][..], &rows[6][..], &rows[7][..]];
+    let want: Vec<u64> = (0..4)
+        .map(|p| result_bits(oracle::dist_sq(a[p], b[p])))
+        .collect();
+    let single = |kernel: fn(&[f64], &[f64]) -> f64| -> Vec<u64> {
+        (0..4).map(|p| result_bits(kernel(a[p], b[p]))).collect()
+    };
+    prop_assert_eq!(&single(simd::dist_sq), &want, "dispatched, len {}", len);
+    prop_assert_eq!(
+        &single(simd::portable::dist_sq),
+        &want,
+        "portable, len {}",
+        len
+    );
+    let four = simd::dist_sq4(a, b).map(result_bits);
+    prop_assert_eq!(&four[..], &want[..], "dispatched four, len {}", len);
+    let four = simd::portable::dist_sq4(a, b).map(result_bits);
+    prop_assert_eq!(&four[..], &want[..], "portable four, len {}", len);
+    Ok(())
+}
+
 /// The sweep caps worth drawing: one sweep (the seeded one, no bound ever
 /// consulted), two (the first bounded sweep, bounds moved exactly once),
 /// and the picker's 25.
@@ -460,6 +557,48 @@ fn all_duplicate_points_agree_with_oracle() {
         assert_eq!(fast.assignment, slow.assignment, "seed {seed}");
         assert_eq!(bits(&fast.centroids), bits(&slow.centroids), "seed {seed}");
     }
+}
+
+/// Lloyd against the oracle where reseeds fire and most clusters keep
+/// their members: copies of fewer distinct rows than clusters leave
+/// clusters empty from sweep one (reseeded every sweep), and rows spread
+/// among the copies move a few members per sweep, so each sweep sums some
+/// clusters again and keeps the rest — the reseeded ones, ones that lost
+/// their last member, and clean ones side by side. Assignment, centroid
+/// bits and sweep count must be the oracle's, which sums every cluster
+/// every sweep.
+#[test]
+fn reseeds_beside_clean_clusters_match_oracle() {
+    let mut emptied = 0;
+    for distinct in [2usize, 3, 7] {
+        for spread in [0usize, 40, 90] {
+            let rows: Vec<Vec<f64>> = (0..150 + spread)
+                .map(|i| {
+                    let v = ((i * 7 + i / 5) % distinct) as f64;
+                    let jitter = if i >= 150 {
+                        (i % 13) as f64 * 0.37
+                    } else {
+                        0.0
+                    };
+                    vec![v * 1.5 + jitter, v * v * 0.25 - 1.0, -v - jitter * 0.5]
+                })
+                .collect();
+            for k in [distinct + 1, 2 * distinct + 3, 12] {
+                for seed in 0..8 {
+                    fit_matches_oracle(&rows, k, seed, 25).unwrap_or_else(|e| {
+                        panic!(
+                            "{distinct} distinct, spread {spread}, k {k}, seed {seed}: {}",
+                            e.0
+                        )
+                    });
+                    let m = PointMatrix::from_rows(&rows);
+                    let fit = kmeans_fit(&m, k, &mut StdRng::seed_from_u64(seed), 25);
+                    emptied += usize::from(fit.clusters().len() < k);
+                }
+            }
+        }
+    }
+    assert!(emptied > 0, "no fit ended with an empty, reseeded cluster");
 }
 
 /// Rows for the exemplar contract: half the cells from a six-value palette

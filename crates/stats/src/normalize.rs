@@ -51,6 +51,39 @@ pub(crate) fn transform(x: f64, is_selectivity: bool) -> f64 {
     }
 }
 
+/// [`transform`] of selectivity values, `f64::cbrt`, remembered per input
+/// bits: a query's estimates repeat across partitions (an all-pass clause
+/// gives 1.0, a disjoint one 0.0), and equal bits have equal roots.
+/// Direct-mapped on the bits; a collision costs only a recomputation.
+struct CbrtMemo {
+    slots: Vec<(u64, f64)>,
+}
+
+impl CbrtMemo {
+    /// Slots, a power of two.
+    const SLOTS: usize = 1024;
+
+    /// Every slot starts as `+0.0`'s entry (bits 0, root `+0.0`), which is
+    /// a true one.
+    fn new() -> Self {
+        Self {
+            slots: vec![(0, 0.0); Self::SLOTS],
+        }
+    }
+
+    /// `x.cbrt()`, bit for bit.
+    #[inline]
+    fn cbrt(&mut self, x: f64) -> f64 {
+        let bits = x.to_bits();
+        let at = bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - Self::SLOTS.trailing_zeros());
+        let slot = &mut self.slots[at as usize];
+        if slot.0 != bits {
+            *slot = (bits, transform(x, true));
+        }
+        slot.1
+    }
+}
+
 impl Normalizer {
     /// Fit means over a training workload on `stats`: each query with its
     /// raw selectivity features on every partition, in partition order.
@@ -208,11 +241,11 @@ impl NormalizedStatics {
         let n = estimates.size_hint().0;
         let mut selectivity = Vec::with_capacity(n * SELECTIVITY_FEATURES);
         let mut upper = Vec::with_capacity(n);
+        let mut roots = CbrtMemo::new();
         for sel in estimates {
             upper.push(sel.upper);
             selectivity.extend(
-                (sel.as_array().iter().zip(&self.sel_means))
-                    .map(|(&x, mean)| transform(x, true) / mean),
+                (sel.as_array().iter().zip(&self.sel_means)).map(|(&x, mean)| roots.cbrt(x) / mean),
             );
         }
         assert_eq!(
@@ -341,6 +374,61 @@ mod tests {
         apply_row(&norm, &mut row);
         assert!((row[sel] - 0.1).abs() < 1e-12);
         assert_eq!(sel + SELECTIVITY_FEATURES, schema.dim());
+    }
+
+    /// The memo gives `cbrt`'s bits for every input, however the inputs
+    /// repeat and collide: NaN of both signs, ±0.0, 1.0, subnormals, and
+    /// more distinct values than it has slots.
+    #[test]
+    fn cbrt_memo_is_cbrt_bit_for_bit() {
+        let special = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f64::MIN_POSITIVE / 3.0,
+            5e-324,
+            -5e-324,
+            f64::INFINITY,
+            0.125,
+        ];
+        let spread = (0..3 * CbrtMemo::SLOTS as u32).map(|i| f64::from(i) / 4096.0);
+        let values: Vec<f64> = special.iter().copied().chain(spread).collect();
+        let mut memo = CbrtMemo::new();
+        for round in 0..3 {
+            for &x in values.iter().chain(&special) {
+                let want = x.cbrt().to_bits();
+                assert_eq!(memo.cbrt(x).to_bits(), want, "{x:e}, round {round}");
+            }
+        }
+    }
+
+    /// `query_columns` normalizes each estimate as `cbrt(x) / mean`, the
+    /// memo unseen: repeated and special values included.
+    #[test]
+    fn query_columns_divides_each_root_by_its_mean() {
+        let (_, stats) = fixture();
+        let (q, sel) = (sum_of(0), all_pass(&stats));
+        let norm = Normalizer::fit(&stats, [(&q, sel.as_slice())]);
+        let statics = norm.normalize_statics(&stats);
+        let palette = [0.0, -0.0, 1.0, 5e-324, f64::NAN, -f64::NAN, 0.3, 0.3];
+        let estimates: Vec<SelectivityFeatures> = (0..sel.len())
+            .map(|p| SelectivityFeatures {
+                upper: palette[p % palette.len()],
+                indep: palette[(p + 3) % palette.len()],
+                min: palette[(p * 5) % palette.len()],
+                max: 1.0,
+            })
+            .collect();
+        let columns = statics.query_columns(&q, estimates.iter().copied());
+        let want: Vec<u64> = (estimates.iter())
+            .flat_map(|e| e.as_array().into_iter().zip(&statics.sel_means))
+            .map(|(x, mean)| (x.cbrt() / mean).to_bits())
+            .collect();
+        let got: Vec<u64> = columns.selectivity.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
