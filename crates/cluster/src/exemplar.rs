@@ -27,7 +27,10 @@ const NETWORK_MAX: usize = 64;
 /// per-dimension median (the paper's deterministic exemplar): the median
 /// under `f64::total_cmp`, the mean of the two middle values for an even
 /// count, then one distance per member, compared by `total_cmp`, ties to
-/// the lower index.
+/// the lower index. Every NaN, value or distance, is taken as the one
+/// positive quiet NaN before it is compared: it sorts above every
+/// number, so a NaN feature never pulls a median down and a NaN distance
+/// never wins, whatever sign the data or the arithmetic gave it.
 ///
 /// Under `PS3_STRICT_KERNELS=1` every call re-runs
 /// [`crate::oracle::median_exemplar`] and asserts the same member.
@@ -42,12 +45,9 @@ pub fn median_exemplar(points: &PointMatrix, cluster: &[usize]) -> usize {
     } else {
         let isa = Isa::detect();
         let median = cluster_median(isa, points, cluster);
-        // One distance per member, compared by `total_cmp`, then index —
-        // one pair at a time, on the kernel the oracle calls: `total_cmp`
-        // sees a NaN's sign, which is the compiler's choice, and may be
-        // another in the four-pair kernel.
+        // One distance per member, compared by `total_cmp`, then index.
         (cluster.iter())
-            .map(|&i| (isa.dist_sq(points.row(i), &median), i))
+            .map(|&i| (one_nan(isa.dist_sq(points.row(i), &median)), i))
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
             .expect("non-empty cluster")
             .1
@@ -62,9 +62,21 @@ pub fn median_exemplar(points: &PointMatrix, cluster: &[usize]) -> usize {
     pick
 }
 
+/// `x`, or the one positive quiet NaN if `x` is any NaN: what the median
+/// exemplar compares in place of a value or a distance, so that
+/// `total_cmp` never sees a NaN's sign or payload.
+#[inline]
+pub(crate) fn one_nan(x: f64) -> f64 {
+    if x.is_nan() {
+        f64::NAN
+    } else {
+        x
+    }
+}
+
 /// The per-dimension median of the cluster's rows, bit for bit what
-/// sorting each column under `total_cmp` and taking its middle (or the
-/// mean of its two middles) gives.
+/// sorting each column, every NaN made [`one_nan`], under `total_cmp` and
+/// taking its middle (or the mean of its two middles) gives.
 ///
 /// Without NaN and `-0.0` among the values, `total_cmp` orders them as `<`
 /// does and equal values have equal bits, so a sorting network of plain
@@ -191,7 +203,7 @@ fn order_key(bits: i64) -> i64 {
 }
 
 /// Middle order statistics by selection, one dimension at a time, on
-/// `total_cmp`'s integer keys.
+/// `total_cmp`'s integer keys of the values made [`one_nan`].
 fn selected_middles<'a>(
     rows: impl Iterator<Item = &'a [f64]>,
     m: usize,
@@ -200,7 +212,7 @@ fn selected_middles<'a>(
 ) -> (Vec<f64>, Vec<f64>) {
     let mut keys = Vec::with_capacity(m * dim);
     for row in rows {
-        keys.extend(row.iter().map(|x| order_key(x.to_bits() as i64)));
+        keys.extend(row.iter().map(|&x| order_key(one_nan(x).to_bits() as i64)));
     }
     let value = |key: i64| f64::from_bits(order_key(key) as u64);
     let (mut lower, mut upper) = (vec![0.0; dim], vec![0.0; dim]);
@@ -246,7 +258,7 @@ mod tests {
     #[test]
     fn network_and_selected_medians_have_the_sorted_medians_bits() {
         let sorted_median = |column: &[f64]| {
-            let mut sorted = column.to_vec();
+            let mut sorted: Vec<f64> = column.iter().map(|&x| one_nan(x)).collect();
             sorted.sort_by(f64::total_cmp);
             let mid = sorted.len() / 2;
             if sorted.len() % 2 == 1 {
@@ -357,6 +369,68 @@ mod tests {
                 crate::oracle::median_exemplar(&points, &members),
                 "{rows:?}"
             );
+        }
+    }
+
+    /// A NaN's sign does not decide the pick. On `[0,5] [1,5] [2,−NaN]`
+    /// the median is `[1,5]` and member 2's distance is NaN: it loses to
+    /// member 1's 0 whatever its sign (a `−NaN` distance used to sort below
+    /// every number and win). Flipping the sign of every NaN, in the data
+    /// or in the median, leaves every pick, the kernel's and the oracle's,
+    /// where it was.
+    #[test]
+    fn a_nans_sign_does_not_decide_the_pick() {
+        let nan = f64::NAN;
+        let flip = |rows: &[Vec<f64>]| -> Vec<Vec<f64>> {
+            (rows.iter())
+                .map(|r| r.iter().map(|&x| if x.is_nan() { -x } else { x }).collect())
+                .collect()
+        };
+        let neg = vec![vec![0.0, 5.0], vec![1.0, 5.0], vec![2.0, -nan]];
+        for rows in [neg.clone(), flip(&neg)] {
+            let points = PointMatrix::from_rows(&rows);
+            assert_eq!(median_exemplar(&points, &[0, 1, 2]), 1, "{rows:?}");
+            assert_eq!(crate::oracle::median_exemplar(&points, &[0, 1, 2]), 1);
+        }
+        // Mixed signs in one column, a NaN median, clusters past the
+        // network's size, every member order.
+        let mut cases = vec![
+            vec![
+                vec![-nan, 1.0],
+                vec![nan, 2.0],
+                vec![0.5, -nan],
+                vec![0.0, 3.0],
+            ],
+            vec![vec![-nan], vec![-nan], vec![nan], vec![4.0], vec![1.0]],
+            vec![
+                vec![1.0, -nan, 2.0],
+                vec![-nan, -nan, 1.0],
+                vec![3.0, 0.0, -nan],
+            ],
+        ];
+        cases.push(
+            (0..(NETWORK_MAX as u32 + 5))
+                .map(|i| match i % 7 {
+                    0 => vec![-nan, f64::from(i)],
+                    3 => vec![f64::from(i % 5), nan],
+                    _ => vec![f64::from(i % 11), f64::from(i % 3)],
+                })
+                .collect(),
+        );
+        for rows in &cases {
+            let flipped = flip(rows);
+            for turn in 0..rows.len() {
+                let mut members: Vec<usize> = (0..rows.len()).collect();
+                members.rotate_left(turn);
+                let (a, b) = (
+                    PointMatrix::from_rows(rows),
+                    PointMatrix::from_rows(&flipped),
+                );
+                let pick = median_exemplar(&a, &members);
+                assert_eq!(median_exemplar(&b, &members), pick, "{rows:?}");
+                assert_eq!(crate::oracle::median_exemplar(&a, &members), pick);
+                assert_eq!(crate::oracle::median_exemplar(&b, &members), pick);
+            }
         }
     }
 

@@ -475,40 +475,24 @@ mod tests {
     }
 
     #[test]
-    fn pool_fan_out_equals_serial_equals_oracle() {
-        // 1,100 × 256 crosses `PARALLEL_MIN_CELLS`: 18 blocks on the pool.
+    fn a_fit_of_many_blocks_equals_the_oracle() {
+        // 1,100 rows: 18 blocks of partial sums.
         let (n, dim, k, max_iter) = (1100, 256, 24, 6);
         let rows = blob_points(n, dim, 9, 23);
         let points = PointMatrix::from_rows(&rows);
-        let fit_with = |fan_out: Option<bool>| {
-            let (centroids, mut state) =
-                seed(Isa::detect(), &points, k, &mut StdRng::seed_from_u64(11));
-            assert!(state.fan_out, "this input is meant to cross the threshold");
-            state.fan_out = fan_out.unwrap_or(state.fan_out);
-            lloyd(&points, centroids, state, max_iter).into_public()
-        };
-        let pool = ps3_runtime::ThreadPool::global();
-        let before = pool.tasks_injected();
-        let (fanned, fanned_evals) = fit_with(None);
-        assert!(
-            pool.tasks_injected() >= before + 18,
-            "the sweep never reached the pool"
-        );
-        let (serial, serial_evals) = fit_with(Some(false));
+        let (fit, evals) = kmeans_fit_counted(&points, k, &mut StdRng::seed_from_u64(11), max_iter);
         let slow = crate::oracle::kmeans_fit(&rows, k, &mut StdRng::seed_from_u64(11), max_iter);
         assert!(
             slow.sweeps >= 3,
             "bounds must be in play: {} sweeps",
             slow.sweeps
         );
-        assert!(fanned_evals < ((1 + slow.sweeps) * n * k) as u64 / 2);
-        assert_eq!(fanned_evals, serial_evals);
-        assert_same_fit(&fanned, &slow);
-        assert_same_fit(&serial, &slow);
+        assert!(evals < ((1 + slow.sweeps) * n * k) as u64 / 2);
+        assert_same_fit(&fit, &slow);
     }
 
-    /// The fit under every way a sweep can run — serial or fanned out, on
-    /// the detected instruction set or the portable one — with its count.
+    /// The fit on the detected instruction set and on the portable one,
+    /// with its count.
     fn fit_every_way(
         rows: &[Vec<f64>],
         k: usize,
@@ -516,26 +500,22 @@ mod tests {
         max_iter: usize,
     ) -> Vec<(KmeansFit, u64)> {
         let points = PointMatrix::from_rows(rows);
-        let mut fits = Vec::new();
-        for isa in [Isa::detect(), Isa::Portable] {
-            for fan_out in [false, true] {
-                let (centroids, mut state) =
-                    seed(isa, &points, k, &mut StdRng::seed_from_u64(seed_));
-                state.fan_out = fan_out;
-                fits.push(lloyd(&points, centroids, state, max_iter).into_public());
-            }
-        }
-        fits
+        [Isa::detect(), Isa::Portable]
+            .map(|isa| {
+                let (centroids, state) = seed(isa, &points, k, &mut StdRng::seed_from_u64(seed_));
+                lloyd(&points, centroids, state, max_iter).into_public()
+            })
+            .into()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Fanning a sweep out and pinning the portable kernels are both
-        /// invisible: on duplicate-heavy rows that empty clusters (so
-        /// reseeds fire and some clusters are summed again while others
-        /// keep their sums), every way gives the oracle's assignment,
-        /// centroid bits and sweep count, and one evaluation count.
+        /// Pinning the portable kernels is invisible: on duplicate-heavy
+        /// rows that empty clusters (so reseeds fire and some clusters are
+        /// summed again while others keep their sums), both instruction
+        /// sets give the oracle's assignment, centroid bits and sweep
+        /// count, and one evaluation count.
         #[test]
         fn every_way_of_sweeping_equals_the_oracle(
             n in 10usize..200,

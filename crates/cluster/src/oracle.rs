@@ -18,6 +18,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::exemplar::one_nan;
 use crate::kmeans::KmeansFit;
 use crate::simd::{PointMatrix, LANES, UPDATE_BLOCK};
 
@@ -188,7 +189,8 @@ fn pp_init(points: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
 /// members' values and select the median under `f64::total_cmp` (the mean
 /// of the two middle values for an even count), then the member nearest
 /// that median by [`crate::simd::dist_sq`], compared by `total_cmp`, ties
-/// to the lower index.
+/// to the lower index. Every NaN, value or distance, is the positive quiet
+/// NaN before `total_cmp` sees it, so none sorts below a number.
 ///
 /// # Panics
 /// Panics on an empty cluster.
@@ -201,12 +203,12 @@ pub fn median_exemplar(points: &PointMatrix, cluster: &[usize]) -> usize {
     let mut scratch: Vec<f64> = Vec::with_capacity(cluster.len());
     for (d, m) in median.iter_mut().enumerate() {
         scratch.clear();
-        scratch.extend(cluster.iter().map(|&i| points.row(i)[d]));
+        scratch.extend(cluster.iter().map(|&i| one_nan(points.row(i)[d])));
         *m = column_median(&mut scratch);
     }
     // One distance per member, compared by `total_cmp`, then index.
     (cluster.iter())
-        .map(|&i| (crate::simd::dist_sq(points.row(i), &median), i))
+        .map(|&i| (one_nan(crate::simd::dist_sq(points.row(i), &median)), i))
         .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
         .expect("non-empty cluster")
         .1

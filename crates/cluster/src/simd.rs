@@ -25,9 +25,9 @@
 //! neither path fixes is a NaN result's sign: Rust leaves it to the
 //! compiler on every path (two NaNs added give the sign of whichever
 //! operand the compiler put first), and no fit reads it — a NaN distance
-//! never wins and bounds nothing. (The median exemplar orders distances by
-//! `total_cmp`, so it takes them from the one-pair kernel its oracle calls
-//! too.) `std::arch` and `#[target_feature]` appear in this file only, and
+//! never wins and bounds nothing. (The median exemplar, which orders values
+//! and distances by `total_cmp`, makes every NaN one positive NaN first.)
+//! `std::arch` and `#[target_feature]` appear in this file only, and
 //! every call across the feature boundary rests on the `Isa::Avx2`
 //! token, which only a positive `is_x86_feature_detected!("avx2")` creates.
 //!
@@ -40,14 +40,11 @@
 //! The k-means update step is blocked the same way: rows are processed in
 //! [`UPDATE_BLOCK`]-sized blocks, each block accumulating its own partial
 //! per-cluster sums in ascending row order, and the block partials are
-//! merged in ascending block order. Because the merge order is fixed, a
-//! parallel fan-out of the blocks over the shared pool is **bit-identical**
-//! to the serial pass — which is what lets [`SweepState::sweep`] fan out on
-//! large partition counts without breaking the kernel/oracle contract. A
-//! sweep assigns every row first and then re-sums only the clusters whose
-//! member set changed: a cluster with the same members in the same rows has
-//! the same blocked sums, so it keeps its sums, its count and (in
-//! `kmeans`) its centroid bits.
+//! merged in ascending block order — the order the oracle defines. A sweep
+//! assigns every row first and then re-sums only the clusters whose member
+//! set changed: a cluster with the same members in the same rows has the
+//! same blocked sums, so it keeps its sums, its count and (in `kmeans`) its
+//! centroid bits.
 //!
 //! The assign step is *bounded* (Elkan, ICML 2003): every row carries an
 //! upper bound on the distance to its home centroid and one lower bound per
@@ -86,10 +83,6 @@
 //! feature values. `PS3_STRICT_KERNELS=1` additionally forces the
 //! comparison inside every k-means fit.
 
-use std::sync::Mutex;
-
-use ps3_runtime::ThreadPool;
-
 /// Independent accumulator lanes in the distance kernels: two 4-wide
 /// chains on the AVX2 path, four 2-wide ones where the portable code
 /// compiles to SSE2. The lane of element `i` is `i % LANES` on every path.
@@ -98,12 +91,6 @@ pub const LANES: usize = 8;
 /// Rows per partial-sum block in [`SweepState::sweep`]. One block of 64
 /// rows × a few hundred dims stays in L1/L2 while its partial sums are live.
 pub const UPDATE_BLOCK: usize = 64;
-
-/// Fan out a sweep over the shared pool only past this much work
-/// (rows × dims); below it the pool hand-off costs more than it saves.
-/// Purely a performance threshold — the blocked merge order makes the
-/// parallel and serial results bit-identical.
-const PARALLEL_MIN_CELLS: usize = 1 << 18;
 
 /// Relative slack of the pruning proof. The bounds are built from computed
 /// `√dist_sq` values, which sit within ~`dim · ε` (1e-13 at a thousand
@@ -687,20 +674,9 @@ impl SeedBounds {
     }
 }
 
-/// One [`UPDATE_BLOCK`] of a [`SweepState`]'s per-row state: rows
-/// `start..start + homes.len()`.
-struct BlockRows<'a> {
-    start: usize,
-    homes: &'a mut [usize],
-    upper: &'a mut [f64],
-    /// `k` lower bounds per row, row-major.
-    lower: &'a mut [f64],
-}
-
 /// Everything the Lloyd loop carries from sweep to sweep: the assignment,
 /// the pruning bounds, and the flat per-cluster sums, of which each sweep
-/// redoes only the clusters whose members changed (nothing here is
-/// allocated per sweep on the serial path).
+/// redoes only the clusters whose members changed.
 #[derive(Debug)]
 pub struct SweepState {
     k: usize,
@@ -720,9 +696,6 @@ pub struct SweepState {
     /// k-means++ seeds, as [`SeedBounds`] left them: the next sweep only
     /// accumulates, without evaluating anything.
     seeded: bool,
-    /// Run a sweep's blocks on the shared pool: decided by size alone, and
-    /// invisible in every output (tests flip it to prove that).
-    pub(crate) fan_out: bool,
     /// The instruction set the kernels run on: detected, and invisible in
     /// every output (tests pin the portable one to prove that).
     pub(crate) isa: Isa,
@@ -787,7 +760,6 @@ impl SweepState {
         dim: usize,
         seeded: bool,
     ) -> Self {
-        let n = assignment.len();
         Self {
             k,
             dim,
@@ -796,7 +768,6 @@ impl SweepState {
             lower,
             drift: Vec::new(),
             seeded,
-            fan_out: n > UPDATE_BLOCK && n * dim >= PARALLEL_MIN_CELLS,
             isa: Isa::detect(),
             sums: vec![0.0; k * dim],
             counts: vec![0; k],
@@ -845,7 +816,7 @@ impl SweepState {
     }
 
     /// `dist_sq` calls spent so far, the seeding's included — a pure
-    /// function of the input, identical run to run and serial to parallel.
+    /// function of the input, identical run to run.
     pub fn distance_evals(&self) -> u64 {
         self.distance_evals
     }
@@ -860,12 +831,10 @@ impl SweepState {
     /// scan would give it — by the bounds where they prove it, by
     /// evaluation where they do not — and then each cluster whose member
     /// set changed is summed again in [`UPDATE_BLOCK`]-row blocks merged in
-    /// ascending order. The sums are bit-identical serial, fanned out, and
-    /// in the oracle, which sums every cluster every sweep: the same
-    /// members in the same blocks sum to the same bits. Returns whether any
-    /// row changed assignment.
+    /// ascending order. The sums are bit-identical to the oracle's, which
+    /// sums every cluster every sweep: the same members in the same blocks
+    /// sum to the same bits. Returns whether any row changed assignment.
     pub fn sweep(&mut self, points: &PointMatrix, centroids: &PointMatrix) -> bool {
-        let (k, isa) = (self.k, self.isa);
         let seeded = std::mem::take(&mut self.seeded);
         debug_assert!(
             !seeded || self.drift.is_empty(),
@@ -875,59 +844,54 @@ impl SweepState {
         // or joined.
         let first = std::mem::take(&mut self.unsummed);
         self.resummed.fill(first);
-        let drift = &self.drift;
-        let blocks = (self.assignment.chunks_mut(UPDATE_BLOCK))
-            .zip(self.upper.chunks_mut(UPDATE_BLOCK))
-            .zip(self.lower.chunks_mut(UPDATE_BLOCK * k))
-            .enumerate()
-            .map(|(b, ((homes, upper), lower))| BlockRows {
-                start: b * UPDATE_BLOCK,
-                homes,
-                upper,
-                lower,
-            });
-        let mut moved = false;
-        if self.fan_out {
-            // One uncontended lock per block hands each task its own rows.
-            let blocks: Vec<Mutex<BlockRows>> = blocks.map(Mutex::new).collect();
-            let assigned = ThreadPool::global().scope_map(blocks.len(), |b| {
-                let mut rows = blocks[b].lock().expect("each block is locked once");
-                let mut changed = vec![false; k];
-                let out = assign_block(
-                    isa,
-                    points,
-                    centroids,
-                    seeded,
-                    drift,
-                    &mut rows,
-                    &mut changed,
-                );
-                (changed, out)
-            });
-            for (changed, (block_moved, evals)) in assigned {
-                for (resum, changed) in self.resummed.iter_mut().zip(changed) {
-                    *resum |= changed;
-                }
-                moved |= block_moved;
-                self.distance_evals += evals;
-            }
+        let moved = if seeded {
+            // The seeding's assignment replaces the all-0 one a fit starts
+            // from, which is what "moved" is measured against. The first
+            // sweep sums every cluster, so nothing is flagged.
+            self.assignment.iter().any(|&home| home != 0)
         } else {
-            for mut rows in blocks {
-                let (block_moved, evals) = assign_block(
-                    isa,
-                    points,
-                    centroids,
-                    seeded,
-                    drift,
-                    &mut rows,
-                    &mut self.resummed,
-                );
-                moved |= block_moved;
-                self.distance_evals += evals;
-            }
-        }
+            self.assign(points, centroids)
+        };
         self.drift.clear();
         self.resum(points);
+        moved
+    }
+
+    /// The assign step: each row, in ascending order, gets the centroid a
+    /// full scan would give it, and a row that moves flags its old and new
+    /// home in `resummed`. Returns whether any row moved.
+    fn assign(&mut self, points: &PointMatrix, centroids: &PointMatrix) -> bool {
+        let (k, isa) = (self.k, self.isa);
+        let mut moved = false;
+        let mut flags = vec![false; k.div_ceil(LANES)];
+        let per_row = (self.assignment.iter_mut().zip(self.upper.iter_mut()))
+            .zip(self.lower.chunks_exact_mut(k));
+        for (r, ((home, upper), lows)) in per_row.enumerate() {
+            let open = move_and_flag(isa, lows, &self.drift, *upper, &mut flags);
+            // One centroid is its own nearest, whatever the bounds say.
+            if !open || k == 1 {
+                continue;
+            }
+            let found = bounded_nearest(
+                isa,
+                points.row(r),
+                centroids,
+                *home,
+                *upper,
+                lows,
+                &flags,
+                &mut self.distance_evals,
+            );
+            if let Some((best, best_d)) = found {
+                if best != *home {
+                    moved = true;
+                    self.resummed[*home] = true;
+                    self.resummed[best] = true;
+                }
+                *home = best;
+                *upper = best_d.sqrt();
+            }
+        }
         moved
     }
 
@@ -935,56 +899,28 @@ impl SweepState {
     /// block, each in ascending row order, the partials merged in ascending
     /// block order. The other clusters keep their sums and counts.
     fn resum(&mut self, points: &PointMatrix) {
-        let (k, dim, isa) = (self.k, self.dim, self.isa);
+        let (dim, isa) = (self.dim, self.isa);
         for (c, _) in self.resummed.iter().enumerate().filter(|(_, &r)| r) {
             self.sums[c * dim..(c + 1) * dim].fill(0.0);
             self.counts[c] = 0;
         }
-        let (homes, resummed) = (&self.assignment, &self.resummed);
-        if self.fan_out {
-            let blocks: Vec<&[usize]> = homes.chunks(UPDATE_BLOCK).collect();
-            let partials = ThreadPool::global().scope_map(blocks.len(), |b| {
-                let (mut sums, mut counts) = (vec![0.0; k * dim], vec![0; k]);
-                let start = b * UPDATE_BLOCK;
-                sum_block(
-                    isa,
-                    points,
-                    start,
-                    blocks[b],
-                    resummed,
-                    &mut sums,
-                    &mut counts,
-                );
-                (sums, counts)
-            });
-            for (mut block_sums, mut block_counts) in partials {
-                merge_block(
-                    dim,
-                    &mut self.sums,
-                    &mut self.counts,
-                    &mut block_sums,
-                    &mut block_counts,
-                );
-            }
-        } else {
-            for (b, block) in homes.chunks(UPDATE_BLOCK).enumerate() {
-                sum_block(
-                    isa,
-                    points,
-                    b * UPDATE_BLOCK,
-                    block,
-                    resummed,
-                    &mut self.block_sums,
-                    &mut self.block_counts,
-                );
-                merge_block(
-                    dim,
-                    &mut self.sums,
-                    &mut self.counts,
-                    &mut self.block_sums,
-                    &mut self.block_counts,
-                );
-            }
+        for (b, block) in self.assignment.chunks(UPDATE_BLOCK).enumerate() {
+            sum_block(
+                isa,
+                points,
+                b * UPDATE_BLOCK,
+                block,
+                &self.resummed,
+                &mut self.block_sums,
+                &mut self.block_counts,
+            );
+            merge_block(
+                dim,
+                &mut self.sums,
+                &mut self.counts,
+                &mut self.block_sums,
+                &mut self.block_counts,
+            );
         }
     }
 
@@ -1176,52 +1112,6 @@ avx2_compiled! {
     /// no bit.
     pub(crate) fn sort_runs(runs: &mut [[f64; LANES]], m: usize, network: &[(u8, u8)])
         = sort_runs_body;
-}
-
-/// One block's assign step: each row gets the centroid a full scan would
-/// give it, in ascending row order, and a row that moves flags its old and
-/// new home in `changed`. This is the unit both the serial sweep and the
-/// parallel fan-out execute. Returns (any row moved, `dist_sq` calls made).
-fn assign_block(
-    isa: Isa,
-    points: &PointMatrix,
-    centroids: &PointMatrix,
-    seeded: bool,
-    drift: &[f64],
-    rows: &mut BlockRows,
-    changed: &mut [bool],
-) -> (bool, u64) {
-    if seeded {
-        // The seeding's assignment replaces the all-0 one a fit starts
-        // from, which is what "moved" is measured against. The first sweep
-        // sums every cluster, so nothing is flagged.
-        return (rows.homes.iter().any(|&home| home != 0), 0);
-    }
-    let k = centroids.n();
-    let mut moved = false;
-    let mut evals = 0u64;
-    let mut flags = vec![false; k.div_ceil(LANES)];
-    let per_row =
-        (rows.homes.iter_mut().zip(rows.upper.iter_mut())).zip(rows.lower.chunks_exact_mut(k));
-    for (r, ((home, upper), lows)) in per_row.enumerate() {
-        let open = move_and_flag(isa, lows, drift, *upper, &mut flags);
-        // One centroid is its own nearest, whatever the bounds say.
-        if !open || k == 1 {
-            continue;
-        }
-        let row = points.row(rows.start + r);
-        let found = bounded_nearest(isa, row, centroids, *home, *upper, lows, &flags, &mut evals);
-        if let Some((best, best_d)) = found {
-            if best != *home {
-                moved = true;
-                changed[*home] = true;
-                changed[best] = true;
-            }
-            *home = best;
-            *upper = best_d.sqrt();
-        }
-    }
-    (moved, evals)
 }
 
 /// [`nearest_centroid`] with the evaluations the bounds make pointless left
@@ -1430,7 +1320,7 @@ mod tests {
 
     #[test]
     fn blank_state_sweeps_like_a_full_scan_then_prunes() {
-        // 3 blocks, below the parallel threshold.
+        // 3 blocks.
         let rows: Vec<Vec<f64>> = (0..150)
             .map(|i| vec![f64::from(i % 10), f64::from(i / 10)])
             .collect();

@@ -1,6 +1,13 @@
-//! Picker configuration. Defaults follow the paper: k = 4 models, α = 2,
-//! up to 10% of the budget for outliers, K-Means clustering with the biased
-//! median exemplar.
+//! Picker configuration: what the paper's evaluation varies. Defaults
+//! follow the paper: α = 2, K-Means clustering with the biased median
+//! exemplar, every component on. What the paper fixes is a constant in the
+//! module that reads it: the k = 4 importance models
+//! ([`K_MODELS`](crate::train::K_MODELS)), the outlier budget share and
+//! limits of §4.4 ([`crate::outlier`]), Appendix B.1's clause limit
+//! ([`FALLBACK_CLAUSE_LIMIT`](crate::picker::FALLBACK_CLAUSE_LIMIT)),
+//! Algorithm 3's evaluation budgets
+//! ([`FS_EVAL_BUDGETS`](crate::feature_selection::FS_EVAL_BUDGETS)) and the
+//! boosted trees' shape ([`ps3_learn::GbdtParams`]).
 
 use ps3_cluster::ClusterAlgo;
 use ps3_learn::GbdtParams;
@@ -18,23 +25,12 @@ pub enum ExemplarRule {
 /// Full picker configuration.
 #[derive(Debug, Clone)]
 pub struct Ps3Config {
-    /// Number of importance models k (paper default 4).
-    pub k_models: usize,
     /// Budget decay rate α between adjacent importance groups (default 2).
     pub alpha: f64,
-    /// Fraction of the budget reserved for outlier partitions (default 0.1).
-    pub outlier_budget_frac: f64,
-    /// A bitmap group is outlying only if smaller than this (default 10).
-    pub outlier_abs_limit: usize,
-    /// … and smaller than this fraction of the largest group (default 0.1).
-    pub outlier_rel_limit: f64,
     /// Clustering algorithm (default K-Means; §5.5.5 compares HAC variants).
     pub cluster_algo: ClusterAlgo,
     /// Exemplar estimator (default the biased median rule).
     pub estimator: ExemplarRule,
-    /// Predicates with more clauses than this fall back to random sampling
-    /// inside importance groups (Appendix B.1; default 10).
-    pub fallback_clause_limit: usize,
     /// Gradient-boosting hyperparameters for the importance models.
     pub gbdt: GbdtParams,
     /// Run Algorithm-3 feature selection for clustering (default on).
@@ -43,16 +39,12 @@ pub struct Ps3Config {
     pub fs_restarts: usize,
     /// Training queries sampled per feature-selection evaluation.
     pub fs_eval_queries: usize,
-    /// Budgets (fractions) the feature selection evaluates at.
-    pub fs_eval_budgets: Vec<f64>,
     /// Lesion toggle: use clustering for sample selection (§5.4.1).
     pub use_clustering: bool,
     /// Lesion toggle: reserve budget for outliers.
     pub use_outliers: bool,
     /// Lesion toggle: use the learned importance funnel.
     pub use_regressors: bool,
-    /// Lesion toggle: use the selectivity_upper filter.
-    pub use_filter: bool,
     /// RNG seed for everything stochastic in training and picking.
     pub seed: u64,
     /// Fan-out policy for training-data computation: `1` runs serially,
@@ -71,14 +63,9 @@ pub struct Ps3Config {
 impl Default for Ps3Config {
     fn default() -> Self {
         Self {
-            k_models: 4,
             alpha: 2.0,
-            outlier_budget_frac: 0.1,
-            outlier_abs_limit: 10,
-            outlier_rel_limit: 0.1,
             cluster_algo: ClusterAlgo::KMeans,
             estimator: ExemplarRule::Median,
-            fallback_clause_limit: 10,
             gbdt: GbdtParams {
                 colsample: 0.5,
                 ..GbdtParams::default()
@@ -86,11 +73,9 @@ impl Default for Ps3Config {
             feature_selection: true,
             fs_restarts: 2,
             fs_eval_queries: 12,
-            fs_eval_budgets: vec![0.05, 0.15],
             use_clustering: true,
             use_outliers: true,
             use_regressors: true,
-            use_filter: true,
             seed: 0,
             threads: 0,
             feature_cache_cap: 256,
@@ -123,11 +108,11 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = Ps3Config::default();
-        assert_eq!(c.k_models, 4);
+        assert_eq!(crate::train::K_MODELS, 4);
         assert_eq!(c.alpha, 2.0);
-        assert_eq!(c.outlier_budget_frac, 0.1);
-        assert_eq!(c.outlier_abs_limit, 10);
-        assert_eq!(c.fallback_clause_limit, 10);
+        assert_eq!(crate::outlier::OUTLIER_BUDGET_FRAC, 0.1);
+        assert_eq!(crate::outlier::OUTLIER_ABS_LIMIT, 10);
+        assert_eq!(crate::picker::FALLBACK_CLAUSE_LIMIT, 10);
         assert_eq!(c.cluster_algo, ClusterAlgo::KMeans);
         assert_eq!(c.estimator, ExemplarRule::Median);
     }

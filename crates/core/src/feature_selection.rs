@@ -18,6 +18,10 @@ use crate::config::{ExemplarRule, Ps3Config};
 use crate::picker::cluster_select;
 use crate::train::TrainingData;
 
+/// Budgets (fractions of the partitions) each Algorithm-3 evaluation
+/// clusters at.
+pub const FS_EVAL_BUDGETS: [f64; 2] = [0.05, 0.15];
+
 /// Run Algorithm 3; returns the feature types to exclude from clustering.
 ///
 /// `normalized[q]` must be training query `q`'s normalized compact feature
@@ -106,7 +110,7 @@ impl<'a> Evaluator<'a> {
             self.normalized,
             &self.eval_qs,
             excluded,
-            &self.cfg.fs_eval_budgets,
+            &FS_EVAL_BUDGETS,
             self.cfg,
             rng,
         );

@@ -12,8 +12,20 @@ use std::collections::HashMap;
 use ps3_stats::TableStats;
 use ps3_storage::ColId;
 
+/// Share of a pick's budget that outlier partitions may take.
+pub const OUTLIER_BUDGET_FRAC: f64 = 0.1;
+
+/// A bitmap group is outlying only if it has fewer partitions than this …
+pub const OUTLIER_ABS_LIMIT: usize = 10;
+
+/// … and fewer than this share of the largest group's.
+pub const OUTLIER_REL_LIMIT: f64 = 0.1;
+
 /// Find outlier partitions among `candidates`, ordered so that members of
-/// the *smallest* bitmap groups come first (budget caps truncate fairly).
+/// the *smallest* bitmap groups come first (budget caps truncate fairly). A
+/// group is outlying when it is smaller than `abs_limit` and than
+/// `rel_limit` × the largest group; the picker passes
+/// [`OUTLIER_ABS_LIMIT`] and [`OUTLIER_REL_LIMIT`].
 pub fn find_outliers(
     stats: &TableStats,
     group_by: &[ColId],

@@ -51,8 +51,7 @@ const MAX_QUERIES: usize = 1 << 20;
 const MAX_TREE_NODES: usize = 1 << 20;
 /// Maximum trees per persisted model.
 const MAX_TREES: usize = 1 << 16;
-/// Maximum elements in any persisted flat vector (budgets, LSS strata
-/// sizes).
+/// Maximum elements in any persisted flat vector (the LSS strata sizes).
 const MAX_VEC: usize = 1 << 24;
 
 /// Write `system` to `path` as one flat artifact (temp file + rename, so a
@@ -150,7 +149,6 @@ fn decode_training(r: &mut Reader<'_>, schema: &Schema) -> Result<Vec<Query>, Co
 
 fn encode_gbdt(e: &mut Writer<'_>, g: &Gbdt) {
     e.f64(g.base());
-    e.f64(g.learning_rate());
     let importance = g.feature_importance();
     e.u32(importance.len() as u32);
     for &x in importance {
@@ -189,7 +187,6 @@ fn encode_gbdt(e: &mut Writer<'_>, g: &Gbdt) {
 /// is what makes `predict_row` panic-free on thawed models.
 fn decode_gbdt(c: &mut Reader<'_>, dim: usize) -> Result<Gbdt, CodecError> {
     let base = c.f64()?;
-    let learning_rate = c.f64()?;
     let n_imp = c.u32()? as usize;
     if n_imp != dim {
         return Err(CodecError::Invalid(
@@ -228,18 +225,11 @@ fn decode_gbdt(c: &mut Reader<'_>, dim: usize) -> Result<Gbdt, CodecError> {
         }
         trees.push(Tree::from_nodes(nodes, dim).map_err(CodecError::Invalid)?);
     }
-    Ok(Gbdt::from_raw_parts(trees, base, learning_rate, importance))
+    Ok(Gbdt::from_raw_parts(trees, base, importance))
 }
 
 fn encode_gbdt_params(e: &mut Writer<'_>, p: &GbdtParams) {
     e.u32(p.n_trees as u32);
-    e.u32(p.max_depth as u32);
-    e.f64(p.learning_rate);
-    e.f64(p.lambda);
-    e.f64(p.gamma);
-    e.f64(p.min_child_weight);
-    e.u32(p.max_bins as u32);
-    e.f64(p.subsample);
     e.f64(p.colsample);
     e.u64(p.seed);
 }
@@ -247,24 +237,13 @@ fn encode_gbdt_params(e: &mut Writer<'_>, p: &GbdtParams) {
 fn decode_gbdt_params(c: &mut Reader<'_>) -> Result<GbdtParams, CodecError> {
     Ok(GbdtParams {
         n_trees: c.u32()? as usize,
-        max_depth: c.u32()? as usize,
-        learning_rate: c.f64()?,
-        lambda: c.f64()?,
-        gamma: c.f64()?,
-        min_child_weight: c.f64()?,
-        max_bins: c.u32()? as usize,
-        subsample: c.f64()?,
         colsample: c.f64()?,
         seed: c.u64()?,
     })
 }
 
 fn encode_config(e: &mut Writer<'_>, cfg: &Ps3Config) {
-    e.u32(cfg.k_models as u32);
     e.f64(cfg.alpha);
-    e.f64(cfg.outlier_budget_frac);
-    e.u32(cfg.outlier_abs_limit as u32);
-    e.f64(cfg.outlier_rel_limit);
     e.u8(match cfg.cluster_algo {
         ClusterAlgo::KMeans => 0,
         ClusterAlgo::HacSingle => 2,
@@ -274,34 +253,23 @@ fn encode_config(e: &mut Writer<'_>, cfg: &Ps3Config) {
         ExemplarRule::Median => 0,
         ExemplarRule::Random => 1,
     });
-    e.u32(cfg.fallback_clause_limit as u32);
     encode_gbdt_params(e, &cfg.gbdt);
     e.u8(u8::from(cfg.feature_selection));
     e.u32(cfg.fs_restarts as u32);
     e.u32(cfg.fs_eval_queries as u32);
-    e.u32(cfg.fs_eval_budgets.len() as u32);
-    for &b in &cfg.fs_eval_budgets {
-        e.f64(b);
-    }
     e.u8(u8::from(cfg.use_clustering));
     e.u8(u8::from(cfg.use_outliers));
     e.u8(u8::from(cfg.use_regressors));
-    e.u8(u8::from(cfg.use_filter));
     e.u64(cfg.seed);
     e.u32(cfg.threads as u32);
     e.u64(cfg.feature_cache_cap as u64);
 }
 
 fn decode_config(c: &mut Reader<'_>) -> Result<Ps3Config, CodecError> {
-    let k_models = c.u32()? as usize;
     let alpha = c.f64()?;
-    let outlier_budget_frac = c.f64()?;
-    let outlier_abs_limit = c.u32()? as usize;
-    let outlier_rel_limit = c.f64()?;
     let cluster_algo = match c.u8()? {
-        // 1 is the retired `KMeansExact` knob: exact Lloyd at every size,
-        // which is what `KMeans` now means.
-        0 | 1 => ClusterAlgo::KMeans,
+        // 1 was the retired `KMeansExact`, which no version-7 file holds.
+        0 => ClusterAlgo::KMeans,
         2 => ClusterAlgo::HacSingle,
         3 => ClusterAlgo::HacWard,
         tag => {
@@ -317,37 +285,17 @@ fn decode_config(c: &mut Reader<'_>) -> Result<Ps3Config, CodecError> {
             return Err(CodecError::BadTag { what, tag });
         }
     };
-    let fallback_clause_limit = c.u32()? as usize;
-    let gbdt = decode_gbdt_params(c)?;
-    let feature_selection = c.u8()? != 0;
-    let fs_restarts = c.u32()? as usize;
-    let fs_eval_queries = c.u32()? as usize;
-    let n_budgets = c.u32()? as usize;
-    if n_budgets > MAX_VEC {
-        return Err(CodecError::Invalid("config budget count implausible"));
-    }
-    let mut fs_eval_budgets = Vec::with_capacity(n_budgets.min(1024));
-    for _ in 0..n_budgets {
-        fs_eval_budgets.push(c.f64()?);
-    }
     Ok(Ps3Config {
-        k_models,
         alpha,
-        outlier_budget_frac,
-        outlier_abs_limit,
-        outlier_rel_limit,
         cluster_algo,
         estimator,
-        fallback_clause_limit,
-        gbdt,
-        feature_selection,
-        fs_restarts,
-        fs_eval_queries,
-        fs_eval_budgets,
+        gbdt: decode_gbdt_params(c)?,
+        feature_selection: c.u8()? != 0,
+        fs_restarts: c.u32()? as usize,
+        fs_eval_queries: c.u32()? as usize,
         use_clustering: c.u8()? != 0,
         use_outliers: c.u8()? != 0,
         use_regressors: c.u8()? != 0,
-        use_filter: c.u8()? != 0,
         seed: c.u64()?,
         threads: c.u32()? as usize,
         feature_cache_cap: c.usize("config feature_cache_cap overflows")?,
@@ -567,25 +515,26 @@ mod tests {
         let mut cfg = Ps3Config::default().with_seed(99);
         cfg.cluster_algo = ClusterAlgo::HacWard;
         cfg.estimator = ExemplarRule::Random;
-        cfg.fs_eval_budgets = vec![0.01, 0.2, 0.5];
+        cfg.fs_restarts = 3;
         cfg.use_outliers = false;
         let mut bytes = Vec::new();
         encode_config(&mut Writer::new(&mut bytes), &cfg);
         let d = decode_config(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(format!("{d:?}"), format!("{cfg:?}"));
 
-        // The tag byte follows k_models, alpha and the three outlier fields.
-        const TAG_AT: usize = 4 + 8 + 8 + 4 + 8;
+        // The tag byte follows alpha.
+        const TAG_AT: usize = 8;
         assert_eq!(bytes[TAG_AT], 3);
         let with_tag = |tag: u8| {
             let mut patched = bytes.clone();
             patched[TAG_AT] = tag;
             decode_config(&mut Reader::new(&patched)).map(|c| format!("{c:?}"))
         };
-        assert_eq!(with_tag(1).unwrap(), with_tag(0).unwrap());
         assert!(with_tag(0).unwrap().contains("cluster_algo: KMeans,"));
         let what = "cluster algorithm";
-        assert_eq!(with_tag(4), Err(CodecError::BadTag { what, tag: 4 }));
+        for tag in [1, 4] {
+            assert_eq!(with_tag(tag), Err(CodecError::BadTag { what, tag }));
+        }
     }
 
     #[test]

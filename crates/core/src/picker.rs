@@ -14,8 +14,13 @@ use ps3_storage::PartitionId;
 use crate::allocate::allocate_samples;
 use crate::config::ExemplarRule;
 use crate::importance::{importance_groups, ImportanceSource};
-use crate::outlier::find_outliers;
+use crate::outlier::{find_outliers, OUTLIER_ABS_LIMIT, OUTLIER_BUDGET_FRAC, OUTLIER_REL_LIMIT};
 use crate::train::TrainedPs3;
+
+/// Predicates with more clauses than this skip clustering and sample inside
+/// importance groups at random: their features no longer describe the
+/// partitions well (Appendix B.1).
+pub const FALLBACK_CLAUSE_LIMIT: usize = 10;
 
 /// The picker's output: the weighted selection plus diagnostics the
 /// evaluation (Tables 5, Figure 4) reads.
@@ -70,27 +75,23 @@ impl Picker<'_> {
         let budget = budget.min(n_parts);
 
         // Selectivity filter: perfect recall, so dropping upper == 0 is safe.
-        let candidates: Vec<usize> = if cfg.use_filter {
-            (0..n_parts)
-                .filter(|&p| selectivity_upper[p] > 0.0)
-                .collect()
-        } else {
-            (0..n_parts).collect()
-        };
+        let candidates: Vec<usize> = (0..n_parts)
+            .filter(|&p| selectivity_upper[p] > 0.0)
+            .collect();
 
         let mut selection: Vec<WeightedPart> = Vec::with_capacity(budget);
 
-        // Outliers (§4.4): weight 1, capped at outlier_budget_frac · budget.
+        // Outliers (§4.4): weight 1, capped at OUTLIER_BUDGET_FRAC · budget.
         let mut chosen_outliers: Vec<usize> = Vec::new();
         if cfg.use_outliers && !query.group_by.is_empty() && budget > 0 {
-            let cap = (cfg.outlier_budget_frac * budget as f64).floor() as usize;
+            let cap = (OUTLIER_BUDGET_FRAC * budget as f64).floor() as usize;
             if cap > 0 {
                 let outliers = find_outliers(
                     self.stats,
                     &query.group_by,
                     &candidates,
-                    cfg.outlier_abs_limit,
-                    cfg.outlier_rel_limit,
+                    OUTLIER_ABS_LIMIT,
+                    OUTLIER_REL_LIMIT,
                 );
                 chosen_outliers = outliers.into_iter().take(cap).collect();
                 for &p in &chosen_outliers {
@@ -128,7 +129,7 @@ impl Picker<'_> {
         // Clustering fallback: very complex predicates make the features
         // unrepresentative (Appendix B.1).
         let clause_count = query.predicate.as_ref().map_or(0, |p| p.clause_count());
-        let cluster_ok = cfg.use_clustering && clause_count <= cfg.fallback_clause_limit;
+        let cluster_ok = cfg.use_clustering && clause_count <= FALLBACK_CLAUSE_LIMIT;
 
         // Algorithm-3 feature exclusions apply only to clustering (the
         // funnel wants the full vectors): they are projected away inside

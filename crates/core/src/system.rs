@@ -239,7 +239,7 @@ impl Ps3System {
         let training = TrainingData::compute(&pt, &stats, train_queries, cfg.threads);
         let normalizer = training.fit_normalizer(&stats);
         let (statics, normalized) = normalize_workload(&normalizer, &stats, &training, cfg.threads);
-        let set = bin_workload(&normalized, cfg.gbdt.max_bins);
+        let set = bin_workload(&normalized, ps3_learn::MAX_BINS);
         let trained = TrainedPs3::train(&training, normalizer, &normalized, &set, cfg.clone());
         let lss = LssModel::train(
             &training,

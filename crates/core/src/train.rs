@@ -30,6 +30,10 @@ use ps3_storage::{PartitionId, PartitionedTable};
 use crate::config::Ps3Config;
 use crate::feature_selection::select_features;
 
+/// Number of importance models k (§4.3). A thawed system serves with
+/// however many models it holds.
+pub const K_MODELS: usize = 4;
+
 /// Everything computed once per (dataset, layout, workload): per query, its
 /// exact per-partition answers and contributions and its raw selectivity
 /// features. Model training, LSS strata sweeps and feature selection read
@@ -222,9 +226,9 @@ impl TrainedPs3 {
     ) -> Self {
         // Exponentially spaced thresholds from the pooled contributions.
         let pooled = td.pooled_contributions();
-        let thresholds = choose_thresholds(&pooled, config.k_models);
+        let thresholds = choose_thresholds(&pooled, K_MODELS);
 
-        let mut models = Vec::with_capacity(config.k_models);
+        let mut models = Vec::with_capacity(K_MODELS);
         for (i, &t) in thresholds.iter().enumerate() {
             let mut labels: Vec<f64> = Vec::with_capacity(pooled.len());
             for run in &td.runs {

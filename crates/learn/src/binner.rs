@@ -80,7 +80,6 @@ fn fit_edges(sorted_distinct: &[f64], max_bins: usize) -> Vec<f64> {
 #[derive(Debug, Clone)]
 pub struct BinnedSet {
     binner: Binner,
-    max_bins: usize,
     n: usize,
     /// `[feature][row]`, flat: feature `f`'s bins are `bins[f·n..(f+1)·n]`.
     bins: Vec<u8>,
@@ -129,7 +128,6 @@ impl BinnedSet {
         }
         Self {
             binner: Binner { edges },
-            max_bins,
             n,
             bins,
         }
@@ -146,11 +144,6 @@ impl BinnedSet {
     /// The edges the set was binned with.
     pub fn binner(&self) -> &Binner {
         &self.binner
-    }
-
-    /// The bin budget per feature the set was fitted with.
-    pub fn max_bins(&self) -> usize {
-        self.max_bins
     }
 
     /// Number of rows.

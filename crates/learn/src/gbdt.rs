@@ -1,37 +1,32 @@
-//! The boosting loop: squared-error gradient boosting with shrinkage, row
-//! and column subsampling, and gain-based feature importance.
+//! The boosting loop: squared-error gradient boosting with shrinkage,
+//! column subsampling, and gain-based feature importance.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::binner::BinnedSet;
-use crate::tree::{SplitRecord, Tree, TreeParams};
+use crate::tree::{SplitRecord, Tree};
 
-/// Training hyperparameters, defaulting to values that behave like a small
-/// XGBoost configuration at PS3's data scale (hundreds of partitions × a few
-/// hundred features).
+/// Shrinkage η applied to every tree, in training and at prediction time.
+pub const LEARNING_RATE: f64 = 0.2;
+
+/// Quantile bins per feature that [`Gbdt::train`] fits, and that training
+/// bins a workload with (`ps3_core::bin_workload`).
+pub const MAX_BINS: usize = 64;
+
+/// The training values a caller chooses. Everything else — depth,
+/// regularization, shrinkage, bins — is fixed at values that behave like a
+/// small XGBoost configuration at PS3's data scale (hundreds of partitions
+/// × a few hundred features): [`LEARNING_RATE`], [`MAX_BINS`] and the tree
+/// constants in [`crate::tree`].
 #[derive(Debug, Clone, Copy)]
 pub struct GbdtParams {
     /// Number of boosting rounds.
     pub n_trees: usize,
-    /// Maximum depth per tree.
-    pub max_depth: usize,
-    /// Shrinkage η.
-    pub learning_rate: f64,
-    /// L2 regularization λ.
-    pub lambda: f64,
-    /// Minimum split gain γ.
-    pub gamma: f64,
-    /// Minimum hessian mass per child.
-    pub min_child_weight: f64,
-    /// Quantile bins per feature (≤ 256).
-    pub max_bins: usize,
-    /// Fraction of rows sampled per tree.
-    pub subsample: f64,
     /// Fraction of features sampled per tree.
     pub colsample: f64,
-    /// RNG seed for the subsampling.
+    /// RNG seed for the column subsampling.
     pub seed: u64,
 }
 
@@ -39,13 +34,6 @@ impl Default for GbdtParams {
     fn default() -> Self {
         Self {
             n_trees: 40,
-            max_depth: 4,
-            learning_rate: 0.2,
-            lambda: 1.0,
-            gamma: 0.0,
-            min_child_weight: 1.0,
-            max_bins: 64,
-            subsample: 1.0,
             colsample: 0.8,
             seed: 0,
         }
@@ -57,7 +45,6 @@ impl Default for GbdtParams {
 pub struct Gbdt {
     trees: Vec<Tree>,
     base: f64,
-    learning_rate: f64,
     /// Accumulated split gain per feature — XGBoost's "gain" importance [9].
     importance: Vec<f64>,
 }
@@ -69,7 +56,7 @@ impl Gbdt {
     /// # Panics
     /// Panics on empty data or a row-count mismatch.
     pub fn train(data: &[Vec<f64>], labels: &[f64], params: &GbdtParams) -> Self {
-        Self::train_binned(&BinnedSet::from_rows(data, params.max_bins), labels, params)
+        Self::train_binned(&BinnedSet::from_rows(data, MAX_BINS), labels, params)
     }
 
     /// Train on a binned training set with squared-error loss against
@@ -78,29 +65,18 @@ impl Gbdt {
     /// predictions of the training rows are made in bin space.
     ///
     /// # Panics
-    /// Panics on an empty set, a row-count mismatch, or a set binned with
-    /// other than `params.max_bins` bins.
+    /// Panics on an empty set or a row-count mismatch.
     pub fn train_binned(set: &BinnedSet, labels: &[f64], params: &GbdtParams) -> Self {
         let n = set.num_rows();
         assert!(n > 0, "empty training set");
         assert_eq!(n, labels.len(), "row/label count mismatch");
-        assert_eq!(
-            set.max_bins(),
-            params.max_bins,
-            "set binned with other bins"
-        );
         let num_features = set.num_features();
 
         let base = labels.iter().sum::<f64>() / n as f64;
         let mut preds = vec![base; n];
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let tree_params = TreeParams {
-            max_depth: params.max_depth,
-            lambda: params.lambda,
-            gamma: params.gamma,
-            min_child_weight: params.min_child_weight,
-        };
 
+        // Every tree trains on every row.
         let all_rows: Vec<u32> = (0..n as u32).collect();
         let all_features: Vec<usize> = (0..num_features).collect();
         let mut grad = vec![0.0; n];
@@ -112,15 +88,6 @@ impl Gbdt {
             for i in 0..n {
                 grad[i] = preds[i] - labels[i];
             }
-            let rows: Vec<u32> = if params.subsample < 1.0 {
-                let take = ((n as f64 * params.subsample) as usize).max(2).min(n);
-                let mut shuffled = all_rows.clone();
-                shuffled.shuffle(&mut rng);
-                shuffled.truncate(take);
-                shuffled
-            } else {
-                all_rows.clone()
-            };
             // Drawn over every feature, single-bin ones included, so the
             // RNG stream is independent of the binning.
             let features: Vec<usize> = if params.colsample < 1.0 {
@@ -136,7 +103,7 @@ impl Gbdt {
             };
 
             splits.clear();
-            let tree = Tree::grow(set, &grad, &rows, &features, &tree_params, &mut splits);
+            let tree = Tree::grow(set, &grad, &all_rows, &features, &mut splits);
             if splits.is_empty() {
                 // Residuals have no splittable structure left; further
                 // rounds would only re-fit the same constant.
@@ -145,14 +112,13 @@ impl Gbdt {
             for s in &splits {
                 importance[s.feature] += s.gain;
             }
-            tree.add_binned_predictions(set, params.learning_rate, &mut preds);
+            tree.add_binned_predictions(set, LEARNING_RATE, &mut preds);
             trees.push(tree);
         }
 
         Self {
             trees,
             base,
-            learning_rate: params.learning_rate,
             importance,
         }
     }
@@ -167,14 +133,9 @@ impl Gbdt {
     pub fn predict_with(&self, value_of: impl Fn(usize) -> f64) -> f64 {
         let mut p = self.base;
         for t in &self.trees {
-            p += self.learning_rate * t.predict_with(&value_of);
+            p += LEARNING_RATE * t.predict_with(&value_of);
         }
         p
-    }
-
-    /// Predict many rows.
-    pub fn predict(&self, data: &[Vec<f64>]) -> Vec<f64> {
-        data.iter().map(|r| self.predict_row(r)).collect()
     }
 
     /// Gain-based feature importance (unnormalized; index = feature).
@@ -197,24 +158,13 @@ impl Gbdt {
         self.base
     }
 
-    /// The shrinkage applied per tree at prediction time.
-    pub fn learning_rate(&self) -> f64 {
-        self.learning_rate
-    }
-
     /// Reassemble a model from persisted parts. Trees are assumed already
     /// validated via [`Tree::from_nodes`]; `importance` fixes the feature
     /// width (one slot per feature).
-    pub fn from_raw_parts(
-        trees: Vec<Tree>,
-        base: f64,
-        learning_rate: f64,
-        importance: Vec<f64>,
-    ) -> Self {
+    pub fn from_raw_parts(trees: Vec<Tree>, base: f64, importance: Vec<f64>) -> Self {
         Self {
             trees,
             base,
-            learning_rate,
             importance,
         }
     }
@@ -259,7 +209,6 @@ mod tests {
         // Interactions need both features in every tree.
         let params = GbdtParams {
             n_trees: 60,
-            max_depth: 3,
             colsample: 1.0,
             ..Default::default()
         };
@@ -297,9 +246,9 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let (data, labels) = xor_like();
+        // One of the two features per tree, drawn from the seed.
         let params = GbdtParams {
-            subsample: 0.7,
-            colsample: 1.0,
+            colsample: 0.5,
             seed: 9,
             ..Default::default()
         };

@@ -8,9 +8,10 @@
 //!   like XGBoost's `hist` mode), once per training set: every model
 //!   trained on the same rows shares one [`BinnedSet`].
 //! * [`tree`] — single regression trees grown greedily by the XGBoost gain
-//!   criterion `½[G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)] − γ`.
-//! * [`gbdt`] — the boosting loop with shrinkage, subsampling and per-feature
-//!   "gain" importance (the Figure-5 metric).
+//!   criterion `½[G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)]` (XGBoost's γ is
+//!   0: any positive gain splits).
+//! * [`gbdt`] — the boosting loop with shrinkage, column subsampling and
+//!   per-feature "gain" importance (the Figure-5 metric).
 //! * [`labels`] — Algorithm-4 training-label generation and the
 //!   exponentially-spaced model thresholds of §4.3.
 
@@ -20,6 +21,6 @@ pub mod labels;
 pub mod tree;
 
 pub use binner::{BinnedSet, Binner};
-pub use gbdt::{Gbdt, GbdtParams};
+pub use gbdt::{Gbdt, GbdtParams, LEARNING_RATE, MAX_BINS};
 pub use labels::{choose_thresholds, make_labels};
 pub use tree::{NodeSpec, Tree};

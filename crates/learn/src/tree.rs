@@ -5,18 +5,16 @@ use std::sync::OnceLock;
 
 use crate::binner::BinnedSet;
 
-/// Regularization and stopping parameters used while growing a tree.
-#[derive(Debug, Clone, Copy)]
-pub struct TreeParams {
-    /// Maximum tree depth.
-    pub max_depth: usize,
-    /// L2 regularization λ on leaf weights.
-    pub lambda: f64,
-    /// Minimum split gain γ.
-    pub gamma: f64,
-    /// Minimum hessian mass per child.
-    pub min_child_weight: f64,
-}
+/// Maximum tree depth.
+pub const MAX_DEPTH: usize = 4;
+
+/// L2 regularization λ on leaf weights and in the split gain.
+pub const LAMBDA: f64 = 1.0;
+
+/// Minimum hessian mass per child. The squared loss's hessian is 1 per
+/// row, so this is a row count: no child is empty. (There is no minimum
+/// split gain, XGBoost's γ: any positive gain splits.)
+pub const MIN_CHILD_WEIGHT: f64 = 1.0;
 
 /// A flattened binary tree.
 #[derive(Debug, Clone)]
@@ -52,7 +50,7 @@ impl Tree {
     ///
     /// * `grad` — per-row gradient of the squared loss. Its hessian is 1 in
     ///   every row, so a node's hessian mass is its row count.
-    /// * `rows` — indices of the rows this tree trains on (subsampling).
+    /// * `rows` — indices of the rows this tree trains on.
     /// * `features` — candidate feature indices (column subsampling); those
     ///   with a single bin cannot split and are dropped once, here.
     ///
@@ -62,7 +60,6 @@ impl Tree {
         grad: &[f64],
         rows: &[u32],
         features: &[usize],
-        params: &TreeParams,
         splits: &mut Vec<SplitRecord>,
     ) -> Self {
         let candidates: Vec<usize> = (features.iter().copied())
@@ -72,7 +69,6 @@ impl Tree {
             set,
             grad,
             candidates,
-            params,
             nodes: Vec::new(),
             splits,
             lanes: Box::new([Lane::EMPTY; LANES]),
@@ -277,7 +273,6 @@ struct Grower<'a> {
     /// The tree's candidate features with at least two bins, in the order
     /// given (ties between equal gains go to the earlier feature).
     candidates: Vec<usize>,
-    params: &'a TreeParams,
     nodes: Vec<Node>,
     splits: &'a mut Vec<SplitRecord>,
     /// Histogram scratch, reused by every node.
@@ -289,25 +284,20 @@ impl Grower<'_> {
     fn node(&mut self, rows: &[u32], depth: usize) -> usize {
         let g: f64 = rows.iter().map(|&r| self.grad[r as usize]).sum();
         let h = rows.len() as f64;
-        let lambda = self.params.lambda;
         let leaf = |nodes: &mut Vec<Node>| {
             let idx = nodes.len();
             nodes.push(Node::Leaf {
-                value: -g / (h + lambda),
+                value: -g / (h + LAMBDA),
             });
             idx
         };
 
-        if depth >= self.params.max_depth
-            || rows.len() < 2
-            || h < 2.0 * self.params.min_child_weight
-        {
+        if depth >= MAX_DEPTH || rows.len() < 2 || h < 2.0 * MIN_CHILD_WEIGHT {
             return leaf(&mut self.nodes);
         }
         let best = self.best_split(rows, g, h);
         if strict_kernels() {
-            let reference =
-                scalar_best_split(self.set, self.grad, rows, &self.candidates, self.params);
+            let reference = scalar_best_split(self.set, self.grad, rows, &self.candidates);
             assert_eq!(
                 best_bits(best),
                 best_bits(reference),
@@ -361,7 +351,7 @@ impl Grower<'_> {
             for (lane, &f) in lanes.iter().zip(group) {
                 let nbins = self.set.binner().bins(f);
                 let (grads, counts) = (&lane.grad[..nbins], &lane.count[..nbins]);
-                scan(grads, counts, f, (g, h), self.params, &mut best);
+                scan(grads, counts, f, (g, h), &mut best);
             }
         }
         best
@@ -399,21 +389,18 @@ fn scan<H: Copy + Into<f64>>(
     hess: &[H],
     feature: usize,
     (g, h): (f64, f64),
-    params: &TreeParams,
     best: &mut Best,
 ) {
-    let parent_score = g * g / (h + params.lambda);
+    let parent_score = g * g / (h + LAMBDA);
     let (mut gl, mut hl) = (0.0, 0.0);
     for b in 0..grads.len() - 1 {
         gl += grads[b];
         hl += hess[b].into();
         let (gr, hr) = (g - gl, h - hl);
-        if hl < params.min_child_weight || hr < params.min_child_weight {
+        if hl < MIN_CHILD_WEIGHT || hr < MIN_CHILD_WEIGHT {
             continue;
         }
-        let gain = 0.5
-            * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - parent_score)
-            - params.gamma;
+        let gain = 0.5 * (gl * gl / (hl + LAMBDA) + gr * gr / (hr + LAMBDA) - parent_score);
         if gain > best.map_or(0.0, |(g, _, _)| g) {
             *best = Some((gain, feature, b as u8));
         }
@@ -429,13 +416,7 @@ fn best_bits(best: Best) -> Option<(u64, usize, u8)> {
 /// hessian summed as `f64` 1.0s, node totals summed afresh. Under
 /// `PS3_STRICT_KERNELS=1` every node re-runs it and asserts the blocked
 /// search chose the same split with the same gain bits.
-fn scalar_best_split(
-    set: &BinnedSet,
-    grad: &[f64],
-    rows: &[u32],
-    features: &[usize],
-    params: &TreeParams,
-) -> Best {
+fn scalar_best_split(set: &BinnedSet, grad: &[f64], rows: &[u32], features: &[usize]) -> Best {
     let g: f64 = rows.iter().map(|&r| grad[r as usize]).sum();
     let h: f64 = rows.iter().map(|_| 1.0).sum();
     let mut best = None;
@@ -455,7 +436,7 @@ fn scalar_best_split(
             hist_h[b] += 1.0;
         }
         let (grads, hess) = (&hist_g[..nbins], &hist_h[..nbins]);
-        scan(grads, hess, f, (g, h), params, &mut best);
+        scan(grads, hess, f, (g, h), &mut best);
     }
     best
 }
@@ -476,15 +457,6 @@ mod tests {
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
-    fn default_params() -> TreeParams {
-        TreeParams {
-            max_depth: 4,
-            lambda: 1.0,
-            gamma: 0.0,
-            min_child_weight: 1.0,
-        }
-    }
-
     /// Grow one tree on `data` against labels `ys` at prediction 0 (squared
     /// loss: grad = −y), on every row, over `features`.
     fn grow(
@@ -492,13 +464,12 @@ mod tests {
         ys: &[f64],
         max_bins: usize,
         features: &[usize],
-        params: &TreeParams,
     ) -> (Tree, Vec<SplitRecord>) {
         let set = BinnedSet::from_rows(data, max_bins);
         let grad: Vec<f64> = ys.iter().map(|&y| -y).collect();
         let rows: Vec<u32> = (0..data.len() as u32).collect();
         let mut splits = Vec::new();
-        let tree = Tree::grow(&set, &grad, &rows, features, params, &mut splits);
+        let tree = Tree::grow(&set, &grad, &rows, features, &mut splits);
         (tree, splits)
     }
 
@@ -506,7 +477,7 @@ mod tests {
     fn learns_a_step_function() {
         let data: Vec<Vec<f64>> = (0..100).map(|i| vec![f64::from(i)]).collect();
         let ys: Vec<f64> = (0..100).map(|i| if i < 50 { 0.0 } else { 10.0 }).collect();
-        let (tree, splits) = grow(&data, &ys, 64, &[0], &default_params());
+        let (tree, splits) = grow(&data, &ys, 64, &[0]);
         assert!(!splits.is_empty());
         assert!(tree.predict_row(&[10.0]) < 1.0);
         assert!(tree.predict_row(&[90.0]) > 9.0);
@@ -515,7 +486,7 @@ mod tests {
     #[test]
     fn constant_labels_yield_single_leaf() {
         let data: Vec<Vec<f64>> = (0..50).map(|i| vec![f64::from(i)]).collect();
-        let (tree, splits) = grow(&data, &[3.0; 50], 32, &[0], &default_params());
+        let (tree, splits) = grow(&data, &[3.0; 50], 32, &[0]);
         assert!(splits.is_empty());
         assert_eq!(tree.num_nodes(), 1);
         // Leaf value shrinks toward 0 by λ: 50·3/(50+1).
@@ -528,36 +499,28 @@ mod tests {
         // Feature 0 is noise-free signal; feature 1 is constant.
         let data: Vec<Vec<f64>> = (0..80).map(|i| vec![f64::from(i % 2), 7.0]).collect();
         let ys: Vec<f64> = (0..80).map(|i| f64::from(i % 2) * 4.0).collect();
-        let (tree, splits) = grow(&data, &ys, 8, &[0, 1], &default_params());
+        let (tree, splits) = grow(&data, &ys, 8, &[0, 1]);
         assert!(splits.iter().all(|s| s.feature == 0));
         assert!(tree.predict_row(&[1.0, 7.0]) > tree.predict_row(&[0.0, 7.0]));
     }
 
     #[test]
     fn depth_limit_respected() {
+        // 64 distinct labels would take depth 6 to fit exactly.
         let data: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i)]).collect();
         let ys: Vec<f64> = (0..64).map(f64::from).collect();
-        let params = TreeParams {
-            max_depth: 1,
-            ..default_params()
-        };
-        let (tree, splits) = grow(&data, &ys, 64, &[0], &params);
-        // Depth 1 = one split, two leaves.
-        assert_eq!(tree.num_nodes(), 3);
-        assert_eq!(splits.len(), 1);
-    }
-
-    #[test]
-    fn gamma_suppresses_weak_splits() {
-        let data: Vec<Vec<f64>> = (0..40).map(|i| vec![f64::from(i)]).collect();
-        // Barely-informative labels.
-        let ys: Vec<f64> = (0..40).map(|i| if i < 20 { 0.0 } else { 0.01 }).collect();
-        let params = TreeParams {
-            gamma: 10.0,
-            ..default_params()
-        };
-        let (tree, _) = grow(&data, &ys, 32, &[0], &params);
-        assert_eq!(tree.num_nodes(), 1, "gamma should veto the split");
+        let (tree, splits) = grow(&data, &ys, 64, &[0]);
+        // The deepest leaf, counted in splits from the root.
+        fn depth(nodes: &[NodeSpec], idx: usize) -> usize {
+            match nodes[idx] {
+                NodeSpec::Leaf { .. } => 0,
+                NodeSpec::Split { left, right, .. } => {
+                    1 + depth(nodes, left).max(depth(nodes, right))
+                }
+            }
+        }
+        assert!(!splits.is_empty());
+        assert_eq!(depth(&tree.nodes_spec(), 0), MAX_DEPTH);
     }
 
     /// NaN goes right at every split, in the split search as in
@@ -570,7 +533,7 @@ mod tests {
         let mut ys = vec![0.0; 50];
         data.extend(std::iter::repeat_n(vec![f64::NAN], 20));
         ys.extend([10.0; 20]);
-        let (tree, splits) = grow(&data, &ys, 64, &[0], &default_params());
+        let (tree, splits) = grow(&data, &ys, 64, &[0]);
         assert!(!splits.is_empty());
         let nan = tree.predict_row(&[f64::NAN]);
         assert_eq!(nan.to_bits(), tree.predict_row(&[49.0]).to_bits());
@@ -606,7 +569,7 @@ mod tests {
             let grad: Vec<f64> = (0..data.len()).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let rows: Vec<u32> = (0..data.len() as u32).filter(|_| rng.gen_bool(0.6)).collect();
             let mut splits = Vec::new();
-            let tree = Tree::grow(&set, &grad, &rows, &[0, 1], &default_params(), &mut splits);
+            let tree = Tree::grow(&set, &grad, &rows, &[0, 1], &mut splits);
             let mut binned = vec![0.0; data.len()];
             tree.add_binned_predictions(&set, 1.0, &mut binned);
             for (row, p) in data.iter().zip(&binned) {
@@ -622,7 +585,6 @@ mod tests {
     #[test]
     fn blocked_split_search_equals_the_scalar_reference() {
         let mut rng = StdRng::seed_from_u64(41);
-        let params = default_params();
         for candidates in 1..=9usize {
             for _ in 0..20 {
                 let dim = 12;
@@ -649,14 +611,13 @@ mod tests {
                     set: &set,
                     grad: &grad,
                     candidates: features.clone(),
-                    params: &params,
                     nodes: Vec::new(),
                     splits: &mut splits,
                     lanes: Box::new([Lane::EMPTY; LANES]),
                 };
                 let g: f64 = rows.iter().map(|&r| grad[r as usize]).sum();
                 let blocked = grower.best_split(&rows, g, rows.len() as f64);
-                let scalar = scalar_best_split(&set, &grad, &rows, &features, &params);
+                let scalar = scalar_best_split(&set, &grad, &rows, &features);
                 assert_eq!(
                     best_bits(blocked),
                     best_bits(scalar),

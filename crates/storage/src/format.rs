@@ -43,8 +43,10 @@ pub const MAGIC: [u8; 8] = *b"PS3FLAT\0";
 /// derived heavy-hitter keys, occurrence bitmaps and static feature matrix
 /// from `SEC_STATS`; 6 replaced the byte-serial FNV-1a section and table
 /// checksums with the word-wise [`checksum`], leaving every payload as it
-/// was. Older files are refused.
-pub const FORMAT_VERSION: u32 = 6;
+/// was; 7 dropped from `SEC_TRAINED` and `SEC_LSS` the configuration values
+/// that became constants and each model's learning rate. Older files are
+/// refused.
+pub const FORMAT_VERSION: u32 = 7;
 /// Every section payload starts at a multiple of this (cache-line and SIMD
 /// friendly, and strictly stricter than any element alignment we map).
 pub const SECTION_ALIGN: usize = 64;
@@ -878,7 +880,7 @@ mod tests {
         encode_partitioned_table(&mut w, &pt);
         let bytes = w.to_bytes();
         assert_eq!(&bytes[0..8], &MAGIC);
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 6);
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 7);
         assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 3);
         assert_eq!(
             u64::from_le_bytes(bytes[16..24].try_into().unwrap()),

@@ -46,6 +46,27 @@
 //! checksum word of each of the seven section-table entries. Every section
 //! payload was unchanged, and `every_section_payload_matches_the_recorded_digests`
 //! pins each one, as recorded from the version-5 code.
+//!
+//! They were re-recorded a fourth time when format version 7 dropped from
+//! `SEC_TRAINED` and `SEC_LSS` the values that became constants. The same
+//! three artifacts were frozen by the version-6 code and by the version-7
+//! code, and each section payload was compared on its own. `SEC_TABLE`,
+//! `SEC_PARTITIONING`, `SEC_COLDATA`, `SEC_STATS` and `SEC_TRAINING` were
+//! byte-identical, and their pinned digests did not move. The new
+//! `SEC_TRAINED` was the old one minus exactly 129 bytes, found by walking
+//! the version-6 grammar: each of the four models' `learning_rate` word
+//! (4 × 8 bytes, each 0.2), and from the config `k_models` (4),
+//! `outlier_budget_frac` (0.1), `outlier_abs_limit` (10),
+//! `outlier_rel_limit` (0.1), `fallback_clause_limit` (10), the boosting
+//! words `max_depth` (4), `learning_rate` (0.2), `lambda` (1.0), `gamma`
+//! (0.0), `min_child_weight` (1.0), `max_bins` (64) and `subsample` (1.0),
+//! the `fs_eval_budgets` count and its two values (0.05, 0.15), and the
+//! `use_filter` byte (1). The new `SEC_LSS` was the old one minus its
+//! model's `learning_rate` word (8 bytes, 0.2). That held for all three
+//! artifacts: 22,051 → 21,922 and 5,584 → 5,576 bytes for both Aria
+//! artifacts, 55,278 → 55,149 and 11,152 → 11,144 for TPC-H. The rest of
+//! each file is again the header and section table, with the new version,
+//! offsets, sizes and checksums.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -253,7 +274,7 @@ fn aria_tiny_system() -> Ps3System {
 }
 
 /// The digest of [`aria_tiny_system`] frozen.
-const ARIA_TINY: u64 = 0xEED3_99FA_D55A_BA31;
+const ARIA_TINY: u64 = 0x6AE7_08EC_4741_B8EA;
 
 #[test]
 fn frozen_aria_tiny_artifact_matches_the_recorded_digest() {
@@ -281,13 +302,15 @@ fn tpch_tiny_fs_system() -> Ps3System {
 #[test]
 fn frozen_tpch_tiny_artifact_with_feature_selection_matches_the_recorded_digest() {
     let digest = artifact_digest(&tpch_tiny_fs_system(), "tpch_tiny_fs");
-    assert_eq!(digest, 0xE56B_84E3_1F36_F35D, "artifact bytes moved");
+    assert_eq!(digest, 0x49D4_F9C4_EC1C_6A84, "artifact bytes moved");
 }
 
 /// Every section payload of the two cold artifacts, pinned on its own:
 /// recorded from format 5, whose checksum was byte-serial FNV-1a, before
-/// format 6 changed the checksum. A whole-artifact digest above moves when
-/// only the header and section table do; these move when a payload does.
+/// format 6 changed the checksum, except `SEC_TRAINED` and `SEC_LSS`,
+/// recorded from format 7, which dropped words from both. A whole-artifact
+/// digest above moves when only the header and section table do; these
+/// move when a payload does.
 #[test]
 fn every_section_payload_matches_the_recorded_digests() {
     assert_eq!(
@@ -297,8 +320,8 @@ fn every_section_payload_matches_the_recorded_digests() {
             0x4AB9_0EB3_6A6E_4C12,
             0xA0E4_CB2B_B460_4758,
             0xDF40_6C8A_65BB_C3AF,
-            0xEF91_61B0_E6F5_59C6,
-            0xD1C5_91ED_60D1_E7C1,
+            0x1174_0301_72D7_3C9E,
+            0x4A63_1C13_B002_F914,
             0xFC22_7989_1BC8_D64A,
         ],
         "an Aria Tiny section payload moved"
@@ -310,8 +333,8 @@ fn every_section_payload_matches_the_recorded_digests() {
             0x4AB9_0EB3_6A6E_4C12,
             0x96F2_287E_7CF3_5E66,
             0x4E80_0302_87A0_8B72,
-            0xB347_4B5D_03D4_4B3F,
-            0x158A_CAC2_A949_3358,
+            0x589A_4873_4717_4E9D,
+            0x80FE_FFB9_4D20_6CD9,
             0x9BF9_0B0B_35C1_713C,
         ],
         "a TPC-H Tiny section payload moved"
@@ -329,7 +352,7 @@ fn warm_retrained_aria_tiny_artifact_matches_the_recorded_digest() {
     let next = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny).build(6);
     let warm = Ps3System::retrain_from(&system, next.pt, next.stats);
     let digest = artifact_digest(&warm, "aria_tiny_warm");
-    assert_eq!(digest, 0x4B40_FF7D_ED85_6617, "artifact bytes moved");
+    assert_eq!(digest, 0x8E67_9B8D_14DF_D8A6, "artifact bytes moved");
 }
 
 /// `Ps3System::train` computes and normalizes its training data in a

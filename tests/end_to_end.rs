@@ -191,11 +191,6 @@ fn lesion_configs_still_answer_queries() {
             c.use_regressors = false;
             c
         }),
-        ("no-filter", {
-            let mut c = fast_config(7);
-            c.use_filter = false;
-            c
-        }),
     ] {
         let system = ds.train_system(cfg);
         let q = ds.sample_test_query(1);

@@ -34,7 +34,7 @@ use proptest::prelude::*;
 use proptest::TestRng;
 
 use ps3::core::bin_workload;
-use ps3::learn::{Gbdt, GbdtParams, NodeSpec, Tree};
+use ps3::learn::{BinnedSet, Gbdt, GbdtParams, NodeSpec, Tree};
 use ps3::query::{
     execute_partition, AggExpr, Clause, CmpOp, CompiledPredicate, CompiledQuery, PartialAnswer,
     Predicate, Query, ScalarExpr,
@@ -497,7 +497,7 @@ proptest! {
         let (entry, wide) = gathered(&unit, &stats, &pt, &shaped_query(3, Some(pred.clone())));
         let data = wide.to_dense();
         let labels: Vec<f64> = entry.upper().iter().map(|u| u - 0.3).collect();
-        let params = GbdtParams { n_trees: 6, colsample: 1.0, seed, ..Default::default() };
+        let params = GbdtParams { n_trees: 6, colsample: 1.0, seed };
         let model = Gbdt::train(&data, &labels, &params);
         let (_, m) = gathered(&unit, &stats, &pt, &shaped_query(shape, Some(pred)));
         let dense = m.to_dense();
@@ -529,12 +529,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A workload binned once, column by column, from compact matrices
-    /// whose column maps differ ([`bin_workload`]) trains the model
-    /// `Gbdt::train` trains on the same rows expanded, bit for bit: every
-    /// tree's nodes, the importances and the predictions. Row and column
-    /// subsampling leave rows and features out of each tree, so rows a tree
-    /// never saw are predicted in bin space too; the poisoned statistics put
-    /// `-0.0` and NaN in the columns.
+    /// whose column maps differ ([`bin_workload`]) trains the model the
+    /// same rows expanded and binned whole train, bit for bit: every tree's
+    /// nodes, the importances and the predictions. Column subsampling
+    /// leaves features out of each tree; the poisoned statistics put `-0.0`
+    /// and NaN in the columns.
     #[test]
     fn a_workload_binned_once_trains_the_dense_model_bit_for_bit(
         pt in arb_table(),
@@ -553,15 +552,12 @@ proptest! {
         }
         let params = GbdtParams {
             n_trees: 6,
-            max_bins,
-            subsample: 0.7,
             colsample: 0.6,
             seed,
-            ..Default::default()
         };
         let binned = Gbdt::train_binned(&bin_workload(&matrices, max_bins), &labels, &params);
         let dense: Vec<Vec<f64>> = matrices.iter().flat_map(FeatureMatrix::to_dense).collect();
-        let reference = Gbdt::train(&dense, &labels, &params);
+        let reference = Gbdt::train_binned(&BinnedSet::from_rows(&dense, max_bins), &labels, &params);
 
         prop_assert_eq!(binned.base().to_bits(), reference.base().to_bits());
         prop_assert_eq!(binned.num_trees(), reference.num_trees());
