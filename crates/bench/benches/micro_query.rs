@@ -91,24 +91,28 @@ fn bench_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-/// 512 rows of `x` beside a 24-value key and a (4-value, 6-value) key pair,
-/// scattered by a fixed multiplicative walk so neighbouring rows rarely
-/// share a group.
+/// 512 rows of `x` and `y` beside a 24-value key, a (4-value, 6-value) key
+/// pair and a 167-value key (the size of Aria's `AppInfo_Version`
+/// dictionary), scattered by fixed multiplicative walks so neighbouring
+/// rows rarely share a group.
 fn grouped_partition() -> Table {
     let mut b = TableBuilder::new(Schema::new(vec![
         ColumnMeta::new("x", ColumnType::Numeric),
+        ColumnMeta::new("y", ColumnType::Numeric),
         ColumnMeta::new("zone", ColumnType::Categorical),
         ColumnMeta::new("net", ColumnType::Categorical),
         ColumnMeta::new("tier", ColumnType::Categorical),
+        ColumnMeta::new("version", ColumnType::Categorical),
     ]));
     for i in 0..512usize {
         let k = (i * 37 + i / 24) % 24;
         b.push_row(
-            &[i as f64 * 0.25],
+            &[i as f64 * 0.25, (i % 13) as f64],
             &[
                 &format!("z{k:02}"),
                 &format!("n{}", k % 4),
                 &format!("t{}", k / 4),
+                &format!("v{}", (i * 53) % 167),
             ],
         );
     }
@@ -147,18 +151,32 @@ fn bench_query_paths(c: &mut Criterion) {
         })
     });
 
-    // Grouped execution of one 512-row partition holding 24 groups, SUM +
-    // AVG over a stored column, compiled once as the server does: one key
-    // column, and the same 24 groups as a (4-value, 6-value) pair.
+    // Grouped execution of one 512-row partition, compiled once as the
+    // server does: SUM + AVG over a stored column by one 24-value key, by
+    // the same 24 groups as a (4-value, 6-value) pair, and by a 167-value
+    // key; then SUM(x − y), a projection, by the 24-value key.
     let grouped = grouped_partition();
-    let x = || ScalarExpr::col(ColId(0));
-    for (name, group_by) in [
-        ("execute_grouped_1col", vec![ColId(1)]),
-        ("execute_grouped_2col", vec![ColId(2), ColId(3)]),
+    let (x, y) = (|| ScalarExpr::col(ColId(0)), || ScalarExpr::col(ColId(1)));
+    let sum_avg = || vec![AggExpr::sum(x()), AggExpr::avg(x())];
+    for (name, aggs, group_by, groups) in [
+        ("execute_grouped_1col", sum_avg(), vec![ColId(2)], 24),
+        (
+            "execute_grouped_2col",
+            sum_avg(),
+            vec![ColId(3), ColId(4)],
+            24,
+        ),
+        ("execute_grouped_167codes", sum_avg(), vec![ColId(5)], 167),
+        (
+            "execute_grouped_expr",
+            vec![AggExpr::sum(x().sub(y()))],
+            vec![ColId(2)],
+            24,
+        ),
     ] {
-        let q = Query::new(vec![AggExpr::sum(x()), AggExpr::avg(x())], None, group_by);
+        let q = Query::new(aggs, None, group_by);
         let cq = CompiledQuery::compile(&grouped, &q);
-        assert_eq!(cq.execute_partition(&grouped, 0..512).num_groups(), 24);
+        assert_eq!(cq.execute_partition(&grouped, 0..512).num_groups(), groups);
         g.bench_function(name, |b| b.iter(|| cq.execute_partition(&grouped, 0..512)));
     }
 

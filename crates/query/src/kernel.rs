@@ -22,29 +22,39 @@
 //!   shape is bit-identical to the sequential one by construction.
 //! * Fused predicate→aggregate kernels accumulate SUM/COUNT/AVG slots from
 //!   the column slices under the mask, fast-pathing all-true words and
-//!   skipping all-false ones.
+//!   skipping all-false ones. A projection (`SUM(received − sent)`) is
+//!   evaluated a column at a time — each operation over the partition's
+//!   whole range into one buffer — and then summed like a stored column.
 //! * `GROUP BY` runs a column at a time: the key columns give each selected
-//!   row a dense partition-local group id, then every aggregate adds its
-//!   value column into a flat accumulator indexed by that id — no map, no
-//!   allocation per row — and the groups leave in ascending key order, the
-//!   layout [`PartialAnswer`] folds by merging.
+//!   row a partition-local group id, then every aggregate adds its values
+//!   into a flat accumulator indexed by that id — no map, no allocation per
+//!   row — and the groups leave in ascending key order, the layout
+//!   [`PartialAnswer`] folds by merging. A dictionary-coded key is its own
+//!   id: one key's code, or several keys' codes read as one mixed-radix
+//!   number while their code space stays within 1,024 codes. Those ids
+//!   ascend as the key tuples do, so the groups leave by a scan of the code
+//!   space, with no sort. A numeric key, or a code space past the limit,
+//!   gets dense ids from a hash table from that key on, and those groups
+//!   are sorted by key.
 //!
 //! **Bit-identity contract:** for every query and partition, the compiled
 //! path produces results bit-identical to the reference scalar interpreter
-//! (kept as the `#[cfg(test)]` oracle in [`crate::exec`]): aggregates are
+//! (kept as the `#[cfg(test)]` oracle in `crate::oracle`): aggregates are
 //! accumulated in ascending row order, skipped rows correspond exactly to
-//! the interpreter's `+= 0.0` no-ops, and COUNT slots use popcounts (a sum
-//! of `1.0`s is exact below 2^53). Group keys canonicalize `-0.0` to `0.0`
-//! and all NaN payloads to one canonical NaN (see
+//! the interpreter's `+= 0.0` no-ops, and COUNT slots are popcounts or row
+//! counts (a sum of `1.0`s is exact below 2^53). Group keys canonicalize
+//! `-0.0` to `0.0` and all NaN payloads to one canonical NaN (see
 //! [`GroupKey::canon_num_bits`]) in both paths. Division by zero yields `0`
 //! (see [`crate::predicate::eval_scalar`]); NaN comparisons follow IEEE 754
-//! (`NaN op v` is false for everything but `Ne`).
+//! (`NaN op v` is false for everything but `Ne`). The one bit neither path
+//! fixes is the sign of a NaN made from two NaNs of opposite sign, which
+//! Rust leaves to the compiler.
 
 use std::ops::Range;
 
-use ps3_storage::{chunks64, ColId, ColumnData, Table};
+use ps3_storage::{chunks64, ColId, Table};
 
-use crate::ast::{AggFunc, Clause, CmpOp, Predicate, Query, ScalarExpr};
+use crate::ast::{AggFunc, BinOp, Clause, CmpOp, Predicate, Query, ScalarExpr};
 use crate::exec::{GroupKey, PartialAnswer, QueryAnswer};
 use crate::selvec::SelVec;
 
@@ -355,48 +365,6 @@ pub(crate) fn membership_kernel(codes: &[u32], set: &TargetSet, out: &mut SelVec
     }
 }
 
-/// Where a SUM/AVG slot's per-row values come from.
-#[derive(Debug, Clone)]
-enum ValueSource {
-    /// A bare stored column — the fast path.
-    Col(ColId),
-    /// A constant.
-    Lit(f64),
-    /// A general projection, evaluated row-at-a-time with the same
-    /// operation order as the vectorized interpreter.
-    Expr(ScalarExpr),
-}
-
-impl ValueSource {
-    fn compile(expr: &ScalarExpr) -> Self {
-        match expr {
-            ScalarExpr::Column(c) => ValueSource::Col(*c),
-            ScalarExpr::Literal(x) => ValueSource::Lit(*x),
-            e => ValueSource::Expr(e.clone()),
-        }
-    }
-
-    /// Sum this source over the selected rows of `rows`, in ascending row
-    /// order (the bit-identity contract).
-    fn sum_selected(&self, table: &Table, rows: Range<usize>, sel: &SelVec) -> f64 {
-        match self {
-            ValueSource::Col(c) => sum_col(table.column(*c).numeric_range(rows), sel),
-            ValueSource::Lit(x) => {
-                // Sequential adds, not count·x: repeated f64 addition of a
-                // non-representable constant is not multiplication.
-                let mut acc = 0.0;
-                sel.for_each_selected(|_| acc += x);
-                acc
-            }
-            ValueSource::Expr(e) => {
-                let mut acc = 0.0;
-                sel.for_each_selected(|i| acc += eval_scalar_row(e, table, rows.start + i));
-                acc
-            }
-        }
-    }
-}
-
 /// Fused masked column sum: all-true words take a straight sequential loop
 /// over the 64-row chunk, sparse words iterate set bits — both in ascending
 /// row order, so the accumulation is bit-identical to the scalar path.
@@ -430,26 +398,48 @@ fn sum_col(data: &[f64], sel: &SelVec) -> f64 {
     acc
 }
 
-/// Row-at-a-time scalar projection with the interpreter's exact semantics
-/// (division by zero yields 0; see [`crate::predicate::eval_scalar`]).
-fn eval_scalar_row(expr: &ScalarExpr, table: &Table, row: usize) -> f64 {
+/// `expr`'s value on every row of `rows`, a column at a time: a bare
+/// stored column is its own slice, anything else is evaluated into `buf`
+/// (see [`eval_expr_into`]).
+fn expr_values<'a>(
+    expr: &ScalarExpr,
+    table: &'a Table,
+    rows: Range<usize>,
+    buf: &'a mut Vec<f64>,
+) -> &'a [f64] {
     match expr {
-        ScalarExpr::Column(c) => table.numeric(*c)[row],
-        ScalarExpr::Literal(x) => *x,
+        ScalarExpr::Column(c) => table.column(*c).numeric_range(rows),
+        e => {
+            eval_expr_into(e, table, rows, buf);
+            buf
+        }
+    }
+}
+
+/// Evaluate `expr` over `rows` into `out` (overwritten), one operation
+/// over the whole range at a time: each row's value is what the same
+/// operations on that row alone give, and a division by zero yields `0`
+/// (see [`crate::predicate::eval_scalar`]).
+pub(crate) fn eval_expr_into(
+    expr: &ScalarExpr,
+    table: &Table,
+    rows: Range<usize>,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    match expr {
+        ScalarExpr::Column(c) => out.extend_from_slice(table.column(*c).numeric_range(rows)),
+        ScalarExpr::Literal(x) => out.resize(rows.len(), *x),
         ScalarExpr::BinOp(op, l, r) => {
-            let a = eval_scalar_row(l, table, row);
-            let b = eval_scalar_row(r, table, row);
+            eval_expr_into(l, table, rows.clone(), out);
+            let mut scratch = Vec::new();
+            let rhs = expr_values(r, table, rows, &mut scratch);
+            let pairs = out.iter_mut().zip(rhs);
             match op {
-                crate::ast::BinOp::Add => a + b,
-                crate::ast::BinOp::Sub => a - b,
-                crate::ast::BinOp::Mul => a * b,
-                crate::ast::BinOp::Div => {
-                    if b == 0.0 {
-                        0.0
-                    } else {
-                        a / b
-                    }
-                }
+                BinOp::Add => pairs.for_each(|(a, &b)| *a += b),
+                BinOp::Sub => pairs.for_each(|(a, &b)| *a -= b),
+                BinOp::Mul => pairs.for_each(|(a, &b)| *a *= b),
+                BinOp::Div => pairs.for_each(|(a, &b)| *a = if b == 0.0 { 0.0 } else { *a / b }),
             }
         }
     }
@@ -468,27 +458,36 @@ enum AggKind {
     /// `COUNT(*)` — one slot, a popcount.
     Count,
     /// `SUM(expr)` — one slot.
-    Sum(ValueSource),
+    Sum(ScalarExpr),
     /// `AVG(expr)` — two slots (sum, count).
-    Avg(ValueSource),
+    Avg(ScalarExpr),
 }
 
-/// A group-by key column resolved against the table's physical layout.
-#[derive(Debug, Clone, Copy)]
-struct GroupCol {
-    col: ColId,
-    is_numeric: bool,
+impl AggKind {
+    /// The summed projection, if any, and whether a count slot follows it.
+    fn slots(&self) -> (Option<&ScalarExpr>, bool) {
+        match self {
+            AggKind::Count => (None, true),
+            AggKind::Sum(expr) => (Some(expr), false),
+            AggKind::Avg(expr) => (Some(expr), true),
+        }
+    }
 }
+
+/// Key code spaces at most this large give a group its id straight from
+/// its dictionary codes: the accumulator then holds a cell for every code
+/// tuple, 8 KiB a slot at the limit.
+const CODE_SPACE_LIMIT: usize = 1 << 10;
 
 /// A query compiled against one table: the WHERE program, fused aggregate
-/// kernels and resolved group-by columns. Build once per `(query, table)`
-/// — [`Query::fingerprint`] is the intended cache key — then execute any
+/// kernels and the group-by columns. Build once per `(query, table)` —
+/// [`Query::fingerprint`] is the intended cache key — then execute any
 /// number of partitions concurrently.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     pred: Option<CompiledPredicate>,
     aggs: Vec<AggKernel>,
-    group_by: Vec<GroupCol>,
+    group_by: Vec<ColId>,
     funcs: Vec<AggFunc>,
     slots: usize,
 }
@@ -510,23 +509,15 @@ impl CompiledQuery {
                     .map(|p| CompiledPredicate::compile(table, p)),
                 kind: match a.func {
                     AggFunc::Count => AggKind::Count,
-                    AggFunc::Sum => AggKind::Sum(ValueSource::compile(&a.expr)),
-                    AggFunc::Avg => AggKind::Avg(ValueSource::compile(&a.expr)),
+                    AggFunc::Sum => AggKind::Sum(a.expr.clone()),
+                    AggFunc::Avg => AggKind::Avg(a.expr.clone()),
                 },
-            })
-            .collect();
-        let group_by = query
-            .group_by
-            .iter()
-            .map(|&col| GroupCol {
-                col,
-                is_numeric: matches!(table.column(col), ColumnData::Numeric(_)),
             })
             .collect();
         Self {
             pred,
             aggs,
-            group_by,
+            group_by: query.group_by.clone(),
             funcs: query.aggregates.iter().map(|a| a.func).collect(),
             slots: PartialAnswer::slot_count(query),
         }
@@ -574,26 +565,21 @@ impl CompiledQuery {
             .collect();
 
         if self.group_by.is_empty() {
-            let mut acc = vec![0.0; self.slots];
-            let mut si = 0;
+            let mut acc = Vec::with_capacity(self.slots);
+            let mut buf = Vec::new();
             for (agg, eff) in self.aggs.iter().zip(&eff) {
                 let mask = eff.as_ref().unwrap_or(&sel);
-                match &agg.kind {
-                    AggKind::Count => {
-                        // Sequentially summing 1.0 per row equals the exact
-                        // popcount below 2^53 rows.
-                        acc[si] = mask.count() as f64;
-                        si += 1;
-                    }
-                    AggKind::Sum(src) => {
-                        acc[si] = src.sum_selected(table, rows.clone(), mask);
-                        si += 1;
-                    }
-                    AggKind::Avg(src) => {
-                        acc[si] = src.sum_selected(table, rows.clone(), mask);
-                        acc[si + 1] = mask.count() as f64;
-                        si += 2;
-                    }
+                let (expr, counted) = agg.kind.slots();
+                if let Some(expr) = expr {
+                    acc.push(sum_col(
+                        expr_values(expr, table, rows.clone(), &mut buf),
+                        mask,
+                    ));
+                }
+                if counted {
+                    // Sequentially summing 1.0 per row equals the exact
+                    // popcount below 2^53 rows.
+                    acc.push(mask.count() as f64);
                 }
             }
             return PartialAnswer::from_sorted(self.slots, 1, Vec::new(), acc);
@@ -603,15 +589,25 @@ impl CompiledQuery {
     }
 
     /// Grouped accumulation, a column at a time. The key columns first:
-    /// each turns the selected rows' ids-so-far into ids of one column
-    /// longer key prefixes through an [`IdTable`], so after the last one
-    /// `gid[row]` is a dense partition-local group id. Then each aggregate
-    /// makes its own pass over its effective mask, adding into
-    /// `acc[gid · slots + slot]` with its value column resolved once. Rows
-    /// are visited in ascending order in every pass, so each `(group,
-    /// slot)` sees exactly the additions the row-at-a-time interpreter
-    /// makes, in its order, from `0.0`. Groups come out in ascending key
-    /// order — [`PartialAnswer`]'s layout.
+    /// each turns the rows' ids-so-far into ids of one column longer key
+    /// prefixes, so after the last one `gid[row]` is the group id of every
+    /// selected row. While every key so far is a dictionary code and their
+    /// code space stays within [`CODE_SPACE_LIMIT`], the id is the codes
+    /// read as one mixed-radix number (`prefix · dict_len + code`, over
+    /// every row, no lookup); from the first key that is not — a numeric
+    /// column, or a dictionary past the limit — an [`IdTable`] hands out
+    /// dense ids. One pass over the selected rows counts each id's rows:
+    /// the count says which ids are groups and is the value of every count
+    /// slot no `CASE` masks. Then each other slot makes its own pass over
+    /// its effective mask, adding into `acc[gid · slots + slot]` with its
+    /// values resolved once — a stored column's slice, or a projection
+    /// evaluated over the range into one buffer. Rows are visited in
+    /// ascending order in every
+    /// pass, so each `(group, slot)` sees exactly the additions the
+    /// row-at-a-time interpreter makes, in its order, from `0.0`. Groups
+    /// come out in ascending key order — [`PartialAnswer`]'s layout: code
+    /// ids ascend as their key tuples do, so those groups leave by a scan
+    /// of the code space; dense ids are sorted by their key tuples.
     fn execute_grouped(
         &self,
         table: &Table,
@@ -627,24 +623,42 @@ impl CompiledQuery {
         let key_columns: Vec<KeyColumn<'_>> = self
             .group_by
             .iter()
-            .map(|g| {
-                let column = table.column(g.col);
-                if g.is_numeric {
-                    KeyColumn::Num(column.numeric_range(rows.clone()))
-                } else {
-                    KeyColumn::Cat(column.codes_range(rows.clone()))
-                }
+            .map(|&col| match table.column(col).as_categorical() {
+                Some((codes, dict)) => KeyColumn::Cat(&codes[rows.clone()], dict.len()),
+                None => KeyColumn::Num(table.column(col).numeric_range(rows.clone())),
             })
             .collect();
 
         // gid[i], for selected rows: the id of row i's key prefix, one
-        // column longer every round; `first[id]` is the first row showing
-        // it. A prefix id and the next column's word share one u64 key — a
-        // dictionary code is 32 bits wide already, a numeric key gets a
+        // column longer every round. `radix` holds the dictionary lengths
+        // while the ids are code tuples, whose space is their product (a
+        // code is below its dictionary's length: thaw refuses any other).
+        // Once they are not, `first[id]` is the first row showing id: a
+        // prefix id and the next column's word share one u64 IdTable key —
+        // a dictionary code is 32 bits wide already, a numeric key gets a
         // dense id of its own first.
         let mut gid = vec![0u32; rows.len()];
+        let mut radix: Option<Vec<usize>> = Some(Vec::with_capacity(arity));
+        let mut space = 1;
         let mut first: Vec<u32> = Vec::new();
-        for (c, column) in key_columns.iter().enumerate() {
+        for column in &key_columns {
+            if let (KeyColumn::Cat(codes, len), Some(lens)) = (column, &mut radix) {
+                if space * len <= CODE_SPACE_LIMIT {
+                    if space == 1 {
+                        gid.copy_from_slice(codes);
+                    } else {
+                        let len32 = *len as u32;
+                        for (g, &code) in gid.iter_mut().zip(*codes) {
+                            *g = *g * len32 + code;
+                        }
+                    }
+                    lens.push(*len);
+                    space *= len;
+                    continue;
+                }
+            }
+            // Ids still all 0: a numeric key's own word can be the key.
+            let whole = radix.take().is_some() && space == 1;
             let mut prefixes = IdTable::new();
             first.clear();
             let mut prefix_id = |i: usize, key: u64| {
@@ -655,7 +669,7 @@ impl CompiledQuery {
                 id
             };
             match column {
-                KeyColumn::Num(data) if c == 0 => sel.for_each_selected(|i| {
+                KeyColumn::Num(data) if whole => sel.for_each_selected(|i| {
                     gid[i] = prefix_id(i, GroupKey::canon_num_bits(data[i]));
                 }),
                 KeyColumn::Num(data) => {
@@ -665,60 +679,67 @@ impl CompiledQuery {
                         gid[i] = prefix_id(i, u64::from(gid[i]) << 32 | u64::from(value));
                     });
                 }
-                KeyColumn::Cat(codes) => sel.for_each_selected(|i| {
+                KeyColumn::Cat(codes, _) => sel.for_each_selected(|i| {
                     gid[i] = prefix_id(i, u64::from(gid[i]) << 32 | u64::from(codes[i]));
                 }),
             }
         }
-        let groups = first.len();
+        let cells = if radix.is_some() { space } else { first.len() };
 
-        let mut acc = vec![0.0; groups * slots];
+        // Selected rows per cell: whether a code tuple is a group, and the
+        // value of every count slot that only WHERE masks (adding `1.0` a
+        // row from `0.0` is the exact count below 2^53).
+        let mut rows_in = vec![0u32; cells];
+        sel.for_each_selected(|i| rows_in[gid[i] as usize] += 1);
+
+        let mut acc = vec![0.0; cells * slots];
+        let mut buf = Vec::new();
         let mut si = 0;
         for (agg, eff) in self.aggs.iter().zip(eff) {
-            let mask = eff.as_ref().unwrap_or(sel);
-            let (src, counted) = match &agg.kind {
-                AggKind::Count => (None, true),
-                AggKind::Sum(src) => (Some(src), false),
-                AggKind::Avg(src) => (Some(src), true),
-            };
-            if let Some(src) = src {
-                match src {
-                    ValueSource::Col(c) => {
-                        let data = table.column(*c).numeric_range(rows.clone());
-                        mask.for_each_selected(|i| acc[gid[i] as usize * slots + si] += data[i]);
-                    }
-                    ValueSource::Lit(x) => {
-                        mask.for_each_selected(|i| acc[gid[i] as usize * slots + si] += x);
-                    }
-                    ValueSource::Expr(e) => mask.for_each_selected(|i| {
-                        acc[gid[i] as usize * slots + si] +=
-                            eval_scalar_row(e, table, rows.start + i);
-                    }),
-                }
+            let (expr, counted) = agg.kind.slots();
+            if let Some(expr) = expr {
+                let values = expr_values(expr, table, rows.clone(), &mut buf);
+                let mask = eff.as_ref().unwrap_or(sel);
+                mask.for_each_selected(|i| acc[gid[i] as usize * slots + si] += values[i]);
                 si += 1;
             }
             if counted {
-                mask.for_each_selected(|i| acc[gid[i] as usize * slots + si] += 1.0);
+                match eff {
+                    Some(mask) => {
+                        mask.for_each_selected(|i| acc[gid[i] as usize * slots + si] += 1.0);
+                    }
+                    None => {
+                        for (cell, &n) in acc.chunks_exact_mut(slots).zip(&rows_in) {
+                            cell[si] = f64::from(n);
+                        }
+                    }
+                }
                 si += 1;
             }
         }
 
-        // Every group's key tuple, read back at its first row, then the
-        // groups in ascending key order.
-        let mut tuples = vec![0u64; groups * arity];
-        for (c, column) in key_columns.iter().enumerate() {
-            for (g, &row) in first.iter().enumerate() {
-                tuples[g * arity + c] = column.key_at(row as usize);
-            }
-        }
-        let tuple = |g: u32| &tuples[g as usize * arity..(g as usize + 1) * arity];
-        let mut order: Vec<u32> = (0..groups as u32).collect();
-        order.sort_unstable_by(|&a, &b| tuple(a).cmp(tuple(b)));
+        let Some(radix) = radix else {
+            return sorted_groups(&key_columns, &first, &acc, slots);
+        };
+        // A code tuple is a group if a selected row carries it. Ascending
+        // ids are ascending tuples, so one scan of the code space emits the
+        // groups in order, the tuple counted up beside the id.
+        let groups = rows_in.iter().filter(|&&n| n > 0).count();
         let mut keys = Vec::with_capacity(groups * arity);
         let mut vals = Vec::with_capacity(groups * slots);
-        for &g in &order {
-            keys.extend_from_slice(tuple(g));
-            vals.extend_from_slice(&acc[g as usize * slots..(g as usize + 1) * slots]);
+        let mut tuple = vec![0u64; arity];
+        for (cell, &n) in acc.chunks_exact(slots).zip(&rows_in) {
+            if n > 0 {
+                keys.extend_from_slice(&tuple);
+                vals.extend_from_slice(cell);
+            }
+            for (code, &len) in tuple.iter_mut().zip(&radix).rev() {
+                *code += 1;
+                if *code < len as u64 {
+                    break;
+                }
+                *code = 0;
+            }
         }
         PartialAnswer::from_sorted(slots, groups, keys, vals)
     }
@@ -730,10 +751,38 @@ impl CompiledQuery {
     }
 }
 
-/// One group-by column's rows of the partition, as stored.
+/// Groups with dense ids, in ascending key order: every group's key tuple
+/// read back at its first row, then sorted.
+fn sorted_groups(
+    key_columns: &[KeyColumn<'_>],
+    first: &[u32],
+    acc: &[f64],
+    slots: usize,
+) -> PartialAnswer {
+    let (arity, groups) = (key_columns.len(), first.len());
+    let mut tuples = vec![0u64; groups * arity];
+    for (c, column) in key_columns.iter().enumerate() {
+        for (g, &row) in first.iter().enumerate() {
+            tuples[g * arity + c] = column.key_at(row as usize);
+        }
+    }
+    let tuple = |g: u32| &tuples[g as usize * arity..(g as usize + 1) * arity];
+    let mut order: Vec<u32> = (0..groups as u32).collect();
+    order.sort_unstable_by(|&a, &b| tuple(a).cmp(tuple(b)));
+    let mut keys = Vec::with_capacity(groups * arity);
+    let mut vals = Vec::with_capacity(groups * slots);
+    for &g in &order {
+        keys.extend_from_slice(tuple(g));
+        vals.extend_from_slice(&acc[g as usize * slots..(g as usize + 1) * slots]);
+    }
+    PartialAnswer::from_sorted(slots, groups, keys, vals)
+}
+
+/// One group-by column's rows of the partition, as stored: a numeric
+/// column's values, or a categorical one's codes and dictionary length.
 enum KeyColumn<'a> {
     Num(&'a [f64]),
-    Cat(&'a [u32]),
+    Cat(&'a [u32], usize),
 }
 
 impl KeyColumn<'_> {
@@ -741,7 +790,7 @@ impl KeyColumn<'_> {
     fn key_at(&self, i: usize) -> u64 {
         match self {
             KeyColumn::Num(data) => GroupKey::canon_num_bits(data[i]),
-            KeyColumn::Cat(codes) => u64::from(codes[i]),
+            KeyColumn::Cat(codes, _) => u64::from(codes[i]),
         }
     }
 }

@@ -12,9 +12,8 @@ use std::ops::Range;
 
 use ps3_storage::Table;
 
-use crate::ast::{AggFunc, Clause, CmpOp, Predicate, Query};
+use crate::ast::{AggFunc, BinOp, Clause, CmpOp, Predicate, Query, ScalarExpr};
 use crate::exec::{GroupKey, PartialAnswer};
-use crate::predicate::eval_scalar;
 
 /// Row-at-a-time predicate evaluation into one bool per row.
 pub fn eval_predicate_rows(table: &Table, rows: Range<usize>, pred: &Predicate) -> Vec<bool> {
@@ -92,6 +91,29 @@ pub fn eval_clause_rows(table: &Table, rows: Range<usize>, clause: &Clause) -> V
                 .iter()
                 .map(|c| targets.contains(c) != *negated)
                 .collect()
+        }
+    }
+}
+
+/// Scalar projection over `rows`, one materialized vector per node;
+/// division by zero yields 0.
+pub fn eval_scalar(table: &Table, rows: Range<usize>, expr: &ScalarExpr) -> Vec<f64> {
+    match expr {
+        ScalarExpr::Column(c) => table.numeric(*c)[rows].to_vec(),
+        ScalarExpr::Literal(x) => vec![*x; rows.len()],
+        ScalarExpr::BinOp(op, l, r) => {
+            let mut lv = eval_scalar(table, rows.clone(), l);
+            let rv = eval_scalar(table, rows, r);
+            for (a, b) in lv.iter_mut().zip(rv) {
+                *a = match op {
+                    BinOp::Add => *a + b,
+                    BinOp::Sub => *a - b,
+                    BinOp::Mul => *a * b,
+                    BinOp::Div if b == 0.0 => 0.0,
+                    BinOp::Div => *a / b,
+                };
+            }
+            lv
         }
     }
 }

@@ -6,15 +6,16 @@
 //! partition's row range, then expanded to one bool per row for callers
 //! that want row vectors. Hot paths should compile once with
 //! [`crate::kernel::CompiledPredicate::compile`] and keep the [`SelVec`]
-//! instead.
+//! instead. Scalar evaluation is the kernels' own: one operation at a time
+//! over the whole row range, as aggregates over a projection use it.
 //!
 //! [`SelVec`]: crate::selvec::SelVec
 
 use ps3_storage::Table;
 use std::ops::Range;
 
-use crate::ast::{BinOp, Clause, Predicate, ScalarExpr};
-use crate::kernel::CompiledPredicate;
+use crate::ast::{Clause, Predicate, ScalarExpr};
+use crate::kernel::{eval_expr_into, CompiledPredicate};
 
 /// Evaluate `pred` over `rows`, returning one bool per row in the range.
 pub fn eval_predicate(table: &Table, rows: Range<usize>, pred: &Predicate) -> Vec<bool> {
@@ -33,37 +34,9 @@ pub fn eval_clause(table: &Table, rows: Range<usize>, clause: &Clause) -> Vec<bo
 /// Division by zero yields 0 rather than ±inf/NaN so that SUM aggregates stay
 /// finite — matching how production engines null-guard divides.
 pub fn eval_scalar(table: &Table, rows: Range<usize>, expr: &ScalarExpr) -> Vec<f64> {
-    match expr {
-        ScalarExpr::Column(c) => table.numeric(*c)[rows].to_vec(),
-        ScalarExpr::Literal(x) => vec![*x; rows.len()],
-        ScalarExpr::BinOp(op, l, r) => {
-            let mut lv = eval_scalar(table, rows.clone(), l);
-            let rv = eval_scalar(table, rows, r);
-            match op {
-                BinOp::Add => {
-                    for (a, b) in lv.iter_mut().zip(rv) {
-                        *a += b;
-                    }
-                }
-                BinOp::Sub => {
-                    for (a, b) in lv.iter_mut().zip(rv) {
-                        *a -= b;
-                    }
-                }
-                BinOp::Mul => {
-                    for (a, b) in lv.iter_mut().zip(rv) {
-                        *a *= b;
-                    }
-                }
-                BinOp::Div => {
-                    for (a, b) in lv.iter_mut().zip(rv) {
-                        *a = if b == 0.0 { 0.0 } else { *a / b };
-                    }
-                }
-            }
-            lv
-        }
-    }
+    let mut out = Vec::with_capacity(rows.len());
+    eval_expr_into(expr, table, rows, &mut out);
+    out
 }
 
 #[cfg(test)]

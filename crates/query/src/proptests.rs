@@ -3,8 +3,9 @@
 //! The compiled kernel engine ([`crate::kernel`]) must be **bit-identical**
 //! to the pre-refactor scalar interpreter (kept in [`crate::oracle`]) on
 //! arbitrary in-scope queries and tables: identical group keys, identical
-//! accumulator slot bits (NaNs compared by bit pattern, not `==`), and the
-//! serial and pooled execution paths must agree with each other per seed.
+//! accumulator slot bits (NaNs compared by bit pattern, not `==`, a NaN's
+//! sign aside — see [`slot_bits`]), and the serial and pooled execution
+//! paths must agree with each other per seed.
 
 use proptest::prelude::*;
 
@@ -20,12 +21,23 @@ use ps3_storage::{ColId, ColumnMeta, ColumnType, PartitionId, PartitionedTable, 
 
 const TAGS: [&str; 6] = ["alpha", "beta", "gamma", "promo one", "promo two", "zz"];
 
-/// A small random table: numeric `x` (with ±0.0 and NaN sprinkled in to
-/// exercise the canonicalization contract), numeric `y`, categorical `tag`.
+/// The number of distinct values `big` draws from.
+const BIG_VALUES: usize = 1000;
+
+/// A small random table: numeric `x` and `y` (with NaN of both signs and
+/// ±0.0 sprinkled in, to exercise the canonicalization contract and the
+/// projections' zero divisors), categorical `tag` over [`TAGS`] and
+/// categorical `big` over up to [`BIG_VALUES`] values. `tag`'s codes
+/// index groups directly at every arity the queries use; `big`'s
+/// dictionary holds about as many values as the table has rows, so a
+/// two-key code space over it passes the kernel's code-space limit and
+/// those groups take the hashed ids.
 fn arb_table() -> impl Strategy<Value = PartitionedTable> {
-    let x = prop_oneof![-20.0f64..120.0, Just(0.0), Just(-0.0), Just(f64::NAN),];
+    let edge = || prop_oneof![Just(0.0), Just(-0.0), Just(f64::NAN), Just(-f64::NAN)];
+    let x = prop_oneof![-20.0f64..120.0, -20.0f64..120.0, edge()];
+    let y = prop_oneof![-50.0f64..50.0, -50.0f64..50.0, -50.0f64..50.0, edge()];
     (
-        prop::collection::vec((x, -50.0f64..50.0, 0usize..TAGS.len()), 20..180),
+        prop::collection::vec((x, y, 0usize..TAGS.len(), 0usize..BIG_VALUES), 20..180),
         1usize..9,
     )
         .prop_map(|(rows, parts)| {
@@ -33,10 +45,11 @@ fn arb_table() -> impl Strategy<Value = PartitionedTable> {
                 ColumnMeta::new("x", ColumnType::Numeric),
                 ColumnMeta::new("y", ColumnType::Numeric),
                 ColumnMeta::new("tag", ColumnType::Categorical),
+                ColumnMeta::new("big", ColumnType::Categorical),
             ]);
             let mut b = TableBuilder::new(schema);
-            for (x, y, t) in rows {
-                b.push_row(&[x, y], &[TAGS[t]]);
+            for (x, y, t, big) in rows {
+                b.push_row(&[x, y], &[TAGS[t], &format!("b{big}")]);
             }
             let t = b.finish();
             let parts = parts.min(t.num_rows());
@@ -115,15 +128,21 @@ fn arb_opt_predicate() -> impl Strategy<Value = Option<Predicate>> {
 
 /// A random query: 1–3 aggregates (SUM over a column or projection, COUNT,
 /// AVG; sometimes CASE-conditioned), optional WHERE, optional GROUP BY over
-/// the numeric and/or categorical columns — up to three keys, and one key
-/// named twice.
+/// the numeric and/or categorical columns — up to three keys, some named
+/// twice, and categorical-only key lists whose code space is within the
+/// kernel's limit or (through `big`, usually) past it.
 fn arb_query() -> impl Strategy<Value = Query> {
+    let (x, y) = (|| ScalarExpr::col(ColId(0)), || ScalarExpr::col(ColId(1)));
     let expr = prop_oneof![
-        Just(ScalarExpr::col(ColId(0))),
-        Just(ScalarExpr::col(ColId(1))),
-        Just(ScalarExpr::col(ColId(0)).mul(ScalarExpr::col(ColId(1)))),
-        Just(ScalarExpr::col(ColId(1)).div(ScalarExpr::col(ColId(0)))),
-        Just(ScalarExpr::col(ColId(0)).add(ScalarExpr::Literal(2.5))),
+        Just(x()),
+        Just(y()),
+        Just(x().mul(y())),
+        Just(y().div(x())),
+        Just(x().add(ScalarExpr::Literal(2.5))),
+        Just(x().sub(y())),
+        Just(x().div(y())),
+        Just(x().add(y()).div(x().sub(y()))),
+        Just(ScalarExpr::Literal(0.1)),
     ];
     let agg = (0u8..3, expr, arb_opt_predicate()).prop_map(|(func, expr, cond)| {
         let base = match func {
@@ -136,26 +155,46 @@ fn arb_query() -> impl Strategy<Value = Query> {
             None => base,
         }
     });
+    let (tag, big) = (ColId(2), ColId(3));
     (
         prop::collection::vec(agg, 1..4),
         arb_opt_predicate(),
-        0u8..6,
+        0u8..12,
     )
-        .prop_map(|(aggs, pred, group)| {
+        .prop_map(move |(aggs, pred, group)| {
             let group_by = match group {
                 0 => vec![],
-                1 => vec![ColId(2)],
+                1 => vec![tag],
                 2 => vec![ColId(0)],
-                3 => vec![ColId(0), ColId(2)],
-                4 => vec![ColId(2), ColId(0), ColId(1)],
-                _ => vec![ColId(2), ColId(0), ColId(2)],
+                3 => vec![ColId(0), tag],
+                4 => vec![tag, ColId(0), ColId(1)],
+                5 => vec![tag, ColId(0), tag],
+                6 => vec![big],
+                7 => vec![tag, big],
+                8 => vec![big, big],
+                9 => vec![tag, tag, tag],
+                10 => vec![big, tag, big],
+                _ => vec![tag, big, ColId(0)],
             };
             Query::new(aggs, pred, group_by)
         })
 }
 
+/// A slot's bit pattern, a NaN's sign set aside. Rust leaves the sign of
+/// a NaN made from two NaNs of opposite sign to the compiler — x86 keeps
+/// the first operand's, and LLVM may put either operand first, so a debug
+/// and a release build of one sum disagree — and the tables here hold NaN
+/// of both signs. Every other bit, a NaN's payload included, must match.
+fn slot_bits(x: f64) -> u64 {
+    if x.is_nan() {
+        x.to_bits() & !(1 << 63)
+    } else {
+        x.to_bits()
+    }
+}
+
 /// Bit-level equality of partial answers: same groups, and every slot pair
-/// has identical f64 bit patterns (so NaN == NaN and +0.0 != -0.0).
+/// has identical [`slot_bits`] (so NaN == NaN and +0.0 != -0.0).
 fn bits_eq_partial(a: &PartialAnswer, b: &PartialAnswer) -> Result<(), String> {
     if a.slots() != b.slots() {
         return Err(format!("slot arity {} vs {}", a.slots(), b.slots()));
@@ -168,7 +207,7 @@ fn bits_eq_partial(a: &PartialAnswer, b: &PartialAnswer) -> Result<(), String> {
             return Err(format!("group {key:?} missing on one side"));
         };
         for (i, (x, y)) in va.iter().zip(vb).enumerate() {
-            if x.to_bits() != y.to_bits() {
+            if slot_bits(*x) != slot_bits(*y) {
                 return Err(format!(
                     "group {key:?} slot {i}: {x:?} vs {y:?} (bits differ)"
                 ));
@@ -188,7 +227,7 @@ fn bits_eq_answer(a: &QueryAnswer, b: &QueryAnswer) -> Result<(), String> {
             return Err(format!("group {key:?} missing on one side"));
         };
         for (i, (x, y)) in va.iter().zip(vb).enumerate() {
-            if x.to_bits() != y.to_bits() {
+            if slot_bits(*x) != slot_bits(*y) {
                 return Err(format!(
                     "group {key:?} agg {i}: {x:?} vs {y:?} (bits differ)"
                 ));
@@ -446,6 +485,135 @@ fn five_hundred_thirteen_keys_in_one_partition_grow_the_group_table() {
         assert!(kernel.groups().all(|(_, vals)| vals[1] == 2.0));
         let keys: Vec<&[u64]> = kernel.groups().map(|(key, _)| key).collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "ascending key order");
+    }
+}
+
+/// `x, y, tag, big` over `n` rows: `x = i`, `y = 1`, `tag` cycling through
+/// [`TAGS`] and `big` through 200 values, each dictionary coding its values
+/// in first-appearance order. One `big` key is within the code-space limit;
+/// `tag` beside it (1,200 code tuples) is past it.
+fn tag_big_table(n: u32) -> ps3_storage::Table {
+    let mut b = TableBuilder::new(Schema::new(vec![
+        ColumnMeta::new("x", ColumnType::Numeric),
+        ColumnMeta::new("y", ColumnType::Numeric),
+        ColumnMeta::new("tag", ColumnType::Categorical),
+        ColumnMeta::new("big", ColumnType::Categorical),
+    ]));
+    for i in 0..n {
+        b.push_row(
+            &[f64::from(i), 1.0],
+            &[TAGS[i as usize % TAGS.len()], &format!("b{}", i % 200)],
+        );
+    }
+    b.finish()
+}
+
+/// The key lists the unit tests below run: code ids at arity 1–3, one key
+/// named twice, and hashed ids for a categorical pair past the limit.
+fn categorical_key_lists() -> [Vec<ColId>; 5] {
+    let (tag, big) = (ColId(2), ColId(3));
+    [
+        vec![tag],
+        vec![big],
+        vec![tag, tag, tag],
+        vec![tag, big],
+        vec![big, tag, ColId(0)],
+    ]
+}
+
+#[test]
+fn the_dictionarys_largest_code_is_a_group_of_its_own() {
+    // Rows 390..400 hold `big` codes 190..=199 (199 the dictionary's last)
+    // and every `tag` code (5 the last).
+    let t = tag_big_table(400);
+    let (_, big_dict) = t.categorical(ColId(3));
+    assert_eq!(big_dict.code("b199"), Some(199));
+    assert_eq!(big_dict.len(), 200);
+    for group_by in categorical_key_lists() {
+        let query = Query::new(
+            vec![AggExpr::sum(ScalarExpr::col(ColId(0))), AggExpr::count()],
+            None,
+            group_by,
+        );
+        let kernel = CompiledQuery::compile(&t, &query).execute_partition(&t, 390..400);
+        bits_eq_partial(&execute_partition_oracle(&t, 390..400, &query), &kernel)
+            .unwrap_or_else(|e| panic!("{:?}: {e}", query.group_by));
+        let last = kernel.groups().last().map(|(key, _)| key.to_vec());
+        let want: Vec<u64> = match query.group_by.as_slice() {
+            [ColId(2)] => vec![5],
+            [ColId(3)] => vec![199],
+            [_, _, ColId(2)] => vec![5, 5, 5],
+            [ColId(2), ColId(3)] => vec![5, 195],
+            _ => vec![199, 3, 399f64.to_bits()],
+        };
+        assert_eq!(last, Some(want), "{:?}", query.group_by);
+    }
+}
+
+#[test]
+fn a_partition_where_no_row_passes_where_has_no_groups() {
+    // Only rows 0..10 pass: the first partition has groups, the other
+    // three none, whichever way their keys get ids.
+    let t = tag_big_table(400);
+    let pred = Predicate::Clause(Clause::Cmp {
+        col: ColId(0),
+        op: CmpOp::Lt,
+        value: 10.0,
+    });
+    for group_by in categorical_key_lists() {
+        let query = Query::new(
+            vec![AggExpr::avg(ScalarExpr::col(ColId(0))), AggExpr::count()],
+            Some(pred.clone()),
+            group_by,
+        );
+        let cq = CompiledQuery::compile(&t, &query);
+        for start in [0, 100, 200, 300] {
+            let rows = start..start + 100;
+            let kernel = cq.execute_partition(&t, rows.clone());
+            bits_eq_partial(&execute_partition_oracle(&t, rows, &query), &kernel).unwrap();
+            assert_eq!(kernel.is_empty(), start > 0, "{:?}", query.group_by);
+        }
+    }
+}
+
+#[test]
+fn a_case_failing_on_every_row_of_one_group_leaves_that_group_zero() {
+    // Every row passes WHERE; the CASE `tag NOT IN ('alpha')` fails on
+    // every row of the groups keyed by "alpha", and those groups stay.
+    let t = tag_big_table(400);
+    let case = || {
+        Predicate::Clause(Clause::In {
+            col: ColId(2),
+            values: vec!["alpha".to_owned()],
+            negated: true,
+        })
+    };
+    for group_by in categorical_key_lists() {
+        let query = Query::new(
+            vec![
+                AggExpr::sum(ScalarExpr::col(ColId(0)).sub(ScalarExpr::col(ColId(1))))
+                    .filtered(case()),
+                AggExpr::count().filtered(case()),
+            ],
+            None,
+            group_by.clone(),
+        );
+        let kernel = CompiledQuery::compile(&t, &query).execute_partition(&t, 0..400);
+        bits_eq_partial(&execute_partition_oracle(&t, 0..400, &query), &kernel).unwrap();
+        let tag_at = group_by.iter().position(|&c| c == ColId(2));
+        for (key, vals) in kernel.groups() {
+            let alpha = match tag_at {
+                Some(at) => key[at] == 0,
+                // Keyed by `big` alone: `b{k}` is rows k and k + 200, and
+                // 200 ≡ 2 (mod 6) keeps one of them off "alpha".
+                None => false,
+            };
+            assert_eq!(
+                vals.iter().all(|v| v.to_bits() == 0),
+                alpha,
+                "{group_by:?} group {key:?}: {vals:?}"
+            );
+        }
     }
 }
 

@@ -874,6 +874,36 @@ mod tests {
     }
 
     #[test]
+    fn a_code_past_the_dictionary_does_not_thaw() {
+        // Checksum-valid artifacts of a two-entry dictionary: codes up to
+        // its largest, 1, thaw; the code 2 = `dict.len()` is refused, since
+        // the kernels index group accumulators by code.
+        let artifact_with = |codes: Vec<u32>, tag: &str| {
+            let schema = Schema::new(vec![ColumnMeta::new("tag", ColumnType::Categorical)]);
+            let dict = Dictionary::from_values(vec!["a".into(), "b".into()]).unwrap();
+            let column = ColumnData::Categorical {
+                codes: codes.into(),
+                dict: Arc::new(dict),
+            };
+            let pt = PartitionedTable::with_equal_partitions(Table::new(schema, vec![column]), 2);
+            let mut w = ArtifactWriter::new();
+            encode_partitioned_table(&mut w, &pt);
+            let path = temp_path(tag);
+            w.write_to(&path).unwrap();
+            let decoded = decode_partitioned_table(&Artifact::open(&path).unwrap());
+            std::fs::remove_file(&path).ok();
+            decoded
+        };
+        let good = artifact_with(vec![0, 1, 1, 0], "codes_in_range").unwrap();
+        assert_eq!(good.table().categorical(ColId(0)).0, [0, 1, 1, 0]);
+        match artifact_with(vec![0, 1, 2, 0], "code_out_of_range") {
+            Err(FormatError::Corrupt("dictionary code out of range")) => {}
+            Err(other) => panic!("expected the out-of-range refusal, got {other:?}"),
+            Ok(_) => panic!("a code past the dictionary must not thaw"),
+        }
+    }
+
+    #[test]
     fn header_fields_are_as_documented() {
         let pt = sample_pt();
         let mut w = ArtifactWriter::new();

@@ -59,6 +59,8 @@ kernel/fused_partition_scan_simd
 query_time/execute_one_partition
 query_time/execute_grouped_1col
 query_time/execute_grouped_2col
+query_time/execute_grouped_167codes
+query_time/execute_grouped_expr
 query_time/query_artifacts
 query_time/kmeans_64x8
 query_time/hac_ward_64x8
