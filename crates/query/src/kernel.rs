@@ -632,7 +632,7 @@ impl CompiledQuery {
         // gid[i], for selected rows: the id of row i's key prefix, one
         // column longer every round. `radix` holds the dictionary lengths
         // while the ids are code tuples, whose space is their product (a
-        // code is below its dictionary's length: thaw refuses any other).
+        // code is below its dictionary's length: `Table::new` asserts it).
         // Once they are not, `first[id]` is the first row showing id: a
         // prefix id and the next column's word share one u64 IdTable key —
         // a dictionary code is 32 bits wide already, a numeric key gets a

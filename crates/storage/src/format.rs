@@ -875,28 +875,44 @@ mod tests {
 
     #[test]
     fn a_code_past_the_dictionary_does_not_thaw() {
-        // Checksum-valid artifacts of a two-entry dictionary: codes up to
-        // its largest, 1, thaw; the code 2 = `dict.len()` is refused, since
-        // the kernels index group accumulators by code.
-        let artifact_with = |codes: Vec<u32>, tag: &str| {
-            let schema = Schema::new(vec![ColumnMeta::new("tag", ColumnType::Categorical)]);
-            let dict = Dictionary::from_values(vec!["a".into(), "b".into()]).unwrap();
-            let column = ColumnData::Categorical {
-                codes: codes.into(),
-                dict: Arc::new(dict),
-            };
-            let pt = PartitionedTable::with_equal_partitions(Table::new(schema, vec![column]), 2);
-            let mut w = ArtifactWriter::new();
-            encode_partitioned_table(&mut w, &pt);
+        // A two-entry dictionary over codes 0 and 1 (its largest) thaws;
+        // with one code overwritten by 2 = `dict.len()` and every checksum
+        // recomputed, the artifact opens but does not thaw, since the
+        // kernels index group cells by code.
+        let schema = Schema::new(vec![ColumnMeta::new("tag", ColumnType::Categorical)]);
+        let mut b = TableBuilder::new(schema);
+        for tag in ["a", "b", "b", "a"] {
+            b.push_row(&[], &[tag]);
+        }
+        let pt = PartitionedTable::with_equal_partitions(b.finish(), 2);
+        let mut w = ArtifactWriter::new();
+        encode_partitioned_table(&mut w, &pt);
+        let mut bytes = w.to_bytes();
+        let thaw = |bytes: &[u8], tag: &str| {
             let path = temp_path(tag);
-            w.write_to(&path).unwrap();
+            std::fs::write(&path, bytes).unwrap();
             let decoded = decode_partitioned_table(&Artifact::open(&path).unwrap());
             std::fs::remove_file(&path).ok();
             decoded
         };
-        let good = artifact_with(vec![0, 1, 1, 0], "codes_in_range").unwrap();
+        let good = thaw(&bytes, "codes_in_range").unwrap();
         assert_eq!(good.table().categorical(ColId(0)).0, [0, 1, 1, 0]);
-        match artifact_with(vec![0, 1, 2, 0], "code_out_of_range") {
+
+        // Overwrite the third code, then reseal: each section entry's
+        // checksum (its last word), then the section table's in the header.
+        let entries = HEADER_LEN..HEADER_LEN + 3 * SECTION_ENTRY_LEN;
+        let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        for entry in entries.clone().step_by(SECTION_ENTRY_LEN) {
+            let (offset, len) = (word(&bytes, entry + 8) as usize, word(&bytes, entry + 16));
+            if bytes[entry..entry + 4] == SEC_COLDATA.to_le_bytes() {
+                bytes[offset + 8..offset + 12].copy_from_slice(&2u32.to_le_bytes());
+            }
+            let sum = checksum(&bytes[offset..offset + len as usize]);
+            bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
+        }
+        let sum = checksum(&bytes[entries]);
+        bytes[24..32].copy_from_slice(&sum.to_le_bytes());
+        match thaw(&bytes, "code_out_of_range") {
             Err(FormatError::Corrupt("dictionary code out of range")) => {}
             Err(other) => panic!("expected the out-of-range refusal, got {other:?}"),
             Ok(_) => panic!("a code past the dictionary must not thaw"),

@@ -18,8 +18,10 @@ impl Table {
     ///
     /// # Panics
     /// Panics if the number of columns or any column length disagrees with
-    /// the schema, or if a column's physical representation does not match
-    /// its declared type.
+    /// the schema, if a column's physical representation does not match
+    /// its declared type, or if a categorical column holds a code at or
+    /// past its dictionary's length (the grouped kernels index group cells
+    /// by code).
     pub fn new(schema: Schema, columns: Vec<ColumnData>) -> Self {
         assert_eq!(schema.len(), columns.len(), "schema/column count mismatch");
         let num_rows = columns.first().map_or(0, ColumnData::len);
@@ -31,6 +33,13 @@ impl Table {
                 ColumnType::Categorical => col.as_categorical().is_some(),
             };
             assert!(physical_ok, "column {} physical type mismatch", meta.name);
+            if let Some((codes, dict)) = col.as_categorical() {
+                assert!(
+                    codes.iter().all(|&code| (code as usize) < dict.len()),
+                    "column {} holds a code past its dictionary",
+                    meta.name
+                );
+            }
         }
         Self {
             schema: Arc::new(schema),
@@ -189,6 +198,21 @@ mod tests {
         b.push_row(&[2.0, 101.0], &["B"]);
         b.push_row(&[3.0, 102.0], &["A"]);
         b.finish()
+    }
+
+    #[test]
+    #[should_panic(expected = "holds a code past its dictionary")]
+    fn a_code_past_the_dictionary_is_refused() {
+        let schema = Schema::new(vec![ColumnMeta::new("tag", ColumnType::Categorical)]);
+        let dict = Dictionary::from_values(vec!["a".into(), "b".into()]).unwrap();
+        let codes: Vec<u32> = vec![0, 1, 2];
+        Table::new(
+            schema,
+            vec![ColumnData::Categorical {
+                codes: codes.into(),
+                dict: Arc::new(dict),
+            }],
+        );
     }
 
     #[test]
