@@ -1,7 +1,7 @@
 //! Lloyd's k-means with k-means++ seeding, on the blocked kernels of
 //! [`crate::simd`]: the per-query clustering the picker runs (§4.2).
 //!
-//! [`kmeans`] / [`kmeans_fit`] are exact Lloyd, bounded: a sweep evaluates a
+//! [`kmeans_fit`] is exact Lloyd, bounded: a sweep evaluates a
 //! point-to-centroid distance only when the bounds [`SweepState`] carries
 //! cannot prove that centroid strictly farther than the row's nearest
 //! (Elkan's triangle-inequality pruning). k-means++ seeding is pruned the
@@ -15,7 +15,8 @@
 //! same distance definition for the ones that are made, same strict-`<`
 //! argmin over them, same accumulation order over every row, same RNG draw
 //! sequence. Set `PS3_STRICT_KERNELS=1` to assert that equality on every
-//! call. Costs an n × k `f64` bound matrix per fit (209 KB at 512 × 51).
+//! call. Costs one n × k `f64` bound matrix per fit (209 KB at 512 × 51),
+//! which seeding fills and Lloyd carries on.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -27,118 +28,51 @@ use crate::simd::{self, Isa, PointMatrix, SeedBounds, SweepState};
 pub struct KmeansFit {
     /// Final centroids, one row per cluster (empty clusters keep their
     /// reseeded position).
-    pub centroids: Vec<Vec<f64>>,
+    pub centroids: PointMatrix,
     /// `assignment[i]` = centroid index of point `i`.
     pub assignment: Vec<usize>,
     /// Assign-update sweeps executed.
     pub sweeps: usize,
     /// Whether the run converged before its sweep cap.
     pub converged: bool,
+    /// The `dist_sq` evaluations the fit made, seeding included. Plain
+    /// Lloyd spends `(1 + sweeps) · n · k` of them; the count is a pure
+    /// function of `(points, k, rng, max_iter)`, so it repeats exactly and
+    /// can gate a regression where wall-clock cannot.
+    pub distance_evals: u64,
 }
 
 impl KmeansFit {
     /// Member-index lists per cluster, non-empty clusters only, in
-    /// centroid-index order.
+    /// centroid-index order, each allocated once, at its final size.
     pub fn clusters(&self) -> Vec<Vec<usize>> {
-        members(&self.assignment, self.centroids.len())
+        let mut counts = vec![0usize; self.centroids.n()];
+        for &c in &self.assignment {
+            counts[c] += 1;
+        }
+        let mut lists: Vec<Vec<usize>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for (i, &c) in self.assignment.iter().enumerate() {
+            lists[c].push(i);
+        }
+        lists.retain(|members| !members.is_empty());
+        lists
     }
 }
 
-/// Member-index lists of an assignment to `k` clusters, non-empty clusters
-/// only, in cluster order: each list allocated once, at its final size.
-fn members(assignment: &[usize], k: usize) -> Vec<Vec<usize>> {
-    let mut counts = vec![0usize; k];
-    for &c in assignment {
-        counts[c] += 1;
-    }
-    let mut lists: Vec<Vec<usize>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
-    for (i, &c) in assignment.iter().enumerate() {
-        lists[c].push(i);
-    }
-    lists.retain(|members| !members.is_empty());
-    lists
-}
-
-/// Cluster `points` into `k` groups; returns member-index lists (non-empty
-/// clusters only — k-means++ on distinct points rarely loses one, but ties
-/// can).
+/// Cluster `points` into `k` groups: seeding, then Lloyd, on AVX2 where
+/// the processor has it (see [`crate::simd`]). [`KmeansFit::clusters`] gives the
+/// member lists (non-empty clusters only — k-means++ on distinct points
+/// rarely loses one, but ties can).
+///
+/// Under `PS3_STRICT_KERNELS=1` every call re-runs the scalar oracle on a
+/// cloned RNG and asserts the bounded result is bit-identical (assignment,
+/// centroid bits, sweep count).
 ///
 /// # Panics
 /// Panics when `k == 0` or there are fewer points than `k` (the
-/// [`crate::cluster`] wrapper handles those cases).
-pub fn kmeans(
-    points: &PointMatrix,
-    k: usize,
-    rng: &mut StdRng,
-    max_iter: usize,
-) -> Vec<Vec<usize>> {
-    kmeans_counted(points, k, rng, max_iter).0
-}
-
-/// [`kmeans`] plus its `dist_sq` count (see [`kmeans_fit_counted`]): the
-/// member lists straight from the assignment, with no per-cluster copy of
-/// the centroids made only to be dropped.
-pub(crate) fn kmeans_counted(
-    points: &PointMatrix,
-    k: usize,
-    rng: &mut StdRng,
-    max_iter: usize,
-) -> (Vec<Vec<usize>>, u64) {
-    let fit = fit(points, k, rng, max_iter);
-    (members(&fit.assignment, k), fit.evals)
-}
-
-/// [`kmeans`] returning the full [`KmeansFit`] (centroids included).
-///
-/// Under `PS3_STRICT_KERNELS=1` every call re-runs the scalar oracle on a
-/// cloned RNG and asserts the bounded result is bit-identical.
-///
-/// # Panics
-/// As [`kmeans`]; additionally (strict mode only) if the bounded loop ever
-/// diverges from the oracle.
+/// [`crate::cluster`] wrapper handles those cases); in strict mode, also if
+/// the bounded loop ever diverges from the oracle.
 pub fn kmeans_fit(points: &PointMatrix, k: usize, rng: &mut StdRng, max_iter: usize) -> KmeansFit {
-    kmeans_fit_counted(points, k, rng, max_iter).0
-}
-
-/// [`kmeans_fit`] plus what it cost: the number of `dist_sq` evaluations
-/// the fit made, seeding included. Plain Lloyd spends `(1 + sweeps) · n · k`
-/// of them; the count is a pure function of `(points, k, rng, max_iter)`,
-/// so it repeats exactly and can gate a regression where wall-clock cannot.
-pub fn kmeans_fit_counted(
-    points: &PointMatrix,
-    k: usize,
-    rng: &mut StdRng,
-    max_iter: usize,
-) -> (KmeansFit, u64) {
-    fit(points, k, rng, max_iter).into_public()
-}
-
-/// A fit in the kernels' own shapes, with its `dist_sq` count.
-struct Fit {
-    centroids: PointMatrix,
-    assignment: Vec<usize>,
-    sweeps: usize,
-    converged: bool,
-    evals: u64,
-}
-
-impl Fit {
-    /// The public shape, centroids unpacked into rows, and the count.
-    fn into_public(self) -> (KmeansFit, u64) {
-        let fit = KmeansFit {
-            centroids: self.centroids.to_rows(),
-            assignment: self.assignment,
-            sweeps: self.sweeps,
-            converged: self.converged,
-        };
-        (fit, self.evals)
-    }
-}
-
-/// The one fit: seeding, then Lloyd, on the instruction set
-/// [`Isa::detect`] finds; under `PS3_STRICT_KERNELS=1` checked against the
-/// oracle (assignment, centroid bits, sweep count).
-fn fit(points: &PointMatrix, k: usize, rng: &mut StdRng, max_iter: usize) -> Fit {
     assert!(k > 0 && points.n() >= k);
     let strict_rng = ps3_runtime::strict_kernels().then(|| rng.clone());
     let (centroids, state) = seed(Isa::detect(), points, k, rng);
@@ -149,13 +83,14 @@ fn fit(points: &PointMatrix, k: usize, rng: &mut StdRng, max_iter: usize) -> Fit
             fit.assignment, reference.assignment,
             "strict kernels: bounded assignment diverged from the oracle"
         );
-        let bits = |rows: &mut dyn Iterator<Item = &[f64]>| -> Vec<Vec<u64>> {
-            rows.map(|row| row.iter().map(|x| x.to_bits()).collect())
+        let bits = |m: &PointMatrix| -> Vec<Vec<u64>> {
+            (0..m.n())
+                .map(|c| m.row(c).iter().map(|x| x.to_bits()).collect())
                 .collect()
         };
         assert_eq!(
-            bits(&mut (0..k).map(|c| fit.centroids.row(c))),
-            bits(&mut reference.centroids.iter().map(Vec::as_slice)),
+            bits(&fit.centroids),
+            bits(&reference.centroids),
             "strict kernels: bounded centroids diverged from the oracle"
         );
         assert_eq!(
@@ -177,8 +112,13 @@ fn fit(points: &PointMatrix, k: usize, rng: &mut StdRng, max_iter: usize) -> Fit
 /// the triangle inequality proves could not lower it — and returns the
 /// seeds with the sweep state they leave: the full scan's assignment, exact
 /// home distances and a lower bound per (row, seed), so Lloyd's first sweep
-/// evaluates nothing.
-fn seed(isa: Isa, points: &PointMatrix, k: usize, rng: &mut StdRng) -> (PointMatrix, SweepState) {
+/// evaluates nothing. The bounds are written where Lloyd reads them.
+pub(crate) fn seed(
+    isa: Isa,
+    points: &PointMatrix,
+    k: usize,
+    rng: &mut StdRng,
+) -> (PointMatrix, SweepState) {
     let (n, dim) = (points.n(), points.dim());
     let mut seeds = PointMatrix::from_flat(vec![0.0; k * dim], k, dim);
     let mut bounds = SeedBounds::new(isa, n, k);
@@ -231,7 +171,7 @@ fn lloyd(
     mut centroids: PointMatrix,
     mut state: SweepState,
     max_iter: usize,
-) -> Fit {
+) -> KmeansFit {
     let (k, isa) = (centroids.n(), state.isa);
     // What each centroid was before the sweep's update: equal to
     // `centroids` at the top of every sweep.
@@ -245,7 +185,9 @@ fn lloyd(
         for c in 0..k {
             let members = state.counts()[c];
             if members > 0 && state.resummed()[c] {
-                simd::divide(isa, centroids.row_mut(c), state.sums(c), members as f64);
+                for (x, s) in centroids.row_mut(c).iter_mut().zip(state.sums(c)) {
+                    *x = s / members as f64;
+                }
             }
         }
         if state.counts().contains(&0) {
@@ -288,9 +230,9 @@ fn lloyd(
             }
         }
     }
-    Fit {
+    KmeansFit {
         centroids,
-        evals: state.distance_evals(),
+        distance_evals: state.distance_evals(),
         assignment: state.into_assignment(),
         sweeps,
         converged,
@@ -311,7 +253,7 @@ mod tests {
             pts.push(vec![f64::from(i / 5) * 100.0 + j]);
         }
         let mut rng = StdRng::seed_from_u64(3);
-        let clusters = kmeans(&PointMatrix::from_rows(&pts), 3, &mut rng, 50);
+        let clusters = kmeans_fit(&PointMatrix::from_rows(&pts), 3, &mut rng, 50).clusters();
         assert_eq!(clusters.len(), 3);
         for c in &clusters {
             assert_eq!(c.len(), 5);
@@ -324,7 +266,7 @@ mod tests {
     fn identical_points_still_produce_k_or_fewer() {
         let pts = vec![vec![1.0, 1.0]; 12];
         let mut rng = StdRng::seed_from_u64(0);
-        let clusters = kmeans(&PointMatrix::from_rows(&pts), 3, &mut rng, 10);
+        let clusters = kmeans_fit(&PointMatrix::from_rows(&pts), 3, &mut rng, 10).clusters();
         let total: usize = clusters.iter().map(Vec::len).sum();
         assert_eq!(total, 12);
         assert!(clusters.len() <= 3);
@@ -339,7 +281,7 @@ mod tests {
         let fit = kmeans_fit(&PointMatrix::from_rows(&pts), 2, &mut rng, 50);
         assert!(fit.converged);
         assert!(fit.sweeps <= 50);
-        assert_eq!(fit.centroids.len(), 2);
+        assert_eq!(fit.centroids.n(), 2);
         assert_eq!(fit.assignment.len(), 20);
         assert_eq!(fit.clusters().len(), 2);
     }
@@ -362,8 +304,8 @@ mod tests {
             .collect()
     }
 
-    fn centroid_bits(c: &[Vec<f64>]) -> Vec<u64> {
-        c.iter().flatten().map(|x| x.to_bits()).collect()
+    fn centroid_bits(c: &PointMatrix) -> Vec<u64> {
+        c.to_rows().iter().flatten().map(|x| x.to_bits()).collect()
     }
 
     /// The whole kernel/oracle contract between two fits.
@@ -384,8 +326,9 @@ mod tests {
         let (n, dim, k) = (400, 70, 40);
         let rows = blob_points(n, dim, 12, 17);
         let points = PointMatrix::from_rows(&rows);
-        let run = || kmeans_fit_counted(&points, k, &mut StdRng::seed_from_u64(5), 25);
-        let (fit, evals) = run();
+        let run = || kmeans_fit(&points, k, &mut StdRng::seed_from_u64(5), 25);
+        let fit = run();
+        let evals = fit.distance_evals;
         assert!(fit.converged && fit.sweeps >= 4, "{} sweeps", fit.sweeps);
         let plain_lloyd = ((1 + fit.sweeps) * n * k) as u64;
         assert!(
@@ -394,7 +337,11 @@ mod tests {
             fit.sweeps,
             n * k
         );
-        assert_eq!(run().1, evals, "the count is a pure function of the input");
+        assert_eq!(
+            run().distance_evals,
+            evals,
+            "the count is a pure function of the input"
+        );
         let slow = crate::oracle::kmeans_fit(&rows, k, &mut StdRng::seed_from_u64(5), 25);
         assert_same_fit(&fit, &slow);
     }
@@ -480,32 +427,24 @@ mod tests {
         let (n, dim, k, max_iter) = (1100, 256, 24, 6);
         let rows = blob_points(n, dim, 9, 23);
         let points = PointMatrix::from_rows(&rows);
-        let (fit, evals) = kmeans_fit_counted(&points, k, &mut StdRng::seed_from_u64(11), max_iter);
+        let fit = kmeans_fit(&points, k, &mut StdRng::seed_from_u64(11), max_iter);
         let slow = crate::oracle::kmeans_fit(&rows, k, &mut StdRng::seed_from_u64(11), max_iter);
         assert!(
             slow.sweeps >= 3,
             "bounds must be in play: {} sweeps",
             slow.sweeps
         );
-        assert!(evals < ((1 + slow.sweeps) * n * k) as u64 / 2);
+        assert!(fit.distance_evals < ((1 + slow.sweeps) * n * k) as u64 / 2);
         assert_same_fit(&fit, &slow);
     }
 
-    /// The fit on the detected instruction set and on the portable one,
-    /// with its count.
-    fn fit_every_way(
-        rows: &[Vec<f64>],
-        k: usize,
-        seed_: u64,
-        max_iter: usize,
-    ) -> Vec<(KmeansFit, u64)> {
+    /// The fit on the detected instruction set and on the portable one.
+    fn fit_every_way(rows: &[Vec<f64>], k: usize, seed_: u64, max_iter: usize) -> [KmeansFit; 2] {
         let points = PointMatrix::from_rows(rows);
-        [Isa::detect(), Isa::Portable]
-            .map(|isa| {
-                let (centroids, state) = seed(isa, &points, k, &mut StdRng::seed_from_u64(seed_));
-                lloyd(&points, centroids, state, max_iter).into_public()
-            })
-            .into()
+        [Isa::detect(), Isa::Portable].map(|isa| {
+            let (centroids, state) = seed(isa, &points, k, &mut StdRng::seed_from_u64(seed_));
+            lloyd(&points, centroids, state, max_iter)
+        })
     }
 
     proptest! {
@@ -536,9 +475,9 @@ mod tests {
                 .collect();
             let slow = crate::oracle::kmeans_fit(&rows, k, &mut StdRng::seed_from_u64(seed_), max_iter);
             let fits = fit_every_way(&rows, k, seed_, max_iter);
-            for (fit, evals) in &fits {
+            for fit in &fits {
                 assert_same_fit(fit, &slow);
-                prop_assert_eq!(*evals, fits[0].1);
+                prop_assert_eq!(fit.distance_evals, fits[0].distance_evals);
             }
         }
     }
@@ -551,7 +490,7 @@ mod tests {
                 .map(|i| vec![f64::from(i as u32), f64::from((i * 7 % 13) as u32)])
                 .collect();
             let mut rng = StdRng::seed_from_u64(seed);
-            let clusters = kmeans(&PointMatrix::from_rows(&pts), k, &mut rng, 20);
+            let clusters = kmeans_fit(&PointMatrix::from_rows(&pts), k, &mut rng, 20).clusters();
             let mut all: Vec<usize> = clusters.iter().flatten().copied().collect();
             all.sort_unstable();
             prop_assert_eq!(all, (0..n).collect::<Vec<_>>());

@@ -29,7 +29,7 @@ pub mod simd;
 
 pub use exemplar::{median_exemplar, random_exemplar};
 pub use hac::{hac, Linkage};
-pub use kmeans::{kmeans, kmeans_fit, kmeans_fit_counted, KmeansFit};
+pub use kmeans::{kmeans_fit, KmeansFit};
 pub use simd::PointMatrix;
 
 use rand::rngs::StdRng;
@@ -61,7 +61,7 @@ const MAX_SWEEPS: usize = 25;
 
 /// Cluster `points` into (at most) `k` clusters; returns member-index lists
 /// and the `dist_sq` evaluations k-means spent on them (see
-/// [`kmeans_fit_counted`]; 0 for HAC and for the trivial cases).
+/// [`KmeansFit::distance_evals`]; 0 for HAC and for the trivial cases).
 ///
 /// Fewer than `k` clusters come back when there are fewer points.
 ///
@@ -82,7 +82,10 @@ pub fn cluster(
         return ((0..points.n()).map(|i| vec![i]).collect(), 0);
     }
     match algo {
-        ClusterAlgo::KMeans => kmeans::kmeans_counted(points, k, rng, MAX_SWEEPS),
+        ClusterAlgo::KMeans => {
+            let fit = kmeans_fit(points, k, rng, MAX_SWEEPS);
+            (fit.clusters(), fit.distance_evals)
+        }
         ClusterAlgo::HacSingle => (hac(points, k, Linkage::Single), 0),
         ClusterAlgo::HacWard => (hac(points, k, Linkage::Ward), 0),
     }

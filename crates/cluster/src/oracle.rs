@@ -61,7 +61,9 @@ fn nearest(row: &[f64], centroids: &[Vec<f64>]) -> usize {
 
 /// Scalar mirror of [`crate::kmeans::kmeans_fit`]: identical RNG draws,
 /// identical blocked accumulation, identical reseed rule — bit-identical
-/// output, arrived at through none of the kernel code.
+/// output, arrived at through none of the kernel code. Its
+/// `distance_evals` is what a fit without bounds spends: every distance of
+/// the seeding and of every sweep, and a full scan per reseed.
 ///
 /// # Panics
 /// Panics when `k == 0` or there are fewer points than `k`.
@@ -70,12 +72,14 @@ pub fn kmeans_fit(points: &[Vec<f64>], k: usize, rng: &mut StdRng, max_iter: usi
     let n = points.len();
     let dim = points[0].len();
     let mut centroids = pp_init(points, k, rng);
+    let mut distance_evals = (n * k) as u64;
     let mut assignment = vec![0usize; n];
     let mut sweeps = 0usize;
     let mut converged = false;
 
     for _ in 0..max_iter {
         sweeps += 1;
+        distance_evals += (n * k) as u64;
         let mut sums = vec![vec![0.0f64; dim]; k];
         let mut counts = vec![0usize; k];
         let mut changed = false;
@@ -126,6 +130,7 @@ pub fn kmeans_fit(points: &[Vec<f64>], k: usize, rng: &mut StdRng, max_iter: usi
                     }
                 }
                 centroids[c] = points[far].clone();
+                distance_evals += n as u64;
                 changed = true;
             }
         }
@@ -136,10 +141,11 @@ pub fn kmeans_fit(points: &[Vec<f64>], k: usize, rng: &mut StdRng, max_iter: usi
     }
 
     KmeansFit {
-        centroids,
+        centroids: PointMatrix::from_flat(centroids.concat(), k, dim),
         assignment,
         sweeps,
         converged,
+        distance_evals,
     }
 }
 

@@ -17,8 +17,9 @@
 //! lanes as two 4-wide registers, an explicit subtract → multiply → add per
 //! element (never a fused multiply-add, which rounds once instead of twice),
 //! the same combine tree and the same sequential tail — and the flag pass,
-//! the row sums, the centroid division and the median network's min/max are
-//! the portable bodies compiled with AVX2 enabled. Elsewhere, or with no
+//! the row sums and the median network's min/max are the portable bodies
+//! compiled with AVX2 enabled. (The centroid division was too, and timed
+//! the same either way, so it is portable code only.) Elsewhere, or with no
 //! AVX2, the portable code runs ([`portable`]). Each operation rounds as
 //! IEEE says on both paths, in the same order, so the two give the same
 //! bits; `tests/kernel_oracle.rs` holds both to the oracle. The one thing
@@ -70,11 +71,20 @@
 //! row skips a new seed when the seed lies more than twice the row's
 //! distance from the row's nearest seed, and keeps the triangle bound in
 //! place of the distance — about 42% of n·k evaluated at the picker's
-//! shapes, ~0.69·n·k for the whole fit. Seeding keeps the bounds
-//! seed-major, so each seed writes one contiguous run, and the hand-off
-//! turns them row-major once. The price is the n × k `f64` lower-bound
-//! matrix, alive for one fit (209 KB at 512 rows × 51 centroids; two for
-//! the moment of the hand-off).
+//! shapes, ~0.69·n·k for the whole fit. Each seed writes its bounds with a
+//! stride of k straight into the row-major matrix Lloyd reads, and the
+//! hand-off only plants the home sentinels: an earlier seed-major copy,
+//! turned row-major at the hand-off, cost a second matrix and ~10–15 µs
+//! more per fit. The price is one n × k `f64` lower-bound matrix, alive
+//! for one fit (209 KB at 512 rows × 51 centroids).
+//!
+//! Measured on the picker's shapes and dropped, each keeping every bit:
+//! scanning four unsettled rows at once with the four-pair kernel (the
+//! assign step 258 → 362 µs per fit), batching the home distances four at
+//! a time before the scans (285 → 306 µs), a per-centroid clearance
+//! bitmask inside the flagged runs (no change), and caching a home's exact
+//! distance while its centroid stands still (only 16,735 → 16,111
+//! evaluations on the pinned pick).
 //!
 //! `ps3_cluster::oracle` re-implements the distance, accumulation and
 //! reseed definitions with plain index arithmetic (no iterator adapters, no
@@ -569,10 +579,9 @@ pub(crate) struct SeedBounds {
     home: Vec<usize>,
     best: Vec<f64>,
     reach: Vec<f64>,
-    /// Per (seed, row), seed-major, so each drawn seed writes one
-    /// contiguous run: the exact [`lower_bound`] where the distance was
-    /// evaluated, the triangle bound where it was not. [`SweepState::seeded`]
-    /// turns it row-major once.
+    /// Per (row, seed), row-major at `i · k + c`, the matrix Lloyd reads:
+    /// the exact [`lower_bound`] where the distance was evaluated, the
+    /// triangle bound where it was not.
     lower: Vec<f64>,
     /// Per earlier seed: its distance to the newest one, and the reach
     /// [`prune_limit`] derives from it.
@@ -635,15 +644,14 @@ impl SeedBounds {
                 limits[a] = prune_limit(gaps[a]);
             },
         );
-        let n = d2.len();
-        let lows = &mut self.lower[c * n..(c + 1) * n];
+        let k = self.k;
         let mut open = 0;
-        let rows = (self.home.iter().zip(&self.reach)).zip(lows.iter_mut());
-        for (i, ((&home, &reach), low)) in rows.enumerate() {
+        let rows = (self.home.iter().zip(&self.reach)).zip(self.lower.chunks_exact_mut(k));
+        for (i, ((&home, &reach), row)) in rows.enumerate() {
             // Before the first seed every limit is 0 and every reach ∞.
             let pruned = reach < self.limits[home];
-            *low = (self.gaps[home] - reach) * ROUND_DOWN;
-            debug_assert!(!pruned || provably_farther(reach, *low));
+            row[c] = (self.gaps[home] - reach) * ROUND_DOWN;
+            debug_assert!(!pruned || provably_farther(reach, row[c]));
             self.open[open] = i;
             open += usize::from(!pruned);
         }
@@ -659,7 +667,7 @@ impl SeedBounds {
         );
         for (&i, &d) in open.iter().zip(&self.dists) {
             let root = lower_bound(d);
-            lows[i] = root;
+            self.lower[i * k + c] = root;
             if c == 0 || d < d2[i] {
                 d2[i] = d;
             }
@@ -722,27 +730,21 @@ impl SweepState {
 
     /// State primed by k-means++ seeding with every seed drawn: the full
     /// scan's assignment over the seeds, exact home distances and a lower
-    /// bound per (row, seed), so sweep one evaluates nothing. The seed-major
-    /// bounds are turned row-major here, once. The seeding's evaluations
-    /// count toward [`Self::distance_evals`], and its instruction set is
-    /// the sweeps'.
+    /// bound per (row, seed), so sweep one evaluates nothing. The seeding's
+    /// bound matrix becomes Lloyd's as it is, with the `+∞` sentinel
+    /// planted in each row's home slot. The seeding's evaluations count
+    /// toward [`Self::distance_evals`], and its instruction set is the
+    /// sweeps'.
     pub(crate) fn seeded(seeding: SeedBounds, dim: usize) -> Self {
         let SeedBounds {
             isa,
             k,
             home,
             reach,
-            lower: by_seed,
+            mut lower,
             distance_evals,
             ..
         } = seeding;
-        let n = home.len();
-        let mut lower = vec![0.0; n * k];
-        for (c, column) in by_seed.chunks_exact(n.max(1)).enumerate() {
-            for (row, &low) in lower.chunks_exact_mut(k).zip(column) {
-                row[c] = low;
-            }
-        }
         for (row, &home) in lower.chunks_exact_mut(k).zip(&home) {
             row[home] = f64::INFINITY;
         }
@@ -1011,7 +1013,8 @@ fn move_and_flag_body(lows: &mut [f64], drift: &[f64], upper: f64, flags: &mut [
 }
 
 avx2_compiled! {
-    /// [`move_and_flag_body`], vectorized as wide as `isa` allows.
+    /// [`move_and_flag_body`], vectorized as wide as `isa` allows: four
+    /// bounds to a compare instead of two, over all n × k bounds a sweep.
     fn move_and_flag(lows: &mut [f64], drift: &[f64], upper: f64, flags: &mut [bool]) -> bool
         = move_and_flag_body;
 }
@@ -1072,20 +1075,6 @@ avx2_compiled! {
         sums: &mut [f64],
         counts: &mut [usize],
     ) = sum_block_body;
-}
-
-/// `out = sums / count`, element by element.
-#[inline(always)]
-fn divide_body(out: &mut [f64], sums: &[f64], count: f64) {
-    for (x, s) in out.iter_mut().zip(sums) {
-        *x = s / count;
-    }
-}
-
-avx2_compiled! {
-    /// A cluster's mean from its sums and member count ([`divide_body`]),
-    /// vectorized as wide as `isa` allows.
-    pub(crate) fn divide(out: &mut [f64], sums: &[f64], count: f64) = divide_body;
 }
 
 /// Run the comparator `network` over each group of `m` consecutive runs,
@@ -1346,6 +1335,110 @@ mod tests {
         let none = |n| PointMatrix::from_flat(Vec::new(), n, 0);
         flat.sweep(&none(150), &none(2));
         assert_eq!(flat.counts(), [150, 0]);
+    }
+
+    /// The invariant the seeding's hand-off rests on, read straight off the
+    /// bound matrix Lloyd starts from: for every (row, seed) the stored
+    /// lower bound is at most `√dist_sq` of the pair (where that is
+    /// finite), the home's entry is the `+∞` sentinel, and `upper` is the
+    /// exact `√` of the home's `dist_sq` (where that is finite).
+    fn assert_seeded_bounds(points: &PointMatrix, seeds: &PointMatrix, state: &SweepState) {
+        let k = seeds.n();
+        assert!(state.drift.is_empty(), "no move precedes the first sweep");
+        for i in 0..points.n() {
+            let home = state.assignment[i];
+            let lows = &state.lower[i * k..(i + 1) * k];
+            assert_eq!(lows[home], f64::INFINITY, "row {i}: home {home}");
+            let home_d = dist_sq(points.row(i), seeds.row(home));
+            if home_d.is_finite() {
+                assert_eq!(state.upper[i].to_bits(), home_d.sqrt().to_bits(), "row {i}");
+            }
+            for (c, &low) in lows.iter().enumerate() {
+                let d = dist_sq(points.row(i), seeds.row(c));
+                if c != home && d.is_finite() {
+                    // The triangle bound is built from rounded `√dist_sq`s;
+                    // the pruning proof's slack (`PRUNE_SLACK`) is far wider.
+                    assert!(
+                        low <= d.sqrt() * (1.0 + 1e-12),
+                        "row {i}, seed {c}: bound {low} over distance {}",
+                        d.sqrt()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Rows drawn from a small palette of rows (so many are duplicates),
+    /// with cells overwritten by ±0.0, and by NaN where `nan`.
+    fn palette_rows(palette: &[Vec<f64>], picks: &[(usize, usize, u8)], nan: bool) -> PointMatrix {
+        let rows: Vec<Vec<f64>> = picks
+            .iter()
+            .map(|&(p, col, cell)| {
+                let mut row = palette[p % palette.len()].clone();
+                let col = col % row.len();
+                match cell {
+                    0 => row[col] = 0.0,
+                    1 => row[col] = -0.0,
+                    2 if nan => row[col] = f64::NAN,
+                    _ => {}
+                }
+                row
+            })
+            .collect();
+        PointMatrix::from_rows(&rows)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Seeds drawn by k-means++ itself (`kmeans::seed`) over duplicate
+        /// rows and signed zeros leave sound bounds in Lloyd's matrix. A
+        /// NaN row makes k-means++'s total NaN, which no draw accepts, so a
+        /// draw with NaN seeds once; the test below puts NaN rows under
+        /// many seeds.
+        #[test]
+        fn seeding_writes_sound_bounds_in_place(
+            palette in (1usize..6).prop_flat_map(|dim| {
+                prop::collection::vec(prop::collection::vec(-4.0..4.0f64, dim), 1..12)
+            }),
+            picks in prop::collection::vec((0usize..12, 0usize..6, 0u8..8), 2..150),
+            k in 1usize..30,
+            nan in any::<bool>(),
+            seed_ in 0u64..1000,
+        ) {
+            use rand::SeedableRng;
+            let points = palette_rows(&palette, &picks, nan);
+            let has_nan = (0..points.n()).any(|i| points.row(i).iter().any(|x| x.is_nan()));
+            let k = if has_nan { 1 } else { k.min(points.n()) };
+            for isa in [Isa::detect(), Isa::Portable] {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed_);
+                let (seeds, state) = crate::kmeans::seed(isa, &points, k, &mut rng);
+                assert_seeded_bounds(&points, &seeds, &state);
+            }
+        }
+
+        /// The same invariant with the seeds chosen by the test, so rows
+        /// holding NaN (whose every distance is NaN) meet many seeds, NaN
+        /// seeds among them.
+        #[test]
+        fn seed_bounds_stay_sound_over_nan_rows(
+            palette in (1usize..6).prop_flat_map(|dim| {
+                prop::collection::vec(prop::collection::vec(-4.0..4.0f64, dim), 1..12)
+            }),
+            picks in prop::collection::vec((0usize..12, 0usize..6, 0u8..8), 2..150),
+            draws in prop::collection::vec(0usize..150, 1..30),
+        ) {
+            let points = palette_rows(&palette, &picks, true);
+            let (n, k, dim) = (points.n(), draws.len(), points.dim());
+            let mut seeds = PointMatrix::from_flat(vec![0.0; k * dim], k, dim);
+            let mut bounds = SeedBounds::new(Isa::detect(), n, k);
+            let mut d2 = vec![0.0; n];
+            for (c, &draw) in draws.iter().enumerate() {
+                seeds.row_mut(c).copy_from_slice(points.row(draw % n));
+                bounds.add(&points, &seeds, c, &mut d2);
+            }
+            assert_seeded_bounds(&points, &seeds, &SweepState::seeded(bounds, dim));
+        }
     }
 
     fn weird_f64() -> impl Strategy<Value = f64> {

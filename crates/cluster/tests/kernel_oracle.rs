@@ -46,8 +46,8 @@ fn weird_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(weird_f64(), len)
 }
 
-fn bits(v: &[Vec<f64>]) -> Vec<u64> {
-    v.iter().flatten().map(|x| x.to_bits()).collect()
+fn bits(m: &PointMatrix) -> Vec<u64> {
+    m.to_rows().iter().flatten().map(|x| x.to_bits()).collect()
 }
 
 proptest! {

@@ -21,6 +21,11 @@ pub enum ImportanceSource<'a> {
 /// (Algorithm 2). Row `p` of `features` must be the normalized feature row
 /// of partition `p` when using learned models; the models read it through
 /// the matrix's column map, a masked-out column being `0.0`.
+///
+/// One pass: a candidate is asked the models in order until one fails it,
+/// and joins the group of that model (the last group if it passes all
+/// `K`). Groups keep candidate order, and each model is asked exactly the
+/// candidates that passed every model before it.
 pub fn importance_groups(
     candidates: &[usize],
     features: &FeatureMatrix,
@@ -30,21 +35,19 @@ pub fn importance_groups(
         ImportanceSource::Learned(models) => models.len(),
         ImportanceSource::Oracle { thresholds, .. } => thresholds.len(),
     };
-    let mut groups: Vec<Vec<usize>> = vec![candidates.to_vec()];
-    for i in 0..k {
-        let to_examine = groups.last().expect("non-empty").clone();
-        let (picked, kept): (Vec<usize>, Vec<usize>) =
-            to_examine.into_iter().partition(|&p| match source {
-                ImportanceSource::Learned(models) => {
-                    models[i].predict_with(|f| features.feature(p, f)) > 0.0
-                }
-                ImportanceSource::Oracle {
-                    contributions,
-                    thresholds,
-                } => contributions[p] > thresholds[i],
-            });
-        *groups.last_mut().expect("non-empty") = kept;
-        groups.push(picked);
+    let passes = |i: usize, p: usize| match source {
+        ImportanceSource::Learned(models) => {
+            models[i].predict_with(|f| features.feature(p, f)) > 0.0
+        }
+        ImportanceSource::Oracle {
+            contributions,
+            thresholds,
+        } => contributions[p] > thresholds[i],
+    };
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k + 1];
+    for &p in candidates {
+        let first_failed = (0..k).find(|&i| !passes(i, p)).unwrap_or(k);
+        groups[first_failed].push(p);
     }
     groups
 }
