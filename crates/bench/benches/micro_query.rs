@@ -12,6 +12,7 @@ use rand::SeedableRng;
 use ps3_cluster::simd::SweepState;
 use ps3_cluster::{cluster, ClusterAlgo, PointMatrix};
 use ps3_core::allocate::allocate_samples;
+use ps3_core::importance::{importance_groups, ImportanceSource};
 use ps3_core::picker::cluster_select;
 use ps3_core::{Ps3Config, Ps3System};
 use ps3_data::{DatasetConfig, DatasetKind, ScaleProfile};
@@ -20,7 +21,7 @@ use ps3_query::{
     ScalarExpr,
 };
 use ps3_stats::features::{PER_COL, SCALARS_PER_COL};
-use ps3_stats::SelectivityPlan;
+use ps3_stats::{FeatureMatrix, SelectivityPlan};
 use ps3_storage::table::TableBuilder;
 use ps3_storage::{ColId, ColumnMeta, ColumnType, PartitionId, Schema, Table};
 
@@ -234,7 +235,8 @@ fn bench_query_paths(c: &mut Criterion) {
             state
         })
     });
-    bench_select_512_tiny_q8(&mut g);
+    let tiny = Tiny512::new();
+    bench_select_512_tiny_q8(&mut g, &tiny);
     g.finish();
 
     let mut g = c.benchmark_group("picker");
@@ -243,32 +245,66 @@ fn bench_query_paths(c: &mut Criterion) {
     g.bench_function("full_pick_25pct", |b| {
         b.iter(|| system.pick_outcome(&query, 0.25, &mut rng))
     });
+    bench_importance_funnel_512(&mut g, &tiny);
     g.finish();
 }
 
-/// `cluster_select` at the shape a cold pick clusters: the 512-partition
-/// Aria Tiny twin, test query 8 at 10% — the pick
-/// `tests/picker_behaviors.rs` pins, one importance group holding the whole
-/// table. Projection, k-means++ seeding, bounded Lloyd and one median
-/// exemplar per cluster, exactly the call the picker makes (its `dist_sq`
-/// count is checked against the pick's before timing).
-fn bench_select_512_tiny_q8(g: &mut criterion::BenchmarkGroup<'_>) {
-    let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny)
-        .with_partitions(512)
-        .with_rows(512 * 16)
-        .build(24);
-    let mut cfg = Ps3Config::default().with_seed(24);
-    cfg.gbdt.n_trees = 2;
-    cfg.feature_selection = false;
-    let system = Ps3System::train(
-        Arc::clone(&ds.pt),
-        Arc::clone(&ds.stats),
-        &ds.train_queries[..4],
-        cfg,
-    );
-    let query = ds.sample_test_query(8);
+/// The 512-partition Aria Tiny twin that `tests/picker_behaviors.rs`
+/// pins, test query 8, and that query's gathered feature rows: every
+/// partition passes its filter, so row `p` is partition `p`.
+struct Tiny512 {
+    system: Ps3System,
+    query: Query,
+    features: FeatureMatrix,
+}
+
+impl Tiny512 {
+    fn new() -> Self {
+        let ds = DatasetConfig::new(DatasetKind::Aria, ScaleProfile::Tiny)
+            .with_partitions(512)
+            .with_rows(512 * 16)
+            .build(24);
+        let mut cfg = Ps3Config::default().with_seed(24);
+        cfg.gbdt.n_trees = 2;
+        cfg.feature_selection = false;
+        let system = Ps3System::train(
+            Arc::clone(&ds.pt),
+            Arc::clone(&ds.stats),
+            &ds.train_queries[..4],
+            cfg,
+        );
+        let query = ds.sample_test_query(8);
+        let statics = (system.trained.normalizer).normalize_statics(&system.stats);
+        let compiled = CompiledQuery::compile(system.pt.table(), &query);
+        let plan = SelectivityPlan::new(compiled.predicate());
+        let columns = statics.query_columns(&query, plan.estimate_all(&system.stats));
+        let n = system.num_partitions();
+        assert!(
+            columns.upper().iter().all(|&u| u > 0.0),
+            "every partition passes"
+        );
+        let features = statics.gather(&columns, 0..n);
+        Self {
+            system,
+            query,
+            features,
+        }
+    }
+}
+
+/// `cluster_select` at the shape a cold pick clusters: [`Tiny512`] at 10%,
+/// the pick `tests/picker_behaviors.rs` pins, one importance group holding
+/// the whole table. Projection, k-means++ seeding, bounded Lloyd and one
+/// median exemplar per cluster, exactly the call the picker makes (its
+/// `dist_sq` count is checked against the pick's before timing).
+fn bench_select_512_tiny_q8(g: &mut criterion::BenchmarkGroup<'_>, tiny: &Tiny512) {
+    let Tiny512 {
+        system,
+        query,
+        features,
+    } = tiny;
     let frac = 0.1;
-    let pick = system.pick_outcome(&query, frac, &mut StdRng::seed_from_u64(7));
+    let pick = system.pick_outcome(query, frac, &mut StdRng::seed_from_u64(7));
     let n = system.num_partitions();
     assert_eq!(
         pick.group_sizes.iter().max(),
@@ -279,15 +315,11 @@ fn bench_select_512_tiny_q8(g: &mut criterion::BenchmarkGroup<'_>) {
     let budget = system.budget_partitions(frac) - pick.num_outliers;
     let alloc = allocate_samples(&pick.group_sizes, budget, trained.config.alpha);
     let k = alloc[pick.group_sizes.iter().position(|&s| s == n).unwrap()];
-    let statics = trained.normalizer.normalize_statics(&system.stats);
-    let compiled = CompiledQuery::compile(system.pt.table(), &query);
-    let plan = SelectivityPlan::new(compiled.predicate());
-    let features = statics.gather(&statics.query_columns(&query, plan.estimate_all(&system.stats)));
     let group: Vec<usize> = (0..n).collect();
     let select = || {
         cluster_select(
             &group,
-            &features,
+            features,
             &trained.excluded_dims,
             k,
             trained.config.cluster_algo,
@@ -297,6 +329,22 @@ fn bench_select_512_tiny_q8(g: &mut criterion::BenchmarkGroup<'_>) {
     };
     assert_eq!(select().1, pick.distance_evals, "not the pick's clustering");
     g.bench_function("select_512_tiny_q8", |b| b.iter(select));
+}
+
+/// The importance funnel (Algorithm 2) of [`Tiny512`]'s pick: its
+/// importance models, resolved against the query's column map, asked in
+/// turn of every partition still in (the groups are checked against the
+/// pick's before timing).
+fn bench_importance_funnel_512(g: &mut criterion::BenchmarkGroup<'_>, tiny: &Tiny512) {
+    let rows: Vec<usize> = (0..tiny.system.num_partitions()).collect();
+    let source = ImportanceSource::Learned(&tiny.system.trained.models);
+    let funnel = || importance_groups(&rows, &tiny.features, &source);
+    let pick = tiny
+        .system
+        .pick_outcome(&tiny.query, 0.1, &mut StdRng::seed_from_u64(7));
+    let sizes: Vec<usize> = funnel().iter().map(Vec::len).collect();
+    assert_eq!(sizes, pick.group_sizes, "not the pick's funnel");
+    g.bench_function("importance_funnel_512", |b| b.iter(funnel));
 }
 
 criterion_group!(benches, bench_kernels, bench_query_paths);

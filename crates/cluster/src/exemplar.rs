@@ -23,6 +23,24 @@ use crate::simd::{self, Isa, PointMatrix, LANES};
 /// dimension, whose linear cost wins once the network's `m·log²m` grows.
 const NETWORK_MAX: usize = 64;
 
+/// Buffers [`median_exemplar`] reuses from one cluster to the next: a pick
+/// keeps one for all its clusters, so an exemplar allocates nothing once
+/// the buffers have grown to the pick's largest cluster. Nothing read from
+/// them outlives a call.
+#[derive(Debug, Default)]
+pub struct MedianScratch {
+    /// The members' values in runs of [`LANES`] dimensions, run-major.
+    /// Lanes past the last dimension keep whatever an earlier cluster left:
+    /// a comparator moves values within a lane, so they are never read.
+    runs: Vec<[f64; LANES]>,
+    /// `total_cmp` keys of the members' values, member-major (selection).
+    keys: Vec<i64>,
+    /// One dimension's keys, selected in place.
+    column: Vec<i64>,
+    /// The cluster's per-dimension median.
+    median: Vec<f64>,
+}
+
 /// The member of `cluster` whose feature vector is closest to the cluster's
 /// per-dimension median (the paper's deterministic exemplar): the median
 /// under `f64::total_cmp`, the mean of the two middle values for an even
@@ -30,7 +48,9 @@ const NETWORK_MAX: usize = 64;
 /// the lower index. Every NaN, value or distance, is taken as the one
 /// positive quiet NaN before it is compared: it sorts above every
 /// number, so a NaN feature never pulls a median down and a NaN distance
-/// never wins, whatever sign the data or the arithmetic gave it.
+/// never wins, whatever sign the data or the arithmetic gave it. The
+/// distances are taken four at a time; since each is made that one NaN
+/// before it is compared, the sign a kernel gives a NaN decides nothing.
 ///
 /// Under `PS3_STRICT_KERNELS=1` every call re-runs
 /// [`crate::oracle::median_exemplar`] and asserts the same member.
@@ -38,19 +58,30 @@ const NETWORK_MAX: usize = 64;
 /// # Panics
 /// Panics on an empty cluster (and, strict mode only, on a divergence from
 /// the oracle).
-pub fn median_exemplar(points: &PointMatrix, cluster: &[usize]) -> usize {
+pub fn median_exemplar(
+    points: &PointMatrix,
+    cluster: &[usize],
+    scratch: &mut MedianScratch,
+) -> usize {
     assert!(!cluster.is_empty(), "empty cluster");
     let pick = if cluster.len() == 1 {
         cluster[0]
     } else {
         let isa = Isa::detect();
-        let median = cluster_median(isa, points, cluster);
+        cluster_median(isa, points, cluster, scratch);
+        let median = &scratch.median[..];
         // One distance per member, compared by `total_cmp`, then index.
-        (cluster.iter())
-            .map(|&i| (one_nan(isa.dist_sq(points.row(i), &median)), i))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .expect("non-empty cluster")
-            .1
+        let mut best: Option<(f64, usize)> = None;
+        let pair = |j: usize| (points.row(cluster[j]), median);
+        isa.each_dist_sq(cluster.len(), pair, |j, d| {
+            let candidate = (one_nan(d), cluster[j]);
+            let wins = best
+                .is_none_or(|b| (candidate.0.total_cmp(&b.0).then(candidate.1.cmp(&b.1))).is_lt());
+            if wins {
+                best = Some(candidate);
+            }
+        });
+        best.expect("non-empty cluster").1
     };
     if ps3_runtime::strict_kernels() {
         assert_eq!(
@@ -74,72 +105,65 @@ pub(crate) fn one_nan(x: f64) -> f64 {
     }
 }
 
-/// The per-dimension median of the cluster's rows, bit for bit what
-/// sorting each column, every NaN made [`one_nan`], under `total_cmp` and
-/// taking its middle (or the mean of its two middles) gives.
+/// Write the per-dimension median of the cluster's rows to
+/// `scratch.median`, bit for bit what sorting each column, every NaN made
+/// [`one_nan`], under `total_cmp` and taking its middle (or the mean of its
+/// two middles) gives.
 ///
 /// Without NaN and `-0.0` among the values, `total_cmp` orders them as `<`
 /// does and equal values have equal bits, so a sorting network of plain
 /// compares puts the same bits in the middle; it runs on [`LANES`]
 /// dimensions at once. A cluster holding either, or larger than
 /// [`NETWORK_MAX`], selects per dimension on `total_cmp`'s integer keys.
-fn cluster_median(isa: Isa, points: &PointMatrix, cluster: &[usize]) -> Vec<f64> {
-    let (m, dim) = (cluster.len(), points.dim());
-    let (mid, odd) = (m / 2, m % 2 == 1);
-    let rows = || cluster.iter().map(|&i| points.row(i));
-    // The order statistics at `mid` and (even counts) `mid - 1`.
-    let (lower, upper) = (m <= NETWORK_MAX)
-        .then(|| sorted_middles(isa, rows(), m, dim, mid))
-        .flatten()
-        .unwrap_or_else(|| selected_middles(rows(), m, dim, mid));
-    if odd {
+fn cluster_median(isa: Isa, points: &PointMatrix, cluster: &[usize], scratch: &mut MedianScratch) {
+    scratch.median.clear();
+    scratch.median.resize(points.dim(), 0.0);
+    if !(cluster.len() <= NETWORK_MAX && sorted_median(isa, points, cluster, scratch)) {
+        selected_median(points, cluster, scratch);
+    }
+}
+
+/// The median of the middle order statistics at `m / 2` and (even `m`)
+/// `m / 2 - 1`.
+#[inline]
+fn middle(m: usize, lower: f64, upper: f64) -> f64 {
+    if m % 2 == 1 {
         upper
     } else {
-        (lower.iter().zip(&upper))
-            .map(|(&l, &u)| 0.5 * (l + u))
-            .collect()
+        0.5 * (lower + upper)
     }
 }
 
-/// Middle order statistics by sorting, or `None` when a value is NaN or
-/// `-0.0`. The values are laid out in runs of [`LANES`] dimensions,
-/// run-major (zero-padded past `dim`), and each run goes through Batcher's
-/// odd–even merge network for `m` members: every comparator is a lane-wise
-/// min/max of two members' runs, so it moves values without a branch.
-fn sorted_middles<'a>(
+/// The median by sorting, or `false` (and `scratch.median` untouched) when
+/// a value is NaN or `-0.0`. The values are copied in runs of [`LANES`]
+/// dimensions, run-major, a whole run at a time and screened as they are
+/// copied, and each run goes through Batcher's odd–even merge network for
+/// `m` members: every comparator is a lane-wise min/max of two members'
+/// runs, so it moves values without a branch.
+fn sorted_median(
     isa: Isa,
-    rows: impl Iterator<Item = &'a [f64]>,
-    m: usize,
-    dim: usize,
-    mid: usize,
-) -> Option<(Vec<f64>, Vec<f64>)> {
-    let runs = dim.div_ceil(LANES);
-    let mut by_run = vec![[0.0f64; LANES]; runs * m];
-    let mut plain = true;
-    for (i, row) in rows.enumerate() {
-        plain &= (row.iter()).fold(true, |p, x| p & !x.is_nan() & (x.to_bits() != NEG_ZERO));
-        for (r, chunk) in row.chunks(LANES).enumerate() {
-            by_run[r * m + i][..chunk.len()].copy_from_slice(chunk);
+    points: &PointMatrix,
+    cluster: &[usize],
+    scratch: &mut MedianScratch,
+) -> bool {
+    let (m, runs) = (cluster.len(), points.dim().div_ceil(LANES));
+    if scratch.runs.len() < runs * m {
+        scratch.runs.resize(runs * m, [0.0; LANES]);
+    }
+    let by_run = &mut scratch.runs[..runs * m];
+    if !isa.copy_runs(points, cluster, by_run) {
+        return false;
+    }
+    simd::sort_runs(isa, by_run, m, median_network(m));
+    let mid = m / 2;
+    for (run, median) in by_run.chunks_exact(m).zip(scratch.median.chunks_mut(LANES)) {
+        let (lower, upper) = (&run[mid.saturating_sub(1)], &run[mid]);
+        for (j, x) in median.iter_mut().enumerate() {
+            *x = middle(m, lower[j], upper[j]);
         }
     }
-    if !plain {
-        return None;
-    }
-    simd::sort_runs(isa, &mut by_run, m, median_network(m));
-    let mut lower = Vec::with_capacity(runs * LANES);
-    let mut upper = Vec::with_capacity(runs * LANES);
-    for run in by_run.chunks_exact(m) {
-        lower.extend_from_slice(&run[mid.saturating_sub(1)]);
-        upper.extend_from_slice(&run[mid]);
-    }
-    lower.truncate(dim);
-    upper.truncate(dim);
-    Some((lower, upper))
+    true
 }
-
-/// The bits of `-0.0`, the one value `<` and `total_cmp` disagree on
-/// besides NaN.
-const NEG_ZERO: u64 = 0x8000_0000_0000_0000;
 
 /// The comparators that put the order statistics `n/2 - 1` and `n/2` of
 /// `n ≤ NETWORK_MAX` elements in place, built once per `n` and kept:
@@ -202,29 +226,28 @@ fn order_key(bits: i64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// Middle order statistics by selection, one dimension at a time, on
-/// `total_cmp`'s integer keys of the values made [`one_nan`].
-fn selected_middles<'a>(
-    rows: impl Iterator<Item = &'a [f64]>,
-    m: usize,
-    dim: usize,
-    mid: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let mut keys = Vec::with_capacity(m * dim);
-    for row in rows {
-        keys.extend(row.iter().map(|&x| order_key(one_nan(x).to_bits() as i64)));
+/// The median by selection, one dimension at a time, on `total_cmp`'s
+/// integer keys of the values made [`one_nan`].
+fn selected_median(points: &PointMatrix, cluster: &[usize], scratch: &mut MedianScratch) {
+    let (m, dim) = (cluster.len(), points.dim());
+    let MedianScratch {
+        keys,
+        column,
+        median,
+        ..
+    } = scratch;
+    keys.clear();
+    for &i in cluster {
+        keys.extend((points.row(i).iter()).map(|&x| order_key(one_nan(x).to_bits() as i64)));
     }
     let value = |key: i64| f64::from_bits(order_key(key) as u64);
-    let (mut lower, mut upper) = (vec![0.0; dim], vec![0.0; dim]);
-    let mut column = Vec::with_capacity(m);
-    for d in 0..dim {
+    for (d, x) in median.iter_mut().enumerate() {
         column.clear();
         column.extend(keys[d..].iter().step_by(dim));
-        let (below, &mut middle, _) = column.select_nth_unstable(mid);
-        upper[d] = value(middle);
-        lower[d] = below.iter().copied().max().map_or(0.0, value);
+        let (below, &mut upper, _) = column.select_nth_unstable(m / 2);
+        let lower = below.iter().copied().max().map_or(0.0, value);
+        *x = middle(m, lower, value(upper));
     }
-    (lower, upper)
 }
 
 /// A uniform random member (the unbiased estimator of Appendix D.1).
@@ -249,10 +272,13 @@ mod tests {
         // cluster of all: medians of {0,5,4,100} = (4+5)/2 = 4.5 → point 2
         // (4.0) at distance 0.5 beats point 1 (5.0) at 0.5? tie → lower idx 1?
         // distances: p1=0.5, p2=0.5 → tie broken by index: picks 1.
-        let e = median_exemplar(&points, &[0, 1, 2, 3]);
+        let e = median_exemplar(&points, &[0, 1, 2, 3], &mut MedianScratch::default());
         assert!(e == 1 || e == 2);
         // Odd-sized cluster: median of {0,5,4} = 4 → exemplar is point 2.
-        assert_eq!(median_exemplar(&points, &[0, 1, 2]), 2);
+        assert_eq!(
+            median_exemplar(&points, &[0, 1, 2], &mut MedianScratch::default()),
+            2
+        );
     }
 
     #[test]
@@ -285,7 +311,11 @@ mod tests {
             &[5.0, 4.0, 3.0, 2.0, 1.0, 0.0, -1.0, -2.0],
             &long,
         ];
-        for column in columns {
+        // On the detected instruction set and on the portable code.
+        for (isa, column) in [Isa::detect(), Isa::Portable]
+            .into_iter()
+            .flat_map(|isa| columns.map(|c| (isa, c)))
+        {
             // Every rotation: the median must not depend on member order;
             // one column alone, and beside a second that orders otherwise.
             for turn in 0..column.len() {
@@ -294,16 +324,23 @@ mod tests {
                 let members: Vec<usize> = (0..rotated.len()).collect();
                 let want = sorted_median(column).to_bits();
                 let single: Vec<Vec<f64>> = rotated.iter().map(|&x| vec![x]).collect();
-                let got = cluster_median(Isa::detect(), &PointMatrix::from_rows(&single), &members);
-                assert_eq!(got[0].to_bits(), want, "{column:?} rotated by {turn}");
+                let mut scratch = MedianScratch::default();
+                let points = PointMatrix::from_rows(&single);
+                cluster_median(isa, &points, &members, &mut scratch);
+                assert_eq!(
+                    scratch.median[0].to_bits(),
+                    want,
+                    "{column:?} rotated by {turn}, {isa:?}"
+                );
                 let paired: Vec<Vec<f64>> = (rotated.iter().enumerate())
                     .map(|(i, &x)| vec![-(i as f64), x])
                     .collect();
-                let got = cluster_median(Isa::detect(), &PointMatrix::from_rows(&paired), &members);
+                let points = PointMatrix::from_rows(&paired);
+                cluster_median(isa, &points, &members, &mut scratch);
                 assert_eq!(
-                    got[1].to_bits(),
+                    scratch.median[1].to_bits(),
                     want,
-                    "{column:?} rotated by {turn}, paired"
+                    "{column:?} rotated by {turn}, paired, {isa:?}"
                 );
             }
         }
@@ -365,7 +402,7 @@ mod tests {
             let points = PointMatrix::from_rows(&rows);
             let members: Vec<usize> = (0..rows.len()).rev().collect();
             assert_eq!(
-                median_exemplar(&points, &members),
+                median_exemplar(&points, &members, &mut MedianScratch::default()),
                 crate::oracle::median_exemplar(&points, &members),
                 "{rows:?}"
             );
@@ -389,7 +426,11 @@ mod tests {
         let neg = vec![vec![0.0, 5.0], vec![1.0, 5.0], vec![2.0, -nan]];
         for rows in [neg.clone(), flip(&neg)] {
             let points = PointMatrix::from_rows(&rows);
-            assert_eq!(median_exemplar(&points, &[0, 1, 2]), 1, "{rows:?}");
+            assert_eq!(
+                median_exemplar(&points, &[0, 1, 2], &mut MedianScratch::default()),
+                1,
+                "{rows:?}"
+            );
             assert_eq!(crate::oracle::median_exemplar(&points, &[0, 1, 2]), 1);
         }
         // Mixed signs in one column, a NaN median, clusters past the
@@ -426,8 +467,12 @@ mod tests {
                     PointMatrix::from_rows(rows),
                     PointMatrix::from_rows(&flipped),
                 );
-                let pick = median_exemplar(&a, &members);
-                assert_eq!(median_exemplar(&b, &members), pick, "{rows:?}");
+                let pick = median_exemplar(&a, &members, &mut MedianScratch::default());
+                assert_eq!(
+                    median_exemplar(&b, &members, &mut MedianScratch::default()),
+                    pick,
+                    "{rows:?}"
+                );
                 assert_eq!(crate::oracle::median_exemplar(&a, &members), pick);
                 assert_eq!(crate::oracle::median_exemplar(&b, &members), pick);
             }
@@ -437,7 +482,10 @@ mod tests {
     #[test]
     fn singleton_cluster() {
         let points = PointMatrix::from_rows(&[vec![1.0], vec![2.0]]);
-        assert_eq!(median_exemplar(&points, &[1]), 1);
+        assert_eq!(
+            median_exemplar(&points, &[1], &mut MedianScratch::default()),
+            1
+        );
     }
 
     #[test]
@@ -447,7 +495,7 @@ mod tests {
         points.push(vec![1e6]);
         let points = PointMatrix::from_rows(&points);
         let cluster: Vec<usize> = (0..10).collect();
-        let e = median_exemplar(&points, &cluster);
+        let e = median_exemplar(&points, &cluster, &mut MedianScratch::default());
         assert!(e < 9, "picked the outlier");
     }
 

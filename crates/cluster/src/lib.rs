@@ -27,7 +27,7 @@ pub mod kmeans;
 pub mod oracle;
 pub mod simd;
 
-pub use exemplar::{median_exemplar, random_exemplar};
+pub use exemplar::{median_exemplar, random_exemplar, MedianScratch};
 pub use hac::{hac, Linkage};
 pub use kmeans::{kmeans_fit, KmeansFit};
 pub use simd::PointMatrix;

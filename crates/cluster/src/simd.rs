@@ -16,7 +16,9 @@
 //! distance kernels are written out in AVX2 intrinsics — the same eight
 //! lanes as two 4-wide registers, an explicit subtract → multiply → add per
 //! element (never a fused multiply-add, which rounds once instead of twice),
-//! the same combine tree and the same sequential tail — and the flag pass,
+//! the same combine tree and the same sequential tail — as is the median
+//! exemplar's NaN/`-0.0` screen (two compares per run, which the portable
+//! loop did not vectorize), and the flag pass,
 //! the row sums and the median network's min/max are the portable bodies
 //! compiled with AVX2 enabled. (The centroid division was too, and timed
 //! the same either way, so it is portable code only.) Elsewhere, or with no
@@ -180,6 +182,24 @@ impl Isa {
         }
     }
 
+    /// Lay the rows of `members` out for [`sort_runs`] and screen them
+    /// ([`copy_runs_portable`]).
+    #[inline]
+    pub(crate) fn copy_runs(
+        self,
+        points: &PointMatrix,
+        members: &[usize],
+        runs: &mut [[f64; LANES]],
+    ) -> bool {
+        match self {
+            Isa::Portable => copy_runs_portable(points, members, runs),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::Avx2` holds a token only `avx2::Detected::new`
+            // makes, after `is_x86_feature_detected!("avx2")` returned true.
+            Isa::Avx2(_) => unsafe { avx2::copy_runs(points, members, runs) },
+        }
+    }
+
     /// `f(j, dist_sq(a_j, b_j))` for every `j` in `0..n`, in ascending
     /// order, where `pair(j)` is `(a_j, b_j)`: the distances four at a
     /// time, the last `n % 4` one at a time. Each is the bits [`dist_sq`]
@@ -300,11 +320,13 @@ pub mod portable {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_mul_pd,
-        _mm256_setr_pd, _mm256_setzero_pd, _mm256_sub_pd, _mm_cvtsd_f64, _mm_unpackhi_pd,
+        __m256d, __m256i, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_castpd_si256,
+        _mm256_cmp_pd, _mm256_cmpeq_epi64, _mm256_extractf128_pd, _mm256_mul_pd, _mm256_or_si256,
+        _mm256_set1_epi64x, _mm256_setr_pd, _mm256_setzero_pd, _mm256_setzero_si256, _mm256_sub_pd,
+        _mm256_testz_si256, _mm_cvtsd_f64, _mm_unpackhi_pd, _CMP_UNORD_Q,
     };
 
-    use super::LANES;
+    use super::{PointMatrix, LANES, NEG_ZERO};
 
     /// Proof that the running processor has AVX2: [`Detected::new`] is the
     /// only way to make one.
@@ -399,6 +421,43 @@ mod avx2 {
             finish(acc[2], &a[2][tail..], &b[2][tail..]),
             finish(acc[3], &a[3][tail..], &b[3][tail..]),
         ]
+    }
+
+    /// All ones in each lane of `x` that is NaN or `-0.0`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn odd(x: __m256d) -> __m256i {
+        let nan = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_UNORD_Q>(x, x));
+        let neg_zero = _mm256_cmpeq_epi64(_mm256_castpd_si256(x), _mm256_set1_epi64x(i64::MIN));
+        _mm256_or_si256(nan, neg_zero)
+    }
+
+    /// [`super::copy_runs_portable`] in AVX2: each run's two halves
+    /// screened by two compares, the flags kept in one register.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn copy_runs(
+        points: &PointMatrix,
+        members: &[usize],
+        runs: &mut [[f64; LANES]],
+    ) -> bool {
+        let m = members.len();
+        let full = points.dim() / LANES;
+        let mut flags = _mm256_setzero_si256();
+        let mut tail_odd = false;
+        for (i, &member) in members.iter().enumerate() {
+            let (chunks, tail) = points.row(member).as_chunks::<LANES>();
+            for (r, x) in chunks.iter().enumerate() {
+                let lo = _mm256_setr_pd(x[0], x[1], x[2], x[3]);
+                let hi = _mm256_setr_pd(x[4], x[5], x[6], x[7]);
+                flags = _mm256_or_si256(flags, _mm256_or_si256(odd(lo), odd(hi)));
+                runs[r * m + i] = *x;
+            }
+            if !tail.is_empty() {
+                tail_odd |= (tail.iter()).any(|x| x.is_nan() || x.to_bits() == NEG_ZERO);
+                runs[full * m + i][..tail.len()].copy_from_slice(tail);
+            }
+        }
+        _mm256_testz_si256(flags, flags) == 1 && !tail_odd
     }
 }
 
@@ -1075,6 +1134,33 @@ avx2_compiled! {
         sums: &mut [f64],
         counts: &mut [usize],
     ) = sum_block_body;
+}
+
+/// The bits of `-0.0`, the one value `<` and `total_cmp` disagree on
+/// besides NaN.
+const NEG_ZERO: u64 = 0x8000_0000_0000_0000;
+
+/// Lay the rows of `members` out for [`sort_runs`]: member `i`'s values
+/// `r·LANES..` go to `runs[r·m + i]`, whole runs at a time (the lanes of
+/// the last run past the row's end keep what they held). Returns whether
+/// every value is *plain* — neither NaN nor `-0.0`, the two values `<` and
+/// `total_cmp` order differently — screening each row as it is copied.
+fn copy_runs_portable(points: &PointMatrix, members: &[usize], runs: &mut [[f64; LANES]]) -> bool {
+    let m = members.len();
+    let full = points.dim() / LANES;
+    let mut plain = true;
+    for (i, &member) in members.iter().enumerate() {
+        let row = points.row(member);
+        plain &= !(row.iter()).any(|x| x.is_nan() || x.to_bits() == NEG_ZERO);
+        let (chunks, tail) = row.as_chunks::<LANES>();
+        for (r, chunk) in chunks.iter().enumerate() {
+            runs[r * m + i] = *chunk;
+        }
+        if !tail.is_empty() {
+            runs[full * m + i][..tail.len()].copy_from_slice(tail);
+        }
+    }
+    plain
 }
 
 /// Run the comparator `network` over each group of `m` consecutive runs,

@@ -19,7 +19,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ps3_cluster::{cluster, kmeans_fit, median_exemplar, oracle, simd, ClusterAlgo, PointMatrix};
+use ps3_cluster::{
+    cluster, kmeans_fit, median_exemplar, oracle, simd, ClusterAlgo, MedianScratch, PointMatrix,
+};
 
 /// Interesting doubles: ordinary values (repeated arms skew the draw
 /// toward them), denormal-scale, huge-scale, signed zeros, and NaN.
@@ -654,9 +656,37 @@ proptest! {
         let mut members: Vec<usize> = (0..m + extra).collect();
         members.shuffle(&mut StdRng::seed_from_u64(seed ^ 1));
         members.truncate(m);
-        let fast = median_exemplar(&points, &members);
+        let mut scratch = MedianScratch::default();
+        let fast = median_exemplar(&points, &members, &mut scratch);
         prop_assert_eq!(fast, oracle::median_exemplar(&points, &members));
         members.sort_unstable();
-        prop_assert_eq!(median_exemplar(&points, &members), fast);
+        prop_assert_eq!(median_exemplar(&points, &members, &mut scratch), fast);
+    }
+}
+
+/// One scratch carries a pick's clusters one after another, so nothing a
+/// cluster leaves in it may reach the next: clusters of 1–70 members, in
+/// ascending and then descending size, their widths changing from one to
+/// the next, plain clusters between ones holding `-0.0` or NaN (which leave
+/// the sorting network for selection), each held to the oracle.
+#[test]
+fn median_exemplar_scratch_reused_across_clusters_matches_oracle() {
+    use rand::seq::SliceRandom;
+    let mut scratch = MedianScratch::default();
+    let sizes = (1..=70usize).chain((1..=70).rev());
+    for (step, m) in sizes.enumerate() {
+        let seed = step as u64;
+        let dim = 1 + (m * 7 + step) % 19;
+        let flavour = (step % 3) as u8;
+        let rows = exemplar_rows(m + 3, dim, flavour, seed);
+        let points = PointMatrix::from_rows(&rows);
+        let mut members: Vec<usize> = (0..m + 3).collect();
+        members.shuffle(&mut StdRng::seed_from_u64(seed));
+        members.truncate(m);
+        assert_eq!(
+            median_exemplar(&points, &members, &mut scratch),
+            oracle::median_exemplar(&points, &members),
+            "cluster {step}: {m} members, {dim} dimensions, flavour {flavour}"
+        );
     }
 }

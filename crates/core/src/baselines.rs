@@ -143,8 +143,10 @@ impl LssModel {
             .map_or(10, |&(_, s)| s)
     }
 
-    /// Pick a weighted selection for a query given its normalized feature
-    /// matrix and filter-passing candidates.
+    /// Pick a weighted selection for a query given its filter-passing
+    /// `candidates` (ascending) and their normalized feature rows (row `i`
+    /// = partition `candidates[i]`). Rows rank as their partitions would:
+    /// ties go to the lower row, which is the lower partition.
     pub fn pick(
         &self,
         normalized: &FeatureMatrix,
@@ -154,7 +156,12 @@ impl LssModel {
         rng: &mut StdRng,
     ) -> Vec<WeightedPart> {
         let preds = predictions(&self.model, normalized);
-        lss_pick(&preds, candidates, budget, self.strata_size_for(frac), rng)
+        let rows: Vec<usize> = (0..candidates.len()).collect();
+        let mut picks = lss_pick(&preds, &rows, budget, self.strata_size_for(frac), rng);
+        for wp in &mut picks {
+            wp.partition = PartitionId(candidates[wp.partition.index()]);
+        }
+        picks
     }
 }
 

@@ -1,12 +1,15 @@
 //! Algorithm 1: the full partition picker.
 
 use std::collections::HashSet;
+use std::ops::Range;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
-use ps3_cluster::{cluster, median_exemplar, random_exemplar, ClusterAlgo, PointMatrix};
+use ps3_cluster::{
+    cluster, median_exemplar, random_exemplar, ClusterAlgo, MedianScratch, PointMatrix,
+};
 use ps3_query::{Query, WeightedPart};
 use ps3_stats::{FeatureMatrix, TableStats};
 use ps3_storage::PartitionId;
@@ -53,17 +56,22 @@ pub struct Picker<'a> {
 }
 
 impl Picker<'_> {
-    /// Run Algorithm 1 over a query's normalized compact feature matrix
-    /// (row `p` = partition `p`) and the raw `selectivity_upper` of every
-    /// partition — all the filter needs of the raw features — both borrowed
-    /// read-only: callers normalize once per query, not per pick. `oracle`
-    /// substitutes true contributions for the learned models (Appendix
-    /// C.2). Algorithm-3 feature exclusions are applied as a
-    /// clustering-time projection instead of rewriting the rows.
+    /// Run Algorithm 1 over the partitions that pass a query's selectivity
+    /// filter (`candidates`, ascending; the filter has perfect recall, so
+    /// the rest are never read) and their normalized compact feature rows
+    /// (row `i` = partition `candidates[i]`), both borrowed read-only.
+    /// `budget` is at most the table's partition count. `oracle`
+    /// substitutes true contributions, indexed by partition, for the
+    /// learned models (Appendix C.2). Algorithm-3 feature exclusions are
+    /// applied as a clustering-time projection instead of rewriting the
+    /// rows.
+    ///
+    /// The funnel and clustering work on rows; a partition id is looked up
+    /// only when a row joins the selection.
     pub fn pick_normalized(
         &self,
         query: &Query,
-        selectivity_upper: &[f64],
+        candidates: &[usize],
         normalized: &FeatureMatrix,
         budget: usize,
         rng: &mut StdRng,
@@ -71,13 +79,12 @@ impl Picker<'_> {
     ) -> PickOutcome {
         let start = Instant::now();
         let cfg = &self.trained.config;
-        let n_parts = selectivity_upper.len();
-        let budget = budget.min(n_parts);
-
-        // Selectivity filter: perfect recall, so dropping upper == 0 is safe.
-        let candidates: Vec<usize> = (0..n_parts)
-            .filter(|&p| selectivity_upper[p] > 0.0)
-            .collect();
+        assert_eq!(
+            normalized.num_rows(),
+            candidates.len(),
+            "one row per candidate"
+        );
+        let part = |row: usize| PartitionId(candidates[row]);
 
         let mut selection: Vec<WeightedPart> = Vec::with_capacity(budget);
 
@@ -89,7 +96,7 @@ impl Picker<'_> {
                 let outliers = find_outliers(
                     self.stats,
                     &query.group_by,
-                    &candidates,
+                    candidates,
                     OUTLIER_ABS_LIMIT,
                     OUTLIER_REL_LIMIT,
                 );
@@ -103,20 +110,22 @@ impl Picker<'_> {
             }
         }
         let taken: HashSet<usize> = chosen_outliers.iter().copied().collect();
-        let inliers: Vec<usize> = candidates
-            .iter()
-            .copied()
-            .filter(|p| !taken.contains(p))
+        let inliers: Vec<usize> = (0..candidates.len())
+            .filter(|&row| !taken.contains(&candidates[row]))
             .collect();
         let rest_budget = budget - chosen_outliers.len();
 
         // Importance funnel (Algorithm 2) — reads the normalized rows.
+        let oracle_rows: Vec<f64>;
         let groups: Vec<Vec<usize>> = if cfg.use_regressors {
             let source = match oracle {
-                Some(contributions) => ImportanceSource::Oracle {
-                    contributions,
-                    thresholds: &self.trained.thresholds,
-                },
+                Some(contributions) => {
+                    oracle_rows = candidates.iter().map(|&p| contributions[p]).collect();
+                    ImportanceSource::Oracle {
+                        contributions: &oracle_rows,
+                        thresholds: &self.trained.thresholds,
+                    }
+                }
                 None => ImportanceSource::Learned(&self.trained.models),
             };
             importance_groups(&inliers, normalized, &source)
@@ -148,9 +157,9 @@ impl Picker<'_> {
                 continue;
             }
             if k >= group.len() {
-                for &p in group {
+                for &row in group {
                     selection.push(WeightedPart {
-                        partition: PartitionId(p),
+                        partition: part(row),
                         weight: 1.0,
                     });
                 }
@@ -167,15 +176,18 @@ impl Picker<'_> {
                 );
                 clustering_ms += t.elapsed().as_secs_f64() * 1e3;
                 distance_evals += evals;
-                selection.extend(picks);
+                selection.extend(picks.into_iter().map(|wp| WeightedPart {
+                    partition: part(wp.partition.index()),
+                    ..wp
+                }));
             } else {
                 let mut pool = group.clone();
                 pool.shuffle(rng);
                 pool.truncate(k);
                 let w = group.len() as f64 / k as f64;
-                for p in pool {
+                for row in pool {
                     selection.push(WeightedPart {
-                        partition: PartitionId(p),
+                        partition: part(row),
                         weight: w,
                     });
                 }
@@ -193,9 +205,12 @@ impl Picker<'_> {
     }
 }
 
-/// Cluster one importance group into `k` clusters and emit one weighted
-/// exemplar per cluster (§4.2), with the `dist_sq` evaluations the
-/// clustering spent (see [`cluster`]).
+/// Cluster one importance group — `group` lists rows of `features` — into
+/// `k` clusters and emit one weighted exemplar per cluster (§4.2), with the
+/// `dist_sq` evaluations the clustering spent (see [`cluster`]). Each
+/// pick's `partition` is the row it chose: the partition itself where row
+/// `p` is partition `p` (training's matrices), a position the caller maps
+/// back where the rows are a pick's candidates.
 ///
 /// The group's rows are projected into one flat [`PointMatrix`] — the only
 /// copy between the gathered features and k-means — keeping, in ascending
@@ -204,7 +219,8 @@ impl Picker<'_> {
 /// and are non-zero somewhere in the group. A column that is zero across the
 /// group, like one the query mask never stored, adds exactly 0.0 to every
 /// distance, so dropping it changes no distance. This is the one place
-/// dimensions are pruned; [`cluster`] takes the matrix as given.
+/// dimensions are pruned; [`cluster`] takes the matrix as given. Every
+/// median exemplar reuses one [`MedianScratch`].
 pub fn cluster_select(
     group: &[usize],
     features: &FeatureMatrix,
@@ -214,29 +230,14 @@ pub fn cluster_select(
     estimator: ExemplarRule,
     rng: &mut StdRng,
 ) -> (Vec<WeightedPart>, u64) {
-    // NaN != 0.0, so NaN-carrying columns are always kept.
-    let mut nonzero = vec![false; features.width()];
-    for &p in group {
-        for (seen, &x) in nonzero.iter_mut().zip(features.row(p)) {
-            *seen |= x != 0.0;
-        }
-    }
-    let live: Vec<usize> = (features.cols().iter().zip(&nonzero).enumerate())
-        .filter(|(_, (&full, &seen))| seen && !excluded.get(full).copied().unwrap_or(false))
-        .map(|(slot, _)| slot)
-        .collect();
-    let mut data = Vec::with_capacity(group.len() * live.len());
-    for &p in group {
-        let row = features.row(p);
-        data.extend(live.iter().map(|&slot| row[slot]));
-    }
-    let points = PointMatrix::from_flat(data, group.len(), live.len());
+    let points = project(group, features, excluded);
     let (clusters, evals) = cluster(&points, k, algo, rng);
+    let mut scratch = MedianScratch::default();
     let picks = clusters
         .iter()
         .map(|members| {
             let local = match estimator {
-                ExemplarRule::Median => median_exemplar(&points, members),
+                ExemplarRule::Median => median_exemplar(&points, members, &mut scratch),
                 ExemplarRule::Random => random_exemplar(members, rng),
             };
             WeightedPart {
@@ -246,6 +247,40 @@ pub fn cluster_select(
         })
         .collect();
     (picks, evals)
+}
+
+/// The projection [`cluster_select`] describes: one pass over the rows
+/// finds the non-zero columns, and the kept columns then form a few runs of
+/// adjacent ones, each copied from a row as one slice.
+fn project(group: &[usize], features: &FeatureMatrix, excluded: &[bool]) -> PointMatrix {
+    // Each column's bits ORed over the group, the sign shifted out: zero
+    // exactly when every value is ±0.0 (NaN is not), as `x != 0.0` says,
+    // in a pass that vectorizes.
+    let mut bits = vec![0u64; features.width()];
+    for &p in group {
+        for (b, &x) in bits.iter_mut().zip(features.row(p)) {
+            *b |= x.to_bits() << 1;
+        }
+    }
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for (slot, (&full, &b)) in features.cols().iter().zip(&bits).enumerate() {
+        if b == 0 || excluded.get(full).copied().unwrap_or(false) {
+            continue;
+        }
+        match runs.last_mut() {
+            Some(run) if run.end == slot => run.end += 1,
+            _ => runs.push(slot..slot + 1),
+        }
+    }
+    let width = runs.iter().map(ExactSizeIterator::len).sum();
+    let mut data = Vec::with_capacity(group.len() * width);
+    for &p in group {
+        let row = features.row(p);
+        for run in &runs {
+            data.extend_from_slice(&row[run.clone()]);
+        }
+    }
+    PointMatrix::from_flat(data, group.len(), width)
 }
 
 #[cfg(test)]
@@ -367,6 +402,59 @@ mod tests {
             };
             assert_eq!(picks(&padded), picks(&live), "{algo:?}");
         }
+    }
+
+    /// The run projection copies what a value-by-value projection of the
+    /// live columns copies, bit for bit: a group (a subset of the rows, out
+    /// of order) with columns that are zero across it — one of them
+    /// non-zero outside the group, one all `-0.0` — between the live runs,
+    /// an excluded column inside a run, and NaN kept.
+    #[test]
+    fn run_projection_is_the_value_by_value_projection() {
+        let cols = vec![0, 1, 2, 4, 5, 6, 7, 9, 10, 11];
+        let (n, width, full_dim) = (7, cols.len(), 12);
+        let data: Vec<f64> = (0..n * width)
+            .map(|i| {
+                let (row, slot) = (i / width, i % width);
+                match slot {
+                    2 if row == 1 => 4.0,
+                    2 => 0.0,
+                    5 => -0.0,
+                    8 if row == 3 => f64::NAN,
+                    _ => (i as f64 * 0.37).sin(),
+                }
+            })
+            .collect();
+        let features = FeatureMatrix::new(cols, full_dim, n, data);
+        let mut excluded = vec![false; full_dim];
+        excluded[9] = true;
+        let group = [4, 0, 2, 6, 3];
+
+        let live: Vec<usize> = (0..width)
+            .filter(|&slot| group.iter().any(|&p| features.row(p)[slot] != 0.0))
+            .filter(|&slot| !excluded[features.cols()[slot]])
+            .collect();
+        assert_eq!(
+            live,
+            [0, 1, 3, 4, 6, 8, 9],
+            "the runs this group is built to have"
+        );
+        let by_value: Vec<u64> = (group.iter())
+            .flat_map(|&p| {
+                live.iter()
+                    .map(|&slot| features.row(p)[slot])
+                    .collect::<Vec<_>>()
+            })
+            .map(f64::to_bits)
+            .collect();
+
+        let points = project(&group, &features, &excluded);
+        assert_eq!((points.n(), points.dim()), (group.len(), live.len()));
+        let by_run: Vec<u64> = (0..points.n())
+            .flat_map(|i| points.row(i).to_vec())
+            .map(f64::to_bits)
+            .collect();
+        assert_eq!(by_run, by_value);
     }
 
     #[test]

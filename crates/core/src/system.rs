@@ -23,8 +23,9 @@
 //! estimates and the raw `selectivity_upper` column. The static statistics
 //! are normalized once per system generation into one table
 //! ([`NormalizedStatics`]) that every query shares; a pick gathers the flat,
-//! compact, normalized [`FeatureMatrix`] the picker reads from the two, and
-//! the uniform baselines gather nothing.
+//! compact, normalized [`FeatureMatrix`] the picker reads from the two, for
+//! the partitions its filter keeps only, and the uniform baselines gather
+//! nothing.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -355,10 +356,15 @@ impl Ps3System {
         })
     }
 
-    /// The normalized compact feature matrix of a query's `artifacts` — what
-    /// the funnel, LSS and clustering read — gathered for one pick.
-    fn features_of(&self, artifacts: &QueryArtifacts) -> FeatureMatrix {
-        self.normalized_statics.gather(&artifacts.columns)
+    /// The partitions that pass a query's selectivity filter (§3.2), in
+    /// partition order, and their normalized compact feature rows — what
+    /// the funnel, LSS and clustering read — gathered for one pick: row
+    /// `i` is partition `candidates[i]`.
+    fn candidates_of(&self, artifacts: &QueryArtifacts) -> (Vec<usize>, FeatureMatrix) {
+        let candidates = passing_filter(artifacts.columns.upper());
+        let rows = candidates.iter().copied();
+        let features = self.normalized_statics.gather(&artifacts.columns, rows);
+        (candidates, features)
     }
 
     /// Hit/miss/occupancy counters of the artifact cache. `misses` equals
@@ -396,22 +402,22 @@ impl Ps3System {
         rng: &mut StdRng,
     ) -> (Vec<WeightedPart>, f64) {
         let budget = self.budget_partitions(frac);
-        let n = self.num_partitions();
-        let upper = artifacts.columns.upper();
-        let passing_filter = || -> Vec<usize> { (0..n).filter(|&p| upper[p] > 0.0).collect() };
         match method {
-            Method::Random => (random_selection(n, budget, rng), 0.0),
-            Method::RandomFilter => (random_filter_selection(&passing_filter(), budget, rng), 0.0),
+            Method::Random => (random_selection(self.num_partitions(), budget, rng), 0.0),
+            Method::RandomFilter => {
+                let candidates = passing_filter(artifacts.columns.upper());
+                (random_filter_selection(&candidates, budget, rng), 0.0)
+            }
             Method::Lss => {
-                let candidates = passing_filter();
-                let features = self.features_of(artifacts);
+                let (candidates, features) = self.candidates_of(artifacts);
                 let sel = self.lss.pick(&features, &candidates, budget, frac, rng);
                 (sel, 0.0)
             }
             Method::Ps3 => {
-                let features = self.features_of(artifacts);
+                let (candidates, features) = self.candidates_of(artifacts);
+                let picker = self.picker();
                 let out =
-                    (self.picker()).pick_normalized(query, upper, &features, budget, rng, oracle);
+                    picker.pick_normalized(query, &candidates, &features, budget, rng, oracle);
                 (out.selection, out.total_ms)
             }
         }
@@ -429,9 +435,8 @@ impl Ps3System {
     pub fn pick_outcome(&self, query: &Query, frac: f64, rng: &mut StdRng) -> PickOutcome {
         let artifacts = self.artifacts_for(query);
         let budget = self.budget_partitions(frac);
-        let features = self.features_of(&artifacts);
-        let upper = artifacts.columns.upper();
-        (self.picker()).pick_normalized(query, upper, &features, budget, rng, None)
+        let (candidates, features) = self.candidates_of(&artifacts);
+        (self.picker()).pick_normalized(query, &candidates, &features, budget, rng, None)
     }
 
     /// Answer `spec` approximately at `frac` of the data — **the** answer
@@ -582,6 +587,14 @@ impl Ps3System {
         let mut rng = spec_rng(&spec, seed);
         self.answer_spec_on(&spec, method, frac, &mut rng, &ThreadPool::global())
     }
+}
+
+/// The partitions whose selectivity upper bound is positive, ascending:
+/// the filter has perfect recall, so the rest hold no qualifying row.
+fn passing_filter(selectivity_upper: &[f64]) -> Vec<usize> {
+    (0..selectivity_upper.len())
+        .filter(|&p| selectivity_upper[p] > 0.0)
+        .collect()
 }
 
 /// True when `selection` provably reproduces the exact answer: the budget is

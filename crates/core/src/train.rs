@@ -118,7 +118,8 @@ pub fn normalize_workload(
     let statics = normalizer.normalize_statics(stats);
     let matrices = ps3_runtime::fan_out(threads, td.queries.len(), |qi| {
         let sel = td.selectivity[qi].iter().copied();
-        statics.gather(&statics.query_columns(&td.queries[qi], sel))
+        let columns = statics.query_columns(&td.queries[qi], sel);
+        statics.gather(&columns, 0..stats.num_partitions())
     });
     (statics, matrices)
 }
@@ -133,7 +134,7 @@ pub fn bin_workload(normalized: &[FeatureMatrix], max_bins: usize) -> BinnedSet 
     let n = normalized.iter().map(FeatureMatrix::num_rows).sum();
     let dim = normalized.first().map_or(0, FeatureMatrix::full_dim);
     BinnedSet::from_columns(n, dim, max_bins, |f, out| {
-        if normalized.iter().any(|m| m.stores(f)) {
+        if normalized.iter().any(|m| m.slot(f).is_some()) {
             for m in normalized {
                 m.extend_column(f, out);
             }

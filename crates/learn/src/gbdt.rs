@@ -6,7 +6,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::binner::BinnedSet;
-use crate::tree::{SplitRecord, Tree};
+use crate::tree::{Resolved, SplitRecord, Tree, LEAVES, MAX_DEPTH, SPLITS};
 
 /// Shrinkage η applied to every tree, in training and at prediction time.
 pub const LEARNING_RATE: f64 = 0.2;
@@ -138,6 +138,18 @@ impl Gbdt {
         p
     }
 
+    /// This model with every split's feature resolved to a column of one
+    /// compact row layout: `slot_of(feature)` is the column that holds
+    /// full feature index `feature`, or `None` for a feature the rows do
+    /// not store, which reads `0.0`. Made once per query, it predicts
+    /// [`BATCH`] rows at a time ([`ResolvedGbdt::predict_batch`]).
+    pub fn resolve(&self, slot_of: impl Fn(usize) -> Option<usize>) -> ResolvedGbdt {
+        ResolvedGbdt {
+            base: self.base,
+            trees: self.trees.iter().map(|t| t.resolve(&slot_of)).collect(),
+        }
+    }
+
     /// Gain-based feature importance (unnormalized; index = feature).
     pub fn feature_importance(&self) -> &[f64] {
         &self.importance
@@ -167,6 +179,50 @@ impl Gbdt {
             base,
             importance,
         }
+    }
+}
+
+/// Rows [`ResolvedGbdt::predict_batch`] walks together.
+pub const BATCH: usize = 8;
+
+/// A [`Gbdt`] resolved against one compact row layout ([`Gbdt::resolve`]):
+/// its trees as complete trees of depth [`MAX_DEPTH`] whose splits read
+/// compact columns.
+#[derive(Debug, Clone)]
+pub struct ResolvedGbdt {
+    base: f64,
+    /// In boosting order.
+    trees: Vec<Resolved>,
+}
+
+impl ResolvedGbdt {
+    /// The prediction of each of [`BATCH`] compact rows, bit for bit what
+    /// [`Gbdt::predict_with`] gives reading the row through the column
+    /// map: `base + Σ LEARNING_RATE · leaf` over the trees in order. Each
+    /// tree walks the rows together, [`MAX_DEPTH`] steps each from the
+    /// root, a step moving from position `i` to `2i + 1` or, when
+    /// `x <= threshold` fails (NaN included), `2i + 2`: the rows' lookups
+    /// overlap instead of waiting on one another, and no step branches on
+    /// the data.
+    pub fn predict_batch(&self, rows: &[&[f64]; BATCH]) -> [f64; BATCH] {
+        let mut preds = [self.base; BATCH];
+        for tree in &self.trees {
+            let mut at = [0usize; BATCH];
+            for _ in 0..MAX_DEPTH {
+                for (i, row) in at.iter_mut().zip(rows) {
+                    // Below `SPLITS` before the last step: the mask only
+                    // lets the compiler see it.
+                    let split = *i & (SPLITS - 1);
+                    let slot = tree.slots[split] as usize;
+                    let x = row.get(slot).copied().unwrap_or(0.0);
+                    *i = 2 * *i + 2 - usize::from(x <= tree.thresholds[split]);
+                }
+            }
+            for (p, i) in preds.iter_mut().zip(at) {
+                *p += LEARNING_RATE * tree.leaves[(i - (SPLITS - 1)) & (LEAVES - 1)];
+            }
+        }
+        preds
     }
 }
 
@@ -256,6 +312,21 @@ mod tests {
         let b = Gbdt::train(&data, &labels, &params);
         for r in data.iter().take(20) {
             assert_eq!(a.predict_row(r), b.predict_row(r));
+        }
+    }
+
+    /// A model resolved with every feature stored predicts each row of a
+    /// batch with `predict_row`'s bits, a short last batch included.
+    #[test]
+    fn resolved_batches_predict_what_rows_predict() {
+        let (data, labels) = xor_like();
+        let model = Gbdt::train(&data, &labels, &GbdtParams::default());
+        let resolved = model.resolve(Some);
+        for batch in data[..101].chunks(BATCH) {
+            let rows = std::array::from_fn(|j| batch[j.min(batch.len() - 1)].as_slice());
+            for (row, p) in batch.iter().zip(resolved.predict_batch(&rows)) {
+                assert_eq!(p.to_bits(), model.predict_row(row).to_bits());
+            }
         }
     }
 

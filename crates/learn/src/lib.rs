@@ -21,6 +21,6 @@ pub mod labels;
 pub mod tree;
 
 pub use binner::{BinnedSet, Binner};
-pub use gbdt::{Gbdt, GbdtParams, LEARNING_RATE, MAX_BINS};
+pub use gbdt::{Gbdt, GbdtParams, ResolvedGbdt, BATCH, LEARNING_RATE, MAX_BINS};
 pub use labels::{choose_thresholds, make_labels};
 pub use tree::{NodeSpec, Tree};

@@ -20,6 +20,9 @@ pub const MIN_CHILD_WEIGHT: f64 = 1.0;
 #[derive(Debug, Clone)]
 pub struct Tree {
     nodes: Vec<Node>,
+    /// The same tree as a complete tree of depth [`MAX_DEPTH`], built once
+    /// when the tree is grown or thawed, for [`crate::Gbdt::resolve`].
+    complete: Complete,
 }
 
 #[derive(Debug, Clone)]
@@ -34,6 +37,87 @@ enum Node {
         left: usize,
         right: usize,
     },
+}
+
+/// Splits of a complete binary tree of depth [`MAX_DEPTH`], in heap order
+/// (the children of position `i` are `2i + 1` and `2i + 2`), plus one
+/// unused slot so that every position has a power-of-two mask.
+pub(crate) const SPLITS: usize = 1 << MAX_DEPTH;
+
+/// Leaves of a complete binary tree of depth [`MAX_DEPTH`].
+pub(crate) const LEAVES: usize = 1 << MAX_DEPTH;
+
+/// A tree as a complete binary tree of depth [`MAX_DEPTH`]: split `i` sends
+/// a row to position `2i + 1` when `x <= threshold` and to `2i + 2`
+/// otherwise (NaN goes right), and the positions past the splits are the
+/// leaves. A leaf of the grown tree above the bottom level becomes a
+/// *pass*, a position whose two subtrees are the same, so every row takes
+/// exactly [`MAX_DEPTH`] steps and each step is arithmetic on a compare,
+/// not a branch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Complete {
+    /// The full feature index each split reads, or [`PASS`].
+    pub(crate) features: [usize; SPLITS],
+    pub(crate) thresholds: [f64; SPLITS],
+    pub(crate) leaves: [f64; LEAVES],
+}
+
+/// [`Complete::features`] marker of a pass, whose subtrees are equal.
+pub(crate) const PASS: usize = usize::MAX;
+
+impl Complete {
+    /// Lay out the grown tree rooted at `nodes[0]`; fails when a path
+    /// passes more than [`MAX_DEPTH`] splits, which `grow` never makes.
+    fn of(nodes: &[Node]) -> Result<Self, &'static str> {
+        fn place(
+            c: &mut Complete,
+            nodes: &[Node],
+            node: usize,
+            at: usize,
+            depth: usize,
+        ) -> Result<(), &'static str> {
+            match nodes[node] {
+                Node::Leaf { value } if depth == MAX_DEPTH => c.leaves[at - (SPLITS - 1)] = value,
+                Node::Split { .. } if depth == MAX_DEPTH => {
+                    return Err("tree deeper than MAX_DEPTH")
+                }
+                Node::Leaf { .. } => {
+                    c.features[at] = PASS;
+                    place(c, nodes, node, 2 * at + 1, depth + 1)?;
+                    place(c, nodes, node, 2 * at + 2, depth + 1)?;
+                }
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    (c.features[at], c.thresholds[at]) = (feature, threshold);
+                    place(c, nodes, left, 2 * at + 1, depth + 1)?;
+                    place(c, nodes, right, 2 * at + 2, depth + 1)?;
+                }
+            }
+            Ok(())
+        }
+        let mut c = Complete {
+            features: [PASS; SPLITS],
+            thresholds: [0.0; SPLITS],
+            leaves: [0.0; LEAVES],
+        };
+        place(&mut c, nodes, 0, 0, 0)?;
+        Ok(c)
+    }
+}
+
+/// A tree resolved against one compact row layout ([`Tree::resolve`]):
+/// the layout of [`Complete`], each split reading a compact column.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Resolved {
+    /// The compact column each split reads; `0` on a pass, which reads a
+    /// value and goes either way to the same place.
+    pub(crate) slots: [u32; SPLITS],
+    pub(crate) thresholds: [f64; SPLITS],
+    pub(crate) leaves: [f64; LEAVES],
 }
 
 /// One recorded split, for feature-importance accounting.
@@ -74,8 +158,10 @@ impl Tree {
             lanes: Box::new([Lane::EMPTY; LANES]),
         };
         grower.node(rows, 0);
+        let complete = Complete::of(&grower.nodes).expect("grow stops at MAX_DEPTH");
         Tree {
             nodes: grower.nodes,
+            complete,
         }
     }
 
@@ -146,6 +232,42 @@ impl Tree {
         }
     }
 
+    /// This tree with every split's full feature index resolved through
+    /// `slot_of`. A split on a feature `slot_of` maps to `None` reads `0.0`
+    /// in every row, so it is folded: it becomes a pass, both of whose
+    /// subtrees are the one `0.0 <= threshold` chooses.
+    pub(crate) fn resolve(&self, slot_of: &impl Fn(usize) -> Option<usize>) -> Resolved {
+        let c = &self.complete;
+        let mut r = Resolved {
+            slots: [0; SPLITS],
+            thresholds: [0.0; SPLITS],
+            leaves: [0.0; LEAVES],
+        };
+        // `from[i]`: the position of `c` that position `i` of `r` copies.
+        let mut from = [0usize; SPLITS + LEAVES - 1];
+        for to in 0..SPLITS - 1 {
+            let at = from[to];
+            let (left, right) = (2 * at + 1, 2 * at + 2);
+            let read = Some(c.features[at]).filter(|&f| f != PASS).map(slot_of);
+            let (left, right) = match read {
+                Some(Some(slot)) => {
+                    r.slots[to] = u32::try_from(slot).expect("compact columns fit u32");
+                    r.thresholds[to] = c.thresholds[at];
+                    (left, right)
+                }
+                // Both subtrees of a pass are the same.
+                None => (left, left),
+                Some(None) if 0.0 <= c.thresholds[at] => (left, left),
+                Some(None) => (right, right),
+            };
+            (from[2 * to + 1], from[2 * to + 2]) = (left, right);
+        }
+        for (leaf, &at) in r.leaves.iter_mut().zip(&from[SPLITS - 1..]) {
+            *leaf = c.leaves[at - (SPLITS - 1)];
+        }
+        r
+    }
+
     /// Number of nodes (diagnostics).
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
@@ -173,11 +295,13 @@ impl Tree {
     }
 
     /// Rebuild a tree from persisted nodes, validating every structural
-    /// invariant [`predict_row`](Self::predict_row) relies on.
+    /// invariant [`predict_row`](Self::predict_row) and the fixed-depth walk
+    /// rely on.
     ///
     /// `grow` appends children strictly after their parent, so a well-formed
     /// tree has `left > parent` and `right > parent` for every split —
-    /// which also guarantees traversal terminates. Split features must index
+    /// which also guarantees traversal terminates — and no path from the
+    /// root passes more than [`MAX_DEPTH`] splits. Split features must index
     /// into a `num_features`-wide row. Violations (a corrupt or adversarial
     /// artifact) return an error instead of risking a panic or an infinite
     /// prediction loop.
@@ -201,25 +325,24 @@ impl Tree {
                 }
             }
         }
-        Ok(Self {
-            nodes: nodes
-                .into_iter()
-                .map(|n| match n {
-                    NodeSpec::Leaf { value } => Node::Leaf { value },
-                    NodeSpec::Split {
-                        feature,
-                        threshold,
-                        left,
-                        right,
-                    } => Node::Split {
-                        feature,
-                        threshold,
-                        left,
-                        right,
-                    },
-                })
-                .collect(),
-        })
+        let nodes: Vec<Node> = (nodes.into_iter())
+            .map(|n| match n {
+                NodeSpec::Leaf { value } => Node::Leaf { value },
+                NodeSpec::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                },
+            })
+            .collect();
+        let complete = Complete::of(&nodes)?;
+        Ok(Self { nodes, complete })
     }
 }
 
@@ -544,6 +667,32 @@ mod tests {
         for (row, p) in data.iter().zip(&binned) {
             assert_eq!(p.to_bits(), tree.predict_row(row).to_bits());
         }
+    }
+
+    /// `from_nodes` keeps a path through exactly `MAX_DEPTH` splits and
+    /// refuses a longer one — a shape `grow` never makes, on which the
+    /// fixed-depth walk would stop at a split.
+    #[test]
+    fn from_nodes_refuses_a_path_past_max_depth() {
+        // Split `2i` has leaf `2i + 1` on its left and the next split (or
+        // the last leaf) on its right.
+        let chain = |splits: usize| -> Vec<NodeSpec> {
+            let mut nodes = Vec::new();
+            for i in 0..splits {
+                nodes.push(NodeSpec::Split {
+                    feature: 0,
+                    threshold: i as f64,
+                    left: 2 * i + 1,
+                    right: 2 * i + 2,
+                });
+                nodes.push(NodeSpec::Leaf { value: i as f64 });
+            }
+            nodes.push(NodeSpec::Leaf { value: -1.0 });
+            nodes
+        };
+        let deepest = Tree::from_nodes(chain(MAX_DEPTH), 1).expect("MAX_DEPTH splits");
+        assert_eq!(deepest.predict_row(&[10.0]).to_bits(), (-1.0f64).to_bits());
+        assert!(Tree::from_nodes(chain(MAX_DEPTH + 1), 1).is_err());
     }
 
     proptest! {

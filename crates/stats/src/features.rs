@@ -339,9 +339,13 @@ impl FeatureMatrix {
     /// `slot_of` marker for a full feature index the matrix does not store.
     const ABSENT: usize = usize::MAX;
 
-    /// Assemble from parts. `cols` must ascend within `full_dim` and `data`
-    /// must hold `n × cols.len()` values.
-    pub(crate) fn new(cols: Vec<usize>, full_dim: usize, n: usize, data: Vec<f64>) -> Self {
+    /// Assemble from parts: `n` rows of the stored columns `cols` (full
+    /// feature indices) in a `full_dim`-wide feature vector.
+    ///
+    /// # Panics
+    /// Panics unless `cols` ascends within `full_dim` and `data` holds
+    /// `n × cols.len()` values.
+    pub fn new(cols: Vec<usize>, full_dim: usize, n: usize, data: Vec<f64>) -> Self {
         assert!(
             cols.windows(2).all(|w| w[0] < w[1]),
             "column map must ascend"
@@ -412,10 +416,10 @@ impl FeatureMatrix {
         }
     }
 
-    /// Whether the matrix stores full feature index `idx`; a column it
-    /// does not store reads `0.0` in every row.
-    pub fn stores(&self, idx: usize) -> bool {
-        self.slot_of[idx] != Self::ABSENT
+    /// The stored column that holds full feature index `idx`, or `None`
+    /// for a column the mask dropped, which reads `0.0` in every row.
+    pub fn slot(&self, idx: usize) -> Option<usize> {
+        Some(self.slot_of[idx]).filter(|&s| s != Self::ABSENT)
     }
 
     /// Append full feature index `idx`'s value in every row to `out`, in row
@@ -516,7 +520,7 @@ pub(crate) mod tests {
             query,
             SelectivityPlan::new(pred.as_ref()).estimate_all(stats),
         );
-        let matrix = statics.gather(&columns);
+        let matrix = statics.gather(&columns, 0..stats.num_partitions());
         (columns, matrix)
     }
 

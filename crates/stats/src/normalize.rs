@@ -260,20 +260,36 @@ impl NormalizedStatics {
         }
     }
 
-    /// The query's normalized compact feature matrix — what the funnel, LSS
-    /// and clustering read — gathered from the shared static rows and
-    /// `columns`' selectivity block.
-    pub fn gather(&self, columns: &QueryColumns) -> FeatureMatrix {
-        let (stride, n) = (self.stride(), columns.upper.len());
-        assert_eq!(n * stride, self.data.len(), "partition count");
+    /// The query's normalized compact feature matrix over `rows` — what
+    /// the funnel, LSS and clustering read — gathered from the shared
+    /// static rows and `columns`' selectivity block: matrix row `i` is
+    /// partition `rows[i]`. A pick gathers only the partitions that pass
+    /// its filter, in partition order; training gathers every partition.
+    ///
+    /// # Panics
+    /// Panics when `columns` was kept for another partition count, or a
+    /// row is not a partition.
+    pub fn gather(
+        &self,
+        columns: &QueryColumns,
+        rows: impl ExactSizeIterator<Item = usize>,
+    ) -> FeatureMatrix {
+        let stride = self.stride();
+        assert_eq!(
+            columns.upper.len() * stride,
+            self.data.len(),
+            "partition count"
+        );
         let cols = compact_cols(&self.schema, &columns.blocks);
+        let n = rows.len();
         let mut data = Vec::with_capacity(n * cols.len());
-        let rows = self.data.chunks_exact(stride);
-        for (statics, sel) in rows.zip(columns.selectivity.chunks_exact(SELECTIVITY_FEATURES)) {
+        for p in rows {
+            let statics = &self.data[p * stride..(p + 1) * stride];
             for b in &columns.blocks {
                 data.extend_from_slice(&statics[b.clone()]);
             }
-            data.extend_from_slice(sel);
+            let sel = SELECTIVITY_FEATURES;
+            data.extend_from_slice(&columns.selectivity[p * sel..(p + 1) * sel]);
         }
         FeatureMatrix::new(cols, self.schema.dim(), n, data)
     }
@@ -321,7 +337,8 @@ mod tests {
         let (q, sel) = (sum_of(0), all_pass(&stats));
         let norm = Normalizer::fit(&stats, [(&q, sel.as_slice())]);
         let statics = norm.normalize_statics(&stats);
-        let m = statics.gather(&statics.query_columns(&q, sel.iter().copied()));
+        let columns = statics.query_columns(&q, sel.iter().copied());
+        let m = statics.gather(&columns, 0..sel.len());
         // Every stored dimension that is not constant zero averages 1 in
         // magnitude over the rows it was fitted on: mean(a), and the slots.
         for slot in [0, m.width() - SELECTIVITY_FEATURES] {

@@ -69,6 +69,7 @@ cluster/select_512_tiny_q8
 train/train_cold
 train/retrain_warm
 picker/full_pick_25pct
+picker/importance_funnel_512
 router/answer_cold
 router/answer_cached
 router_fanin/fanin_8_tenants

@@ -353,7 +353,7 @@ fn gathered(
     let compiled = CompiledQuery::compile(pt.table(), query);
     let plan = SelectivityPlan::new(compiled.predicate());
     let entry = statics.query_columns(query, plan.estimate_all(stats));
-    let matrix = statics.gather(&entry);
+    let matrix = statics.gather(&entry, 0..stats.num_partitions());
     (entry, matrix)
 }
 
